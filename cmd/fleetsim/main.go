@@ -33,7 +33,7 @@
 //	go run ./cmd/fleetsim [-n 2,4,16,64,256] [-dur 120s] [-seed 1]
 //	                      [-alpha 1] [-rate 6000] [-fq] [-workers 0]
 //	                      [-per-flow] [-no-cache] [-jain-floor 0]
-//	                      [-shards N] [-lean]
+//	                      [-shards N] [-lean] [-json out.json]
 //	                      [-cpuprofile f] [-memprofile f] [-trace f]
 //	go run ./cmd/fleetsim -churn [-epoch 10s] [-depart .04] [-crash .06]
 //	                      [-arrive .5] [-no-ckpt] [-checkpoint-dir d]
@@ -98,7 +98,7 @@ func main() {
 	noCkpt := flag.Bool("no-ckpt", false, "disable checkpoints: every restart cold instead of warm")
 	ckptDir := flag.String("checkpoint-dir", "", "mirror member checkpoints to this directory")
 	smoke := flag.Bool("smoke", false, "small fast churn soak for CI (overrides -n and -dur)")
-	jsonOut := flag.String("json", "", "also write churn results as JSON to this file")
+	jsonOut := flag.String("json", "", "also write the results (fairness sweep or churn points) as JSON to this file")
 	shardCrash := flag.Bool("shard-crash", false, "sharded runtime: arm the deterministic shard-kill schedule (whole virtual shards fail over at barriers)")
 	shardStall := flag.Bool("shard-stall", false, "sharded runtime: arm the deterministic stall schedule (stalled shards serve degraded)")
 	windowBudget := flag.Duration("window-budget", 0, "sharded runtime: wall-clock watchdog budget per coupling window (0 off; nondeterministic)")
@@ -174,6 +174,7 @@ func main() {
 	})
 	fmt.Print(res.Render())
 	fmt.Printf("(%v wall)\n", time.Since(start).Round(time.Millisecond))
+	writeJSON(*jsonOut, res, exit)
 
 	if *perFlow {
 		for _, p := range res.Points {
@@ -341,16 +342,7 @@ func runShardChurn(o shardChurnOpts) {
 			o.exit(1)
 		}
 	}
-	if o.jsonOut != "" {
-		b, err := json.MarshalIndent(points, "", "  ")
-		if err == nil {
-			err = os.WriteFile(o.jsonOut, b, 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fleetsim: writing %s: %v\n", o.jsonOut, err)
-			o.exit(1)
-		}
-	}
+	writeJSON(o.jsonOut, points, o.exit)
 }
 
 type churnOpts struct {
@@ -367,6 +359,22 @@ type churnOpts struct {
 	jsonOut               string
 	jainFloor             float64
 	exit                  func(int)
+}
+
+// writeJSON writes v, indented, to path; an empty path means no JSON
+// was asked for.
+func writeJSON(path string, v any, exit func(int)) {
+	if path == "" {
+		return
+	}
+	b, err := json.MarshalIndent(v, "", "  ")
+	if err == nil {
+		err = os.WriteFile(path, b, 0o644)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "fleetsim: writing %s: %v\n", path, err)
+		exit(1)
+	}
 }
 
 func runChurn(o churnOpts) {
@@ -405,16 +413,7 @@ func runChurn(o churnOpts) {
 			o.exit(1)
 		}
 	}
-	if o.jsonOut != "" {
-		b, err := json.MarshalIndent(res.Points, "", "  ")
-		if err == nil {
-			err = os.WriteFile(o.jsonOut, b, 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fleetsim: writing %s: %v\n", o.jsonOut, err)
-			o.exit(1)
-		}
-	}
+	writeJSON(o.jsonOut, res.Points, o.exit)
 	var jains []float64
 	for _, p := range res.Points {
 		jains = append(jains, p.Jain)

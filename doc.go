@@ -122,17 +122,45 @@
 // layered on top; BENCH_7.json records the measured recovery numbers
 // (virtual-time MTTR and post-failover utility, warm vs cold).
 //
-// # Benchmark tracking
+// # Performance
 //
-// Run the full suite with
+// Live planning is where a fleet's processor time goes (planner.Decide
+// is about nine tenths of it on a 256-sender fleet), and Decide is built
+// around not repeating work: one baseline rollout per hypothesis that
+// candidates fork from, candidates retired when they reconverge, pool-
+// resident scratch so a decision allocates almost nothing, and a
+// rollout memo that sweeps each distinct hypothesis once. The memo keys
+// a hypothesis by exactly what a gate-frozen rollout reads of it
+// (model.State.AppendRolloutKey: rates, sizes, what is in service and
+// queued, every time relative to the decision instant — and not
+// ParamsID, the toggle grid, a gated-off pinger's rate, sequence
+// numbers or the weight), so hypotheses that differ only in what a
+// rollout cannot see, within one belief or across fleet members a few
+// milliseconds apart, share one sweep; about four in ten of a fleet's
+// planned hypotheses do. A hit returns bit for bit what the sweep would
+// compute, so the memo — a fixed 4 Ki-entry direct-mapped table on the
+// rollout.Pool, one per fleet or shard partition, no option to set —
+// cannot reach a decision, a replay hash or a compiled table. Its
+// counters (fleet.Fleet.MemoStats, shard.Fleet.MemoStats) are printed
+// by cmd/fleetsim beside the policy cache's.
 //
-//	go test -bench=. -benchmem
+// The one benchmark is cmd/bench, declared by BENCHMARK.json at the
+// repository root: four fixed-window workloads (fig3-solo, fleet-256,
+// shard-1024, serve-256), twelve end-to-end metrics with regression
+// bounds, and a traced run that attributes the time to layers. Every
+// performance claim is stated in its metric names, from ten or more
+// interleaved runs of the parent and the change:
 //
-// and the headline measurements as machine-readable JSON with
+//	bash cmd/bench/run.sh --workload fleet-256 --seed 42 --seconds 20 --trace 0
+//	go run -C cmd/bench . run -workload fleet-256 -out runs.jsonl
+//	go run -C cmd/bench . diff parent.jsonl change.jsonl
+//	go run -C cmd/bench . trace -workload fleet-256
+//	go test -C cmd/bench .
 //
-//	go run ./cmd/benchjson [-short] [-workers N] [-o out.json]
-//
-// Each PR records its before/after in BENCH_<n>.json at the repository
-// root (BENCH_1.json holds the first: the parallel, allocation-lean
-// engine against the seed tree).
+// cmd/bench is its own module, so go test ./... at the root does not
+// reach it. BENCH_1.json … BENCH_7.json and the commands that wrote
+// them (cmd/benchjson, cmd/bench6, cmd/bench7, cmd/perfgate) are
+// historical: seven schemas, single samples on one core, not comparable
+// with each other or with cmd/bench. go test -bench=. -benchmem still
+// regenerates every figure.
 package modelcc

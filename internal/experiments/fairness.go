@@ -7,6 +7,7 @@ import (
 
 	"modelcc/internal/fleet"
 	"modelcc/internal/packet"
+	"modelcc/internal/planner"
 	"modelcc/internal/shard"
 	"modelcc/internal/stats"
 	"modelcc/internal/units"
@@ -114,6 +115,11 @@ type FairnessResult struct {
 	Cfg FairnessConfig
 	// Points holds one entry per fleet size, in Ns order.
 	Points []FairnessPoint
+	// Memo holds each point's rollout-memo counters: of the hypotheses
+	// the policy cache's misses planned over, how many were rolled. A
+	// cost diagnostic, not a result — there is one memo per shard
+	// partition, so unlike Points it varies with the shard count.
+	Memo []planner.MemoStats
 }
 
 // fleetRuntime is the read surface the fairness reduction needs. The
@@ -125,6 +131,7 @@ type fleetRuntime interface {
 	FlowDrops(packet.FlowID) int
 	Drops() int
 	CacheStats() (hits, misses int)
+	MemoStats() planner.MemoStats
 }
 
 // FairnessSweep runs one fleet per N and reports fairness, per-flow
@@ -164,6 +171,7 @@ func FairnessSweep(cfg FairnessConfig) FairnessResult {
 			rt = fl
 		}
 		res.Points = append(res.Points, fairnessPoint(rt, fc.Resolved(), cfg.Duration, cfg.LeanStats))
+		res.Memo = append(res.Memo, rt.MemoStats())
 	}
 	return res
 }
@@ -249,6 +257,11 @@ func (r FairnessResult) Render() string {
 	for _, p := range r.Points {
 		fmt.Fprintf(&b, "%-6d %8.4f %10.3f %10.3f %10.4f %10.4f %10.3f %8d %7d/%d\n",
 			p.N, p.Jain, p.AggRate, p.LinkPkts, p.MinRate, p.MaxRate, p.MeanDelay, p.Drops, p.CacheHits, p.CacheMisses)
+	}
+	for i, m := range r.Memo {
+		p := r.Points[i]
+		fmt.Fprintf(&b, "N=%-4d rollout memo: %d hypotheses keyed, %d hits, %d shared in-call, %d rolled; %d verify mismatches, %d overwrites\n",
+			p.N, m.Lookups, m.Hits, m.Shared, m.Lookups-m.Hits-m.Shared, m.VerifyMismatches, m.Overwrites)
 	}
 	return b.String()
 }

@@ -778,6 +778,11 @@ func (f *Fleet) CacheStats() (hits, misses int) {
 	return f.Caches.Stats()
 }
 
+// MemoStats reports the counters of the rollout memo under the fleet's
+// pool: how many of the hypotheses live planning keyed were served a
+// stored gain vector, shared a rollout within their call, or collided.
+func (f *Fleet) MemoStats() planner.MemoStats { return planner.PoolMemoStats(f.Pool) }
+
 // CompiledStats reports, summed over members, how many decisions the
 // compiled policy table served (Guard rung 0) versus how many fell
 // through to live planning. Zeros when no table is wired.

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
@@ -177,4 +178,157 @@ func TestBuildStateSeedsValid(t *testing.T) {
 	if s.QHead != 2 || s.QLen() != 4 {
 		t.Fatalf("QHead=%d QLen=%d, want 2 and 4", s.QHead, s.QLen())
 	}
+}
+
+// rolloutStream runs s gate-frozen from its own Now to now+6 s with two
+// own sends stamped relative to now, and returns what a planner reads
+// of the result: (kind, bits, At − now) per event, plus Delay when
+// stamps is set.
+func rolloutStream(s State, now time.Duration, stamps bool) []Event {
+	var evs []Event
+	sends := []Send{{Seq: 900, At: now + 100*time.Millisecond}, {Seq: 901, At: now + 1300*time.Millisecond, Bits: 4000}}
+	s.Run(now+6*time.Second, sends, &evs)
+	for i := range evs {
+		evs[i].Seq = 0
+		evs[i].At -= now
+		if !stamps {
+			evs[i].Delay = 0
+		}
+	}
+	return evs
+}
+
+// FuzzRolloutKey pins AppendRolloutKey to what a gate-frozen Run reads.
+// Perturbing a field the key leaves out — ParamsID, the toggle grid,
+// MeanSwitch, InitFullBits, sequence numbers, the pinger's rate, chunk
+// and phase while the gate is off, enqueue stamps when the caller does
+// not consume Delay, and (synchronized clocks) a uniform shift of every
+// time and of now — changes neither the key nor the rebased delivery
+// stream. Perturbing any field it keeps changes the key.
+func FuzzRolloutKey(f *testing.F) {
+	f.Add(uint8(0), int64(0), int64(0), false, false, []byte{}, uint16(0), false, false)
+	f.Add(uint8(1), int64(12000), int64(3), true, true, []byte{1, 0, 1}, uint16(250), true, false)
+	f.Add(uint8(7), int64(96000), int64(-1), true, false, []byte{0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1}, uint16(40), false, true)
+	f.Add(uint8(3), int64(1500*8), int64(41), false, true, []byte{1, 1, 0, 1, 0, 1, 0, 1, 1, 0}, uint16(999), true, true)
+	f.Add(uint8(9), int64(6000), int64(77), true, true, []byte{0, 1, 0, 1, 1}, uint16(7), false, false)
+
+	f.Fuzz(func(t *testing.T, paramsID uint8, bits int64, seq int64, pingerOn, serving bool, queueSpec []byte, aheadMs uint16, stamps, skewed bool) {
+		s := buildState(paramsID, bits, seq, pingerOn, serving, queueSpec)
+		// A buffer tight enough that the rollout's sends and cross
+		// chunks tail-drop, so drops are in the compared streams too.
+		s.P.BufferCapBits = s.QueueBits + 2*s.P.PktBits()
+		s.P.LossProb = 0.1
+		if skewed {
+			s.P.ClockSkew = 1e-3
+		}
+		now := s.Now + time.Duration(aheadMs%1000)*time.Millisecond
+		if serving {
+			s.ServiceDone = now + 400*time.Millisecond
+		}
+		if s.NextCross < now {
+			s.NextCross = now + 50*time.Millisecond
+		}
+		key := s.AppendRolloutKey(nil, now, stamps)
+		stream := rolloutStream(s.Clone(), now, stamps)
+
+		same := func(name string, v State, vnow time.Duration) {
+			t.Helper()
+			if !slices.Equal(v.AppendRolloutKey(nil, vnow, stamps), key) {
+				t.Fatalf("%s changed the rollout key", name)
+			}
+			got := rolloutStream(v, vnow, stamps)
+			if len(got) != len(stream) {
+				t.Fatalf("%s: %d events, want %d", name, len(got), len(stream))
+			}
+			for i := range got {
+				if got[i] != stream[i] {
+					t.Fatalf("%s: event %d = %+v, want %+v", name, i, got[i], stream[i])
+				}
+			}
+		}
+		differs := func(name string, v State, vnow time.Duration) {
+			t.Helper()
+			if slices.Equal(v.AppendRolloutKey(nil, vnow, stamps), key) {
+				t.Fatalf("%s did not change the rollout key", name)
+			}
+		}
+		edit := func(fn func(v *State)) State {
+			v := s.Clone()
+			fn(&v)
+			return v
+		}
+
+		// Excluded fields.
+		same("ParamsID", edit(func(v *State) { v.ParamsID += 5 }), now)
+		same("toggle grid", edit(func(v *State) {
+			v.NextToggle += 123 * time.Millisecond
+			v.SwitchTick *= 2
+			v.P.MeanSwitch /= 3
+		}), now)
+		same("InitFullBits", edit(func(v *State) { v.P.InitFullBits += 12000 }), now)
+		same("sequence numbers", edit(func(v *State) {
+			v.InService.Seq += 1000
+			for i := range v.Queue {
+				v.Queue[i].Seq += 1000
+			}
+		}), now)
+		if !pingerOn {
+			same("gated-off pinger", edit(func(v *State) {
+				v.P.CrossRate *= 1.5
+				v.P.CrossPktBits = 24000
+				v.NextCross += 77 * time.Millisecond
+			}), now)
+		}
+		if !stamps {
+			same("unread enqueue stamps", edit(func(v *State) {
+				v.InService.EnqueuedAt -= 5 * time.Millisecond
+				for i := range v.Queue {
+					v.Queue[i].EnqueuedAt -= time.Duration(i+1) * time.Millisecond
+				}
+			}), now)
+		}
+		const shift = 7654321 * time.Microsecond
+		shifted := edit(func(v *State) { v.Rebase(shift) })
+		if skewed {
+			differs("a shift under clock skew", shifted, now+shift)
+		} else {
+			same("a uniform time shift", shifted, now+shift)
+		}
+
+		// Included fields.
+		differs("LinkRate", edit(func(v *State) { v.P.LinkRate += 1 }), now)
+		differs("BufferCapBits", edit(func(v *State) { v.P.BufferCapBits++ }), now)
+		differs("PktBytes", edit(func(v *State) { v.P.PktBytes = 1000 }), now)
+		differs("LossProb", edit(func(v *State) { v.P.LossProb += 0.01 }), now)
+		differs("ClockSkew", edit(func(v *State) { v.P.ClockSkew += 1e-4 }), now)
+		differs("Now", edit(func(v *State) { v.Now -= time.Nanosecond }), now)
+		differs("the decision instant", s.Clone(), now+time.Nanosecond)
+		differs("PingerOn", edit(func(v *State) { v.PingerOn = !v.PingerOn }), now)
+		differs("Serving", edit(func(v *State) {
+			v.Serving = !v.Serving
+			v.InService = QPkt{Seq: -1, Bits: 12000}
+		}), now)
+		differs("queue length", edit(func(v *State) {
+			v.Queue = append(v.Queue, QPkt{Seq: -1, Bits: 1})
+			v.QueueBits++
+		}), now)
+		if serving {
+			differs("ServiceDone", edit(func(v *State) { v.ServiceDone++ }), now)
+			differs("in-service bits", edit(func(v *State) { v.InService.Bits++ }), now)
+			differs("in-service owner", edit(func(v *State) { v.InService.Own = !v.InService.Own }), now)
+		}
+		if s.QLen() > 0 {
+			last := func(v *State) *QPkt { return &v.Queue[len(v.Queue)-1] }
+			differs("queued bits", edit(func(v *State) { last(v).Bits++; v.QueueBits++ }), now)
+			differs("queued owner", edit(func(v *State) { last(v).Own = !last(v).Own }), now)
+			if stamps {
+				differs("a read enqueue stamp", edit(func(v *State) { last(v).EnqueuedAt-- }), now)
+			}
+		}
+		if pingerOn {
+			differs("cross interval", edit(func(v *State) { v.P.CrossRate *= 1.5 }), now)
+			differs("cross chunk", edit(func(v *State) { v.P.CrossPktBits = 24000 }), now)
+			differs("NextCross", edit(func(v *State) { v.NextCross++ }), now)
+		}
+	})
 }

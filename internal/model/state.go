@@ -519,6 +519,79 @@ func (s *State) Hash64() uint64 {
 	return h
 }
 
+// AppendRolloutKey appends to dst exactly what a gate-frozen rollout
+// from decision instant now reads of the hypothesis: Run fed sends
+// stamped relative to now, its deliveries consumed as (kind, bits,
+// At − now) and, when stamps is set, Delay. Two states with equal keys
+// (under the same stamps) produce identical such streams from identical
+// relative sends, at any two instants — the identity a planner needs to
+// roll a recurring hypothesis once. Every time is rebased to now; the
+// walk is knowledge of what Run reads, which is why it lives beside
+// Hash64 and EqualDynamic, and it reads far less than they do:
+//
+//   - ParamsID, MeanSwitch, InitFullBits, NextToggle and SwitchTick
+//     never reach Run (the caller owns toggles);
+//   - with the gate off the pinger only ticks a clock nothing reads, so
+//     the cross chunk, its interval (all CrossRate decides) and
+//     NextCross count only when PingerOn;
+//   - sequence numbers label events and never steer them;
+//   - enqueue stamps surface only as a delivery's Delay, so they count
+//     only when the caller consumes Delay (stamps);
+//   - absolute time matters only to a skewed receiver clock, which
+//     scales it: now itself is keyed only when ClockSkew != 0.
+//
+// The encoding is self-delimiting (the flags word carries the queue
+// length and which optional groups follow), so callers may append more
+// words after it.
+func (s *State) AppendRolloutKey(dst []uint64, now time.Duration, stamps bool) []uint64 {
+	p := &s.P
+	flags := uint64(s.QLen()) << 2
+	if s.Serving {
+		flags |= 2
+	}
+	if s.PingerOn {
+		flags |= 1
+	}
+	dst = append(dst,
+		flags,
+		math.Float64bits(float64(p.LinkRate)),
+		uint64(p.BufferCapBits),
+		uint64(p.PktBits()),
+		math.Float64bits(p.LossProb),
+		math.Float64bits(p.ClockSkew),
+		uint64(s.Now-now))
+	if p.ClockSkew != 0 {
+		dst = append(dst, uint64(now))
+	}
+	if s.PingerOn {
+		ivl := s.crossIvl
+		if ivl == 0 {
+			ivl = p.CrossInterval()
+		}
+		dst = append(dst, uint64(p.CrossBits()), uint64(ivl), uint64(s.NextCross-now))
+	}
+	if s.Serving {
+		dst = s.InService.appendRolloutKey(dst, now, stamps)
+		dst = append(dst, uint64(s.ServiceDone-now))
+	}
+	for _, q := range s.Queued() {
+		dst = q.appendRolloutKey(dst, now, stamps)
+	}
+	return dst
+}
+
+func (q QPkt) appendRolloutKey(dst []uint64, now time.Duration, stamps bool) []uint64 {
+	w := uint64(q.Bits) << 1
+	if q.Own {
+		w |= 1
+	}
+	dst = append(dst, w)
+	if stamps {
+		dst = append(dst, uint64(q.EnqueuedAt-now))
+	}
+	return dst
+}
+
 // Branch is one weighted outcome of advancing a hypothesis with
 // enumeration of gate toggles.
 type Branch struct {

@@ -111,6 +111,11 @@ type Guard struct {
 	inflight      chan guardResult
 	lastSafeDelta time.Duration
 	haveSafe      bool
+
+	// plan is the background planner; nil means Decide. Tests replace it
+	// with one that blocks until released, so a budget expires because
+	// the planner has not answered, not because a timer won a race.
+	plan func([]belief.Hypothesis, []model.Send, time.Duration, int64, Config) Decision
 }
 
 // guardResult carries a background decision together with the snapshot
@@ -200,10 +205,14 @@ func (g *Guard) Decide(sup []belief.Hypothesis, pending []model.Send, now time.D
 	// The caller's pool is single-checkout; the goroutine takes its own
 	// from the shared pool cache instead.
 	bg.Pool = nil
+	plan := g.plan
+	if plan == nil {
+		plan = Decide
+	}
 	ch := make(chan guardResult, 1)
 	g.inflight = ch
 	go func() {
-		ch <- guardResult{d: Decide(hyps, pcopy, now, seq, bg), sup: hyps, pending: pcopy, now: now}
+		ch <- guardResult{d: plan(hyps, pcopy, now, seq, bg), sup: hyps, pending: pcopy, now: now}
 	}()
 
 	timer := time.NewTimer(g.Budget)

@@ -1,6 +1,7 @@
 package planner
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -8,9 +9,8 @@ import (
 	"modelcc/internal/model"
 )
 
-// guardSupport builds a mid-sized uniform support: big enough that a
-// live Decide takes real work (so a nanosecond budget reliably expires
-// first), small enough to keep the test fast.
+// guardSupport builds a mid-sized uniform support, small enough to keep
+// the tests fast.
 func guardSupport() []belief.Hypothesis {
 	states, w := model.Prior{
 		LinkRate:      model.PriorRange{Lo: 10000, Hi: 16000, N: 4},
@@ -42,12 +42,28 @@ func TestGuardLiveWithinBudget(t *testing.T) {
 	}
 }
 
+// stalledGuard returns a Guard whose background planner takes one token
+// from gate before it plans, so a budget expires exactly when the test
+// withholds the token — never because a timer happened to beat a fast
+// Decide to the select. Closing gate at cleanup releases any planner
+// still parked.
+func stalledGuard(t *testing.T, cache *PolicyCache) (*Guard, chan struct{}) {
+	gate := make(chan struct{})
+	g := NewGuard(time.Millisecond, cache)
+	g.plan = func(sup []belief.Hypothesis, pending []model.Send, now time.Duration, seq int64, cfg Config) Decision {
+		<-gate
+		return Decide(sup, pending, now, seq, cfg)
+	}
+	t.Cleanup(func() { close(gate) })
+	return g, gate
+}
+
 // TestGuardTimeoutFallsToSafe: an expired budget with no cache and no
 // remembered action degrades to the bottom rung — no send, re-decide in
 // one grid step.
 func TestGuardTimeoutFallsToSafe(t *testing.T) {
 	sup := guardSupport()
-	g := NewGuard(time.Nanosecond, nil)
+	g, _ := stalledGuard(t, nil)
 	now := 3 * time.Second
 	d := g.Decide(sup, nil, now, 0, Config{})
 	if d.SendNow {
@@ -64,7 +80,7 @@ func TestGuardTimeoutFallsToSafe(t *testing.T) {
 // TestGuardLastSafeAction: rung 3 replays the most recent non-send
 // pacing interval rather than the raw grid.
 func TestGuardLastSafeAction(t *testing.T) {
-	g := NewGuard(time.Nanosecond, nil)
+	g, _ := stalledGuard(t, nil)
 	g.noteSafe(Decision{WakeAt: 1300 * time.Millisecond}, time.Second)
 	now := 10 * time.Second
 	d := g.Decide(guardSupport(), nil, now, 0, Config{})
@@ -77,22 +93,31 @@ func TestGuardLastSafeAction(t *testing.T) {
 }
 
 // TestGuardCacheSeededByStraggler: a Decide that blows its budget keeps
-// cooking; its drained result seeds the cache, and a later timeout on
-// the same situation is served from there.
+// cooking; a call that arrives meanwhile does not stack a second one;
+// the drained result seeds the cache, and a later timeout on the same
+// situation is served from there.
 func TestGuardCacheSeededByStraggler(t *testing.T) {
 	sup := guardSupport()
-	g := NewGuard(time.Nanosecond, NewPolicyCache(0))
+	g, gate := stalledGuard(t, NewPolicyCache(0))
 	now := 2 * time.Second
-	deadline := time.Now().Add(5 * time.Second)
-	for g.CacheHits == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("no cache hit within 5s: timeouts=%d overlaps=%d safeFallbacks=%d",
-				g.Timeouts, g.Overlaps, g.SafeFallbacks)
-		}
-		// A cache-hit fallback may legitimately send — it is a real
-		// computed decision; only the blind rungs below it never do.
-		g.Decide(sup, nil, now, 0, Config{})
-		time.Sleep(5 * time.Millisecond)
+
+	g.Decide(sup, nil, now, 0, Config{}) // planner parked: budget expires
+	g.Decide(sup, nil, now, 0, Config{}) // straggler still cooking
+	if g.Timeouts != 1 || g.Overlaps != 1 || g.SafeFallbacks != 2 || g.CacheHits != 0 {
+		t.Fatalf("counters before release: timeouts=%d overlaps=%d safeFallbacks=%d cacheHits=%d, want 1/1/2/0",
+			g.Timeouts, g.Overlaps, g.SafeFallbacks, g.CacheHits)
+	}
+	gate <- struct{}{} // let the straggler finish
+	for len(g.inflight) == 0 {
+		runtime.Gosched()
+	}
+	// The next call drains the straggler into the cache, parks a fresh
+	// planner, times out again — and this time the cache answers. (A
+	// cache-hit fallback may legitimately send: it is a real computed
+	// decision; only the blind rungs below it never do.)
+	g.Decide(sup, nil, now, 0, Config{})
+	if g.Timeouts != 2 || g.CacheHits != 1 {
+		t.Fatalf("counters after drain: timeouts=%d cacheHits=%d, want 2/1", g.Timeouts, g.CacheHits)
 	}
 	// The cached decision must match what the live planner computes.
 	cached, ok := g.Cache.Lookup(sup, nil, now)

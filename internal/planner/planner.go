@@ -14,6 +14,23 @@
 // keeps the differences well-conditioned: the large cross-traffic
 // background term cancels exactly.
 //
+// A planning rollout reads far less of a hypothesis than compaction or
+// the PolicyCache fingerprint do, and Decide exploits it: the rollout
+// memo keys each hypothesis by model.State.AppendRolloutKey — link rate,
+// buffer cap, packet size, loss probability; what is in service and
+// queued as (bits, own); every time relative to the decision instant;
+// the pinger's chunk, interval and phase only while its gate is on;
+// enqueue stamps only under a cross-latency penalty; the absolute
+// instant only under clock skew — followed by the pending sends as
+// (At − now, bits) and the plan constants (Util, MaxDelay, Grid,
+// Horizon). Left out, each because the sweep cannot observe it:
+// ParamsID (a label), the toggle grid and MeanSwitch (the gate is
+// frozen), the cross rate of a gated-off pinger (it only ticks a clock),
+// sequence numbers (they label events), and the weight (applied after
+// the sweep, in the reduce). Fleet members in the same relative state
+// milliseconds apart, and hypotheses of one belief that differ only in
+// what is left out, therefore roll once; see rolloutMemo.
+//
 // Ties break toward the longest delay. This is what turns the utility
 // maximization into pacing: when the queue already guarantees a packet's
 // delivery time, sending it any earlier buys nothing, so the sender
@@ -23,6 +40,7 @@ package planner
 
 import (
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -131,7 +149,7 @@ const lockstepChunk = time.Second
 //
 // The per-hypothesis work is one forward sweep over a grid of sync
 // stops (every candidate send time, then every lockstepChunk), built
-// for the rollout engine's three economies. (1) The no-send baseline is
+// for the rollout engine's four economies. (1) The no-send baseline is
 // simulated exactly once; each candidate forks from it in place when
 // the sweep reaches its send time, so [now, now+δ) is never
 // re-simulated. (2) Candidates advance alongside the baseline and
@@ -143,11 +161,26 @@ const lockstepChunk = time.Second
 // steady state cuts the simulated span from the 40 s Horizon to the few
 // seconds the extra packet's consequences actually linger. (3)
 // Hypotheses are sharded across cfg.Workers, each with a scratch arena
-// of states, discount meters, and event buffers, so the steady-state
-// decision allocates almost nothing.
+// of states, discount meters, and event buffers, and the call's own
+// buffers live on the pool, so the steady-state decision allocates
+// almost nothing. (4) Each distinct hypothesis is swept once: before
+// the sweep every hypothesis is keyed by exactly what the sweep reads
+// of it (see the package comment), equal keys within the call share one
+// sweep, and a key an earlier call on the same pool stored takes that
+// call's per-candidate gain vector. A hit is bit for bit what the sweep
+// would have produced, and the weight reduce below is unchanged, so the
+// memo can be cold, warm, wrapped or shared by any set of senders
+// without reaching a Decision.
 func Decide(sup []belief.Hypothesis, pending []model.Send, now time.Duration, seq int64, cfg Config) Decision {
 	cfg = cfg.withDefaults()
-	hyps := topK(sup, cfg.MaxHyps)
+	pool := cfg.Pool
+	if pool == nil {
+		pool = acquirePool(cfg.Workers)
+		defer releasePool(pool)
+	}
+	ar := arenaOf(pool)
+	ar.hyps = appendTopK(ar.hyps[:0], sup, cfg.MaxHyps)
+	hyps := ar.hyps
 
 	horizonEnd := now + cfg.MaxDelay + cfg.Horizon
 	candidates := int(cfg.MaxDelay/cfg.Grid) + 1
@@ -155,7 +188,7 @@ func Decide(sup []belief.Hypothesis, pending []model.Send, now time.Duration, se
 	// Sync stops: candidate send times on the Grid, chunk boundaries to
 	// the horizon, horizonEnd itself. stops[k] for k < candidates is
 	// candidate k's send time.
-	stops := make([]time.Duration, 0, candidates+int(cfg.Horizon/lockstepChunk)+2)
+	stops := ar.stops[:0]
 	for k := 0; k < candidates; k++ {
 		stops = append(stops, now+time.Duration(k)*cfg.Grid)
 	}
@@ -163,18 +196,47 @@ func Decide(sup []belief.Hypothesis, pending []model.Send, now time.Duration, se
 		stops = append(stops, t)
 	}
 	stops = append(stops, horizonEnd)
+	ar.stops = stops
 
 	// gains[i*candidates+k] is hypothesis i's utility advantage of
 	// sending at now+k·Grid over not sending, relative to decision time
 	// now. Per-index slots keep the parallel fill deterministic.
-	gains := make([]float64, len(hyps)*candidates)
+	n := len(hyps)
+	ar.gains = slices.Grow(ar.gains[:0], n*candidates)[:n*candidates]
+	gains := ar.gains
+	row := func(i int) []float64 { return gains[i*candidates : (i+1)*candidates] }
 
-	pool := cfg.Pool
-	release := func() {}
-	if pool == nil {
-		pool, release = acquirePool(cfg.Workers)
+	// Memo look-ups, in index order on this goroutine: a hypothesis whose
+	// key an earlier call stored takes that gain vector, one whose key an
+	// earlier hypothesis of this call has shares its rollout, and only
+	// the rest (roll) are swept.
+	stamps := cfg.Util.CrossLatencyPenalty > 0
+	plan := planKey(pending, now, cfg)
+	ar.keys = slices.Grow(ar.keys[:0], n)[:n]
+	ar.from = slices.Grow(ar.from[:0], n)[:n]
+	keys, from, roll := ar.keys, ar.from, ar.roll[:0]
+	for i := range hyps {
+		ar.words = hyps[i].S.AppendRolloutKey(ar.words[:0], now, stamps)
+		keys[i] = hypKey(plan, ar.words)
+		from[i] = -1
+		if ar.memo.lookup(keys[i], row(i)) {
+			continue
+		}
+		for _, j := range roll {
+			if keys[j] == keys[i] {
+				from[i] = j
+				ar.memo.Shared++
+				break
+			}
+		}
+		if from[i] < 0 {
+			roll = append(roll, int32(i))
+		}
 	}
-	pool.Run(len(hyps), func(s *rollout.Scratch, i int) {
+	ar.roll = roll
+
+	pool.Run(len(roll), func(s *rollout.Scratch, r int) {
+		i := int(roll[r])
 		h := &hyps[i]
 		p := h.S.P.LossProb
 		ds, _ := s.Aux.(*decideScratch)
@@ -259,9 +321,17 @@ func Decide(sup []belief.Hypothesis, pending []model.Send, now time.Duration, se
 				fork(j)
 			}
 		}
-		copy(gains[i*candidates:(i+1)*candidates], ds.gains)
+		copy(row(i), ds.gains)
 	})
-	release()
+	// Shares and stores, again in index order on this goroutine.
+	for i, j := range from {
+		if j >= 0 {
+			copy(row(i), row(int(j)))
+		}
+	}
+	for _, i := range roll {
+		ar.memo.store(keys[i], row(int(i)))
+	}
 
 	// Sequential reduce, candidate-major like the serial planner: ties
 	// keep preferring the later send time (pacing). The tie widens to a
@@ -340,33 +410,58 @@ func (ds *decideScratch) ensure(k int) {
 	ds.sendIdx = ds.sendIdx[:k]
 }
 
-// poolCache shares rollout pools (and their scratch arenas) between
-// Decide calls of the same width, without coupling concurrent callers:
-// each call checks a pool out for its duration.
-var poolCache sync.Map // width -> *sync.Pool of *rollout.Pool
+// poolCache keeps the rollout pools of pool-less callers (a solo
+// sender, RunISender, Guard's background Decide) between calls, a free
+// list per width: each call checks one out for its duration, so
+// concurrent callers never share one, and what a pool has built — its
+// scratch states, Decide's arena, the rollout memo — outlives garbage
+// collections (a sync.Pool is emptied by every cycle).
+var poolCache struct {
+	sync.Mutex
+	free map[int][]*rollout.Pool
+}
 
-func acquirePool(width int) (*rollout.Pool, func()) {
+func acquirePool(width int) *rollout.Pool {
 	if width <= 0 {
 		width = runtime.GOMAXPROCS(0)
 	}
-	v, _ := poolCache.LoadOrStore(width, &sync.Pool{})
-	sp := v.(*sync.Pool)
-	p, ok := sp.Get().(*rollout.Pool)
-	if !ok {
-		p = rollout.New(width)
+	poolCache.Lock()
+	defer poolCache.Unlock()
+	l := poolCache.free[width]
+	if len(l) == 0 {
+		return rollout.New(width)
 	}
-	return p, func() { sp.Put(p) }
+	p := l[len(l)-1]
+	poolCache.free[width] = l[:len(l)-1]
+	return p
+}
+
+func releasePool(p *rollout.Pool) {
+	poolCache.Lock()
+	defer poolCache.Unlock()
+	if poolCache.free == nil {
+		poolCache.free = make(map[int][]*rollout.Pool)
+	}
+	poolCache.free[p.Workers()] = append(poolCache.free[p.Workers()], p)
 }
 
 // topK returns the k heaviest hypotheses, renormalized. It copies; the
 // input order is preserved for k >= len.
 func topK(sup []belief.Hypothesis, k int) []belief.Hypothesis {
-	out := make([]belief.Hypothesis, len(sup))
-	copy(out, sup)
-	if len(out) > k {
-		sort.Slice(out, func(i, j int) bool { return out[i].W > out[j].W })
-		out = out[:k]
+	return appendTopK(nil, sup, k)
+}
+
+// appendTopK is topK into dst's storage (Decide passes its arena's). A
+// support wider than k is sorted in a copy that dies with the call, so
+// the arena never holds more than the k hypotheses a plan reads, however
+// wide the widest support it has seen.
+func appendTopK(dst, sup []belief.Hypothesis, k int) []belief.Hypothesis {
+	if len(sup) > k {
+		all := append([]belief.Hypothesis(nil), sup...)
+		sort.Slice(all, func(i, j int) bool { return all[i].W > all[j].W })
+		sup = all[:k]
 	}
+	out := append(dst, sup...)
 	var total float64
 	for _, h := range out {
 		total += h.W

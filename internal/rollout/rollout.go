@@ -45,6 +45,12 @@ type Scratch struct {
 type Pool struct {
 	workers int
 	scratch []*Scratch
+	// Aux carries a caller-defined arena for the whole pool, the
+	// counterpart of Scratch.Aux for what a call needs before and after
+	// its parallel section (the planner keeps its per-call buffers and
+	// its rollout memo here). It is touched only by the goroutine that
+	// holds the pool, outside Run, so it needs no lock.
+	Aux any
 }
 
 // New returns a pool of the given width; workers <= 0 means

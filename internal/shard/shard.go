@@ -350,6 +350,16 @@ func (sf *Fleet) CacheStats() (hits, misses int) {
 	return sf.Caches.Stats()
 }
 
+// MemoStats sums the partitions' rollout-memo counters (one memo per
+// partition pool). Call only between windows or after Run.
+func (sf *Fleet) MemoStats() planner.MemoStats {
+	var st planner.MemoStats
+	for _, p := range sf.Parts {
+		st.Add(planner.PoolMemoStats(p.Pool))
+	}
+	return st
+}
+
 // Now reports the coordinator's barrier time.
 func (sf *Fleet) Now() time.Duration { return sf.now }
 
