@@ -144,6 +144,22 @@
 // counters (fleet.Fleet.MemoStats, shard.Fleet.MemoStats) are printed
 // by cmd/fleetsim beside the policy cache's.
 //
+// Off the planning path — a decision served from a compiled table
+// costs one belief.Update and one probe — the support is walked once
+// per wake, in place, a word at a time. Exact.Update runs every
+// hypothesis where it lives (model.State.Enumerate), weighs its events
+// straight out of the worker's scratch, and clones only at a fork, into
+// a slot and queue buffer recycled from a hypothesis an earlier reduce
+// dropped; slots change hands by exchanging buffers, so each buffer has
+// one owner and a wake that forks nothing allocates nothing. The
+// posterior is bit-identical to the clone-per-branch update it replaced
+// (kept as a test reference), at any worker count; what Support returns
+// is valid until the next Update. planner.Fingerprint, State.Hash64 and
+// the rollout memo share one word-wise mixer with an independently
+// seeded verify stream (model.Mix); equality classes are unchanged, hash
+// values are not, so policy tables and sidecars are version 2 and
+// version 1 files are refused.
+//
 // The one benchmark is cmd/bench, declared by BENCHMARK.json at the
 // repository root: four fixed-window workloads (fig3-solo, fleet-256,
 // shard-1024, serve-256), twelve end-to-end metrics with regression

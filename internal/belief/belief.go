@@ -16,6 +16,13 @@
 //
 // Both satisfy Belief, so the planner and the ISENDER are agnostic to
 // which is in use.
+//
+// Both advance their hypotheses in place: an Update runs each state
+// where it lives and only a fork clones, into storage recycled from the
+// hypotheses earlier updates rejected, merged or floored. What Support
+// returns is therefore valid until the next Update and no longer — a
+// caller that keeps a hypothesis across updates clones its state, as
+// planner.Guard's background Decide does.
 package belief
 
 import (
@@ -69,8 +76,9 @@ type Belief interface {
 	// acknowledgments received since the previous update.
 	Update(now time.Duration, acks []packet.Ack) UpdateStats
 	// Support returns the current weighted hypotheses (compacted;
-	// weights sum to 1). The slice is owned by the belief: treat it as
-	// read-only and do not retain it across updates.
+	// weights sum to 1). The slice and the states' queues are owned by
+	// the belief, which advances them in place: treat them as read-only,
+	// valid until the next Update, and Clone a state to keep it longer.
 	Support() []Hypothesis
 	// PendingSends returns sends recorded but not yet folded into the
 	// hypotheses, oldest first. The planner replays them in rollouts so

@@ -32,19 +32,30 @@ type Exact struct {
 	// Cum accumulates stats over the belief's lifetime.
 	Cum UpdateStats
 
-	// pool shards per-hypothesis advances; reused buffers below keep
-	// the steady-state update allocation-lean.
-	pool   *rollout.Pool
-	advBrs [][]model.Branch
-	advLws [][]float64
-	// lwFlat backs advLws two slots per hypothesis: a segment spans at
-	// most one toggle opportunity, so AdvanceEnum yields at most two
-	// branches (append falls back to a fresh slice if that ever
-	// changes).
-	lwFlat  []float64
-	next    []Hypothesis
+	// pool shards per-hypothesis advances; the buffers below make the
+	// steady-state update allocation-free.
+	pool *rollout.Pool
+	// next is the other half of the double buffer: a segment in which a
+	// hypothesis forks builds its posterior there, every other segment
+	// stays in hyps. Every slot of hyps and next up to capacity — live,
+	// or dead since a reduce rejected, merged or floored it — owns its
+	// queue buffer alone; hypotheses change slots through move, so a
+	// twin forked into a dead slot recycles the buffer left there.
+	next []Hypothesis
+	// offs[i] is where hypothesis i's branches start in the segment's
+	// output; lws holds one likelihood per branch.
+	offs    []int32
+	lws     []float64
 	byKey   map[uint64]int
 	segAcks map[int64]time.Duration
+	// seg is what advance reads of the running segment; advance is the
+	// method value handed to the pool, bound once.
+	seg struct {
+		end, now time.Duration
+		sends    []model.Send
+		out      []Hypothesis
+	}
+	advance func(*rollout.Scratch, int)
 }
 
 // recentAckWindow bounds how long soft matching remembers
@@ -78,6 +89,7 @@ func NewExact(states []model.State, cfg Config) *Exact {
 		byKey:   make(map[uint64]int),
 		segAcks: make(map[int64]time.Duration),
 	}
+	b.advance = b.advanceOne
 	if cfg.Recover {
 		b.prior = make([]model.State, len(states))
 		for i, s := range states {
@@ -87,15 +99,36 @@ func NewExact(states []model.State, cfg Config) *Exact {
 	return b
 }
 
-// reseedFromPrior replaces hyps with the pristine prior rebased to at,
+// move transfers *src to *dst (a no-op when they are one slot) and
+// leaves dst's queue buffer behind in src, now a dead slot: both buffers
+// keep exactly one owner.
+func move(dst, src *Hypothesis) {
+	if dst == src {
+		return
+	}
+	q := dst.S.Queue
+	*dst = *src
+	src.S.Queue = q
+}
+
+// resize returns hyps with length n, keeping every slot up to capacity
+// (and the queue buffer it owns) when it has to grow.
+func resize(hyps []Hypothesis, n int) []Hypothesis {
+	if c := cap(hyps); n > c {
+		hyps = append(hyps[:c], make([]Hypothesis, n-c)...)
+	}
+	return hyps[:n]
+}
+
+// reseedFromPrior fills dst with the pristine prior rebased to at,
 // uniformly weighted — the deterministic likelihood-collapse recovery.
 func reseedFromPrior(prior []model.State, at time.Duration, dst []Hypothesis) []Hypothesis {
-	dst = dst[:0]
+	dst = resize(dst, len(prior))
 	w := 1 / float64(len(prior))
 	for i := range prior {
-		s := prior[i].Clone()
-		s.Rebase(at)
-		dst = append(dst, Hypothesis{S: s, W: w})
+		prior[i].CloneInto(&dst[i].S)
+		dst[i].S.Rebase(at)
+		dst[i].W = w
 	}
 	return dst
 }
@@ -103,7 +136,9 @@ func reseedFromPrior(prior []model.State, at time.Duration, dst []Hypothesis) []
 // Now implements Belief.
 func (b *Exact) Now() time.Duration { return b.now }
 
-// Support implements Belief.
+// Support implements Belief. The hypotheses are advanced where they
+// live: the slice and the states in it are valid until the next Update;
+// Clone a state to keep it longer.
 func (b *Exact) Support() []Hypothesis { return b.hyps }
 
 // PendingSends implements Belief.
@@ -149,7 +184,9 @@ func (b *Exact) Update(now time.Duration, acks []packet.Ack) UpdateStats {
 		nSends++
 	}
 	sends := b.pending[:nSends]
-	sort.Slice(acks, func(i, j int) bool { return acks[i].ReceivedAt < acks[j].ReceivedAt })
+	if len(acks) > 1 { // sort.Slice allocates even when there is nothing to order
+		sort.Slice(acks, func(i, j int) bool { return acks[i].ReceivedAt < acks[j].ReceivedAt })
+	}
 
 	soft := b.cfg.SoftSigma > 0
 	if soft {
@@ -190,60 +227,57 @@ func (b *Exact) Update(now time.Duration, acks []packet.Ack) UpdateStats {
 			segAcks[a.Seq] = a.ReceivedAt
 		}
 
-		// Advance every hypothesis and weigh its branches, sharded
-		// across the pool. Workers write only their own index's slots;
-		// the shared maps (segAcks, recent) are read-only here.
-		if cap(b.advBrs) < len(b.hyps) {
-			b.advBrs = make([][]model.Branch, len(b.hyps))
-			b.advLws = make([][]float64, len(b.hyps))
-			b.lwFlat = make([]float64, 2*len(b.hyps))
-			for i := range b.advLws {
-				b.advLws[i] = b.lwFlat[2*i : 2*i : 2*i+2]
-			}
+		// Count each hypothesis's branches; only a segment with a fork
+		// needs the second buffer.
+		n := len(b.hyps)
+		if cap(b.offs) <= n {
+			b.offs = make([]int32, n+1)
 		}
-		advBrs := b.advBrs[:len(b.hyps)]
-		advLws := b.advLws[:len(b.hyps)]
-		segSends := sends[si:sHi]
-		b.pool.Run(len(b.hyps), func(_ *rollout.Scratch, i int) {
-			h := &b.hyps[i]
-			brs := model.AdvanceEnum(h.S, segEnd, segSends)
-			lws := advLws[i][:0]
-			for _, br := range brs {
-				var lw float64
-				if soft {
-					lw = softLikelihood(br.Events, b.recent, now, br.S.P.LossProb, b.cfg)
-				} else {
-					var matched int
-					lw, matched = likelihood(br.Events, segAcks, br.S.P.LossProb, b.cfg)
-					if matched < len(segAcks) {
-						lw = 0 // an acknowledgment the branch cannot explain
-					}
-				}
-				lws = append(lws, lw)
-			}
-			advBrs[i], advLws[i] = brs, lws
-		})
-
-		// Sequential Bayesian reduce, in hypothesis order — identical
-		// float operations regardless of worker count.
-		next := b.next[:0]
-		var total float64
+		total := 0
 		for i := range b.hyps {
-			hW := b.hyps[i].W
-			for j, br := range advBrs[i] {
-				stats.Branches++
-				w := hW * br.W * advLws[i][j]
-				// !(w > 0) also rejects NaN (a poisoned likelihood must
-				// never propagate into the posterior).
-				if !(w > 0) {
-					stats.Rejected++
-					continue
-				}
-				next = append(next, Hypothesis{S: br.S, W: w})
-				total += w
-			}
+			b.offs[i] = int32(total)
+			total += b.hyps[i].S.Leaves(segEnd)
 		}
-		if !(total > 0) {
+		b.offs[n] = int32(total)
+		out := b.hyps
+		if total > n {
+			b.next = resize(b.next, total)
+			out = b.next
+		}
+		if cap(b.lws) < total {
+			b.lws = make([]float64, total)
+		}
+		lws := b.lws[:total]
+
+		// Advance every hypothesis where it lives and weigh its
+		// branches, sharded across the pool. Workers write only their
+		// own hypothesis's slots; the shared maps (segAcks, recent) are
+		// read-only here.
+		b.seg.end, b.seg.now, b.seg.sends, b.seg.out = segEnd, now, sends[si:sHi], out
+		b.pool.Run(n, b.advance)
+
+		// Sequential Bayesian reduce, in branch order — identical float
+		// operations regardless of worker count. Survivors close ranks
+		// in place.
+		stats.Branches += total
+		kept := 0
+		var sum float64
+		for j := range out {
+			w := out[j].W * lws[j]
+			// !(w > 0) also rejects NaN (a poisoned likelihood must
+			// never propagate into the posterior).
+			if !(w > 0) {
+				stats.Rejected++
+				continue
+			}
+			move(&out[kept], &out[j])
+			out[kept].W = w
+			sum += w
+			kept++
+		}
+		if kept == 0 {
+			// Nothing survived, so nothing has moved: out still holds
+			// every branch with its unconditioned weight.
 			if b.cfg.Recover {
 				// Likelihood collapse: no surviving configuration can
 				// explain the observations — corruption, a blackout,
@@ -252,25 +286,21 @@ func (b *Exact) Update(now time.Duration, acks []packet.Ack) UpdateStats {
 				// abandoned (they condition nothing a fresh prior
 				// could know about) and inference restarts.
 				stats.Reseeded++
-				next = reseedFromPrior(b.prior, segEnd, next)
-				total = 1 // reseeded weights are already normalized
+				out = reseedFromPrior(b.prior, segEnd, out)
+				kept, sum = len(out), 1 // reseeded weights are already normalized
 			} else if b.cfg.Relax {
 				// Keep the pre-segment posterior, advanced without
 				// conditioning: accept every branch of the advance we
 				// already ran.
 				stats.Relaxed++
-				next = next[:0]
-				total = 0
-				for i := range b.hyps {
-					hW := b.hyps[i].W
-					for _, br := range advBrs[i] {
-						w := hW * br.W
-						if w <= 0 {
-							continue
-						}
-						next = append(next, Hypothesis{S: br.S, W: w})
-						total += w
+				for j := range out {
+					w := out[j].W
+					if w <= 0 {
+						continue
 					}
+					move(&out[kept], &out[j])
+					sum += w
+					kept++
 				}
 			} else {
 				// Every configuration was rejected: the prior did not
@@ -284,18 +314,20 @@ func (b *Exact) Update(now time.Duration, acks []packet.Ack) UpdateStats {
 				panic("belief: all hypotheses rejected; the prior cannot explain the observations")
 			}
 		}
-		for i := range next {
-			next[i].W /= total
+		out = out[:kept]
+		for j := range out {
+			out[j].W /= sum
 		}
-		next, merged := compactInto(next, b.byKey)
+		out, merged := compactInto(out, b.byKey)
 		stats.Merged += merged
-		next, floored := floorAndCap(next, b.cfg.MinWeight, b.cfg.MaxHyps)
+		out, floored := floorAndCap(out, b.cfg.MinWeight, b.cfg.MaxHyps)
 		stats.Floored += floored
-		// Double-buffer: the outgoing posterior's storage becomes the
-		// next segment's append target.
-		old := b.hyps
-		b.hyps = next
-		b.next = old[:0]
+		if total > n {
+			// The posterior was built in next; the slots it left in
+			// hyps, all dead now, become the spare buffer.
+			b.next = b.hyps
+		}
+		b.hyps = out
 
 		si, ai = sHi, aHi
 		if segEnd == now {
@@ -325,49 +357,77 @@ func (b *Exact) Update(now time.Duration, acks []packet.Ack) UpdateStats {
 func compactInto(hyps []Hypothesis, byKey map[uint64]int) ([]Hypothesis, int) {
 	clear(byKey)
 	out := hyps[:0]
-	merged := 0
-	for _, h := range hyps {
-		k := h.S.Hash64()
+	for j := range hyps {
+		k := hyps[j].S.Hash64()
 		if i, ok := byKey[k]; ok {
-			out[i].W += h.W
-			merged++
+			out[i].W += hyps[j].W
 			continue
 		}
 		byKey[k] = len(out)
-		out = append(out, h)
+		out = out[:len(out)+1]
+		move(&out[len(out)-1], &hyps[j])
 	}
-	return out, merged
+	return out, len(hyps) - len(out)
 }
 
 // floorAndCap drops hypotheses below minW, keeps at most maxN of the
 // heaviest, and renormalizes. It reports how many were dropped.
 func floorAndCap(hyps []Hypothesis, minW float64, maxN int) ([]Hypothesis, int) {
 	out := hyps[:0]
-	dropped := 0
-	for _, h := range hyps {
-		if h.W < minW {
-			dropped++
+	for j := range hyps {
+		if hyps[j].W < minW {
 			continue
 		}
-		out = append(out, h)
+		out = out[:len(out)+1]
+		move(&out[len(out)-1], &hyps[j])
 	}
 	if len(out) == 0 {
-		// The floor annihilated everything (pathological minW); keep the
-		// original set rather than dying.
+		// The floor annihilated everything (pathological minW), so
+		// nothing has moved; keep the original set rather than dying.
 		out = hyps
-		dropped = 0
 	}
+	dropped := len(hyps) - len(out)
 	if len(out) > maxN {
 		sort.Slice(out, func(i, j int) bool { return out[i].W > out[j].W })
 		dropped += len(out) - maxN
 		out = out[:maxN]
 	}
 	var total float64
-	for _, h := range out {
-		total += h.W
+	for i := range out {
+		total += out[i].W
 	}
 	for i := range out {
 		out[i].W /= total
 	}
 	return out, dropped
+}
+
+// advanceOne is the pool job of one segment: it moves hypothesis i to
+// the last of its output slots, enumerates its branches from there and
+// leaves each branch's unconditioned weight in its slot and its
+// likelihood in lws.
+func (b *Exact) advanceOne(s *rollout.Scratch, i int) {
+	sg := &b.seg
+	last := int(b.offs[i+1]) - 1
+	root := &sg.out[last]
+	move(root, &b.hyps[i])
+	hW := root.W
+	soft := b.cfg.SoftSigma > 0
+	s.Events = s.Events[:0]
+	root.S.Enumerate(sg.end, sg.sends, &s.Events, last, 1,
+		func(j int) *model.State { return &sg.out[j].S },
+		func(j int, w float64) {
+			br := &sg.out[j]
+			var lw float64
+			if soft {
+				lw = softLikelihood(s.Events, b.recent, sg.now, br.S.P.LossProb, b.cfg)
+			} else {
+				var matched int
+				lw, matched = likelihood(s.Events, b.segAcks, br.S.P.LossProb, b.cfg)
+				if matched < len(b.segAcks) {
+					lw = 0 // an acknowledgment the branch cannot explain
+				}
+			}
+			br.W, b.lws[j] = hW*w, lw
+		})
 }

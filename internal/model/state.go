@@ -3,6 +3,7 @@ package model
 import (
 	"encoding/binary"
 	"math"
+	"math/bits"
 	"time"
 
 	"modelcc/internal/units"
@@ -470,51 +471,78 @@ func (s *State) Key() string {
 	return string(buf)
 }
 
-// fnv64 constants for the incremental Hash64 below.
+// Seeds of the two hash streams Mix advances: the primary stream starts
+// at the FNV-64 offset basis and the verify stream at that basis pushed
+// off by the golden-ratio constant, so the pair decorrelates from the
+// first word.
 const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
+	HashSeed   uint64 = 14695981039346656037
+	VerifySeed uint64 = HashSeed ^ 0x9E3779B97F4A7C15
 )
 
-func fnvU64(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h = (h ^ (v & 0xff)) * fnvPrime64
-		v >>= 8
-	}
-	return h
+// Mix folds one word into a primary and a verify hash stream: the one
+// word-at-a-time mixer under Hash64, planner.Fingerprint and the
+// planner's rollout memo. Each step is a bijection of the word (xor or
+// add, odd multiply, xorshift), so inputs that differ in one word never
+// share a primary; the streams differ in seed, combiner and multiplier,
+// so they fail independently — what lets a verify mismatch expose a
+// primary collision. A caller that keeps one stream pays for one: the
+// other is dead code once Mix is inlined.
+func Mix(primary, verify, v uint64) (uint64, uint64) {
+	primary = (primary ^ v) * 0x9E3779B97F4A7C15
+	primary ^= primary >> 32
+	verify = (bits.RotateLeft64(verify, 27) + v) * 0xBF58476D1CE4E5B9
+	verify ^= verify >> 29
+	return primary, verify
 }
 
-func fnvBool(h uint64, b bool) uint64 {
-	v := uint64(0)
-	if b {
-		v = 1
-	}
-	return (h ^ v) * fnvPrime64
-}
-
-// Hash64 returns an FNV-1a hash over the same canonical fields Key
-// encodes, without allocating. Compaction keys on it instead of the string
-// form: a 64-bit collision over the ~10^5 live hypotheses of even the
-// widest prior is vanishingly unlikely (~n²/2⁶⁵), and the weight it
-// could misattribute is bounded by the weight floor.
-func (s *State) Hash64() uint64 {
-	h := uint64(fnvOffset64)
-	h = fnvU64(h, uint64(s.ParamsID))
-	h = fnvU64(h, uint64(s.Now))
-	h = fnvBool(h, s.PingerOn)
-	h = fnvU64(h, uint64(s.NextCross))
-	h = fnvU64(h, uint64(s.NextToggle))
-	h = fnvBool(h, s.Serving)
+// ShapeWord packs the queue length and the serving and gate flags: the
+// word that makes a hash or key encoding self-delimiting, since it says
+// how many packet words follow and whether the in-service group does.
+func (s *State) ShapeWord() uint64 {
+	w := uint64(s.QLen()) << 2
 	if s.Serving {
-		h = fnvU64(h, uint64(s.ServiceDone))
-		h = fnvU64(h, uint64(s.InService.Seq))
-		h = fnvU64(h, uint64(s.InService.Bits))
-		h = fnvBool(h, s.InService.Own)
+		w |= 2
 	}
-	for _, q := range s.Queued() {
-		h = fnvU64(h, uint64(q.Seq))
-		h = fnvU64(h, uint64(q.Bits))
-		h = fnvBool(h, q.Own)
+	if s.PingerOn {
+		w |= 1
+	}
+	return w
+}
+
+// SizeWord packs what the hashes read of a packet besides its sequence
+// number: its size and whose it is.
+func (q QPkt) SizeWord() uint64 {
+	w := uint64(q.Bits) << 1
+	if q.Own {
+		w |= 1
+	}
+	return w
+}
+
+// Hash64 hashes the same canonical fields Key encodes, a word at a time
+// (Mix's primary stream), without allocating. Compaction keys on it
+// instead of the string form: a 64-bit collision over the ~10^5 live
+// hypotheses of even the widest prior is vanishingly unlikely
+// (~n²/2⁶⁵), and the weight it could misattribute is bounded by the
+// weight floor.
+func (s *State) Hash64() uint64 {
+	h := HashSeed
+	mix := func(v uint64) { h, _ = Mix(h, 0, v) }
+	mix(uint64(s.ParamsID))
+	mix(uint64(s.Now))
+	mix(s.ShapeWord())
+	mix(uint64(s.NextCross))
+	mix(uint64(s.NextToggle))
+	if s.Serving {
+		mix(uint64(s.ServiceDone))
+		mix(uint64(s.InService.Seq))
+		mix(s.InService.SizeWord())
+	}
+	q := s.Queued()
+	for i := range q {
+		mix(uint64(q[i].Seq))
+		mix(q[i].SizeWord())
 	}
 	return h
 }
@@ -545,15 +573,8 @@ func (s *State) Hash64() uint64 {
 // words after it.
 func (s *State) AppendRolloutKey(dst []uint64, now time.Duration, stamps bool) []uint64 {
 	p := &s.P
-	flags := uint64(s.QLen()) << 2
-	if s.Serving {
-		flags |= 2
-	}
-	if s.PingerOn {
-		flags |= 1
-	}
 	dst = append(dst,
-		flags,
+		s.ShapeWord(),
 		math.Float64bits(float64(p.LinkRate)),
 		uint64(p.BufferCapBits),
 		uint64(p.PktBits()),
@@ -581,11 +602,7 @@ func (s *State) AppendRolloutKey(dst []uint64, now time.Duration, stamps bool) [
 }
 
 func (q QPkt) appendRolloutKey(dst []uint64, now time.Duration, stamps bool) []uint64 {
-	w := uint64(q.Bits) << 1
-	if q.Own {
-		w |= 1
-	}
-	dst = append(dst, w)
+	dst = append(dst, q.SizeWord())
 	if stamps {
 		dst = append(dst, uint64(q.EnqueuedAt-now))
 	}
@@ -616,60 +633,76 @@ type Branch struct {
 // observable timing — the belief applies its probability directly to
 // observation likelihoods instead (§3.2's remark that last-mile loss
 // "does not linger").
+//
+// It is Enumerate over freshly allocated branches; the belief runs the
+// same walk over the storage its hypotheses already live in.
 func AdvanceEnum(s State, until time.Duration, sends []Send) []Branch {
-	type item struct {
-		br Branch
-		si int // index of the first unconsumed send
+	done := make([]Branch, s.Leaves(until))
+	last := len(done) - 1
+	done[last].S = s.Clone()
+	var evs []Event
+	done[last].S.Enumerate(until, sends, &evs, last, 1,
+		func(j int) *State { return &done[j].S },
+		func(j int, w float64) {
+			done[j].W = w
+			if j < last {
+				done[j].Events = append([]Event(nil), evs...)
+			} else if len(evs) > 0 {
+				done[j].Events = evs // the last branch keeps the buffer
+			}
+		})
+	return done
+}
+
+// Leaves reports how many branches Enumerate yields when s advances to
+// until: two per switch opportunity at or before until, one for a gate
+// that cannot toggle.
+func (s *State) Leaves(until time.Duration) int {
+	if s.SwitchTick <= 0 || s.NextToggle > until || ToggleProb(s.SwitchTick, s.P.MeanSwitch) <= 0 {
+		return 1
 	}
-	// consume returns the sends with At <= segEnd starting at index si.
-	consume := func(si int, segEnd time.Duration) ([]Send, int) {
-		hi := si
-		for hi < len(sends) && sends[hi].At <= segEnd {
+	return 1 << uint((until-s.NextToggle)/s.SwitchTick+1)
+}
+
+// Enumerate is the one advance-with-forks walk: it runs s to until where
+// s lives, and at every switch opportunity clones a flipped twin into
+// caller storage and finishes the twin's subtree before carrying on
+// with s. Branch j of the Leaves(until) outcomes — flipped before stay
+// at every fork, depth first — ends in slot(j); s itself is the last,
+// so the caller passes j = its first slot + Leaves(until) − 1 and the
+// branch probability w = 1. leaf(j, w) is called once per branch, in
+// slot order, when slot j holds the branch's final state and *evs the
+// packet outcomes along it (a prefix shared with the branches still to
+// come, so leaf must consume them before it returns). slot(j) may
+// return recycled storage: the twin is written with CloneInto.
+func (s *State) Enumerate(until time.Duration, sends []Send, evs *[]Event, j int, w float64,
+	slot func(j int) *State, leaf func(j int, w float64)) {
+	for s.SwitchTick > 0 && s.P.MeanSwitch > 0 && s.NextToggle <= until {
+		// Run to the next opportunity, then fork.
+		hi := 0
+		for hi < len(sends) && sends[hi].At <= s.NextToggle {
 			hi++
 		}
-		return sends[si:hi], hi
-	}
-	work := []item{{br: Branch{S: s.Clone(), W: 1}}}
-	var done []Branch
-	for len(work) > 0 {
-		it := work[len(work)-1]
-		work = work[:len(work)-1]
-		st := &it.br.S
-		if st.SwitchTick <= 0 || st.P.MeanSwitch <= 0 || st.NextToggle > until {
-			seg, _ := consume(it.si, until)
-			st.Run(until, seg, &it.br.Events)
-			done = append(done, it.br)
-			continue
-		}
-		// Run to the next opportunity, then fork.
-		at := st.NextToggle
-		seg, si := consume(it.si, at)
-		st.Run(at, seg, &it.br.Events)
-		it.si = si
-		st.NextToggle += st.SwitchTick
-		q := ToggleProb(st.SwitchTick, st.P.MeanSwitch)
+		s.Run(s.NextToggle, sends[:hi], evs)
+		sends = sends[hi:]
+		s.NextToggle += s.SwitchTick
+		q := ToggleProb(s.SwitchTick, s.P.MeanSwitch)
 		if q <= 0 {
-			work = append(work, it)
 			continue
 		}
-		// Copy-on-fork: the flipped branch shares the event prefix,
-		// capacity-clamped so its first further append reallocates
-		// instead of clobbering the sibling's tail. Branches that never
-		// produce another event (the common case in a quiet segment)
-		// never pay for a copy.
-		flipped := item{
-			br: Branch{
-				S:      st.Clone(),
-				W:      it.br.W * q,
-				Events: it.br.Events[:len(it.br.Events):len(it.br.Events)],
-			},
-			si: si,
-		}
-		flipped.br.S.Toggle()
-		it.br.W *= 1 - q
-		work = append(work, it, flipped)
+		// The stay subtree keeps the Leaves(until) slots ending at j;
+		// the flipped one ends just before them.
+		tj := j - s.Leaves(until)
+		twin := slot(tj)
+		s.CloneInto(twin)
+		twin.Toggle()
+		n := len(*evs)
+		twin.Enumerate(until, sends, evs, tj, w*q, slot, leaf)
+		*evs = (*evs)[:n]
+		w *= 1 - q
 	}
-	return done
+	s.Run(until, sends, evs)
+	leaf(j, w)
 }
 
 // ToggleProb is the probability that a memoryless gate with the given

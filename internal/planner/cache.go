@@ -90,8 +90,8 @@ type cachedDecision struct {
 // Entry is one fingerprint → action pair, the unit the offline policy
 // compiler (internal/policy) extracts from a cache.
 type Entry struct {
-	// FP is the primary FNV-1a fingerprint; Verify is the secondary
-	// verification hash over the same bytes.
+	// FP is the primary fingerprint; Verify is the independently seeded
+	// verification hash over the same words.
 	FP, Verify uint64
 	// SendNow, Delta and Gain are the memoized action: Delta is
 	// WakeAt − now at the decision instant.
@@ -248,39 +248,12 @@ func (pc *PolicyCache) Snapshot() []Entry {
 	return out
 }
 
-// FNV-64 constants for the inlined dual hash below.
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-	// verifyOffset64 seeds the secondary hash away from the primary's
-	// basis (golden-ratio constant), so the two streams decorrelate
-	// from the first byte.
-	verifyOffset64 = fnvOffset64 ^ 0x9E3779B97F4A7C15
-)
-
-// fpState accumulates the primary (FNV-1a) and secondary (FNV-1,
-// reseeded) hashes over one byte stream, allocation-free.
-type fpState struct{ a, b uint64 }
-
-func (h *fpState) init() { h.a, h.b = fnvOffset64, verifyOffset64 }
-
-func (h *fpState) write64(v uint64) {
-	a, b := h.a, h.b
-	for i := 0; i < 8; i++ {
-		c := uint64(byte(v))
-		v >>= 8
-		a = (a ^ c) * fnvPrime64 // FNV-1a: xor then multiply
-		b = b*fnvPrime64 ^ c     // FNV-1: multiply then xor
-	}
-	h.a, h.b = a, b
-}
-
 // Fingerprint hashes the support and pending sends with all times
 // rebased to now, times bucketed by tq (0 = exact) and weights
 // round-to-nearest by wq. Sequence numbers are deliberately excluded:
 // the policy depends on the network posterior, not on which packet is
 // next. It returns the primary 64-bit fingerprint and an independent
-// secondary verification hash over the same bytes; a table entry is
+// secondary verification hash over the same words; a table entry is
 // only served when both match, so a primary collision degrades to a
 // miss instead of a wrong action.
 //
@@ -289,8 +262,7 @@ func (h *fpState) write64(v uint64) {
 // offline-compiled tables — a table compiled under one (tq, wq) is
 // only probed with the same quanta (the table header records them).
 func Fingerprint(sup []belief.Hypothesis, pending []model.Send, now time.Duration, tq time.Duration, wq float64) (fp, verify uint64) {
-	var h fpState
-	h.init()
+	h := memoSeed
 	// Times far beyond the planning horizon are behaviourally
 	// equivalent ("never"); clamping them keeps e.g. a no-cross-traffic
 	// hypothesis (NextCross = Forever) fingerprint-stable across wakes.
@@ -312,22 +284,19 @@ func Fingerprint(sup []belief.Hypothesis, pending []model.Send, now time.Duratio
 			}
 			d -= r
 		}
-		h.write64(uint64(int64(d)))
+		h = h.mix(uint64(int64(d)))
 	}
-	h.write64(uint64(len(sup)))
-	for _, hyp := range sup {
+	h = h.mix(uint64(len(sup)))
+	for i := range sup {
+		hyp := &sup[i]
 		s := &hyp.S
-		h.write64(uint64(s.ParamsID))
+		h = h.mix(uint64(s.ParamsID))
 		// Round-to-nearest, not truncation: the quotient of two nearby
 		// floats is inexact, and truncating it lands weights equal to
 		// within one ulp in adjacent buckets, splitting entries that
 		// should share one.
-		h.write64(uint64(int64(math.Round(hyp.W / wq))))
-		if s.PingerOn {
-			h.write64(1)
-		} else {
-			h.write64(0)
-		}
+		h = h.mix(uint64(int64(math.Round(hyp.W / wq))))
+		h = h.mix(s.ShapeWord())
 		putD(s.NextCross - now)
 		if s.P.MeanSwitch <= 0 || s.SwitchTick <= 0 {
 			// The gate can never toggle: NextToggle is inert state and
@@ -337,31 +306,18 @@ func Fingerprint(sup []belief.Hypothesis, pending []model.Send, now time.Duratio
 			putD(s.NextToggle - now)
 		}
 		if s.Serving {
-			h.write64(1)
 			putD(s.ServiceDone - now)
-			h.write64(uint64(s.InService.Bits))
-			if s.InService.Own {
-				h.write64(1)
-			} else {
-				h.write64(0)
-			}
-		} else {
-			h.write64(0)
+			h = h.mix(s.InService.SizeWord())
 		}
-		h.write64(uint64(s.QLen()))
-		for _, q := range s.Queued() {
-			h.write64(uint64(q.Bits))
-			if q.Own {
-				h.write64(1)
-			} else {
-				h.write64(0)
-			}
+		q := s.Queued()
+		for j := range q {
+			h = h.mix(q[j].SizeWord())
 		}
 	}
-	h.write64(uint64(len(pending)))
+	h = h.mix(uint64(len(pending)))
 	for _, snd := range pending {
 		putD(snd.At - now)
-		h.write64(uint64(snd.Bits))
+		h = h.mix(uint64(snd.Bits))
 	}
-	return h.a, h.b
+	return h.primary, h.verify
 }

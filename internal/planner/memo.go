@@ -2,7 +2,6 @@ package planner
 
 import (
 	"math"
-	"math/bits"
 	"time"
 
 	"modelcc/internal/belief"
@@ -53,18 +52,12 @@ func PoolMemoStats(p *rollout.Pool) MemoStats {
 // primary match with a verify mismatch is a miss, never a served vector.
 type memoKey struct{ primary, verify uint64 }
 
-var memoSeed = memoKey{primary: fnvOffset64, verify: verifyOffset64}
+var memoSeed = memoKey{primary: model.HashSeed, verify: model.VerifySeed}
 
-// mix folds one word into both streams. Each step is a bijection of the
-// word (xor or add, odd multiply, xorshift), so keys that differ in one
-// word never collide; the streams differ in seed, combiner and
-// multiplier so they fail independently.
+// mix folds one word into both streams (see model.Mix).
 func (k memoKey) mix(v uint64) memoKey {
-	a := (k.primary ^ v) * 0x9E3779B97F4A7C15
-	a ^= a >> 32
-	b := (bits.RotateLeft64(k.verify, 27) + v) * 0xBF58476D1CE4E5B9
-	b ^= b >> 29
-	return memoKey{primary: a, verify: b}
+	k.primary, k.verify = model.Mix(k.primary, k.verify, v)
+	return k
 }
 
 // planKey hashes what every rollout of one Decide call shares: the

@@ -53,7 +53,11 @@ import (
 )
 
 // Version is the table format version this package reads and writes.
-const Version = 1
+// The fingerprint is the key language of tables and MissLog sidecars, so
+// a change of hash is a change of format: 2 is planner.Fingerprint over
+// model.Mix; version 1 files (byte-wise FNV keys) are refused, not
+// served as all misses.
+const Version = 2
 
 // Magic values distinguishing the two file kinds sharing the header
 // layout.

@@ -1,8 +1,10 @@
 package policy
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -347,6 +349,57 @@ func TestMergeRejectsIncompatible(t *testing.T) {
 	}
 	if _, _, err := Merge(a, b); err == nil {
 		t.Error("prior-hash mismatch merged")
+	}
+}
+
+// TestVersion1FilesRefused: version 1 keyed its records by the byte-wise
+// FNV fingerprint; this build keys by model.Mix. A v1 table or sidecar
+// must fail with the version error — Open, and Merge with a v1 file on
+// either side — never load and serve 100 % misses.
+func TestVersion1FilesRefused(t *testing.T) {
+	dir := t.TempDir()
+	cur := filepath.Join(dir, "cur.pol")
+	if err := WriteTable(cur, testHeader(), synthRecords(16)); err != nil {
+		t.Fatal(err)
+	}
+	side := filepath.Join(dir, "cur.miss")
+	ml, err := CreateMissLog(side, testHeader())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ml.Append(synthRecords(1)[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := ml.Close(); err != nil {
+		t.Fatal(err)
+	}
+	asV1 := func(path string) string {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint32(data[8:], 1)
+		old := path + ".v1"
+		if err := os.WriteFile(old, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return old
+	}
+	oldTable, oldSide := asV1(cur), asV1(side)
+	refused := func(what string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "version 1, this build reads 2") {
+			t.Errorf("%s: want the version error, got %v", what, err)
+		}
+	}
+	_, err = Open(oldTable)
+	refused("Open(v1 table)", err)
+	_, _, err = Merge(oldTable)
+	refused("Merge(v1 table)", err)
+	_, _, err = Merge(cur, oldSide)
+	refused("Merge(table, v1 sidecar)", err)
+	if _, _, err := Merge(cur, side); err != nil {
+		t.Errorf("current table and sidecar no longer merge: %v", err)
 	}
 }
 
