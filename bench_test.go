@@ -17,11 +17,9 @@ import (
 
 	"modelcc/internal/belief"
 	"modelcc/internal/experiments"
-	"modelcc/internal/fleet"
 	"modelcc/internal/model"
 	"modelcc/internal/packet"
 	"modelcc/internal/planner"
-	"modelcc/internal/shard"
 	"modelcc/internal/utility"
 )
 
@@ -45,25 +43,6 @@ func BenchmarkFig1(b *testing.B) {
 				b.Error("Figure 1 claims failed")
 			}
 		}
-	}
-}
-
-// BenchmarkFig3 regenerates Figure 3 with the paper's full §4 prior:
-// sequence number vs time for each cross-traffic priority α.
-func BenchmarkFig3(b *testing.B) {
-	for _, alpha := range experiments.Fig3Alphas {
-		b.Run(fmt.Sprintf("alpha=%g", alpha), func(b *testing.B) {
-			printed := false
-			for i := 0; i < b.N; i++ {
-				res := experiments.RunISender(experiments.Fig3Config(alpha, 42, benchDuration))
-				if !printed {
-					printed = true
-					b.Logf("alpha=%g: sent=%d acked=%d drops=%d/%d goodput=%v support(max)=%v",
-						alpha, res.Sent, res.Acked, res.OwnBufferDrops, res.CrossBufferDrops,
-						res.OwnThroughput, res.SupportSize.Max())
-				}
-			}
-		})
 	}
 }
 
@@ -179,72 +158,6 @@ func BenchmarkCoexistence(b *testing.B) {
 	})
 }
 
-// BenchmarkFleet measures the N-sender arbitration layer
-// (internal/fleet): one whole fleet run per iteration — N coexisting
-// ISENDERs on the shared rollout pool and policy cache — over a 30 s
-// virtual window (large fleets amortize, so the window is shorter than
-// the figure benches'). The ops/s × N gives senders simulated per wall
-// second, the number cmd/benchjson records as the fleet-throughput
-// metric.
-func BenchmarkFleet(b *testing.B) {
-	for _, n := range []int{16, 256} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			printed := false
-			for i := 0; i < b.N; i++ {
-				fl := fleet.New(fleet.Config{N: n, Seed: 7})
-				fl.Run(30 * time.Second)
-				if !printed {
-					printed = true
-					hits, misses := fl.CacheStats()
-					b.Logf("n=%d: drops=%d cache=%d/%d", n, fl.Drops(), hits, misses)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkFleetSharded measures the sharded runtime (internal/shard):
-// the same fleet workload as BenchmarkFleet, split across K parallel
-// per-shard DES loops coupled by windowed lookahead. Results are
-// bit-identical to BenchmarkFleet's fleet for every K (the shard
-// package's determinism tests pin this); the benchmark exists to price
-// the coordination and to measure scaling where GOMAXPROCS > 1. Lean
-// variants drop per-packet series retention — the heap knob that keeps
-// N=4096 flat.
-func BenchmarkFleetSharded(b *testing.B) {
-	for _, c := range []struct {
-		n, shards int
-		lean      bool
-	}{
-		{256, 1, false},
-		{256, 4, false},
-		{256, 8, false},
-		{1024, 8, true},
-	} {
-		name := fmt.Sprintf("n=%d/shards=%d", c.n, c.shards)
-		if c.lean {
-			name += "/lean"
-		}
-		b.Run(name, func(b *testing.B) {
-			printed := false
-			for i := 0; i < b.N; i++ {
-				cfg := fleet.Config{N: c.n, Seed: 7, LeanStats: c.lean}
-				if c.lean {
-					cfg.LeanRateFrom = 15 * time.Second
-				}
-				sf := shard.New(shard.Config{Fleet: cfg, Shards: c.shards})
-				sf.Run(30 * time.Second)
-				if !printed {
-					printed = true
-					hits, misses := sf.CacheStats()
-					b.Logf("n=%d shards=%d: drops=%d cache=%d/%d digest=%016x",
-						c.n, c.shards, sf.Drops(), hits, misses, sf.Digest())
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkPlannerDecide measures one action selection over a
 // Fig3-sized support, with and without the §3.3 policy cache.
 func BenchmarkPlannerDecide(b *testing.B) {
@@ -271,8 +184,7 @@ func BenchmarkPlannerDecide(b *testing.B) {
 // Bayesian update and one action selection over the Fig3 prior at
 // increasing worker counts. Results are bit-identical across the row
 // (asserted by the serial/parallel equivalence tests); on a single-core
-// host the row only shows the pool's overhead. cmd/benchjson emits the
-// same measurements as JSON for the per-PR BENCH_<n>.json record.
+// host the row only shows the pool's overhead.
 func BenchmarkParallelWorkers(b *testing.B) {
 	states, _ := model.Fig3Prior().Enumerate()
 	for _, w := range []int{1, 2, 4, 8} {

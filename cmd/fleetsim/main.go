@@ -18,12 +18,15 @@
 //     through the hot/warm/cold ladder (internal/lifecycle). With
 //     -shards K the barrier-aligned sharded lifecycle runs instead,
 //     with barrier checkpoints (disable via -no-ckpt, mirror via
-//     -checkpoint-dir) giving its restarts the same ladder.
+//     -checkpoint-dir) giving its restarts the same ladder. -jain-floor
+//     holds either protocol's final-window Jain index to a floor (a
+//     usage error with -lean, which keeps no series to compute it from).
 //   - Shard faults (-shard-crash / -shard-stall): the sharded runtime
 //     under the deterministic shard-kill/stall schedule — whole
 //     virtual shards die at window barriers and fail over onto
 //     survivors, stalled shards serve degraded through the Guard
-//     ladder. -window-budget arms the wall-clock watchdog
+//     ladder. There is no single-loop fault mode, so -shards 0 runs
+//     one shard here. -window-budget arms the wall-clock watchdog
 //     (nondeterministic; keep it off when hashes matter).
 //     -verify-shards "1,4" re-runs every point at each listed shard
 //     count and fails unless the replay hashes agree bit for bit.
@@ -53,8 +56,8 @@
 //	go run ./cmd/fleetsim -n 256 -shards 8 -lean   # big fleet, flat heap
 //	go run ./cmd/fleetsim -jain-floor 0.9          # exit 3 if any point under
 //
-// Exit status: 0 on success, 2 on usage errors, 3 when any point's
-// Jain index falls below -jain-floor.
+// Exit status: 0 on success, 1 when a run's own check fails, 2 on usage
+// errors, 3 when any point's Jain index falls below -jain-floor.
 package main
 
 import (
@@ -83,8 +86,8 @@ func main() {
 	workers := flag.Int("workers", 0, "shared rollout pool width (0 = GOMAXPROCS, 1 = serial); results are identical for any value")
 	perFlow := flag.Bool("per-flow", false, "print every flow's throughput/delay/drops (fairness mode)")
 	noCache := flag.Bool("no-cache", false, "disable the fleet-wide shared policy cache (fairness mode)")
-	jainFloor := flag.Float64("jain-floor", 0, "exit non-zero when any point's Jain index is below this floor")
-	shards := flag.Int("shards", runtime.NumCPU(), "parallel DES shards per fleet (0 = single-loop fleet); results are bit-identical for any count >= 1")
+	jainFloor := flag.Float64("jain-floor", 0, "exit 3 when any point's Jain index is below this floor (fairness sweep and every churn or shard-fault run)")
+	shards := flag.Int("shards", runtime.NumCPU(), "parallel DES shards per fleet (0 = single-loop fleet; 1 under -shard-crash/-shard-stall, which have no single-loop form); results are bit-identical for any count >= 1")
 	lean := flag.Bool("lean", false, "streaming statistics only: no per-packet series, flat heap at large N")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -134,16 +137,21 @@ func main() {
 
 	faultMode := *shardCrash || *shardStall || *windowBudget > 0 || *verifyShards != ""
 	if *churn || faultMode {
-		if faultMode || (shardsSet && *shards > 0) {
+		sharded, k, err := resolveLifecycle(faultMode, shardsSet, *shards, *lean, *jainFloor)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "fleetsim: %v\n", err)
+			exit(2)
+		}
+		if sharded {
 			runShardChurn(shardChurnOpts{
-				sizes: sizes, dur: *dur, seed: *seed, shards: *shards, workers: *workers,
+				sizes: sizes, dur: *dur, seed: *seed, shards: k, workers: *workers,
 				fq: *fq, lean: *lean,
 				churn: *churn || !faultMode,
 				epoch: *epoch, depart: *depart, crash: *crash, arrive: *arrive,
 				noCkpt: *noCkpt, ckptDir: *ckptDir,
 				shardCrash: *shardCrash, shardStall: *shardStall,
 				windowBudget: *windowBudget, verifyShards: *verifyShards,
-				smoke: *smoke, jsonOut: *jsonOut, exit: exit,
+				smoke: *smoke, jsonOut: *jsonOut, jainFloor: *jainFloor, exit: exit,
 			})
 		} else {
 			runChurn(churnOpts{
@@ -238,6 +246,27 @@ func startProfiling(cpu, mem, tr string) (stop func(), err error) {
 	}, nil
 }
 
+// resolveLifecycle decides which lifecycle driver a -churn or
+// shard-fault command line runs and at what shard count, so that a flag
+// means in these modes what it means in a fairness sweep or the
+// combination is refused. shardsSet is whether -shards was given at
+// all: the default churn mode is the supervised single-loop lifecycle,
+// and only an explicit positive -shards (or a fault flag, which has no
+// single-loop form) selects the barrier-aligned sharded one. A non-nil
+// error is a usage error.
+func resolveLifecycle(faultMode, shardsSet bool, shards int, lean bool, jainFloor float64) (sharded bool, k int, err error) {
+	if jainFloor > 0 && lean {
+		return false, 0, fmt.Errorf("-jain-floor needs the per-packet series -lean drops: a lean lifecycle run has no Jain index to hold to a floor")
+	}
+	sharded = faultMode || (shardsSet && shards > 0)
+	if sharded && shards < 1 {
+		// Zero means "no sharding"; it must not reach
+		// shard.ResolveShards, where it means one shard per CPU.
+		shards = 1
+	}
+	return sharded, shards, nil
+}
+
 type shardChurnOpts struct {
 	sizes                  []int
 	dur                    time.Duration
@@ -254,6 +283,7 @@ type shardChurnOpts struct {
 	verifyShards           string
 	smoke                  bool
 	jsonOut                string
+	jainFloor              float64
 	exit                   func(int)
 }
 
@@ -343,6 +373,11 @@ func runShardChurn(o shardChurnOpts) {
 		}
 	}
 	writeJSON(o.jsonOut, points, o.exit)
+	var jains []float64
+	for _, p := range points {
+		jains = append(jains, p.Jain)
+	}
+	checkJainFloor(jains, o.jainFloor, o.exit)
 }
 
 type churnOpts struct {

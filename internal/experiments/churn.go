@@ -217,7 +217,7 @@ func reduceChurn(cfg ChurnConfig, fl *fleet.Fleet, sup *lifecycle.Supervisor) Ch
 	)
 	const earlyWindow = 15 * time.Second
 	for _, rec := range sup.Records {
-		if !rec.Restarted {
+		if rec.Cause != lifecycle.CauseRestart {
 			continue
 		}
 		start := rec.M.AdmittedAt
@@ -289,7 +289,7 @@ func reduceChurn(cfg ChurnConfig, fl *fleet.Fleet, sup *lifecycle.Supervisor) Ch
 	var baseN int
 	half := dur / 2
 	for _, rec := range sup.Records {
-		if rec.Restarted || rec.RetiredAt >= 0 || rec.M.Gen != 0 || rec.M.Retired() {
+		if rec.Cause == lifecycle.CauseRestart || rec.RetiredAt >= 0 || rec.M.Gen != 0 || rec.M.Retired() {
 			continue
 		}
 		u0, _ := rec.M.UtilCum.ValueAt(half)

@@ -11,6 +11,7 @@ import (
 	"modelcc/internal/lifecycle"
 	"modelcc/internal/packet"
 	"modelcc/internal/shard"
+	"modelcc/internal/stats"
 )
 
 // ShardChurnConfig describes one sharded churn run: a fleet under the
@@ -26,7 +27,9 @@ type ShardChurnConfig struct {
 	// Seed drives both the simulation and the churn schedule.
 	Seed int64
 	// Epoch, DepartProb, CrashProb, ArriveProb are the churn schedule
-	// knobs, defaulted like ChurnConfig's.
+	// knobs, defaulted like ChurnConfig's: the three probabilities take
+	// 0.04 / 0.06 / 0.5 only when all three are zero, so one of them
+	// can be set to zero beside a non-zero other.
 	Epoch                             time.Duration
 	DepartProb, CrashProb, ArriveProb float64
 	// MinLive floors the live population (default N/4).
@@ -66,14 +69,8 @@ func (c ShardChurnConfig) withDefaults() ShardChurnConfig {
 	if c.Epoch == 0 {
 		c.Epoch = 10 * time.Second
 	}
-	if c.DepartProb == 0 {
-		c.DepartProb = 0.04
-	}
-	if c.CrashProb == 0 {
-		c.CrashProb = 0.06
-	}
-	if c.ArriveProb == 0 {
-		c.ArriveProb = 0.5
+	if c.DepartProb == 0 && c.CrashProb == 0 && c.ArriveProb == 0 {
+		c.DepartProb, c.CrashProb, c.ArriveProb = 0.04, 0.06, 0.5
 	}
 	if c.MinLive == 0 {
 		c.MinLive = c.N / 4
@@ -99,6 +96,10 @@ type ShardChurnResult struct {
 	// OrphanAcks counts acknowledgments that arrived after their
 	// sender's generation retired.
 	OrphanAcks int64
+	// Jain is Jain's index over the final-quarter delivery rates of
+	// members live through that whole window — ChurnResult.Jain's
+	// reduction. Zero under LeanStats, which keeps no per-packet series.
+	Jain float64
 	// ReplayHash digests delivery totals, drops and the event log; it
 	// is bit-identical for every shard count at fixed (N, Seed, knobs) —
 	// the determinism invariant CI holds the sharded runtime to.
@@ -178,18 +179,36 @@ func RunShardChurn(cfg ShardChurnConfig) ShardChurnResult {
 	res.DegradedServed = sf.DegradedServed()
 	var mttrSum time.Duration
 	var utilSum float64
+	restored := 0
 	for _, r := range sf.Records {
+		if r.Cause != lifecycle.CauseFailover {
+			continue
+		}
+		restored++
 		utilSum += r.M.Utility
-		if r.RecoveredAt > r.At {
+		if r.FirstAckAt > r.M.AdmittedAt {
 			res.FailoverRecovered++
-			mttrSum += r.RecoveredAt - r.At
+			mttrSum += r.FirstAckAt - r.M.AdmittedAt
 		}
 	}
 	if res.FailoverRecovered > 0 {
 		res.MTTR = mttrSum / time.Duration(res.FailoverRecovered)
 	}
-	if len(sf.Records) > 0 {
-		res.PostFailoverUtility = utilSum / float64(len(sf.Records))
+	if restored > 0 {
+		res.PostFailoverUtility = utilSum / float64(restored)
+	}
+	if !cfg.LeanStats {
+		window := cfg.Duration / 4
+		from := cfg.Duration - window
+		var rates []float64
+		for _, m := range sf.MemberSlots() {
+			if m == nil || m.AdmittedAt > from {
+				continue
+			}
+			w := m.AckedSeq.Window(from, cfg.Duration)
+			rates = append(rates, float64(len(w.Pts))/window.Seconds())
+		}
+		res.Jain = stats.JainIndex(rates)
 	}
 	return res
 }
@@ -198,14 +217,14 @@ func RunShardChurn(cfg ShardChurnConfig) ShardChurnResult {
 func RenderShardChurn(points []ShardChurnResult) string {
 	var b strings.Builder
 	b.WriteString("Sharded churn (barrier-aligned lifecycle; hash is shard-count invariant)\n")
-	fmt.Fprintf(&b, "%-6s %7s %10s %7s %7s %7s %7s %8s %7s %9s %16s\n",
-		"N", "shards", "delivered", "drops", "crash", "depart", "arrive", "restart", "live", "orphans", "replay hash")
+	fmt.Fprintf(&b, "%-6s %7s %10s %7s %7s %7s %7s %8s %7s %9s %7s %16s\n",
+		"N", "shards", "delivered", "drops", "crash", "depart", "arrive", "restart", "live", "orphans", "jain", "replay hash")
 	for _, p := range points {
 		restarts := p.Stats.ColdRestarts + p.Stats.HotRestarts + p.Stats.WarmRestarts
-		fmt.Fprintf(&b, "%-6d %7d %10d %7d %7d %7d %7d %8d %7d %9d %016x\n",
+		fmt.Fprintf(&b, "%-6d %7d %10d %7d %7d %7d %7d %8d %7d %9d %7.4f %016x\n",
 			p.Cfg.N, p.Cfg.Shards, p.Delivered, p.Drops,
 			p.Stats.Crashes, p.Stats.Departures, p.Stats.Arrivals, restarts,
-			p.Live, p.OrphanAcks, p.ReplayHash)
+			p.Live, p.OrphanAcks, p.Jain, p.ReplayHash)
 	}
 	for _, p := range points {
 		if p.Failover.ShardKills == 0 && p.Failover.Stalls == 0 && p.Failover.WatchdogTrips == 0 {

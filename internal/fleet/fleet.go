@@ -45,9 +45,11 @@
 // flow-residue subset of the fleet's members on a private loop, and
 // internal/shard couples K partitions through the one shared
 // bottleneck with a conservative time-windowed coordinator, bit
-// identical at any shard count. Sharded runs force two knobs a default
-// single-loop fleet leaves off: Config.Canonical (same-instant wakes
-// drain in flow order instead of arrival order) and a
+// identical at any shard count. Fleet and Partition embed one host
+// (host.go): the loop and pool, the sender wiring, the batching
+// scheduler. Sharded runs force two knobs a default single-loop fleet
+// leaves off: Config.Canonical (same-instant wakes drain in flow order
+// instead of arrival order) and a
 // planner.CacheStripes split of the policy cache (flow mod 16, so
 // partitions own disjoint stripes); a single-loop fleet with the same
 // two knobs set reproduces a sharded run bit for bit. Config.LeanStats
@@ -66,7 +68,6 @@ import (
 	"modelcc/internal/model"
 	"modelcc/internal/packet"
 	"modelcc/internal/planner"
-	"modelcc/internal/rollout"
 	"modelcc/internal/sim"
 	"modelcc/internal/stats"
 	"modelcc/internal/units"
@@ -133,9 +134,10 @@ type Config struct {
 	// woke — never of the event interleaving that woke them — which is
 	// the property the sharded runtime needs to reproduce a single-loop
 	// run bit for bit (internal/shard forces it on). The two orderings
-	// produce equally valid but different trajectories from the same
-	// seed; every cross-shard identity test compares canonical to
-	// canonical.
+	// produce different trajectories from the same seed, and not
+	// equally fair ones on the FIFO bottleneck — flow order is a strict
+	// priority among same-instant wakes (see package shard); every
+	// cross-shard identity test compares canonical to canonical.
 	Canonical bool
 	// LeanStats drops the per-packet Series (SentSeq/AckedSeq/UtilCum/
 	// SupportN) from every member, keeping only O(1) streaming
@@ -323,11 +325,12 @@ func DefaultBeliefConfig(n int) belief.Config {
 
 // Fleet is N coexisting ISENDERs wired to one shared bottleneck on one
 // discrete-event loop. Build with New, drive with Run.
+//
+// The embedded host contributes Cfg (the resolved configuration), Loop
+// (the shared discrete-event loop), Pool (the fleet-wide rollout pool)
+// and Caches (the fleet-wide striped policy cache).
 type Fleet struct {
-	// Cfg is the resolved configuration.
-	Cfg Config
-	// Loop is the shared discrete-event loop.
-	Loop *sim.Loop
+	host
 	// Members are the senders, indexed by FlowID.
 	Members []*Member
 	// Buffer is the shared tail-drop bottleneck queue (nil when
@@ -339,69 +342,37 @@ type Fleet struct {
 	Link *elements.Throughput
 	// Recv acknowledges deliveries back to the members.
 	Recv *elements.Receiver
-	// Pool is the fleet-wide rollout pool every member plans and
-	// updates on.
-	Pool *rollout.Pool
-	// Caches is the fleet-wide policy cache, split into fixed stripes
-	// keyed by flow mod stripe count (nil when disabled). Striping, not
-	// the shard count, decides which members share entries — see
-	// planner.CacheStripes.
-	Caches *planner.CacheStripes
 	// OrphanAcks counts acknowledgments that arrived for a flow with no
 	// live member — the in-flight packets of a retired member draining
 	// through the DES loop. They are never a panic: teardown is
 	// graceful by construction.
 	OrphanAcks int64
 
-	dirty, spare []*Member
-	drainArmed   bool
-	// drainTimer is the one reusable event behind the per-instant
-	// drain: arming it is allocation-free (sim.Loop.Reschedule), so
-	// the batched-ack hot path never schedules a fresh closure.
-	drainTimer *sim.Timer
-
 	// q is the bottleneck ingress every member sends into.
 	q elements.Node
-	// states/bcfg/pcfg are the resolved member-construction inputs,
-	// kept so mid-run admissions build members identical to New's.
-	states []model.State
-	bcfg   belief.Config
-	pcfg   planner.Config
 	// flows fences per-flow accounting across member generations,
 	// indexed by flow in lockstep with Members.
-	flows []flowRecord
+	flows []Ledger
 	// active is the sorted index of occupied member slots, so Live is
 	// O(1) and lifecycle ticks iterate live members without a linear
 	// scan over every slot the fleet has ever allocated.
 	active []packet.FlowID
 }
 
-// flowRecord is one flow ID's cross-generation bookkeeping: how many
-// packets retired generations injected (so in-flight drain can be told
-// apart from a fresh member's traffic) and how many generations the
-// flow has hosted.
-type flowRecord struct {
-	injected int64
-	gens     uint32
-}
-
 // New builds a fleet. Nothing runs until Run (or the loop is driven
 // manually).
 func New(cfg Config) *Fleet {
 	cfg = cfg.withDefaults()
-	f := &Fleet{
-		Cfg:  cfg,
-		Loop: sim.New(cfg.Seed),
-		Pool: rollout.New(cfg.Workers),
-	}
-	f.drainTimer = sim.NewTimer(f.Loop, f.drain)
+	f := &Fleet{}
+	var caches *planner.CacheStripes
 	if !cfg.NoSharedCache {
-		f.Caches = planner.NewCacheStripes(cfg.CacheStripes, cfg.CacheEntries)
+		caches = planner.NewCacheStripes(cfg.CacheStripes, cfg.CacheEntries)
 		// Coarse fingerprints: members in near-identical recurring
 		// situations share one computed decision. 50 ms buckets are
 		// well under the coarsest planning grid in use here.
-		f.Caches.SetQuanta(50*time.Millisecond, 1e-3)
+		caches.SetQuanta(50*time.Millisecond, 1e-3)
 	}
+	f.init(cfg, caches)
 
 	f.Recv = elements.NewReceiver(f.Loop, func(a packet.Ack) {
 		// Bounds- and nil-safe: a retired member's in-flight packets
@@ -422,57 +393,12 @@ func New(cfg Config) *Fleet {
 		f.q = f.Buffer
 	}
 
-	prior := Prior(cfg.LinkRate, cfg.BufferCapBits, cfg.N)
-	if cfg.PriorOverride != nil {
-		prior = *cfg.PriorOverride
-	}
-	f.states, _ = prior.Enumerate()
-
-	u := utility.Default()
-	u.Alpha = cfg.Alpha
-	f.bcfg = beliefDefaults(cfg.BeliefCfg, cfg.N)
-	f.bcfg.Pool = f.Pool
-	f.pcfg = planDefaults(cfg.Plan, cfg.PerSenderRate, u, cfg.N)
-	f.pcfg.Pool = f.Pool
-
 	f.Members = make([]*Member, 0, cfg.N)
-	f.flows = make([]flowRecord, 0, cfg.N)
+	f.flows = make([]Ledger, 0, cfg.N)
 	for i := 0; i < cfg.N; i++ {
 		f.attach(packet.FlowID(i), f.newSender(packet.FlowID(i)))
 	}
 	return f
-}
-
-// newSender builds one cold member sender from the fleet's resolved
-// prior and configs, wired into the shared cache/table.
-func (f *Fleet) newSender(flow packet.FlowID) *core.Sender {
-	return f.wireSender(core.NewSender(belief.NewExact(f.states, f.bcfg), f.pcfg), flow)
-}
-
-// wireSender attaches a sender to the fleet's shared serving machinery:
-// the compiled table (as a synchronous Guard rung 0) or the flow's
-// policy cache stripe, plus the fleet burst cap.
-func (f *Fleet) wireSender(s *core.Sender, flow packet.FlowID) *core.Sender {
-	var stripe *planner.PolicyCache
-	if f.Caches != nil {
-		stripe = f.Caches.For(uint32(flow))
-	}
-	if f.Cfg.Table != nil {
-		// Compiled serving path: table → warm cache → live, all
-		// synchronous (Budget 0 keeps the DES loop deterministic).
-		g := planner.NewGuard(0, stripe)
-		g.Compiled = f.Cfg.Table
-		s.Guard = g
-	} else {
-		s.Cache = stripe
-	}
-	// A solo sender's 32-packet burst cap is harmless; in a fleet a
-	// sender whose posterior momentarily says "link free" would pour
-	// 32 packets into the shared buffer before its next re-decision,
-	// and N senders can do it at once. Tight bursts keep mistakes
-	// packet-sized.
-	s.MaxBurst = 4
-	return s
 }
 
 // attach occupies flow with a new member generation (extending the flow
@@ -484,21 +410,16 @@ func (f *Fleet) attach(flow packet.FlowID, s *core.Sender) *Member {
 	idx := int(flow)
 	for idx >= len(f.Members) {
 		f.Members = append(f.Members, nil)
-		f.flows = append(f.flows, flowRecord{})
+		f.flows = append(f.flows, Ledger{})
 	}
 	if f.Members[idx] != nil {
 		// Invariant, not a runtime condition: admission picks vacant
 		// flows (AllocFlow); occupying a live one is a caller bug.
 		panic("fleet: flow already occupied")
 	}
-	m := NewMember(f.Loop, s, flow, f.q)
-	m.notify = f.enqueue
-	m.lean = f.Cfg.LeanStats
-	m.leanFrom = f.Cfg.LeanRateFrom
-	m.canonical = f.Cfg.Canonical
-	m.Gen = f.flows[idx].gens
-	f.flows[idx].gens++
-	m.AdmittedAt = f.Loop.Now()
+	m := f.member(flow, s, f.q)
+	m.Gen = f.flows[idx].Gens
+	f.flows[idx].Gens++
 	m.baseDelivered = f.Recv.Received[flow]
 	m.baseDrops = f.rawDrops(flow)
 	f.Members[idx] = m
@@ -548,47 +469,6 @@ func (f *Fleet) Start() {
 func (f *Fleet) Run(duration time.Duration) {
 	f.Start()
 	f.Loop.Run(duration)
-}
-
-// enqueue marks a member dirty and arms one drain event at the current
-// instant; all acknowledgments a member receives within the instant are
-// then folded into a single belief update at drain time.
-func (f *Fleet) enqueue(m *Member) {
-	if m.queued {
-		return
-	}
-	m.queued = true
-	f.dirty = append(f.dirty, m)
-	if !f.drainArmed {
-		f.drainArmed = true
-		f.drainTimer.ArmAt(f.Loop.Now())
-	}
-}
-
-// drain wakes the dirty members in arrival order, or — under
-// Cfg.Canonical — in canonical flow order. Sorting makes the
-// per-instant wake sequence a pure function of WHICH members woke,
-// independent of the event interleaving that dirtied them; that is the
-// property a sharded fleet relies on to reproduce the single-loop run
-// bit for bit (cross-shard acks arrive through a merge whose arrival
-// order differs, but the drained set is identical). The drain event
-// always fires after every same-instant enqueue (it is armed by the
-// instant's first enqueue, so its sequence number is larger than any
-// event armed earlier), so the sort sees the full batch. A wake may
-// dirty further members at the same instant; they are drained by a
-// freshly armed event, still within the instant.
-func (f *Fleet) drain() {
-	f.drainArmed = false
-	batch := f.dirty
-	f.dirty = f.spare[:0]
-	if f.Cfg.Canonical {
-		sort.Slice(batch, func(i, j int) bool { return batch[i].Flow < batch[j].Flow })
-	}
-	for _, m := range batch {
-		m.queued = false
-		m.wake()
-	}
-	f.spare = batch[:0]
 }
 
 // Drops reports total bottleneck drops across all flows and all member
@@ -651,7 +531,7 @@ func (f *Fleet) InFlight(flow packet.FlowID) int64 {
 	if idx >= len(f.flows) {
 		return 0
 	}
-	inj := f.flows[idx].injected
+	inj := f.flows[idx].Injected
 	if idx < len(f.Members) && f.Members[idx] != nil {
 		inj += f.Members[idx].Injected
 	}
@@ -704,7 +584,7 @@ func (f *Fleet) Retire(flow packet.FlowID) *Member {
 	// charged after this instant belong to the flow's next occupant.
 	m.GenDrops = f.rawDrops(flow) - m.baseDrops
 	m.GenDelivered = f.Recv.Received[flow] - m.baseDelivered
-	f.flows[idx].injected += m.Injected
+	f.flows[idx].Injected += m.Injected
 	f.Members[idx] = nil
 	f.deactivate(flow)
 	return m
@@ -731,7 +611,7 @@ func (f *Fleet) NextGen(flow packet.FlowID) uint32 {
 	if idx >= len(f.flows) {
 		return 0
 	}
-	return f.flows[idx].gens
+	return f.flows[idx].Gens
 }
 
 // StaggerOffset recomputes the start-time stagger for a mid-run
@@ -752,19 +632,6 @@ func StaggerOffsetFor(stagger time.Duration, flow packet.FlowID, gen uint32) tim
 	h ^= h >> 29
 	return time.Duration(h % uint64(stagger))
 }
-
-// PriorStates returns the enumerated prior every member starts from.
-// Callers must treat the slice and its states as read-only.
-func (f *Fleet) PriorStates() []model.State { return f.states }
-
-// MemberBeliefConfig returns the resolved belief configuration members
-// are built with (pool included), so a checkpoint restore reconstructs
-// an identical belief.
-func (f *Fleet) MemberBeliefConfig() belief.Config { return f.bcfg }
-
-// MemberPlanConfig returns the resolved planner configuration members
-// are built with (pool included).
-func (f *Fleet) MemberPlanConfig() planner.Config { return f.pcfg }
 
 // CacheStats reports the shared policy cache's Decide-path hit/miss
 // counters summed over stripes (zeros when the cache is disabled).

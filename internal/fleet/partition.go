@@ -1,17 +1,12 @@
 package fleet
 
 import (
-	"sort"
 	"time"
 
-	"modelcc/internal/belief"
 	"modelcc/internal/core"
-	"modelcc/internal/model"
 	"modelcc/internal/packet"
 	"modelcc/internal/planner"
-	"modelcc/internal/rollout"
 	"modelcc/internal/sim"
-	"modelcc/internal/utility"
 )
 
 // Partition is one shard's slice of a fleet: a dynamic set of members
@@ -28,39 +23,26 @@ import (
 // lets K partitions run on K goroutines while reproducing the
 // single-loop fleet bit for bit.
 //
-// Partition reuses Member unchanged: the same batching scheduler
-// (enqueue/drain in canonical flow order), the same wake clamp, the
-// same fenced counters. It lives in package fleet because it is the
-// fleet's member machinery re-hosted, not a new behavior.
+// Partition is the fleet's member machinery re-hosted, not a new
+// behavior: the embedded host is the one Fleet embeds (Cfg, Loop, Pool,
+// Caches, the sender wiring and the batching scheduler), always under
+// canonical flow-order scheduling. What Partition adds is what a
+// lifecycle needs and a static Fleet does not: members that come and
+// go, and the per-flow ledger that fences one generation's counters
+// from the next.
 type Partition struct {
-	// Loop is the partition's private discrete-event loop.
-	Loop *sim.Loop
-	// Pool is the partition's rollout pool (per-shard scratch arenas).
-	Pool *rollout.Pool
+	host
 	// Out collects the window's injected packets for the coordinator.
 	Out *Outbox
-	// Caches is the fleet-wide striped policy cache. The partition only
-	// touches stripes s with s ≡ idx (mod shards) — disjoint from every
-	// other partition because the shard count divides the stripe count —
-	// so no synchronization is needed.
-	Caches *planner.CacheStripes
 
 	idx, shards int
-	cfg         Config
-	states      []model.State
-	bcfg        belief.Config
-	pcfg        planner.Config
 
 	// members and flows key the partition's dynamic residency by flow
 	// ID. The maps are never iterated — every access is a point lookup,
 	// and batch work drains through the canonical flow-sorted dirty
 	// list — so map order can never leak into results.
 	members map[packet.FlowID]*Member
-	flows   map[packet.FlowID]*flowRecord
-
-	dirty, spare []*Member
-	drainArmed   bool
-	drainTimer   *sim.Timer
+	flows   map[packet.FlowID]*Ledger
 
 	// ackTimer replays the coordinator-peeked acknowledgment at its
 	// exact receive instant; one reusable timer suffices because a
@@ -88,32 +70,19 @@ func (o *Outbox) Reset() { o.Pkts = o.Pkts[:0] }
 // attaches and starts them so admission order and stagger offsets are
 // identical to the single-loop fleet's.
 func NewPartition(cfg Config, idx, shards int, caches *planner.CacheStripes) *Partition {
+	// Partition members are always canonical: the coordinator's merge
+	// delivers cross-shard events in flow order, so local wakes must
+	// drain the same way.
+	cfg.Canonical = true
 	p := &Partition{
-		Loop:    sim.New(cfg.Seed),
-		Pool:    rollout.New(cfg.Workers),
 		Out:     &Outbox{},
-		Caches:  caches,
 		idx:     idx,
 		shards:  shards,
-		cfg:     cfg,
 		members: make(map[packet.FlowID]*Member),
-		flows:   make(map[packet.FlowID]*flowRecord),
+		flows:   make(map[packet.FlowID]*Ledger),
 	}
-	p.drainTimer = sim.NewTimer(p.Loop, p.drain)
+	p.init(cfg, caches)
 	p.ackTimer = sim.NewTimer(p.Loop, p.deliverAck)
-
-	prior := Prior(cfg.LinkRate, cfg.BufferCapBits, cfg.N)
-	if cfg.PriorOverride != nil {
-		prior = *cfg.PriorOverride
-	}
-	p.states, _ = prior.Enumerate()
-
-	u := utility.Default()
-	u.Alpha = cfg.Alpha
-	p.bcfg = beliefDefaults(cfg.BeliefCfg, cfg.N)
-	p.bcfg.Pool = p.Pool
-	p.pcfg = planDefaults(cfg.Plan, cfg.PerSenderRate, u, cfg.N)
-	p.pcfg.Pool = p.Pool
 	return p
 }
 
@@ -125,10 +94,10 @@ func (p *Partition) Owns(flow packet.FlowID) bool {
 
 // rec returns the flow's cross-generation ledger, creating it on first
 // touch.
-func (p *Partition) rec(flow packet.FlowID) *flowRecord {
+func (p *Partition) rec(flow packet.FlowID) *Ledger {
 	r := p.flows[flow]
 	if r == nil {
-		r = &flowRecord{}
+		r = &Ledger{}
 		p.flows[flow] = r
 	}
 	return r
@@ -149,8 +118,7 @@ func (p *Partition) AttachCold(flow packet.FlowID, baseDelivered, baseDrops int)
 
 // AttachSender occupies flow with a caller-built sender — one warm-
 // restored from a lifecycle checkpoint — wiring it into the shared
-// cache/table first, exactly as Fleet.AdmitSender does on the
-// single-loop path. The member is not started.
+// cache/table first. The member is not started.
 func (p *Partition) AttachSender(flow packet.FlowID, s *core.Sender, baseDelivered, baseDrops int) *Member {
 	return p.attach(flow, p.wireSender(s, flow), baseDelivered, baseDrops)
 }
@@ -160,26 +128,23 @@ func (p *Partition) attach(flow packet.FlowID, s *core.Sender, baseDelivered, ba
 		panic("fleet: partition flow already occupied")
 	}
 	rec := p.rec(flow)
-	m := NewMember(p.Loop, s, flow, p.Out)
-	m.notify = p.enqueue
-	m.lean = p.cfg.LeanStats
-	m.leanFrom = p.cfg.LeanRateFrom
-	// Partition members are always canonical: the coordinator's merge
-	// delivers cross-shard events in flow order, so local wakes must
-	// drain the same way.
-	m.canonical = true
-	m.Gen = rec.gens
-	rec.gens++
-	m.AdmittedAt = p.Loop.Now()
+	m := p.member(flow, s, p.Out)
+	m.Gen = rec.Gens
+	rec.Gens++
 	m.baseDelivered = baseDelivered
 	m.baseDrops = baseDrops
 	p.members[flow] = m
 	return m
 }
 
-// RetireMember tears the flow's member down (mirroring Fleet.Retire),
-// freezing its fenced counters at the supplied shared-bottleneck
-// readings. Returns the retired member, nil when vacant.
+// RetireMember tears the flow's member down: the member stops deciding
+// and sending immediately (its wake timer is disarmed and late wakes
+// are no-ops) while its in-flight packets drain through the bottleneck,
+// counted by the coordinator as orphan acknowledgments toward the
+// flow's recycling fence. Its fenced counters freeze at the supplied
+// shared-bottleneck readings: drops and deliveries charged after this
+// instant belong to the flow's next occupant. Returns the retired
+// member (its series and counters stay readable), nil when vacant.
 func (p *Partition) RetireMember(flow packet.FlowID, delivered, rawDrops int) *Member {
 	m := p.members[flow]
 	if m == nil {
@@ -190,7 +155,7 @@ func (p *Partition) RetireMember(flow packet.FlowID, delivered, rawDrops int) *M
 	m.acks = m.acks[:0]
 	m.GenDrops = rawDrops - m.baseDrops
 	m.GenDelivered = delivered - m.baseDelivered
-	p.rec(flow).injected += m.Injected
+	p.rec(flow).Injected += m.Injected
 	delete(p.members, flow)
 	return m
 }
@@ -219,7 +184,7 @@ func (p *Partition) Remove(flow packet.FlowID) (led Ledger, ok bool) {
 		return Ledger{}, false
 	}
 	delete(p.flows, flow)
-	return Ledger{Injected: r.injected, Gens: r.gens}, true
+	return *r, true
 }
 
 // Install adopts a flow's ledger transferred from its previous home.
@@ -227,7 +192,7 @@ func (p *Partition) Install(flow packet.FlowID, led Ledger) {
 	if p.flows[flow] != nil || p.members[flow] != nil {
 		panic("fleet: installing over an occupied flow")
 	}
-	p.flows[flow] = &flowRecord{injected: led.Injected, gens: led.Gens}
+	p.flows[flow] = &led
 }
 
 // BumpDeliveryFence advances the live member's admission-time delivery
@@ -247,7 +212,7 @@ func (p *Partition) BumpDeliveryFence(flow packet.FlowID, n int) {
 func (p *Partition) InjectedTotal(flow packet.FlowID) int64 {
 	var inj int64
 	if r := p.flows[flow]; r != nil {
-		inj = r.injected
+		inj = r.Injected
 	}
 	if m := p.members[flow]; m != nil {
 		inj += m.Injected
@@ -259,13 +224,16 @@ func (p *Partition) InjectedTotal(flow packet.FlowID) int64 {
 // will receive.
 func (p *Partition) NextGen(flow packet.FlowID) uint32 {
 	if r := p.flows[flow]; r != nil {
-		return r.gens
+		return r.Gens
 	}
 	return 0
 }
 
 // BaseDelivered reports the live member's admission-time delivery
-// fence (see Fleet.Delivered); zero when vacant.
+// fence: a recycled flow ID never inherits its predecessor's counters,
+// so deliveries that predate the admission — a predecessor's in-flight
+// packets still draining included — are excluded from the member's
+// count. ok is false when vacant.
 func (p *Partition) BaseDelivered(flow packet.FlowID) (base int, ok bool) {
 	m := p.MemberAt(flow)
 	if m == nil {
@@ -309,66 +277,3 @@ func (p *Partition) RunTo(t time.Duration) { p.Loop.Run(t) }
 // NextEventTime reports the partition's earliest pending event, for the
 // coordinator's idle-window skip-ahead.
 func (p *Partition) NextEventTime() (time.Duration, bool) { return p.Loop.PeekTime() }
-
-// newSender mirrors Fleet.newSender against the partition's stripe set.
-func (p *Partition) newSender(flow packet.FlowID) *core.Sender {
-	return p.wireSender(core.NewSender(belief.NewExact(p.states, p.bcfg), p.pcfg), flow)
-}
-
-// wireSender mirrors Fleet.wireSender: compiled table (as a
-// synchronous Guard rung 0) or the flow's cache stripe, plus the fleet
-// burst cap.
-func (p *Partition) wireSender(s *core.Sender, flow packet.FlowID) *core.Sender {
-	var stripe *planner.PolicyCache
-	if p.Caches != nil {
-		stripe = p.Caches.For(uint32(flow))
-	}
-	if p.cfg.Table != nil {
-		g := planner.NewGuard(0, stripe)
-		g.Compiled = p.cfg.Table
-		s.Guard = g
-	} else {
-		s.Cache = stripe
-	}
-	s.MaxBurst = 4
-	return s
-}
-
-// PriorStates returns the enumerated prior partition members start
-// from; read-only, identical to the owning fleet's.
-func (p *Partition) PriorStates() []model.State { return p.states }
-
-// MemberBeliefConfig returns the resolved belief configuration
-// partition members are built with (per-shard pool included), so a
-// checkpoint restore reconstructs an identical belief.
-func (p *Partition) MemberBeliefConfig() belief.Config { return p.bcfg }
-
-// MemberPlanConfig returns the resolved planner configuration
-// partition members are built with (per-shard pool included).
-func (p *Partition) MemberPlanConfig() planner.Config { return p.pcfg }
-
-// enqueue/drain are the fleet scheduler verbatim: batch same-instant
-// wakes, drain in canonical flow order.
-func (p *Partition) enqueue(m *Member) {
-	if m.queued {
-		return
-	}
-	m.queued = true
-	p.dirty = append(p.dirty, m)
-	if !p.drainArmed {
-		p.drainArmed = true
-		p.drainTimer.ArmAt(p.Loop.Now())
-	}
-}
-
-func (p *Partition) drain() {
-	p.drainArmed = false
-	batch := p.dirty
-	p.dirty = p.spare[:0]
-	sort.Slice(batch, func(i, j int) bool { return batch[i].Flow < batch[j].Flow })
-	for _, m := range batch {
-		m.queued = false
-		m.wake()
-	}
-	p.spare = batch[:0]
-}

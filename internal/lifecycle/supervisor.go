@@ -12,7 +12,9 @@ import (
 )
 
 // SupervisorConfig tunes the crash-recovery runtime. Zero values take
-// the defaults noted on each field.
+// the defaults noted on each field (WithDefaults). The sharded runtime
+// reads the same health and backoff fields; its checkpoint schedule is
+// shard.CheckpointConfig, so CheckpointEvery and Dir do not apply there.
 type SupervisorConfig struct {
 	// Interval is the health-check period (default 2 s virtual).
 	Interval time.Duration
@@ -44,7 +46,9 @@ type SupervisorConfig struct {
 	Dir string
 }
 
-func (c SupervisorConfig) withDefaults() SupervisorConfig {
+// WithDefaults returns the configuration with every zero field
+// replaced by its documented default.
+func (c SupervisorConfig) WithDefaults() SupervisorConfig {
 	if c.Interval <= 0 {
 		c.Interval = 2 * time.Second
 	}
@@ -151,16 +155,40 @@ type Event struct {
 	Attempt int
 }
 
+// Cause is how a member generation came to exist.
+type Cause uint8
+
+// Member generation causes.
+const (
+	// CauseInitial is one of the fleet's starting members.
+	CauseInitial Cause = iota
+	// CauseArrival is a fresh churn arrival.
+	CauseArrival
+	// CauseRestart replaced a failed or crash-killed predecessor after
+	// backoff and drain.
+	CauseRestart
+	// CauseFailover was restored at the barrier that lost its
+	// predecessor's shard (sharded runtime only).
+	CauseFailover
+)
+
 // MemberRecord tracks one member generation across its whole life, so
 // experiments can window its series even after the flow was recycled.
+// Both runtimes keep one for every generation they admit.
 type MemberRecord struct {
+	// M is the generation's member (M.Flow, M.Gen and M.AdmittedAt
+	// identify it; its series stay readable after retirement).
 	M *fleet.Member
-	// Kind is how the generation started (RestartCold for New's initial
-	// members and fresh arrivals without a table).
+	// Cause is how the generation started.
+	Cause Cause
+	// Kind is the ladder rung it started on (RestartCold for initial
+	// members and fresh arrivals without a table, RestartHot with one).
 	Kind RestartKind
-	// Restarted marks generations that replaced a failed or crashed
-	// predecessor, as opposed to initial members and fresh arrivals.
-	Restarted bool
+	// FirstAckAt is the virtual instant the generation absorbed its
+	// first acknowledged delivery — for a failover restore, its
+	// recovery point. Zero means it never did (retired first, or the
+	// run ended). Only the sharded runtime fills it.
+	FirstAckAt time.Duration
 	// RetiredAt is when the generation was torn down; -1 while live.
 	RetiredAt time.Duration
 }
@@ -213,7 +241,7 @@ type Supervisor struct {
 func NewSupervisor(fl *fleet.Fleet, cfg SupervisorConfig) *Supervisor {
 	s := &Supervisor{
 		FL:        fl,
-		Cfg:       cfg.withDefaults(),
+		Cfg:       cfg.WithDefaults(),
 		PriorHash: FleetPriorHash(fl),
 	}
 	s.health = sim.NewTimer(fl.Loop, s.checkTick)
@@ -327,7 +355,7 @@ func (s *Supervisor) adopt(idx int, m *fleet.Member) {
 	if s.FL.Cfg.Table != nil {
 		kind = RestartHot
 	}
-	rec := &MemberRecord{M: m, Kind: kind, RetiredAt: -1}
+	rec := &MemberRecord{M: m, Cause: CauseArrival, Kind: kind, RetiredAt: -1}
 	fs.rec = rec
 	fs.lastCkpt = nil
 	fs.attempts = 0
@@ -428,7 +456,7 @@ func (s *Supervisor) Admit() *fleet.Member {
 	if s.FL.Cfg.Table != nil {
 		kind = RestartHot
 	}
-	rec := &MemberRecord{M: m, Kind: kind, RetiredAt: -1}
+	rec := &MemberRecord{M: m, Cause: CauseArrival, Kind: kind, RetiredAt: -1}
 	fs.rec = rec
 	fs.lastCkpt = nil
 	fs.attempts = 0
@@ -532,7 +560,7 @@ func (s *Supervisor) tryRestart(flow packet.FlowID) {
 	}
 	fs.reserved = false
 	fs.lastReseeds = beliefReseeds(m)
-	rec := &MemberRecord{M: m, Kind: kind, Restarted: true, RetiredAt: -1}
+	rec := &MemberRecord{M: m, Cause: CauseRestart, Kind: kind, RetiredAt: -1}
 	fs.rec = rec
 	s.Records = append(s.Records, rec)
 	s.Events = append(s.Events, Event{

@@ -18,11 +18,13 @@ import (
 // and the barrier grid are all independent of the shard count, the
 // lifecycle log and replay hash are bit-identical for every K. They
 // are NOT identical to the single-loop Supervisor's (which kills
-// mid-window at exact drawn instants); restarts walk the same
-// hot→warm→cold ladder when EnableCheckpoints is armed — warm from
-// the flow's latest barrier checkpoint — and stay cold (hot under a
-// compiled table) otherwise. Checkpoint availability is driven purely
-// by virtual time, so the ladder rung chosen is itself K-invariant.
+// mid-window at exact drawn instants). Every generation the runtime
+// admits — initial, arrival, restart, failover restore — enters through
+// one ladder (see ladder): warm from the flow's latest barrier
+// checkpoint when EnableCheckpoints is armed, hot when a compiled table
+// serves, cold from the prior — the same rungs the Supervisor chooses
+// from. Checkpoint availability is driven purely by virtual time, so
+// the rung chosen is itself K-invariant.
 
 type pendingKill struct {
 	at   time.Duration
@@ -34,9 +36,15 @@ type pendingRestart struct {
 	flow packet.FlowID
 }
 
-type churnFlow struct {
-	attempts    int
-	reserved    bool
+// flowState is the coordinator's per-flow lifecycle bookkeeping.
+type flowState struct {
+	// rec indexes Records at the flow's live generation; -1 when vacant.
+	rec int
+	// attempts counts consecutive restarts (the backoff exponent).
+	attempts int
+	// reserved marks a flow a pending restart owns; admission skips it.
+	reserved bool
+	// lastReseeds is the health sweep's reseed baseline.
 	lastReseeds int
 }
 
@@ -49,14 +57,14 @@ type churnState struct {
 	nextHealth time.Duration
 	kills      []pendingKill
 	restarts   []pendingRestart
-	flows      []churnFlow
 }
 
-func (c *churnState) flow(idx int) *churnFlow {
-	for idx >= len(c.flows) {
-		c.flows = append(c.flows, churnFlow{})
+// flow returns (extending as needed) the flow's bookkeeping.
+func (sf *Fleet) flow(flow packet.FlowID) *flowState {
+	for int(flow) >= len(sf.flows) {
+		sf.flows = append(sf.flows, flowState{rec: -1})
 	}
-	return &c.flows[idx]
+	return &sf.flows[flow]
 }
 
 // nextDue reports the earliest lifecycle instant, bounding the
@@ -79,9 +87,11 @@ func (c *churnState) nextDue() (time.Duration, bool) {
 	return best, ok
 }
 
-// EnableChurn arms the barrier-aligned churn lifecycle. Call before
-// Run. Zero-valued fields take the same defaults as the single-loop
-// lifecycle package.
+// EnableChurn arms the barrier-aligned churn lifecycle: the health
+// sweep and backoff restarts always, the seeded arrival/departure/crash
+// schedule when cc carries non-zero probabilities. Call before Run.
+// Zero-valued sup fields take lifecycle.SupervisorConfig's defaults;
+// its CheckpointEvery and Dir are not read (see EnableCheckpoints).
 func (sf *Fleet) EnableChurn(cc lifecycle.ChurnConfig, sup lifecycle.SupervisorConfig, ch chaos.Config) {
 	if cc.Epoch <= 0 {
 		cc.Epoch = 10 * time.Second
@@ -92,24 +102,7 @@ func (sf *Fleet) EnableChurn(cc lifecycle.ChurnConfig, sup lifecycle.SupervisorC
 	if cc.MaxLive <= 0 {
 		cc.MaxLive = sf.Cfg.N
 	}
-	if sup.Interval <= 0 {
-		sup.Interval = 2 * time.Second
-	}
-	if sup.MaxReseeds == 0 {
-		sup.MaxReseeds = 2
-	}
-	if sup.MaxOverruns == 0 {
-		sup.MaxOverruns = 8
-	}
-	if sup.BackoffBase <= 0 {
-		sup.BackoffBase = 500 * time.Millisecond
-	}
-	if sup.BackoffCap <= 0 {
-		sup.BackoffCap = 16 * time.Second
-	}
-	if sup.DrainPoll <= 0 {
-		sup.DrainPoll = 250 * time.Millisecond
-	}
+	sup = sup.WithDefaults()
 	sf.churn = &churnState{
 		cfg:        cc,
 		sup:        sup,
@@ -176,14 +169,14 @@ func (sf *Fleet) lifecycleBarrier() {
 			if m == nil {
 				continue
 			}
-			fs := c.flow(i)
+			fs := sf.flow(flow)
 			reseeds := beliefReseeds(m)
 			failed := c.sup.MaxReseeds > 0 && reseeds-fs.lastReseeds >= c.sup.MaxReseeds
 			if g := m.Sender.Guard; !failed && g != nil && c.sup.MaxOverruns > 0 {
 				failed = g.ConsecutiveOverruns >= c.sup.MaxOverruns
 			}
 			if failed {
-				sf.failMember(flow)
+				sf.casualty(flow, lifecycle.EventFail)
 				continue
 			}
 			fs.lastReseeds = reseeds
@@ -226,6 +219,12 @@ func (sf *Fleet) lifecycleBarrier() {
 				departing++
 			}
 		}
+		// Open capacity excludes members a restart will bring back:
+		// this epoch's crashes are still live here (not counted
+		// departing), and earlier casualties awaiting drain or backoff
+		// hold their slot through the reservation count. Counting either
+		// as open would let arrivals plus restarts push the population
+		// past MaxLive.
 		occupied := (live - departing) + sf.reservedCount()
 		for open := c.cfg.MaxLive - occupied; open > 0; open-- {
 			if c.src.Float64() < c.cfg.ArriveProb {
@@ -236,61 +235,41 @@ func (sf *Fleet) lifecycleBarrier() {
 	}
 }
 
+// reservedCount counts flows reserved by a scheduled restart —
+// casualties draining in-flight packets or waiting out backoff.
 func (sf *Fleet) reservedCount() int {
 	n := 0
-	for i := range sf.churn.flows {
-		if sf.churn.flows[i].reserved {
+	for i := range sf.flows {
+		if sf.flows[i].reserved {
 			n++
 		}
 	}
 	return n
 }
 
-// kill crash-kills the flow's member and schedules its restart.
+// kill crash-kills the flow's member abruptly (no fresh checkpoint, no
+// drain courtesy beyond what the network itself provides) and schedules
+// its restart. No-op when the flow has no live member.
 func (sf *Fleet) kill(flow packet.FlowID) {
-	m := sf.retire(flow)
+	sf.casualty(flow, lifecycle.EventCrash)
+}
+
+// casualty retires the flow's member as crashed or failed and queues
+// its backoff-delayed restart.
+func (sf *Fleet) casualty(flow packet.FlowID, kind lifecycle.EventKind) {
+	m := sf.retire(sf.owner(flow), flow)
 	if m == nil {
 		return
 	}
-	sf.Stats.Crashes++
-	sf.Events = append(sf.Events, lifecycle.Event{At: sf.now, Kind: lifecycle.EventCrash, Flow: flow, Gen: m.Gen})
-	sf.scheduleRestart(flow)
-}
-
-// failMember declares the flow failed on health grounds.
-func (sf *Fleet) failMember(flow packet.FlowID) {
-	m := sf.retire(flow)
-	if m == nil {
-		return
+	if kind == lifecycle.EventFail {
+		sf.Stats.Failures++
+	} else {
+		sf.Stats.Crashes++
 	}
-	sf.Stats.Failures++
-	sf.Events = append(sf.Events, lifecycle.Event{At: sf.now, Kind: lifecycle.EventFail, Flow: flow, Gen: m.Gen})
-	sf.scheduleRestart(flow)
-}
+	sf.Events = append(sf.Events, lifecycle.Event{At: sf.now, Kind: kind, Flow: flow, Gen: m.Gen})
 
-// depart retires the flow permanently.
-func (sf *Fleet) depart(flow packet.FlowID) {
-	m := sf.retire(flow)
-	if m == nil {
-		return
-	}
-	fs := sf.churn.flow(int(flow))
-	fs.attempts = 0
-	if sf.ckpt != nil {
-		// A departure is permanent: its checkpoint must never warm a
-		// future unrelated occupant of the recycled flow ID.
-		delete(sf.ckpt.last, flow)
-	}
-	sf.Stats.Departures++
-	sf.Events = append(sf.Events, lifecycle.Event{At: sf.now, Kind: lifecycle.EventDepart, Flow: flow, Gen: m.Gen})
-}
-
-// scheduleRestart reserves the flow and queues the backoff-delayed
-// attempt (lifecycle.Supervisor's backoff, barrier-snapped at
-// execution time).
-func (sf *Fleet) scheduleRestart(flow packet.FlowID) {
 	c := sf.churn
-	fs := c.flow(int(flow))
+	fs := sf.flow(flow)
 	shift := fs.attempts
 	if shift > 30 {
 		shift = 30
@@ -304,89 +283,67 @@ func (sf *Fleet) scheduleRestart(flow packet.FlowID) {
 	c.restarts = append(c.restarts, pendingRestart{due: sf.now + delay, flow: flow})
 }
 
+// depart retires the flow's member permanently: no restart, and the
+// flow (once drained) becomes available to future arrivals.
+func (sf *Fleet) depart(flow packet.FlowID) {
+	m := sf.retire(sf.owner(flow), flow)
+	if m == nil {
+		return
+	}
+	sf.flow(flow).attempts = 0
+	if sf.ckpt != nil {
+		// A departure is permanent: its checkpoint must never warm a
+		// future unrelated occupant of the recycled flow ID.
+		delete(sf.ckpt.last, flow)
+	}
+	sf.Stats.Departures++
+	sf.Events = append(sf.Events, lifecycle.Event{At: sf.now, Kind: lifecycle.EventDepart, Flow: flow, Gen: m.Gen})
+}
+
 // tryRestart performs or re-defers one due restart. It returns
 // (againAt, true) when the flow is still draining and the attempt must
-// re-queue. The restart walks the lifecycle ladder: warm from the
-// flow's latest barrier checkpoint when checkpointing is armed, else
-// hot when a compiled table serves, else cold — the same rungs the
-// single-loop Supervisor chooses from. No fencing is needed on this
-// path: the drain wait above guarantees nothing of the predecessor is
-// in flight when the successor attaches.
+// re-queue. No fencing is needed on this path: the drain wait
+// guarantees nothing of the predecessor is in flight when the successor
+// attaches.
 func (sf *Fleet) tryRestart(flow packet.FlowID) (time.Duration, bool) {
-	c := sf.churn
-	fs := c.flow(int(flow))
+	fs := sf.flow(flow)
 	if sf.MemberAt(flow) != nil {
 		fs.reserved = false
 		return 0, false
 	}
 	if sf.InFlight(flow) > 0 {
-		return sf.now + c.sup.DrainPoll, true
+		return sf.now + sf.churn.sup.DrainPoll, true
 	}
-	part := sf.owner(flow)
-	gen := part.NextGen(flow)
+	gen := sf.owner(flow).NextGen(flow)
 	offset := fleet.StaggerOffsetFor(sf.Cfg.Stagger, flow, gen)
-	kind := lifecycle.RestartCold
-	var m *fleet.Member
-	if sf.ckpt != nil {
-		if ck := sf.ckpt.last[flow]; ck != nil {
-			s, err := lifecycle.RestoreSender(part, ck, sf.priorHash)
-			if err != nil {
-				sf.Stats.CheckpointErrors++
-				delete(sf.ckpt.last, flow)
-			} else {
-				m = sf.admitSender(flow, s, offset)
-				lifecycle.RestoreGuard(m, ck)
-				kind = lifecycle.RestartWarm
-			}
-		}
-	}
-	if m == nil {
-		m = sf.admit(flow, offset)
-		if sf.Cfg.Table != nil {
-			kind = lifecycle.RestartHot
-		}
-	}
+	sf.restart(flow, offset, lifecycle.CauseRestart, fs.attempts)
 	fs.reserved = false
-	fs.lastReseeds = beliefReseeds(m)
-	switch kind {
-	case lifecycle.RestartWarm:
-		sf.Stats.WarmRestarts++
-	case lifecycle.RestartHot:
-		sf.Stats.HotRestarts++
-	default:
-		sf.Stats.ColdRestarts++
-	}
-	sf.Events = append(sf.Events, lifecycle.Event{
-		At: sf.now, Kind: lifecycle.EventRestart, Flow: flow, Gen: m.Gen,
-		Restart: kind, Attempt: fs.attempts,
-	})
 	return 0, false
 }
 
-// admitNew starts a brand-new member on the lowest safe flow.
+// admitNew starts a brand-new member on the lowest safe flow (vacant,
+// drained, not reserved by a pending restart) and returns it.
 func (sf *Fleet) admitNew() *fleet.Member {
-	c := sf.churn
 	flow := packet.FlowID(sf.slots)
 	for i := 0; i < sf.slots; i++ {
 		f := packet.FlowID(i)
-		if sf.MemberAt(f) == nil && !c.flow(i).reserved && sf.InFlight(f) == 0 {
+		if sf.MemberAt(f) == nil && !sf.flow(f).reserved && sf.InFlight(f) == 0 {
 			flow = f
 			break
 		}
 	}
 	gen := sf.owner(flow).NextGen(flow)
-	m := sf.admit(flow, fleet.StaggerOffsetFor(sf.Cfg.Stagger, flow, gen))
-	fs := c.flow(int(flow))
-	fs.attempts = 0
-	fs.lastReseeds = beliefReseeds(m)
+	// nil: an arrival is a different member and never inherits a
+	// predecessor's checkpoint.
+	m := sf.admit(flow, nil, fleet.StaggerOffsetFor(sf.Cfg.Stagger, flow, gen), lifecycle.CauseArrival)
+	sf.flow(flow).attempts = 0
 	sf.Stats.Arrivals++
 	sf.Events = append(sf.Events, lifecycle.Event{At: sf.now, Kind: lifecycle.EventAdmit, Flow: flow, Gen: m.Gen})
 	return m
 }
 
 // ReplayHash digests per-flow delivery totals, drops and the lifecycle
-// event log — the same byte shape as the single-loop churn hash, so
-// equal hashes mean bit-identical sharded runs.
+// event log; equal hashes mean bit-identical runs, at any shard count.
 func (sf *Fleet) ReplayHash() uint64 {
 	h := fnvHasher()
 	h.put(uint64(sf.slots), uint64(sf.Live()), uint64(sf.Drops()), uint64(sf.OrphanAcks))

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"modelcc/internal/chaos"
-	"modelcc/internal/fleet"
 	"modelcc/internal/lifecycle"
 	"modelcc/internal/packet"
 	"modelcc/internal/planner"
@@ -45,10 +44,10 @@ import (
 //     (the next partition in ring order; the home-table rewrite also
 //     migrates the class's policy-cache stripe, which only its hosting
 //     partition may touch);
-//  2. restore the member through the restart ladder — warm from its
-//     latest barrier checkpoint, hot from the compiled table, cold
-//     from the prior — as a NEW generation with freshly fenced
-//     counters;
+//  2. restore the member through the restart ladder (Fleet.ladder, the
+//     one churn restarts walk too) — warm from its latest barrier
+//     checkpoint, hot from the compiled table, cold from the prior —
+//     as a NEW generation with freshly fenced counters;
 //  3. fence the dead generation's post-checkpoint in-flight sends: the
 //     restored sender's NextSeq rewinds to the checkpoint's, so those
 //     sequence numbers will be reused, and the stale deliveries must
@@ -138,25 +137,6 @@ type FailoverStats struct {
 	WatchdogTrips int64
 }
 
-// RestoredMember records one fault-restored member for recovery
-// reductions (virtual-time MTTR, post-failover utility).
-type RestoredMember struct {
-	// Flow and Gen identify the restored generation.
-	Flow packet.FlowID
-	Gen  uint32
-	// At is the failover barrier.
-	At time.Duration
-	// RecoveredAt is the virtual instant the restored generation
-	// absorbed its first acknowledged delivery — the recovery point for
-	// MTTR reductions. Zero means it never recovered (retired or killed
-	// again first, or the run ended).
-	RecoveredAt time.Duration
-	// Kind is the restart-ladder rung the restore landed on.
-	Kind lifecycle.RestartKind
-	// M is the restored member (readable after Run).
-	M *fleet.Member
-}
-
 // fenceWin is one swallowed SentAt window: from < SentAt <= to.
 type fenceWin struct{ from, to time.Duration }
 
@@ -197,9 +177,9 @@ type watchdogState struct {
 }
 
 // EnableCheckpoints arms barrier-time checkpointing. Call before Run.
-// With checkpoints armed, both the churn lifecycle's restarts and
-// fault failovers gain the full hot→warm→cold ladder; without them,
-// sharded restarts stay cold (hot when a compiled table is wired).
+// With checkpoints armed, restarts and failovers gain the ladder's warm
+// rung; without them they start cold (hot when a compiled table is
+// wired).
 func (sf *Fleet) EnableCheckpoints(cc CheckpointConfig) {
 	if cc.Every <= 0 {
 		cc.Every = 4 * time.Second
@@ -445,13 +425,7 @@ func (sf *Fleet) failoverGroup(v int) {
 
 	for i := v; i < sf.slots; i += VirtualShards {
 		flow := packet.FlowID(i)
-		delivered := sf.Recv.Received[flow]
-		drops := sf.rawDrops(flow)
-		m := dead.RetireMember(flow, delivered, drops)
-		if m != nil {
-			sf.degradedRetired += m.DegradedServed()
-			delete(sf.recovering, flow)
-		}
+		m := sf.retire(dead, flow)
 		if led, ok := dead.Remove(flow); ok {
 			// At K=1 the sole partition is its own successor; the
 			// remove/install pair is then a reinstallation in place.
@@ -465,69 +439,23 @@ func (sf *Fleet) failoverGroup(v int) {
 		}
 		sf.Failover.FlowsFailedOver++
 		sf.Events = append(sf.Events, lifecycle.Event{At: b, Kind: lifecycle.EventCrash, Flow: flow, Gen: m.Gen})
-		sf.restoreFlow(flow, delivered, drops)
-	}
-}
 
-// restoreFlow ladder-restores a failed-over flow at the current
-// barrier: warm from its latest barrier checkpoint, hot from the
-// compiled table, cold from the prior — always a new generation with
-// freshly fenced counters, never merged accounting.
-func (sf *Fleet) restoreFlow(flow packet.FlowID, delivered, drops int) {
-	b := sf.now
-	part := sf.owner(flow)
-	kind := lifecycle.RestartCold
-	fenceFrom := time.Duration(-1)
-	var m *fleet.Member
-	if sf.ckpt != nil {
-		if ck := sf.ckpt.last[flow]; ck != nil {
-			s, err := lifecycle.RestoreSender(part, ck, sf.priorHash)
-			if err != nil {
-				sf.Stats.CheckpointErrors++
-				delete(sf.ckpt.last, flow)
-			} else {
-				m = part.AttachSender(flow, s, delivered, drops)
-				lifecycle.RestoreGuard(m, ck)
-				kind = lifecycle.RestartWarm
-				fenceFrom = ck.At
-			}
+		// Restore as a NEW generation with freshly fenced counters,
+		// never merged accounting, resuming at the first representable
+		// instant after the barrier — failover optimizes
+		// time-to-recover, not stagger.
+		kind := sf.restart(flow, time.Nanosecond, lifecycle.CauseFailover, 0)
+		fenceFrom := time.Duration(-1)
+		switch kind {
+		case lifecycle.RestartWarm:
+			sf.Failover.WarmFailovers++
+			fenceFrom = sf.ckpt.last[flow].At
+		case lifecycle.RestartHot:
+			sf.Failover.HotFailovers++
+		default:
+			sf.Failover.ColdFailovers++
 		}
-	}
-	if m == nil {
-		m = part.AttachCold(flow, delivered, drops)
-		if sf.Cfg.Table != nil {
-			kind = lifecycle.RestartHot
-		}
-	}
-	// Resume at the first representable instant after the barrier —
-	// failover optimizes time-to-recover, not stagger; the offset is
-	// clamped strictly positive like every barrier admission.
-	m.Start(time.Nanosecond)
-	sf.addFence(flow, fenceFrom, b)
-	switch kind {
-	case lifecycle.RestartWarm:
-		sf.Stats.WarmRestarts++
-		sf.Failover.WarmFailovers++
-	case lifecycle.RestartHot:
-		sf.Stats.HotRestarts++
-		sf.Failover.HotFailovers++
-	default:
-		sf.Stats.ColdRestarts++
-		sf.Failover.ColdFailovers++
-	}
-	sf.Events = append(sf.Events, lifecycle.Event{
-		At: b, Kind: lifecycle.EventRestart, Flow: flow, Gen: m.Gen, Restart: kind,
-	})
-	sf.Records = append(sf.Records, RestoredMember{Flow: flow, Gen: m.Gen, At: b, Kind: kind, M: m})
-	if sf.recovering == nil {
-		sf.recovering = make(map[packet.FlowID]int)
-	}
-	sf.recovering[flow] = len(sf.Records) - 1
-	if sf.churn != nil {
-		// Reset the health baseline so the sweep doesn't blame the
-		// restored member for its predecessor's reseeds.
-		fs := sf.churn.flow(int(flow))
-		fs.lastReseeds = beliefReseeds(m)
+		sf.addFence(flow, fenceFrom, b)
 	}
 }
 

@@ -32,6 +32,18 @@ func faultFleet(t *testing.T, n, k int, seed int64, ckpt bool) *Fleet {
 	return sf
 }
 
+// failoverRecords filters the per-generation records down to the
+// fault-restored ones.
+func failoverRecords(sf *Fleet) []lifecycle.MemberRecord {
+	var out []lifecycle.MemberRecord
+	for _, r := range sf.Records {
+		if r.Cause == lifecycle.CauseFailover {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
 // checkFaultRun asserts the fault machinery was actually exercised and
 // that failover never merged generations' accounting: for every live
 // member, the fenced Delivered count equals the acknowledgments the
@@ -50,15 +62,16 @@ func checkFaultRun(t *testing.T, sf *Fleet, k int) {
 	if sf.DegradedServed() == 0 {
 		t.Errorf("shards=%d: no decisions served degraded during stalls", k)
 	}
-	if len(sf.Records) != fo.FlowsFailedOver {
-		t.Errorf("shards=%d: %d restore records for %d failovers", k, len(sf.Records), fo.FlowsFailedOver)
+	restored := failoverRecords(sf)
+	if len(restored) != fo.FlowsFailedOver {
+		t.Errorf("shards=%d: %d restore records for %d failovers", k, len(restored), fo.FlowsFailedOver)
 	}
-	for _, r := range sf.Records {
+	for _, r := range restored {
 		// Zero is legal (re-killed, churned away, starved, or the run
 		// ended); a nonzero recovery can only happen after the failover.
-		if r.RecoveredAt != 0 && r.RecoveredAt <= r.At {
+		if r.FirstAckAt != 0 && r.FirstAckAt <= r.M.AdmittedAt {
 			t.Errorf("shards=%d: record %d/%d recovered at %v, before its failover at %v",
-				k, r.Flow, r.Gen, r.RecoveredAt, r.At)
+				k, r.M.Flow, r.M.Gen, r.FirstAckAt, r.M.AdmittedAt)
 		}
 	}
 	for i := 0; i < sf.Slots(); i++ {
@@ -92,8 +105,9 @@ func TestFaultHashInvariantAcrossShards(t *testing.T) {
 	// at least some must absorb deliveries again even under persistent
 	// congestion (where a cold restart, with no ack clock, starves).
 	recovered := 0
-	for _, r := range ref.Records {
-		if r.RecoveredAt > r.At {
+	refRestored := failoverRecords(ref)
+	for _, r := range refRestored {
+		if r.FirstAckAt > r.M.AdmittedAt {
 			recovered++
 		}
 	}
@@ -115,10 +129,13 @@ func TestFaultHashInvariantAcrossShards(t *testing.T) {
 			t.Errorf("shards=%d degraded served %d, want %d (shards=1)",
 				k, sf.DegradedServed(), ref.DegradedServed())
 		}
-		for i := range sf.Records {
-			a, b := sf.Records[i], ref.Records[i]
-			if a.Flow != b.Flow || a.Gen != b.Gen || a.At != b.At ||
-				a.RecoveredAt != b.RecoveredAt || a.Kind != b.Kind {
+		for i, a := range failoverRecords(sf) {
+			if i >= len(refRestored) {
+				break // count mismatch already reported by checkFaultRun
+			}
+			b := refRestored[i]
+			if a.M.Flow != b.M.Flow || a.M.Gen != b.M.Gen || a.M.AdmittedAt != b.M.AdmittedAt ||
+				a.FirstAckAt != b.FirstAckAt || a.Kind != b.Kind {
 				t.Errorf("shards=%d restore record %d = %+v, want %+v (shards=1)", k, i, a, b)
 				break
 			}

@@ -5,9 +5,13 @@
 // fleet.Config.Canonical (flow-order same-instant scheduling) and a
 // cache striped planner.DefaultCacheStripes ways — and a single-loop
 // fleet.Fleet built with those same knobs reproduces a sharded run bit
-// for bit (a default single-loop fleet keeps its historical
-// arrival-order trajectory, which differs event for event but not
-// statistically).
+// for bit. A default single-loop fleet keeps its historical
+// arrival-order trajectory, which differs event for event and, on the
+// tail-drop FIFO bottleneck, in fairness: member wake times share the
+// link's service-time lattice, so same-instant ties are the rule, and
+// flow order hands each freed buffer slot to the lowest-numbered
+// waiting flow (a steady N = 16 fleet reads Jain 0.43 canonical against
+// 0.95 in arrival order; the DRR bottleneck reads ≈ 1 either way).
 //
 // # The windowed protocol
 //
@@ -73,14 +77,17 @@
 // Lifecycle under sharding is barrier-aligned: churn draws, crashes,
 // health checks and restarts execute at window boundaries (every due
 // time snapped up to the Δ grid), in flow order, so the event log and
-// replay hash are identical for every shard count — though not to the
-// single-loop Supervisor's mid-window schedule, which is a different
-// (equally deterministic) protocol. With EnableCheckpoints armed,
-// restarts walk the full hot→warm→cold ladder from barrier-time
-// checkpoints; the coordinator additionally survives the loss or
-// stall of a whole shard (EnableFaults, EnableWatchdog) — see fault.go
-// for the virtual-shard failover protocol and the degradation
-// watchdog.
+// replay hash are identical for every shard count (churn.go) — though
+// not to the single-loop lifecycle.Supervisor's mid-window schedule,
+// which is a different (equally deterministic) protocol on the
+// arrival-order fleet. The two agree on lifecycle counters within
+// seed-to-seed spread and differ on FIFO fairness for the reason above,
+// which is why both still exist (the ensemble is in CHANGES.md, PR 17).
+// With EnableCheckpoints armed, every restart — churn or failover —
+// walks one warm→hot→cold ladder (Fleet.ladder) from barrier-time
+// checkpoints; the coordinator additionally survives the loss or stall
+// of a whole shard (EnableFaults, EnableWatchdog) — see fault.go for
+// the virtual-shard failover protocol and the degradation watchdog.
 package shard
 
 import (
@@ -93,7 +100,6 @@ import (
 	"time"
 
 	"modelcc/internal/belief"
-	"modelcc/internal/core"
 	"modelcc/internal/elements"
 	"modelcc/internal/fleet"
 	"modelcc/internal/lifecycle"
@@ -129,8 +135,9 @@ func ResolveShards(req int) int {
 }
 
 // Fleet is the sharded runtime: K fleet.Partitions coupled to one
-// authoritative bottleneck loop. Build with New, drive with Run (or
-// RunChurn via Churn).
+// authoritative bottleneck loop. Build with New, arm the lifecycle
+// subsystems a run needs (EnableChurn, EnableCheckpoints, EnableFaults,
+// EnableWatchdog), drive with Run.
 type Fleet struct {
 	// Cfg is the resolved fleet configuration.
 	Cfg fleet.Config
@@ -160,14 +167,17 @@ type Fleet struct {
 	Stats lifecycle.Stats
 	// Failover aggregates shard-fault outcomes (zero without faults).
 	Failover FailoverStats
-	// Records logs every fault-restored member, for MTTR and
-	// post-failover recovery reductions.
-	Records []RestoredMember
+	// Records holds one entry per member generation the runtime ever
+	// admitted — initial members, arrivals, restarts, failover restores
+	// — in admission order, for recovery reductions (ramp-up,
+	// post-restart utility, MTTR).
+	Records []lifecycle.MemberRecord
 
 	now      time.Duration
 	slots    int // flow-space size: flows ever allocated are 0..slots-1
 	started  bool
 	zeroStep bool
+	flows    []flowState
 	churn    *churnState
 	ckpt     *ckptState
 	fault    *faultState
@@ -184,10 +194,6 @@ type Fleet struct {
 	// a failed-over member generation, whose sequence numbers the
 	// restored generation will reuse.
 	fences map[packet.FlowID][]fenceWin
-	// recovering maps a flow to the index in Records of its latest
-	// fault-restored generation that has not yet absorbed a delivery;
-	// the peek stamps RecoveredAt through it (virtual-time MTTR).
-	recovering map[packet.FlowID]int
 	// priorHash binds barrier checkpoints to the fleet's model
 	// identity (set when checkpoints are enabled).
 	priorHash uint64
@@ -363,8 +369,9 @@ func (sf *Fleet) MemoStats() planner.MemoStats {
 // Now reports the coordinator's barrier time.
 func (sf *Fleet) Now() time.Duration { return sf.now }
 
-// start attaches and staggers the initial members exactly as
-// fleet.New + fleet.Start would.
+// start attaches the initial members and staggers them over
+// Cfg.Stagger: member i starts at Stagger·i/N, as fleet.Fleet.Start
+// does.
 func (sf *Fleet) start() {
 	if sf.started {
 		return
@@ -372,53 +379,99 @@ func (sf *Fleet) start() {
 	sf.started = true
 	n := int64(sf.Cfg.N)
 	for i := 0; i < sf.Cfg.N; i++ {
-		flow := packet.FlowID(i)
-		m := sf.owner(flow).AttachCold(flow, 0, 0)
+		m := sf.ladder(packet.FlowID(i), nil, lifecycle.CauseInitial)
 		m.Start(time.Duration(int64(sf.Cfg.Stagger) * int64(i) / n))
 	}
-	sf.slots = sf.Cfg.N
 }
 
-// admit starts a fresh cold member on flow with the given offset,
-// extending the flow space as needed. The offset is clamped strictly
-// positive: admissions happen at window barriers, and the windowed
-// protocol requires that no member event lands exactly ON a barrier
-// the coordinator has already opened (the peek at barrier W assumes
-// every instant ≤ W is fully processed).
-func (sf *Fleet) admit(flow packet.FlowID, offset time.Duration) *fleet.Member {
-	if offset <= 0 {
-		offset = time.Nanosecond
+// ladder occupies flow with its next generation on the highest rung of
+// the restart ladder available — warm from ck, hot from the compiled
+// table, cold from the prior — and opens the generation's record. ck is
+// nil for a generation with no predecessor to resume (initial members,
+// arrivals). The new generation's counters are fenced at the shared
+// bottleneck's current readings; it is not started. This is the one
+// place a rung is chosen: churn restarts and shard failovers both come
+// through it.
+func (sf *Fleet) ladder(flow packet.FlowID, ck *lifecycle.Checkpoint, cause lifecycle.Cause) *fleet.Member {
+	part := sf.owner(flow)
+	delivered, drops := sf.Recv.Received[flow], sf.rawDrops(flow)
+	kind := lifecycle.RestartCold
+	if sf.Cfg.Table != nil {
+		kind = lifecycle.RestartHot
 	}
-	m := sf.owner(flow).AttachCold(flow, sf.Recv.Received[flow], sf.rawDrops(flow))
-	m.Start(offset)
+	var m *fleet.Member
+	if ck != nil {
+		if s, err := lifecycle.RestoreSender(part, ck, sf.priorHash); err != nil {
+			// A checkpoint this coordinator captured should always
+			// restore; count the anomaly, discard it, fall through.
+			sf.Stats.CheckpointErrors++
+			delete(sf.ckpt.last, flow)
+		} else {
+			m = part.AttachSender(flow, s, delivered, drops)
+			lifecycle.RestoreGuard(m, ck)
+			kind = lifecycle.RestartWarm
+		}
+	}
+	if m == nil {
+		m = part.AttachCold(flow, delivered, drops)
+	}
 	if int(flow) >= sf.slots {
 		sf.slots = int(flow) + 1
 	}
+	fs := sf.flow(flow)
+	fs.rec = len(sf.Records)
+	// The health sweep must not blame the new generation for its
+	// predecessor's reseeds.
+	fs.lastReseeds = beliefReseeds(m)
+	sf.Records = append(sf.Records, lifecycle.MemberRecord{M: m, Cause: cause, Kind: kind, RetiredAt: -1})
 	return m
 }
 
-// admitSender starts a caller-built (warm-restored) sender on flow
-// with the given offset, clamped strictly positive like admit.
-func (sf *Fleet) admitSender(flow packet.FlowID, s *core.Sender, offset time.Duration) *fleet.Member {
+// admit is ladder plus the member's start, offset after the current
+// barrier. The offset is clamped strictly positive: admissions happen
+// at window barriers, and the windowed protocol requires that no member
+// event lands exactly ON a barrier the coordinator has already opened
+// (the peek at barrier W assumes every instant ≤ W is fully processed).
+func (sf *Fleet) admit(flow packet.FlowID, ck *lifecycle.Checkpoint, offset time.Duration, cause lifecycle.Cause) *fleet.Member {
 	if offset <= 0 {
 		offset = time.Nanosecond
 	}
-	m := sf.owner(flow).AttachSender(flow, s, sf.Recv.Received[flow], sf.rawDrops(flow))
+	m := sf.ladder(flow, ck, cause)
 	m.Start(offset)
-	if int(flow) >= sf.slots {
-		sf.slots = int(flow) + 1
-	}
 	return m
 }
 
-// retire tears the flow's member down, mirroring fleet.Retire.
-func (sf *Fleet) retire(flow packet.FlowID) *fleet.Member {
-	m := sf.owner(flow).RetireMember(flow, sf.Recv.Received[flow], sf.rawDrops(flow))
+// restart brings a flow back after a crash, a health failure or the
+// loss of its shard: admit from its latest barrier checkpoint, counted
+// and logged by the rung it landed on, which it returns.
+func (sf *Fleet) restart(flow packet.FlowID, offset time.Duration, cause lifecycle.Cause, attempt int) lifecycle.RestartKind {
+	m := sf.admit(flow, sf.LatestCheckpoint(flow), offset, cause)
+	kind := sf.Records[sf.flow(flow).rec].Kind
+	switch kind {
+	case lifecycle.RestartWarm:
+		sf.Stats.WarmRestarts++
+	case lifecycle.RestartHot:
+		sf.Stats.HotRestarts++
+	default:
+		sf.Stats.ColdRestarts++
+	}
+	sf.Events = append(sf.Events, lifecycle.Event{
+		At: sf.now, Kind: lifecycle.EventRestart, Flow: flow, Gen: m.Gen,
+		Restart: kind, Attempt: attempt,
+	})
+	return kind
+}
+
+// retire tears down the flow's member on the partition hosting it (the
+// flow's owner, except mid-failover when the home table already names
+// the successor) and closes its record.
+func (sf *Fleet) retire(part *fleet.Partition, flow packet.FlowID) *fleet.Member {
+	m := part.RetireMember(flow, sf.Recv.Received[flow], sf.rawDrops(flow))
 	if m != nil {
 		sf.degradedRetired += m.DegradedServed()
-		// A fault-restored generation churned away before its first
-		// delivery never recovers; leave its RecoveredAt zero.
-		delete(sf.recovering, flow)
+		fs := sf.flow(flow)
+		sf.Records[fs.rec].RetiredAt = sf.now
+		fs.rec = -1
 	}
 	return m
 }
@@ -550,9 +603,8 @@ func (sf *Fleet) window(end time.Duration) {
 			// fleet performs.
 			sf.OrphanAcks++
 		default:
-			if idx, ok := sf.recovering[pkt.Flow]; ok {
-				sf.Records[idx].RecoveredAt = doneAt
-				delete(sf.recovering, pkt.Flow)
+			if r := &sf.Records[sf.flows[pkt.Flow].rec]; r.FirstAckAt == 0 {
+				r.FirstAckAt = doneAt
 			}
 			sf.owner(pkt.Flow).ScheduleAck(packet.Ack{
 				Flow:       pkt.Flow,
@@ -685,7 +737,8 @@ func (x *hasher) put(vs ...uint64) {
 
 func (x *hasher) sum() uint64 { return x.h.Sum64() }
 
-// beliefReseeds mirrors the Supervisor's health signal read.
+// beliefReseeds reads the belief's lifetime re-seed count, the
+// "posterior keeps collapsing" health signal.
 func beliefReseeds(m *fleet.Member) int {
 	switch b := m.Sender.Belief.(type) {
 	case *belief.Exact:

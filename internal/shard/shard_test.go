@@ -131,10 +131,10 @@ func TestRecycledFlowLandsOnHomeShard(t *testing.T) {
 	sf := New(Config{Fleet: fleet.Config{N: 8, Seed: 3, Workers: 1}, Shards: 4})
 	sf.start()
 	// Retire flow 5, then admit a successor on the same ID.
-	if m := sf.retire(packet.FlowID(5)); m == nil {
+	if m := sf.retire(sf.owner(5), 5); m == nil {
 		t.Fatalf("flow 5 had no member to retire")
 	}
-	m := sf.admit(packet.FlowID(5), 0)
+	m := sf.admit(5, nil, 0, lifecycle.CauseArrival)
 	if m.Gen != 1 {
 		t.Fatalf("recycled flow generation = %d, want 1", m.Gen)
 	}
