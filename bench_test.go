@@ -1,5 +1,5 @@
-// Benchmarks regenerating the paper's figures and the DESIGN.md ablation
-// experiments. Run them all with
+// Benchmarks regenerating the paper's figures and the ablation
+// experiments (README.md, "Running things"). Run them all with
 //
 //	go test -bench=. -benchmem
 //
@@ -212,8 +212,8 @@ func BenchmarkParallelWorkers(b *testing.B) {
 }
 
 // BenchmarkPlannerHypotheses measures how planning cost scales with the
-// support truncation MaxHyps — the knob DESIGN.md calls out as the
-// planner's main approximation.
+// support truncation MaxHyps, the planner's main approximation
+// (planner.Config.MaxHyps).
 func BenchmarkPlannerHypotheses(b *testing.B) {
 	states, _ := model.Fig3Prior().Enumerate()
 	bel := belief.NewExact(states, belief.Config{})
@@ -229,7 +229,7 @@ func BenchmarkPlannerHypotheses(b *testing.B) {
 }
 
 // BenchmarkUtilityKappa is the ablation for the discount-timescale
-// substitution recorded in DESIGN.md: Figure 3's α=1 run under
+// substitution the utility package comment records: Figure 3's α=1 run under
 // different κ, reporting drops caused (the paper's no-overflow claim
 // needs a near-linear utility).
 func BenchmarkUtilityKappa(b *testing.B) {

@@ -5,9 +5,9 @@
 // over possible network configurations and at every moment takes the
 // action maximizing the expected value of an explicit utility function.
 //
-// See README.md for a tour, DESIGN.md for the system inventory and the
-// per-experiment index, and EXPERIMENTS.md for paper-vs-measured results.
-// The benchmarks in bench_test.go regenerate every figure.
+// See README.md for a tour ("Layout" is the system inventory, "Running
+// things" the per-experiment index). The benchmarks in bench_test.go
+// regenerate every figure.
 //
 // # Parallelism
 //
@@ -138,10 +138,19 @@
 // is about nine tenths of it on a 256-sender fleet), and Decide is built
 // around not repeating work: one baseline rollout per hypothesis that
 // candidates fork from, candidates retired when they reconverge, pool-
-// resident scratch so a decision allocates almost nothing, and a
-// rollout memo that sweeps each distinct hypothesis once. The memo keys
-// a hypothesis by exactly what a gate-frozen rollout reads of it
-// (model.State.AppendRolloutKey: rates, sizes, what is in service and
+// resident scratch so a decision on one worker allocates nothing, a
+// rollout memo that sweeps each distinct hypothesis once, and a sweep
+// that is a stream: deliveries fold straight into one discount
+// accumulator per rollout (model.State.RunAccum, model.Accum) with the
+// exp(−Δ/κ) step factors shared per worker (model.StepTable), so no
+// event is recorded under Decide — the same advance loop as State.Run,
+// the same segment partition and summation order, hence the same bits
+// (TestDecideStreamMatchesEventSweep, FuzzRunStreamMatchesRun). The
+// advance loop itself is built around arrivals: every link completion
+// due before the next pinger tick or send drains in one inner loop.
+//
+// The memo keys a hypothesis by exactly what a gate-frozen rollout reads
+// of it (model.State.AppendRolloutKey: rates, sizes, what is in service and
 // queued, every time relative to the decision instant — and not
 // ParamsID, the toggle grid, a gated-off pinger's rate, sequence
 // numbers or the weight), so hypotheses that differ only in what a

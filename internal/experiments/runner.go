@@ -1,6 +1,6 @@
 // Package experiments contains the harnesses that regenerate every
 // figure and result in the paper's evaluation (§4), plus the extension
-// experiments listed in DESIGN.md. The cmd/ tools and the repository's
+// experiments README.md lists under "Layout" and "Running things". The cmd/ tools and the repository's
 // benchmarks are thin wrappers over these functions, so "the experiment"
 // exists in exactly one place.
 package experiments

@@ -1,0 +1,115 @@
+package model
+
+import (
+	"math"
+	"time"
+)
+
+// Accum is the discounted sum a rollout's deliveries fold into: the one
+// place the value of a delivery — bits·(1−p)·exp(−τ/κ) for an own
+// packet, α times that less the optional latency penalty for a cross
+// packet (utility.Config says what the parameters mean) — is computed.
+// It lives here, not in utility, because the advance loop calls it
+// directly: RunAccum folds each delivery in as the link completes it, and
+// utility.Meter.Add feeds it a recorded event list, so the streamed and
+// the recorded path cannot drift apart, and neither pays a dynamic call
+// per event.
+//
+// A rollout's deliveries arrive in time order, so the discount is carried
+// forward multiplicatively, exp(−τ₂/κ) = exp(−τ₁/κ)·exp(−Δ/κ), with the
+// step factors read from a StepTable. The result differs from summing
+// exp(−τ/κ) afresh only by float rounding (≲1e-12 relative over a
+// rollout), far below the planner's tie band.
+//
+// An Accum is single-rollout state: Reset before each rollout, then
+// deliveries in time order, with Take at each segment boundary.
+type Accum struct {
+	alpha, survive, penalty float64
+	t0                      time.Duration
+	steps                   *StepTable
+
+	lastTau time.Duration
+	lastD   float64
+	seg     float64
+}
+
+// Reset points the accumulator at a new rollout: deliveries are valued
+// relative to decision time t0 with cross weight alpha, survival
+// probability survive and cross-latency penalty, discounted on timescale
+// kappa (> 0) with step factors from steps. steps may be shared by any
+// number of accumulators used from one goroutine; it is emptied here if
+// it holds another κ's factors.
+func (a *Accum) Reset(alpha, survive, penalty float64, t0, kappa time.Duration, steps *StepTable) {
+	steps.use(kappa)
+	*a = Accum{alpha: alpha, survive: survive, penalty: penalty, t0: t0, steps: steps, lastD: 1}
+}
+
+// Deliver folds in one delivery of bits at receiver time at, delay after
+// it was enqueued.
+func (a *Accum) Deliver(own bool, bits int64, at, delay time.Duration) {
+	// The discount exp(−τ/κ), stepped on from the previous delivery's.
+	d := 1.0
+	if tau := at - a.t0; tau > 0 {
+		dt := tau - a.lastTau
+		if dt > 0 {
+			e := &a.steps.entries[(uint64(dt)*0x9e3779b97f4a7c15)>>(64-stepTableBits)]
+			if e.dt != dt {
+				e.dt, e.f = dt, math.Exp(-float64(dt)*a.steps.invK)
+			}
+			a.lastD *= e.f
+			a.lastTau = tau
+		}
+		d = a.lastD
+		if dt < 0 {
+			// Out-of-order event (should not happen in a rollout): exact.
+			d = math.Exp(-float64(tau) * a.steps.invK)
+		}
+	}
+	if own {
+		a.seg += float64(bits) * a.survive * d
+		return
+	}
+	a.seg += a.alpha * float64(bits) * a.survive * d
+	if a.penalty > 0 {
+		a.seg -= a.penalty * float64(bits) * delay.Seconds()
+	}
+}
+
+// Take returns the sum of the deliveries since the last Take and clears
+// it: a segment's contribution, summed from zero in delivery order.
+func (a *Accum) Take() float64 {
+	u := a.seg
+	a.seg = 0
+	return u
+}
+
+// StepTable memoizes the step factors exp(−Δ/κ) of one timescale κ in a
+// small direct-mapped table. Delivery times in a rollout sit on a handful
+// of lattices (the link's service times, the pinger grid), so the same Δ
+// recurs constantly — within a rollout, across the baseline and
+// candidates of one sweep, and across the hypotheses one worker sweeps —
+// and the exp in the hot loop all but disappears. math.Exp is a pure
+// function of its argument, so what the table holds, and who shares it,
+// cannot change a bit of any sum. Not safe for concurrent use.
+type StepTable struct {
+	kappa   time.Duration
+	invK    float64 // 1/κ in 1/ns
+	entries [1 << stepTableBits]stepEntry
+}
+
+const stepTableBits = 6
+
+// stepEntry is one memoized factor; the zero entry matches no step,
+// because a looked-up Δ is positive.
+type stepEntry struct {
+	dt time.Duration
+	f  float64
+}
+
+// use readies the table for timescale kappa; factors of another κ are
+// dropped.
+func (t *StepTable) use(kappa time.Duration) {
+	if t.kappa != kappa {
+		*t = StepTable{kappa: kappa, invK: 1 / float64(kappa)}
+	}
+}

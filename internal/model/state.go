@@ -321,47 +321,9 @@ func (s *State) startService(q QPkt) {
 	s.ServiceDone = s.Now + s.serviceTime(q.Bits)
 }
 
-// departHead completes the in-service packet: it leaves the link, passes
-// (conceptually) into the LOSS element, and the next queued packet starts
-// serializing.
-func (s *State) departHead(out *[]Event) {
-	q := s.InService
-	s.Now = s.ServiceDone
-	s.Serving = false
-	kind := CrossDelivered
-	if q.Own {
-		kind = OwnDelivered
-	}
-	if out != nil {
-		*out = append(*out, Event{
-			Kind:  kind,
-			Seq:   q.Seq,
-			At:    s.receiverClock(s.Now),
-			Bits:  q.Bits,
-			Delay: s.Now - q.EnqueuedAt,
-		})
-	}
-	if s.QHead < len(s.Queue) {
-		head := s.Queue[s.QHead]
-		s.QHead++
-		s.QueueBits -= head.Bits
-		s.startService(head)
-		// Compact once the dead prefix dominates, so appends do not
-		// grow the array without bound while keeping departures O(1)
-		// amortized.
-		if s.QHead >= 32 && 2*s.QHead >= len(s.Queue) {
-			n := copy(s.Queue, s.Queue[s.QHead:])
-			s.Queue = s.Queue[:n]
-			s.QHead = 0
-		}
-	}
-}
-
-// receiverClock maps sender time to the receiver's clock.
+// receiverClock maps sender time to the receiver's clock under a non-zero
+// ClockSkew.
 func (s *State) receiverClock(t time.Duration) time.Duration {
-	if s.P.ClockSkew == 0 {
-		return t
-	}
 	return units.SecondsToDuration(t.Seconds() * (1 + s.P.ClockSkew))
 }
 
@@ -370,57 +332,124 @@ func (s *State) receiverClock(t time.Duration) time.Duration {
 // caller controls toggle points (AdvanceEnum forks at them; Truth samples
 // them; planner rollouts freeze them). Sends must be sorted by At and lie
 // in (s.Now-ε, until]; a send in the past panics. Events are appended to
-// out.
+// out. Events at one instant are ordered: link completion, then pinger
+// emission, then send.
 func (s *State) Run(until time.Duration, sends []Send, out *[]Event) {
+	s.advance(until, sends, out, nil)
+}
+
+// RunAccum is Run with the deliveries folded straight into acc instead of
+// recorded: the same loop, the same instants, each delivery handed to
+// acc.Deliver where Run would have appended its event (drops, which are
+// worth nothing, leave no trace). acc.Take after it is what
+// utility.Meter.Add over Run's events would have returned, bit for bit —
+// the planner's sweep, which reads nothing else of a segment, advances
+// this way and never materializes an event.
+func (s *State) RunAccum(until time.Duration, sends []Send, acc *Accum) {
+	s.advance(until, sends, nil, acc)
+}
+
+// Arrival kinds of the advance loop.
+const (
+	arrNone = iota
+	arrCross
+	arrSend
+)
+
+// advance is the one advance loop under Run and RunAccum, built around
+// arrivals: find the next arrival due by until (a pinger tick wins a tie
+// with a send), let the link complete every packet due by that instant —
+// a backlogged FIFO between arrivals is a Lindley recursion, each
+// departure starting the next service, so the stretch drains in one inner
+// loop with nothing else to consult — then admit the arrival. A delivery
+// goes to out, to acc, or to both; either may be nil.
+func (s *State) advance(until time.Duration, sends []Send, out *[]Event, acc *Accum) {
 	if s.crossIvl == 0 {
 		s.crossIvl = s.P.CrossInterval()
 	}
-	si := 0
+	crossIvl, crossBits, skewed := s.crossIvl, s.P.CrossBits(), s.P.ClockSkew != 0
 	for {
-		// Next event among: service completion, cross emission, send.
-		next := until + 1
-		kind := -1
-		if s.Serving && s.ServiceDone <= until && s.ServiceDone < next {
-			next, kind = s.ServiceDone, 0
+		at, arrival := until, arrNone
+		if s.NextCross <= until {
+			at, arrival = s.NextCross, arrCross
 		}
-		if s.NextCross <= until && s.NextCross < next {
-			next, kind = s.NextCross, 1
+		if len(sends) > 0 && sends[0].At <= until && (arrival == arrNone || sends[0].At < at) {
+			at, arrival = sends[0].At, arrSend
 		}
-		if si < len(sends) && sends[si].At <= until && sends[si].At < next {
-			next, kind = sends[si].At, 2
-		}
-		if kind == -1 {
-			break
-		}
-		switch kind {
-		case 0:
-			s.departHead(out)
-		case 1:
-			s.Now = s.NextCross
-			s.NextCross += s.crossIvl
-			if s.PingerOn {
-				s.enqueue(QPkt{Own: false, Seq: -1, Bits: s.P.CrossBits()}, out)
+
+		// Departures due by then: the in-service packet leaves the link
+		// and passes (conceptually) into the LOSS element, the next
+		// queued packet starts serializing, and so on down the backlog.
+		if s.Serving && s.ServiceDone <= at {
+			q, done := s.InService, s.ServiceDone
+			for {
+				s.Now = done
+				rcv := done
+				if skewed {
+					rcv = s.receiverClock(done)
+				}
+				if out != nil {
+					kind := CrossDelivered
+					if q.Own {
+						kind = OwnDelivered
+					}
+					*out = append(*out, Event{Kind: kind, Seq: q.Seq, At: rcv, Bits: q.Bits, Delay: done - q.EnqueuedAt})
+				}
+				if acc != nil {
+					acc.Deliver(q.Own, q.Bits, rcv, done-q.EnqueuedAt)
+				}
+				if s.QHead == len(s.Queue) {
+					s.Serving = false
+					break
+				}
+				q = s.Queue[s.QHead]
+				s.QHead++
+				s.QueueBits -= q.Bits
+				// Compact once the dead prefix dominates, so appends do
+				// not grow the array without bound while keeping
+				// departures O(1) amortized.
+				if s.QHead >= 32 && 2*s.QHead >= len(s.Queue) {
+					n := copy(s.Queue, s.Queue[s.QHead:])
+					s.Queue = s.Queue[:n]
+					s.QHead = 0
+				}
+				done += s.serviceTime(q.Bits)
+				if done > at {
+					s.InService, s.ServiceDone = q, done
+					break
+				}
 			}
-		case 2:
-			snd := sends[si]
-			si++
-			if snd.At < s.Now {
+		}
+
+		switch arrival {
+		case arrNone:
+			if s.Now < until {
+				s.Now = until
+			}
+			return
+		case arrCross:
+			s.Now = at
+			s.NextCross += crossIvl
+			if s.PingerOn {
+				s.enqueue(QPkt{Own: false, Seq: -1, Bits: crossBits}, out)
+			}
+		case arrSend:
+			snd := sends[0]
+			sends = sends[1:]
+			if at < s.Now {
 				// Invariant: sends are stamped by the sender's own
 				// monotone clock (transport.Sender clamps chaotic wall
 				// clocks before they get here), so a past send is a
 				// driver bug the run must surface, not tolerate.
 				panic("model: send scheduled in the hypothesis's past")
 			}
-			s.Now = snd.At
+			s.Now = at
 			bits := snd.Bits
 			if bits <= 0 {
 				bits = s.P.PktBits()
 			}
 			s.enqueue(QPkt{Own: true, Seq: snd.Seq, Bits: bits}, out)
 		}
-	}
-	if s.Now < until {
-		s.Now = until
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"modelcc/internal/belief"
 	"modelcc/internal/model"
 	"modelcc/internal/rollout"
+	"modelcc/internal/utility"
 )
 
 // MemoStats counts the rollout memo's traffic, so a hit-rate collapse
@@ -161,12 +162,21 @@ type decideArena struct {
 	from []int32
 	roll []int32
 	memo rolloutMemo
+
+	// The call in flight, as sweep reads it on the pool's workers.
+	pending    []model.Send
+	now        time.Duration
+	seq        int64
+	util       utility.Config
+	candidates int
+	sweepFn    func(*rollout.Scratch, int) // ar.sweep, bound once
 }
 
 func arenaOf(p *rollout.Pool) *decideArena {
 	ar, _ := p.Aux.(*decideArena)
 	if ar == nil {
 		ar = &decideArena{}
+		ar.sweepFn = ar.sweep
 		p.Aux = ar
 	}
 	return ar

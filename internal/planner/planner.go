@@ -6,13 +6,19 @@
 //
 // A strategy is "inject the next packet at now+δ" for δ on a grid from 0
 // to MaxDelay. For each hypothesis the planner clones the state and rolls
-// it forward deterministically (gate frozen, loss in expectation — see
-// DESIGN.md for why these planning approximations do not change the
-// argmax in the paper's configurations), accumulating the utility of all
-// own and cross deliveries over a common horizon. Candidate utilities are
-// measured relative to the no-send rollout of the same hypothesis, which
-// keeps the differences well-conditioned: the large cross-traffic
-// background term cancels exactly.
+// it forward deterministically, gate frozen and loss in expectation,
+// accumulating the utility of all own and cross deliveries over a common
+// horizon. Neither approximation moves the argmax in the paper's
+// configurations: utility is linear in delivered bits and last-mile loss
+// reaches no queue, so the expectation over loss is exact for every
+// candidate (utility.Config.OfPredicted); and the gate is re-inferred at
+// every wake — a plan commits to nothing past the next wake, the gate
+// toggles about once in a hundred seconds against a horizon of tens, and
+// both gate states are in the support with their posterior weights, so a
+// rollout only declines to fork on toggles inside its own horizon.
+// Candidate utilities are measured relative to the no-send rollout of the
+// same hypothesis, which keeps the differences well-conditioned: the
+// large cross-traffic background term cancels exactly.
 //
 // A planning rollout reads far less of a hypothesis than compaction or
 // the PolicyCache fingerprint do, and Decide exploits it: the rollout
@@ -30,6 +36,21 @@
 // the sweep, in the reduce). Fleet members in the same relative state
 // milliseconds apart, and hypotheses of one belief that differ only in
 // what is left out, therefore roll once; see rolloutMemo.
+//
+// A hypothesis that is rolled is rolled as a stream. All the sweep reads
+// of a simulated segment is one number, its discounted utility, so the
+// baseline and each candidate advance with model.State.RunAccum, which
+// hands every delivery to the rollout's model.Accum as the link
+// completes it: no event is recorded and none read back. The step
+// factors exp(−Δ/κ) every accumulator multiplies its discount forward by
+// come from one model.StepTable per worker, shared by the baseline and
+// candidates of every sweep the worker runs. Three things keep the gains
+// bit for bit what the event-buffer sweep computed: the segment partition
+// (sums are still read, and cleared, at every sync stop, and a candidate's
+// gain still grows by its segment less the baseline's); the event order
+// (RunAccum is Run's loop); and one accumulator per rollout, so each
+// discount chain steps through its own deliveries only — the shared table
+// holds values of a pure function and cannot matter.
 //
 // Ties break toward the longest delay. This is what turns the utility
 // maximization into pacing: when the queue already guarantees a packet's
@@ -149,7 +170,7 @@ const lockstepChunk = time.Second
 //
 // The per-hypothesis work is one forward sweep over a grid of sync
 // stops (every candidate send time, then every lockstepChunk), built
-// for the rollout engine's four economies. (1) The no-send baseline is
+// for the rollout engine's five economies. (1) The no-send baseline is
 // simulated exactly once; each candidate forks from it in place when
 // the sweep reaches its send time, so [now, now+δ) is never
 // re-simulated. (2) Candidates advance alongside the baseline and
@@ -161,16 +182,21 @@ const lockstepChunk = time.Second
 // steady state cuts the simulated span from the 40 s Horizon to the few
 // seconds the extra packet's consequences actually linger. (3)
 // Hypotheses are sharded across cfg.Workers, each with a scratch arena
-// of states, discount meters, and event buffers, and the call's own
-// buffers live on the pool, so the steady-state decision allocates
-// almost nothing. (4) Each distinct hypothesis is swept once: before
-// the sweep every hypothesis is keyed by exactly what the sweep reads
-// of it (see the package comment), equal keys within the call share one
-// sweep, and a key an earlier call on the same pool stored takes that
-// call's per-candidate gain vector. A hit is bit for bit what the sweep
+// of candidate lanes, the call's own buffers live on the pool and the
+// sweep is a method bound once, so on one worker the steady-state
+// decision allocates nothing. (4) Each distinct hypothesis is swept
+// once: before the sweep every hypothesis is keyed by exactly what the
+// sweep reads of it (see the package comment), equal keys within the
+// call share one sweep, and a key an earlier call on the same pool
+// stored takes that call's per-candidate gain vector. A hit is bit for bit what the sweep
 // would have produced, and the weight reduce below is unchanged, so the
 // memo can be cold, warm, wrapped or shared by any set of senders
-// without reaching a Decision.
+// without reaching a Decision. (5) A sweep is streamed: deliveries fold
+// into one discount accumulator per rollout as the link completes them,
+// no event buffer in between, with the exp(−Δ/κ) step factors shared by
+// every rollout of a worker; segment partition, event order and
+// summation order are the event-buffer sweep's, so the gains are too
+// (see the package comment and decideArena.sweep).
 func Decide(sup []belief.Hypothesis, pending []model.Send, now time.Duration, seq int64, cfg Config) Decision {
 	cfg = cfg.withDefaults()
 	pool := cfg.Pool
@@ -235,94 +261,8 @@ func Decide(sup []belief.Hypothesis, pending []model.Send, now time.Duration, se
 	}
 	ar.roll = roll
 
-	pool.Run(len(roll), func(s *rollout.Scratch, r int) {
-		i := int(roll[r])
-		h := &hyps[i]
-		p := h.S.P.LossProb
-		ds, _ := s.Aux.(*decideScratch)
-		if ds == nil {
-			ds = &decideScratch{}
-			s.Aux = ds
-		}
-		ds.ensure(candidates)
-
-		base := &s.Base
-		h.S.CloneInto(base)
-		ds.baseMeter.Reset(cfg.Util, now, p)
-
-		forked, live := 0, 0
-		fork := func(k int) {
-			base.CloneInto(&ds.cands[k])
-			ds.meters[k].Reset(cfg.Util, now, p)
-			ds.gains[k] = 0
-			ds.done[k] = false
-			// The candidate's own send, then any pending sends still
-			// in the future (all pending are <= now in practice, so
-			// the tail is normally empty); At-order holds by
-			// construction.
-			cs := append(ds.candSends[k][:0], model.Send{Seq: seq, At: stops[k]})
-			for _, snd := range pending {
-				if snd.At > stops[k] {
-					cs = append(cs, snd)
-				}
-			}
-			ds.candSends[k] = cs
-			ds.sendIdx[k] = 0
-			forked++
-			live++
-		}
-
-		// Baseline to the first stop (= now), consuming pending sends
-		// due by then; then the sweep forks candidate 0.
-		si := 0
-		for si < len(pending) && pending[si].At <= stops[0] {
-			si++
-		}
-		s.Events = s.Events[:0]
-		base.Run(stops[0], pending[:si], &s.Events)
-		ds.baseMeter.Add(s.Events)
-		fork(0)
-
-		for j := 1; j < len(stops) && (forked < candidates || live > 0); j++ {
-			t := stops[j]
-			hi := si
-			for hi < len(pending) && pending[hi].At <= t {
-				hi++
-			}
-			s.Events = s.Events[:0]
-			base.Run(t, pending[si:hi], &s.Events)
-			si = hi
-			baseSegU := ds.baseMeter.Add(s.Events)
-
-			for k := 0; k < forked; k++ {
-				if ds.done[k] {
-					continue
-				}
-				cs := ds.candSends[k]
-				cHi := ds.sendIdx[k]
-				for cHi < len(cs) && cs[cHi].At <= t {
-					cHi++
-				}
-				s.Events = s.Events[:0]
-				ds.cands[k].Run(t, cs[ds.sendIdx[k]:cHi], &s.Events)
-				ds.sendIdx[k] = cHi
-				ds.gains[k] += ds.meters[k].Add(s.Events) - baseSegU
-				// Identical states with identical remaining sends
-				// have identical futures: every later utility term
-				// cancels, so this candidate's gain is final. (The
-				// send streams differ only by the candidate's own
-				// packet, consumed by the first stop after its fork.)
-				if ds.cands[k].EqualDynamic(base) {
-					ds.done[k] = true
-					live--
-				}
-			}
-			if j < candidates {
-				fork(j)
-			}
-		}
-		copy(row(i), ds.gains)
-	})
+	ar.pending, ar.now, ar.seq, ar.util, ar.candidates = pending, now, seq, cfg.Util, candidates
+	pool.Run(len(roll), ar.sweepFn)
 	// Shares and stores, again in index order on this goroutine.
 	for i, j := range from {
 		if j >= 0 {
@@ -333,6 +273,11 @@ func Decide(sup []belief.Hypothesis, pending []model.Send, now time.Duration, se
 		ar.memo.store(keys[i], row(int(i)))
 	}
 
+	return reduce(hyps, gains, candidates, now, cfg.Grid)
+}
+
+// reduce weighs the per-hypothesis gain rows into the Decision.
+func reduce(hyps []belief.Hypothesis, gains []float64, candidates int, now, grid time.Duration) Decision {
 	// Sequential reduce, candidate-major like the serial planner: ties
 	// keep preferring the later send time (pacing). The tie widens to a
 	// band of tieEps — 1e-6 of one packet's utility, the natural scale
@@ -374,40 +319,114 @@ func Decide(sup []belief.Hypothesis, pending []model.Send, now time.Duration, se
 		d.WakeAt = now
 		return d
 	}
-	d.WakeAt = now + time.Duration(bestDelta)*cfg.Grid
+	d.WakeAt = now + time.Duration(bestDelta)*grid
 	return d
 }
 
 const negInf = -1e308
 
-// decideScratch is a worker's planner-specific arena: one live state,
-// meter, gain cell, and send view per candidate, reused across decisions
-// via rollout.Scratch.Aux.
-type decideScratch struct {
-	baseMeter utility.Meter
-	cands     []model.State
-	meters    []utility.Meter
-	gains     []float64
-	done      []bool
-	candSends [][]model.Send
-	sendIdx   []int
+// sweep rolls hypothesis roll[r] of the call in flight into its row of
+// gains, on worker scratch s: the baseline and every candidate advance
+// from stop to stop with their deliveries folded straight into one
+// accumulator each (State.RunAccum), and at each stop the candidate's
+// segment sum less the baseline's joins its gain. It is a method bound
+// once (sweepFn) so a call creates no closure.
+func (ar *decideArena) sweep(s *rollout.Scratch, r int) {
+	i := int(ar.roll[r])
+	h := &ar.hyps[i]
+	stops, pending, candidates := ar.stops, ar.pending, ar.candidates
+	gains := ar.gains[i*candidates : (i+1)*candidates]
+	ds, _ := s.Aux.(*decideScratch)
+	if ds == nil {
+		ds = &decideScratch{}
+		s.Aux = ds
+	}
+	if cap(ds.lanes) < candidates {
+		ds.lanes = make([]lane, candidates)
+	}
+	lanes := ds.lanes[:candidates]
+
+	base := &s.Base
+	h.S.CloneInto(base)
+	ar.util.Start(&ds.base, ar.now, h.S.P.LossProb, &ds.steps)
+
+	// Each stop: the baseline first (at stop 0, = now, that consumes the
+	// pending sends due by then, and what it delivers on the way belongs
+	// to no candidate's gain), then every live candidate, then the fork
+	// of the candidate that sends at this stop.
+	si, forked, live := 0, 0, 0
+	for j := 0; j < len(stops) && (forked < candidates || live > 0); j++ {
+		t := stops[j]
+		hi := si
+		for hi < len(pending) && pending[hi].At <= t {
+			hi++
+		}
+		base.RunAccum(t, pending[si:hi], &ds.base)
+		si = hi
+		baseSeg := ds.base.Take()
+
+		for k := range lanes[:forked] {
+			c := &lanes[k]
+			if c.done {
+				continue
+			}
+			hi := c.next
+			for hi < len(c.sends) && c.sends[hi].At <= t {
+				hi++
+			}
+			c.s.RunAccum(t, c.sends[c.next:hi], &c.acc)
+			c.next = hi
+			gains[k] += c.acc.Take() - baseSeg
+			// Identical states with identical remaining sends have
+			// identical futures: every later utility term cancels, so
+			// this candidate's gain is final. (The send streams differ
+			// only by the candidate's own packet, consumed by the first
+			// stop after its fork.)
+			if c.s.EqualDynamic(base) {
+				c.done = true
+				live--
+			}
+		}
+		if j < candidates {
+			// Fork candidate j from the baseline where it stands: its own
+			// send, then any pending sends still in the future (all
+			// pending are <= now in practice, so the tail is normally
+			// empty); At-order holds by construction.
+			c := &lanes[j]
+			base.CloneInto(&c.s)
+			ar.util.Start(&c.acc, ar.now, h.S.P.LossProb, &ds.steps)
+			c.sends = append(c.sends[:0], model.Send{Seq: ar.seq, At: t})
+			for _, snd := range pending {
+				if snd.At > t {
+					c.sends = append(c.sends, snd)
+				}
+			}
+			c.next, c.done = 0, false
+			gains[j] = 0
+			forked++
+			live++
+		}
+	}
 }
 
-func (ds *decideScratch) ensure(k int) {
-	if cap(ds.cands) < k {
-		ds.cands = make([]model.State, k)
-		ds.meters = make([]utility.Meter, k)
-		ds.gains = make([]float64, k)
-		ds.done = make([]bool, k)
-		ds.candSends = make([][]model.Send, k)
-		ds.sendIdx = make([]int, k)
-	}
-	ds.cands = ds.cands[:k]
-	ds.meters = ds.meters[:k]
-	ds.gains = ds.gains[:k]
-	ds.done = ds.done[:k]
-	ds.candSends = ds.candSends[:k]
-	ds.sendIdx = ds.sendIdx[:k]
+// decideScratch is a worker's planner-specific arena, reused across
+// decisions via rollout.Scratch.Aux: the baseline's accumulator, one lane
+// per candidate, and the step table every accumulator of every sweep this
+// worker runs reads its exp(−Δ/κ) factors from.
+type decideScratch struct {
+	base  model.Accum
+	steps model.StepTable
+	lanes []lane
+}
+
+// lane is one candidate's rollout: its live state, its accumulator and
+// its send view.
+type lane struct {
+	s     model.State
+	acc   model.Accum
+	sends []model.Send
+	next  int // first send not yet handed to the state
+	done  bool
 }
 
 // poolCache keeps the rollout pools of pool-less callers (a solo

@@ -1,0 +1,354 @@
+package planner
+
+import (
+	"math"
+	"testing"
+	"time"
+
+	"modelcc/internal/belief"
+	"modelcc/internal/model"
+	"modelcc/internal/rollout"
+	"modelcc/internal/units"
+	"modelcc/internal/utility"
+)
+
+// refRun is State.Run as it was before the advance loop was rebuilt
+// around arrivals, written against State's exported fields so that it
+// shares no code with the loop under test: one event per iteration, the
+// earliest of link completion, pinger emission and send, a tie going to
+// the first of them in that order.
+func refRun(s *model.State, until time.Duration, sends []model.Send, out *[]model.Event) {
+	admit := func(q model.QPkt) {
+		q.EnqueuedAt = s.Now
+		switch {
+		case !s.Serving:
+			s.Serving, s.InService = true, q
+			s.ServiceDone = s.Now + units.TransmitTime(q.Bits, s.P.LinkRate)
+		case s.QueueBits+q.Bits > s.P.BufferCapBits:
+			kind := model.CrossBufferDrop
+			if q.Own {
+				kind = model.OwnBufferDrop
+			}
+			*out = append(*out, model.Event{Kind: kind, Seq: q.Seq, At: s.Now, Bits: q.Bits})
+		default:
+			s.Queue = append(s.Queue, q)
+			s.QueueBits += q.Bits
+		}
+	}
+	for {
+		next, kind := until+1, -1
+		if s.Serving && s.ServiceDone <= until {
+			next, kind = s.ServiceDone, 0
+		}
+		if s.NextCross <= until && s.NextCross < next {
+			next, kind = s.NextCross, 1
+		}
+		if len(sends) > 0 && sends[0].At <= until && sends[0].At < next {
+			next, kind = sends[0].At, 2
+		}
+		switch kind {
+		case -1:
+			if s.Now < until {
+				s.Now = until
+			}
+			return
+		case 0:
+			q := s.InService
+			s.Now, s.Serving = next, false
+			ev := model.Event{Kind: model.CrossDelivered, Seq: q.Seq, At: s.Now, Bits: q.Bits, Delay: s.Now - q.EnqueuedAt}
+			if q.Own {
+				ev.Kind = model.OwnDelivered
+			}
+			if s.P.ClockSkew != 0 {
+				ev.At = units.SecondsToDuration(s.Now.Seconds() * (1 + s.P.ClockSkew))
+			}
+			*out = append(*out, ev)
+			if s.QLen() > 0 {
+				head := s.Queue[s.QHead]
+				s.QHead++
+				s.QueueBits -= head.Bits
+				s.Serving, s.InService = true, head
+				s.ServiceDone = s.Now + units.TransmitTime(head.Bits, s.P.LinkRate)
+			}
+		case 1:
+			s.Now = next
+			s.NextCross += s.P.CrossInterval()
+			if s.PingerOn {
+				admit(model.QPkt{Seq: -1, Bits: s.P.CrossBits()})
+			}
+		case 2:
+			s.Now = next
+			bits := sends[0].Bits
+			if bits <= 0 {
+				bits = s.P.PktBits()
+			}
+			admit(model.QPkt{Own: true, Seq: sends[0].Seq, Bits: bits})
+			sends = sends[1:]
+		}
+	}
+}
+
+// refMeter is utility.Meter as it was when it held the discount
+// arithmetic itself: an eight-entry step cache of its own, emptied by
+// every Reset, and a segment sum local to Add.
+type refMeter struct {
+	alpha, survive, penalty float64
+	t0                      time.Duration
+	invK                    float64
+	lastTau                 time.Duration
+	lastD                   float64
+	cache                   [8]struct {
+		dt time.Duration
+		f  float64
+	}
+}
+
+func (m *refMeter) Reset(c utility.Config, t0 time.Duration, p float64) {
+	*m = refMeter{alpha: c.Alpha, survive: 1 - p, penalty: c.CrossLatencyPenalty, t0: t0, invK: 1 / float64(c.Kappa), lastD: 1}
+}
+
+func (m *refMeter) discount(tau time.Duration) float64 {
+	if tau <= 0 {
+		return 1
+	}
+	dt := tau - m.lastTau
+	if dt < 0 {
+		return math.Exp(-float64(tau) * m.invK)
+	}
+	if dt > 0 {
+		e := &m.cache[(uint64(dt)*0x9e3779b97f4a7c15)>>61]
+		if e.dt != dt {
+			e.dt = dt
+			e.f = math.Exp(-float64(dt) * m.invK)
+		}
+		m.lastD *= e.f
+		m.lastTau = tau
+	}
+	return m.lastD
+}
+
+func (m *refMeter) Add(evs []model.Event) float64 {
+	var u float64
+	for i := range evs {
+		ev := &evs[i]
+		switch ev.Kind {
+		case model.OwnDelivered:
+			u += float64(ev.Bits) * m.survive * m.discount(ev.At-m.t0)
+		case model.CrossDelivered:
+			u += m.alpha * float64(ev.Bits) * m.survive * m.discount(ev.At-m.t0)
+			if m.penalty > 0 {
+				u -= m.penalty * float64(ev.Bits) * ev.Delay.Seconds()
+			}
+		}
+	}
+	return u
+}
+
+// refSweep is Decide's per-hypothesis sweep as it was when every segment
+// went through an event buffer: the advance appends the segment's
+// events, a meter reads them back. It returns the hypothesis's gain per
+// candidate.
+func refSweep(h *belief.Hypothesis, pending []model.Send, now time.Duration, seq int64, cfg Config) []float64 {
+	candidates := int(cfg.MaxDelay/cfg.Grid) + 1
+	horizonEnd := now + cfg.MaxDelay + cfg.Horizon
+	var stops []time.Duration
+	for k := 0; k < candidates; k++ {
+		stops = append(stops, now+time.Duration(k)*cfg.Grid)
+	}
+	for t := now + cfg.MaxDelay + lockstepChunk; t < horizonEnd; t += lockstepChunk {
+		stops = append(stops, t)
+	}
+	stops = append(stops, horizonEnd)
+
+	p := h.S.P.LossProb
+	var evs []model.Event
+	var baseMeter refMeter
+	base := h.S.Clone()
+	baseMeter.Reset(cfg.Util, now, p)
+	cands := make([]model.State, candidates)
+	meters := make([]refMeter, candidates)
+	candSends := make([][]model.Send, candidates)
+	sendIdx := make([]int, candidates)
+	done := make([]bool, candidates)
+	gains := make([]float64, candidates)
+
+	forked, live := 0, 0
+	fork := func(k int) {
+		cands[k] = base.Clone()
+		meters[k].Reset(cfg.Util, now, p)
+		candSends[k] = []model.Send{{Seq: seq, At: stops[k]}}
+		for _, snd := range pending {
+			if snd.At > stops[k] {
+				candSends[k] = append(candSends[k], snd)
+			}
+		}
+		forked++
+		live++
+	}
+
+	si := 0
+	for si < len(pending) && pending[si].At <= stops[0] {
+		si++
+	}
+	refRun(&base, stops[0], pending[:si], &evs)
+	baseMeter.Add(evs)
+	fork(0)
+
+	for j := 1; j < len(stops) && (forked < candidates || live > 0); j++ {
+		t := stops[j]
+		hi := si
+		for hi < len(pending) && pending[hi].At <= t {
+			hi++
+		}
+		evs = evs[:0]
+		refRun(&base, t, pending[si:hi], &evs)
+		si = hi
+		baseSegU := baseMeter.Add(evs)
+
+		for k := 0; k < forked; k++ {
+			if done[k] {
+				continue
+			}
+			cs := candSends[k]
+			cHi := sendIdx[k]
+			for cHi < len(cs) && cs[cHi].At <= t {
+				cHi++
+			}
+			evs = evs[:0]
+			refRun(&cands[k], t, cs[sendIdx[k]:cHi], &evs)
+			sendIdx[k] = cHi
+			gains[k] += meters[k].Add(evs) - baseSegU
+			if cands[k].EqualDynamic(&base) {
+				done[k] = true
+				live--
+			}
+		}
+		if j < candidates {
+			fork(j)
+		}
+	}
+	return gains
+}
+
+// TestDecideStreamMatchesEventSweep: Decide's streamed sweep — deliveries
+// folded straight into accumulators that share one step table per worker
+// — gives, for every hypothesis, bit for bit the gain vector of the
+// event-buffer sweep it replaced, and so the same Decision. Each width
+// plans on one long-lived pool, alternating the fleet's grid (9
+// candidates, 12 s) with the precise one (13 candidates, 40 s) and two
+// discount timescales, so the step table meets another κ's factors, the
+// lanes another candidate count and the memo served rows, all of which
+// must be invisible; generated supports carry full and nearly full
+// buffers whose completions coincide with pinger ticks.
+func TestDecideStreamMatchesEventSweep(t *testing.T) {
+	fleet := Config{MaxDelay: 4 * time.Second, Grid: 500 * time.Millisecond, Horizon: 12 * time.Second}
+	precise := Config{Horizon: 40 * time.Second}
+	penalty := utility.Config{Alpha: 2.5, Kappa: 20 * time.Second, CrossLatencyPenalty: 0.02}
+	cases := []struct {
+		grid Config
+		util utility.Config
+		skew bool
+	}{
+		{fleet, utility.Default(), false},
+		{precise, penalty, false},
+		{fleet, penalty, true},
+		{precise, utility.Default(), true},
+	}
+	calls := 60
+	if testing.Short() {
+		calls = 12
+	}
+	for _, workers := range []int{1, 4} {
+		pool := rollout.New(workers)
+		worlds := []*memoWorld{newMemoWorld(21, false), newMemoWorld(22, true)}
+		rolled := int64(0)
+		for c := 0; c < calls; c++ {
+			tc := cases[c%len(cases)]
+			w := worlds[0]
+			if tc.skew {
+				w = worlds[1]
+			}
+			sup, pending, now, seq := w.call(c % 3 * c)
+			tieLinkAndPinger(sup, now)
+
+			cfg := tc.grid
+			cfg.Util, cfg.Workers, cfg.Pool = tc.util, workers, pool
+			got := Decide(sup, pending, now, seq, cfg)
+
+			cfg = cfg.withDefaults()
+			hyps := topK(sup, cfg.MaxHyps)
+			candidates := int(cfg.MaxDelay/cfg.Grid) + 1
+			var want []float64
+			for i := range hyps {
+				want = append(want, refSweep(&hyps[i], pending, now, seq, cfg)...)
+			}
+			have := arenaOf(pool).gains
+			if len(have) != len(want) {
+				t.Fatalf("%d workers, call %d: %d gains, want %d", workers, c, len(have), len(want))
+			}
+			for i := range want {
+				if math.Float64bits(have[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%d workers, call %d: hypothesis %d candidate %d gain %v, event sweep %v",
+						workers, c, i/candidates, i%candidates, have[i], want[i])
+				}
+			}
+			if ref := reduce(hyps, want, candidates, now, cfg.Grid); got != ref {
+				t.Fatalf("%d workers, call %d: decided %+v, event sweep %+v", workers, c, got, ref)
+			}
+			st := PoolMemoStats(pool)
+			rolled = st.Lookups - st.Hits - st.Shared
+		}
+		if rolled == 0 {
+			t.Errorf("%d workers: nothing was rolled", workers)
+		}
+	}
+}
+
+// tieLinkAndPinger edits every third hypothesis that is serving with its
+// gate on so that the pinger's next tick falls on a link completion a
+// few packets ahead, with the buffer full or one packet short of it at
+// that instant: the tie the drain loop must break in the link's favour.
+func tieLinkAndPinger(sup []belief.Hypothesis, now time.Duration) {
+	for i := range sup {
+		s := &sup[i].S
+		if i%3 != 0 || !s.Serving || !s.PingerOn || s.ServiceDone <= now {
+			continue
+		}
+		pkt := s.P.PktBits()
+		for s.QueueBits+pkt <= s.P.BufferCapBits-int64(i/3%2)*pkt {
+			s.Queue = append(s.Queue, model.QPkt{Seq: -1, Bits: pkt, EnqueuedAt: s.Now})
+			s.QueueBits += pkt
+		}
+		s.NextCross = s.ServiceDone + 2*s.P.ServiceTime()
+	}
+}
+
+// TestDecideSteadyStateAllocs: on one worker, once the pool's arenas have
+// grown, a Decide allocates nothing — neither when the warm memo serves
+// every hypothesis nor when every hypothesis is rolled (each call a
+// nanosecond later than the last, so no key recurs).
+func TestDecideSteadyStateAllocs(t *testing.T) {
+	sup, pending, now, seq := newMemoWorld(31, false).call(0)
+	cfg := Config{Horizon: 12 * time.Second, Workers: 1, Pool: rollout.New(1)}
+	memo := func() MemoStats { return PoolMemoStats(cfg.Pool) }
+
+	Decide(sup, pending, now, seq, cfg)
+	before := memo()
+	if allocs := testing.AllocsPerRun(20, func() { Decide(sup, pending, now, seq, cfg) }); allocs != 0 {
+		t.Errorf("Decide served from a warm memo allocates %v times per call, want 0", allocs)
+	}
+	if st := memo(); st.Hits-before.Hits != st.Lookups-before.Lookups {
+		t.Errorf("warm calls were not all hits: %+v after %+v", st, before)
+	}
+
+	before = memo()
+	if allocs := testing.AllocsPerRun(20, func() {
+		now++
+		Decide(sup, pending, now, seq, cfg)
+	}); allocs != 0 {
+		t.Errorf("Decide rolling every hypothesis allocates %v times per call, want 0", allocs)
+	}
+	if st := memo(); st.Hits != before.Hits {
+		t.Errorf("novel calls hit the memo: %+v after %+v", st, before)
+	}
+}

@@ -32,9 +32,9 @@ type Scratch struct {
 	Events []model.Event
 	// Sends is a reusable send buffer.
 	Sends []model.Send
-	// Aux carries a caller-defined arena (e.g. the planner's
-	// per-candidate states and meters); it stays attached to the worker
-	// across calls so its buffers amortize too.
+	// Aux carries a caller-defined arena (e.g. the planner's candidate
+	// lanes and step table); it stays attached to the worker across
+	// calls so its buffers amortize too.
 	Aux any
 }
 

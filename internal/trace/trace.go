@@ -9,7 +9,7 @@
 // wanders over an order of magnitude on a one-second timescale, plus
 // occasional multi-second outages — which exercise the identical code
 // path and reproduce the bufferbloat mechanism Figure 1 demonstrates
-// (see DESIGN.md's substitution table).
+// (cmd/bufferbloat and cmd/tracegen; README.md, "Layout").
 package trace
 
 import (

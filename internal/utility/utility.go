@@ -17,8 +17,8 @@
 // default of one second, which preserves every qualitative property the
 // paper relies on (earlier is better; multi-second queueing delay is
 // heavily punished; accumulated utility tracks throughput). Setting
-// Kappa to one millisecond recovers the paper's literal formula. This
-// substitution is recorded in DESIGN.md.
+// Kappa to one millisecond recovers the paper's literal formula.
+// BenchmarkUtilityKappa (bench_test.go) is the ablation over κ.
 package utility
 
 import (
@@ -46,7 +46,7 @@ type Config struct {
 }
 
 // Default returns the configuration used by the Figure 3 experiments (α
-// is then varied per run). Kappa is 30 s: long against the experiment's
+// is then varied per run). Kappa is 60 s: long against the experiment's
 // queueing delays, so accumulated utility is nearly linear in throughput
 // — which is what makes the paper's α=1 accounting exact (a caused cross
 // drop costs α times what a delivered own packet gains) — while still
@@ -84,9 +84,12 @@ func (c Config) Instantaneous(bits int64, tau time.Duration) float64 {
 //   - drops contribute nothing (their cost is the value that never
 //     accrues).
 //
-// The loss expectation replaces per-packet loss forking during planning;
-// utility is linear in delivered bits, so the expectation is exact for
-// the argmax (see DESIGN.md).
+// The loss expectation replaces per-packet loss forking during planning.
+// LOSS is last-mile, so whether a packet survives it changes no queue and
+// no later delivery time, and utility is linear in delivered bits: the
+// expectation over loss outcomes of a rollout's utility is the sum of
+// bits·(1−p)·discount, exactly, and so is every difference the argmax
+// compares.
 func (c Config) OfPredicted(evs []model.Event, t0 time.Duration, p float64) float64 {
 	var u float64
 	survive := 1 - p
@@ -104,91 +107,52 @@ func (c Config) OfPredicted(evs []model.Event, t0 time.Duration, p float64) floa
 	return u
 }
 
+// Start points acc at a new rollout under this utility: deliveries valued
+// relative to decision time t0 for a hypothesis with last-mile loss
+// probability p, step factors from steps (see model.Accum.Reset for who
+// may share one).
+func (c Config) Start(acc *model.Accum, t0 time.Duration, p float64, steps *model.StepTable) {
+	k := c.Kappa
+	if k <= 0 {
+		k = time.Second
+	}
+	acc.Reset(c.Alpha, 1-p, c.CrossLatencyPenalty, t0, k, steps)
+}
+
 // Meter accumulates OfPredicted-style utility across the segments of one
-// rollout, exploiting that a rollout's events arrive in time order: the
-// discount is carried forward multiplicatively, exp(-τ₂/κ) =
-// exp(-τ₁/κ)·exp(-Δ/κ), and the per-step factors are memoized in a tiny
-// direct-mapped cache. Delivery times in a rollout sit on a handful of
-// lattices (the link's service time, the pinger grid), so the same Δ
-// recurs constantly and the exp in the hot loop all but disappears. The
-// result differs from OfPredicted only by float rounding (≲1e-12
-// relative over a rollout), far below the planner's tie band.
+// rollout recorded as event lists: a model.Accum — which holds the
+// arithmetic, the multiplicatively carried discount included — with a
+// step table of its own. A rollout that does not need its events skips
+// the lists and hands the Accum to State.RunAccum instead (the planner
+// does, with one table for all the rollouts of a worker); the two agree
+// bit for bit.
 //
 // A Meter is single-rollout state: call Reset before each rollout and
 // Add with each segment's events, in time order.
 type Meter struct {
-	alpha, survive, penalty float64
-	t0                      time.Duration
-	invK                    float64 // 1/κ in 1/ns
-
-	lastTau time.Duration
-	lastD   float64
-	cache   [8]expEntry
-}
-
-type expEntry struct {
-	dt time.Duration
-	f  float64
+	model.Accum
+	steps model.StepTable
 }
 
 // Reset points the meter at a new rollout: decision time t0, hypothesis
 // loss probability p, and the meter's utility parameters from c.
 func (m *Meter) Reset(c Config, t0 time.Duration, p float64) {
-	k := c.Kappa
-	if k <= 0 {
-		k = time.Second
-	}
-	m.alpha = c.Alpha
-	m.survive = 1 - p
-	m.penalty = c.CrossLatencyPenalty
-	m.t0 = t0
-	m.invK = 1 / float64(k)
-	m.lastTau = 0
-	m.lastD = 1
-	for i := range m.cache {
-		m.cache[i] = expEntry{dt: -1}
-	}
-}
-
-func (m *Meter) discount(tau time.Duration) float64 {
-	if tau <= 0 {
-		return 1
-	}
-	dt := tau - m.lastTau
-	if dt < 0 {
-		// Out-of-order event (should not happen in a rollout): exact.
-		return math.Exp(-float64(tau) * m.invK)
-	}
-	if dt > 0 {
-		i := (uint64(dt) * 0x9e3779b97f4a7c15) >> 61
-		e := &m.cache[i]
-		if e.dt != dt {
-			e.dt = dt
-			e.f = math.Exp(-float64(dt) * m.invK)
-		}
-		m.lastD *= e.f
-		m.lastTau = tau
-	}
-	return m.lastD
+	c.Start(&m.Accum, t0, p, &m.steps)
 }
 
 // Add accumulates the utility of one segment's events and returns the
 // segment's contribution.
 func (m *Meter) Add(evs []model.Event) float64 {
-	var u float64
 	for i := range evs {
 		ev := &evs[i]
 		switch ev.Kind {
 		case model.OwnDelivered:
-			u += float64(ev.Bits) * m.survive * m.discount(ev.At-m.t0)
+			m.Deliver(true, ev.Bits, ev.At, ev.Delay)
 		case model.CrossDelivered:
-			u += m.alpha * float64(ev.Bits) * m.survive * m.discount(ev.At-m.t0)
-			if m.penalty > 0 {
-				u -= m.penalty * float64(ev.Bits) * ev.Delay.Seconds()
-			}
+			m.Deliver(false, ev.Bits, ev.At, ev.Delay)
 		}
 	}
-	return u
+	return m.Take()
 }
 
 // OfActual accumulates the realized utility of ground-truth (post-LOSS)
