@@ -119,6 +119,9 @@ func main() {
 	}
 
 	sizes, err := parseSizes(*ns)
+	if err == nil {
+		err = checkRanges(*dur, *epoch, *rate, *alpha, *depart, *crash, *arrive)
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "fleetsim: %v\n", err)
 		exit(2)
@@ -200,6 +203,32 @@ func main() {
 	}
 	checkJainFloor(jains, *jainFloor, exit)
 	exit(0)
+}
+
+// checkRanges refuses numeric flags outside their domain — a negative
+// -dur would run a zero-length sweep and exit 0, a non-positive -rate
+// would silently become the default. A non-nil error is a usage error.
+func checkRanges(dur, epoch time.Duration, rate, alpha, depart, crash, arrive float64) error {
+	prob := func(p float64) bool { return p >= 0 && p <= 1 }
+	for _, c := range []struct {
+		ok   bool
+		flag string
+		v    any
+		want string
+	}{
+		{dur > 0, "-dur", dur, "must be positive"},
+		{epoch > 0, "-epoch", epoch, "must be positive"},
+		{rate > 0, "-rate", rate, "must be positive"},
+		{alpha >= 0, "-alpha", alpha, "must not be negative"},
+		{prob(depart), "-depart", depart, "must be a probability in [0, 1]"},
+		{prob(crash), "-crash", crash, "must be a probability in [0, 1]"},
+		{prob(arrive), "-arrive", arrive, "must be a probability in [0, 1]"},
+	} {
+		if !c.ok {
+			return fmt.Errorf("%s %v: %s", c.flag, c.v, c.want)
+		}
+	}
+	return nil
 }
 
 // startProfiling arms the requested CPU profile / heap profile /

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"math"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestLifecycleFlagsMeanOneThing: in a lifecycle mode a flag means what
@@ -44,5 +46,41 @@ func TestLifecycleFlagsMeanOneThing(t *testing.T) {
 	}
 	if _, _, err := resolveLifecycle(false, true, 2, true, 0); err != nil {
 		t.Errorf("-churn -shards 2 -lean alone refused: %v", err)
+	}
+}
+
+// TestCheckRanges: a numeric flag outside its domain is a usage error
+// naming the flag, never a silent default or a zero-length run.
+// (Regressions: -dur -5s ran nothing and exited 0; -rate 0 became 6000.)
+func TestCheckRanges(t *testing.T) {
+	const s = time.Second
+	for _, c := range []struct {
+		dur, epoch                         time.Duration
+		rate, alpha, depart, crash, arrive float64
+		bad                                string // "" = accepted
+	}{
+		{120 * s, 10 * s, 6000, 1, 0.04, 0.06, 0.5, ""},
+		{s, s, 1, 0, 0, 0, 1, ""},
+		{-5 * s, 10 * s, 6000, 1, 0, 0, 0, "-dur"},
+		{0, 10 * s, 6000, 1, 0, 0, 0, "-dur"},
+		{s, 0, 6000, 1, 0, 0, 0, "-epoch"},
+		{s, s, 0, 1, 0, 0, 0, "-rate"},
+		{s, s, -100, 1, 0, 0, 0, "-rate"},
+		{s, s, math.NaN(), 1, 0, 0, 0, "-rate"},
+		{s, s, 6000, -1, 0, 0, 0, "-alpha"},
+		{s, s, 6000, 1, 2, 0, 0, "-depart"},
+		{s, s, 6000, 1, 0, -0.1, 0, "-crash"},
+		{s, s, 6000, 1, 0, 0, 1.5, "-arrive"},
+		{s, s, 6000, 1, 0, 0, math.NaN(), "-arrive"},
+	} {
+		err := checkRanges(c.dur, c.epoch, c.rate, c.alpha, c.depart, c.crash, c.arrive)
+		switch {
+		case c.bad == "" && err != nil:
+			t.Errorf("%+v refused: %v", c, err)
+		case c.bad != "" && err == nil:
+			t.Errorf("%+v accepted, want a usage error naming %s", c, c.bad)
+		case c.bad != "" && !strings.HasPrefix(err.Error(), c.bad+" "):
+			t.Errorf("%+v: error %q does not name %s", c, err, c.bad)
+		}
 	}
 }

@@ -154,14 +154,6 @@ func (t *Throughput) SetNext(n Node) { t.next = n }
 // Rate reports the link speed.
 func (t *Throughput) Rate() units.BitRate { return t.rate }
 
-// SetRate changes the link speed; the packet currently serializing (if
-// any) finishes at the old rate, matching how a modem retrain affects only
-// subsequent packets.
-func (t *Throughput) SetRate(r units.BitRate) { t.rate = r }
-
-// Busy reports whether a packet is currently serializing.
-func (t *Throughput) Busy() bool { return t.busy }
-
 // InService reports the packet currently serializing and the virtual
 // time its transmission completes; ok is false when the link is idle.
 // Because every fleet packet has the same size, the in-service packet
@@ -219,16 +211,4 @@ func NewBottleneck(loop *sim.Loop, capBits int64, rate units.BitRate, next Node)
 	t := NewThroughput(loop, rate, next)
 	b.AttachDrain(t)
 	return b, t
-}
-
-// QueueDelay estimates the time a packet arriving now would wait before
-// its own serialization begins: the queued bits at the link rate, plus the
-// residual of the packet in service (approximated as a full packet when
-// busy, a deliberate over-estimate used only by instrumentation).
-func QueueDelay(b *Buffer, t *Throughput) time.Duration {
-	bits := b.UsedBits()
-	if t.Busy() {
-		bits += packet.DefaultSizeBits
-	}
-	return units.TransmitTime(bits, t.Rate())
 }

@@ -33,9 +33,6 @@ func NewIntermittent(loop *sim.Loop, meanTimeToSwitch time.Duration, next Node) 
 // SetNext implements Wirer.
 func (e *Intermittent) SetNext(n Node) { e.next = n }
 
-// Connected reports the current gate state.
-func (e *Intermittent) Connected() bool { return e.connected }
-
 func (e *Intermittent) armSwitch() {
 	if e.mean <= 0 {
 		return // never switches
@@ -85,9 +82,6 @@ func NewSquareWave(loop *sim.Loop, halfPeriod time.Duration, next Node) *SquareW
 
 // SetNext implements Wirer.
 func (e *SquareWave) SetNext(n Node) { e.next = n }
-
-// Connected reports the current gate state.
-func (e *SquareWave) Connected() bool { return e.connected }
 
 func (e *SquareWave) armToggle() {
 	if e.half <= 0 {
@@ -154,9 +148,6 @@ func NewEither(loop *sim.Loop, meanTimeToSwitch time.Duration, a, b Node) *Eithe
 	e.armSwitch()
 	return e
 }
-
-// UsingA reports whether traffic currently routes to the first element.
-func (e *Either) UsingA() bool { return e.useA }
 
 func (e *Either) armSwitch() {
 	if e.mean <= 0 {

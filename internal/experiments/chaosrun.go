@@ -1,17 +1,15 @@
 package experiments
 
 import (
+	"encoding/binary"
+	"hash"
 	"hash/fnv"
-	"math/rand"
 	"sort"
 	"time"
 
-	"modelcc/internal/belief"
 	"modelcc/internal/chaos"
-	"modelcc/internal/core"
 	"modelcc/internal/model"
 	"modelcc/internal/packet"
-	"modelcc/internal/units"
 )
 
 // ChaosConfig is one ISENDER run with a deterministic fault schedule
@@ -66,91 +64,51 @@ type delayedAck struct {
 	ack packet.Ack
 }
 
-// RunChaos executes one ISENDER run with fault injection between sender
-// and truth. Data-path faults are drops only (blackouts, bursts, i.i.d.
-// loss — a corrupted or reordered data packet on a real path is dropped
-// or re-timed by the proxy before the model sees it); the ack path
-// additionally duplicates and delays, and a delayed ack keeps its
-// original receive stamp — exactly the stale-observation shape that
-// triggers likelihood collapse and exercises Recover.
-func RunChaos(cfg ChaosConfig) ChaosResult {
-	base := cfg.Base.withDefaults()
-	rng := rand.New(rand.NewSource(base.Seed))
-	truth := model.NewTruth(base.Actual, base.PingerOnStart, base.Gate, base.HalfPeriod, rng)
+// faultTap is what RunChaos puts between sender and truth in runSolo:
+// the two injectors, the delayed acknowledgments still in flight, the
+// replay hash and the per-delivery utilities. RunISender runs the same
+// loop with no tap.
+type faultTap struct {
+	dataInj, ackInj *chaos.Injector
+	inFlight        []delayedAck // sorted by at
+	hash            hash.Hash64
+	deliveries      []TimedUtil
+}
 
-	states, _ := base.Prior.Enumerate()
-	var b belief.Belief
-	if base.UseParticle {
-		n := base.Particles
-		if n <= 0 {
-			n = 4 * len(states)
-		}
-		b = belief.NewParticle(states, n, base.BeliefCfg, rand.New(rand.NewSource(base.Seed+1)))
-	} else {
-		b = belief.NewExact(states, base.BeliefCfg)
-	}
-	sender := core.NewSender(b, base.Plan)
+// put folds words into the replay hash (a hash's Write never fails).
+func (t *faultTap) put(vs ...uint64) { binary.Write(t.hash, binary.LittleEndian, vs) }
 
-	var dataInj, ackInj *chaos.Injector
-	if cfg.Faults.Enabled() {
-		dataInj = chaos.New(cfg.Faults)
-		ackInj = chaos.New(cfg.Faults.Sub("ack"))
-	}
-	if cfg.AckFaults.Enabled() {
-		ackInj = chaos.New(cfg.AckFaults)
-	}
-
-	var res ChaosResult
-	res.AckedSeq.Name = "acked"
-	res.SentSeq.Name = "sent"
-	res.PPingerOn.Name = "P(pinger on)"
-	res.SupportSize.Name = "hypotheses"
-
-	h := fnv.New64a()
-	var hb [8]byte
-	put := func(vs ...uint64) {
-		for _, v := range vs {
-			hb[0] = byte(v)
-			hb[1] = byte(v >> 8)
-			hb[2] = byte(v >> 16)
-			hb[3] = byte(v >> 24)
-			hb[4] = byte(v >> 32)
-			hb[5] = byte(v >> 40)
-			hb[6] = byte(v >> 48)
-			hb[7] = byte(v >> 56)
-			h.Write(hb[:])
-		}
-	}
-
-	now := time.Duration(0)
-	var pendingInject []model.Send
-	var inFlight []delayedAck // sorted by at
-
-	// admitSends filters the sender's new injections through the
-	// data-path injector and hashes the survivors.
-	admitSends := func(sends []model.Send) {
-		for _, snd := range sends {
-			res.SentSeq.Add(snd.At, float64(snd.Seq))
-			if dataInj != nil {
-				// A corrupted datagram fails wire decode on arrival, so
-				// on the DES path Corrupt degenerates to Drop.
-				if v := dataInj.Next(snd.At); v.Drop || v.Corrupt {
-					continue
-				}
+// sends returns the sender's new injections that survive the data-path
+// injector, hashed.
+func (t *faultTap) sends(sends []model.Send) []model.Send {
+	var out []model.Send
+	for _, snd := range sends {
+		if t.dataInj != nil {
+			// A corrupted datagram fails wire decode on arrival, so
+			// on the DES path Corrupt degenerates to Drop.
+			if v := t.dataInj.Next(snd.At); v.Drop || v.Corrupt {
+				continue
 			}
-			put(1, uint64(snd.Seq), uint64(snd.At))
-			pendingInject = append(pendingInject, snd)
 		}
+		t.put(1, uint64(snd.Seq), uint64(snd.At))
+		out = append(out, snd)
 	}
-	// admitAck runs one fresh acknowledgment through the ack-path
-	// injector; survivors land in out now or join the in-flight heap.
-	admitAck := func(a packet.Ack, out []packet.Ack) []packet.Ack {
-		if ackInj == nil {
-			return append(out, a)
+	return out
+}
+
+// acks runs one step's fresh acknowledgments through the ack-path
+// injector — survivors are seen now or join the in-flight list — then
+// appends the reordered ones due by now, original stamps intact, and
+// hashes everything the sender is about to see.
+func (t *faultTap) acks(now time.Duration, fresh []packet.Ack) []packet.Ack {
+	var out []packet.Ack
+	for _, a := range fresh {
+		var v chaos.Verdict
+		if t.ackInj != nil {
+			v = t.ackInj.Next(a.ReceivedAt)
 		}
-		v := ackInj.Next(a.ReceivedAt)
 		if v.Drop || v.Corrupt {
-			return out
+			continue
 		}
 		n := 1
 		if v.Duplicate {
@@ -158,91 +116,50 @@ func RunChaos(cfg ChaosConfig) ChaosResult {
 		}
 		for ; n > 0; n-- {
 			if v.Delay > 0 {
-				inFlight = append(inFlight, delayedAck{at: a.ReceivedAt + v.Delay, ack: a})
-				continue
+				t.inFlight = append(t.inFlight, delayedAck{at: a.ReceivedAt + v.Delay, ack: a})
+			} else {
+				out = append(out, a)
 			}
-			out = append(out, a)
 		}
-		sort.SliceStable(inFlight, func(i, j int) bool { return inFlight[i].at < inFlight[j].at })
-		return out
 	}
+	sort.SliceStable(t.inFlight, func(i, j int) bool { return t.inFlight[i].at < t.inFlight[j].at })
+	for len(t.inFlight) > 0 && t.inFlight[0].at <= now {
+		out = append(out, t.inFlight[0].ack)
+		t.inFlight = t.inFlight[1:]
+	}
+	for _, a := range out {
+		t.put(2, uint64(a.Seq), uint64(a.ReceivedAt))
+	}
+	return out
+}
 
-	act := sender.Wake(now, nil)
-	admitSends(act.Sends)
-	wakeAt := act.WakeAt
-	sampleEstimates := func() {
-		e := sender.Estimates()
-		res.PPingerOn.Add(now, e.PPingerOn)
-		res.SupportSize.Add(now, float64(e.N))
+// RunChaos executes one ISENDER run with fault injection between sender
+// and truth: RunISender's loop, runSolo, with a faultTap. Data-path
+// faults are drops only (blackouts, bursts, i.i.d. loss — a corrupted or
+// reordered data packet on a real path is dropped or re-timed by the
+// proxy before the model sees it); the ack path additionally duplicates
+// and delays, and a delayed ack keeps its original receive stamp —
+// exactly the stale-observation shape that triggers likelihood collapse
+// and exercises Recover.
+func RunChaos(cfg ChaosConfig) ChaosResult {
+	tap := &faultTap{hash: fnv.New64a()}
+	if cfg.Faults.Enabled() {
+		tap.dataInj = chaos.New(cfg.Faults)
+		tap.ackInj = chaos.New(cfg.Faults.Sub("ack"))
 	}
-	sampleEstimates()
-
-	for now < base.Duration {
-		next := base.Duration
-		if wakeAt > now && wakeAt < next {
-			next = wakeAt
-		}
-		if tn := truth.NextTransition(); tn > now && tn < next {
-			next = tn
-		}
-		if len(inFlight) > 0 && inFlight[0].at > now && inFlight[0].at < next {
-			next = inFlight[0].at
-		}
-		evs := truth.AdvanceTo(next, pendingInject)
-		pendingInject = pendingInject[:0]
-		now = next
-
-		var acks []packet.Ack
-		for _, ev := range evs {
-			if ev.Kind != model.OwnDelivered {
-				continue
-			}
-			res.AckedSeq.Add(ev.At, float64(ev.Seq))
-			u := float64(ev.Bits) * base.Utility.Discount(ev.Delay)
-			res.Utility += u
-			res.Deliveries = append(res.Deliveries, TimedUtil{At: ev.At, Util: u})
-			acks = admitAck(packet.Ack{Flow: packet.FlowSelf, Seq: ev.Seq, ReceivedAt: ev.At}, acks)
-		}
-		// Reordered acks surfacing now, original stamps intact.
-		for len(inFlight) > 0 && inFlight[0].at <= now {
-			acks = append(acks, inFlight[0].ack)
-			inFlight = inFlight[1:]
-		}
-		for _, a := range acks {
-			put(2, uint64(a.Seq), uint64(a.ReceivedAt))
-		}
-
-		if len(acks) > 0 || now >= wakeAt {
-			act = sender.Wake(now, acks)
-			admitSends(act.Sends)
-			if act.WakeAt <= now {
-				act.WakeAt = now + 10*time.Millisecond
-			}
-			wakeAt = act.WakeAt
-			sampleEstimates()
-		}
+	if cfg.AckFaults.Enabled() {
+		tap.ackInj = chaos.New(cfg.AckFaults)
 	}
-
-	res.Sent = sender.Sent
-	res.Acked = sender.Acked
-	res.Wakes = sender.Wakes
-	res.OwnBufferDrops = truth.OwnBufferDropN
-	res.CrossBufferDrops = truth.CrossBufferDropN
-	res.CrossDelivered = truth.CrossDeliveredN
-	if base.Duration > 0 {
-		res.OwnThroughput = units.BitRate(float64(res.Acked) * float64(base.Actual.PktBits()) / base.Duration.Seconds())
+	res := ChaosResult{ISenderResult: runSolo(cfg.Base, tap)}
+	res.Hash = tap.hash.Sum64()
+	res.Reseeded = res.UpdateCum.Reseeded
+	res.Deliveries = tap.deliveries
+	if tap.dataInj != nil {
+		res.DataStats = tap.dataInj.Stats
 	}
-	if ex, ok := b.(*belief.Exact); ok {
-		res.UpdateCum = ex.Cum
-		res.Reseeded = ex.Cum.Reseeded
+	if tap.ackInj != nil {
+		res.AckStats = tap.ackInj.Stats
 	}
-	if dataInj != nil {
-		res.DataStats = dataInj.Stats
-	}
-	if ackInj != nil {
-		res.AckStats = ackInj.Stats
-	}
-	res.Hash = h.Sum64()
 	return res
 }
 

@@ -115,13 +115,20 @@ type ISenderResult struct {
 }
 
 // RunISender executes one ISENDER run against a ground-truth network and
-// gathers the figure series. The coupling is exact: the truth is
-// advanced in steps bounded by its own next transition and the sender's
-// next wakeup, so no acknowledgment or timer is ever skipped over.
+// gathers the figure series: the solo loop with no fault tap between
+// sender and truth.
 func RunISender(cfg ISenderConfig) ISenderResult {
+	return runSolo(cfg, nil)
+}
+
+// runSolo is the one truth↔sender driver, shared by RunISender (tap nil)
+// and RunChaos (tap set). The coupling is exact: the truth is advanced
+// in steps bounded by its own next transition, the sender's next wakeup
+// and the tap's next delayed acknowledgment, so no acknowledgment or
+// timer is ever skipped over.
+func runSolo(cfg ISenderConfig, tap *faultTap) ISenderResult {
 	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	truth := model.NewTruth(cfg.Actual, cfg.PingerOnStart, cfg.Gate, cfg.HalfPeriod, rng)
+	truth := model.NewTruth(cfg.Actual, cfg.PingerOnStart, cfg.Gate, cfg.HalfPeriod, rand.New(rand.NewSource(cfg.Seed)))
 
 	states, _ := cfg.Prior.Enumerate()
 	var b belief.Belief
@@ -142,21 +149,25 @@ func RunISender(cfg ISenderConfig) ISenderResult {
 	res.PPingerOn.Name = "P(pinger on)"
 	res.SupportSize.Name = "hypotheses"
 
-	now := time.Duration(0)
+	var now, wakeAt time.Duration
 	var pendingInject []model.Send
 
-	act := sender.Wake(now, nil)
-	pendingInject = append(pendingInject, act.Sends...)
-	for _, snd := range act.Sends {
-		res.SentSeq.Add(snd.At, float64(snd.Seq))
-	}
-	wakeAt := act.WakeAt
-	sampleEstimates := func() {
+	// wake runs the sender at now; its sends reach the truth's next advance.
+	wake := func(acks []packet.Ack) {
+		act := sender.Wake(now, acks)
+		for _, snd := range act.Sends {
+			res.SentSeq.Add(snd.At, float64(snd.Seq))
+		}
+		if tap != nil {
+			act.Sends = tap.sends(act.Sends)
+		}
+		pendingInject = append(pendingInject, act.Sends...)
+		wakeAt = act.WakeAt
 		e := sender.Estimates()
 		res.PPingerOn.Add(now, e.PPingerOn)
 		res.SupportSize.Add(now, float64(e.N))
 	}
-	sampleEstimates()
+	wake(nil)
 
 	for now < cfg.Duration {
 		next := cfg.Duration
@@ -166,31 +177,35 @@ func RunISender(cfg ISenderConfig) ISenderResult {
 		if tn := truth.NextTransition(); tn > now && tn < next {
 			next = tn
 		}
+		if tap != nil && len(tap.inFlight) > 0 && tap.inFlight[0].at > now && tap.inFlight[0].at < next {
+			next = tap.inFlight[0].at
+		}
 		evs := truth.AdvanceTo(next, pendingInject)
 		pendingInject = pendingInject[:0]
 		now = next
 
 		var acks []packet.Ack
 		for _, ev := range evs {
-			switch ev.Kind {
-			case model.OwnDelivered:
-				acks = append(acks, packet.Ack{Flow: packet.FlowSelf, Seq: ev.Seq, ReceivedAt: ev.At})
-				res.AckedSeq.Add(ev.At, float64(ev.Seq))
-				res.Utility += float64(ev.Bits) * cfg.Utility.Discount(ev.Delay)
+			if ev.Kind != model.OwnDelivered {
+				continue
 			}
+			res.AckedSeq.Add(ev.At, float64(ev.Seq))
+			u := float64(ev.Bits) * cfg.Utility.Discount(ev.Delay)
+			res.Utility += u
+			acks = append(acks, packet.Ack{Flow: packet.FlowSelf, Seq: ev.Seq, ReceivedAt: ev.At})
+			if tap != nil {
+				tap.deliveries = append(tap.deliveries, TimedUtil{At: ev.At, Util: u})
+			}
+		}
+		if tap != nil {
+			acks = tap.acks(now, acks)
 		}
 
 		if len(acks) > 0 || now >= wakeAt {
-			act = sender.Wake(now, acks)
-			for _, snd := range act.Sends {
-				res.SentSeq.Add(snd.At, float64(snd.Seq))
+			wake(acks)
+			if wakeAt <= now {
+				wakeAt = now + 10*time.Millisecond
 			}
-			pendingInject = append(pendingInject, act.Sends...)
-			if act.WakeAt <= now {
-				act.WakeAt = now + 10*time.Millisecond
-			}
-			wakeAt = act.WakeAt
-			sampleEstimates()
 		}
 	}
 

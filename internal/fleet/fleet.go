@@ -147,9 +147,6 @@ type Config struct {
 	// fairness sweep uses the second half of the run).
 	LeanStats    bool
 	LeanRateFrom time.Duration
-	// Prior overrides the per-member prior when non-nil; the default is
-	// Prior(linkRate, bufferCap, N).
-	PriorOverride *model.Prior
 	// BeliefCfg overrides non-zero fields of the fleet belief defaults.
 	// Pool and Workers are fleet-owned: every member runs on the
 	// fleet's shared pool regardless of what is set here.
@@ -414,7 +411,7 @@ func (f *Fleet) attach(flow packet.FlowID, s *core.Sender) *Member {
 	}
 	if f.Members[idx] != nil {
 		// Invariant, not a runtime condition: admission picks vacant
-		// flows (AllocFlow); occupying a live one is a caller bug.
+		// flows; occupying a live one is a caller bug.
 		panic("fleet: flow already occupied")
 	}
 	m := f.member(flow, s, f.q)
@@ -548,7 +545,7 @@ func (f *Fleet) Live() int { return len(f.active) }
 func (f *Fleet) MemberSlots() []*Member { return f.Members }
 
 // Admit starts a fresh (cold-from-the-prior) member on the given flow
-// at now+offset. The flow must be vacant — use AllocFlow to pick one.
+// at now+offset. The flow must be vacant, with nothing still InFlight.
 func (f *Fleet) Admit(flow packet.FlowID, offset time.Duration) *Member {
 	m := f.attach(flow, f.newSender(flow))
 	m.Start(offset)
@@ -588,19 +585,6 @@ func (f *Fleet) Retire(flow packet.FlowID) *Member {
 	f.Members[idx] = nil
 	f.deactivate(flow)
 	return m
-}
-
-// AllocFlow returns the lowest flow ID that can host a new member
-// without counter ambiguity: a vacant slot whose traffic has fully
-// drained. When every vacant slot still has packets in flight it
-// extends the flow space instead — a fresh ID is always safe.
-func (f *Fleet) AllocFlow() packet.FlowID {
-	for i := range f.Members {
-		if f.Members[i] == nil && f.InFlight(packet.FlowID(i)) == 0 {
-			return packet.FlowID(i)
-		}
-	}
-	return packet.FlowID(len(f.Members))
 }
 
 // NextGen reports the generation the next member admitted on the flow
@@ -678,9 +662,6 @@ func (c Config) Resolved() Config { return c.withDefaults() }
 // table is never served against a model it was not compiled for.
 func (c Config) ResolvedPrior() model.Prior {
 	c = c.withDefaults()
-	if c.PriorOverride != nil {
-		return *c.PriorOverride
-	}
 	return Prior(c.LinkRate, c.BufferCapBits, c.N)
 }
 

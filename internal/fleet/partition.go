@@ -35,8 +35,6 @@ type Partition struct {
 	// Out collects the window's injected packets for the coordinator.
 	Out *Outbox
 
-	idx, shards int
-
 	// members and flows key the partition's dynamic residency by flow
 	// ID. The maps are never iterated — every access is a point lookup,
 	// and batch work drains through the canonical flow-sorted dirty
@@ -64,32 +62,24 @@ func (o *Outbox) Receive(p packet.Packet) { o.Pkts = append(o.Pkts, p) }
 // Reset clears the outbox for the next window, keeping capacity.
 func (o *Outbox) Reset() { o.Pkts = o.Pkts[:0] }
 
-// NewPartition builds partition idx of shards over the RESOLVED fleet
+// NewPartition builds one partition over the RESOLVED fleet
 // configuration (call Config.Resolved first; Workers here is the
 // per-partition pool width). No members are attached; the coordinator
 // attaches and starts them so admission order and stagger offsets are
 // identical to the single-loop fleet's.
-func NewPartition(cfg Config, idx, shards int, caches *planner.CacheStripes) *Partition {
+func NewPartition(cfg Config, caches *planner.CacheStripes) *Partition {
 	// Partition members are always canonical: the coordinator's merge
 	// delivers cross-shard events in flow order, so local wakes must
 	// drain the same way.
 	cfg.Canonical = true
 	p := &Partition{
 		Out:     &Outbox{},
-		idx:     idx,
-		shards:  shards,
 		members: make(map[packet.FlowID]*Member),
 		flows:   make(map[packet.FlowID]*Ledger),
 	}
 	p.init(cfg, caches)
 	p.ackTimer = sim.NewTimer(p.Loop, p.deliverAck)
 	return p
-}
-
-// Owns reports whether the flow maps to this partition under the
-// initial modular placement (before any failover re-homing).
-func (p *Partition) Owns(flow packet.FlowID) bool {
-	return int(flow)%p.shards == p.idx
 }
 
 // rec returns the flow's cross-generation ledger, creating it on first

@@ -32,6 +32,7 @@
 package lifecycle
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -47,7 +48,6 @@ import (
 	"modelcc/internal/packet"
 	"modelcc/internal/planner"
 	"modelcc/internal/policy"
-	"modelcc/internal/units"
 )
 
 // Version is the checkpoint format version this package reads and
@@ -111,14 +111,11 @@ func Capture(m *fleet.Member, priorHash uint64) (*Checkpoint, error) {
 		Utility:   m.Utility,
 		Injected:  m.Injected,
 	}
-	switch b := m.Sender.Belief.(type) {
-	case *belief.Exact:
-		c.Belief = b.Snapshot()
-	case *belief.Particle:
-		c.Belief = b.Snapshot()
-	default:
+	b, ok := m.Sender.Belief.(interface{ Snapshot() belief.Snapshot })
+	if !ok {
 		return nil, fmt.Errorf("lifecycle: belief kind %T is not checkpointable", m.Sender.Belief)
 	}
+	c.Belief = b.Snapshot()
 	c.At = c.Belief.Now
 	if g := m.Sender.Guard; g != nil {
 		c.LastSafeDelta, c.HaveSafe = g.LastSafe()
@@ -218,182 +215,212 @@ func PriorHashFor(cfg fleet.Config, caches *planner.CacheStripes) uint64 {
 //	40     8     body length
 //	48     8     FNV-1a checksum of bytes 0..48 plus the body
 //	56     ...   body
-
-type writer struct{ b []byte }
-
-func (w *writer) u8(v uint8) { w.b = append(w.b, v) }
-func (w *writer) bool(v bool) {
-	if v {
-		w.u8(1)
-	} else {
-		w.u8(0)
-	}
-}
-func (w *writer) u32(v uint32) { w.b = append(w.b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24)) }
-func (w *writer) u64(v uint64) {
-	w.b = append(w.b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-}
-func (w *writer) i64(v int64)         { w.u64(uint64(v)) }
-func (w *writer) f64(v float64)       { w.u64(math.Float64bits(v)) }
-func (w *writer) dur(v time.Duration) { w.i64(int64(v)) }
+//
+// The format is defined by one walk: header, body, state and qpkt name
+// every field exactly once, in wire order, against a cursor that writes
+// the field when encoding and reads into it when decoding. Encode and
+// Decode are that walk run in the two directions, so they cannot
+// disagree about the layout.
 
 // errTruncated is the canonical short-input decode error.
 var errTruncated = errors.New("lifecycle: checkpoint truncated")
 
-type reader struct {
+// cursor is one direction of the field walk. Encoding appends each
+// field to b; decoding consumes it from the front of b. The first
+// decode error sticks: later fields are left as they were and count
+// returns 0, so a walk carries no error handling of its own.
+type cursor struct {
 	b   []byte
-	off int
+	enc bool
+	err error
 }
 
-func (r *reader) u8() (uint8, error) {
-	if r.off+1 > len(r.b) {
-		return 0, errTruncated
+// word walks one little-endian field of size bytes. Encoding writes v.
+// Decoding returns the value read and true, or false once the input is
+// short or an earlier field failed.
+func (c *cursor) word(size int, v uint64) (uint64, bool) {
+	var t [8]byte
+	if c.enc {
+		binary.LittleEndian.PutUint64(t[:], v)
+		c.b = append(c.b, t[:size]...)
+		return 0, false
 	}
-	v := r.b[r.off]
-	r.off++
-	return v, nil
+	if c.err != nil {
+		return 0, false
+	}
+	if len(c.b) < size {
+		c.err = errTruncated
+		return 0, false
+	}
+	copy(t[:], c.b[:size])
+	c.b = c.b[size:]
+	return binary.LittleEndian.Uint64(t[:]), true
 }
 
-func (r *reader) bool() (bool, error) {
-	v, err := r.u8()
-	if err != nil {
-		return false, err
+// num walks one integer field of size wire bytes (two's complement, so
+// signed and unsigned fields share it).
+func num[T ~int | ~int32 | ~int64 | ~uint32 | ~uint64](c *cursor, size int, v *T) {
+	if w, ok := c.word(size, uint64(*v)); ok {
+		*v = T(w)
 	}
-	if v > 1 {
-		return false, errors.New("lifecycle: checkpoint has invalid boolean")
-	}
-	return v == 1, nil
 }
 
-func (r *reader) u32() (uint32, error) {
-	if r.off+4 > len(r.b) {
-		return 0, errTruncated
+func (c *cursor) u32(v *uint32)        { num(c, 4, v) }
+func (c *cursor) u64(v *uint64)        { num(c, 8, v) }
+func (c *cursor) i64(v *int64)         { num(c, 8, v) }
+func (c *cursor) int(v *int)           { num(c, 8, v) }
+func (c *cursor) dur(v *time.Duration) { num(c, 8, v) }
+
+func (c *cursor) f64(v *float64) {
+	if w, ok := c.word(8, math.Float64bits(*v)); ok {
+		*v = math.Float64frombits(w)
 	}
-	v := uint32(r.b[r.off]) | uint32(r.b[r.off+1])<<8 | uint32(r.b[r.off+2])<<16 | uint32(r.b[r.off+3])<<24
-	r.off += 4
-	return v, nil
 }
 
-func (r *reader) u64() (uint64, error) {
-	if r.off+8 > len(r.b) {
-		return 0, errTruncated
+func (c *cursor) bool(v *bool) {
+	var bit uint64
+	if *v {
+		bit = 1
 	}
-	v := uint64(r.b[r.off]) | uint64(r.b[r.off+1])<<8 | uint64(r.b[r.off+2])<<16 | uint64(r.b[r.off+3])<<24 |
-		uint64(r.b[r.off+4])<<32 | uint64(r.b[r.off+5])<<40 | uint64(r.b[r.off+6])<<48 | uint64(r.b[r.off+7])<<56
-	r.off += 8
-	return v, nil
+	if w, ok := c.word(1, bit); ok {
+		if w > 1 {
+			c.err = errors.New("lifecycle: checkpoint has invalid boolean")
+			return
+		}
+		*v = w == 1
+	}
 }
 
-func (r *reader) i64() (int64, error) { v, err := r.u64(); return int64(v), err }
-
-func (r *reader) f64() (float64, error) {
-	v, err := r.u64()
-	if err != nil {
-		return 0, err
+// count walks a u32 length prefix: n is the length to write, the result
+// the length to loop over (n when encoding; the decoded length, or 0
+// after an error). A decoded length above max is refused before
+// anything is allocated for it: a corrupted length field must produce
+// an error, not an attempted multi-gigabyte allocation.
+func (c *cursor) count(n, max int, what string) int {
+	w, ok := c.word(4, uint64(n))
+	if c.enc {
+		return n
 	}
-	f := math.Float64frombits(v)
-	return f, nil
+	if ok && w > uint64(max) {
+		c.err = fmt.Errorf("lifecycle: checkpoint claims %d %s (corrupt)", w, what)
+	}
+	if c.err != nil {
+		return 0
+	}
+	return int(w)
 }
 
-func (r *reader) dur() (time.Duration, error) { v, err := r.i64(); return time.Duration(v), err }
+// header walks bytes 8..48, everything between the magic and the
+// checksum. The version, belief kind and body length are the caller's
+// to produce (Encode) or to validate (Decode).
+func (c *cursor) header(ck *Checkpoint, version, kind *uint32, bodyLen *uint64) {
+	c.u32(version)
+	num(c, 4, &ck.Flow)
+	c.u32(&ck.Gen)
+	c.u32(kind)
+	c.u64(&ck.PriorHash)
+	c.dur(&ck.At)
+	c.u64(bodyLen)
+}
 
-// Encode serializes the checkpoint. Encoding is canonical: two
-// checkpoints of the same state produce identical bytes.
-func (c *Checkpoint) Encode() []byte {
-	var body writer
-	body.i64(c.NextSeq)
-	body.i64(c.Sent)
-	body.i64(c.Acked)
-	body.i64(c.Wakes)
-	body.dur(c.LastSafeDelta)
-	body.bool(c.HaveSafe)
-	body.f64(c.Utility)
-	body.i64(c.Injected)
+// body walks everything after the header.
+func (c *cursor) body(ck *Checkpoint) {
+	c.i64(&ck.NextSeq)
+	c.i64(&ck.Sent)
+	c.i64(&ck.Acked)
+	c.i64(&ck.Wakes)
+	c.dur(&ck.LastSafeDelta)
+	c.bool(&ck.HaveSafe)
+	c.f64(&ck.Utility)
+	c.i64(&ck.Injected)
 
-	sn := &c.Belief
-	body.dur(sn.Now)
-	body.u64(sn.RNG)
-	body.i64(int64(sn.Resamples))
-	body.i64(int64(sn.Cum.Branches))
-	body.i64(int64(sn.Cum.Rejected))
-	body.i64(int64(sn.Cum.Merged))
-	body.i64(int64(sn.Cum.Floored))
-	body.i64(int64(sn.Cum.Relaxed))
-	body.i64(int64(sn.Cum.Reseeded))
-	body.i64(int64(sn.Cum.N))
-	body.u32(uint32(len(sn.Pending)))
-	for _, s := range sn.Pending {
-		body.i64(s.Seq)
-		body.dur(s.At)
-		body.i64(s.Bits)
+	sn := &ck.Belief
+	c.dur(&sn.Now)
+	c.u64(&sn.RNG)
+	c.int(&sn.Resamples)
+	c.int(&sn.Cum.Branches)
+	c.int(&sn.Cum.Rejected)
+	c.int(&sn.Cum.Merged)
+	c.int(&sn.Cum.Floored)
+	c.int(&sn.Cum.Relaxed)
+	c.int(&sn.Cum.Reseeded)
+	c.int(&sn.Cum.N)
+
+	if n := c.count(len(sn.Pending), maxPending, "pending sends"); !c.enc && n > 0 {
+		sn.Pending = make([]model.Send, n)
 	}
-	body.u32(uint32(len(sn.Recent)))
-	for _, m := range sn.Recent {
-		body.i64(m.Seq)
-		body.dur(m.At)
+	for i := range sn.Pending {
+		s := &sn.Pending[i]
+		c.i64(&s.Seq)
+		c.dur(&s.At)
+		c.i64(&s.Bits)
 	}
-	body.u32(uint32(len(sn.Hyps)))
+
+	if n := c.count(len(sn.Recent), maxRecent, "recent acks"); !c.enc && n > 0 {
+		sn.Recent = make([]belief.AckMemo, n)
+	}
+	for i := range sn.Recent {
+		m := &sn.Recent[i]
+		c.i64(&m.Seq)
+		c.dur(&m.At)
+	}
+
+	if n := c.count(len(sn.Hyps), maxHyps, "hypotheses"); !c.enc && c.err == nil {
+		if n == 0 {
+			c.err = errors.New("lifecycle: checkpoint has no hypotheses")
+		}
+		sn.Hyps = make([]belief.Hypothesis, n)
+	}
 	for i := range sn.Hyps {
-		body.f64(sn.Hyps[i].W)
-		encodeState(&body, &sn.Hyps[i].S)
+		c.f64(&sn.Hyps[i].W)
+		c.state(&sn.Hyps[i].S)
 	}
-
-	var out writer
-	out.b = make([]byte, 0, headerSize+len(body.b))
-	out.b = append(out.b, magic[:]...)
-	out.u32(Version)
-	out.u32(uint32(c.Flow))
-	out.u32(c.Gen)
-	kind := uint32(0)
-	if sn.Particle {
-		kind = 1
-	}
-	out.u32(kind)
-	out.u64(c.PriorHash)
-	out.dur(c.At)
-	out.u64(uint64(len(body.b)))
-	out.u64(checksum(out.b[:48], body.b))
-	out.b = append(out.b, body.b...)
-	return out.b
 }
 
-// encodeState serializes one model.State. The queue is written from the
-// live window (states in snapshots are cloned, so QHead is 0, but
-// Queued() keeps this correct regardless); QueueBits is recomputed at
-// decode rather than trusted.
-func encodeState(w *writer, s *model.State) {
-	w.u32(uint32(s.ParamsID))
-	w.f64(float64(s.P.LinkRate))
-	w.f64(float64(s.P.CrossRate))
-	w.dur(s.P.MeanSwitch)
-	w.f64(s.P.LossProb)
-	w.i64(s.P.BufferCapBits)
-	w.i64(s.P.InitFullBits)
-	w.f64(s.P.ClockSkew)
-	w.i64(int64(s.P.PktBytes))
-	w.i64(s.P.CrossPktBits)
+// state walks one model.State. The queue is written from the live
+// window (states in snapshots are cloned, so QHead is 0, but Queued()
+// keeps this correct regardless) and read into the zero State Decode
+// starts from; QueueBits is derived, so decoding recomputes it rather
+// than trusting the wire.
+func (c *cursor) state(s *model.State) {
+	num(c, 4, &s.ParamsID)
+	c.f64((*float64)(&s.P.LinkRate))
+	c.f64((*float64)(&s.P.CrossRate))
+	c.dur(&s.P.MeanSwitch)
+	c.f64(&s.P.LossProb)
+	c.i64(&s.P.BufferCapBits)
+	c.i64(&s.P.InitFullBits)
+	c.f64(&s.P.ClockSkew)
+	c.int(&s.P.PktBytes)
+	c.i64(&s.P.CrossPktBits)
 
-	w.dur(s.Now)
-	w.bool(s.PingerOn)
-	w.dur(s.NextCross)
-	w.dur(s.NextToggle)
-	w.dur(s.SwitchTick)
-	w.bool(s.Serving)
-	encodeQPkt(w, s.InService)
-	w.dur(s.ServiceDone)
+	c.dur(&s.Now)
+	c.bool(&s.PingerOn)
+	c.dur(&s.NextCross)
+	c.dur(&s.NextToggle)
+	c.dur(&s.SwitchTick)
+	c.bool(&s.Serving)
+	c.qpkt(&s.InService)
+	c.dur(&s.ServiceDone)
+
 	q := s.Queued()
-	w.u32(uint32(len(q)))
-	for _, p := range q {
-		encodeQPkt(w, p)
+	if n := c.count(len(q), maxQueue, "queued packets"); !c.enc && n > 0 {
+		q = make([]model.QPkt, n)
+		s.Queue = q
+	}
+	for i := range q {
+		c.qpkt(&q[i])
+		if !c.enc {
+			s.QueueBits += q[i].Bits
+		}
 	}
 }
 
-func encodeQPkt(w *writer, p model.QPkt) {
-	w.bool(p.Own)
-	w.i64(p.Seq)
-	w.i64(p.Bits)
-	w.dur(p.EnqueuedAt)
+func (c *cursor) qpkt(p *model.QPkt) {
+	c.bool(&p.Own)
+	c.i64(&p.Seq)
+	c.i64(&p.Bits)
+	c.dur(&p.EnqueuedAt)
 }
 
 // checksum hashes the header prefix (everything before the checksum
@@ -406,6 +433,25 @@ func checksum(header, body []byte) uint64 {
 	return h.Sum64()
 }
 
+// Encode serializes the checkpoint. Encoding is canonical: two
+// checkpoints of the same state produce identical bytes. The walk only
+// reads c.
+func (c *Checkpoint) Encode() []byte {
+	body := cursor{enc: true}
+	body.body(c)
+
+	version, kind, bodyLen := uint32(Version), uint32(0), uint64(len(body.b))
+	if c.Belief.Particle {
+		kind = 1
+	}
+	out := cursor{enc: true, b: make([]byte, 0, headerSize+len(body.b))}
+	out.b = append(out.b, magic[:]...)
+	out.header(c, &version, &kind, &bodyLen)
+	sum := checksum(out.b, body.b)
+	out.u64(&sum)
+	return append(out.b, body.b...)
+}
+
 // Decode parses a checkpoint. Corrupted, truncated, or internally
 // inconsistent input yields an error — never a panic, never a silently
 // wrong belief (the caller still must check the prior hash against its
@@ -414,258 +460,40 @@ func Decode(b []byte) (*Checkpoint, error) {
 	if len(b) < headerSize {
 		return nil, errTruncated
 	}
-	r := &reader{b: b}
-	var got [8]byte
-	copy(got[:], b[:8])
-	r.off = 8
-	if got != magic {
+	if [8]byte(b[:8]) != magic {
 		return nil, errors.New("lifecycle: not a member checkpoint (bad magic)")
 	}
-	ver, _ := r.u32()
-	if ver != Version {
-		return nil, fmt.Errorf("lifecycle: checkpoint version %d, this build reads %d", ver, Version)
+	var (
+		c             = &Checkpoint{}
+		version, kind uint32
+		bodyLen, sum  uint64
+	)
+	hdr := cursor{b: b[8:headerSize]}
+	hdr.header(c, &version, &kind, &bodyLen)
+	hdr.u64(&sum)
+	if version != Version {
+		return nil, fmt.Errorf("lifecycle: checkpoint version %d, this build reads %d", version, Version)
 	}
-	flow, _ := r.u32()
-	gen, _ := r.u32()
-	kind, _ := r.u32()
 	if kind > 1 {
 		return nil, fmt.Errorf("lifecycle: unknown belief kind %d", kind)
 	}
-	priorHash, _ := r.u64()
-	at, _ := r.dur()
-	bodyLen, _ := r.u64()
-	sum, _ := r.u64()
 	if bodyLen != uint64(len(b)-headerSize) {
 		return nil, errors.New("lifecycle: checkpoint body length mismatch (truncated or padded)")
 	}
-	body := b[headerSize:]
-	if checksum(b[:48], body) != sum {
+	if checksum(b[:48], b[headerSize:]) != sum {
 		return nil, errors.New("lifecycle: checkpoint checksum mismatch (corrupted)")
 	}
-
-	c := &Checkpoint{
-		Flow:      packet.FlowID(flow),
-		Gen:       gen,
-		PriorHash: priorHash,
-		At:        at,
-	}
 	c.Belief.Particle = kind == 1
-	r = &reader{b: body}
-	var err error
-	read := func(dst *int64) {
-		if err == nil {
-			*dst, err = r.i64()
-		}
-	}
-	read(&c.NextSeq)
-	read(&c.Sent)
-	read(&c.Acked)
-	read(&c.Wakes)
-	if err == nil {
-		c.LastSafeDelta, err = r.dur()
-	}
-	if err == nil {
-		c.HaveSafe, err = r.bool()
-	}
-	if err == nil {
-		c.Utility, err = r.f64()
-	}
-	read(&c.Injected)
 
-	sn := &c.Belief
-	if err == nil {
-		sn.Now, err = r.dur()
+	body := cursor{b: b[headerSize:]}
+	body.body(c)
+	if body.err != nil {
+		return nil, body.err
 	}
-	if err == nil {
-		sn.RNG, err = r.u64()
-	}
-	var tmp int64
-	readInt := func(dst *int) {
-		if err == nil {
-			tmp, err = r.i64()
-			*dst = int(tmp)
-		}
-	}
-	readInt(&sn.Resamples)
-	readInt(&sn.Cum.Branches)
-	readInt(&sn.Cum.Rejected)
-	readInt(&sn.Cum.Merged)
-	readInt(&sn.Cum.Floored)
-	readInt(&sn.Cum.Relaxed)
-	readInt(&sn.Cum.Reseeded)
-	readInt(&sn.Cum.N)
-	if err != nil {
-		return nil, err
-	}
-
-	nPending, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	if nPending > maxPending {
-		return nil, fmt.Errorf("lifecycle: checkpoint claims %d pending sends (corrupt)", nPending)
-	}
-	if nPending > 0 {
-		sn.Pending = make([]model.Send, nPending)
-		for i := range sn.Pending {
-			s := &sn.Pending[i]
-			if s.Seq, err = r.i64(); err != nil {
-				return nil, err
-			}
-			if s.At, err = r.dur(); err != nil {
-				return nil, err
-			}
-			if s.Bits, err = r.i64(); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	nRecent, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	if nRecent > maxRecent {
-		return nil, fmt.Errorf("lifecycle: checkpoint claims %d recent acks (corrupt)", nRecent)
-	}
-	if nRecent > 0 {
-		sn.Recent = make([]belief.AckMemo, nRecent)
-		for i := range sn.Recent {
-			m := &sn.Recent[i]
-			if m.Seq, err = r.i64(); err != nil {
-				return nil, err
-			}
-			if m.At, err = r.dur(); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	nHyps, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	if nHyps == 0 {
-		return nil, errors.New("lifecycle: checkpoint has no hypotheses")
-	}
-	if nHyps > maxHyps {
-		return nil, fmt.Errorf("lifecycle: checkpoint claims %d hypotheses (corrupt)", nHyps)
-	}
-	sn.Hyps = make([]belief.Hypothesis, nHyps)
-	for i := range sn.Hyps {
-		h := &sn.Hyps[i]
-		if h.W, err = r.f64(); err != nil {
-			return nil, err
-		}
-		if err = decodeState(r, &h.S); err != nil {
-			return nil, err
-		}
-	}
-	if r.off != len(body) {
+	if len(body.b) != 0 {
 		return nil, errors.New("lifecycle: checkpoint has trailing bytes")
 	}
 	return c, nil
-}
-
-// decodeState parses one model.State, recomputing the derived queue
-// occupancy instead of trusting the wire.
-func decodeState(r *reader, s *model.State) error {
-	var err error
-	var pid uint32
-	if pid, err = r.u32(); err != nil {
-		return err
-	}
-	s.ParamsID = int32(pid)
-	rf := func(dst *float64) {
-		if err == nil {
-			*dst, err = r.f64()
-		}
-	}
-	var lr, cr float64
-	rf(&lr)
-	rf(&cr)
-	s.P.LinkRate = units.BitRate(lr)
-	s.P.CrossRate = units.BitRate(cr)
-	if err == nil {
-		s.P.MeanSwitch, err = r.dur()
-	}
-	rf(&s.P.LossProb)
-	ri := func(dst *int64) {
-		if err == nil {
-			*dst, err = r.i64()
-		}
-	}
-	ri(&s.P.BufferCapBits)
-	ri(&s.P.InitFullBits)
-	rf(&s.P.ClockSkew)
-	var pktBytes int64
-	ri(&pktBytes)
-	s.P.PktBytes = int(pktBytes)
-	ri(&s.P.CrossPktBits)
-
-	if err == nil {
-		s.Now, err = r.dur()
-	}
-	if err == nil {
-		s.PingerOn, err = r.bool()
-	}
-	if err == nil {
-		s.NextCross, err = r.dur()
-	}
-	if err == nil {
-		s.NextToggle, err = r.dur()
-	}
-	if err == nil {
-		s.SwitchTick, err = r.dur()
-	}
-	if err == nil {
-		s.Serving, err = r.bool()
-	}
-	if err == nil {
-		s.InService, err = decodeQPkt(r)
-	}
-	if err == nil {
-		s.ServiceDone, err = r.dur()
-	}
-	if err != nil {
-		return err
-	}
-	nQ, err := r.u32()
-	if err != nil {
-		return err
-	}
-	if nQ > maxQueue {
-		return fmt.Errorf("lifecycle: checkpoint claims %d queued packets (corrupt)", nQ)
-	}
-	s.Queue = nil
-	s.QHead = 0
-	s.QueueBits = 0
-	if nQ > 0 {
-		s.Queue = make([]model.QPkt, nQ)
-		for i := range s.Queue {
-			if s.Queue[i], err = decodeQPkt(r); err != nil {
-				return err
-			}
-			s.QueueBits += s.Queue[i].Bits
-		}
-	}
-	return nil
-}
-
-func decodeQPkt(r *reader) (model.QPkt, error) {
-	var p model.QPkt
-	var err error
-	if p.Own, err = r.bool(); err != nil {
-		return p, err
-	}
-	if p.Seq, err = r.i64(); err != nil {
-		return p, err
-	}
-	if p.Bits, err = r.i64(); err != nil {
-		return p, err
-	}
-	p.EnqueuedAt, err = r.dur()
-	return p, err
 }
 
 // WriteFile writes the checkpoint atomically (tmp + rename, like

@@ -246,6 +246,42 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 	}
 }
 
+// goldenCheckpoints are version-1 files written by the encoder as it
+// stood before Encode and Decode became one walk (PR 18's tree): member
+// 0 of fleet.Config{N: 8, Seed: 5, Workers: 1} after 10 s, and a
+// 64-particle sender over the N = 2 prior after 20 scripted wakes.
+var goldenCheckpoints = []string{"v1-exact.ckpt", "v1-particle.ckpt"}
+
+// TestGoldenCheckpoints is format durability: a checked-in version-1
+// file decodes, re-encodes to the identical bytes, and is refused —
+// never a panic — with any one byte flipped.
+func TestGoldenCheckpoints(t *testing.T) {
+	for _, name := range goldenCheckpoints {
+		raw, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := Decode(raw)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if wantParticle := name == "v1-particle.ckpt"; c.Belief.Particle != wantParticle || len(c.Belief.Hyps) == 0 {
+			t.Errorf("%s: decoded particle=%v with %d hypotheses", name, c.Belief.Particle, len(c.Belief.Hyps))
+		}
+		if !bytes.Equal(c.Encode(), raw) {
+			t.Errorf("%s: re-encode differs from the checked-in bytes", name)
+		}
+		mut := append([]byte(nil), raw...)
+		for i := range mut {
+			mut[i] ^= 0x40
+			if _, err := Decode(mut); err == nil {
+				t.Errorf("%s: byte %d flipped decoded without error", name, i)
+			}
+			mut[i] = raw[i]
+		}
+	}
+}
+
 // FuzzCheckpoint hardens Decode against arbitrary input: whatever the
 // bytes, it must return a value or an error — never panic — and any
 // successful decode must re-encode canonically (decode∘encode is the
@@ -266,6 +302,13 @@ func FuzzCheckpoint(f *testing.F) {
 	mut := append([]byte(nil), raw...)
 	mut[60] ^= 0xff
 	f.Add(mut)
+	for _, name := range goldenCheckpoints {
+		golden, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(golden)
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		c, err := Decode(b)
 		if err != nil {

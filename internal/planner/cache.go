@@ -120,33 +120,42 @@ func (pc *PolicyCache) quanta() (time.Duration, float64) {
 // Len reports the resident entry count.
 func (pc *PolicyCache) Len() int { return len(pc.entries) }
 
-// Decide is a caching wrapper around Decide: on a fingerprint hit it
-// returns the memoized action rebased to `now`.
-func (pc *PolicyCache) Decide(sup []belief.Hypothesis, pending []model.Send, now time.Duration, seq int64, cfg Config) Decision {
+// probe is the one resident-entry consultation under Decide and Lookup:
+// fingerprint the belief at now, and serve the resident entry — rebased
+// to now, its second-chance bit set — only when the verification hash
+// matches too. A resident entry for a different belief is a detected
+// collision, counted and reported as a miss: serving it would be a
+// silent wrong action. The fingerprint pair comes back either way, so a
+// miss can be stored under it.
+func (pc *PolicyCache) probe(sup []belief.Hypothesis, pending []model.Send, now time.Duration) (d Decision, fp, ver uint64, ok bool) {
 	tq, wq := pc.quanta()
-	fp, ver := Fingerprint(sup, pending, now, tq, wq)
-	if d, ok := pc.entries[fp]; ok {
-		if d.verify == ver {
-			pc.Hits++
-			if !d.used {
-				d.used = true
-				pc.entries[fp] = d
-			}
-			return Decision{
-				SendNow:    d.sendNow,
-				WakeAt:     now + d.delta,
-				Gain:       d.gain,
-				Candidates: 0,
-				Support:    len(sup),
-			}
-		}
-		// Fingerprint collision: the resident entry belongs to a
-		// different belief. Serving it would be a silent wrong action;
-		// recompute instead (the insert below overwrites the slot).
+	fp, ver = Fingerprint(sup, pending, now, tq, wq)
+	cd, ok := pc.entries[fp]
+	if ok && cd.verify != ver {
 		pc.Collisions++
+		ok = false
+	}
+	if !ok {
+		return Decision{}, fp, ver, false
+	}
+	if !cd.used {
+		cd.used = true
+		pc.entries[fp] = cd
+	}
+	return Decision{SendNow: cd.sendNow, WakeAt: now + cd.delta, Gain: cd.gain, Support: len(sup)}, fp, ver, true
+}
+
+// Decide is a caching wrapper around Decide: on a fingerprint hit it
+// returns the memoized action rebased to `now`; on a miss it plans live
+// and stores the result (overwriting a colliding slot).
+func (pc *PolicyCache) Decide(sup []belief.Hypothesis, pending []model.Send, now time.Duration, seq int64, cfg Config) Decision {
+	d, fp, ver, ok := pc.probe(sup, pending, now)
+	if ok {
+		pc.Hits++
+		return d
 	}
 	pc.Misses++
-	d := Decide(sup, pending, now, seq, cfg)
+	d = Decide(sup, pending, now, seq, cfg)
 	pc.insert(fp, cachedDecision{verify: ver, sendNow: d.SendNow, delta: d.WakeAt - now, gain: d.Gain})
 	return d
 }
@@ -158,28 +167,13 @@ func (pc *PolicyCache) Decide(sup []belief.Hypothesis, pending []model.Send, now
 // better action than a blind one. Probes are counted in ProbeHits and
 // ProbeMisses, never in the Decide-path Hits/Misses.
 func (pc *PolicyCache) Lookup(sup []belief.Hypothesis, pending []model.Send, now time.Duration) (Decision, bool) {
-	tq, wq := pc.quanta()
-	fp, ver := Fingerprint(sup, pending, now, tq, wq)
-	d, ok := pc.entries[fp]
-	if ok && d.verify != ver {
-		pc.Collisions++
-		ok = false
-	}
-	if !ok {
+	d, _, _, ok := pc.probe(sup, pending, now)
+	if ok {
+		pc.ProbeHits++
+	} else {
 		pc.ProbeMisses++
-		return Decision{}, false
 	}
-	pc.ProbeHits++
-	if !d.used {
-		d.used = true
-		pc.entries[fp] = d
-	}
-	return Decision{
-		SendNow: d.sendNow,
-		WakeAt:  now + d.delta,
-		Gain:    d.gain,
-		Support: len(sup),
-	}, true
+	return d, ok
 }
 
 // Store memoizes a decision computed elsewhere (e.g. by a Guard's

@@ -235,27 +235,6 @@ func (g *Guard) Decide(sup []belief.Hypothesis, pending []model.Send, now time.D
 	}
 }
 
-// Health is a copy of the Guard's counters, read together: the
-// heartbeat a lifecycle Supervisor samples per health-check interval.
-type Health struct {
-	Live, CompiledHits, CacheHits int64
-	SafeFallbacks, Timeouts       int64
-	Overlaps, ConsecutiveOverruns int64
-}
-
-// Health snapshots the counters.
-func (g *Guard) Health() Health {
-	return Health{
-		Live:                g.Live,
-		CompiledHits:        g.CompiledHits,
-		CacheHits:           g.CacheHits,
-		SafeFallbacks:       g.SafeFallbacks,
-		Timeouts:            g.Timeouts,
-		Overlaps:            g.Overlaps,
-		ConsecutiveOverruns: g.ConsecutiveOverruns,
-	}
-}
-
 // LastSafe reports the remembered safe pacing interval (rung 3's replay
 // delta) and whether one exists — checkpointed so a warm-restored
 // member degrades exactly as the original would.

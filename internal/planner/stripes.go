@@ -43,9 +43,6 @@ func NewCacheStripes(n, entriesPerStripe int) *CacheStripes {
 	return cs
 }
 
-// Stripes reports the stripe count.
-func (cs *CacheStripes) Stripes() int { return len(cs.stripes) }
-
 // For returns the stripe serving the given flow.
 func (cs *CacheStripes) For(flow uint32) *PolicyCache {
 	return cs.stripes[int(flow)%len(cs.stripes)]

@@ -404,3 +404,20 @@ func TestVersion1FilesRefused(t *testing.T) {
 }
 
 var _ = model.Prior{} // keep the model import tied to CheckPrior usage above
+
+// TestGoldenTable is format durability: testdata/v2.pol, written by
+// `policyc compile -n 2 -dur 20s -seeds 1` at PR 18's tree, still opens
+// as a version-2 table whose every record serves.
+func TestGoldenTable(t *testing.T) {
+	tb, err := Open(filepath.Join("testdata", "v2.pol"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tb.Close()
+	if h := tb.Header(); h.FleetN != 2 || tb.Len() == 0 {
+		t.Errorf("golden table: fleet n %d, %d records; want n 2 and a non-empty table", h.FleetN, tb.Len())
+	}
+	if err := tb.Verify(); err != nil {
+		t.Error(err)
+	}
+}

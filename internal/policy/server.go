@@ -39,15 +39,6 @@ func (s *Server) Stats() (probes, hits, misses int64) {
 	return s.probes.Load(), s.hits.Load(), s.misses.Load()
 }
 
-// HitRate reports hits/probes (0 before the first probe).
-func (s *Server) HitRate() float64 {
-	p := s.probes.Load()
-	if p == 0 {
-		return 0
-	}
-	return float64(s.hits.Load()) / float64(p)
-}
-
 // Probe implements planner.CompiledPolicy: it fingerprints the belief
 // under the table's recorded quanta and serves the compiled action
 // rebased to now. A fingerprint whose verification hash mismatches is

@@ -26,12 +26,10 @@ import (
 // the caller must be copied out or consumed before the next use of the
 // same scratch index.
 type Scratch struct {
-	// State and Base are reusable clone targets.
-	State, Base model.State
+	// Base is a reusable clone target.
+	Base model.State
 	// Events is a reusable event buffer.
 	Events []model.Event
-	// Sends is a reusable send buffer.
-	Sends []model.Send
 	// Aux carries a caller-defined arena (e.g. the planner's candidate
 	// lanes and step table); it stays attached to the worker across
 	// calls so its buffers amortize too.

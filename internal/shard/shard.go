@@ -113,7 +113,9 @@ import (
 type Config struct {
 	// Fleet is the underlying fleet configuration. Workers here is the
 	// TOTAL rollout budget; each shard's pool gets Workers/K (min 1).
-	// Zero keeps the fleet default (GOMAXPROCS) as the total.
+	// Zero keeps the fleet default (GOMAXPROCS) as the total. Canonical
+	// and CacheStripes are not inputs: New forces them to true and
+	// planner.DefaultCacheStripes whatever the caller set.
 	Fleet fleet.Config
 	// Shards is the requested shard count; 0 means runtime.NumCPU().
 	// The effective count is the largest power of two at most the
@@ -207,14 +209,14 @@ func New(cfg Config) *Fleet {
 	// Sharding requires canonical same-instant scheduling (the
 	// cross-shard merge replays events in flow order, so partition-local
 	// wakes must drain the same way) and a striped cache (partitions own
-	// disjoint stripe subsets). A single-loop fleet.Fleet reproduces a
-	// sharded run bit for bit only when configured with the same two
-	// values — fleet.Config{Canonical: true, CacheStripes:
+	// disjoint stripe subsets). Both are forced — owner(), VirtualShards
+	// and the no-lock stripe contract assume DefaultCacheStripes; fewer
+	// stripes would have two partition goroutines share one. A
+	// single-loop fleet.Fleet reproduces a sharded run bit for bit only
+	// with fleet.Config{Canonical: true, CacheStripes:
 	// planner.DefaultCacheStripes}.
 	cfg.Fleet.Canonical = true
-	if cfg.Fleet.CacheStripes <= 0 {
-		cfg.Fleet.CacheStripes = planner.DefaultCacheStripes
-	}
+	cfg.Fleet.CacheStripes = planner.DefaultCacheStripes
 	fc := cfg.Fleet.Resolved()
 	k := ResolveShards(cfg.Shards)
 	sf := &Fleet{
@@ -241,7 +243,7 @@ func New(cfg Config) *Fleet {
 	pc := fc
 	pc.Workers = perShardWorkers(fc.Workers, k)
 	for i := 0; i < k; i++ {
-		sf.Parts = append(sf.Parts, fleet.NewPartition(pc, i, k, sf.Caches))
+		sf.Parts = append(sf.Parts, fleet.NewPartition(pc, sf.Caches))
 	}
 	for v := range sf.home {
 		sf.home[v] = v % k

@@ -162,3 +162,16 @@ func TestResolveShards(t *testing.T) {
 		}
 	}
 }
+
+// TestCallerStripesIgnored runs eight partition goroutines with a
+// caller-set CacheStripes of 4. New must force DefaultCacheStripes:
+// honoured, stripe 0 would be shared by flows 0 and 4, homed on
+// partitions 0 and 4, and -race reports the unlocked PolicyCache map
+// access.
+func TestCallerStripesIgnored(t *testing.T) {
+	sf := New(Config{Fleet: fleet.Config{N: 32, CacheStripes: 4, Workers: 1}, Shards: 8})
+	if got := sf.Cfg.CacheStripes; got != planner.DefaultCacheStripes {
+		t.Errorf("CacheStripes = %d, want %d forced", got, planner.DefaultCacheStripes)
+	}
+	sf.Run(15 * time.Second)
+}

@@ -34,9 +34,6 @@ type Event struct {
 // At reports the virtual time the event is (or was) scheduled for.
 func (e *Event) At() time.Duration { return e.at }
 
-// Cancelled reports whether Cancel has been called on the event.
-func (e *Event) Cancelled() bool { return e == nil || e.cancel }
-
 // Loop is a single-goroutine discrete-event loop. Create one with New.
 type Loop struct {
 	now     time.Duration

@@ -68,12 +68,6 @@ func (c Config) Discount(tau time.Duration) float64 {
 	return math.Exp(-tau.Seconds() / k.Seconds())
 }
 
-// Instantaneous returns the utility of bits delivered tau after the
-// decision instant.
-func (c Config) Instantaneous(bits int64, tau time.Duration) float64 {
-	return float64(bits) * c.Discount(tau)
-}
-
 // OfPredicted accumulates the expected utility of predicted (pre-LOSS)
 // events relative to decision time t0, for a hypothesis with last-mile
 // loss probability p:
