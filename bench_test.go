@@ -20,6 +20,7 @@ import (
 	"modelcc/internal/model"
 	"modelcc/internal/packet"
 	"modelcc/internal/planner"
+	"modelcc/internal/units"
 	"modelcc/internal/utility"
 )
 
@@ -158,18 +159,50 @@ func BenchmarkCoexistence(b *testing.B) {
 	})
 }
 
-// BenchmarkPlannerDecide measures one action selection over a
-// Fig3-sized support, with and without the §3.3 policy cache.
+// BenchmarkPlannerDecide measures one action selection, a sub-benchmark
+// per path a Decide can take:
+//
+//   - uncached: a Fig3-sized support, the same one every iteration on the
+//     same pool, so after the first iteration every hypothesis is served
+//     from the rollout memo — this times keying and memo look-ups, not
+//     rollouts;
+//   - rolled: the same support with a pending send whose size changes every
+//     iteration, so every key is new and every hypothesis is swept — the
+//     lagged-twin gate refuses all of them (cross ≤ 0.7 c), so this is the
+//     plain lockstep sweep;
+//   - saturated: a support shaped like a 256-sender fleet member's
+//     (saturatedSupport) on the fleet's grid, keys new every iteration —
+//     the sweep that closes most candidates as lagged twins;
+//   - cached: the §3.3 policy cache in front (a fingerprint probe per
+//     iteration after the first).
 func BenchmarkPlannerDecide(b *testing.B) {
 	states, _ := model.Fig3Prior().Enumerate()
 	bel := belief.NewExact(states, belief.Config{})
 	bel.RecordSend(model.Send{Seq: 0, At: 0})
 	bel.Update(time.Second, []packet.Ack{{Seq: 0, ReceivedAt: time.Second}})
 	cfg := planner.DefaultConfig()
+	// novel is a committed send no earlier iteration has keyed.
+	novel := func(i int, at time.Duration) []model.Send {
+		return []model.Send{{Seq: 0, At: at, Bits: packet.DefaultSizeBits + int64(i)}}
+	}
 
 	b.Run("uncached", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			planner.Decide(bel.Support(), nil, time.Second, 1, cfg)
+		}
+	})
+	b.Run("rolled", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			planner.Decide(bel.Support(), novel(i, time.Second), time.Second, 1, cfg)
+		}
+	})
+	b.Run("saturated", func(b *testing.B) {
+		const now = 9 * time.Second
+		sup := saturatedSupport(now)
+		fleet := planner.Config{Util: utility.Default(), MaxDelay: 4 * time.Second, Grid: 500 * time.Millisecond, Horizon: 12 * time.Second}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			planner.Decide(sup, novel(i, now), now, 1, fleet)
 		}
 	})
 	b.Run("cached", func(b *testing.B) {
@@ -178,6 +211,36 @@ func BenchmarkPlannerDecide(b *testing.B) {
 			pc.Decide(bel.Support(), nil, time.Second, 1, cfg)
 		}
 	})
+}
+
+// saturatedSupport is a belief the way a member of a 256-sender fleet
+// holds it at now (fleet.Prior at N = 256): the other senders a pinger of
+// 64-packet chunks at 0.994–0.998 of the link rate, ten to fifteen chunks
+// queued behind one partly served, the gate on. Such a link does not idle
+// within the fleet's 16 s rollouts.
+func saturatedSupport(now time.Duration) []belief.Hypothesis {
+	const n = 256
+	var sup []belief.Hypothesis
+	for i := 0; i < 24; i++ {
+		p := model.Params{
+			LinkRate:      6000 * n,
+			MeanSwitch:    30 * time.Second,
+			BufferCapBits: 4 * packet.DefaultSizeBits * n,
+			CrossPktBits:  packet.DefaultSizeBits * n / 4,
+		}
+		p.CrossRate = p.LinkRate * units.BitRate(1-(0.4+0.4*float64(i%4))/n)
+		s := model.Initial(p, true)
+		chunk := model.QPkt{Seq: -1, Bits: p.CrossBits(), EnqueuedAt: now}
+		s.Now, s.Serving, s.InService = now, true, chunk
+		s.ServiceDone = now + time.Duration(1+i)*20*time.Millisecond
+		for c := 0; c < 10+i%6; c++ {
+			s.Queue = append(s.Queue, chunk)
+			s.QueueBits += chunk.Bits
+		}
+		s.NextCross = now + time.Duration(1+i)*17*time.Millisecond
+		sup = append(sup, belief.Hypothesis{S: s, W: 1 / 24.0})
+	}
+	return sup
 }
 
 // BenchmarkParallelWorkers measures the rollout engine's scaling: one

@@ -149,6 +149,23 @@
 // advance loop itself is built around arrivals: every link completion
 // due before the next pinger tick or send drains in one inner loop.
 //
+// On a fleet a candidate's consequences never cease to linger: the
+// modeled link stays busy to the horizon, the candidate's packet joins
+// the backlog and everything behind it leaves one service time later,
+// so the lane never reconverges. Such a lane is a lagged twin of its
+// baseline (the theorem is at model.State.BacklogDone, fuzzed by
+// FuzzLaggedTwin) and is not simulated: the sweep defers it at its fork
+// and closes its gain at the horizon from the baseline's running value,
+// while the baseline's accumulator watches the theorem's premises
+// (model.Accum.Watch) and the first stop that breaks one turns every
+// deferred lane back into a simulated one, bit for bit. planner.twinGate
+// turns the mode on per hypothesis from sizes and relative times; the
+// paper's Figure 3 hypotheses are all refused and swept as before. The
+// closed gains differ from simulated ones by a summation order, far
+// under the planner's tie band, so decisions, digests and tables do not
+// move; planner.MemoStats counts lanes closed and lanes deferred then
+// simulated.
+//
 // The memo keys a hypothesis by exactly what a gate-frozen rollout reads
 // of it (model.State.AppendRolloutKey: rates, sizes, what is in service and
 // queued, every time relative to the decision instant — and not

@@ -276,10 +276,13 @@ func beliefDefaults(cfg belief.Config, n int) belief.Config {
 // default capacity scaling, 4 packets per sender at half a packet per
 // second each) or a queued packet's displacement cost falls outside
 // every rollout and the fleet overfills the buffer; it should not be
-// much longer, because a saturated hypothesis keeps candidate rollouts
-// alive to the full horizon — there is no idle instant for them to
-// reconverge with their baseline at — so planning cost is essentially
-// candidates × horizon, and a fleet pays it N times over.
+// much longer, because a saturated hypothesis has no idle instant at
+// which a candidate could reconverge with its baseline, so the baseline
+// runs to the full horizon, and a fleet pays that N times over. (The
+// candidates themselves mostly do not: one admitted behind a backlog
+// that stays busy is closed from the baseline's running value, see
+// planner.Decide's sixth economy — planning cost is no longer
+// candidates × horizon, but it is still linear in the horizon.)
 func planDefaults(cfg planner.Config, perSender units.BitRate, u utility.Config, n int) planner.Config {
 	fairInterval := units.TransmitTime(packet.DefaultSizeBits, perSender)
 	if cfg.MaxDelay <= 0 {

@@ -23,6 +23,11 @@ import (
 //
 // An Accum is single-rollout state: Reset before each rollout, then
 // deliveries in time order, with Take at each segment boundary.
+//
+// A baseline's accumulator can also carry the lagged-twin watch (Watch):
+// RunAccum then notes in it the two facts about a stretch that only the
+// advance loop sees and that decide whether a packet admitted behind the
+// backlog stays a pure lag (see State.BacklogDone for the theorem).
 type Accum struct {
 	alpha, survive, penalty float64
 	t0                      time.Duration
@@ -31,6 +36,12 @@ type Accum struct {
 	lastTau time.Duration
 	lastD   float64
 	seg     float64
+
+	// The lagged-twin watch: twinBits > 0 arms it.
+	twinBits int64
+	twinLag  time.Duration
+	idled    bool
+	tight    bool
 }
 
 // Reset points the accumulator at a new rollout: deliveries are valued
@@ -41,7 +52,12 @@ type Accum struct {
 // it holds another κ's factors.
 func (a *Accum) Reset(alpha, survive, penalty float64, t0, kappa time.Duration, steps *StepTable) {
 	steps.use(kappa)
-	*a = Accum{alpha: alpha, survive: survive, penalty: penalty, t0: t0, steps: steps, lastD: 1}
+	// Field by field: the struct is past the size the compiler copies
+	// inline, and a rollout resets one accumulator per candidate
+	// (TestAccumResetLeavesNothing holds this list to the struct's).
+	a.alpha, a.survive, a.penalty, a.t0, a.steps = alpha, survive, penalty, t0, steps
+	a.lastTau, a.lastD, a.seg = 0, 1, 0
+	a.twinBits, a.twinLag, a.idled, a.tight = 0, 0, false, false
 }
 
 // Deliver folds in one delivery of bits at receiver time at, delay after
@@ -81,6 +97,31 @@ func (a *Accum) Take() float64 {
 	u := a.seg
 	a.seg = 0
 	return u
+}
+
+// Pending returns what Take would, without clearing it: the running
+// segment read at a pause that must not move the segment partition.
+func (a *Accum) Pending() float64 { return a.seg }
+
+// Watch arms the lagged-twin watch for a twin carrying one extra packet
+// of bits whose service time on this link is lag: from here on RunAccum
+// records whether the link idled and whether an arrival it admitted left
+// the twin no room (Reset disarms it). What it costs an advance is one
+// branch per arrival and a store when the link runs dry; deliveries pay
+// nothing.
+func (a *Accum) Watch(bits int64, lag time.Duration) {
+	a.twinBits, a.twinLag = bits, lag
+	a.idled, a.tight = false, false
+}
+
+// TakeWatch reports whether the stretch since the last TakeWatch (or
+// Watch) kept the lagged-twin premises — the link never idle, every
+// admitted arrival with room to spare for the twin's surplus — and
+// starts the next stretch.
+func (a *Accum) TakeWatch() (clean bool) {
+	clean = !a.idled && !a.tight
+	a.idled, a.tight = false, false
+	return clean
 }
 
 // StepTable memoizes the step factors exp(−Δ/κ) of one timescale κ in a

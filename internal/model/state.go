@@ -277,13 +277,15 @@ func (s *State) SystemBits() int64 {
 
 // enqueue admits a packet to the buffer/link, appending any resulting
 // event to out (which may be nil when the caller doesn't care, e.g.
-// during Initial prefill). Tail-drop semantics match elements.Buffer: the
-// in-service packet does not count against capacity.
-func (s *State) enqueue(q QPkt, out *[]Event) {
+// during Initial prefill), and reports whether the packet joined the
+// queue behind a busy link (false: it went straight into service, or was
+// dropped). Tail-drop semantics match elements.Buffer: the in-service
+// packet does not count against capacity.
+func (s *State) enqueue(q QPkt, out *[]Event) (queued bool) {
 	q.EnqueuedAt = s.Now
 	if !s.Serving {
 		s.startService(q)
-		return
+		return false
 	}
 	if s.QueueBits+q.Bits > s.P.BufferCapBits {
 		if out != nil {
@@ -293,10 +295,11 @@ func (s *State) enqueue(q QPkt, out *[]Event) {
 			}
 			*out = append(*out, Event{Kind: kind, Seq: q.Seq, At: s.Now, Bits: q.Bits})
 		}
-		return
+		return false
 	}
 	s.Queue = append(s.Queue, q)
 	s.QueueBits += q.Bits
+	return true
 }
 
 // serviceTime memoizes TransmitTime over the (at most two) packet sizes
@@ -344,7 +347,10 @@ func (s *State) Run(until time.Duration, sends []Send, out *[]Event) {
 // worth nothing, leave no trace). acc.Take after it is what
 // utility.Meter.Add over Run's events would have returned, bit for bit —
 // the planner's sweep, which reads nothing else of a segment, advances
-// this way and never materializes an event.
+// this way and never materializes an event. Stopping at an instant on the
+// way and calling again moves nothing: the state after an advance is a
+// function of the events due by until, so the sweep may pause its
+// baseline to read acc.Pending without touching the segment partition.
 func (s *State) RunAccum(until time.Duration, sends []Send, acc *Accum) {
 	s.advance(until, sends, nil, acc)
 }
@@ -362,7 +368,10 @@ const (
 // a backlogged FIFO between arrivals is a Lindley recursion, each
 // departure starting the next service, so the stretch drains in one inner
 // loop with nothing else to consult — then admit the arrival. A delivery
-// goes to out, to acc, or to both; either may be nil.
+// goes to out, to acc, or to both; either may be nil. An acc also learns
+// that the link ran dry and, when its watch is armed, whether a queued
+// arrival left a lagged twin no room (Accum.Watch): a store on the first,
+// a branch per arrival on the second, nothing on the delivery path.
 func (s *State) advance(until time.Duration, sends []Send, out *[]Event, acc *Accum) {
 	if s.crossIvl == 0 {
 		s.crossIvl = s.P.CrossInterval()
@@ -400,6 +409,9 @@ func (s *State) advance(until time.Duration, sends []Send, out *[]Event, acc *Ac
 				}
 				if s.QHead == len(s.Queue) {
 					s.Serving = false
+					if acc != nil {
+						acc.idled = true
+					}
 					break
 				}
 				q = s.Queue[s.QHead]
@@ -430,8 +442,8 @@ func (s *State) advance(until time.Duration, sends []Send, out *[]Event, acc *Ac
 		case arrCross:
 			s.Now = at
 			s.NextCross += crossIvl
-			if s.PingerOn {
-				s.enqueue(QPkt{Own: false, Seq: -1, Bits: crossBits}, out)
+			if s.PingerOn && s.enqueue(QPkt{Own: false, Seq: -1, Bits: crossBits}, out) && acc != nil && acc.twinBits > 0 {
+				s.watchQueued(acc)
 			}
 		case arrSend:
 			snd := sends[0]
@@ -448,9 +460,67 @@ func (s *State) advance(until time.Duration, sends []Send, out *[]Event, acc *Ac
 			if bits <= 0 {
 				bits = s.P.PktBits()
 			}
-			s.enqueue(QPkt{Own: true, Seq: snd.Seq, Bits: bits}, out)
+			if s.enqueue(QPkt{Own: true, Seq: snd.Seq, Bits: bits}, out) && acc != nil && acc.twinBits > 0 {
+				s.watchQueued(acc)
+			}
 		}
 	}
+}
+
+// watchQueued is the armed watch's one check per arrival the baseline
+// has just queued: would a twin carrying acc's extra packet have had
+// room for it too? The twin's queue holds more than the baseline's by at
+// most the extra packet itself (while it waits) or, once it is through,
+// by the packet the baseline has in service, which the lagging twin
+// still holds in its queue for the first lag of that service; the larger
+// of the two is charged (premise (ii) of the theorem at BacklogDone).
+func (s *State) watchQueued(acc *Accum) {
+	surplus := acc.twinBits
+	if in := s.InService.Bits; in > surplus && s.Now-(s.ServiceDone-s.serviceTime(in)) < acc.twinLag {
+		surplus = in
+	}
+	if s.QueueBits+surplus > s.P.BufferCapBits {
+		acc.tight = true
+	}
+}
+
+// BacklogDone reports u, the instant a busy link finishes everything now
+// in the system: ServiceDone plus the service times of the queue.
+//
+// It anchors the lagged-twin theorem the planner's sweep closes
+// saturated candidates with. Fork a twin from this state (the baseline,
+// link busy, at time t) by admitting one more packet X, of x bits and
+// service time ℓ, at the queue tail, and let no packet that arrives after
+// t be smaller than X (what is already queued is ahead of X and served
+// alike on both sides, whatever its size). If from t to some H
+//
+//	(i)  the baseline's link never idles, and
+//	(ii) every arrival the baseline queues leaves room for the twin's
+//	     surplus — x, or the bits of the packet in service when its
+//	     baseline service began less than ℓ before the arrival and it is
+//	     the larger,
+//
+// then the twin's delivery stream over (t, H] is the baseline's with X
+// delivered at u+ℓ and every delivery after u exactly ℓ later (those
+// pushed past H falling out), its drops are the baseline's, and at no
+// instant is the twin EqualDynamic to the baseline. Proof sketch: FIFO
+// and work conservation fix each packet's service start by what is ahead
+// of it, so X starts at u and everything that arrived behind it starts ℓ
+// late. Before u the twin's queue exceeds the baseline's by X; after u,
+// by the packets whose baseline service began within the last ℓ, and
+// since none of those is served in less than ℓ there is at most one: the
+// packet in service. That is the surplus of (ii), so the twin queues what
+// the baseline queues, and being the fuller drops what the baseline
+// drops; a twin that is ℓ behind has a later ServiceDone or one more
+// packet in the system. An Accum armed with Watch(x, ℓ) reports (i) and
+// (ii) for each stretch RunAccum advances; FuzzLaggedTwin holds the
+// statement to Run's event lists.
+func (s *State) BacklogDone() time.Duration {
+	u := s.ServiceDone
+	for _, q := range s.Queued() {
+		u += s.serviceTime(q.Bits)
+	}
+	return u
 }
 
 // Toggle flips the INTERMITTENT gate.

@@ -11,8 +11,11 @@ import (
 )
 
 // MemoStats counts the rollout memo's traffic, so a hit-rate collapse
-// shows without a profiler. Lookups − Hits − Shared hypotheses were
-// rolled.
+// shows without a profiler, and what became of the candidate lanes of
+// the hypotheses that were rolled (Lookups − Hits − Shared of them):
+// Lanes − Closed were simulated, Materialized of those after a deferral.
+// Like the memo's own counters the lane counts depend on how the fleet
+// is partitioned, so they are diagnostics, not results.
 type MemoStats struct {
 	// Lookups is how many hypotheses Decide keyed.
 	Lookups int64
@@ -26,6 +29,16 @@ type MemoStats struct {
 	VerifyMismatches int64
 	// Overwrites are stores that displaced a different resident key.
 	Overwrites int64
+	// Lanes is how many candidate lanes the rolled hypotheses had (one per
+	// candidate send time).
+	Lanes int64
+	// Closed lanes were never simulated: lagged twins of their baseline to
+	// the horizon, their gain closed from the baseline's running value
+	// (see Decide's sixth economy).
+	Closed int64
+	// Materialized lanes were deferred as twins and simulated after all,
+	// because the baseline's link idled or an arrival left them no room.
+	Materialized int64
 }
 
 // Add accumulates o into s (fleets sum their partitions' memos).
@@ -35,6 +48,9 @@ func (s *MemoStats) Add(o MemoStats) {
 	s.Shared += o.Shared
 	s.VerifyMismatches += o.VerifyMismatches
 	s.Overwrites += o.Overwrites
+	s.Lanes += o.Lanes
+	s.Closed += o.Closed
+	s.Materialized += o.Materialized
 }
 
 // PoolMemoStats reports the counters of the rollout memo riding on p
@@ -169,7 +185,9 @@ type decideArena struct {
 	seq        int64
 	util       utility.Config
 	candidates int
-	sweepFn    func(*rollout.Scratch, int) // ar.sweep, bound once
+	// twins: the call passes twinGate's call-level half.
+	twins   bool
+	sweepFn func(*rollout.Scratch, int) // ar.sweep, bound once
 }
 
 func arenaOf(p *rollout.Pool) *decideArena {

@@ -52,6 +52,26 @@
 // discount chain steps through its own deliveries only — the shared table
 // holds values of a pure function and cannot matter.
 //
+// A saturated hypothesis is not rolled candidate by candidate at all. On a
+// fleet the modeled link never idles inside the horizon, so a candidate's
+// consequences never "cease to linger": its packet joins the backlog and
+// everything behind it leaves one service time later, for ever — the lane
+// never reconverges with its baseline and would be simulated to the
+// horizon. But a lagged copy of the baseline carries no information the
+// baseline does not (the theorem is stated at model.State.BacklogDone), so
+// the sweep defers such a lane at its fork — cloned, not advanced — reads
+// the baseline's running value as it passes the instants that matter, and
+// closes the lane's gain at the horizon (twinSweep.close has the formula).
+// The baseline's accumulator watches the theorem's two premises
+// (model.Accum.Watch), and the first stop that reports one broken turns
+// every deferred lane back into a simulated one, caught up from its fork
+// clone bit for bit. A closed gain is the simulated gain up to the
+// rounding of a different summation order, some five orders of magnitude
+// under the tie band of reduce, so no decision can tell. twinGate decides
+// per hypothesis, from sizes and relative times only, whether the mode is
+// on; a hypothesis it refuses (every hypothesis of the paper's Figure 3)
+// is swept exactly as before, bit for bit.
+//
 // Ties break toward the longest delay. This is what turns the utility
 // maximization into pacing: when the queue already guarantees a packet's
 // delivery time, sending it any earlier buys nothing, so the sender
@@ -60,6 +80,7 @@
 package planner
 
 import (
+	"math"
 	"runtime"
 	"slices"
 	"sort"
@@ -170,7 +191,7 @@ const lockstepChunk = time.Second
 //
 // The per-hypothesis work is one forward sweep over a grid of sync
 // stops (every candidate send time, then every lockstepChunk), built
-// for the rollout engine's five economies. (1) The no-send baseline is
+// for the rollout engine's six economies. (1) The no-send baseline is
 // simulated exactly once; each candidate forks from it in place when
 // the sweep reaches its send time, so [now, now+δ) is never
 // re-simulated. (2) Candidates advance alongside the baseline and
@@ -196,7 +217,22 @@ const lockstepChunk = time.Second
 // no event buffer in between, with the exp(−Δ/κ) step factors shared by
 // every rollout of a worker; segment partition, event order and
 // summation order are the event-buffer sweep's, so the gains are too
-// (see the package comment and decideArena.sweep).
+// (see the package comment and decideArena.sweep). (6) A candidate
+// admitted into a backlog that will not idle before the horizon — where
+// economy (2) never fires, because a twin one packet behind never
+// coincides with its baseline — is not simulated: it is the baseline one
+// service time late, and its gain is closed at the horizon from the
+// baseline's running value (see the package comment). What is still
+// simulated, and why: every lane of a hypothesis twinGate refuses — a
+// cross-latency penalty or a skewed clock (a delivery's value is then not
+// a function of its instant alone), a committed send still to come or a
+// cross chunk smaller than a packet (the twin is then not a pure lag), a
+// backlog that cannot outlast the horizon (deferring would only add a
+// catch-up); a lane forked into an idle link or whose packet would not be
+// through by the horizon; and every lane deferred before a stop at which
+// the baseline's link idled or an arrival left a twin no room — where one
+// packet displaces another, which is where the large negative gains are.
+// MemoStats counts the three outcomes.
 func Decide(sup []belief.Hypothesis, pending []model.Send, now time.Duration, seq int64, cfg Config) Decision {
 	cfg = cfg.withDefaults()
 	pool := cfg.Pool
@@ -262,7 +298,17 @@ func Decide(sup []belief.Hypothesis, pending []model.Send, now time.Duration, se
 	ar.roll = roll
 
 	ar.pending, ar.now, ar.seq, ar.util, ar.candidates = pending, now, seq, cfg.Util, candidates
+	// The call-level half of twinGate: a delivery is valued by its instant
+	// alone, and no committed send is still to come.
+	ar.twins = cfg.Util.CrossLatencyPenalty == 0 && (len(pending) == 0 || pending[len(pending)-1].At <= now)
 	pool.Run(len(roll), ar.sweepFn)
+	// The workers' lane counts, summed in worker order on this goroutine.
+	for w := 0; w < pool.Workers(); w++ {
+		if ds, ok := pool.Scratch(w).Aux.(*decideScratch); ok {
+			ar.memo.MemoStats.Add(ds.tally)
+			ds.tally = MemoStats{}
+		}
+	}
 	// Shares and stores, again in index order on this goroutine.
 	for i, j := range from {
 		if j >= 0 {
@@ -331,6 +377,14 @@ const negInf = -1e308
 // accumulator each (State.RunAccum), and at each stop the candidate's
 // segment sum less the baseline's joins its gain. It is a method bound
 // once (sweepFn) so a call creates no closure.
+//
+// When the hypothesis passes twinGate a candidate forked into a busy link
+// is not advanced at all: it is deferred, a lagged twin of the baseline
+// (model.State.BacklogDone) whose gain the baseline's running value
+// closes at the horizon. The baseline's watch says, stop by stop,
+// whether the premises still hold; the first stop at which they do not
+// turns every deferred lane back into a simulated one, caught up from
+// its fork clone.
 func (ar *decideArena) sweep(s *rollout.Scratch, r int) {
 	i := int(ar.roll[r])
 	h := &ar.hyps[i]
@@ -345,26 +399,48 @@ func (ar *decideArena) sweep(s *rollout.Scratch, r int) {
 		ds.lanes = make([]lane, candidates)
 	}
 	lanes := ds.lanes[:candidates]
+	ds.tally.Lanes += int64(candidates)
 
 	base := &s.Base
 	h.S.CloneInto(base)
 	ar.util.Start(&ds.base, ar.now, h.S.P.LossProb, &ds.steps)
+
+	// The lagged-twin mode (ds.tw): under it a candidate forked into a
+	// busy link is deferred — marked done as well, so the lockstep passes
+	// over it — and the baseline pauses on its way to read the value it
+	// has delivered by the instants the closed form needs.
+	tw := &ds.tw
+	tw.deferred = 0
+	twin := ar.twins && twinGate(&h.S, pending, stops[len(stops)-1])
+	if twin {
+		tw.start(&ds.base, &h.S.P, stops)
+	}
 
 	// Each stop: the baseline first (at stop 0, = now, that consumes the
 	// pending sends due by then, and what it delivers on the way belongs
 	// to no candidate's gain), then every live candidate, then the fork
 	// of the candidate that sends at this stop.
 	si, forked, live := 0, 0, 0
-	for j := 0; j < len(stops) && (forked < candidates || live > 0); j++ {
+	for j := 0; j < len(stops) && (forked < candidates || live > 0 || tw.deferred > 0); j++ {
 		t := stops[j]
 		hi := si
 		for hi < len(pending) && pending[hi].At <= t {
 			hi++
 		}
+		if tw.deferred > 0 {
+			tw.pause(base, &ds.base, lanes[:forked], t)
+		}
 		base.RunAccum(t, pending[si:hi], &ds.base)
 		si = hi
 		baseSeg := ds.base.Take()
+		if twin {
+			n := tw.endStop(&ds.base, lanes[:forked], gains, stops, j, baseSeg)
+			ds.tally.Materialized += int64(n)
+			live += n
+		}
 
+		// The lockstep, in line: as a call it cost the plain sweep 1.3 %
+		// (lane.run is the same advance, for the catch-up).
 		for k := range lanes[:forked] {
 			c := &lanes[k]
 			if c.done {
@@ -393,6 +469,14 @@ func (ar *decideArena) sweep(s *rollout.Scratch, r int) {
 			// pending are <= now in practice, so the tail is normally
 			// empty); At-order holds by construction.
 			c := &lanes[j]
+			c.done, c.deferred = false, false
+			gains[j] = 0
+			forked++
+			if twin && base.Serving && tw.fork(c, base, j) {
+				// Tail-dropped on arrival: the candidate is its baseline
+				// from here on.
+				continue
+			}
 			base.CloneInto(&c.s)
 			ar.util.Start(&c.acc, ar.now, h.S.P.LossProb, &ds.steps)
 			c.sends = append(c.sends[:0], model.Send{Seq: ar.seq, At: t})
@@ -401,32 +485,204 @@ func (ar *decideArena) sweep(s *rollout.Scratch, r int) {
 					c.sends = append(c.sends, snd)
 				}
 			}
-			c.next, c.done = 0, false
-			gains[j] = 0
-			forked++
-			live++
+			c.next = 0
+			if !c.deferred {
+				live++
+			}
+		}
+	}
+	if tw.deferred > 0 {
+		ds.tally.Closed += int64(tw.deferred)
+		tw.close(lanes[:forked], gains, ar.now, float64(ar.util.Kappa), 1-h.S.P.LossProb)
+	}
+}
+
+// twinSweep is the lagged-twin mode's state within one sweep. x and lag
+// are the candidate packet's bits and service time ℓ, horizon is H; taken
+// is the baseline's value over the stops behind it, so taken plus the
+// running segment is A at the baseline's instant, and segs keeps the
+// per-stop segments a deferred lane is caught up against; tail is A(H−ℓ),
+// read on the way. The deferred lanes are the ones from first on whose
+// deferred flag is set — a lane forked after them may have been dropped
+// there, or be live because its u+ℓ is past H; deferred counts them and
+// read is the first whose A(u) is still to come (u is monotone in the
+// lane index while the link stays busy, so one cursor serves).
+type twinSweep struct {
+	x            int64
+	lag, horizon time.Duration
+	taken, tail  float64
+	tailRead     bool
+	deferred     int
+	first, read  int
+	segs         []float64
+}
+
+// start arms the mode for one hypothesis: the baseline's accumulator
+// watches the theorem's premises from here on.
+func (tw *twinSweep) start(acc *model.Accum, p *model.Params, stops []time.Duration) {
+	*tw = twinSweep{x: p.PktBits(), lag: p.ServiceTime(), horizon: stops[len(stops)-1], segs: slices.Grow(tw.segs[:0], len(stops))[:len(stops)]}
+	acc.Watch(tw.x, tw.lag)
+}
+
+// fork decides what becomes of the candidate forking from base, whose
+// link is busy, at stop j: dropped where it forks (reported; the lane is
+// done), deferred as a lagged twin, or — when its packet would not be
+// through by the horizon — left to be simulated.
+func (tw *twinSweep) fork(c *lane, base *model.State, j int) (dropped bool) {
+	if base.QueueBits+tw.x > base.P.BufferCapBits {
+		c.done = true
+		return true
+	}
+	if c.u = base.BacklogDone(); c.u+tw.lag <= tw.horizon {
+		if tw.deferred == 0 {
+			tw.first = j
+		}
+		c.done, c.deferred = true, true
+		tw.deferred++
+	}
+	return false
+}
+
+// pause stops the baseline, on its way to t, at every instant the closed
+// form reads its value at — each deferred lane's u, then H−ℓ — without
+// Take: the segment partition, and so every simulated lane's bits, stay
+// what they are.
+func (tw *twinSweep) pause(base *model.State, acc *model.Accum, lanes []lane, t time.Duration) {
+	for ; tw.read < len(lanes); tw.read++ {
+		c := &lanes[tw.read]
+		if !c.deferred {
+			continue
+		}
+		if c.u > t {
+			break
+		}
+		base.RunAccum(c.u, nil, acc)
+		c.au = tw.taken + acc.Pending()
+	}
+	if !tw.tailRead && tw.horizon-tw.lag <= t {
+		base.RunAccum(tw.horizon-tw.lag, nil, acc)
+		tw.tail, tw.tailRead = tw.taken+acc.Pending(), true
+	}
+}
+
+// endStop books the baseline's segment for stop j and asks its watch
+// whether the premises held on the way. If the link idled or an arrival
+// left a twin no room, every deferred lane is simulated after all: caught
+// up from its fork clone, lane by lane, through the stops it sat out — at
+// none of which it could have equalled the baseline (the theorem held up
+// to the last stop), so none is checked — and live again for the lockstep
+// at stop j. It returns how many lanes that was.
+func (tw *twinSweep) endStop(acc *model.Accum, lanes []lane, gains []float64, stops []time.Duration, j int, seg float64) (revived int) {
+	tw.segs[j] = seg
+	tw.taken += seg
+	if acc.TakeWatch() || tw.deferred == 0 {
+		return 0
+	}
+	for k := tw.first; k < len(lanes); k++ {
+		// Only a deferred lane sat stops out: one forked after it with
+		// its u+ℓ past the horizon has been live all along.
+		if c := &lanes[k]; c.deferred {
+			c.done, c.deferred = false, false
+			for m := k + 1; m < j; m++ {
+				gains[k] += c.run(stops[m]) - tw.segs[m]
+			}
+		}
+	}
+	revived, tw.deferred = tw.deferred, 0
+	return revived
+}
+
+// close gives every lane still deferred at the horizon H its gain. By the
+// theorem (model.State.BacklogDone) the candidate's packet, x bits that
+// survive the last mile with probability 1−p, arrives at u+ℓ, what the
+// baseline delivers in (u, H−ℓ] arrives ℓ later, and what it delivers in
+// (H−ℓ, H] falls out; with A(t) the baseline's discounted value delivered
+// by t and κ the discount timescale the gain is
+//
+//	x·(1−p)·e^(−(u+ℓ−now)/κ) − (1−e^(−ℓ/κ))·(A(H−ℓ) − A(u)) − (A(H) − A(H−ℓ)).
+func (tw *twinSweep) close(lanes []lane, gains []float64, now time.Duration, kappa, survive float64) {
+	slip := -math.Expm1(-float64(tw.lag) / kappa)
+	for k := tw.first; k < len(lanes); k++ {
+		if c := &lanes[k]; c.deferred {
+			gains[k] = float64(tw.x)*survive*math.Exp(-float64(c.u+tw.lag-now)/kappa) -
+				slip*(tw.tail-c.au) - (tw.taken - tw.tail)
 		}
 	}
 }
 
+// twinGate reports whether hypothesis s, planned to horizon with the
+// call's pending sends, may defer candidates as lagged twins of its
+// baseline. The premises of the theorem that the watch cannot see are
+// checked here — nothing but the link's clock stamps a delivery, and no
+// arrival behind a candidate's packet is smaller than it; the call-level
+// half (no latency penalty, no committed send still to come, which
+// leaves the pinger's chunk as the only arrival) is Decide's — and one
+// economy: the backlog plus the cross traffic due could keep the link
+// busy to the horizon, since a link that will idle materializes every
+// lane it deferred, while a refused hypothesis costs exactly the plain
+// sweep. Every input is a size or a time relative to the decision
+// instant, all of them in the rollout key.
+func twinGate(s *model.State, pending []model.Send, horizon time.Duration) bool {
+	if s.P.ClockSkew != 0 {
+		return false
+	}
+	x := s.P.PktBits()
+	backlog := s.SystemBits()
+	for _, snd := range pending {
+		if snd.Bits > 0 {
+			backlog += snd.Bits
+		} else {
+			backlog += x
+		}
+	}
+	if s.PingerOn && s.NextCross <= horizon {
+		if s.P.CrossBits() < x {
+			return false
+		}
+		backlog += int64((horizon-s.NextCross)/s.P.CrossInterval()+1) * s.P.CrossBits()
+	}
+	return float64(backlog) >= float64(s.P.LinkRate)*(horizon-s.Now).Seconds()
+}
+
 // decideScratch is a worker's planner-specific arena, reused across
 // decisions via rollout.Scratch.Aux: the baseline's accumulator, one lane
-// per candidate, and the step table every accumulator of every sweep this
-// worker runs reads its exp(−Δ/κ) factors from.
+// per candidate, the step table every accumulator of every sweep this
+// worker runs reads its exp(−Δ/κ) factors from, the lagged-twin mode's
+// state for the sweep in hand, and the worker's lane counts since Decide
+// last collected them.
 type decideScratch struct {
 	base  model.Accum
 	steps model.StepTable
 	lanes []lane
+	tw    twinSweep
+	tally MemoStats // the lane counts only
 }
 
 // lane is one candidate's rollout: its live state, its accumulator and
-// its send view.
+// its send view. A deferred lane holds its fork clone untouched, with u
+// the instant the baseline finishes what was ahead of the candidate's
+// packet and au the baseline's value delivered by then.
 type lane struct {
-	s     model.State
-	acc   model.Accum
-	sends []model.Send
-	next  int // first send not yet handed to the state
-	done  bool
+	s        model.State
+	acc      model.Accum
+	sends    []model.Send
+	next     int // first send not yet handed to the state
+	done     bool
+	deferred bool
+	u        time.Duration
+	au       float64
+}
+
+// run advances the lane to t and returns the value of what it delivered
+// on the way, its segment.
+func (c *lane) run(t time.Duration) float64 {
+	hi := c.next
+	for hi < len(c.sends) && c.sends[hi].At <= t {
+		hi++
+	}
+	c.s.RunAccum(t, c.sends[c.next:hi], &c.acc)
+	c.next = hi
+	return c.acc.Take()
 }
 
 // poolCache keeps the rollout pools of pool-less callers (a solo

@@ -68,6 +68,11 @@ func New(workers int) *Pool {
 // Workers reports the pool width.
 func (p *Pool) Workers() int { return p.workers }
 
+// Scratch returns worker w's arena (0 <= w < Workers()), so the goroutine
+// that holds the pool can collect, outside Run, what its workers left on
+// their Aux.
+func (p *Pool) Scratch(w int) *Scratch { return p.scratch[w] }
+
 // Run invokes fn(scratch, i) for every i in [0, n), sharding the index
 // space into contiguous chunks, one per worker. fn must confine its
 // writes to per-index data (plus its scratch); it must not touch state
