@@ -173,6 +173,11 @@ func BenchmarkCoexistence(b *testing.B) {
 //   - saturated: a support shaped like a 256-sender fleet member's
 //     (saturatedSupport) on the fleet's grid, keys new every iteration —
 //     the sweep that closes most candidates as lagged twins;
+//   - burst: that support decided the way a sender's wake decides, four
+//     times at one instant with a packet more committed each time, a
+//     nanosecond later every iteration so that no key recurs — one sweep
+//     per hypothesis, for the first decision, and three vectors derived
+//     from the twin record it leaves (the op is the four decisions);
 //   - cached: the §3.3 policy cache in front (a fingerprint probe per
 //     iteration after the first).
 func BenchmarkPlannerDecide(b *testing.B) {
@@ -203,6 +208,22 @@ func BenchmarkPlannerDecide(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			planner.Decide(sup, novel(i, now), now, 1, fleet)
+		}
+	})
+	b.Run("burst", func(b *testing.B) {
+		const now = 9 * time.Second
+		sup := saturatedSupport(now)
+		fleet := planner.Config{Util: utility.Default(), MaxDelay: 4 * time.Second, Grid: 500 * time.Millisecond, Horizon: 12 * time.Second}
+		var sends [3]model.Send
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			at := now + time.Duration(i)
+			for depth := 0; depth <= len(sends); depth++ {
+				if depth > 0 {
+					sends[depth-1] = model.Send{Seq: int64(depth), At: at}
+				}
+				planner.Decide(sup, sends[:depth], at, 1, fleet)
+			}
 		}
 	})
 	b.Run("cached", func(b *testing.B) {

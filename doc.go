@@ -166,6 +166,19 @@
 // move; planner.MemoStats counts lanes closed and lanes deferred then
 // simulated.
 //
+// The decisions a wake makes after its first (core.Sender.Wake decides,
+// sends and decides again: the same belief at the same instant with one
+// more own packet committed) plan against the first one's baseline m
+// service times late — the same theorem, applied to the baseline — so the
+// first decision's sweep leaves a twin record beside its gain vector in
+// the memo and the later ones derive theirs from it (planner.twinRecord;
+// FuzzTwinStack holds the deeper half of the theorem). The rule is
+// canonical — a key's vector is a function of the key: a missing record
+// is made by sweeping the first decision's baseline, never replaced by a
+// direct sweep — so a warm, cold or evicted memo still cannot reach a
+// decision. MemoStats counts vectors derived and first decisions swept
+// for a later one.
+//
 // The memo keys a hypothesis by exactly what a gate-frozen rollout reads
 // of it (model.State.AppendRolloutKey: rates, sizes, what is in service and
 // queued, every time relative to the decision instant — and not

@@ -25,9 +25,12 @@ import (
 // deliveries in time order, with Take at each segment boundary.
 //
 // A baseline's accumulator can also carry the lagged-twin watch (Watch):
-// RunAccum then notes in it the two facts about a stretch that only the
-// advance loop sees and that decide whether a packet admitted behind the
-// backlog stays a pure lag (see State.BacklogDone for the theorem).
+// RunAccum then notes in it the facts about a stretch that only the
+// advance loop sees and that decide whether packets admitted behind the
+// backlog stay a pure lag (see State.BacklogDone for the theorem) — did
+// the link idle, and how many extra packets deep a twin would still have
+// had room for every arrival — and sums the service times of what it
+// queues, which is how far BacklogDone moved.
 type Accum struct {
 	alpha, survive, penalty float64
 	t0                      time.Duration
@@ -37,11 +40,16 @@ type Accum struct {
 	lastD   float64
 	seg     float64
 
-	// The lagged-twin watch: twinBits > 0 arms it.
+	// The lagged-twin watch: twinBits > 0 arms it. level is the deepest
+	// twin, in extra packets, that every arrival queued this stretch left
+	// room for, top what a stretch starts from; queued sums the service
+	// times of those arrivals.
 	twinBits int64
 	twinLag  time.Duration
+	queued   time.Duration
 	idled    bool
-	tight    bool
+	level    uint8
+	top      uint8
 }
 
 // Reset points the accumulator at a new rollout: deliveries are valued
@@ -57,7 +65,7 @@ func (a *Accum) Reset(alpha, survive, penalty float64, t0, kappa time.Duration, 
 	// (TestAccumResetLeavesNothing holds this list to the struct's).
 	a.alpha, a.survive, a.penalty, a.t0, a.steps = alpha, survive, penalty, t0, steps
 	a.lastTau, a.lastD, a.seg = 0, 1, 0
-	a.twinBits, a.twinLag, a.idled, a.tight = 0, 0, false, false
+	a.twinBits, a.twinLag, a.queued, a.idled, a.level, a.top = 0, 0, 0, false, 0, 0
 }
 
 // Deliver folds in one delivery of bits at receiver time at, delay after
@@ -103,25 +111,38 @@ func (a *Accum) Take() float64 {
 // segment read at a pause that must not move the segment partition.
 func (a *Accum) Pending() float64 { return a.seg }
 
-// Watch arms the lagged-twin watch for a twin carrying one extra packet
-// of bits whose service time on this link is lag: from here on RunAccum
-// records whether the link idled and whether an arrival it admitted left
-// the twin no room (Reset disarms it). What it costs an advance is one
-// branch per arrival and a store when the link runs dry; deliveries pay
-// nothing.
-func (a *Accum) Watch(bits int64, lag time.Duration) {
-	a.twinBits, a.twinLag = bits, lag
-	a.idled, a.tight = false, false
+// Watch arms the lagged-twin watch for twins carrying up to levels extra
+// packets of bits each, whose service time on this link is lag: from here
+// on RunAccum records whether the link idled and, per arrival it queued,
+// how deep a twin still had room for it — the level rule of
+// State.BacklogDone — and adds up the service times of what it queued
+// (Reset disarms it). What it costs an advance is a few branches per
+// arrival and a store when the link runs dry; deliveries pay nothing.
+func (a *Accum) Watch(bits int64, lag time.Duration, levels int) {
+	a.twinBits, a.twinLag, a.queued = bits, lag, 0
+	a.idled, a.level, a.top = false, uint8(levels), uint8(levels)
 }
 
-// TakeWatch reports whether the stretch since the last TakeWatch (or
-// Watch) kept the lagged-twin premises — the link never idle, every
-// admitted arrival with room to spare for the twin's surplus — and
-// starts the next stretch.
-func (a *Accum) TakeWatch() (clean bool) {
-	clean = !a.idled && !a.tight
-	a.idled, a.tight = false, false
-	return clean
+// TakeWatch reports the deepest level at which the stretch since the last
+// TakeWatch (or Watch) kept the lagged-twin premises — the link never
+// idle, every queued arrival with room to spare for a twin that many
+// packets behind; 0 when not even one — and starts the next stretch.
+func (a *Accum) TakeWatch() (level int) {
+	level = int(a.level)
+	if a.idled {
+		level = 0
+	}
+	a.idled, a.level = false, a.top
+	return level
+}
+
+// TakeQueued returns the summed service times of the arrivals the armed
+// watch has seen queued since the last TakeQueued (or Watch): while the
+// link stays busy, exactly how far State.BacklogDone has moved.
+func (a *Accum) TakeQueued() time.Duration {
+	d := a.queued
+	a.queued = 0
+	return d
 }
 
 // StepTable memoizes the step factors exp(−Δ/κ) of one timescale κ in a

@@ -24,6 +24,8 @@ func TestAccumResetLeavesNothing(t *testing.T) {
 			f.SetInt(7)
 		case reflect.Bool:
 			f.SetBool(true)
+		case reflect.Uint8:
+			f.SetUint(7)
 		case reflect.Pointer:
 			f.Set(reflect.New(f.Type().Elem()))
 		default:

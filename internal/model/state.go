@@ -369,9 +369,10 @@ const (
 // departure starting the next service, so the stretch drains in one inner
 // loop with nothing else to consult — then admit the arrival. A delivery
 // goes to out, to acc, or to both; either may be nil. An acc also learns
-// that the link ran dry and, when its watch is armed, whether a queued
-// arrival left a lagged twin no room (Accum.Watch): a store on the first,
-// a branch per arrival on the second, nothing on the delivery path.
+// that the link ran dry and, when its watch is armed, how deep a lagged
+// twin each queued arrival left room for (Accum.Watch): a store on the
+// first, a few branches per arrival on the second, nothing on the
+// delivery path.
 func (s *State) advance(until time.Duration, sends []Send, out *[]Event, acc *Accum) {
 	if s.crossIvl == 0 {
 		s.crossIvl = s.P.CrossInterval()
@@ -467,60 +468,126 @@ func (s *State) advance(until time.Duration, sends []Send, out *[]Event, acc *Ac
 	}
 }
 
-// watchQueued is the armed watch's one check per arrival the baseline
-// has just queued: would a twin carrying acc's extra packet have had
-// room for it too? The twin's queue holds more than the baseline's by at
-// most the extra packet itself (while it waits) or, once it is through,
-// by the packet the baseline has in service, which the lagging twin
-// still holds in its queue for the first lag of that service; the larger
-// of the two is charged (premise (ii) of the theorem at BacklogDone).
+// watchQueued is the armed watch's one check per arrival the baseline has
+// just queued (the packet at its queue's tail): how many packets behind
+// could a twin be and have had room for it too? It lowers acc's level to
+// the deepest one whose charge (twinCharge) still fits, and books the
+// arrival's service time, which is how far BacklogDone has just moved.
 func (s *State) watchQueued(acc *Accum) {
-	surplus := acc.twinBits
-	if in := s.InService.Bits; in > surplus && s.Now-(s.ServiceDone-s.serviceTime(in)) < acc.twinLag {
-		surplus = in
-	}
-	if s.QueueBits+surplus > s.P.BufferCapBits {
-		acc.tight = true
+	acc.queued += s.serviceTime(s.Queue[len(s.Queue)-1].Bits)
+	room := s.P.BufferCapBits - s.QueueBits
+	in := s.InService.Bits
+	age := s.Now - (s.ServiceDone - s.serviceTime(in))
+	for acc.level > 0 && twinCharge(int(acc.level), acc.twinBits, acc.twinLag, in, age) > room {
+		acc.level--
 	}
 }
 
+// twinCharge is the level rule of the theorem at BacklogDone: the most a
+// twin j packets of x bits (service time lag each) behind can hold in its
+// queue beyond the baseline's, whose packet in service has in bits and
+// began age ago. A twin one packet behind holds the extra packet itself
+// while it waits or, once it is through, the packet in service for the
+// first lag of that service — never both, so the larger is charged
+// (exact, and so which single twins survive a stretch is settled by
+// nothing looser). Deeper twins are charged the sum: j·x is the most the
+// link begins and finishes inside a window of j·lag, and the packet in
+// service comes on top while its service is younger than the window.
+func twinCharge(j int, x int64, lag time.Duration, in int64, age time.Duration) int64 {
+	if j == 1 {
+		if in > x && age < lag {
+			return in
+		}
+		return x
+	}
+	c := int64(j) * x
+	if age < time.Duration(j)*lag {
+		c += in
+	}
+	return c
+}
+
 // BacklogDone reports u, the instant a busy link finishes everything now
-// in the system: ServiceDone plus the service times of the queue.
+// in the system: ServiceDone plus the service times of the queue. While
+// the link stays busy a departure does not move it (ServiceDone grows by
+// exactly the service time that leaves the queue) and a queued arrival
+// adds its own service time, which is what lets an armed watch carry it
+// forward (Accum.TakeQueued) instead of summing the queue again.
 //
 // It anchors the lagged-twin theorem the planner's sweep closes
 // saturated candidates with. Fork a twin from this state (the baseline,
-// link busy, at time t) by admitting one more packet X, of x bits and
-// service time ℓ, at the queue tail, and let no packet that arrives after
-// t be smaller than X (what is already queued is ahead of X and served
-// alike on both sides, whatever its size). If from t to some H
+// link busy, at time t) by admitting m more packets, of x bits and
+// service time ℓ each, at the queue tail, and let no packet that arrives
+// after t be smaller than x (what is already queued is ahead of them and
+// served alike on both sides, whatever its size). If from t to some H
 //
 //	(i)  the baseline's link never idles, and
 //	(ii) every arrival the baseline queues leaves room for the twin's
-//	     surplus — x, or the bits of the packet in service when its
-//	     baseline service began less than ℓ before the arrival and it is
-//	     the larger,
+//	     surplus — for m = 1: x, or the bits of the packet in service
+//	     when its baseline service began less than ℓ before the arrival
+//	     and it is the larger; for m > 1 the sufficient charge m·x plus
+//	     the bits in service when that service began less than m·ℓ before
+//	     (clean at level m; clean at level m implies clean at every
+//	     level below it),
 //
-// then the twin's delivery stream over (t, H] is the baseline's with X
-// delivered at u+ℓ and every delivery after u exactly ℓ later (those
-// pushed past H falling out), its drops are the baseline's, and at no
-// instant is the twin EqualDynamic to the baseline. Proof sketch: FIFO
-// and work conservation fix each packet's service start by what is ahead
-// of it, so X starts at u and everything that arrived behind it starts ℓ
-// late. Before u the twin's queue exceeds the baseline's by X; after u,
-// by the packets whose baseline service began within the last ℓ, and
-// since none of those is served in less than ℓ there is at most one: the
-// packet in service. That is the surplus of (ii), so the twin queues what
-// the baseline queues, and being the fuller drops what the baseline
-// drops; a twin that is ℓ behind has a later ServiceDone or one more
-// packet in the system. An Accum armed with Watch(x, ℓ) reports (i) and
-// (ii) for each stretch RunAccum advances; FuzzLaggedTwin holds the
-// statement to Run's event lists.
+// then the twin's BacklogDone is the baseline's plus m·ℓ at every
+// instant; its delivery stream over (t, H] is the baseline's with the m
+// packets delivered at u+ℓ … u+m·ℓ and every delivery after u exactly m·ℓ
+// later (those pushed past H falling out); its drops are the baseline's;
+// and at no instant is it EqualDynamic to the baseline. Its queue holds
+// more than the baseline's by m·x before u, by the bits the baseline
+// began serving in (τ−m·ℓ, τ] at any τ from u+m·ℓ on — nothing when the
+// packet in service began at or before τ−m·ℓ, which a chunk that serves
+// for many ℓ makes the rule — and by something between zero and m·x plus
+// the bits in service in between (TwinSurplus). Proof sketch: FIFO and
+// work conservation fix each packet's service start by what is ahead of
+// it, so the extra packets start at u, u+ℓ, … and everything that arrived
+// behind them starts m·ℓ late. The twin's queue therefore still holds
+// what the baseline began serving within the last m·ℓ; a link that
+// serves nothing smaller than x finishes at most m·x bits inside such a
+// window, and the packet in service comes on top. That is the surplus of
+// (ii), so the twin queues what the baseline queues, and being the
+// fuller drops what the baseline drops; a twin that is m·ℓ behind has a
+// later ServiceDone or more packets in the system.
+//
+// One step further, which is what lets a burst of decisions share one
+// rollout: a packet X admitted at the tail of that twin at some t' ≥ t
+// makes it, from t' on, the twin m+1 packets behind — clean at level m+1
+// suffices, X leaves at the baseline's BacklogDone(t') + (m+1)·ℓ and
+// everything the baseline delivers after BacklogDone(t') leaves (m+1)·ℓ
+// late — and whether X is admitted at all is decided by the twin's queue
+// at t', the baseline's plus the surplus above: certainly dropped when
+// the lower bound leaves no room, certainly admitted when the upper
+// bound does, and not known from the baseline alone in between. An Accum
+// armed with Watch(x, ℓ, levels) reports (i) and the deepest level of
+// (ii) for each stretch RunAccum advances; FuzzLaggedTwin and
+// FuzzTwinStack hold the statement to Run's event lists.
 func (s *State) BacklogDone() time.Duration {
 	u := s.ServiceDone
 	for _, q := range s.Queued() {
 		u += s.serviceTime(q.Bits)
 	}
 	return u
+}
+
+// TwinSurplus bounds, at s.Now, how many more bits than s's own the queue
+// of a twin holds that took m extra packets of x bits (service time lag
+// each) at an instant when s's BacklogDone was u0, while the premises of
+// the theorem at BacklogDone have held at level m since: exactly m·x
+// before u0; exactly nothing once the packet in service has been there
+// for m·lag; in between at least that packet — it began after everything
+// the twin took the extra packets behind, so the twin has not begun it —
+// and at most m·x more. s must be serving.
+func (s *State) TwinSurplus(m int, x int64, lag, u0 time.Duration) (lo, hi int64) {
+	mx := int64(m) * x
+	if s.Now < u0 {
+		return mx, mx
+	}
+	in := s.InService.Bits
+	if s.Now-(s.ServiceDone-s.serviceTime(in)) >= time.Duration(m)*lag {
+		return 0, 0
+	}
+	return in, mx + in
 }
 
 // Toggle flips the INTERMITTENT gate.

@@ -11,11 +11,14 @@ import (
 )
 
 // MemoStats counts the rollout memo's traffic, so a hit-rate collapse
-// shows without a profiler, and what became of the candidate lanes of
-// the hypotheses that were rolled (Lookups − Hits − Shared of them):
-// Lanes − Closed were simulated, Materialized of those after a deferral.
-// Like the memo's own counters the lane counts depend on how the fleet
-// is partitioned, so they are diagnostics, not results.
+// shows without a profiler, and what became of the hypotheses it did not
+// serve: of the Lookups − Hits − Shared gain vectors Decide had to
+// produce, Derived came from a twin record and the rest from a rollout,
+// Stripped more rollouts made the records that were missing, and of the
+// candidate Lanes of all those rollouts Lanes − Closed were simulated,
+// Materialized of those after a deferral. Like the memo's own counters
+// these depend on how the fleet is partitioned, so they are diagnostics,
+// not results.
 type MemoStats struct {
 	// Lookups is how many hypotheses Decide keyed.
 	Lookups int64
@@ -39,6 +42,18 @@ type MemoStats struct {
 	// Materialized lanes were deferred as twins and simulated after all,
 	// because the baseline's link idled or an arrival left them no room.
 	Materialized int64
+	// Derived gain vectors were never rolled: a later decision of a burst,
+	// computed from the twin record of the burst's first (see Decide's
+	// seventh economy).
+	Derived int64
+	// Stripped rollouts were of a burst's first decision on behalf of a
+	// later one that found no record of it.
+	Stripped int64
+}
+
+// Rolled is how many rollouts the counted calls ran.
+func (s MemoStats) Rolled() int64 {
+	return s.Lookups - s.Hits - s.Shared - s.Derived + s.Stripped
 }
 
 // Add accumulates o into s (fleets sum their partitions' memos).
@@ -51,6 +66,8 @@ func (s *MemoStats) Add(o MemoStats) {
 	s.Lanes += o.Lanes
 	s.Closed += o.Closed
 	s.Materialized += o.Materialized
+	s.Derived += o.Derived
+	s.Stripped += o.Stripped
 }
 
 // PoolMemoStats reports the counters of the rollout memo riding on p
@@ -77,6 +94,16 @@ func (k memoKey) mix(v uint64) memoKey {
 	return k
 }
 
+// hypKey hashes a hypothesis's rollout key, the long part of a memo key
+// and the same under whatever the call plans with.
+func hypKey(words []uint64) memoKey {
+	k := memoSeed
+	for _, w := range words {
+		k = k.mix(w)
+	}
+	return k
+}
+
 // planKey hashes what every rollout of one Decide call shares: the
 // utility and grid constants and the pending sends, rebased to now.
 // Sequence numbers are excluded (they label events, never steer them).
@@ -95,13 +122,14 @@ func planKey(pending []model.Send, now time.Duration, cfg Config) memoKey {
 	return k
 }
 
-// hypKey extends the call's plan key with the hypothesis's rollout key.
-// The verify word is forced odd so no key equals an empty slot.
-func hypKey(plan memoKey, words []uint64) memoKey {
-	k := plan
-	for _, w := range words {
-		k = k.mix(w)
-	}
+// under completes a hypothesis's key with the plan it is rolled under.
+// The plan goes in last, as its two hash words, so that a hypothesis is
+// mixed once however many plans it is keyed under — a burst's later
+// decision keys it under its own pending sends and under the burst's
+// first (Decide's seventh economy). The verify word is forced odd so no
+// key equals an empty slot.
+func (k memoKey) under(plan memoKey) memoKey {
+	k = k.mix(plan.primary).mix(plan.verify)
 	k.verify |= 1
 	return k
 }
@@ -114,14 +142,17 @@ func hypKey(plan memoKey, words []uint64) memoKey {
 const memoSlotBits = 12
 
 // rolloutMemo maps a memoKey to the per-candidate gain vector its
-// rollout produced. A hit returns bit for bit what recomputing would,
-// so eviction order, worker width and shard count cannot reach a
-// decision. Direct-mapped, fixed size, allocated on first store.
+// rollout produced and, when that rollout ran in the lagged-twin mode
+// under a burst's first plan, to its twin record. A hit returns bit for
+// bit what recomputing would, so eviction order, worker width and shard
+// count cannot reach a decision. Direct-mapped, fixed size, the vectors
+// allocated on the first store and the records on the first that has one.
 type rolloutMemo struct {
 	MemoStats
 	stride int       // gains per entry: the candidate count
 	keys   []memoKey // zero value = empty slot
 	gains  []float64 // slot i owns gains[i*stride : (i+1)*stride]
+	recs   twinRecords
 }
 
 func memoSlot(k memoKey) int { return int(k.primary >> (64 - memoSlotBits)) }
@@ -147,7 +178,21 @@ func (m *rolloutMemo) lookup(k memoKey, dst []float64) bool {
 	return true
 }
 
-// store records src as k's gains, displacing whatever held the slot.
+// record returns the twin record stored with k's gains, if k is resident
+// and has one. It is not a lookup: nothing is counted.
+func (m *rolloutMemo) record(k memoKey, candidates int) (rec twinRecord, ok bool) {
+	if candidates != m.stride || m.recs.reach == nil {
+		return rec, false
+	}
+	slot := memoSlot(k)
+	if m.keys[slot] != k {
+		return rec, false
+	}
+	return m.recs.at(slot, m.stride), m.recs.reach[slot] > 0
+}
+
+// store records src as k's gains, displacing whatever held the slot, its
+// twin record included.
 func (m *rolloutMemo) store(k memoKey, src []float64) {
 	if len(src) != m.stride {
 		// First store, or a caller with a different candidate grid
@@ -155,6 +200,7 @@ func (m *rolloutMemo) store(k memoKey, src []float64) {
 		m.stride = len(src)
 		m.keys = make([]memoKey, 1<<memoSlotBits)
 		m.gains = make([]float64, len(m.keys)*m.stride)
+		m.recs = twinRecords{}
 	}
 	slot := memoSlot(k)
 	if e := m.keys[slot]; e != k && e != (memoKey{}) {
@@ -162,6 +208,132 @@ func (m *rolloutMemo) store(k memoKey, src []float64) {
 	}
 	m.keys[slot] = k
 	copy(m.gains[slot*m.stride:], src)
+	if m.recs.reach != nil {
+		m.recs.reach[slot] = 0
+	}
+}
+
+// keep records rec as the twin record of k, whose gains have just been
+// stored.
+func (m *rolloutMemo) keep(k memoKey, rec twinRecord) {
+	if m.recs.reach == nil {
+		m.recs.size(len(m.keys), m.stride)
+	}
+	m.recs.at(memoSlot(k), m.stride).set(rec)
+}
+
+// twinDepth is L, how far behind a burst's first decision a later one may
+// be and still be derived from its twin record: the baseline of the
+// decision after m sends at one instant is the first one's, m service
+// times late. Counted on a 256-sender fleet, every wake that plans live
+// decides four times — send, send, send, sleep — and none went deeper; a
+// deeper call is rolled as it always was.
+const twinDepth = 3
+
+// noDrop marks a candidate no decision of a burst finds tail-dropped.
+const noDrop = 0xff
+
+// twinHead is the part of a twin record that does not grow with the
+// candidate count.
+type twinHead struct {
+	// slip is 1 − e^(−ℓ/κ), what a delivery loses by leaving ℓ later.
+	slip float64
+	// tail[i] is A(H − i·ℓ): the baseline's discounted value delivered
+	// by then.
+	tail [twinDepth + 2]float64
+}
+
+// twinRecord is what a lagged-twin rollout of a burst's first decision
+// leaves for the later ones (see Decide's seventh economy): per candidate
+// k the value pkt[k] of its packet delivered at u_k+ℓ, the baseline's value
+// au[k] = A(u_k), and the shallowest depth drop[k] at which the packet is
+// tail-dropped on arrival (noDrop: at none within reach); the head; and
+// reach, 0 for no record, else one more than the depth down to which a
+// burst's decisions derive from it (1: a record that says none do). It is
+// a view into a twinRecords.
+type twinRecord struct {
+	reach *uint8
+	*twinHead
+	pkt, au []float64
+	drop    []uint8
+}
+
+// set copies src's contents into the storage rec views.
+func (rec twinRecord) set(src twinRecord) {
+	*rec.reach, *rec.twinHead = *src.reach, *src.twinHead
+	copy(rec.pkt, src.pkt)
+	copy(rec.au, src.au)
+	copy(rec.drop, src.drop)
+}
+
+// gain is the closed form for candidate k of the burst's decision at
+// depth m, less that depth's common discount (derive). By the theorem
+// (model.State.BacklogDone) the decision's baseline is the record's m·ℓ
+// late; the candidate's packet, x bits that survive the last mile with
+// probability 1−p, leaves at u+(m+1)·ℓ; what the record's baseline
+// delivers in (u, H−(m+1)·ℓ] leaves one ℓ later than it does in the
+// decision's; and what it delivers in (H−(m+1)·ℓ, H−m·ℓ] falls out. With
+// A(t) the record's baseline's discounted value delivered by t and κ the
+// discount timescale the gain is
+//
+//	e^(−mℓ/κ) · [x·(1−p)·e^(−(u+ℓ−now)/κ) − (1−e^(−ℓ/κ))·(A(H−(m+1)ℓ) − A(u)) − (A(H−mℓ) − A(H−(m+1)ℓ))]
+//
+// and this is the bracket. At depth 0 it is the gain of a lane closed
+// where it was rolled.
+func (rec twinRecord) gain(m, k int) float64 {
+	return rec.pkt[k] - rec.slip*(rec.tail[m+1]-rec.au[k]) - (rec.tail[m] - rec.tail[m+1])
+}
+
+// derive writes the gain vector of the burst's decision at depth m ≥ 1
+// into gains, and reports false, gains untouched, when the record does
+// not reach that deep.
+func (rec twinRecord) derive(m int, gains []float64) bool {
+	if int(*rec.reach) <= m {
+		return false
+	}
+	late := 1.0
+	for i := 0; i < m; i++ {
+		late *= 1 - rec.slip
+	}
+	for k := range gains {
+		if int(rec.drop[k]) <= m {
+			gains[k] = 0 // dropped where it forks: the candidate is its baseline
+			continue
+		}
+		gains[k] = late * rec.gain(m, k)
+	}
+	return true
+}
+
+// twinRecords stores twin records of one candidate count back to back,
+// their reaches apart: whether a hypothesis has a record is asked of every
+// hypothesis a call sweeps, and should not cost it a cache line.
+type twinRecords struct {
+	reach   []uint8
+	head    []twinHead
+	pkt, au []float64
+	drop    []uint8
+}
+
+// size makes room for n records of the given candidate count; what the
+// old ones held is kept only if nothing had to grow.
+func (r *twinRecords) size(n, candidates int) {
+	if cap(r.head) < n || cap(r.drop) < n*candidates {
+		room := max(n, cap(r.head)*3/2) // a support grows a hypothesis at a time
+		r.reach = make([]uint8, room)
+		r.head = make([]twinHead, room)
+		r.pkt = make([]float64, room*candidates)
+		r.au = make([]float64, room*candidates)
+		r.drop = make([]uint8, room*candidates)
+	}
+	r.reach, r.head = r.reach[:n], r.head[:n]
+	r.pkt, r.au, r.drop = r.pkt[:n*candidates], r.au[:n*candidates], r.drop[:n*candidates]
+}
+
+// at views record i.
+func (r *twinRecords) at(i, candidates int) twinRecord {
+	lo, hi := i*candidates, (i+1)*candidates
+	return twinRecord{&r.reach[i], &r.head[i], r.pkt[lo:hi], r.au[lo:hi], r.drop[lo:hi]}
 }
 
 // decideArena is Decide's pool-resident state, riding rollout.Pool.Aux:
@@ -174,18 +346,30 @@ type decideArena struct {
 	words []uint64
 	keys  []memoKey
 	// from[i] is the earlier index whose gains hypothesis i copies, or
-	// -1 when it has its own (rolled, or served from the memo).
+	// -1 when it has its own (rolled, derived, or served from the memo).
 	from []int32
-	roll []int32
-	memo rolloutMemo
+	// fresh lists the hypotheses whose gains this call produces; of them
+	// roll are swept under the call's plan and, in a burst's later
+	// decision (see Decide), plain likewise but with the gate's refusal
+	// already known, and bare under the burst's first plan — keyed
+	// bkeys[i], into their rows of bgains. recs holds, per hypothesis, the
+	// twin record of its last sweep.
+	fresh, roll, bare, plain []int32
+	bkeys                    []memoKey
+	bgains                   []float64
+	recs                     twinRecords
+	memo                     rolloutMemo
 
-	// The call in flight, as sweep reads it on the pool's workers.
+	// The pass in flight, as sweep reads it on the pool's workers: the
+	// hypotheses to sweep, the sends committed, and where the gains go.
 	pending    []model.Send
+	out        []float64
 	now        time.Duration
 	seq        int64
 	util       utility.Config
 	candidates int
-	// twins: the call passes twinGate's call-level half.
+	// twins: the call passes twinGate's call-level half, and the pass in
+	// flight has not been refused by the rest already.
 	twins   bool
 	sweepFn func(*rollout.Scratch, int) // ar.sweep, bound once
 }

@@ -112,7 +112,15 @@ func warmEqualsFresh(t *testing.T, w *memoWorld, cfg Config, calls int, novelEve
 // instants, a pool whose memo is warm decides exactly what a fresh pool
 // does — at either worker width, with a cross-latency penalty (enqueue
 // stamps keyed) and with a skewed receiver clock (the instant keyed) —
-// and the memo is in fact being hit and shared while it does.
+// and the memo is in fact being hit and shared while it does. The same
+// for bursts — a fleet-shaped support decided four times at one instant, a
+// packet more committed each time, every other burst the one before
+// re-presented 7.919 s later — across three pools: one fresh for every
+// call, which sweeps the burst's first decision on behalf of each later
+// one; a warm one, which derives them from the records the first left in
+// its memo; and one whose memo is overwritten between the calls, which
+// finds the vectors and the records gone. Whichever way a later decision's
+// vector was come by, the Decision is the same field for field.
 func TestDecideMemoResultNeutral(t *testing.T) {
 	penalty := utility.Config{Alpha: 2.5, Kappa: 20 * time.Second, CrossLatencyPenalty: 0.02}
 	for _, tc := range []struct {
@@ -130,6 +138,50 @@ func TestDecideMemoResultNeutral(t *testing.T) {
 			if st.Hits == 0 || st.Shared == 0 || st.Hits+st.Shared >= st.Lookups {
 				t.Errorf("%s, %d workers: memo not exercised both ways: %+v", tc.name, workers, st)
 			}
+		}
+	}
+
+	for _, workers := range []int{1, 4} {
+		cfg := Config{Util: utility.Default(), MaxDelay: 4 * time.Second, Grid: 500 * time.Millisecond, Horizon: 12 * time.Second, Workers: workers}
+		warm, wiped := rollout.New(workers), rollout.New(workers)
+		rng := rand.New(rand.NewSource(41))
+		var sup []belief.Hypothesis
+		now := 9 * time.Second
+		for burst := 0; burst < 24; burst++ {
+			if burst%2 == 0 {
+				sup = fleetShaped(rng, now)
+			} else {
+				const shift = 7919 * time.Millisecond
+				now += shift
+				for i := range sup {
+					sup[i].S.Rebase(shift)
+				}
+			}
+			var pending []model.Send
+			for depth := 0; depth <= twinDepth; depth++ {
+				cfg.Pool = rollout.New(workers)
+				want := Decide(sup, pending, now, int64(depth), cfg)
+				cfg.Pool = warm
+				if got := Decide(sup, pending, now, int64(depth), cfg); got != want {
+					t.Fatalf("%d workers, burst %d, %d at now: warm pool decided %+v, fresh pool %+v", workers, burst, depth, got, want)
+				}
+				cfg.Pool = wiped
+				if got := Decide(sup, pending, now, int64(depth), cfg); got != want {
+					t.Fatalf("%d workers, burst %d, %d at now: overwritten pool decided %+v, fresh pool %+v", workers, burst, depth, got, want)
+				}
+				m := &arenaOf(wiped).memo
+				for slot := range m.keys {
+					m.keys[slot] = memoKey{verify: 2} // another key's entry now (no real key's verify word is even)
+				}
+				pending = append(pending, model.Send{Seq: int64(depth), At: now})
+			}
+		}
+		ws, os := PoolMemoStats(warm), PoolMemoStats(wiped)
+		if ws.Derived == 0 || ws.Stripped != 0 || ws.Hits == 0 {
+			t.Errorf("%d workers: the warm pool did not derive the bursts' later decisions from resident records, or hit nothing: %+v", workers, ws)
+		}
+		if os.Derived == 0 || os.Stripped == 0 || os.Hits != 0 {
+			t.Errorf("%d workers: the overwritten pool found something resident, or derived nothing: %+v", workers, os)
 		}
 	}
 }

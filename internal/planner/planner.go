@@ -72,6 +72,24 @@
 // on; a hypothesis it refuses (every hypothesis of the paper's Figure 3)
 // is swept exactly as before, bit for bit.
 //
+// And a saturated hypothesis is rolled once per wake, not once per
+// decision. A sender re-decides after every packet it injects (§3.2–3.3),
+// so a wake is a burst of Decide calls at one instant on one belief, each
+// with one more own packet committed at now; counted on a 256-sender
+// fleet every wake that plans live makes exactly four. The baseline of the
+// call m packets in is the first call's with m packets at the queue tail —
+// the lagged twin again, applied to the baseline, m service times late —
+// and a candidate of that call is the first call's baseline m+1 late from
+// its fork on. So the first call's sweep leaves a twin record beside its
+// gain vector in the memo (twinRecord: per candidate the packet's value,
+// the baseline's value at its u and whether it is dropped on arrival m
+// packets deeper; the baseline's value at the horizon's last few service
+// times; and how deep the watch found the premises to hold), and the
+// later calls derive their gain vectors from it in a few flops per
+// candidate (twinRecord.derive has the formula) instead of simulating the
+// same hypothesis again. Derived gains differ from rolled ones by a
+// summation order, like closed ones.
+//
 // Ties break toward the longest delay. This is what turns the utility
 // maximization into pacing: when the queue already guarantees a packet's
 // delivery time, sending it any earlier buys nothing, so the sender
@@ -137,9 +155,12 @@ func DefaultConfig() Config {
 		MaxDelay: 2400 * time.Millisecond,
 		Grid:     200 * time.Millisecond,
 		Horizon:  40 * time.Second,
-		MaxHyps:  256,
+		MaxHyps:  defaultMaxHyps,
 	}
 }
+
+// defaultMaxHyps is DefaultConfig's MaxHyps.
+const defaultMaxHyps = 256
 
 func (c Config) withDefaults() Config {
 	d := DefaultConfig()
@@ -191,7 +212,7 @@ const lockstepChunk = time.Second
 //
 // The per-hypothesis work is one forward sweep over a grid of sync
 // stops (every candidate send time, then every lockstepChunk), built
-// for the rollout engine's six economies. (1) The no-send baseline is
+// for the rollout engine's seven economies. (1) The no-send baseline is
 // simulated exactly once; each candidate forks from it in place when
 // the sweep reaches its send time, so [now, now+δ) is never
 // re-simulated. (2) Candidates advance alongside the baseline and
@@ -232,7 +253,36 @@ const lockstepChunk = time.Second
 // through by the horizon; and every lane deferred before a stop at which
 // the baseline's link idled or an arrival left a twin no room — where one
 // packet displaces another, which is where the large negative gains are.
-// MemoStats counts the three outcomes.
+// MemoStats counts the three outcomes. (7) A burst is swept once. When the
+// pending list ends in m sends of the uniform size stamped now (1 ≤ m ≤
+// twinDepth) the call is the (m+1)-th decision of a wake, and a gain vector
+// it has to produce is derived from the twin record of the burst's first
+// decision — the same hypothesis keyed under the pending list without
+// those m sends — when that record reaches depth m: the watch stayed clean
+// m+1 packets deep to the horizon, the m packets fit at now, every
+// candidate was closed or dropped at depth 0 and is either surely dropped
+// or surely admitted m packets deeper with its packet through by the
+// horizon. The rule is canonical, which is what keeps a warm memo from
+// reaching a Decision: the value produced for a key is a function of the
+// key alone. On a miss the record is looked up under the first decision's
+// key; if it is not resident the first decision's baseline is swept
+// (MemoStats.Stripped; the cost of the sweep it replaces, and vector and
+// record go into the memo for the rest of the burst) and the vector
+// derived from the fresh record — never swept directly because the record
+// happened to be missing; and only a record that says it does not reach
+// depth m sends the hypothesis down the direct sweep, as do, without
+// asking, a hypothesis with no record resident that twinGate refuses (it
+// is asked under the call's own pending list, once, and the sweep told; a
+// refusal there is one under the first decision's shorter list too, so no
+// record of it can exist), a burst deeper than twinDepth, and a trailing
+// send of another size or an earlier instant (which makes it no burst at
+// all). Whether the
+// record was resident, evicted or never made, the same key gets the same
+// vector. What is still swept in a burst: its first decision; every
+// hypothesis the gate refuses (all of Figure 3); and the hypotheses whose
+// record does not reach — a stop was dirty (the buffer is full where a
+// chunk arrives: most of them), the m packets do not fit, or a lane was
+// simulated at depth 0.
 func Decide(sup []belief.Hypothesis, pending []model.Send, now time.Duration, seq int64, cfg Config) Decision {
 	cfg = cfg.withDefaults()
 	pool := cfg.Pool
@@ -268,58 +318,143 @@ func Decide(sup []belief.Hypothesis, pending []model.Send, now time.Duration, se
 	gains := ar.gains
 	row := func(i int) []float64 { return gains[i*candidates : (i+1)*candidates] }
 
+	// The call-level half of twinGate: a delivery is valued by its instant
+	// alone, and no committed send is still to come. Under it, a call whose
+	// pending list ends in burst sends of the uniform size stamped now is a
+	// later decision of a burst; the list without them is the first one's.
+	twins := cfg.Util.CrossLatencyPenalty == 0 && (len(pending) == 0 || pending[len(pending)-1].At <= now)
+	// What such calls keep per hypothesis is sized at once for the widest
+	// support a default plan reads: a support widens all through a run, and
+	// buffers that follow it are reallocated while the run is being timed.
+	width := max(n, min(cfg.MaxHyps, defaultMaxHyps))
+	burst := 0
+	if twins {
+		for burst < len(pending) {
+			if snd := pending[len(pending)-1-burst]; snd.At != now || snd.Bits != 0 {
+				break
+			}
+			burst++
+		}
+		ar.recs.size(width, candidates)
+	}
+	first := pending[:len(pending)-burst]
+	derives := 1 <= burst && burst <= twinDepth
+
 	// Memo look-ups, in index order on this goroutine: a hypothesis whose
 	// key an earlier call stored takes that gain vector, one whose key an
-	// earlier hypothesis of this call has shares its rollout, and only
-	// the rest (roll) are swept.
+	// earlier hypothesis of this call has shares its vector, a later
+	// decision of a burst whose first left its twin record in the memo is
+	// derived from it, and only the rest are swept: under the burst's first
+	// plan (bare) where the record is wanted and missing, under the call's
+	// own otherwise — plain, the gate not asked again, where it has just
+	// refused.
 	stamps := cfg.Util.CrossLatencyPenalty > 0
 	plan := planKey(pending, now, cfg)
+	var firstPlan memoKey
+	if derives {
+		firstPlan = planKey(first, now, cfg)
+		ar.bkeys = slices.Grow(ar.bkeys[:0], width)[:n]
+	}
 	ar.keys = slices.Grow(ar.keys[:0], n)[:n]
 	ar.from = slices.Grow(ar.from[:0], n)[:n]
-	keys, from, roll := ar.keys, ar.from, ar.roll[:0]
+	keys, from, fresh, roll, bare, plain := ar.keys, ar.from, ar.fresh[:0], ar.roll[:0], ar.bare[:0], ar.plain[:0]
 	for i := range hyps {
 		ar.words = hyps[i].S.AppendRolloutKey(ar.words[:0], now, stamps)
-		keys[i] = hypKey(plan, ar.words)
+		hyp := hypKey(ar.words)
+		keys[i] = hyp.under(plan)
 		from[i] = -1
 		if ar.memo.lookup(keys[i], row(i)) {
 			continue
 		}
-		for _, j := range roll {
+		for _, j := range fresh {
 			if keys[j] == keys[i] {
 				from[i] = j
 				ar.memo.Shared++
 				break
 			}
 		}
-		if from[i] < 0 {
-			roll = append(roll, int32(i))
+		if from[i] >= 0 {
+			continue
+		}
+		fresh = append(fresh, int32(i))
+		if twins {
+			ar.recs.reach[i] = 0
+		}
+		if derives {
+			ar.bkeys[i] = hyp.under(firstPlan)
+			if rec, ok := ar.memo.record(ar.bkeys[i], candidates); ok {
+				if rec.derive(burst, row(i)) {
+					ar.memo.Derived++
+					continue
+				}
+			} else if twinGate(&hyps[i].S, pending, horizonEnd) {
+				bare = append(bare, int32(i))
+				continue
+			} else {
+				plain = append(plain, int32(i))
+				continue
+			}
+		}
+		roll = append(roll, int32(i))
+	}
+
+	ar.now, ar.seq, ar.util, ar.candidates = now, seq, cfg.Util, candidates
+	if len(plain) > 0 {
+		ar.run(pool, plain, pending, gains, false)
+	}
+	if len(bare) > 0 {
+		// The burst's first decision, swept on behalf of this one: vector
+		// and record go into the memo under its key, this decision's vector
+		// is derived from the record if it reaches this deep, and if not the
+		// hypothesis is swept under the call's own plan with the rest.
+		ar.bgains = slices.Grow(ar.bgains[:0], width*candidates)[:n*candidates]
+		ar.run(pool, bare, first, ar.bgains, true)
+		for _, i := range bare {
+			rec := ar.recs.at(int(i), candidates)
+			ar.memo.store(ar.bkeys[i], ar.bgains[int(i)*candidates:(int(i)+1)*candidates])
+			ar.memo.keep(ar.bkeys[i], rec)
+			ar.memo.Stripped++
+			if rec.derive(burst, row(int(i))) {
+				ar.memo.Derived++
+			} else {
+				roll = append(roll, i)
+			}
 		}
 	}
-	ar.roll = roll
+	ar.run(pool, roll, pending, gains, twins)
+	ar.fresh, ar.roll, ar.bare, ar.plain = fresh, roll, bare, plain
 
-	ar.pending, ar.now, ar.seq, ar.util, ar.candidates = pending, now, seq, cfg.Util, candidates
-	// The call-level half of twinGate: a delivery is valued by its instant
-	// alone, and no committed send is still to come.
-	ar.twins = cfg.Util.CrossLatencyPenalty == 0 && (len(pending) == 0 || pending[len(pending)-1].At <= now)
+	// Shares and stores, again in index order on this goroutine. Only a
+	// burst's first decision leaves twin records.
+	for i, j := range from {
+		if j >= 0 {
+			copy(row(i), row(int(j)))
+		}
+	}
+	records := twins && burst == 0
+	for _, i := range fresh {
+		ar.memo.store(keys[i], row(int(i)))
+		if records && ar.recs.reach[i] > 0 {
+			ar.memo.keep(keys[i], ar.recs.at(int(i), candidates))
+		}
+	}
+
+	return reduce(hyps, gains, candidates, now, cfg.Grid)
+}
+
+// run sweeps the hypotheses listed in roll on the pool, with pending
+// committed, each into its row of out — twins says whether a sweep may
+// ask twinGate at all — and collects the workers' lane counts, summed in
+// worker order on this goroutine.
+func (ar *decideArena) run(pool *rollout.Pool, roll []int32, pending []model.Send, out []float64, twins bool) {
+	ar.roll, ar.pending, ar.out, ar.twins = roll, pending, out, twins
 	pool.Run(len(roll), ar.sweepFn)
-	// The workers' lane counts, summed in worker order on this goroutine.
 	for w := 0; w < pool.Workers(); w++ {
 		if ds, ok := pool.Scratch(w).Aux.(*decideScratch); ok {
 			ar.memo.MemoStats.Add(ds.tally)
 			ds.tally = MemoStats{}
 		}
 	}
-	// Shares and stores, again in index order on this goroutine.
-	for i, j := range from {
-		if j >= 0 {
-			copy(row(i), row(int(j)))
-		}
-	}
-	for _, i := range roll {
-		ar.memo.store(keys[i], row(int(i)))
-	}
-
-	return reduce(hyps, gains, candidates, now, cfg.Grid)
 }
 
 // reduce weighs the per-hypothesis gain rows into the Decision.
@@ -384,12 +519,14 @@ const negInf = -1e308
 // closes at the horizon. The baseline's watch says, stop by stop,
 // whether the premises still hold; the first stop at which they do not
 // turns every deferred lane back into a simulated one, caught up from
-// its fork clone.
+// its fork clone. Such a sweep also fills the hypothesis's twin record
+// (ar.recs), which Decide keeps when the sweep is of a burst's first
+// decision.
 func (ar *decideArena) sweep(s *rollout.Scratch, r int) {
 	i := int(ar.roll[r])
 	h := &ar.hyps[i]
 	stops, pending, candidates := ar.stops, ar.pending, ar.candidates
-	gains := ar.gains[i*candidates : (i+1)*candidates]
+	gains := ar.out[i*candidates : (i+1)*candidates]
 	ds, _ := s.Aux.(*decideScratch)
 	if ds == nil {
 		ds = &decideScratch{}
@@ -413,7 +550,7 @@ func (ar *decideArena) sweep(s *rollout.Scratch, r int) {
 	tw.deferred = 0
 	twin := ar.twins && twinGate(&h.S, pending, stops[len(stops)-1])
 	if twin {
-		tw.start(&ds.base, &h.S.P, stops)
+		tw.start(&ds.base, &h.S.P, stops, ar.recs.at(i, candidates))
 	}
 
 	// Each stop: the baseline first (at stop 0, = now, that consumes the
@@ -472,7 +609,7 @@ func (ar *decideArena) sweep(s *rollout.Scratch, r int) {
 			c.done, c.deferred = false, false
 			gains[j] = 0
 			forked++
-			if twin && base.Serving && tw.fork(c, base, j) {
+			if twin && tw.fork(c, base, &ds.base, j) {
 				// Tail-dropped on arrival: the candidate is its baseline
 				// from here on.
 				continue
@@ -495,87 +632,154 @@ func (ar *decideArena) sweep(s *rollout.Scratch, r int) {
 		ds.tally.Closed += int64(tw.deferred)
 		tw.close(lanes[:forked], gains, ar.now, float64(ar.util.Kappa), 1-h.S.P.LossProb)
 	}
+	if twin {
+		*tw.rec.reach = uint8(1 + tw.reach)
+	}
 }
 
 // twinSweep is the lagged-twin mode's state within one sweep. x and lag
 // are the candidate packet's bits and service time ℓ, horizon is H; taken
 // is the baseline's value over the stops behind it, so taken plus the
 // running segment is A at the baseline's instant, and segs keeps the
-// per-stop segments a deferred lane is caught up against; tail is A(H−ℓ),
-// read on the way. The deferred lanes are the ones from first on whose
-// deferred flag is set — a lane forked after them may have been dropped
-// there, or be live because its u+ℓ is past H; deferred counts them and
-// read is the first whose A(u) is still to come (u is monotone in the
-// lane index while the link stays busy, so one cursor serves).
+// per-stop segments a deferred lane is caught up against. The deferred
+// lanes are the ones from first on whose deferred flag is set — a lane
+// forked after them may have been dropped there, or be live because its
+// u+ℓ is past H; deferred counts them and read is the first whose A(u) is
+// still to come (u is monotone in the lane index while the link stays
+// busy, so one cursor serves). u is the baseline's BacklogDone at the
+// last fork, carried from fork to fork while busy says the link has not
+// idled since, and u0 what it was at the first, the decision instant.
+//
+// rec is the sweep's twin record in the making — the values the closed
+// form reads go straight into it — tails counts the A(H−i·ℓ) still to be
+// read, and reach is the depth down to which the record serves a burst's
+// later decisions as far as the sweep has seen.
 type twinSweep struct {
 	x            int64
 	lag, horizon time.Duration
-	taken, tail  float64
-	tailRead     bool
+	taken        float64
 	deferred     int
 	first, read  int
 	segs         []float64
+	u, u0        time.Duration
+	busy         bool
+	rec          twinRecord
+	tails, reach int
 }
 
 // start arms the mode for one hypothesis: the baseline's accumulator
-// watches the theorem's premises from here on.
-func (tw *twinSweep) start(acc *model.Accum, p *model.Params, stops []time.Duration) {
-	*tw = twinSweep{x: p.PktBits(), lag: p.ServiceTime(), horizon: stops[len(stops)-1], segs: slices.Grow(tw.segs[:0], len(stops))[:len(stops)]}
-	acc.Watch(tw.x, tw.lag)
+// watches the theorem's premises from here on, as deep as a record serves.
+func (tw *twinSweep) start(acc *model.Accum, p *model.Params, stops []time.Duration, rec twinRecord) {
+	*tw = twinSweep{x: p.PktBits(), lag: p.ServiceTime(), horizon: stops[len(stops)-1], segs: slices.Grow(tw.segs[:0], len(stops))[:len(stops)],
+		rec: rec, tails: twinDepth + 1, reach: twinDepth}
+	acc.Watch(tw.x, tw.lag, twinDepth+1)
 }
 
-// fork decides what becomes of the candidate forking from base, whose
-// link is busy, at stop j: dropped where it forks (reported; the lane is
-// done), deferred as a lagged twin, or — when its packet would not be
-// through by the horizon — left to be simulated.
-func (tw *twinSweep) fork(c *lane, base *model.State, j int) (dropped bool) {
-	if base.QueueBits+tw.x > base.P.BufferCapBits {
-		c.done = true
+// fork decides what becomes of the candidate forking from base at stop j:
+// dropped where it forks (reported; the lane is done), deferred as a
+// lagged twin, or — into an idle link, or when its packet would not be
+// through by the horizon — left to be simulated. It also settles, depth
+// by depth, what becomes of the same candidate in a burst's later
+// decisions, whose baseline is this one m packets behind since the
+// decision instant: dropped there (recorded), admitted with its packet
+// through by the horizon, or not known from this baseline — which, like
+// a lane left to be simulated, ends the record's reach.
+func (tw *twinSweep) fork(c *lane, base *model.State, acc *model.Accum, j int) (dropped bool) {
+	if !base.Serving {
+		tw.busy, tw.reach = false, 0
+		return false
+	}
+	if queued := acc.TakeQueued(); tw.busy {
+		tw.u += queued
+	} else {
+		tw.u, tw.busy = base.BacklogDone(), true
+	}
+	room := base.P.BufferCapBits - base.QueueBits - tw.x
+	if j == 0 {
+		// The burst's earlier packets join the queue at this instant: as
+		// many of them must fit.
+		tw.u0, tw.reach = tw.u, min(tw.reach, int((room+tw.x)/tw.x))
+	}
+	if room < 0 {
+		c.done, tw.rec.drop[j] = true, 0
 		return true
 	}
-	if c.u = base.BacklogDone(); c.u+tw.lag <= tw.horizon {
+	drop, reach := uint8(noDrop), tw.reach
+	for m := 1; m <= reach; m++ {
+		lo, hi := base.TwinSurplus(m, tw.x, tw.lag, tw.u0)
+		if lo > room {
+			drop = min(drop, uint8(m))
+		} else if hi > room || drop != noDrop || tw.u+time.Duration(m+1)*tw.lag > tw.horizon {
+			reach = m - 1
+		}
+	}
+	tw.rec.drop[j], tw.reach = drop, reach
+	if c.u = tw.u; c.u+tw.lag <= tw.horizon {
 		if tw.deferred == 0 {
 			tw.first = j
 		}
 		c.done, c.deferred = true, true
 		tw.deferred++
+	} else {
+		tw.reach = 0
 	}
 	return false
 }
 
 // pause stops the baseline, on its way to t, at every instant the closed
-// form reads its value at — each deferred lane's u, then H−ℓ — without
-// Take: the segment partition, and so every simulated lane's bits, stay
-// what they are.
+// form reads its value at — each deferred lane's u and H−i·ℓ down to H−ℓ,
+// in time order — without Take: the segment partition, and so every
+// simulated lane's bits, stay what they are.
 func (tw *twinSweep) pause(base *model.State, acc *model.Accum, lanes []lane, t time.Duration) {
-	for ; tw.read < len(lanes); tw.read++ {
-		c := &lanes[tw.read]
-		if !c.deferred {
-			continue
+	for {
+		for tw.read < len(lanes) && !lanes[tw.read].deferred {
+			tw.read++
 		}
-		if c.u > t {
-			break
+		at, tail := t+1, false
+		if tw.read < len(lanes) {
+			at = lanes[tw.read].u
 		}
-		base.RunAccum(c.u, nil, acc)
-		c.au = tw.taken + acc.Pending()
-	}
-	if !tw.tailRead && tw.horizon-tw.lag <= t {
-		base.RunAccum(tw.horizon-tw.lag, nil, acc)
-		tw.tail, tw.tailRead = tw.taken+acc.Pending(), true
+		if h := tw.horizon - time.Duration(tw.tails)*tw.lag; tw.tails > 0 && h < at {
+			at, tail = h, true
+		}
+		if at > t {
+			return
+		}
+		if at < base.Now {
+			// Only a tail can be behind the baseline (a deferred lane's u is
+			// ahead of its fork), and only under a horizon of a few ℓ: the
+			// depths that read it are out of reach.
+			tw.reach = min(tw.reach, max(tw.tails-2, 0))
+		}
+		base.RunAccum(at, nil, acc)
+		if a := tw.taken + acc.Pending(); tail {
+			tw.rec.tail[tw.tails] = a
+			tw.tails--
+		} else {
+			tw.rec.au[tw.read] = a
+			tw.read++
+		}
 	}
 }
 
-// endStop books the baseline's segment for stop j and asks its watch
-// whether the premises held on the way. If the link idled or an arrival
-// left a twin no room, every deferred lane is simulated after all: caught
-// up from its fork clone, lane by lane, through the stops it sat out — at
+// endStop books the baseline's segment for stop j and asks its watch how
+// deep the premises held on the way, which bounds the record's reach. If
+// they did not hold at all — the link idled or an arrival left a single
+// twin no room — every deferred lane is simulated after all: caught up
+// from its fork clone, lane by lane, through the stops it sat out — at
 // none of which it could have equalled the baseline (the theorem held up
 // to the last stop), so none is checked — and live again for the lockstep
 // at stop j. It returns how many lanes that was.
 func (tw *twinSweep) endStop(acc *model.Accum, lanes []lane, gains []float64, stops []time.Duration, j int, seg float64) (revived int) {
 	tw.segs[j] = seg
 	tw.taken += seg
-	if acc.TakeWatch() || tw.deferred == 0 {
+	level := acc.TakeWatch()
+	tw.reach = min(tw.reach, max(level-1, 0))
+	if level > 0 {
+		return 0
+	}
+	tw.busy = false
+	if tw.deferred == 0 {
 		return 0
 	}
 	for k := tw.first; k < len(lanes); k++ {
@@ -592,20 +796,17 @@ func (tw *twinSweep) endStop(acc *model.Accum, lanes []lane, gains []float64, st
 	return revived
 }
 
-// close gives every lane still deferred at the horizon H its gain. By the
-// theorem (model.State.BacklogDone) the candidate's packet, x bits that
-// survive the last mile with probability 1−p, arrives at u+ℓ, what the
-// baseline delivers in (u, H−ℓ] arrives ℓ later, and what it delivers in
-// (H−ℓ, H] falls out; with A(t) the baseline's discounted value delivered
-// by t and κ the discount timescale the gain is
-//
-//	x·(1−p)·e^(−(u+ℓ−now)/κ) − (1−e^(−ℓ/κ))·(A(H−ℓ) − A(u)) − (A(H) − A(H−ℓ)).
+// close gives every lane still deferred at the horizon H its gain, the
+// record's closed form at depth 0 (twinRecord.gain), having completed the
+// record with what that reads: the value of each lane's packet, x bits
+// that survive the last mile with probability 1−p, delivered at u+ℓ.
 func (tw *twinSweep) close(lanes []lane, gains []float64, now time.Duration, kappa, survive float64) {
-	slip := -math.Expm1(-float64(tw.lag) / kappa)
+	tw.rec.slip = -math.Expm1(-float64(tw.lag) / kappa)
+	tw.rec.tail[0] = tw.taken
 	for k := tw.first; k < len(lanes); k++ {
 		if c := &lanes[k]; c.deferred {
-			gains[k] = float64(tw.x)*survive*math.Exp(-float64(c.u+tw.lag-now)/kappa) -
-				slip*(tw.tail-c.au) - (tw.taken - tw.tail)
+			tw.rec.pkt[k] = float64(tw.x) * survive * math.Exp(-float64(c.u+tw.lag-now)/kappa)
+			gains[k] = tw.rec.gain(0, k)
 		}
 	}
 }
@@ -661,7 +862,7 @@ type decideScratch struct {
 // lane is one candidate's rollout: its live state, its accumulator and
 // its send view. A deferred lane holds its fork clone untouched, with u
 // the instant the baseline finishes what was ahead of the candidate's
-// packet and au the baseline's value delivered by then.
+// packet.
 type lane struct {
 	s        model.State
 	acc      model.Accum
@@ -670,7 +871,6 @@ type lane struct {
 	done     bool
 	deferred bool
 	u        time.Duration
-	au       float64
 }
 
 // run advances the lane to t and returns the value of what it delivered

@@ -247,7 +247,12 @@ func refSweep(h *belief.Hypothesis, pending []model.Send, now time.Duration, seq
 // carry full and nearly full buffers whose completions coincide with
 // pinger ticks. A fifth family is shaped like a 256-sender fleet's
 // beliefs (fleetShaped), where most lanes must in fact have been closed
-// and some deferred lanes simulated after all.
+// and some deferred lanes simulated after all. Two more are such beliefs
+// decided the way a sender's wake decides — four times at one instant, a
+// packet more committed each time, under α = 1 and α = 2.5 — where most
+// of the later decisions' vectors must in fact have been derived from the
+// first one's twin record, each held to the event sweep of its own
+// pending list like any other.
 func TestDecideStreamMatchesEventSweep(t *testing.T) {
 	fleet := Config{MaxDelay: 4 * time.Second, Grid: 500 * time.Millisecond, Horizon: 12 * time.Second}
 	precise := Config{Horizon: 40 * time.Second}
@@ -257,6 +262,7 @@ func TestDecideStreamMatchesEventSweep(t *testing.T) {
 		util   utility.Config
 		skew   bool
 		shaped bool
+		burst  int // decide again with 1 … burst more packets committed at now
 	}{
 		{grid: fleet, util: utility.Default()},
 		{grid: precise, util: penalty},
@@ -264,6 +270,8 @@ func TestDecideStreamMatchesEventSweep(t *testing.T) {
 		{grid: precise, util: utility.Default(), skew: true},
 		{grid: fleet, util: utility.Default(), shaped: true},
 		{grid: fleet, util: utility.Config{Alpha: 2.5, Kappa: 20 * time.Second}},
+		{grid: fleet, util: utility.Default(), shaped: true, burst: twinDepth},
+		{grid: fleet, util: utility.Config{Alpha: 2.5, Kappa: 20 * time.Second}, shaped: true, burst: twinDepth},
 	}
 	calls := 72
 	if testing.Short() {
@@ -274,7 +282,7 @@ func TestDecideStreamMatchesEventSweep(t *testing.T) {
 		worlds := []*memoWorld{newMemoWorld(21, false), newMemoWorld(22, true)}
 		rng := rand.New(rand.NewSource(23))
 		rolled := int64(0)
-		var shaped MemoStats
+		var shaped, later MemoStats
 		for c := 0; c < calls; c++ {
 			tc := cases[c%len(cases)]
 			w := worlds[0]
@@ -290,48 +298,67 @@ func TestDecideStreamMatchesEventSweep(t *testing.T) {
 					from = pending[0].At
 				}
 				sup = fleetShaped(rng, from)
-			}
-
-			cfg := tc.grid
-			cfg.Util, cfg.Workers, cfg.Pool = tc.util, workers, pool
-			before := PoolMemoStats(pool)
-			got := Decide(sup, pending, now, seq, cfg)
-			st := PoolMemoStats(pool)
-			rolled = st.Lookups - st.Hits - st.Shared
-			if tc.shaped {
-				shaped.Lanes += st.Lanes - before.Lanes
-				shaped.Closed += st.Closed - before.Closed
-				shaped.Materialized += st.Materialized - before.Materialized
-			}
-
-			cfg = cfg.withDefaults()
-			hyps := topK(sup, cfg.MaxHyps)
-			candidates := int(cfg.MaxDelay/cfg.Grid) + 1
-			var want []float64
-			for i := range hyps {
-				want = append(want, refSweep(&hyps[i], pending, now, seq, cfg)...)
-			}
-			have := arenaOf(pool).gains
-			if len(have) != len(want) {
-				t.Fatalf("%d workers, call %d: %d gains, want %d", workers, c, len(have), len(want))
-			}
-			exact := tc.util.CrossLatencyPenalty > 0 || tc.skew
-			for i := range want {
-				tol := 1e-9 * float64(hyps[i/candidates].S.P.PktBits())
-				if exact {
-					tol = 0
-				}
-				if math.Float64bits(have[i]) != math.Float64bits(want[i]) && !(math.Abs(have[i]-want[i]) <= tol) {
-					t.Fatalf("%d workers, call %d: hypothesis %d candidate %d gain %v, event sweep %v (allowed %g)",
-						workers, c, i/candidates, i%candidates, have[i], want[i], tol)
+				if tc.burst > 0 {
+					// Without the two built to leave the closure (the fifth
+					// family has them), and with the burst's packets the only
+					// ones at now: depths 1 … twinDepth.
+					sup = sup[2:]
+					if from == now {
+						pending = nil
+					}
 				}
 			}
-			ref := reduce(hyps, want, candidates, now, cfg.Grid)
-			if !exact {
-				ref.Gain = got.Gain
-			}
-			if got != ref {
-				t.Fatalf("%d workers, call %d: decided %+v, event sweep %+v", workers, c, got, ref)
+
+			for depth := 0; depth <= tc.burst; depth++ {
+				if depth > 0 {
+					pending = append(pending[:len(pending):len(pending)], model.Send{Seq: seq, At: now})
+					seq++
+				}
+				cfg := tc.grid
+				cfg.Util, cfg.Workers, cfg.Pool = tc.util, workers, pool
+				before := PoolMemoStats(pool)
+				got := Decide(sup, pending, now, seq, cfg)
+				st := PoolMemoStats(pool)
+				rolled = st.Rolled()
+				if tc.shaped && tc.burst == 0 {
+					shaped.Lanes += st.Lanes - before.Lanes
+					shaped.Closed += st.Closed - before.Closed
+					shaped.Materialized += st.Materialized - before.Materialized
+				}
+				if depth > 0 {
+					later.Lookups += st.Lookups - before.Lookups
+					later.Derived += st.Derived - before.Derived
+				}
+
+				cfg = cfg.withDefaults()
+				hyps := topK(sup, cfg.MaxHyps)
+				candidates := int(cfg.MaxDelay/cfg.Grid) + 1
+				var want []float64
+				for i := range hyps {
+					want = append(want, refSweep(&hyps[i], pending, now, seq, cfg)...)
+				}
+				have := arenaOf(pool).gains
+				if len(have) != len(want) {
+					t.Fatalf("%d workers, call %d: %d gains, want %d", workers, c, len(have), len(want))
+				}
+				exact := tc.util.CrossLatencyPenalty > 0 || tc.skew
+				for i := range want {
+					tol := 1e-9 * float64(hyps[i/candidates].S.P.PktBits())
+					if exact {
+						tol = 0
+					}
+					if math.Float64bits(have[i]) != math.Float64bits(want[i]) && !(math.Abs(have[i]-want[i]) <= tol) {
+						t.Fatalf("%d workers, call %d, %d more at now: hypothesis %d candidate %d gain %v, event sweep %v (allowed %g)",
+							workers, c, depth, i/candidates, i%candidates, have[i], want[i], tol)
+					}
+				}
+				ref := reduce(hyps, want, candidates, now, cfg.Grid)
+				if !exact {
+					ref.Gain = got.Gain
+				}
+				if got != ref {
+					t.Fatalf("%d workers, call %d, %d more at now: decided %+v, event sweep %+v", workers, c, depth, got, ref)
+				}
 			}
 		}
 		if rolled == 0 {
@@ -340,6 +367,10 @@ func TestDecideStreamMatchesEventSweep(t *testing.T) {
 		if 2*shaped.Closed <= shaped.Lanes || shaped.Materialized == 0 {
 			t.Errorf("%d workers: of the fleet-shaped family's %d lanes %d were closed and %d materialized, want more than half and some",
 				workers, shaped.Lanes, shaped.Closed, shaped.Materialized)
+		}
+		if 2*later.Derived <= later.Lookups {
+			t.Errorf("%d workers: of the %d hypotheses the bursts' later decisions keyed %d were derived, want more than half",
+				workers, later.Lookups, later.Derived)
 		}
 	}
 }
@@ -430,7 +461,10 @@ func tieLinkAndPinger(sup []belief.Hypothesis, now time.Duration) {
 // TestDecideSteadyStateAllocs: on one worker, once the pool's arenas have
 // grown, a Decide allocates nothing — neither when the warm memo serves
 // every hypothesis nor when every hypothesis is rolled (each call a
-// nanosecond later than the last, so no key recurs).
+// nanosecond later than the last, so no key recurs), nor over a burst of
+// four decisions on a fleet-shaped support, the later three derived from
+// the record the first leaves, followed by a third decision whose first
+// was never made on the pool and has to be swept for it.
 func TestDecideSteadyStateAllocs(t *testing.T) {
 	sup, pending, now, seq := newMemoWorld(31, false).call(0)
 	cfg := Config{Horizon: 12 * time.Second, Workers: 1, Pool: rollout.New(1)}
@@ -454,5 +488,30 @@ func TestDecideSteadyStateAllocs(t *testing.T) {
 	}
 	if st := memo(); st.Hits != before.Hits {
 		t.Errorf("novel calls hit the memo: %+v after %+v", st, before)
+	}
+
+	now = 9 * time.Second
+	sup = fleetShaped(rand.New(rand.NewSource(32)), now)
+	fleet := Config{MaxDelay: 4 * time.Second, Grid: 500 * time.Millisecond, Horizon: 12 * time.Second, Workers: 1, Pool: cfg.Pool}
+	var sends [twinDepth]model.Send
+	burst := func() {
+		now++
+		for depth := 0; depth <= twinDepth; depth++ {
+			if depth > 0 {
+				sends[depth-1] = model.Send{Seq: int64(depth), At: now}
+			}
+			Decide(sup, sends[:depth], now, seq, fleet)
+		}
+		now++
+		sends[0].At, sends[1].At = now, now
+		Decide(sup, sends[:2], now, seq, fleet)
+	}
+	burst()
+	before = memo()
+	if allocs := testing.AllocsPerRun(20, burst); allocs != 0 {
+		t.Errorf("a burst of four decisions allocates %v times, want 0", allocs)
+	}
+	if st := memo(); st.Derived == before.Derived || st.Stripped == before.Stripped || st.Hits != before.Hits {
+		t.Errorf("the bursts derived nothing, swept no first decision for a later one, or hit the memo: %+v after %+v", st, before)
 	}
 }

@@ -30,10 +30,13 @@ func saturated(now, done, tick, ivl time.Duration, chunk, capBits int64, queued 
 }
 
 // TestTwinEdges walks the lagged-twin closure's boundaries on hand-built
-// saturated hypotheses, three candidates each (now, +0.5 s, +1 s), every
-// row held to the event-buffer sweep (refSweep) and to the lane counters:
-// what closes, what is simulated from its fork, what is deferred and then
-// materialized, and what the gate refuses.
+// saturated hypotheses, three candidates each (now, +0.5 s, +1 s unless
+// the row sets its own grid), every row held to the event-buffer sweep
+// (refSweep) and to the counters: what closes, what is simulated from its
+// fork, what is deferred and then materialized, what the gate refuses —
+// and, for a burst's later decisions (burst sends of the uniform size
+// committed at now), what is derived from the first one's record, what is
+// swept under the call's own plan after all, and what never asks.
 func TestTwinEdges(t *testing.T) {
 	const (
 		x   = int64(12000)
@@ -46,11 +49,17 @@ func TestTwinEdges(t *testing.T) {
 		name    string
 		s       model.State
 		horizon time.Duration // Config.Horizon; H = now + 1 s + horizon
+		grid    time.Duration // 0: 500 ms; candidates at now, +grid, +2·grid
 		pending []model.Send
+		burst   int  // this many more sends of the uniform size at now
 		exact   bool // the gate refuses: bit-equal to the event sweep
 		closed  int64
 		mat     int64
-		check   func(t *testing.T, gains []float64)
+		// A later decision of a burst: was the first one's baseline swept
+		// for it, and was its vector derived from that sweep's record? The
+		// lanes are three per sweep.
+		stripped, derived int64
+		check             func(t *testing.T, gains []float64)
 	}{
 		{
 			// u₀ = now+5.3 s, so u₀+ℓ = H exactly; the tick at +0.1 s puts
@@ -107,10 +116,77 @@ func TestTwinEdges(t *testing.T) {
 			name: "a tight arrival shows inside the horizon", s: saturated(now, 600*time.Millisecond, 1200*time.Millisecond, 7*sec, 3*x, 9*x, 3*x, 3*x, 3*x, 3*x),
 			horizon: 16 * sec, mat: 1,
 		},
+		{
+			// A burst's third decision. The link serves packet after packet,
+			// ticks from +3.5 s on find a drained queue, and the two packets
+			// committed at now fill the buffer to the bit: the candidate of
+			// now is dropped behind them, the later two get in once the head
+			// has left at +0.3 s.
+			name: "two packets at now fill the buffer exactly", s: saturated(now, 300*time.Millisecond, 3500*time.Millisecond, sec, x, 7*x, six...),
+			horizon: 12 * sec, burst: 2, closed: 3, stripped: 1, derived: 1,
+			check: func(t *testing.T, gains []float64) {
+				if gains[0] != 0 {
+					t.Errorf("the candidate dropped behind the burst's packets gains %v, want 0", gains[0])
+				}
+			},
+		},
+		{
+			// One bit less and the second of them is dropped on arrival: the
+			// decision's baseline is not the first one's two packets late, the
+			// record says so, and the call sweeps it.
+			name: "one bit short of two packets at now", s: saturated(now, 300*time.Millisecond, 3500*time.Millisecond, sec, x, 7*x-1, six...),
+			horizon: 12 * sec, burst: 2, closed: 3 + 2, stripped: 1,
+		},
+		{
+			// Nothing queued behind the packet in service, which leaves at
+			// +1 s: u₀ is the second candidate's fork and u₀+ℓ the third's,
+			// each at the very start of a service. The twin one packet behind
+			// still holds that packet there; the buffer has room.
+			name: "forks at u0 and at u0+lag", s: saturated(now, sec, 500*time.Millisecond, sec, x, roomy, x),
+			grid: sec, horizon: 12 * sec, burst: 1, closed: 3, stripped: 1, derived: 1,
+		},
+		{
+			// Forks at +0.75 s and +1.5 s on a link whose packet in service
+			// leaves at +0.5 s, a three-packet chunk queued behind it: the
+			// chunk has been in service for exactly one ℓ at the last fork —
+			// the twin has just begun it too, and holds nothing more than the
+			// baseline — and for a quarter of one at the middle fork, where
+			// the twin still holds all of it.
+			name: "in service for exactly one lag at a fork", s: saturated(now, 500*time.Millisecond, 250*time.Millisecond, 3*sec, 3*x, roomy, x),
+			grid: 750 * time.Millisecond, horizon: 12 * sec, burst: 1, closed: 3, stripped: 1, derived: 1,
+		},
+		{
+			// A fork at +0.75 s, a quarter of a service in, two packets
+			// behind, in a buffer where the twin's surplus decides: it holds
+			// between x and 3x more than the baseline's x, and there is room
+			// for 2x and the candidate's packet — not known from the baseline.
+			// (The tick at +0.25 s had already left a twin that deep no room:
+			// no verdict is ambiguous before the watch has reported.)
+			name: "an ambiguous verdict", s: saturated(now, 500*time.Millisecond, 250*time.Millisecond, sec, x, 7*x/2, x),
+			grid: 750 * time.Millisecond, horizon: 12 * sec, burst: 2, closed: 3, mat: 3, stripped: 1,
+		},
+		{
+			name: "four packets at now", s: saturated(now, 300*time.Millisecond, 3500*time.Millisecond, sec, x, roomy, six...),
+			horizon: 12 * sec, burst: 4, closed: 3,
+		},
+		{
+			name: "a trailing send of another size", s: saturated(now, 300*time.Millisecond, 3500*time.Millisecond, sec, x, roomy, six...),
+			horizon: 12 * sec, pending: []model.Send{{Seq: 5, At: now}, {Seq: 6, At: now, Bits: x / 2}}, closed: 3,
+		},
+		{
+			name: "a trailing send stamped before now", s: saturated(now-100*time.Millisecond, 400*time.Millisecond, 3600*time.Millisecond, sec, x, roomy, six...),
+			horizon: 12 * sec, pending: []model.Send{{Seq: 6, At: now - 50*time.Millisecond}}, closed: 3,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Config{Util: utility.Default(), MaxDelay: sec, Grid: 500 * time.Millisecond, Horizon: tc.horizon, Workers: 1}
+			if tc.grid > 0 {
+				cfg.MaxDelay, cfg.Grid = 2*tc.grid, tc.grid
+			}
+			for i := 0; i < tc.burst; i++ {
+				tc.pending = append(tc.pending, model.Send{Seq: int64(i), At: now})
+			}
 			row := func(s model.State, pending []model.Send, now time.Duration) ([]float64, MemoStats) {
 				cfg.Pool = rollout.New(1)
 				Decide([]belief.Hypothesis{{S: s, W: 1}}, pending, now, 7, cfg)
@@ -128,8 +204,11 @@ func TestTwinEdges(t *testing.T) {
 					t.Errorf("candidate %d gains %v, the event sweep %v", k, gains[k], want[k])
 				}
 			}
-			if st.Lanes != 3 || st.Closed != tc.closed || st.Materialized != tc.mat {
-				t.Errorf("%d lanes, %d closed, %d materialized; want 3, %d, %d", st.Lanes, st.Closed, st.Materialized, tc.closed, tc.mat)
+			if lanes := 3 * (tc.stripped + 1 - tc.derived); st.Lanes != lanes || st.Closed != tc.closed || st.Materialized != tc.mat {
+				t.Errorf("%d lanes, %d closed, %d materialized; want %d, %d, %d", st.Lanes, st.Closed, st.Materialized, lanes, tc.closed, tc.mat)
+			}
+			if st.Stripped != tc.stripped || st.Derived != tc.derived {
+				t.Errorf("%d stripped, %d derived; want %d, %d", st.Stripped, st.Derived, tc.stripped, tc.derived)
 			}
 			if tc.check != nil {
 				tc.check(t, gains)
