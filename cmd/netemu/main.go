@@ -25,6 +25,23 @@ import (
 	"modelcc/internal/units"
 )
 
+// checkRanges refuses link parameters outside their domain — a zero
+// rate has no delivery schedule, a zero queue drops everything. A
+// non-nil error is a usage error.
+func checkRanges(rate float64, queue int, delay time.Duration, loss float64) error {
+	switch {
+	case !(rate > 0):
+		return fmt.Errorf("-rate %v: must be positive", rate)
+	case queue <= 0:
+		return fmt.Errorf("-queue %d: must be positive", queue)
+	case delay < 0:
+		return fmt.Errorf("-delay %v: must not be negative", delay)
+	case !(loss >= 0 && loss <= 1):
+		return fmt.Errorf("-loss %v: must be a probability in [0, 1]", loss)
+	}
+	return nil
+}
+
 func main() {
 	listen := flag.String("listen", ":9000", "client-facing UDP address")
 	target := flag.String("target", "", "upstream UDP address (required)")
@@ -38,6 +55,10 @@ func main() {
 
 	if *target == "" {
 		fmt.Fprintln(os.Stderr, "netemu: -target is required")
+		os.Exit(2)
+	}
+	if err := checkRanges(*rate, *queue, *delay, *loss); err != nil {
+		fmt.Fprintln(os.Stderr, "netemu:", err)
 		os.Exit(2)
 	}
 
@@ -84,8 +105,9 @@ func main() {
 			case <-ctx.Done():
 				return
 			case <-tick.C:
-				fmt.Fprintf(os.Stderr, "netemu: forwarded=%d dropped=%d lost=%d\n",
-					proxy.Forwarded(), proxy.Dropped(), proxy.Lost())
+				st := proxy.Stats()
+				fmt.Fprintf(os.Stderr, "netemu: forwarded=%d dropped=%d lost=%d write-failed=%d read-retries=%d\n",
+					st.Forwarded, st.Dropped, st.Lost, st.WriteFailed, st.ReadRetries)
 			}
 		}
 	}()

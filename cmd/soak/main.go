@@ -1,25 +1,23 @@
-// Command soak drives the chaos-hardened runtime end to end and prints
-// a pass/fail verdict per invariant (-out also writes it as JSON).
+// Command soak runs the chaos-hardened transport over real sockets and
+// prints a pass/fail verdict per invariant (-out also writes it as JSON).
 //
-// Two phases:
-//
-//  1. DES determinism: the standard fault menu replayed twice through
-//     experiments.RunChaos must hash bit-identically and must exercise
-//     belief-collapse recovery (Reseeded > 0).
-//  2. Live soak: N transport senders run over loopback through chaotic
-//     emu.Proxy instances — 30% ack-loss bursts on the return path,
-//     reordering and corruption on both paths, a 2 s blackout a third of
-//     the way in, and (flow 0) a jumping wall clock. Each flow also runs
-//     a clean pass for baseline; the invariants are zero panics, zero
-//     leaked goroutines, bounded heap, and post-blackout delivered
-//     utility at ≥ 70% of the clean run's in the same window.
+// N transport senders run over loopback through chaotic emu.Proxy
+// instances — 30% ack-loss bursts on the return path, reordering and
+// corruption on both paths, a 2 s blackout a third of the way in, and
+// (flow 0) a jumping wall clock. Each flow also runs a clean pass for
+// baseline; the invariants are zero errors, zero leaked goroutines,
+// bounded heap, and post-blackout delivered utility at ≥ 70% of the
+// clean run's in the same window. (The DES side of the same fault menu —
+// bit-identical replay, belief-collapse recovery — is pinned in tier-1:
+// TestChaosReplayBitIdentical, TestChaosExercisesRecovery and
+// TestGoldenChaos in internal/experiments.)
 //
 // Usage:
 //
 //	go run ./cmd/soak [-n 3] [-dur 60s] [-seed 1] [-out report.json] [-smoke]
 //
-// -smoke shrinks the run to ~30 s of wall time (2 senders, 10 s passes)
-// for CI. Exit status is non-zero when any invariant fails.
+// -smoke shrinks the run to ~20 s of wall time (2 senders, 10 s passes)
+// for CI. Exit status is 1 when any invariant fails, 2 on a usage error.
 package main
 
 import (
@@ -27,7 +25,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net"
 	"os"
 	"runtime"
 	"sync"
@@ -35,12 +32,7 @@ import (
 
 	"modelcc/internal/belief"
 	"modelcc/internal/chaos"
-	"modelcc/internal/core"
-	"modelcc/internal/emu"
-	"modelcc/internal/experiments"
-	"modelcc/internal/model"
 	"modelcc/internal/planner"
-	"modelcc/internal/trace"
 	"modelcc/internal/transport"
 	"modelcc/internal/utility"
 )
@@ -60,15 +52,9 @@ type FlowReport struct {
 	CleanUtil float64 `json:"clean_util"`
 	ChaosUtil float64 `json:"chaos_util"`
 	Ratio     float64 `json:"ratio"`
-	// Sender-side counters from the chaotic pass.
-	Sent         int64 `json:"sent"`
-	Acked        int64 `json:"acked"`
-	DecodeErrors int64 `json:"decode_errors"`
-	ReadRetries  int64 `json:"read_retries"`
-	ClockClamps  int64 `json:"clock_clamps"`
-	// Fault tallies from the chaotic proxy.
-	Fwd chaos.Stats `json:"fwd"`
-	Ack chaos.Stats `json:"ack"`
+	// Chaos is the chaotic pass: the sender's counters, the link's
+	// tallies, the faults dealt.
+	Chaos transport.LoopbackResult `json:"chaos"`
 }
 
 // Report is the whole soak run, written as JSON under -out.
@@ -77,9 +63,6 @@ type Report struct {
 	Smoke     bool         `json:"smoke"`
 	Senders   int          `json:"senders"`
 	DurS      float64      `json:"pass_duration_s"`
-	DESHashA  string       `json:"des_hash_a"`
-	DESHashB  string       `json:"des_hash_b"`
-	DESReseed int          `json:"des_reseeded"`
 	Flows     []FlowReport `json:"flows"`
 	GorBase   int          `json:"goroutines_base"`
 	GorEnd    int          `json:"goroutines_end"`
@@ -88,152 +71,73 @@ type Report struct {
 	Pass      bool         `json:"pass"`
 }
 
-// desMenu is the standard fault menu on the DES path: bursty ~30% loss,
-// stale reordering, corruption-as-drop, and a 2 s blackout.
-func desMenu(seed int64) chaos.Config {
-	return chaos.Config{
-		Seed:         seed,
-		DropProb:     0.03,
-		BurstProb:    0.1,
-		CorruptProb:  0.03,
-		ReorderProb:  0.3,
-		ReorderDelay: 2 * time.Second,
-		Blackouts:    []chaos.Window{{Start: 20 * time.Second, Len: 2 * time.Second}},
+// blackoutLen is the outage every chaotic pass survives, and settle what
+// the flow is given after it before delivered utility is compared.
+const (
+	blackoutLen = 2 * time.Second
+	settle      = 500 * time.Millisecond
+)
+
+// checkRanges refuses flag values that would run nothing and report
+// success, or leave no post-blackout window to compare. A non-nil error
+// is a usage error.
+func checkRanges(n int, dur time.Duration) error {
+	switch {
+	case n < 1:
+		return fmt.Errorf("-n %d: must be at least 1", n)
+	case dur <= 0:
+		return fmt.Errorf("-dur %v: must be positive", dur)
+	case dur/3+blackoutLen+settle >= dur:
+		return fmt.Errorf("-dur %v: too short to hold the %v blackout at dur/3 and a window after it", dur, blackoutLen)
 	}
-}
-
-// desPrior is a small hypothesis grid around the DES truth (Fig2Actual),
-// sized so two 120 s virtual runs finish in about a second.
-func desPrior() model.Prior {
-	return model.Prior{
-		LinkRate:       model.PriorRange{Lo: 10000, Hi: 16000, N: 4},
-		CrossFrac:      model.PriorRange{Lo: 0.4, Hi: 0.7, N: 2},
-		LossProb:       model.PriorRange{Lo: 0, Hi: 0.2, N: 2},
-		BufferCapBits:  model.PriorRange{Lo: 72000, Hi: 108000, N: 4},
-		FullnessSteps:  2,
-		MeanSwitch:     100 * time.Second,
-		PingerMaybeOff: true,
-	}
-}
-
-// livePrior models the proxy's constant 120 kbit/s link, like the
-// transport loopback tests.
-func livePrior() model.Prior {
-	return model.Prior{
-		LinkRate:      model.PriorRange{Lo: 60000, Hi: 180000, N: 5},
-		BufferCapBits: model.PriorRange{Lo: 960000, Hi: 960000, N: 1},
-		FullnessSteps: 1,
-	}
-}
-
-func livePlan() planner.Config {
-	cfg := planner.DefaultConfig()
-	cfg.MaxDelay = 400 * time.Millisecond
-	cfg.Grid = 50 * time.Millisecond
-	cfg.Horizon = 5 * time.Second
-	return cfg
-}
-
-// fwdMenu/ackMenu are the live proxy's standard menu: a mostly-clean
-// forward path (reordering, light corruption, the blackout) and a return
-// path with ~30% ack loss in bursts on top of it.
-func fwdMenu(seed int64, blackout chaos.Window) chaos.Config {
-	return chaos.Config{
-		Seed:         seed,
-		DropProb:     0.02,
-		CorruptProb:  0.05,
-		ReorderProb:  0.2,
-		ReorderDelay: 60 * time.Millisecond,
-		Blackouts:    []chaos.Window{blackout},
-	}
-}
-
-func ackMenu(seed int64, blackout chaos.Window) chaos.Config {
-	cfg := fwdMenu(seed+1000, blackout)
-	cfg.BurstProb = 0.1 // ~25% of acks inside length-4 bursts, ~30% total loss
-	return cfg
+	return nil
 }
 
 // flowResult is one pass of one flow.
 type flowResult struct {
-	util       float64 // delivered utility inside [winFrom, winTo)
-	stats      transport.SenderStats
-	fwd, ack   chaos.Stats
-	senderErr  error
-	receiveErr error
+	util float64 // delivered utility inside the post-blackout window
+	transport.LoopbackResult
+	err error
 }
 
 // runFlow executes one sender/receiver pair over loopback for dur,
-// optionally through a chaotic proxy, and meters delivered utility at
-// the receiver inside the given window (times relative to flow start).
-func runFlow(seed int64, dur, winFrom, winTo time.Duration, faults, ackFaults *chaos.Config, jumpy bool) (flowResult, error) {
+// through the live link — clean, or under the standard fault menus with
+// the blackout a third of the way in, and then optionally on a jumping
+// clock — and meters delivered utility at the receiver in the window
+// from settle after the blackout's end (clean passes included) to dur.
+func runFlow(seed int64, dur time.Duration, chaotic, jumpy bool) flowResult {
 	var res flowResult
-
-	recvConn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		return res, err
-	}
-	defer recvConn.Close()
-	recv := transport.NewReceiver(recvConn)
-
 	util := utility.Default()
 	util.Alpha = 1
-	var mu sync.Mutex
 	start := time.Now()
-	recv.OnData = func(seq, sentNanos, recvNanos int64) {
-		at := time.Duration(recvNanos - start.UnixNano())
-		if at < winFrom || at >= winTo {
-			return
-		}
-		// Loopback: sender epoch ≈ flow start, so sender-relative stamps
-		// and receiver wall clock share a base to within scheduling noise.
-		delay := at - time.Duration(sentNanos)
-		if delay < 0 {
-			delay = 0
-		}
-		mu.Lock()
-		res.util += 12000 * util.Discount(delay)
-		mu.Unlock()
+	blackout := chaos.Window{Start: dur / 3, Len: blackoutLen}
+	winFrom := blackout.End() + settle
+
+	link := transport.LiveLink()
+	link.Seed = seed
+	fwd, ack := transport.LiveMenus(seed, blackout)
+	if chaotic {
+		link.Chaos, link.AckChaos = &fwd, &ack
 	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { defer wg.Done(); res.receiveErr = recv.Run(ctx) }()
-
-	proxy, err := emu.NewProxy("127.0.0.1:0", recvConn.LocalAddr().String(), emu.ProxyConfig{
-		Trace:     trace.Constant(120000, 12000), // 10 packets/s
-		QueueBits: 120000,
-		Seed:      seed,
-		Chaos:     faults,
-		AckChaos:  ackFaults,
-	})
-	if err != nil {
-		cancel()
-		wg.Wait()
-		return res, err
-	}
-	defer proxy.Close()
-	wg.Add(1)
-	go func() { defer wg.Done(); proxy.Run(ctx) }()
-
-	sndConn, err := net.DialUDP("udp", nil, proxy.Addr())
-	if err != nil {
-		cancel()
-		proxy.Close()
-		wg.Wait()
-		return res, err
-	}
-	defer sndConn.Close()
-
-	states, _ := livePrior().Enumerate()
-	bel := belief.NewExact(states, belief.Config{SoftSigma: 30 * time.Millisecond, Recover: true})
-	cs := core.NewSender(bel, livePlan())
+	cs := transport.LiveSender(belief.Config{SoftSigma: 30 * time.Millisecond, Recover: true})
 	cs.Guard = planner.NewGuard(50*time.Millisecond, planner.NewPolicyCache(256))
-	snd := transport.NewSender(sndConn, cs, 1500)
-	if jumpy && faults != nil {
-		jcfg := *faults
+	rig := transport.Loopback{
+		Sender: cs,
+		Link:   &link,
+		// Called from the receiver's goroutine only, and read after the rig
+		// has joined it.
+		OnData: func(seq, sentNanos, recvNanos int64) {
+			at := time.Duration(recvNanos - start.UnixNano())
+			if at < winFrom || at >= dur {
+				return
+			}
+			// Loopback: sender epoch ≈ flow start, so sender-relative stamps
+			// and receiver wall clock share a base to within scheduling noise.
+			res.util += 12000 * util.Discount(max(at-time.Duration(sentNanos), 0))
+		},
+	}
+	if jumpy {
+		jcfg := fwd
 		// The backwards step lands after the blackout (wakes are dense
 		// again) and is larger than any plausible wake spacing, so the
 		// monotone clamp must observe it.
@@ -241,16 +145,10 @@ func runFlow(seed int64, dur, winFrom, winTo time.Duration, faults, ackFaults *c
 			{At: dur / 4, Delta: 150 * time.Millisecond},
 			{At: 3 * dur / 4, Delta: -time.Second},
 		}
-		snd.Clock = jcfg.Clock(func() time.Duration { return time.Since(start) })
+		rig.Clock = jcfg.Clock(func() time.Duration { return time.Since(start) })
 	}
-
-	res.stats, res.senderErr = snd.Run(ctx, dur)
-
-	cancel()
-	proxy.Close()
-	wg.Wait()
-	res.fwd, res.ack = proxy.ChaosStats()
-	return res, nil
+	res.LoopbackResult, res.err = transport.RunLoopback(context.Background(), rig, dur)
+	return res
 }
 
 func main() {
@@ -258,11 +156,15 @@ func main() {
 	dur := flag.Duration("dur", 60*time.Second, "wall duration of each live pass (clean and chaotic)")
 	seed := flag.Int64("seed", 1, "fault schedule seed")
 	out := flag.String("out", "", "also write the report as JSON to this path (empty = print only)")
-	smoke := flag.Bool("smoke", false, "CI smoke: 2 senders, 10 s passes (~30 s total)")
+	smoke := flag.Bool("smoke", false, "CI smoke: 2 senders, 10 s passes (~20 s total)")
 	flag.Parse()
 	if *smoke {
 		*n = 2
 		*dur = 10 * time.Second
+	}
+	if err := checkRanges(*n, *dur); err != nil {
+		fmt.Fprintln(os.Stderr, "soak:", err)
+		os.Exit(2)
 	}
 
 	rep := Report{At: time.Now(), Smoke: *smoke, Senders: *n, DurS: dur.Seconds()}
@@ -278,41 +180,9 @@ func main() {
 	gorBase := runtime.NumGoroutine()
 	rep.GorBase = gorBase
 
-	// Phase 1: DES determinism + recovery under the standard menu.
-	desUtil := utility.Default()
-	desUtil.Alpha = 1
-	desCfg := experiments.ChaosConfig{
-		Base: experiments.ISenderConfig{
-			Actual:        model.Fig2Actual(),
-			PingerOnStart: true,
-			Gate:          model.GateSquareWave,
-			HalfPeriod:    100 * time.Second,
-			Prior:         desPrior(),
-			Utility:       desUtil,
-			BeliefCfg:     belief.Config{Recover: true},
-			Seed:          *seed,
-			Duration:      120 * time.Second,
-		},
-		Faults: desMenu(*seed),
-	}
-	a := experiments.RunChaos(desCfg)
-	b := experiments.RunChaos(desCfg)
-	rep.DESHashA = fmt.Sprintf("%016x", a.Hash)
-	rep.DESHashB = fmt.Sprintf("%016x", b.Hash)
-	rep.DESReseed = a.Reseeded
-	check("des-replay", a.Hash == b.Hash, "hash %s vs %s (sent=%d acked=%d)", rep.DESHashA, rep.DESHashB, a.Sent, a.Acked)
-	check("des-recovery", a.Reseeded > 0, "belief reseeded %d times under the menu", a.Reseeded)
-
-	// Phase 2: live soak — each flow runs a clean and a chaotic pass; the
-	// flows themselves run concurrently.
-	blackout := chaos.Window{Start: *dur / 3, Len: 2 * time.Second}
-	winFrom := blackout.Start + blackout.Len + 500*time.Millisecond
-	winTo := *dur
-
-	type flowOut struct {
-		clean, chaotic flowResult
-		err            error
-	}
+	// Each flow runs a clean and a chaotic pass; the flows themselves run
+	// concurrently.
+	type flowOut struct{ clean, chaotic flowResult }
 	outs := make([]flowOut, *n)
 	var wg sync.WaitGroup
 	for i := 0; i < *n; i++ {
@@ -320,49 +190,28 @@ func main() {
 		go func(i int) {
 			defer wg.Done()
 			fseed := *seed + int64(i)*17
-			clean, err := runFlow(fseed, *dur, winFrom, winTo, nil, nil, false)
-			if err != nil {
-				outs[i].err = err
-				return
-			}
-			fwd := fwdMenu(fseed, blackout)
-			ack := ackMenu(fseed, blackout)
-			chaotic, err := runFlow(fseed, *dur, winFrom, winTo, &fwd, &ack, i == 0)
-			outs[i] = flowOut{clean: clean, chaotic: chaotic, err: err}
+			outs[i].clean = runFlow(fseed, *dur, false, false)
+			outs[i].chaotic = runFlow(fseed, *dur, true, i == 0)
 		}(i)
 	}
 	wg.Wait()
 
 	for i, o := range outs {
-		if o.err != nil {
-			check(fmt.Sprintf("flow%d-run", i), false, "flow error: %v", o.err)
-			continue
-		}
-		fr := FlowReport{
-			Flow:         i,
-			CleanUtil:    o.clean.util,
-			ChaosUtil:    o.chaotic.util,
-			Sent:         o.chaotic.stats.Sent,
-			Acked:        o.chaotic.stats.Acked,
-			DecodeErrors: o.chaotic.stats.DecodeErrors,
-			ReadRetries:  o.chaotic.stats.ReadRetries,
-			ClockClamps:  o.chaotic.stats.ClockClamps,
-			Fwd:          o.chaotic.fwd,
-			Ack:          o.chaotic.ack,
-		}
+		fr := FlowReport{Flow: i, CleanUtil: o.clean.util, ChaosUtil: o.chaotic.util, Chaos: o.chaotic.LoopbackResult}
 		if o.clean.util > 0 {
 			fr.Ratio = o.chaotic.util / o.clean.util
 		}
 		rep.Flows = append(rep.Flows, fr)
-		check(fmt.Sprintf("flow%d-errors", i), o.clean.senderErr == nil && o.chaotic.senderErr == nil,
-			"clean=%v chaos=%v", o.clean.senderErr, o.chaotic.senderErr)
-		check(fmt.Sprintf("flow%d-progress", i), fr.Sent > 0 && fr.Acked > 0,
-			"chaotic pass sent=%d acked=%d (fwd %+v; ack %+v)", fr.Sent, fr.Acked, fr.Fwd, fr.Ack)
+		check(fmt.Sprintf("flow%d-errors", i), o.clean.err == nil && o.chaotic.err == nil,
+			"clean=%v chaos=%v", o.clean.err, o.chaotic.err)
+		st := fr.Chaos.Sender
+		check(fmt.Sprintf("flow%d-progress", i), st.Sent > 0 && st.Acked > 0,
+			"chaotic pass sent=%d acked=%d (fwd %+v; ack %+v)", st.Sent, st.Acked, fr.Chaos.Fwd, fr.Chaos.Ack)
 		check(fmt.Sprintf("flow%d-recovery", i), o.clean.util > 0 && fr.Ratio >= 0.7,
 			"post-blackout utility %.0f vs clean %.0f (ratio %.2f, floor 0.70)", fr.ChaosUtil, fr.CleanUtil, fr.Ratio)
 		if i == 0 {
-			check("flow0-clock-clamped", fr.ClockClamps > 0,
-				"backwards clock jump clamped %d times", fr.ClockClamps)
+			check("flow0-clock-clamped", st.ClockClamps > 0,
+				"backwards clock jump clamped %d times", st.ClockClamps)
 		}
 	}
 

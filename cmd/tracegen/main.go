@@ -17,6 +17,22 @@ import (
 	"modelcc/internal/units"
 )
 
+// checkRanges refuses generator parameters outside their domain. A
+// non-nil error is a usage error.
+func checkRanges(duration time.Duration, min, max, outage float64) error {
+	switch {
+	case duration <= 0:
+		return fmt.Errorf("-duration %v: must be positive", duration)
+	case !(min > 0):
+		return fmt.Errorf("-min %v: must be positive", min)
+	case !(min <= max):
+		return fmt.Errorf("-min %v: must not exceed -max %v", min, max)
+	case !(outage >= 0 && outage <= 1):
+		return fmt.Errorf("-outage %v: must be a probability in [0, 1]", outage)
+	}
+	return nil
+}
+
 func main() {
 	duration := flag.Duration("duration", 60*time.Second, "trace length")
 	seed := flag.Int64("seed", 1, "generator seed")
@@ -24,6 +40,10 @@ func main() {
 	max := flag.Float64("max", 8e6, "maximum rate (bits/second)")
 	outage := flag.Float64("outage", 0.02, "per-second outage probability")
 	flag.Parse()
+	if err := checkRanges(*duration, *min, *max, *outage); err != nil {
+		fmt.Fprintln(os.Stderr, "tracegen:", err)
+		os.Exit(2)
+	}
 
 	cfg := trace.LTEConfig{
 		Duration:   *duration,

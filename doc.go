@@ -79,18 +79,22 @@
 // (emu.ProxyConfig.Chaos / AckChaos) and the DES path (chaos.Element,
 // experiments.RunChaos), so one fault trace replays bit-identically in
 // either world. Against it: internal/wire returns typed errors for any
-// malformed datagram (fuzzed, corpus checked in); internal/transport
-// polls with read deadlines, retries with capped backoff, clamps
-// non-monotone clocks, and arms wake timers in the logical clock
+// malformed datagram (fuzzed, corpus checked in) and owns the socket
+// path's one read loop (wire.ReadLoop: read deadlines, transient errors
+// counted and retried with capped backoff), which internal/transport and
+// both directions of internal/emu's proxy run; internal/transport clamps
+// non-monotone clocks and arms wake timers in the logical clock
 // domain; internal/belief recovers from likelihood collapse by
 // deterministically re-seeding from the prior (belief.Config.Recover);
 // and internal/planner bounds every decision with planner.Guard's
 // degradation ladder — the compiled policy table when one is wired,
 // else live Decide within the budget, else the quantized PolicyCache
 // entry, else the last safe action, else sleep one grid step. cmd/soak
-// runs the whole stack through the standard fault menu and prints a
-// verdict per invariant (-out also writes them as JSON); see README.md
-// ("Failure model").
+// runs the transport over loopback (transport.RunLoopback, the one
+// receiver ↔ proxy ↔ sender rig) through the standard fault menu and
+// prints a verdict per invariant (-out also writes them as JSON); the
+// DES replay of the menu is pinned in internal/experiments' tests. See
+// README.md ("Failure model").
 //
 // # Shard fault tolerance
 //

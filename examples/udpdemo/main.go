@@ -9,18 +9,11 @@ package main
 import (
 	"context"
 	"fmt"
-	"net"
 	"os"
 	"time"
 
 	"modelcc/internal/belief"
-	"modelcc/internal/core"
-	"modelcc/internal/emu"
-	"modelcc/internal/model"
-	"modelcc/internal/planner"
-	"modelcc/internal/trace"
 	"modelcc/internal/transport"
-	"modelcc/internal/units"
 )
 
 func main() {
@@ -31,71 +24,34 @@ func main() {
 }
 
 func run() error {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	// Receiver.
-	recvConn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		return err
-	}
-	defer recvConn.Close()
-	recv := transport.NewReceiver(recvConn)
-	go recv.Run(ctx)
-
-	// Emulated link: constant 120 kbit/s (10 packets/second).
-	const linkRate = 120000
-	proxy, err := emu.NewProxy("127.0.0.1:0", recvConn.LocalAddr().String(), emu.ProxyConfig{
-		Trace:     trace.Constant(linkRate, 12000),
-		QueueBits: 120000, // bits: a 10-packet queue
-		Delay:     5 * time.Millisecond,
-		Seed:      1,
-	})
-	if err != nil {
-		return err
-	}
-	defer proxy.Close()
-	go proxy.Run(ctx)
+	// Emulated link: constant 120 kbit/s (10 packets/second), a 10-packet
+	// queue, 5 ms of propagation delay.
+	link := transport.LiveLink()
+	link.Delay = 5 * time.Millisecond
+	link.Seed = 1
 
 	// Sender: uncertain about the link rate (60-180 kbit/s prior).
-	sndConn, err := net.DialUDP("udp", nil, proxy.Addr())
-	if err != nil {
-		return err
-	}
-	defer sndConn.Close()
-
-	prior := model.Prior{
-		LinkRate:      model.PriorRange{Lo: 60000, Hi: 180000, N: 5},
-		BufferCapBits: model.PriorRange{Lo: 960000, Hi: 960000, N: 1},
-		FullnessSteps: 1,
-	}
-	states, _ := prior.Enumerate()
-	bel := belief.NewExact(states, belief.Config{
+	isender := transport.LiveSender(belief.Config{
 		SoftSigma: 100 * time.Millisecond,
 		Relax:     true,
 	})
-	plan := planner.DefaultConfig()
-	plan.MaxDelay = 400 * time.Millisecond
-	plan.Grid = 50 * time.Millisecond
-	plan.Horizon = 5 * time.Second
-	isender := core.NewSender(bel, plan)
-	snd := transport.NewSender(sndConn, isender, 1500)
 
-	fmt.Printf("Emulated link: %v via %v; prior: 60-180 kbit/s\n",
-		units.BitRate(linkRate), proxy.Addr())
+	truth := link.Trace.MeanRate(12000)
+	fmt.Printf("Emulated link: %v; prior: 60-180 kbit/s\n", truth)
 	fmt.Println("Running for 8 wall-clock seconds...")
 
-	stats, err := snd.Run(ctx, 8*time.Second)
-	if err != nil && err != context.Canceled {
+	res, err := transport.RunLoopback(context.Background(),
+		transport.Loopback{Sender: isender, Link: &link}, 8*time.Second)
+	if err != nil {
 		return err
 	}
 
-	e := isender.Estimates()
+	stats, e := res.Sender, isender.Estimates()
 	fmt.Printf("\nsent=%d acked=%d mean one-way delay=%v wakes=%d\n",
 		stats.Sent, stats.Acked, stats.MeanOWD.Round(time.Millisecond), stats.Wakes)
 	fmt.Printf("posterior E[link rate]=%v (truth: %v); %d hypotheses standing\n",
-		e.ELinkRate, units.BitRate(linkRate), e.N)
-	fmt.Printf("proxy: forwarded=%d dropped=%d\n", proxy.Forwarded(), proxy.Dropped())
+		e.ELinkRate, truth, e.N)
+	fmt.Printf("proxy: forwarded=%d dropped=%d\n", res.Link.Forwarded, res.Link.Dropped)
 	if stats.Acked == 0 {
 		return fmt.Errorf("no packets acknowledged")
 	}

@@ -2,16 +2,15 @@ package emu
 
 import (
 	"context"
-	"errors"
 	"math/rand"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"modelcc/internal/chaos"
 	"modelcc/internal/trace"
 	"modelcc/internal/units"
+	"modelcc/internal/wire"
 )
 
 // ProxyConfig shapes the emulated forward path of a Proxy.
@@ -48,9 +47,12 @@ type ProxyConfig struct {
 // One Proxy emulates one direction of one link, which matches the
 // paper's model of a lossless, instant return path (§3.4).
 //
-// Close is idempotent and may be called concurrently with Run (or
-// without ever calling Run); Run returns nil promptly after Close or
-// context cancellation, with every goroutine it started joined.
+// Both sockets are read through wire.ReadLoop, so a transient error — the
+// target's port unbound for a while, say — is counted and retried, never
+// the end of a direction. Close is idempotent and may be called
+// concurrently with Run (or without ever calling Run); Run returns nil
+// promptly after Close or context cancellation, with every goroutine it
+// started joined.
 type Proxy struct {
 	cfg      ProxyConfig
 	listen   *net.UDPConn
@@ -64,7 +66,7 @@ type Proxy struct {
 
 	mu       sync.Mutex
 	client   *net.UDPAddr
-	q        []queued
+	q        [][]byte
 	usedBits int64
 	rng      *rand.Rand
 
@@ -73,21 +75,49 @@ type Proxy struct {
 	// after Run returns.
 	fwdInj, ackInj *chaos.Injector
 
-	// forwarded, dropped, lost count packets through the emulated
-	// link. They are written from the proxy's goroutines (including
-	// delayed-delivery timers) while callers poll, so they are atomic;
-	// read them through Forwarded/Dropped/Lost.
-	forwarded, dropped, lost atomic.Int64
+	// stats is written from the proxy's goroutines (including
+	// delayed-delivery timers) while callers poll, so it is guarded by
+	// mu; read it through Stats.
+	stats ProxyStats
 }
 
-// Forwarded reports packets delivered through the emulated link.
-func (p *Proxy) Forwarded() int64 { return p.forwarded.Load() }
+// ProxyStats is the proxy's datagram tallies. Every datagram read from a
+// client ends in exactly one of them or in the forward injector's drop
+// tallies: once Run has returned, Received = Dropped + Lost + Forwarded +
+// WriteFailed + Unsent + the injector's Dropped + Blackholed − Duplicated
+// (see ChaosStats).
+type ProxyStats struct {
+	// Received counts datagrams read from clients.
+	Received int64
+	// Dropped counts tail drops at the emulated queue, Lost the LOSS
+	// element's drops.
+	Dropped, Lost int64
+	// Forwarded counts datagrams written to the target, WriteFailed
+	// writes the target's socket refused (nobody bound there, say).
+	Forwarded, WriteFailed int64
+	// Unsent counts datagrams accepted but never written: still queued,
+	// or held back by a delay or stall when the proxy shut down.
+	Unsent int64
+	// ReadRetries counts transient read errors, on either socket, that
+	// were retried with back-off.
+	ReadRetries int64
+}
 
-// Dropped reports packets tail-dropped at the emulated queue.
-func (p *Proxy) Dropped() int64 { return p.dropped.Load() }
+// Stats reports the proxy's tallies so far; safe to poll while Run runs.
+func (p *Proxy) Stats() ProxyStats {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	st := p.stats
+	st.Unsent += int64(len(p.q))
+	return st
+}
 
-// Lost reports packets dropped by the emulated LOSS element.
-func (p *Proxy) Lost() int64 { return p.lost.Load() }
+// count adds one to a field of p.stats.
+func (p *Proxy) count(c *int64) {
+	p.mu.Lock()
+	*c++
+	p.mu.Unlock()
+}
 
 // ChaosStats reports the fault injectors' tallies for the forward and
 // return paths. Only valid after Run has returned; zero-valued when the
@@ -102,30 +132,17 @@ func (p *Proxy) ChaosStats() (fwd, ack chaos.Stats) {
 	return fwd, ack
 }
 
-type queued struct {
-	payload []byte
-}
-
 // NewProxy creates a proxy listening on listenAddr and forwarding to
 // targetAddr.
 func NewProxy(listenAddr, targetAddr string, cfg ProxyConfig) (*Proxy, error) {
 	if err := cfg.Trace.Validate(); err != nil {
 		return nil, err
 	}
-	la, err := net.ResolveUDPAddr("udp", listenAddr)
+	lc, err := net.ListenPacket("udp", listenAddr)
 	if err != nil {
 		return nil, err
 	}
-	lc, err := net.ListenUDP("udp", la)
-	if err != nil {
-		return nil, err
-	}
-	ta, err := net.ResolveUDPAddr("udp", targetAddr)
-	if err != nil {
-		lc.Close()
-		return nil, err
-	}
-	uc, err := net.DialUDP("udp", nil, ta)
+	uc, err := net.Dial("udp", targetAddr)
 	if err != nil {
 		lc.Close()
 		return nil, err
@@ -135,8 +152,8 @@ func NewProxy(listenAddr, targetAddr string, cfg ProxyConfig) (*Proxy, error) {
 	}
 	p := &Proxy{
 		cfg:      cfg,
-		listen:   lc,
-		upstream: uc,
+		listen:   lc.(*net.UDPConn),
+		upstream: uc.(*net.UDPConn),
 		closed:   make(chan struct{}),
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 	}
@@ -167,6 +184,8 @@ func (p *Proxy) Close() {
 // returns nil in both cases, after joining every goroutine it started
 // (including in-flight delayed deliveries).
 func (p *Proxy) Run(ctx context.Context) error {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	start := time.Now()
 	var wg sync.WaitGroup
 	wg.Add(3)
@@ -176,89 +195,58 @@ func (p *Proxy) Run(ctx context.Context) error {
 	select {
 	case <-ctx.Done():
 	case <-p.closed:
+		cancel()
 	}
-	// Closed sockets already error their readers out; expired deadlines
-	// cover the cancellation-without-Close case.
-	p.listen.SetReadDeadline(time.Now())
-	p.upstream.SetReadDeadline(time.Now())
 	wg.Wait()
 	p.delivWG.Wait()
 	return nil
 }
 
-// done reports whether the proxy should stop (context or Close).
-func (p *Proxy) done(ctx context.Context) bool {
-	if ctx.Err() != nil {
-		return true
-	}
-	select {
-	case <-p.closed:
-		return true
-	default:
-		return false
-	}
-}
+// retried counts one transient read error (wire.ReadLoop's callback).
+func (p *Proxy) retried() { p.count(&p.stats.ReadRetries) }
 
 // clientReader enqueues client datagrams onto the emulated link.
 func (p *Proxy) clientReader(ctx context.Context) {
-	buf := make([]byte, 64*1024)
-	for {
-		n, addr, err := p.listen.ReadFromUDP(buf)
-		if err != nil {
-			if p.done(ctx) || errors.Is(err, net.ErrClosed) {
-				return
-			}
-			var nerr net.Error
-			if errors.As(err, &nerr) && nerr.Timeout() {
-				continue
-			}
-			return
-		}
-		bits := units.BytesToBits(n)
+	wire.ReadLoop(ctx, p.listen, p.retried, func(dg []byte, from *net.UDPAddr) error {
+		bits := units.BytesToBits(len(dg))
 		p.mu.Lock()
-		p.client = addr
+		defer p.mu.Unlock()
+		p.stats.Received++
+		p.client = from
 		if p.usedBits+bits > p.cfg.QueueBits {
-			p.dropped.Add(1)
-			p.mu.Unlock()
-			continue
+			p.stats.Dropped++
+			return nil
 		}
-		p.q = append(p.q, queued{payload: append([]byte(nil), buf[:n]...)})
+		p.q = append(p.q, append([]byte(nil), dg...))
 		p.usedBits += bits
-		p.mu.Unlock()
-	}
+		return nil
+	})
 }
 
 // scheduler releases one queued datagram per trace opportunity, runs it
 // through the forward-path fault injector, and delivers it upstream.
 func (p *Proxy) scheduler(ctx context.Context, start time.Time) {
 	for {
-		if p.done(ctx) {
-			return
-		}
 		elapsed := time.Since(start)
 		at, ok := p.cfg.Trace.Next(elapsed)
 		if !ok {
 			return // finite trace exhausted
 		}
-		select {
-		case <-ctx.Done():
+		if !wire.Sleep(ctx, at-elapsed) {
 			return
-		case <-p.closed:
-			return
-		case <-time.After(at - elapsed):
 		}
 		p.mu.Lock()
 		if len(p.q) == 0 {
 			p.mu.Unlock()
 			continue
 		}
-		item := p.q[0]
+		payload := p.q[0]
 		p.q = p.q[1:]
-		p.usedBits -= units.BytesToBits(len(item.payload))
+		p.usedBits -= units.BytesToBits(len(payload))
 		p.mu.Unlock()
 
 		if p.cfg.LossProb > 0 && p.rng.Float64() < p.cfg.LossProb {
-			p.lost.Add(1)
+			p.count(&p.stats.Lost)
 			continue
 		}
 		delay := p.cfg.Delay
@@ -267,7 +255,8 @@ func (p *Proxy) scheduler(ctx context.Context, start time.Time) {
 			if stall, ok := p.fwdInj.StallUntil(nowD); ok {
 				// A stalled proxy process: nothing moves, then everything
 				// resumes (the queue keeps absorbing meanwhile).
-				if !p.sleep(ctx, stall) {
+				if !wire.Sleep(ctx, stall) {
+					p.count(&p.stats.Unsent)
 					return
 				}
 			}
@@ -276,29 +265,23 @@ func (p *Proxy) scheduler(ctx context.Context, start time.Time) {
 				continue
 			}
 			if v.Corrupt {
-				v.ApplyCorrupt(item.payload)
+				v.ApplyCorrupt(payload)
 			}
 			delay += v.Delay
 			if v.Duplicate {
-				p.deliverUpstream(item.payload, delay)
+				p.deliverUpstream(payload, delay)
 			}
 		}
-		p.deliverUpstream(item.payload, delay)
+		p.deliverUpstream(payload, delay)
 	}
 }
 
-// deliverUpstream writes one datagram toward the target, after delay.
-// Delayed writes are tracked so shutdown joins them; the payload is not
-// copied — each queued item is delivered at most twice and corruption is
-// applied before scheduling.
-func (p *Proxy) deliverUpstream(payload []byte, delay time.Duration) {
-	deliver := func() {
-		if _, err := p.upstream.Write(payload); err == nil {
-			p.forwarded.Add(1)
-		}
-	}
+// after runs deliver now, or after delay on a timer that Run's shutdown
+// joins; a timer that fires once the proxy is closed passes closed=true
+// and must not touch the sockets.
+func (p *Proxy) after(delay time.Duration, deliver func(closed bool)) {
 	if delay <= 0 {
-		deliver()
+		deliver(false)
 		return
 	}
 	p.delivWG.Add(1)
@@ -306,25 +289,26 @@ func (p *Proxy) deliverUpstream(payload []byte, delay time.Duration) {
 		defer p.delivWG.Done()
 		select {
 		case <-p.closed:
+			deliver(true)
 		default:
-			deliver()
+			deliver(false)
 		}
 	})
 }
 
-// sleep pauses for d or until shutdown; it reports whether the full
-// pause elapsed.
-func (p *Proxy) sleep(ctx context.Context, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-p.closed:
-		return false
-	case <-t.C:
-		return true
-	}
+// deliverUpstream writes one datagram toward the target, after delay.
+// The payload is not copied — each queued item is delivered at most twice
+// and corruption is applied before scheduling.
+func (p *Proxy) deliverUpstream(payload []byte, delay time.Duration) {
+	p.after(delay, func(closed bool) {
+		c := &p.stats.Forwarded
+		if closed {
+			c = &p.stats.Unsent
+		} else if _, err := p.upstream.Write(payload); err != nil {
+			c = &p.stats.WriteFailed
+		}
+		p.count(c)
+	})
 }
 
 // returnPath relays target responses back to the client — the paper's
@@ -332,59 +316,40 @@ func (p *Proxy) sleep(ctx context.Context, d time.Duration) bool {
 // otherwise (ack loss is precisely the fault the ISENDER's inference
 // must survive).
 func (p *Proxy) returnPath(ctx context.Context, start time.Time) {
-	buf := make([]byte, 64*1024)
-	for {
-		n, err := p.upstream.Read(buf)
-		if err != nil {
-			if p.done(ctx) || errors.Is(err, net.ErrClosed) {
-				return
-			}
-			var nerr net.Error
-			if errors.As(err, &nerr) && nerr.Timeout() {
-				continue
-			}
-			return
-		}
+	wire.ReadLoop(ctx, p.upstream, p.retried, func(dg []byte, _ *net.UDPAddr) error {
 		p.mu.Lock()
 		client := p.client
 		p.mu.Unlock()
 		if client == nil {
-			continue
+			return nil
 		}
 		var delay time.Duration
 		if p.ackInj != nil {
 			v := p.ackInj.Next(time.Since(start))
 			if v.Drop {
-				continue
+				return nil
 			}
 			if v.Corrupt {
-				v.ApplyCorrupt(buf[:n])
+				v.ApplyCorrupt(dg)
 			}
 			delay = v.Delay
 			if v.Duplicate {
-				p.deliverClient(client, buf[:n], delay, true)
+				p.deliverClient(client, dg, delay)
 			}
 		}
-		p.deliverClient(client, buf[:n], delay, delay > 0)
-	}
+		p.deliverClient(client, dg, delay)
+		return nil
+	})
 }
 
 // deliverClient writes one datagram back to the client after delay,
-// copying the payload when it must outlive the caller's buffer.
-func (p *Proxy) deliverClient(client *net.UDPAddr, payload []byte, delay time.Duration, copyPayload bool) {
-	if copyPayload {
+// copying it when it must outlive the reader's buffer.
+func (p *Proxy) deliverClient(client *net.UDPAddr, payload []byte, delay time.Duration) {
+	if delay > 0 {
 		payload = append([]byte(nil), payload...)
 	}
-	if delay <= 0 {
-		p.listen.WriteToUDP(payload, client)
-		return
-	}
-	p.delivWG.Add(1)
-	time.AfterFunc(delay, func() {
-		defer p.delivWG.Done()
-		select {
-		case <-p.closed:
-		default:
+	p.after(delay, func(closed bool) {
+		if !closed {
 			p.listen.WriteToUDP(payload, client)
 		}
 	})

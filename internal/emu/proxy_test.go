@@ -91,3 +91,89 @@ func TestProxyChaosForwardFaults(t *testing.T) {
 		t.Fatalf("delivered %d, injector accounting says %d", got, expect)
 	}
 }
+
+// TestProxySurvivesRefusedTarget: with nobody bound at the target the
+// forwarded datagrams come back as ICMP port-unreachable, which a
+// connected UDP socket reports as ECONNREFUSED on its next read or write.
+// That is a lossy episode, not the end of the link: once the target is
+// bound again, its replies must reach the client. (Regression: the
+// return path returned on its first read error and relayed nothing for
+// the life of the proxy.)
+func TestProxySurvivesRefusedTarget(t *testing.T) {
+	target := udpListen(t)
+	addr := target.LocalAddr().(*net.UDPAddr)
+	target.Close() // the port is known and, for now, unbound
+
+	proxy, err := NewProxy("127.0.0.1:0", addr.String(), ProxyConfig{
+		Trace: trace.Constant(1200000, 12000), // 100 pkt/s
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proxy.Close()
+	proxyDone := make(chan struct{})
+	go func() { defer close(proxyDone); proxy.Run(context.Background()) }()
+
+	client, err := net.DialUDP("udp", nil, proxy.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	payload := make([]byte, 200)
+	send := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if _, err := client.Write(payload); err != nil {
+				t.Fatal(err)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+
+	send(10)
+	refused := proxy.Stats()
+	if refused.ReadRetries+refused.WriteFailed == 0 {
+		t.Fatalf("forwarding to an unbound port surfaced no error: %+v", refused)
+	}
+
+	// Rebind the target and echo whatever arrives.
+	target, err = net.ListenUDP("udp", addr)
+	if err != nil {
+		t.Skipf("could not rebind %v: %v", addr, err)
+	}
+	defer target.Close()
+	go func() {
+		buf := make([]byte, 64*1024)
+		for {
+			n, from, err := target.ReadFromUDP(buf)
+			if err != nil {
+				return
+			}
+			target.WriteToUDP(buf[:n], from)
+		}
+	}()
+
+	send(20)
+	echoes := 0
+	buf := make([]byte, 64*1024)
+	for {
+		client.SetReadDeadline(time.Now().Add(300 * time.Millisecond))
+		if _, err := client.Read(buf); err != nil {
+			break
+		}
+		echoes++
+	}
+	proxy.Close()
+	<-proxyDone
+	st := proxy.Stats()
+	t.Logf("while refused %+v; at the end %+v; echoes relayed back %d", refused, st, echoes)
+	if st.Forwarded == 0 {
+		t.Fatal("nothing forwarded after the target came back")
+	}
+	if echoes == 0 {
+		t.Fatal("return path did not survive the refused episode: no echo relayed")
+	}
+	if ends := st.Dropped + st.Lost + st.Forwarded + st.WriteFailed + st.Unsent; ends != st.Received {
+		t.Fatalf("tallies account for %d of %d datagrams read: %+v", ends, st.Received, st)
+	}
+}

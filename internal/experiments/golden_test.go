@@ -89,3 +89,19 @@ func TestGoldenFig3(t *testing.T) {
 		}
 	}
 }
+
+// TestGoldenChaos pins RunChaos under the acceptance fault menu — the
+// cross-commit comparison key for runSolo's chaotic arm (faultTap, ack
+// injector, Recover): a change that moves any of these changed what the
+// DES run does, not just how fast. TestChaosReplayBitIdentical holds the
+// same run equal to itself; this holds it equal to the last commit's.
+func TestGoldenChaos(t *testing.T) {
+	skipUnlessAMD64(t)
+	res := RunChaos(ChaosConfig{Base: chaosBase(120 * time.Second), Faults: chaosMenu()})
+	if got, want := res.Hash, uint64(0x0564ac47d9d7240d); got != want {
+		t.Errorf("chaos hash = %#016x, want %#016x", got, want)
+	}
+	if res.Sent != 60 || res.Acked != 25 || res.Reseeded != 19 {
+		t.Errorf("chaos sent/acked/reseeded = %d/%d/%d, want 60/25/19", res.Sent, res.Acked, res.Reseeded)
+	}
+}

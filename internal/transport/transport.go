@@ -14,12 +14,15 @@
 // represent.
 //
 // Failure model: both loops assume the network under them misbehaves —
-// reads poll with short deadlines so cancellation is never missed,
-// transient socket errors are retried with capped backoff rather than
-// killing the run, decode failures are counted and dropped, and a
-// non-monotone wall clock (NTP steps, VM migration) is clamped before it
-// can reach the belief, which requires monotone time. See README.md
-// ("Failure model").
+// reads go through wire.ReadLoop (short poll deadlines so cancellation
+// is never missed, transient socket errors retried with capped backoff
+// rather than killing the run), decode failures are counted and dropped,
+// and a non-monotone wall clock (NTP steps, VM migration) is clamped
+// before it can reach the belief, which requires monotone time. See
+// README.md ("Failure model").
+//
+// RunLoopback is the one place a receiver, an emulated link and a sender
+// are wired together (loopback.go); commands and tests call it.
 package transport
 
 import (
@@ -34,14 +37,6 @@ import (
 	"modelcc/internal/packet"
 	"modelcc/internal/wire"
 )
-
-// readPollInterval is the per-read deadline both loops poll with: short
-// enough that cancellation and clock checks are prompt, long enough to
-// stay out of the syscall budget.
-const readPollInterval = 250 * time.Millisecond
-
-// maxReadBackoff caps the retry backoff after transient read errors.
-const maxReadBackoff = 250 * time.Millisecond
 
 // Receiver is the UDP RECEIVER (§3.4): it acknowledges every data
 // packet with its receive time and sequence number.
@@ -74,47 +69,12 @@ func NewReceiver(conn *net.UDPConn) *Receiver {
 // Run serves until ctx is cancelled or the socket is closed. It returns
 // nil in both cases, and leaves no goroutine behind.
 func (r *Receiver) Run(ctx context.Context) error {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		<-ctx.Done()
-		r.conn.SetReadDeadline(time.Now()) // unblock the read loop
-	}()
-	defer wg.Wait()
-
-	buf := make([]byte, 64*1024)
 	ackBuf := make([]byte, wire.HeaderLen)
-	backoff := time.Millisecond
-	for {
-		r.conn.SetReadDeadline(time.Now().Add(readPollInterval))
-		n, addr, err := r.conn.ReadFromUDP(buf)
-		if err != nil {
-			if ctx.Err() != nil || errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			var nerr net.Error
-			if errors.As(err, &nerr) && nerr.Timeout() {
-				backoff = time.Millisecond
-				continue
-			}
-			// Transient fault (ICMP unreachable surfacing on a read,
-			// momentary resource exhaustion): back off and keep serving.
-			if !sleepCtx(ctx, backoff) {
-				return nil
-			}
-			if backoff *= 2; backoff > maxReadBackoff {
-				backoff = maxReadBackoff
-			}
-			continue
-		}
-		backoff = time.Millisecond
-		typ, data, _, err := wire.Decode(buf[:n])
+	return wire.ReadLoop(ctx, r.conn, nil, func(dg []byte, from *net.UDPAddr) error {
+		typ, data, _, err := wire.Decode(dg)
 		if err != nil || typ != wire.TypeData {
 			r.DecodeErrors++
-			continue // not ours; drop silently like any UDP service
+			return nil // not ours; drop silently like any UDP service
 		}
 		r.Received++
 		recvNanos := time.Now().UnixNano()
@@ -126,32 +86,18 @@ func (r *Receiver) Run(ctx context.Context) error {
 			EchoSentNanos: data.SentNanos,
 			ReceivedNanos: time.Now().UnixNano(),
 		}
-		dg, err := wire.EncodeAck(ackBuf, ack)
+		out, err := wire.EncodeAck(ackBuf, ack)
 		if err != nil {
 			return fmt.Errorf("transport: encode ack: %w", err)
 		}
-		if _, err := r.conn.WriteToUDP(dg, addr); err != nil {
-			if ctx.Err() != nil || errors.Is(err, net.ErrClosed) {
-				return nil
-			}
+		switch _, err := r.conn.WriteToUDP(out, from); {
+		case err == nil:
+			r.AcksSent++
+		case !errors.Is(err, net.ErrClosed): // a closed socket ends the loop at its next read
 			r.WriteErrors++
-			continue
 		}
-		r.AcksSent++
-	}
-}
-
-// sleepCtx sleeps for d or until ctx is done; it reports whether the
-// full sleep elapsed.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-t.C:
-		return true
-	}
+		return nil
+	})
 }
 
 // SenderStats summarizes a transport run.
@@ -184,9 +130,6 @@ type Sender struct {
 	// source (chaos tests inject jumping clocks here). Whatever the
 	// source, Run clamps it monotone before it reaches the belief.
 	Clock func() time.Duration
-	// OnAck, when non-nil, observes every acknowledgment consumed by the
-	// send loop (soak harnesses meter utility through it).
-	OnAck func(packet.Ack)
 }
 
 // NewSender wraps a connected UDP socket around an ISENDER. padTo pads
@@ -279,13 +222,15 @@ func (s *Sender) Run(ctx context.Context, duration time.Duration) (SenderStats, 
 	defer end.Stop()
 
 	for {
+		var acks []packet.Ack
 		select {
 		case <-ctx.Done():
 			return stats, ctx.Err()
 		case <-end.C:
 			return stats, nil
+		case <-deadline.C:
 		case a := <-acksCh:
-			acks := []packet.Ack{a}
+			acks = append(acks, a)
 			// Batch any other acks already queued.
 			for len(acksCh) > 0 {
 				acks = append(acks, <-acksCh)
@@ -297,62 +242,26 @@ func (s *Sender) Run(ctx context.Context, duration time.Duration) (SenderStats, 
 			for _, ack := range acks {
 				stats.Acked++
 				owdSum += ack.ReceivedAt - ack.SentAt
-				if stats.Acked > 0 {
-					stats.MeanOWD = owdSum / time.Duration(stats.Acked)
-				}
-				if s.OnAck != nil {
-					s.OnAck(ack)
-				}
+				stats.MeanOWD = owdSum / time.Duration(stats.Acked)
 			}
-			if wakeAt, err = wake(acks); err != nil {
-				return stats, err
-			}
-			deadline.Reset(wakeDelay())
-		case <-deadline.C:
-			if wakeAt, err = wake(nil); err != nil {
-				return stats, err
-			}
-			deadline.Reset(wakeDelay())
 		}
+		if wakeAt, err = wake(acks); err != nil {
+			return stats, err
+		}
+		deadline.Reset(wakeDelay())
 	}
 }
 
 // readAcks decodes acknowledgments and rebases the receiver's absolute
 // timestamps onto the sender epoch. Transient read errors are retried
-// with capped backoff — on a chaotic path the ack stream stalls and
+// (wire.ReadLoop) — on a chaotic path the ack stream stalls and
 // recovers; it must never silently wedge the sender into flying blind.
 func (s *Sender) readAcks(ctx context.Context, out chan<- packet.Ack, stats *SenderStats) {
-	buf := make([]byte, 64*1024)
-	backoff := time.Millisecond
-	for {
-		if ctx.Err() != nil {
-			return
-		}
-		s.conn.SetReadDeadline(time.Now().Add(readPollInterval))
-		n, err := s.conn.Read(buf)
-		if err != nil {
-			if ctx.Err() != nil || errors.Is(err, net.ErrClosed) {
-				return
-			}
-			var nerr net.Error
-			if errors.As(err, &nerr) && nerr.Timeout() {
-				backoff = time.Millisecond
-				continue
-			}
-			stats.ReadRetries++
-			if !sleepCtx(ctx, backoff) {
-				return
-			}
-			if backoff *= 2; backoff > maxReadBackoff {
-				backoff = maxReadBackoff
-			}
-			continue
-		}
-		backoff = time.Millisecond
-		typ, _, ack, err := wire.Decode(buf[:n])
+	wire.ReadLoop(ctx, s.conn, func() { stats.ReadRetries++ }, func(dg []byte, _ *net.UDPAddr) error {
+		typ, _, ack, err := wire.Decode(dg)
 		if err != nil || typ != wire.TypeAck {
 			stats.DecodeErrors++
-			continue
+			return nil
 		}
 		rebased := packet.Ack{
 			Flow:       packet.FlowSelf,
@@ -363,7 +272,7 @@ func (s *Sender) readAcks(ctx context.Context, out chan<- packet.Ack, stats *Sen
 		select {
 		case out <- rebased:
 		case <-ctx.Done():
-			return
 		}
-	}
+		return nil
+	})
 }
