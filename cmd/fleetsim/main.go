@@ -1,60 +1,60 @@
 // Command fleetsim runs N-sender fleet simulations: N coexisting
 // ISENDERs share one bottleneck inside one process on the batching
-// arbitration layer (internal/fleet).
+// arbitration layer (internal/fleet). It has three modes, each with its
+// own flag set bound straight into the experiment's config — a flag that
+// means nothing in a mode is a parse error there, and `fleetsim <mode>
+// -h` prints that mode's flags with their defaults.
 //
-// Two modes:
+//	fleetsim [sweep] [-n 2,4,16,64,256] [-dur 120s] [-seed 1] [-fq]
+//	         [-workers 0] [-shards NumCPU] [-lean] [-jain-floor 0]
+//	         [-json f] [-cpuprofile f] [-memprofile f] [-trace f]
+//	         [-alpha 1] [-rate 6000] [-per-flow] [-no-cache]
 //
-//   - Fairness sweep (default): one steady fleet per size; reports
-//     Jain's index, per-flow throughput/delay, aggregate utility. By
-//     default each fleet runs on the sharded runtime (internal/shard):
-//     one DES loop per CPU, coupled through the shared bottleneck by
-//     deterministic windowed lookahead. Results are bit-identical
-//     for every shard count >= 1. -shards 0 forces the default
-//     single-loop fleet, whose arrival-order scheduling takes a
-//     different (equally deterministic) trajectory.
-//   - Churn (-churn): the fleet lives under a seeded churn schedule —
-//     arrivals, departures, crash-kills — with the lifecycle
-//     Supervisor checkpointing members and restarting casualties
-//     through the hot/warm/cold ladder (internal/lifecycle). With
-//     -shards K the barrier-aligned sharded lifecycle runs instead,
-//     with barrier checkpoints (disable via -no-ckpt, mirror via
-//     -checkpoint-dir) giving its restarts the same ladder. -jain-floor
-//     holds either protocol's final-window Jain index to a floor (a
-//     usage error with -lean, which keeps no series to compute it from).
-//   - Shard faults (-shard-crash / -shard-stall): the sharded runtime
-//     under the deterministic shard-kill/stall schedule — whole
-//     virtual shards die at window barriers and fail over onto
-//     survivors, stalled shards serve degraded through the Guard
-//     ladder. There is no single-loop fault mode, so -shards 0 runs
-//     one shard here. -window-budget arms the wall-clock watchdog
-//     (nondeterministic; keep it off when hashes matter).
-//     -verify-shards "1,4" re-runs every point at each listed shard
-//     count and fails unless the replay hashes agree bit for bit.
+// The fairness sweep (experiments.FairnessSweep; a bare `fleetsim -n …`
+// means this mode): one steady fleet per size, reporting Jain's index,
+// per-flow throughput and delay, aggregate utility. Each fleet runs on
+// the sharded runtime (internal/shard), bit-identical for every shard
+// count >= 1; -shards 0 is the single-loop fleet, whose arrival-order
+// scheduling takes a different (equally deterministic) trajectory.
 //
-// Usage:
+//	fleetsim churn [the shared flags above, -shards default 0]
+//	         [-epoch 10s] [-depart .04] [-crash .06] [-arrive .5]
+//	         [-no-ckpt] [-checkpoint-dir d] [-verify-shards 1,4] [-smoke]
 //
-//	go run ./cmd/fleetsim [-n 2,4,16,64,256] [-dur 120s] [-seed 1]
-//	                      [-alpha 1] [-rate 6000] [-fq] [-workers 0]
-//	                      [-per-flow] [-no-cache] [-jain-floor 0]
-//	                      [-shards N] [-lean] [-json out.json]
-//	                      [-cpuprofile f] [-memprofile f] [-trace f]
-//	go run ./cmd/fleetsim -churn [-epoch 10s] [-depart .04] [-crash .06]
-//	                      [-arrive .5] [-no-ckpt] [-checkpoint-dir d]
-//	                      [-json out.json]
-//	go run ./cmd/fleetsim -shard-crash [-shard-stall] [-shards K]
-//	                      [-window-budget 0] [-verify-shards "1,4"]
+// The fleet lives under a seeded churn schedule — arrivals, departures,
+// crash-kills — with casualties restarted through the hot/warm/cold
+// ladder (experiments.RunChurn). -shards 0 is the supervised single
+// loop (internal/lifecycle), -shards K >= 1 the barrier-aligned sharded
+// lifecycle, whose replay hash is the same at every K; both print the
+// one table. -verify-shards re-runs every point at each listed count
+// and fails unless the hashes agree bit for bit (it implies the sharded
+// runtime). -jain-floor holds the final-window Jain index to a floor (a
+// usage error with -lean, which keeps no series to compute it from).
+//
+//	fleetsim fault [the shared flags above, -shards default 0]
+//	         [-shard-crash] [-shard-stall] [-window-budget 0] [-churn]
+//	         [-no-ckpt] [-checkpoint-dir d] [-verify-shards 1,4] [-smoke]
+//
+// The sharded runtime under the deterministic shard-kill/stall schedule:
+// whole virtual shards die at window barriers and fail over onto
+// survivors, stalled shards serve degraded through the Guard ladder.
+// Faults have no single-loop form, so -shards 0 runs one shard.
+// -window-budget arms the wall-clock watchdog (nondeterministic; keep it
+// off when hashes matter). -churn adds the churn schedule at its
+// defaults.
 //
 // Examples:
 //
-//	go run ./cmd/fleetsim -n 2,16 -dur 60s         # quick look
-//	go run ./cmd/fleetsim -fq                      # DRR fair-queue bottleneck
-//	go run ./cmd/fleetsim -n 256 -per-flow         # every flow's numbers
-//	go run ./cmd/fleetsim -churn -smoke            # CI churn soak
-//	go run ./cmd/fleetsim -churn -shards 4 -smoke  # sharded-lifecycle soak
-//	go run ./cmd/fleetsim -shards 4 -shard-crash -smoke   # failover soak
-//	go run ./cmd/fleetsim -shard-crash -verify-shards 1,4 # failover determinism
-//	go run ./cmd/fleetsim -n 256 -shards 8 -lean   # big fleet, flat heap
-//	go run ./cmd/fleetsim -jain-floor 0.9          # exit 3 if any point under
+//	go run ./cmd/fleetsim -n 2,16 -dur 60s           # quick look
+//	go run ./cmd/fleetsim -fq                        # DRR fair-queue bottleneck
+//	go run ./cmd/fleetsim -n 256 -per-flow           # every flow's numbers
+//	go run ./cmd/fleetsim -n 256 -shards 8 -lean     # big fleet, flat heap
+//	go run ./cmd/fleetsim -jain-floor 0.9            # exit 3 if any point under
+//	go run ./cmd/fleetsim churn -smoke               # CI churn soak
+//	go run ./cmd/fleetsim churn -n 16 -seed 1 -shards 1      # the same table from the barrier runtime
+//	go run ./cmd/fleetsim churn -smoke -verify-shards 1,4    # one hash at K = 1 and 4
+//	go run ./cmd/fleetsim fault -shards 4 -shard-crash -smoke    # failover soak
+//	go run ./cmd/fleetsim fault -shard-crash -verify-shards 1,4  # failover determinism
 //
 // Exit status: 0 on success, 1 when a run's own check fails, 2 on usage
 // errors, 3 when any point's Jain index falls below -jain-floor.
@@ -73,141 +73,253 @@ import (
 	"time"
 
 	"modelcc/internal/experiments"
-	"modelcc/internal/units"
+	"modelcc/internal/lifecycle"
 )
 
 func main() {
-	ns := flag.String("n", "", "comma-separated fleet sizes (default 2,4,16,64,256; churn default 4,16,64)")
-	dur := flag.Duration("dur", 120*time.Second, "virtual duration per run")
-	seed := flag.Int64("seed", 1, "simulation seed")
-	alpha := flag.Float64("alpha", 1, "cross-traffic priority α for every member")
-	rate := flag.Float64("rate", 6000, "per-sender fair share in bits/s (link = N × rate)")
-	fq := flag.Bool("fq", false, "DRR fair-queue bottleneck instead of tail-drop FIFO")
-	workers := flag.Int("workers", 0, "shared rollout pool width (0 = GOMAXPROCS, 1 = serial); results are identical for any value")
-	perFlow := flag.Bool("per-flow", false, "print every flow's throughput/delay/drops (fairness mode)")
-	noCache := flag.Bool("no-cache", false, "disable the fleet-wide shared policy cache (fairness mode)")
-	jainFloor := flag.Float64("jain-floor", 0, "exit 3 when any point's Jain index is below this floor (fairness sweep and every churn or shard-fault run)")
-	shards := flag.Int("shards", runtime.NumCPU(), "parallel DES shards per fleet (0 = single-loop fleet; 1 under -shard-crash/-shard-stall, which have no single-loop form); results are bit-identical for any count >= 1")
-	lean := flag.Bool("lean", false, "streaming statistics only: no per-packet series, flat heap at large N")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	traceFile := flag.String("trace", "", "write a runtime execution trace to this file")
-
-	churn := flag.Bool("churn", false, "churn mode: supervised lifecycle run instead of a steady fairness sweep")
-	epoch := flag.Duration("epoch", 10*time.Second, "churn decision period")
-	depart := flag.Float64("depart", 0.04, "per-member per-epoch departure probability")
-	crash := flag.Float64("crash", 0.06, "per-member per-epoch crash probability")
-	arrive := flag.Float64("arrive", 0.5, "per-open-slot per-epoch arrival probability")
-	noCkpt := flag.Bool("no-ckpt", false, "disable checkpoints: every restart cold instead of warm")
-	ckptDir := flag.String("checkpoint-dir", "", "mirror member checkpoints to this directory")
-	smoke := flag.Bool("smoke", false, "small fast churn soak for CI (overrides -n and -dur)")
-	jsonOut := flag.String("json", "", "also write the results (fairness sweep or churn points) as JSON to this file")
-	shardCrash := flag.Bool("shard-crash", false, "sharded runtime: arm the deterministic shard-kill schedule (whole virtual shards fail over at barriers)")
-	shardStall := flag.Bool("shard-stall", false, "sharded runtime: arm the deterministic stall schedule (stalled shards serve degraded)")
-	windowBudget := flag.Duration("window-budget", 0, "sharded runtime: wall-clock watchdog budget per coupling window (0 off; nondeterministic)")
-	verifyShards := flag.String("verify-shards", "", "comma-separated shard counts to re-run every point at; fail unless replay hashes agree")
-	flag.Parse()
-
-	stopProf, err := startProfiling(*cpuprofile, *memprofile, *traceFile)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fleetsim: %v\n", err)
-		os.Exit(2)
+	mode, args := "sweep", os.Args[1:]
+	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
+		mode, args = args[0], args[1:]
 	}
-	exit := func(code int) {
-		stopProf()
-		os.Exit(code)
+	switch mode {
+	case "sweep":
+		fs, s := sweepFlags()
+		fs.Parse(args)
+		os.Exit(s.run())
+	case "churn", "fault":
+		fs, l := lifecycleFlags(mode)
+		fs.Parse(args)
+		os.Exit(l.run())
 	}
+	fmt.Fprintf(os.Stderr, "fleetsim: unknown mode %q; usage: fleetsim [sweep|churn|fault] [flags] (-h lists a mode's flags)\n", mode)
+	os.Exit(2)
+}
 
-	sizes, err := parseSizes(*ns)
-	if err == nil {
-		err = checkRanges(*dur, *epoch, *rate, *alpha, *depart, *crash, *arrive)
+// options are the flags that configure the command rather than the
+// experiment; every mode has them.
+type options struct {
+	jainFloor                     float64
+	jsonOut                       string
+	cpuprofile, memprofile, trace string
+}
+
+// sharedFlags registers the flags every mode has. The experiment knobs
+// bind to the mode's own config through the pointers: FairnessConfig and
+// ChurnConfig name them alike.
+func sharedFlags(fs *flag.FlagSet, o *options, ns *[]int, dur *time.Duration, seed *int64, fq *bool, workers, shards *int, lean *bool) {
+	fs.Var((*sizeList)(ns), "n", "comma-separated fleet sizes (default 2,4,16,64,256; churn and fault 4,16,64)")
+	fs.DurationVar(dur, "dur", *dur, "virtual duration per run")
+	fs.Int64Var(seed, "seed", *seed, "simulation seed")
+	fs.BoolVar(fq, "fq", false, "DRR fair-queue bottleneck instead of tail-drop FIFO")
+	fs.IntVar(workers, "workers", 0, "total rollout pool width (0 = GOMAXPROCS, 1 = serial); results are identical for any value")
+	fs.IntVar(shards, "shards", *shards, "parallel DES shards per fleet (0 = the single-loop runtime; one shard under fault); results are bit-identical for any count >= 1")
+	fs.BoolVar(lean, "lean", false, "streaming statistics only: no per-packet series, flat heap at large N")
+	fs.Float64Var(&o.jainFloor, "jain-floor", 0, "exit 3 when any point's Jain index is below this floor")
+	fs.StringVar(&o.jsonOut, "json", "", "also write the result points as JSON to this file")
+	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&o.memprofile, "memprofile", "", "write a heap profile to this file on exit")
+	fs.StringVar(&o.trace, "trace", "", "write a runtime execution trace to this file")
+}
+
+// sweepRun is a parsed `fleetsim sweep` command line.
+type sweepRun struct {
+	cfg     experiments.FairnessConfig
+	opts    options
+	perFlow bool
+}
+
+func sweepFlags() (*flag.FlagSet, *sweepRun) {
+	s := &sweepRun{cfg: experiments.FairnessConfig{
+		Duration: 120 * time.Second, Seed: 1, Alpha: 1, PerSenderRate: 6000, Shards: runtime.NumCPU(),
+	}}
+	c := &s.cfg
+	fs := flag.NewFlagSet("fleetsim sweep", flag.ExitOnError)
+	sharedFlags(fs, &s.opts, &c.Ns, &c.Duration, &c.Seed, &c.FairQueue, &c.Workers, &c.Shards, &c.LeanStats)
+	fs.Float64Var(&c.Alpha, "alpha", c.Alpha, "cross-traffic priority α for every member")
+	fs.Float64Var((*float64)(&c.PerSenderRate), "rate", float64(c.PerSenderRate), "per-sender fair share in bits/s (link = N × rate)")
+	fs.BoolVar(&c.NoSharedCache, "no-cache", false, "disable the fleet-wide shared policy cache")
+	fs.BoolVar(&s.perFlow, "per-flow", false, "print every flow's throughput/delay/drops")
+	return fs, s
+}
+
+func (s *sweepRun) run() int {
+	if err := checkRanges(s.cfg.Duration, time.Second, float64(s.cfg.PerSenderRate), s.cfg.Alpha, 0, 0, 0); err != nil {
+		return fail(2, "%v", err)
 	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fleetsim: %v\n", err)
-		exit(2)
-	}
-
-	// The churn path only goes sharded when -shards is set explicitly:
-	// the default churn mode is the supervised single-loop lifecycle
-	// (checkpoints, warm restarts), which the barrier-aligned sharded
-	// lifecycle intentionally does not reproduce.
-	shardsSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "shards" {
-			shardsSet = true
-		}
-	})
-
-	faultMode := *shardCrash || *shardStall || *windowBudget > 0 || *verifyShards != ""
-	if *churn || faultMode {
-		sharded, k, err := resolveLifecycle(faultMode, shardsSet, *shards, *lean, *jainFloor)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fleetsim: %v\n", err)
-			exit(2)
-		}
-		if sharded {
-			runShardChurn(shardChurnOpts{
-				sizes: sizes, dur: *dur, seed: *seed, shards: k, workers: *workers,
-				fq: *fq, lean: *lean,
-				churn: *churn || !faultMode,
-				epoch: *epoch, depart: *depart, crash: *crash, arrive: *arrive,
-				noCkpt: *noCkpt, ckptDir: *ckptDir,
-				shardCrash: *shardCrash, shardStall: *shardStall,
-				windowBudget: *windowBudget, verifyShards: *verifyShards,
-				smoke: *smoke, jsonOut: *jsonOut, jainFloor: *jainFloor, exit: exit,
-			})
-		} else {
-			runChurn(churnOpts{
-				sizes: sizes, dur: *dur, seed: *seed, workers: *workers, fq: *fq,
-				epoch: *epoch, depart: *depart, crash: *crash, arrive: *arrive,
-				noCkpt: *noCkpt, ckptDir: *ckptDir, smoke: *smoke,
-				jsonOut: *jsonOut, jainFloor: *jainFloor, exit: exit,
-			})
-		}
-		exit(0)
-	}
-
-	if len(sizes) == 0 {
-		sizes = []int{2, 4, 16, 64, 256}
-	}
-	start := time.Now()
-	res := experiments.FairnessSweep(experiments.FairnessConfig{
-		Ns:            sizes,
-		Duration:      *dur,
-		Seed:          *seed,
-		Alpha:         *alpha,
-		PerSenderRate: units.BitRate(*rate),
-		FairQueue:     *fq,
-		Workers:       *workers,
-		NoSharedCache: *noCache,
-		Shards:        *shards,
-		LeanStats:     *lean,
-	})
-	fmt.Print(res.Render())
-	fmt.Printf("(%v wall)\n", time.Since(start).Round(time.Millisecond))
-	writeJSON(*jsonOut, res, exit)
-
-	if *perFlow {
-		for _, p := range res.Points {
-			fmt.Printf("\nN=%d per flow:\n%-6s %10s %10s %12s %12s %12s %8s %14s\n",
-				p.N, "flow", "pkt/s", "delivered", "delay(s)", "p99 dly(s)", "max dly(s)", "drops", "utility")
-			for _, fs := range p.PerFlow {
-				fmt.Printf("%-6d %10.4f %10d %12.3f %12.3f %12.3f %8d %14.1f\n",
-					fs.Flow, fs.Rate, fs.Delivered, fs.MeanDelay, fs.P99Delay, fs.MaxDelay, fs.Drops, fs.Utility)
+	return s.opts.profiled(func() int {
+		start := time.Now()
+		res := experiments.FairnessSweep(s.cfg)
+		fmt.Print(res.Render())
+		fmt.Printf("(%v wall)\n", time.Since(start).Round(time.Millisecond))
+		if s.perFlow {
+			for _, p := range res.Points {
+				fmt.Printf("\nN=%d per flow:\n%-6s %10s %10s %12s %12s %12s %8s %14s\n",
+					p.N, "flow", "pkt/s", "delivered", "delay(s)", "p99 dly(s)", "max dly(s)", "drops", "utility")
+				for _, fs := range p.PerFlow {
+					fmt.Printf("%-6d %10.4f %10d %12.3f %12.3f %12.3f %8d %14.1f\n",
+						fs.Flow, fs.Rate, fs.Delivered, fs.MeanDelay, fs.P99Delay, fs.MaxDelay, fs.Drops, fs.Utility)
+				}
 			}
 		}
+		var jains []float64
+		for _, p := range res.Points {
+			jains = append(jains, p.Jain)
+		}
+		return s.opts.finish(res, jains)
+	})
+}
+
+// lifecycleRun is a parsed `fleetsim churn` or `fleetsim fault` command
+// line: one ChurnConfig per fleet size, on whichever runtime -shards
+// selects.
+type lifecycleRun struct {
+	sweep  experiments.ChurnSweepConfig
+	opts   options
+	verify sizeList
+	smoke  bool
+	// crash and stall arm the shard-fault schedule at fixed rates.
+	crash, stall bool
+}
+
+func lifecycleFlags(mode string) (*flag.FlagSet, *lifecycleRun) {
+	l := &lifecycleRun{}
+	c := &l.sweep.Base
+	c.Duration, c.Seed = 120*time.Second, 1
+	d := lifecycle.ChurnConfig{}.WithDefaults(0)
+	c.Epoch, c.DepartProb, c.CrashProb, c.ArriveProb = d.Epoch, d.DepartProb, d.CrashProb, d.ArriveProb
+	fs := flag.NewFlagSet("fleetsim "+mode, flag.ExitOnError)
+	sharedFlags(fs, &l.opts, &l.sweep.Ns, &c.Duration, &c.Seed, &c.FairQueue, &c.Workers, &c.Shards, &c.LeanStats)
+	fs.BoolVar(&c.NoCheckpoints, "no-ckpt", false, "disable checkpoints: every restart and failover cold instead of warm")
+	fs.StringVar(&c.CheckpointDir, "checkpoint-dir", "", "mirror member checkpoints to this directory")
+	fs.Var(&l.verify, "verify-shards", "comma-separated shard counts to re-run every point at; fail unless replay hashes agree (implies the sharded runtime)")
+	fs.BoolVar(&l.smoke, "smoke", false, "small fast soak for CI (N=8, 60 s; overrides -n and -dur)")
+	if mode == "churn" {
+		fs.DurationVar(&c.Epoch, "epoch", c.Epoch, "churn decision period")
+		fs.Float64Var(&c.DepartProb, "depart", c.DepartProb, "per-member per-epoch departure probability")
+		fs.Float64Var(&c.CrashProb, "crash", c.CrashProb, "per-member per-epoch crash probability")
+		fs.Float64Var(&c.ArriveProb, "arrive", c.ArriveProb, "per-open-slot per-epoch arrival probability")
+		return fs, l
 	}
-	var jains []float64
-	for _, p := range res.Points {
-		jains = append(jains, p.Jain)
+	c.NoChurn = true
+	fs.BoolFunc("churn", "also run the churn schedule, at its defaults", func(s string) error {
+		on, err := strconv.ParseBool(s)
+		c.NoChurn = !on
+		return err
+	})
+	fs.BoolVar(&l.crash, "shard-crash", false, "arm the deterministic shard-kill schedule (whole virtual shards fail over at barriers; stalls too)")
+	fs.BoolVar(&l.stall, "shard-stall", false, "arm the deterministic stall schedule (stalled shards serve degraded)")
+	fs.DurationVar(&c.WindowBudget, "window-budget", 0, "wall-clock watchdog budget per coupling window (0 off; nondeterministic)")
+	return fs, l
+}
+
+// resolve turns the parsed flags that are not config fields into the
+// config and refuses the combinations that cannot mean anything. A
+// non-nil error is a usage error.
+func (l *lifecycleRun) resolve() error {
+	c := &l.sweep.Base
+	if err := checkRanges(c.Duration, c.Epoch, 1, 0, c.DepartProb, c.CrashProb, c.ArriveProb); err != nil {
+		return err
 	}
-	checkJainFloor(jains, *jainFloor, exit)
-	exit(0)
+	if l.opts.jainFloor > 0 && c.LeanStats {
+		return fmt.Errorf("-jain-floor needs the per-packet series -lean drops: a lean lifecycle run has no Jain index to hold to a floor")
+	}
+	if len(l.verify) > 0 && c.WindowBudget > 0 {
+		return fmt.Errorf("-verify-shards cannot run under -window-budget (wall-clock verdicts are nondeterministic)")
+	}
+	if l.smoke {
+		// One small fast point: enough churn or faults to exercise
+		// teardown, restart and recycling under -race within a CI timeout.
+		l.sweep.Ns, c.Duration = []int{8}, 60*time.Second
+	}
+	if l.crash {
+		c.ShardKillProb = 0.3
+	}
+	if l.crash || l.stall {
+		c.ShardStallProb = 0.25
+	}
+	if len(l.verify) > 0 && c.Shards == 0 {
+		// The single loop's hash is its own; only the barrier runtime's
+		// is shard-count invariant.
+		c.Shards = l.verify[0]
+	}
+	return nil
+}
+
+func (l *lifecycleRun) run() int {
+	if err := l.resolve(); err != nil {
+		return fail(2, "%v", err)
+	}
+	return l.opts.profiled(func() int {
+		start := time.Now()
+		res := experiments.ChurnSweep(l.sweep)
+		for _, p := range res.Points {
+			for _, k := range l.verify {
+				if k == p.Cfg.Shards {
+					continue
+				}
+				alt := p.Cfg
+				alt.Shards = k
+				if got := experiments.RunChurn(alt); got.ReplayHash != p.ReplayHash {
+					return fail(1, "N=%d replay hash diverges across shard counts: shards=%d %016x vs shards=%d %016x",
+						p.Cfg.N, p.Cfg.Shards, p.ReplayHash, k, got.ReplayHash)
+				}
+			}
+		}
+		fmt.Print(res.Render())
+		if len(l.verify) > 0 {
+			fmt.Printf("replay hashes verified bit-identical across shards=%v\n", []int(l.verify))
+		}
+		fmt.Printf("(%v wall)\n", time.Since(start).Round(time.Millisecond))
+		var jains []float64
+		for _, p := range res.Points {
+			switch {
+			case !p.Cfg.NoChurn && p.Crashes+p.Departures+p.Arrivals == 0:
+				return fail(1, "N=%d churn schedule produced no lifecycle events", p.Cfg.N)
+			case l.crash && p.Failover.ShardKills == 0:
+				return fail(1, "N=%d shard-crash schedule produced no kills", p.Cfg.N)
+			case (l.crash || l.stall) && p.Failover.Stalls == 0:
+				return fail(1, "N=%d stall schedule produced no stalls", p.Cfg.N)
+			case p.CheckpointErrors > 0:
+				return fail(1, "N=%d saw %d checkpoint errors", p.Cfg.N, p.CheckpointErrors)
+			}
+			jains = append(jains, p.Jain)
+		}
+		return l.opts.finish(res.Points, jains)
+	})
+}
+
+// fail prints the message to stderr and returns code, for a caller to
+// return in turn.
+func fail(code int, format string, args ...any) int {
+	fmt.Fprintf(os.Stderr, "fleetsim: "+format+"\n", args...)
+	return code
+}
+
+// finish ends a successful run: it writes -json's file (an empty path
+// means none was asked for) and holds the points to -jain-floor — the CI
+// tripwire for fairness regressions. It returns the exit status.
+func (o *options) finish(points any, jains []float64) int {
+	if o.jsonOut != "" {
+		b, err := json.MarshalIndent(points, "", "  ")
+		if err == nil {
+			err = os.WriteFile(o.jsonOut, b, 0o644)
+		}
+		if err != nil {
+			return fail(1, "writing %s: %v", o.jsonOut, err)
+		}
+	}
+	for i, j := range jains {
+		if o.jainFloor > 0 && j < o.jainFloor {
+			return fail(3, "point %d Jain %.4f below floor %.4f", i, j, o.jainFloor)
+		}
+	}
+	return 0
 }
 
 // checkRanges refuses numeric flags outside their domain — a negative
 // -dur would run a zero-length sweep and exit 0, a non-positive -rate
-// would silently become the default. A non-nil error is a usage error.
+// would silently become the default. A mode passes an in-range constant
+// for a flag it does not have. A non-nil error is a usage error.
 func checkRanges(dur, epoch time.Duration, rate, alpha, depart, crash, arrive float64) error {
 	prob := func(p float64) bool { return p >= 0 && p <= 1 }
 	for _, c := range []struct {
@@ -231,277 +343,61 @@ func checkRanges(dur, epoch time.Duration, rate, alpha, depart, crash, arrive fl
 	return nil
 }
 
-// startProfiling arms the requested CPU profile / heap profile /
-// execution trace. The returned stop function finishes all three; call
-// it before every process exit.
-func startProfiling(cpu, mem, tr string) (stop func(), err error) {
+// profiled runs fn between arming and finishing the requested CPU
+// profile, heap profile and execution trace, and returns its status.
+func (o *options) profiled(fn func() int) int {
 	var cpuF, trF *os.File
-	if cpu != "" {
-		if cpuF, err = os.Create(cpu); err != nil {
-			return nil, err
-		}
-		if err = pprof.StartCPUProfile(cpuF); err != nil {
-			return nil, err
+	var err error
+	if o.cpuprofile != "" {
+		if cpuF, err = os.Create(o.cpuprofile); err == nil {
+			err = pprof.StartCPUProfile(cpuF)
 		}
 	}
-	if tr != "" {
-		if trF, err = os.Create(tr); err != nil {
-			return nil, err
+	if err == nil && o.trace != "" {
+		if trF, err = os.Create(o.trace); err == nil {
+			err = trace.Start(trF)
 		}
-		if err = trace.Start(trF); err != nil {
-			return nil, err
-		}
-	}
-	return func() {
-		if cpuF != nil {
-			pprof.StopCPUProfile()
-			cpuF.Close()
-		}
-		if trF != nil {
-			trace.Stop()
-			trF.Close()
-		}
-		if mem != "" {
-			f, err := os.Create(mem)
-			if err == nil {
-				runtime.GC()
-				err = pprof.WriteHeapProfile(f)
-				f.Close()
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "fleetsim: heap profile: %v\n", err)
-			}
-		}
-	}, nil
-}
-
-// resolveLifecycle decides which lifecycle driver a -churn or
-// shard-fault command line runs and at what shard count, so that a flag
-// means in these modes what it means in a fairness sweep or the
-// combination is refused. shardsSet is whether -shards was given at
-// all: the default churn mode is the supervised single-loop lifecycle,
-// and only an explicit positive -shards (or a fault flag, which has no
-// single-loop form) selects the barrier-aligned sharded one. A non-nil
-// error is a usage error.
-func resolveLifecycle(faultMode, shardsSet bool, shards int, lean bool, jainFloor float64) (sharded bool, k int, err error) {
-	if jainFloor > 0 && lean {
-		return false, 0, fmt.Errorf("-jain-floor needs the per-packet series -lean drops: a lean lifecycle run has no Jain index to hold to a floor")
-	}
-	sharded = faultMode || (shardsSet && shards > 0)
-	if sharded && shards < 1 {
-		// Zero means "no sharding"; it must not reach
-		// shard.ResolveShards, where it means one shard per CPU.
-		shards = 1
-	}
-	return sharded, shards, nil
-}
-
-type shardChurnOpts struct {
-	sizes                  []int
-	dur                    time.Duration
-	seed                   int64
-	shards, workers        int
-	fq, lean               bool
-	churn                  bool
-	epoch                  time.Duration
-	depart, crash, arrive  float64
-	noCkpt                 bool
-	ckptDir                string
-	shardCrash, shardStall bool
-	windowBudget           time.Duration
-	verifyShards           string
-	smoke                  bool
-	jsonOut                string
-	jainFloor              float64
-	exit                   func(int)
-}
-
-// runShardChurn is the lifecycle mode on the sharded runtime: the
-// barrier-aligned churn lifecycle and/or the deterministic shard-fault
-// schedule, with barrier checkpoints arming the hot/warm/cold restart
-// ladder. The replay hash is invariant across shard counts (except
-// under -window-budget, whose wall-clock verdicts are inherently
-// nondeterministic).
-func runShardChurn(o shardChurnOpts) {
-	sizes, dur := o.sizes, o.dur
-	if o.smoke {
-		sizes = []int{8}
-		dur = 60 * time.Second
-	} else if len(sizes) == 0 {
-		sizes = []int{4, 16, 64}
-	}
-	base := experiments.ShardChurnConfig{
-		Shards: o.shards, Duration: dur, Seed: o.seed,
-		Epoch: o.epoch, DepartProb: o.depart, CrashProb: o.crash, ArriveProb: o.arrive,
-		FairQueue: o.fq, Workers: o.workers, LeanStats: o.lean,
-		NoChurn:     !o.churn,
-		Checkpoints: !o.noCkpt, CheckpointDir: o.ckptDir,
-		WindowBudget: o.windowBudget,
-	}
-	if o.shardCrash {
-		base.ShardKillProb = 0.3
-	}
-	if o.shardCrash || o.shardStall {
-		base.ShardStallProb = 0.25
-	}
-	if o.noCkpt {
-		base.CheckpointDir = ""
-	}
-
-	verify, err := parseSizes(o.verifyShards)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fleetsim: -verify-shards: %v\n", err)
-		o.exit(2)
-	}
-	if len(verify) > 0 && o.windowBudget > 0 {
-		fmt.Fprintln(os.Stderr, "fleetsim: -verify-shards cannot run under -window-budget (wall-clock verdicts are nondeterministic)")
-		o.exit(2)
-	}
-
-	start := time.Now()
-	var points []experiments.ShardChurnResult
-	for _, n := range sizes {
-		cfg := base
-		cfg.N = n
-		p := experiments.RunShardChurn(cfg)
-		points = append(points, p)
-		for _, k := range verify {
-			if k == p.Cfg.Shards {
-				continue
-			}
-			alt := base
-			alt.N, alt.Shards = n, k
-			if got := experiments.RunShardChurn(alt); got.ReplayHash != p.ReplayHash {
-				fmt.Fprintf(os.Stderr, "fleetsim: N=%d replay hash diverges across shard counts: shards=%d %016x vs shards=%d %016x\n",
-					n, p.Cfg.Shards, p.ReplayHash, k, got.ReplayHash)
-				o.exit(1)
-			}
-		}
-	}
-	fmt.Print(experiments.RenderShardChurn(points))
-	if len(verify) > 0 {
-		fmt.Printf("replay hashes verified bit-identical across shards=%v\n", verify)
-	}
-	fmt.Printf("(%v wall)\n", time.Since(start).Round(time.Millisecond))
-	for _, p := range points {
-		if o.churn && p.Stats.Crashes+p.Stats.Departures+p.Stats.Arrivals == 0 {
-			fmt.Fprintf(os.Stderr, "fleetsim: N=%d sharded churn produced no lifecycle events\n", p.Cfg.N)
-			o.exit(1)
-		}
-		if o.shardCrash && p.Failover.ShardKills == 0 {
-			fmt.Fprintf(os.Stderr, "fleetsim: N=%d shard-crash schedule produced no kills\n", p.Cfg.N)
-			o.exit(1)
-		}
-		if (o.shardCrash || o.shardStall) && p.Failover.Stalls == 0 {
-			fmt.Fprintf(os.Stderr, "fleetsim: N=%d stall schedule produced no stalls\n", p.Cfg.N)
-			o.exit(1)
-		}
-		if p.Stats.CheckpointErrors > 0 {
-			fmt.Fprintf(os.Stderr, "fleetsim: N=%d saw %d checkpoint errors\n", p.Cfg.N, p.Stats.CheckpointErrors)
-			o.exit(1)
-		}
-	}
-	writeJSON(o.jsonOut, points, o.exit)
-	var jains []float64
-	for _, p := range points {
-		jains = append(jains, p.Jain)
-	}
-	checkJainFloor(jains, o.jainFloor, o.exit)
-}
-
-type churnOpts struct {
-	sizes                 []int
-	dur                   time.Duration
-	seed                  int64
-	workers               int
-	fq                    bool
-	epoch                 time.Duration
-	depart, crash, arrive float64
-	noCkpt                bool
-	ckptDir               string
-	smoke                 bool
-	jsonOut               string
-	jainFloor             float64
-	exit                  func(int)
-}
-
-// writeJSON writes v, indented, to path; an empty path means no JSON
-// was asked for.
-func writeJSON(path string, v any, exit func(int)) {
-	if path == "" {
-		return
-	}
-	b, err := json.MarshalIndent(v, "", "  ")
-	if err == nil {
-		err = os.WriteFile(path, b, 0o644)
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "fleetsim: writing %s: %v\n", path, err)
-		exit(1)
+		return fail(2, "%v", err)
 	}
-}
-
-func runChurn(o churnOpts) {
-	sizes := o.sizes
-	dur := o.dur
-	if o.smoke {
-		// One small fast point: enough churn to exercise teardown,
-		// restart, and recycling under -race within a CI timeout.
-		sizes = []int{8}
-		dur = 60 * time.Second
-	} else if len(sizes) == 0 {
-		sizes = []int{4, 16, 64}
+	code := fn()
+	if cpuF != nil {
+		pprof.StopCPUProfile()
+		cpuF.Close()
 	}
-	start := time.Now()
-	res := experiments.ChurnSweep(experiments.ChurnSweepConfig{
-		Ns: sizes,
-		Base: experiments.ChurnConfig{
-			Duration:      dur,
-			Seed:          o.seed,
-			Epoch:         o.epoch,
-			DepartProb:    o.depart,
-			CrashProb:     o.crash,
-			ArriveProb:    o.arrive,
-			Workers:       o.workers,
-			FairQueue:     o.fq,
-			NoCheckpoints: o.noCkpt,
-			CheckpointDir: o.ckptDir,
-		},
-	})
-	fmt.Print(res.Render())
-	fmt.Printf("(%v wall)\n", time.Since(start).Round(time.Millisecond))
-
-	for _, p := range res.Points {
-		if p.CheckpointErrors > 0 {
-			fmt.Fprintf(os.Stderr, "fleetsim: N=%d saw %d checkpoint errors\n", p.Cfg.N, p.CheckpointErrors)
-			o.exit(1)
+	if trF != nil {
+		trace.Stop()
+		trF.Close()
+	}
+	if o.memprofile != "" {
+		f, err := os.Create(o.memprofile)
+		if err == nil {
+			runtime.GC()
+			err = pprof.WriteHeapProfile(f)
+			f.Close()
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "fleetsim: heap profile: %v\n", err)
 		}
 	}
-	writeJSON(o.jsonOut, res.Points, o.exit)
-	var jains []float64
-	for _, p := range res.Points {
-		jains = append(jains, p.Jain)
-	}
-	checkJainFloor(jains, o.jainFloor, o.exit)
+	return code
 }
 
-// checkJainFloor exits with status 3 when any point's fairness fell
-// below the requested floor — the CI tripwire for fairness
-// regressions.
-func checkJainFloor(jains []float64, floor float64, exit func(int)) {
-	if floor <= 0 {
-		return
+// sizeList is a comma-separated list of positive integers as a flag
+// value: fleet sizes, shard counts.
+type sizeList []int
+
+func (l *sizeList) String() string {
+	parts := make([]string, len(*l))
+	for i, n := range *l {
+		parts[i] = strconv.Itoa(n)
 	}
-	for i, j := range jains {
-		if j < floor {
-			fmt.Fprintf(os.Stderr, "fleetsim: point %d Jain %.4f below floor %.4f\n", i, j, floor)
-			exit(3)
-		}
-	}
+	return strings.Join(parts, ",")
 }
 
-func parseSizes(s string) ([]int, error) {
-	var sizes []int
+func (l *sizeList) Set(s string) error {
+	*l = nil
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
@@ -509,9 +405,9 @@ func parseSizes(s string) ([]int, error) {
 		}
 		n, err := strconv.Atoi(part)
 		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad fleet size %q", part)
+			return fmt.Errorf("bad size %q", part)
 		}
-		sizes = append(sizes, n)
+		*l = append(*l, n)
 	}
-	return sizes, nil
+	return nil
 }

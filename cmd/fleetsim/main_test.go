@@ -1,11 +1,25 @@
 package main
 
 import (
+	"flag"
+	"io"
 	"math"
 	"strings"
 	"testing"
 	"time"
 )
+
+// parseLifecycle parses a `fleetsim churn|fault` command line the way
+// main does, with parse errors returned instead of exiting.
+func parseLifecycle(mode string, args ...string) (*lifecycleRun, error) {
+	fs, l := lifecycleFlags(mode)
+	fs.Init(fs.Name(), flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	return l, l.resolve()
+}
 
 // TestLifecycleFlagsMeanOneThing: in a lifecycle mode a flag means what
 // it means everywhere else, or the combination is a usage error.
@@ -14,38 +28,69 @@ import (
 // run silently.)
 func TestLifecycleFlagsMeanOneThing(t *testing.T) {
 	// -shards 0 is "no sharding". A fault mode has no single-loop form,
-	// so it runs one shard — never shard.ResolveShards(0) = one per CPU.
-	sharded, k, err := resolveLifecycle(true, true, 0, false, 0)
-	if err != nil || !sharded || k != 1 {
-		t.Errorf("-shard-crash -shards 0 resolved sharded=%v k=%d err=%v, want the sharded driver at 1", sharded, k, err)
+	// so the library runs one shard — never shard.ResolveShards(0) = one
+	// per CPU. The command hands the library the knob and Shards 0;
+	// TestChurnFaultKnobRunsOneShard (internal/experiments) holds the
+	// library to the rule.
+	for _, args := range [][]string{{"-shard-crash", "-shards", "0"}, {"-shard-crash"}} {
+		l, err := parseLifecycle("fault", args...)
+		if err != nil {
+			t.Fatalf("fault %v: %v", args, err)
+		}
+		if c := l.sweep.Base; c.Shards != 0 || c.ShardKillProb <= 0 || c.ShardStallProb <= 0 || !c.NoChurn {
+			t.Errorf("fault %v resolved Shards=%d kill=%v stall=%v NoChurn=%v, want the fault knobs armed, no churn, and Shards left to the library rule",
+				args, c.Shards, c.ShardKillProb, c.ShardStallProb, c.NoChurn)
+		}
 	}
 	// In churn mode it stays the single-loop supervised lifecycle, as
-	// does -churn with no -shards at all.
-	for _, set := range []bool{true, false} {
-		shards := 0
-		if !set {
-			shards = 8 // the flag's NumCPU default, not typed
+	// does churn with no -shards at all (the flag's default is 0 here,
+	// not the sweep's NumCPU).
+	for _, args := range [][]string{{"-shards", "0"}, nil} {
+		l, err := parseLifecycle("churn", args...)
+		if err != nil {
+			t.Fatalf("churn %v: %v", args, err)
 		}
-		if sharded, _, err := resolveLifecycle(false, set, shards, false, 0); err != nil || sharded {
-			t.Errorf("-churn (shards typed=%v) resolved sharded=%v err=%v, want the single-loop driver", set, sharded, err)
+		if c := l.sweep.Base; c.Shards != 0 || c.NoChurn || c.ShardKillProb != 0 || c.ShardStallProb != 0 || c.WindowBudget != 0 {
+			t.Errorf("churn %v resolved %+v, want the single-loop driver under churn with no fault knob", args, c)
 		}
 	}
-	if sharded, k, err := resolveLifecycle(false, true, 4, false, 0.9); err != nil || !sharded || k != 4 {
-		t.Errorf("-churn -shards 4 -jain-floor 0.9 resolved sharded=%v k=%d err=%v", sharded, k, err)
+	if l, err := parseLifecycle("churn", "-shards", "4", "-jain-floor", "0.9"); err != nil || l.sweep.Base.Shards != 4 || l.opts.jainFloor != 0.9 {
+		t.Errorf("churn -shards 4 -jain-floor 0.9 resolved %+v err=%v", l, err)
+	}
+	// -verify-shards compares the barrier runtime's hashes, so it selects
+	// that runtime when -shards did not.
+	if l, err := parseLifecycle("churn", "-smoke", "-verify-shards", "1,4"); err != nil || l.sweep.Base.Shards != 1 {
+		t.Errorf("churn -smoke -verify-shards 1,4 resolved %+v err=%v, want the sharded driver at 1", l, err)
 	}
 
 	// -lean leaves no Jain index to hold to a floor: refuse, whichever
 	// driver would have run.
-	for _, fault := range []bool{false, true} {
-		_, _, err := resolveLifecycle(fault, fault, 2, true, 0.9)
+	for _, mode := range []string{"churn", "fault"} {
+		_, err := parseLifecycle(mode, "-shards", "2", "-lean", "-jain-floor", "0.9")
 		if err == nil {
-			t.Errorf("-lean -jain-floor (fault mode %v) resolved without a usage error", fault)
+			t.Errorf("%s -lean -jain-floor resolved without a usage error", mode)
 		} else if !strings.Contains(err.Error(), "-lean") {
 			t.Errorf("usage error does not name the conflict: %v", err)
 		}
 	}
-	if _, _, err := resolveLifecycle(false, true, 2, true, 0); err != nil {
-		t.Errorf("-churn -shards 2 -lean alone refused: %v", err)
+	if _, err := parseLifecycle("churn", "-shards", "2", "-lean"); err != nil {
+		t.Errorf("churn -shards 2 -lean alone refused: %v", err)
+	}
+
+	// A flag that means nothing in a mode is a parse error there.
+	for _, c := range []struct{ mode, flag string }{
+		{"churn", "-shard-crash"}, {"churn", "-window-budget=1s"}, {"churn", "-per-flow"},
+		{"fault", "-epoch=5s"}, {"fault", "-crash=0.5"}, {"fault", "-alpha=2"},
+	} {
+		if _, err := parseLifecycle(c.mode, c.flag); err == nil || !strings.Contains(err.Error(), "not defined") {
+			t.Errorf("%s %s: err = %v, want a flag-not-defined parse error", c.mode, c.flag, err)
+		}
+	}
+	fs, _ := sweepFlags()
+	fs.Init(fs.Name(), flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	if err := fs.Parse([]string{"-epoch", "5s"}); err == nil {
+		t.Error("sweep -epoch 5s parsed; the sweep has no churn schedule")
 	}
 }
 

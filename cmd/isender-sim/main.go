@@ -5,11 +5,15 @@
 // Usage:
 //
 //	isender-sim [-duration 300s] [-seed 42] [-alphas 0.9,1,2.5,5] [-tsv] [-claims]
+//
+// Exit status: 0 on success, 1 when -claims fails, 2 on a usage error (a
+// non-positive -duration, a negative or non-finite priority).
 package main
 
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -27,6 +31,9 @@ func main() {
 	flag.Parse()
 
 	alphas, err := parseAlphas(*alphasFlag)
+	if err == nil {
+		err = checkRanges(*duration, alphas)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "isender-sim:", err)
 		os.Exit(2)
@@ -52,6 +59,22 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// checkRanges refuses flag values outside their domain — a negative
+// -duration would run nothing and exit 0, a negative or NaN priority
+// would plan against a meaningless utility. A non-nil error is a usage
+// error.
+func checkRanges(duration time.Duration, alphas []float64) error {
+	if duration <= 0 {
+		return fmt.Errorf("-duration %v: must be positive", duration)
+	}
+	for _, a := range alphas {
+		if !(a >= 0) || math.IsInf(a, 0) {
+			return fmt.Errorf("-alphas %v: a priority must be a finite number, not negative", a)
+		}
+	}
+	return nil
 }
 
 func parseAlphas(s string) ([]float64, error) {

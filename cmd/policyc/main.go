@@ -19,6 +19,9 @@
 //	policyc merge -o out.pol table.pol [sidecar.miss...]
 //	    Fold sidecar miss logs (or further tables) into a new table
 //	    generation; the first file wins duplicated fingerprints.
+//
+// Exit status: 0 on success, 1 on a failed operation, 2 on a usage error
+// (-n < 1, a non-positive -dur, -minhit outside [0, 1]).
 package main
 
 import (
@@ -61,6 +64,29 @@ func usage() {
 	os.Exit(2)
 }
 
+// checkRanges refuses replay flags outside their domain — a fleet of no
+// members, a replay of no length, a hit-rate floor that is not a
+// fraction. A non-nil error is a usage error (exit 2).
+func checkRanges(n int, dur time.Duration, minhit float64) error {
+	switch {
+	case n < 1:
+		return fmt.Errorf("-n %d: must be at least 1", n)
+	case dur <= 0:
+		return fmt.Errorf("-dur %v: must be positive", dur)
+	case !(minhit >= 0 && minhit <= 1):
+		return fmt.Errorf("-minhit %v: must be a fraction in [0, 1]", minhit)
+	}
+	return nil
+}
+
+// checkUsage exits 2 on a usage error.
+func checkUsage(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "policyc:", err)
+		os.Exit(2)
+	}
+}
+
 func parseSeeds(s string) ([]int64, error) {
 	var out []int64
 	for _, f := range strings.Split(s, ",") {
@@ -86,6 +112,7 @@ func runCompile(args []string) error {
 	note := fs.String("note", "", "provenance note recorded in the header")
 	workers := fs.Int("workers", 0, "rollout workers (0 = GOMAXPROCS)")
 	fs.Parse(args)
+	checkUsage(checkRanges(*n, *dur, 0))
 
 	sd, err := parseSeeds(*seeds)
 	if err != nil {
@@ -142,6 +169,7 @@ func runVerify(args []string) error {
 	minhit := fs.Float64("minhit", 0.9, "minimum compiled hit rate for -serve")
 	workers := fs.Int("workers", 0, "rollout workers (0 = GOMAXPROCS)")
 	fs.Parse(args)
+	checkUsage(checkRanges(*n, *dur, *minhit))
 	if fs.NArg() != 1 {
 		return fmt.Errorf("verify: want exactly one table path")
 	}

@@ -43,7 +43,9 @@
 // link, while the deficit-round-robin FairQueue restores a near-even
 // split. The two-flow coexistence experiments are now thin layers over
 // the same machinery (fleet.Member, a fleet of N = 2), and
-// cmd/fleetsim drives sweeps from the command line. Fleet runs are
+// cmd/fleetsim drives them from the command line in three modes — sweep
+// (the default), churn and fault — each with its own flag set bound
+// straight into FairnessConfig or ChurnConfig. Fleet runs are
 // bit-identical for any Workers width, like everything else here.
 //
 // # Compiled policy tables
@@ -133,8 +135,12 @@
 // generated schedules (TestGeneratedSchedules). Over ten seeds at
 // N = 16 a warm failover's restored generation absorbs its first
 // delivery 3.0 ± 1.5 virtual seconds after the kill barrier against
-// 14.4 ± 2.5 for a cold one (PR 17; cmd/fleetsim -shard-crash
-// [-no-ckpt] prints both).
+// 14.4 ± 2.5 for a cold one (PR 17; cmd/fleetsim fault -shard-crash
+// [-no-ckpt] prints both). experiments.RunChurn is the one lifecycle
+// experiment over both runtimes — ChurnConfig.Shards 0 the supervised
+// loop, >= 1 the barrier runtime — with one reduction and one table, so
+// the two protocols' fairness and recovery columns are read side by
+// side (README, "One experiment over both").
 //
 // # Performance
 //

@@ -252,10 +252,11 @@ func (p *Proxy) scheduler(ctx context.Context, start time.Time) {
 		delay := p.cfg.Delay
 		if p.fwdInj != nil {
 			nowD := time.Since(start)
-			if stall, ok := p.fwdInj.StallUntil(nowD); ok {
-				// A stalled proxy process: nothing moves, then everything
-				// resumes (the queue keeps absorbing meanwhile).
-				if !wire.Sleep(ctx, stall) {
+			if end, ok := p.fwdInj.StallUntil(nowD); ok {
+				// A stalled proxy process: nothing moves until the window
+				// ends, then everything resumes (the queue keeps
+				// absorbing meanwhile).
+				if !wire.Sleep(ctx, end-nowD) {
 					p.count(&p.stats.Unsent)
 					return
 				}

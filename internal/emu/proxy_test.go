@@ -177,3 +177,68 @@ func TestProxySurvivesRefusedTarget(t *testing.T) {
 		t.Fatalf("tallies account for %d of %d datagrams read: %+v", ends, st.Received, st)
 	}
 }
+
+// TestProxyStallHoldsForTimeLeft: a stall window holds the forward path
+// until the window ends and no longer. (Regression: the scheduler slept
+// for the window's end measured from the proxy's start rather than for
+// the time left to it — a [500 ms, 700 ms) window entered at 500 ms held
+// the queue 700 ms, until 1.2 s.)
+func TestProxyStallHoldsForTimeLeft(t *testing.T) {
+	target := udpListen(t)
+	defer target.Close()
+	stall := chaos.Window{Start: 500 * time.Millisecond, Len: 200 * time.Millisecond}
+	proxy, err := NewProxy("127.0.0.1:0", target.LocalAddr().String(), ProxyConfig{
+		Trace: trace.Constant(1200000, 12000), // 100 pkt/s
+		Chaos: &chaos.Config{Seed: 1, Stalls: []chaos.Window{stall}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proxy.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	proxyDone := make(chan struct{})
+	start := time.Now()
+	go func() { defer close(proxyDone); proxy.Run(ctx) }()
+
+	client, err := net.DialUDP("udp", nil, proxy.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	const runFor = 1500 * time.Millisecond
+	go func() {
+		payload := make([]byte, 1500)
+		for time.Since(start) < runFor {
+			if _, err := client.Write(payload); err != nil {
+				return
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}()
+
+	// The longest silence at the target is the stall as the proxy held it.
+	var hold time.Duration
+	last := start
+	buf := make([]byte, 64*1024)
+	target.SetReadDeadline(start.Add(runFor))
+	for {
+		if _, _, err := target.ReadFromUDP(buf); err != nil {
+			break
+		}
+		now := time.Now()
+		if gap := now.Sub(last); gap > hold && last != start {
+			hold = gap
+		}
+		last = now
+	}
+	proxy.Close()
+	<-proxyDone
+	t.Logf("longest hold %v for a %v stall ending at %v", hold, stall.Len, stall.End())
+	if hold < stall.Len/2 {
+		t.Errorf("longest hold %v: the %v stall window never held the queue; test is vacuous", hold, stall.Len)
+	}
+	if hold >= stall.End()-100*time.Millisecond {
+		t.Errorf("held %v for a %v stall: the proxy slept for the window's end (%v), not the time left", hold, stall.Len, stall.End())
+	}
+}

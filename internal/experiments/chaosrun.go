@@ -1,13 +1,11 @@
 package experiments
 
 import (
-	"encoding/binary"
-	"hash"
-	"hash/fnv"
 	"sort"
 	"time"
 
 	"modelcc/internal/chaos"
+	"modelcc/internal/lifecycle"
 	"modelcc/internal/model"
 	"modelcc/internal/packet"
 )
@@ -71,12 +69,9 @@ type delayedAck struct {
 type faultTap struct {
 	dataInj, ackInj *chaos.Injector
 	inFlight        []delayedAck // sorted by at
-	hash            hash.Hash64
+	hash            *lifecycle.Hasher
 	deliveries      []TimedUtil
 }
-
-// put folds words into the replay hash (a hash's Write never fails).
-func (t *faultTap) put(vs ...uint64) { binary.Write(t.hash, binary.LittleEndian, vs) }
 
 // sends returns the sender's new injections that survive the data-path
 // injector, hashed.
@@ -90,7 +85,7 @@ func (t *faultTap) sends(sends []model.Send) []model.Send {
 				continue
 			}
 		}
-		t.put(1, uint64(snd.Seq), uint64(snd.At))
+		t.hash.Put(1, uint64(snd.Seq), uint64(snd.At))
 		out = append(out, snd)
 	}
 	return out
@@ -128,7 +123,7 @@ func (t *faultTap) acks(now time.Duration, fresh []packet.Ack) []packet.Ack {
 		t.inFlight = t.inFlight[1:]
 	}
 	for _, a := range out {
-		t.put(2, uint64(a.Seq), uint64(a.ReceivedAt))
+		t.hash.Put(2, uint64(a.Seq), uint64(a.ReceivedAt))
 	}
 	return out
 }
@@ -142,7 +137,7 @@ func (t *faultTap) acks(now time.Duration, fresh []packet.Ack) []packet.Ack {
 // exactly the stale-observation shape that triggers likelihood collapse
 // and exercises Recover.
 func RunChaos(cfg ChaosConfig) ChaosResult {
-	tap := &faultTap{hash: fnv.New64a()}
+	tap := &faultTap{hash: lifecycle.NewHasher()}
 	if cfg.Faults.Enabled() {
 		tap.dataInj = chaos.New(cfg.Faults)
 		tap.ackInj = chaos.New(cfg.Faults.Sub("ack"))
@@ -151,7 +146,7 @@ func RunChaos(cfg ChaosConfig) ChaosResult {
 		tap.ackInj = chaos.New(cfg.AckFaults)
 	}
 	res := ChaosResult{ISenderResult: runSolo(cfg.Base, tap)}
-	res.Hash = tap.hash.Sum64()
+	res.Hash = tap.hash.Sum()
 	res.Reseeded = res.UpdateCum.Reseeded
 	res.Deliveries = tap.deliveries
 	if tap.dataInj != nil {

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"hash/fnv"
 	"strings"
 	"time"
 
@@ -11,42 +10,74 @@ import (
 	"modelcc/internal/fleet"
 	"modelcc/internal/lifecycle"
 	"modelcc/internal/packet"
+	"modelcc/internal/shard"
 	"modelcc/internal/stats"
 )
 
-// ChurnConfig describes one supervised churn run: a fleet under a
-// deterministic arrival/departure/crash schedule with a crash-recovery
-// Supervisor restarting the casualties.
+// ChurnConfig describes one lifecycle run on either runtime: a fleet
+// under a deterministic arrival/departure/crash schedule (and, on the
+// barrier runtime, a shard-fault schedule) with casualties restarted
+// through the hot/warm/cold ladder.
 type ChurnConfig struct {
 	// N is the fleet's configured (and maximum live) size (default 16).
 	N int
+	// Shards selects the runtime, as FairnessConfig.Shards does: 0 is the
+	// supervised single loop (lifecycle.Supervisor + Admission, kills at
+	// their drawn instants), >= 1 the barrier-aligned sharded runtime
+	// (internal/shard), whose replay hash is the same at every count. A
+	// fault knob below with Shards 0 runs one shard: faults have no
+	// single-loop form.
+	Shards int
 	// Duration is the run's virtual length (default 120 s).
 	Duration time.Duration
-	// Seed drives the fleet AND the churn schedule (via the
-	// chaos.Sub("churn") stream, so packet-level chaos would stay
-	// independent).
+	// Seed drives the fleet AND the churn and fault schedules (via the
+	// chaos.Sub("churn") and Sub("shardfault") streams, so packet-level
+	// chaos would stay independent).
 	Seed int64
-	// Epoch is the churn decision period (default 10 s).
-	Epoch time.Duration
-	// DepartProb/CrashProb are per live member per epoch; ArriveProb is
-	// per open slot per epoch (defaults 0.04 / 0.06 / 0.5).
+	// Epoch, DepartProb, CrashProb, ArriveProb and MinLive are the churn
+	// schedule, defaulted by lifecycle.ChurnConfig.WithDefaults (10 s,
+	// 0.04 / 0.06 / 0.5 when all three are zero, max(1, N/4)); MaxLive
+	// is N.
+	Epoch                             time.Duration
 	DepartProb, CrashProb, ArriveProb float64
-	// MinLive floors the population (default max(1, N/4)).
-	MinLive int
-	// Workers is the rollout pool width (0 = GOMAXPROCS, 1 = serial);
-	// the result is bit-identical for any value.
+	MinLive                           int
+	// Workers is the total rollout width (0 = GOMAXPROCS, 1 = serial),
+	// split across shards on the barrier runtime; the result is
+	// bit-identical for any value.
 	Workers int
 	// FairQueue selects the DRR bottleneck.
 	FairQueue bool
-	// NoCheckpoints disables the Supervisor's checkpoint timer: every
-	// restart is cold (or hot when a compiled table is wired), never
-	// warm. The warm-vs-cold benchmark flips this bit.
+	// LeanStats drops per-packet series retention; every series-based
+	// column of the result (Jain, rates, ramp-up, support, utility
+	// ratio) then reads zero.
+	LeanStats bool
+	// NoChurn leaves the churn schedule off (pure shard-fault runs).
+	NoChurn bool
+	// NoCheckpoints disables checkpointing: every restart and failover
+	// is cold (or hot when a compiled table is wired), never warm. The
+	// warm-vs-cold benchmark flips this bit.
 	NoCheckpoints bool
+	// CheckpointEvery is the checkpoint period (0 = the runtime's own
+	// default: 10 s supervised, 4 s per barrier sweep).
+	CheckpointEvery time.Duration
 	// CheckpointDir mirrors checkpoints to disk when set.
 	CheckpointDir string
-	// Supervisor overrides lifecycle.SupervisorConfig fields; zero
-	// values keep that package's defaults.
-	Supervisor lifecycle.SupervisorConfig
+	// ShardKillProb and ShardStallProb arm the deterministic shard-fault
+	// schedule (shard.FaultConfig) when positive; MaxStall bounds a drawn
+	// stall (default 2 s).
+	ShardKillProb, ShardStallProb float64
+	MaxStall                      time.Duration
+	// WindowBudget arms the wall-clock watchdog. Nondeterministic —
+	// leave zero when the replay hash matters.
+	WindowBudget time.Duration
+}
+
+// schedule is the one conversion to the runtimes' churn schedule.
+func (c ChurnConfig) schedule() lifecycle.ChurnConfig {
+	return lifecycle.ChurnConfig{
+		Epoch: c.Epoch, DepartProb: c.DepartProb, CrashProb: c.CrashProb, ArriveProb: c.ArriveProb,
+		MinLive: c.MinLive, MaxLive: c.N,
+	}
 }
 
 func (c ChurnConfig) withDefaults() ChurnConfig {
@@ -56,32 +87,25 @@ func (c ChurnConfig) withDefaults() ChurnConfig {
 	if c.Duration == 0 {
 		c.Duration = 120 * time.Second
 	}
-	if c.Epoch == 0 {
-		c.Epoch = 10 * time.Second
-	}
-	if c.DepartProb == 0 && c.CrashProb == 0 && c.ArriveProb == 0 {
-		c.DepartProb, c.CrashProb, c.ArriveProb = 0.04, 0.06, 0.5
-	}
-	if c.MinLive == 0 {
-		c.MinLive = c.N / 4
-		if c.MinLive < 1 {
-			c.MinLive = 1
-		}
+	s := c.schedule().WithDefaults(c.N)
+	c.Epoch, c.DepartProb, c.CrashProb, c.ArriveProb, c.MinLive = s.Epoch, s.DepartProb, s.CrashProb, s.ArriveProb, s.MinLive
+	if c.Shards == 0 && (c.ShardKillProb > 0 || c.ShardStallProb > 0 || c.WindowBudget > 0) {
+		c.Shards = 1
 	}
 	return c
 }
 
-// ChurnResult is one churn run's report.
+// ChurnResult is one lifecycle run's report, the same columns from
+// either runtime.
 type ChurnResult struct {
-	// Cfg echoes the resolved configuration.
+	// Cfg echoes the resolved configuration (Shards is the partition
+	// count actually used).
 	Cfg ChurnConfig
 	// Live is the population at the end of the run; Peak the flow-space
 	// high-water mark.
 	Live, Peak int
-	// Lifecycle counters, straight from the Supervisor.
-	Arrivals, Departures, Crashes, Failures int
-	ColdRestarts, HotRestarts, WarmRestarts int
-	Checkpoints, CheckpointErrors           int
+	// Stats are the lifecycle counters, straight from the runtime.
+	lifecycle.Stats
 	// OrphanAcks counts retired members' packets that drained after
 	// teardown — graceful teardown at work, never a panic.
 	OrphanAcks int64
@@ -116,87 +140,118 @@ type ChurnResult struct {
 	// utility (first 20 s after admission excluded) against undisturbed
 	// members' second-half per-second utility: 1.0 = full recovery.
 	UtilityRatio float64
-	// ReplayHash digests per-flow delivery totals, drops and the whole
-	// lifecycle event log; equal hashes mean bit-identical runs.
+	// ReplayHash is lifecycle.ReplayHash over the run; on the barrier
+	// runtime it is bit-identical for every shard count at fixed (N,
+	// Seed, knobs) — the determinism invariant CI holds it to.
 	ReplayHash uint64
 	// Delivered is the per-flow all-generations delivery total, in flow
 	// order.
 	Delivered []int
+	// Failover aggregates shard-fault outcomes (zero without faults).
+	Failover shard.FailoverStats
+	// DegradedServed totals decisions served through the Guard
+	// degradation ladder while stalled or watchdogged.
+	DegradedServed int64
+	// FailoverRecovered counts fault-restored generations that absorbed
+	// at least one delivery; MTTR is their mean virtual time from kill
+	// barrier to that first delivery.
+	FailoverRecovered int
+	MTTR              time.Duration
+	// PostFailoverUtility is the mean final utility across fault-
+	// restored generations (zero when none were restored).
+	PostFailoverUtility float64
 }
 
-// RunChurn runs one supervised churn simulation. Everything — fleet,
-// churn schedule, failures, restarts — lives on one discrete-event
-// loop, so the result is a pure function of the config (the Workers
-// knob changes wall-clock time only).
+// RunChurn runs one lifecycle simulation on the runtime cfg.Shards
+// selects and reduces it. The result is a pure function of the config:
+// the Workers knob changes wall-clock time only, and so does the shard
+// count once it is >= 1 (WindowBudget's wall-clock verdicts excepted).
 func RunChurn(cfg ChurnConfig) ChurnResult {
 	cfg = cfg.withDefaults()
-	fl := fleet.New(fleet.Config{
+	fc := fleet.Config{
 		N:         cfg.N,
 		Seed:      cfg.Seed,
 		Workers:   cfg.Workers,
 		FairQueue: cfg.FairQueue,
+		LeanStats: cfg.LeanStats,
 		// Recover mode: a collapsed posterior re-seeds from the prior
-		// (and counts toward the Supervisor's health signal) instead of
-		// merely relaxing.
+		// (and counts toward the health signal) instead of merely
+		// relaxing.
 		BeliefCfg: belief.Config{Recover: true},
-	})
-	supCfg := cfg.Supervisor
-	supCfg.Dir = cfg.CheckpointDir
-	if cfg.NoCheckpoints {
-		supCfg.CheckpointEvery = -1
 	}
-	sup := lifecycle.NewSupervisor(fl, supCfg)
-	adm := lifecycle.NewAdmission(sup, lifecycle.ChurnConfig{
-		Epoch:      cfg.Epoch,
-		DepartProb: cfg.DepartProb,
-		CrashProb:  cfg.CrashProb,
-		ArriveProb: cfg.ArriveProb,
-		MinLive:    cfg.MinLive,
-		MaxLive:    cfg.N,
-	}, chaos.Config{Seed: cfg.Seed})
-	sup.Start()
-	adm.Start()
-	fl.Run(cfg.Duration)
-	adm.Stop()
-	sup.Stop()
-	return reduceChurn(cfg, fl, sup)
+	ch := chaos.Config{Seed: cfg.Seed}
+	res := ChurnResult{Cfg: cfg}
+	if cfg.Shards == 0 {
+		fl := fleet.New(fc)
+		supCfg := lifecycle.SupervisorConfig{CheckpointEvery: cfg.CheckpointEvery, Dir: cfg.CheckpointDir}
+		if cfg.NoCheckpoints {
+			supCfg.CheckpointEvery = -1
+		}
+		sup := lifecycle.NewSupervisor(fl, supCfg)
+		sup.Start()
+		if !cfg.NoChurn {
+			lifecycle.NewAdmission(sup, cfg.schedule(), ch).Start()
+		}
+		fl.Run(cfg.Duration)
+		res.Stats, res.OrphanAcks = sup.Stats, fl.OrphanAcks
+		recs := make([]lifecycle.MemberRecord, len(sup.Records))
+		for i, r := range sup.Records {
+			recs[i] = *r
+		}
+		reduceChurn(&res, fl, recs, sup.Events)
+		return res
+	}
+	sf := shard.New(shard.Config{Fleet: fc, Shards: cfg.Shards})
+	if !cfg.NoCheckpoints {
+		sf.EnableCheckpoints(shard.CheckpointConfig{Every: cfg.CheckpointEvery, Dir: cfg.CheckpointDir})
+	}
+	if cfg.ShardKillProb > 0 || cfg.ShardStallProb > 0 {
+		sf.EnableFaults(shard.FaultConfig{
+			KillProb: cfg.ShardKillProb, StallProb: cfg.ShardStallProb, MaxStall: cfg.MaxStall,
+		}, ch)
+	}
+	if cfg.WindowBudget > 0 {
+		sf.EnableWatchdog(shard.WatchdogConfig{WindowBudget: cfg.WindowBudget})
+	}
+	if !cfg.NoChurn {
+		sf.EnableChurn(cfg.schedule(), lifecycle.SupervisorConfig{}, ch)
+	}
+	sf.Run(cfg.Duration)
+	res.Cfg.Shards = sf.K
+	res.Stats, res.OrphanAcks = sf.Stats, sf.OrphanAcks
+	res.Failover, res.DegradedServed = sf.Failover, sf.DegradedServed()
+	reduceChurn(&res, sf, sf.Records, sf.Events)
+	return res
 }
 
-// reduceChurn computes the report from a finished run, reading per-flow
-// and per-record data in index order only.
-func reduceChurn(cfg ChurnConfig, fl *fleet.Fleet, sup *lifecycle.Supervisor) ChurnResult {
+// reduceChurn fills in every column computed from a finished run — the
+// same reduction for either runtime — reading per-flow and per-record
+// data in index order only. res arrives holding the config and the
+// counters the runtime keeps itself.
+func reduceChurn(res *ChurnResult, rt fleetRuntime, recs []lifecycle.MemberRecord, events []lifecycle.Event) {
+	cfg := res.Cfg
 	dur := cfg.Duration
-	res := ChurnResult{
-		Cfg:              cfg,
-		Live:             fl.Live(),
-		Peak:             len(fl.Members),
-		Arrivals:         sup.Stats.Arrivals,
-		Departures:       sup.Stats.Departures,
-		Crashes:          sup.Stats.Crashes,
-		Failures:         sup.Stats.Failures,
-		ColdRestarts:     sup.Stats.ColdRestarts,
-		HotRestarts:      sup.Stats.HotRestarts,
-		WarmRestarts:     sup.Stats.WarmRestarts,
-		Checkpoints:      sup.Stats.Checkpoints,
-		CheckpointErrors: sup.Stats.CheckpointErrors,
-		OrphanAcks:       fl.OrphanAcks,
-		Drops:            fl.Drops(),
-	}
+	slots := rt.MemberSlots()
+	res.Live, res.Peak, res.Drops = rt.Live(), len(slots), rt.Drops()
 
-	// Fairness over the members that saw the whole final window.
-	window := dur / 4
-	from := dur - window
-	var rates []float64
-	for _, m := range fl.Members {
-		if m == nil || m.AdmittedAt > from {
-			continue
+	// Fairness over the members that saw the whole final window; a lean
+	// run keeps no series to take rates from (and all-zero rates would
+	// read as a perfect index).
+	if !cfg.LeanStats {
+		window := dur / 4
+		from := dur - window
+		var rates []float64
+		for _, m := range slots {
+			if m == nil || m.AdmittedAt > from {
+				continue
+			}
+			w := m.AckedSeq.Window(from, dur)
+			r := float64(len(w.Pts)) / window.Seconds()
+			rates = append(rates, r)
+			res.AggRate += r
 		}
-		w := m.AckedSeq.Window(from, dur)
-		r := float64(len(w.Pts)) / window.Seconds()
-		rates = append(rates, r)
-		res.AggRate += r
+		res.Jain = stats.JainIndex(rates)
 	}
-	res.Jain = stats.JainIndex(rates)
 
 	// Ramp-up and post-restart utility, per restarted generation that
 	// lived long enough to measure.
@@ -216,7 +271,7 @@ func reduceChurn(cfg ChurnConfig, fl *fleet.Fleet, sup *lifecycle.Supervisor) Ch
 		supN      int
 	)
 	const earlyWindow = 15 * time.Second
-	for _, rec := range sup.Records {
+	for _, rec := range recs {
 		if rec.Cause != lifecycle.CauseRestart {
 			continue
 		}
@@ -232,7 +287,7 @@ func reduceChurn(cfg ChurnConfig, fl *fleet.Fleet, sup *lifecycle.Supervisor) Ch
 			earlyN++
 			drops := rec.M.GenDrops
 			if rec.RetiredAt < 0 {
-				drops = fl.FlowDrops(rec.M.Flow)
+				drops = rt.FlowDrops(rec.M.Flow)
 			}
 			dropSum += float64(drops) / life.Minutes()
 			dropN++
@@ -288,7 +343,7 @@ func reduceChurn(cfg ChurnConfig, fl *fleet.Fleet, sup *lifecycle.Supervisor) Ch
 	var baseSum float64
 	var baseN int
 	half := dur / 2
-	for _, rec := range sup.Records {
+	for _, rec := range recs {
 		if rec.Cause == lifecycle.CauseRestart || rec.RetiredAt >= 0 || rec.M.Gen != 0 || rec.M.Retired() {
 			continue
 		}
@@ -308,28 +363,32 @@ func reduceChurn(cfg ChurnConfig, fl *fleet.Fleet, sup *lifecycle.Supervisor) Ch
 		}
 	}
 
-	// Replay hash: per-flow totals plus the full lifecycle log.
-	h := fnv.New64a()
-	put := func(vs ...uint64) {
-		var b [8]byte
-		for _, v := range vs {
-			for i := 0; i < 8; i++ {
-				b[i] = byte(v >> (8 * i))
-			}
-			h.Write(b[:])
+	// Failover recovery, per fault-restored generation.
+	var mttrSum time.Duration
+	var foUtil float64
+	restored := 0
+	for _, rec := range recs {
+		if rec.Cause != lifecycle.CauseFailover {
+			continue
+		}
+		restored++
+		foUtil += rec.M.Utility
+		if rec.FirstAckAt > rec.M.AdmittedAt {
+			res.FailoverRecovered++
+			mttrSum += rec.FirstAckAt - rec.M.AdmittedAt
 		}
 	}
-	put(uint64(len(fl.Members)), uint64(fl.Live()), uint64(fl.Drops()), uint64(fl.OrphanAcks))
-	for i := range fl.Members {
-		d := fl.DeliveredTotal(packet.FlowID(i))
-		res.Delivered = append(res.Delivered, d)
-		put(uint64(i), uint64(d))
+	if res.FailoverRecovered > 0 {
+		res.MTTR = mttrSum / time.Duration(res.FailoverRecovered)
 	}
-	for _, e := range sup.Events {
-		put(uint64(e.At), uint64(e.Kind), uint64(e.Flow), uint64(e.Gen), uint64(e.Restart))
+	if restored > 0 {
+		res.PostFailoverUtility = foUtil / float64(restored)
 	}
-	res.ReplayHash = h.Sum64()
-	return res
+
+	for i := range slots {
+		res.Delivered = append(res.Delivered, rt.DeliveredTotal(packet.FlowID(i)))
+	}
+	res.ReplayHash = lifecycle.ReplayHash(res.Live, res.Drops, res.OrphanAcks, res.Delivered, events)
 }
 
 // ChurnSweepConfig sweeps RunChurn over fleet sizes.
@@ -345,7 +404,7 @@ type ChurnSweepResult struct {
 	Points []ChurnResult
 }
 
-// ChurnSweep runs one supervised churn simulation per fleet size.
+// ChurnSweep runs one lifecycle simulation per fleet size.
 func ChurnSweep(cfg ChurnSweepConfig) ChurnSweepResult {
 	ns := cfg.Ns
 	if len(ns) == 0 {
@@ -360,22 +419,43 @@ func ChurnSweep(cfg ChurnSweepConfig) ChurnSweepResult {
 	return res
 }
 
-// Render prints one line per fleet size: population flux, restart
-// ladder usage, and the recovery metrics.
+// Render prints the one lifecycle table: a line per fleet size with
+// population flux, restart ladder usage, the recovery metrics and the
+// replay hash, then a faults line for each point that saw any.
 func (r ChurnSweepResult) Render() string {
 	var b strings.Builder
 	if len(r.Points) > 0 {
 		c := r.Points[0].Cfg
-		fmt.Fprintf(&b, "Churn sweep: %v virtual, epoch %v, depart/crash/arrive %.2f/%.2f/%.2f, seed %d\n",
-			c.Duration, c.Epoch, c.DepartProb, c.CrashProb, c.ArriveProb, c.Seed)
+		if c.NoChurn {
+			fmt.Fprintf(&b, "Shard-fault sweep: %v virtual, no churn schedule", c.Duration)
+		} else {
+			fmt.Fprintf(&b, "Churn sweep: %v virtual, epoch %v, depart/crash/arrive %.2f/%.2f/%.2f",
+				c.Duration, c.Epoch, c.DepartProb, c.CrashProb, c.ArriveProb)
+		}
+		fmt.Fprintf(&b, ", seed %d (shards 0 = the supervised single loop)\n", c.Seed)
 	}
-	fmt.Fprintf(&b, "%-6s %6s %6s %6s %6s %6s %14s %8s %10s %8s %8s %8s %10s\n",
-		"N", "live", "arr", "dep", "crash", "fail", "cold/hot/warm", "jain", "agg pkt/s", "ramp(s)", "sup15", "util", "orphans")
+	fmt.Fprintf(&b, "%-6s %6s %6s %6s %6s %6s %6s %14s %10s %8s %8s %10s %8s %8s %8s %10s %8s %16s\n",
+		"N", "shards", "live", "arr", "dep", "crash", "fail", "cold/hot/warm", "delivered", "drops", "jain", "agg pkt/s", "ramp(s)", "sup15", "util", "drops/min", "orphans", "replay hash")
 	for _, p := range r.Points {
-		fmt.Fprintf(&b, "%-6d %6d %6d %6d %6d %6d %4d/%4d/%4d %8.4f %10.3f %8.2f %8.1f %8.3f %10d\n",
-			p.Cfg.N, p.Live, p.Arrivals, p.Departures, p.Crashes, p.Failures,
-			p.ColdRestarts, p.HotRestarts, p.WarmRestarts,
-			p.Jain, p.AggRate, p.MeanRampUpSec, p.RestartSupport15, p.UtilityRatio, p.OrphanAcks)
+		delivered := 0
+		for _, d := range p.Delivered {
+			delivered += d
+		}
+		fmt.Fprintf(&b, "%-6d %6d %6d %6d %6d %6d %6d %4d/%4d/%4d %10d %8d %8.4f %10.3f %8.2f %8.1f %8.3f %10.1f %8d %016x\n",
+			p.Cfg.N, p.Cfg.Shards, p.Live, p.Arrivals, p.Departures, p.Crashes, p.Failures,
+			p.ColdRestarts, p.HotRestarts, p.WarmRestarts, delivered, p.Drops,
+			p.Jain, p.AggRate, p.MeanRampUpSec, p.RestartSupport15, p.UtilityRatio, p.RestartDropsPerMin, p.OrphanAcks, p.ReplayHash)
+	}
+	for _, p := range r.Points {
+		fo := p.Failover
+		if fo.ShardKills == 0 && fo.Stalls == 0 && fo.WatchdogTrips == 0 {
+			continue
+		}
+		fmt.Fprintf(&b, "N=%d faults: kills=%d failedOver=%d (warm=%d hot=%d cold=%d) fencedAcks=%d stalls=%d wdTrips=%d degraded=%d recovered=%d mttr=%v postUtil=%.3f\n",
+			p.Cfg.N, fo.ShardKills, fo.FlowsFailedOver,
+			fo.WarmFailovers, fo.HotFailovers, fo.ColdFailovers,
+			fo.FencedAcks, fo.Stalls, fo.WatchdogTrips,
+			p.DegradedServed, p.FailoverRecovered, p.MTTR, p.PostFailoverUtility)
 	}
 	return b.String()
 }

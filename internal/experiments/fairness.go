@@ -124,12 +124,14 @@ type FairnessResult struct {
 	Memo []planner.MemoStats
 }
 
-// fleetRuntime is the read surface the fairness reduction needs. The
-// single-loop fleet and the sharded runtime both satisfy it, so one
-// reduction serves either engine.
+// fleetRuntime is the read surface the fairness and churn reductions
+// need. The single-loop fleet and the sharded runtime both satisfy it,
+// so each reduction is written once and serves either engine.
 type fleetRuntime interface {
 	MemberSlots() []*fleet.Member
+	Live() int
 	Delivered(packet.FlowID) int
+	DeliveredTotal(packet.FlowID) int
 	FlowDrops(packet.FlowID) int
 	Drops() int
 	CacheStats() (hits, misses int)

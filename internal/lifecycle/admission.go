@@ -10,12 +10,14 @@ import (
 
 // ChurnConfig describes a deterministic churn schedule: per-epoch
 // departure/crash/arrival probabilities drawn from a seeded chaos
-// stream. Zero values take the noted defaults.
+// stream. Zero values take the noted defaults (WithDefaults).
 type ChurnConfig struct {
 	// Epoch is the schedule's decision period (default 10 s virtual).
 	Epoch time.Duration
 	// DepartProb is each live member's per-epoch probability of leaving
-	// permanently.
+	// permanently. The three probabilities default to 0.04 / 0.06 / 0.5
+	// only when all three are zero, so one of them can be zero beside a
+	// non-zero other.
 	DepartProb float64
 	// CrashProb is each live member's per-epoch probability of being
 	// crash-killed at a uniformly drawn instant inside the epoch; the
@@ -25,11 +27,34 @@ type ChurnConfig struct {
 	// probability a new member arrives.
 	ArriveProb float64
 	// MinLive floors the live population: departures and crashes are
-	// suppressed when they would drop below it (default 1).
+	// suppressed when they would drop below it (default N/4, at least 1).
 	MinLive int
 	// MaxLive caps the live population (default: the fleet's configured
 	// N).
 	MaxLive int
+}
+
+// WithDefaults returns the schedule with every zero field replaced by
+// its documented default, for a fleet configured at n members. It is
+// the one place the defaults are written: both runtimes, the churn
+// experiment and fleetsim's flags read them from here.
+func (c ChurnConfig) WithDefaults(n int) ChurnConfig {
+	if c.Epoch <= 0 {
+		c.Epoch = 10 * time.Second
+	}
+	if c.DepartProb == 0 && c.CrashProb == 0 && c.ArriveProb == 0 {
+		c.DepartProb, c.CrashProb, c.ArriveProb = 0.04, 0.06, 0.5
+	}
+	if c.MinLive <= 0 {
+		c.MinLive = n / 4
+		if c.MinLive < 1 {
+			c.MinLive = 1
+		}
+	}
+	if c.MaxLive <= 0 {
+		c.MaxLive = n
+	}
+	return c
 }
 
 // Admission drives churn — arrivals, departures, crash-kills — from a
@@ -54,18 +79,9 @@ type Admission struct {
 // The schedule derives from ch.Sub("churn"), so runs that also inject
 // packet-level chaos keep the two streams independent.
 func NewAdmission(sup *Supervisor, cfg ChurnConfig, ch chaos.Config) *Admission {
-	if cfg.Epoch <= 0 {
-		cfg.Epoch = 10 * time.Second
-	}
-	if cfg.MinLive <= 0 {
-		cfg.MinLive = 1
-	}
-	if cfg.MaxLive <= 0 {
-		cfg.MaxLive = sup.FL.Cfg.N
-	}
 	a := &Admission{
 		Sup: sup,
-		Cfg: cfg,
+		Cfg: cfg.WithDefaults(sup.FL.Cfg.N),
 		src: ch.Sub("churn").Source(),
 	}
 	a.timer = sim.NewTimer(sup.FL.Loop, a.epoch)

@@ -1,7 +1,10 @@
 package lifecycle
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash"
+	"hash/fnv"
 	"path/filepath"
 	"time"
 
@@ -155,6 +158,41 @@ type Event struct {
 	Attempt int
 }
 
+// Hasher is the little-endian uint64 FNV-1a accumulator under every
+// replay hash and run digest in the repo.
+type Hasher struct{ h hash.Hash64 }
+
+// NewHasher returns an empty accumulator.
+func NewHasher() *Hasher { return &Hasher{h: fnv.New64a()} }
+
+// Put folds words into the hash, eight little-endian bytes each.
+func (x *Hasher) Put(vs ...uint64) {
+	var b [8]byte
+	for _, v := range vs {
+		binary.LittleEndian.PutUint64(b[:], v)
+		x.h.Write(b[:])
+	}
+}
+
+// Sum reports the hash of everything Put so far.
+func (x *Hasher) Sum() uint64 { return x.h.Sum64() }
+
+// ReplayHash digests a finished lifecycle run on either runtime: the
+// flow-space size, live count, bottleneck drops and orphan acks, each
+// flow's all-generations delivery total (delivered, in flow order) and
+// the whole event log. Equal hashes mean bit-identical runs.
+func ReplayHash(live, drops int, orphans int64, delivered []int, events []Event) uint64 {
+	h := NewHasher()
+	h.Put(uint64(len(delivered)), uint64(live), uint64(drops), uint64(orphans))
+	for i, d := range delivered {
+		h.Put(uint64(i), uint64(d))
+	}
+	for _, e := range events {
+		h.Put(uint64(e.At), uint64(e.Kind), uint64(e.Flow), uint64(e.Gen), uint64(e.Restart))
+	}
+	return h.Sum()
+}
+
 // Cause is how a member generation came to exist.
 type Cause uint8
 
@@ -257,7 +295,7 @@ func NewSupervisor(fl *fleet.Fleet, cfg SupervisorConfig) *Supervisor {
 		}
 		rec := &MemberRecord{M: m, Kind: kind, RetiredAt: -1}
 		fs.rec = rec
-		fs.lastReseeds = beliefReseeds(m)
+		fs.lastReseeds = BeliefReseeds(m)
 		s.Records = append(s.Records, rec)
 	}
 	return s
@@ -294,9 +332,10 @@ func (s *Supervisor) Stop() {
 	s.ckpt.Stop()
 }
 
-// beliefReseeds reads the belief's lifetime re-seed count, the
-// "posterior keeps collapsing" health signal.
-func beliefReseeds(m *fleet.Member) int {
+// BeliefReseeds reads the belief's lifetime re-seed count, the
+// "posterior keeps collapsing" health signal both runtimes' health
+// sweeps watch.
+func BeliefReseeds(m *fleet.Member) int {
 	switch b := m.Sender.Belief.(type) {
 	case *belief.Exact:
 		return b.Cum.Reseeded
@@ -329,7 +368,7 @@ func (s *Supervisor) checkTick() {
 			s.adopt(i, m)
 			fs = s.flows[i]
 		}
-		reseeds := beliefReseeds(m)
+		reseeds := BeliefReseeds(m)
 		failed := s.Cfg.MaxReseeds > 0 && reseeds-fs.lastReseeds >= s.Cfg.MaxReseeds
 		if g := m.Sender.Guard; !failed && g != nil && s.Cfg.MaxOverruns > 0 {
 			failed = g.ConsecutiveOverruns >= s.Cfg.MaxOverruns
@@ -359,7 +398,7 @@ func (s *Supervisor) adopt(idx int, m *fleet.Member) {
 	fs.rec = rec
 	fs.lastCkpt = nil
 	fs.attempts = 0
-	fs.lastReseeds = beliefReseeds(m)
+	fs.lastReseeds = BeliefReseeds(m)
 	s.Records = append(s.Records, rec)
 }
 
@@ -460,7 +499,7 @@ func (s *Supervisor) Admit() *fleet.Member {
 	fs.rec = rec
 	fs.lastCkpt = nil
 	fs.attempts = 0
-	fs.lastReseeds = beliefReseeds(m)
+	fs.lastReseeds = BeliefReseeds(m)
 	s.Records = append(s.Records, rec)
 	s.Stats.Arrivals++
 	s.Events = append(s.Events, Event{At: s.FL.Loop.Now(), Kind: EventAdmit, Flow: flow, Gen: m.Gen})
@@ -559,7 +598,7 @@ func (s *Supervisor) tryRestart(flow packet.FlowID) {
 		}
 	}
 	fs.reserved = false
-	fs.lastReseeds = beliefReseeds(m)
+	fs.lastReseeds = BeliefReseeds(m)
 	rec := &MemberRecord{M: m, Cause: CauseRestart, Kind: kind, RetiredAt: -1}
 	fs.rec = rec
 	s.Records = append(s.Records, rec)

@@ -88,20 +88,12 @@ func (c *churnState) nextDue() (time.Duration, bool) {
 }
 
 // EnableChurn arms the barrier-aligned churn lifecycle: the health
-// sweep and backoff restarts always, the seeded arrival/departure/crash
-// schedule when cc carries non-zero probabilities. Call before Run.
-// Zero-valued sup fields take lifecycle.SupervisorConfig's defaults;
-// its CheckpointEvery and Dir are not read (see EnableCheckpoints).
+// sweep, backoff restarts and the seeded arrival/departure/crash
+// schedule. Call before Run. Zero-valued cc and sup fields take
+// lifecycle.ChurnConfig's and lifecycle.SupervisorConfig's defaults;
+// sup's CheckpointEvery and Dir are not read (see EnableCheckpoints).
 func (sf *Fleet) EnableChurn(cc lifecycle.ChurnConfig, sup lifecycle.SupervisorConfig, ch chaos.Config) {
-	if cc.Epoch <= 0 {
-		cc.Epoch = 10 * time.Second
-	}
-	if cc.MinLive <= 0 {
-		cc.MinLive = 1
-	}
-	if cc.MaxLive <= 0 {
-		cc.MaxLive = sf.Cfg.N
-	}
+	cc = cc.WithDefaults(sf.Cfg.N)
 	sup = sup.WithDefaults()
 	sf.churn = &churnState{
 		cfg:        cc,
@@ -170,7 +162,7 @@ func (sf *Fleet) lifecycleBarrier() {
 				continue
 			}
 			fs := sf.flow(flow)
-			reseeds := beliefReseeds(m)
+			reseeds := lifecycle.BeliefReseeds(m)
 			failed := c.sup.MaxReseeds > 0 && reseeds-fs.lastReseeds >= c.sup.MaxReseeds
 			if g := m.Sender.Guard; !failed && g != nil && c.sup.MaxOverruns > 0 {
 				failed = g.ConsecutiveOverruns >= c.sup.MaxOverruns
@@ -345,13 +337,9 @@ func (sf *Fleet) admitNew() *fleet.Member {
 // ReplayHash digests per-flow delivery totals, drops and the lifecycle
 // event log; equal hashes mean bit-identical runs, at any shard count.
 func (sf *Fleet) ReplayHash() uint64 {
-	h := fnvHasher()
-	h.put(uint64(sf.slots), uint64(sf.Live()), uint64(sf.Drops()), uint64(sf.OrphanAcks))
-	for i := 0; i < sf.slots; i++ {
-		h.put(uint64(i), uint64(sf.DeliveredTotal(packet.FlowID(i))))
+	delivered := make([]int, sf.slots)
+	for i := range delivered {
+		delivered[i] = sf.DeliveredTotal(packet.FlowID(i))
 	}
-	for _, e := range sf.Events {
-		h.put(uint64(e.At), uint64(e.Kind), uint64(e.Flow), uint64(e.Gen), uint64(e.Restart))
-	}
-	return h.sum()
+	return lifecycle.ReplayHash(sf.Live(), sf.Drops(), sf.OrphanAcks, delivered, sf.Events)
 }

@@ -88,6 +88,7 @@ func (sc schedule) run(k int) *Fleet {
 	}
 	sf.EnableChurn(lifecycle.ChurnConfig{
 		Epoch: sc.epoch, DepartProb: sc.depart, CrashProb: sc.crash, ArriveProb: sc.arrive,
+		MinLive: 1,
 	}, lifecycle.SupervisorConfig{BackoffBase: sc.backoff}, chaos.Config{Seed: sc.seed})
 	sf.Run(sc.dur)
 	return sf
@@ -110,8 +111,8 @@ func recordTuple(r lifecycle.MemberRecord) string {
 // fenced counters must equal what the member itself absorbed.
 func checkConservation(t *testing.T, sf *Fleet) {
 	t.Helper()
-	sent := make([]int64, sf.Slots())
-	absorbed := make([]int64, sf.Slots())
+	sent := make([]int64, sf.slots)
+	absorbed := make([]int64, sf.slots)
 	for _, r := range sf.Records {
 		m := r.M
 		sent[m.Flow] += m.Injected

@@ -22,8 +22,10 @@ import (
 
 // supFleet builds a small two-shard fleet with Recover-mode beliefs (so
 // reseed counts exist as a health signal) under the health sweep and
-// restart machinery alone: the churn schedule's probabilities are all
-// zero, so nothing arrives, departs or crashes unless the test says so.
+// restart machinery alone: the churn schedule's first epoch lies beyond
+// every test's run (an all-zero schedule would take the default
+// probabilities), so nothing arrives, departs or crashes unless the test
+// says so.
 // ckptEvery > 0 arms barrier checkpoints.
 func supFleet(t *testing.T, sc lifecycle.SupervisorConfig, ckptEvery time.Duration) *Fleet {
 	t.Helper()
@@ -34,7 +36,7 @@ func supFleet(t *testing.T, sc lifecycle.SupervisorConfig, ckptEvery time.Durati
 	if ckptEvery > 0 {
 		sf.EnableCheckpoints(CheckpointConfig{Every: ckptEvery})
 	}
-	sf.EnableChurn(lifecycle.ChurnConfig{}, sc, chaos.Config{Seed: 5})
+	sf.EnableChurn(lifecycle.ChurnConfig{Epoch: time.Hour}, sc, chaos.Config{Seed: 5})
 	return sf
 }
 

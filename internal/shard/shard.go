@@ -91,15 +91,12 @@
 package shard
 
 import (
-	"hash"
-	"hash/fnv"
 	"math"
 	"runtime"
 	"sort"
 	"sync"
 	"time"
 
-	"modelcc/internal/belief"
 	"modelcc/internal/elements"
 	"modelcc/internal/fleet"
 	"modelcc/internal/lifecycle"
@@ -296,10 +293,6 @@ func (sf *Fleet) Live() int {
 	return n
 }
 
-// Slots reports the flow-space high-water mark (= len(Members) of the
-// single-loop fleet).
-func (sf *Fleet) Slots() int { return sf.slots }
-
 func (sf *Fleet) rawDrops(flow packet.FlowID) int {
 	if sf.Buffer != nil {
 		return sf.Buffer.Drops[flow]
@@ -424,7 +417,7 @@ func (sf *Fleet) ladder(flow packet.FlowID, ck *lifecycle.Checkpoint, cause life
 	fs.rec = len(sf.Records)
 	// The health sweep must not blame the new generation for its
 	// predecessor's reseeds.
-	fs.lastReseeds = beliefReseeds(m)
+	fs.lastReseeds = lifecycle.BeliefReseeds(m)
 	sf.Records = append(sf.Records, lifecycle.MemberRecord{M: m, Cause: cause, Kind: kind, RetiredAt: -1})
 	return m
 }
@@ -703,50 +696,20 @@ func DigestFleet(fl *fleet.Fleet) uint64 {
 
 func digest(slots, live, drops int, orphans int64,
 	delivered func(packet.FlowID) int, member func(packet.FlowID) *fleet.Member) uint64 {
-	h := fnvHasher()
-	h.put(uint64(slots), uint64(live), uint64(drops), uint64(orphans))
+	h := lifecycle.NewHasher()
+	h.Put(uint64(slots), uint64(live), uint64(drops), uint64(orphans))
 	for i := 0; i < slots; i++ {
 		flow := packet.FlowID(i)
-		h.put(uint64(i), uint64(delivered(flow)))
+		h.Put(uint64(i), uint64(delivered(flow)))
 		m := member(flow)
 		if m == nil {
-			h.put(^uint64(0))
+			h.Put(^uint64(0))
 			continue
 		}
-		h.put(uint64(m.Flow), uint64(m.Gen),
+		h.Put(uint64(m.Flow), uint64(m.Gen),
 			uint64(m.Sender.Sent), uint64(m.Sender.Acked), uint64(m.Sender.Wakes),
 			uint64(m.Injected), uint64(m.Delay.N),
 			math.Float64bits(m.Delay.Sum), math.Float64bits(m.Utility))
 	}
-	return h.sum()
-}
-
-// hasher is a little-endian uint64 FNV-1a accumulator shared by the
-// digest and replay-hash paths.
-type hasher struct{ h hash.Hash64 }
-
-func fnvHasher() *hasher { return &hasher{h: fnv.New64a()} }
-
-func (x *hasher) put(vs ...uint64) {
-	var b [8]byte
-	for _, v := range vs {
-		for i := 0; i < 8; i++ {
-			b[i] = byte(v >> (8 * i))
-		}
-		x.h.Write(b[:])
-	}
-}
-
-func (x *hasher) sum() uint64 { return x.h.Sum64() }
-
-// beliefReseeds reads the belief's lifetime re-seed count, the
-// "posterior keeps collapsing" health signal.
-func beliefReseeds(m *fleet.Member) int {
-	switch b := m.Sender.Belief.(type) {
-	case *belief.Exact:
-		return b.Cum.Reseeded
-	case *belief.Particle:
-		return b.Cum.Reseeded
-	}
-	return 0
+	return h.Sum()
 }

@@ -41,8 +41,9 @@ func LiveSender(cfg belief.Config) *core.Sender {
 }
 
 // LiveMenus is a live run's standard fault menu: a mostly-clean forward
-// path (reordering, light corruption, the blackout) and, on its own
-// seed, a return path with ~30% ack loss in bursts on top of that.
+// path (reordering, light corruption, a 200 ms stall of the forwarding
+// process halfway to the blackout, the blackout) and, on its own seed, a
+// return path with ~30% ack loss in bursts on top of that.
 func LiveMenus(seed int64, blackout chaos.Window) (fwd, ack chaos.Config) {
 	fwd = chaos.Config{
 		Seed:         seed,
@@ -50,6 +51,7 @@ func LiveMenus(seed int64, blackout chaos.Window) (fwd, ack chaos.Config) {
 		CorruptProb:  0.05,
 		ReorderProb:  0.2,
 		ReorderDelay: 60 * time.Millisecond,
+		Stalls:       []chaos.Window{{Start: blackout.Start / 2, Len: 200 * time.Millisecond}},
 		Blackouts:    []chaos.Window{blackout},
 	}
 	ack = fwd

@@ -27,7 +27,6 @@ package transport
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -42,16 +41,6 @@ import (
 // packet with its receive time and sequence number.
 type Receiver struct {
 	conn *net.UDPConn
-
-	// Received counts data packets; AcksSent counts acknowledgments.
-	Received, AcksSent int64
-	// DecodeErrors counts datagrams that failed wire.Decode — corrupted
-	// or foreign traffic, dropped like any UDP service drops noise.
-	DecodeErrors int64
-	// WriteErrors counts acknowledgment writes that failed transiently
-	// (e.g. ICMP-induced errors on a connected path); the receiver keeps
-	// serving.
-	WriteErrors int64
 
 	// OnData, when non-nil, observes every accepted data packet: its
 	// sequence number, the sender's stamp (nanoseconds since the sender's
@@ -73,10 +62,8 @@ func (r *Receiver) Run(ctx context.Context) error {
 	return wire.ReadLoop(ctx, r.conn, nil, func(dg []byte, from *net.UDPAddr) error {
 		typ, data, _, err := wire.Decode(dg)
 		if err != nil || typ != wire.TypeData {
-			r.DecodeErrors++
-			return nil // not ours; drop silently like any UDP service
+			return nil // corrupted or foreign: drop silently like any UDP service
 		}
-		r.Received++
 		recvNanos := time.Now().UnixNano()
 		if r.OnData != nil {
 			r.OnData(data.Seq, data.SentNanos, recvNanos)
@@ -90,12 +77,10 @@ func (r *Receiver) Run(ctx context.Context) error {
 		if err != nil {
 			return fmt.Errorf("transport: encode ack: %w", err)
 		}
-		switch _, err := r.conn.WriteToUDP(out, from); {
-		case err == nil:
-			r.AcksSent++
-		case !errors.Is(err, net.ErrClosed): // a closed socket ends the loop at its next read
-			r.WriteErrors++
-		}
+		// A failed write is a lost acknowledgment, which the sender's
+		// belief already models (an ICMP-induced error on a connected path
+		// is transient; a closed socket ends the loop at its next read).
+		_, _ = r.conn.WriteToUDP(out, from)
 		return nil
 	})
 }

@@ -42,11 +42,6 @@ func (r BitRate) String() string {
 // BytesToBits converts a byte count to bits.
 func BytesToBits(n int) int64 { return int64(n) * 8 }
 
-// BitsToBytes converts a bit count to whole bytes, rounding up.
-func BitsToBytes(bits int64) int {
-	return int((bits + 7) / 8)
-}
-
 // TransmitTime reports how long a payload of the given number of bits
 // occupies a link of rate r: bits / r. It returns 0 for non-positive bit
 // counts and a very large duration for non-positive rates (the payload
@@ -85,28 +80,4 @@ func SecondsToDuration(sec float64) time.Duration {
 		return Forever
 	}
 	return time.Duration(ns)
-}
-
-// DurationMin returns the smaller of a and b.
-func DurationMin(a, b time.Duration) time.Duration {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// DurationMax returns the larger of a and b.
-func DurationMax(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// Millis reports d as a float64 number of milliseconds. The paper's
-// instantaneous utility discounts by the number of milliseconds until a
-// packet's delivery, so this conversion appears throughout the utility
-// code.
-func Millis(d time.Duration) float64 {
-	return float64(d) / float64(time.Millisecond)
 }
