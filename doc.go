@@ -124,12 +124,15 @@
 // partition), the restart ladder (how a churned or crashed member
 // comes back on its own partition), and the planner.Guard degradation
 // ladder (what a live member does when a decision or window runs over
-// budget). Inside internal/shard the first two are one function
-// (Fleet.ladder: warm from the latest barrier checkpoint, hot from the
-// compiled table, cold from the prior) reached by two paths — at the
-// barrier that lost the shard, fenced, or after backoff and drain; the
-// single-loop lifecycle.Supervisor keeps its own copy of the same
-// rungs. The replay hash, failover counters, fence counts, and every
+// budget). The first two are one function of lifecycle.Controller (warm
+// from the flow's latest checkpoint, hot from the compiled table, cold
+// from the prior) reached by two paths — at the barrier that lost the
+// shard, fenced, or after backoff and drain. The Controller is the whole
+// lifecycle policy — health verdict, backoff, drain wait, churn draws,
+// flow allocation, rungs, checkpoint capture — written once and run on
+// two clocks: at exact instants by the single-loop lifecycle.Supervisor,
+// at coupling-window barriers by shard.Fleet, which embeds it. The
+// barrier clock's replay hash, failover counters, fence counts, and every
 // generation's record are bit-identical for shards in {1, 2, 4, 8}
 // under a fixed seed, with or without churn layered on top, and under
 // generated schedules (TestGeneratedSchedules). Over ten seeds at
@@ -139,7 +142,7 @@
 // [-no-ckpt] prints both). experiments.RunChurn is the one lifecycle
 // experiment over both runtimes — ChurnConfig.Shards 0 the supervised
 // loop, >= 1 the barrier runtime — with one reduction and one table, so
-// the two protocols' fairness and recovery columns are read side by
+// the two clocks' fairness and recovery columns are read side by
 // side (README, "One experiment over both").
 //
 // # Performance

@@ -22,8 +22,8 @@ type ChurnConfig struct {
 	// N is the fleet's configured (and maximum live) size (default 16).
 	N int
 	// Shards selects the runtime, as FairnessConfig.Shards does: 0 is the
-	// supervised single loop (lifecycle.Supervisor + Admission, kills at
-	// their drawn instants), >= 1 the barrier-aligned sharded runtime
+	// supervised single loop (lifecycle.Supervisor, kills and restarts at
+	// their exact instants), >= 1 the barrier-aligned sharded runtime
 	// (internal/shard), whose replay hash is the same at every count. A
 	// fault knob below with Shards 0 runs one shard: faults have no
 	// single-loop form.
@@ -188,17 +188,13 @@ func RunChurn(cfg ChurnConfig) ChurnResult {
 			supCfg.CheckpointEvery = -1
 		}
 		sup := lifecycle.NewSupervisor(fl, supCfg)
-		sup.Start()
 		if !cfg.NoChurn {
-			lifecycle.NewAdmission(sup, cfg.schedule(), ch).Start()
+			sup.EnableChurn(cfg.schedule(), ch)
 		}
+		sup.Start()
 		fl.Run(cfg.Duration)
 		res.Stats, res.OrphanAcks = sup.Stats, fl.OrphanAcks
-		recs := make([]lifecycle.MemberRecord, len(sup.Records))
-		for i, r := range sup.Records {
-			recs[i] = *r
-		}
-		reduceChurn(&res, fl, recs, sup.Events)
+		reduceChurn(&res, fl, sup.Records, sup.Events)
 		return res
 	}
 	sf := shard.New(shard.Config{Fleet: fc, Shards: cfg.Shards})

@@ -601,16 +601,10 @@ func (f *Fleet) NextGen(flow packet.FlowID) uint32 {
 	return f.flows[idx].Gens
 }
 
-// StaggerOffset recomputes the start-time stagger for a mid-run
+// StaggerOffsetFor recomputes the start-time stagger for a mid-run
 // admission: a deterministic hash of (flow, generation) spread over the
-// configured stagger window, so restarts and arrivals de-synchronize
-// from the incumbents instead of landing on one instant.
-func (f *Fleet) StaggerOffset(flow packet.FlowID, gen uint32) time.Duration {
-	return StaggerOffsetFor(f.Cfg.Stagger, flow, gen)
-}
-
-// StaggerOffsetFor is StaggerOffset as a pure function, so the sharded
-// runtime computes the identical offset from the identical identity.
+// stagger window, so restarts and arrivals de-synchronize from the
+// incumbents instead of landing on one instant.
 func StaggerOffsetFor(stagger time.Duration, flow packet.FlowID, gen uint32) time.Duration {
 	if stagger <= 0 {
 		return 0

@@ -1,8 +1,10 @@
 // Package lifecycle is the fleet's member lifecycle and crash-recovery
-// runtime: versioned binary checkpoints of a member's full decision
-// state, a Supervisor that watches member health and restarts failures
-// through a hot/warm/cold ladder, and an Admission controller that
-// drives deterministic churn schedules from seeded chaos streams.
+// policy: versioned binary checkpoints of a member's full decision
+// state, and one Controller that watches member health, restarts
+// failures through a hot/warm/cold ladder with capped backoff, and
+// draws deterministic churn schedules from seeded chaos streams. Two
+// clocks drive it: the Supervisor at exact instants on the single loop,
+// and shard.Fleet at coupling-window barriers.
 //
 // A checkpoint captures everything a member needs to resume making the
 // same decisions an uninterrupted member would: the belief posterior
@@ -127,8 +129,8 @@ func Capture(m *fleet.Member, priorHash uint64) (*Checkpoint, error) {
 // against: the prior and the resolved member configs of whatever will
 // host the restored member. Both the single-loop *fleet.Fleet and the
 // sharded *fleet.Partition implement it, so one restore path serves
-// the Supervisor's warm restarts and the shard coordinator's
-// failovers. A checkpoint taken under one host restores bit-identically
+// warm restarts and failovers on either runtime. A checkpoint taken
+// under one host restores bit-identically
 // under any other with the same prior hash — the encoding carries no
 // topology.
 type MemberHost interface {

@@ -5,18 +5,19 @@ import (
 	"fmt"
 	"hash"
 	"hash/fnv"
-	"path/filepath"
 	"time"
 
 	"modelcc/internal/belief"
+	"modelcc/internal/chaos"
+	"modelcc/internal/core"
 	"modelcc/internal/fleet"
 	"modelcc/internal/packet"
 	"modelcc/internal/sim"
 )
 
-// SupervisorConfig tunes the crash-recovery runtime. Zero values take
-// the defaults noted on each field (WithDefaults). The sharded runtime
-// reads the same health and backoff fields; its checkpoint schedule is
+// SupervisorConfig tunes the lifecycle policy. Zero values take the
+// defaults noted on each field (WithDefaults). The sharded runtime reads
+// the same health and backoff fields; its checkpoint schedule is
 // shard.CheckpointConfig, so CheckpointEvery and Dir do not apply there.
 type SupervisorConfig struct {
 	// Interval is the health-check period (default 2 s virtual).
@@ -34,9 +35,9 @@ type SupervisorConfig struct {
 	// many consecutive deadline overruns — the planner is wedged
 	// (default 8; non-positive disables the signal).
 	MaxOverruns int64
-	// BackoffBase and BackoffCap bound the restart delay: the k-th
-	// consecutive restart of a flow waits min(BackoffBase<<k,
-	// BackoffCap). Defaults 500 ms and 16 s.
+	// BackoffBase and BackoffCap bound the restart delay: after k
+	// consecutive restarts of a flow the next waits min(BackoffBase·2^k,
+	// BackoffCap) (Backoff). Defaults 500 ms and 16 s.
 	BackoffBase time.Duration
 	BackoffCap  time.Duration
 	// DrainPoll is how often a pending restart re-checks a flow whose
@@ -44,8 +45,10 @@ type SupervisorConfig struct {
 	// restart waits for a full drain so the fenced per-flow counters
 	// stay unambiguous.
 	DrainPoll time.Duration
-	// Dir, when set, mirrors every checkpoint to
-	// Dir/flow%04d.ckpt (atomic replace per flow).
+	// Dir, when set, mirrors every checkpoint to Dir/flowNNNN.ckpt, the
+	// flow ID zero-padded to four digits (atomic replace per flow;
+	// ReadFile loads one). shard.CheckpointConfig.Dir writes the same
+	// names.
 	Dir string
 }
 
@@ -74,6 +77,17 @@ func (c SupervisorConfig) WithDefaults() SupervisorConfig {
 		c.DrainPoll = 250 * time.Millisecond
 	}
 	return c
+}
+
+// Backoff is the delay before a flow's next restart after attempts
+// consecutive ones: min(BackoffBase·2^attempts, BackoffCap), compared
+// before shifting so a large base saturates at the cap instead of
+// wrapping.
+func (c SupervisorConfig) Backoff(attempts int) time.Duration {
+	if attempts >= 63 || c.BackoffBase > c.BackoffCap>>attempts {
+		return c.BackoffCap
+	}
+	return c.BackoffBase << attempts
 }
 
 // EventKind classifies a lifecycle event.
@@ -143,7 +157,7 @@ func (k RestartKind) String() string {
 	return fmt.Sprintf("restartkind(%d)", uint8(k))
 }
 
-// Event is one entry in the supervisor's deterministic lifecycle log.
+// Event is one entry in the deterministic lifecycle log.
 type Event struct {
 	At   time.Duration
 	Kind EventKind
@@ -231,110 +245,15 @@ type MemberRecord struct {
 	RetiredAt time.Duration
 }
 
-// Stats counts supervisor activity.
+// Stats counts lifecycle activity.
 type Stats struct {
 	Checkpoints, CheckpointErrors           int
 	Failures, Crashes, Departures, Arrivals int
 	ColdRestarts, HotRestarts, WarmRestarts int
 }
 
-// flowState is the supervisor's per-flow bookkeeping.
-type flowState struct {
-	lastReseeds int
-	lastCkpt    *Checkpoint
-	attempts    int
-	// reserved marks a flow a pending restart owns; admission skips it.
-	reserved bool
-	rec      *MemberRecord
-}
-
-// Supervisor watches a fleet's members for health failures — belief
-// re-seeds and planner Guard overruns — and restarts failed members
-// with capped exponential backoff through the hot/warm/cold ladder.
-// It lives entirely on the fleet's discrete-event loop: no goroutines,
-// and the same seed replays the same lifecycle log bit-identically.
-type Supervisor struct {
-	FL  *fleet.Fleet
-	Cfg SupervisorConfig
-	// PriorHash is the model identity every checkpoint is bound to.
-	PriorHash uint64
-	// Events is the lifecycle log, in virtual-time order.
-	Events []Event
-	// Records tracks every member generation ever admitted, in
-	// admission order (the fleet's initial members first).
-	Records []*MemberRecord
-	// Stats counts supervisor activity.
-	Stats Stats
-
-	flows   []*flowState
-	health  *sim.Timer
-	ckpt    *sim.Timer
-	started bool
-	stopped bool
-	scratch []packet.FlowID
-}
-
-// NewSupervisor builds a supervisor over the fleet's current members.
-// Call Start before (or while) the loop runs.
-func NewSupervisor(fl *fleet.Fleet, cfg SupervisorConfig) *Supervisor {
-	s := &Supervisor{
-		FL:        fl,
-		Cfg:       cfg.WithDefaults(),
-		PriorHash: FleetPriorHash(fl),
-	}
-	s.health = sim.NewTimer(fl.Loop, s.checkTick)
-	s.ckpt = sim.NewTimer(fl.Loop, s.checkpointTick)
-	kind := RestartCold
-	if fl.Cfg.Table != nil {
-		kind = RestartHot
-	}
-	for i, m := range fl.Members {
-		fs := s.flow(i)
-		if m == nil {
-			continue
-		}
-		rec := &MemberRecord{M: m, Kind: kind, RetiredAt: -1}
-		fs.rec = rec
-		fs.lastReseeds = BeliefReseeds(m)
-		s.Records = append(s.Records, rec)
-	}
-	return s
-}
-
-// flow returns (extending as needed) the flow's bookkeeping.
-func (s *Supervisor) flow(idx int) *flowState {
-	for idx >= len(s.flows) {
-		s.flows = append(s.flows, &flowState{})
-	}
-	return s.flows[idx]
-}
-
-// Start arms the health and checkpoint timers. Idempotent.
-func (s *Supervisor) Start() {
-	if s.started || s.stopped {
-		return
-	}
-	s.started = true
-	s.health.Arm(s.Cfg.Interval)
-	if s.Cfg.CheckpointEvery > 0 {
-		s.ckpt.Arm(s.Cfg.CheckpointEvery)
-	}
-}
-
-// Stop disarms the supervisor; pending restarts are abandoned. Safe to
-// call at any time, from any loop event, and more than once.
-func (s *Supervisor) Stop() {
-	if s.stopped {
-		return
-	}
-	s.stopped = true
-	s.health.Stop()
-	s.ckpt.Stop()
-}
-
 // BeliefReseeds reads the belief's lifetime re-seed count, the
-// "posterior keeps collapsing" health signal both runtimes' health
-// sweeps watch.
+// "posterior keeps collapsing" health signal.
 func BeliefReseeds(m *fleet.Member) int {
 	switch b := m.Sender.Belief.(type) {
 	case *belief.Exact:
@@ -345,265 +264,131 @@ func BeliefReseeds(m *fleet.Member) int {
 	return 0
 }
 
-// checkTick is one health sweep, in member-index order for determinism.
-func (s *Supervisor) checkTick() {
+// Supervisor is the Controller on the single loop: a health sweep every
+// Interval, a whole-fleet checkpoint every CheckpointEvery and, with
+// EnableChurn, a churn epoch every Epoch, each a sim.Timer on the
+// fleet's loop, while restarts and crash-kills fire at their exact
+// deferred instants. It lives entirely on the fleet's discrete-event
+// loop — no goroutines — and the same seed replays the same lifecycle
+// log bit-identically. Its Runtime methods are the fleet's membership
+// primitives.
+type Supervisor struct {
+	Controller
+	FL *fleet.Fleet
+
+	priorHash           uint64
+	health, ckpt, epoch *sim.Timer
+	started, stopped    bool
+}
+
+// NewSupervisor builds a supervisor over the fleet's current members.
+// Call Start before (or while) the loop runs.
+func NewSupervisor(fl *fleet.Fleet, cfg SupervisorConfig) *Supervisor {
+	s := &Supervisor{FL: fl, priorHash: FleetPriorHash(fl)}
+	s.Bind(s, fl.Cfg)
+	s.cfg = cfg.WithDefaults()
+	s.health = sim.NewTimer(fl.Loop, func() {
+		s.Health()
+		s.health.Arm(s.cfg.Interval)
+	})
+	s.ckpt = sim.NewTimer(fl.Loop, func() {
+		s.scratch = fl.ActiveFlows(s.scratch[:0])
+		for _, flow := range s.scratch {
+			s.Checkpoint(fl.Members[flow], s.cfg.Dir)
+		}
+		s.ckpt.Arm(s.cfg.CheckpointEvery)
+	})
+	s.epoch = sim.NewTimer(fl.Loop, func() {
+		s.Epoch()
+		s.epoch.Arm(s.churn.Epoch)
+	})
+	for _, m := range fl.Members {
+		if m != nil {
+			s.Initial(m)
+		}
+	}
+	return s
+}
+
+// EnableChurn arms the seeded arrival/departure/crash schedule (see
+// Controller.EnableChurn) under the supervisor's own health policy. Call
+// before Start.
+func (s *Supervisor) EnableChurn(cc ChurnConfig, ch chaos.Config) {
+	s.Controller.EnableChurn(cc, s.cfg, ch)
+}
+
+// Start arms the health, checkpoint and churn timers. Idempotent.
+func (s *Supervisor) Start() {
+	if s.started || s.stopped {
+		return
+	}
+	s.started = true
+	s.health.Arm(s.cfg.Interval)
+	if s.cfg.CheckpointEvery > 0 {
+		s.ckpt.Arm(s.cfg.CheckpointEvery)
+	}
+	if s.src != nil {
+		s.epoch.Arm(s.churn.Epoch)
+	}
+}
+
+// Stop disarms the supervisor; pending restarts and crash-kills are
+// abandoned. Safe to call at any time, from any loop event, and more
+// than once.
+func (s *Supervisor) Stop() {
 	if s.stopped {
 		return
 	}
-	now := s.FL.Loop.Now()
-	s.scratch = s.FL.ActiveFlows(s.scratch[:0])
-	for _, flow := range s.scratch {
-		i := int(flow)
-		m := s.FL.Members[i]
-		if m == nil {
-			// fail() below can retire a flow mid-sweep only for the flow
-			// being visited, but stay defensive against callback retires.
-			continue
-		}
-		fs := s.flow(i)
-		if fs.rec == nil || fs.rec.M != m {
-			// A member admitted behind the supervisor's back (direct
-			// fleet.Admit): adopt it rather than misreading its
-			// predecessor's counters.
-			s.adopt(i, m)
-			fs = s.flows[i]
-		}
-		reseeds := BeliefReseeds(m)
-		failed := s.Cfg.MaxReseeds > 0 && reseeds-fs.lastReseeds >= s.Cfg.MaxReseeds
-		if g := m.Sender.Guard; !failed && g != nil && s.Cfg.MaxOverruns > 0 {
-			failed = g.ConsecutiveOverruns >= s.Cfg.MaxOverruns
-		}
-		if failed {
-			s.fail(packet.FlowID(i))
-			continue
-		}
-		fs.lastReseeds = reseeds
-		// A restarted member that stayed healthy for two full sweeps
-		// has recovered; its next failure starts backoff from scratch.
-		if fs.attempts > 0 && now-m.AdmittedAt >= 2*s.Cfg.Interval {
-			fs.attempts = 0
-		}
-	}
-	s.health.Arm(s.Cfg.Interval)
+	s.stopped = true
+	s.health.Stop()
+	s.ckpt.Stop()
+	s.epoch.Stop()
 }
 
-// adopt registers an externally admitted member.
-func (s *Supervisor) adopt(idx int, m *fleet.Member) {
-	fs := s.flow(idx)
-	kind := RestartCold
-	if s.FL.Cfg.Table != nil {
-		kind = RestartHot
-	}
-	rec := &MemberRecord{M: m, Cause: CauseArrival, Kind: kind, RetiredAt: -1}
-	fs.rec = rec
-	fs.lastCkpt = nil
-	fs.attempts = 0
-	fs.lastReseeds = BeliefReseeds(m)
-	s.Records = append(s.Records, rec)
-}
+// Now, LiveFlows, Slots, MemberAt, InFlight, NextGen, Host, PriorHash,
+// Retire and Attach are the single-loop fleet's membership (Runtime).
 
-// checkpointTick captures every live member, in member-index order.
-func (s *Supervisor) checkpointTick() {
-	if s.stopped {
-		return
-	}
-	s.scratch = s.FL.ActiveFlows(s.scratch[:0])
-	for _, flow := range s.scratch {
-		i := int(flow)
-		m := s.FL.Members[i]
-		if m == nil {
-			continue
-		}
-		c, err := Capture(m, s.PriorHash)
-		if err != nil {
-			s.Stats.CheckpointErrors++
-			continue
-		}
-		s.flow(i).lastCkpt = c
-		s.Stats.Checkpoints++
-		if s.Cfg.Dir != "" {
-			path := filepath.Join(s.Cfg.Dir, fmt.Sprintf("flow%04d.ckpt", i))
-			if err := c.WriteFile(path); err != nil {
-				s.Stats.CheckpointErrors++
-			}
-		}
-	}
-	s.ckpt.Arm(s.Cfg.CheckpointEvery)
-}
+func (s *Supervisor) Now() time.Duration                            { return s.FL.Loop.Now() }
+func (s *Supervisor) LiveFlows(buf []packet.FlowID) []packet.FlowID { return s.FL.ActiveFlows(buf) }
+func (s *Supervisor) Slots() int                                    { return len(s.FL.Members) }
 
-// retire tears the flow's member down and closes its record.
-func (s *Supervisor) retire(flow packet.FlowID) *fleet.Member {
-	m := s.FL.Retire(flow)
-	if m == nil {
+func (s *Supervisor) MemberAt(flow packet.FlowID) *fleet.Member {
+	if int(flow) >= len(s.FL.Members) {
 		return nil
 	}
-	if fs := s.flow(int(flow)); fs.rec != nil && fs.rec.M == m {
-		fs.rec.RetiredAt = s.FL.Loop.Now()
-	}
-	return m
+	return s.FL.Members[flow]
 }
 
-// fail declares the flow's member failed: graceful teardown (in-flight
-// packets drain through the loop), then a backoff-delayed restart.
-func (s *Supervisor) fail(flow packet.FlowID) {
-	m := s.retire(flow)
-	if m == nil {
-		return
+func (s *Supervisor) InFlight(flow packet.FlowID) int64       { return s.FL.InFlight(flow) }
+func (s *Supervisor) NextGen(flow packet.FlowID) uint32       { return s.FL.NextGen(flow) }
+func (s *Supervisor) Host(packet.FlowID) MemberHost           { return s.FL }
+func (s *Supervisor) PriorHash() uint64                       { return s.priorHash }
+func (s *Supervisor) Retire(flow packet.FlowID) *fleet.Member { return s.FL.Retire(flow) }
+
+func (s *Supervisor) Attach(flow packet.FlowID, snd *core.Sender, offset time.Duration) *fleet.Member {
+	if snd == nil {
+		return s.FL.Admit(flow, offset)
 	}
-	s.Stats.Failures++
-	s.Events = append(s.Events, Event{At: s.FL.Loop.Now(), Kind: EventFail, Flow: flow, Gen: m.Gen})
-	s.scheduleRestart(flow)
+	return s.FL.AdmitSender(flow, snd, offset)
 }
 
-// Kill crash-kills the flow's member abruptly (no fresh checkpoint, no
-// drain courtesy beyond what the network itself provides) and schedules
-// a supervised restart. No-op when the flow has no live member.
-func (s *Supervisor) Kill(flow packet.FlowID) {
-	m := s.retire(flow)
-	if m == nil {
-		return
-	}
-	s.Stats.Crashes++
-	s.Events = append(s.Events, Event{At: s.FL.Loop.Now(), Kind: EventCrash, Flow: flow, Gen: m.Gen})
-	s.scheduleRestart(flow)
-}
-
-// Depart retires the flow's member permanently: no restart, and the
-// flow (once drained) becomes available to future arrivals. The stale
-// checkpoint is discarded — a later arrival is a different member and
-// must never inherit this one's belief.
-func (s *Supervisor) Depart(flow packet.FlowID) {
-	m := s.retire(flow)
-	if m == nil {
-		return
-	}
-	fs := s.flow(int(flow))
-	fs.lastCkpt = nil
-	fs.attempts = 0
-	s.Stats.Departures++
-	s.Events = append(s.Events, Event{At: s.FL.Loop.Now(), Kind: EventDepart, Flow: flow, Gen: m.Gen})
-}
-
-// Admit starts a brand-new member on the lowest safe flow (vacant,
-// drained, not reserved by a pending restart) and returns it.
-func (s *Supervisor) Admit() *fleet.Member {
-	flow := s.allocFlow()
-	gen := s.FL.NextGen(flow)
-	m := s.FL.Admit(flow, s.FL.StaggerOffset(flow, gen))
-	fs := s.flow(int(flow))
-	kind := RestartCold
-	if s.FL.Cfg.Table != nil {
-		kind = RestartHot
-	}
-	rec := &MemberRecord{M: m, Cause: CauseArrival, Kind: kind, RetiredAt: -1}
-	fs.rec = rec
-	fs.lastCkpt = nil
-	fs.attempts = 0
-	fs.lastReseeds = BeliefReseeds(m)
-	s.Records = append(s.Records, rec)
-	s.Stats.Arrivals++
-	s.Events = append(s.Events, Event{At: s.FL.Loop.Now(), Kind: EventAdmit, Flow: flow, Gen: m.Gen})
-	return m
-}
-
-// PendingRestarts counts flows reserved by a scheduled restart —
-// casualties draining in-flight packets or waiting out backoff. Their
-// slots are spoken for: admission must treat them as occupied or
-// arrivals plus restarts would overshoot the population cap.
-func (s *Supervisor) PendingRestarts() int {
-	n := 0
-	for _, fs := range s.flows {
-		if fs.reserved {
-			n++
+// DeferRestart and DeferKill are the single loop's clock: a loop event at
+// the exact instant, dropped (and the flow's reservation released) once
+// the supervisor is stopped.
+func (s *Supervisor) DeferRestart(flow packet.FlowID, after time.Duration) {
+	s.FL.Loop.After(after, func() {
+		if s.stopped {
+			s.flow(flow).reserved = false
+			return
 		}
-	}
-	return n
+		s.Restart(flow)
+	})
 }
 
-// allocFlow is Fleet.AllocFlow minus flows reserved by pending
-// restarts.
-func (s *Supervisor) allocFlow() packet.FlowID {
-	for i := range s.FL.Members {
-		if s.FL.Members[i] == nil && !s.flow(i).reserved && s.FL.InFlight(packet.FlowID(i)) == 0 {
-			return packet.FlowID(i)
+func (s *Supervisor) DeferKill(flow packet.FlowID, after time.Duration) {
+	s.FL.Loop.After(after, func() {
+		if !s.stopped {
+			s.Kill(flow)
 		}
-	}
-	return packet.FlowID(len(s.FL.Members))
-}
-
-// scheduleRestart reserves the flow and arms the backoff-delayed
-// restart attempt.
-func (s *Supervisor) scheduleRestart(flow packet.FlowID) {
-	fs := s.flow(int(flow))
-	shift := fs.attempts
-	if shift > 30 {
-		shift = 30
-	}
-	delay := s.Cfg.BackoffBase << shift
-	if delay > s.Cfg.BackoffCap || delay <= 0 {
-		delay = s.Cfg.BackoffCap
-	}
-	fs.attempts++
-	fs.reserved = true
-	s.FL.Loop.After(delay, func() { s.tryRestart(flow) })
-}
-
-// tryRestart performs (or re-defers) a pending restart: it waits for
-// the predecessor's in-flight packets to drain, then admits the new
-// generation on the highest available ladder rung.
-func (s *Supervisor) tryRestart(flow packet.FlowID) {
-	fs := s.flow(int(flow))
-	if s.stopped {
-		fs.reserved = false
-		return
-	}
-	if int(flow) < len(s.FL.Members) && s.FL.Members[flow] != nil {
-		// The slot was re-occupied despite the reservation (external
-		// Admit); the restart is moot.
-		fs.reserved = false
-		return
-	}
-	if s.FL.InFlight(flow) > 0 {
-		// Predecessor still draining: keep the reservation, poll again.
-		s.FL.Loop.After(s.Cfg.DrainPoll, func() { s.tryRestart(flow) })
-		return
-	}
-	gen := s.FL.NextGen(flow)
-	offset := s.FL.StaggerOffset(flow, gen)
-	var (
-		m    *fleet.Member
-		kind RestartKind
-	)
-	if fs.lastCkpt != nil {
-		snd, err := RestoreSender(s.FL, fs.lastCkpt, s.PriorHash)
-		if err == nil {
-			m = s.FL.AdmitSender(flow, snd, offset)
-			RestoreGuard(m, fs.lastCkpt)
-			kind = RestartWarm
-			s.Stats.WarmRestarts++
-		} else {
-			// A checkpoint this supervisor captured should always
-			// restore; count the anomaly and fall through cold.
-			s.Stats.CheckpointErrors++
-		}
-	}
-	if m == nil {
-		m = s.FL.Admit(flow, offset)
-		if s.FL.Cfg.Table != nil {
-			kind = RestartHot
-			s.Stats.HotRestarts++
-		} else {
-			kind = RestartCold
-			s.Stats.ColdRestarts++
-		}
-	}
-	fs.reserved = false
-	fs.lastReseeds = BeliefReseeds(m)
-	rec := &MemberRecord{M: m, Cause: CauseRestart, Kind: kind, RetiredAt: -1}
-	fs.rec = rec
-	s.Records = append(s.Records, rec)
-	s.Events = append(s.Events, Event{
-		At: s.FL.Loop.Now(), Kind: EventRestart, Flow: flow, Gen: m.Gen,
-		Restart: kind, Attempt: fs.attempts,
 	})
 }

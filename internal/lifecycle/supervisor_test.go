@@ -245,12 +245,12 @@ func TestAdmissionReplaysBitIdentically(t *testing.T) {
 			BeliefCfg: belief.Config{Recover: true},
 		})
 		sup := NewSupervisor(fl, SupervisorConfig{BackoffBase: 100 * time.Millisecond})
-		adm := NewAdmission(sup, ChurnConfig{
+		sup.EnableChurn(ChurnConfig{
 			Epoch: 5 * time.Second, DepartProb: 0.1, CrashProb: 0.15,
 			ArriveProb: 0.6, MinLive: 2, MaxLive: 8,
 		}, chaos.Config{Seed: 9})
 		sup.Start()
-		adm.Start()
+		sup.Start()
 		fl.Run(60 * time.Second)
 		return sup.Events
 	}
@@ -282,12 +282,12 @@ func TestAdmissionRespectsMaxLive(t *testing.T) {
 	// A long backoff keeps crashed slots reserved across several
 	// epochs, the window the old accounting double-filled.
 	sup := NewSupervisor(fl, SupervisorConfig{BackoffBase: 3 * time.Second})
-	adm := NewAdmission(sup, ChurnConfig{
+	sup.EnableChurn(ChurnConfig{
 		Epoch: 5 * time.Second, DepartProb: 0.2, CrashProb: 0.3,
 		ArriveProb: 1, MinLive: 1, MaxLive: 8,
 	}, chaos.Config{Seed: 4})
 	sup.Start()
-	adm.Start()
+	sup.Start()
 	maxSeen := 0
 	var poll func()
 	poll = func() {
@@ -320,17 +320,17 @@ func TestLifecycleNoGoroutineLeak(t *testing.T) {
 			BeliefCfg: belief.Config{Recover: true},
 		})
 		sup := NewSupervisor(fl, SupervisorConfig{BackoffBase: 100 * time.Millisecond})
-		adm := NewAdmission(sup, ChurnConfig{
+		sup.EnableChurn(ChurnConfig{
 			Epoch: 5 * time.Second, DepartProb: 0.1, CrashProb: 0.15,
 			ArriveProb: 0.6, MinLive: 2, MaxLive: 8,
 		}, chaos.Config{Seed: 3})
 		sup.Start()
-		adm.Start()
+		sup.Start()
 		fl.Run(40 * time.Second)
 		// Teardown mid-"session": stop twice each, in both orders.
-		adm.Stop()
 		sup.Stop()
-		adm.Stop()
+		sup.Stop()
+		sup.Stop()
 		sup.Stop()
 	}()
 	deadline := time.Now().Add(2 * time.Second)

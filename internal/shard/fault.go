@@ -1,8 +1,6 @@
 package shard
 
 import (
-	"fmt"
-	"path/filepath"
 	"sort"
 	"time"
 
@@ -44,8 +42,9 @@ import (
 //     (the next partition in ring order; the home-table rewrite also
 //     migrates the class's policy-cache stripe, which only its hosting
 //     partition may touch);
-//  2. restore the member through the restart ladder (Fleet.ladder, the
-//     one churn restarts walk too) — warm from its latest barrier
+//  2. restore the member through the restart ladder
+//     (lifecycle.Controller.Evicted, the rung choice churn restarts
+//     make too) — warm from its latest barrier
 //     checkpoint, hot from the compiled table, cold from the prior —
 //     as a NEW generation with freshly fenced counters;
 //  3. fence the dead generation's post-checkpoint in-flight sends: the
@@ -84,10 +83,10 @@ type CheckpointConfig struct {
 	// one virtual shard per due tick, round-robin — so checkpoint work
 	// spreads across barriers instead of bunching into one.
 	Every time.Duration
-	// Dir, when non-empty, mirrors each checkpoint to
-	// Dir/flow-<id>.ckpt with the atomic tmp+rename writer. The
-	// in-memory store is authoritative for failover either way; the
-	// mirror is for cross-process restarts.
+	// Dir, when non-empty, mirrors each checkpoint to disk under the
+	// names lifecycle.SupervisorConfig.Dir documents. The in-memory store
+	// is authoritative for failover either way; the mirror is for
+	// cross-process restarts.
 	Dir string
 }
 
@@ -145,7 +144,6 @@ type ckptState struct {
 	interval time.Duration
 	next     time.Duration
 	round    int
-	last     map[packet.FlowID]*lifecycle.Checkpoint
 }
 
 type groupKill struct {
@@ -188,12 +186,7 @@ func (sf *Fleet) EnableCheckpoints(cc CheckpointConfig) {
 	if interval < sf.Delta {
 		interval = sf.Delta
 	}
-	sf.ckpt = &ckptState{
-		cfg:      cc,
-		interval: interval,
-		next:     interval,
-		last:     make(map[packet.FlowID]*lifecycle.Checkpoint),
-	}
+	sf.ckpt = &ckptState{cfg: cc, interval: interval, next: interval}
 	sf.priorHash = lifecycle.PriorHashFor(sf.Cfg, sf.Caches)
 }
 
@@ -224,15 +217,6 @@ func (sf *Fleet) EnableWatchdog(wc WatchdogConfig) {
 	}
 }
 
-// LatestCheckpoint returns the flow's most recent barrier checkpoint,
-// nil when none exists (or checkpointing is disabled).
-func (sf *Fleet) LatestCheckpoint(flow packet.FlowID) *lifecycle.Checkpoint {
-	if sf.ckpt == nil {
-		return nil
-	}
-	return sf.ckpt.last[flow]
-}
-
 // PriorHash reports the model identity checkpoints are bound to (zero
 // until EnableCheckpoints).
 func (sf *Fleet) PriorHash() uint64 { return sf.priorHash }
@@ -248,8 +232,6 @@ func (sf *Fleet) DegradedServed() int64 {
 	}
 	return total
 }
-
-func (c *ckptState) nextDue() (time.Duration, bool) { return c.next, true }
 
 func (f *faultState) nextDue() (time.Duration, bool) {
 	best := f.nextEpoch
@@ -271,35 +253,17 @@ func (f *faultState) nextDue() (time.Duration, bool) {
 	return best, true
 }
 
-// checkpointSweep captures one virtual shard's resident members per
-// due tick (round-robin), binding each checkpoint to the fleet prior
-// hash and storing it in the coordinator-owned store (plus the
-// directory mirror when configured).
+// checkpointSweep checkpoints one virtual shard's resident members per
+// due tick (round-robin) into the controller's store.
 func (sf *Fleet) checkpointSweep() {
 	c := sf.ckpt
-	b := sf.now
-	for b >= c.next {
+	for sf.now >= c.next {
 		v := c.round % VirtualShards
 		c.round++
 		c.next += c.interval
 		for i := v; i < sf.slots; i += VirtualShards {
-			flow := packet.FlowID(i)
-			m := sf.MemberAt(flow)
-			if m == nil || m.Retired() {
-				continue
-			}
-			ck, err := lifecycle.Capture(m, sf.priorHash)
-			if err != nil {
-				sf.Stats.CheckpointErrors++
-				continue
-			}
-			c.last[flow] = ck
-			sf.Stats.Checkpoints++
-			if c.cfg.Dir != "" {
-				path := filepath.Join(c.cfg.Dir, fmt.Sprintf("flow-%d.ckpt", i))
-				if err := ck.WriteFile(path); err != nil {
-					sf.Stats.CheckpointErrors++
-				}
+			if m := sf.MemberAt(packet.FlowID(i)); m != nil && !m.Retired() {
+				sf.Checkpoint(m, c.cfg.Dir)
 			}
 		}
 	}
@@ -438,18 +402,16 @@ func (sf *Fleet) failoverGroup(v int) {
 			continue
 		}
 		sf.Failover.FlowsFailedOver++
-		sf.Events = append(sf.Events, lifecycle.Event{At: b, Kind: lifecycle.EventCrash, Flow: flow, Gen: m.Gen})
 
 		// Restore as a NEW generation with freshly fenced counters,
 		// never merged accounting, resuming at the first representable
 		// instant after the barrier — failover optimizes
 		// time-to-recover, not stagger.
-		kind := sf.restart(flow, time.Nanosecond, lifecycle.CauseFailover, 0)
 		fenceFrom := time.Duration(-1)
-		switch kind {
+		switch sf.Evicted(m) {
 		case lifecycle.RestartWarm:
 			sf.Failover.WarmFailovers++
-			fenceFrom = sf.ckpt.last[flow].At
+			fenceFrom = sf.LatestCheckpoint(flow).At
 		case lifecycle.RestartHot:
 			sf.Failover.HotFailovers++
 		default:

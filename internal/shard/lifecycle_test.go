@@ -217,12 +217,12 @@ func TestBarrierDepartRecyclesFlowWithFencedCounters(t *testing.T) {
 	if sf.LatestCheckpoint(2) == nil {
 		t.Fatal("flow 2 has no checkpoint to discard; test is vacuous")
 	}
-	sf.depart(2)
+	sf.Depart(2)
 	if sf.LatestCheckpoint(2) != nil {
 		t.Fatal("departure kept the flow's checkpoint: a later arrival could inherit its belief")
 	}
 	sf.Run(40 * time.Second)
-	admitted := sf.admitNew()
+	admitted := sf.Admit()
 	if admitted.Flow != 2 || admitted.Gen != 1 {
 		t.Fatalf("arrival did not recycle flow 2 as gen 1: flow %d gen %d", admitted.Flow, admitted.Gen)
 	}
@@ -252,9 +252,9 @@ func TestBarrierDepartRecyclesFlowWithFencedCounters(t *testing.T) {
 func TestBarrierKillVacantFlowIsNoOp(t *testing.T) {
 	sf := supFleet(t, lifecycle.SupervisorConfig{}, 0)
 	sf.Run(time.Second)
-	sf.depart(3)
-	sf.kill(3) // already vacant
-	sf.kill(3)
+	sf.Depart(3)
+	sf.Kill(3) // already vacant
+	sf.Kill(3)
 	sf.Run(5 * time.Second)
 	if sf.Stats.Crashes != 0 {
 		t.Fatalf("crashes = %d for kills of a vacant flow", sf.Stats.Crashes)

@@ -74,20 +74,20 @@
 // sharded fleet it is the per-shard rollout pool width (default
 // GOMAXPROCS/K), and rollout results are bit-identical for any width.
 //
-// Lifecycle under sharding is barrier-aligned: churn draws, crashes,
-// health checks and restarts execute at window boundaries (every due
-// time snapped up to the Δ grid), in flow order, so the event log and
-// replay hash are identical for every shard count (churn.go) — though
-// not to the single-loop lifecycle.Supervisor's mid-window schedule,
-// which is a different (equally deterministic) protocol on the
-// arrival-order fleet. The two agree on lifecycle counters within
-// seed-to-seed spread and differ on FIFO fairness for the reason above,
-// which is why both still exist (the ensemble is in CHANGES.md, PR 17).
-// With EnableCheckpoints armed, every restart — churn or failover —
-// walks one warm→hot→cold ladder (Fleet.ladder) from barrier-time
-// checkpoints; the coordinator additionally survives the loss or stall
-// of a whole shard (EnableFaults, EnableWatchdog) — see fault.go for
-// the virtual-shard failover protocol and the degradation watchdog.
+// The member lifecycle is one policy, lifecycle.Controller, on two
+// clocks. The coordinator embeds it and drives it at window boundaries
+// (every due time snapped up to the Δ grid), in flow order, so the event
+// log and replay hash are identical for every shard count (churn.go);
+// the single-loop lifecycle.Supervisor drives the same policy at exact
+// mid-window instants on the arrival-order fleet. The two agree on
+// lifecycle counters within seed-to-seed spread and differ on FIFO
+// fairness for the reason above, which is why both clocks still exist.
+// Every restart — churn or failover — climbs the controller's one
+// warm→hot→cold ladder, from barrier-time checkpoints when
+// EnableCheckpoints is armed; the coordinator additionally survives the
+// loss or stall of a whole shard (EnableFaults, EnableWatchdog) — see
+// fault.go for the virtual-shard failover protocol and the degradation
+// watchdog.
 package shard
 
 import (
@@ -97,6 +97,7 @@ import (
 	"sync"
 	"time"
 
+	"modelcc/internal/core"
 	"modelcc/internal/elements"
 	"modelcc/internal/fleet"
 	"modelcc/internal/lifecycle"
@@ -159,24 +160,17 @@ type Fleet struct {
 	Caches *planner.CacheStripes
 	// OrphanAcks counts deliveries for flows with no live member.
 	OrphanAcks int64
-	// Events is the barrier-aligned lifecycle log (empty without
-	// churn or faults).
-	Events []lifecycle.Event
-	// Stats counts lifecycle activity (zero without churn or faults).
-	Stats lifecycle.Stats
 	// Failover aggregates shard-fault outcomes (zero without faults).
 	Failover FailoverStats
-	// Records holds one entry per member generation the runtime ever
-	// admitted — initial members, arrivals, restarts, failover restores
-	// — in admission order, for recovery reductions (ramp-up,
-	// post-restart utility, MTTR).
-	Records []lifecycle.MemberRecord
+	// Controller is the lifecycle policy, run at barriers. Its Records
+	// hold one entry per member generation, initial members included;
+	// its Events and Stats stay empty without churn or faults.
+	lifecycle.Controller
 
 	now      time.Duration
 	slots    int // flow-space size: flows ever allocated are 0..slots-1
 	started  bool
 	zeroStep bool
-	flows    []flowState
 	churn    *churnState
 	ckpt     *ckptState
 	fault    *faultState
@@ -245,6 +239,7 @@ func New(cfg Config) *Fleet {
 	for v := range sf.home {
 		sf.home[v] = v % k
 	}
+	sf.Bind(sf, fc)
 	return sf
 }
 
@@ -374,99 +369,34 @@ func (sf *Fleet) start() {
 	sf.started = true
 	n := int64(sf.Cfg.N)
 	for i := 0; i < sf.Cfg.N; i++ {
-		m := sf.ladder(packet.FlowID(i), nil, lifecycle.CauseInitial)
+		m := sf.attach(packet.FlowID(i), nil)
+		sf.Initial(m)
 		m.Start(time.Duration(int64(sf.Cfg.Stagger) * int64(i) / n))
 	}
 }
 
-// ladder occupies flow with its next generation on the highest rung of
-// the restart ladder available — warm from ck, hot from the compiled
-// table, cold from the prior — and opens the generation's record. ck is
-// nil for a generation with no predecessor to resume (initial members,
-// arrivals). The new generation's counters are fenced at the shared
-// bottleneck's current readings; it is not started. This is the one
-// place a rung is chosen: churn restarts and shard failovers both come
-// through it.
-func (sf *Fleet) ladder(flow packet.FlowID, ck *lifecycle.Checkpoint, cause lifecycle.Cause) *fleet.Member {
+// attach occupies flow with snd — a cold sender from the prior when nil
+// — on its owner partition, fencing the new generation's counters at the
+// shared bottleneck's current readings. The member is not started.
+func (sf *Fleet) attach(flow packet.FlowID, snd *core.Sender) *fleet.Member {
 	part := sf.owner(flow)
 	delivered, drops := sf.Recv.Received[flow], sf.rawDrops(flow)
-	kind := lifecycle.RestartCold
-	if sf.Cfg.Table != nil {
-		kind = lifecycle.RestartHot
-	}
-	var m *fleet.Member
-	if ck != nil {
-		if s, err := lifecycle.RestoreSender(part, ck, sf.priorHash); err != nil {
-			// A checkpoint this coordinator captured should always
-			// restore; count the anomaly, discard it, fall through.
-			sf.Stats.CheckpointErrors++
-			delete(sf.ckpt.last, flow)
-		} else {
-			m = part.AttachSender(flow, s, delivered, drops)
-			lifecycle.RestoreGuard(m, ck)
-			kind = lifecycle.RestartWarm
-		}
-	}
-	if m == nil {
-		m = part.AttachCold(flow, delivered, drops)
-	}
 	if int(flow) >= sf.slots {
 		sf.slots = int(flow) + 1
 	}
-	fs := sf.flow(flow)
-	fs.rec = len(sf.Records)
-	// The health sweep must not blame the new generation for its
-	// predecessor's reseeds.
-	fs.lastReseeds = lifecycle.BeliefReseeds(m)
-	sf.Records = append(sf.Records, lifecycle.MemberRecord{M: m, Cause: cause, Kind: kind, RetiredAt: -1})
-	return m
-}
-
-// admit is ladder plus the member's start, offset after the current
-// barrier. The offset is clamped strictly positive: admissions happen
-// at window barriers, and the windowed protocol requires that no member
-// event lands exactly ON a barrier the coordinator has already opened
-// (the peek at barrier W assumes every instant ≤ W is fully processed).
-func (sf *Fleet) admit(flow packet.FlowID, ck *lifecycle.Checkpoint, offset time.Duration, cause lifecycle.Cause) *fleet.Member {
-	if offset <= 0 {
-		offset = time.Nanosecond
+	if snd != nil {
+		return part.AttachSender(flow, snd, delivered, drops)
 	}
-	m := sf.ladder(flow, ck, cause)
-	m.Start(offset)
-	return m
-}
-
-// restart brings a flow back after a crash, a health failure or the
-// loss of its shard: admit from its latest barrier checkpoint, counted
-// and logged by the rung it landed on, which it returns.
-func (sf *Fleet) restart(flow packet.FlowID, offset time.Duration, cause lifecycle.Cause, attempt int) lifecycle.RestartKind {
-	m := sf.admit(flow, sf.LatestCheckpoint(flow), offset, cause)
-	kind := sf.Records[sf.flow(flow).rec].Kind
-	switch kind {
-	case lifecycle.RestartWarm:
-		sf.Stats.WarmRestarts++
-	case lifecycle.RestartHot:
-		sf.Stats.HotRestarts++
-	default:
-		sf.Stats.ColdRestarts++
-	}
-	sf.Events = append(sf.Events, lifecycle.Event{
-		At: sf.now, Kind: lifecycle.EventRestart, Flow: flow, Gen: m.Gen,
-		Restart: kind, Attempt: attempt,
-	})
-	return kind
+	return part.AttachCold(flow, delivered, drops)
 }
 
 // retire tears down the flow's member on the partition hosting it (the
 // flow's owner, except mid-failover when the home table already names
-// the successor) and closes its record.
+// the successor).
 func (sf *Fleet) retire(part *fleet.Partition, flow packet.FlowID) *fleet.Member {
 	m := part.RetireMember(flow, sf.Recv.Received[flow], sf.rawDrops(flow))
 	if m != nil {
 		sf.degradedRetired += m.DegradedServed()
-		fs := sf.flow(flow)
-		sf.Records[fs.rec].RetiredAt = sf.now
-		fs.rec = -1
 	}
 	return m
 }
@@ -598,7 +528,7 @@ func (sf *Fleet) window(end time.Duration) {
 			// fleet performs.
 			sf.OrphanAcks++
 		default:
-			if r := &sf.Records[sf.flows[pkt.Flow].rec]; r.FirstAckAt == 0 {
+			if r := sf.Record(pkt.Flow); r.FirstAckAt == 0 {
 				r.FirstAckAt = doneAt
 			}
 			sf.owner(pkt.Flow).ScheduleAck(packet.Ack{

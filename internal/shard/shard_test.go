@@ -134,7 +134,7 @@ func TestRecycledFlowLandsOnHomeShard(t *testing.T) {
 	if m := sf.retire(sf.owner(5), 5); m == nil {
 		t.Fatalf("flow 5 had no member to retire")
 	}
-	m := sf.admit(5, nil, 0, lifecycle.CauseArrival)
+	m := sf.Attach(5, nil, 0)
 	if m.Gen != 1 {
 		t.Fatalf("recycled flow generation = %d, want 1", m.Gen)
 	}

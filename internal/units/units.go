@@ -57,14 +57,6 @@ func TransmitTime(bits int64, r BitRate) time.Duration {
 	return SecondsToDuration(sec)
 }
 
-// BitsOver reports how many whole bits a link of rate r serializes in d.
-func BitsOver(r BitRate, d time.Duration) int64 {
-	if r <= 0 || d <= 0 {
-		return 0
-	}
-	return int64(float64(r) * d.Seconds())
-}
-
 // Forever is a sentinel duration far beyond any experiment horizon. It is
 // used for "never" deadlines; it is about 292 years.
 const Forever = time.Duration(math.MaxInt64)

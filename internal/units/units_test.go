@@ -31,28 +31,6 @@ func TestTransmitTime(t *testing.T) {
 	}
 }
 
-func TestBitsOver(t *testing.T) {
-	tests := []struct {
-		name string
-		rate BitRate
-		d    time.Duration
-		want int64
-	}{
-		{"one second at link speed", 12000, time.Second, 12000},
-		{"hundred ms", 12000, 100 * time.Millisecond, 1200},
-		{"zero duration", 12000, 0, 0},
-		{"negative duration", 12000, -time.Second, 0},
-		{"zero rate", 0, time.Second, 0},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if got := BitsOver(tt.rate, tt.d); got != tt.want {
-				t.Errorf("BitsOver(%v, %v) = %d, want %d", tt.rate, tt.d, got, tt.want)
-			}
-		})
-	}
-}
-
 func TestByteBitConversions(t *testing.T) {
 	if got := BytesToBits(1500); got != 12000 {
 		t.Errorf("BytesToBits(1500) = %d, want 12000", got)
