@@ -1,5 +1,5 @@
 // Command soak runs the chaos-hardened transport over real sockets and
-// prints a pass/fail verdict per invariant (-out also writes it as JSON).
+// prints a pass/fail verdict per invariant.
 //
 // N transport senders run over loopback through chaotic emu.Proxy
 // instances — 30% ack-loss bursts on the return path, reordering and
@@ -14,7 +14,7 @@
 //
 // Usage:
 //
-//	go run ./cmd/soak [-n 3] [-dur 60s] [-seed 1] [-out report.json] [-smoke]
+//	go run ./cmd/soak [-n 3] [-dur 60s] [-seed 1] [-smoke]
 //
 // -smoke shrinks the run to ~20 s of wall time (2 senders, 10 s passes)
 // for CI. Exit status is 1 when any invariant fails, 2 on a usage error.
@@ -22,7 +22,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -36,40 +35,6 @@ import (
 	"modelcc/internal/transport"
 	"modelcc/internal/utility"
 )
-
-// Check is one pass/fail invariant with its evidence.
-type Check struct {
-	Name   string `json:"name"`
-	Pass   bool   `json:"pass"`
-	Detail string `json:"detail"`
-}
-
-// FlowReport is one sender's clean-vs-chaos comparison.
-type FlowReport struct {
-	Flow int `json:"flow"`
-	// CleanUtil/ChaosUtil are delivered utility (receiver-side, delay
-	// discounted) inside the post-blackout window.
-	CleanUtil float64 `json:"clean_util"`
-	ChaosUtil float64 `json:"chaos_util"`
-	Ratio     float64 `json:"ratio"`
-	// Chaos is the chaotic pass: the sender's counters, the link's
-	// tallies, the faults dealt.
-	Chaos transport.LoopbackResult `json:"chaos"`
-}
-
-// Report is the whole soak run, written as JSON under -out.
-type Report struct {
-	At        time.Time    `json:"at"`
-	Smoke     bool         `json:"smoke"`
-	Senders   int          `json:"senders"`
-	DurS      float64      `json:"pass_duration_s"`
-	Flows     []FlowReport `json:"flows"`
-	GorBase   int          `json:"goroutines_base"`
-	GorEnd    int          `json:"goroutines_end"`
-	HeapBytes uint64       `json:"heap_alloc_bytes"`
-	Checks    []Check      `json:"checks"`
-	Pass      bool         `json:"pass"`
-}
 
 // blackoutLen is the outage every chaotic pass survives, and settle what
 // the flow is given after it before delivered utility is compared.
@@ -155,7 +120,6 @@ func main() {
 	n := flag.Int("n", 3, "concurrent senders in the live soak")
 	dur := flag.Duration("dur", 60*time.Second, "wall duration of each live pass (clean and chaotic)")
 	seed := flag.Int64("seed", 1, "fault schedule seed")
-	out := flag.String("out", "", "also write the report as JSON to this path (empty = print only)")
 	smoke := flag.Bool("smoke", false, "CI smoke: 2 senders, 10 s passes (~20 s total)")
 	flag.Parse()
 	if *smoke {
@@ -167,18 +131,17 @@ func main() {
 		os.Exit(2)
 	}
 
-	rep := Report{At: time.Now(), Smoke: *smoke, Senders: *n, DurS: dur.Seconds()}
+	allPass := true
 	check := func(name string, pass bool, format string, args ...any) {
-		rep.Checks = append(rep.Checks, Check{Name: name, Pass: pass, Detail: fmt.Sprintf(format, args...)})
 		status := "PASS"
 		if !pass {
 			status = "FAIL"
+			allPass = false
 		}
 		fmt.Printf("%s %-24s %s\n", status, name, fmt.Sprintf(format, args...))
 	}
 
 	gorBase := runtime.NumGoroutine()
-	rep.GorBase = gorBase
 
 	// Each flow runs a clean and a chaotic pass; the flows themselves run
 	// concurrently.
@@ -197,18 +160,17 @@ func main() {
 	wg.Wait()
 
 	for i, o := range outs {
-		fr := FlowReport{Flow: i, CleanUtil: o.clean.util, ChaosUtil: o.chaotic.util, Chaos: o.chaotic.LoopbackResult}
+		var ratio float64
 		if o.clean.util > 0 {
-			fr.Ratio = o.chaotic.util / o.clean.util
+			ratio = o.chaotic.util / o.clean.util
 		}
-		rep.Flows = append(rep.Flows, fr)
 		check(fmt.Sprintf("flow%d-errors", i), o.clean.err == nil && o.chaotic.err == nil,
 			"clean=%v chaos=%v", o.clean.err, o.chaotic.err)
-		st := fr.Chaos.Sender
+		st := o.chaotic.Sender
 		check(fmt.Sprintf("flow%d-progress", i), st.Sent > 0 && st.Acked > 0,
-			"chaotic pass sent=%d acked=%d (fwd %+v; ack %+v)", st.Sent, st.Acked, fr.Chaos.Fwd, fr.Chaos.Ack)
-		check(fmt.Sprintf("flow%d-recovery", i), o.clean.util > 0 && fr.Ratio >= 0.7,
-			"post-blackout utility %.0f vs clean %.0f (ratio %.2f, floor 0.70)", fr.ChaosUtil, fr.CleanUtil, fr.Ratio)
+			"chaotic pass sent=%d acked=%d (fwd %+v; ack %+v)", st.Sent, st.Acked, o.chaotic.Fwd, o.chaotic.Ack)
+		check(fmt.Sprintf("flow%d-recovery", i), o.clean.util > 0 && ratio >= 0.7,
+			"post-blackout utility %.0f vs clean %.0f (ratio %.2f, floor 0.70)", o.chaotic.util, o.clean.util, ratio)
 		if i == 0 {
 			check("flow0-clock-clamped", st.ClockClamps > 0,
 				"backwards clock jump clamped %d times", st.ClockClamps)
@@ -223,35 +185,15 @@ func main() {
 		time.Sleep(50 * time.Millisecond)
 		gorEnd = runtime.NumGoroutine()
 	}
-	rep.GorEnd = gorEnd
 	check("goroutines", gorEnd <= gorBase+2, "baseline %d, after soak %d", gorBase, gorEnd)
 
 	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	rep.HeapBytes = ms.HeapAlloc
 	check("heap", ms.HeapAlloc < 256<<20, "HeapAlloc %.1f MiB (bound 256 MiB)", float64(ms.HeapAlloc)/(1<<20))
 
-	rep.Pass = true
-	for _, c := range rep.Checks {
-		if !c.Pass {
-			rep.Pass = false
-		}
-	}
-
-	if *out != "" {
-		j, err := json.MarshalIndent(rep, "", "  ")
-		if err == nil {
-			err = os.WriteFile(*out, append(j, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "soak: write report:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("soak: report written to %s\n", *out)
-	}
-	fmt.Printf("soak: pass=%v\n", rep.Pass)
-	if !rep.Pass {
+	fmt.Printf("soak: pass=%v\n", allPass)
+	if !allPass {
 		os.Exit(1)
 	}
 }

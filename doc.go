@@ -42,8 +42,12 @@
 // FIFO bottleneck, fairness degrades with N as winners capture the
 // link, while the deficit-round-robin FairQueue restores a near-even
 // split. The two-flow coexistence experiments are now thin layers over
-// the same machinery (fleet.Member, a fleet of N = 2), and
-// cmd/fleetsim drives them from the command line in three modes — sweep
+// the same machinery (fleet.Member, a fleet of N = 2). The bottleneck
+// and the per-flow membership — live member, generation, what retired
+// generations injected, the delivery and drop fences — are one type,
+// fleet.Roster, which both fleet runtimes embed; a member's loop, pool
+// and batching scheduler are its host, one for fleet.Fleet and one per
+// shard (fleet.Partition) in internal/shard. cmd/fleetsim drives them from the command line in three modes — sweep
 // (the default), churn and fault — each with its own flag set bound
 // straight into FairnessConfig or ChurnConfig. Fleet runs are
 // bit-identical for any Workers width, like everything else here.
@@ -94,9 +98,8 @@
 // entry, else the last safe action, else sleep one grid step. cmd/soak
 // runs the transport over loopback (transport.RunLoopback, the one
 // receiver ↔ proxy ↔ sender rig) through the standard fault menu and
-// prints a verdict per invariant (-out also writes them as JSON); the
-// DES replay of the menu is pinned in internal/experiments' tests. See
-// README.md ("Failure model").
+// prints a verdict per invariant; the DES replay of the menu is pinned
+// in internal/experiments' tests. See README.md ("Failure model").
 //
 // # Shard fault tolerance
 //
@@ -110,10 +113,11 @@
 // drawn from chaos.Sub("shardfault") over virtual shards — the 16
 // policy-cache stripe residue classes — so the affected member set is
 // K-invariant; on a kill, flows re-home onto the next surviving
-// partition in ring order, restore hot/warm/cold from the latest
-// barrier checkpoint, and the dead generation's post-checkpoint
-// in-flight sends are fenced at the coordinator's peek so no
-// generation's delivery or drop accounting ever merges across a
+// partition in ring order (a home-table rewrite: their accounting lives
+// in the coordinator's roster and does not move), restore hot/warm/cold
+// from the latest barrier checkpoint, and the dead generation's
+// post-checkpoint in-flight sends are fenced at the coordinator's peek
+// so no generation's delivery or drop accounting ever merges across a
 // failover. A wall-clock watchdog (EnableWatchdog) pins an
 // overrunning partition's members to planner.Guard's degradation
 // ladder for the next window and counts every decision served that

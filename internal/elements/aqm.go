@@ -152,6 +152,15 @@ func (f *FairQueue) AttachDrain(t *Throughput) {
 // UsedBits reports the bits currently queued across all flows.
 func (f *FairQueue) UsedBits() int64 { return f.usedBits }
 
+// Len reports the packets currently queued across all flows.
+func (f *FairQueue) Len() int {
+	n := 0
+	for _, fl := range f.order {
+		n += len(f.queues[fl])
+	}
+	return n
+}
+
 // activeFlows reports the number of flows with queued packets.
 func (f *FairQueue) activeFlows() int { return f.active }
 

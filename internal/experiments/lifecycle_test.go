@@ -110,9 +110,10 @@ func (c lifecycleCase) run(t *testing.T, shards int) (lifecycle.Runtime, *lifecy
 	}
 	ch := chaos.Config{Seed: c.seed}
 	var (
-		rt    lifecycle.Runtime
-		ctl   *lifecycle.Controller
-		runTo func(time.Duration)
+		rt        lifecycle.Runtime
+		ctl       *lifecycle.Controller
+		runTo     func(time.Duration)
+		conserved func() error
 	)
 	if shards == 0 {
 		fl := fleet.New(fc)
@@ -120,19 +121,22 @@ func (c lifecycleCase) run(t *testing.T, shards int) (lifecycle.Runtime, *lifecy
 		sup.EnableChurn(cc, ch)
 		sup.Start()
 		fl.Start()
-		rt, ctl, runTo = sup, &sup.Controller, func(at time.Duration) { fl.Loop.Run(at) }
+		rt, ctl, runTo, conserved = sup, &sup.Controller, func(at time.Duration) { fl.Loop.Run(at) }, fl.Conserved
 	} else {
 		sf := shard.New(shard.Config{Fleet: fc, Shards: shards})
 		if c.ckpt {
 			sf.EnableCheckpoints(shard.CheckpointConfig{Every: sc.CheckpointEvery})
 		}
 		sf.EnableChurn(cc, sc, ch)
-		rt, ctl, runTo = sf, &sf.Controller, sf.Run
+		rt, ctl, runTo, conserved = sf, &sf.Controller, sf.Run, sf.Conserved
 	}
 	rng := rand.New(rand.NewSource(c.seed))
 	var live []packet.FlowID
 	for at := step; at <= dur; at += step {
 		runTo(at)
+		if err := conserved(); err != nil {
+			t.Fatalf("shards=%d at %v: %v", shards, at, err)
+		}
 		live = rt.LiveFlows(live[:0])
 		if len(live) > c.n {
 			t.Fatalf("shards=%d: %d live at %v, MaxLive is %d", shards, len(live), at, c.n)

@@ -34,22 +34,26 @@
 // experiments this package generalizes.
 //
 // Everything is deterministic: the loop is single-goroutine, the
-// scheduler drains same-instant wakes in canonical flow order, and the
-// shared pool preserves the rollout engine's
-// bit-identical-for-any-width guarantee, so a fleet run's output
-// depends only on its Config (including at Workers = 1 versus
-// Workers = GOMAXPROCS — the fairness-sweep determinism test asserts
-// this).
+// scheduler drains same-instant wakes in the order they arrived (or, under
+// Config.Canonical, in flow order), and the shared pool preserves the
+// rollout engine's bit-identical-for-any-width guarantee, so a fleet
+// run's output depends only on its Config (including at Workers = 1
+// versus Workers = GOMAXPROCS — the fairness-sweep determinism test
+// asserts this).
 //
-// The same member machinery also runs sharded: Partition re-hosts a
-// flow-residue subset of the fleet's members on a private loop, and
-// internal/shard couples K partitions through the one shared
-// bottleneck with a conservative time-windowed coordinator, bit
-// identical at any shard count. Fleet and Partition embed one host
-// (host.go): the loop and pool, the sender wiring, the batching
-// scheduler. Sharded runs force two knobs a default single-loop fleet
-// leaves off: Config.Canonical (same-instant wakes drain in flow order
-// instead of arrival order) and a
+// A fleet is two halves, shared with the sharded runtime
+// (internal/shard), which couples K partitions through the one
+// bottleneck with a conservative time-windowed coordinator, bit identical
+// at any shard count. The Roster is the coordinator's half: the
+// bottleneck, the policy cache, and per flow the live member, its
+// generation and the counters that fence one generation from the next;
+// Fleet and shard.Fleet each embed one. The host (host.go) is where
+// members live: a loop and rollout pool, the building of a member wired
+// into the cache or compiled table, and the batching scheduler. Fleet
+// embeds one host; a Partition is a host on its own loop, holding no
+// membership — the coordinator's Roster builds each generation on the
+// flow's home partition. Sharded runs force two knobs a default
+// single-loop fleet leaves off: Config.Canonical and a
 // planner.CacheStripes split of the policy cache (flow mod 16, so
 // partitions own disjoint stripes); a single-loop fleet with the same
 // two knobs set reproduces a sharded run bit for bit. Config.LeanStats
@@ -59,7 +63,6 @@ package fleet
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"modelcc/internal/belief"
@@ -327,36 +330,13 @@ func DefaultBeliefConfig(n int) belief.Config {
 // discrete-event loop. Build with New, drive with Run.
 //
 // The embedded host contributes Cfg (the resolved configuration), Loop
-// (the shared discrete-event loop), Pool (the fleet-wide rollout pool)
-// and Caches (the fleet-wide striped policy cache).
+// (the shared discrete-event loop) and Pool (the fleet-wide rollout
+// pool); the embedded Roster the bottleneck (Buffer or FQ, Link, Recv),
+// Caches (the fleet-wide striped policy cache), the slot-indexed Members
+// and the membership and per-flow accounting both runtimes share.
 type Fleet struct {
 	host
-	// Members are the senders, indexed by FlowID.
-	Members []*Member
-	// Buffer is the shared tail-drop bottleneck queue (nil when
-	// Cfg.FairQueue selected the DRR scheduler).
-	Buffer *elements.Buffer
-	// FQ is the DRR bottleneck queue (nil unless Cfg.FairQueue).
-	FQ *elements.FairQueue
-	// Link is the bottleneck's drain.
-	Link *elements.Throughput
-	// Recv acknowledges deliveries back to the members.
-	Recv *elements.Receiver
-	// OrphanAcks counts acknowledgments that arrived for a flow with no
-	// live member — the in-flight packets of a retired member draining
-	// through the DES loop. They are never a panic: teardown is
-	// graceful by construction.
-	OrphanAcks int64
-
-	// q is the bottleneck ingress every member sends into.
-	q elements.Node
-	// flows fences per-flow accounting across member generations,
-	// indexed by flow in lockstep with Members.
-	flows []Ledger
-	// active is the sorted index of occupied member slots, so Live is
-	// O(1) and lifecycle ticks iterate live members without a linear
-	// scan over every slot the fleet has ever allocated.
-	active []packet.FlowID
+	Roster
 }
 
 // New builds a fleet. Nothing runs until Run (or the loop is driven
@@ -364,91 +344,13 @@ type Fleet struct {
 func New(cfg Config) *Fleet {
 	cfg = cfg.withDefaults()
 	f := &Fleet{}
-	var caches *planner.CacheStripes
-	if !cfg.NoSharedCache {
-		caches = planner.NewCacheStripes(cfg.CacheStripes, cfg.CacheEntries)
-		// Coarse fingerprints: members in near-identical recurring
-		// situations share one computed decision. 50 ms buckets are
-		// well under the coarsest planning grid in use here.
-		caches.SetQuanta(50*time.Millisecond, 1e-3)
-	}
-	f.init(cfg, caches)
-
-	f.Recv = elements.NewReceiver(f.Loop, func(a packet.Ack) {
-		// Bounds- and nil-safe: a retired member's in-flight packets
-		// keep draining to the receiver after its slot is vacated.
-		if int(a.Flow) >= len(f.Members) || f.Members[a.Flow] == nil {
-			f.OrphanAcks++
-			return
-		}
-		f.Members[a.Flow].OnAck(a)
-	})
-	if cfg.FairQueue {
-		f.FQ = elements.NewFairQueue(cfg.BufferCapBits)
-		f.Link = elements.NewThroughput(f.Loop, cfg.LinkRate, f.Recv)
-		f.FQ.AttachDrain(f.Link)
-		f.q = f.FQ
-	} else {
-		f.Buffer, f.Link = elements.NewBottleneck(f.Loop, cfg.BufferCapBits, cfg.LinkRate, f.Recv)
-		f.q = f.Buffer
-	}
-
-	f.Members = make([]*Member, 0, cfg.N)
-	f.flows = make([]Ledger, 0, cfg.N)
+	loop := sim.New(cfg.Seed)
+	f.setup(cfg, loop, func(packet.FlowID) *host { return &f.host }, true)
+	f.init(cfg, loop, f.Caches, f.q)
 	for i := 0; i < cfg.N; i++ {
-		f.attach(packet.FlowID(i), f.newSender(packet.FlowID(i)))
+		f.attach(packet.FlowID(i), nil)
 	}
 	return f
-}
-
-// attach occupies flow with a new member generation (extending the flow
-// space as needed) and fences its counters: deliveries and drops that
-// predate this admission — including a predecessor's still-draining
-// packets — are excluded from the member's Delivered/FlowDrops.
-// The member is not started; callers schedule its first wake.
-func (f *Fleet) attach(flow packet.FlowID, s *core.Sender) *Member {
-	idx := int(flow)
-	for idx >= len(f.Members) {
-		f.Members = append(f.Members, nil)
-		f.flows = append(f.flows, Ledger{})
-	}
-	if f.Members[idx] != nil {
-		// Invariant, not a runtime condition: admission picks vacant
-		// flows; occupying a live one is a caller bug.
-		panic("fleet: flow already occupied")
-	}
-	m := f.member(flow, s, f.q)
-	m.Gen = f.flows[idx].Gens
-	f.flows[idx].Gens++
-	m.baseDelivered = f.Recv.Received[flow]
-	m.baseDrops = f.rawDrops(flow)
-	f.Members[idx] = m
-	f.activate(flow)
-	return m
-}
-
-// activate inserts flow into the sorted active index.
-func (f *Fleet) activate(flow packet.FlowID) {
-	i := sort.Search(len(f.active), func(i int) bool { return f.active[i] >= flow })
-	f.active = append(f.active, 0)
-	copy(f.active[i+1:], f.active[i:])
-	f.active[i] = flow
-}
-
-// deactivate removes flow from the sorted active index.
-func (f *Fleet) deactivate(flow packet.FlowID) {
-	i := sort.Search(len(f.active), func(i int) bool { return f.active[i] >= flow })
-	if i < len(f.active) && f.active[i] == flow {
-		f.active = append(f.active[:i], f.active[i+1:]...)
-	}
-}
-
-// ActiveFlows appends the live member flows in ascending order to buf
-// and returns the result; pass a reused buffer to make the snapshot
-// allocation-free. Lifecycle ticks iterate this instead of scanning
-// every slot ever allocated.
-func (f *Fleet) ActiveFlows(buf []packet.FlowID) []packet.FlowID {
-	return append(buf, f.active...)
 }
 
 // Start schedules every member's first wakeup, staggered over
@@ -471,136 +373,6 @@ func (f *Fleet) Run(duration time.Duration) {
 	f.Loop.Run(duration)
 }
 
-// Drops reports total bottleneck drops across all flows and all member
-// generations, iterating flows in index order (never a Go map) so
-// callers stay deterministic.
-func (f *Fleet) Drops() int {
-	total := 0
-	for i := range f.flows {
-		total += f.rawDrops(packet.FlowID(i))
-	}
-	return total
-}
-
-// rawDrops reports the flow's bottleneck drops across all generations.
-func (f *Fleet) rawDrops(flow packet.FlowID) int {
-	if f.Buffer != nil {
-		return f.Buffer.Drops[flow]
-	}
-	if f.FQ != nil {
-		return f.FQ.Drops[flow]
-	}
-	return 0
-}
-
-// Delivered reports packets delivered to the receiver for the flow's
-// current member generation. A recycled flow ID never inherits its
-// predecessor's counters: deliveries are fenced at admission time
-// (Member.baseDelivered), so a predecessor's in-flight packets draining
-// after a restart are excluded. Zero when the flow has no live member.
-func (f *Fleet) Delivered(flow packet.FlowID) int {
-	idx := int(flow)
-	if idx >= len(f.Members) || f.Members[idx] == nil {
-		return 0
-	}
-	return f.Recv.Received[flow] - f.Members[idx].baseDelivered
-}
-
-// DeliveredTotal reports deliveries for the flow across every
-// generation that ever used it (the raw receiver counter).
-func (f *Fleet) DeliveredTotal(flow packet.FlowID) int {
-	return f.Recv.Received[flow]
-}
-
-// FlowDrops reports bottleneck drops for the flow's current member
-// generation, fenced at admission like Delivered. Zero when vacant.
-func (f *Fleet) FlowDrops(flow packet.FlowID) int {
-	idx := int(flow)
-	if idx >= len(f.Members) || f.Members[idx] == nil {
-		return 0
-	}
-	return f.rawDrops(flow) - f.Members[idx].baseDrops
-}
-
-// InFlight reports how many of the flow's injected packets — across
-// all generations — are still inside the bottleneck (neither delivered
-// nor dropped). Flow recycling waits for zero so a successor's fenced
-// counters can never absorb a predecessor's stragglers.
-func (f *Fleet) InFlight(flow packet.FlowID) int64 {
-	idx := int(flow)
-	if idx >= len(f.flows) {
-		return 0
-	}
-	inj := f.flows[idx].Injected
-	if idx < len(f.Members) && f.Members[idx] != nil {
-		inj += f.Members[idx].Injected
-	}
-	return inj - int64(f.Recv.Received[flow]) - int64(f.rawDrops(flow))
-}
-
-// Live reports the number of occupied member slots, O(1) via the
-// active index.
-func (f *Fleet) Live() int { return len(f.active) }
-
-// MemberSlots returns the slot-indexed member table (vacant slots are
-// nil) — the same read surface the sharded runtime exposes, so
-// reductions can run over either.
-func (f *Fleet) MemberSlots() []*Member { return f.Members }
-
-// Admit starts a fresh (cold-from-the-prior) member on the given flow
-// at now+offset. The flow must be vacant, with nothing still InFlight.
-func (f *Fleet) Admit(flow packet.FlowID, offset time.Duration) *Member {
-	m := f.attach(flow, f.newSender(flow))
-	m.Start(offset)
-	return m
-}
-
-// AdmitSender starts a caller-built sender (for example one warm-
-// restored from a lifecycle checkpoint) on the given flow at
-// now+offset, wiring it into the fleet's shared cache/table first.
-func (f *Fleet) AdmitSender(flow packet.FlowID, s *core.Sender, offset time.Duration) *Member {
-	m := f.attach(flow, f.wireSender(s, flow))
-	m.Start(offset)
-	return m
-}
-
-// Retire tears the flow's member down on the live loop: the member
-// stops deciding and sending immediately (its wake timer is disarmed
-// and late wakes are no-ops), while its in-flight packets drain
-// gracefully through the DES loop to the receiver, counted as orphan
-// acknowledgments toward the flow's recycling fence. Returns the
-// retired member (its series and counters stay readable), or nil if
-// the flow had none. Retiring twice is a harmless no-op.
-func (f *Fleet) Retire(flow packet.FlowID) *Member {
-	idx := int(flow)
-	if idx >= len(f.Members) || f.Members[idx] == nil {
-		return nil
-	}
-	m := f.Members[idx]
-	m.retired = true
-	m.timer.Stop()
-	m.acks = m.acks[:0]
-	// Freeze the generation's fenced counters: drops and deliveries
-	// charged after this instant belong to the flow's next occupant.
-	m.GenDrops = f.rawDrops(flow) - m.baseDrops
-	m.GenDelivered = f.Recv.Received[flow] - m.baseDelivered
-	f.flows[idx].Injected += m.Injected
-	f.Members[idx] = nil
-	f.deactivate(flow)
-	return m
-}
-
-// NextGen reports the generation the next member admitted on the flow
-// will receive, so a restart can compute its stagger offset before
-// attaching.
-func (f *Fleet) NextGen(flow packet.FlowID) uint32 {
-	idx := int(flow)
-	if idx >= len(f.flows) {
-		return 0
-	}
-	return f.flows[idx].Gens
-}
-
 // StaggerOffsetFor recomputes the start-time stagger for a mid-run
 // admission: a deterministic hash of (flow, generation) spread over the
 // stagger window, so restarts and arrivals de-synchronize from the
@@ -612,18 +384,6 @@ func StaggerOffsetFor(stagger time.Duration, flow packet.FlowID, gen uint32) tim
 	h := uint64(flow)*0x9e3779b97f4a7c15 + uint64(gen)*0xbf58476d1ce4e5b9 + 0x94d049bb133111eb
 	h ^= h >> 29
 	return time.Duration(h % uint64(stagger))
-}
-
-// CacheStats reports the shared policy cache's Decide-path hit/miss
-// counters summed over stripes (zeros when the cache is disabled).
-// Guard fallback probes are counted separately
-// (PolicyCache.ProbeHits/ProbeMisses), so this hit rate no longer
-// double-counts budget-blown decisions.
-func (f *Fleet) CacheStats() (hits, misses int) {
-	if f.Caches == nil {
-		return 0, 0
-	}
-	return f.Caches.Stats()
 }
 
 // MemoStats reports the counters of the rollout memo under the fleet's
@@ -712,7 +472,7 @@ type Member struct {
 	AdmittedAt time.Duration
 	// GenDrops and GenDelivered are the generation's fenced bottleneck
 	// drops and deliveries, frozen at retirement (zero while live — use
-	// Fleet.FlowDrops / Fleet.Delivered for a live member).
+	// Roster.FlowDrops / Roster.Delivered for a live member).
 	GenDrops, GenDelivered int
 
 	loop    *sim.Loop
@@ -730,9 +490,6 @@ type Member struct {
 	// through the batched drain (so same-instant wakes fire in flow
 	// order) instead of firing inline at their own event.
 	canonical bool
-	// baseDelivered/baseDrops fence the shared per-flow counters at
-	// admission time (see Fleet.Delivered / Fleet.FlowDrops).
-	baseDelivered, baseDrops int
 }
 
 // Retired reports whether the member has been torn down; a retired

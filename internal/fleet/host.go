@@ -16,10 +16,12 @@ import (
 
 // host is the member machinery a single-loop Fleet and a shard Partition
 // share, embedded by both: the loop and rollout pool members run on, the
-// prior and member configs resolved onto that pool, the wiring of a
-// sender into the shared cache or compiled table, and the batching
+// prior and member configs resolved onto that pool, the building of a
+// member wired into the shared cache or compiled table, and the batching
 // scheduler that folds one instant's wakes into one drain. Its exported
-// fields and methods are part of both embedders' surfaces.
+// fields and methods are part of both embedders' surfaces. A host holds
+// no membership: the Roster decides who is live and asks the flow's host
+// to build each generation.
 type host struct {
 	// Cfg is the resolved configuration members are built from. On a
 	// Partition, Workers is the per-partition pool width.
@@ -28,14 +30,12 @@ type host struct {
 	Loop *sim.Loop
 	// Pool is the rollout pool every hosted member plans and updates on.
 	Pool *rollout.Pool
-	// Caches is the fleet-wide policy cache, split into fixed stripes
-	// keyed by flow mod stripe count (nil when disabled). Striping, not
-	// the shard count, decides which members share entries — see
-	// planner.CacheStripes. A Partition only touches the stripes of the
-	// flows it hosts — disjoint from every other partition's because the
-	// shard count divides the stripe count — so no synchronization is
-	// needed.
-	Caches *planner.CacheStripes
+
+	// caches is the roster's policy cache (nil when disabled), and out
+	// the node hosted members send into: the bottleneck ingress on the
+	// single loop, the partition's Outbox under sharding.
+	caches *planner.CacheStripes
+	out    elements.Node
 
 	// states/bcfg/pcfg are the resolved member-construction inputs.
 	states []model.State
@@ -50,13 +50,13 @@ type host struct {
 	drainTimer *sim.Timer
 }
 
-// init builds the loop and pool and resolves the prior and the member
+// init builds the pool on loop and resolves the prior and the member
 // configs onto them. cfg must already be resolved.
-func (h *host) init(cfg Config, caches *planner.CacheStripes) {
+func (h *host) init(cfg Config, loop *sim.Loop, caches *planner.CacheStripes, out elements.Node) {
 	h.Cfg = cfg
-	h.Loop = sim.New(cfg.Seed)
+	h.Loop = loop
 	h.Pool = rollout.New(cfg.Workers)
-	h.Caches = caches
+	h.caches, h.out = caches, out
 	h.drainTimer = sim.NewTimer(h.Loop, h.drain)
 
 	h.states, _ = cfg.ResolvedPrior().Enumerate()
@@ -69,19 +69,19 @@ func (h *host) init(cfg Config, caches *planner.CacheStripes) {
 	h.pcfg.Pool = h.Pool
 }
 
-// newSender builds one cold member sender from the resolved prior and
-// configs, wired into the shared cache/table.
-func (h *host) newSender(flow packet.FlowID) *core.Sender {
-	return h.wireSender(core.NewSender(belief.NewExact(h.states, h.bcfg), h.pcfg), flow)
-}
-
-// wireSender attaches a sender to the shared serving machinery: the
-// compiled table (as a synchronous Guard rung 0) or the flow's policy
-// cache stripe, plus the fleet burst cap.
-func (h *host) wireSender(s *core.Sender, flow packet.FlowID) *core.Sender {
+// build adapts s — a cold sender from the resolved prior and configs when
+// nil — to the host's loop as flow's member, sending into out and waking
+// through the batching scheduler. The sender is first attached to the
+// shared serving machinery: the compiled table (as a synchronous Guard
+// rung 0) or the flow's policy cache stripe, plus the fleet burst cap.
+// The member is not started.
+func (h *host) build(flow packet.FlowID, s *core.Sender) *Member {
+	if s == nil {
+		s = core.NewSender(belief.NewExact(h.states, h.bcfg), h.pcfg)
+	}
 	var stripe *planner.PolicyCache
-	if h.Caches != nil {
-		stripe = h.Caches.For(uint32(flow))
+	if h.caches != nil {
+		stripe = h.caches.For(uint32(flow))
 	}
 	if h.Cfg.Table != nil {
 		// Compiled serving path: table → warm cache → live, all
@@ -98,13 +98,8 @@ func (h *host) wireSender(s *core.Sender, flow packet.FlowID) *core.Sender {
 	// and N senders can do it at once. Tight bursts keep mistakes
 	// packet-sized.
 	s.MaxBurst = 4
-	return s
-}
 
-// member adapts s to the host's loop as flow's member, sending into out
-// and waking through the batching scheduler. The member is not started.
-func (h *host) member(flow packet.FlowID, s *core.Sender, out elements.Node) *Member {
-	m := NewMember(h.Loop, s, flow, out)
+	m := NewMember(h.Loop, s, flow, h.out)
 	m.notify = h.enqueue
 	m.lean = h.Cfg.LeanStats
 	m.leanFrom = h.Cfg.LeanRateFrom

@@ -126,13 +126,13 @@ func Capture(m *fleet.Member, priorHash uint64) (*Checkpoint, error) {
 }
 
 // MemberHost is the restore surface a checkpointed sender is rebuilt
-// against: the prior and the resolved member configs of whatever will
-// host the restored member. Both the single-loop *fleet.Fleet and the
-// sharded *fleet.Partition implement it, so one restore path serves
-// warm restarts and failovers on either runtime. A checkpoint taken
-// under one host restores bit-identically
-// under any other with the same prior hash — the encoding carries no
-// topology.
+// against: the prior and the resolved member configs of the loop the
+// runtime's roster will build the restored member on (a host holds no
+// membership itself). Both the single-loop *fleet.Fleet and the sharded
+// *fleet.Partition implement it, so one restore path serves warm
+// restarts and failovers on either runtime. A checkpoint taken under one
+// host restores bit-identically under any other with the same prior hash
+// — the encoding carries no topology.
 type MemberHost interface {
 	PriorStates() []model.State
 	MemberBeliefConfig() belief.Config
@@ -143,8 +143,8 @@ type MemberHost interface {
 // resolved prior and configs. The caller supplies the host's prior
 // hash; a mismatch — the checkpoint was captured under a different
 // model or quanta — is a detected error. The sender is not yet wired
-// into the host; admit it with Fleet.AdmitSender (or
-// Partition.AttachSender), then reinstate the Guard's safe action with
+// into the host; attach it with the runtime's Attach (fleet.Roster.Attach
+// on either runtime), then reinstate the Guard's safe action with
 // RestoreGuard.
 func RestoreSender(host MemberHost, c *Checkpoint, priorHash uint64) (*core.Sender, error) {
 	if c.PriorHash != priorHash {

@@ -61,10 +61,14 @@ func (c ChurnConfig) WithDefaults(n int) ChurnConfig {
 }
 
 // Runtime is what a Controller needs from the fleet runtime it governs:
-// membership primitives and a clock. The single loop (Supervisor) and
-// the barrier-aligned shard coordinator (shard.Fleet) each implement it;
-// what to do is the Controller's, written once, and only when it runs
-// differs.
+// membership primitives and a clock. The membership half — LiveFlows,
+// Slots, MemberAt, InFlight, NextGen, Retire, Attach — is fleet.Roster's,
+// written once and embedded by both runtimes; each runtime adds only its
+// clock (Now, DeferRestart, DeferKill), Host and PriorHash: the single
+// loop through the Supervisor, the barrier-aligned shard coordinator
+// (shard.Fleet) itself, whose Attach also clamps the start offset off the
+// barrier. What to do is the Controller's, written once, and only when it
+// runs differs.
 type Runtime interface {
 	// Now is the current virtual instant.
 	Now() time.Duration

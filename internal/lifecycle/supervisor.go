@@ -9,7 +9,6 @@ import (
 
 	"modelcc/internal/belief"
 	"modelcc/internal/chaos"
-	"modelcc/internal/core"
 	"modelcc/internal/fleet"
 	"modelcc/internal/packet"
 	"modelcc/internal/sim"
@@ -270,11 +269,12 @@ func BeliefReseeds(m *fleet.Member) int {
 // fleet's loop, while restarts and crash-kills fire at their exact
 // deferred instants. It lives entirely on the fleet's discrete-event
 // loop — no goroutines — and the same seed replays the same lifecycle
-// log bit-identically. Its Runtime methods are the fleet's membership
-// primitives.
+// log bit-identically. The embedded fleet's Roster supplies the
+// membership half of Runtime; the Supervisor adds only the clock (Now,
+// DeferRestart, DeferKill), Host and PriorHash.
 type Supervisor struct {
 	Controller
-	FL *fleet.Fleet
+	*fleet.Fleet
 
 	priorHash           uint64
 	health, ckpt, epoch *sim.Timer
@@ -284,7 +284,7 @@ type Supervisor struct {
 // NewSupervisor builds a supervisor over the fleet's current members.
 // Call Start before (or while) the loop runs.
 func NewSupervisor(fl *fleet.Fleet, cfg SupervisorConfig) *Supervisor {
-	s := &Supervisor{FL: fl, priorHash: FleetPriorHash(fl)}
+	s := &Supervisor{Fleet: fl, priorHash: FleetPriorHash(fl)}
 	s.Bind(s, fl.Cfg)
 	s.cfg = cfg.WithDefaults()
 	s.health = sim.NewTimer(fl.Loop, func() {
@@ -292,7 +292,7 @@ func NewSupervisor(fl *fleet.Fleet, cfg SupervisorConfig) *Supervisor {
 		s.health.Arm(s.cfg.Interval)
 	})
 	s.ckpt = sim.NewTimer(fl.Loop, func() {
-		s.scratch = fl.ActiveFlows(s.scratch[:0])
+		s.scratch = fl.LiveFlows(s.scratch[:0])
 		for _, flow := range s.scratch {
 			s.Checkpoint(fl.Members[flow], s.cfg.Dir)
 		}
@@ -345,38 +345,15 @@ func (s *Supervisor) Stop() {
 	s.epoch.Stop()
 }
 
-// Now, LiveFlows, Slots, MemberAt, InFlight, NextGen, Host, PriorHash,
-// Retire and Attach are the single-loop fleet's membership (Runtime).
-
-func (s *Supervisor) Now() time.Duration                            { return s.FL.Loop.Now() }
-func (s *Supervisor) LiveFlows(buf []packet.FlowID) []packet.FlowID { return s.FL.ActiveFlows(buf) }
-func (s *Supervisor) Slots() int                                    { return len(s.FL.Members) }
-
-func (s *Supervisor) MemberAt(flow packet.FlowID) *fleet.Member {
-	if int(flow) >= len(s.FL.Members) {
-		return nil
-	}
-	return s.FL.Members[flow]
-}
-
-func (s *Supervisor) InFlight(flow packet.FlowID) int64       { return s.FL.InFlight(flow) }
-func (s *Supervisor) NextGen(flow packet.FlowID) uint32       { return s.FL.NextGen(flow) }
-func (s *Supervisor) Host(packet.FlowID) MemberHost           { return s.FL }
-func (s *Supervisor) PriorHash() uint64                       { return s.priorHash }
-func (s *Supervisor) Retire(flow packet.FlowID) *fleet.Member { return s.FL.Retire(flow) }
-
-func (s *Supervisor) Attach(flow packet.FlowID, snd *core.Sender, offset time.Duration) *fleet.Member {
-	if snd == nil {
-		return s.FL.Admit(flow, offset)
-	}
-	return s.FL.AdmitSender(flow, snd, offset)
-}
+func (s *Supervisor) Now() time.Duration            { return s.Loop.Now() }
+func (s *Supervisor) Host(packet.FlowID) MemberHost { return s.Fleet }
+func (s *Supervisor) PriorHash() uint64             { return s.priorHash }
 
 // DeferRestart and DeferKill are the single loop's clock: a loop event at
 // the exact instant, dropped (and the flow's reservation released) once
 // the supervisor is stopped.
 func (s *Supervisor) DeferRestart(flow packet.FlowID, after time.Duration) {
-	s.FL.Loop.After(after, func() {
+	s.Loop.After(after, func() {
 		if s.stopped {
 			s.flow(flow).reserved = false
 			return
@@ -386,7 +363,7 @@ func (s *Supervisor) DeferRestart(flow packet.FlowID, after time.Duration) {
 }
 
 func (s *Supervisor) DeferKill(flow packet.FlowID, after time.Duration) {
-	s.FL.Loop.After(after, func() {
+	s.Loop.After(after, func() {
 		if !s.stopped {
 			s.Kill(flow)
 		}

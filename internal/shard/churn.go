@@ -97,32 +97,18 @@ func (sf *Fleet) lifecycleBarrier() {
 	}
 }
 
-// LiveFlows, Slots, NextGen, Host, Retire, Attach, DeferRestart and
-// DeferKill complete the coordinator's lifecycle.Runtime (with Now,
-// MemberAt, InFlight and PriorHash).
+// Host, Attach, DeferRestart and DeferKill complete the coordinator's
+// lifecycle.Runtime (with Now and PriorHash); the membership half of it
+// is the embedded fleet.Roster's.
 
-func (sf *Fleet) LiveFlows(buf []packet.FlowID) []packet.FlowID {
-	for i := 0; i < sf.slots; i++ {
-		if sf.MemberAt(packet.FlowID(i)) != nil {
-			buf = append(buf, packet.FlowID(i))
-		}
-	}
-	return buf
-}
-
-func (sf *Fleet) Slots() int                                   { return sf.slots }
-func (sf *Fleet) NextGen(flow packet.FlowID) uint32            { return sf.owner(flow).NextGen(flow) }
 func (sf *Fleet) Host(flow packet.FlowID) lifecycle.MemberHost { return sf.owner(flow) }
-func (sf *Fleet) Retire(flow packet.FlowID) *fleet.Member      { return sf.retire(sf.owner(flow), flow) }
 
 // Attach clamps the start offset strictly positive: admissions happen at
 // window barriers, and the windowed protocol requires that no member
 // event lands exactly ON a barrier the coordinator has already opened
 // (the peek at barrier W assumes every instant ≤ W is fully processed).
 func (sf *Fleet) Attach(flow packet.FlowID, snd *core.Sender, offset time.Duration) *fleet.Member {
-	m := sf.attach(flow, snd)
-	m.Start(max(offset, time.Nanosecond))
-	return m
+	return sf.Roster.Attach(flow, snd, max(offset, time.Nanosecond))
 }
 
 // DeferRestart and DeferKill queue the action for the first barrier at
@@ -140,7 +126,7 @@ func (sf *Fleet) DeferKill(flow packet.FlowID, after time.Duration) {
 // ReplayHash digests per-flow delivery totals, drops and the lifecycle
 // event log; equal hashes mean bit-identical runs, at any shard count.
 func (sf *Fleet) ReplayHash() uint64 {
-	delivered := make([]int, sf.slots)
+	delivered := make([]int, sf.Slots())
 	for i := range delivered {
 		delivered[i] = sf.DeliveredTotal(packet.FlowID(i))
 	}

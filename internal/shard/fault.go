@@ -34,14 +34,14 @@ import (
 //
 // When virtual shard v is killed at a barrier, the shard memory
 // hosting its members is gone; what survives is coordinator-owned
-// state: the bottleneck (deliveries, drops), the cross-generation flow
-// ledgers, and the barrier checkpoint store. The failover protocol,
-// per flow of the class in canonical ascending order:
+// state: the roster (the bottleneck's deliveries and drops, and every
+// flow's cross-generation ledger) and the barrier checkpoint store. The
+// class is re-homed to the next partition in ring order by rewriting its
+// home-table entry, which also migrates its policy-cache stripe (only its
+// hosting partition may touch it); nothing else moves. Then, per flow of
+// the class in canonical ascending order:
 //
-//  1. evict the member and transfer the flow's ledger to the new home
-//     (the next partition in ring order; the home-table rewrite also
-//     migrates the class's policy-cache stripe, which only its hosting
-//     partition may touch);
+//  1. retire the member from the roster;
 //  2. restore the member through the restart ladder
 //     (lifecycle.Controller.Evicted, the rung choice churn restarts
 //     make too) — warm from its latest barrier
@@ -53,9 +53,11 @@ import (
 //     never reach the restored belief. The coordinator swallows any
 //     delivery with SentAt in (checkpointAt, killBarrier] at the peek
 //     (the whole window for a cold/hot restore, which resumes no
-//     pending state). Drops can never need fencing: a drop happens at
-//     the injection instant, always before the kill barrier, so it is
-//     excluded by the restored generation's base fence.
+//     pending state) and keeps it out of the restored generation's
+//     Delivered (Roster.SkipDelivery). Drops can never need fencing: a
+//     drop happens at the injection instant, always before the kill
+//     barrier, so it is excluded by the restored generation's base
+//     fence.
 //
 // # Watchdog
 //
@@ -221,18 +223,6 @@ func (sf *Fleet) EnableWatchdog(wc WatchdogConfig) {
 // until EnableCheckpoints).
 func (sf *Fleet) PriorHash() uint64 { return sf.priorHash }
 
-// DegradedServed totals decisions served while degraded across every
-// member generation, retired included.
-func (sf *Fleet) DegradedServed() int64 {
-	total := sf.degradedRetired
-	for i := 0; i < sf.slots; i++ {
-		if m := sf.MemberAt(packet.FlowID(i)); m != nil {
-			total += m.DegradedServed()
-		}
-	}
-	return total
-}
-
 func (f *faultState) nextDue() (time.Duration, bool) {
 	best := f.nextEpoch
 	for _, k := range f.kills {
@@ -261,7 +251,7 @@ func (sf *Fleet) checkpointSweep() {
 		v := c.round % VirtualShards
 		c.round++
 		c.next += c.interval
-		for i := v; i < sf.slots; i += VirtualShards {
+		for i := v; i < sf.Slots(); i += VirtualShards {
 			if m := sf.MemberAt(packet.FlowID(i)); m != nil && !m.Retired() {
 				sf.Checkpoint(m, c.cfg.Dir)
 			}
@@ -368,7 +358,7 @@ func (sf *Fleet) faultBarrier() {
 // setGroupDegraded flips degraded serving for every live member of the
 // virtual shard, in ascending flow order.
 func (sf *Fleet) setGroupDegraded(v int, on bool) {
-	for i := v; i < sf.slots; i += VirtualShards {
+	for i := v; i < sf.Slots(); i += VirtualShards {
 		if m := sf.MemberAt(packet.FlowID(i)); m != nil && !m.Retired() {
 			m.SetDegraded(on)
 		}
@@ -380,25 +370,17 @@ func (sf *Fleet) setGroupDegraded(v int, on bool) {
 // then evict and ladder-restore each resident flow in canonical order.
 func (sf *Fleet) failoverGroup(v int) {
 	b := sf.now
-	dead := sf.Parts[sf.home[v]]
 	sf.home[v] = (sf.home[v] + 1) % sf.K
-	next := sf.Parts[sf.home[v]]
 
 	sf.Failover.ShardKills++
 	sf.Events = append(sf.Events, lifecycle.Event{At: b, Kind: lifecycle.EventShardFault, Flow: packet.FlowID(v)})
 
-	for i := v; i < sf.slots; i += VirtualShards {
+	for i := v; i < sf.Slots(); i += VirtualShards {
 		flow := packet.FlowID(i)
-		m := sf.retire(dead, flow)
-		if led, ok := dead.Remove(flow); ok {
-			// At K=1 the sole partition is its own successor; the
-			// remove/install pair is then a reinstallation in place.
-			next.Install(flow, led)
-		}
+		m := sf.Retire(flow)
 		if m == nil {
-			// Vacant (draining or reserved for a churn restart): only
-			// the ledger moves; a later restart lands on the new home
-			// through the rewritten table.
+			// Vacant (draining or reserved for a churn restart): a later
+			// restart lands on the new home through the rewritten table.
 			continue
 		}
 		sf.Failover.FlowsFailedOver++
@@ -495,11 +477,11 @@ func (sf *Fleet) judgeWatchdog() {
 // setPartitionDegraded flips degraded serving for every live member
 // currently homed on partition i, in ascending flow order.
 func (sf *Fleet) setPartitionDegraded(i int, on bool) {
-	for f := 0; f < sf.slots; f++ {
+	for f := 0; f < sf.Slots(); f++ {
 		if sf.home[f%VirtualShards] != i {
 			continue
 		}
-		if m := sf.Parts[i].MemberAt(packet.FlowID(f)); m != nil && !m.Retired() {
+		if m := sf.MemberAt(packet.FlowID(f)); m != nil && !m.Retired() {
 			m.SetDegraded(on)
 		}
 	}

@@ -74,7 +74,7 @@ func checkFaultRun(t *testing.T, sf *Fleet, k int) {
 				k, r.M.Flow, r.M.Gen, r.FirstAckAt, r.M.AdmittedAt)
 		}
 	}
-	for i := 0; i < sf.slots; i++ {
+	for i := 0; i < sf.Slots(); i++ {
 		flow := packet.FlowID(i)
 		m := sf.MemberAt(flow)
 		if m == nil {

@@ -18,9 +18,14 @@
 // Flow f lives on shard f mod K. Each shard is a fleet.Partition: its
 // members, their wake timers, belief updates and planner rollouts all
 // run on a private sim.Loop with private scratch arenas, so K shards
-// occupy K goroutines with no shared mutable state. The bottleneck —
-// buffer, link, receiver — stays on one authoritative loop owned by
-// the coordinator.
+// occupy K goroutines with no shared mutable state. The coordinator owns
+// the rest in one fleet.Roster, the same type the single-loop fleet
+// embeds: the bottleneck — buffer, link, receiver — on one authoritative
+// loop, and per flow the live member, its generation and the counters
+// that fence one generation from the next. Membership changes only at
+// barriers, so a partition holds none: the roster builds each generation
+// on the flow's home partition and hands the peeked acknowledgment over
+// with its member.
 //
 // Virtual time advances in windows of Δ = the bottleneck's service
 // time for one (uniform-size) packet, the conservative lookahead: no
@@ -97,8 +102,6 @@ import (
 	"sync"
 	"time"
 
-	"modelcc/internal/core"
-	"modelcc/internal/elements"
 	"modelcc/internal/fleet"
 	"modelcc/internal/lifecycle"
 	"modelcc/internal/packet"
@@ -150,16 +153,11 @@ type Fleet struct {
 	Parts []*fleet.Partition
 	// BLoop is the authoritative bottleneck loop.
 	BLoop *sim.Loop
-	// Buffer/FQ/Link/Recv mirror fleet.Fleet's bottleneck elements.
-	Buffer *elements.Buffer
-	FQ     *elements.FairQueue
-	Link   *elements.Throughput
-	Recv   *elements.Receiver
-	// Caches is the striped policy cache shared (without locks) by all
-	// shards.
-	Caches *planner.CacheStripes
-	// OrphanAcks counts deliveries for flows with no live member.
-	OrphanAcks int64
+	// Roster is the bottleneck, on BLoop, the policy cache every shard
+	// shares without locks, and the membership and per-flow accounting
+	// fleet.Fleet keeps too. Only the coordinator changes it, at
+	// barriers; partitions host members but hold none.
+	fleet.Roster
 	// Failover aggregates shard-fault outcomes (zero without faults).
 	Failover FailoverStats
 	// Controller is the lifecycle policy, run at barriers. Its Records
@@ -168,7 +166,6 @@ type Fleet struct {
 	lifecycle.Controller
 
 	now      time.Duration
-	slots    int // flow-space size: flows ever allocated are 0..slots-1
 	started  bool
 	zeroStep bool
 	churn    *churnState
@@ -190,9 +187,6 @@ type Fleet struct {
 	// priorHash binds barrier checkpoints to the fleet's model
 	// identity (set when checkpoints are enabled).
 	priorHash uint64
-	// degradedRetired accumulates DegradedServed counts of retired
-	// members, so DegradedServed() survives churn and failover.
-	degradedRetired int64
 }
 
 // New builds the sharded runtime. Nothing runs until Run.
@@ -216,21 +210,7 @@ func New(cfg Config) *Fleet {
 		Delta: units.TransmitTime(packet.DefaultSizeBits, fc.LinkRate),
 		BLoop: sim.New(fc.Seed),
 	}
-	if !fc.NoSharedCache {
-		sf.Caches = planner.NewCacheStripes(fc.CacheStripes, fc.CacheEntries)
-		sf.Caches.SetQuanta(50*time.Millisecond, 1e-3)
-	}
-	// The receiver counts deliveries; member delivery happens through
-	// the coordinator's peek, so no callback is wired.
-	sf.Recv = elements.NewReceiver(sf.BLoop, nil)
-	if fc.FairQueue {
-		sf.FQ = elements.NewFairQueue(fc.BufferCapBits)
-		sf.Link = elements.NewThroughput(sf.BLoop, fc.LinkRate, sf.Recv)
-		sf.FQ.AttachDrain(sf.Link)
-	} else {
-		sf.Buffer, sf.Link = elements.NewBottleneck(sf.BLoop, fc.BufferCapBits, fc.LinkRate, sf.Recv)
-	}
-
+	sf.Coordinate(fc, sf.BLoop, sf.owner)
 	pc := fc
 	pc.Workers = perShardWorkers(fc.Workers, k)
 	for i := 0; i < k; i++ {
@@ -259,93 +239,6 @@ func (sf *Fleet) owner(flow packet.FlowID) *fleet.Partition {
 	return sf.Parts[sf.home[int(flow)%planner.DefaultCacheStripes]]
 }
 
-// MemberAt returns the flow's live member, nil when vacant.
-func (sf *Fleet) MemberAt(flow packet.FlowID) *fleet.Member {
-	if int(flow) >= sf.slots {
-		return nil
-	}
-	return sf.owner(flow).MemberAt(flow)
-}
-
-// MemberSlots returns the member table in flow order (nil per vacant
-// slot), mirroring fleet.Fleet.Members for sweep reducers.
-func (sf *Fleet) MemberSlots() []*fleet.Member {
-	ms := make([]*fleet.Member, sf.slots)
-	for i := range ms {
-		ms[i] = sf.owner(packet.FlowID(i)).MemberAt(packet.FlowID(i))
-	}
-	return ms
-}
-
-// Live reports the number of live members.
-func (sf *Fleet) Live() int {
-	n := 0
-	for i := 0; i < sf.slots; i++ {
-		if sf.MemberAt(packet.FlowID(i)) != nil {
-			n++
-		}
-	}
-	return n
-}
-
-func (sf *Fleet) rawDrops(flow packet.FlowID) int {
-	if sf.Buffer != nil {
-		return sf.Buffer.Drops[flow]
-	}
-	if sf.FQ != nil {
-		return sf.FQ.Drops[flow]
-	}
-	return 0
-}
-
-// Drops reports total bottleneck drops across all flows.
-func (sf *Fleet) Drops() int {
-	total := 0
-	for i := 0; i < sf.slots; i++ {
-		total += sf.rawDrops(packet.FlowID(i))
-	}
-	return total
-}
-
-// Delivered reports the live generation's fenced deliveries (see
-// fleet.Fleet.Delivered).
-func (sf *Fleet) Delivered(flow packet.FlowID) int {
-	base, ok := sf.owner(flow).BaseDelivered(flow)
-	if !ok {
-		return 0
-	}
-	return sf.Recv.Received[flow] - base
-}
-
-// DeliveredTotal reports all-generations deliveries for the flow.
-func (sf *Fleet) DeliveredTotal(flow packet.FlowID) int {
-	return sf.Recv.Received[flow]
-}
-
-// FlowDrops reports the live generation's fenced drops.
-func (sf *Fleet) FlowDrops(flow packet.FlowID) int {
-	base, ok := sf.owner(flow).BaseDrops(flow)
-	if !ok {
-		return 0
-	}
-	return sf.rawDrops(flow) - base
-}
-
-// InFlight reports the flow's packets still inside the bottleneck.
-func (sf *Fleet) InFlight(flow packet.FlowID) int64 {
-	inj := sf.owner(flow).InjectedTotal(flow)
-	return inj - int64(sf.Recv.Received[flow]) - int64(sf.rawDrops(flow))
-}
-
-// CacheStats sums the striped cache's Decide-path counters. Call only
-// between windows or after Run.
-func (sf *Fleet) CacheStats() (hits, misses int) {
-	if sf.Caches == nil {
-		return 0, 0
-	}
-	return sf.Caches.Stats()
-}
-
 // MemoStats sums the partitions' rollout-memo counters (one memo per
 // partition pool). Call only between windows or after Run.
 func (sf *Fleet) MemoStats() planner.MemoStats {
@@ -361,7 +254,9 @@ func (sf *Fleet) Now() time.Duration { return sf.now }
 
 // start attaches the initial members and staggers them over
 // Cfg.Stagger: member i starts at Stagger·i/N, as fleet.Fleet.Start
-// does.
+// does. They attach through the roster's unclamped Attach: member 0
+// starts at instant 0, which Run settles with a zero-width step before
+// the first window opens.
 func (sf *Fleet) start() {
 	if sf.started {
 		return
@@ -369,36 +264,8 @@ func (sf *Fleet) start() {
 	sf.started = true
 	n := int64(sf.Cfg.N)
 	for i := 0; i < sf.Cfg.N; i++ {
-		m := sf.attach(packet.FlowID(i), nil)
-		sf.Initial(m)
-		m.Start(time.Duration(int64(sf.Cfg.Stagger) * int64(i) / n))
+		sf.Initial(sf.Roster.Attach(packet.FlowID(i), nil, time.Duration(int64(sf.Cfg.Stagger)*int64(i)/n)))
 	}
-}
-
-// attach occupies flow with snd — a cold sender from the prior when nil
-// — on its owner partition, fencing the new generation's counters at the
-// shared bottleneck's current readings. The member is not started.
-func (sf *Fleet) attach(flow packet.FlowID, snd *core.Sender) *fleet.Member {
-	part := sf.owner(flow)
-	delivered, drops := sf.Recv.Received[flow], sf.rawDrops(flow)
-	if int(flow) >= sf.slots {
-		sf.slots = int(flow) + 1
-	}
-	if snd != nil {
-		return part.AttachSender(flow, snd, delivered, drops)
-	}
-	return part.AttachCold(flow, delivered, drops)
-}
-
-// retire tears down the flow's member on the partition hosting it (the
-// flow's owner, except mid-failover when the home table already names
-// the successor).
-func (sf *Fleet) retire(part *fleet.Partition, flow packet.FlowID) *fleet.Member {
-	m := part.RetireMember(flow, sf.Recv.Received[flow], sf.rawDrops(flow))
-	if m != nil {
-		sf.degradedRetired += m.DegradedServed()
-	}
-	return m
 }
 
 // barrier executes every due barrier-time subsystem in a fixed order:
@@ -521,7 +388,7 @@ func (sf *Fleet) window(end time.Duration) {
 			// generation's delivery fence so its Delivered stays its
 			// own.
 			sf.Failover.FencedAcks++
-			sf.owner(pkt.Flow).BumpDeliveryFence(pkt.Flow, 1)
+			sf.SkipDelivery(pkt.Flow)
 		case m == nil || m.Retired():
 			// Membership only changes at barriers, so the peek-time
 			// check equals the delivery-time check the single-loop
@@ -531,7 +398,7 @@ func (sf *Fleet) window(end time.Duration) {
 			if r := sf.Record(pkt.Flow); r.FirstAckAt == 0 {
 				r.FirstAckAt = doneAt
 			}
-			sf.owner(pkt.Flow).ScheduleAck(packet.Ack{
+			sf.owner(pkt.Flow).ScheduleAck(m, packet.Ack{
 				Flow:       pkt.Flow,
 				Seq:        pkt.Seq,
 				ReceivedAt: doneAt,
@@ -591,7 +458,7 @@ func (sf *Fleet) window(end time.Duration) {
 	// sequence number is smaller than these injections' and it fires
 	// first — exactly as the single loop fires the completion before
 	// the drain that triggers the sends.
-	q := sf.q()
+	q := sf.Ingress()
 	for i := range sf.merged {
 		pkt := sf.merged[i]
 		sf.BLoop.Schedule(pkt.SentAt, func() { q.Receive(pkt) })
@@ -599,39 +466,21 @@ func (sf *Fleet) window(end time.Duration) {
 	sf.BLoop.Run(end)
 }
 
-func (sf *Fleet) q() elements.Node {
-	if sf.FQ != nil {
-		return sf.FQ
-	}
-	return sf.Buffer
-}
-
 // Digest hashes the run's observable results — per-flow totals, drops,
 // orphans, and every member's counters and aggregates — with FNV-1a.
 // Two runs with equal digests produced bit-identical fleets. The same
 // byte stream is produced by DigestFleet over a single-loop fleet, so
 // shards=K can be asserted against the unsharded runtime.
-func (sf *Fleet) Digest() uint64 {
-	return digest(sf.slots, sf.Live(), sf.Drops(), sf.OrphanAcks,
-		func(flow packet.FlowID) int { return sf.DeliveredTotal(flow) },
-		func(flow packet.FlowID) *fleet.Member { return sf.MemberAt(flow) })
-}
+func (sf *Fleet) Digest() uint64 { return digest(&sf.Roster) }
 
 // DigestFleet is Digest computed over a single-loop fleet.
-func DigestFleet(fl *fleet.Fleet) uint64 {
-	return digest(len(fl.Members), fl.Live(), fl.Drops(), fl.OrphanAcks,
-		func(flow packet.FlowID) int { return fl.DeliveredTotal(flow) },
-		func(flow packet.FlowID) *fleet.Member { return fl.Members[flow] })
-}
+func DigestFleet(fl *fleet.Fleet) uint64 { return digest(&fl.Roster) }
 
-func digest(slots, live, drops int, orphans int64,
-	delivered func(packet.FlowID) int, member func(packet.FlowID) *fleet.Member) uint64 {
+func digest(r *fleet.Roster) uint64 {
 	h := lifecycle.NewHasher()
-	h.Put(uint64(slots), uint64(live), uint64(drops), uint64(orphans))
-	for i := 0; i < slots; i++ {
-		flow := packet.FlowID(i)
-		h.Put(uint64(i), uint64(delivered(flow)))
-		m := member(flow)
+	h.Put(uint64(r.Slots()), uint64(r.Live()), uint64(r.Drops()), uint64(r.OrphanAcks))
+	for i, m := range r.Members {
+		h.Put(uint64(i), uint64(r.DeliveredTotal(packet.FlowID(i))))
 		if m == nil {
 			h.Put(^uint64(0))
 			continue

@@ -8,7 +8,6 @@ import (
 	"modelcc/internal/chaos"
 	"modelcc/internal/fleet"
 	"modelcc/internal/lifecycle"
-	"modelcc/internal/packet"
 	"modelcc/internal/planner"
 )
 
@@ -131,7 +130,7 @@ func TestRecycledFlowLandsOnHomeShard(t *testing.T) {
 	sf := New(Config{Fleet: fleet.Config{N: 8, Seed: 3, Workers: 1}, Shards: 4})
 	sf.start()
 	// Retire flow 5, then admit a successor on the same ID.
-	if m := sf.retire(sf.owner(5), 5); m == nil {
+	if m := sf.Retire(5); m == nil {
 		t.Fatalf("flow 5 had no member to retire")
 	}
 	m := sf.Attach(5, nil, 0)
@@ -139,14 +138,14 @@ func TestRecycledFlowLandsOnHomeShard(t *testing.T) {
 		t.Fatalf("recycled flow generation = %d, want 1", m.Gen)
 	}
 	home := sf.Parts[5%4]
-	if got := home.MemberAt(packet.FlowID(5)); got != m {
+	if m.Sender.Plan.Pool != home.Pool {
 		t.Fatalf("recycled flow 5 not hosted by partition %d (flow mod K)", 5%4)
 	}
 	for i, p := range sf.Parts {
 		if i == 5%4 {
 			continue
 		}
-		if p.MemberAt(packet.FlowID(5)) != nil {
+		if m.Sender.Plan.Pool == p.Pool {
 			t.Fatalf("partition %d also claims flow 5", i)
 		}
 	}

@@ -79,10 +79,10 @@ type Loopback struct {
 // counters, the link's tallies and the faults its two injectors dealt
 // (all zero without a link).
 type LoopbackResult struct {
-	Sender SenderStats    `json:"sender"`
-	Link   emu.ProxyStats `json:"link"`
-	Fwd    chaos.Stats    `json:"fwd"`
-	Ack    chaos.Stats    `json:"ack"`
+	Sender SenderStats
+	Link   emu.ProxyStats
+	Fwd    chaos.Stats
+	Ack    chaos.Stats
 }
 
 // loopback holds the chain's sockets and endpoints between open and
