@@ -229,7 +229,7 @@ func BenchmarkPlannerDecide(b *testing.B) {
 	b.Run("cached", func(b *testing.B) {
 		pc := planner.NewPolicyCache(0)
 		for i := 0; i < b.N; i++ {
-			pc.Decide(bel.Support(), nil, time.Second, 1, cfg)
+			pc.Decide(planner.NewWake(bel.Support(), time.Second), nil, 1, cfg)
 		}
 	})
 }

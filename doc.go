@@ -196,6 +196,11 @@
 // decision. MemoStats counts vectors derived and first decisions swept
 // for a later one.
 //
+// What only the wake decides (top-K copy, rollout-key hashes, the
+// fingerprint's support half) is paid for once per planner.Wake; and a
+// hypothesis nothing arrives at to the horizon is drained, each gain its
+// packet's own value (model.State.DrainedGains, fuzzed by FuzzDrained).
+//
 // The memo keys a hypothesis by exactly what a gate-frozen rollout reads
 // of it (model.State.AppendRolloutKey: rates, sizes, what is in service and
 // queued, every time relative to the decision instant — and not

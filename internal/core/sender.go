@@ -57,6 +57,8 @@ type Sender struct {
 	MaxBurst int
 
 	nextSeq int64
+	// wake is the planner's view of the belief for the wake in hand.
+	wake planner.Wake
 
 	// Sent counts packets emitted; Acked counts acknowledgments
 	// consumed; Wakes counts wakeups.
@@ -83,10 +85,17 @@ func (s *Sender) SetNextSeq(seq int64) { s.nextSeq = seq }
 // Wake processes the acknowledgments received since the previous wakeup
 // (possibly none, for timer wakeups), updates the belief, and decides
 // what to do. Wake must be called with non-decreasing now.
+//
+// Its calls come in a fixed order that instrumentation decorating the
+// Belief or the Guard's CompiledPolicy relies on: one Update, one Support
+// (the planner.Wake every decision of this wake plans on), then per
+// decision PendingSends immediately followed by the decision (Guard.Decide
+// when a Guard is set) and, when it sends, RecordSend.
 func (s *Sender) Wake(now time.Duration, acks []packet.Ack) Action {
 	s.Wakes++
 	s.Acked += int64(len(acks))
 	s.Belief.Update(now, acks)
+	s.wake.Reset(s.Belief.Support(), now)
 
 	var act Action
 	maxBurst := s.MaxBurst
@@ -94,13 +103,14 @@ func (s *Sender) Wake(now time.Duration, acks []packet.Ack) Action {
 		maxBurst = 32
 	}
 	for i := 0; i < maxBurst; i++ {
+		pending := s.Belief.PendingSends()
 		var d planner.Decision
 		if s.Guard != nil {
-			d = s.Guard.Decide(s.Belief.Support(), s.Belief.PendingSends(), now, s.nextSeq, s.Plan)
+			d = s.Guard.Decide(&s.wake, pending, s.nextSeq, s.Plan)
 		} else if s.Cache != nil {
-			d = s.Cache.Decide(s.Belief.Support(), s.Belief.PendingSends(), now, s.nextSeq, s.Plan)
+			d = s.Cache.Decide(&s.wake, pending, s.nextSeq, s.Plan)
 		} else {
-			d = planner.Decide(s.Belief.Support(), s.Belief.PendingSends(), now, s.nextSeq, s.Plan)
+			d = s.wake.Decide(pending, s.nextSeq, s.Plan)
 		}
 		if !d.SendNow {
 			act.WakeAt = d.WakeAt

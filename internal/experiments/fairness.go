@@ -264,8 +264,8 @@ func (r FairnessResult) Render() string {
 	}
 	for i, m := range r.Memo {
 		p := r.Points[i]
-		fmt.Fprintf(&b, "N=%-4d rollout memo: %d hypotheses keyed, %d hits, %d shared in-call, %d derived from a twin record, %d rolled (%d of them a burst's first decision for a later one); %d verify mismatches, %d overwrites; %d candidate lanes, %d closed as lagged twins, %d deferred then simulated\n",
-			p.N, m.Lookups, m.Hits, m.Shared, m.Derived, m.Rolled(), m.Stripped, m.VerifyMismatches, m.Overwrites, m.Lanes, m.Closed, m.Materialized)
+		fmt.Fprintf(&b, "N=%-4d rollout memo: %d hypotheses keyed, %d hits, %d shared in-call, %d derived from a twin record, %d rolled (%d of them a burst's first decision for a later one); %d verify mismatches, %d overwrites; %d candidate lanes, %d closed as lagged twins, %d closed as drained, %d deferred then simulated\n",
+			p.N, m.Lookups, m.Hits, m.Shared, m.Derived, m.Rolled(), m.Stripped, m.VerifyMismatches, m.Overwrites, m.Lanes, m.Closed, m.Drained, m.Materialized)
 	}
 	return b.String()
 }

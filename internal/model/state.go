@@ -144,10 +144,11 @@ type State struct {
 	// svcBits/svcTime memoize the link serialization time of the most
 	// recent packet size (the hot loops alternate between at most two
 	// sizes, own packets and cross chunks, and TransmitTime's float
-	// division is measurable at fleet scale).
-	svcBits  [2]int64
-	svcTime  [2]time.Duration
-	crossIvl time.Duration
+	// division is measurable at fleet scale); crossIvl/crossBits the pinger's.
+	svcBits   [2]int64
+	svcTime   [2]time.Duration
+	crossIvl  time.Duration
+	crossBits int64
 }
 
 // Queued returns the waiting packets, head first. The slice aliases the
@@ -375,9 +376,9 @@ const (
 // delivery path.
 func (s *State) advance(until time.Duration, sends []Send, out *[]Event, acc *Accum) {
 	if s.crossIvl == 0 {
-		s.crossIvl = s.P.CrossInterval()
+		s.crossIvl, s.crossBits = s.P.CrossInterval(), s.P.CrossBits()
 	}
-	crossIvl, crossBits, skewed := s.crossIvl, s.P.CrossBits(), s.P.ClockSkew != 0
+	crossIvl, crossBits, skewed := s.crossIvl, s.crossBits, s.P.ClockSkew != 0
 	for {
 		at, arrival := until, arrNone
 		if s.NextCross <= until {
@@ -588,6 +589,38 @@ func (s *State) TwinSurplus(m int, x int64, lag, u0 time.Duration) (lo, hi int64
 		return 0, 0
 	}
 	return in, mx + in
+}
+
+// DrainedGains is the closed form of a hypothesis nothing arrives at by
+// horizon (no send after s.Now; the gate off or the next tick past
+// horizon) under an unskewed clock: gains[k] is what one more packet of
+// the uniform size sent at at[k] (non-decreasing, s.Now to horizon) adds
+// to the value delivered by horizon, s advancing to each at[k]. The packet
+// is the last arrival, so FIFO and a work-conserving link leave every
+// other delivery alone: the gain is its own value (PacketValue, from t0)
+// ℓ after the send into an idle link, ℓ after BacklogDone — which nothing
+// arriving leaves fixed — behind a busy one, and 0 if the buffer has no
+// room for it or it is through only after horizon.
+func (s *State) DrainedGains(at []time.Duration, gains []float64, t0, horizon time.Duration, survive, kappa float64) {
+	x, u := s.P.PktBits(), time.Duration(-1)
+	lag := s.serviceTime(x)
+	for k, t := range at {
+		s.advance(t, nil, nil, nil)
+		gains[k] = 0
+		done := t + lag
+		if s.Serving {
+			if s.QueueBits+x > s.P.BufferCapBits {
+				continue
+			}
+			if u < 0 {
+				u = s.BacklogDone()
+			}
+			done = u + lag
+		}
+		if done <= horizon {
+			gains[k] = PacketValue(x, survive, done-t0, kappa)
+		}
+	}
 }
 
 // Toggle flips the INTERMITTENT gate.

@@ -1,6 +1,7 @@
 package model_test
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -278,6 +279,125 @@ func FuzzTwinStack(f *testing.F) {
 				if got, want := xSide.BacklogDone(), base.BacklogDone()+time.Duration(m+1)*lag; got != want {
 					t.Fatalf("segment %d (to %v): X's side's BacklogDone %v, the baseline's plus %d lags %v", i, until, got, m+1, want)
 				}
+			}
+		}
+	})
+}
+
+// FuzzDrained holds the drained closed form (State.DrainedGains) to Run's
+// event lists. A baseline grown the way the lagged-twin fuzzers grow
+// theirs — own packets and cross chunks of a packet, three or a third of
+// one mixed in its queue, the buffer full or roomy, the link busy or idle
+// — is drained: its gate turned off, or its next tick put past the
+// horizon. Candidate instants start at the baseline's instant and step on,
+// tie with the link's next completion or with the instant its backlog
+// clears, or repeat the one before; the horizon lies past them or on a
+// candidate's own delivery, exactly or a nanosecond short; the loss
+// probability is 0 to 0.7 and κ 1 s or 60 s. Every candidate is simulated —
+// the baseline and a copy sent one more packet at the candidate's instant,
+// both run to the horizon, their deliveries valued afresh — and its closed
+// gain must be the difference within 1e-9 of a packet's bits.
+func FuzzDrained(f *testing.F) {
+	twinSeeds(f)
+	// A busy link with a queue behind it and room to spare; a full buffer;
+	// a horizon on a candidate's delivery, behind the backlog and into an
+	// idle link.
+	f.Add(uint8(4), uint8(15), uint8(20), uint8(8), uint8(0b10000010), []byte{2, 0, 0, 5, 9})
+	f.Add(uint8(12), uint8(20), uint8(6), uint8(20), uint8(0b00000011), []byte{1, 7, 0, 1, 4, 4})
+	f.Add(uint8(8), uint8(30), uint8(18), uint8(5), uint8(0b00000010), []byte{3, 0b0101, 4, 2, 8})
+	f.Add(uint8(8), uint8(30), uint8(18), uint8(3), uint8(0b10000000), []byte{3, 0b00101, 2, 4, 1})
+	// Found by fuzzing the mutant that admits a packet the buffer has no
+	// room for.
+	f.Add(uint8(119), uint8(22), uint8(74), uint8(38), uint8(0b1100110), []byte("0A1"))
+
+	f.Fuzz(func(t *testing.T, linkKbit, crossPct, capPkts, fillPkts, flags uint8, sched []byte) {
+		base, _ := twinBaseline(linkKbit, crossPct, capPkts, fillPkts, flags, sched)
+		if len(sched) < 3 {
+			return
+		}
+		const far = time.Hour
+		fork, farTick := base.Now, flags&2 != 0
+		base.PingerOn = farTick
+		base.NextCross = fork + far
+		base.P.LossProb = float64(sched[1]&7) / 10
+		survive, kappa := 1-base.P.LossProb, float64(time.Second)
+		if flags&128 != 0 {
+			kappa *= 60
+		}
+		x := base.P.PktBits()
+
+		// The candidate instants, read off a copy that drains as they pass.
+		probe := base.Clone()
+		var at []time.Duration
+		for _, b := range sched[2:min(len(sched), 14)] {
+			next := probe.Now
+			switch b & 3 {
+			case 0:
+				next += time.Duration(b>>2) * 37 * time.Millisecond
+			case 1:
+				if probe.Serving {
+					next = probe.ServiceDone
+				}
+			case 2:
+				if probe.Serving {
+					next = probe.BacklogDone()
+				}
+			}
+			probe.Run(next, nil, nil)
+			at = append(at, next)
+		}
+
+		// run sends one packet at each instant listed (none for the
+		// baseline) and returns what the run delivers by until, valued
+		// from the fork.
+		run := func(until time.Duration, sends ...time.Duration) (value float64, evs []model.Event) {
+			s := base.Clone()
+			var snd []model.Send
+			for _, a := range sends {
+				snd = append(snd, model.Send{Seq: 1 << 20, At: a})
+			}
+			s.Run(until, snd, &evs)
+			for _, ev := range evs {
+				v := float64(ev.Bits) * survive * math.Exp(-float64(ev.At-fork)/kappa)
+				switch ev.Kind {
+				case model.OwnDelivered:
+					value += v
+				case model.CrossDelivered:
+					value += 1.5 * v
+				}
+			}
+			return value, evs
+		}
+
+		horizon := at[len(at)-1] + time.Duration(sched[1]>>5)*400*time.Millisecond
+		if mode := sched[1] >> 3 & 3; mode > 0 {
+			// On the delivery of candidate j's packet, if it has one.
+			j := int(sched[1]>>5) % len(at)
+			_, evs := run(fork+far, at[j])
+			for _, ev := range evs {
+				if ev.Kind == model.OwnDelivered && ev.Seq == 1<<20 {
+					horizon = ev.At
+					if mode == 2 {
+						horizon--
+					}
+				}
+			}
+		}
+		if farTick {
+			base.NextCross = horizon + 1
+		}
+		for len(at) > 0 && at[len(at)-1] > horizon {
+			at = at[:len(at)-1] // the closed form speaks of sends by the horizon
+		}
+
+		gains := make([]float64, len(at))
+		closed := base.Clone()
+		closed.DrainedGains(at, gains, fork, horizon, survive, kappa)
+		without, _ := run(horizon)
+		for k, a := range at {
+			with, _ := run(horizon, a)
+			if d := gains[k] - (with - without); math.Abs(d) > 1e-9*float64(x) {
+				t.Fatalf("candidate %d at %v (fork %v, horizon %v): closed gain %v, simulated %v", k, a, fork, horizon, gains[k], with-without)
 			}
 		}
 	})

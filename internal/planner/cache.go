@@ -121,15 +121,15 @@ func (pc *PolicyCache) quanta() (time.Duration, float64) {
 func (pc *PolicyCache) Len() int { return len(pc.entries) }
 
 // probe is the one resident-entry consultation under Decide and Lookup:
-// fingerprint the belief at now, and serve the resident entry — rebased
-// to now, its second-chance bit set — only when the verification hash
-// matches too. A resident entry for a different belief is a detected
-// collision, counted and reported as a miss: serving it would be a
-// silent wrong action. The fingerprint pair comes back either way, so a
-// miss can be stored under it.
-func (pc *PolicyCache) probe(sup []belief.Hypothesis, pending []model.Send, now time.Duration) (d Decision, fp, ver uint64, ok bool) {
+// fingerprint the wake's belief with the pending sends, and serve the
+// resident entry — rebased to the wake's instant, its second-chance bit
+// set — only when the verification hash matches too. A resident entry
+// for a different belief is a detected collision, counted and reported as
+// a miss: serving it would be a silent wrong action. The fingerprint pair
+// comes back either way, so a miss can be stored under it.
+func (pc *PolicyCache) probe(w *Wake, pending []model.Send) (d Decision, fp, ver uint64, ok bool) {
 	tq, wq := pc.quanta()
-	fp, ver = Fingerprint(sup, pending, now, tq, wq)
+	fp, ver = w.fingerprint(pending, tq, wq)
 	cd, ok := pc.entries[fp]
 	if ok && cd.verify != ver {
 		pc.Collisions++
@@ -142,32 +142,33 @@ func (pc *PolicyCache) probe(sup []belief.Hypothesis, pending []model.Send, now 
 		cd.used = true
 		pc.entries[fp] = cd
 	}
-	return Decision{SendNow: cd.sendNow, WakeAt: now + cd.delta, Gain: cd.gain, Support: len(sup)}, fp, ver, true
+	return Decision{SendNow: cd.sendNow, WakeAt: w.now + cd.delta, Gain: cd.gain, Support: len(w.sup)}, fp, ver, true
 }
 
-// Decide is a caching wrapper around Decide: on a fingerprint hit it
-// returns the memoized action rebased to `now`; on a miss it plans live
-// and stores the result (overwriting a colliding slot).
-func (pc *PolicyCache) Decide(sup []belief.Hypothesis, pending []model.Send, now time.Duration, seq int64, cfg Config) Decision {
-	d, fp, ver, ok := pc.probe(sup, pending, now)
+// Decide is a caching wrapper around Wake.Decide: on a fingerprint hit it
+// returns the memoized action rebased to the wake's instant; on a miss it
+// plans live and stores the result (overwriting a colliding slot).
+func (pc *PolicyCache) Decide(w *Wake, pending []model.Send, seq int64, cfg Config) Decision {
+	d, fp, ver, ok := pc.probe(w, pending)
 	if ok {
 		pc.Hits++
 		return d
 	}
 	pc.Misses++
-	d = Decide(sup, pending, now, seq, cfg)
-	pc.insert(fp, cachedDecision{verify: ver, sendNow: d.SendNow, delta: d.WakeAt - now, gain: d.Gain})
+	d = w.Decide(pending, seq, cfg)
+	pc.insert(fp, cachedDecision{verify: ver, sendNow: d.SendNow, delta: d.WakeAt - w.now, gain: d.Gain})
 	return d
 }
 
-// Lookup reports the memoized decision for the given belief, rebased to
-// now, without computing anything on a miss. The degradation ladder
-// (Guard) uses it as a fallback rung when a live Decide blows its
-// budget: a quantized near-match of the current situation is a far
-// better action than a blind one. Probes are counted in ProbeHits and
-// ProbeMisses, never in the Decide-path Hits/Misses.
-func (pc *PolicyCache) Lookup(sup []belief.Hypothesis, pending []model.Send, now time.Duration) (Decision, bool) {
-	d, _, _, ok := pc.probe(sup, pending, now)
+// Lookup reports the memoized decision for the wake's belief with the
+// pending sends, rebased to the wake's instant, without computing
+// anything on a miss. The degradation ladder (Guard) uses it as a
+// fallback rung when a live Decide blows its budget: a quantized
+// near-match of the current situation is a far better action than a
+// blind one. Probes are counted in ProbeHits and ProbeMisses, never in
+// the Decide-path Hits/Misses.
+func (pc *PolicyCache) Lookup(w *Wake, pending []model.Send) (Decision, bool) {
+	d, _, _, ok := pc.probe(w, pending)
 	if ok {
 		pc.ProbeHits++
 	} else {
@@ -256,31 +257,13 @@ func (pc *PolicyCache) Snapshot() []Entry {
 // offline-compiled tables — a table compiled under one (tq, wq) is
 // only probed with the same quanta (the table header records them).
 func Fingerprint(sup []belief.Hypothesis, pending []model.Send, now time.Duration, tq time.Duration, wq float64) (fp, verify uint64) {
-	h := memoSeed
-	// Times far beyond the planning horizon are behaviourally
-	// equivalent ("never"); clamping them keeps e.g. a no-cross-traffic
-	// hypothesis (NextCross = Forever) fingerprint-stable across wakes.
-	const farFuture = time.Hour
-	putD := func(d time.Duration) {
-		if d > farFuture {
-			d = farFuture
-		}
-		if d < -farFuture {
-			d = -farFuture
-		}
-		if tq > 0 {
-			// Floor division, not truncation: truncating toward zero
-			// would make the bucket straddling zero twice as wide as
-			// every other.
-			r := d % tq
-			if r < 0 {
-				r += tq
-			}
-			d -= r
-		}
-		h = h.mix(uint64(int64(d)))
-	}
-	h = h.mix(uint64(len(sup)))
+	return supportPrint(sup, now, tq, wq).withPending(pending, now, tq)
+}
+
+// supportPrint is the fingerprint's support half, which a Wake keeps for
+// all the decisions of one wake.
+func supportPrint(sup []belief.Hypothesis, now, tq time.Duration, wq float64) memoKey {
+	h := memoSeed.mix(uint64(len(sup)))
 	for i := range sup {
 		hyp := &sup[i]
 		s := &hyp.S
@@ -291,16 +274,16 @@ func Fingerprint(sup []belief.Hypothesis, pending []model.Send, now time.Duratio
 		// should share one.
 		h = h.mix(uint64(int64(math.Round(hyp.W / wq))))
 		h = h.mix(s.ShapeWord())
-		putD(s.NextCross - now)
+		h = h.mixD(s.NextCross-now, tq)
 		if s.P.MeanSwitch <= 0 || s.SwitchTick <= 0 {
 			// The gate can never toggle: NextToggle is inert state and
 			// must not perturb the fingerprint.
-			putD(farFuture)
+			h = h.mixD(farFuture, tq)
 		} else {
-			putD(s.NextToggle - now)
+			h = h.mixD(s.NextToggle-now, tq)
 		}
 		if s.Serving {
-			putD(s.ServiceDone - now)
+			h = h.mixD(s.ServiceDone-now, tq)
 			h = h.mix(s.InService.SizeWord())
 		}
 		q := s.Queued()
@@ -308,10 +291,35 @@ func Fingerprint(sup []belief.Hypothesis, pending []model.Send, now time.Duratio
 			h = h.mix(q[j].SizeWord())
 		}
 	}
+	return h
+}
+
+// withPending completes a support half with the pending sends.
+func (h memoKey) withPending(pending []model.Send, now, tq time.Duration) (fp, verify uint64) {
 	h = h.mix(uint64(len(pending)))
 	for _, snd := range pending {
-		putD(snd.At - now)
-		h = h.mix(uint64(snd.Bits))
+		h = h.mixD(snd.At-now, tq).mix(uint64(snd.Bits))
 	}
 	return h.primary, h.verify
+}
+
+// Times far beyond the planning horizon are behaviourally equivalent
+// ("never"); clamping them keeps e.g. a no-cross-traffic hypothesis
+// (NextCross = Forever) fingerprint-stable across wakes.
+const farFuture = time.Hour
+
+// mixD folds in a rebased duration, clamped to ±farFuture and bucketed by
+// tq (0 = exact).
+func (h memoKey) mixD(d, tq time.Duration) memoKey {
+	d = min(max(d, -farFuture), farFuture)
+	if tq > 0 {
+		// Floor division, not truncation: truncating toward zero would
+		// make the bucket straddling zero twice as wide as every other.
+		r := d % tq
+		if r < 0 {
+			r += tq
+		}
+		d -= r
+	}
+	return h.mix(uint64(int64(d)))
 }

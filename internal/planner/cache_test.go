@@ -39,13 +39,13 @@ func TestPolicyCacheHitRebasesWakeAt(t *testing.T) {
 	pc := NewPolicyCache(0)
 
 	t1 := 10 * time.Second
-	d1 := pc.Decide(cacheSupport(t1), nil, t1, 5, cfg)
+	d1 := pc.Decide(NewWake(cacheSupport(t1), t1), nil, 5, cfg)
 	if pc.Misses != 1 || pc.Hits != 0 {
 		t.Fatalf("first decision: hits=%d misses=%d, want 0/1", pc.Hits, pc.Misses)
 	}
 
 	t2 := 25 * time.Second
-	d2 := pc.Decide(cacheSupport(t2), nil, t2, 9, cfg)
+	d2 := pc.Decide(NewWake(cacheSupport(t2), t2), nil, 9, cfg)
 	if pc.Hits != 1 {
 		t.Fatalf("translated situation missed the cache: hits=%d misses=%d", pc.Hits, pc.Misses)
 	}
@@ -143,24 +143,24 @@ func TestPolicyCacheEvictRepopulates(t *testing.T) {
 	pc := NewPolicyCache(1) // evict on the second distinct situation
 
 	t1 := 10 * time.Second
-	pc.Decide(cacheSupport(t1), nil, t1, 0, cfg)
+	pc.Decide(NewWake(cacheSupport(t1), t1), nil, 0, cfg)
 
 	// A different situation (extra queued packet) forces an eviction.
 	s2 := cacheSupport(t1)
 	s2[0].S.Queue = append(s2[0].S.Queue, model.QPkt{Seq: -1, Bits: 12000})
 	s2[0].S.QueueBits += 12000
-	pc.Decide(s2, nil, t1, 0, cfg)
+	pc.Decide(NewWake(s2, t1), nil, 0, cfg)
 	if pc.Misses != 2 {
 		t.Fatalf("distinct situations: misses=%d, want 2", pc.Misses)
 	}
 
 	// The first situation was the clock hand's victim: miss again,
 	// then hit.
-	pc.Decide(cacheSupport(t1), nil, t1, 0, cfg)
+	pc.Decide(NewWake(cacheSupport(t1), t1), nil, 0, cfg)
 	if pc.Misses != 3 {
 		t.Fatalf("evicted entry still hit: misses=%d, want 3", pc.Misses)
 	}
-	pc.Decide(cacheSupport(t1), nil, t1, 0, cfg)
+	pc.Decide(NewWake(cacheSupport(t1), t1), nil, 0, cfg)
 	if pc.Hits != 1 {
 		t.Fatalf("repopulated entry missed: hits=%d", pc.Hits)
 	}
@@ -197,7 +197,7 @@ func TestPolicyCacheIncrementalEviction(t *testing.T) {
 	// Mark the first 7 hot (second chance), leave the 8th cold.
 	hot := max - 1
 	for i := 0; i < hot; i++ {
-		if _, ok := pc.Lookup(distinctSupport(i), nil, now); !ok {
+		if _, ok := pc.Lookup(NewWake(distinctSupport(i), now), nil); !ok {
 			t.Fatalf("entry %d missing before boundary", i)
 		}
 	}
@@ -209,7 +209,7 @@ func TestPolicyCacheIncrementalEviction(t *testing.T) {
 		pc.Store(distinctSupport(max+k), nil, now, Decision{WakeAt: now + time.Second})
 		for i := 0; i < hot; i++ {
 			probes++
-			if _, ok := pc.Lookup(distinctSupport(i), nil, now); ok {
+			if _, ok := pc.Lookup(NewWake(distinctSupport(i), now), nil); ok {
 				hits++
 			}
 		}
@@ -239,7 +239,7 @@ func TestPolicyCacheProbeCounterSplit(t *testing.T) {
 	now := 10 * time.Second
 	sup := cacheSupport(now)
 
-	if _, ok := pc.Lookup(sup, nil, now); ok {
+	if _, ok := pc.Lookup(NewWake(sup, now), nil); ok {
 		t.Fatal("empty cache lookup hit")
 	}
 	if pc.ProbeMisses != 1 || pc.Misses != 0 || pc.Hits != 0 {
@@ -247,19 +247,19 @@ func TestPolicyCacheProbeCounterSplit(t *testing.T) {
 			pc.Hits, pc.Misses, pc.ProbeMisses)
 	}
 
-	pc.Decide(sup, nil, now, 0, cfg)
+	pc.Decide(NewWake(sup, now), nil, 0, cfg)
 	if pc.Misses != 1 || pc.ProbeMisses != 1 {
 		t.Fatalf("decide miss miscounted: misses=%d probeMisses=%d", pc.Misses, pc.ProbeMisses)
 	}
 
-	if _, ok := pc.Lookup(sup, nil, now); !ok {
+	if _, ok := pc.Lookup(NewWake(sup, now), nil); !ok {
 		t.Fatal("stored entry not probed")
 	}
 	if pc.ProbeHits != 1 || pc.Hits != 0 {
 		t.Fatalf("probe hit leaked into Decide counters: hits=%d probeHits=%d", pc.Hits, pc.ProbeHits)
 	}
 
-	pc.Decide(sup, nil, now, 0, cfg)
+	pc.Decide(NewWake(sup, now), nil, 0, cfg)
 	if pc.Hits != 1 || pc.ProbeHits != 1 {
 		t.Fatalf("decide hit miscounted: hits=%d probeHits=%d", pc.Hits, pc.ProbeHits)
 	}
@@ -281,7 +281,7 @@ func TestPolicyCacheCollisionDetected(t *testing.T) {
 	// wrong verification hash and a poisoned action.
 	pc.insert(fp, cachedDecision{verify: ver ^ 1, sendNow: true, delta: 0, gain: 1e9})
 
-	if d, ok := pc.Lookup(sup, nil, now); ok {
+	if d, ok := pc.Lookup(NewWake(sup, now), nil); ok {
 		t.Fatalf("collided entry served by Lookup: %+v", d)
 	}
 	if pc.Collisions != 1 {
@@ -289,7 +289,7 @@ func TestPolicyCacheCollisionDetected(t *testing.T) {
 	}
 
 	want := Decide(sup, nil, now, 0, cfg)
-	got := pc.Decide(sup, nil, now, 0, cfg)
+	got := pc.Decide(NewWake(sup, now), nil, 0, cfg)
 	if got.SendNow != want.SendNow || got.WakeAt != want.WakeAt || got.Gain != want.Gain {
 		t.Fatalf("collision not recomputed: got %+v want %+v", got, want)
 	}
@@ -298,7 +298,7 @@ func TestPolicyCacheCollisionDetected(t *testing.T) {
 	}
 
 	// The recompute overwrote the forged entry with the verified one.
-	if d, ok := pc.Lookup(sup, nil, now); !ok || d.SendNow != want.SendNow || d.WakeAt != want.WakeAt {
+	if d, ok := pc.Lookup(NewWake(sup, now), nil); !ok || d.SendNow != want.SendNow || d.WakeAt != want.WakeAt {
 		t.Fatalf("slot not healed after collision: ok=%v d=%+v", ok, d)
 	}
 }

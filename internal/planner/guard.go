@@ -132,9 +132,11 @@ func NewGuard(budget time.Duration, cache *PolicyCache) *Guard {
 	return &Guard{Budget: budget, Cache: cache}
 }
 
-// Decide returns an action for the packet with sequence number seq
-// within roughly Budget, degrading per the ladder above.
-func (g *Guard) Decide(sup []belief.Hypothesis, pending []model.Send, now time.Duration, seq int64, cfg Config) Decision {
+// Decide returns an action for the packet with sequence number seq, on
+// the wake's belief with the pending sends, within roughly Budget,
+// degrading per the ladder above.
+func (g *Guard) Decide(w *Wake, pending []model.Send, seq int64, cfg Config) Decision {
+	sup, now := w.sup, w.now
 	if g.RecordLatency {
 		start := time.Now()
 		defer func() { g.Latencies = append(g.Latencies, time.Since(start).Nanoseconds()) }()
@@ -148,7 +150,7 @@ func (g *Guard) Decide(sup []belief.Hypothesis, pending []model.Send, now time.D
 				return d
 			}
 		}
-		return g.fallback(sup, pending, now, cfg)
+		return g.fallback(w, pending, cfg)
 	}
 	// Rung 0: the compiled table answers without planning at all.
 	if g.Compiled != nil {
@@ -162,9 +164,9 @@ func (g *Guard) Decide(sup []belief.Hypothesis, pending []model.Send, now time.D
 	if g.Budget <= 0 {
 		var d Decision
 		if g.Cache != nil {
-			d = g.Cache.Decide(sup, pending, now, seq, cfg)
+			d = g.Cache.Decide(w, pending, seq, cfg)
 		} else {
-			d = Decide(sup, pending, now, seq, cfg)
+			d = w.Decide(pending, seq, cfg)
 		}
 		g.Live++
 		g.ConsecutiveOverruns = 0
@@ -190,7 +192,7 @@ func (g *Guard) Decide(sup []belief.Hypothesis, pending []model.Send, now time.D
 		// hole deeper.
 		g.Overlaps++
 		g.ConsecutiveOverruns++
-		return g.fallback(sup, pending, now, cfg)
+		return g.fallback(w, pending, cfg)
 	}
 
 	// Snapshot the belief for the background goroutine: the belief will
@@ -231,7 +233,7 @@ func (g *Guard) Decide(sup []belief.Hypothesis, pending []model.Send, now time.D
 	case <-timer.C:
 		g.Timeouts++
 		g.ConsecutiveOverruns++
-		return g.fallback(sup, pending, now, cfg)
+		return g.fallback(w, pending, cfg)
 	}
 }
 
@@ -250,11 +252,11 @@ func (g *Guard) RestoreLastSafe(delta time.Duration) {
 }
 
 // fallback walks rungs 2–4 of the ladder.
-func (g *Guard) fallback(sup []belief.Hypothesis, pending []model.Send, now time.Duration, cfg Config) Decision {
+func (g *Guard) fallback(w *Wake, pending []model.Send, cfg Config) Decision {
 	if g.Cache != nil {
-		if d, ok := g.Cache.Lookup(sup, pending, now); ok {
+		if d, ok := g.Cache.Lookup(w, pending); ok {
 			g.CacheHits++
-			g.noteSafe(d, now)
+			g.noteSafe(d, w.now)
 			return d
 		}
 	}
@@ -263,9 +265,9 @@ func (g *Guard) fallback(sup []belief.Hypothesis, pending []model.Send, now time
 	if grid <= 0 {
 		grid = DefaultConfig().Grid
 	}
-	wake := now + grid
+	wake := w.now + grid
 	if g.haveSafe && g.lastSafeDelta > 0 {
-		wake = now + g.lastSafeDelta
+		wake = w.now + g.lastSafeDelta
 	}
 	return Decision{SendNow: false, WakeAt: wake}
 }

@@ -32,7 +32,7 @@ func TestGuardLiveWithinBudget(t *testing.T) {
 	sup := guardSupport()
 	cfg := Config{}
 	g := NewGuard(30*time.Second, nil)
-	got := g.Decide(sup, nil, 0, 0, cfg)
+	got := g.Decide(NewWake(sup, 0), nil, 0, cfg)
 	want := Decide(sup, nil, 0, 0, cfg)
 	if got.SendNow != want.SendNow || got.WakeAt != want.WakeAt || got.Gain != want.Gain {
 		t.Fatalf("guarded decision %+v != live decision %+v", got, want)
@@ -65,7 +65,7 @@ func TestGuardTimeoutFallsToSafe(t *testing.T) {
 	sup := guardSupport()
 	g, _ := stalledGuard(t, nil)
 	now := 3 * time.Second
-	d := g.Decide(sup, nil, now, 0, Config{})
+	d := g.Decide(NewWake(sup, now), nil, 0, Config{})
 	if d.SendNow {
 		t.Fatal("blind fallback must not send")
 	}
@@ -83,7 +83,7 @@ func TestGuardLastSafeAction(t *testing.T) {
 	g, _ := stalledGuard(t, nil)
 	g.noteSafe(Decision{WakeAt: 1300 * time.Millisecond}, time.Second)
 	now := 10 * time.Second
-	d := g.Decide(guardSupport(), nil, now, 0, Config{})
+	d := g.Decide(NewWake(guardSupport(), now), nil, 0, Config{})
 	if d.SendNow {
 		t.Fatal("fallback must not send")
 	}
@@ -101,8 +101,8 @@ func TestGuardCacheSeededByStraggler(t *testing.T) {
 	g, gate := stalledGuard(t, NewPolicyCache(0))
 	now := 2 * time.Second
 
-	g.Decide(sup, nil, now, 0, Config{}) // planner parked: budget expires
-	g.Decide(sup, nil, now, 0, Config{}) // straggler still cooking
+	g.Decide(NewWake(sup, now), nil, 0, Config{}) // planner parked: budget expires
+	g.Decide(NewWake(sup, now), nil, 0, Config{}) // straggler still cooking
 	if g.Timeouts != 1 || g.Overlaps != 1 || g.SafeFallbacks != 2 || g.CacheHits != 0 {
 		t.Fatalf("counters before release: timeouts=%d overlaps=%d safeFallbacks=%d cacheHits=%d, want 1/1/2/0",
 			g.Timeouts, g.Overlaps, g.SafeFallbacks, g.CacheHits)
@@ -115,12 +115,12 @@ func TestGuardCacheSeededByStraggler(t *testing.T) {
 	// planner, times out again — and this time the cache answers. (A
 	// cache-hit fallback may legitimately send: it is a real computed
 	// decision; only the blind rungs below it never do.)
-	g.Decide(sup, nil, now, 0, Config{})
+	g.Decide(NewWake(sup, now), nil, 0, Config{})
 	if g.Timeouts != 2 || g.CacheHits != 1 {
 		t.Fatalf("counters after drain: timeouts=%d cacheHits=%d, want 2/1", g.Timeouts, g.CacheHits)
 	}
 	// The cached decision must match what the live planner computes.
-	cached, ok := g.Cache.Lookup(sup, nil, now)
+	cached, ok := g.Cache.Lookup(NewWake(sup, now), nil)
 	if !ok {
 		t.Fatal("lookup missed after a recorded hit")
 	}
@@ -162,7 +162,7 @@ func TestGuardCompiledRungServes(t *testing.T) {
 		g := NewGuard(budget, nil)
 		g.Compiled = fc
 		now := 5 * time.Second
-		d := g.Decide(sup, nil, now, 0, Config{})
+		d := g.Decide(NewWake(sup, now), nil, 0, Config{})
 		if d.SendNow || d.WakeAt != now+250*time.Millisecond {
 			t.Fatalf("budget=%v: compiled decision not served: %+v", budget, d)
 		}
@@ -183,7 +183,7 @@ func TestGuardCompiledMissFallsToLiveAndRecords(t *testing.T) {
 	fc := &fakeCompiled{hit: false}
 	g := NewGuard(0, nil)
 	g.Compiled = fc
-	got := g.Decide(sup, nil, 0, 0, Config{})
+	got := g.Decide(NewWake(sup, 0), nil, 0, Config{})
 	want := Decide(sup, nil, 0, 0, Config{})
 	if got.SendNow != want.SendNow || got.WakeAt != want.WakeAt || got.Gain != want.Gain {
 		t.Fatalf("miss path decision %+v != live %+v", got, want)
@@ -213,7 +213,7 @@ func TestGuardDegradedServesWithoutLivePlanning(t *testing.T) {
 	g.Compiled = fc
 	g.Degraded = true
 	now := 4 * time.Second
-	d := g.Decide(sup, nil, now, 0, Config{})
+	d := g.Decide(NewWake(sup, now), nil, 0, Config{})
 	if d.WakeAt != now+200*time.Millisecond {
 		t.Fatalf("degraded compiled decision not served: %+v", d)
 	}
@@ -225,7 +225,7 @@ func TestGuardDegradedServesWithoutLivePlanning(t *testing.T) {
 	// Compiled miss with no cache and no remembered action: bottom
 	// rung, still no live planning, overrun counter untouched.
 	fc.hit = false
-	if d = g.Decide(sup, nil, now, 0, Config{}); d.SendNow {
+	if d = g.Decide(NewWake(sup, now), nil, 0, Config{}); d.SendNow {
 		t.Fatal("degraded blind fallback must not send")
 	}
 	if g.DegradedServed != 2 || g.Live != 0 || g.SafeFallbacks != 1 {
@@ -238,7 +238,7 @@ func TestGuardDegradedServesWithoutLivePlanning(t *testing.T) {
 
 	// Released: the guard plans live again and stops counting.
 	g.Degraded = false
-	g.Decide(sup, nil, now, 0, Config{})
+	g.Decide(NewWake(sup, now), nil, 0, Config{})
 	if g.Live != 1 || g.DegradedServed != 2 {
 		t.Fatalf("released guard live=%d degraded=%d, want 1/2", g.Live, g.DegradedServed)
 	}
@@ -253,7 +253,7 @@ func TestGuardLatencySampling(t *testing.T) {
 	g.RecordLatency = true
 	sup := guardSupport()
 	for i := 0; i < 3; i++ {
-		g.Decide(sup, nil, time.Duration(i)*time.Second, 0, Config{})
+		g.Decide(NewWake(sup, time.Duration(i)*time.Second), nil, 0, Config{})
 	}
 	if len(g.Latencies) != 3 {
 		t.Fatalf("latency samples = %d, want 3", len(g.Latencies))

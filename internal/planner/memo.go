@@ -15,10 +15,10 @@ import (
 // serve: of the Lookups − Hits − Shared gain vectors Decide had to
 // produce, Derived came from a twin record and the rest from a rollout,
 // Stripped more rollouts made the records that were missing, and of the
-// candidate Lanes of all those rollouts Lanes − Closed were simulated,
-// Materialized of those after a deferral. Like the memo's own counters
-// these depend on how the fleet is partitioned, so they are diagnostics,
-// not results.
+// candidate Lanes of all those rollouts Lanes − Closed − Drained were
+// simulated, Materialized of those after a deferral. Like the memo's own
+// counters these depend on how the fleet is partitioned, so they are
+// diagnostics, not results.
 type MemoStats struct {
 	// Lookups is how many hypotheses Decide keyed.
 	Lookups int64
@@ -39,6 +39,10 @@ type MemoStats struct {
 	// the horizon, their gain closed from the baseline's running value
 	// (see Decide's sixth economy).
 	Closed int64
+	// Drained lanes were never simulated either: candidates of a hypothesis
+	// nothing arrives at to the horizon, each gain its packet's own value
+	// (see Decide's eighth economy).
+	Drained int64
 	// Materialized lanes were deferred as twins and simulated after all,
 	// because the baseline's link idled or an arrival left them no room.
 	Materialized int64
@@ -65,6 +69,7 @@ func (s *MemoStats) Add(o MemoStats) {
 	s.Overwrites += o.Overwrites
 	s.Lanes += o.Lanes
 	s.Closed += o.Closed
+	s.Drained += o.Drained
 	s.Materialized += o.Materialized
 	s.Derived += o.Derived
 	s.Stripped += o.Stripped
@@ -340,7 +345,14 @@ func (r *twinRecords) at(i, candidates int) twinRecord {
 // the buffers one call fills before and after its parallel section —
 // so a live decision allocates none of them — and the rollout memo.
 type decideArena struct {
-	hyps  []belief.Hypothesis
+	// The top-K copy of a wake's support and its rollout-key hashes, taken
+	// for wake (a Wake.id) under maxHyps and stamps (begin).
+	hyps    []belief.Hypothesis
+	hkeys   []memoKey
+	wake    uint64
+	maxHyps int
+	stamps  bool
+
 	stops []time.Duration
 	gains []float64
 	words []uint64
@@ -369,9 +381,10 @@ type decideArena struct {
 	util       utility.Config
 	candidates int
 	// twins: the call passes twinGate's call-level half, and the pass in
-	// flight has not been refused by the rest already.
-	twins   bool
-	sweepFn func(*rollout.Scratch, int) // ar.sweep, bound once
+	// flight has not been refused by the rest already; drains: the call
+	// passes that half, whatever the pass.
+	twins, drains bool
+	sweepFn       func(*rollout.Scratch, int) // ar.sweep, bound once
 }
 
 func arenaOf(p *rollout.Pool) *decideArena {

@@ -90,6 +90,14 @@
 // same hypothesis again. Derived gains differ from rolled ones by a
 // summation order, like closed ones.
 //
+// What only the wake decides is paid for once per wake: the top-K copy,
+// each hypothesis's rollout-key hash and the fingerprint's support half
+// are taken at a Wake's first decision and kept for the rest, keyed by
+// the Wake alone (see Wake). And the lagged twin's complement closes too:
+// a hypothesis nothing arrives at to the horizon is drained, a candidate's
+// packet is the last arrival, and its gain is the packet's own value
+// (model.State.DrainedGains) — no lane simulates the backlog draining.
+//
 // Ties break toward the longest delay. This is what turns the utility
 // maximization into pacing: when the queue already guarantees a packet's
 // delivery time, sending it any earlier buys nothing, so the sender
@@ -212,7 +220,7 @@ const lockstepChunk = time.Second
 //
 // The per-hypothesis work is one forward sweep over a grid of sync
 // stops (every candidate send time, then every lockstepChunk), built
-// for the rollout engine's seven economies. (1) The no-send baseline is
+// for the rollout engine's eight economies. (1) The no-send baseline is
 // simulated exactly once; each candidate forks from it in place when
 // the sweep reaches its send time, so [now, now+δ) is never
 // re-simulated. (2) Candidates advance alongside the baseline and
@@ -244,13 +252,14 @@ const lockstepChunk = time.Second
 // coincides with its baseline — is not simulated: it is the baseline one
 // service time late, and its gain is closed at the horizon from the
 // baseline's running value (see the package comment). What is still
-// simulated, and why: every lane of a hypothesis twinGate refuses — a
-// cross-latency penalty or a skewed clock (a delivery's value is then not
-// a function of its instant alone), a committed send still to come or a
-// cross chunk smaller than a packet (the twin is then not a pure lag), a
-// backlog that cannot outlast the horizon (deferring would only add a
-// catch-up); a lane forked into an idle link or whose packet would not be
-// through by the horizon; and every lane deferred before a stop at which
+// simulated, and why: every lane of a hypothesis twinGate refuses and
+// (8) does not close — a cross-latency penalty or a skewed clock (a
+// delivery's value is then not a function of its instant alone), a
+// committed send still to come or a cross chunk smaller than a packet (the
+// twin is then not a pure lag), a backlog that cannot outlast the horizon
+// (deferring would only add a catch-up); a lane forked into an idle link
+// or whose packet would not be through by the horizon; and every lane
+// deferred before a stop at which
 // the baseline's link idled or an arrival left a twin no room — where one
 // packet displaces another, which is where the large negative gains are.
 // MemoStats counts the three outcomes. (7) A burst is swept once. When the
@@ -283,15 +292,34 @@ const lockstepChunk = time.Second
 // record does not reach — a stop was dirty (the buffer is full where a
 // chunk arrives: most of them), the m packets do not fit, or a lane was
 // simulated at depth 0.
+//
+// (8) A drained hypothesis is not swept. When nothing arrives behind a
+// candidate's packet to the horizon — no committed send after now, the
+// gate off or the next tick past the horizon, no penalty, no skew — its
+// gain is its packet's own value, closed (model.State.DrainedGains): no
+// lane, no fork clone, no lockstep. It is the complement of (6), asked of
+// every hypothesis (6) does not take in every kind of sweep, a burst's
+// later decisions included, and like (6) differs from simulation by a
+// summation order; MemoStats.Drained counts its lanes.
 func Decide(sup []belief.Hypothesis, pending []model.Send, now time.Duration, seq int64, cfg Config) Decision {
+	var w Wake
+	w.Reset(sup, now)
+	return w.Decide(pending, seq, cfg)
+}
+
+// Decide decides on the wake's support at the wake's instant: a sender
+// calls it on its own wake, the package's Decide on a throwaway one. What
+// only the wake decides is taken at its first decision on a pool.
+func (w *Wake) Decide(pending []model.Send, seq int64, cfg Config) Decision {
 	cfg = cfg.withDefaults()
 	pool := cfg.Pool
 	if pool == nil {
 		pool = acquirePool(cfg.Workers)
 		defer releasePool(pool)
 	}
+	now := w.now
 	ar := arenaOf(pool)
-	ar.hyps = appendTopK(ar.hyps[:0], sup, cfg.MaxHyps)
+	ar.begin(w, cfg.MaxHyps, cfg.Util.CrossLatencyPenalty > 0)
 	hyps := ar.hyps
 
 	horizonEnd := now + cfg.MaxDelay + cfg.Horizon
@@ -318,10 +346,11 @@ func Decide(sup []belief.Hypothesis, pending []model.Send, now time.Duration, se
 	gains := ar.gains
 	row := func(i int) []float64 { return gains[i*candidates : (i+1)*candidates] }
 
-	// The call-level half of twinGate: a delivery is valued by its instant
-	// alone, and no committed send is still to come. Under it, a call whose
-	// pending list ends in burst sends of the uniform size stamped now is a
-	// later decision of a burst; the list without them is the first one's.
+	// The call-level half of twinGate and drainGate: a delivery is valued
+	// by its instant alone, and no committed send is still to come. Under
+	// it, a call whose pending list ends in burst sends of the uniform size
+	// stamped now is a later decision of a burst; the list without them is
+	// the first one's.
 	twins := cfg.Util.CrossLatencyPenalty == 0 && (len(pending) == 0 || pending[len(pending)-1].At <= now)
 	// What such calls keep per hypothesis is sized at once for the widest
 	// support a default plan reads: a support widens all through a run, and
@@ -348,7 +377,6 @@ func Decide(sup []belief.Hypothesis, pending []model.Send, now time.Duration, se
 	// plan (bare) where the record is wanted and missing, under the call's
 	// own otherwise — plain, the gate not asked again, where it has just
 	// refused.
-	stamps := cfg.Util.CrossLatencyPenalty > 0
 	plan := planKey(pending, now, cfg)
 	var firstPlan memoKey
 	if derives {
@@ -358,9 +386,7 @@ func Decide(sup []belief.Hypothesis, pending []model.Send, now time.Duration, se
 	ar.keys = slices.Grow(ar.keys[:0], n)[:n]
 	ar.from = slices.Grow(ar.from[:0], n)[:n]
 	keys, from, fresh, roll, bare, plain := ar.keys, ar.from, ar.fresh[:0], ar.roll[:0], ar.bare[:0], ar.plain[:0]
-	for i := range hyps {
-		ar.words = hyps[i].S.AppendRolloutKey(ar.words[:0], now, stamps)
-		hyp := hypKey(ar.words)
+	for i, hyp := range ar.hkeys {
 		keys[i] = hyp.under(plan)
 		from[i] = -1
 		if ar.memo.lookup(keys[i], row(i)) {
@@ -398,7 +424,7 @@ func Decide(sup []belief.Hypothesis, pending []model.Send, now time.Duration, se
 		roll = append(roll, int32(i))
 	}
 
-	ar.now, ar.seq, ar.util, ar.candidates = now, seq, cfg.Util, candidates
+	ar.now, ar.seq, ar.util, ar.candidates, ar.drains = now, seq, cfg.Util, candidates, twins
 	if len(plain) > 0 {
 		ar.run(pool, plain, pending, gains, false)
 	}
@@ -540,6 +566,15 @@ func (ar *decideArena) sweep(s *rollout.Scratch, r int) {
 
 	base := &s.Base
 	h.S.CloneInto(base)
+	horizon := stops[len(stops)-1]
+	twin := ar.twins && twinGate(&h.S, pending, horizon)
+	if !twin && ar.drains && drainGate(&h.S, horizon) {
+		// Drained: every pending send is due by now.
+		base.Run(ar.now, pending, nil)
+		base.DrainedGains(stops[:candidates], gains, ar.now, horizon, 1-h.S.P.LossProb, float64(ar.util.Kappa))
+		ds.tally.Drained += int64(candidates)
+		return
+	}
 	ar.util.Start(&ds.base, ar.now, h.S.P.LossProb, &ds.steps)
 
 	// The lagged-twin mode (ds.tw): under it a candidate forked into a
@@ -548,7 +583,6 @@ func (ar *decideArena) sweep(s *rollout.Scratch, r int) {
 	// has delivered by the instants the closed form needs.
 	tw := &ds.tw
 	tw.deferred = 0
-	twin := ar.twins && twinGate(&h.S, pending, stops[len(stops)-1])
 	if twin {
 		tw.start(&ds.base, &h.S.P, stops, ar.recs.at(i, candidates))
 	}
@@ -805,7 +839,7 @@ func (tw *twinSweep) close(lanes []lane, gains []float64, now time.Duration, kap
 	tw.rec.tail[0] = tw.taken
 	for k := tw.first; k < len(lanes); k++ {
 		if c := &lanes[k]; c.deferred {
-			tw.rec.pkt[k] = float64(tw.x) * survive * math.Exp(-float64(c.u+tw.lag-now)/kappa)
+			tw.rec.pkt[k] = model.PacketValue(tw.x, survive, c.u+tw.lag-now, kappa)
 			gains[k] = tw.rec.gain(0, k)
 		}
 	}
@@ -843,6 +877,16 @@ func twinGate(s *model.State, pending []model.Send, horizon time.Duration) bool 
 		backlog += int64((horizon-s.NextCross)/s.P.CrossInterval()+1) * s.P.CrossBits()
 	}
 	return float64(backlog) >= float64(s.P.LinkRate)*(horizon-s.Now).Seconds()
+}
+
+// drainGate reports whether hypothesis s, planned to horizon by a call
+// with no latency penalty and nothing committed after now, is drained: no
+// pinger chunk arrives by the horizon and the receiver clock is the
+// sender's, so a candidate's packet is the last arrival and its gain has
+// the closed form of model.State.DrainedGains. Its inputs are in the
+// rollout key, like twinGate's.
+func drainGate(s *model.State, horizon time.Duration) bool {
+	return s.P.ClockSkew == 0 && (!s.PingerOn || s.NextCross > horizon)
 }
 
 // decideScratch is a worker's planner-specific arena, reused across

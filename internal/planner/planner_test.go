@@ -211,14 +211,14 @@ func TestPolicyCacheHitsOnRecurrence(t *testing.T) {
 	cfg := testCfg()
 	s := idleLink()
 
-	d1 := pc.Decide(certain(s), nil, 0, 0, cfg)
+	d1 := pc.Decide(NewWake(certain(s), 0), nil, 0, cfg)
 	// Same situation, shifted in time and with a different sequence
 	// number: must hit, and the wake time must be rebased.
 	s2 := idleLink()
 	s2.Now = 100 * time.Second
 	s2.NextCross = s.NextCross + 100*time.Second
 	s2.NextToggle = s.NextToggle + 100*time.Second
-	d2 := pc.Decide(certain(s2), nil, 100*time.Second, 42, cfg)
+	d2 := pc.Decide(NewWake(certain(s2), 100*time.Second), nil, 42, cfg)
 
 	if pc.Hits != 1 || pc.Misses != 1 {
 		t.Fatalf("hits=%d misses=%d, want 1/1", pc.Hits, pc.Misses)
@@ -234,12 +234,12 @@ func TestPolicyCacheHitsOnRecurrence(t *testing.T) {
 func TestPolicyCacheDistinguishesQueueState(t *testing.T) {
 	pc := NewPolicyCache(0)
 	cfg := testCfg()
-	pc.Decide(certain(idleLink()), nil, 0, 0, cfg)
+	pc.Decide(NewWake(certain(idleLink()), 0), nil, 0, cfg)
 
 	busy := idleLink()
 	var evs []model.Event
 	busy.Run(time.Millisecond, []model.Send{{Seq: 0, At: 0}, {Seq: 1, At: 0}}, &evs)
-	pc.Decide(certain(busy), nil, time.Millisecond, 2, cfg)
+	pc.Decide(NewWake(certain(busy), time.Millisecond), nil, 2, cfg)
 
 	if pc.Hits != 0 {
 		t.Error("cache conflated distinct queue states")
@@ -249,14 +249,14 @@ func TestPolicyCacheDistinguishesQueueState(t *testing.T) {
 func TestPolicyCacheResetWhenFull(t *testing.T) {
 	pc := NewPolicyCache(1)
 	cfg := testCfg()
-	pc.Decide(certain(idleLink()), nil, 0, 0, cfg)
+	pc.Decide(NewWake(certain(idleLink()), 0), nil, 0, cfg)
 	busy := idleLink()
 	var evs []model.Event
 	busy.Run(time.Millisecond, []model.Send{{Seq: 0, At: 0}}, &evs)
-	pc.Decide(certain(busy), nil, time.Millisecond, 1, cfg)
+	pc.Decide(NewWake(certain(busy), time.Millisecond), nil, 1, cfg)
 	// Capacity 1: the second distinct entry evicted the first; a repeat
 	// of the first situation misses again but must not grow unbounded.
-	pc.Decide(certain(idleLink()), nil, 0, 0, cfg)
+	pc.Decide(NewWake(certain(idleLink()), 0), nil, 0, cfg)
 	if len(pc.entries) > 1 {
 		t.Errorf("cache exceeded MaxEntries: %d", len(pc.entries))
 	}
