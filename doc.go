@@ -82,8 +82,9 @@
 // seeded, replayable fault schedule — ack-loss bursts, reordering,
 // duplication, byte corruption, multi-second blackouts, proxy stalls,
 // clock jumps — that plugs into both the real-socket path
-// (emu.ProxyConfig.Chaos / AckChaos) and the DES path (chaos.Element,
-// experiments.RunChaos), so one fault trace replays bit-identically in
+// (emu.ProxyConfig.Chaos / AckChaos) and the DES path
+// (experiments.RunChaos, which runs its sends and acknowledgments through
+// the injectors), so one fault trace replays bit-identically in
 // either world. Against it: internal/wire returns typed errors for any
 // malformed datagram (fuzzed, corpus checked in) and owns the socket
 // path's one read loop (wire.ReadLoop: read deadlines, transient errors
@@ -91,7 +92,9 @@
 // both directions of internal/emu's proxy run; internal/transport clamps
 // non-monotone clocks and arms wake timers in the logical clock
 // domain; internal/belief recovers from likelihood collapse by
-// deterministically re-seeding from the prior (belief.Config.Recover);
+// deterministically re-seeding from the prior (belief.Config.Recover —
+// one collapse policy for the exact belief and the particle filter, both
+// counted in Belief.Lifetime and checkpointed through Belief.Snapshot);
 // and internal/planner bounds every decision with planner.Guard's
 // degradation ladder — the compiled policy table when one is wired,
 // else live Decide within the budget, else the quantized PolicyCache

@@ -1,7 +1,6 @@
 package belief
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
@@ -17,24 +16,10 @@ import (
 // inconsistent with the observed acknowledgments, renormalizes, and
 // compacts states that have become identical.
 type Exact struct {
-	cfg     Config
-	hyps    []Hypothesis
-	now     time.Duration
-	pending []model.Send
-	// prior keeps pristine copies of the initial states when
-	// Config.Recover is set, so a likelihood collapse can re-seed the
-	// belief deterministically.
-	prior []model.State
-	// recent retains acknowledgments for a short window so soft
-	// matching can pair predictions with acks across update
-	// boundaries; unused in hard mode.
-	recent map[int64]time.Duration
-	// Cum accumulates stats over the belief's lifetime.
-	Cum UpdateStats
+	books
+	hyps []Hypothesis
 
-	// pool shards per-hypothesis advances; the buffers below make the
-	// steady-state update allocation-free.
-	pool *rollout.Pool
+	// The buffers below make the steady-state update allocation-free.
 	// next is the other half of the double buffer: a segment in which a
 	// hypothesis forks builds its posterior there, every other segment
 	// stays in hyps. Every slot of hyps and next up to capacity — live,
@@ -58,44 +43,21 @@ type Exact struct {
 	advance func(*rollout.Scratch, int)
 }
 
-// recentAckWindow bounds how long soft matching remembers
-// acknowledgments.
-const recentAckWindow = 5 * time.Second
-
 // NewExact builds an exact belief over the given equally weighted initial
 // states (typically from Prior.Enumerate).
 func NewExact(states []model.State, cfg Config) *Exact {
-	if len(states) == 0 {
-		// Invariant, not a network condition: a caller constructed a
-		// belief with nothing to believe. No input arriving later can
-		// make this sane, so fail at the construction site.
-		panic("belief: empty prior")
-	}
+	bk := newBooks(states, cfg)
 	w := 1 / float64(len(states))
 	hyps := make([]Hypothesis, len(states))
 	for i, s := range states {
 		hyps[i] = Hypothesis{S: s.Clone(), W: w}
 	}
-	cfg = cfg.withDefaults()
-	pool := cfg.Pool
-	if pool == nil {
-		pool = rollout.New(cfg.Workers)
-	}
-	b := &Exact{
-		cfg:     cfg,
-		hyps:    hyps,
-		recent:  make(map[int64]time.Duration),
-		pool:    pool,
-		byKey:   make(map[uint64]int),
-		segAcks: make(map[int64]time.Duration),
-	}
+	return newExact(bk, hyps)
+}
+
+func newExact(bk books, hyps []Hypothesis) *Exact {
+	b := &Exact{books: bk, hyps: hyps, byKey: make(map[uint64]int), segAcks: make(map[int64]time.Duration)}
 	b.advance = b.advanceOne
-	if cfg.Recover {
-		b.prior = make([]model.State, len(states))
-		for i, s := range states {
-			b.prior[i] = s.Clone()
-		}
-	}
 	return b
 }
 
@@ -133,28 +95,10 @@ func reseedFromPrior(prior []model.State, at time.Duration, dst []Hypothesis) []
 	return dst
 }
 
-// Now implements Belief.
-func (b *Exact) Now() time.Duration { return b.now }
-
 // Support implements Belief. The hypotheses are advanced where they
 // live: the slice and the states in it are valid until the next Update;
 // Clone a state to keep it longer.
 func (b *Exact) Support() []Hypothesis { return b.hyps }
-
-// PendingSends implements Belief.
-func (b *Exact) PendingSends() []model.Send { return b.pending }
-
-// RecordSend implements Belief. Sends must be recorded in time order.
-func (b *Exact) RecordSend(s model.Send) {
-	if n := len(b.pending); n > 0 && b.pending[n-1].At > s.At {
-		// Invariant: the sender records its own sends, under its own
-		// (monotone) clock — network input cannot reach this path.
-		// transport.Sender clamps chaotic clocks monotone before
-		// calling in.
-		panic("belief: sends recorded out of order")
-	}
-	b.pending = append(b.pending, s)
-}
 
 // Update implements Belief.
 //
@@ -171,34 +115,10 @@ func (b *Exact) RecordSend(s model.Send) {
 // predicted and observed times agree to within TimeTol, which is far
 // smaller than a segment.
 func (b *Exact) Update(now time.Duration, acks []packet.Ack) UpdateStats {
-	if now < b.now {
-		// Invariant: callers drive the belief with a monotone clock
-		// (the DES loop by construction, transport.Sender by clamping
-		// chaotic wall clocks). Time running backwards here is a
-		// driver bug, not a network fault.
-		panic(fmt.Sprintf("belief: update time %v precedes previous update %v", now, b.now))
-	}
-	// Consume the pending sends this window covers.
-	nSends := 0
-	for nSends < len(b.pending) && b.pending[nSends].At <= now {
-		nSends++
-	}
-	sends := b.pending[:nSends]
 	if len(acks) > 1 { // sort.Slice allocates even when there is nothing to order
 		sort.Slice(acks, func(i, j int) bool { return acks[i].ReceivedAt < acks[j].ReceivedAt })
 	}
-
-	soft := b.cfg.SoftSigma > 0
-	if soft {
-		for _, a := range acks {
-			b.recent[a.Seq] = a.ReceivedAt
-		}
-		for seq, at := range b.recent {
-			if at < now-recentAckWindow {
-				delete(b.recent, seq)
-			}
-		}
-	}
+	sends := b.begin(now, acks)
 
 	tick := model.DefaultSwitchTick
 	if len(b.hyps) > 0 && b.hyps[0].S.SwitchTick > 0 {
@@ -278,21 +198,16 @@ func (b *Exact) Update(now time.Duration, acks []packet.Ack) UpdateStats {
 		if kept == 0 {
 			// Nothing survived, so nothing has moved: out still holds
 			// every branch with its unconditioned weight.
-			if b.cfg.Recover {
-				// Likelihood collapse: no surviving configuration can
-				// explain the observations — corruption, a blackout,
-				// or model divergence. Re-seed from the prior at the
-				// collapse instant; the segment's observations are
-				// abandoned (they condition nothing a fresh prior
-				// could know about) and inference restarts.
-				stats.Reseeded++
+			if b.collapse(&stats) {
+				// Re-seed from the prior at the collapse instant; the
+				// segment's observations are abandoned (they condition
+				// nothing a fresh prior could know about) and inference
+				// restarts.
 				out = reseedFromPrior(b.prior, segEnd, out)
 				kept, sum = len(out), 1 // reseeded weights are already normalized
-			} else if b.cfg.Relax {
-				// Keep the pre-segment posterior, advanced without
-				// conditioning: accept every branch of the advance we
-				// already ran.
-				stats.Relaxed++
+			} else {
+				// Relax: keep the pre-segment posterior, advanced without
+				// conditioning — every branch of the advance already run.
 				for j := range out {
 					w := out[j].W
 					if w <= 0 {
@@ -302,16 +217,6 @@ func (b *Exact) Update(now time.Duration, acks []packet.Ack) UpdateStats {
 					sum += w
 					kept++
 				}
-			} else {
-				// Every configuration was rejected: the prior did not
-				// contain the truth (or tolerances are too tight).
-				// Failing loudly is deliberate — silently resetting
-				// the belief would mask a broken model, the exact
-				// failure this architecture is meant to surface.
-				// Callers facing real networks (transport, soak) must
-				// opt into Recover (re-seed) or Relax (freeze)
-				// instead; the simulator-facing default stays loud.
-				panic("belief: all hypotheses rejected; the prior cannot explain the observations")
 			}
 		}
 		out = out[:kept]
@@ -336,17 +241,8 @@ func (b *Exact) Update(now time.Duration, acks []packet.Ack) UpdateStats {
 		segStart = segEnd
 	}
 
-	b.now = now
-	b.pending = append(b.pending[:0], b.pending[nSends:]...)
 	stats.N = len(b.hyps)
-	b.Cum.Branches += stats.Branches
-	b.Cum.Rejected += stats.Rejected
-	b.Cum.Merged += stats.Merged
-	b.Cum.Floored += stats.Floored
-	b.Cum.Relaxed += stats.Relaxed
-	b.Cum.Reseeded += stats.Reseeded
-	b.Cum.N = stats.N
-	return stats
+	return b.end(now, len(sends), stats)
 }
 
 // compactInto merges hypotheses with identical canonical state keys,

@@ -1,7 +1,6 @@
 package belief
 
 import (
-	"fmt"
 	"math/rand"
 	"time"
 
@@ -20,34 +19,23 @@ import (
 // Compared to Exact it trades exactness for a cost independent of how
 // bushy the fork tree is.
 type Particle struct {
-	cfg Config
+	books
 	// rng is a single-word SplitMix64 stream rather than *rand.Rand so
 	// the filter's entire random state is one serializable word
-	// (Snapshot/RestoreParticle round-trip it bit-identically); it is
-	// seeded once from the caller's source at construction.
+	// (Snapshot/Restore round-trip it bit-identically); it is seeded
+	// once from the caller's source at construction.
 	rng       rollout.Rand
 	particles []Hypothesis
-	now       time.Duration
-	pending   []model.Send
-	// prior keeps pristine initial states for Config.Recover
-	// re-seeding after a likelihood collapse.
-	prior     []model.State
-	recent    map[int64]time.Duration // soft-mode ack memory
-	compacted []Hypothesis            // cache for Support
+	compacted []Hypothesis // cache for Support
 	dirty     bool
 
-	// pool shards per-particle advances; lws/prevW are reused
-	// per-index result slots.
-	pool  *rollout.Pool
+	// lws/prevW are reused per-index result slots.
 	lws   []float64
 	prevW []float64
 	byKey map[uint64]int
 
 	// Resamples counts resampling rounds, for instrumentation.
 	Resamples int
-	// Cum accumulates stats over the belief's lifetime (mirrors
-	// Exact.Cum; supervisors watch Cum.Reseeded as a health signal).
-	Cum UpdateStats
 }
 
 // NewParticle draws n particles uniformly from the given prior states.
@@ -55,15 +43,11 @@ type Particle struct {
 // stratified assignment, which keeps the true configuration in the
 // initial particle set whenever the prior contains it.
 func NewParticle(states []model.State, n int, cfg Config, rng *rand.Rand) *Particle {
-	if len(states) == 0 {
-		// Invariant: construction-time misuse, unreachable from
-		// network input (see the matching check in NewExact).
-		panic("belief: empty prior")
-	}
 	if n <= 0 {
 		// Invariant: a zero-particle filter cannot represent anything.
 		panic("belief: particle count must be positive")
 	}
+	bk := newBooks(states, cfg)
 	// All randomness — construction draws included — comes from one
 	// SplitMix64 stream seeded by the caller's source, so the filter's
 	// full random state is a single checkpointable word.
@@ -85,28 +69,21 @@ func NewParticle(states []model.State, n int, cfg Config, rng *rand.Rand) *Parti
 		}
 		ps[i] = Hypothesis{S: src.Clone(), W: w}
 	}
-	cfg = cfg.withDefaults()
-	pool := cfg.Pool
-	if pool == nil {
-		pool = rollout.New(cfg.Workers)
-	}
-	b := &Particle{
-		cfg:       cfg,
-		rng:       stream,
+	return newParticle(bk, ps, stream, 0)
+}
+
+func newParticle(bk books, ps []Hypothesis, rng rollout.Rand, resamples int) *Particle {
+	n := len(ps)
+	return &Particle{
+		books:     bk,
+		rng:       rng,
 		particles: ps,
 		dirty:     true,
-		pool:      pool,
 		lws:       make([]float64, n),
 		prevW:     make([]float64, n),
 		byKey:     make(map[uint64]int),
+		Resamples: resamples,
 	}
-	if cfg.Recover {
-		b.prior = make([]model.State, len(states))
-		for i, s := range states {
-			b.prior[i] = s.Clone()
-		}
-	}
-	return b
 }
 
 // reseed restores the particle population from the pristine prior at
@@ -128,23 +105,6 @@ func (b *Particle) reseed(at time.Duration) {
 	}
 }
 
-// Now implements Belief.
-func (b *Particle) Now() time.Duration { return b.now }
-
-// PendingSends implements Belief.
-func (b *Particle) PendingSends() []model.Send { return b.pending }
-
-// RecordSend implements Belief.
-func (b *Particle) RecordSend(s model.Send) {
-	if n := len(b.pending); n > 0 && b.pending[n-1].At > s.At {
-		// Invariant: see the matching check in Exact.RecordSend —
-		// sends come from the sender's own monotone clock, never from
-		// the network.
-		panic("belief: sends recorded out of order")
-	}
-	b.pending = append(b.pending, s)
-}
-
 // NumParticles reports the particle count.
 func (b *Particle) NumParticles() int { return len(b.particles) }
 
@@ -162,35 +122,12 @@ func (b *Particle) Support() []Hypothesis {
 
 // Update implements Belief.
 func (b *Particle) Update(now time.Duration, acks []packet.Ack) UpdateStats {
-	if now < b.now {
-		// Invariant: drivers supply a monotone clock (see
-		// Exact.Update).
-		panic(fmt.Sprintf("belief: update time %v precedes previous update %v", now, b.now))
-	}
-	nSends := 0
-	for nSends < len(b.pending) && b.pending[nSends].At <= now {
-		nSends++
-	}
-	sends := b.pending[:nSends]
-
+	sends := b.begin(now, acks)
 	ackBySeq := make(map[int64]time.Duration, len(acks))
 	for _, a := range acks {
 		ackBySeq[a.Seq] = a.ReceivedAt
 	}
 	soft := b.cfg.SoftSigma > 0
-	if soft {
-		if b.recent == nil {
-			b.recent = make(map[int64]time.Duration)
-		}
-		for _, a := range acks {
-			b.recent[a.Seq] = a.ReceivedAt
-		}
-		for seq, at := range b.recent {
-			if at < now-recentAckWindow {
-				delete(b.recent, seq)
-			}
-		}
-	}
 
 	var stats UpdateStats
 	var total float64
@@ -229,16 +166,14 @@ func (b *Particle) Update(now time.Duration, acks []packet.Ack) UpdateStats {
 		total += p.W
 	}
 	if !(total > 0) {
-		if b.cfg.Recover {
-			// Likelihood collapse: re-seed the population from the
-			// prior at the collapse instant (deterministic given the
-			// belief's own rng stream) instead of NaN-ing on the 0/0
-			// normalization below.
-			stats.Reseeded++
+		if b.collapse(&stats) {
+			// Re-seed the population from the prior at the collapse
+			// instant (deterministic given the belief's own rng stream)
+			// instead of NaN-ing on the 0/0 normalization below.
 			b.reseed(now)
-		} else if b.cfg.Relax {
-			// Keep the advanced particles with their previous weights.
-			stats.Relaxed++
+		} else {
+			// Relax: keep the advanced particles with their previous
+			// weights.
 			total = 0
 			for i := range b.particles {
 				b.particles[i].W = prevW[i]
@@ -247,11 +182,6 @@ func (b *Particle) Update(now time.Duration, acks []packet.Ack) UpdateStats {
 			for i := range b.particles {
 				b.particles[i].W /= total
 			}
-		} else {
-			// Invariant by configuration: the caller asserted the
-			// prior contains the truth. Real-network callers opt into
-			// Recover/Relax instead.
-			panic("belief: all particles rejected; increase particle count or widen the prior")
 		}
 	} else {
 		for i := range b.particles {
@@ -266,16 +196,9 @@ func (b *Particle) Update(now time.Duration, acks []packet.Ack) UpdateStats {
 		b.Resamples++
 	}
 
-	b.now = now
-	b.pending = append(b.pending[:0], b.pending[nSends:]...)
 	b.dirty = true
 	stats.N = len(b.Support())
-	b.Cum.Branches += stats.Branches
-	b.Cum.Rejected += stats.Rejected
-	b.Cum.Relaxed += stats.Relaxed
-	b.Cum.Reseeded += stats.Reseeded
-	b.Cum.N = stats.N
-	return stats
+	return b.end(now, len(sends), stats)
 }
 
 // advanceSampled advances one particle to `until`, drawing gate toggles

@@ -132,3 +132,23 @@ func TestRecoverBeatsRelax(t *testing.T) {
 		t.Fatalf("precedence wrong: reseeded=%d relaxed=%d", st.Reseeded, st.Relaxed)
 	}
 }
+
+// TestRestoreKinds: Restore rebuilds the kind a snapshot was taken of with
+// its counters, and refuses an empty prior with an error for either kind.
+func TestRestoreKinds(t *testing.T) {
+	cfg := Config{Recover: true}
+	for _, b := range []Belief{NewExact(tinyPrior(), cfg), NewParticle(tinyPrior(), 8, cfg, rand.New(rand.NewSource(1)))} {
+		b.Update(time.Second, impossibleAck(time.Second))
+		sn := b.Snapshot()
+		got, err := Restore(tinyPrior(), cfg, sn)
+		if err != nil {
+			t.Fatalf("%T: %v", b, err)
+		}
+		if got.Snapshot().Particle != sn.Particle || got.Now() != b.Now() || got.Lifetime() != b.Lifetime() || got.Lifetime().Reseeded != 1 {
+			t.Fatalf("%T restored as %T: now %v/%v, lifetime %+v/%+v", b, got, got.Now(), b.Now(), got.Lifetime(), b.Lifetime())
+		}
+		if _, err := Restore(nil, cfg, sn); err == nil {
+			t.Fatalf("%T: empty prior restored without an error", b)
+		}
+	}
+}

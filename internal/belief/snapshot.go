@@ -81,117 +81,60 @@ func (sn *Snapshot) validate() error {
 	return nil
 }
 
-// Snapshot captures the belief's full decision state. The returned
-// snapshot owns deep copies of every state; it stays valid across later
-// updates.
-func (b *Exact) Snapshot() Snapshot {
-	sn := Snapshot{Now: b.now, Cum: b.Cum}
-	sn.Hyps = make([]Hypothesis, len(b.hyps))
-	for i, h := range b.hyps {
-		sn.Hyps[i] = Hypothesis{S: h.S.Clone(), W: h.W}
+// snapshot captures the books with deep copies of hyps. The snapshot owns
+// every state it holds; it stays valid across later updates.
+func (b *books) snapshot(hyps []Hypothesis) Snapshot {
+	return Snapshot{
+		Now:     b.now,
+		Hyps:    cloneHyps(hyps),
+		Pending: append([]model.Send(nil), b.pending...),
+		Recent:  memosFromMap(b.recent),
+		Cum:     b.Cum,
 	}
-	if len(b.pending) > 0 {
-		sn.Pending = append([]model.Send(nil), b.pending...)
-	}
-	sn.Recent = memosFromMap(b.recent)
-	return sn
 }
 
-// RestoreExact rebuilds an Exact belief from a snapshot over the given
-// prior states (needed only when cfg.Recover re-seeds after a
-// collapse). The restored belief resumes bit-identically: the same
-// Update sequence yields the same posteriors as the original would
-// have. The snapshot's states are cloned; the caller may keep it.
-func RestoreExact(states []model.State, cfg Config, sn Snapshot) (*Exact, error) {
-	if sn.Particle {
-		return nil, errors.New("belief: particle snapshot cannot restore an exact belief")
+func cloneHyps(hyps []Hypothesis) []Hypothesis {
+	out := make([]Hypothesis, len(hyps))
+	for i, h := range hyps {
+		out[i] = Hypothesis{S: h.S.Clone(), W: h.W}
 	}
-	if err := sn.validate(); err != nil {
-		return nil, err
-	}
-	b := NewExact(states, cfg)
-	b.hyps = make([]Hypothesis, len(sn.Hyps))
-	for i, h := range sn.Hyps {
-		b.hyps[i] = Hypothesis{S: h.S.Clone(), W: h.W}
-	}
-	b.now = sn.Now
-	b.pending = append([]model.Send(nil), sn.Pending...)
-	for _, m := range sn.Recent {
-		b.recent[m.Seq] = m.At
-	}
-	b.Cum = sn.Cum
-	return b, nil
+	return out
 }
 
-// Snapshot captures the particle belief's full decision state,
-// including its private RNG stream position, so the restored filter's
-// future toggle draws and resampling offsets match the original's.
+// Snapshot implements Belief.
+func (b *Exact) Snapshot() Snapshot { return b.snapshot(b.hyps) }
+
+// Snapshot implements Belief: the raw particle population and the
+// private RNG stream position, so the restored filter's future toggle
+// draws and resampling offsets match the original's.
 func (b *Particle) Snapshot() Snapshot {
-	sn := Snapshot{
-		Particle:  true,
-		Now:       b.now,
-		Cum:       b.Cum,
-		RNG:       b.rng.State(),
-		Resamples: b.Resamples,
-	}
-	sn.Hyps = make([]Hypothesis, len(b.particles))
-	for i, p := range b.particles {
-		sn.Hyps[i] = Hypothesis{S: p.S.Clone(), W: p.W}
-	}
-	if len(b.pending) > 0 {
-		sn.Pending = append([]model.Send(nil), b.pending...)
-	}
-	sn.Recent = memosFromMap(b.recent)
+	sn := b.snapshot(b.particles)
+	sn.Particle, sn.RNG, sn.Resamples = true, b.rng.State(), b.Resamples
 	return sn
 }
 
-// RestoreParticle rebuilds a Particle belief from a snapshot over the
-// given prior states. Resumption is bit-identical: the RNG stream
-// continues from the snapshot's word.
-func RestoreParticle(states []model.State, cfg Config, sn Snapshot) (*Particle, error) {
-	if !sn.Particle {
-		return nil, errors.New("belief: exact snapshot cannot restore a particle belief")
-	}
+// Restore rebuilds the belief a snapshot was taken of — a Particle when
+// sn.Particle is set, an Exact otherwise — over the given prior states
+// (read only when cfg.Recover re-seeds after a collapse). The restored
+// belief resumes bit-identically: the same Update sequence yields the same
+// posteriors, and a particle filter's RNG stream continues from the
+// snapshot's word. The snapshot's states are cloned; the caller may keep
+// it.
+func Restore(states []model.State, cfg Config, sn Snapshot) (Belief, error) {
 	if len(states) == 0 {
 		return nil, errors.New("belief: empty prior")
 	}
 	if err := sn.validate(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
-	pool := cfg.Pool
-	if pool == nil {
-		pool = rollout.New(cfg.Workers)
+	bk := newBooks(states, cfg)
+	bk.now, bk.Cum = sn.Now, sn.Cum
+	bk.pending = append([]model.Send(nil), sn.Pending...)
+	for _, m := range sn.Recent {
+		bk.recent[m.Seq] = m.At
 	}
-	n := len(sn.Hyps)
-	b := &Particle{
-		cfg:       cfg,
-		rng:       rollout.RandFromState(sn.RNG),
-		particles: make([]Hypothesis, n),
-		now:       sn.Now,
-		dirty:     true,
-		pool:      pool,
-		lws:       make([]float64, n),
-		prevW:     make([]float64, n),
-		byKey:     make(map[uint64]int),
-		Resamples: sn.Resamples,
-		Cum:       sn.Cum,
+	if sn.Particle {
+		return newParticle(bk, cloneHyps(sn.Hyps), rollout.RandFromState(sn.RNG), sn.Resamples), nil
 	}
-	for i, h := range sn.Hyps {
-		b.particles[i] = Hypothesis{S: h.S.Clone(), W: h.W}
-	}
-	b.pending = append([]model.Send(nil), sn.Pending...)
-	if len(sn.Recent) > 0 {
-		b.recent = make(map[int64]time.Duration, len(sn.Recent))
-		for _, m := range sn.Recent {
-			b.recent[m.Seq] = m.At
-		}
-	}
-	if cfg.Recover {
-		b.prior = make([]model.State, len(states))
-		for i, s := range states {
-			b.prior[i] = s.Clone()
-		}
-	}
-	return b, nil
+	return newExact(bk, cloneHyps(sn.Hyps)), nil
 }

@@ -5,10 +5,11 @@
 // proxy stalls, and clock jumps.
 //
 // The same Config drives both worlds: an Injector plugged into
-// emu.Proxy perturbs real UDP datagrams on the wire, and an Element
-// (element.go) applies the identical decision stream to simulator
-// packets on the DES path, so a fault trace found in a wall-clock soak
-// run can be replayed bit-identically under the discrete-event clock.
+// emu.Proxy perturbs real UDP datagrams on the wire, and
+// experiments.RunChaos applies the identical decision stream to the
+// sends and acknowledgments of its DES run, so a fault trace found in a
+// wall-clock soak run can be replayed bit-identically under the
+// discrete-event clock.
 //
 // Determinism: every per-packet decision is drawn from a SplitMix64
 // stream advanced once per consultation, and every time-window fault

@@ -3,10 +3,6 @@ package chaos
 import (
 	"testing"
 	"time"
-
-	"modelcc/internal/elements"
-	"modelcc/internal/packet"
-	"modelcc/internal/sim"
 )
 
 func menu() Config {
@@ -131,46 +127,4 @@ func TestApplyCorrupt(t *testing.T) {
 			t.Fatalf("corruption changed %d bytes, want exactly 1", diff)
 		}
 	}
-}
-
-// TestElementReplay: the DES element produces a bit-identical delivery
-// schedule when replayed under the same seed.
-func TestElementReplay(t *testing.T) {
-	run := func() []time.Duration {
-		loop := sim.New(1)
-		var arrivals []time.Duration
-		sink := elements.NodeFunc(func(p packet.Packet) {
-			arrivals = append(arrivals, loop.Now())
-		})
-		el := NewElement(loop, New(menu()), sink)
-		for i := 0; i < 500; i++ {
-			at := time.Duration(i) * 10 * time.Millisecond
-			seq := int64(i)
-			loop.Schedule(at, func() {
-				el.Receive(packet.Packet{Flow: packet.FlowSelf, Seq: seq})
-			})
-		}
-		loop.RunAll()
-		return arrivals
-	}
-	a, b := run(), run()
-	if len(a) != len(b) {
-		t.Fatalf("replay delivered %d vs %d packets", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("replay diverges at delivery %d: %v vs %v", i, a[i], b[i])
-		}
-	}
-	if len(a) == 500 {
-		t.Fatal("chaos element dropped nothing under the full menu")
-	}
-	// Reordering must actually have happened at ReorderProb=0.1.
-	reordered := false
-	for i := 1; i < len(a); i++ {
-		if a[i] < a[i-1] {
-			t.Fatal("arrival times out of order in the capture itself")
-		}
-	}
-	_ = reordered
 }

@@ -69,6 +69,23 @@ func TestChaosExercisesRecovery(t *testing.T) {
 	}
 }
 
+// TestChaosParticleCounters: a particle filter's lifetime counters reach
+// the result like the exact belief's — branches weighed and collapses
+// reseeded, read through belief.Belief rather than from one concrete kind.
+func TestChaosParticleCounters(t *testing.T) {
+	base := chaosBase(40 * time.Second)
+	base.UseParticle, base.Particles = true, 64
+	res := RunChaos(ChaosConfig{Base: base, Faults: chaosMenu()})
+	if res.UpdateCum.Branches == 0 || res.Reseeded == 0 {
+		t.Fatalf("particle run reports branches=%d reseeded=%d over %d wakes, want both > 0",
+			res.UpdateCum.Branches, res.Reseeded, res.Wakes)
+	}
+	if res.Reseeded != res.UpdateCum.Reseeded {
+		t.Fatalf("Reseeded %d differs from UpdateCum.Reseeded %d", res.Reseeded, res.UpdateCum.Reseeded)
+	}
+	t.Logf("branches=%d rejected=%d reseeded=%d wakes=%d", res.UpdateCum.Branches, res.UpdateCum.Rejected, res.Reseeded, res.Wakes)
+}
+
 // TestChaosCleanMatchesISender: with no faults enabled, RunChaos is the
 // plain experiment — same counters as RunISender on the same config.
 func TestChaosCleanMatchesISender(t *testing.T) {

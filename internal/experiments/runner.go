@@ -218,8 +218,6 @@ func runSolo(cfg ISenderConfig, tap *faultTap) ISenderResult {
 	if cfg.Duration > 0 {
 		res.OwnThroughput = units.BitRate(float64(res.Acked) * float64(cfg.Actual.PktBits()) / cfg.Duration.Seconds())
 	}
-	if ex, ok := b.(*belief.Exact); ok {
-		res.UpdateCum = ex.Cum
-	}
+	res.UpdateCum = b.Lifetime()
 	return res
 }

@@ -113,11 +113,7 @@ func Capture(m *fleet.Member, priorHash uint64) (*Checkpoint, error) {
 		Utility:   m.Utility,
 		Injected:  m.Injected,
 	}
-	b, ok := m.Sender.Belief.(interface{ Snapshot() belief.Snapshot })
-	if !ok {
-		return nil, fmt.Errorf("lifecycle: belief kind %T is not checkpointable", m.Sender.Belief)
-	}
-	c.Belief = b.Snapshot()
+	c.Belief = m.Sender.Belief.Snapshot()
 	c.At = c.Belief.Now
 	if g := m.Sender.Guard; g != nil {
 		c.LastSafeDelta, c.HaveSafe = g.LastSafe()
@@ -150,15 +146,7 @@ func RestoreSender(host MemberHost, c *Checkpoint, priorHash uint64) (*core.Send
 	if c.PriorHash != priorHash {
 		return nil, fmt.Errorf("lifecycle: checkpoint bound to prior %016x, host resolves to %016x (model or quanta mismatch)", c.PriorHash, priorHash)
 	}
-	var (
-		b   belief.Belief
-		err error
-	)
-	if c.Belief.Particle {
-		b, err = belief.RestoreParticle(host.PriorStates(), host.MemberBeliefConfig(), c.Belief)
-	} else {
-		b, err = belief.RestoreExact(host.PriorStates(), host.MemberBeliefConfig(), c.Belief)
-	}
+	b, err := belief.Restore(host.PriorStates(), host.MemberBeliefConfig(), c.Belief)
 	if err != nil {
 		return nil, err
 	}

@@ -7,7 +7,6 @@ import (
 	"hash/fnv"
 	"time"
 
-	"modelcc/internal/belief"
 	"modelcc/internal/chaos"
 	"modelcc/internal/fleet"
 	"modelcc/internal/packet"
@@ -253,15 +252,7 @@ type Stats struct {
 
 // BeliefReseeds reads the belief's lifetime re-seed count, the
 // "posterior keeps collapsing" health signal.
-func BeliefReseeds(m *fleet.Member) int {
-	switch b := m.Sender.Belief.(type) {
-	case *belief.Exact:
-		return b.Cum.Reseeded
-	case *belief.Particle:
-		return b.Cum.Reseeded
-	}
-	return 0
-}
+func BeliefReseeds(m *fleet.Member) int { return m.Sender.Belief.Lifetime().Reseeded }
 
 // Supervisor is the Controller on the single loop: a health sweep every
 // Interval, a whole-fleet checkpoint every CheckpointEvery and, with

@@ -34,7 +34,7 @@ import (
 // The cache is also the offline policy compiler's capture point: set
 // OnStore to observe every fingerprint → decision pair a run computes
 // (internal/policy replays fleet runs with this hook to build its
-// persistent tables), or call Snapshot for the resident entries.
+// persistent tables).
 type PolicyCache struct {
 	entries map[uint64]cachedDecision
 	// ring holds the resident fingerprints in insertion order; hand is
@@ -87,8 +87,13 @@ type cachedDecision struct {
 	gain    float64
 }
 
-// Entry is one fingerprint → action pair, the unit the offline policy
-// compiler (internal/policy) extracts from a cache.
+// entry is the resident decision under fingerprint fp.
+func (cd cachedDecision) entry(fp uint64) Entry {
+	return Entry{FP: fp, Verify: cd.verify, SendNow: cd.sendNow, Delta: cd.delta, Gain: cd.gain}
+}
+
+// Entry is one fingerprint → action pair: what a cache stores, and the
+// record the offline policy compiler (internal/policy) writes to a table.
 type Entry struct {
 	// FP is the primary fingerprint; Verify is the independently seeded
 	// verification hash over the same words.
@@ -98,6 +103,12 @@ type Entry struct {
 	SendNow bool
 	Delta   time.Duration
 	Gain    float64
+}
+
+// Decision rebases the entry's action onto a belief of support
+// hypotheses at now.
+func (e Entry) Decision(now time.Duration, support int) Decision {
+	return Decision{SendNow: e.SendNow, WakeAt: now + e.Delta, Gain: e.Gain, Support: support}
 }
 
 // NewPolicyCache returns an empty cache bounded to maxEntries (<= 0
@@ -142,7 +153,7 @@ func (pc *PolicyCache) probe(w *Wake, pending []model.Send) (d Decision, fp, ver
 		cd.used = true
 		pc.entries[fp] = cd
 	}
-	return Decision{SendNow: cd.sendNow, WakeAt: w.now + cd.delta, Gain: cd.gain, Support: len(w.sup)}, fp, ver, true
+	return cd.entry(fp).Decision(w.now, len(w.sup)), fp, ver, true
 }
 
 // Decide is a caching wrapper around Wake.Decide: on a fingerprint hit it
@@ -229,18 +240,8 @@ func (pc *PolicyCache) insert(fp uint64, cd cachedDecision) {
 
 func (pc *PolicyCache) notify(fp uint64, cd cachedDecision) {
 	if pc.OnStore != nil {
-		pc.OnStore(Entry{FP: fp, Verify: cd.verify, SendNow: cd.sendNow, Delta: cd.delta, Gain: cd.gain})
+		pc.OnStore(cd.entry(fp))
 	}
-}
-
-// Snapshot returns the resident entries. Order is unspecified (callers
-// that need determinism sort by FP, as the policy compiler does).
-func (pc *PolicyCache) Snapshot() []Entry {
-	out := make([]Entry, 0, len(pc.entries))
-	for fp, cd := range pc.entries {
-		out = append(out, Entry{FP: fp, Verify: cd.verify, SendNow: cd.sendNow, Delta: cd.delta, Gain: cd.gain})
-	}
-	return out
 }
 
 // Fingerprint hashes the support and pending sends with all times

@@ -303,10 +303,10 @@ func TestPolicyCacheCollisionDetected(t *testing.T) {
 	}
 }
 
-// TestPolicyCacheSnapshotRoundTrips: Snapshot exposes exactly the
-// resident entries with their verify hashes (the policy compiler's
-// capture path), and OnStore observes every store.
-func TestPolicyCacheSnapshotRoundTrips(t *testing.T) {
+// TestPolicyCacheOnStoreRoundTrips: OnStore observes every store with its
+// verification hash (the policy compiler's capture path), and each observed
+// entry, rebased, is what the cache serves for its belief.
+func TestPolicyCacheOnStoreRoundTrips(t *testing.T) {
 	pc := NewPolicyCache(0)
 	var observed []Entry
 	pc.OnStore = func(e Entry) { observed = append(observed, e) }
@@ -314,18 +314,15 @@ func TestPolicyCacheSnapshotRoundTrips(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		pc.Store(distinctSupport(i), nil, now, Decision{WakeAt: now + time.Duration(i+1)*50*time.Millisecond, Gain: float64(i)})
 	}
-	snap := pc.Snapshot()
-	if len(snap) != 3 || len(observed) != 3 {
-		t.Fatalf("snapshot=%d observed=%d, want 3/3", len(snap), len(observed))
+	if pc.Len() != 3 || len(observed) != 3 {
+		t.Fatalf("resident=%d observed=%d, want 3/3", pc.Len(), len(observed))
 	}
-	byFP := map[uint64]Entry{}
-	for _, e := range snap {
-		byFP[e.FP] = e
-	}
-	for _, o := range observed {
-		s, ok := byFP[o.FP]
-		if !ok || s != o {
-			t.Fatalf("observed entry %+v not in snapshot (%+v)", o, s)
+	for i, o := range observed {
+		sup := distinctSupport(i)
+		fp, ver := Fingerprint(sup, nil, now, 0, 1e-6)
+		d, ok := pc.Lookup(NewWake(sup, now), nil)
+		if o.FP != fp || o.Verify != ver || !ok || d != o.Decision(now, len(sup)) {
+			t.Fatalf("observed entry %+v does not round-trip: fp %016x/%016x served %+v (ok=%v)", o, fp, ver, d, ok)
 		}
 	}
 }

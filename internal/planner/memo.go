@@ -362,15 +362,14 @@ type decideArena struct {
 	from []int32
 	// fresh lists the hypotheses whose gains this call produces; of them
 	// roll are swept under the call's plan and, in a burst's later
-	// decision (see Decide), plain likewise but with the gate's refusal
-	// already known, and bare under the burst's first plan — keyed
+	// decision (see Decide), bare under the burst's first plan — keyed
 	// bkeys[i], into their rows of bgains. recs holds, per hypothesis, the
 	// twin record of its last sweep.
-	fresh, roll, bare, plain []int32
-	bkeys                    []memoKey
-	bgains                   []float64
-	recs                     twinRecords
-	memo                     rolloutMemo
+	fresh, roll, bare []int32
+	bkeys             []memoKey
+	bgains            []float64
+	recs              twinRecords
+	memo              rolloutMemo
 
 	// The pass in flight, as sweep reads it on the pool's workers: the
 	// hypotheses to sweep, the sends committed, and where the gains go.
@@ -380,11 +379,10 @@ type decideArena struct {
 	seq        int64
 	util       utility.Config
 	candidates int
-	// twins: the call passes twinGate's call-level half, and the pass in
-	// flight has not been refused by the rest already; drains: the call
-	// passes that half, whatever the pass.
-	twins, drains bool
-	sweepFn       func(*rollout.Scratch, int) // ar.sweep, bound once
+	// twins: the call passes the call-level half of twinGate and
+	// drainGate, so a sweep asks each hypothesis the rest.
+	twins   bool
+	sweepFn func(*rollout.Scratch, int) // ar.sweep, bound once
 }
 
 func arenaOf(p *rollout.Pool) *decideArena {

@@ -374,9 +374,9 @@ func (w *Wake) Decide(pending []model.Send, seq int64, cfg Config) Decision {
 	// earlier hypothesis of this call has shares its vector, a later
 	// decision of a burst whose first left its twin record in the memo is
 	// derived from it, and only the rest are swept: under the burst's first
-	// plan (bare) where the record is wanted and missing, under the call's
-	// own otherwise — plain, the gate not asked again, where it has just
-	// refused.
+	// plan (bare) where the record is wanted and missing and the gate takes
+	// the hypothesis, under the call's own otherwise (roll; where the gate
+	// has just refused, the sweep asks it again and is refused again).
 	plan := planKey(pending, now, cfg)
 	var firstPlan memoKey
 	if derives {
@@ -385,7 +385,7 @@ func (w *Wake) Decide(pending []model.Send, seq int64, cfg Config) Decision {
 	}
 	ar.keys = slices.Grow(ar.keys[:0], n)[:n]
 	ar.from = slices.Grow(ar.from[:0], n)[:n]
-	keys, from, fresh, roll, bare, plain := ar.keys, ar.from, ar.fresh[:0], ar.roll[:0], ar.bare[:0], ar.plain[:0]
+	keys, from, fresh, roll, bare := ar.keys, ar.from, ar.fresh[:0], ar.roll[:0], ar.bare[:0]
 	for i, hyp := range ar.hkeys {
 		keys[i] = hyp.under(plan)
 		from[i] = -1
@@ -416,25 +416,19 @@ func (w *Wake) Decide(pending []model.Send, seq int64, cfg Config) Decision {
 			} else if twinGate(&hyps[i].S, pending, horizonEnd) {
 				bare = append(bare, int32(i))
 				continue
-			} else {
-				plain = append(plain, int32(i))
-				continue
 			}
 		}
 		roll = append(roll, int32(i))
 	}
 
-	ar.now, ar.seq, ar.util, ar.candidates, ar.drains = now, seq, cfg.Util, candidates, twins
-	if len(plain) > 0 {
-		ar.run(pool, plain, pending, gains, false)
-	}
+	ar.now, ar.seq, ar.util, ar.candidates, ar.twins = now, seq, cfg.Util, candidates, twins
 	if len(bare) > 0 {
 		// The burst's first decision, swept on behalf of this one: vector
 		// and record go into the memo under its key, this decision's vector
 		// is derived from the record if it reaches this deep, and if not the
 		// hypothesis is swept under the call's own plan with the rest.
 		ar.bgains = slices.Grow(ar.bgains[:0], width*candidates)[:n*candidates]
-		ar.run(pool, bare, first, ar.bgains, true)
+		ar.run(pool, bare, first, ar.bgains)
 		for _, i := range bare {
 			rec := ar.recs.at(int(i), candidates)
 			ar.memo.store(ar.bkeys[i], ar.bgains[int(i)*candidates:(int(i)+1)*candidates])
@@ -447,8 +441,8 @@ func (w *Wake) Decide(pending []model.Send, seq int64, cfg Config) Decision {
 			}
 		}
 	}
-	ar.run(pool, roll, pending, gains, twins)
-	ar.fresh, ar.roll, ar.bare, ar.plain = fresh, roll, bare, plain
+	ar.run(pool, roll, pending, gains)
+	ar.fresh, ar.roll, ar.bare = fresh, roll, bare
 
 	// Shares and stores, again in index order on this goroutine. Only a
 	// burst's first decision leaves twin records.
@@ -469,11 +463,10 @@ func (w *Wake) Decide(pending []model.Send, seq int64, cfg Config) Decision {
 }
 
 // run sweeps the hypotheses listed in roll on the pool, with pending
-// committed, each into its row of out — twins says whether a sweep may
-// ask twinGate at all — and collects the workers' lane counts, summed in
-// worker order on this goroutine.
-func (ar *decideArena) run(pool *rollout.Pool, roll []int32, pending []model.Send, out []float64, twins bool) {
-	ar.roll, ar.pending, ar.out, ar.twins = roll, pending, out, twins
+// committed, each into its row of out, and collects the workers' lane
+// counts, summed in worker order on this goroutine.
+func (ar *decideArena) run(pool *rollout.Pool, roll []int32, pending []model.Send, out []float64) {
+	ar.roll, ar.pending, ar.out = roll, pending, out
 	pool.Run(len(roll), ar.sweepFn)
 	for w := 0; w < pool.Workers(); w++ {
 		if ds, ok := pool.Scratch(w).Aux.(*decideScratch); ok {
@@ -568,7 +561,7 @@ func (ar *decideArena) sweep(s *rollout.Scratch, r int) {
 	h.S.CloneInto(base)
 	horizon := stops[len(stops)-1]
 	twin := ar.twins && twinGate(&h.S, pending, horizon)
-	if !twin && ar.drains && drainGate(&h.S, horizon) {
+	if !twin && ar.twins && drainGate(&h.S, horizon) {
 		// Drained: every pending send is due by now.
 		base.Run(ar.now, pending, nil)
 		base.DrainedGains(stops[:candidates], gains, ar.now, horizon, 1-h.S.P.LossProb, float64(ar.util.Kappa))

@@ -91,7 +91,7 @@ func Compile(cfg CompileConfig) (Header, []Record, CompileStats, error) {
 				}
 				return
 			}
-			seen[e.FP] = Record{FP: e.FP, Verify: e.Verify, SendNow: e.SendNow, Delta: e.Delta, Gain: e.Gain}
+			seen[e.FP] = e
 		})
 		fl.Run(cfg.Duration)
 		stats.Runs++

@@ -50,6 +50,7 @@ import (
 	"time"
 
 	"modelcc/internal/model"
+	"modelcc/internal/planner"
 )
 
 // Version is the table format version this package reads and writes.
@@ -126,15 +127,9 @@ func (h Header) compatible(o Header) error {
 	return nil
 }
 
-// Record is one compiled fingerprint → action pair. Delta is
-// WakeAt − now at the decision instant (rebased onto the probe's now at
-// serve time), mirroring planner.Entry.
-type Record struct {
-	FP, Verify uint64
-	SendNow    bool
-	Delta      time.Duration
-	Gain       float64
-}
+// Record is one compiled fingerprint → action pair: the planner's cache
+// entry, stored as it was observed.
+type Record = planner.Entry
 
 // HashPrior hashes a resolved model prior together with the
 // fingerprint quanta: the identity a compiled table records so it is

@@ -52,12 +52,7 @@ func (s *Server) Probe(sup []belief.Hypothesis, pending []model.Send, now time.D
 		return planner.Decision{}, false
 	}
 	s.hits.Add(1)
-	return planner.Decision{
-		SendNow: r.SendNow,
-		WakeAt:  now + r.Delta,
-		Gain:    r.Gain,
-		Support: len(sup),
-	}, true
+	return r.Decision(now, len(sup)), true
 }
 
 // RecordMiss implements planner.CompiledPolicy: the live decision that

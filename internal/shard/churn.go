@@ -9,6 +9,7 @@ import (
 	"modelcc/internal/fleet"
 	"modelcc/internal/lifecycle"
 	"modelcc/internal/packet"
+	"modelcc/internal/units"
 )
 
 // Barrier-aligned lifecycle: the sharded runtime's clock for the one
@@ -23,39 +24,26 @@ import (
 // driven purely by virtual time, so the restart rung chosen is itself
 // K-invariant.
 
-// pending is a deferred restart or crash-kill, due at at.
-type pending struct {
-	at   time.Duration
-	flow packet.FlowID
+// due is one queued coordinator action: a churn kill or restart of flow
+// key, a fault kill of virtual shard key, or a stall of it lasting dur.
+type due struct {
+	at, dur time.Duration
+	key     int
 }
 
-type churnState struct {
-	interval, epoch       time.Duration
-	nextHealth, nextEpoch time.Duration
-	kills, restarts       []pending
-}
+// dueQueue holds actions that run at the first barrier at or after their
+// instant, in (at, key) order.
+type dueQueue []due
 
-// nextDue reports the earliest lifecycle instant, bounding the
-// coordinator's idle skip so no barrier with due work is jumped over.
-func (c *churnState) nextDue() (time.Duration, bool) {
-	best := min(c.nextEpoch, c.nextHealth)
-	for _, q := range [2][]pending{c.kills, c.restarts} {
-		for _, p := range q {
-			best = min(best, p.at)
-		}
-	}
-	return best, true
-}
-
-// take removes the actions due by b from q and returns them in (at,
-// flow) order.
-func take(q *[]pending, b time.Duration) []pending {
+// take removes the actions due by barrier b and returns them in (at, key)
+// order.
+func (q *dueQueue) take(b time.Duration) []due {
 	s := *q
 	sort.Slice(s, func(i, j int) bool {
 		if s[i].at != s[j].at {
 			return s[i].at < s[j].at
 		}
-		return s[i].flow < s[j].flow
+		return s[i].key < s[j].key
 	})
 	n := 0
 	for n < len(s) && s[n].at <= b {
@@ -63,6 +51,27 @@ func take(q *[]pending, b time.Duration) []pending {
 	}
 	*q = s[n:]
 	return s[:n:n]
+}
+
+// earliest reports the first queued instant (units.Forever when empty).
+func (q dueQueue) earliest() time.Duration {
+	t := units.Forever
+	for _, d := range q {
+		t = min(t, d.at)
+	}
+	return t
+}
+
+type churnState struct {
+	interval, epoch       time.Duration
+	nextHealth, nextEpoch time.Duration
+	kills, restarts       dueQueue
+}
+
+// nextDue reports the earliest lifecycle instant, bounding the
+// coordinator's idle skip so no barrier with due work is jumped over.
+func (c *churnState) nextDue() time.Duration {
+	return min(c.nextEpoch, c.nextHealth, c.kills.earliest(), c.restarts.earliest())
 }
 
 // EnableChurn arms the barrier-aligned churn lifecycle: the health
@@ -81,11 +90,11 @@ func (sf *Fleet) EnableChurn(cc lifecycle.ChurnConfig, sup lifecycle.SupervisorC
 // the epoch draws.
 func (sf *Fleet) lifecycleBarrier() {
 	c, b := sf.churn, sf.now
-	for _, k := range take(&c.kills, b) {
-		sf.Kill(k.flow)
+	for _, k := range c.kills.take(b) {
+		sf.Kill(packet.FlowID(k.key))
 	}
-	for _, r := range take(&c.restarts, b) {
-		sf.Restart(r.flow)
+	for _, r := range c.restarts.take(b) {
+		sf.Restart(packet.FlowID(r.key))
 	}
 	if b >= c.nextHealth {
 		sf.Health()
@@ -116,11 +125,11 @@ func (sf *Fleet) Attach(flow packet.FlowID, snd *core.Sender, offset time.Durati
 // the drain wait guarantees nothing of the predecessor is in flight when
 // the successor attaches.
 func (sf *Fleet) DeferRestart(flow packet.FlowID, after time.Duration) {
-	sf.churn.restarts = append(sf.churn.restarts, pending{sf.now + after, flow})
+	sf.churn.restarts = append(sf.churn.restarts, due{at: sf.now + after, key: int(flow)})
 }
 
 func (sf *Fleet) DeferKill(flow packet.FlowID, after time.Duration) {
-	sf.churn.kills = append(sf.churn.kills, pending{sf.now + after, flow})
+	sf.churn.kills = append(sf.churn.kills, due{at: sf.now + after, key: int(flow)})
 }
 
 // ReplayHash digests per-flow delivery totals, drops and the lifecycle

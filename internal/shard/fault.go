@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"sort"
 	"time"
 
 	"modelcc/internal/chaos"
@@ -148,23 +147,12 @@ type ckptState struct {
 	round    int
 }
 
-type groupKill struct {
-	at    time.Duration
-	group int
-}
-
-type groupStall struct {
-	at    time.Duration
-	dur   time.Duration
-	group int
-}
-
 type faultState struct {
 	cfg       FaultConfig
 	src       *chaos.Source
 	nextEpoch time.Duration
-	kills     []groupKill
-	stallq    []groupStall
+	kills     dueQueue
+	stallq    dueQueue
 	stalled   [VirtualShards]bool
 	until     [VirtualShards]time.Duration
 }
@@ -223,24 +211,14 @@ func (sf *Fleet) EnableWatchdog(wc WatchdogConfig) {
 // until EnableCheckpoints).
 func (sf *Fleet) PriorHash() uint64 { return sf.priorHash }
 
-func (f *faultState) nextDue() (time.Duration, bool) {
-	best := f.nextEpoch
-	for _, k := range f.kills {
-		if k.at < best {
-			best = k.at
-		}
-	}
-	for _, s := range f.stallq {
-		if s.at < best {
-			best = s.at
-		}
-	}
+func (f *faultState) nextDue() time.Duration {
+	best := min(f.nextEpoch, f.kills.earliest(), f.stallq.earliest())
 	for v := 0; v < VirtualShards; v++ {
-		if f.stalled[v] && f.until[v] < best {
-			best = f.until[v]
+		if f.stalled[v] {
+			best = min(best, f.until[v])
 		}
 	}
-	return best, true
+	return best
 }
 
 // checkpointSweep checkpoints one virtual shard's resident members per
@@ -276,7 +254,7 @@ func (sf *Fleet) faultBarrier() {
 			case u < f.cfg.KillProb:
 				frac := f.src.Float64()
 				at := f.nextEpoch + time.Duration(frac*float64(f.cfg.Epoch))
-				f.kills = append(f.kills, groupKill{at: at, group: v})
+				f.kills = append(f.kills, due{at: at, key: v})
 			case u < f.cfg.KillProb+f.cfg.StallProb:
 				fa := f.src.Float64()
 				fd := f.src.Float64()
@@ -285,7 +263,7 @@ func (sf *Fleet) faultBarrier() {
 				if dur < sf.Delta {
 					dur = sf.Delta
 				}
-				f.stallq = append(f.stallq, groupStall{at: at, dur: dur, group: v})
+				f.stallq = append(f.stallq, due{at: at, dur: dur, key: v})
 			}
 		}
 		f.nextEpoch += f.cfg.Epoch
@@ -300,49 +278,17 @@ func (sf *Fleet) faultBarrier() {
 		}
 	}
 
-	// Due stall starts, in (at, group) order.
-	if len(f.stallq) > 0 {
-		sort.Slice(f.stallq, func(i, j int) bool {
-			if f.stallq[i].at != f.stallq[j].at {
-				return f.stallq[i].at < f.stallq[j].at
-			}
-			return f.stallq[i].group < f.stallq[j].group
-		})
-		rest := f.stallq[:0]
-		for _, s := range f.stallq {
-			if s.at > b {
-				rest = append(rest, s)
-				continue
-			}
-			if end := s.at + s.dur; end > f.until[s.group] {
-				f.until[s.group] = end
-			}
-			if !f.stalled[s.group] {
-				f.stalled[s.group] = true
-				sf.Failover.Stalls++
-			}
+	// Due stall starts, then due kills (each a whole-class failover), in
+	// (at, group) order.
+	for _, st := range f.stallq.take(b) {
+		f.until[st.key] = max(f.until[st.key], st.at+st.dur)
+		if !f.stalled[st.key] {
+			f.stalled[st.key] = true
+			sf.Failover.Stalls++
 		}
-		f.stallq = rest
 	}
-
-	// Due kills, in (at, group) order; each kill is a whole-class
-	// failover.
-	if len(f.kills) > 0 {
-		sort.Slice(f.kills, func(i, j int) bool {
-			if f.kills[i].at != f.kills[j].at {
-				return f.kills[i].at < f.kills[j].at
-			}
-			return f.kills[i].group < f.kills[j].group
-		})
-		rest := f.kills[:0]
-		for _, k := range f.kills {
-			if k.at > b {
-				rest = append(rest, k)
-				continue
-			}
-			sf.failoverGroup(k.group)
-		}
-		f.kills = rest
+	for _, k := range f.kills.take(b) {
+		sf.failoverGroup(k.key)
 	}
 
 	// Re-assert degradation on stalled classes last, so members

@@ -345,7 +345,7 @@ func (sf *Fleet) nextAnything(limit time.Duration) (time.Duration, bool) {
 		best, ok = t, true
 	}
 	if sf.churn != nil {
-		if t, has := sf.churn.nextDue(); has && t < best {
+		if t := sf.churn.nextDue(); t < best {
 			best, ok = t, true
 		}
 	}
@@ -353,7 +353,7 @@ func (sf *Fleet) nextAnything(limit time.Duration) (time.Duration, bool) {
 		best, ok = sf.ckpt.next, true
 	}
 	if sf.fault != nil {
-		if t, has := sf.fault.nextDue(); has && t < best {
+		if t := sf.fault.nextDue(); t < best {
 			best, ok = t, true
 		}
 	}
