@@ -167,9 +167,9 @@ func BenchmarkCoexistence(b *testing.B) {
 //     from the rollout memo — this times keying and memo look-ups, not
 //     rollouts;
 //   - rolled: the same support with a pending send whose size changes every
-//     iteration, so every key is new and every hypothesis is swept — the
-//     lagged-twin gate refuses all of them (cross ≤ 0.7 c), so this is the
-//     plain lockstep sweep;
+//     iteration, so every key is new and every hypothesis is swept — on
+//     links that idle (cross ≤ 0.7 c), where most lagged twins close as the
+//     baseline's idle time absorbs them;
 //   - saturated: a support shaped like a 256-sender fleet member's
 //     (saturatedSupport) on the fleet's grid, keys new every iteration —
 //     the sweep that closes most candidates as lagged twins;

@@ -178,12 +178,12 @@
 // and closes its gain at the horizon from the baseline's running value,
 // while the baseline's accumulator watches the theorem's premises
 // (model.Accum.Watch) and the first stop that breaks one turns every
-// deferred lane back into a simulated one, bit for bit. planner.twinGate
-// turns the mode on per hypothesis from sizes and relative times; the
-// paper's Figure 3 hypotheses are all refused and swept as before. The
-// closed gains differ from simulated ones by a summation order, far
-// under the planner's tie band, so decisions, digests and tables do not
-// move; planner.MemoStats counts lanes closed and lanes deferred then
+// deferred lane back into a simulated one, bit for bit. Where the link
+// idles, as on the paper's Figure 3, the baseline's idle time absorbs the
+// lag (the corollary, fuzzed by FuzzAbsorbedTwin; model.Lag). The closed
+// gains differ from simulated ones by a summation order, far under the
+// planner's tie band, so decisions, digests and tables do not move;
+// planner.MemoStats counts lanes closed and lanes deferred then
 // simulated.
 //
 // The decisions a wake makes after its first (core.Sender.Wake decides,

@@ -31,7 +31,7 @@ type Exact struct {
 	// output; lws holds one likelihood per branch.
 	offs    []int32
 	lws     []float64
-	byKey   map[uint64]int
+	byKey   keyIndex
 	segAcks map[int64]time.Duration
 	// seg is what advance reads of the running segment; advance is the
 	// method value handed to the pool, bound once.
@@ -56,7 +56,7 @@ func NewExact(states []model.State, cfg Config) *Exact {
 }
 
 func newExact(bk books, hyps []Hypothesis) *Exact {
-	b := &Exact{books: bk, hyps: hyps, byKey: make(map[uint64]int), segAcks: make(map[int64]time.Duration)}
+	b := &Exact{books: bk, hyps: hyps, segAcks: make(map[int64]time.Duration)}
 	b.advance = b.advanceOne
 	return b
 }
@@ -223,7 +223,7 @@ func (b *Exact) Update(now time.Duration, acks []packet.Ack) UpdateStats {
 		for j := range out {
 			out[j].W /= sum
 		}
-		out, merged := compactInto(out, b.byKey)
+		out, merged := compactInto(out, &b.byKey)
 		stats.Merged += merged
 		out, floored := floorAndCap(out, b.cfg.MinWeight, b.cfg.MaxHyps)
 		stats.Floored += floored
@@ -249,9 +249,9 @@ func (b *Exact) Update(now time.Duration, acks []packet.Ack) UpdateStats {
 // summing their weights — the paper's "compacted back into one state"
 // (§3.2). It reports how many hypotheses were absorbed. Keys are the
 // allocation-free Hash64 over the canonical encoding rather than the
-// string Key; byKey is a caller-owned (reused) index map.
-func compactInto(hyps []Hypothesis, byKey map[uint64]int) ([]Hypothesis, int) {
-	clear(byKey)
+// string Key; ix is the caller's reused index.
+func compactInto(hyps []Hypothesis, ix *keyIndex) ([]Hypothesis, int) {
+	byKey := ix.reset(len(hyps))
 	out := hyps[:0]
 	for j := range hyps {
 		k := hyps[j].S.Hash64()
@@ -264,6 +264,23 @@ func compactInto(hyps []Hypothesis, byKey map[uint64]int) ([]Hypothesis, int) {
 		move(&out[len(out)-1], &hyps[j])
 	}
 	return out, len(hyps) - len(out)
+}
+
+// keyIndex is compactInto's reused index map. Clearing a map costs the
+// widest support it has held, so reset makes it afresh once the support
+// is below half of that: O(live support), and no allocation at a steady one.
+type keyIndex struct {
+	m    map[uint64]int
+	peak int
+}
+
+func (ix *keyIndex) reset(n int) map[uint64]int {
+	if ix.m == nil || 2*n < ix.peak {
+		ix.m, ix.peak = make(map[uint64]int, n), 0
+	}
+	clear(ix.m)
+	ix.peak = max(ix.peak, n)
+	return ix.m
 }
 
 // floorAndCap drops hypotheses below minW, keeps at most maxN of the

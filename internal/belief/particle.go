@@ -32,7 +32,7 @@ type Particle struct {
 	// lws/prevW are reused per-index result slots.
 	lws   []float64
 	prevW []float64
-	byKey map[uint64]int
+	byKey keyIndex
 
 	// Resamples counts resampling rounds, for instrumentation.
 	Resamples int
@@ -81,7 +81,6 @@ func newParticle(bk books, ps []Hypothesis, rng rollout.Rand, resamples int) *Pa
 		dirty:     true,
 		lws:       make([]float64, n),
 		prevW:     make([]float64, n),
-		byKey:     make(map[uint64]int),
 		Resamples: resamples,
 	}
 }
@@ -113,7 +112,7 @@ func (b *Particle) NumParticles() int { return len(b.particles) }
 func (b *Particle) Support() []Hypothesis {
 	if b.dirty {
 		cp := append(b.compacted[:0], b.particles...)
-		cp, _ = compactInto(cp, b.byKey)
+		cp, _ = compactInto(cp, &b.byKey)
 		b.compacted = cp
 		b.dirty = false
 	}

@@ -3,6 +3,8 @@ package model
 import (
 	"math"
 	"time"
+
+	"modelcc/internal/units"
 )
 
 // Accum is the discounted sum a rollout's deliveries fold into: the one
@@ -27,10 +29,10 @@ import (
 // A baseline's accumulator can also carry the lagged-twin watch (Watch):
 // RunAccum then notes in it the facts about a stretch that only the
 // advance loop sees and that decide whether packets admitted behind the
-// backlog stay a pure lag (see State.BacklogDone for the theorem) — did
-// the link idle, and how many extra packets deep a twin would still have
-// had room for every arrival — and sums the service times of what it
-// queues, which is how far BacklogDone moved.
+// backlog stay a pure lag (see State.BacklogDone for the theorem) — each
+// gap the link idled through, and how many extra packets deep a twin would
+// still have had room for every arrival — and sums the service times of
+// what it queues, which is how far BacklogDone moved.
 type Accum struct {
 	alpha, survive, penalty float64
 	t0                      time.Duration
@@ -43,13 +45,22 @@ type Accum struct {
 	// The lagged-twin watch: twinBits > 0 arms it. level is the deepest
 	// twin, in extra packets, that every arrival queued this stretch left
 	// room for, top what a stretch starts from; queued sums the service
-	// times of those arrivals.
+	// times of those arrivals; gaps is the gap log.
 	twinBits int64
 	twinLag  time.Duration
 	queued   time.Duration
-	idled    bool
 	level    uint8
 	top      uint8
+	gaps     *[]Gap
+}
+
+// Gap is one idle stretch of a watched link (Watch): it ran dry at Dry,
+// with the running segment at Value (what Pending read there, and all
+// through the gap), and the arrival at End refilled it (units.Forever:
+// none has yet).
+type Gap struct {
+	Dry, End time.Duration
+	Value    float64
 }
 
 // Reset points the accumulator at a new rollout: deliveries are valued
@@ -65,7 +76,7 @@ func (a *Accum) Reset(alpha, survive, penalty float64, t0, kappa time.Duration, 
 	// (TestAccumResetLeavesNothing holds this list to the struct's).
 	a.alpha, a.survive, a.penalty, a.t0, a.steps = alpha, survive, penalty, t0, steps
 	a.lastTau, a.lastD, a.seg = 0, 1, 0
-	a.twinBits, a.twinLag, a.queued, a.idled, a.level, a.top = 0, 0, 0, false, 0, 0
+	a.twinBits, a.twinLag, a.queued, a.level, a.top, a.gaps = 0, 0, 0, 0, 0, nil
 }
 
 // Deliver folds in one delivery of bits at receiver time at, delay after
@@ -121,26 +132,41 @@ func (a *Accum) Pending() float64 { return a.seg }
 
 // Watch arms the lagged-twin watch for twins carrying up to levels extra
 // packets of bits each, whose service time on this link is lag: from here
-// on RunAccum records whether the link idled and, per arrival it queued,
-// how deep a twin still had room for it — the level rule of
-// State.BacklogDone — and adds up the service times of what it queued
-// (Reset disarms it). What it costs an advance is a few branches per
-// arrival and a store when the link runs dry; deliveries pay nothing.
-func (a *Accum) Watch(bits int64, lag time.Duration, levels int) {
-	a.twinBits, a.twinLag, a.queued = bits, lag, 0
-	a.idled, a.level, a.top = false, uint8(levels), uint8(levels)
+// on RunAccum records, per arrival it queued, how deep a twin still had
+// room for it — the level rule of State.BacklogDone — adds up the service
+// times of what it queued, and appends to log each gap the link idles
+// through, closed by the arrival that ends it; an arrival that outgrows
+// the buffer there lowers the level to 0, as a twin still owing work would
+// queue it. Arm it on a busy link, or with the gap under way appended to
+// log, open. Reset disarms it. What it costs an advance is a few branches
+// per arrival and a store or two per gap; deliveries pay nothing.
+func (a *Accum) Watch(bits int64, lag time.Duration, levels int, log *[]Gap) {
+	a.twinBits, a.twinLag, a.queued, a.gaps = bits, lag, 0, log
+	a.level, a.top = uint8(levels), uint8(levels)
+}
+
+// dry notes, on an armed watch, that the link ran dry at at.
+func (a *Accum) dry(at time.Duration) {
+	*a.gaps = append(*a.gaps, Gap{Dry: at, Value: a.seg, End: units.Forever})
+}
+
+// refill notes, on an armed watch, an arrival of bits finding the link
+// idle, under capBits: the gap under way ends.
+func (a *Accum) refill(at time.Duration, bits, capBits int64) {
+	if bits > capBits {
+		a.level = 0
+	}
+	(*a.gaps)[len(*a.gaps)-1].End = at
 }
 
 // TakeWatch reports the deepest level at which the stretch since the last
-// TakeWatch (or Watch) kept the lagged-twin premises — the link never
-// idle, every queued arrival with room to spare for a twin that many
-// packets behind; 0 when not even one — and starts the next stretch.
+// TakeWatch (or Watch) kept the lagged-twin premises — every queued
+// arrival with room to spare for a twin that many packets behind, every
+// arrival ending a gap within the buffer; 0 when not even one — and starts
+// the next stretch. Whether the link idled is the gap log's to say.
 func (a *Accum) TakeWatch() (level int) {
 	level = int(a.level)
-	if a.idled {
-		level = 0
-	}
-	a.idled, a.level = false, a.top
+	a.level = a.top
 	return level
 }
 

@@ -54,7 +54,7 @@ func (s *State) RefRun(until time.Duration, sends []Send, out *[]Event) {
 			s.Now = s.NextCross
 			s.NextCross += crossIvl
 			if s.PingerOn {
-				s.enqueue(QPkt{Seq: -1, Bits: s.P.CrossBits()}, out)
+				s.enqueue(QPkt{Seq: -1, Bits: s.P.CrossBits()}, out, nil)
 			}
 		case 2:
 			snd := sends[si]
@@ -64,7 +64,7 @@ func (s *State) RefRun(until time.Duration, sends []Send, out *[]Event) {
 			if bits <= 0 {
 				bits = s.P.PktBits()
 			}
-			s.enqueue(QPkt{Own: true, Seq: snd.Seq, Bits: bits}, out)
+			s.enqueue(QPkt{Own: true, Seq: snd.Seq, Bits: bits}, out, nil)
 		}
 	}
 }

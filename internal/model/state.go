@@ -177,7 +177,7 @@ func Initial(p Params, pingerOn bool) State {
 	}
 	pkt := p.PktBits()
 	for filled := int64(0); filled+pkt <= p.InitFullBits; filled += pkt {
-		s.enqueue(QPkt{Own: false, Seq: -1, Bits: pkt}, nil)
+		s.enqueue(QPkt{Own: false, Seq: -1, Bits: pkt}, nil, nil)
 	}
 	return s
 }
@@ -282,9 +282,14 @@ func (s *State) SystemBits() int64 {
 // queue behind a busy link (false: it went straight into service, or was
 // dropped). Tail-drop semantics match elements.Buffer: the in-service
 // packet does not count against capacity.
-func (s *State) enqueue(q QPkt, out *[]Event) (queued bool) {
+// An arrival that finds the link idle ends a gap, which acc (may be nil)
+// logs when its watch is armed.
+func (s *State) enqueue(q QPkt, out *[]Event, acc *Accum) (queued bool) {
 	q.EnqueuedAt = s.Now
 	if !s.Serving {
+		if acc != nil && acc.twinBits > 0 {
+			acc.refill(s.Now, q.Bits, s.P.BufferCapBits)
+		}
 		s.startService(q)
 		return false
 	}
@@ -369,11 +374,11 @@ const (
 // a backlogged FIFO between arrivals is a Lindley recursion, each
 // departure starting the next service, so the stretch drains in one inner
 // loop with nothing else to consult — then admit the arrival. A delivery
-// goes to out, to acc, or to both; either may be nil. An acc also learns
-// that the link ran dry and, when its watch is armed, how deep a lagged
-// twin each queued arrival left room for (Accum.Watch): a store on the
-// first, a few branches per arrival on the second, nothing on the
-// delivery path.
+// goes to out, to acc, or to both; either may be nil. An acc whose watch
+// is armed (Accum.Watch) also learns where the link ran dry and what
+// refilled it (a gap) and how deep a lagged twin each queued arrival left
+// room for: a store or two per gap, a few branches per queued arrival,
+// nothing on the delivery path.
 func (s *State) advance(until time.Duration, sends []Send, out *[]Event, acc *Accum) {
 	if s.crossIvl == 0 {
 		s.crossIvl, s.crossBits = s.P.CrossInterval(), s.P.CrossBits()
@@ -411,8 +416,8 @@ func (s *State) advance(until time.Duration, sends []Send, out *[]Event, acc *Ac
 				}
 				if s.QHead == len(s.Queue) {
 					s.Serving = false
-					if acc != nil {
-						acc.idled = true
+					if acc != nil && acc.twinBits > 0 {
+						acc.dry(done)
 					}
 					break
 				}
@@ -444,7 +449,7 @@ func (s *State) advance(until time.Duration, sends []Send, out *[]Event, acc *Ac
 		case arrCross:
 			s.Now = at
 			s.NextCross += crossIvl
-			if s.PingerOn && s.enqueue(QPkt{Own: false, Seq: -1, Bits: crossBits}, out) && acc != nil && acc.twinBits > 0 {
+			if s.PingerOn && s.enqueue(QPkt{Own: false, Seq: -1, Bits: crossBits}, out, acc) && acc != nil && acc.twinBits > 0 {
 				s.watchQueued(acc)
 			}
 		case arrSend:
@@ -462,7 +467,7 @@ func (s *State) advance(until time.Duration, sends []Send, out *[]Event, acc *Ac
 			if bits <= 0 {
 				bits = s.P.PktBits()
 			}
-			if s.enqueue(QPkt{Own: true, Seq: snd.Seq, Bits: bits}, out) && acc != nil && acc.twinBits > 0 {
+			if s.enqueue(QPkt{Own: true, Seq: snd.Seq, Bits: bits}, out, acc) && acc != nil && acc.twinBits > 0 {
 				s.watchQueued(acc)
 			}
 		}
@@ -560,9 +565,21 @@ func twinCharge(j int, x int64, lag time.Duration, in int64, age time.Duration) 
 // at t', the baseline's plus the surplus above: certainly dropped when
 // the lower bound leaves no room, certainly admitted when the upper
 // bound does, and not known from the baseline alone in between. An Accum
-// armed with Watch(x, ℓ, levels) reports (i) and the deepest level of
-// (ii) for each stretch RunAccum advances; FuzzLaggedTwin and
-// FuzzTwinStack hold the statement to Run's event lists.
+// armed with Watch(x, ℓ, levels, log) reports (i), by what it logs, and
+// the deepest level of (ii) for each stretch RunAccum advances;
+// FuzzLaggedTwin and FuzzTwinStack hold the statement to Run's event
+// lists.
+//
+// And for m = 1 without (i), which closes the twin of a baseline that idles
+// (Lag): its extra work E, ℓ from u on (u = t on a link idle at t), stays
+// put while the link is busy and shrinks one for one while it idles. Until
+// it is gone X leaves at u+ℓ, each busy stretch's deliveries leave that
+// stretch's E late and the drops are the baseline's, if (ii) holds at
+// level 1 and each arrival ending a gap fits in the buffer — the twin,
+// serving at most what the baseline delivered last, queues it alone. A gap
+// lasting E after u absorbs it (its last departure goes first) and the
+// twin is EqualDynamic to the baseline from then on. The watch's log
+// records the gaps; FuzzAbsorbedTwin holds this to Run's event lists.
 func (s *State) BacklogDone() time.Duration {
 	u := s.ServiceDone
 	for _, q := range s.Queued() {
@@ -589,6 +606,44 @@ func (s *State) TwinSurplus(m int, x int64, lag, u0 time.Duration) (lo, hi int64
 		return 0, 0
 	}
 	return in, mx + in
+}
+
+// Lag closes a lagged twin's gain by the corollary at BacklogDone, from
+// A(t), the baseline's value delivered by t: E is its extra work, From
+// when the stretch E is carried through began (u, then each gap's end),
+// A = A(From), and Gain, X's value at u+ℓ less what each stretch cost.
+type Lag struct {
+	E, From time.Duration
+	A, Gain float64
+}
+
+// Cut is the instant of the stretch (From, end] after which the
+// baseline's deliveries, E late on the twin, leave after horizon.
+func (l *Lag) Cut(end, horizon time.Duration) time.Duration {
+	return min(max(horizon-l.E, l.From), end)
+}
+
+// Slip is 1−e^(−E/κ), what a delivery loses by leaving E later.
+func (l *Lag) Slip(kappa float64) float64 { return -math.Expm1(-float64(l.E) / kappa) }
+
+// Stretch books the busy stretch (From, end]: deliveries up to Cut lose
+// slip of their value, those after it all of it; aCut, aEnd are A there.
+func (l *Lag) Stretch(aCut, aEnd, slip float64) {
+	l.Gain = l.Gain - slip*(aCut-l.A) - (aEnd - aCut)
+}
+
+// Idle carries the lag across a gap from dry, where A was a, to end (the
+// arrival ending it, or an instant it lasts to), and reports whether it
+// absorbed E — Gain is then final; else the next stretch starts at end.
+func (l *Lag) Idle(dry, end time.Duration, a float64) (absorbed bool) {
+	idle := end - max(dry, l.From)
+	if l.E <= idle {
+		l.E = 0
+		return true
+	}
+	l.E -= idle
+	l.From, l.A = end, a
+	return false
 }
 
 // DrainedGains is the closed form of a hypothesis nothing arrives at by
@@ -857,10 +912,19 @@ func AdvanceEnum(s State, until time.Duration, sends []Send) []Branch {
 // until: two per switch opportunity at or before until, one for a gate
 // that cannot toggle.
 func (s *State) Leaves(until time.Duration) int {
-	if s.SwitchTick <= 0 || s.NextToggle > until || ToggleProb(s.SwitchTick, s.P.MeanSwitch) <= 0 {
+	n := s.opportunities(until)
+	if n == 0 || ToggleProb(s.SwitchTick, s.P.MeanSwitch) <= 0 {
 		return 1
 	}
-	return 1 << uint((until-s.NextToggle)/s.SwitchTick+1)
+	return 1 << uint(n)
+}
+
+// opportunities counts the gate's switch opportunities at or before until.
+func (s *State) opportunities(until time.Duration) int {
+	if s.SwitchTick <= 0 || s.NextToggle > until {
+		return 0
+	}
+	return int((until-s.NextToggle)/s.SwitchTick + 1)
 }
 
 // Enumerate is the one advance-with-forks walk: it runs s to until where
@@ -876,7 +940,19 @@ func (s *State) Leaves(until time.Duration) int {
 // return recycled storage: the twin is written with CloneInto.
 func (s *State) Enumerate(until time.Duration, sends []Send, evs *[]Event, j int, w float64,
 	slot func(j int) *State, leaf func(j int, w float64)) {
-	for s.SwitchTick > 0 && s.P.MeanSwitch > 0 && s.NextToggle <= until {
+	var q float64
+	if s.opportunities(until) > 0 {
+		q = ToggleProb(s.SwitchTick, s.P.MeanSwitch)
+	}
+	s.enumerate(until, sends, evs, j, w, q, slot, leaf)
+}
+
+// enumerate is Enumerate with q, the toggle probability per tick, handed
+// down: tick and mean switch time are the same on every branch of one
+// walk.
+func (s *State) enumerate(until time.Duration, sends []Send, evs *[]Event, j int, w, q float64,
+	slot func(j int) *State, leaf func(j int, w float64)) {
+	for s.P.MeanSwitch > 0 && s.opportunities(until) > 0 {
 		// Run to the next opportunity, then fork.
 		hi := 0
 		for hi < len(sends) && sends[hi].At <= s.NextToggle {
@@ -885,18 +961,18 @@ func (s *State) Enumerate(until time.Duration, sends []Send, evs *[]Event, j int
 		s.Run(s.NextToggle, sends[:hi], evs)
 		sends = sends[hi:]
 		s.NextToggle += s.SwitchTick
-		q := ToggleProb(s.SwitchTick, s.P.MeanSwitch)
 		if q <= 0 {
 			continue
 		}
-		// The stay subtree keeps the Leaves(until) slots ending at j;
-		// the flipped one ends just before them.
-		tj := j - s.Leaves(until)
+		// The stay subtree keeps the Leaves(until) slots ending at j (q > 0:
+		// two to the power of the opportunities left); the flipped one ends
+		// just before them.
+		tj := j - 1<<uint(s.opportunities(until))
 		twin := slot(tj)
 		s.CloneInto(twin)
 		twin.Toggle()
 		n := len(*evs)
-		twin.Enumerate(until, sends, evs, tj, w*q, slot, leaf)
+		twin.enumerate(until, sends, evs, tj, w*q, q, slot, leaf)
 		*evs = (*evs)[:n]
 		w *= 1 - q
 	}

@@ -47,7 +47,8 @@ func FuzzLaggedTwin(f *testing.F) {
 		var acc model.Accum
 		var steps model.StepTable
 		utility.Default().Start(&acc, fork, 0, &steps)
-		acc.Watch(x, lag, 1)
+		var gaps []model.Gap
+		acc.Watch(x, lag, 1, &gaps)
 
 		seq := int64(10)
 		for i, b := range sched[1:] {
@@ -87,7 +88,7 @@ func FuzzLaggedTwin(f *testing.F) {
 			if !watched.EqualDynamic(&base) {
 				t.Fatalf("segment %d: the watched baseline left Run's", i)
 			}
-			if acc.TakeWatch() == 0 {
+			if acc.TakeWatch() == 0 || len(gaps) > 0 {
 				return // premises gone: the theorem says nothing from here on
 			}
 
@@ -166,7 +167,8 @@ func FuzzTwinStack(f *testing.F) {
 		var acc model.Accum
 		var steps model.StepTable
 		utility.Default().Start(&acc, fork, 0, &steps)
-		acc.Watch(x, lag, levels)
+		var gaps []model.Gap
+		acc.Watch(x, lag, levels, &gaps)
 		level, carried := levels, u0
 
 		// The fourth side, once forked.
@@ -223,7 +225,7 @@ func FuzzTwinStack(f *testing.F) {
 			if !watched.EqualDynamic(&base) {
 				t.Fatalf("segment %d: the watched baseline left Run's", i)
 			}
-			if level = min(level, acc.TakeWatch()); level == 0 {
+			if level = min(level, acc.TakeWatch()); level == 0 || len(gaps) > 0 {
 				return // premises gone: the theorem says nothing from here on
 			}
 			if carried += acc.TakeQueued(); carried != base.BacklogDone() {

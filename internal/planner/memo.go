@@ -36,15 +36,15 @@ type MemoStats struct {
 	// candidate send time).
 	Lanes int64
 	// Closed lanes were never simulated: lagged twins of their baseline to
-	// the horizon, their gain closed from the baseline's running value
-	// (see Decide's sixth economy).
+	// the horizon or until its idle time absorbed the lag, their gain closed
+	// from the baseline's running value (see Decide's sixth economy).
 	Closed int64
 	// Drained lanes were never simulated either: candidates of a hypothesis
 	// nothing arrives at to the horizon, each gain its packet's own value
 	// (see Decide's eighth economy).
 	Drained int64
 	// Materialized lanes were deferred as twins and simulated after all,
-	// because the baseline's link idled or an arrival left them no room.
+	// because an arrival left them no room.
 	Materialized int64
 	// Derived gain vectors were never rolled: a later decision of a burst,
 	// computed from the twin record of the burst's first (see Decide's
@@ -346,9 +346,11 @@ func (r *twinRecords) at(i, candidates int) twinRecord {
 // so a live decision allocates none of them — and the rollout memo.
 type decideArena struct {
 	// The top-K copy of a wake's support and its rollout-key hashes, taken
-	// for wake (a Wake.id) under maxHyps and stamps (begin).
+	// for wake (a Wake.id) under maxHyps and stamps (begin), and the index
+	// a support wider than maxHyps is ordered by.
 	hyps    []belief.Hypothesis
 	hkeys   []memoKey
+	order   byWeight
 	wake    uint64
 	maxHyps int
 	stamps  bool

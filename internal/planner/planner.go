@@ -52,25 +52,25 @@
 // discount chain steps through its own deliveries only — the shared table
 // holds values of a pure function and cannot matter.
 //
-// A saturated hypothesis is not rolled candidate by candidate at all. On a
-// fleet the modeled link never idles inside the horizon, so a candidate's
-// consequences never "cease to linger": its packet joins the backlog and
-// everything behind it leaves one service time later, for ever — the lane
-// never reconverges with its baseline and would be simulated to the
-// horizon. But a lagged copy of the baseline carries no information the
-// baseline does not (the theorem is stated at model.State.BacklogDone), so
-// the sweep defers such a lane at its fork — cloned, not advanced — reads
-// the baseline's running value as it passes the instants that matter, and
-// closes the lane's gain at the horizon (twinSweep.close has the formula).
-// The baseline's accumulator watches the theorem's two premises
-// (model.Accum.Watch), and the first stop that reports one broken turns
-// every deferred lane back into a simulated one, caught up from its fork
-// clone bit for bit. A closed gain is the simulated gain up to the
-// rounding of a different summation order, some five orders of magnitude
-// under the tie band of reduce, so no decision can tell. twinGate decides
-// per hypothesis, from sizes and relative times only, whether the mode is
-// on; a hypothesis it refuses (every hypothesis of the paper's Figure 3)
-// is swept exactly as before, bit for bit.
+// A candidate is not rolled lane by lane where its consequences are a lag.
+// On a fleet the modeled link never idles inside the horizon: a
+// candidate's packet joins the backlog and everything behind it leaves one
+// service time later, for ever, so the lane never reconverges with its
+// baseline. Where the link does idle, as on the paper's Figure 3, the idle
+// time absorbs that lag, and once it has the twin is the baseline. Either
+// way the lane carries nothing the baseline does not (the theorem and its
+// corollary are at model.State.BacklogDone): the sweep defers it at its
+// fork — cloned, not advanced — and closes its gain from the baseline's
+// running value (model.Lag) where a gap absorbs the lag, or at the
+// horizon. The baseline's accumulator logs its gaps and watches the room
+// every arrival leaves a twin (model.Accum.Watch); a stop with an arrival
+// a twin had no room for turns every deferred lane back into a simulated
+// one, caught up from its fork clone bit for bit. A closed gain is the
+// simulated gain up to a summation order, five orders of magnitude under
+// the tie band of reduce, so no decision can tell. twinGate decides per
+// hypothesis, from sizes and relative times only; a hypothesis it refuses
+// (a skewed clock, a chunk smaller than a packet) is swept as before, bit
+// for bit.
 //
 // And a saturated hypothesis is rolled once per wake, not once per
 // decision. A sender re-decides after every packet it injects (§3.2–3.3),
@@ -116,6 +116,7 @@ import (
 	"modelcc/internal/belief"
 	"modelcc/internal/model"
 	"modelcc/internal/rollout"
+	"modelcc/internal/units"
 	"modelcc/internal/utility"
 )
 
@@ -246,22 +247,19 @@ const lockstepChunk = time.Second
 // no event buffer in between, with the exp(−Δ/κ) step factors shared by
 // every rollout of a worker; segment partition, event order and
 // summation order are the event-buffer sweep's, so the gains are too
-// (see the package comment and decideArena.sweep). (6) A candidate
-// admitted into a backlog that will not idle before the horizon — where
-// economy (2) never fires, because a twin one packet behind never
-// coincides with its baseline — is not simulated: it is the baseline one
-// service time late, and its gain is closed at the horizon from the
-// baseline's running value (see the package comment). What is still
-// simulated, and why: every lane of a hypothesis twinGate refuses and
-// (8) does not close — a cross-latency penalty or a skewed clock (a
-// delivery's value is then not a function of its instant alone), a
-// committed send still to come or a cross chunk smaller than a packet (the
-// twin is then not a pure lag), a backlog that cannot outlast the horizon
-// (deferring would only add a catch-up); a lane forked into an idle link
-// or whose packet would not be through by the horizon; and every lane
-// deferred before a stop at which
-// the baseline's link idled or an arrival left a twin no room — where one
-// packet displaces another, which is where the large negative gains are.
+// (see the package comment and decideArena.sweep). (6) A candidate is not
+// simulated: it is its baseline late by its packet's service time, a lag
+// that lasts to the horizon on a link that stays busy — where (2) never
+// fires — and that the baseline's idle time absorbs on one that idles. Its
+// gain is closed from the baseline's running value (model.Lag; see the
+// package comment). What is still simulated, and why: every lane of a
+// hypothesis twinGate refuses and (8) does not close — a cross-latency
+// penalty or a skewed clock (a delivery's value is then not a function of
+// its instant alone), a committed send still to come or a cross chunk
+// smaller than a packet (the twin is then not a pure lag); a lane whose
+// packet would not be through by the horizon; and every lane deferred
+// before a stop at which an arrival left a twin no room — where one packet
+// displaces another, which is where the large negative gains are.
 // MemoStats counts the three outcomes. (7) A burst is swept once. When the
 // pending list ends in m sends of the uniform size stamped now (1 ≤ m ≤
 // twinDepth) the call is the (m+1)-th decision of a wake, and a gain vector
@@ -281,17 +279,15 @@ const lockstepChunk = time.Second
 // happened to be missing; and only a record that says it does not reach
 // depth m sends the hypothesis down the direct sweep, as do, without
 // asking, a hypothesis with no record resident that twinGate refuses (it
-// is asked under the call's own pending list, once, and the sweep told; a
-// refusal there is one under the first decision's shorter list too, so no
-// record of it can exist), a burst deeper than twinDepth, and a trailing
-// send of another size or an earlier instant (which makes it no burst at
-// all). Whether the
-// record was resident, evicted or never made, the same key gets the same
-// vector. What is still swept in a burst: its first decision; every
-// hypothesis the gate refuses (all of Figure 3); and the hypotheses whose
-// record does not reach — a stop was dirty (the buffer is full where a
-// chunk arrives: most of them), the m packets do not fit, or a lane was
-// simulated at depth 0.
+// reads nothing of the pending list, so no record of it can exist), a
+// burst deeper than twinDepth, and a trailing send of another size or an
+// earlier instant (which makes it no burst at all). Whether the record
+// was resident, evicted or never made, the same key gets the same vector.
+// What is still swept in a burst: its first decision; every hypothesis the
+// gate refuses; and the hypotheses whose record does not reach — the
+// baseline's link idled (a record serves only one busy to the horizon), a
+// stop was dirty (the buffer is full where a chunk arrives), the m packets
+// do not fit, or a lane was simulated at depth 0.
 //
 // (8) A drained hypothesis is not swept. When nothing arrives behind a
 // candidate's packet to the horizon — no committed send after now, the
@@ -413,7 +409,7 @@ func (w *Wake) Decide(pending []model.Send, seq int64, cfg Config) Decision {
 					ar.memo.Derived++
 					continue
 				}
-			} else if twinGate(&hyps[i].S, pending, horizonEnd) {
+			} else if twinGate(&hyps[i].S, horizonEnd) {
 				bare = append(bare, int32(i))
 				continue
 			}
@@ -532,15 +528,15 @@ const negInf = -1e308
 // segment sum less the baseline's joins its gain. It is a method bound
 // once (sweepFn) so a call creates no closure.
 //
-// When the hypothesis passes twinGate a candidate forked into a busy link
-// is not advanced at all: it is deferred, a lagged twin of the baseline
-// (model.State.BacklogDone) whose gain the baseline's running value
-// closes at the horizon. The baseline's watch says, stop by stop,
-// whether the premises still hold; the first stop at which they do not
-// turns every deferred lane back into a simulated one, caught up from
-// its fork clone. Such a sweep also fills the hypothesis's twin record
-// (ar.recs), which Decide keeps when the sweep is of a burst's first
-// decision.
+// When the hypothesis passes twinGate a candidate is not advanced at all:
+// it is deferred, a lagged twin of the baseline (model.State.BacklogDone)
+// whose gain the baseline's running value closes (model.Lag) — where the
+// baseline's idling absorbs its lag, or at the horizon. The baseline's
+// watch logs its gaps and says, stop by stop, whether every arrival left
+// a twin room; the first stop at which one did not turns every deferred
+// lane back into a simulated one, caught up from its fork clone. Such a
+// sweep also fills the hypothesis's twin record (ar.recs), which Decide
+// keeps when the sweep is of a burst's first decision.
 func (ar *decideArena) sweep(s *rollout.Scratch, r int) {
 	i := int(ar.roll[r])
 	h := &ar.hyps[i]
@@ -560,7 +556,7 @@ func (ar *decideArena) sweep(s *rollout.Scratch, r int) {
 	base := &s.Base
 	h.S.CloneInto(base)
 	horizon := stops[len(stops)-1]
-	twin := ar.twins && twinGate(&h.S, pending, horizon)
+	twin := ar.twins && twinGate(&h.S, horizon)
 	if !twin && ar.twins && drainGate(&h.S, horizon) {
 		// Drained: every pending send is due by now.
 		base.Run(ar.now, pending, nil)
@@ -570,14 +566,14 @@ func (ar *decideArena) sweep(s *rollout.Scratch, r int) {
 	}
 	ar.util.Start(&ds.base, ar.now, h.S.P.LossProb, &ds.steps)
 
-	// The lagged-twin mode (ds.tw): under it a candidate forked into a
-	// busy link is deferred — marked done as well, so the lockstep passes
-	// over it — and the baseline pauses on its way to read the value it
-	// has delivered by the instants the closed form needs.
+	// The lagged-twin mode (ds.tw): under it a candidate is deferred at its
+	// fork — marked done as well, so the lockstep passes over it — and the
+	// baseline pauses on its way to read the value it has delivered by the
+	// instants the closed form needs.
 	tw := &ds.tw
 	tw.deferred = 0
 	if twin {
-		tw.start(&ds.base, &h.S.P, stops, ar.recs.at(i, candidates))
+		tw.start(base, &ds.base, stops, ar.recs.at(i, candidates), ar.now, float64(ar.util.Kappa), 1-h.S.P.LossProb)
 	}
 
 	// Each stop: the baseline first (at stop 0, = now, that consumes the
@@ -656,100 +652,117 @@ func (ar *decideArena) sweep(s *rollout.Scratch, r int) {
 		}
 	}
 	if tw.deferred > 0 {
-		ds.tally.Closed += int64(tw.deferred)
-		tw.close(lanes[:forked], gains, ar.now, float64(ar.util.Kappa), 1-h.S.P.LossProb)
+		tw.close(lanes[:forked], gains)
 	}
 	if twin {
+		ds.tally.Closed += int64(tw.closed)
 		*tw.rec.reach = uint8(1 + tw.reach)
 	}
 }
 
-// twinSweep is the lagged-twin mode's state within one sweep. x and lag
-// are the candidate packet's bits and service time ℓ, horizon is H; taken
-// is the baseline's value over the stops behind it, so taken plus the
-// running segment is A at the baseline's instant, and segs keeps the
-// per-stop segments a deferred lane is caught up against. The deferred
-// lanes are the ones from first on whose deferred flag is set — a lane
-// forked after them may have been dropped there, or be live because its
-// u+ℓ is past H; deferred counts them and read is the first whose A(u) is
-// still to come (u is monotone in the lane index while the link stays
-// busy, so one cursor serves). u is the baseline's BacklogDone at the
-// last fork, carried from fork to fork while busy says the link has not
-// idled since, and u0 what it was at the first, the decision instant.
-//
-// rec is the sweep's twin record in the making — the values the closed
-// form reads go straight into it — tails counts the A(H−i·ℓ) still to be
-// read, and reach is the depth down to which the record serves a burst's
-// later decisions as far as the sweep has seen.
+// twinSweep is the lagged-twin mode's state within one sweep: the packet's
+// bits x and service time ℓ (lag), H (horizon), what a delivery is valued
+// by; taken, the baseline's value over the stops behind (plus the running
+// segment, A at its instant), and segs, per stop, for catching lanes up.
+// The deferred lanes are those from first on whose flag is set (deferred
+// of them; closed so far), read the first whose A(u) is still to come. u
+// is BacklogDone at the last fork, carried while busy, u0 at the first.
+// seen counts the gaps of the log booked in full, idle says the link has
+// been idle since dry (A there aDry), dEnd is when the packet served at
+// H−ℓ leaves (see stretch); slip and pkt memoize Slip and the packet value
+// for slipE and pktU. rec is the twin record in the making, tails counts
+// the A(H−i·ℓ) still to read, and reach is how deep the record serves.
 type twinSweep struct {
-	x            int64
-	lag, horizon time.Duration
-	taken        float64
-	deferred     int
-	first, read  int
-	segs         []float64
-	u, u0        time.Duration
-	busy         bool
-	rec          twinRecord
-	tails, reach int
+	x                 int64
+	lag, horizon, now time.Duration
+	kappa, survive    float64
+	taken             float64
+	deferred, closed  int
+	first, read       int
+	segs              []float64
+	u, u0             time.Duration
+	busy              bool
+	gaps              []model.Gap
+	seen              int
+	idle              bool
+	dry, dEnd         time.Duration
+	aDry              float64
+	slipE, pktU       time.Duration
+	slip, pkt         float64
+	rec               twinRecord
+	tails, reach      int
 }
 
 // start arms the mode for one hypothesis: the baseline's accumulator
-// watches the theorem's premises from here on, as deep as a record serves.
-func (tw *twinSweep) start(acc *model.Accum, p *model.Params, stops []time.Duration, rec twinRecord) {
-	*tw = twinSweep{x: p.PktBits(), lag: p.ServiceTime(), horizon: stops[len(stops)-1], segs: slices.Grow(tw.segs[:0], len(stops))[:len(stops)],
+// watches the theorem's premises, as deep as a record serves, and logs its
+// gaps, the one under way included.
+func (tw *twinSweep) start(base *model.State, acc *model.Accum, stops []time.Duration, rec twinRecord, now time.Duration, kappa, survive float64) {
+	p := &base.P
+	*tw = twinSweep{x: p.PktBits(), lag: p.ServiceTime(), horizon: stops[len(stops)-1], now: now, kappa: kappa, survive: survive,
+		segs: slices.Grow(tw.segs[:0], len(stops))[:len(stops)], gaps: tw.gaps[:0], dEnd: units.Forever,
 		rec: rec, tails: twinDepth + 1, reach: twinDepth}
-	acc.Watch(tw.x, tw.lag, twinDepth+1)
+	tw.rec.slip = -math.Expm1(-float64(tw.lag) / kappa)
+	tw.slipE, tw.slip, tw.pktU = tw.lag, tw.rec.slip, -1
+	if !base.Serving {
+		tw.gaps = append(tw.gaps, model.Gap{Dry: base.Now, End: units.Forever})
+	}
+	acc.Watch(tw.x, tw.lag, twinDepth+1, &tw.gaps)
 }
 
 // fork decides what becomes of the candidate forking from base at stop j:
 // dropped where it forks (reported; the lane is done), deferred as a
-// lagged twin, or — into an idle link, or when its packet would not be
-// through by the horizon — left to be simulated. It also settles, depth
-// by depth, what becomes of the same candidate in a burst's later
-// decisions, whose baseline is this one m packets behind since the
-// decision instant: dropped there (recorded), admitted with its packet
-// through by the horizon, or not known from this baseline — which, like
-// a lane left to be simulated, ends the record's reach.
+// lagged twin — its packet served from u, or from the fork on an idle link
+// — or, when that packet would not be through by H, left to be simulated.
+// It also settles, depth by depth, what becomes of the candidate in a
+// burst's later decisions, whose baseline is this one m packets behind:
+// dropped there (recorded), admitted with its packet through by H, or not
+// known from this baseline — which, like an idle link or a simulated lane,
+// ends the record's reach.
 func (tw *twinSweep) fork(c *lane, base *model.State, acc *model.Accum, j int) (dropped bool) {
+	u := base.Now
 	if !base.Serving {
 		tw.busy, tw.reach = false, 0
+	} else {
+		if queued := acc.TakeQueued(); tw.busy {
+			tw.u += queued
+		} else {
+			tw.u, tw.busy = base.BacklogDone(), true
+		}
+		room := base.P.BufferCapBits - base.QueueBits - tw.x
+		if j == 0 {
+			// The burst's earlier packets join the queue at this instant: as
+			// many of them must fit.
+			tw.u0, tw.reach = tw.u, min(tw.reach, int((room+tw.x)/tw.x))
+		}
+		if room < 0 {
+			c.done, tw.rec.drop[j] = true, 0
+			return true
+		}
+		drop, reach := uint8(noDrop), tw.reach
+		for m := 1; m <= reach; m++ {
+			lo, hi := base.TwinSurplus(m, tw.x, tw.lag, tw.u0)
+			if lo > room {
+				drop = min(drop, uint8(m))
+			} else if hi > room || drop != noDrop || tw.u+time.Duration(m+1)*tw.lag > tw.horizon {
+				reach = m - 1
+			}
+		}
+		tw.rec.drop[j], tw.reach, u = drop, reach, tw.u
+	}
+	if u+tw.lag > tw.horizon {
+		tw.reach = 0
 		return false
 	}
-	if queued := acc.TakeQueued(); tw.busy {
-		tw.u += queued
-	} else {
-		tw.u, tw.busy = base.BacklogDone(), true
+	if tw.deferred == 0 {
+		tw.first = j
 	}
-	room := base.P.BufferCapBits - base.QueueBits - tw.x
-	if j == 0 {
-		// The burst's earlier packets join the queue at this instant: as
-		// many of them must fit.
-		tw.u0, tw.reach = tw.u, min(tw.reach, int((room+tw.x)/tw.x))
+	if u != tw.pktU {
+		tw.pktU, tw.pkt = u, model.PacketValue(tw.x, tw.survive, u+tw.lag-tw.now, tw.kappa)
 	}
-	if room < 0 {
-		c.done, tw.rec.drop[j] = true, 0
-		return true
-	}
-	drop, reach := uint8(noDrop), tw.reach
-	for m := 1; m <= reach; m++ {
-		lo, hi := base.TwinSurplus(m, tw.x, tw.lag, tw.u0)
-		if lo > room {
-			drop = min(drop, uint8(m))
-		} else if hi > room || drop != noDrop || tw.u+time.Duration(m+1)*tw.lag > tw.horizon {
-			reach = m - 1
-		}
-	}
-	tw.rec.drop[j], tw.reach = drop, reach
-	if c.u = tw.u; c.u+tw.lag <= tw.horizon {
-		if tw.deferred == 0 {
-			tw.first = j
-		}
-		c.done, c.deferred = true, true
-		tw.deferred++
-	} else {
-		tw.reach = 0
-	}
+	tw.rec.pkt[j] = tw.pkt
+	c.lag = model.Lag{E: tw.lag, From: u, Gain: tw.pkt}
+	c.done, c.deferred = true, true
+	tw.deferred++
 	return false
 }
 
@@ -764,7 +777,7 @@ func (tw *twinSweep) pause(base *model.State, acc *model.Accum, lanes []lane, t 
 		}
 		at, tail := t+1, false
 		if tw.read < len(lanes) {
-			at = lanes[tw.read].u
+			at = lanes[tw.read].lag.From // u: read before any gap moves it
 		}
 		if h := tw.horizon - time.Duration(tw.tails)*tw.lag; tw.tails > 0 && h < at {
 			at, tail = h, true
@@ -773,103 +786,136 @@ func (tw *twinSweep) pause(base *model.State, acc *model.Accum, lanes []lane, t 
 			return
 		}
 		if at < base.Now {
-			// Only a tail can be behind the baseline (a deferred lane's u is
-			// ahead of its fork), and only under a horizon of a few ℓ: the
-			// depths that read it are out of reach.
+			// Only a tail H−2ℓ or earlier can be behind the baseline (a
+			// deferred lane's u+ℓ is not past H): the depths reading it are
+			// out of reach.
 			tw.reach = min(tw.reach, max(tw.tails-2, 0))
 		}
 		base.RunAccum(at, nil, acc)
-		if a := tw.taken + acc.Pending(); tail {
-			tw.rec.tail[tw.tails] = a
-			tw.tails--
-		} else {
-			tw.rec.au[tw.read] = a
+		a := tw.taken + acc.Pending()
+		if !tail {
+			lanes[tw.read].lag.A = a
 			tw.read++
+			continue
 		}
+		tw.rec.tail[tw.tails] = a
+		if tw.tails == 1 && base.Serving {
+			tw.dEnd = base.ServiceDone
+		}
+		tw.tails--
 	}
 }
 
 // endStop books the baseline's segment for stop j and asks its watch how
 // deep the premises held on the way, which bounds the record's reach. If
-// they did not hold at all — the link idled or an arrival left a single
-// twin no room — every deferred lane is simulated after all: caught up
-// from its fork clone, lane by lane, through the stops it sat out — at
-// none of which it could have equalled the baseline (the theorem held up
-// to the last stop), so none is checked — and live again for the lockstep
-// at stop j. It returns how many lanes that was.
+// not even one twin had room for every arrival, every deferred lane is
+// simulated after all: caught up from its fork clone through the stops it
+// sat out — at none of which it could have equalled the baseline, its lag
+// not absorbed, so none is checked — and live again for the lockstep at
+// stop j; endStop returns how many lanes that was. Then it books the gaps
+// the link idled through into every lane still deferred — at the instant
+// it ran dry the busy stretch up to it, at the arrival that ended it the
+// gap — and closes the lanes whose lag a gap absorbs, open gaps included.
 func (tw *twinSweep) endStop(acc *model.Accum, lanes []lane, gains []float64, stops []time.Duration, j int, seg float64) (revived int) {
+	a0 := tw.taken
 	tw.segs[j] = seg
 	tw.taken += seg
 	level := acc.TakeWatch()
 	tw.reach = min(tw.reach, max(level-1, 0))
-	if level > 0 {
-		return 0
-	}
-	tw.busy = false
-	if tw.deferred == 0 {
-		return 0
-	}
-	for k := tw.first; k < len(lanes); k++ {
-		// Only a deferred lane sat stops out: one forked after it with
-		// its u+ℓ past the horizon has been live all along.
-		if c := &lanes[k]; c.deferred {
-			c.done, c.deferred = false, false
-			for m := k + 1; m < j; m++ {
-				gains[k] += c.run(stops[m]) - tw.segs[m]
+	if level == 0 {
+		for k := tw.first; k < len(lanes) && tw.deferred > 0; k++ {
+			if c := &lanes[k]; c.deferred {
+				c.done, c.deferred = false, false
+				for m := k + 1; m < j; m++ {
+					gains[k] += c.run(stops[m]) - tw.segs[m]
+				}
 			}
 		}
+		revived, tw.deferred, tw.busy = tw.deferred, 0, false
 	}
-	revived, tw.deferred = tw.deferred, 0
+	for ; tw.seen < len(tw.gaps); tw.seen++ {
+		g := &tw.gaps[tw.seen]
+		tw.busy, tw.reach = false, 0
+		if !tw.idle {
+			tw.idle, tw.dry, tw.aDry = true, g.Dry, a0+g.Value
+			for k := tw.first; k < len(lanes); k++ {
+				if c := &lanes[k]; c.deferred {
+					tw.stretch(&c.lag, g.Dry, tw.aDry)
+				}
+			}
+		}
+		if g.End == units.Forever {
+			break
+		}
+		tw.idle = false
+		tw.absorb(lanes, gains, g.End, false)
+	}
+	if tw.idle {
+		tw.absorb(lanes, gains, stops[j], true)
+	}
 	return revived
 }
 
-// close gives every lane still deferred at the horizon H its gain, the
-// record's closed form at depth 0 (twinRecord.gain), having completed the
-// record with what that reads: the value of each lane's packet, x bits
-// that survive the last mile with probability 1−p, delivered at u+ℓ.
-func (tw *twinSweep) close(lanes []lane, gains []float64, now time.Duration, kappa, survive float64) {
-	tw.rec.slip = -math.Expm1(-float64(tw.lag) / kappa)
-	tw.rec.tail[0] = tw.taken
+// absorb carries every deferred lane's lag across the gap under way to
+// end (open: only asks whether the gap has absorbed it by end), and closes
+// the lanes whose lag it absorbs.
+func (tw *twinSweep) absorb(lanes []lane, gains []float64, end time.Duration, open bool) {
 	for k := tw.first; k < len(lanes); k++ {
 		if c := &lanes[k]; c.deferred {
-			tw.rec.pkt[k] = model.PacketValue(tw.x, survive, c.u+tw.lag-now, kappa)
-			gains[k] = tw.rec.gain(0, k)
+			if l := c.lag; l.Idle(tw.dry, end, tw.aDry) {
+				gains[k], c.deferred = l.Gain, false
+				tw.deferred--
+				tw.closed++
+			} else if !open {
+				c.lag = l
+			}
 		}
 	}
 }
 
-// twinGate reports whether hypothesis s, planned to horizon with the
-// call's pending sends, may defer candidates as lagged twins of its
-// baseline. The premises of the theorem that the watch cannot see are
-// checked here — nothing but the link's clock stamps a delivery, and no
-// arrival behind a candidate's packet is smaller than it; the call-level
-// half (no latency penalty, no committed send still to come, which
-// leaves the pinger's chunk as the only arrival) is Decide's — and one
-// economy: the backlog plus the cross traffic due could keep the link
-// busy to the horizon, since a link that will idle materializes every
-// lane it deferred, while a refused hypothesis costs exactly the plain
-// sweep. Every input is a size or a time relative to the decision
-// instant, all of them in the rollout key.
-func twinGate(s *model.State, pending []model.Send, horizon time.Duration) bool {
-	if s.P.ClockSkew != 0 {
-		return false
+// stretch books a lane's busy stretch to end, where A was aEnd. A cut
+// inside it lies in H's last ℓ, past the lane's u, where nothing the
+// baseline serves is faster than ℓ: it delivers once there at most, at
+// dEnd, so A at the cut is A(H−ℓ) before dEnd and aEnd from it on.
+func (tw *twinSweep) stretch(l *model.Lag, end time.Duration, aEnd float64) {
+	aCut := aEnd
+	if cut := l.Cut(end, tw.horizon); cut == l.From {
+		aCut = l.A
+	} else if cut < end && cut < tw.dEnd {
+		aCut = tw.rec.tail[1]
 	}
-	x := s.P.PktBits()
-	backlog := s.SystemBits()
-	for _, snd := range pending {
-		if snd.Bits > 0 {
-			backlog += snd.Bits
-		} else {
-			backlog += x
+	if l.E != tw.slipE {
+		tw.slipE, tw.slip = l.E, l.Slip(tw.kappa)
+	}
+	l.Stretch(aCut, aEnd, tw.slip)
+}
+
+// close closes every lane still deferred at the horizon, booking the
+// stretch it is carried through at H if the link is busy there: with no
+// gap on the way, the record's closed form at depth 0 (twinRecord.gain)
+// bit for bit, and the record is completed with what that form reads.
+func (tw *twinSweep) close(lanes []lane, gains []float64) {
+	tw.rec.tail[0] = tw.taken
+	for k := tw.first; k < len(lanes); k++ {
+		if c := &lanes[k]; c.deferred {
+			if !tw.idle {
+				tw.stretch(&c.lag, tw.horizon, tw.taken)
+			}
+			tw.rec.au[k], gains[k] = c.lag.A, c.lag.Gain
+			tw.closed++
 		}
 	}
-	if s.PingerOn && s.NextCross <= horizon {
-		if s.P.CrossBits() < x {
-			return false
-		}
-		backlog += int64((horizon-s.NextCross)/s.P.CrossInterval()+1) * s.P.CrossBits()
-	}
-	return float64(backlog) >= float64(s.P.LinkRate)*(horizon-s.Now).Seconds()
+}
+
+// twinGate reports whether hypothesis s, planned to horizon by a call
+// with no latency penalty and no committed send still to come, may defer
+// candidates as lagged twins of its baseline: nothing but the link's clock
+// stamps a delivery, a chunk arrives by the horizon (else it is drained,
+// drainGate), and no chunk is smaller than a candidate's packet. Every
+// input is a size or a time relative to the decision instant, all of them
+// in the rollout key.
+func twinGate(s *model.State, horizon time.Duration) bool {
+	return s.P.ClockSkew == 0 && s.PingerOn && s.NextCross <= horizon && s.P.CrossBits() >= s.P.PktBits()
 }
 
 // drainGate reports whether hypothesis s, planned to horizon by a call
@@ -897,9 +943,8 @@ type decideScratch struct {
 }
 
 // lane is one candidate's rollout: its live state, its accumulator and
-// its send view. A deferred lane holds its fork clone untouched, with u
-// the instant the baseline finishes what was ahead of the candidate's
-// packet.
+// its send view. A deferred lane holds its fork clone untouched, and its
+// closed form so far in lag.
 type lane struct {
 	s        model.State
 	acc      model.Accum
@@ -907,7 +952,7 @@ type lane struct {
 	next     int // first send not yet handed to the state
 	done     bool
 	deferred bool
-	u        time.Duration
+	lag      model.Lag
 }
 
 // run advances the lane to t and returns the value of what it delivered
@@ -960,20 +1005,28 @@ func releasePool(p *rollout.Pool) {
 // topK returns the k heaviest hypotheses, renormalized. It copies; the
 // input order is preserved for k >= len.
 func topK(sup []belief.Hypothesis, k int) []belief.Hypothesis {
-	return appendTopK(nil, sup, k)
+	return appendTopK(nil, &byWeight{}, sup, k)
 }
 
 // appendTopK is topK into dst's storage (Decide passes its arena's). A
-// support wider than k is sorted in a copy that dies with the call, so
-// the arena never holds more than the k hypotheses a plan reads, however
-// wide the widest support it has seen.
-func appendTopK(dst, sup []belief.Hypothesis, k int) []belief.Hypothesis {
+// support wider than k is ordered through order's index, not moved, so
+// the arena holds only the k hypotheses a plan reads and an int32 per
+// hypothesis of the widest support it has seen.
+func appendTopK(dst []belief.Hypothesis, order *byWeight, sup []belief.Hypothesis, k int) []belief.Hypothesis {
+	out := dst
 	if len(sup) > k {
-		all := append([]belief.Hypothesis(nil), sup...)
-		sort.Slice(all, func(i, j int) bool { return all[i].W > all[j].W })
-		sup = all[:k]
+		order.sup, order.idx = sup, order.idx[:0]
+		for i := range sup {
+			order.idx = append(order.idx, int32(i))
+		}
+		sort.Sort(order)
+		for _, i := range order.idx[:k] {
+			out = append(out, sup[i])
+		}
+		order.sup = nil
+	} else {
+		out = append(out, sup...)
 	}
-	out := append(dst, sup...)
 	var total float64
 	for _, h := range out {
 		total += h.W
@@ -985,3 +1038,16 @@ func appendTopK(dst, sup []belief.Hypothesis, k int) []belief.Hypothesis {
 	}
 	return out
 }
+
+// byWeight orders indices into a support heaviest first. sort.Sort runs
+// the pdqsort sort.Slice runs, and its swaps follow the Less outcomes
+// alone, so the index comes out in the order a copy of the support sorted
+// by the same comparison would: ties included.
+type byWeight struct {
+	idx []int32
+	sup []belief.Hypothesis
+}
+
+func (b *byWeight) Len() int           { return len(b.idx) }
+func (b *byWeight) Less(i, j int) bool { return b.sup[b.idx[i]].W > b.sup[b.idx[j]].W }
+func (b *byWeight) Swap(i, j int)      { b.idx[i], b.idx[j] = b.idx[j], b.idx[i] }

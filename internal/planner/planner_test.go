@@ -1,6 +1,9 @@
 package planner
 
 import (
+	"math"
+	"math/rand"
+	"sort"
 	"testing"
 	"time"
 
@@ -193,6 +196,53 @@ func TestTopK(t *testing.T) {
 	same := topK(sup, 10)
 	if len(same) != 4 || same[0].W != 0.5 {
 		t.Errorf("topK with k>=len altered input: %+v", same)
+	}
+}
+
+// TestTopKMatchesCopySort: the top-K taken through an index sort is, hypothesis
+// for hypothesis and in order, the top-K of a copy of the support sorted
+// by sort.Slice under the same comparison — under heavy weight ties, where
+// only pdqsort's own sequence of swaps decides which of the tied
+// hypotheses make the cut and in what order, at widths across its
+// insertion-sort, pattern-breaking and heap-sort regimes. One index is
+// reused throughout, as a pool's arena reuses it.
+func TestTopKMatchesCopySort(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	var order byWeight
+	var dst []belief.Hypothesis
+	for _, n := range []int{3, 12, 13, 50, 257, 300, 1000, 4480} {
+		for _, levels := range []int{1, 2, 5, 40} {
+			sup := make([]belief.Hypothesis, n)
+			for i := range sup {
+				sup[i].S.ParamsID = int32(i)
+				sup[i].W = float64(1+rng.Intn(levels)) / 64
+			}
+			if levels == 40 {
+				// Sorted runs, ascending and descending, as a support's
+				// weights often are.
+				for i := range sup {
+					sup[i].W = float64(i%17) / 64
+					if i%34 >= 17 {
+						sup[i].W = float64(16-i%17) / 64
+					}
+				}
+			}
+			for _, k := range []int{1, 7, 256, n - 1} {
+				if k < 1 || k >= n {
+					continue
+				}
+				ref := append([]belief.Hypothesis(nil), sup...)
+				sort.Slice(ref, func(i, j int) bool { return ref[i].W > ref[j].W })
+				want := topK(ref[:k], k)
+				dst = appendTopK(dst[:0], &order, sup, k)
+				for i := range want {
+					if dst[i].S.ParamsID != want[i].S.ParamsID || math.Float64bits(dst[i].W) != math.Float64bits(want[i].W) {
+						t.Fatalf("n %d, %d weight levels, k %d: hypothesis %d is #%d (w %v), the copy sort's #%d (w %v)",
+							n, levels, k, i, dst[i].S.ParamsID, dst[i].W, want[i].S.ParamsID, want[i].W)
+					}
+				}
+			}
+		}
 	}
 }
 

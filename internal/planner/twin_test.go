@@ -29,6 +29,12 @@ func saturated(now, done, tick, ivl time.Duration, chunk, capBits int64, queued 
 	return s
 }
 
+// idle is s with its link idle: nothing in service, nothing queued.
+func idle(s model.State) model.State {
+	s.Serving, s.Queue, s.QueueBits = false, nil, 0
+	return s
+}
+
 // TestTwinEdges walks the lagged-twin closure's boundaries on hand-built
 // saturated hypotheses, three candidates each (now, +0.5 s, +1 s unless
 // the row sets its own grid), every row held to the event-buffer sweep
@@ -176,6 +182,42 @@ func TestTwinEdges(t *testing.T) {
 		{
 			name: "a trailing send stamped before now", s: saturated(now-100*time.Millisecond, 400*time.Millisecond, 3600*time.Millisecond, sec, x, roomy, six...),
 			horizon: 12 * sec, pending: []model.Send{{Seq: 6, At: now - 50*time.Millisecond}}, closed: 3,
+		},
+		{
+			// The link idle at now, the next tick at +2.5 s: every candidate
+			// goes straight into service and the gap absorbs it, the last
+			// (forked at +1 s) exactly at the stop of +2 s.
+			name: "an idle fork closes", s: idle(saturated(now, sec, 2500*time.Millisecond, 3*sec, x, roomy, x)),
+			horizon: 12 * sec, closed: 3,
+		},
+		{
+			// The packet in service leaves at +0.3 s, the tick comes at +0.8 s
+			// and every 1.4 s after: gaps of 0.5 s and 0.4 s, each shorter than
+			// ℓ, so each lag outlives a gap or two before one absorbs it.
+			name: "a gap shorter than lag", s: saturated(now, 300*time.Millisecond, 800*time.Millisecond, 1400*time.Millisecond, x, roomy, x),
+			horizon: 12 * sec, closed: 3,
+		},
+		{
+			// The link runs dry at +0.3 s, the first candidate's u, and the tick
+			// refills it at +1.3 s: its twin's packet leaves at that instant.
+			name: "a gap of exactly lag", s: saturated(now, 300*time.Millisecond, 1300*time.Millisecond, 3*sec, x, roomy, x),
+			horizon: 12 * sec, closed: 3,
+		},
+		{
+			// Three-packet chunks into a two-packet buffer: the chunk of +0.8 s
+			// ends a gap the deferred twins still owe work in, and they could
+			// not have queued it. The third candidate, forked behind it, is
+			// caught by the chunk of +3.8 s, which arrives as the link runs dry.
+			name: "a gap-ending chunk larger than the buffer", s: saturated(now, 300*time.Millisecond, 800*time.Millisecond, 3*sec, 3*x, 2*x, x),
+			horizon: 12 * sec, mat: 3,
+		},
+		{
+			// Six packets to +5.3 s, then ticks from +5.6 s every second, each
+			// on the instant the link runs dry: a gap of 0.3 s leaves every twin
+			// 0.7 s behind to H = +9 s, with the last delivery before H sliding
+			// past it.
+			name: "a lag still in flight at H", s: saturated(now, 300*time.Millisecond, 5600*time.Millisecond, sec, x, roomy, six...),
+			horizon: 8 * sec, closed: 3,
 		},
 	}
 	for _, tc := range cases {

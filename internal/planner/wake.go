@@ -65,7 +65,7 @@ func (ar *decideArena) begin(w *Wake, k int, stamps bool) {
 		return
 	}
 	ar.wake, ar.maxHyps, ar.stamps = w.id, k, stamps
-	ar.hyps = appendTopK(ar.hyps[:0], w.sup, k)
+	ar.hyps = appendTopK(ar.hyps[:0], &ar.order, w.sup, k)
 	ar.hkeys = slices.Grow(ar.hkeys[:0], len(ar.hyps))[:len(ar.hyps)]
 	for i := range ar.hyps {
 		ar.words = ar.hyps[i].S.AppendRolloutKey(ar.words[:0], w.now, stamps)
