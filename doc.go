@@ -180,11 +180,13 @@
 // (model.Accum.Watch) and the first stop that breaks one turns every
 // deferred lane back into a simulated one, bit for bit. Where the link
 // idles, as on the paper's Figure 3, the baseline's idle time absorbs the
-// lag (the corollary, fuzzed by FuzzAbsorbedTwin; model.Lag). The closed
-// gains differ from simulated ones by a summation order, far under the
-// planner's tie band, so decisions, digests and tables do not move;
-// planner.MemoStats counts lanes closed and lanes deferred then
-// simulated.
+// lag (the corollary, fuzzed by FuzzAbsorbedTwin; model.Lag). On a quiet
+// hypothesis, which nothing arrives at to the horizon, there is nothing to
+// stretch: every lane closes at its fork with its packet's value (fuzzed
+// through planner.Decide by FuzzDrained). The closed gains differ from
+// simulated ones by a summation order, far under the planner's tie band,
+// so decisions, digests and tables do not move; planner.MemoStats counts
+// lanes closed and lanes deferred then simulated.
 //
 // The decisions a wake makes after its first (core.Sender.Wake decides,
 // sends and decides again: the same belief at the same instant with one
@@ -200,9 +202,7 @@
 // for a later one.
 //
 // What only the wake decides (top-K copy, rollout-key hashes, the
-// fingerprint's support half) is paid for once per planner.Wake; and a
-// hypothesis nothing arrives at to the horizon is drained, each gain its
-// packet's own value (model.State.DrainedGains, fuzzed by FuzzDrained).
+// fingerprint's support half) is paid for once per planner.Wake.
 //
 // The memo keys a hypothesis by exactly what a gate-frozen rollout reads
 // of it (model.State.AppendRolloutKey: rates, sizes, what is in service and

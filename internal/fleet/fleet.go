@@ -284,7 +284,7 @@ func beliefDefaults(cfg belief.Config, n int) belief.Config {
 // runs to the full horizon, and a fleet pays that N times over. (The
 // candidates themselves mostly do not: one admitted behind a backlog
 // that stays busy is closed from the baseline's running value, see
-// planner.Decide's sixth economy — planning cost is no longer
+// planner.Decide — planning cost is no longer
 // candidates × horizon, but it is still linear in the horizon.)
 func planDefaults(cfg planner.Config, perSender units.BitRate, u utility.Config, n int) planner.Config {
 	fairInterval := units.TransmitTime(packet.DefaultSizeBits, perSender)

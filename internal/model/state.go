@@ -579,7 +579,9 @@ func twinCharge(j int, x int64, lag time.Duration, in int64, age time.Duration) 
 // serving at most what the baseline delivered last, queues it alone. A gap
 // lasting E after u absorbs it (its last departure goes first) and the
 // twin is EqualDynamic to the baseline from then on. The watch's log
-// records the gaps; FuzzAbsorbedTwin holds this to Run's event lists.
+// records the gaps; FuzzAbsorbedTwin holds this to Run's event lists. When
+// nothing arrives after t the baseline delivers nothing after u, so every
+// stretch is empty and X's value is the whole gain (FuzzDrained).
 func (s *State) BacklogDone() time.Duration {
 	u := s.ServiceDone
 	for _, q := range s.Queued() {
@@ -644,38 +646,6 @@ func (l *Lag) Idle(dry, end time.Duration, a float64) (absorbed bool) {
 	l.E -= idle
 	l.From, l.A = end, a
 	return false
-}
-
-// DrainedGains is the closed form of a hypothesis nothing arrives at by
-// horizon (no send after s.Now; the gate off or the next tick past
-// horizon) under an unskewed clock: gains[k] is what one more packet of
-// the uniform size sent at at[k] (non-decreasing, s.Now to horizon) adds
-// to the value delivered by horizon, s advancing to each at[k]. The packet
-// is the last arrival, so FIFO and a work-conserving link leave every
-// other delivery alone: the gain is its own value (PacketValue, from t0)
-// ℓ after the send into an idle link, ℓ after BacklogDone — which nothing
-// arriving leaves fixed — behind a busy one, and 0 if the buffer has no
-// room for it or it is through only after horizon.
-func (s *State) DrainedGains(at []time.Duration, gains []float64, t0, horizon time.Duration, survive, kappa float64) {
-	x, u := s.P.PktBits(), time.Duration(-1)
-	lag := s.serviceTime(x)
-	for k, t := range at {
-		s.advance(t, nil, nil, nil)
-		gains[k] = 0
-		done := t + lag
-		if s.Serving {
-			if s.QueueBits+x > s.P.BufferCapBits {
-				continue
-			}
-			if u < 0 {
-				u = s.BacklogDone()
-			}
-			done = u + lag
-		}
-		if done <= horizon {
-			gains[k] = PacketValue(x, survive, done-t0, kappa)
-		}
-	}
 }
 
 // Toggle flips the INTERMITTENT gate.

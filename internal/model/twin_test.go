@@ -5,7 +5,10 @@ import (
 	"testing"
 	"time"
 
+	"modelcc/internal/belief"
 	"modelcc/internal/model"
+	"modelcc/internal/planner"
+	"modelcc/internal/rollout"
 	"modelcc/internal/units"
 	"modelcc/internal/utility"
 )
@@ -286,19 +289,28 @@ func FuzzTwinStack(f *testing.F) {
 	})
 }
 
-// FuzzDrained holds the drained closed form (State.DrainedGains) to Run's
-// event lists. A baseline grown the way the lagged-twin fuzzers grow
-// theirs — own packets and cross chunks of a packet, three or a third of
-// one mixed in its queue, the buffer full or roomy, the link busy or idle
-// — is drained: its gate turned off, or its next tick put past the
-// horizon. Candidate instants start at the baseline's instant and step on,
-// tie with the link's next completion or with the instant its backlog
-// clears, or repeat the one before; the horizon lies past them or on a
-// candidate's own delivery, exactly or a nanosecond short; the loss
-// probability is 0 to 0.7 and κ 1 s or 60 s. Every candidate is simulated —
-// the baseline and a copy sent one more packet at the candidate's instant,
-// both run to the horizon, their deliveries valued afresh — and its closed
-// gain must be the difference within 1e-9 of a packet's bits.
+// FuzzDrained holds the planner's closure of a quiet hypothesis — one that
+// nothing arrives at to the horizon, where every lane closes at its fork
+// with its packet's value (the corollary at State.BacklogDone with nothing
+// to stretch) — to Run's event lists. A baseline grown the way the
+// lagged-twin fuzzers grow theirs — own packets and cross chunks of a
+// packet, three or a third of one mixed in its queue, the buffer full or
+// roomy, the link busy or idle — is made quiet: its gate turned off, or
+// its next tick put past the horizon. Candidate instants start at the
+// baseline's instant and step on, tie with the link's next completion or
+// with the instant its backlog clears, or repeat the one before; the
+// horizon lies past them or on a candidate's own delivery, exactly or a
+// nanosecond short; the loss probability is 0 to 0.7 and κ 1 s or 60 s.
+// Each candidate is planned by planner.Decide on the baseline advanced to
+// its instant, one candidate per call and the horizon where it lies, and
+// simulated — the baseline and a copy sent one more packet at the
+// candidate's instant, both run to the horizon, their deliveries valued
+// afresh; the planned gain must be the difference within 1e-9 of a
+// packet's bits, and every lane must have been closed, none simulated. It
+// lives here, not in the planner, because it grows its baselines with
+// twinBaseline and shares the lagged-twin fuzzers' corpus, and so that
+// `go test -run 'FuzzDrained|FuzzAbsorbedTwin' ./internal/model/` runs
+// every closed form against simulation.
 func FuzzDrained(f *testing.F) {
 	twinSeeds(f)
 	// A busy link with a queue behind it and room to spare; a full buffer;
@@ -392,15 +404,27 @@ func FuzzDrained(f *testing.F) {
 			at = at[:len(at)-1] // the closed form speaks of sends by the horizon
 		}
 
-		gains := make([]float64, len(at))
-		closed := base.Clone()
-		closed.DrainedGains(at, gains, fork, horizon, survive, kappa)
+		// One candidate per call (MaxDelay under Grid), at a, with the
+		// horizon a+MaxDelay+Horizon where it lies: a candidate within 2 ns
+		// of it leaves no room for a positive Horizon, and its packet is not
+		// through by then anyway.
+		pool := rollout.New(1)
+		cfg := planner.Config{Util: utility.Config{Alpha: 1.5, Kappa: time.Duration(kappa)}, MaxDelay: 1, Grid: 2, Workers: 1, Pool: pool}
 		without, _ := run(horizon)
+		probe = base.Clone()
 		for k, a := range at {
-			with, _ := run(horizon, a)
-			if d := gains[k] - (with - without); math.Abs(d) > 1e-9*float64(x) {
-				t.Fatalf("candidate %d at %v (fork %v, horizon %v): closed gain %v, simulated %v", k, a, fork, horizon, gains[k], with-without)
+			if cfg.Horizon = horizon - a - cfg.MaxDelay; cfg.Horizon <= 0 {
+				break
 			}
+			probe.Run(a, nil, nil)
+			d := planner.Decide([]belief.Hypothesis{{S: probe.Clone(), W: 1}}, nil, a, 1<<20, cfg)
+			gain := d.Gain * math.Exp(-float64(a-fork)/kappa)
+			if with, _ := run(horizon, a); math.Abs(gain-(with-without)) > 1e-9*float64(x) {
+				t.Fatalf("candidate %d at %v (fork %v, horizon %v): planned gain %v, simulated %v", k, a, fork, horizon, gain, with-without)
+			}
+		}
+		if st := planner.PoolMemoStats(pool); st.Closed != st.Lanes {
+			t.Fatalf("%d of %d lanes closed, want all", st.Closed, st.Lanes)
 		}
 	})
 }

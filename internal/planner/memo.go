@@ -15,10 +15,10 @@ import (
 // serve: of the Lookups − Hits − Shared gain vectors Decide had to
 // produce, Derived came from a twin record and the rest from a rollout,
 // Stripped more rollouts made the records that were missing, and of the
-// candidate Lanes of all those rollouts Lanes − Closed − Drained were
-// simulated, Materialized of those after a deferral. Like the memo's own
-// counters these depend on how the fleet is partitioned, so they are
-// diagnostics, not results.
+// candidate Lanes of all those rollouts Lanes − Closed were simulated or
+// dropped where they forked, Materialized of those after a deferral. Like
+// the memo's own counters these depend on how the fleet is partitioned, so
+// they are diagnostics, not results.
 type MemoStats struct {
 	// Lookups is how many hypotheses Decide keyed.
 	Lookups int64
@@ -37,18 +37,14 @@ type MemoStats struct {
 	Lanes int64
 	// Closed lanes were never simulated: lagged twins of their baseline to
 	// the horizon or until its idle time absorbed the lag, their gain closed
-	// from the baseline's running value (see Decide's sixth economy).
+	// from the baseline's running value — every lane of a quiet hypothesis,
+	// which nothing arrives at, included (see Decide).
 	Closed int64
-	// Drained lanes were never simulated either: candidates of a hypothesis
-	// nothing arrives at to the horizon, each gain its packet's own value
-	// (see Decide's eighth economy).
-	Drained int64
 	// Materialized lanes were deferred as twins and simulated after all,
 	// because an arrival left them no room.
 	Materialized int64
 	// Derived gain vectors were never rolled: a later decision of a burst,
-	// computed from the twin record of the burst's first (see Decide's
-	// seventh economy).
+	// computed from the twin record of the burst's first (see Decide).
 	Derived int64
 	// Stripped rollouts were of a burst's first decision on behalf of a
 	// later one that found no record of it.
@@ -69,7 +65,6 @@ func (s *MemoStats) Add(o MemoStats) {
 	s.Overwrites += o.Overwrites
 	s.Lanes += o.Lanes
 	s.Closed += o.Closed
-	s.Drained += o.Drained
 	s.Materialized += o.Materialized
 	s.Derived += o.Derived
 	s.Stripped += o.Stripped
@@ -131,8 +126,8 @@ func planKey(pending []model.Send, now time.Duration, cfg Config) memoKey {
 // The plan goes in last, as its two hash words, so that a hypothesis is
 // mixed once however many plans it is keyed under — a burst's later
 // decision keys it under its own pending sends and under the burst's
-// first (Decide's seventh economy). The verify word is forced odd so no
-// key equals an empty slot.
+// first (see Decide). The verify word is forced odd so no key equals an
+// empty slot.
 func (k memoKey) under(plan memoKey) memoKey {
 	k = k.mix(plan.primary).mix(plan.verify)
 	k.verify |= 1
@@ -249,7 +244,7 @@ type twinHead struct {
 }
 
 // twinRecord is what a lagged-twin rollout of a burst's first decision
-// leaves for the later ones (see Decide's seventh economy): per candidate
+// leaves for the later ones (see Decide): per candidate
 // k the value pkt[k] of its packet delivered at u_k+ℓ, the baseline's value
 // au[k] = A(u_k), and the shallowest depth drop[k] at which the packet is
 // tail-dropped on arrival (noDrop: at none within reach); the head; and
@@ -381,8 +376,8 @@ type decideArena struct {
 	seq        int64
 	util       utility.Config
 	candidates int
-	// twins: the call passes the call-level half of twinGate and
-	// drainGate, so a sweep asks each hypothesis the rest.
+	// twins: the call passes the call-level half of twinGate, so a sweep
+	// asks each hypothesis the rest.
 	twins   bool
 	sweepFn func(*rollout.Scratch, int) // ar.sweep, bound once
 }

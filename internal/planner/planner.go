@@ -67,36 +67,30 @@
 // a twin had no room for turns every deferred lane back into a simulated
 // one, caught up from its fork clone bit for bit. A closed gain is the
 // simulated gain up to a summation order, five orders of magnitude under
-// the tie band of reduce, so no decision can tell. twinGate decides per
-// hypothesis, from sizes and relative times only; a hypothesis it refuses
-// (a skewed clock, a chunk smaller than a packet) is swept as before, bit
-// for bit.
+// the tie band of reduce, so no decision can tell. On a quiet hypothesis,
+// which nothing arrives at to the horizon, the baseline delivers nothing
+// after the packet's u, so there is nothing to stretch: every lane closes
+// at its fork with its packet's value and the baseline is advanced with no
+// accumulator. twinGate decides per hypothesis, from sizes and relative
+// times only; a hypothesis it refuses (a skewed clock, a chunk smaller than
+// a packet arriving by the horizon) is swept as before, bit for bit.
 //
-// And a saturated hypothesis is rolled once per wake, not once per
-// decision. A sender re-decides after every packet it injects (§3.2–3.3),
-// so a wake is a burst of Decide calls at one instant on one belief, each
-// with one more own packet committed at now; counted on a 256-sender
-// fleet every wake that plans live makes exactly four. The baseline of the
-// call m packets in is the first call's with m packets at the queue tail —
-// the lagged twin again, applied to the baseline, m service times late —
-// and a candidate of that call is the first call's baseline m+1 late from
-// its fork on. So the first call's sweep leaves a twin record beside its
-// gain vector in the memo (twinRecord: per candidate the packet's value,
-// the baseline's value at its u and whether it is dropped on arrival m
-// packets deeper; the baseline's value at the horizon's last few service
-// times; and how deep the watch found the premises to hold), and the
-// later calls derive their gain vectors from it in a few flops per
-// candidate (twinRecord.derive has the formula) instead of simulating the
-// same hypothesis again. Derived gains differ from rolled ones by a
-// summation order, like closed ones.
+// And a hypothesis whose link stays busy through the forks is rolled once
+// per wake, not once per decision. A sender re-decides after every packet
+// it injects (§3.2–3.3), so a wake is a burst of Decide calls at one
+// instant on one belief, each with one more own packet committed at now
+// (four per live wake on a 256-sender fleet). The baseline of the call m
+// packets in is the first call's m service times late — the lagged twin
+// again — and its candidates are that baseline m+1 late from their forks.
+// So the first call's sweep leaves a twin record beside its gain vector in
+// the memo (twinRecord), and the later calls derive their vectors from it
+// in a few flops per candidate (twinRecord.derive), differing from rolled
+// ones by a summation order, like closed ones.
 //
 // What only the wake decides is paid for once per wake: the top-K copy,
 // each hypothesis's rollout-key hash and the fingerprint's support half
 // are taken at a Wake's first decision and kept for the rest, keyed by
-// the Wake alone (see Wake). And the lagged twin's complement closes too:
-// a hypothesis nothing arrives at to the horizon is drained, a candidate's
-// packet is the last arrival, and its gain is the packet's own value
-// (model.State.DrainedGains) — no lane simulates the backlog draining.
+// the Wake alone (see Wake).
 //
 // Ties break toward the longest delay. This is what turns the utility
 // maximization into pacing: when the queue already guarantees a packet's
@@ -214,89 +208,46 @@ type Decision struct {
 const lockstepChunk = time.Second
 
 // Decide selects the expected-utility-maximizing action at `now` for the
-// packet with sequence number seq. pending are sends already committed
-// but not yet folded into the belief (they are replayed in every
-// rollout, so successive decisions within one wakeup see each other's
-// queue occupancy).
+// packet with sequence number seq. pending are sends already committed but
+// not yet folded into the belief; every rollout replays them, so the
+// decisions of one wakeup see each other's queue occupancy.
 //
-// The per-hypothesis work is one forward sweep over a grid of sync
-// stops (every candidate send time, then every lockstepChunk), built
-// for the rollout engine's eight economies. (1) The no-send baseline is
-// simulated exactly once; each candidate forks from it in place when
-// the sweep reaches its send time, so [now, now+δ) is never
-// re-simulated. (2) Candidates advance alongside the baseline and
-// retire at the first stop where their state coincides with it —
-// identical states have identical futures (the hypothesis is
-// deterministic during planning: gate frozen, loss in expectation), so
-// every later utility term cancels and the accumulated gain is final;
-// the sweep itself ends when every candidate has retired, which in
-// steady state cuts the simulated span from the 40 s Horizon to the few
-// seconds the extra packet's consequences actually linger. (3)
-// Hypotheses are sharded across cfg.Workers, each with a scratch arena
-// of candidate lanes, the call's own buffers live on the pool and the
-// sweep is a method bound once, so on one worker the steady-state
-// decision allocates nothing. (4) Each distinct hypothesis is swept
-// once: before the sweep every hypothesis is keyed by exactly what the
-// sweep reads of it (see the package comment), equal keys within the
-// call share one sweep, and a key an earlier call on the same pool
-// stored takes that call's per-candidate gain vector. A hit is bit for bit what the sweep
-// would have produced, and the weight reduce below is unchanged, so the
-// memo can be cold, warm, wrapped or shared by any set of senders
-// without reaching a Decision. (5) A sweep is streamed: deliveries fold
-// into one discount accumulator per rollout as the link completes them,
-// no event buffer in between, with the exp(−Δ/κ) step factors shared by
-// every rollout of a worker; segment partition, event order and
-// summation order are the event-buffer sweep's, so the gains are too
-// (see the package comment and decideArena.sweep). (6) A candidate is not
-// simulated: it is its baseline late by its packet's service time, a lag
-// that lasts to the horizon on a link that stays busy — where (2) never
-// fires — and that the baseline's idle time absorbs on one that idles. Its
-// gain is closed from the baseline's running value (model.Lag; see the
-// package comment). What is still simulated, and why: every lane of a
-// hypothesis twinGate refuses and (8) does not close — a cross-latency
-// penalty or a skewed clock (a delivery's value is then not a function of
-// its instant alone), a committed send still to come or a cross chunk
-// smaller than a packet (the twin is then not a pure lag); a lane whose
-// packet would not be through by the horizon; and every lane deferred
-// before a stop at which an arrival left a twin no room — where one packet
-// displaces another, which is where the large negative gains are.
-// MemoStats counts the three outcomes. (7) A burst is swept once. When the
-// pending list ends in m sends of the uniform size stamped now (1 ≤ m ≤
-// twinDepth) the call is the (m+1)-th decision of a wake, and a gain vector
-// it has to produce is derived from the twin record of the burst's first
-// decision — the same hypothesis keyed under the pending list without
-// those m sends — when that record reaches depth m: the watch stayed clean
-// m+1 packets deep to the horizon, the m packets fit at now, every
-// candidate was closed or dropped at depth 0 and is either surely dropped
-// or surely admitted m packets deeper with its packet through by the
-// horizon. The rule is canonical, which is what keeps a warm memo from
-// reaching a Decision: the value produced for a key is a function of the
-// key alone. On a miss the record is looked up under the first decision's
-// key; if it is not resident the first decision's baseline is swept
-// (MemoStats.Stripped; the cost of the sweep it replaces, and vector and
-// record go into the memo for the rest of the burst) and the vector
-// derived from the fresh record — never swept directly because the record
-// happened to be missing; and only a record that says it does not reach
-// depth m sends the hypothesis down the direct sweep, as do, without
-// asking, a hypothesis with no record resident that twinGate refuses (it
-// reads nothing of the pending list, so no record of it can exist), a
-// burst deeper than twinDepth, and a trailing send of another size or an
-// earlier instant (which makes it no burst at all). Whether the record
-// was resident, evicted or never made, the same key gets the same vector.
-// What is still swept in a burst: its first decision; every hypothesis the
-// gate refuses; and the hypotheses whose record does not reach — the
-// baseline's link idled (a record serves only one busy to the horizon), a
-// stop was dirty (the buffer is full where a chunk arrives), the m packets
-// do not fit, or a lane was simulated at depth 0.
+// Each hypothesis is keyed by what a sweep reads of it (see the package
+// comment), and its gain vector — one gain per candidate send time — comes
+// from the first of: the rollout memo, where an earlier call on the pool
+// stored the key; an earlier hypothesis of this call with the same key;
+// the twin record of a burst's first decision; a sweep. A memo hit is bit
+// for bit what the sweep would produce, so the memo never reaches a
+// Decision.
 //
-// (8) A drained hypothesis is not swept. When nothing arrives behind a
-// candidate's packet to the horizon — no committed send after now, the
-// gate off or the next tick past the horizon, no penalty, no skew — its
-// gain is its packet's own value, closed (model.State.DrainedGains): no
-// lane, no fork clone, no lockstep. It is the complement of (6), asked of
-// every hypothesis (6) does not take in every kind of sweep, a burst's
-// later decisions included, and like (6) differs from simulation by a
-// summation order; MemoStats.Drained counts its lanes.
+// A sweep (decideArena.sweep) advances the no-send baseline once over sync
+// stops — each candidate's send time, then every lockstepChunk to the
+// horizon — folding its deliveries into a discount accumulator
+// (model.Accum), and forks each candidate from it at its send time. On a
+// hypothesis twinGate takes, a candidate is its baseline late by its
+// packet's service time: its gain is closed from the baseline's running
+// value (model.Lag) where an idle gap absorbs the lag, at the horizon, or,
+// on a quiet hypothesis (nothing arrives to the horizon), at its fork. The
+// rest are simulated beside the baseline and retire at the first stop
+// where their state equals it: every lane twinGate refuses, a lane of a
+// hypothesis that is not quiet whose packet is not through by the horizon,
+// and every lane deferred before an arrival that left a twin no room.
+// Closed gains differ from simulated ones by a summation order. Hypotheses
+// are spread over cfg.Workers with per-worker scratch, and on one worker a
+// steady-state call allocates nothing.
+//
+// A call whose pending list ends in m sends of the uniform size stamped
+// now (1 ≤ m ≤ twinDepth) is the (m+1)-th decision of a wake, and a vector
+// it must produce is derived (twinRecord.derive) from the record of the
+// burst's first decision — the hypothesis keyed without those m sends —
+// when the record reaches depth m. A record that is not resident is remade
+// by sweeping the first decision (MemoStats.Stripped); a record that does
+// not reach, a hypothesis twinGate refuses, a deeper burst and a trailing
+// send of another size or instant go down the direct sweep. Resident,
+// evicted or never made, the same key gets the same vector.
+//
+// reduce weighs the vectors by the hypotheses' weights in index order and
+// picks the best candidate, ties within a band going to the longest delay.
 func Decide(sup []belief.Hypothesis, pending []model.Send, now time.Duration, seq int64, cfg Config) Decision {
 	var w Wake
 	w.Reset(sup, now)
@@ -342,11 +293,10 @@ func (w *Wake) Decide(pending []model.Send, seq int64, cfg Config) Decision {
 	gains := ar.gains
 	row := func(i int) []float64 { return gains[i*candidates : (i+1)*candidates] }
 
-	// The call-level half of twinGate and drainGate: a delivery is valued
-	// by its instant alone, and no committed send is still to come. Under
-	// it, a call whose pending list ends in burst sends of the uniform size
-	// stamped now is a later decision of a burst; the list without them is
-	// the first one's.
+	// The call-level half of twinGate: a delivery is valued by its instant
+	// alone, and no committed send is still to come. Under it, a call whose
+	// pending list ends in burst sends of the uniform size stamped now is a
+	// later decision of a burst; the list without them is the first one's.
 	twins := cfg.Util.CrossLatencyPenalty == 0 && (len(pending) == 0 || pending[len(pending)-1].At <= now)
 	// What such calls keep per hypothesis is sized at once for the widest
 	// support a default plan reads: a support widens all through a run, and
@@ -365,14 +315,9 @@ func (w *Wake) Decide(pending []model.Send, seq int64, cfg Config) Decision {
 	first := pending[:len(pending)-burst]
 	derives := 1 <= burst && burst <= twinDepth
 
-	// Memo look-ups, in index order on this goroutine: a hypothesis whose
-	// key an earlier call stored takes that gain vector, one whose key an
-	// earlier hypothesis of this call has shares its vector, a later
-	// decision of a burst whose first left its twin record in the memo is
-	// derived from it, and only the rest are swept: under the burst's first
-	// plan (bare) where the record is wanted and missing and the gate takes
-	// the hypothesis, under the call's own otherwise (roll; where the gate
-	// has just refused, the sweep asks it again and is refused again).
+	// Memo look-ups, in index order on this goroutine (see Decide). Of the
+	// hypotheses left to sweep, bare are swept under the burst's first plan
+	// for a missing record, roll under the call's own.
 	plan := planKey(pending, now, cfg)
 	var firstPlan memoKey
 	if derives {
@@ -528,15 +473,12 @@ const negInf = -1e308
 // segment sum less the baseline's joins its gain. It is a method bound
 // once (sweepFn) so a call creates no closure.
 //
-// When the hypothesis passes twinGate a candidate is not advanced at all:
-// it is deferred, a lagged twin of the baseline (model.State.BacklogDone)
-// whose gain the baseline's running value closes (model.Lag) — where the
-// baseline's idling absorbs its lag, or at the horizon. The baseline's
-// watch logs its gaps and says, stop by stop, whether every arrival left
-// a twin room; the first stop at which one did not turns every deferred
-// lane back into a simulated one, caught up from its fork clone. Such a
-// sweep also fills the hypothesis's twin record (ar.recs), which Decide
-// keeps when the sweep is of a burst's first decision.
+// When the hypothesis passes twinGate a candidate is not advanced at all
+// but deferred at its fork and closed (twinSweep), or, on a quiet
+// hypothesis, closed there: the baseline then folds its deliveries into no
+// accumulator, as nothing of its value is read. Such a sweep also fills
+// the hypothesis's twin record (ar.recs), which Decide keeps when the
+// sweep is of a burst's first decision.
 func (ar *decideArena) sweep(s *rollout.Scratch, r int) {
 	i := int(ar.roll[r])
 	h := &ar.hyps[i]
@@ -557,14 +499,11 @@ func (ar *decideArena) sweep(s *rollout.Scratch, r int) {
 	h.S.CloneInto(base)
 	horizon := stops[len(stops)-1]
 	twin := ar.twins && twinGate(&h.S, horizon)
-	if !twin && ar.twins && drainGate(&h.S, horizon) {
-		// Drained: every pending send is due by now.
-		base.Run(ar.now, pending, nil)
-		base.DrainedGains(stops[:candidates], gains, ar.now, horizon, 1-h.S.P.LossProb, float64(ar.util.Kappa))
-		ds.tally.Drained += int64(candidates)
-		return
-	}
 	ar.util.Start(&ds.base, ar.now, h.S.P.LossProb, &ds.steps)
+	acc := &ds.base
+	if twin && quiet(&h.S, horizon) {
+		acc = nil // every lane closes at its fork: the baseline's value is never read
+	}
 
 	// The lagged-twin mode (ds.tw): under it a candidate is deferred at its
 	// fork — marked done as well, so the lockstep passes over it — and the
@@ -573,7 +512,7 @@ func (ar *decideArena) sweep(s *rollout.Scratch, r int) {
 	tw := &ds.tw
 	tw.deferred = 0
 	if twin {
-		tw.start(base, &ds.base, stops, ar.recs.at(i, candidates), ar.now, float64(ar.util.Kappa), 1-h.S.P.LossProb)
+		tw.start(base, acc, stops, ar.recs.at(i, candidates), ar.now, float64(ar.util.Kappa), 1-h.S.P.LossProb)
 	}
 
 	// Each stop: the baseline first (at stop 0, = now, that consumes the
@@ -588,13 +527,13 @@ func (ar *decideArena) sweep(s *rollout.Scratch, r int) {
 			hi++
 		}
 		if tw.deferred > 0 {
-			tw.pause(base, &ds.base, lanes[:forked], t)
+			tw.pause(base, acc, lanes[:forked], t)
 		}
-		base.RunAccum(t, pending[si:hi], &ds.base)
+		base.RunAccum(t, pending[si:hi], acc)
 		si = hi
-		baseSeg := ds.base.Take()
-		if twin {
-			n := tw.endStop(&ds.base, lanes[:forked], gains, stops, j, baseSeg)
+		baseSeg := ds.base.Take() // 0 on a quiet hypothesis
+		if twin && acc != nil {
+			n := tw.endStop(acc, lanes[:forked], gains, stops, j, baseSeg)
 			ds.tally.Materialized += int64(n)
 			live += n
 		}
@@ -632,9 +571,9 @@ func (ar *decideArena) sweep(s *rollout.Scratch, r int) {
 			c.done, c.deferred = false, false
 			gains[j] = 0
 			forked++
-			if twin && tw.fork(c, base, &ds.base, j) {
-				// Tail-dropped on arrival: the candidate is its baseline
-				// from here on.
+			if twin && tw.fork(c, base, acc, gains, j) {
+				// Tail-dropped on arrival (the candidate is its baseline from
+				// here on), or closed where it forks.
 				continue
 			}
 			base.CloneInto(&c.s)
@@ -672,9 +611,11 @@ func (ar *decideArena) sweep(s *rollout.Scratch, r int) {
 // H−ℓ leaves (see stretch); slip and pkt memoize Slip and the packet value
 // for slipE and pktU. rec is the twin record in the making, tails counts
 // the A(H−i·ℓ) still to read, and reach is how deep the record serves.
+// quiet says nothing arrives to H: every lane closes at its fork.
 type twinSweep struct {
 	x                 int64
 	lag, horizon, now time.Duration
+	quiet             bool
 	kappa, survive    float64
 	taken             float64
 	deferred, closed  int
@@ -695,14 +636,18 @@ type twinSweep struct {
 
 // start arms the mode for one hypothesis: the baseline's accumulator
 // watches the theorem's premises, as deep as a record serves, and logs its
-// gaps, the one under way included.
+// gaps, the one under way included. A quiet hypothesis's baseline has no
+// accumulator (acc nil), and its record's A is 0 throughout.
 func (tw *twinSweep) start(base *model.State, acc *model.Accum, stops []time.Duration, rec twinRecord, now time.Duration, kappa, survive float64) {
 	p := &base.P
-	*tw = twinSweep{x: p.PktBits(), lag: p.ServiceTime(), horizon: stops[len(stops)-1], now: now, kappa: kappa, survive: survive,
+	*tw = twinSweep{x: p.PktBits(), lag: p.ServiceTime(), horizon: stops[len(stops)-1], now: now, quiet: acc == nil, kappa: kappa, survive: survive,
 		segs: slices.Grow(tw.segs[:0], len(stops))[:len(stops)], gaps: tw.gaps[:0], dEnd: units.Forever,
 		rec: rec, tails: twinDepth + 1, reach: twinDepth}
-	tw.rec.slip = -math.Expm1(-float64(tw.lag) / kappa)
+	*tw.rec.twinHead = twinHead{slip: -math.Expm1(-float64(tw.lag) / kappa)}
 	tw.slipE, tw.slip, tw.pktU = tw.lag, tw.rec.slip, -1
+	if tw.quiet {
+		return
+	}
 	if !base.Serving {
 		tw.gaps = append(tw.gaps, model.Gap{Dry: base.Now, End: units.Forever})
 	}
@@ -717,13 +662,23 @@ func (tw *twinSweep) start(base *model.State, acc *model.Accum, stops []time.Dur
 // burst's later decisions, whose baseline is this one m packets behind:
 // dropped there (recorded), admitted with its packet through by H, or not
 // known from this baseline — which, like an idle link or a simulated lane,
-// ends the record's reach.
-func (tw *twinSweep) fork(c *lane, base *model.State, acc *model.Accum, j int) (dropped bool) {
+// ends the record's reach. On a quiet hypothesis the candidate's packet is
+// the last arrival, so every lane closes here, into gains[j]: its packet's
+// value, or 0 if it is dropped or not through by H. fork reports whether
+// the lane is done.
+func (tw *twinSweep) fork(c *lane, base *model.State, acc *model.Accum, gains []float64, j int) (done bool) {
+	if tw.quiet {
+		tw.closed++
+	}
 	u := base.Now
 	if !base.Serving {
 		tw.busy, tw.reach = false, 0
 	} else {
-		if queued := acc.TakeQueued(); tw.busy {
+		var queued time.Duration
+		if !tw.quiet {
+			queued = acc.TakeQueued()
+		}
+		if tw.busy {
 			tw.u += queued
 		} else {
 			tw.u, tw.busy = base.BacklogDone(), true
@@ -751,17 +706,23 @@ func (tw *twinSweep) fork(c *lane, base *model.State, acc *model.Accum, j int) (
 	}
 	if u+tw.lag > tw.horizon {
 		tw.reach = 0
-		return false
-	}
-	if tw.deferred == 0 {
-		tw.first = j
+		c.done = tw.quiet
+		return tw.quiet
 	}
 	if u != tw.pktU {
 		tw.pktU, tw.pkt = u, model.PacketValue(tw.x, tw.survive, u+tw.lag-tw.now, tw.kappa)
 	}
 	tw.rec.pkt[j] = tw.pkt
 	c.lag = model.Lag{E: tw.lag, From: u, Gain: tw.pkt}
-	c.done, c.deferred = true, true
+	c.done = true
+	if tw.quiet {
+		gains[j], tw.rec.au[j] = c.lag.Gain, c.lag.A
+		return true
+	}
+	if tw.deferred == 0 {
+		tw.first = j
+	}
+	c.deferred = true
 	tw.deferred++
 	return false
 }
@@ -908,24 +869,20 @@ func (tw *twinSweep) close(lanes []lane, gains []float64) {
 }
 
 // twinGate reports whether hypothesis s, planned to horizon by a call
-// with no latency penalty and no committed send still to come, may defer
+// with no latency penalty and no committed send still to come, may close
 // candidates as lagged twins of its baseline: nothing but the link's clock
-// stamps a delivery, a chunk arrives by the horizon (else it is drained,
-// drainGate), and no chunk is smaller than a candidate's packet. Every
-// input is a size or a time relative to the decision instant, all of them
-// in the rollout key.
+// stamps a delivery, and no chunk arriving by the horizon is smaller than a
+// candidate's packet — vacuously so on a quiet hypothesis. Every input is a
+// size or a time relative to the decision instant, all of them in the
+// rollout key.
 func twinGate(s *model.State, horizon time.Duration) bool {
-	return s.P.ClockSkew == 0 && s.PingerOn && s.NextCross <= horizon && s.P.CrossBits() >= s.P.PktBits()
+	return s.P.ClockSkew == 0 && (quiet(s, horizon) || s.P.CrossBits() >= s.P.PktBits())
 }
 
-// drainGate reports whether hypothesis s, planned to horizon by a call
-// with no latency penalty and nothing committed after now, is drained: no
-// pinger chunk arrives by the horizon and the receiver clock is the
-// sender's, so a candidate's packet is the last arrival and its gain has
-// the closed form of model.State.DrainedGains. Its inputs are in the
-// rollout key, like twinGate's.
-func drainGate(s *model.State, horizon time.Duration) bool {
-	return s.P.ClockSkew == 0 && (!s.PingerOn || s.NextCross > horizon)
+// quiet reports whether no pinger chunk arrives at s by the horizon: its
+// gate is off or its next tick is past it.
+func quiet(s *model.State, horizon time.Duration) bool {
+	return !s.PingerOn || s.NextCross > horizon
 }
 
 // decideScratch is a worker's planner-specific arena, reused across

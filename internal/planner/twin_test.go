@@ -35,6 +35,12 @@ func idle(s model.State) model.State {
 	return s
 }
 
+// gateOff is s with its pinger's gate off: a quiet hypothesis.
+func gateOff(s model.State) model.State {
+	s.PingerOn = false
+	return s
+}
+
 // TestTwinEdges walks the lagged-twin closure's boundaries on hand-built
 // saturated hypotheses, three candidates each (now, +0.5 s, +1 s unless
 // the row sets its own grid), every row held to the event-buffer sweep
@@ -42,7 +48,9 @@ func idle(s model.State) model.State {
 // fork, what is deferred and then materialized, what the gate refuses —
 // and, for a burst's later decisions (burst sends of the uniform size
 // committed at now), what is derived from the first one's record, what is
-// swept under the call's own plan after all, and what never asks.
+// swept under the call's own plan after all, and what never asks. The
+// last rows are quiet: nothing arrives to H, and every lane closes at its
+// fork.
 func TestTwinEdges(t *testing.T) {
 	const (
 		x   = int64(12000)
@@ -218,6 +226,46 @@ func TestTwinEdges(t *testing.T) {
 			// past it.
 			name: "a lag still in flight at H", s: saturated(now, 300*time.Millisecond, 5600*time.Millisecond, sec, x, roomy, six...),
 			horizon: 8 * sec, closed: 3,
+		},
+		{
+			// Quiet: nothing arrives to H, so every lane closes at its fork
+			// with its packet's value, at u₀+ℓ = +6.3 s behind the backlog.
+			name: "a busy link with the gate off", s: gateOff(saturated(now, 300*time.Millisecond, 100*time.Millisecond, sec, x, roomy, six...)),
+			horizon: 12 * sec, closed: 3,
+		},
+		{
+			name: "a tick 1ns past H", s: saturated(now, 300*time.Millisecond, 13*sec+1, sec, x, roomy, six...),
+			horizon: 12 * sec, closed: 3,
+		},
+		{
+			// u₀+ℓ = H+1ns at every fork: each lane closes at 0 where it forks.
+			name: "a quiet lane through at H+1ns", s: gateOff(saturated(now, 300*time.Millisecond+1, 100*time.Millisecond, sec, x, roomy, six...)),
+			horizon: 5300 * time.Millisecond, closed: 3,
+			check: func(t *testing.T, gains []float64) {
+				for k, g := range gains {
+					if g != 0 {
+						t.Errorf("candidate %d, through after H, gains %v, want 0", k, g)
+					}
+				}
+			},
+		},
+		{
+			// A full buffer: the candidate of now is dropped where it forks; the
+			// later two get in once the head has left at +0.3 s.
+			name: "a quiet full buffer", s: gateOff(saturated(now, 300*time.Millisecond, 100*time.Millisecond, sec, x, 5*x, six...)),
+			horizon: 12 * sec, closed: 3,
+			check: func(t *testing.T, gains []float64) {
+				if gains[0] != 0 || gains[1] <= 0 {
+					t.Errorf("gains %v, want the dropped candidate at 0 and the next one's packet", gains)
+				}
+			},
+		},
+		{
+			// A burst's third decision on a quiet hypothesis: each candidate's
+			// packet leaves two service times after the first decision's, so
+			// its gain is that one's times e^(−2ℓ/κ), derived from the record.
+			name: "a quiet burst derives", s: gateOff(saturated(now, 300*time.Millisecond, 100*time.Millisecond, sec, x, roomy, six...)),
+			horizon: 12 * sec, burst: 2, closed: 3, stripped: 1, derived: 1,
 		},
 	}
 	for _, tc := range cases {

@@ -230,7 +230,7 @@ func (sf *Fleet) checkpointSweep() {
 		c.round++
 		c.next += c.interval
 		for i := v; i < sf.Slots(); i += VirtualShards {
-			if m := sf.MemberAt(packet.FlowID(i)); m != nil && !m.Retired() {
+			if m := sf.MemberAt(packet.FlowID(i)); m != nil {
 				sf.Checkpoint(m, c.cfg.Dir)
 			}
 		}
@@ -305,7 +305,7 @@ func (sf *Fleet) faultBarrier() {
 // virtual shard, in ascending flow order.
 func (sf *Fleet) setGroupDegraded(v int, on bool) {
 	for i := v; i < sf.Slots(); i += VirtualShards {
-		if m := sf.MemberAt(packet.FlowID(i)); m != nil && !m.Retired() {
+		if m := sf.MemberAt(packet.FlowID(i)); m != nil {
 			m.SetDegraded(on)
 		}
 	}
@@ -427,7 +427,7 @@ func (sf *Fleet) setPartitionDegraded(i int, on bool) {
 		if sf.home[f%VirtualShards] != i {
 			continue
 		}
-		if m := sf.MemberAt(packet.FlowID(f)); m != nil && !m.Retired() {
+		if m := sf.MemberAt(packet.FlowID(f)); m != nil {
 			m.SetDegraded(on)
 		}
 	}

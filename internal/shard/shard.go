@@ -389,7 +389,7 @@ func (sf *Fleet) window(end time.Duration) {
 			// own.
 			sf.Failover.FencedAcks++
 			sf.SkipDelivery(pkt.Flow)
-		case m == nil || m.Retired():
+		case m == nil:
 			// Membership only changes at barriers, so the peek-time
 			// check equals the delivery-time check the single-loop
 			// fleet performs.
