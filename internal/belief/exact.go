@@ -28,8 +28,10 @@ type Exact struct {
 	// twin forked into a dead slot recycles the buffer left there.
 	next []Hypothesis
 	// offs[i] is where hypothesis i's branches start in the segment's
-	// output; lws holds one likelihood per branch.
+	// output and qs[i] the toggle probability its gate forks with; lws
+	// holds one likelihood per branch.
 	offs    []int32
+	qs      []float64
 	lws     []float64
 	byKey   keyIndex
 	segAcks map[int64]time.Duration
@@ -125,6 +127,14 @@ func (b *Exact) Update(now time.Duration, acks []packet.Ack) UpdateStats {
 		tick = b.hyps[0].S.SwitchTick
 	}
 
+	// The gate's toggle probability, taken once per (tick, mean switch
+	// time) the update meets rather than per hypothesis and segment. The
+	// zero value is ToggleProb(0, 0).
+	var gate struct {
+		tick, mean time.Duration
+		q          float64
+	}
+
 	var stats UpdateStats
 	si, ai := 0, 0
 	for segStart := b.now; segStart < now || segStart == b.now; {
@@ -151,12 +161,17 @@ func (b *Exact) Update(now time.Duration, acks []packet.Ack) UpdateStats {
 		// needs the second buffer.
 		n := len(b.hyps)
 		if cap(b.offs) <= n {
-			b.offs = make([]int32, n+1)
+			b.offs, b.qs = make([]int32, n+1), make([]float64, n+1)
 		}
 		total := 0
 		for i := range b.hyps {
-			b.offs[i] = int32(total)
-			total += b.hyps[i].S.Leaves(segEnd)
+			s := &b.hyps[i].S
+			if s.SwitchTick != gate.tick || s.P.MeanSwitch != gate.mean {
+				gate.tick, gate.mean = s.SwitchTick, s.P.MeanSwitch
+				gate.q = model.ToggleProb(gate.tick, gate.mean)
+			}
+			b.offs[i], b.qs[i] = int32(total), gate.q
+			total += s.Leaves(segEnd, gate.q)
 		}
 		b.offs[n] = int32(total)
 		out := b.hyps
@@ -327,7 +342,7 @@ func (b *Exact) advanceOne(s *rollout.Scratch, i int) {
 	hW := root.W
 	soft := b.cfg.SoftSigma > 0
 	s.Events = s.Events[:0]
-	root.S.Enumerate(sg.end, sg.sends, &s.Events, last, 1,
+	root.S.Enumerate(sg.end, sg.sends, &s.Events, last, 1, b.qs[i],
 		func(j int) *model.State { return &sg.out[j].S },
 		func(j int, w float64) {
 			br := &sg.out[j]

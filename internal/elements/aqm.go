@@ -27,7 +27,7 @@ type REDBuffer struct {
 
 	usedBits int64
 	avgBits  float64
-	q        []packet.Packet
+	q        packet.FIFO
 	drain    *Throughput
 
 	// Drops counts discarded packets by flow; EarlyDrops counts the
@@ -90,7 +90,7 @@ func (b *REDBuffer) Receive(p packet.Packet) {
 		}
 		return
 	}
-	b.q = append(b.q, p)
+	b.q.Push(p)
 	b.usedBits += p.Bits()
 	if b.drain != nil {
 		b.drain.Kick()
@@ -99,14 +99,11 @@ func (b *REDBuffer) Receive(p packet.Packet) {
 
 // Dequeue implements Dequeuer.
 func (b *REDBuffer) Dequeue() (packet.Packet, bool) {
-	if len(b.q) == 0 {
-		return packet.Packet{}, false
+	p, ok := b.q.Pop()
+	if ok {
+		b.usedBits -= p.Bits()
 	}
-	p := b.q[0]
-	copy(b.q, b.q[1:])
-	b.q = b.q[:len(b.q)-1]
-	b.usedBits -= p.Bits()
-	return p, true
+	return p, ok
 }
 
 // FairQueue is a deficit-round-robin scheduler with one sub-queue per
@@ -117,7 +114,7 @@ func (b *REDBuffer) Dequeue() (packet.Packet, bool) {
 type FairQueue struct {
 	capBits  int64
 	usedBits int64
-	queues   map[packet.FlowID][]packet.Packet
+	queues   map[packet.FlowID]*packet.FIFO
 	order    []packet.FlowID
 	nextIdx  int
 	drain    *Throughput
@@ -137,7 +134,7 @@ type FairQueue struct {
 func NewFairQueue(capBits int64) *FairQueue {
 	return &FairQueue{
 		capBits: capBits,
-		queues:  make(map[packet.FlowID][]packet.Packet),
+		queues:  make(map[packet.FlowID]*packet.FIFO),
 		bits:    make(map[packet.FlowID]int64),
 		Drops:   make(map[packet.FlowID]int),
 	}
@@ -156,7 +153,7 @@ func (f *FairQueue) UsedBits() int64 { return f.usedBits }
 func (f *FairQueue) Len() int {
 	n := 0
 	for _, fl := range f.order {
-		n += len(f.queues[fl])
+		n += f.queues[fl].Len()
 	}
 	return n
 }
@@ -186,12 +183,14 @@ func (f *FairQueue) addBits(flow packet.FlowID, delta int64) {
 // sub-queue ("longest queue drop"), so a flooding flow cannot lock a
 // polite flow out of its share.
 func (f *FairQueue) Receive(p packet.Packet) {
-	if _, ok := f.queues[p.Flow]; !ok {
-		f.queues[p.Flow] = nil
+	q := f.queues[p.Flow]
+	if q == nil {
+		q = new(packet.FIFO)
+		f.queues[p.Flow] = q
 		f.order = append(f.order, p.Flow)
 	}
 	active := f.activeFlows()
-	if len(f.queues[p.Flow]) == 0 {
+	if q.Len() == 0 {
 		active++
 	}
 	share := f.capBits / int64(active)
@@ -213,13 +212,11 @@ func (f *FairQueue) Receive(p packet.Packet) {
 			f.Drops[p.Flow]++
 			return
 		}
-		q := f.queues[victim]
-		out := q[len(q)-1]
-		f.queues[victim] = q[:len(q)-1]
+		out, _ := f.queues[victim].PopBack()
 		f.addBits(victim, -out.Bits())
 		f.Drops[victim]++
 	}
-	f.queues[p.Flow] = append(f.queues[p.Flow], p)
+	q.Push(p)
 	f.addBits(p.Flow, p.Bits())
 	if f.drain != nil {
 		f.drain.Kick()
@@ -234,13 +231,10 @@ func (f *FairQueue) Dequeue() (packet.Packet, bool) {
 	for i := 0; i < len(f.order); i++ {
 		idx := (f.nextIdx + i) % len(f.order)
 		flow := f.order[idx]
-		q := f.queues[flow]
-		if len(q) == 0 {
+		p, ok := f.queues[flow].Pop()
+		if !ok {
 			continue
 		}
-		p := q[0]
-		copy(q, q[1:])
-		f.queues[flow] = q[:len(q)-1]
 		f.addBits(flow, -p.Bits())
 		f.nextIdx = (idx + 1) % len(f.order)
 		return p, true

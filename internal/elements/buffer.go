@@ -14,7 +14,7 @@ import (
 type Buffer struct {
 	capBits  int64
 	usedBits int64
-	q        []packet.Packet
+	q        packet.FIFO
 	drain    *Throughput
 
 	// Drops counts packets discarded because the queue was full,
@@ -50,7 +50,7 @@ func (b *Buffer) CapacityBits() int64 { return b.capBits }
 func (b *Buffer) UsedBits() int64 { return b.usedBits }
 
 // Len reports the number of queued packets.
-func (b *Buffer) Len() int { return len(b.q) }
+func (b *Buffer) Len() int { return b.q.Len() }
 
 // Prefill enqueues filler packets totalling at least fullBits, emulating
 // the paper's "initial fullness" parameter. Filler packets belong to the
@@ -63,7 +63,7 @@ func (b *Buffer) Prefill(fullBits int64, flow packet.FlowID) {
 		if b.usedBits+p.Bits() > b.capBits {
 			return
 		}
-		b.q = append(b.q, p)
+		b.q.Push(p)
 		b.usedBits += p.Bits()
 		b.Enqueued[flow]++
 		seq++
@@ -79,7 +79,7 @@ func (b *Buffer) Receive(p packet.Packet) {
 		}
 		return
 	}
-	b.q = append(b.q, p)
+	b.q.Push(p)
 	b.usedBits += p.Bits()
 	b.Enqueued[p.Flow]++
 	if b.drain != nil {
@@ -89,14 +89,11 @@ func (b *Buffer) Receive(p packet.Packet) {
 
 // Dequeue implements Dequeuer for the drain.
 func (b *Buffer) Dequeue() (packet.Packet, bool) {
-	if len(b.q) == 0 {
-		return packet.Packet{}, false
+	p, ok := b.q.Pop()
+	if ok {
+		b.usedBits -= p.Bits()
 	}
-	p := b.q[0]
-	copy(b.q, b.q[1:])
-	b.q = b.q[:len(b.q)-1]
-	b.usedBits -= p.Bits()
-	return p, true
+	return p, ok
 }
 
 // Dequeuer is a queue a Throughput element can pull packets from. Buffer,

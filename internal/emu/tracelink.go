@@ -23,8 +23,7 @@ type TraceLink struct {
 	capBits int64
 	next    elements.Node
 
-	q        []packet.Packet
-	head     int
+	q        packet.FIFO
 	usedBits int64
 	deliverT *sim.Timer
 
@@ -68,7 +67,7 @@ func (l *TraceLink) Receive(p packet.Packet) {
 		l.Drops[p.Flow]++
 		return
 	}
-	l.q = append(l.q, p)
+	l.q.Push(p)
 	l.usedBits += p.Bits()
 	if l.usedBits > l.MaxQueueBits {
 		l.MaxQueueBits = l.usedBits
@@ -81,7 +80,7 @@ func (l *TraceLink) arm() {
 	if l.deliverT.Armed() {
 		return
 	}
-	if l.head == len(l.q) {
+	if l.q.Len() == 0 {
 		return
 	}
 	at, ok := l.tr.Next(l.loop.Now())
@@ -92,17 +91,9 @@ func (l *TraceLink) arm() {
 }
 
 func (l *TraceLink) fire() {
-	if l.head == len(l.q) {
+	p, ok := l.q.Pop()
+	if !ok {
 		return
-	}
-	p := l.q[l.head]
-	l.q[l.head] = packet.Packet{}
-	l.head++
-	// Reclaim the drained prefix once it dominates the slice, keeping
-	// dequeues O(1) amortized without a ring buffer.
-	if l.head > 64 && l.head*2 >= len(l.q) {
-		l.q = l.q[:copy(l.q, l.q[l.head:])]
-		l.head = 0
 	}
 	l.usedBits -= p.Bits()
 	l.Delivered[p.Flow]++

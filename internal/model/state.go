@@ -131,9 +131,11 @@ type State struct {
 	// Queue holds the waiting packets; the in-service packet is not in
 	// Queue, matching elements.Buffer. The live window is
 	// Queue[QHead:] (use Queued to read it): departures advance QHead
-	// instead of shifting the slice, so serving a long modeled queue —
-	// the steady state of a saturated fleet hypothesis — does not
-	// memmove the whole backlog per packet. Clones normalize QHead
+	// instead of shifting the slice, and the advance loop moves the
+	// window back to the front whenever the dead prefix is at least as
+	// long as it (packet.FIFO's rule). A departure is O(1) amortized and
+	// leaves QHead ≤ QLen(), so the array holds at most twice the
+	// backlog however often the hypothesis forks. Clones normalize QHead
 	// back to 0.
 	Queue []QPkt
 	// QHead indexes the first waiting packet in Queue.
@@ -424,10 +426,11 @@ func (s *State) advance(until time.Duration, sends []Send, out *[]Event, acc *Ac
 				q = s.Queue[s.QHead]
 				s.QHead++
 				s.QueueBits -= q.Bits
-				// Compact once the dead prefix dominates, so appends do
-				// not grow the array without bound while keeping
-				// departures O(1) amortized.
-				if s.QHead >= 32 && 2*s.QHead >= len(s.Queue) {
+				// Compact whenever the dead prefix is at least as long as
+				// the live window: a compaction copies no more packets
+				// than departed since the last one, and the array never
+				// holds more than twice the backlog.
+				if 2*s.QHead >= len(s.Queue) {
 					n := copy(s.Queue, s.Queue[s.QHead:])
 					s.Queue = s.Queue[:n]
 					s.QHead = 0
@@ -861,11 +864,12 @@ type Branch struct {
 // It is Enumerate over freshly allocated branches; the belief runs the
 // same walk over the storage its hypotheses already live in.
 func AdvanceEnum(s State, until time.Duration, sends []Send) []Branch {
-	done := make([]Branch, s.Leaves(until))
+	q := ToggleProb(s.SwitchTick, s.P.MeanSwitch)
+	done := make([]Branch, s.Leaves(until, q))
 	last := len(done) - 1
 	done[last].S = s.Clone()
 	var evs []Event
-	done[last].S.Enumerate(until, sends, &evs, last, 1,
+	done[last].S.Enumerate(until, sends, &evs, last, 1, q,
 		func(j int) *State { return &done[j].S },
 		func(j int, w float64) {
 			done[j].W = w
@@ -879,11 +883,11 @@ func AdvanceEnum(s State, until time.Duration, sends []Send) []Branch {
 }
 
 // Leaves reports how many branches Enumerate yields when s advances to
-// until: two per switch opportunity at or before until, one for a gate
-// that cannot toggle.
-func (s *State) Leaves(until time.Duration) int {
+// until with toggle probability q: two per switch opportunity at or
+// before until, one for a gate that cannot toggle.
+func (s *State) Leaves(until time.Duration, q float64) int {
 	n := s.opportunities(until)
-	if n == 0 || ToggleProb(s.SwitchTick, s.P.MeanSwitch) <= 0 {
+	if n == 0 || q <= 0 {
 		return 1
 	}
 	return 1 << uint(n)
@@ -900,27 +904,19 @@ func (s *State) opportunities(until time.Duration) int {
 // Enumerate is the one advance-with-forks walk: it runs s to until where
 // s lives, and at every switch opportunity clones a flipped twin into
 // caller storage and finishes the twin's subtree before carrying on
-// with s. Branch j of the Leaves(until) outcomes — flipped before stay
-// at every fork, depth first — ends in slot(j); s itself is the last,
-// so the caller passes j = its first slot + Leaves(until) − 1 and the
-// branch probability w = 1. leaf(j, w) is called once per branch, in
-// slot order, when slot j holds the branch's final state and *evs the
-// packet outcomes along it (a prefix shared with the branches still to
-// come, so leaf must consume them before it returns). slot(j) may
-// return recycled storage: the twin is written with CloneInto.
-func (s *State) Enumerate(until time.Duration, sends []Send, evs *[]Event, j int, w float64,
-	slot func(j int) *State, leaf func(j int, w float64)) {
-	var q float64
-	if s.opportunities(until) > 0 {
-		q = ToggleProb(s.SwitchTick, s.P.MeanSwitch)
-	}
-	s.enumerate(until, sends, evs, j, w, q, slot, leaf)
-}
-
-// enumerate is Enumerate with q, the toggle probability per tick, handed
-// down: tick and mean switch time are the same on every branch of one
-// walk.
-func (s *State) enumerate(until time.Duration, sends []Send, evs *[]Event, j int, w, q float64,
+// with s. The gate toggles with probability q per opportunity, which is
+// ToggleProb(s.SwitchTick, s.P.MeanSwitch): every branch of one walk
+// shares tick and mean switch time, so a caller advancing many states
+// takes it once for all that share them. Branch j of the Leaves(until, q)
+// outcomes — flipped before stay at every fork, depth first — ends in
+// slot(j); s itself is the last, so the caller passes j = its first slot
+// + Leaves(until, q) − 1 and the branch probability w = 1. leaf(j, w) is
+// called once per branch, in slot order, when slot j holds the branch's
+// final state and *evs the packet outcomes along it (a prefix shared
+// with the branches still to come, so leaf must consume them before it
+// returns). slot(j) may return recycled storage: the twin is written
+// with CloneInto.
+func (s *State) Enumerate(until time.Duration, sends []Send, evs *[]Event, j int, w, q float64,
 	slot func(j int) *State, leaf func(j int, w float64)) {
 	for s.P.MeanSwitch > 0 && s.opportunities(until) > 0 {
 		// Run to the next opportunity, then fork.
@@ -934,7 +930,7 @@ func (s *State) enumerate(until time.Duration, sends []Send, evs *[]Event, j int
 		if q <= 0 {
 			continue
 		}
-		// The stay subtree keeps the Leaves(until) slots ending at j (q > 0:
+		// The stay subtree keeps the Leaves(until, q) slots ending at j (q > 0:
 		// two to the power of the opportunities left); the flipped one ends
 		// just before them.
 		tj := j - 1<<uint(s.opportunities(until))
@@ -942,7 +938,7 @@ func (s *State) enumerate(until time.Duration, sends []Send, evs *[]Event, j int
 		s.CloneInto(twin)
 		twin.Toggle()
 		n := len(*evs)
-		twin.enumerate(until, sends, evs, tj, w*q, q, slot, leaf)
+		twin.Enumerate(until, sends, evs, tj, w*q, q, slot, leaf)
 		*evs = (*evs)[:n]
 		w *= 1 - q
 	}

@@ -357,6 +357,9 @@ type decideArena struct {
 	// from[i] is the earlier index whose gains hypothesis i copies, or
 	// -1 when it has its own (rolled, derived, or served from the memo).
 	from []int32
+	// firsts indexes the call's fresh hypotheses by key, so a later one
+	// with an equal key finds the one it copies.
+	firsts freshIndex
 	// fresh lists the hypotheses whose gains this call produces; of them
 	// roll are swept under the call's plan and, in a burst's later
 	// decision (see Decide), bare under the burst's first plan — keyed
@@ -390,4 +393,48 @@ func arenaOf(p *rollout.Pool) *decideArena {
 		p.Aux = ar
 	}
 	return ar
+}
+
+// freshIndex finds, in O(1), the first hypothesis of a Decide call to
+// have missed the memo with a given key — the one a later hypothesis with
+// that key shares (MemoStats.Shared). It is an open-addressed table of
+// index+1 over the call's keys (0: empty), at most half full, cleared per
+// call and sized for the widest support a default plan reads, so a live
+// decision allocates nothing for it.
+type freshIndex struct {
+	slots []int32
+	mask  uint64
+}
+
+// reset empties the index for a call over n ≤ width hypotheses.
+func (x *freshIndex) reset(n, width int) {
+	size := 2
+	for size < 2*n {
+		size <<= 1
+	}
+	if cap(x.slots) < size {
+		c := size
+		for c < 2*width {
+			c <<= 1
+		}
+		x.slots = make([]int32, c)
+	}
+	x.slots = x.slots[:size]
+	clear(x.slots)
+	x.mask = uint64(size - 1)
+}
+
+// claim returns the hypothesis already indexed under keys[i], or indexes
+// i under it and returns -1.
+func (x *freshIndex) claim(keys []memoKey, i int) int32 {
+	for h := keys[i].primary & x.mask; ; h = (h + 1) & x.mask {
+		j := x.slots[h] - 1
+		if j < 0 {
+			x.slots[h] = int32(i) + 1
+			return -1
+		}
+		if keys[j] == keys[i] {
+			return j
+		}
+	}
 }

@@ -326,6 +326,7 @@ func (w *Wake) Decide(pending []model.Send, seq int64, cfg Config) Decision {
 	}
 	ar.keys = slices.Grow(ar.keys[:0], n)[:n]
 	ar.from = slices.Grow(ar.from[:0], n)[:n]
+	ar.firsts.reset(n, width)
 	keys, from, fresh, roll, bare := ar.keys, ar.from, ar.fresh[:0], ar.roll[:0], ar.bare[:0]
 	for i, hyp := range ar.hkeys {
 		keys[i] = hyp.under(plan)
@@ -333,14 +334,8 @@ func (w *Wake) Decide(pending []model.Send, seq int64, cfg Config) Decision {
 		if ar.memo.lookup(keys[i], row(i)) {
 			continue
 		}
-		for _, j := range fresh {
-			if keys[j] == keys[i] {
-				from[i] = j
-				ar.memo.Shared++
-				break
-			}
-		}
-		if from[i] >= 0 {
+		if from[i] = ar.firsts.claim(keys, i); from[i] >= 0 {
+			ar.memo.Shared++
 			continue
 		}
 		fresh = append(fresh, int32(i))

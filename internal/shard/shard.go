@@ -55,9 +55,10 @@
 //     have generated them in, because the canonical scheduler drains
 //     same-instant wakes in flow order (see fleet.drain).
 //  4. Replay. The merged packets are injected into the bottleneck
-//     loop at their exact send times and that loop runs to the window
-//     end, evolving queue state, drops and service identically to the
-//     single-loop run.
+//     loop at their exact send times — each re-arming an event bound
+//     once, in merge order, so the replay allocates nothing — and that
+//     loop runs to the window end, evolving queue state, drops and
+//     service identically to the single-loop run.
 //
 // When no shard has an event inside the next window, no delivery is
 // pending and no lifecycle action is due, the coordinator jumps the
@@ -96,9 +97,10 @@
 package shard
 
 import (
+	"cmp"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -173,6 +175,9 @@ type Fleet struct {
 	fault    *faultState
 	wd       *watchdogState
 	merged   []packet.Packet
+	// inject holds the replay's events, one per packet of the busiest
+	// window so far (replay).
+	inject []*injection
 	// home maps each virtual shard (stripe residue class, flow mod
 	// DefaultCacheStripes) to the partition hosting it — the stripe
 	// ownership table. Initially v mod K; failover re-homes a killed
@@ -441,16 +446,7 @@ func (sf *Fleet) window(end time.Duration) {
 		sf.merged = append(sf.merged, p.Out.Pkts...)
 		p.Out.Reset()
 	}
-	sort.Slice(sf.merged, func(i, j int) bool {
-		a, b := sf.merged[i], sf.merged[j]
-		if a.SentAt != b.SentAt {
-			return a.SentAt < b.SentAt
-		}
-		if a.Flow != b.Flow {
-			return a.Flow < b.Flow
-		}
-		return a.Seq < b.Seq
-	})
+	slices.SortFunc(sf.merged, canonical)
 
 	// 4. Replay onto the authoritative bottleneck at exact send times.
 	// Same-instant ordering matches the single-loop run: a completion
@@ -458,12 +454,53 @@ func (sf *Fleet) window(end time.Duration) {
 	// sequence number is smaller than these injections' and it fires
 	// first — exactly as the single loop fires the completion before
 	// the drain that triggers the sends.
-	q := sf.Ingress()
-	for i := range sf.merged {
-		pkt := sf.merged[i]
-		sf.BLoop.Schedule(pkt.SentAt, func() { q.Receive(pkt) })
-	}
+	sf.replay()
 	sf.BLoop.Run(end)
+}
+
+// canonical is the merge order: (SentAt, Flow, Seq).
+func canonical(a, b packet.Packet) int {
+	if c := cmp.Compare(a.SentAt, b.SentAt); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Flow, b.Flow); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Seq, b.Seq)
+}
+
+// injection is the bottleneck-loop event that injects one merged packet:
+// bound once, then re-armed for a packet of every later window.
+type injection struct {
+	ev      sim.Event
+	pkt     packet.Packet
+	pending bool
+}
+
+// replay schedules the merged packets' injections at their send times.
+// Each re-arms an event of sf.inject, in merge order, so every (at, seq)
+// is what Schedule would have given it, and nothing is allocated once the
+// events cover a window's packets. Every injection fires inside its own
+// window; re-arming one still pending would drop its packet, so that
+// panics instead.
+func (sf *Fleet) replay() {
+	for len(sf.inject) < len(sf.merged) {
+		in, q := &injection{}, sf.Ingress()
+		in.ev = sim.Bind(func() {
+			in.pending = false
+			q.Receive(in.pkt)
+		})
+		sf.inject = append(sf.inject, in)
+	}
+	for i, pkt := range sf.merged {
+		in := sf.inject[i]
+		if in.pending {
+			// Invariant: window runs the loop past every injection it arms.
+			panic("shard: replay re-armed an injection that has not fired")
+		}
+		in.pkt, in.pending = pkt, true
+		sf.BLoop.Reschedule(&in.ev, pkt.SentAt)
+	}
 }
 
 // Digest hashes the run's observable results — per-flow totals, drops,
