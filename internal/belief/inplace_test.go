@@ -261,7 +261,9 @@ func refFloorAndCap(hyps []Hypothesis, minW float64, maxN int) ([]Hypothesis, in
 func forkyPrior() []model.State {
 	states := parallelPrior()
 	for i := range states {
-		states[i].P.MeanSwitch = 4 * time.Second
+		p := states[i].P.Params
+		p.MeanSwitch = 4 * time.Second
+		states[i].SetParams(p)
 		if i%3 == 1 {
 			states[i].SwitchTick = 250 * time.Millisecond
 			states[i].NextToggle = 250 * time.Millisecond
@@ -283,7 +285,7 @@ type scriptStep struct {
 
 func genScript(seed int64, states []model.State, steps int, impossible bool) script {
 	rng := rand.New(rand.NewSource(seed))
-	truthP := states[rng.Intn(len(states))].P
+	truthP := states[rng.Intn(len(states))].P.Params
 	truth := model.NewTruth(truthP, true, model.GateFixed, 0, rand.New(rand.NewSource(seed+1)))
 	var sc script
 	var now time.Duration
@@ -494,7 +496,7 @@ func TestExactHypothesesOwnTheirQueues(t *testing.T) {
 func TestExactUpdateSteadyStateAllocs(t *testing.T) {
 	states := parallelPrior()
 	b := NewExact(states, Config{Workers: 1})
-	truth := model.NewTruth(states[len(states)-1].P, true, model.GateFixed, 0, rand.New(rand.NewSource(3)))
+	truth := model.NewTruth(states[len(states)-1].P.Params, true, model.GateFixed, 0, rand.New(rand.NewSource(3)))
 	// 180 wakes of 5 ms stay short of the first opportunity at 1 s.
 	const warm, measured = 100, 64
 	type wake struct {

@@ -223,6 +223,12 @@ type cursor struct {
 	b   []byte
 	enc bool
 	err error
+	// records maps each parameter block decoded so far to the first
+	// hypothesis that carried it, whose record the rest share: one
+	// record per distinct Params value, as the prior built them. It is
+	// keyed by the wire bytes, not by Params, whose == takes -0 for 0
+	// and never matches NaN, so every block re-encodes as it was read.
+	records map[string]*model.State
 }
 
 // word walks one little-endian field of size bytes. Encoding writes v.
@@ -371,18 +377,29 @@ func (c *cursor) body(ck *Checkpoint) {
 // window (states in snapshots are cloned, so QHead is 0, but Queued()
 // keeps this correct regardless) and read into the zero State Decode
 // starts from; QueueBits is derived, so decoding recomputes it rather
-// than trusting the wire.
+// than trusting the wire. The parameters are read into a Params value
+// and become a record shared with every earlier hypothesis whose
+// parameter block was the same bytes.
 func (c *cursor) state(s *model.State) {
 	num(c, 4, &s.ParamsID)
-	c.f64((*float64)(&s.P.LinkRate))
-	c.f64((*float64)(&s.P.CrossRate))
-	c.dur(&s.P.MeanSwitch)
-	c.f64(&s.P.LossProb)
-	c.i64(&s.P.BufferCapBits)
-	c.i64(&s.P.InitFullBits)
-	c.f64(&s.P.ClockSkew)
-	c.int(&s.P.PktBytes)
-	c.i64(&s.P.CrossPktBits)
+	var p model.Params
+	if c.enc {
+		p = s.P.Params
+	}
+	wire := c.b
+	c.params(&p)
+	if !c.enc && c.err == nil {
+		key := wire[:len(wire)-len(c.b)]
+		if first, ok := c.records[string(key)]; ok {
+			s.P = first.P
+		} else {
+			s.SetParams(p)
+			if c.records == nil {
+				c.records = map[string]*model.State{}
+			}
+			c.records[string(key)] = s
+		}
+	}
 
 	c.dur(&s.Now)
 	c.bool(&s.PingerOn)
@@ -404,6 +421,18 @@ func (c *cursor) state(s *model.State) {
 			s.QueueBits += q[i].Bits
 		}
 	}
+}
+
+func (c *cursor) params(p *model.Params) {
+	c.f64((*float64)(&p.LinkRate))
+	c.f64((*float64)(&p.CrossRate))
+	c.dur(&p.MeanSwitch)
+	c.f64(&p.LossProb)
+	c.i64(&p.BufferCapBits)
+	c.i64(&p.InitFullBits)
+	c.f64(&p.ClockSkew)
+	c.int(&p.PktBytes)
+	c.i64(&p.CrossPktBits)
 }
 
 func (c *cursor) qpkt(p *model.QPkt) {

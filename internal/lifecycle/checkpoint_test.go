@@ -13,6 +13,7 @@ import (
 	"modelcc/internal/belief"
 	"modelcc/internal/core"
 	"modelcc/internal/fleet"
+	"modelcc/internal/model"
 	"modelcc/internal/packet"
 )
 
@@ -278,6 +279,44 @@ func TestGoldenCheckpoints(t *testing.T) {
 				t.Errorf("%s: byte %d flipped decoded without error", name, i)
 			}
 			mut[i] = raw[i]
+		}
+	}
+}
+
+// TestCheckpointSharesRecords: Decode builds one parameter record per
+// distinct parameter block, shared by every hypothesis that carries it,
+// and the shared records re-encode to the bytes they were read from —
+// for both golden files and for a live member's capture.
+func TestCheckpointSharesRecords(t *testing.T) {
+	fl := fleet.New(fleet.Config{N: 2, Seed: 11, Workers: 1})
+	fl.Run(5 * time.Second)
+	live, err := Capture(fl.Members[0], FleetPriorHash(fl))
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string][]byte{"capture": live.Encode()}
+	for _, name := range goldenCheckpoints {
+		if files[name], err = os.ReadFile(filepath.Join("testdata", name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, raw := range files {
+		c, err := Decode(raw)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		records := map[model.Params]any{}
+		for _, h := range c.Belief.Hyps {
+			if r, ok := records[h.S.P.Params]; ok && r != any(h.S.P) {
+				t.Fatalf("%s: one parameter value decoded into two records", name)
+			}
+			records[h.S.P.Params] = h.S.P
+		}
+		if len(records) == len(c.Belief.Hyps) && len(records) > 1 {
+			t.Errorf("%s: every hypothesis has parameters of its own; the file exercises no sharing", name)
+		}
+		if !bytes.Equal(c.Encode(), raw) {
+			t.Errorf("%s: re-encode differs from the bytes decoded", name)
 		}
 	}
 }

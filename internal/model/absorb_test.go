@@ -256,7 +256,7 @@ func FuzzAbsorbedTwin(f *testing.F) {
 // reloaded returns s with its pinger at pct % of the link rate and its
 // next tick where it was.
 func reloaded(s model.State, pct int) model.State {
-	p := s.P
+	p := s.P.Params
 	p.CrossRate, p.InitFullBits = p.LinkRate*units.BitRate(pct)/100, 0
 	r := model.Initial(p, s.PingerOn)
 	r.Now, r.NextCross, r.NextToggle = s.Now, s.NextCross, s.NextToggle

@@ -216,11 +216,13 @@ func FuzzRolloutKey(f *testing.F) {
 		s := buildState(paramsID, bits, seq, pingerOn, serving, queueSpec)
 		// A buffer tight enough that the rollout's sends and cross
 		// chunks tail-drop, so drops are in the compared streams too.
-		s.P.BufferCapBits = s.QueueBits + 2*s.P.PktBits()
-		s.P.LossProb = 0.1
+		p := s.P.Params
+		p.BufferCapBits = s.QueueBits + 2*p.PktBits()
+		p.LossProb = 0.1
 		if skewed {
-			s.P.ClockSkew = 1e-3
+			p.ClockSkew = 1e-3
 		}
+		s.SetParams(p)
 		now := s.Now + time.Duration(aheadMs%1000)*time.Millisecond
 		if serving {
 			s.ServiceDone = now + 400*time.Millisecond
@@ -257,15 +259,24 @@ func FuzzRolloutKey(f *testing.F) {
 			fn(&v)
 			return v
 		}
+		// reparam is edit with fn applied to a fresh record's parameters:
+		// the clone's record is s's, which no edit may write.
+		reparam := func(fn func(p *Params)) State {
+			return edit(func(v *State) {
+				p := v.P.Params
+				fn(&p)
+				v.SetParams(p)
+			})
+		}
 
 		// Excluded fields.
 		same("ParamsID", edit(func(v *State) { v.ParamsID += 5 }), now)
 		same("toggle grid", edit(func(v *State) {
 			v.NextToggle += 123 * time.Millisecond
 			v.SwitchTick *= 2
-			v.P.MeanSwitch /= 3
 		}), now)
-		same("InitFullBits", edit(func(v *State) { v.P.InitFullBits += 12000 }), now)
+		same("MeanSwitch", reparam(func(p *Params) { p.MeanSwitch /= 3 }), now)
+		same("InitFullBits", reparam(func(p *Params) { p.InitFullBits += 12000 }), now)
 		same("sequence numbers", edit(func(v *State) {
 			v.InService.Seq += 1000
 			for i := range v.Queue {
@@ -273,11 +284,12 @@ func FuzzRolloutKey(f *testing.F) {
 			}
 		}), now)
 		if !pingerOn {
-			same("gated-off pinger", edit(func(v *State) {
-				v.P.CrossRate *= 1.5
-				v.P.CrossPktBits = 24000
-				v.NextCross += 77 * time.Millisecond
-			}), now)
+			offPinger := reparam(func(p *Params) {
+				p.CrossRate *= 1.5
+				p.CrossPktBits = 24000
+			})
+			offPinger.NextCross += 77 * time.Millisecond
+			same("gated-off pinger", offPinger, now)
 		}
 		if !stamps {
 			same("unread enqueue stamps", edit(func(v *State) {
@@ -296,11 +308,11 @@ func FuzzRolloutKey(f *testing.F) {
 		}
 
 		// Included fields.
-		differs("LinkRate", edit(func(v *State) { v.P.LinkRate += 1 }), now)
-		differs("BufferCapBits", edit(func(v *State) { v.P.BufferCapBits++ }), now)
-		differs("PktBytes", edit(func(v *State) { v.P.PktBytes = 1000 }), now)
-		differs("LossProb", edit(func(v *State) { v.P.LossProb += 0.01 }), now)
-		differs("ClockSkew", edit(func(v *State) { v.P.ClockSkew += 1e-4 }), now)
+		differs("LinkRate", reparam(func(p *Params) { p.LinkRate += 1 }), now)
+		differs("BufferCapBits", reparam(func(p *Params) { p.BufferCapBits++ }), now)
+		differs("PktBytes", reparam(func(p *Params) { p.PktBytes = 1000 }), now)
+		differs("LossProb", reparam(func(p *Params) { p.LossProb += 0.01 }), now)
+		differs("ClockSkew", reparam(func(p *Params) { p.ClockSkew += 1e-4 }), now)
 		differs("Now", edit(func(v *State) { v.Now -= time.Nanosecond }), now)
 		differs("the decision instant", s.Clone(), now+time.Nanosecond)
 		differs("PingerOn", edit(func(v *State) { v.PingerOn = !v.PingerOn }), now)
@@ -326,8 +338,8 @@ func FuzzRolloutKey(f *testing.F) {
 			}
 		}
 		if pingerOn {
-			differs("cross interval", edit(func(v *State) { v.P.CrossRate *= 1.5 }), now)
-			differs("cross chunk", edit(func(v *State) { v.P.CrossPktBits = 24000 }), now)
+			differs("cross interval", reparam(func(p *Params) { p.CrossRate *= 1.5 }), now)
+			differs("cross chunk", reparam(func(p *Params) { p.CrossPktBits = 24000 }), now)
 			differs("NextCross", edit(func(v *State) { v.NextCross++ }), now)
 		}
 	})

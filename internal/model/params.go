@@ -5,8 +5,9 @@
 // The belief (internal/belief) needs thousands of cheap copies of "a
 // possible network". A closure-based discrete-event simulator is hostile
 // to cloning, so this package represents one network hypothesis as a
-// value type — State — holding the unknown parameters (Params) plus the
-// dynamic state of the Figure 2 element composition:
+// value type — State — holding the dynamic state of the Figure 2 element
+// composition and a pointer to its unknown parameters (Params), which
+// every hypothesis of one prior grid point shares:
 //
 //	PINGER(r) -> INTERMITTENT(t) -> \
 //	                                 BUFFER(cap, fullness) -> THROUGHPUT(c) -> LOSS(p) -> receivers
@@ -94,6 +95,56 @@ func (p Params) CrossInterval() time.Duration {
 // ServiceTime reports how long one packet occupies the bottleneck link.
 func (p Params) ServiceTime() time.Duration {
 	return units.TransmitTime(p.PktBits(), p.LinkRate)
+}
+
+// record is a hypothesis's parameters as its states hold them: built
+// once per grid point (Prior.Enumerate), per standalone state (Initial)
+// or per distinct value in a checkpoint, and shared by pointer between
+// every state built from it and all their clones and forks. It is never
+// written after newRecord, its one constructor, returns it — which is
+// what lets rollout workers and shards read a shared record without a
+// lock — so a state whose parameters change gets a fresh one
+// (State.SetParams). newRecord also computes, once, the constants the
+// advance loop and the planner derive from Params; the record's
+// PktBits, CrossBits, CrossInterval and ServiceTime return them in place
+// of Params' own, with the same values.
+type record struct {
+	Params
+	pktBits, crossBits         int64
+	pktSvc, crossSvc, crossIvl time.Duration
+}
+
+func newRecord(p Params) *record {
+	r := &record{Params: p, pktBits: p.PktBits(), crossBits: p.CrossBits(), crossIvl: p.CrossInterval()}
+	r.pktSvc = units.TransmitTime(r.pktBits, p.LinkRate)
+	r.crossSvc = units.TransmitTime(r.crossBits, p.LinkRate)
+	return r
+}
+
+// PktBits is Params.PktBits.
+func (r *record) PktBits() int64 { return r.pktBits }
+
+// CrossBits is Params.CrossBits.
+func (r *record) CrossBits() int64 { return r.crossBits }
+
+// CrossInterval is Params.CrossInterval.
+func (r *record) CrossInterval() time.Duration { return r.crossIvl }
+
+// ServiceTime is Params.ServiceTime.
+func (r *record) ServiceTime() time.Duration { return r.pktSvc }
+
+// serviceTime reports how long a packet of the given size occupies the
+// link: a lookup for the two sizes a hypothesis serves, own packets and
+// cross chunks (TransmitTime's float division is measurable at fleet
+// scale), the division for any other.
+func (r *record) serviceTime(bits int64) time.Duration {
+	switch bits {
+	case r.pktBits:
+		return r.pktSvc
+	case r.crossBits:
+		return r.crossSvc
+	}
+	return units.TransmitTime(bits, r.LinkRate)
 }
 
 // Fig2Actual returns the true network parameters of the paper's §4

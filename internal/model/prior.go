@@ -131,11 +131,13 @@ func (pr Prior) Enumerate() ([]State, float64) {
 								ClockSkew:     skew,
 								CrossPktBits:  pr.CrossPktBits,
 							}
-							// All gate-start variants share one ParamsID:
-							// the gate state is dynamic, so branches that
-							// started differently but converge may merge.
+							// All gate-start variants share one ParamsID
+							// and one record: the gate state is dynamic, so
+							// branches that started differently but
+							// converge may merge.
+							rec := newRecord(params)
 							for _, on := range gateStates {
-								s := Initial(params, on)
+								s := initial(rec, on)
 								s.ParamsID = id
 								if pr.SwitchTick > 0 {
 									s.SwitchTick = pr.SwitchTick

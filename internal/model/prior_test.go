@@ -58,7 +58,8 @@ func TestFig3PriorContainsTruth(t *testing.T) {
 
 func TestPriorParamsIDSharedAcrossGateStates(t *testing.T) {
 	states, _ := Fig3Prior().Enumerate()
-	// Consecutive on/off pairs share a ParamsID but differ in gate state.
+	// Consecutive on/off pairs share a ParamsID and its record but differ
+	// in gate state.
 	byID := map[int32][]State{}
 	for _, s := range states {
 		byID[s.ParamsID] = append(byID[s.ParamsID], s)
@@ -69,6 +70,9 @@ func TestPriorParamsIDSharedAcrossGateStates(t *testing.T) {
 		}
 		if group[0].PingerOn == group[1].PingerOn {
 			t.Fatalf("ParamsID %d gate states not distinct", id)
+		}
+		if group[0].P != group[1].P {
+			t.Fatalf("ParamsID %d gate states hold two parameter records", id)
 		}
 	}
 }

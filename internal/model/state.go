@@ -96,21 +96,29 @@ type Send struct {
 	Bits int64
 }
 
-// State is one hypothesis about the network: static Params plus the
-// dynamic state of the Figure 2 composition. It is a value type; Clone
-// yields an independent copy.
+// State is one hypothesis about the network: its static parameters, by
+// pointer, plus the dynamic state of the Figure 2 composition. The
+// parameter record is immutable and shared — by every gate-start variant
+// of a prior grid point and by every clone and fork of them — so a State
+// is a value type in everything but P: Clone yields a copy whose dynamic
+// state and queue are its own and whose record is the same one. Nothing
+// writes through P; SetParams gives a state a record of its own.
 type State struct {
-	// P are the hypothesis's static parameters.
-	P Params
+	// P are the hypothesis's static parameters and the constants derived
+	// from them (see record). A zero State has none: Initial,
+	// Prior.Enumerate and SetParams build them.
+	P *record
 	// ParamsID identifies the prior grid point that produced P; it takes
 	// part in the compaction key so hypotheses with different parameters
 	// never merge. Assign it when building the prior.
 	ParamsID int32
+	// PingerOn is the INTERMITTENT gate state (true = connected).
+	PingerOn bool
+	// Serving reports whether a packet occupies the link.
+	Serving bool
 
 	// Now is the hypothesis's current time.
 	Now time.Duration
-	// PingerOn is the INTERMITTENT gate state (true = connected).
-	PingerOn bool
 	// NextCross is the absolute time of the PINGER's next emission. The
 	// pinger runs on an absolute grid regardless of the gate, exactly
 	// like the PINGER -> INTERMITTENT composition in the simulator.
@@ -121,9 +129,7 @@ type State struct {
 	// SwitchTick is the spacing of toggle opportunities.
 	SwitchTick time.Duration
 
-	// Serving reports whether a packet occupies the link.
-	Serving bool
-	// InService is that packet.
+	// InService is the packet on the link while Serving.
 	InService QPkt
 	// ServiceDone is the absolute time the in-service packet departs
 	// the link.
@@ -142,16 +148,12 @@ type State struct {
 	QHead int
 	// QueueBits caches the occupancy of the live window.
 	QueueBits int64
-
-	// svcBits/svcTime memoize the link serialization time of the most
-	// recent packet size (the hot loops alternate between at most two
-	// sizes, own packets and cross chunks, and TransmitTime's float
-	// division is measurable at fleet scale); crossIvl/crossBits the pinger's.
-	svcBits   [2]int64
-	svcTime   [2]time.Duration
-	crossIvl  time.Duration
-	crossBits int64
 }
+
+// SetParams gives s a fresh parameter record built from p. The record s
+// had may be shared with other hypotheses, so it is never written: this
+// is how a hypothesis's parameters change.
+func (s *State) SetParams(p Params) { s.P = newRecord(p) }
 
 // Queued returns the waiting packets, head first. The slice aliases the
 // state; treat it as read-only.
@@ -169,23 +171,26 @@ const DefaultSwitchTick = time.Second
 // InitFullBits of filler (quantized to whole packets), the link starts
 // serving the head filler packet if any, and the pinger's first emission
 // is one interval away.
-func Initial(p Params, pingerOn bool) State {
+func Initial(p Params, pingerOn bool) State { return initial(newRecord(p), pingerOn) }
+
+// initial is Initial over a record the caller may share.
+func initial(r *record, pingerOn bool) State {
 	s := State{
-		P:          p,
+		P:          r,
 		PingerOn:   pingerOn,
-		NextCross:  p.CrossInterval(),
+		NextCross:  r.crossIvl,
 		NextToggle: DefaultSwitchTick,
 		SwitchTick: DefaultSwitchTick,
 	}
-	pkt := p.PktBits()
-	for filled := int64(0); filled+pkt <= p.InitFullBits; filled += pkt {
+	pkt := r.pktBits
+	for filled := int64(0); filled+pkt <= r.InitFullBits; filled += pkt {
 		s.enqueue(QPkt{Own: false, Seq: -1, Bits: pkt}, nil, nil)
 	}
 	return s
 }
 
-// Clone returns an independent copy of the state (QHead normalized to
-// zero).
+// Clone returns a copy of the state with a queue of its own (QHead
+// normalized to zero) and the same parameter record.
 func (s *State) Clone() State {
 	c := *s
 	c.Queue = append([]QPkt(nil), s.Queue[s.QHead:]...)
@@ -310,26 +315,10 @@ func (s *State) enqueue(q QPkt, out *[]Event, acc *Accum) (queued bool) {
 	return true
 }
 
-// serviceTime memoizes TransmitTime over the (at most two) packet sizes
-// a hypothesis serves — own packets and cross chunks — because the
-// float division is measurable in fleet-scale rollouts.
-func (s *State) serviceTime(bits int64) time.Duration {
-	if s.svcBits[0] == bits {
-		return s.svcTime[0]
-	}
-	if s.svcBits[1] == bits {
-		return s.svcTime[1]
-	}
-	d := units.TransmitTime(bits, s.P.LinkRate)
-	s.svcBits[1], s.svcTime[1] = s.svcBits[0], s.svcTime[0]
-	s.svcBits[0], s.svcTime[0] = bits, d
-	return d
-}
-
 func (s *State) startService(q QPkt) {
 	s.Serving = true
 	s.InService = q
-	s.ServiceDone = s.Now + s.serviceTime(q.Bits)
+	s.ServiceDone = s.Now + s.P.serviceTime(q.Bits)
 }
 
 // receiverClock maps sender time to the receiver's clock under a non-zero
@@ -382,10 +371,8 @@ const (
 // room for: a store or two per gap, a few branches per queued arrival,
 // nothing on the delivery path.
 func (s *State) advance(until time.Duration, sends []Send, out *[]Event, acc *Accum) {
-	if s.crossIvl == 0 {
-		s.crossIvl, s.crossBits = s.P.CrossInterval(), s.P.CrossBits()
-	}
-	crossIvl, crossBits, skewed := s.crossIvl, s.crossBits, s.P.ClockSkew != 0
+	p := s.P
+	skewed := p.ClockSkew != 0
 	for {
 		at, arrival := until, arrNone
 		if s.NextCross <= until {
@@ -435,7 +422,7 @@ func (s *State) advance(until time.Duration, sends []Send, out *[]Event, acc *Ac
 					s.Queue = s.Queue[:n]
 					s.QHead = 0
 				}
-				done += s.serviceTime(q.Bits)
+				done += p.serviceTime(q.Bits)
 				if done > at {
 					s.InService, s.ServiceDone = q, done
 					break
@@ -451,8 +438,8 @@ func (s *State) advance(until time.Duration, sends []Send, out *[]Event, acc *Ac
 			return
 		case arrCross:
 			s.Now = at
-			s.NextCross += crossIvl
-			if s.PingerOn && s.enqueue(QPkt{Own: false, Seq: -1, Bits: crossBits}, out, acc) && acc != nil && acc.twinBits > 0 {
+			s.NextCross += p.crossIvl
+			if s.PingerOn && s.enqueue(QPkt{Own: false, Seq: -1, Bits: p.crossBits}, out, acc) && acc != nil && acc.twinBits > 0 {
 				s.watchQueued(acc)
 			}
 		case arrSend:
@@ -468,7 +455,7 @@ func (s *State) advance(until time.Duration, sends []Send, out *[]Event, acc *Ac
 			s.Now = at
 			bits := snd.Bits
 			if bits <= 0 {
-				bits = s.P.PktBits()
+				bits = p.pktBits
 			}
 			if s.enqueue(QPkt{Own: true, Seq: snd.Seq, Bits: bits}, out, acc) && acc != nil && acc.twinBits > 0 {
 				s.watchQueued(acc)
@@ -483,10 +470,10 @@ func (s *State) advance(until time.Duration, sends []Send, out *[]Event, acc *Ac
 // the deepest one whose charge (twinCharge) still fits, and books the
 // arrival's service time, which is how far BacklogDone has just moved.
 func (s *State) watchQueued(acc *Accum) {
-	acc.queued += s.serviceTime(s.Queue[len(s.Queue)-1].Bits)
+	acc.queued += s.P.serviceTime(s.Queue[len(s.Queue)-1].Bits)
 	room := s.P.BufferCapBits - s.QueueBits
 	in := s.InService.Bits
-	age := s.Now - (s.ServiceDone - s.serviceTime(in))
+	age := s.Now - (s.ServiceDone - s.P.serviceTime(in))
 	for acc.level > 0 && twinCharge(int(acc.level), acc.twinBits, acc.twinLag, in, age) > room {
 		acc.level--
 	}
@@ -588,7 +575,7 @@ func twinCharge(j int, x int64, lag time.Duration, in int64, age time.Duration) 
 func (s *State) BacklogDone() time.Duration {
 	u := s.ServiceDone
 	for _, q := range s.Queued() {
-		u += s.serviceTime(q.Bits)
+		u += s.P.serviceTime(q.Bits)
 	}
 	return u
 }
@@ -607,7 +594,7 @@ func (s *State) TwinSurplus(m int, x int64, lag, u0 time.Duration) (lo, hi int64
 		return mx, mx
 	}
 	in := s.InService.Bits
-	if s.Now-(s.ServiceDone-s.serviceTime(in)) >= time.Duration(m)*lag {
+	if s.Now-(s.ServiceDone-s.P.serviceTime(in)) >= time.Duration(m)*lag {
 		return 0, 0
 	}
 	return in, mx + in
@@ -799,12 +786,12 @@ func (s *State) Hash64() uint64 {
 // length and which optional groups follow), so callers may append more
 // words after it.
 func (s *State) AppendRolloutKey(dst []uint64, now time.Duration, stamps bool) []uint64 {
-	p := &s.P
+	p := s.P
 	dst = append(dst,
 		s.ShapeWord(),
 		math.Float64bits(float64(p.LinkRate)),
 		uint64(p.BufferCapBits),
-		uint64(p.PktBits()),
+		uint64(p.pktBits),
 		math.Float64bits(p.LossProb),
 		math.Float64bits(p.ClockSkew),
 		uint64(s.Now-now))
@@ -812,11 +799,7 @@ func (s *State) AppendRolloutKey(dst []uint64, now time.Duration, stamps bool) [
 		dst = append(dst, uint64(now))
 	}
 	if s.PingerOn {
-		ivl := s.crossIvl
-		if ivl == 0 {
-			ivl = p.CrossInterval()
-		}
-		dst = append(dst, uint64(p.CrossBits()), uint64(ivl), uint64(s.NextCross-now))
+		dst = append(dst, uint64(p.crossBits), uint64(p.crossIvl), uint64(s.NextCross-now))
 	}
 	if s.Serving {
 		dst = s.InService.appendRolloutKey(dst, now, stamps)

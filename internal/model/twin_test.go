@@ -333,8 +333,10 @@ func FuzzDrained(f *testing.F) {
 		fork, farTick := base.Now, flags&2 != 0
 		base.PingerOn = farTick
 		base.NextCross = fork + far
-		base.P.LossProb = float64(sched[1]&7) / 10
-		survive, kappa := 1-base.P.LossProb, float64(time.Second)
+		p := base.P.Params
+		p.LossProb = float64(sched[1]&7) / 10
+		base.SetParams(p)
+		survive, kappa := 1-p.LossProb, float64(time.Second)
 		if flags&128 != 0 {
 			kappa *= 60
 		}

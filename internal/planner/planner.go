@@ -634,7 +634,7 @@ type twinSweep struct {
 // gaps, the one under way included. A quiet hypothesis's baseline has no
 // accumulator (acc nil), and its record's A is 0 throughout.
 func (tw *twinSweep) start(base *model.State, acc *model.Accum, stops []time.Duration, rec twinRecord, now time.Duration, kappa, survive float64) {
-	p := &base.P
+	p := base.P
 	*tw = twinSweep{x: p.PktBits(), lag: p.ServiceTime(), horizon: stops[len(stops)-1], now: now, quiet: acc == nil, kappa: kappa, survive: survive,
 		segs: slices.Grow(tw.segs[:0], len(stops))[:len(stops)], gaps: tw.gaps[:0], dEnd: units.Forever,
 		rec: rec, tails: twinDepth + 1, reach: twinDepth}

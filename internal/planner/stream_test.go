@@ -421,7 +421,7 @@ func fleetShaped(rng *rand.Rand, from time.Duration) []belief.Hypothesis {
 			// leaves a twin no room — a dirty stop with one lane to catch
 			// up and live lanes beside it that must be left alone.
 			p.BufferCapBits, p.CrossRate = 2*p.BufferCapBits, p.LinkRate*1.02
-			s.P = p
+			s.SetParams(p)
 			s.Now, chunks = from, 31
 			s.ServiceDone, tick = from+350*time.Millisecond, 380*time.Millisecond
 		}

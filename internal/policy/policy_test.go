@@ -2,6 +2,7 @@ package policy
 
 import (
 	"encoding/binary"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -120,6 +121,55 @@ func TestOpenRejectsCorruption(t *testing.T) {
 	if _, err := Open(wm); err == nil {
 		t.Error("wrong magic accepted")
 	}
+}
+
+// craftedCount is a bare header whose record count, 2^62, wraps
+// headerSize + count·recordSize back to the header's own length, with
+// the empty record region's checksum.
+func craftedCount() []byte {
+	b := make([]byte, headerSize)
+	h := testHeader()
+	h.Version = Version
+	h.Records = 1 << 62
+	putHeader(b, magicTable, h)
+	binary.LittleEndian.PutUint64(b[96:], checksumRegion(nil))
+	return b
+}
+
+func TestOpenRejectsWrappingRecordCount(t *testing.T) {
+	if _, err := openBytes(craftedCount()); err == nil {
+		t.Fatal("a header promising 2^62 records in an empty region opened")
+	}
+}
+
+// FuzzOpenBytes: openBytes returns an error, or a table whose every
+// record is served back by Lookup under its own fingerprints.
+func FuzzOpenBytes(f *testing.F) {
+	path := filepath.Join(f.TempDir(), "t.pol")
+	if err := WriteTable(path, testHeader(), synthRecords(9)); err != nil {
+		f.Fatal(err)
+	}
+	valid, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add(valid[:headerSize])
+	f.Add(craftedCount())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tb, err := openBytes(data)
+		if err != nil {
+			return
+		}
+		for i := 0; i < tb.Len(); i++ {
+			r := tb.Record(i)
+			got, ok := tb.Lookup(r.FP, r.Verify)
+			if !ok || got.FP != r.FP || got.Verify != r.Verify || got.Delta != r.Delta ||
+				got.SendNow != r.SendNow || math.Float64bits(got.Gain) != math.Float64bits(r.Gain) {
+				t.Fatalf("record %d = %+v, Lookup gave %+v (ok %v)", i, r, got, ok)
+			}
+		}
+	})
 }
 
 func TestWriteTableRejectsConflictingDuplicates(t *testing.T) {

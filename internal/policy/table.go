@@ -192,9 +192,10 @@ func openBytes(data []byte) (*Table, error) {
 	if h.Version != Version {
 		return nil, fmt.Errorf("policy: table version %d, this build reads %d", h.Version, Version)
 	}
-	want := headerSize + int(h.Records)*recordSize
-	if len(data) != want {
-		return nil, fmt.Errorf("policy: file is %d bytes, header promises %d (%d records)", len(data), want, h.Records)
+	// The count is checked against the room before it is multiplied: a
+	// crafted count can wrap the product back to the file's length.
+	if h.Records > uint64((len(data)-headerSize)/recordSize) || len(data) != headerSize+int(h.Records)*recordSize {
+		return nil, fmt.Errorf("policy: file is %d bytes, header promises %d records of %d", len(data), h.Records, recordSize)
 	}
 	recs := data[headerSize:]
 	if got := checksumRegion(recs); got != sum {

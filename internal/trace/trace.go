@@ -18,6 +18,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -46,6 +47,9 @@ func (t *Trace) Validate() error {
 		if t.Opportunities[i] < t.Opportunities[i-1] {
 			return fmt.Errorf("trace: opportunities out of order at %d", i)
 		}
+	}
+	if t.Period < 0 {
+		return fmt.Errorf("trace: negative period %v", t.Period)
 	}
 	if t.Period > 0 && t.Opportunities[len(t.Opportunities)-1] >= t.Period {
 		return fmt.Errorf("trace: opportunity beyond period")
@@ -194,7 +198,8 @@ func Format(w io.Writer, t Trace) error {
 // Parse reads a mahimahi-format trace: one integer millisecond per
 // line; blank lines and #-comments are ignored. The result is cyclic
 // with the last timestamp (rounded up to a whole millisecond) as its
-// period, matching mahimahi's convention.
+// period, matching mahimahi's convention. A timestamp too large for
+// that period to be a time.Duration is an error naming its line.
 func Parse(r io.Reader) (Trace, error) {
 	var t Trace
 	sc := bufio.NewScanner(r)
@@ -212,6 +217,9 @@ func Parse(r io.Reader) (Trace, error) {
 		if ms < 0 {
 			return Trace{}, fmt.Errorf("trace: line %d: negative timestamp", line)
 		}
+		if ms >= math.MaxInt64/int64(time.Millisecond) {
+			return Trace{}, fmt.Errorf("trace: line %d: timestamp %d ms out of range", line, ms)
+		}
 		t.Opportunities = append(t.Opportunities, time.Duration(ms)*time.Millisecond)
 	}
 	if err := sc.Err(); err != nil {
@@ -220,9 +228,8 @@ func Parse(r io.Reader) (Trace, error) {
 	if len(t.Opportunities) == 0 {
 		return Trace{}, fmt.Errorf("trace: empty")
 	}
-	last := t.Opportunities[len(t.Opportunities)-1]
-	t.Period = last + time.Millisecond
+	slices.Sort(t.Opportunities)
 	// Keep the last opportunity strictly inside the period.
-	sort.Slice(t.Opportunities, func(i, j int) bool { return t.Opportunities[i] < t.Opportunities[j] })
+	t.Period = t.Opportunities[len(t.Opportunities)-1] + time.Millisecond
 	return t, t.Validate()
 }

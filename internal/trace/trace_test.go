@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -138,6 +140,74 @@ func TestParseRejectsGarbage(t *testing.T) {
 	if err != nil || len(tr.Opportunities) != 2 {
 		t.Errorf("comment handling broken: %v %v", tr, err)
 	}
+}
+
+// TestParseRejectsOverflow: a timestamp whose nanoseconds overflow is
+// refused with its line, not wrapped into a negative period.
+func TestParseRejectsOverflow(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		line int
+	}{{"200000000000000", 1}, {"10\n9223372036854\n", 2}} {
+		tr, err := Parse(strings.NewReader(c.in))
+		if err == nil {
+			t.Errorf("Parse(%q) = period %v, no error", c.in, tr.Period)
+			continue
+		}
+		if !strings.Contains(err.Error(), fmt.Sprintf("line %d", c.line)) {
+			t.Errorf("Parse(%q): %v, want an error naming line %d", c.in, err, c.line)
+		}
+	}
+}
+
+// TestValidatePeriodSign: a negative period is refused; zero is a finite
+// trace.
+func TestValidatePeriodSign(t *testing.T) {
+	negative := Trace{Opportunities: []time.Duration{time.Second}, Period: -time.Hour}
+	if negative.Validate() == nil {
+		t.Error("negative-period trace validated")
+	}
+	finite := Trace{Opportunities: []time.Duration{time.Second}}
+	if err := finite.Validate(); err != nil {
+		t.Errorf("finite trace (period 0) refused: %v", err)
+	}
+}
+
+// TestParseTakesPeriodAfterSorting: an unsorted file's period is its
+// largest timestamp plus a millisecond, not its last line's.
+func TestParseTakesPeriodAfterSorting(t *testing.T) {
+	tr, err := Parse(strings.NewReader("5\n9\n3\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []time.Duration{3 * time.Millisecond, 5 * time.Millisecond, 9 * time.Millisecond}
+	if !slices.Equal(tr.Opportunities, want) || tr.Period != 10*time.Millisecond {
+		t.Errorf("got %v period %v, want %v period 10ms", tr.Opportunities, tr.Period, want)
+	}
+}
+
+// FuzzParse: Parse returns an error, or a trace that validates with every
+// opportunity inside its period.
+func FuzzParse(f *testing.F) {
+	f.Add("200000000000000")
+	f.Add("5\n9\n3\n")
+	f.Add("# comment\n\n10\n20\n")
+	f.Add("0\n0\n")
+	f.Add("9223372036853\n")
+	f.Fuzz(func(t *testing.T, in string) {
+		tr, err := Parse(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		if err := tr.Validate(); err != nil {
+			t.Fatalf("Parse(%q) returned a trace that fails Validate: %v", in, err)
+		}
+		for _, o := range tr.Opportunities {
+			if o >= tr.Period {
+				t.Fatalf("Parse(%q): opportunity %v not inside period %v", in, o, tr.Period)
+			}
+		}
+	})
 }
 
 func TestValidate(t *testing.T) {
