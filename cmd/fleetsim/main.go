@@ -64,6 +64,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -143,7 +144,7 @@ func sweepFlags() (*flag.FlagSet, *sweepRun) {
 }
 
 func (s *sweepRun) run() int {
-	if err := checkRanges(s.cfg.Duration, time.Second, float64(s.cfg.PerSenderRate), s.cfg.Alpha, 0, 0, 0); err != nil {
+	if err := checkRanges(s.cfg.Duration, time.Second, float64(s.cfg.PerSenderRate), s.cfg.Alpha, 0, 0, 0, s.opts.jainFloor, s.cfg.Shards, s.cfg.Workers); err != nil {
 		return fail(2, "%v", err)
 	}
 	return s.opts.profiled(func() int {
@@ -217,7 +218,7 @@ func lifecycleFlags(mode string) (*flag.FlagSet, *lifecycleRun) {
 // non-nil error is a usage error.
 func (l *lifecycleRun) resolve() error {
 	c := &l.sweep.Base
-	if err := checkRanges(c.Duration, c.Epoch, 1, 0, c.DepartProb, c.CrashProb, c.ArriveProb); err != nil {
+	if err := checkRanges(c.Duration, c.Epoch, 1, 0, c.DepartProb, c.CrashProb, c.ArriveProb, l.opts.jainFloor, c.Shards, c.Workers); err != nil {
 		return err
 	}
 	if l.opts.jainFloor > 0 && c.LeanStats {
@@ -320,8 +321,9 @@ func (o *options) finish(points any, jains []float64) int {
 // -dur would run a zero-length sweep and exit 0, a non-positive -rate
 // would silently become the default. A mode passes an in-range constant
 // for a flag it does not have. A non-nil error is a usage error.
-func checkRanges(dur, epoch time.Duration, rate, alpha, depart, crash, arrive float64) error {
+func checkRanges(dur, epoch time.Duration, rate, alpha, depart, crash, arrive, jainFloor float64, shards, workers int) error {
 	prob := func(p float64) bool { return p >= 0 && p <= 1 }
+	finite := func(v float64) bool { return !math.IsInf(v, 0) && !math.IsNaN(v) }
 	for _, c := range []struct {
 		ok   bool
 		flag string
@@ -330,11 +332,14 @@ func checkRanges(dur, epoch time.Duration, rate, alpha, depart, crash, arrive fl
 	}{
 		{dur > 0, "-dur", dur, "must be positive"},
 		{epoch > 0, "-epoch", epoch, "must be positive"},
-		{rate > 0, "-rate", rate, "must be positive"},
-		{alpha >= 0, "-alpha", alpha, "must not be negative"},
+		{rate > 0 && finite(rate), "-rate", rate, "must be positive and finite"},
+		{alpha >= 0 && finite(alpha), "-alpha", alpha, "must be finite and not negative"},
 		{prob(depart), "-depart", depart, "must be a probability in [0, 1]"},
 		{prob(crash), "-crash", crash, "must be a probability in [0, 1]"},
 		{prob(arrive), "-arrive", arrive, "must be a probability in [0, 1]"},
+		{prob(jainFloor), "-jain-floor", jainFloor, "must be in [0, 1]"},
+		{shards >= 0, "-shards", shards, "must not be negative"},
+		{workers >= 0, "-workers", workers, "must not be negative"},
 	} {
 		if !c.ok {
 			return fmt.Errorf("%s %v: %s", c.flag, c.v, c.want)

@@ -102,23 +102,33 @@ func TestCheckRanges(t *testing.T) {
 	for _, c := range []struct {
 		dur, epoch                         time.Duration
 		rate, alpha, depart, crash, arrive float64
+		jain                               float64
+		shards, workers                    int
 		bad                                string // "" = accepted
 	}{
-		{120 * s, 10 * s, 6000, 1, 0.04, 0.06, 0.5, ""},
-		{s, s, 1, 0, 0, 0, 1, ""},
-		{-5 * s, 10 * s, 6000, 1, 0, 0, 0, "-dur"},
-		{0, 10 * s, 6000, 1, 0, 0, 0, "-dur"},
-		{s, 0, 6000, 1, 0, 0, 0, "-epoch"},
-		{s, s, 0, 1, 0, 0, 0, "-rate"},
-		{s, s, -100, 1, 0, 0, 0, "-rate"},
-		{s, s, math.NaN(), 1, 0, 0, 0, "-rate"},
-		{s, s, 6000, -1, 0, 0, 0, "-alpha"},
-		{s, s, 6000, 1, 2, 0, 0, "-depart"},
-		{s, s, 6000, 1, 0, -0.1, 0, "-crash"},
-		{s, s, 6000, 1, 0, 0, 1.5, "-arrive"},
-		{s, s, 6000, 1, 0, 0, math.NaN(), "-arrive"},
+		{120 * s, 10 * s, 6000, 1, 0.04, 0.06, 0.5, 0, 0, 0, ""},
+		{s, s, 1, 0, 0, 0, 1, 0, 0, 0, ""},
+		{-5 * s, 10 * s, 6000, 1, 0, 0, 0, 0, 0, 0, "-dur"},
+		{0, 10 * s, 6000, 1, 0, 0, 0, 0, 0, 0, "-dur"},
+		{s, 0, 6000, 1, 0, 0, 0, 0, 0, 0, "-epoch"},
+		{s, s, 0, 1, 0, 0, 0, 0, 0, 0, "-rate"},
+		{s, s, -100, 1, 0, 0, 0, 0, 0, 0, "-rate"},
+		{s, s, math.NaN(), 1, 0, 0, 0, 0, 0, 0, "-rate"},
+		{s, s, 6000, -1, 0, 0, 0, 0, 0, 0, "-alpha"},
+		{s, s, 6000, 1, 2, 0, 0, 0, 0, 0, "-depart"},
+		{s, s, 6000, 1, 0, -0.1, 0, 0, 0, 0, "-crash"},
+		{s, s, 6000, 1, 0, 0, 1.5, 0, 0, 0, "-arrive"},
+		{s, s, 6000, 1, 0, 0, math.NaN(), 0, 0, 0, "-arrive"},
+		{s, s, 1, 0, 0, 0, 1, 1, 4, 2, ""},
+		{s, s, math.Inf(1), 1, 0, 0, 0, 0, 0, 0, "-rate"},
+		{s, s, 6000, math.Inf(1), 0, 0, 0, 0, 0, 0, "-alpha"},
+		{s, s, 6000, 1, 0, 0, 0, math.NaN(), 0, 0, "-jain-floor"},
+		{s, s, 6000, 1, 0, 0, 0, 1.5, 0, 0, "-jain-floor"},
+		{s, s, 6000, 1, 0, 0, 0, -0.1, 0, 0, "-jain-floor"},
+		{s, s, 6000, 1, 0, 0, 0, 0, -1, 0, "-shards"},
+		{s, s, 6000, 1, 0, 0, 0, 0, 0, -2, "-workers"},
 	} {
-		err := checkRanges(c.dur, c.epoch, c.rate, c.alpha, c.depart, c.crash, c.arrive)
+		err := checkRanges(c.dur, c.epoch, c.rate, c.alpha, c.depart, c.crash, c.arrive, c.jain, c.shards, c.workers)
 		switch {
 		case c.bad == "" && err != nil:
 			t.Errorf("%+v refused: %v", c, err)

@@ -174,32 +174,36 @@
 // the backlog and everything behind it leaves one service time later,
 // so the lane never reconverges. Such a lane is a lagged twin of its
 // baseline (the theorem is at model.State.BacklogDone, fuzzed by
-// FuzzLaggedTwin) and is not simulated: the sweep defers it at its fork
-// and closes its gain at the horizon from the baseline's running value,
-// while the baseline's accumulator watches the theorem's premises
-// (model.Accum.Watch) and the first stop that breaks one turns every
-// deferred lane back into a simulated one, bit for bit. Where the link
-// idles, as on the paper's Figure 3, the baseline's idle time absorbs the
-// lag (the corollary, fuzzed by FuzzAbsorbedTwin; model.Lag). On a quiet
-// hypothesis, which nothing arrives at to the horizon, there is nothing to
-// stretch: every lane closes at its fork with its packet's value (fuzzed
-// through planner.Decide by FuzzDrained). The closed gains differ from
-// simulated ones by a summation order, far under the planner's tie band,
-// so decisions, digests and tables do not move; planner.MemoStats counts
-// lanes closed and lanes deferred then simulated.
+// FuzzLaggedTwin) and is not simulated: the sweep defers it at its fork,
+// with no state of its own, while the baseline writes one bounded log —
+// its gaps, its value at each candidate's u and at its deliveries near the
+// horizon, how long the premises held (model.Accum.Watch) — and the first
+// stop that breaks a premise turns every deferred lane whose lag is still
+// owed back into a simulated one, replayed to its fork, bit for bit. Where
+// the link idles, as on the paper's Figure 3, the baseline's idle time
+// absorbs the lag (the corollary, fuzzed by FuzzAbsorbedTwin; model.Lag).
+// On a quiet hypothesis, which nothing arrives at to the horizon, there is
+// nothing to stretch: every lane closes at its fork with its packet's value
+// (fuzzed through planner.Decide by FuzzDrained).
 //
 // The decisions a wake makes after its first (core.Sender.Wake decides,
 // sends and decides again: the same belief at the same instant with one
-// more own packet committed) plan against the first one's baseline m
-// service times late — the same theorem, applied to the baseline — so the
-// first decision's sweep leaves a twin record beside its gain vector in
-// the memo and the later ones derive theirs from it (planner.twinRecord;
-// FuzzTwinStack holds the deeper half of the theorem). The rule is
-// canonical — a key's vector is a function of the key: a missing record
-// is made by sweeping the first decision's baseline, never replaced by a
-// direct sweep — so a warm, cold or evicted memo still cannot reach a
-// decision. MemoStats counts vectors derived and first decisions swept
-// for a later one.
+// more own packet committed) plan against the first one's baseline
+// carrying m service times of extra work — the same theorem, applied to
+// the baseline, across its gaps too. So one closure (planner.twinLog.close)
+// closes every candidate of every decision of the burst from the first
+// decision's log: the first's into its vector when its sweep ends, a later
+// one's when it asks, into the twin record the memo keeps beside it
+// (FuzzTwinStack and FuzzAbsorbedTwin hold the deeper half of the
+// theorem). A depth whose premise the log cannot establish is swept, never
+// guessed. The closed gains differ from simulated ones by a summation
+// order, far under the planner's tie band, so decisions, digests and
+// tables do not move. The rule is canonical — a key's vector is a function
+// of the key: a missing record is made by sweeping the first
+// decision's baseline, never replaced by a direct sweep — so a warm, cold
+// or evicted memo still cannot reach a decision. planner.MemoStats counts
+// lanes closed, lanes deferred then simulated, vectors derived and first
+// decisions swept for a later one.
 //
 // What only the wake decides (top-K copy, rollout-key hashes, the
 // fingerprint's support half) is paid for once per planner.Wake.

@@ -15,23 +15,35 @@ import (
 // twin's extra work absorbed by its baseline's idle time — and the closed
 // form model.Lag keeps for it to Run's event lists. A baseline grown by
 // twinBaseline is put under cross traffic of 0.3–1.2 of the link rate and,
-// on request, run until its link idles; a twin is forked from it with one
-// more packet X, queued behind the backlog or, on an idle link, straight
-// into service, and a third copy advances with RunAccum under a watch
-// armed one level deep with a gap log. Segment ends and shared sends (of a
-// packet or two, so some outgrow a one-packet buffer) tie with the
-// baseline's next completion and tick, with u, with the instant its link
-// runs dry and with that instant plus the twin's remaining extra work E —
-// exactly, a nanosecond either side — so gaps end before, at and after E
-// and at their own start. After every segment for which the watch has
-// reported room: the log's gaps, carried through a Lag, give the twin's
-// extra work to the nanosecond (what the twin has left to serve less what
-// the baseline has); its deliveries are the baseline's with X at u+ℓ and
-// each delivery of a busy stretch that stretch's E late; its drops are the
-// baseline's; the log's values are the baseline's A at each gap; and the
-// twin is EqualDynamic to the baseline exactly when the Lag says its lag
-// is absorbed. At the horizon, or where the lag is absorbed, the Lag's
-// gain is the simulated one within 1e-9 of a packet's bits.
+// on request, run until its link idles; a twin is forked from it with m =
+// 1…4 more packets (linkKbit's top bits), queued behind the backlog or, on
+// an idle link, the first straight into service, and a third copy
+// advances with RunAccum under a watch armed m+1 levels deep with a gap
+// log. Segment ends and shared sends (of a packet or two, so some outgrow
+// a small buffer) tie with the baseline's next completion and tick, with
+// u, with the instant its link runs dry and with that instant plus the
+// twin's remaining extra work E — exactly, a nanosecond either side — so
+// gaps end before, at and after E and at their own start. After every
+// segment for which the watch has reported room m deep, and every arrival
+// ending a gap fitted beside what the twin still queued (Lag.Holds): the
+// log's gaps, carried through a Lag, give the twin's extra work to the
+// nanosecond (what the twin has left to serve less what the baseline
+// has); its deliveries are the baseline's with the m packets at u+ℓ …
+// u+m·ℓ and each delivery of a busy stretch that stretch's E late; its
+// drops are the baseline's; the log's values are the baseline's A at each
+// gap; and the twin is EqualDynamic to the baseline exactly when the Lag
+// says its lag is absorbed. At the horizon, or where the lag is absorbed,
+// the Lag's gain is the simulated one within 1e-9 of a packet's bits.
+//
+// When m ≤ 3 a fourth side is forked from the twin, after as many
+// segments as fillPkts's top bits say, with one more packet X: the shape
+// of a burst's later decision forking a candidate behind a partly absorbed
+// lag E(t'). X is dropped or admitted as Lag.Surplus (busy baseline) or
+// Lag.Holds (idle) say when they say; an admitted X leaves at the
+// baseline's BacklogDone(t') (t' on an idle link) + E(t') + ℓ, and the side
+// carries E(t')+ℓ from there on, to the nanosecond, EqualDynamic to the
+// baseline exactly when that is absorbed — as long as the watch reports
+// room m+1 deep and the gap-ending arrivals fit beside its Holds.
 func FuzzAbsorbedTwin(f *testing.F) {
 	twinSeeds(f)
 	// An idle fork whose gap a send ends while E is still owed. Found by
@@ -41,6 +53,16 @@ func FuzzAbsorbedTwin(f *testing.F) {
 	f.Add(uint8(4), uint8(15), uint8(9), uint8(6), uint8(0b0000001), []byte("\x03170"))
 	f.Add(uint8(111), uint8(2), uint8(71), uint8(38), uint8(0b0101010), []byte("00"))
 	f.Add(uint8(17), uint8(11), uint8(48), uint8(102), uint8(0b0101011), []byte("20"))
+	// A twin two packets behind that a gap-ending 24 000-bit arrival
+	// finds owing more than ℓ: the buffer holds the arrival, not the
+	// arrival and what the twin still queues.
+	f.Add(uint8(61), uint8(92), uint8(48), uint8(168), uint8(34), []byte("01"))
+	// X forked behind a partly absorbed lag, on a busy link and delivered,
+	// and on an idle one; and a gap of no length at X's u, ended by an
+	// arrival X's side cannot queue (this test's first version let it by).
+	f.Add(uint8(16), uint8(30), uint8(7), uint8(0), uint8(1), []byte(" 00A00"))
+	f.Add(uint8(16), uint8(30), uint8(7), uint8(0), uint8(1), []byte(" 01B"))
+	f.Add(uint8(0), uint8(0), uint8(1), uint8(0), uint8(26), []byte("010A1A"))
 	f.Fuzz(func(t *testing.T, linkKbit, crossPct, capPkts, fillPkts, flags uint8, sched []byte) {
 		grown, ok := twinBaseline(linkKbit, crossPct, capPkts, fillPkts, flags, sched)
 		if !ok || len(sched) < 2 {
@@ -49,10 +71,11 @@ func FuzzAbsorbedTwin(f *testing.F) {
 		base := reloaded(grown, 30+int(crossPct)%91)
 		p := base.P
 		x, lag := p.PktBits(), p.ServiceTime()
+		m := 1 + int(linkKbit>>5)%4
 		if sched[1]&1 != 0 {
 			base.Run(base.BacklogDone(), nil, nil) // idle at the fork, unless a tick refilled it
 		}
-		if base.Serving && base.QueueBits+x > p.BufferCapBits {
+		if base.Serving && base.QueueBits+int64(m)*x > p.BufferCapBits || int64(m-1)*x > p.BufferCapBits {
 			return
 		}
 		fork, u := base.Now, base.Now
@@ -73,7 +96,11 @@ func FuzzAbsorbedTwin(f *testing.F) {
 		const seqX = 1 << 20
 		twin, watched := base.Clone(), base.Clone()
 		var twinEvs, baseEvs []model.Event
-		twin.Run(fork, []model.Send{{Seq: seqX, At: fork}}, &twinEvs)
+		var extra []model.Send
+		for i := 0; i < m; i++ {
+			extra = append(extra, model.Send{Seq: seqX + int64(i), At: fork})
+		}
+		twin.Run(fork, extra, &twinEvs)
 		var acc model.Accum
 		var steps model.StepTable
 		util.Start(&acc, fork, 0, &steps)
@@ -81,7 +108,7 @@ func FuzzAbsorbedTwin(f *testing.F) {
 		if !watched.Serving {
 			gaps = append(gaps, model.Gap{Dry: fork, End: units.Forever})
 		}
-		acc.Watch(x, lag, 1, &gaps)
+		acc.Watch(x, lag, m+1, &gaps)
 
 		// a is A(t), the baseline's value delivered by t.
 		a := func(t time.Duration) (sum float64) {
@@ -92,10 +119,15 @@ func FuzzAbsorbedTwin(f *testing.F) {
 			}
 			return sum
 		}
-		l := model.Lag{E: lag, From: u, Gain: model.PacketValue(x, 1, u+lag-fork, kappa)}
+		l := model.Lag{E: time.Duration(m) * lag, From: u}
+		for i := 1; i <= m; i++ {
+			if at := u + time.Duration(i)*lag; at <= horizon {
+				l.Gain += model.PacketValue(x, 1, at-fork, kappa)
+			}
+		}
 		// The busy stretches the lag is carried through, each with its E.
 		type stretch struct{ from, end, e time.Duration }
-		stretches := []stretch{{u, units.Forever, lag}}
+		stretches := []stretch{{u, units.Forever, l.E}}
 		if !watched.Serving {
 			stretches[0].end = u // an idle fork's lag starts in a gap
 		}
@@ -114,6 +146,13 @@ func FuzzAbsorbedTwin(f *testing.F) {
 		}
 		idle, absorbed, seen, taken := !watched.Serving, false, 0, 0.0
 		dry := fork
+
+		// The fourth side: X forked behind the twin at xAt, its lag lx.
+		var xSide model.State
+		var xEvs []model.Event
+		var lx model.Lag
+		xAt, xLive := int(fillPkts>>5), false
+		var leave time.Duration
 
 		seq := int64(10)
 		for i := 0; !absorbed && base.Now < horizon; i++ {
@@ -157,13 +196,18 @@ func FuzzAbsorbedTwin(f *testing.F) {
 			}
 			base.Run(until, sends, &baseEvs)
 			twin.Run(until, sends, &twinEvs)
+			if xLive {
+				xSide.Run(until, sends, &xEvs)
+			}
 			watched.RunAccum(until, sends, &acc)
 			if !watched.EqualDynamic(&base) {
 				t.Fatalf("segment %d: the watched baseline left Run's", i)
 			}
-			if acc.TakeWatch() == 0 {
+			level := acc.TakeWatch()
+			if level < m {
 				return // an arrival left the twin no room: the corollary says nothing from here on
 			}
+			xLive = xLive && level > m
 			before := taken
 			taken += acc.Take()
 			if l.From == u {
@@ -186,8 +230,14 @@ func FuzzAbsorbedTwin(f *testing.F) {
 					break
 				}
 				idle = false
+				if xLive && (g.End > lx.From || g.Dry >= lx.From) && !lx.Idle(dry, g.End, 0) && g.Bits+lx.Holds(x, lag) > p.BufferCapBits {
+					xLive = false // X's side could not have queued the arrival
+				}
 				if !absorbed {
 					if absorbed = l.Idle(dry, g.End, a(dry)); !absorbed {
+						if g.Bits+l.Holds(x, lag) > p.BufferCapBits {
+							return // the twin could not have queued it
+						}
 						stretches = append(stretches, stretch{g.End, units.Forever, l.E})
 					}
 				}
@@ -198,12 +248,14 @@ func FuzzAbsorbedTwin(f *testing.F) {
 			}
 
 			// The twin's extra work, and whether it is its baseline's.
-			if !absorbed {
-				want := l.E
-				if idle {
-					want -= until - max(dry, l.From)
+			owed := func(l model.Lag) time.Duration {
+				if idle && l.E > 0 {
+					l.Idle(dry, until, 0)
 				}
-				if got := work(&twin) - work(&base); got != want {
+				return l.E
+			}
+			if !absorbed {
+				if got, want := work(&twin)-work(&base), owed(l); got != want {
 					t.Fatalf("segment %d (to %v, fork %v, u %v, lag %v): the twin has %v more work than its baseline, the Lag %v", i, until, fork, u, lag, got, want)
 				}
 			}
@@ -213,8 +265,10 @@ func FuzzAbsorbedTwin(f *testing.F) {
 
 			// The deliveries, stretch by stretch.
 			want := []model.Event{}
-			if at := u + lag; at <= until {
-				want = append(want, model.Event{Kind: model.OwnDelivered, Seq: seqX, At: at, Bits: x, Delay: at - fork})
+			for k := 1; k <= m; k++ {
+				if at := u + time.Duration(k)*lag; at <= until {
+					want = append(want, model.Event{Kind: model.OwnDelivered, Seq: seqX + int64(k-1), At: at, Bits: x, Delay: at - fork})
+				}
 			}
 			for _, ev := range baseEvs {
 				if ev.Kind != model.OwnDelivered && ev.Kind != model.CrossDelivered {
@@ -231,7 +285,58 @@ func FuzzAbsorbedTwin(f *testing.F) {
 				}
 			}
 			sort.SliceStable(want, func(i, j int) bool { return want[i].At < want[j].At })
-			sameEvents(t, i, 1, twinEvs, want, baseEvs)
+			sameEvents(t, i, m, twinEvs, want, baseEvs)
+
+			// X's side: forked here, or held to its lag.
+			switch {
+			case i == xAt && m <= 3:
+				e := owed(l)
+				if absorbed {
+					e = 0
+				}
+				lx = l
+				lx.E = e
+				admit, known := lx.Holds(x, lag)+x <= p.BufferCapBits, true
+				from := until
+				if base.Serving {
+					room := p.BufferCapBits - base.QueueBits - x
+					lo, hi := surplus(lx, &base)
+					admit, known, from = hi <= room, lo > room || hi <= room, base.BacklogDone()
+				} else if !admit {
+					known = false
+				}
+				xSide, xEvs = twin.Clone(), append([]model.Event(nil), twinEvs...)
+				queued := work(&xSide)
+				xSide.Run(until, []model.Send{{Seq: seqX + 8, At: until}}, &xEvs)
+				admitted := work(&xSide) > queued
+				if known && admitted != admit {
+					t.Fatalf("segment %d (at %v, u %v, lag %v, E %v): X admitted behind the twin: %v, the bounds say %v", i, until, u, lag, e, admitted, admit)
+				}
+				if admitted {
+					leave, lx = from+e+lag, model.Lag{E: e + lag, From: from}
+					xLive = level > m
+					if got := work(&xSide) - work(&base); got != e+lag {
+						t.Fatalf("segment %d (at %v, u %v, lag %v, E %v): X's side has %v more work than the baseline, want E+ℓ", i, until, u, lag, e, got)
+					}
+				}
+			case xLive:
+				xOwed := owed(lx)
+				if xOwed > 0 && work(&xSide)-work(&base) != xOwed {
+					t.Fatalf("segment %d (to %v, lag %v): X's side has %v more work than the baseline, its Lag %v", i, until, lag, work(&xSide)-work(&base), xOwed)
+				}
+				if eq := xSide.EqualDynamic(&base); eq != (xOwed == 0) {
+					t.Fatalf("segment %d (to %v, lag %v): X's side equals the baseline: %v, its Lag owes %v", i, until, lag, eq, xOwed)
+				}
+				var at time.Duration
+				for _, ev := range xEvs {
+					if ev.Seq == seqX+8 && ev.Kind == model.OwnDelivered {
+						at = ev.At
+					}
+				}
+				if (leave <= until) != (at != 0) || at != 0 && at != leave {
+					t.Fatalf("segment %d (to %v, u %v, lag %v): X left at %v, want BacklogDone(t')+E(t')+ℓ = %v", i, until, u, lag, at, leave)
+				}
+			}
 		}
 
 		// The closed gain against the simulated one.

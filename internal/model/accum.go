@@ -56,11 +56,12 @@ type Accum struct {
 
 // Gap is one idle stretch of a watched link (Watch): it ran dry at Dry,
 // with the running segment at Value (what Pending read there, and all
-// through the gap), and the arrival at End refilled it (units.Forever:
-// none has yet).
+// through the gap), and an arrival of Bits at End refilled it
+// (units.Forever: none has yet).
 type Gap struct {
 	Dry, End time.Duration
 	Value    float64
+	Bits     int64
 }
 
 // Reset points the accumulator at a new rollout: deliveries are valued
@@ -135,11 +136,12 @@ func (a *Accum) Pending() float64 { return a.seg }
 // on RunAccum records, per arrival it queued, how deep a twin still had
 // room for it — the level rule of State.BacklogDone — adds up the service
 // times of what it queued, and appends to log each gap the link idles
-// through, closed by the arrival that ends it; an arrival that outgrows
-// the buffer there lowers the level to 0, as a twin still owing work would
-// queue it. Arm it on a busy link, or with the gap under way appended to
-// log, open. Reset disarms it. What it costs an advance is a few branches
-// per arrival and a store or two per gap; deliveries pay nothing.
+// through, closed by the arrival that ends it and its bits; an arrival
+// that outgrows the buffer there lowers the level to 0, as a twin still
+// owing work would queue it. Arm it on a busy link, or with the gap under
+// way appended to log, open. Reset disarms it. What it costs an advance is
+// a few branches per arrival and a store or two per gap; deliveries pay
+// nothing.
 func (a *Accum) Watch(bits int64, lag time.Duration, levels int, log *[]Gap) {
 	a.twinBits, a.twinLag, a.queued, a.gaps = bits, lag, 0, log
 	a.level, a.top = uint8(levels), uint8(levels)
@@ -156,7 +158,8 @@ func (a *Accum) refill(at time.Duration, bits, capBits int64) {
 	if bits > capBits {
 		a.level = 0
 	}
-	(*a.gaps)[len(*a.gaps)-1].End = at
+	g := &(*a.gaps)[len(*a.gaps)-1]
+	g.End, g.Bits = at, bits
 }
 
 // TakeWatch reports the deepest level at which the stretch since the last

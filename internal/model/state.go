@@ -505,99 +505,54 @@ func twinCharge(j int, x int64, lag time.Duration, in int64, age time.Duration) 
 
 // BacklogDone reports u, the instant a busy link finishes everything now
 // in the system: ServiceDone plus the service times of the queue. While
-// the link stays busy a departure does not move it (ServiceDone grows by
-// exactly the service time that leaves the queue) and a queued arrival
+// the link stays busy a departure does not move it and a queued arrival
 // adds its own service time, which is what lets an armed watch carry it
 // forward (Accum.TakeQueued) instead of summing the queue again.
 //
-// It anchors the lagged-twin theorem the planner's sweep closes
-// saturated candidates with. Fork a twin from this state (the baseline,
-// link busy, at time t) by admitting m more packets, of x bits and
-// service time ℓ each, at the queue tail, and let no packet that arrives
-// after t be smaller than x (what is already queued is ahead of them and
-// served alike on both sides, whatever its size). If from t to some H
+// It anchors the lagged-twin theorem. Fork a twin from this state (the
+// baseline, at time t; u = t on an idle link) by admitting m more packets
+// of x bits and service time ℓ at the queue tail, and let no packet that
+// arrives after t be smaller than x.
+// If from t to some H (i) the link never idles and (ii) every arrival the
+// baseline queues leaves room for the twin's surplus — the charge of
+// level m: m·x plus the bits in service when that service began less than
+// m·ℓ before, or for m = 1 the larger of x and those bits — then the
+// twin's BacklogDone is the baseline's plus m·ℓ; it delivers the m packets
+// at u+ℓ … u+m·ℓ and everything the baseline delivers after u exactly m·ℓ
+// later (past H falling out); its drops are the baseline's; and it is
+// never EqualDynamic to the baseline. Its queue holds more than the
+// baseline's by m·x before u and afterwards by what the baseline began
+// serving in the last m·ℓ (Lag.Surplus): FIFO and work conservation start
+// the extra packets at u, u+ℓ, … and everything behind them m·ℓ late, and
+// a link serving nothing smaller than x finishes at most m·x bits in m·ℓ.
+// A packet X admitted behind that twin at t' ≥ t makes it the twin m+1
+// behind: X leaves at BacklogDone(t') + (m+1)·ℓ, and is certainly dropped
+// when the surplus's lower bound leaves no room, certainly admitted when
+// its upper bound does, and not known from the baseline in between. An
+// Accum armed with Watch(x, ℓ, levels, log) logs (i) and reports the
+// deepest level of (ii) per stretch; FuzzLaggedTwin and FuzzTwinStack
+// hold all this to Run's event lists.
 //
-//	(i)  the baseline's link never idles, and
-//	(ii) every arrival the baseline queues leaves room for the twin's
-//	     surplus — for m = 1: x, or the bits of the packet in service
-//	     when its baseline service began less than ℓ before the arrival
-//	     and it is the larger; for m > 1 the sufficient charge m·x plus
-//	     the bits in service when that service began less than m·ℓ before
-//	     (clean at level m; clean at level m implies clean at every
-//	     level below it),
-//
-// then the twin's BacklogDone is the baseline's plus m·ℓ at every
-// instant; its delivery stream over (t, H] is the baseline's with the m
-// packets delivered at u+ℓ … u+m·ℓ and every delivery after u exactly m·ℓ
-// later (those pushed past H falling out); its drops are the baseline's;
-// and at no instant is it EqualDynamic to the baseline. Its queue holds
-// more than the baseline's by m·x before u, by the bits the baseline
-// began serving in (τ−m·ℓ, τ] at any τ from u+m·ℓ on — nothing when the
-// packet in service began at or before τ−m·ℓ, which a chunk that serves
-// for many ℓ makes the rule — and by something between zero and m·x plus
-// the bits in service in between (TwinSurplus). Proof sketch: FIFO and
-// work conservation fix each packet's service start by what is ahead of
-// it, so the extra packets start at u, u+ℓ, … and everything that arrived
-// behind them starts m·ℓ late. The twin's queue therefore still holds
-// what the baseline began serving within the last m·ℓ; a link that
-// serves nothing smaller than x finishes at most m·x bits inside such a
-// window, and the packet in service comes on top. That is the surplus of
-// (ii), so the twin queues what the baseline queues, and being the
-// fuller drops what the baseline drops; a twin that is m·ℓ behind has a
-// later ServiceDone or more packets in the system.
-//
-// One step further, which is what lets a burst of decisions share one
-// rollout: a packet X admitted at the tail of that twin at some t' ≥ t
-// makes it, from t' on, the twin m+1 packets behind — clean at level m+1
-// suffices, X leaves at the baseline's BacklogDone(t') + (m+1)·ℓ and
-// everything the baseline delivers after BacklogDone(t') leaves (m+1)·ℓ
-// late — and whether X is admitted at all is decided by the twin's queue
-// at t', the baseline's plus the surplus above: certainly dropped when
-// the lower bound leaves no room, certainly admitted when the upper
-// bound does, and not known from the baseline alone in between. An Accum
-// armed with Watch(x, ℓ, levels, log) reports (i), by what it logs, and
-// the deepest level of (ii) for each stretch RunAccum advances;
-// FuzzLaggedTwin and FuzzTwinStack hold the statement to Run's event
-// lists.
-//
-// And for m = 1 without (i), which closes the twin of a baseline that idles
-// (Lag): its extra work E, ℓ from u on (u = t on a link idle at t), stays
-// put while the link is busy and shrinks one for one while it idles. Until
-// it is gone X leaves at u+ℓ, each busy stretch's deliveries leave that
-// stretch's E late and the drops are the baseline's, if (ii) holds at
-// level 1 and each arrival ending a gap fits in the buffer — the twin,
-// serving at most what the baseline delivered last, queues it alone. A gap
-// lasting E after u absorbs it (its last departure goes first) and the
-// twin is EqualDynamic to the baseline from then on. The watch's log
-// records the gaps; FuzzAbsorbedTwin holds this to Run's event lists. When
-// nothing arrives after t the baseline delivers nothing after u, so every
-// stretch is empty and X's value is the whole gain (FuzzDrained).
+// Without (i) the twin carries extra work E, m·ℓ from u on, that stays
+// put while the link is busy and shrinks one for one while it idles (Lag):
+// until it is gone each busy stretch's deliveries leave that stretch's E
+// late and the drops are the baseline's, if (ii) holds at level ⌈E/ℓ⌉ and
+// each arrival ending a gap fits beside what the twin still queues — under
+// E of work in packets of x bits or more, so nothing while E ≤ ℓ and at
+// most ⌈E/ℓ⌉·x bits beyond (Lag.Holds). A gap lasting E absorbs it and
+// the twin is EqualDynamic to the baseline from then on. A packet X
+// admitted behind such a twin at t', E(t') still owed, is queued on an
+// idle baseline when Holds(E) + x fits and on a busy one as Lag.Surplus
+// says; it leaves at BacklogDone(t') (t' when idle) + E(t') + ℓ, and the
+// side carries E(t')+ℓ from there on. FuzzAbsorbedTwin holds this to Run's
+// event lists. When nothing arrives after t, every stretch is empty and
+// X's value is the whole gain (FuzzDrained).
 func (s *State) BacklogDone() time.Duration {
 	u := s.ServiceDone
 	for _, q := range s.Queued() {
 		u += s.P.serviceTime(q.Bits)
 	}
 	return u
-}
-
-// TwinSurplus bounds, at s.Now, how many more bits than s's own the queue
-// of a twin holds that took m extra packets of x bits (service time lag
-// each) at an instant when s's BacklogDone was u0, while the premises of
-// the theorem at BacklogDone have held at level m since: exactly m·x
-// before u0; exactly nothing once the packet in service has been there
-// for m·lag; in between at least that packet — it began after everything
-// the twin took the extra packets behind, so the twin has not begun it —
-// and at most m·x more. s must be serving.
-func (s *State) TwinSurplus(m int, x int64, lag, u0 time.Duration) (lo, hi int64) {
-	mx := int64(m) * x
-	if s.Now < u0 {
-		return mx, mx
-	}
-	in := s.InService.Bits
-	if s.Now-(s.ServiceDone-s.P.serviceTime(in)) >= time.Duration(m)*lag {
-		return 0, 0
-	}
-	return in, mx + in
 }
 
 // Lag closes a lagged twin's gain by the corollary at BacklogDone, from
@@ -636,6 +591,38 @@ func (l *Lag) Idle(dry, end time.Duration, a float64) (absorbed bool) {
 	l.E -= idle
 	l.From, l.A = end, a
 	return false
+}
+
+// ServiceBegan is when the packet in service began its service.
+func (s *State) ServiceBegan() time.Duration {
+	return s.ServiceDone - s.P.serviceTime(s.InService.Bits)
+}
+
+// Holds bounds what a twin carrying the lag queues while its baseline
+// idles, for packets of x bits and service time lag (BacklogDone): under E
+// of work in packets of x bits or more — nothing while E ≤ lag.
+func (l *Lag) Holds(x int64, lag time.Duration) int64 {
+	if l.E <= lag {
+		return 0
+	}
+	return int64((l.E+lag-1)/lag) * x
+}
+
+// Surplus bounds, at instant at, how many more bits than its baseline's
+// the queue of a twin carrying the lag holds under the premises at
+// BacklogDone, the baseline serving in bits for served (in = 0: idle):
+// its E/lag extra packets before From (= u, no gap yet); nothing once E is
+// gone or the packet in service has served for E; else that packet, which
+// the twin has not begun, and at most Holds more.
+func (l *Lag) Surplus(at, served time.Duration, in, x int64, lag time.Duration) (lo, hi int64) {
+	switch {
+	case at < l.From:
+		n := int64(l.E/lag) * x
+		return n, n
+	case l.E == 0 || in > 0 && served >= l.E:
+		return 0, 0
+	}
+	return in, in + l.Holds(x, lag)
 }
 
 // Toggle flips the INTERMITTENT gate.

@@ -119,7 +119,7 @@ func FuzzLaggedTwin(f *testing.F) {
 // its deliveries are the baseline's with the j packets at u+ℓ … u+j·ℓ
 // and everything after u exactly j·ℓ later, its drops are the baseline's,
 // and its queue holds more than the baseline's by an amount inside
-// TwinSurplus's bounds. At t', with the watch clean at level m so far, X
+// Lag.Surplus's bounds. At t', with the watch clean at level m so far, X
 // is dropped on arrival when the lower bound leaves it no room and
 // admitted when the upper bound does; from there on, with the watch
 // clean at level m+1 throughout, an admitted X leaves at the baseline's
@@ -241,9 +241,10 @@ func FuzzTwinStack(f *testing.F) {
 				if got, want := twins[j].BacklogDone(), base.BacklogDone()+time.Duration(j)*lag; got != want {
 					t.Fatalf("segment %d (to %v): twin %d's BacklogDone %v, the baseline's plus %d lags %v", i, until, j, got, j, want)
 				}
-				lo, hi := base.TwinSurplus(j, x, lag, u0)
+				l := model.Lag{E: time.Duration(j) * lag, From: u0}
+				lo, hi := surplus(l, &base)
 				if d := twins[j].QueueBits - base.QueueBits; d < lo || d > hi {
-					t.Fatalf("segment %d (to %v, u %v, lag %v): twin %d's queue holds %d bits more than the baseline's, TwinSurplus says %d to %d", i, until, u0, lag, j, d, lo, hi)
+					t.Fatalf("segment %d (to %v, u %v, lag %v): twin %d's queue holds %d bits more than the baseline's, Lag.Surplus says %d to %d", i, until, u0, lag, j, d, lo, hi)
 				}
 			}
 			if level < m {
@@ -255,7 +256,8 @@ func FuzzTwinStack(f *testing.F) {
 				// X: dropped or admitted as the baseline's queue and the
 				// twin's surplus over it say, when they say.
 				room := p.BufferCapBits - base.QueueBits - x
-				lo, hi := base.TwinSurplus(m, x, lag, u0)
+				l := model.Lag{E: time.Duration(m) * lag, From: u0}
+				lo, hi := surplus(l, &base)
 				xSide, xEvs, xForked = twins[m].Clone(), append([]model.Event(nil), twinEvs[m]...), true
 				before := xSide.QueueBits
 				xSide.Run(until, []model.Send{{Seq: seqX, At: until}}, &xEvs)
@@ -429,6 +431,11 @@ func FuzzDrained(f *testing.F) {
 			t.Fatalf("%d of %d lanes closed, want all", st.Closed, st.Lanes)
 		}
 	})
+}
+
+// surplus is l.Surplus on base, a busy link, for its packets.
+func surplus(l model.Lag, base *model.State) (lo, hi int64) {
+	return l.Surplus(base.Now, base.Now-base.ServiceBegan(), base.InService.Bits, base.P.PktBits(), base.P.ServiceTime())
 }
 
 // cut is n own packets a twin took at sentAt, when its baseline's

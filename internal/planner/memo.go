@@ -13,12 +13,11 @@ import (
 // MemoStats counts the rollout memo's traffic, so a hit-rate collapse
 // shows without a profiler, and what became of the hypotheses it did not
 // serve: of the Lookups − Hits − Shared gain vectors Decide had to
-// produce, Derived came from a twin record and the rest from a rollout,
-// Stripped more rollouts made the records that were missing, and of the
-// candidate Lanes of all those rollouts Lanes − Closed were simulated or
-// dropped where they forked, Materialized of those after a deferral. Like
-// the memo's own counters these depend on how the fleet is partitioned, so
-// they are diagnostics, not results.
+// produce, Derived were closed from a twin record and the rest rolled,
+// Stripped more rollouts remade missing records, and of the candidate
+// Lanes of all those rollouts Lanes − Closed were simulated or dropped
+// where they forked. Like the memo's own counters these depend on how the
+// fleet is partitioned: diagnostics, not results.
 type MemoStats struct {
 	// Lookups is how many hypotheses Decide keyed.
 	Lookups int64
@@ -35,19 +34,20 @@ type MemoStats struct {
 	// Lanes is how many candidate lanes the rolled hypotheses had (one per
 	// candidate send time).
 	Lanes int64
-	// Closed lanes were never simulated: lagged twins of their baseline to
-	// the horizon or until its idle time absorbed the lag, their gain closed
-	// from the baseline's running value — every lane of a quiet hypothesis,
-	// which nothing arrives at, included (see Decide).
+	// Closed lanes were never simulated: lagged twins of their baseline,
+	// closed from its log (twinLog.close) — every lane of a quiet
+	// hypothesis, which nothing arrives at, included.
 	Closed int64
 	// Materialized lanes were deferred as twins and simulated after all,
 	// because an arrival left them no room.
 	Materialized int64
 	// Derived gain vectors were never rolled: a later decision of a burst,
-	// computed from the twin record of the burst's first (see Decide).
+	// closed at its depth from the burst's first decision's log, gaps and
+	// idle forks included — only a premise the log cannot establish sends
+	// one to the sweep (see Decide).
 	Derived int64
 	// Stripped rollouts were of a burst's first decision on behalf of a
-	// later one that found no record of it.
+	// later one that found its log not resident in the memo.
 	Stripped int64
 }
 
@@ -219,89 +219,123 @@ func (m *rolloutMemo) keep(k memoKey, rec twinRecord) {
 	if m.recs.reach == nil {
 		m.recs.size(len(m.keys), m.stride)
 	}
-	m.recs.at(memoSlot(k), m.stride).set(rec)
+	dst := m.recs.at(memoSlot(k), m.stride)
+	*dst.reach, *dst.closed = *rec.reach, *rec.closed
+	copy(dst.gains, rec.gains[:int(*rec.closed)*m.stride])
 }
 
-// twinDepth is L, how far behind a burst's first decision a later one may
-// be and still be derived from its twin record: the baseline of the
-// decision after m sends at one instant is the first one's, m service
-// times late. Counted on a 256-sender fleet, every wake that plans live
-// decides four times — send, send, send, sleep — and none went deeper; a
-// deeper call is rolled as it always was.
+// twinDepth is how many packets behind a burst's first decision a later
+// one may be and still close from its log. On a 256-sender fleet every
+// wake that plans live decides four times — send, send, send, sleep.
 const twinDepth = 3
 
-// noDrop marks a candidate no decision of a burst finds tail-dropped.
-const noDrop = 0xff
+// delivery is a delivery of the baseline near H: its instant and A there.
+type delivery struct {
+	at time.Duration
+	a  float64
+}
 
-// twinHead is the part of a twin record that does not grow with the
-// candidate count.
+// twinHead is the part of a twin log that does not grow with the candidate
+// count: the hypothesis's and the plan's constants; where the log starts
+// (u0) and ends (logEnd; A there aEnd); until when each watch level held
+// (clean[L]); the deliveries in H's last (twinDepth+1)·ℓ (win, from
+// winFrom, where A was aWin); per view the closure reads, what it takes
+// once per lag E (edges) and per carry past a gap (tails); and the slips
+// of the lags it carried.
 type twinHead struct {
-	// slip is 1 − e^(−ℓ/κ), what a delivery loses by leaving ℓ later.
-	slip float64
-	// tail[i] is A(H − i·ℓ): the baseline's discounted value delivered
-	// by then.
-	tail [twinDepth + 2]float64
+	now, u0, horizon, logEnd time.Duration
+	lag                      time.Duration
+	x, capBits               int64
+	kappa, survive           float64
+	aEnd                     float64
+	clean                    [twinDepth + 2]time.Duration
+	winFrom                  time.Duration
+	aWin                     float64
+	win                      []delivery
+	edges                    [8]twinEdge
+	view                     uint64 // counts views: the one edges are for
+	tails                    [4]twinCost
+	nextTail                 int
+	slips                    [16]twinSlip
 }
 
-// twinRecord is what a lagged-twin rollout of a burst's first decision
-// leaves for the later ones (see Decide): per candidate
-// k the value pkt[k] of its packet delivered at u_k+ℓ, the baseline's value
-// au[k] = A(u_k), and the shallowest depth drop[k] at which the packet is
-// tail-dropped on arrival (noDrop: at none within reach); the head; and
-// reach, 0 for no record, else one more than the depth down to which a
-// burst's decisions derive from it (1: a record that says none do). It is
-// a view into a twinRecords.
-type twinRecord struct {
-	reach *uint8
+// twinEdge memoizes what closing a lag of E reads (twinLog.edge), for
+// the view it was read in.
+type twinEdge struct {
+	e       time.Duration
+	slip, a float64
+	view    uint64
+	ok      bool
+}
+
+// twinSlip memoizes a lag's slip under κ (twinLog.slip). It outlives
+// views and sweeps.
+type twinSlip struct {
+	e           time.Duration
+	kappa, slip float64
+}
+
+// twinCost memoizes a carry of l from gap gi−1 on (twinLog.cost).
+type twinCost struct {
+	l    model.Lag
+	gi   int
+	gain float64
+	gone time.Duration
+	ok   bool
+}
+
+// twinLog is what the baseline's sweep of a lagged-twin hypothesis writes,
+// and every candidate of every decision of its burst closes from
+// (twinLog.close): the head, the gaps the link idled through (A(Dry) in
+// Value), and a twinCand per candidate.
+type twinLog struct {
 	*twinHead
-	pkt, au []float64
-	drop    []uint8
+	end   time.Duration // how far this view reads: logEnd, or a stop before
+	gaps  []model.Gap
+	cands []twinCand
 }
 
-// set copies src's contents into the storage rec views.
-func (rec twinRecord) set(src twinRecord) {
-	*rec.reach, *rec.twinHead = *src.reach, *src.twinHead
-	copy(rec.pkt, src.pkt)
-	copy(rec.au, src.au)
-	copy(rec.drop, src.drop)
+// twinCand is a candidate's part of a twin log: its fork instant at, u
+// (BacklogDone there, or at on an idle link), A(u), its packet's value at
+// u+ℓ (pkt, 0 past H), and what its admission behind a later decision's
+// baseline depends on — the baseline's room for it (room) and the bits in
+// service there for served (in; 0 when idle).
+type twinCand struct {
+	u, at, served time.Duration
+	a, pkt        float64
+	room, in      int64
+	gi            int // the first gap a lag from u is carried through
 }
 
-// gain is the closed form for candidate k of the burst's decision at
-// depth m, less that depth's common discount (derive). By the theorem
-// (model.State.BacklogDone) the decision's baseline is the record's m·ℓ
-// late; the candidate's packet, x bits that survive the last mile with
-// probability 1−p, leaves at u+(m+1)·ℓ; what the record's baseline
-// delivers in (u, H−(m+1)·ℓ] leaves one ℓ later than it does in the
-// decision's; and what it delivers in (H−(m+1)·ℓ, H−m·ℓ] falls out. With
-// A(t) the record's baseline's discounted value delivered by t and κ the
-// discount timescale the gain is
-//
-//	e^(−mℓ/κ) · [x·(1−p)·e^(−(u+ℓ−now)/κ) − (1−e^(−ℓ/κ))·(A(H−(m+1)ℓ) − A(u)) − (A(H−mℓ) − A(H−(m+1)ℓ))]
-//
-// and this is the bracket. At depth 0 it is the gain of a lane closed
-// where it was rolled.
-func (rec twinRecord) gain(m, k int) float64 {
-	return rec.pkt[k] - rec.slip*(rec.tail[m+1]-rec.au[k]) - (rec.tail[m] - rec.tail[m+1])
+// twinStore holds a hypothesis's twin log from its sweep until its later
+// depths are closed (Decide), and the view the closure reads.
+type twinStore struct {
+	key   memoKey // the first decision's, while the log is its
+	head  twinHead
+	cands []twinCand
+	gaps  []model.Gap
+	lv    twinLog
+}
+
+// twinRecord is what the sweep of a burst's first decision leaves for the
+// later ones (see Decide): the gain vectors its log closes at depths 1 …
+// closed, back to back in gains, and reach — 0 for no record, else one
+// more than the depth down to which its log establishes the closure.
+// Depths are closed as the burst reaches them. It is a view into a
+// twinRecords.
+type twinRecord struct {
+	reach, closed *uint8
+	gains         []float64
 }
 
 // derive writes the gain vector of the burst's decision at depth m ≥ 1
-// into gains, and reports false, gains untouched, when the record does
-// not reach that deep.
+// into gains, and reports false, gains untouched, when the record has not
+// closed that depth.
 func (rec twinRecord) derive(m int, gains []float64) bool {
-	if int(*rec.reach) <= m {
+	if int(*rec.reach) <= m || int(*rec.closed) < m {
 		return false
 	}
-	late := 1.0
-	for i := 0; i < m; i++ {
-		late *= 1 - rec.slip
-	}
-	for k := range gains {
-		if int(rec.drop[k]) <= m {
-			gains[k] = 0 // dropped where it forks: the candidate is its baseline
-			continue
-		}
-		gains[k] = late * rec.gain(m, k)
-	}
+	copy(gains, rec.gains[(m-1)*len(gains):])
 	return true
 }
 
@@ -309,31 +343,24 @@ func (rec twinRecord) derive(m int, gains []float64) bool {
 // their reaches apart: whether a hypothesis has a record is asked of every
 // hypothesis a call sweeps, and should not cost it a cache line.
 type twinRecords struct {
-	reach   []uint8
-	head    []twinHead
-	pkt, au []float64
-	drop    []uint8
+	reach, closed []uint8
+	gains         []float64
 }
 
 // size makes room for n records of the given candidate count; what the
 // old ones held is kept only if nothing had to grow.
 func (r *twinRecords) size(n, candidates int) {
-	if cap(r.head) < n || cap(r.drop) < n*candidates {
-		room := max(n, cap(r.head)*3/2) // a support grows a hypothesis at a time
-		r.reach = make([]uint8, room)
-		r.head = make([]twinHead, room)
-		r.pkt = make([]float64, room*candidates)
-		r.au = make([]float64, room*candidates)
-		r.drop = make([]uint8, room*candidates)
+	if cap(r.reach) < n || cap(r.gains) < n*twinDepth*candidates {
+		room := max(n, cap(r.reach)*3/2) // a support grows a hypothesis at a time
+		r.reach, r.closed, r.gains = make([]uint8, room), make([]uint8, room), make([]float64, room*twinDepth*candidates)
 	}
-	r.reach, r.head = r.reach[:n], r.head[:n]
-	r.pkt, r.au, r.drop = r.pkt[:n*candidates], r.au[:n*candidates], r.drop[:n*candidates]
+	r.reach, r.closed, r.gains = r.reach[:n], r.closed[:n], r.gains[:n*twinDepth*candidates]
 }
 
 // at views record i.
 func (r *twinRecords) at(i, candidates int) twinRecord {
-	lo, hi := i*candidates, (i+1)*candidates
-	return twinRecord{&r.reach[i], &r.head[i], r.pkt[lo:hi], r.au[lo:hi], r.drop[lo:hi]}
+	w := twinDepth * candidates
+	return twinRecord{&r.reach[i], &r.closed[i], r.gains[i*w : (i+1)*w : (i+1)*w]}
 }
 
 // decideArena is Decide's pool-resident state, riding rollout.Pool.Aux:
@@ -360,15 +387,14 @@ type decideArena struct {
 	// firsts indexes the call's fresh hypotheses by key, so a later one
 	// with an equal key finds the one it copies.
 	firsts freshIndex
-	// fresh lists the hypotheses whose gains this call produces; of them
-	// roll are swept under the call's plan and, in a burst's later
-	// decision (see Decide), bare under the burst's first plan — keyed
-	// bkeys[i], into their rows of bgains. recs holds, per hypothesis, the
-	// twin record of its last sweep.
+	// fresh lists the hypotheses whose gains this call produces: roll are
+	// swept under the call's plan, bare under a burst's first (keyed
+	// bkeys[i], into bgains). recs holds each one's last twin log.
 	fresh, roll, bare []int32
 	bkeys             []memoKey
 	bgains            []float64
 	recs              twinRecords
+	logs              []twinStore // per hypothesis
 	memo              rolloutMemo
 
 	// The pass in flight, as sweep reads it on the pool's workers: the
@@ -380,9 +406,9 @@ type decideArena struct {
 	util       utility.Config
 	candidates int
 	// twins: the call passes the call-level half of twinGate, so a sweep
-	// asks each hypothesis the rest.
-	twins   bool
-	sweepFn func(*rollout.Scratch, int) // ar.sweep, bound once
+	// asks each hypothesis the rest; keeps: the memo keeps the records.
+	twins, keeps bool
+	sweepFn      func(*rollout.Scratch, int) // ar.sweep, bound once
 }
 
 func arenaOf(p *rollout.Pool) *decideArena {

@@ -120,7 +120,9 @@ func warmEqualsFresh(t *testing.T, w *memoWorld, cfg Config, calls int, novelEve
 // one; a warm one, which derives them from the records the first left in
 // its memo; and one whose memo is overwritten between the calls, which
 // finds the vectors and the records gone. Whichever way a later decision's
-// vector was come by, the Decision is the same field for field.
+// vector was come by, the Decision is the same field for field. The
+// bursts run on fleet-shaped supports and on Figure 3's (fig3World), whose
+// links idle.
 func TestDecideMemoResultNeutral(t *testing.T) {
 	penalty := utility.Config{Alpha: 2.5, Kappa: 20 * time.Second, CrossLatencyPenalty: 0.02}
 	for _, tc := range []struct {
@@ -141,16 +143,27 @@ func TestDecideMemoResultNeutral(t *testing.T) {
 		}
 	}
 
-	for _, workers := range []int{1, 4} {
+	for _, run := range []struct {
+		workers int
+		fig3    bool
+	}{{1, false}, {4, false}, {1, true}, {4, true}} {
+		workers := run.workers
 		cfg := Config{Util: utility.Default(), MaxDelay: 4 * time.Second, Grid: 500 * time.Millisecond, Horizon: 12 * time.Second, Workers: workers}
+		if run.fig3 {
+			cfg = Config{Util: utility.Default(), Workers: workers}
+		}
 		warm, wiped := rollout.New(workers), rollout.New(workers)
 		rng := rand.New(rand.NewSource(41))
+		fig3 := newFig3World(42)
 		var sup []belief.Hypothesis
 		now := 9 * time.Second
 		for burst := 0; burst < 24; burst++ {
-			if burst%2 == 0 {
+			switch {
+			case burst%2 == 0 && run.fig3:
+				sup, now = fig3.support()
+			case burst%2 == 0:
 				sup = fleetShaped(rng, now)
-			} else {
+			default:
 				const shift = 7919 * time.Millisecond
 				now += shift
 				for i := range sup {
@@ -177,11 +190,13 @@ func TestDecideMemoResultNeutral(t *testing.T) {
 			}
 		}
 		ws, os := PoolMemoStats(warm), PoolMemoStats(wiped)
-		if ws.Derived == 0 || ws.Stripped != 0 || ws.Hits == 0 {
-			t.Errorf("%d workers: the warm pool did not derive the bursts' later decisions from resident records, or hit nothing: %+v", workers, ws)
+		// Figure 3's supports are wider and the bursts more numerous: a
+		// record may lose its slot to another key's vector in between.
+		if strips := ws.Stripped; ws.Derived == 0 || !run.fig3 && strips != 0 || 10*strips > ws.Derived || ws.Hits == 0 {
+			t.Errorf("%d workers, Figure 3's beliefs %v: the warm pool did not derive the bursts' later decisions from resident records, or hit nothing: %+v", workers, run.fig3, ws)
 		}
 		if os.Derived == 0 || os.Stripped == 0 || os.Hits != 0 {
-			t.Errorf("%d workers: the overwritten pool found something resident, or derived nothing: %+v", workers, os)
+			t.Errorf("%d workers, Figure 3's beliefs %v: the overwritten pool found something resident, or derived nothing: %+v", workers, run.fig3, os)
 		}
 	}
 }

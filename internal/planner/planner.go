@@ -5,92 +5,49 @@
 // and chooses the strategy maximizing the expected utility.
 //
 // A strategy is "inject the next packet at now+δ" for δ on a grid from 0
-// to MaxDelay. For each hypothesis the planner clones the state and rolls
-// it forward deterministically, gate frozen and loss in expectation,
-// accumulating the utility of all own and cross deliveries over a common
-// horizon. Neither approximation moves the argmax in the paper's
-// configurations: utility is linear in delivered bits and last-mile loss
-// reaches no queue, so the expectation over loss is exact for every
-// candidate (utility.Config.OfPredicted); and the gate is re-inferred at
-// every wake — a plan commits to nothing past the next wake, the gate
-// toggles about once in a hundred seconds against a horizon of tens, and
-// both gate states are in the support with their posterior weights, so a
-// rollout only declines to fork on toggles inside its own horizon.
-// Candidate utilities are measured relative to the no-send rollout of the
-// same hypothesis, which keeps the differences well-conditioned: the
-// large cross-traffic background term cancels exactly.
+// to MaxDelay. For each hypothesis the planner rolls the state forward
+// deterministically, gate frozen and loss in expectation, accumulating the
+// utility of all own and cross deliveries over a common horizon, relative
+// to the no-send rollout of the same hypothesis. Neither approximation
+// moves the argmax in the paper's configurations: utility is linear in
+// delivered bits and last-mile loss reaches no queue
+// (utility.Config.OfPredicted), and the gate is re-inferred at every wake,
+// toggles about once in a hundred seconds, and both its states are in the
+// support with their posterior weights.
 //
-// A planning rollout reads far less of a hypothesis than compaction or
-// the PolicyCache fingerprint do, and Decide exploits it: the rollout
-// memo keys each hypothesis by model.State.AppendRolloutKey — link rate,
-// buffer cap, packet size, loss probability; what is in service and
-// queued as (bits, own); every time relative to the decision instant;
-// the pinger's chunk, interval and phase only while its gate is on;
-// enqueue stamps only under a cross-latency penalty; the absolute
-// instant only under clock skew — followed by the pending sends as
-// (At − now, bits) and the plan constants (Util, MaxDelay, Grid,
-// Horizon). Left out, each because the sweep cannot observe it:
-// ParamsID (a label), the toggle grid and MeanSwitch (the gate is
-// frozen), the cross rate of a gated-off pinger (it only ticks a clock),
-// sequence numbers (they label events), and the weight (applied after
-// the sweep, in the reduce). Fleet members in the same relative state
-// milliseconds apart, and hypotheses of one belief that differ only in
-// what is left out, therefore roll once; see rolloutMemo.
+// The rollout memo keys each hypothesis by what a rollout reads of it
+// (model.State.AppendRolloutKey: sizes, and times relative to the decision
+// instant) under the pending sends and the plan constants, so fleet
+// members in the same relative state, and hypotheses of one belief that
+// differ only in what is left out, roll once (rolloutMemo). A rollout is a
+// stream: every delivery goes to the rollout's model.Accum as the link
+// completes it (model.State.RunAccum), bit for bit what an event buffer
+// read back gave.
 //
-// A hypothesis that is rolled is rolled as a stream. All the sweep reads
-// of a simulated segment is one number, its discounted utility, so the
-// baseline and each candidate advance with model.State.RunAccum, which
-// hands every delivery to the rollout's model.Accum as the link
-// completes it: no event is recorded and none read back. The step
-// factors exp(−Δ/κ) every accumulator multiplies its discount forward by
-// come from one model.StepTable per worker, shared by the baseline and
-// candidates of every sweep the worker runs. Three things keep the gains
-// bit for bit what the event-buffer sweep computed: the segment partition
-// (sums are still read, and cleared, at every sync stop, and a candidate's
-// gain still grows by its segment less the baseline's); the event order
-// (RunAccum is Run's loop); and one accumulator per rollout, so each
-// discount chain steps through its own deliveries only — the shared table
-// holds values of a pure function and cannot matter.
+// A candidate is not rolled lane by lane where its consequences are a lag
+// (model.State.BacklogDone): its packet joins the backlog and everything
+// behind it leaves one service time later, until the link's idle time
+// absorbs that lag. A wake is a burst of Decide calls at one instant on one
+// belief, each with one more own packet committed at now, so the baseline
+// of the call m packets in is the first call's carrying m service times of
+// extra work — the lagged twin again. The first call's baseline writes one
+// log (twinLog: its gaps, its value at each candidate's u, its deliveries
+// near the horizon, how long the room premises held), and one closure
+// (twinLog.close, with model.Lag) closes every candidate of every decision
+// of the burst from it: the first call's when the sweep ends, into its gain
+// vector, a later one's when it asks, into the twin record the memo keeps
+// beside that vector (twinRecord.derive hands them out). A closed gain is the
+// simulated one up to a summation order, five orders of magnitude under
+// the tie band of reduce. What the log cannot establish is never guessed:
+// a lane deferred before an arrival that left its twin no room is
+// simulated after all, and a depth whose premise failed is swept. On a
+// quiet hypothesis, which nothing arrives at to the horizon, every lane
+// closes at its fork. A hypothesis twinGate refuses (a skewed clock, a
+// chunk smaller than a packet arriving by the horizon) and a call with a
+// cross-latency penalty are swept as before, bit for bit.
 //
-// A candidate is not rolled lane by lane where its consequences are a lag.
-// On a fleet the modeled link never idles inside the horizon: a
-// candidate's packet joins the backlog and everything behind it leaves one
-// service time later, for ever, so the lane never reconverges with its
-// baseline. Where the link does idle, as on the paper's Figure 3, the idle
-// time absorbs that lag, and once it has the twin is the baseline. Either
-// way the lane carries nothing the baseline does not (the theorem and its
-// corollary are at model.State.BacklogDone): the sweep defers it at its
-// fork — cloned, not advanced — and closes its gain from the baseline's
-// running value (model.Lag) where a gap absorbs the lag, or at the
-// horizon. The baseline's accumulator logs its gaps and watches the room
-// every arrival leaves a twin (model.Accum.Watch); a stop with an arrival
-// a twin had no room for turns every deferred lane back into a simulated
-// one, caught up from its fork clone bit for bit. A closed gain is the
-// simulated gain up to a summation order, five orders of magnitude under
-// the tie band of reduce, so no decision can tell. On a quiet hypothesis,
-// which nothing arrives at to the horizon, the baseline delivers nothing
-// after the packet's u, so there is nothing to stretch: every lane closes
-// at its fork with its packet's value and the baseline is advanced with no
-// accumulator. twinGate decides per hypothesis, from sizes and relative
-// times only; a hypothesis it refuses (a skewed clock, a chunk smaller than
-// a packet arriving by the horizon) is swept as before, bit for bit.
-//
-// And a hypothesis whose link stays busy through the forks is rolled once
-// per wake, not once per decision. A sender re-decides after every packet
-// it injects (§3.2–3.3), so a wake is a burst of Decide calls at one
-// instant on one belief, each with one more own packet committed at now
-// (four per live wake on a 256-sender fleet). The baseline of the call m
-// packets in is the first call's m service times late — the lagged twin
-// again — and its candidates are that baseline m+1 late from their forks.
-// So the first call's sweep leaves a twin record beside its gain vector in
-// the memo (twinRecord), and the later calls derive their vectors from it
-// in a few flops per candidate (twinRecord.derive), differing from rolled
-// ones by a summation order, like closed ones.
-//
-// What only the wake decides is paid for once per wake: the top-K copy,
-// each hypothesis's rollout-key hash and the fingerprint's support half
-// are taken at a Wake's first decision and kept for the rest, keyed by
-// the Wake alone (see Wake).
+// What only the wake decides — the top-K copy, the rollout-key hashes, the
+// fingerprint's support half — is taken at a Wake's first decision.
 //
 // Ties break toward the longest delay. This is what turns the utility
 // maximization into pacing: when the queue already guarantees a packet's
@@ -100,7 +57,6 @@
 package planner
 
 import (
-	"math"
 	"runtime"
 	"slices"
 	"sort"
@@ -216,35 +172,28 @@ const lockstepChunk = time.Second
 // comment), and its gain vector — one gain per candidate send time — comes
 // from the first of: the rollout memo, where an earlier call on the pool
 // stored the key; an earlier hypothesis of this call with the same key;
-// the twin record of a burst's first decision; a sweep. A memo hit is bit
-// for bit what the sweep would produce, so the memo never reaches a
-// Decision.
+// the twin log of a burst's first decision; a sweep. A memo hit is bit for
+// bit what the sweep would produce, so the memo never reaches a Decision.
 //
 // A sweep (decideArena.sweep) advances the no-send baseline once over sync
 // stops — each candidate's send time, then every lockstepChunk to the
-// horizon — folding its deliveries into a discount accumulator
-// (model.Accum), and forks each candidate from it at its send time. On a
-// hypothesis twinGate takes, a candidate is its baseline late by its
-// packet's service time: its gain is closed from the baseline's running
-// value (model.Lag) where an idle gap absorbs the lag, at the horizon, or,
-// on a quiet hypothesis (nothing arrives to the horizon), at its fork. The
-// rest are simulated beside the baseline and retire at the first stop
-// where their state equals it: every lane twinGate refuses, a lane of a
-// hypothesis that is not quiet whose packet is not through by the horizon,
-// and every lane deferred before an arrival that left a twin no room.
-// Closed gains differ from simulated ones by a summation order. Hypotheses
-// are spread over cfg.Workers with per-worker scratch, and on one worker a
-// steady-state call allocates nothing.
+// horizon — and forks each candidate from it at its send time. On a
+// hypothesis twinGate takes, the baseline writes the twin log and a
+// candidate is closed from it (twinLog.close); the rest are simulated
+// beside the baseline and retire at the first stop where their state
+// equals it. Hypotheses are spread over cfg.Workers with per-worker
+// scratch, and on one worker a steady-state call allocates nothing.
 //
 // A call whose pending list ends in m sends of the uniform size stamped
 // now (1 ≤ m ≤ twinDepth) is the (m+1)-th decision of a wake, and a vector
-// it must produce is derived (twinRecord.derive) from the record of the
-// burst's first decision — the hypothesis keyed without those m sends —
-// when the record reaches depth m. A record that is not resident is remade
-// by sweeping the first decision (MemoStats.Stripped); a record that does
-// not reach, a hypothesis twinGate refuses, a deeper burst and a trailing
-// send of another size or instant go down the direct sweep. Resident,
-// evicted or never made, the same key gets the same vector.
+// it must produce is the one the log of the burst's first decision — the
+// hypothesis keyed without those m sends — closes at depth m into its twin
+// record (twinRecord.derive). A record that is not resident, or whose log
+// is gone before that depth is closed, is remade by sweeping the first
+// decision (MemoStats.Stripped); a depth its log could
+// not establish, a hypothesis twinGate refuses, a deeper burst and a
+// trailing send of another size or instant go down the direct sweep.
+// Resident, evicted or never made, the same key gets the same vector.
 //
 // reduce weighs the vectors by the hypotheses' weights in index order and
 // picks the best candidate, ties within a band going to the longest delay.
@@ -311,6 +260,9 @@ func (w *Wake) Decide(pending []model.Send, seq int64, cfg Config) Decision {
 			burst++
 		}
 		ar.recs.size(width, candidates)
+		if len(ar.logs) < width {
+			ar.logs = make([]twinStore, width)
+		}
 	}
 	first := pending[:len(pending)-burst]
 	derives := 1 <= burst && burst <= twinDepth
@@ -343,8 +295,17 @@ func (w *Wake) Decide(pending []model.Send, seq int64, cfg Config) Decision {
 			ar.recs.reach[i] = 0
 		}
 		if derives {
+			// A record usable at this depth has it closed, or its log at hand
+			// to close it from, or cannot reach it; one whose log is gone is
+			// remade like a missing one.
 			ar.bkeys[i] = hyp.under(firstPlan)
-			if rec, ok := ar.memo.record(ar.bkeys[i], candidates); ok {
+			rec, ok := ar.memo.record(ar.bkeys[i], candidates)
+			if closes := ok && int(*rec.closed) < burst && int(*rec.reach) > burst; closes && ar.logs[i].key == ar.bkeys[i] {
+				ar.logs[i].closeLater(rec, burst)
+			} else if closes {
+				ok = false
+			}
+			if ok {
 				if rec.derive(burst, row(i)) {
 					ar.memo.Derived++
 					continue
@@ -364,38 +325,56 @@ func (w *Wake) Decide(pending []model.Send, seq int64, cfg Config) Decision {
 		// is derived from the record if it reaches this deep, and if not the
 		// hypothesis is swept under the call's own plan with the rest.
 		ar.bgains = slices.Grow(ar.bgains[:0], width*candidates)[:n*candidates]
+		ar.keeps = true
 		ar.run(pool, bare, first, ar.bgains)
 		for _, i := range bare {
 			rec := ar.recs.at(int(i), candidates)
+			ar.logs[i].key = ar.bkeys[i]
+			ar.logs[i].closeLater(rec, burst)
 			ar.memo.store(ar.bkeys[i], ar.bgains[int(i)*candidates:(int(i)+1)*candidates])
-			ar.memo.keep(ar.bkeys[i], rec)
 			ar.memo.Stripped++
 			if rec.derive(burst, row(int(i))) {
 				ar.memo.Derived++
 			} else {
 				roll = append(roll, i)
 			}
+			ar.memo.keep(ar.bkeys[i], rec)
 		}
 	}
+	ar.keeps = burst == 0
 	ar.run(pool, roll, pending, gains)
+	for _, i := range roll {
+		if twins { // else the sweep wrote no log: the one there is still its key's
+			ar.logs[i].key = keys[i] // a first decision's log, else no record's
+		}
+	}
 	ar.fresh, ar.roll, ar.bare = fresh, roll, bare
 
 	// Shares and stores, again in index order on this goroutine. Only a
-	// burst's first decision leaves twin records.
+	// burst's first decision leaves twin records, and a later decision
+	// closes its depth from the log when it asks — but one that sends
+	// closes the next depth at once where its link never idled: closeBusy
+	// does that in one pass, and another wake the memo serves the record to
+	// has no log to close it from.
 	for i, j := range from {
 		if j >= 0 {
 			copy(row(i), row(int(j)))
 		}
 	}
+	d := reduce(hyps, gains, candidates, now, cfg.Grid)
 	records := twins && burst == 0
 	for _, i := range fresh {
 		ar.memo.store(keys[i], row(int(i)))
-		if records && ar.recs.reach[i] > 0 {
-			ar.memo.keep(keys[i], ar.recs.at(int(i), candidates))
+		if !records || ar.recs.reach[i] == 0 {
+			continue
 		}
+		rec := ar.recs.at(int(i), candidates)
+		if st := &ar.logs[i]; d.SendNow && st.busy() {
+			st.closeLater(rec, 1)
+		}
+		ar.memo.keep(keys[i], rec)
 	}
-
-	return reduce(hyps, gains, candidates, now, cfg.Grid)
+	return d
 }
 
 // run sweeps the hypotheses listed in roll on the pool, with pending
@@ -463,17 +442,11 @@ const negInf = -1e308
 
 // sweep rolls hypothesis roll[r] of the call in flight into its row of
 // gains, on worker scratch s: the baseline and every candidate advance
-// from stop to stop with their deliveries folded straight into one
-// accumulator each (State.RunAccum), and at each stop the candidate's
-// segment sum less the baseline's joins its gain. It is a method bound
-// once (sweepFn) so a call creates no closure.
-//
-// When the hypothesis passes twinGate a candidate is not advanced at all
-// but deferred at its fork and closed (twinSweep), or, on a quiet
-// hypothesis, closed there: the baseline then folds its deliveries into no
-// accumulator, as nothing of its value is read. Such a sweep also fills
-// the hypothesis's twin record (ar.recs), which Decide keeps when the
-// sweep is of a burst's first decision.
+// from stop to stop (State.RunAccum), and at each stop the candidate's
+// segment sum less the baseline's joins its gain. On a hypothesis twinGate
+// takes the baseline writes the twin log (twinSweep, into ar.recs), from
+// which each candidate is closed instead. It is a method bound once
+// (sweepFn) so a call creates no closure.
 func (ar *decideArena) sweep(s *rollout.Scratch, r int) {
 	i := int(ar.roll[r])
 	h := &ar.hyps[i]
@@ -500,14 +473,13 @@ func (ar *decideArena) sweep(s *rollout.Scratch, r int) {
 		acc = nil // every lane closes at its fork: the baseline's value is never read
 	}
 
-	// The lagged-twin mode (ds.tw): under it a candidate is deferred at its
-	// fork — marked done as well, so the lockstep passes over it — and the
-	// baseline pauses on its way to read the value it has delivered by the
-	// instants the closed form needs.
+	// The lagged-twin mode (ds.tw): a deferred lane is also done, so the
+	// lockstep passes over it.
 	tw := &ds.tw
-	tw.deferred = 0
+	tw.deferred, tw.owing = 0, false
 	if twin {
-		tw.start(base, acc, stops, ar.recs.at(i, candidates), ar.now, float64(ar.util.Kappa), 1-h.S.P.LossProb)
+		tw.start(base, acc, stops, &ar.logs[i], candidates, ar.now, float64(ar.util.Kappa), 1-h.S.P.LossProb)
+		tw.out, tw.keeps = ar.recs.at(i, candidates), ar.keeps
 	}
 
 	// Each stop: the baseline first (at stop 0, = now, that consumes the
@@ -515,27 +487,31 @@ func (ar *decideArena) sweep(s *rollout.Scratch, r int) {
 	// to no candidate's gain), then every live candidate, then the fork
 	// of the candidate that sends at this stop.
 	si, forked, live := 0, 0, 0
-	for j := 0; j < len(stops) && (forked < candidates || live > 0 || tw.deferred > 0); j++ {
+	for j := 0; j < len(stops) && (forked < candidates || live > 0 || tw.owing); j++ {
 		t := stops[j]
 		hi := si
 		for hi < len(pending) && pending[hi].At <= t {
 			hi++
 		}
-		if tw.deferred > 0 {
+		if twin && acc != nil && j > 0 {
 			tw.pause(base, acc, lanes[:forked], t)
 		}
 		base.RunAccum(t, pending[si:hi], acc)
 		si = hi
 		baseSeg := ds.base.Take() // 0 on a quiet hypothesis
 		if twin && acc != nil {
-			n := tw.endStop(acc, lanes[:forked], gains, stops, j, baseSeg)
-			ds.tally.Materialized += int64(n)
-			live += n
+			if tw.endStop(acc, j, baseSeg) {
+				n := ar.revive(h, ds, lanes[:forked], gains, j)
+				ds.tally.Materialized += int64(n)
+				live += n
+			}
+			tw.book(t)
 		}
 
 		// The lockstep, in line: as a call it cost the plain sweep 1.3 %
-		// (lane.run is the same advance, for the catch-up).
-		for k := range lanes[:forked] {
+		// (lane.run is the same advance, for the catch-up). A log running
+		// on for a deeper lag has no live lane to pass over.
+		for k := 0; k < forked && live > 0; k++ {
 			c := &lanes[k]
 			if c.done {
 				continue
@@ -568,107 +544,117 @@ func (ar *decideArena) sweep(s *rollout.Scratch, r int) {
 			forked++
 			if twin && tw.fork(c, base, acc, gains, j) {
 				// Tail-dropped on arrival (the candidate is its baseline from
-				// here on), or closed where it forks.
+				// here on), closed where it forks, or deferred: no state.
 				continue
 			}
-			base.CloneInto(&c.s)
+			c.fork(base, t, pending, ar.seq)
 			ar.util.Start(&c.acc, ar.now, h.S.P.LossProb, &ds.steps)
-			c.sends = append(c.sends[:0], model.Send{Seq: ar.seq, At: t})
-			for _, snd := range pending {
-				if snd.At > t {
-					c.sends = append(c.sends, snd)
-				}
-			}
-			c.next = 0
-			if !c.deferred {
-				live++
-			}
+			live++
 		}
 	}
-	if tw.deferred > 0 {
-		tw.close(lanes[:forked], gains)
-	}
 	if twin {
+		tw.close(lanes[:forked], gains)
 		ds.tally.Closed += int64(tw.closed)
-		*tw.rec.reach = uint8(1 + tw.reach)
 	}
 }
 
-// twinSweep is the lagged-twin mode's state within one sweep: the packet's
-// bits x and service time ℓ (lag), H (horizon), what a delivery is valued
-// by; taken, the baseline's value over the stops behind (plus the running
-// segment, A at its instant), and segs, per stop, for catching lanes up.
-// The deferred lanes are those from first on whose flag is set (deferred
-// of them; closed so far), read the first whose A(u) is still to come. u
-// is BacklogDone at the last fork, carried while busy, u0 at the first.
-// seen counts the gaps of the log booked in full, idle says the link has
-// been idle since dry (A there aDry), dEnd is when the packet served at
-// H−ℓ leaves (see stretch); slip and pkt memoize Slip and the packet value
-// for slipE and pktU. rec is the twin record in the making, tails counts
-// the A(H−i·ℓ) still to read, and reach is how deep the record serves.
-// quiet says nothing arrives to H: every lane closes at its fork.
+// revive simulates after all, and counts, every lane deferred at stop j
+// (where an arrival left a twin no room) whose lag the log had not
+// absorbed by the stop before; the rest close. It replays the hypothesis
+// to its fork stop (a paused advance moves nothing) and catches up through
+// the stops it sat out, at none of which it could equal the baseline.
+func (ar *decideArena) revive(h *belief.Hypothesis, ds *decideScratch, lanes []lane, gains []float64, j int) (revived int) {
+	tw := &ds.tw
+	lg := tw.st.view(tw.logged, tw.prev)
+	for k := tw.first; k < len(lanes); k++ {
+		c := &lanes[k]
+		if !c.deferred {
+			continue
+		}
+		c.deferred = false
+		if lg.close(k, 0, 0, gains[k:k+1]) == 1 {
+			tw.closed++
+			continue
+		}
+		gains[k] = 0
+		c.done = false
+		h.S.CloneInto(&c.s)
+		c.s.RunAccum(ar.stops[k], ar.pending, nil)
+		c.fork(&c.s, ar.stops[k], ar.pending, ar.seq)
+		ar.util.Start(&c.acc, ar.now, h.S.P.LossProb, &ds.steps)
+		for m := k + 1; m < j; m++ {
+			gains[k] += c.run(ar.stops[m]) - tw.segs[m]
+		}
+		revived++
+	}
+	tw.deferred, tw.owing, tw.busy = 0, false, false
+	return revived
+}
+
+// twinSweep is the lagged-twin mode's state within one sweep: the log in
+// the making (rec; its gaps in gaps until the sweep ends), A at the last
+// stop (taken) and each stop's segment. The deferred lanes are those from
+// first on whose flag is set, read the first whose A(u) is still to come,
+// and owing says the newest one's lag, owed (deepened when the memo keeps
+// the log), is. u is BacklogDone at the last fork, carried while busy, and
+// pkt the packet value at u+ℓ for pktU. reach is how deep the record
+// serves; prev is the last stop booked, when the log held logged gaps. lv
+// and memo are the views the closure reads and its memo.
 type twinSweep struct {
-	x                 int64
-	lag, horizon, now time.Duration
-	quiet             bool
-	kappa, survive    float64
-	taken             float64
-	deferred, closed  int
-	first, read       int
-	segs              []float64
-	u, u0             time.Duration
-	busy              bool
-	gaps              []model.Gap
-	seen              int
-	idle              bool
-	dry, dEnd         time.Duration
-	aDry              float64
-	slipE, pktU       time.Duration
-	slip, pkt         float64
-	rec               twinRecord
-	tails, reach      int
+	st                            *twinStore
+	rec                           twinLog
+	out                           twinRecord
+	segs                          []float64
+	taken                         float64
+	quiet, owing, keeps           bool
+	deferred, closed, first, read int
+	owed                          model.Lag
+	reach, booked, valued, logged int
+	prev, pktU, u                 time.Duration
+	busy                          bool
+	pkt                           float64
 }
 
 // start arms the mode for one hypothesis: the baseline's accumulator
-// watches the theorem's premises, as deep as a record serves, and logs its
-// gaps, the one under way included. A quiet hypothesis's baseline has no
-// accumulator (acc nil), and its record's A is 0 throughout.
-func (tw *twinSweep) start(base *model.State, acc *model.Accum, stops []time.Duration, rec twinRecord, now time.Duration, kappa, survive float64) {
-	p := base.P
-	*tw = twinSweep{x: p.PktBits(), lag: p.ServiceTime(), horizon: stops[len(stops)-1], now: now, quiet: acc == nil, kappa: kappa, survive: survive,
-		segs: slices.Grow(tw.segs[:0], len(stops))[:len(stops)], gaps: tw.gaps[:0], dEnd: units.Forever,
-		rec: rec, tails: twinDepth + 1, reach: twinDepth}
-	*tw.rec.twinHead = twinHead{slip: -math.Expm1(-float64(tw.lag) / kappa)}
-	tw.slipE, tw.slip, tw.pktU = tw.lag, tw.rec.slip, -1
+// watches the premises as deep as a record serves and logs the gaps. A
+// quiet hypothesis's baseline has no accumulator (acc nil), its log one gap
+// from u0 on, and A is 0 throughout.
+func (tw *twinSweep) start(base *model.State, acc *model.Accum, stops []time.Duration, st *twinStore, candidates int, now time.Duration, kappa, survive float64) {
+	p, h := base.P, st.head
+	lag, horizon := p.ServiceTime(), stops[len(stops)-1]
+	h.now, h.u0, h.horizon, h.logEnd, h.lag, h.x, h.capBits = now, 0, horizon, horizon, lag, p.PktBits(), p.BufferCapBits
+	h.kappa, h.survive, h.aEnd, h.winFrom, h.aWin, h.win = kappa, survive, 0, units.Forever, 0, h.win[:0]
+	for l := range h.clean {
+		h.clean[l] = units.Forever
+	}
+	st.head, st.gaps, st.cands = h, st.gaps[:0], slices.Grow(st.cands[:0], candidates)[:candidates]
+	*tw = twinSweep{st: st, quiet: acc == nil, segs: slices.Grow(tw.segs[:0], len(stops))[:len(stops)],
+		reach: twinDepth, prev: now, pktU: -1}
+	rec := &tw.rec
+	*rec = twinLog{twinHead: &st.head, cands: st.cands}
 	if tw.quiet {
+		rec.winFrom = now
 		return
 	}
 	if !base.Serving {
-		tw.gaps = append(tw.gaps, model.Gap{Dry: base.Now, End: units.Forever})
+		st.gaps = append(st.gaps, model.Gap{Dry: base.Now, End: units.Forever})
 	}
-	acc.Watch(tw.x, tw.lag, twinDepth+1, &tw.gaps)
+	acc.Watch(rec.x, lag, twinDepth+1, &st.gaps)
 }
 
-// fork decides what becomes of the candidate forking from base at stop j:
-// dropped where it forks (reported; the lane is done), deferred as a
-// lagged twin — its packet served from u, or from the fork on an idle link
-// — or, when that packet would not be through by H, left to be simulated.
-// It also settles, depth by depth, what becomes of the candidate in a
-// burst's later decisions, whose baseline is this one m packets behind:
-// dropped there (recorded), admitted with its packet through by H, or not
-// known from this baseline — which, like an idle link or a simulated lane,
-// ends the record's reach. On a quiet hypothesis the candidate's packet is
-// the last arrival, so every lane closes here, into gains[j]: its packet's
-// value, or 0 if it is dropped or not through by H. fork reports whether
-// the lane is done.
+// fork logs the candidate forking from base at stop j — u, and what its
+// admission behind a later decision's baseline depends on — and reports
+// whether its lane is done: dropped where it forks, deferred, or, on a
+// quiet hypothesis, closed here into gains[j]; a packet not through by H is
+// simulated.
 func (tw *twinSweep) fork(c *lane, base *model.State, acc *model.Accum, gains []float64, j int) (done bool) {
-	if tw.quiet {
-		tw.closed++
-	}
-	u := base.Now
+	lg := &tw.rec
+	cd := &lg.cands[j]
+	*cd = twinCand{u: base.Now, at: base.Now, room: lg.capBits - base.QueueBits - lg.x}
 	if !base.Serving {
-		tw.busy, tw.reach = false, 0
+		tw.busy = false
 	} else {
+		// BacklogDone, carried from the last busy fork (Accum.TakeQueued).
 		var queued time.Duration
 		if !tw.quiet {
 			queued = acc.TakeQueued()
@@ -678,189 +664,426 @@ func (tw *twinSweep) fork(c *lane, base *model.State, acc *model.Accum, gains []
 		} else {
 			tw.u, tw.busy = base.BacklogDone(), true
 		}
-		room := base.P.BufferCapBits - base.QueueBits - tw.x
-		if j == 0 {
-			// The burst's earlier packets join the queue at this instant: as
-			// many of them must fit.
-			tw.u0, tw.reach = tw.u, min(tw.reach, int((room+tw.x)/tw.x))
-		}
-		if room < 0 {
-			c.done, tw.rec.drop[j] = true, 0
-			return true
-		}
-		drop, reach := uint8(noDrop), tw.reach
-		for m := 1; m <= reach; m++ {
-			lo, hi := base.TwinSurplus(m, tw.x, tw.lag, tw.u0)
-			if lo > room {
-				drop = min(drop, uint8(m))
-			} else if hi > room || drop != noDrop || tw.u+time.Duration(m+1)*tw.lag > tw.horizon {
-				reach = m - 1
-			}
-		}
-		tw.rec.drop[j], tw.reach, u = drop, reach, tw.u
+		cd.u, cd.in, cd.served = tw.u, base.InService.Bits, base.Now-base.ServiceBegan()
 	}
-	if u+tw.lag > tw.horizon {
-		tw.reach = 0
-		c.done = tw.quiet
-		return tw.quiet
+	if tw.quiet {
+		tw.closed++
 	}
-	if u != tw.pktU {
-		tw.pktU, tw.pkt = u, model.PacketValue(tw.x, tw.survive, u+tw.lag-tw.now, tw.kappa)
+	if j == 0 {
+		// The burst's earlier packets join at this instant: as many must fit.
+		lg.u0 = cd.u
+		if tw.quiet {
+			tw.st.gaps = append(tw.st.gaps, model.Gap{Dry: cd.u, End: units.Forever})
+		}
+		n := cd.room + lg.x // the queue's room, less the packet in service
+		if !base.Serving {
+			n += lg.x
+		}
+		tw.reach = min(tw.reach, int(n/lg.x))
 	}
-	tw.rec.pkt[j] = tw.pkt
-	c.lag = model.Lag{E: tw.lag, From: u, Gain: tw.pkt}
+	// The first gap a lag from u is carried through: the one under way on
+	// an idle link (a quiet log's only one), the next to be logged else.
+	if cd.gi = len(tw.st.gaps); tw.quiet {
+		cd.gi = 0
+	} else if !base.Serving {
+		cd.gi--
+	}
+	if base.Serving && cd.room < 0 {
+		c.done = true
+		return true
+	}
+	if cd.u+lg.lag <= lg.horizon {
+		if cd.u != tw.pktU {
+			tw.pktU, tw.pkt = cd.u, model.PacketValue(lg.x, lg.survive, cd.u+lg.lag-lg.now, lg.kappa)
+		}
+		cd.pkt = tw.pkt
+	} else if !tw.quiet {
+		tw.reach = 0 // simulated: its A(u) is not logged
+		return false
+	}
 	c.done = true
 	if tw.quiet {
-		gains[j], tw.rec.au[j] = c.lag.Gain, c.lag.A
+		tw.st.view(len(tw.st.gaps), lg.horizon).close(j, 0, 0, gains[j:j+1])
 		return true
 	}
 	if tw.deferred == 0 {
 		tw.first = j
 	}
-	c.deferred = true
+	// A log the memo keeps runs on until the deepest lag it may close is
+	// gone too.
+	e := lg.lag
+	if tw.keeps {
+		e *= time.Duration(tw.reach + 1)
+	}
+	c.deferred, tw.owed, tw.owing = true, model.Lag{E: e, From: cd.u}, true
 	tw.deferred++
-	return false
+	return true
 }
 
-// pause stops the baseline, on its way to t, at every instant the closed
-// form reads its value at — each deferred lane's u and H−i·ℓ down to H−ℓ,
-// in time order — without Take: the segment partition, and so every
-// simulated lane's bits, stay what they are.
+// pause stops the baseline, on its way to t, at every instant the closure
+// reads A at — each deferred lane's u, the start of H's last
+// (twinDepth+1)·ℓ and every delivery in them (and an arrival there on an
+// idle link) — without Take, so the segment partition stays as it is.
 func (tw *twinSweep) pause(base *model.State, acc *model.Accum, lanes []lane, t time.Duration) {
+	lg := &tw.rec
 	for {
 		for tw.read < len(lanes) && !lanes[tw.read].deferred {
 			tw.read++
 		}
-		at, tail := t+1, false
+		at, win := t+1, false
 		if tw.read < len(lanes) {
-			at = lanes[tw.read].lag.From // u: read before any gap moves it
+			at = lg.cands[tw.read].u
 		}
-		if h := tw.horizon - time.Duration(tw.tails)*tw.lag; tw.tails > 0 && h < at {
-			at, tail = h, true
+		w := units.Forever
+		switch {
+		case lg.winFrom == units.Forever:
+			w = max(lg.horizon-time.Duration(twinDepth+1)*lg.lag, base.Now)
+		case base.Serving:
+			w = base.ServiceDone
+		case base.NextCross <= lg.horizon:
+			w = base.NextCross
+		}
+		if w <= lg.horizon && w <= at {
+			at, win = w, true
 		}
 		if at > t {
 			return
 		}
-		if at < base.Now {
-			// Only a tail H−2ℓ or earlier can be behind the baseline (a
-			// deferred lane's u+ℓ is not past H): the depths reading it are
-			// out of reach.
-			tw.reach = min(tw.reach, max(tw.tails-2, 0))
-		}
+		delivers := base.Serving && lg.winFrom != units.Forever
 		base.RunAccum(at, nil, acc)
 		a := tw.taken + acc.Pending()
-		if !tail {
-			lanes[tw.read].lag.A = a
+		switch {
+		case !win:
+			lg.cands[tw.read].a = a
 			tw.read++
-			continue
+		case lg.winFrom == units.Forever:
+			lg.winFrom, lg.aWin = at, a
+		case delivers:
+			lg.win = append(lg.win, delivery{at, a})
 		}
-		tw.rec.tail[tw.tails] = a
-		if tw.tails == 1 && base.Serving {
-			tw.dEnd = base.ServiceDone
-		}
-		tw.tails--
 	}
 }
 
-// endStop books the baseline's segment for stop j and asks its watch how
-// deep the premises held on the way, which bounds the record's reach. If
-// not even one twin had room for every arrival, every deferred lane is
-// simulated after all: caught up from its fork clone through the stops it
-// sat out — at none of which it could have equalled the baseline, its lag
-// not absorbed, so none is checked — and live again for the lockstep at
-// stop j; endStop returns how many lanes that was. Then it books the gaps
-// the link idled through into every lane still deferred — at the instant
-// it ran dry the busy stretch up to it, at the arrival that ended it the
-// gap — and closes the lanes whose lag a gap absorbs, open gaps included.
-func (tw *twinSweep) endStop(acc *model.Accum, lanes []lane, gains []float64, stops []time.Duration, j int, seg float64) (revived int) {
-	a0 := tw.taken
+// endStop books the baseline's segment for stop j and its watch's level:
+// each level it fell short of held no further than the stop before
+// (clean). It reports whether lanes were deferred through a stop at level
+// 0 (revive).
+func (tw *twinSweep) endStop(acc *model.Accum, j int, seg float64) (dirty bool) {
+	lg := &tw.rec
 	tw.segs[j] = seg
+	for gaps := tw.st.gaps; tw.valued < len(gaps); tw.valued++ {
+		gaps[tw.valued].Value += tw.taken // the segment's value at Dry: A there
+	}
 	tw.taken += seg
 	level := acc.TakeWatch()
-	tw.reach = min(tw.reach, max(level-1, 0))
-	if level == 0 {
-		for k := tw.first; k < len(lanes) && tw.deferred > 0; k++ {
-			if c := &lanes[k]; c.deferred {
-				c.done, c.deferred = false, false
-				for m := k + 1; m < j; m++ {
-					gains[k] += c.run(stops[m]) - tw.segs[m]
-				}
-			}
-		}
-		revived, tw.deferred, tw.busy = tw.deferred, 0, false
+	if j == 0 {
+		return false // nothing forks before now
 	}
-	for ; tw.seen < len(tw.gaps); tw.seen++ {
-		g := &tw.gaps[tw.seen]
-		tw.busy, tw.reach = false, 0
-		if !tw.idle {
-			tw.idle, tw.dry, tw.aDry = true, g.Dry, a0+g.Value
-			for k := tw.first; k < len(lanes); k++ {
-				if c := &lanes[k]; c.deferred {
-					tw.stretch(&c.lag, g.Dry, tw.aDry)
-				}
-			}
-		}
+	for l := level + 1; l < len(lg.clean); l++ {
+		lg.clean[l] = min(lg.clean[l], tw.prev)
+	}
+	return level == 0 && tw.deferred > 0
+}
+
+// book carries owed, the newest deferred lane's lag — which an older lane's,
+// with no shorter idle time, cannot outlast — across the gaps up to stop
+// t, ended or under way.
+func (tw *twinSweep) book(t time.Duration) {
+	gaps := tw.st.gaps
+	if tw.booked < len(gaps) {
+		tw.busy = false // BacklogDone is summed afresh after a gap
+	}
+	for ; tw.booked < len(gaps); tw.booked++ {
+		g, l := gaps[tw.booked], &tw.owed
 		if g.End == units.Forever {
+			tw.owing = tw.owing && max(g.Dry, l.From)+l.E > t
 			break
 		}
-		tw.idle = false
-		tw.absorb(lanes, gains, g.End, false)
-	}
-	if tw.idle {
-		tw.absorb(lanes, gains, stops[j], true)
-	}
-	return revived
-}
-
-// absorb carries every deferred lane's lag across the gap under way to
-// end (open: only asks whether the gap has absorbed it by end), and closes
-// the lanes whose lag it absorbs.
-func (tw *twinSweep) absorb(lanes []lane, gains []float64, end time.Duration, open bool) {
-	for k := tw.first; k < len(lanes); k++ {
-		if c := &lanes[k]; c.deferred {
-			if l := c.lag; l.Idle(tw.dry, end, tw.aDry) {
-				gains[k], c.deferred = l.Gain, false
-				tw.deferred--
-				tw.closed++
-			} else if !open {
-				c.lag = l
-			}
+		if tw.owing && (g.End > l.From || g.Dry >= l.From) && l.Idle(g.Dry, g.End, 0) {
+			tw.owing = false
 		}
 	}
+	tw.prev, tw.logged = t, len(gaps)
 }
 
-// stretch books a lane's busy stretch to end, where A was aEnd. A cut
-// inside it lies in H's last ℓ, past the lane's u, where nothing the
-// baseline serves is faster than ℓ: it delivers once there at most, at
-// dEnd, so A at the cut is A(H−ℓ) before dEnd and aEnd from it on.
-func (tw *twinSweep) stretch(l *model.Lag, end time.Duration, aEnd float64) {
-	aCut := aEnd
-	if cut := l.Cut(end, tw.horizon); cut == l.From {
-		aCut = l.A
-	} else if cut < end && cut < tw.dEnd {
-		aCut = tw.rec.tail[1]
-	}
-	if l.E != tw.slipE {
-		tw.slipE, tw.slip = l.E, l.Slip(tw.kappa)
-	}
-	l.Stretch(aCut, aEnd, tw.slip)
-}
-
-// close closes every lane still deferred at the horizon, booking the
-// stretch it is carried through at H if the link is busy there: with no
-// gap on the way, the record's closed form at depth 0 (twinRecord.gain)
-// bit for bit, and the record is completed with what that form reads.
+// close closes the lanes still deferred when the sweep ends from the whole
+// log, and opens the record: as deep as the log may serve, none of it
+// closed yet (closeLater).
 func (tw *twinSweep) close(lanes []lane, gains []float64) {
-	tw.rec.tail[0] = tw.taken
-	for k := tw.first; k < len(lanes); k++ {
+	lg := &tw.rec
+	if !tw.quiet {
+		lg.logEnd, lg.aEnd = tw.prev, tw.taken
+	}
+	all := tw.st.view(len(tw.st.gaps), lg.logEnd)
+	for k := tw.first; k < len(lanes) && !tw.quiet; k++ {
 		if c := &lanes[k]; c.deferred {
-			if !tw.idle {
-				tw.stretch(&c.lag, tw.horizon, tw.taken)
+			if all.close(k, 0, 0, gains[k:k+1]) != 1 {
+				panic("planner: a deferred lane's log does not close it")
 			}
-			tw.rec.au[k], gains[k] = c.lag.A, c.lag.Gain
 			tw.closed++
 		}
 	}
+	*tw.out.reach, *tw.out.closed = uint8(1+tw.reach), 0
+}
+
+// closeLater closes the burst's later decisions from the log into rec, as
+// deep as to (and the reach), and lowers the reach to what the log
+// establishes.
+func (st *twinStore) closeLater(rec twinRecord, to int) {
+	lo, c := int(*rec.closed)+1, len(st.cands)
+	hi := min(to, int(*rec.reach)-1)
+	all := st.view(len(st.gaps), st.head.logEnd)
+	var row [twinDepth]float64
+	all.tails = [4]twinCost{}
+	busy := st.busy()
+	for m := lo; m <= hi && busy; m++ {
+		if !all.closeBusy(m, rec.gains[(m-1)*c:m*c]) {
+			hi = m - 1
+		}
+	}
+	for k := 0; k < c && hi >= lo && !busy; k++ {
+		hi = lo - 1 + all.close(k, lo, hi, row[:])
+		for m := lo; m <= hi; m++ {
+			rec.gains[(m-1)*c+k] = row[m-lo]
+		}
+	}
+	if hi < to {
+		*rec.reach = uint8(1 + hi)
+	}
+	*rec.closed = uint8(max(hi, 0))
+}
+
+// busy reports whether the log's link never idled before H, so that its
+// later depths close in one pass (closeBusy).
+func (st *twinStore) busy() bool {
+	return len(st.gaps) == 0 && st.head.logEnd == st.head.horizon
+}
+
+// closeBusy is close at depth m for every candidate of a log whose link
+// never idled, into out, and reports whether the log establishes them. With
+// no gap anywhere every lag is carried straight to H, its cut and slip the
+// same for all candidates forked before it: taken once, the rest is close's
+// arithmetic as cost and close do it, bit for bit.
+func (lg *twinLog) closeBusy(m int, out []float64) bool {
+	db := *lg.edge(time.Duration(m) * lg.lag)
+	dc := *lg.edge(time.Duration(m+1) * lg.lag)
+	base := model.Lag{E: db.e, From: lg.u0}
+	for k := range out {
+		cd := &lg.cands[k]
+		if !db.ok || !dc.ok || lg.clean[m] < lg.horizon || cd.u >= lg.horizon-dc.e {
+			if lg.close(k, m, m, out[k:k+1]) == 0 {
+				return false
+			}
+			continue
+		}
+		lo, hi := base.Surplus(cd.at, cd.served, cd.in, lg.x, lg.lag)
+		if out[k] = 0; lo > cd.room {
+			continue // dropped where it forks: the candidate is its baseline
+		} else if hi > cd.room || lg.clean[m+1] < lg.horizon {
+			return false
+		}
+		b := 0 - db.slip*(db.a-cd.a) - (lg.aEnd - db.a)
+		c := 0 - dc.slip*(dc.a-cd.a) - (lg.aEnd - dc.a)
+		out[k] = cd.pkt*(1-db.slip) + c - b
+	}
+	return true
+}
+
+// view is the log with its first n gaps, to end.
+func (st *twinStore) view(n int, end time.Duration) *twinLog {
+	st.lv = twinLog{twinHead: &st.head, end: end, gaps: st.gaps[:n], cands: st.cands}
+	st.head.view++
+	return &st.lv
+}
+
+// close is the one closure of the lagged twin: it writes candidate k's
+// gains in the burst's decisions lo … hi packets in (0: the log's own) to
+// out, and reports how many of them, from lo on, the log establishes. The
+// decision m packets in has the log's baseline carrying m·ℓ of extra work
+// from u0, E(u) of it owed at the candidate's u; the candidate's packet, if
+// admitted (Lag.Surplus), leaves at u+E(u)+ℓ and the candidate carries
+// E(u)+ℓ from u on (model.State.BacklogDone). Both are carried from u
+// (carry, cost), and the gain is the difference; at m ≥ 1 every stop must
+// have kept level m while the baseline owed work and m+1 while the
+// candidate did. A candidate's lag at one depth is the next one's
+// baseline's: it is carried once.
+func (lg *twinLog) close(k, lo, hi int, out []float64) (n int) {
+	cd := &lg.cands[k]
+	from, gi := cd.u, min(cd.gi, len(lg.gaps))
+	var last twinCost // the candidate's lag at the depth before
+	for m := lo; m <= hi; m++ {
+		base := model.Lag{E: time.Duration(m) * lg.lag, From: lg.u0}
+		owed := lg.u0 // the decision's own baseline owes work until then
+		for _, g := range lg.gaps[min(lg.cands[0].gi, gi):gi] {
+			if owed = max(g.Dry, base.From) + base.E; base.Idle(g.Dry, g.End, 0) {
+				break
+			}
+			if g.Bits+base.Holds(lg.x, lg.lag) > lg.capBits {
+				return n
+			}
+		}
+		if gi < len(lg.gaps) && base.E > 0 && lg.gaps[gi].Dry < from {
+			owed = max(lg.gaps[gi].Dry, base.From) + base.E // forked on an idle link
+			base.Idle(lg.gaps[gi].Dry, from, 0)
+		}
+		var b float64
+		if base.E > 0 {
+			ok := last.ok
+			if b, owed = last.gain, last.gone; last.l.E != base.E {
+				b, owed, ok = lg.cost(model.Lag{E: base.E, From: from, A: cd.a}, gi)
+			}
+			if !ok {
+				return n
+			}
+		}
+		if m > 0 && owed > lg.clean[m] {
+			return n
+		}
+		out[m-lo], n = 0, n+1
+		if cd.in > 0 || base.E > 0 {
+			// The packet queues behind the baseline's backlog and the twin's.
+			lo, hi := base.Surplus(cd.at, cd.served, cd.in, lg.x, lg.lag)
+			if lo > cd.room {
+				last = twinCost{}
+				continue // dropped where it forks: the candidate is its baseline
+			} else if hi > cd.room {
+				return n - 1
+			}
+		}
+		c := model.Lag{E: base.E + lg.lag, From: from, A: cd.a, Gain: cd.pkt}
+		if m == 0 {
+			gain, _, ok := lg.carry(c, gi)
+			if out[0] = gain; !ok {
+				return 0
+			}
+			return 1
+		}
+		if from+c.E > lg.horizon {
+			c.Gain = 0
+		} else if base.E > 0 {
+			c.Gain *= 1 - lg.edge(base.E).slip // E(u) later than at depth 0
+		}
+		v := c.Gain
+		c.Gain = 0
+		last.l = c
+		if last.gain, last.gone, last.ok = lg.cost(c, gi); !last.ok || last.gone > lg.clean[m+1] {
+			return n - 1
+		}
+		out[m-lo] = v + last.gain - b
+	}
+	return n
+}
+
+// cost is what carrying l through the log costs, at depths ≥ 1. From
+// the first gap on l's state is a function of that gap and E alone, the
+// same for every candidate forked before it: that part is carried once
+// per view (twinHead.tails).
+func (lg *twinLog) cost(l model.Lag, gi int) (gain float64, gone time.Duration, ok bool) {
+	if gi == len(lg.gaps) && lg.end == lg.horizon {
+		// No gap on the way: carry's one step, to H.
+		if d := lg.edge(l.E); l.From < lg.horizon-l.E {
+			return l.Gain - d.slip*(d.a-l.A) - (lg.aEnd - d.a), lg.horizon, d.ok
+		}
+		ok = lg.stretch(&l, lg.horizon, lg.aEnd)
+		return l.Gain, lg.horizon, ok
+	}
+	if gi == len(lg.gaps) || l.From > lg.gaps[gi].Dry {
+		return lg.carry(l, gi)
+	}
+	g := lg.gaps[gi]
+	if !lg.stretch(&l, g.Dry, g.Value) {
+		return 0, 0, false
+	}
+	t := &lg.tails[0]
+	for i := range lg.tails {
+		if lg.tails[i].gi == gi+1 && lg.tails[i].l.E == l.E {
+			t = &lg.tails[i]
+			return l.Gain + t.gain, t.gone, t.ok
+		}
+	}
+	t = &lg.tails[lg.nextTail%len(lg.tails)]
+	lg.nextTail++
+	t.l, t.gi = model.Lag{E: l.E, From: g.Dry, A: g.Value}, gi+1
+	t.gain, t.gone, t.ok = lg.carry(t.l, gi)
+	return l.Gain + t.gain, t.gone, t.ok
+}
+
+// carry carries l through the log from gap gi on — each busy stretch
+// (Lag.Stretch), each gap (Lag.Idle) until one absorbs it, what is still
+// owed at H — and returns its gain and when it was gone (H if never), or
+// false where the log cannot say: a gap-ending arrival that does not fit
+// beside Lag.Holds, a log that ends or runs out of gaps while l is owed, a
+// cut the log knows no A at.
+func (lg *twinLog) carry(l model.Lag, gi int) (gain float64, gone time.Duration, ok bool) {
+	for _, g := range lg.gaps[gi:] {
+		if g.Dry > l.From && !lg.stretch(&l, g.Dry, g.Value) {
+			return 0, 0, false
+		}
+		start := max(g.Dry, l.From)
+		if g.End > lg.end {
+			// Under way where the log ends: absorbed by then, or idle at H.
+			return l.Gain, min(start+l.E, lg.horizon), start+l.E <= lg.end || lg.end == lg.horizon
+		}
+		if gone = start + l.E; l.Idle(g.Dry, g.End, g.Value) {
+			return l.Gain, gone, true
+		}
+		if g.Bits+l.Holds(lg.x, lg.lag) > lg.capBits {
+			return 0, 0, false
+		}
+	}
+	if lg.end < lg.horizon || !lg.stretch(&l, lg.horizon, lg.aEnd) {
+		return 0, 0, false
+	}
+	return l.Gain, lg.horizon, true
+}
+
+// stretch books l's busy stretch to end, where A was aEnd. A cut inside it
+// lies in H's last (twinDepth+1)·ℓ, where the log has every delivery.
+func (lg *twinLog) stretch(l *model.Lag, end time.Duration, aEnd float64) bool {
+	aCut := aEnd
+	if cut := l.Cut(end, lg.horizon); cut == l.From {
+		aCut = l.A
+	} else if cut < end {
+		var ok bool
+		if aCut, ok = lg.a(cut); !ok {
+			return false
+		}
+	}
+	l.Stretch(aCut, aEnd, lg.slip(l.E))
+	return true
+}
+
+// edge is, for a lag E, its slip and A(H−E), the cut of a stretch to H,
+// memoized for the view.
+func (lg *twinLog) edge(e time.Duration) *twinEdge {
+	d := &lg.edges[uint64(e)>>12&7]
+	if d.e != e || d.view != lg.view {
+		d.e, d.view, d.slip = e, lg.view, lg.slip(e)
+		d.a, d.ok = lg.a(lg.horizon - e)
+	}
+	return d
+}
+
+// slip is 1 − e^(−E/κ) (model.Lag.Slip), memoized: the candidates carried
+// through the same gaps meet the same lags.
+func (lg *twinLog) slip(e time.Duration) float64 {
+	d := &lg.slips[uint64(e)*0x9e3779b97f4a7c15>>60]
+	if d.e != e || d.kappa != lg.kappa {
+		l := model.Lag{E: e}
+		d.e, d.kappa, d.slip = e, lg.kappa, l.Slip(lg.kappa)
+	}
+	return d.slip
+}
+
+// a is A(t) for t in H's last (twinDepth+1)·ℓ, or false where the log
+// does not know it.
+func (lg *twinLog) a(t time.Duration) (float64, bool) {
+	for i := len(lg.win) - 1; i >= 0; i-- {
+		if lg.win[i].at <= t {
+			return lg.win[i].a, true
+		}
+	}
+	return lg.aWin, t >= lg.winFrom
 }
 
 // twinGate reports whether hypothesis s, planned to horizon by a call
@@ -895,8 +1118,7 @@ type decideScratch struct {
 }
 
 // lane is one candidate's rollout: its live state, its accumulator and
-// its send view. A deferred lane holds its fork clone untouched, and its
-// closed form so far in lag.
+// its send view. A deferred lane holds nothing: its closure is in the log.
 type lane struct {
 	s        model.State
 	acc      model.Accum
@@ -904,7 +1126,22 @@ type lane struct {
 	next     int // first send not yet handed to the state
 	done     bool
 	deferred bool
-	lag      model.Lag
+}
+
+// fork makes the lane a candidate sending at t from the state from (its
+// own, or cloned into it): its packet, then the pending sends still to
+// come.
+func (c *lane) fork(from *model.State, t time.Duration, pending []model.Send, seq int64) {
+	if from != &c.s {
+		from.CloneInto(&c.s)
+	}
+	c.sends = append(c.sends[:0], model.Send{Seq: seq, At: t})
+	for _, snd := range pending {
+		if snd.At > t {
+			c.sends = append(c.sends, snd)
+		}
+	}
+	c.next = 0
 }
 
 // run advances the lane to t and returns the value of what it delivered

@@ -252,7 +252,11 @@ func refSweep(h *belief.Hypothesis, pending []model.Send, now time.Duration, seq
 // packet more committed each time, under α = 1 and α = 2.5 — where most
 // of the later decisions' vectors must in fact have been derived from the
 // first one's twin record, each held to the event sweep of its own
-// pending list like any other.
+// pending list like any other. The last two are the same on Figure 3's
+// beliefs (fig3World): links that idle, so the first decision's log closes
+// its later ones across gaps, idle forks and quiet hypotheses, each burst
+// two to four decisions deep; more than half the later decisions' fresh
+// vectors must have been derived there too.
 func TestDecideStreamMatchesEventSweep(t *testing.T) {
 	fleet := Config{MaxDelay: 4 * time.Second, Grid: 500 * time.Millisecond, Horizon: 12 * time.Second}
 	precise := Config{Horizon: 40 * time.Second}
@@ -263,6 +267,7 @@ func TestDecideStreamMatchesEventSweep(t *testing.T) {
 		skew   bool
 		shaped bool
 		burst  int // decide again with 1 … burst more packets committed at now
+		fig3   bool
 	}{
 		{grid: fleet, util: utility.Default()},
 		{grid: precise, util: penalty},
@@ -272,6 +277,8 @@ func TestDecideStreamMatchesEventSweep(t *testing.T) {
 		{grid: fleet, util: utility.Config{Alpha: 2.5, Kappa: 20 * time.Second}},
 		{grid: fleet, util: utility.Default(), shaped: true, burst: twinDepth},
 		{grid: fleet, util: utility.Config{Alpha: 2.5, Kappa: 20 * time.Second}, shaped: true, burst: twinDepth},
+		{grid: precise, util: utility.Default(), fig3: true, burst: twinDepth},
+		{grid: precise, util: utility.Config{Alpha: 2.5, Kappa: utility.Default().Kappa}, fig3: true, burst: twinDepth},
 	}
 	calls := 72
 	if testing.Short() {
@@ -281,8 +288,9 @@ func TestDecideStreamMatchesEventSweep(t *testing.T) {
 		pool := rollout.New(workers)
 		worlds := []*memoWorld{newMemoWorld(21, false), newMemoWorld(22, true)}
 		rng := rand.New(rand.NewSource(23))
+		fig3 := newFig3World(24)
 		rolled := int64(0)
-		var shaped, later MemoStats
+		var shaped, later, fig3Later MemoStats
 		for c := 0; c < calls; c++ {
 			tc := cases[c%len(cases)]
 			w := worlds[0]
@@ -308,8 +316,14 @@ func TestDecideStreamMatchesEventSweep(t *testing.T) {
 					}
 				}
 			}
+			burst := tc.burst
+			if tc.fig3 {
+				sup, now = fig3.support()
+				pending = nil
+				burst = 1 + fig3.rng.Intn(twinDepth)
+			}
 
-			for depth := 0; depth <= tc.burst; depth++ {
+			for depth := 0; depth <= burst; depth++ {
 				if depth > 0 {
 					pending = append(pending[:len(pending):len(pending)], model.Send{Seq: seq, At: now})
 					seq++
@@ -325,9 +339,13 @@ func TestDecideStreamMatchesEventSweep(t *testing.T) {
 					shaped.Closed += st.Closed - before.Closed
 					shaped.Materialized += st.Materialized - before.Materialized
 				}
-				if depth > 0 {
+				if depth > 0 && !tc.fig3 {
 					later.Lookups += st.Lookups - before.Lookups
 					later.Derived += st.Derived - before.Derived
+				}
+				if depth > 0 && tc.fig3 {
+					fig3Later.Lookups += st.Lookups - st.Hits - st.Shared - (before.Lookups - before.Hits - before.Shared)
+					fig3Later.Derived += st.Derived - before.Derived
 				}
 
 				cfg = cfg.withDefaults()
@@ -371,6 +389,10 @@ func TestDecideStreamMatchesEventSweep(t *testing.T) {
 		if 2*later.Derived <= later.Lookups {
 			t.Errorf("%d workers: of the %d hypotheses the bursts' later decisions keyed %d were derived, want more than half",
 				workers, later.Lookups, later.Derived)
+		}
+		if 2*fig3Later.Derived <= fig3Later.Lookups {
+			t.Errorf("%d workers: of the %d fresh vectors the Figure 3 bursts' later decisions needed %d were derived, want more than half",
+				workers, fig3Later.Lookups, fig3Later.Derived)
 		}
 	}
 }
@@ -439,6 +461,50 @@ func fleetShaped(rng *rand.Rand, from time.Duration) []belief.Hypothesis {
 	return sup
 }
 
+// fig3World draws supports the way the Figure 3 sender believes mid-run:
+// the §4 prior (model.Fig3Prior), every hypothesis advanced along one
+// trajectory — the same own packet sent every 0.5–3.5 s — to the instant
+// of the call — each 0.3–2.7 s after the last, from 9 s on, between the
+// sends — then a random 8–15 of them, weighted at random. Such links idle:
+// gaps, idle forks and quiet hypotheses are the rule.
+type fig3World struct {
+	rng   *rand.Rand
+	stock []model.State
+	sends []model.Send
+	now   time.Duration
+}
+
+func newFig3World(seed int64) *fig3World {
+	w := &fig3World{rng: rand.New(rand.NewSource(seed)), now: 9*time.Second + 1}
+	w.stock, _ = model.Fig3Prior().Enumerate()
+	for at := time.Second; at < time.Hour; at += time.Duration(500+w.rng.Intn(3000)) * time.Millisecond {
+		w.sends = append(w.sends, model.Send{Seq: int64(len(w.sends)), At: at})
+	}
+	return w
+}
+
+// support advances the stock to the next instant and draws a support
+// there.
+func (w *fig3World) support() ([]belief.Hypothesis, time.Duration) {
+	w.now += time.Duration(300+w.rng.Intn(2400)) * time.Millisecond
+	now := w.now
+	for i := range w.stock {
+		s := &w.stock[i]
+		lo, hi := 0, 0
+		for lo < len(w.sends) && w.sends[lo].At <= s.Now {
+			lo++
+		}
+		for hi = lo; hi < len(w.sends) && w.sends[hi].At <= now; hi++ {
+		}
+		s.Run(now, w.sends[lo:hi], nil)
+	}
+	var sup []belief.Hypothesis
+	for n := 8 + w.rng.Intn(8); len(sup) < n; {
+		sup = append(sup, belief.Hypothesis{S: w.stock[w.rng.Intn(len(w.stock))].Clone(), W: 0.05 + w.rng.Float64()})
+	}
+	return sup, now
+}
+
 // tieLinkAndPinger edits every third hypothesis that is serving with its
 // gate on so that the pinger's next tick falls on a link completion a
 // few packets ahead, with the buffer full or one packet short of it at
@@ -464,7 +530,8 @@ func tieLinkAndPinger(sup []belief.Hypothesis, now time.Duration) {
 // nanosecond later than the last, so no key recurs), nor over a burst of
 // four decisions on a fleet-shaped support, the later three derived from
 // the record the first leaves, followed by a third decision whose first
-// was never made on the pool and has to be swept for it.
+// was never made on the pool and has to be swept for it, nor over a burst
+// on Figure 3's beliefs, whose records log gaps.
 func TestDecideSteadyStateAllocs(t *testing.T) {
 	sup, pending, now, seq := newMemoWorld(31, false).call(0)
 	cfg := Config{Horizon: 12 * time.Second, Workers: 1, Pool: rollout.New(1)}
@@ -513,5 +580,27 @@ func TestDecideSteadyStateAllocs(t *testing.T) {
 	}
 	if st := memo(); st.Derived == before.Derived || st.Stripped == before.Stripped || st.Hits != before.Hits {
 		t.Errorf("the bursts derived nothing, swept no first decision for a later one, or hit the memo: %+v after %+v", st, before)
+	}
+
+	// The same over Figure 3's beliefs, whose links idle: the later
+	// decisions close from logs with gaps in them.
+	sup, now = newFig3World(33).support()
+	gapped := Config{Workers: 1, Pool: cfg.Pool}
+	gappedBurst := func() {
+		now++
+		for depth := 0; depth <= twinDepth; depth++ {
+			if depth > 0 {
+				sends[depth-1] = model.Send{Seq: int64(depth), At: now}
+			}
+			Decide(sup, sends[:depth], now, seq, gapped)
+		}
+	}
+	gappedBurst()
+	before = memo()
+	if allocs := testing.AllocsPerRun(20, gappedBurst); allocs != 0 {
+		t.Errorf("a burst over a gapped baseline allocates %v times, want 0", allocs)
+	}
+	if st := memo(); st.Derived == before.Derived || st.Hits != before.Hits {
+		t.Errorf("the gapped bursts derived nothing or hit the memo: %+v after %+v", st, before)
 	}
 }

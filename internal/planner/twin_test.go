@@ -228,6 +228,83 @@ func TestTwinEdges(t *testing.T) {
 			horizon: 8 * sec, closed: 3,
 		},
 		{
+			// The later decisions of a burst on a baseline that idles: the
+			// first one's log closes them, gaps and all. A gap of 0.5 s from
+			// +0.3 s, shorter than ℓ, then ticks a little faster than the link
+			// serves: the later baselines' lags of one to three packets are
+			// carried to H = +13 s, less the gap.
+			name: "a gap shorter than lag, one deep", s: saturated(now, 300*time.Millisecond, 800*time.Millisecond, 990*time.Millisecond, x, roomy, x),
+			horizon: 12 * sec, burst: 1, closed: 3, stripped: 1, derived: 1,
+		},
+		{
+			name: "a gap shorter than lag, two deep", s: saturated(now, 300*time.Millisecond, 800*time.Millisecond, 990*time.Millisecond, x, roomy, x),
+			horizon: 12 * sec, burst: 2, closed: 3, stripped: 1, derived: 1,
+		},
+		{
+			// Two-packet chunks after the gap, a little faster than the link
+			// serves them: deliveries every 2 s from +2.8 s. Three deep the
+			// candidate owes 3.5 s at H = +14.5 s: the cut at +11 s falls
+			// between the deliveries of +10.8 s and +12.8 s, the baseline's at
+			// +12 s too, both in H's last 4ℓ — and a cut at H−4ℓ and H−3ℓ, as
+			// if nothing were absorbed, would move the delivery of +10.8 s
+			// from one side of the candidate's cut to the other.
+			name: "a partly absorbed lag cut between deliveries", s: saturated(now, 300*time.Millisecond, 800*time.Millisecond, 1980*time.Millisecond, 2*x, roomy, x),
+			horizon: 13500 * time.Millisecond, burst: 3, closed: 3, stripped: 1, derived: 1,
+		},
+		{
+			// One deep with H = +13.3 s the cut at H−1.5 s is a delivery's own
+			// instant.
+			name: "a cut on a delivery", s: saturated(now, 300*time.Millisecond, 800*time.Millisecond, 990*time.Millisecond, x, roomy, x),
+			horizon: 12300 * time.Millisecond, burst: 1, closed: 3, stripped: 1, derived: 1,
+		},
+		{
+			// The burst's packet fills the buffer at now, and the tick of
+			// +0.09 s that the baseline queues finds its twin full: the later
+			// decision's baseline is not a lag of the first's, so no verdict
+			// of the log holds for it — not even the drop it would read for
+			// every candidate.
+			name: "a tick the burst's packet leaves no room for", s: saturated(now, sec, 90*time.Millisecond, 1430*time.Millisecond, x, 6*x, six...),
+			horizon: 12 * sec, burst: 1, mat: 3, stripped: 1,
+		},
+		{
+			// Gaps of 0.5 s and then 0.4 s every 1.4 s: three packets deep the
+			// lag is carried across nine of them and is still owed at H.
+			name: "many gaps, three deep", s: saturated(now, 300*time.Millisecond, 800*time.Millisecond, 1400*time.Millisecond, x, roomy, x),
+			horizon: 12 * sec, burst: 3, closed: 3, stripped: 1, derived: 1,
+		},
+		{
+			// A gap of 2 s from +0.3 s: it absorbs a lag one packet deep and
+			// leaves one of three a second, carried to H through ticks every
+			// 1.5 s.
+			name: "a gap that absorbs depth 1", s: saturated(now, 300*time.Millisecond, 2300*time.Millisecond, 1500*time.Millisecond, x, roomy, x),
+			horizon: 12 * sec, burst: 1, closed: 3, stripped: 1, derived: 1,
+		},
+		{
+			name: "a gap that does not absorb depth 3", s: saturated(now, 300*time.Millisecond, 2300*time.Millisecond, 1500*time.Millisecond, x, roomy, x),
+			horizon: 12 * sec, burst: 3, closed: 3, stripped: 1, derived: 1,
+		},
+		{
+			// The gate off and the link idle: each candidate goes straight
+			// into service behind the burst's packets.
+			name: "a quiet idle fork derives", s: gateOff(idle(saturated(now, sec, 2500*time.Millisecond, 3*sec, x, roomy, x))),
+			horizon: 12 * sec, burst: 2, closed: 3, stripped: 1, derived: 1,
+		},
+		{
+			// Forks at now, +0.1 s and +0.2 s, all behind the packet leaving at
+			// +0.3 s; the link then idles 1.5 s and a tick of two packets ends
+			// the gap, into a buffer of three. A candidate one packet deep
+			// still owes 0.5 s there, less than ℓ: its twin queues nothing
+			// more, and the tick fits. Two packets deep it owes 1.5 s and may
+			// queue two packets more: the tick may not fit, and the log cannot
+			// say.
+			name: "a gap-ending tick with room one deep", s: saturated(now, 300*time.Millisecond, 1800*time.Millisecond, 3*sec, 2*x, 3*x, x),
+			grid: 100 * time.Millisecond, horizon: 12 * sec, burst: 1, closed: 3, stripped: 1, derived: 1,
+		},
+		{
+			name: "a gap-ending tick without room two deep", s: saturated(now, 300*time.Millisecond, 1800*time.Millisecond, 3*sec, 2*x, 3*x, x),
+			grid: 100 * time.Millisecond, horizon: 12 * sec, burst: 2, closed: 3 + 3, stripped: 1,
+		},
+		{
 			// Quiet: nothing arrives to H, so every lane closes at its fork
 			// with its packet's value, at u₀+ℓ = +6.3 s behind the backlog.
 			name: "a busy link with the gate off", s: gateOff(saturated(now, 300*time.Millisecond, 100*time.Millisecond, sec, x, roomy, six...)),
