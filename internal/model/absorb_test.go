@@ -15,25 +15,26 @@ import (
 // twin's extra work absorbed by its baseline's idle time — and the closed
 // form model.Lag keeps for it to Run's event lists. A baseline grown by
 // twinBaseline is put under cross traffic of 0.3–1.2 of the link rate and,
-// on request, run until its link idles; a twin is forked from it with m =
-// 1…4 more packets (linkKbit's top bits), queued behind the backlog or, on
-// an idle link, the first straight into service, and a third copy
-// advances with RunAccum under a watch armed m+1 levels deep with a gap
-// log. Segment ends and shared sends (of a packet or two, so some outgrow
-// a small buffer) tie with the baseline's next completion and tick, with
-// u, with the instant its link runs dry and with that instant plus the
-// twin's remaining extra work E — exactly, a nanosecond either side — so
-// gaps end before, at and after E and at their own start. After every
-// segment for which the watch has reported room m deep, and every arrival
-// ending a gap fitted beside what the twin still queued (Lag.Holds): the
-// log's gaps, carried through a Lag, give the twin's extra work to the
-// nanosecond (what the twin has left to serve less what the baseline
-// has); its deliveries are the baseline's with the m packets at u+ℓ …
-// u+m·ℓ and each delivery of a busy stretch that stretch's E late; its
-// drops are the baseline's; the log's values are the baseline's A at each
-// gap; and the twin is EqualDynamic to the baseline exactly when the Lag
-// says its lag is absorbed. At the horizon, or where the lag is absorbed,
-// the Lag's gain is the simulated one within 1e-9 of a packet's bits.
+// on request, run until its link idles; a twin is forked from it with m
+// more packets — one, or with flags' top bit set 2…4 as linkKbit's top
+// bits say — queued behind the backlog or, on an idle link, the first
+// straight into service, and a third copy advances with RunAccum under a
+// watch armed m+1 levels deep with a gap log. Segment ends and shared
+// sends (of a packet or two, so some outgrow a small buffer) tie with the
+// baseline's next completion and tick, with u, with the instant its link
+// runs dry and with that instant plus the twin's remaining extra work E —
+// exactly, a nanosecond either side — so gaps end before, at and after E
+// and at their own start. After every segment for which the watch has
+// reported room m deep, and every arrival ending a gap fitted beside what
+// the twin still queued (Lag.Holds): the log's gaps, carried through a
+// Lag, give the twin's extra work to the nanosecond (what the twin has
+// left to serve less what the baseline has); its deliveries are the
+// baseline's with the m packets at u+ℓ … u+m·ℓ and each delivery of a busy
+// stretch that stretch's E late; its drops are the baseline's; the log's
+// values are the baseline's A at each gap; and the twin is EqualDynamic to
+// the baseline exactly when the Lag says its lag is absorbed. At the
+// horizon, or where the lag is absorbed, the Lag's gain is the simulated
+// one within 1e-9 of a packet's bits.
 //
 // When m ≤ 3 a fourth side is forked from the twin, after as many
 // segments as fillPkts's top bits say, with one more packet X: the shape
@@ -56,7 +57,9 @@ func FuzzAbsorbedTwin(f *testing.F) {
 	// A twin two packets behind that a gap-ending 24 000-bit arrival
 	// finds owing more than ℓ: the buffer holds the arrival, not the
 	// arrival and what the twin still queues.
-	f.Add(uint8(61), uint8(92), uint8(48), uint8(168), uint8(34), []byte("01"))
+	f.Add(uint8(29), uint8(92), uint8(48), uint8(168), uint8(0b10100010), []byte("01"))
+	// The second seed above, four deep (linkKbit 79 grows its baseline).
+	f.Add(uint8(79), uint8(2), uint8(71), uint8(38), uint8(0b10101010), []byte("00"))
 	// X forked behind a partly absorbed lag, on a busy link and delivered,
 	// and on an idle one; and a gap of no length at X's u, ended by an
 	// arrival X's side cannot queue (this test's first version let it by).
@@ -71,7 +74,10 @@ func FuzzAbsorbedTwin(f *testing.F) {
 		base := reloaded(grown, 30+int(crossPct)%91)
 		p := base.P
 		x, lag := p.PktBits(), p.ServiceTime()
-		m := 1 + int(linkKbit>>5)%4
+		m := 1
+		if flags&128 != 0 {
+			m = 2 + int(linkKbit>>5)%3
+		}
 		if sched[1]&1 != 0 {
 			base.Run(base.BacklogDone(), nil, nil) // idle at the fork, unless a tick refilled it
 		}
@@ -228,6 +234,9 @@ func FuzzAbsorbedTwin(f *testing.F) {
 				}
 				if g.End == units.Forever {
 					break
+				}
+				if g.Bits > p.BufferCapBits {
+					t.Fatalf("segment %d: an arrival of %d bits ended a gap at %v and the watch kept level %d", i, g.Bits, g.End, level)
 				}
 				idle = false
 				if xLive && (g.End > lx.From || g.Dry >= lx.From) && !lx.Idle(dry, g.End, 0) && g.Bits+lx.Holds(x, lag) > p.BufferCapBits {

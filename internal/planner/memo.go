@@ -235,14 +235,18 @@ type delivery struct {
 	a  float64
 }
 
-// twinHead is the part of a twin log that does not grow with the candidate
-// count: the hypothesis's and the plan's constants; where the log starts
-// (u0) and ends (logEnd; A there aEnd); until when each watch level held
-// (clean[L]); the deliveries in H's last (twinDepth+1)·ℓ (win, from
-// winFrom, where A was aWin); per view the closure reads, what it takes
-// once per lag E (edges) and per carry past a gap (tails); and the slips
-// of the lags it carried.
-type twinHead struct {
+// twinLog is what the baseline's sweep of a lagged-twin hypothesis
+// writes, kept per hypothesis index (decideArena.logs) while key is the
+// burst's first decision's, and what every candidate of every decision of
+// that burst closes from (twinLog.close): the hypothesis's and the plan's
+// constants; where the log starts (u0) and ends (logEnd; A there aEnd);
+// until when each watch level held (clean[L]); the deliveries in H's last
+// (twinDepth+1)·ℓ (win, from winFrom, where A was aWin); the gaps the link
+// idled through (all; A(Dry) in Value); a twinCand per candidate; the view
+// the closure reads (gaps, the first of all, to end: twinLog.view); and
+// the slips of the lags it carried.
+type twinLog struct {
+	key                      memoKey
 	now, u0, horizon, logEnd time.Duration
 	lag                      time.Duration
 	x, capBits               int64
@@ -252,19 +256,17 @@ type twinHead struct {
 	winFrom                  time.Duration
 	aWin                     float64
 	win                      []delivery
-	edges                    [8]twinEdge
-	view                     uint64 // counts views: the one edges are for
-	tails                    [4]twinCost
-	nextTail                 int
+	all, gaps                []model.Gap
+	end                      time.Duration
+	cands                    []twinCand
 	slips                    [16]twinSlip
 }
 
-// twinEdge memoizes what closing a lag of E reads (twinLog.edge), for
-// the view it was read in.
+// twinEdge is what carrying a lag of e to H in one step reads: its slip
+// and A(H−e), if the log knows it (twinLog.edge).
 type twinEdge struct {
 	e       time.Duration
 	slip, a float64
-	view    uint64
 	ok      bool
 }
 
@@ -273,26 +275,6 @@ type twinEdge struct {
 type twinSlip struct {
 	e           time.Duration
 	kappa, slip float64
-}
-
-// twinCost memoizes a carry of l from gap gi−1 on (twinLog.cost).
-type twinCost struct {
-	l    model.Lag
-	gi   int
-	gain float64
-	gone time.Duration
-	ok   bool
-}
-
-// twinLog is what the baseline's sweep of a lagged-twin hypothesis writes,
-// and every candidate of every decision of its burst closes from
-// (twinLog.close): the head, the gaps the link idled through (A(Dry) in
-// Value), and a twinCand per candidate.
-type twinLog struct {
-	*twinHead
-	end   time.Duration // how far this view reads: logEnd, or a stop before
-	gaps  []model.Gap
-	cands []twinCand
 }
 
 // twinCand is a candidate's part of a twin log: its fork instant at, u
@@ -305,16 +287,6 @@ type twinCand struct {
 	a, pkt        float64
 	room, in      int64
 	gi            int // the first gap a lag from u is carried through
-}
-
-// twinStore holds a hypothesis's twin log from its sweep until its later
-// depths are closed (Decide), and the view the closure reads.
-type twinStore struct {
-	key   memoKey // the first decision's, while the log is its
-	head  twinHead
-	cands []twinCand
-	gaps  []model.Gap
-	lv    twinLog
 }
 
 // twinRecord is what the sweep of a burst's first decision leaves for the
@@ -394,7 +366,7 @@ type decideArena struct {
 	bkeys             []memoKey
 	bgains            []float64
 	recs              twinRecords
-	logs              []twinStore // per hypothesis
+	logs              []twinLog // per hypothesis
 	memo              rolloutMemo
 
 	// The pass in flight, as sweep reads it on the pool's workers: the

@@ -261,7 +261,7 @@ func (w *Wake) Decide(pending []model.Send, seq int64, cfg Config) Decision {
 		}
 		ar.recs.size(width, candidates)
 		if len(ar.logs) < width {
-			ar.logs = make([]twinStore, width)
+			ar.logs = make([]twinLog, width)
 		}
 	}
 	first := pending[:len(pending)-burst]
@@ -353,9 +353,9 @@ func (w *Wake) Decide(pending []model.Send, seq int64, cfg Config) Decision {
 	// Shares and stores, again in index order on this goroutine. Only a
 	// burst's first decision leaves twin records, and a later decision
 	// closes its depth from the log when it asks — but one that sends
-	// closes the next depth at once where its link never idled: closeBusy
-	// does that in one pass, and another wake the memo serves the record to
-	// has no log to close it from.
+	// closes them all at once where its link never idled: the closure's
+	// cheapest case, the later decisions are then copies, and another wake
+	// the memo serves the record to has no log to close it from.
 	for i, j := range from {
 		if j >= 0 {
 			copy(row(i), row(int(j)))
@@ -369,8 +369,8 @@ func (w *Wake) Decide(pending []model.Send, seq int64, cfg Config) Decision {
 			continue
 		}
 		rec := ar.recs.at(int(i), candidates)
-		if st := &ar.logs[i]; d.SendNow && st.busy() {
-			st.closeLater(rec, 1)
+		if lg := &ar.logs[i]; d.SendNow && lg.busy() {
+			lg.closeLater(rec, twinDepth)
 		}
 		ar.memo.keep(keys[i], rec)
 	}
@@ -565,14 +565,14 @@ func (ar *decideArena) sweep(s *rollout.Scratch, r int) {
 // the stops it sat out, at none of which it could equal the baseline.
 func (ar *decideArena) revive(h *belief.Hypothesis, ds *decideScratch, lanes []lane, gains []float64, j int) (revived int) {
 	tw := &ds.tw
-	lg := tw.st.view(tw.logged, tw.prev)
+	lg := tw.lg.view(tw.logged, tw.prev)
 	for k := tw.first; k < len(lanes); k++ {
 		c := &lanes[k]
 		if !c.deferred {
 			continue
 		}
 		c.deferred = false
-		if lg.close(k, 0, 0, gains[k:k+1]) == 1 {
+		if lg.close(0, k, k+1, gains[k:k+1]) {
 			tw.closed++
 			continue
 		}
@@ -592,17 +592,15 @@ func (ar *decideArena) revive(h *belief.Hypothesis, ds *decideScratch, lanes []l
 }
 
 // twinSweep is the lagged-twin mode's state within one sweep: the log in
-// the making (rec; its gaps in gaps until the sweep ends), A at the last
-// stop (taken) and each stop's segment. The deferred lanes are those from
-// first on whose flag is set, read the first whose A(u) is still to come,
-// and owing says the newest one's lag, owed (deepened when the memo keeps
-// the log), is. u is BacklogDone at the last fork, carried while busy, and
-// pkt the packet value at u+ℓ for pktU. reach is how deep the record
-// serves; prev is the last stop booked, when the log held logged gaps. lv
-// and memo are the views the closure reads and its memo.
+// the making (lg), the record it opens (out), A at the last stop (taken)
+// and each stop's segment. The deferred lanes are those from first on
+// whose flag is set, read the first whose A(u) is still to come, and owing
+// says the newest one's lag, owed (deepened when the memo keeps the log),
+// is. u is BacklogDone at the last fork, carried while busy, and pkt the
+// packet value at u+ℓ for pktU. reach is how deep the record serves; prev
+// is the last stop booked, when the log held logged gaps.
 type twinSweep struct {
-	st                            *twinStore
-	rec                           twinLog
+	lg                            *twinLog
 	out                           twinRecord
 	segs                          []float64
 	taken                         float64
@@ -619,27 +617,24 @@ type twinSweep struct {
 // watches the premises as deep as a record serves and logs the gaps. A
 // quiet hypothesis's baseline has no accumulator (acc nil), its log one gap
 // from u0 on, and A is 0 throughout.
-func (tw *twinSweep) start(base *model.State, acc *model.Accum, stops []time.Duration, st *twinStore, candidates int, now time.Duration, kappa, survive float64) {
-	p, h := base.P, st.head
-	lag, horizon := p.ServiceTime(), stops[len(stops)-1]
-	h.now, h.u0, h.horizon, h.logEnd, h.lag, h.x, h.capBits = now, 0, horizon, horizon, lag, p.PktBits(), p.BufferCapBits
-	h.kappa, h.survive, h.aEnd, h.winFrom, h.aWin, h.win = kappa, survive, 0, units.Forever, 0, h.win[:0]
-	for l := range h.clean {
-		h.clean[l] = units.Forever
+func (tw *twinSweep) start(base *model.State, acc *model.Accum, stops []time.Duration, lg *twinLog, candidates int, now time.Duration, kappa, survive float64) {
+	p, horizon := base.P, stops[len(stops)-1]
+	lg.now, lg.u0, lg.horizon, lg.logEnd, lg.lag, lg.x, lg.capBits = now, 0, horizon, horizon, p.ServiceTime(), p.PktBits(), p.BufferCapBits
+	lg.kappa, lg.survive, lg.aEnd, lg.winFrom, lg.aWin, lg.win = kappa, survive, 0, units.Forever, 0, lg.win[:0]
+	for l := range lg.clean {
+		lg.clean[l] = units.Forever
 	}
-	st.head, st.gaps, st.cands = h, st.gaps[:0], slices.Grow(st.cands[:0], candidates)[:candidates]
-	*tw = twinSweep{st: st, quiet: acc == nil, segs: slices.Grow(tw.segs[:0], len(stops))[:len(stops)],
+	lg.all, lg.cands = lg.all[:0], slices.Grow(lg.cands[:0], candidates)[:candidates]
+	*tw = twinSweep{lg: lg, quiet: acc == nil, segs: slices.Grow(tw.segs[:0], len(stops))[:len(stops)],
 		reach: twinDepth, prev: now, pktU: -1}
-	rec := &tw.rec
-	*rec = twinLog{twinHead: &st.head, cands: st.cands}
 	if tw.quiet {
-		rec.winFrom = now
+		lg.winFrom = now
 		return
 	}
 	if !base.Serving {
-		st.gaps = append(st.gaps, model.Gap{Dry: base.Now, End: units.Forever})
+		lg.all = append(lg.all, model.Gap{Dry: base.Now, End: units.Forever})
 	}
-	acc.Watch(rec.x, lag, twinDepth+1, &st.gaps)
+	acc.Watch(lg.x, lg.lag, twinDepth+1, &lg.all)
 }
 
 // fork logs the candidate forking from base at stop j — u, and what its
@@ -648,7 +643,7 @@ func (tw *twinSweep) start(base *model.State, acc *model.Accum, stops []time.Dur
 // quiet hypothesis, closed here into gains[j]; a packet not through by H is
 // simulated.
 func (tw *twinSweep) fork(c *lane, base *model.State, acc *model.Accum, gains []float64, j int) (done bool) {
-	lg := &tw.rec
+	lg := tw.lg
 	cd := &lg.cands[j]
 	*cd = twinCand{u: base.Now, at: base.Now, room: lg.capBits - base.QueueBits - lg.x}
 	if !base.Serving {
@@ -673,7 +668,7 @@ func (tw *twinSweep) fork(c *lane, base *model.State, acc *model.Accum, gains []
 		// The burst's earlier packets join at this instant: as many must fit.
 		lg.u0 = cd.u
 		if tw.quiet {
-			tw.st.gaps = append(tw.st.gaps, model.Gap{Dry: cd.u, End: units.Forever})
+			lg.all = append(lg.all, model.Gap{Dry: cd.u, End: units.Forever})
 		}
 		n := cd.room + lg.x // the queue's room, less the packet in service
 		if !base.Serving {
@@ -683,7 +678,7 @@ func (tw *twinSweep) fork(c *lane, base *model.State, acc *model.Accum, gains []
 	}
 	// The first gap a lag from u is carried through: the one under way on
 	// an idle link (a quiet log's only one), the next to be logged else.
-	if cd.gi = len(tw.st.gaps); tw.quiet {
+	if cd.gi = len(lg.all); tw.quiet {
 		cd.gi = 0
 	} else if !base.Serving {
 		cd.gi--
@@ -703,7 +698,7 @@ func (tw *twinSweep) fork(c *lane, base *model.State, acc *model.Accum, gains []
 	}
 	c.done = true
 	if tw.quiet {
-		tw.st.view(len(tw.st.gaps), lg.horizon).close(j, 0, 0, gains[j:j+1])
+		lg.view(len(lg.all), lg.horizon).close(0, j, j+1, gains[j:j+1])
 		return true
 	}
 	if tw.deferred == 0 {
@@ -725,7 +720,7 @@ func (tw *twinSweep) fork(c *lane, base *model.State, acc *model.Accum, gains []
 // (twinDepth+1)·ℓ and every delivery in them (and an arrival there on an
 // idle link) — without Take, so the segment partition stays as it is.
 func (tw *twinSweep) pause(base *model.State, acc *model.Accum, lanes []lane, t time.Duration) {
-	lg := &tw.rec
+	lg := tw.lg
 	for {
 		for tw.read < len(lanes) && !lanes[tw.read].deferred {
 			tw.read++
@@ -769,9 +764,9 @@ func (tw *twinSweep) pause(base *model.State, acc *model.Accum, lanes []lane, t 
 // (clean). It reports whether lanes were deferred through a stop at level
 // 0 (revive).
 func (tw *twinSweep) endStop(acc *model.Accum, j int, seg float64) (dirty bool) {
-	lg := &tw.rec
+	lg := tw.lg
 	tw.segs[j] = seg
-	for gaps := tw.st.gaps; tw.valued < len(gaps); tw.valued++ {
+	for gaps := lg.all; tw.valued < len(gaps); tw.valued++ {
 		gaps[tw.valued].Value += tw.taken // the segment's value at Dry: A there
 	}
 	tw.taken += seg
@@ -789,7 +784,7 @@ func (tw *twinSweep) endStop(acc *model.Accum, j int, seg float64) (dirty bool) 
 // with no shorter idle time, cannot outlast — across the gaps up to stop
 // t, ended or under way.
 func (tw *twinSweep) book(t time.Duration) {
-	gaps := tw.st.gaps
+	gaps := tw.lg.all
 	if tw.booked < len(gaps) {
 		tw.busy = false // BacklogDone is summed afresh after a gap
 	}
@@ -810,14 +805,14 @@ func (tw *twinSweep) book(t time.Duration) {
 // log, and opens the record: as deep as the log may serve, none of it
 // closed yet (closeLater).
 func (tw *twinSweep) close(lanes []lane, gains []float64) {
-	lg := &tw.rec
+	lg := tw.lg
 	if !tw.quiet {
 		lg.logEnd, lg.aEnd = tw.prev, tw.taken
 	}
-	all := tw.st.view(len(tw.st.gaps), lg.logEnd)
+	all := lg.view(len(lg.all), lg.logEnd)
 	for k := tw.first; k < len(lanes) && !tw.quiet; k++ {
 		if c := &lanes[k]; c.deferred {
-			if all.close(k, 0, 0, gains[k:k+1]) != 1 {
+			if !all.close(0, k, k+1, gains[k:k+1]) {
 				panic("planner: a deferred lane's log does not close it")
 			}
 			tw.closed++
@@ -829,22 +824,13 @@ func (tw *twinSweep) close(lanes []lane, gains []float64) {
 // closeLater closes the burst's later decisions from the log into rec, as
 // deep as to (and the reach), and lowers the reach to what the log
 // establishes.
-func (st *twinStore) closeLater(rec twinRecord, to int) {
-	lo, c := int(*rec.closed)+1, len(st.cands)
+func (lg *twinLog) closeLater(rec twinRecord, to int) {
+	lo, c := int(*rec.closed)+1, len(lg.cands)
 	hi := min(to, int(*rec.reach)-1)
-	all := st.view(len(st.gaps), st.head.logEnd)
-	var row [twinDepth]float64
-	all.tails = [4]twinCost{}
-	busy := st.busy()
-	for m := lo; m <= hi && busy; m++ {
-		if !all.closeBusy(m, rec.gains[(m-1)*c:m*c]) {
+	all := lg.view(len(lg.all), lg.logEnd)
+	for m := lo; m <= hi; m++ {
+		if !all.close(m, 0, c, rec.gains[(m-1)*c:m*c]) {
 			hi = m - 1
-		}
-	}
-	for k := 0; k < c && hi >= lo && !busy; k++ {
-		hi = lo - 1 + all.close(k, lo, hi, row[:])
-		for m := lo; m <= hi; m++ {
-			rec.gains[(m-1)*c+k] = row[m-lo]
 		}
 	}
 	if hi < to {
@@ -853,159 +839,107 @@ func (st *twinStore) closeLater(rec twinRecord, to int) {
 	*rec.closed = uint8(max(hi, 0))
 }
 
-// busy reports whether the log's link never idled before H, so that its
-// later depths close in one pass (closeBusy).
-func (st *twinStore) busy() bool {
-	return len(st.gaps) == 0 && st.head.logEnd == st.head.horizon
+// busy reports whether the log's link never idled before H.
+func (lg *twinLog) busy() bool {
+	return len(lg.all) == 0 && lg.logEnd == lg.horizon
 }
 
-// closeBusy is close at depth m for every candidate of a log whose link
-// never idled, into out, and reports whether the log establishes them. With
-// no gap anywhere every lag is carried straight to H, its cut and slip the
-// same for all candidates forked before it: taken once, the rest is close's
-// arithmetic as cost and close do it, bit for bit.
-func (lg *twinLog) closeBusy(m int, out []float64) bool {
-	db := *lg.edge(time.Duration(m) * lg.lag)
-	dc := *lg.edge(time.Duration(m+1) * lg.lag)
-	base := model.Lag{E: db.e, From: lg.u0}
-	for k := range out {
-		cd := &lg.cands[k]
-		if !db.ok || !dc.ok || lg.clean[m] < lg.horizon || cd.u >= lg.horizon-dc.e {
-			if lg.close(k, m, m, out[k:k+1]) == 0 {
-				return false
-			}
-			continue
-		}
-		lo, hi := base.Surplus(cd.at, cd.served, cd.in, lg.x, lg.lag)
-		if out[k] = 0; lo > cd.room {
-			continue // dropped where it forks: the candidate is its baseline
-		} else if hi > cd.room || lg.clean[m+1] < lg.horizon {
-			return false
-		}
-		b := 0 - db.slip*(db.a-cd.a) - (lg.aEnd - db.a)
-		c := 0 - dc.slip*(dc.a-cd.a) - (lg.aEnd - dc.a)
-		out[k] = cd.pkt*(1-db.slip) + c - b
-	}
-	return true
+// view points the closure at the log's first n gaps, to end.
+func (lg *twinLog) view(n int, end time.Duration) *twinLog {
+	lg.gaps, lg.end = lg.all[:n], end
+	return lg
 }
 
-// view is the log with its first n gaps, to end.
-func (st *twinStore) view(n int, end time.Duration) *twinLog {
-	st.lv = twinLog{twinHead: &st.head, end: end, gaps: st.gaps[:n], cands: st.cands}
-	st.head.view++
-	return &st.lv
-}
-
-// close is the one closure of the lagged twin: it writes candidate k's
-// gains in the burst's decisions lo … hi packets in (0: the log's own) to
-// out, and reports how many of them, from lo on, the log establishes. The
-// decision m packets in has the log's baseline carrying m·ℓ of extra work
-// from u0, E(u) of it owed at the candidate's u; the candidate's packet, if
+// close is the one closure of the lagged twin: it writes the gains of
+// candidates k0 … k1−1 in the burst's decision m packets in (0: the log's
+// own) to out, and reports whether the log establishes them all. That
+// decision's baseline is the log's carrying m·ℓ of extra work from u0,
+// E(u) of it owed at the candidate's u; the candidate's packet, if
 // admitted (Lag.Surplus), leaves at u+E(u)+ℓ and the candidate carries
 // E(u)+ℓ from u on (model.State.BacklogDone). Both are carried from u
-// (carry, cost), and the gain is the difference; at m ≥ 1 every stop must
+// (carry), and the gain is the difference; at m ≥ 1 every stop must
 // have kept level m while the baseline owed work and m+1 while the
-// candidate did. A candidate's lag at one depth is the next one's
-// baseline's: it is carried once.
-func (lg *twinLog) close(k, lo, hi int, out []float64) (n int) {
-	cd := &lg.cands[k]
-	from, gi := cd.u, min(cd.gi, len(lg.gaps))
-	var last twinCost // the candidate's lag at the depth before
-	for m := lo; m <= hi; m++ {
-		base := model.Lag{E: time.Duration(m) * lg.lag, From: lg.u0}
-		owed := lg.u0 // the decision's own baseline owes work until then
-		for _, g := range lg.gaps[min(lg.cands[0].gi, gi):gi] {
-			if owed = max(g.Dry, base.From) + base.E; base.Idle(g.Dry, g.End, 0) {
-				break
-			}
-			if g.Bits+base.Holds(lg.x, lg.lag) > lg.capBits {
-				return n
+// candidate did. Where no gap lies ahead of u both lags are carried to H
+// in one step, and their slip and cut, the same for every such candidate,
+// are taken once (edge).
+func (lg *twinLog) close(m, k0, k1 int, out []float64) bool {
+	var eb, ec twinEdge
+	own, owedOwn, ogi := model.Lag{}, time.Duration(0), -1
+	for k := k0; k < k1; k++ {
+		cd := &lg.cands[k]
+		from, gi := cd.u, min(cd.gi, len(lg.gaps))
+		if gi != ogi {
+			// The decision's own baseline, carried through the gaps before u:
+			// it owes work until owedOwn.
+			own, owedOwn, ogi = model.Lag{E: time.Duration(m) * lg.lag, From: lg.u0}, lg.u0, gi
+			for _, g := range lg.gaps[min(lg.cands[0].gi, gi):gi] {
+				if owedOwn = max(g.Dry, own.From) + own.E; own.Idle(g.Dry, g.End, 0) {
+					break
+				}
+				if g.Bits+own.Holds(lg.x, lg.lag) > lg.capBits {
+					return false
+				}
 			}
 		}
+		base, owed := own, owedOwn
 		if gi < len(lg.gaps) && base.E > 0 && lg.gaps[gi].Dry < from {
 			owed = max(lg.gaps[gi].Dry, base.From) + base.E // forked on an idle link
 			base.Idle(lg.gaps[gi].Dry, from, 0)
 		}
+		c := model.Lag{E: base.E + lg.lag, From: from, A: cd.a}
+		direct := m > 0 && gi == len(lg.gaps) && lg.end == lg.horizon && from < lg.horizon-c.E
+		if base.E > 0 && eb.e != base.E {
+			eb = lg.edge(base.E)
+		}
+		if direct && ec.e != c.E {
+			ec = lg.edge(c.E)
+		}
 		var b float64
 		if base.E > 0 {
-			ok := last.ok
-			if b, owed = last.gain, last.gone; last.l.E != base.E {
-				b, owed, ok = lg.cost(model.Lag{E: base.E, From: from, A: cd.a}, gi)
+			ok := eb.ok
+			if b, owed = 0-eb.slip*(eb.a-cd.a)-(lg.aEnd-eb.a), lg.horizon; !direct {
+				b, owed, ok = lg.carry(model.Lag{E: base.E, From: from, A: cd.a}, gi)
 			}
-			if !ok {
-				return n
+			if !ok || owed > lg.clean[m] {
+				return false
 			}
+		} else if m > 0 && owed > lg.clean[m] {
+			return false
 		}
-		if m > 0 && owed > lg.clean[m] {
-			return n
-		}
-		out[m-lo], n = 0, n+1
+		out[k-k0] = 0
 		if cd.in > 0 || base.E > 0 {
 			// The packet queues behind the baseline's backlog and the twin's.
 			lo, hi := base.Surplus(cd.at, cd.served, cd.in, lg.x, lg.lag)
 			if lo > cd.room {
-				last = twinCost{}
 				continue // dropped where it forks: the candidate is its baseline
 			} else if hi > cd.room {
-				return n - 1
+				return false
 			}
 		}
-		c := model.Lag{E: base.E + lg.lag, From: from, A: cd.a, Gain: cd.pkt}
 		if m == 0 {
+			c.Gain = cd.pkt
 			gain, _, ok := lg.carry(c, gi)
-			if out[0] = gain; !ok {
-				return 0
+			if out[k-k0] = gain; !ok {
+				return false
 			}
-			return 1
+			continue
 		}
+		v := cd.pkt
 		if from+c.E > lg.horizon {
-			c.Gain = 0
+			v = 0
 		} else if base.E > 0 {
-			c.Gain *= 1 - lg.edge(base.E).slip // E(u) later than at depth 0
+			v *= 1 - eb.slip // E(u) later than at depth 0
 		}
-		v := c.Gain
-		c.Gain = 0
-		last.l = c
-		if last.gain, last.gone, last.ok = lg.cost(c, gi); !last.ok || last.gone > lg.clean[m+1] {
-			return n - 1
+		gain, gone, ok := 0-ec.slip*(ec.a-cd.a)-(lg.aEnd-ec.a), lg.horizon, ec.ok
+		if !direct {
+			gain, gone, ok = lg.carry(c, gi)
 		}
-		out[m-lo] = v + last.gain - b
-	}
-	return n
-}
-
-// cost is what carrying l through the log costs, at depths ≥ 1. From
-// the first gap on l's state is a function of that gap and E alone, the
-// same for every candidate forked before it: that part is carried once
-// per view (twinHead.tails).
-func (lg *twinLog) cost(l model.Lag, gi int) (gain float64, gone time.Duration, ok bool) {
-	if gi == len(lg.gaps) && lg.end == lg.horizon {
-		// No gap on the way: carry's one step, to H.
-		if d := lg.edge(l.E); l.From < lg.horizon-l.E {
-			return l.Gain - d.slip*(d.a-l.A) - (lg.aEnd - d.a), lg.horizon, d.ok
+		if !ok || gone > lg.clean[m+1] {
+			return false
 		}
-		ok = lg.stretch(&l, lg.horizon, lg.aEnd)
-		return l.Gain, lg.horizon, ok
+		out[k-k0] = v + gain - b
 	}
-	if gi == len(lg.gaps) || l.From > lg.gaps[gi].Dry {
-		return lg.carry(l, gi)
-	}
-	g := lg.gaps[gi]
-	if !lg.stretch(&l, g.Dry, g.Value) {
-		return 0, 0, false
-	}
-	t := &lg.tails[0]
-	for i := range lg.tails {
-		if lg.tails[i].gi == gi+1 && lg.tails[i].l.E == l.E {
-			t = &lg.tails[i]
-			return l.Gain + t.gain, t.gone, t.ok
-		}
-	}
-	t = &lg.tails[lg.nextTail%len(lg.tails)]
-	lg.nextTail++
-	t.l, t.gi = model.Lag{E: l.E, From: g.Dry, A: g.Value}, gi+1
-	t.gain, t.gone, t.ok = lg.carry(t.l, gi)
-	return l.Gain + t.gain, t.gone, t.ok
+	return true
 }
 
 // carry carries l through the log from gap gi on — each busy stretch
@@ -1053,15 +987,10 @@ func (lg *twinLog) stretch(l *model.Lag, end time.Duration, aEnd float64) bool {
 	return true
 }
 
-// edge is, for a lag E, its slip and A(H−E), the cut of a stretch to H,
-// memoized for the view.
-func (lg *twinLog) edge(e time.Duration) *twinEdge {
-	d := &lg.edges[uint64(e)>>12&7]
-	if d.e != e || d.view != lg.view {
-		d.e, d.view, d.slip = e, lg.view, lg.slip(e)
-		d.a, d.ok = lg.a(lg.horizon - e)
-	}
-	return d
+// edge is what carrying a lag of e to H in one step reads.
+func (lg *twinLog) edge(e time.Duration) twinEdge {
+	a, ok := lg.a(lg.horizon - e)
+	return twinEdge{e: e, slip: lg.slip(e), a: a, ok: ok}
 }
 
 // slip is 1 − e^(−E/κ) (model.Lag.Slip), memoized: the candidates carried
