@@ -11,7 +11,6 @@ package modelcc_test
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 	"time"
 
@@ -102,35 +101,20 @@ func BenchmarkBeliefScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkParticleVsExact compares the paper's exact rejection belief
-// against the proposed particle filter on the same inference problem.
-func BenchmarkParticleVsExact(b *testing.B) {
+// BenchmarkExactUpdate times the paper's exact rejection belief over
+// Figure 3's prior: five sends, each acknowledged one second later.
+func BenchmarkExactUpdate(b *testing.B) {
 	prior := model.Fig3Prior()
 	states, _ := prior.Enumerate()
-
-	run := func(b *testing.B, mk func() belief.Belief) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			bel := mk()
-			b.StartTimer()
-			for s := int64(0); s < 5; s++ {
-				at := time.Duration(s) * 2 * time.Second
-				bel.RecordSend(model.Send{Seq: s, At: at})
-				bel.Update(at+time.Second, []packet.Ack{{Seq: s, ReceivedAt: at + time.Second}})
-			}
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		bel := belief.NewExact(states, belief.Config{})
+		b.StartTimer()
+		for s := int64(0); s < 5; s++ {
+			at := time.Duration(s) * 2 * time.Second
+			bel.RecordSend(model.Send{Seq: s, At: at})
+			bel.Update(at+time.Second, []packet.Ack{{Seq: s, ReceivedAt: at + time.Second}})
 		}
-	}
-	b.Run("exact", func(b *testing.B) {
-		run(b, func() belief.Belief { return belief.NewExact(states, belief.Config{}) })
-	})
-	for _, n := range []int{1000, 10000} {
-		b.Run(fmt.Sprintf("particle-%d", n), func(b *testing.B) {
-			seed := int64(0)
-			run(b, func() belief.Belief {
-				seed++
-				return belief.NewParticle(states, n, belief.Config{}, rand.New(rand.NewSource(seed)))
-			})
-		})
 	}
 }
 

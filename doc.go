@@ -17,11 +17,9 @@
 // layer — belief.Config.Workers, planner.Config.Workers, and
 // experiments.ISenderConfig.Workers, which forwards to both — where 0
 // means GOMAXPROCS and 1 forces the serial path. Results are
-// bit-identical for every width: workers write only per-index slots,
-// reductions run in index order, and the particle filter gives each
-// particle a private random stream derived from the parent seed
-// (TestDecideParallelEquivalence, TestExactParallelEquivalence, and
-// TestParticleParallelEquivalence assert this).
+// bit-identical for every width: workers write only per-index slots and
+// reductions run in index order (TestDecideParallelEquivalence and
+// TestExactParallelEquivalence assert this).
 //
 // # Fleets
 //
@@ -92,8 +90,7 @@
 // both directions of internal/emu's proxy run; internal/transport clamps
 // non-monotone clocks and arms wake timers in the logical clock
 // domain; internal/belief recovers from likelihood collapse by
-// deterministically re-seeding from the prior (belief.Config.Recover —
-// one collapse policy for the exact belief and the particle filter, both
+// deterministically re-seeding from the prior (belief.Config.Recover,
 // counted in Belief.Lifetime and checkpointed through Belief.Snapshot);
 // and internal/planner bounds every decision with planner.Guard's
 // degradation ladder — the compiled policy table when one is wired,

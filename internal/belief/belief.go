@@ -1,28 +1,15 @@
 // Package belief maintains the sender's probability distribution over
 // possible network configurations (§3.2).
 //
-// Two implementations are provided:
+// Exact is the paper's approach: a weighted list of every surviving
+// discrete configuration. Nondeterministic elements fork hypotheses;
+// observations reject inconsistent ones ("the sequential application
+// of Bayes' theorem"); identical states are compacted back together.
+// The planner and the ISENDER read it through Belief, which also
+// carries its lifetime counters (Lifetime) and its checkpoint
+// (Snapshot, rebuilt by Restore).
 //
-//   - Exact: the paper's approach — a weighted list of every surviving
-//     discrete configuration. Nondeterministic elements fork hypotheses;
-//     observations reject inconsistent ones ("the sequential application
-//     of Bayes' theorem"); identical states are compacted back together.
-//
-//   - Particle: the paper's suggested scalable alternative (§3.2, §5 —
-//     "approximate techniques of Bayesian inference ... such as
-//     Markov-chain Monte Carlo and belief compression"): a fixed-size
-//     particle filter with likelihood weighting and systematic
-//     resampling.
-//
-// Both satisfy Belief, so the planner and the ISENDER are agnostic to
-// which is in use. What is not inference is written once, in books, which
-// both embed: the monotone clock, the sends waiting for an update, the
-// soft-matching ack memory, the prior Recover reseeds from, the collapse
-// policy, the lifetime counters (Lifetime) and the shared half of
-// Snapshot. Restore rebuilds either kind from its snapshot, so a caller
-// reads counters and checkpoints through Belief alone.
-//
-// Both advance their hypotheses in place: an Update runs each state
+// Exact advances its hypotheses in place: an Update runs each state
 // where it lives and only a fork clones, into storage recycled from the
 // hypotheses earlier updates rejected, merged or floored. What Support
 // returns is therefore valid until the next Update and no longer — a
@@ -31,7 +18,6 @@
 package belief
 
 import (
-	"fmt"
 	"math"
 	"time"
 
@@ -100,134 +86,6 @@ type Belief interface {
 	Snapshot() Snapshot
 }
 
-// books is the half of a belief that is not inference, embedded by Exact
-// and Particle.
-type books struct {
-	cfg     Config
-	now     time.Duration
-	pending []model.Send
-	// recent retains acknowledgments for recentAckWindow so soft matching
-	// can pair predictions with acks across update boundaries; unused in
-	// hard mode.
-	recent map[int64]time.Duration
-	// prior keeps pristine copies of the initial states when
-	// Config.Recover is set, so a likelihood collapse can re-seed the
-	// belief deterministically.
-	prior []model.State
-	// pool shards the per-hypothesis advances of an update.
-	pool *rollout.Pool
-	// Cum accumulates stats over the belief's lifetime.
-	Cum UpdateStats
-}
-
-// recentAckWindow bounds how long soft matching remembers
-// acknowledgments.
-const recentAckWindow = 5 * time.Second
-
-func newBooks(states []model.State, cfg Config) books {
-	if len(states) == 0 {
-		// Invariant, not a network condition: a caller constructed a
-		// belief with nothing to believe. No input arriving later can
-		// make this sane, so fail at the construction site.
-		panic("belief: empty prior")
-	}
-	cfg = cfg.withDefaults()
-	b := books{cfg: cfg, recent: make(map[int64]time.Duration), pool: cfg.Pool}
-	if b.pool == nil {
-		b.pool = rollout.New(cfg.Workers)
-	}
-	if cfg.Recover {
-		b.prior = make([]model.State, len(states))
-		for i, s := range states {
-			b.prior[i] = s.Clone()
-		}
-	}
-	return b
-}
-
-// Now implements Belief.
-func (b *books) Now() time.Duration { return b.now }
-
-// PendingSends implements Belief.
-func (b *books) PendingSends() []model.Send { return b.pending }
-
-// Lifetime implements Belief.
-func (b *books) Lifetime() UpdateStats { return b.Cum }
-
-// RecordSend implements Belief. Sends must be recorded in time order.
-func (b *books) RecordSend(s model.Send) {
-	if n := len(b.pending); n > 0 && b.pending[n-1].At > s.At {
-		// Invariant: the sender records its own sends, under its own
-		// (monotone) clock — network input cannot reach this path.
-		// transport.Sender clamps chaotic clocks monotone before
-		// calling in.
-		panic("belief: sends recorded out of order")
-	}
-	b.pending = append(b.pending, s)
-}
-
-// begin opens an update to now: it checks the clock, refreshes the soft
-// ack memory with acks and returns the pending sends due by now.
-func (b *books) begin(now time.Duration, acks []packet.Ack) []model.Send {
-	if now < b.now {
-		// Invariant: callers drive the belief with a monotone clock
-		// (the DES loop by construction, transport.Sender by clamping
-		// chaotic wall clocks). Time running backwards here is a
-		// driver bug, not a network fault.
-		panic(fmt.Sprintf("belief: update time %v precedes previous update %v", now, b.now))
-	}
-	n := 0
-	for n < len(b.pending) && b.pending[n].At <= now {
-		n++
-	}
-	if b.cfg.SoftSigma > 0 {
-		for _, a := range acks {
-			b.recent[a.Seq] = a.ReceivedAt
-		}
-		for seq, at := range b.recent {
-			if at < now-recentAckWindow {
-				delete(b.recent, seq)
-			}
-		}
-	}
-	return b.pending[:n]
-}
-
-// collapse applies the configured policy when an observation is
-// impossible under every hypothesis, counting it in st: true means
-// re-seed from the prior (Recover), false keep the unconditioned
-// posterior (Relax). Without either it panics: the prior did not contain
-// the truth (or tolerances are too tight), and silently resetting would
-// mask a broken model, the exact failure this architecture is meant to
-// surface. Callers facing real networks (transport, soak) opt into
-// Recover or Relax; the simulator-facing default stays loud.
-func (b *books) collapse(st *UpdateStats) (reseed bool) {
-	switch {
-	case b.cfg.Recover:
-		st.Reseeded++
-		return true
-	case b.cfg.Relax:
-		st.Relaxed++
-		return false
-	}
-	panic("belief: all hypotheses rejected; the prior cannot explain the observations")
-}
-
-// end closes an update at now: the consumed sends leave the queue, the
-// clock moves and st joins the lifetime counters.
-func (b *books) end(now time.Duration, consumed int, st UpdateStats) UpdateStats {
-	b.now = now
-	b.pending = append(b.pending[:0], b.pending[consumed:]...)
-	b.Cum.Branches += st.Branches
-	b.Cum.Rejected += st.Rejected
-	b.Cum.Merged += st.Merged
-	b.Cum.Floored += st.Floored
-	b.Cum.Relaxed += st.Relaxed
-	b.Cum.Reseeded += st.Reseeded
-	b.Cum.N = st.N
-	return st
-}
-
 // Config tunes the exact belief's resource bounds and observation
 // matching.
 type Config struct {
@@ -252,10 +110,10 @@ type Config struct {
 	// the cap keeps worst cases bounded rather than aborting the run.
 	MaxHyps int
 	// Relax, when true, makes an all-hypotheses-rejected update keep
-	// the prior-update posterior (counting it in UpdateStats.Relaxed on
-	// the implementations that track it) instead of panicking. Used by
-	// the model-mismatch experiments; the default panic is the right
-	// behaviour when the prior is supposed to contain the truth.
+	// the prior-update posterior (counting it in UpdateStats.Relaxed)
+	// instead of panicking. Used by the model-mismatch experiments; the
+	// default panic is the right behaviour when the prior is supposed to
+	// contain the truth.
 	Relax bool
 	// Recover, when true, detects likelihood collapse — an observation
 	// impossible under every surviving hypothesis, as corruption, a
@@ -272,9 +130,7 @@ type Config struct {
 	// worker pool: 0 means GOMAXPROCS, 1 forces the serial path. The
 	// posterior is bit-identical for every worker count: each advance
 	// writes only its own index's slot and the Bayesian reduction walks
-	// slots in index order (the particle filter additionally derives a
-	// per-particle random stream from the parent seed, so its draws do
-	// not depend on scheduling).
+	// slots in index order.
 	Workers int
 	// Pool, when non-nil, supplies the worker pool instead of the belief
 	// constructing a private one of Workers width. A fleet of senders

@@ -1,6 +1,7 @@
 package belief
 
 import (
+	"fmt"
 	"sort"
 	"time"
 
@@ -16,7 +17,22 @@ import (
 // inconsistent with the observed acknowledgments, renormalizes, and
 // compacts states that have become identical.
 type Exact struct {
-	books
+	cfg     Config
+	now     time.Duration
+	pending []model.Send
+	// recent retains acknowledgments for recentAckWindow so soft matching
+	// can pair predictions with acks across update boundaries; unused in
+	// hard mode.
+	recent map[int64]time.Duration
+	// prior keeps pristine copies of the initial states when
+	// Config.Recover is set, so a likelihood collapse can re-seed the
+	// belief deterministically.
+	prior []model.State
+	// pool shards the per-hypothesis advances of an update.
+	pool *rollout.Pool
+	// Cum accumulates stats over the belief's lifetime.
+	Cum UpdateStats
+
 	hyps []Hypothesis
 
 	// The buffers below make the steady-state update allocation-free.
@@ -45,22 +61,70 @@ type Exact struct {
 	advance func(*rollout.Scratch, int)
 }
 
+// recentAckWindow bounds how long soft matching remembers
+// acknowledgments.
+const recentAckWindow = 5 * time.Second
+
 // NewExact builds an exact belief over the given equally weighted initial
 // states (typically from Prior.Enumerate).
 func NewExact(states []model.State, cfg Config) *Exact {
-	bk := newBooks(states, cfg)
+	b := newExact(states, cfg)
 	w := 1 / float64(len(states))
-	hyps := make([]Hypothesis, len(states))
+	b.hyps = make([]Hypothesis, len(states))
 	for i, s := range states {
-		hyps[i] = Hypothesis{S: s.Clone(), W: w}
+		b.hyps[i] = Hypothesis{S: s.Clone(), W: w}
 	}
-	return newExact(bk, hyps)
+	return b
 }
 
-func newExact(bk books, hyps []Hypothesis) *Exact {
-	b := &Exact{books: bk, hyps: hyps, segAcks: make(map[int64]time.Duration)}
+// newExact builds an Exact with no hypotheses over the prior states,
+// which it keeps only when cfg.Recover may re-seed from them.
+func newExact(states []model.State, cfg Config) *Exact {
+	if len(states) == 0 {
+		// Invariant, not a network condition: a caller constructed a
+		// belief with nothing to believe. No input arriving later can
+		// make this sane, so fail at the construction site.
+		panic("belief: empty prior")
+	}
+	cfg = cfg.withDefaults()
+	b := &Exact{
+		cfg:     cfg,
+		recent:  make(map[int64]time.Duration),
+		pool:    cfg.Pool,
+		segAcks: make(map[int64]time.Duration),
+	}
+	if b.pool == nil {
+		b.pool = rollout.New(cfg.Workers)
+	}
+	if cfg.Recover {
+		b.prior = make([]model.State, len(states))
+		for i, s := range states {
+			b.prior[i] = s.Clone()
+		}
+	}
 	b.advance = b.advanceOne
 	return b
+}
+
+// Now implements Belief.
+func (b *Exact) Now() time.Duration { return b.now }
+
+// PendingSends implements Belief.
+func (b *Exact) PendingSends() []model.Send { return b.pending }
+
+// Lifetime implements Belief.
+func (b *Exact) Lifetime() UpdateStats { return b.Cum }
+
+// RecordSend implements Belief. Sends must be recorded in time order.
+func (b *Exact) RecordSend(s model.Send) {
+	if n := len(b.pending); n > 0 && b.pending[n-1].At > s.At {
+		// Invariant: the sender records its own sends, under its own
+		// (monotone) clock — network input cannot reach this path.
+		// transport.Sender clamps chaotic clocks monotone before
+		// calling in.
+		panic("belief: sends recorded out of order")
+	}
+	b.pending = append(b.pending, s)
 }
 
 // move transfers *src to *dst (a no-op when they are one slot) and
@@ -101,6 +165,68 @@ func reseedFromPrior(prior []model.State, at time.Duration, dst []Hypothesis) []
 // live: the slice and the states in it are valid until the next Update;
 // Clone a state to keep it longer.
 func (b *Exact) Support() []Hypothesis { return b.hyps }
+
+// begin opens an update to now: it checks the clock, refreshes the soft
+// ack memory with acks and returns the pending sends due by now.
+func (b *Exact) begin(now time.Duration, acks []packet.Ack) []model.Send {
+	if now < b.now {
+		// Invariant: callers drive the belief with a monotone clock
+		// (the DES loop by construction, transport.Sender by clamping
+		// chaotic wall clocks). Time running backwards here is a
+		// driver bug, not a network fault.
+		panic(fmt.Sprintf("belief: update time %v precedes previous update %v", now, b.now))
+	}
+	n := 0
+	for n < len(b.pending) && b.pending[n].At <= now {
+		n++
+	}
+	if b.cfg.SoftSigma > 0 {
+		for _, a := range acks {
+			b.recent[a.Seq] = a.ReceivedAt
+		}
+		for seq, at := range b.recent {
+			if at < now-recentAckWindow {
+				delete(b.recent, seq)
+			}
+		}
+	}
+	return b.pending[:n]
+}
+
+// collapse applies the configured policy when an observation is
+// impossible under every hypothesis, counting it in st: true means
+// re-seed from the prior (Recover), false keep the unconditioned
+// posterior (Relax). Without either it panics: the prior did not contain
+// the truth (or tolerances are too tight), and silently resetting would
+// mask a broken model, the exact failure this architecture is meant to
+// surface. Callers facing real networks (transport, soak) opt into
+// Recover or Relax; the simulator-facing default stays loud.
+func (b *Exact) collapse(st *UpdateStats) (reseed bool) {
+	switch {
+	case b.cfg.Recover:
+		st.Reseeded++
+		return true
+	case b.cfg.Relax:
+		st.Relaxed++
+		return false
+	}
+	panic("belief: all hypotheses rejected; the prior cannot explain the observations")
+}
+
+// end closes an update at now: the consumed sends leave the queue, the
+// clock moves and st joins the lifetime counters.
+func (b *Exact) end(now time.Duration, consumed int, st UpdateStats) UpdateStats {
+	b.now = now
+	b.pending = append(b.pending[:0], b.pending[consumed:]...)
+	b.Cum.Branches += st.Branches
+	b.Cum.Rejected += st.Rejected
+	b.Cum.Merged += st.Merged
+	b.Cum.Floored += st.Floored
+	b.Cum.Relaxed += st.Relaxed
+	b.Cum.Reseeded += st.Reseeded
+	b.Cum.N = st.N
+	return st
+}
 
 // Update implements Belief.
 //

@@ -175,6 +175,15 @@ func TestExactWeightsAlwaysNormalized(t *testing.T) {
 	}
 }
 
+func TestExactPanicsOnEmptyPrior(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("empty prior did not panic")
+		}
+	}()
+	NewExact(nil, Config{})
+}
+
 func TestExactPanicsOnImpossibleObservation(t *testing.T) {
 	b := NewExact(twoRatePrior(12000), Config{})
 	b.RecordSend(model.Send{Seq: 0, At: 0})

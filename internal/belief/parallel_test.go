@@ -1,7 +1,6 @@
 package belief
 
 import (
-	"math/rand"
 	"testing"
 	"time"
 
@@ -75,21 +74,5 @@ func TestExactParallelEquivalenceHard(t *testing.T) {
 	states := parallelPrior()
 	sup1 := driveBelief(NewExact(states, Config{Workers: 1, Relax: true}))
 	supN := driveBelief(NewExact(states, Config{Workers: 5, Relax: true}))
-	sameSupport(t, sup1, supN)
-}
-
-// TestParticleParallelEquivalence: for a fixed seed, the particle filter
-// advances, reweighs, and resamples identically for any worker count —
-// each particle draws from its own stream derived from the parent seed,
-// not from a shared source whose consumption order would depend on
-// scheduling.
-func TestParticleParallelEquivalence(t *testing.T) {
-	states := parallelPrior()
-	mk := func(workers int) Belief {
-		return NewParticle(states, 500, Config{Workers: workers, Relax: true},
-			rand.New(rand.NewSource(99)))
-	}
-	sup1 := driveBelief(mk(1))
-	supN := driveBelief(mk(6))
 	sameSupport(t, sup1, supN)
 }

@@ -2,7 +2,6 @@ package belief
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"time"
 
@@ -103,27 +102,6 @@ func TestExactDefaultStillPanics(t *testing.T) {
 	b.Update(2*time.Second, impossibleAck(1500*time.Millisecond))
 }
 
-// TestParticleRecoverReseeds is the particle-filter twin.
-func TestParticleRecoverReseeds(t *testing.T) {
-	states := tinyPrior()
-	b := NewParticle(states, 64, Config{Recover: true}, rand.New(rand.NewSource(5)))
-	st := b.Update(2*time.Second, impossibleAck(1500*time.Millisecond))
-	if st.Reseeded == 0 {
-		t.Fatal("impossible ack did not trigger a particle reseed")
-	}
-	finiteNormalized(t, b.Support())
-	for _, h := range b.Support() {
-		if h.S.Now < 2*time.Second {
-			t.Fatalf("reseeded particle at Now=%v, want the collapse instant", h.S.Now)
-		}
-	}
-	st = b.Update(4*time.Second, nil)
-	if st.Reseeded != 0 {
-		t.Fatal("clean update reseeded")
-	}
-	finiteNormalized(t, b.Support())
-}
-
 // TestRecoverBeatsRelax: with both set, Recover wins.
 func TestRecoverBeatsRelax(t *testing.T) {
 	b := NewExact(tinyPrior(), Config{Recover: true, Relax: true})
@@ -133,22 +111,21 @@ func TestRecoverBeatsRelax(t *testing.T) {
 	}
 }
 
-// TestRestoreKinds: Restore rebuilds the kind a snapshot was taken of with
-// its counters, and refuses an empty prior with an error for either kind.
+// TestRestoreKinds: Restore rebuilds the belief a snapshot was taken of
+// with its counters, and refuses an empty prior with an error.
 func TestRestoreKinds(t *testing.T) {
 	cfg := Config{Recover: true}
-	for _, b := range []Belief{NewExact(tinyPrior(), cfg), NewParticle(tinyPrior(), 8, cfg, rand.New(rand.NewSource(1)))} {
-		b.Update(time.Second, impossibleAck(time.Second))
-		sn := b.Snapshot()
-		got, err := Restore(tinyPrior(), cfg, sn)
-		if err != nil {
-			t.Fatalf("%T: %v", b, err)
-		}
-		if got.Snapshot().Particle != sn.Particle || got.Now() != b.Now() || got.Lifetime() != b.Lifetime() || got.Lifetime().Reseeded != 1 {
-			t.Fatalf("%T restored as %T: now %v/%v, lifetime %+v/%+v", b, got, got.Now(), b.Now(), got.Lifetime(), b.Lifetime())
-		}
-		if _, err := Restore(nil, cfg, sn); err == nil {
-			t.Fatalf("%T: empty prior restored without an error", b)
-		}
+	b := NewExact(tinyPrior(), cfg)
+	b.Update(time.Second, impossibleAck(time.Second))
+	sn := b.Snapshot()
+	got, err := Restore(tinyPrior(), cfg, sn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Now() != b.Now() || got.Lifetime() != b.Lifetime() || got.Lifetime().Reseeded != 1 {
+		t.Fatalf("restored now %v/%v, lifetime %+v/%+v", got.Now(), b.Now(), got.Lifetime(), b.Lifetime())
+	}
+	if _, err := Restore(nil, cfg, sn); err == nil {
+		t.Fatal("empty prior restored without an error")
 	}
 }

@@ -298,8 +298,8 @@ func (in *Injector) Next(now time.Duration) Verdict {
 	return v
 }
 
-// splitmix is SplitMix64, the same generator internal/rollout uses for
-// per-particle streams; duplicated here to keep chaos dependency-free.
+// splitmix is SplitMix64's step: it hashes a counter word into 64
+// well-mixed bits, so a stream is one counter and replays from its seed.
 func splitmix(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	z := x

@@ -37,7 +37,8 @@ type Action struct {
 // Sender is the ISENDER endpoint.
 type Sender struct {
 	// Belief is the sender's uncertainty about the network; supplied,
-	// not owned, so callers choose Exact vs Particle.
+	// not owned, so callers choose its prior and configuration and may
+	// wrap it.
 	Belief belief.Belief
 	// Plan configures the action search, including the utility function
 	// being maximized.

@@ -69,15 +69,15 @@ func TestChaosExercisesRecovery(t *testing.T) {
 	}
 }
 
-// TestChaosParticleCounters: a particle filter's lifetime counters reach
-// the result like the exact belief's — branches weighed and collapses
-// reseeded, read through belief.Belief rather than from one concrete kind.
+// TestChaosParticleCounters: the belief's lifetime counters reach the
+// result — branches weighed and collapses reseeded — read through
+// belief.Belief rather than from one concrete kind. The name dates from
+// when a particle filter was a second belief kind; the exact belief is
+// now the only one, so the counters are checked on it.
 func TestChaosParticleCounters(t *testing.T) {
-	base := chaosBase(40 * time.Second)
-	base.UseParticle, base.Particles = true, 64
-	res := RunChaos(ChaosConfig{Base: base, Faults: chaosMenu()})
+	res := RunChaos(ChaosConfig{Base: chaosBase(40 * time.Second), Faults: chaosMenu()})
 	if res.UpdateCum.Branches == 0 || res.Reseeded == 0 {
-		t.Fatalf("particle run reports branches=%d reseeded=%d over %d wakes, want both > 0",
+		t.Fatalf("run reports branches=%d reseeded=%d over %d wakes, want both > 0",
 			res.UpdateCum.Branches, res.Reseeded, res.Wakes)
 	}
 	if res.Reseeded != res.UpdateCum.Reseeded {

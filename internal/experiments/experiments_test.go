@@ -120,16 +120,3 @@ func TestFig3RenderAndClaims(t *testing.T) {
 		t.Errorf("render output incomplete:\n%s", out)
 	}
 }
-
-func TestParticleBeliefEndToEnd(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long integration test")
-	}
-	cfg := tinyConfig(1.0, 60*time.Second)
-	cfg.UseParticle = true
-	cfg.Particles = 512
-	res := RunISender(cfg)
-	if res.Sent == 0 || res.Acked == 0 {
-		t.Fatalf("particle-belief sender made no progress: sent=%d acked=%d", res.Sent, res.Acked)
-	}
-}

@@ -142,10 +142,7 @@ func (c lifecycleCase) run(t *testing.T, shards int) (lifecycle.Runtime, *lifecy
 			t.Fatalf("shards=%d: %d live at %v, MaxLive is %d", shards, len(live), at, c.n)
 		}
 		if len(live) > 0 && rng.Float64() < c.collapse {
-			switch b := rt.MemberAt(live[rng.Intn(len(live))]).Sender.Belief.(type) {
-			case *belief.Exact:
-				b.Cum.Reseeded += 10
-			case *belief.Particle:
+			if b, ok := rt.MemberAt(live[rng.Intn(len(live))]).Sender.Belief.(*belief.Exact); ok {
 				b.Cum.Reseeded += 10
 			}
 		}

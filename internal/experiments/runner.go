@@ -38,10 +38,6 @@ type ISenderConfig struct {
 	Utility utility.Config
 	// Plan overrides planner defaults when non-zero.
 	Plan planner.Config
-	// Belief selects the inference engine.
-	UseParticle bool
-	// Particles is the particle count when UseParticle is set.
-	Particles int
 	// BeliefCfg overrides belief defaults when non-zero.
 	BeliefCfg belief.Config
 	// Duration is the virtual run length (default 300 s, the paper's).
@@ -131,17 +127,7 @@ func runSolo(cfg ISenderConfig, tap *faultTap) ISenderResult {
 	truth := model.NewTruth(cfg.Actual, cfg.PingerOnStart, cfg.Gate, cfg.HalfPeriod, rand.New(rand.NewSource(cfg.Seed)))
 
 	states, _ := cfg.Prior.Enumerate()
-	var b belief.Belief
-	if cfg.UseParticle {
-		n := cfg.Particles
-		if n <= 0 {
-			n = 4 * len(states)
-		}
-		b = belief.NewParticle(states, n, cfg.BeliefCfg, rand.New(rand.NewSource(cfg.Seed+1)))
-	} else {
-		b = belief.NewExact(states, cfg.BeliefCfg)
-	}
-	sender := core.NewSender(b, cfg.Plan)
+	sender := core.NewSender(belief.NewExact(states, cfg.BeliefCfg), cfg.Plan)
 
 	var res ISenderResult
 	res.AckedSeq.Name = "acked"
@@ -218,6 +204,6 @@ func runSolo(cfg ISenderConfig, tap *faultTap) ISenderResult {
 	if cfg.Duration > 0 {
 		res.OwnThroughput = units.BitRate(float64(res.Acked) * float64(cfg.Actual.PktBits()) / cfg.Duration.Seconds())
 	}
-	res.UpdateCum = b.Lifetime()
+	res.UpdateCum = sender.Belief.Lifetime()
 	return res
 }

@@ -7,9 +7,8 @@
 // and shard.Fleet at coupling-window barriers.
 //
 // A checkpoint captures everything a member needs to resume making the
-// same decisions an uninterrupted member would: the belief posterior
-// (Exact hypotheses or the raw Particle population with its RNG stream
-// word), pending sends, the soft-matching ack memory, the sender's
+// same decisions an uninterrupted member would: the belief posterior,
+// pending sends, the soft-matching ack memory, the sender's
 // sequence/throughput counters, and the planner Guard's last safe
 // pacing action. The header binds the checkpoint to its model identity
 // via policy.HashPrior over the fleet's resolved prior and PolicyCache
@@ -91,8 +90,8 @@ type Checkpoint struct {
 	// provenance (a restored member starts fresh fenced counters).
 	Utility  float64
 	Injected int64
-	// Belief is the belief snapshot (kind, posterior, pending sends,
-	// ack memory, RNG stream).
+	// Belief is the belief snapshot (posterior, pending sends, ack
+	// memory, counters).
 	Belief belief.Snapshot
 }
 
@@ -199,7 +198,7 @@ func PriorHashFor(cfg fleet.Config, caches *planner.CacheStripes) uint64 {
 //	8      4     version
 //	12     4     flow
 //	16     4     generation
-//	20     4     belief kind (0 exact, 1 particle)
+//	20     4     belief kind (0 exact; 1, the removed particle filter, is refused)
 //	24     8     prior hash
 //	32     8     capture time (ns)
 //	40     8     body length
@@ -273,6 +272,14 @@ func (c *cursor) f64(v *float64) {
 	}
 }
 
+// zero walks an 8-byte field that must be zero: encoding writes 0 and
+// decoding refuses anything else, so decode∘encode stays canonical.
+func (c *cursor) zero(what string) {
+	if w, ok := c.word(8, 0); ok && w != 0 {
+		c.err = fmt.Errorf("lifecycle: checkpoint has a nonzero %s, a field only the removed particle belief wrote", what)
+	}
+}
+
 func (c *cursor) bool(v *bool) {
 	var bit uint64
 	if *v {
@@ -332,8 +339,10 @@ func (c *cursor) body(ck *Checkpoint) {
 
 	sn := &ck.Belief
 	c.dur(&sn.Now)
-	c.u64(&sn.RNG)
-	c.int(&sn.Resamples)
+	// The removed particle filter kept its RNG word and resample count
+	// here; an exact belief writes both as zero.
+	c.zero("RNG word")
+	c.zero("resample count")
 	c.int(&sn.Cum.Branches)
 	c.int(&sn.Cum.Rejected)
 	c.int(&sn.Cum.Merged)
@@ -460,9 +469,6 @@ func (c *Checkpoint) Encode() []byte {
 	body.body(c)
 
 	version, kind, bodyLen := uint32(Version), uint32(0), uint64(len(body.b))
-	if c.Belief.Particle {
-		kind = 1
-	}
 	out := cursor{enc: true, b: make([]byte, 0, headerSize+len(body.b))}
 	out.b = append(out.b, magic[:]...)
 	out.header(c, &version, &kind, &bodyLen)
@@ -493,7 +499,11 @@ func Decode(b []byte) (*Checkpoint, error) {
 	if version != Version {
 		return nil, fmt.Errorf("lifecycle: checkpoint version %d, this build reads %d", version, Version)
 	}
-	if kind > 1 {
+	switch kind {
+	case 0:
+	case 1:
+		return nil, errors.New("lifecycle: checkpoint holds a particle belief (kind 1), which this build no longer has; only exact beliefs (kind 0) restore")
+	default:
 		return nil, fmt.Errorf("lifecycle: unknown belief kind %d", kind)
 	}
 	if bodyLen != uint64(len(b)-headerSize) {
@@ -502,8 +512,6 @@ func Decode(b []byte) (*Checkpoint, error) {
 	if checksum(b[:48], b[headerSize:]) != sum {
 		return nil, errors.New("lifecycle: checkpoint checksum mismatch (corrupted)")
 	}
-	c.Belief.Particle = kind == 1
-
 	body := cursor{b: b[headerSize:]}
 	body.body(c)
 	if body.err != nil {

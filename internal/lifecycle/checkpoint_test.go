@@ -2,8 +2,8 @@ package lifecycle
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -107,28 +107,6 @@ func TestResumeMatchesUninterruptedExact(t *testing.T) {
 	const wakes = 60
 	straight := scriptedTrace(t, fl, mk(), wakes, -1)
 	for _, at := range []int{1, 10, 30, 59} {
-		resumed := scriptedTrace(t, fl, mk(), wakes, at)
-		for i := range straight {
-			if straight[i] != resumed[i] {
-				t.Fatalf("ckpt at wake %d: decision %d diverged:\n straight: %s\n resumed:  %s",
-					at, i, straight[i], resumed[i])
-			}
-		}
-	}
-}
-
-// TestResumeMatchesUninterruptedParticle is the same property for the
-// Particle belief, whose RNG stream word must survive the round-trip
-// for the sampled toggles to replay identically.
-func TestResumeMatchesUninterruptedParticle(t *testing.T) {
-	fl := testFleet(t, 1)
-	mk := func() *core.Sender {
-		b := belief.NewParticle(fl.PriorStates(), 64, fl.MemberBeliefConfig(), rand.New(rand.NewSource(3)))
-		return core.NewSender(b, fl.MemberPlanConfig())
-	}
-	const wakes = 40
-	straight := scriptedTrace(t, fl, mk(), wakes, -1)
-	for _, at := range []int{5, 20} {
 		resumed := scriptedTrace(t, fl, mk(), wakes, at)
 		for i := range straight {
 			if straight[i] != resumed[i] {
@@ -247,38 +225,118 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 	}
 }
 
-// goldenCheckpoints are version-1 files written by the encoder as it
-// stood before Encode and Decode became one walk (PR 18's tree): member
-// 0 of fleet.Config{N: 8, Seed: 5, Workers: 1} after 10 s, and a
-// 64-particle sender over the N = 2 prior after 20 scripted wakes.
-var goldenCheckpoints = []string{"v1-exact.ckpt", "v1-particle.ckpt"}
+// The golden checkpoints are version-1 files written by the encoder as it
+// stood before Encode and Decode became one walk: goldenExact is member
+// 0 of fleet.Config{N: 8, Seed: 5, Workers: 1} after 10 s, and
+// goldenRemoved a 64-particle sender over the N = 2 prior after 20
+// scripted wakes. The particle filter has since been removed, so Decode
+// refuses the second.
+const goldenExact, goldenRemoved = "v1-exact.ckpt", "v1-particle.ckpt"
 
-// TestGoldenCheckpoints is format durability: a checked-in version-1
-// file decodes, re-encodes to the identical bytes, and is refused —
-// never a panic — with any one byte flipped.
+func readGolden(t testing.TB, name string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// TestGoldenCheckpoints is format durability: the checked-in exact file
+// decodes, re-encodes to the identical bytes, and is refused — never a
+// panic — with any one byte flipped; the particle file is refused with
+// an error that names its kind.
 func TestGoldenCheckpoints(t *testing.T) {
-	for _, name := range goldenCheckpoints {
-		raw, err := os.ReadFile(filepath.Join("testdata", name))
+	raw := readGolden(t, goldenExact)
+	c, err := Decode(raw)
+	if err != nil {
+		t.Fatalf("%s: %v", goldenExact, err)
+	}
+	if len(c.Belief.Hyps) == 0 {
+		t.Errorf("%s: decoded with no hypotheses", goldenExact)
+	}
+	if !bytes.Equal(c.Encode(), raw) {
+		t.Errorf("%s: re-encode differs from the checked-in bytes", goldenExact)
+	}
+	mut := append([]byte(nil), raw...)
+	for i := range mut {
+		mut[i] ^= 0x40
+		if _, err := Decode(mut); err == nil {
+			t.Errorf("%s: byte %d flipped decoded without error", goldenExact, i)
+		}
+		mut[i] = raw[i]
+	}
+	if _, err := Decode(readGolden(t, goldenRemoved)); err == nil || !strings.Contains(err.Error(), "particle") {
+		t.Errorf("%s: Decode returned %v, want a refusal naming the particle kind", goldenRemoved, err)
+	}
+}
+
+// TestDecodeRefusesRemovedKindFields: the header's belief kind and the two
+// body words the particle filter wrote decode only as the exact
+// belief's zeros. Each row edits one field of a live checkpoint and
+// re-checksums it, so that field alone is what Decode refuses.
+func TestDecodeRefusesRemovedKindFields(t *testing.T) {
+	_, c := liveCheckpoint(t)
+	raw := c.Encode()
+	const rngAt = headerSize + 65 // after the sender's counters and the belief clock
+	for _, row := range []struct {
+		name string
+		at   int
+		want string
+	}{
+		{"kind 1", 20, "particle belief (kind 1)"},
+		{"RNG word", rngAt, "nonzero RNG word"},
+		{"resample count", rngAt + 8, "nonzero resample count"},
+	} {
+		mut := append([]byte(nil), raw...)
+		if mut[row.at] != 0 {
+			t.Fatalf("%s: byte %d is %d in a fresh encode, want 0", row.name, row.at, mut[row.at])
+		}
+		mut[row.at] = 1
+		binary.LittleEndian.PutUint64(mut[48:headerSize], checksum(mut[:48], mut[headerSize:]))
+		if _, err := Decode(mut); err == nil || !strings.Contains(err.Error(), row.want) {
+			t.Errorf("%s: Decode returned %v, want an error containing %q", row.name, err, row.want)
+		}
+	}
+}
+
+// TestRestoreRefusesClockDisagreement: a snapshot whose clocks disagree
+// — a pending send stamped before the belief's clock, or a hypothesis
+// ahead of it — would panic inside a pool worker on its first Update.
+// belief.Restore refuses both, called directly and through a
+// re-encoded checkpoint's Decode and RestoreSender.
+func TestRestoreRefusesClockDisagreement(t *testing.T) {
+	fl, live := liveCheckpoint(t)
+	hash := FleetPriorHash(fl)
+	for _, row := range []struct {
+		name string
+		edit func(c *Checkpoint)
+		want string
+	}{
+		{"pending send before now", func(c *Checkpoint) {
+			sn := &c.Belief
+			sn.Pending = append([]model.Send{{Seq: c.NextSeq, At: sn.Now - time.Millisecond}}, sn.Pending...)
+		}, "precedes the belief's clock"},
+		{"hypothesis ahead of now", func(c *Checkpoint) {
+			sn := &c.Belief
+			sn.Hyps[0].S.Now = sn.Now + time.Second
+			sn.Pending = []model.Send{{Seq: c.NextSeq, At: sn.Now}}
+		}, "ahead of the belief's clock"},
+	} {
+		c, err := Decode(live.Encode()) // a deep copy to edit
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := Decode(raw)
+		row.edit(c)
+		if _, err := belief.Restore(fl.PriorStates(), fl.MemberBeliefConfig(), c.Belief); err == nil || !strings.Contains(err.Error(), row.want) {
+			t.Errorf("%s: belief.Restore returned %v, want an error containing %q", row.name, err, row.want)
+		}
+		c2, err := Decode(c.Encode())
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: Decode: %v", row.name, err)
 		}
-		if wantParticle := name == "v1-particle.ckpt"; c.Belief.Particle != wantParticle || len(c.Belief.Hyps) == 0 {
-			t.Errorf("%s: decoded particle=%v with %d hypotheses", name, c.Belief.Particle, len(c.Belief.Hyps))
-		}
-		if !bytes.Equal(c.Encode(), raw) {
-			t.Errorf("%s: re-encode differs from the checked-in bytes", name)
-		}
-		mut := append([]byte(nil), raw...)
-		for i := range mut {
-			mut[i] ^= 0x40
-			if _, err := Decode(mut); err == nil {
-				t.Errorf("%s: byte %d flipped decoded without error", name, i)
-			}
-			mut[i] = raw[i]
+		if _, err := RestoreSender(fl, c2, hash); err == nil || !strings.Contains(err.Error(), row.want) {
+			t.Errorf("%s: RestoreSender returned %v, want an error containing %q", row.name, err, row.want)
 		}
 	}
 }
@@ -286,7 +344,7 @@ func TestGoldenCheckpoints(t *testing.T) {
 // TestCheckpointSharesRecords: Decode builds one parameter record per
 // distinct parameter block, shared by every hypothesis that carries it,
 // and the shared records re-encode to the bytes they were read from —
-// for both golden files and for a live member's capture.
+// for the exact golden file and for a live member's capture.
 func TestCheckpointSharesRecords(t *testing.T) {
 	fl := fleet.New(fleet.Config{N: 2, Seed: 11, Workers: 1})
 	fl.Run(5 * time.Second)
@@ -294,12 +352,7 @@ func TestCheckpointSharesRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	files := map[string][]byte{"capture": live.Encode()}
-	for _, name := range goldenCheckpoints {
-		if files[name], err = os.ReadFile(filepath.Join("testdata", name)); err != nil {
-			t.Fatal(err)
-		}
-	}
+	files := map[string][]byte{"capture": live.Encode(), goldenExact: readGolden(t, goldenExact)}
 	for name, raw := range files {
 		c, err := Decode(raw)
 		if err != nil {
@@ -341,13 +394,8 @@ func FuzzCheckpoint(f *testing.F) {
 	mut := append([]byte(nil), raw...)
 	mut[60] ^= 0xff
 	f.Add(mut)
-	for _, name := range goldenCheckpoints {
-		golden, err := os.ReadFile(filepath.Join("testdata", name))
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(golden)
-	}
+	f.Add(readGolden(f, goldenExact))
+	f.Add(readGolden(f, goldenRemoved))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		c, err := Decode(b)
 		if err != nil {

@@ -918,8 +918,8 @@ func (s *State) Enumerate(until time.Duration, sends []Send, evs *[]Event, j int
 
 // ToggleProb is the probability that a memoryless gate with the given
 // mean switching time toggles within one tick. It is the single source
-// of truth for the inference discretization: AdvanceEnum forks with it
-// and the particle filter samples with it.
+// of truth for the inference discretization: AdvanceEnum and Enumerate
+// fork with it.
 func ToggleProb(tick, mean time.Duration) float64 {
 	if mean <= 0 || tick <= 0 {
 		return 0

@@ -7,11 +7,9 @@
 //
 // Determinism is load-bearing. Workers only ever write results into
 // per-index slots of caller-presized slices, and every reduction the
-// callers perform walks those slots in index order; randomness, where a
-// task needs it (the particle filter), comes from a per-index SplitMix64
-// stream derived from the caller's parent seed. Together these make the
-// output bit-identical for any worker count, including 1 — which is what
-// the serial/parallel equivalence tests assert.
+// callers perform walks those slots in index order. Together these make
+// the output bit-identical for any worker count, including 1 — which is
+// what the serial/parallel equivalence tests assert.
 package rollout
 
 import (
@@ -114,54 +112,3 @@ func (p *Pool) Run(n int, fn func(s *Scratch, i int)) {
 	}
 	wg.Wait()
 }
-
-// Rand is a SplitMix64 stream: a tiny, allocation-free PRNG whose state
-// is one word, used to give every particle its own deterministic stream
-// derived from the parent seed regardless of which worker advances it.
-// (math/rand's default source carries a 607-word table — far too heavy
-// to derive per particle per update.)
-type Rand struct{ s uint64 }
-
-// Stream returns the deterministic stream for index i under the given
-// parent seed. The start state is passed through the SplitMix64
-// finalizer so distinct indices land at scattered points of the
-// sequence — without this, Stream(seed, i+1) would be Stream(seed, i)
-// advanced by one draw, and a population of particles would toggle in
-// shifted-duplicate patterns instead of independently.
-func Stream(seed int64, i int) Rand {
-	z := uint64(seed) + uint64(i)*0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return Rand{s: z ^ (z >> 31)}
-}
-
-// Uint64 returns the next 64 random bits.
-func (r *Rand) Uint64() uint64 {
-	r.s += 0x9e3779b97f4a7c15
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// Float64 returns a uniform draw in [0, 1).
-func (r *Rand) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
-}
-
-// Intn returns a draw in [0, n). n must be positive. The modulo bias is
-// at most n/2^64 — irrelevant for the small n (prior sizes, particle
-// counts) this is used with.
-func (r *Rand) Intn(n int) int {
-	return int(r.Uint64() % uint64(n))
-}
-
-// State exposes the stream's single word of state so a belief carrying
-// a Rand can be checkpointed; RandFromState reconstructs the identical
-// stream. Round-trip invariant: RandFromState(r.State()) continues
-// exactly where r would have.
-func (r Rand) State() uint64 { return r.s }
-
-// RandFromState rebuilds a stream from a State() word (or seeds a fresh
-// one from any 64-bit value).
-func RandFromState(s uint64) Rand { return Rand{s: s} }

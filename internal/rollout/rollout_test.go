@@ -42,53 +42,3 @@ func TestPoolScratchIsPerWorker(t *testing.T) {
 		}
 	})
 }
-
-// TestStreamDeterminism: streams depend only on (seed, index) — not on
-// draw interleaving — and distinct indices diverge.
-func TestStreamDeterminism(t *testing.T) {
-	a := Stream(42, 7)
-	b := Stream(42, 7)
-	for i := 0; i < 100; i++ {
-		if a.Uint64() != b.Uint64() {
-			t.Fatal("identical streams diverged")
-		}
-	}
-	c := Stream(42, 8)
-	d := Stream(42, 7)
-	same := 0
-	for i := 0; i < 100; i++ {
-		if c.Uint64() == d.Uint64() {
-			same++
-		}
-	}
-	if same > 2 {
-		t.Fatalf("adjacent streams collide on %d/100 draws", same)
-	}
-
-	// Stream i+1 must not be stream i advanced by one draw (shifted
-	// copies would make a particle population toggle in duplicate
-	// patterns).
-	e := Stream(42, 7)
-	e.Uint64()
-	f := Stream(42, 8)
-	same = 0
-	for i := 0; i < 100; i++ {
-		if e.Uint64() == f.Uint64() {
-			same++
-		}
-	}
-	if same > 2 {
-		t.Fatalf("stream 8 is a shifted copy of stream 7 (%d/100 draws equal)", same)
-	}
-}
-
-// TestStreamFloat64Range: draws stay in [0, 1).
-func TestStreamFloat64Range(t *testing.T) {
-	r := Stream(1, 0)
-	for i := 0; i < 1000; i++ {
-		f := r.Float64()
-		if f < 0 || f >= 1 {
-			t.Fatalf("draw %v outside [0,1)", f)
-		}
-	}
-}

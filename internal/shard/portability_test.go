@@ -2,13 +2,9 @@ package shard
 
 import (
 	"bytes"
-	"fmt"
-	"math/rand"
 	"testing"
 	"time"
 
-	"modelcc/internal/belief"
-	"modelcc/internal/core"
 	"modelcc/internal/fleet"
 	"modelcc/internal/lifecycle"
 	"modelcc/internal/packet"
@@ -77,79 +73,4 @@ func TestCheckpointPortabilityAcrossShardCounts(t *testing.T) {
 	}
 	cross(k1, k8, 3)
 	cross(k8, k1, 5)
-}
-
-// partitionTrace mirrors the lifecycle package's scripted-trace
-// harness, but round-trips the checkpoint through a *fleet.Partition
-// as the restore host instead of a *fleet.Fleet.
-func partitionTrace(t *testing.T, host *fleet.Partition, s *core.Sender, wakes, ckptAt int, hash uint64) []string {
-	t.Helper()
-	const delay = 150 * time.Millisecond
-	var (
-		trace   []string
-		pending []packet.Ack
-		now     time.Duration
-	)
-	for k := 0; k < wakes; k++ {
-		if k == ckptAt {
-			m := &fleet.Member{Flow: 0, Gen: 0, Sender: s}
-			ck, err := lifecycle.Capture(m, hash)
-			if err != nil {
-				t.Fatalf("Capture: %v", err)
-			}
-			ck, err = lifecycle.Decode(ck.Encode())
-			if err != nil {
-				t.Fatalf("Decode: %v", err)
-			}
-			if s, err = lifecycle.RestoreSender(host, ck, hash); err != nil {
-				t.Fatalf("RestoreSender via partition host: %v", err)
-			}
-		}
-		var acks []packet.Ack
-		for len(pending) > 0 && pending[0].ReceivedAt <= now {
-			acks = append(acks, pending[0])
-			pending = pending[1:]
-		}
-		act := s.Wake(now, acks)
-		line := fmt.Sprintf("%d@%v:", k, act.WakeAt)
-		for _, snd := range act.Sends {
-			line += fmt.Sprintf(" %d", snd.Seq)
-			pending = append(pending, packet.Ack{Seq: snd.Seq, SentAt: now, ReceivedAt: now + delay})
-		}
-		trace = append(trace, line)
-		next := act.WakeAt
-		if len(pending) > 0 && pending[0].ReceivedAt < next {
-			next = pending[0].ReceivedAt
-		}
-		if next <= now {
-			next = now + 10*time.Millisecond
-		}
-		now = next
-	}
-	return trace
-}
-
-// TestParticleRestoreThroughPartitionHost: the Particle belief's RNG
-// stream word survives a binary checkpoint round-trip restored against
-// a partition host — an interrupted sender replays the uninterrupted
-// sender's decisions exactly, sampled toggles included.
-func TestParticleRestoreThroughPartitionHost(t *testing.T) {
-	sf := New(Config{Fleet: fleet.Config{N: 2, Seed: 7, Workers: 1}, Shards: 2})
-	part := sf.Parts[0]
-	hash := lifecycle.PriorHashFor(sf.Cfg, sf.Caches)
-	mk := func() *core.Sender {
-		b := belief.NewParticle(part.PriorStates(), 64, part.MemberBeliefConfig(), rand.New(rand.NewSource(3)))
-		return core.NewSender(b, part.MemberPlanConfig())
-	}
-	const wakes = 40
-	straight := partitionTrace(t, part, mk(), wakes, -1, hash)
-	for _, at := range []int{5, 20} {
-		resumed := partitionTrace(t, part, mk(), wakes, at, hash)
-		for i := range straight {
-			if straight[i] != resumed[i] {
-				t.Fatalf("ckpt at wake %d: decision %d diverged:\n straight: %s\n resumed:  %s",
-					at, i, straight[i], resumed[i])
-			}
-		}
-	}
 }
