@@ -229,9 +229,12 @@
 // one owner and a wake that forks nothing allocates nothing. The
 // posterior is bit-identical to the clone-per-branch update it replaced
 // (kept as a test reference), at any worker count; what Support returns
-// is valid until the next Update. planner.Fingerprint, State.Hash64 and
-// the rollout memo share one word-wise mixer with an independently
-// seeded verify stream (model.Mix); equality classes are unchanged, hash
+// is valid until the next Update. Compaction merges two hypotheses
+// exactly when their Keys are equal (State.SameKey, field by field),
+// bucketed by a constant-time hash of the state's header
+// (State.KeyHead). planner.Fingerprint, State.KeyHead and the rollout
+// memo share one word-wise mixer with an independently seeded verify
+// stream (model.Mix); equality classes are unchanged, hash
 // values are not, so policy tables and sidecars are version 2 and
 // version 1 files are refused.
 //

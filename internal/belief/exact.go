@@ -1,7 +1,9 @@
 package belief
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -243,9 +245,7 @@ func (b *Exact) end(now time.Duration, consumed int, st UpdateStats) UpdateStats
 // predicted and observed times agree to within TimeTol, which is far
 // smaller than a segment.
 func (b *Exact) Update(now time.Duration, acks []packet.Ack) UpdateStats {
-	if len(acks) > 1 { // sort.Slice allocates even when there is nothing to order
-		sort.Slice(acks, func(i, j int) bool { return acks[i].ReceivedAt < acks[j].ReceivedAt })
-	}
+	slices.SortFunc(acks, func(a, b packet.Ack) int { return cmp.Compare(a.ReceivedAt, b.ReceivedAt) })
 	sends := b.begin(now, acks)
 
 	tick := model.DefaultSwitchTick
@@ -388,40 +388,55 @@ func (b *Exact) Update(now time.Duration, acks []packet.Ack) UpdateStats {
 
 // compactInto merges hypotheses with identical canonical state keys,
 // summing their weights — the paper's "compacted back into one state"
-// (§3.2). It reports how many hypotheses were absorbed. Keys are the
-// allocation-free Hash64 over the canonical encoding rather than the
-// string Key; ix is the caller's reused index.
+// (§3.2). It reports how many hypotheses were absorbed. Two hypotheses
+// merge exactly when their Keys are equal (model.State.SameKey): a
+// hypothesis joins the first survivor of its KeyHead bucket it equals,
+// its weight added in hypothesis order, else it survives itself. ix is
+// the caller's reused index.
 func compactInto(hyps []Hypothesis, ix *keyIndex) ([]Hypothesis, int) {
-	byKey := ix.reset(len(hyps))
+	mask := ix.reset(len(hyps))
 	out := hyps[:0]
+outer:
 	for j := range hyps {
-		k := hyps[j].S.Hash64()
-		if i, ok := byKey[k]; ok {
-			out[i].W += hyps[j].W
-			continue
+		s := &hyps[j].S
+		b := s.KeyHead() & mask
+		for i := ix.head[b]; i != 0; i = ix.next[i-1] {
+			if out[i-1].S.SameKey(s) {
+				out[i-1].W += hyps[j].W
+				continue outer
+			}
 		}
-		byKey[k] = len(out)
-		out = out[:len(out)+1]
-		move(&out[len(out)-1], &hyps[j])
+		k := len(out)
+		ix.next[k], ix.head[b] = ix.head[b], int32(k+1)
+		out = out[:k+1]
+		move(&out[k], &hyps[j])
 	}
 	return out, len(hyps) - len(out)
 }
 
-// keyIndex is compactInto's reused index map. Clearing a map costs the
-// widest support it has held, so reset makes it afresh once the support
-// is below half of that: O(live support), and no allocation at a steady one.
+// keyIndex is compactInto's reused chained index: head holds, per
+// bucket, one plus the index of the bucket's latest survivor (0: empty),
+// and next, parallel to the survivors, the one before it in the same
+// bucket. Both only grow; a call clears only the buckets it uses.
 type keyIndex struct {
-	m    map[uint64]int
-	peak int
+	head, next []int32
 }
 
-func (ix *keyIndex) reset(n int) map[uint64]int {
-	if ix.m == nil || 2*n < ix.peak {
-		ix.m, ix.peak = make(map[uint64]int, n), 0
+// reset sizes the index for n hypotheses — a power-of-two bucket count
+// at or above n — and returns the bucket mask.
+func (ix *keyIndex) reset(n int) uint64 {
+	nb := 1
+	for nb < n {
+		nb <<= 1
 	}
-	clear(ix.m)
-	ix.peak = max(ix.peak, n)
-	return ix.m
+	if len(ix.head) < nb {
+		ix.head = make([]int32, nb)
+	}
+	if len(ix.next) < n {
+		ix.next = make([]int32, n)
+	}
+	clear(ix.head[:nb])
+	return uint64(nb - 1)
 }
 
 // floorAndCap drops hypotheses below minW, keeps at most maxN of the

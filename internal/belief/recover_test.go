@@ -84,7 +84,7 @@ func TestExactRecoverDeterministic(t *testing.T) {
 		t.Fatalf("replay sizes differ: %d vs %d", len(a), len(b))
 	}
 	for i := range a {
-		if a[i].W != b[i].W || a[i].S.Hash64() != b[i].S.Hash64() {
+		if a[i].W != b[i].W || !a[i].S.SameKey(&b[i].S) {
 			t.Fatalf("replay diverges at hypothesis %d", i)
 		}
 	}

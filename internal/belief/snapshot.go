@@ -3,6 +3,7 @@ package belief
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -58,8 +59,8 @@ func (sn *Snapshot) validate() error {
 	}
 	var total float64
 	for _, h := range sn.Hyps {
-		if !(h.W >= 0) { // rejects NaN and negatives
-			return errors.New("belief: snapshot hypothesis weight is negative or NaN")
+		if !(h.W >= 0) || math.IsInf(h.W, 1) { // rejects NaN, negatives and +Inf
+			return errors.New("belief: snapshot hypothesis weight is negative, NaN or infinite")
 		}
 		if h.S.Now > sn.Now {
 			return fmt.Errorf("belief: snapshot hypothesis at %v is ahead of the belief's clock %v", h.S.Now, sn.Now)
@@ -68,6 +69,9 @@ func (sn *Snapshot) validate() error {
 	}
 	if !(total > 0) {
 		return errors.New("belief: snapshot weights sum to zero")
+	}
+	if math.IsInf(total, 1) {
+		return errors.New("belief: snapshot weights overflow their sum")
 	}
 	for i, s := range sn.Pending {
 		if s.At < sn.Now {

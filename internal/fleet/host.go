@@ -1,7 +1,8 @@
 package fleet
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"modelcc/internal/belief"
 	"modelcc/internal/core"
@@ -140,7 +141,7 @@ func (h *host) drain() {
 	batch := h.dirty
 	h.dirty = h.spare[:0]
 	if h.Cfg.Canonical {
-		sort.Slice(batch, func(i, j int) bool { return batch[i].Flow < batch[j].Flow })
+		slices.SortFunc(batch, func(a, b *Member) int { return cmp.Compare(a.Flow, b.Flow) })
 	}
 	for _, m := range batch {
 		m.queued = false

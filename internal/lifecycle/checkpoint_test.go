@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -302,9 +303,12 @@ func TestDecodeRefusesRemovedKindFields(t *testing.T) {
 
 // TestRestoreRefusesClockDisagreement: a snapshot whose clocks disagree
 // — a pending send stamped before the belief's clock, or a hypothesis
-// ahead of it — would panic inside a pool worker on its first Update.
-// belief.Restore refuses both, called directly and through a
-// re-encoded checkpoint's Decode and RestoreSender.
+// ahead of it — would panic inside a pool worker on its first Update,
+// and one whose weights are not finite — an infinite weight, or finite
+// ones whose sum overflows — would normalize to NaN there and collapse
+// under the wrong name. belief.Restore refuses all four, called
+// directly and through a re-encoded checkpoint's Decode and
+// RestoreSender.
 func TestRestoreRefusesClockDisagreement(t *testing.T) {
 	fl, live := liveCheckpoint(t)
 	hash := FleetPriorHash(fl)
@@ -322,6 +326,12 @@ func TestRestoreRefusesClockDisagreement(t *testing.T) {
 			sn.Hyps[0].S.Now = sn.Now + time.Second
 			sn.Pending = []model.Send{{Seq: c.NextSeq, At: sn.Now}}
 		}, "ahead of the belief's clock"},
+		{"infinite weight", func(c *Checkpoint) {
+			c.Belief.Hyps[0].W = math.Inf(1)
+		}, "infinite"},
+		{"weights overflowing their sum", func(c *Checkpoint) {
+			c.Belief.Hyps[0].W, c.Belief.Hyps[1].W = 1e308, 1e308
+		}, "overflow"},
 	} {
 		c, err := Decode(live.Encode()) // a deep copy to edit
 		if err != nil {

@@ -6,20 +6,17 @@ import (
 	"time"
 )
 
-// FuzzStateHashClone drives State.Hash64, Key, CloneInto, and
+// FuzzStateHashClone drives State.SameKey, Key, CloneInto, and
 // EqualDynamic with fuzzer-shaped states. In normal `go test` runs the
 // checked-in seed corpus below executes as a regression test; under
 // `go test -fuzz=FuzzStateHashClone ./internal/model/` the fuzzer
 // explores further. Properties:
 //
-//   - CloneInto round-trips: the clone has the same Hash64, the same
-//     Key, and EqualDynamic with its source, and mutating the clone's
-//     queue does not write through to the source (no aliasing).
-//   - Key/Hash64 agree on identity: states with different Keys must
-//     not collide in Hash64 (a found collision would silently merge
-//     distinct hypotheses in the belief's compaction map), and states
-//     with equal Keys must hash equally (or compaction would fail to
-//     merge what it may merge).
+//   - CloneInto round-trips: the clone has the same Key and is
+//     EqualDynamic with its source, and mutating the clone's queue
+//     does not write through to the source (no aliasing).
+//   - Key/SameKey agree on identity under single-field perturbations
+//     (FuzzSameKey drives the full set of mutations).
 //   - CloneInto into a dirty reused destination (the rollout scratch
 //     pattern) equals a fresh Clone.
 func FuzzStateHashClone(f *testing.F) {
@@ -41,9 +38,6 @@ func FuzzStateHashClone(f *testing.F) {
 		s.CloneInto(&dst)
 		fresh := s.Clone()
 
-		if s.Hash64() != dst.Hash64() || s.Hash64() != fresh.Hash64() {
-			t.Fatalf("clone hash mismatch: src=%x cloneInto=%x clone=%x", s.Hash64(), dst.Hash64(), fresh.Hash64())
-		}
 		if s.Key() != dst.Key() || s.Key() != fresh.Key() {
 			t.Fatal("clone key mismatch")
 		}
@@ -65,8 +59,8 @@ func FuzzStateHashClone(f *testing.F) {
 			dst.Queue[0].Seq -= 7
 		}
 
-		// Distinct keys must not collide in the compaction hash; equal
-		// keys must agree. Compare against single-field perturbations.
+		// Distinct keys must not compare equal under compaction's
+		// identity. Compare against single-field perturbations.
 		variants := []State{s.Clone(), s.Clone(), s.Clone(), s.Clone()}
 		variants[0].PingerOn = !variants[0].PingerOn
 		variants[1].Now += time.Nanosecond
@@ -79,9 +73,8 @@ func FuzzStateHashClone(f *testing.F) {
 		for i := range variants {
 			v := &variants[i]
 			sameKey := v.Key() == s.Key()
-			sameHash := v.Hash64() == s.Hash64()
-			if sameKey != sameHash {
-				t.Fatalf("variant %d: key-equal=%v but hash-equal=%v — compaction identity broken", i, sameKey, sameHash)
+			if same := v.SameKey(&s); sameKey != same {
+				t.Fatalf("variant %d: key-equal=%v but SameKey=%v — compaction identity broken", i, sameKey, same)
 			}
 			if sameKey {
 				t.Fatalf("variant %d: perturbation did not change the canonical key", i)
@@ -95,7 +88,7 @@ func FuzzStateHashClone(f *testing.F) {
 		a, b := s.Clone(), fresh.Clone()
 		a.Run(until, nil, &ev1)
 		b.Run(until, nil, &ev2)
-		if a.Hash64() != b.Hash64() || len(ev1) != len(ev2) {
+		if !a.SameKey(&b) || len(ev1) != len(ev2) {
 			t.Fatal("identical states diverged under identical advance")
 		}
 	})
@@ -177,6 +170,99 @@ func TestBuildStateSeedsValid(t *testing.T) {
 	}
 	if s.QHead != 2 || s.QLen() != 4 {
 		t.Fatalf("QHead=%d QLen=%d, want 2 and 4", s.QHead, s.QLen())
+	}
+}
+
+// FuzzSameKey pins compaction's identity to Key: a generated state and a
+// copy mutated by ops (pairs of an operation and its argument) are
+// SameKey, either way round, exactly when their Key strings are equal,
+// and states with equal Keys share a KeyHead bucket. The mutations
+// touch what Key reads — ParamsID, Now, the gate, NextCross,
+// NextToggle, Serving, ServiceDone, a packet's Seq, Bits or Own, a
+// packet added or dropped — and what it does not — enqueue stamps, a
+// dead queue prefix, SwitchTick, the cached occupancy, a parked
+// in-service packet. An argument of 0 makes most of them no-ops.
+func FuzzSameKey(f *testing.F) {
+	for op := byte(0); op < sameKeyOps; op++ {
+		f.Add(uint8(3), int64(12000), int64(5), true, true, []byte{1, 0, 1, 0, 1}, []byte{op, 1})
+		f.Add(uint8(1), int64(6000), int64(8), false, false, []byte{0, 1, 1}, []byte{op, 2})
+	}
+	f.Add(uint8(0), int64(0), int64(0), false, false, []byte{}, []byte{10, 0, 11, 0})
+	f.Add(uint8(2), int64(9000), int64(3), true, true, []byte{1, 1, 0, 1}, []byte{0, 3, 1, 2, 2, 5, 13, 7, 0, 9})
+	f.Add(uint8(2), int64(9000), int64(3), true, false, []byte{1, 1, 0, 1}, []byte{8, 1, 4, 4, 10, 2, 11, 2})
+
+	f.Fuzz(func(t *testing.T, paramsID uint8, bits int64, seq int64, pingerOn, serving bool, queueSpec, ops []byte) {
+		s := buildState(paramsID, bits, seq, pingerOn, serving, queueSpec)
+		v := s.Clone()
+		for k := 0; k+1 < len(ops) && k < 64; k += 2 {
+			mutateKeyed(&v, ops[k], ops[k+1])
+		}
+		eq := s.Key() == v.Key()
+		if s.SameKey(&v) != eq || v.SameKey(&s) != eq {
+			t.Fatalf("ops %v: Keys equal %v, SameKey %v/%v", ops, eq, s.SameKey(&v), v.SameKey(&s))
+		}
+		if eq && s.KeyHead() != v.KeyHead() {
+			t.Fatalf("ops %v: equal Keys in buckets %x and %x", ops, s.KeyHead(), v.KeyHead())
+		}
+	})
+}
+
+// sameKeyOps is the number of mutations mutateKeyed knows.
+const sameKeyOps = 15
+
+// mutateKeyed applies mutation op%sameKeyOps to v with argument arg. A
+// packet mutation picks queued packet arg%(n+1), or the in-service
+// packet at n, whether or not the link is serving.
+func mutateKeyed(v *State, op, arg byte) {
+	q := v.Queued()
+	pkt := &v.InService
+	if i := int(arg) % (len(q) + 1); i < len(q) {
+		pkt = &q[i]
+	}
+	d := time.Duration(arg % 3)
+	switch op % sameKeyOps {
+	case 0:
+		pkt.EnqueuedAt += d
+	case 1: // a dead prefix, as departures leave one
+		dead := make([]QPkt, int(arg%4))
+		for i := range dead {
+			dead[i] = QPkt{Own: i%2 == 0, Seq: int64(arg), Bits: int64(i + 1)}
+		}
+		v.Queue = append(append(dead, v.Queue[:v.QHead]...), q...)
+		v.QHead += len(dead)
+	case 2:
+		v.SwitchTick += d
+	case 3:
+		pkt.Seq += int64(d)
+	case 4:
+		pkt.Bits += int64(d)
+	case 5:
+		pkt.Own = pkt.Own != (arg%2 == 1)
+	case 6:
+		v.NextToggle += d
+	case 7:
+		v.NextCross += d
+	case 8:
+		v.ServiceDone += d
+	case 9:
+		v.PingerOn = v.PingerOn != (arg%2 == 1)
+	case 10: // a packet added at arg%(n+1)
+		i := int(arg) % (len(q) + 1)
+		v.Queue = slices.Insert(v.Queue, v.QHead+i, QPkt{Own: arg%2 == 1, Seq: int64(arg), Bits: int64(arg) + 1})
+		v.QueueBits += int64(arg) + 1
+	case 11: // a packet dropped
+		if len(q) > 0 {
+			i := v.QHead + int(arg)%len(q)
+			v.QueueBits -= v.Queue[i].Bits
+			v.Queue = slices.Delete(v.Queue, i, i+1)
+		}
+	case 12:
+		v.QueueBits += int64(d)
+	case 13:
+		v.Serving = v.Serving != (arg%2 == 1)
+	case 14:
+		v.ParamsID += int32(arg % 2)
+		v.Now += d
 	}
 }
 

@@ -41,17 +41,26 @@ func TestMixOneWordDifferenceNeverCollides(t *testing.T) {
 	}
 }
 
-// TestHash64DoesNotAllocate pins the compaction key as allocation-free.
-func TestHash64DoesNotAllocate(t *testing.T) {
+// TestSameKeyDoesNotAllocate pins compaction's identity and bucket
+// hash as allocation-free, on a state and a clone with a queue to walk.
+func TestSameKeyDoesNotAllocate(t *testing.T) {
 	s := Initial(Fig2Actual(), true)
 	var evs []Event
 	s.Run(3*time.Second, []Send{{Seq: 1, At: time.Second}, {Seq: 2, At: 2 * time.Second}}, &evs)
 	if s.QLen() == 0 {
 		t.Fatal("state under test has an empty queue")
 	}
+	c := s.Clone()
 	var sink uint64
-	if allocs := testing.AllocsPerRun(100, func() { sink += s.Hash64() }); allocs != 0 {
-		t.Fatalf("Hash64 allocates %v times per call, want 0", allocs)
+	if allocs := testing.AllocsPerRun(100, func() { sink += s.KeyHead() }); allocs != 0 {
+		t.Fatalf("KeyHead allocates %v times per call, want 0", allocs)
+	}
+	same := true
+	if allocs := testing.AllocsPerRun(100, func() { same = same && s.SameKey(&c) }); allocs != 0 {
+		t.Fatalf("SameKey allocates %v times per call, want 0", allocs)
+	}
+	if !same {
+		t.Fatal("a state and its clone are not SameKey")
 	}
 	_ = sink
 }

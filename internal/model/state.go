@@ -22,7 +22,8 @@ type QPkt struct {
 	// EnqueuedAt is when the packet entered the buffer/link; delivery
 	// events report At-EnqueuedAt as the packet's queueing delay, which
 	// the latency-penalizing utility (§3.3) consumes. It is not part of
-	// the compaction Key: it cannot influence any future observable.
+	// Key, so compaction (SameKey) ignores it: it cannot influence any
+	// future observable.
 	EnqueuedAt time.Duration
 }
 
@@ -682,7 +683,7 @@ const (
 )
 
 // Mix folds one word into a primary and a verify hash stream: the one
-// word-at-a-time mixer under Hash64, planner.Fingerprint and the
+// word-at-a-time mixer under KeyHead, planner.Fingerprint and the
 // planner's rollout memo. Each step is a bijection of the word (xor or
 // add, odd multiply, xorshift), so inputs that differ in one word never
 // share a primary; the streams differ in seed, combiner and multiplier,
@@ -721,13 +722,37 @@ func (q QPkt) SizeWord() uint64 {
 	return w
 }
 
-// Hash64 hashes the same canonical fields Key encodes, a word at a time
-// (Mix's primary stream), without allocating. Compaction keys on it
-// instead of the string form: a 64-bit collision over the ~10^5 live
-// hypotheses of even the widest prior is vanishingly unlikely
-// (~n²/2⁶⁵), and the weight it could misattribute is bounded by the
-// weight floor.
-func (s *State) Hash64() uint64 {
+// SameKey reports whether s and o have equal Keys, without building
+// either: the compaction identity, read field by field. It reads
+// exactly what Key encodes — never enqueue stamps, the dead queue
+// prefix, the toggle grid or the cached occupancy.
+func (s *State) SameKey(o *State) bool {
+	if s.ParamsID != o.ParamsID || s.Now != o.Now || s.PingerOn != o.PingerOn ||
+		s.NextCross != o.NextCross || s.NextToggle != o.NextToggle ||
+		s.Serving != o.Serving || s.QLen() != o.QLen() {
+		return false
+	}
+	if s.Serving && (s.ServiceDone != o.ServiceDone || !s.InService.sameKey(o.InService)) {
+		return false
+	}
+	sq, oq := s.Queued(), o.Queued()
+	for i := range sq {
+		if !sq[i].sameKey(oq[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameKey compares what Key encodes of a packet: all but its enqueue
+// stamp.
+func (q QPkt) sameKey(o QPkt) bool { return q.Seq == o.Seq && q.Bits == o.Bits && q.Own == o.Own }
+
+// KeyHead hashes, in constant time, fixed-size fields Key encodes —
+// the header, the in-service packet's sequence number and the last
+// queued packet — so states with equal Keys always share it. It is
+// compaction's bucket, not an identity: SameKey decides.
+func (s *State) KeyHead() uint64 {
 	h := HashSeed
 	mix := func(v uint64) { h, _ = Mix(h, 0, v) }
 	mix(uint64(s.ParamsID))
@@ -738,12 +763,10 @@ func (s *State) Hash64() uint64 {
 	if s.Serving {
 		mix(uint64(s.ServiceDone))
 		mix(uint64(s.InService.Seq))
-		mix(s.InService.SizeWord())
 	}
-	q := s.Queued()
-	for i := range q {
-		mix(uint64(q[i].Seq))
-		mix(q[i].SizeWord())
+	if q := s.Queued(); len(q) > 0 {
+		mix(uint64(q[len(q)-1].Seq))
+		mix(q[len(q)-1].SizeWord())
 	}
 	return h
 }
@@ -756,7 +779,7 @@ func (s *State) Hash64() uint64 {
 // relative sends, at any two instants — the identity a planner needs to
 // roll a recurring hypothesis once. Every time is rebased to now; the
 // walk is knowledge of what Run reads, which is why it lives beside
-// Hash64 and EqualDynamic, and it reads far less than they do:
+// SameKey and EqualDynamic, and it reads far less than they do:
 //
 //   - ParamsID, MeanSwitch, InitFullBits, NextToggle and SwitchTick
 //     never reach Run (the caller owns toggles);
