@@ -62,7 +62,8 @@
 // serves lookups allocation-free in effectively O(1) (a 4096-bucket
 // prefix index over a binary search). The table is wired in as
 // fleet.Config.Table, making it rung 0 of planner.Guard's degradation
-// ladder: a covered belief is served the recorded action bit-identical
+// ladder, probed with the wake (planner.WakePolicy) so a wake's
+// decisions share one support print: a covered belief is served the recorded action bit-identical
 // to what live planning would compute, an uncovered one falls through
 // to live planning and can be appended to a sidecar miss log
 // (policy.MissLog) that seeds the next compile via policy.Merge. Every
@@ -203,7 +204,10 @@
 // decisions swept for a later one.
 //
 // What only the wake decides (top-K copy, rollout-key hashes, the
-// fingerprint's support half) is paid for once per planner.Wake.
+// fingerprint's support half) is paid for once per planner.Wake — by the
+// planner, the policy cache and the compiled table alike: the Guard
+// probes a table that implements planner.WakePolicy (policy.Server does)
+// with the wake, not with the bare support.
 //
 // The memo keys a hypothesis by exactly what a gate-frozen rollout reads
 // of it (model.State.AppendRolloutKey: rates, sizes, what is in service and

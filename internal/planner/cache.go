@@ -140,7 +140,7 @@ func (pc *PolicyCache) Len() int { return len(pc.entries) }
 // comes back either way, so a miss can be stored under it.
 func (pc *PolicyCache) probe(w *Wake, pending []model.Send) (d Decision, fp, ver uint64, ok bool) {
 	tq, wq := pc.quanta()
-	fp, ver = w.fingerprint(pending, tq, wq)
+	fp, ver = w.Fingerprint(pending, tq, wq)
 	cd, ok := pc.entries[fp]
 	if ok && cd.verify != ver {
 		pc.Collisions++

@@ -13,6 +13,13 @@ import (
 // any live planning (a table hit is the O(1) production serving path)
 // and feeds live decisions the table missed back to it, seeding the
 // next compile.
+//
+// Probe and RecordMiss take the bare support, so an implementation
+// re-fingerprints the whole support on every decision of a wake. A
+// policy that also implements WakePolicy is handed the wake instead; the
+// Guard calls these two only on a policy that does not, which includes
+// any decorator that embeds a CompiledPolicy without re-exporting
+// WakePolicy — so such a decorator still sees every probe.
 type CompiledPolicy interface {
 	// Probe returns the compiled action for this belief, rebased to
 	// now, or ok = false on a table miss (including a detected
@@ -21,6 +28,17 @@ type CompiledPolicy interface {
 	// RecordMiss notes a live decision the table could not serve, so
 	// the next compile covers the situation.
 	RecordMiss(sup []belief.Hypothesis, pending []model.Send, now time.Duration, d Decision)
+}
+
+// WakePolicy is the wake-keyed form of CompiledPolicy: the same probe and
+// miss record, on the wake's belief at its instant, so the fingerprint's
+// support half (Wake.Fingerprint) is paid once per wake rather than once
+// per decision. The Guard prefers it whenever its CompiledPolicy
+// implements it. ProbeWake and RecordMissWake must answer exactly as
+// Probe and RecordMiss do on (w.Support(), pending, w.Now()).
+type WakePolicy interface {
+	ProbeWake(w *Wake, pending []model.Send) (Decision, bool)
+	RecordMissWake(w *Wake, pending []model.Send, d Decision)
 }
 
 // Guard bounds how long one decision may take. The planner's expected
@@ -32,9 +50,11 @@ type CompiledPolicy interface {
 //
 // Guard.Decide first probes the compiled policy table, when one is
 // wired: a hit answers in O(1) without touching the live planner at
-// all. On a table miss it runs the live Decide on a background
-// goroutine against a deep-cloned snapshot of the belief and races it
-// against Budget. On timeout it walks the degradation ladder:
+// all, and a table that implements WakePolicy is probed with the wake,
+// so all the decisions of one wake share one support print. On a table
+// miss it runs the live Decide on a background goroutine against a
+// deep-cloned snapshot of the belief and races it against Budget. On
+// timeout it walks the degradation ladder:
 //
 //  0. the compiled table (Compiled) — an offline-verified action for
 //     exactly this quantized situation;
@@ -68,7 +88,9 @@ type Guard struct {
 	// Compiled, when non-nil, is the offline-compiled policy table,
 	// probed before any live planning (the table is immutable during a
 	// run, so the fallback ladder does not probe it a second time).
-	// Live decisions it missed are reported back via RecordMiss.
+	// Live decisions it missed are reported back to it. Both go through
+	// WakePolicy when Compiled implements it, else through Probe and
+	// RecordMiss on the wake's support.
 	Compiled CompiledPolicy
 	// Degraded, when true, pins Decide to the degradation ladder
 	// without ever live-planning: the compiled table when wired, else
@@ -143,23 +165,19 @@ func (g *Guard) Decide(w *Wake, pending []model.Send, seq int64, cfg Config) Dec
 	}
 	if g.Degraded {
 		g.DegradedServed++
-		if g.Compiled != nil {
-			if d, ok := g.Compiled.Probe(sup, pending, now); ok {
-				g.CompiledHits++
-				g.noteSafe(d, now)
-				return d
-			}
+		if d, ok := g.probeCompiled(w, pending); ok {
+			g.CompiledHits++
+			g.noteSafe(d, now)
+			return d
 		}
 		return g.fallback(w, pending, cfg)
 	}
 	// Rung 0: the compiled table answers without planning at all.
-	if g.Compiled != nil {
-		if d, ok := g.Compiled.Probe(sup, pending, now); ok {
-			g.CompiledHits++
-			g.ConsecutiveOverruns = 0
-			g.noteSafe(d, now)
-			return d
-		}
+	if d, ok := g.probeCompiled(w, pending); ok {
+		g.CompiledHits++
+		g.ConsecutiveOverruns = 0
+		g.noteSafe(d, now)
+		return d
 	}
 	if g.Budget <= 0 {
 		var d Decision
@@ -170,9 +188,7 @@ func (g *Guard) Decide(w *Wake, pending []model.Send, seq int64, cfg Config) Dec
 		}
 		g.Live++
 		g.ConsecutiveOverruns = 0
-		if g.Compiled != nil {
-			g.Compiled.RecordMiss(sup, pending, now, d)
-		}
+		g.recordMiss(w, pending, d)
 		g.noteSafe(d, now)
 		return d
 	}
@@ -225,15 +241,38 @@ func (g *Guard) Decide(w *Wake, pending []model.Send, seq int64, cfg Config) Dec
 		g.absorb(res)
 		g.Live++
 		g.ConsecutiveOverruns = 0
-		if g.Compiled != nil {
-			g.Compiled.RecordMiss(sup, pending, now, res.d)
-		}
+		g.recordMiss(w, pending, res.d)
 		g.noteSafe(res.d, now)
 		return res.d
 	case <-timer.C:
 		g.Timeouts++
 		g.ConsecutiveOverruns++
 		return g.fallback(w, pending, cfg)
+	}
+}
+
+// probeCompiled is rung 0: the compiled table's answer for this decision
+// of wake w, through WakePolicy when the table implements it.
+func (g *Guard) probeCompiled(w *Wake, pending []model.Send) (Decision, bool) {
+	switch c := g.Compiled.(type) {
+	case nil:
+		return Decision{}, false
+	case WakePolicy:
+		return c.ProbeWake(w, pending)
+	default:
+		return c.Probe(w.sup, pending, w.now)
+	}
+}
+
+// recordMiss reports a live decision d of wake w back to the compiled
+// table, through WakePolicy when the table implements it.
+func (g *Guard) recordMiss(w *Wake, pending []model.Send, d Decision) {
+	switch c := g.Compiled.(type) {
+	case nil:
+	case WakePolicy:
+		c.RecordMissWake(w, pending, d)
+	default:
+		c.RecordMiss(w.sup, pending, w.now, d)
 	}
 }
 

@@ -1,7 +1,9 @@
 package planner
 
 import (
+	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -261,6 +263,113 @@ func TestGuardLatencySampling(t *testing.T) {
 	for _, ns := range g.Latencies {
 		if ns < 0 {
 			t.Fatalf("negative latency sample %d", ns)
+		}
+	}
+}
+
+// wakeFake is a test WakePolicy: fakeCompiled's answers, keyed by the
+// wake, with the wakes it was handed for probes and for recorded misses.
+// Its promoted Probe and RecordMiss count into the embedded fakeCompiled.
+type wakeFake struct {
+	fakeCompiled
+	probed, missed []*Wake
+}
+
+func (f *wakeFake) ProbeWake(w *Wake, pending []model.Send) (Decision, bool) {
+	f.probed = append(f.probed, w)
+	if !f.hit {
+		return Decision{}, false
+	}
+	return Decision{SendNow: f.send, WakeAt: w.now + f.delta, Support: len(w.sup)}, true
+}
+
+func (f *wakeFake) RecordMissWake(w *Wake, pending []model.Send, d Decision) {
+	f.missed = append(f.missed, w)
+}
+
+// probeCounter has the shape of a tracing decorator: it embeds a
+// CompiledPolicy and overrides Probe alone, so it is no WakePolicy even
+// when the policy it wraps is one.
+type probeCounter struct {
+	CompiledPolicy
+	probes int
+}
+
+func (p *probeCounter) Probe(sup []belief.Hypothesis, pending []model.Send, now time.Duration) (Decision, bool) {
+	p.probes++
+	return p.CompiledPolicy.Probe(sup, pending, now)
+}
+
+// TestGuardProbesCompiledWithTheWake: rung 0 and the miss record go
+// through WakePolicy when the compiled policy implements it — the same
+// *Wake on every decision of a wake, Probe and RecordMiss never — and
+// through Probe and RecordMiss otherwise, so a plain policy and a
+// decorator that overrides Probe see every probe. On the normal and the
+// Degraded path, on table hits and on misses.
+func TestGuardProbesCompiledWithTheWake(t *testing.T) {
+	sup := guardSupport()
+	const perWake = 3
+	for _, degraded := range []bool{false, true} {
+		for _, hit := range []bool{true, false} {
+			t.Run(fmt.Sprintf("degraded=%v,hit=%v", degraded, hit), func(t *testing.T) {
+				wf := &wakeFake{fakeCompiled: fakeCompiled{hit: hit, delta: 300 * time.Millisecond}}
+				plain := &fakeCompiled{hit: hit, delta: 300 * time.Millisecond}
+				inner := &wakeFake{fakeCompiled: *plain}
+				dec := &probeCounter{CompiledPolicy: inner}
+				// The Guard records one miss per live decision, none while
+				// Degraded.
+				missed := 0
+				if !hit && !degraded {
+					missed = 1
+				}
+				var served [3][]Decision
+				var wakes [3][]*Wake
+				for r, c := range []CompiledPolicy{wf, plain, dec} {
+					g := NewGuard(0, nil)
+					g.Compiled = c
+					g.Degraded = degraded
+					for i := 0; i < 2; i++ {
+						now := time.Duration(i+1) * time.Second
+						w := NewWake(sup, now)
+						wakes[r] = append(wakes[r], w)
+						var pending []model.Send
+						for j := 0; j < perWake; j++ {
+							served[r] = append(served[r], g.Decide(w, pending, int64(j), Config{}))
+							pending = append(pending, model.Send{Seq: int64(j), At: now, Bits: 12000})
+						}
+					}
+					if hit && g.CompiledHits != int64(len(served[r])) {
+						t.Fatalf("policy %d: %d compiled hits of %d decisions", r, g.CompiledHits, len(served[r]))
+					}
+				}
+				n := len(served[0])
+				if len(wf.probed) != n || wf.probes != 0 || len(wf.misses) != 0 || len(wf.missed) != missed*n {
+					t.Fatalf("WakePolicy: %d ProbeWake, %d Probe, %d RecordMiss, %d RecordMissWake over %d decisions",
+						len(wf.probed), wf.probes, len(wf.misses), len(wf.missed), n)
+				}
+				for k := range wf.probed {
+					if wf.probed[k] != wakes[0][k/perWake] {
+						t.Fatalf("WakePolicy: probe %d handed another wake", k)
+					}
+				}
+				for k := range wf.missed {
+					if wf.missed[k] != wakes[0][k/perWake] {
+						t.Fatalf("WakePolicy: miss %d recorded on another wake", k)
+					}
+				}
+				if plain.probes != n || len(plain.misses) != missed*n {
+					t.Fatalf("CompiledPolicy: %d Probe, %d RecordMiss over %d decisions", plain.probes, len(plain.misses), n)
+				}
+				if dec.probes != n || inner.probes != n || len(inner.probed) != 0 || len(inner.misses) != missed*n || len(inner.missed) != 0 {
+					t.Fatalf("decorator saw %d probes; the WakePolicy inside it %d Probe, %d ProbeWake, %d RecordMiss, %d RecordMissWake over %d decisions",
+						dec.probes, inner.probes, len(inner.probed), len(inner.misses), len(inner.missed), n)
+				}
+				for r := 1; r < len(served); r++ {
+					if !slices.Equal(served[r], served[0]) {
+						t.Fatalf("policy %d decided %+v, the WakePolicy %+v", r, served[r], served[0])
+					}
+				}
+			})
 		}
 	}
 }

@@ -14,8 +14,12 @@ import (
 // several times on one belief at one instant (core.Sender.Wake decides
 // again after every packet it sends), so what depends on nothing else is
 // paid for once per wake, when a decision first needs it: the
-// fingerprint's support half, here, and the top-K copy of the support and
-// each hypothesis's rollout-key hash on the pool (decideArena.begin).
+// fingerprint's support half, here, for the PolicyCache and for a
+// compiled table that probes with the wake (WakePolicy), and the top-K
+// copy of the support and each hypothesis's rollout-key hash on the pool
+// (decideArena.begin). The wake keeps one support half, under the last
+// quanta asked for: a cache and a table that share quanta (a table is
+// compiled under its fleet's cache quanta) print it once.
 //
 // A Wake is valid until the belief's next Update — Support's own contract
 // — so Reset it after every Update. Reuse is keyed by the wake alone:
@@ -48,8 +52,17 @@ func NewWake(sup []belief.Hypothesis, now time.Duration) *Wake {
 	return w
 }
 
-// fingerprint is Fingerprint of the wake's support with the pending sends.
-func (w *Wake) fingerprint(pending []model.Send, tq time.Duration, wq float64) (fp, verify uint64) {
+// Support is the wake's support, valid until the belief's next Update.
+func (w *Wake) Support() []belief.Hypothesis { return w.sup }
+
+// Now is the instant every decision of the wake plans from.
+func (w *Wake) Now() time.Duration { return w.now }
+
+// Fingerprint is Fingerprint of the wake's support at its instant with the
+// pending sends. The support half is printed on the first call under
+// quanta (tq, wq) and kept for the wake's later calls under the same
+// quanta; only the pending half is hashed per call.
+func (w *Wake) Fingerprint(pending []model.Send, tq time.Duration, wq float64) (fp, verify uint64) {
 	if !w.printed || w.tq != tq || w.wq != wq {
 		w.print, w.tq, w.wq, w.printed = supportPrint(w.sup, w.now, tq, wq), tq, wq, true
 	}

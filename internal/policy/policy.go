@@ -19,8 +19,9 @@
 //     O(log n) worst case, O(1) in expectation — with zero allocation,
 //     so a multi-million-entry table serves decisions at memory speed.
 //
-//   - A serving side (Server, implementing planner.CompiledPolicy)
-//     that loads the table read-only, answers Guard rung-0 probes, and
+//   - A serving side (Server, implementing planner.CompiledPolicy and
+//     its wake-keyed form planner.WakePolicy) that loads the table
+//     read-only, answers Guard rung-0 probes, and
 //     appends the fingerprints it could not serve — together with the
 //     live decision that covered for them — to a sidecar miss log
 //     (MissLog). Merging the table with its sidecars (Merge) seeds the

@@ -137,13 +137,63 @@ func craftedCount() []byte {
 }
 
 func TestOpenRejectsWrappingRecordCount(t *testing.T) {
-	if _, err := openBytes(craftedCount()); err == nil {
-		t.Fatal("a header promising 2^62 records in an empty region opened")
+	path := filepath.Join(t.TempDir(), "crafted.pol")
+	if err := os.WriteFile(path, craftedCount(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		open func() error
+	}{
+		{"openBytes", func() error { _, err := openBytes(craftedCount()); return err }},
+		{"ReadFile", func() error { _, _, err := ReadFile(path); return err }},
+	} {
+		if err := c.open(); err == nil {
+			t.Errorf("%s: a header promising 2^62 records in an empty region read", c.name)
+		}
+	}
+}
+
+// TestReadFileRefusesWhatOpenRefuses: a weight quantum that is not
+// positive and finite buckets no weight sensibly (0 and NaN give Inf or
+// NaN quotients, +Inf puts every weight in one bucket), so Open, ReadFile
+// and Merge all refuse a table or sidecar that records one — Merge used
+// to carry it into a table Open then refused.
+func TestReadFileRefusesWhatOpenRefuses(t *testing.T) {
+	dir := t.TempDir()
+	for _, wq := range []float64{0, -1e-3, math.NaN(), math.Inf(1)} {
+		h := testHeader()
+		h.WeightQuantum = wq
+		table := filepath.Join(dir, "t.pol")
+		if err := WriteTable(table, h, synthRecords(4)); err != nil {
+			t.Fatal(err)
+		}
+		side := filepath.Join(dir, "t.miss")
+		ml, err := CreateMissLog(side, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ml.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(table); err == nil {
+			t.Errorf("weight quantum %g: Open accepted the table", wq)
+		}
+		for _, p := range []string{table, side} {
+			if _, _, err := ReadFile(p); err == nil {
+				t.Errorf("weight quantum %g: ReadFile accepted %s", wq, filepath.Base(p))
+			}
+			if _, _, err := Merge(p); err == nil {
+				t.Errorf("weight quantum %g: Merge accepted %s", wq, filepath.Base(p))
+			}
+		}
 	}
 }
 
 // FuzzOpenBytes: openBytes returns an error, or a table whose every
-// record is served back by Lookup under its own fingerprints.
+// record is served back by Lookup under its own fingerprints and which
+// ReadFile's parse reads back with the same header and records. That
+// parse returns an error or a result on every input, never a panic.
 func FuzzOpenBytes(f *testing.F) {
 	path := filepath.Join(f.TempDir(), "t.pol")
 	if err := WriteTable(path, testHeader(), synthRecords(9)); err != nil {
@@ -153,19 +203,41 @@ func FuzzOpenBytes(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	// A sidecar of two records and a crashed writer's partial third.
+	sh := testHeader()
+	sh.Version = Version
+	sidecar := make([]byte, headerSize+2*recordSize+7)
+	putHeader(sidecar, magicSidecar, sh)
+	for i, r := range synthRecords(2) {
+		putRecord(sidecar[headerSize+i*recordSize:], r)
+	}
 	f.Add(valid)
 	f.Add(valid[:headerSize])
 	f.Add(craftedCount())
+	f.Add(sidecar)
+	same := func(a, b Record) bool {
+		return a.FP == b.FP && a.Verify == b.Verify && a.Delta == b.Delta &&
+			a.SendNow == b.SendNow && math.Float64bits(a.Gain) == math.Float64bits(b.Gain)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		rh, recs, rerr := readBytes(data)
 		tb, err := openBytes(data)
 		if err != nil {
 			return
 		}
+		if rerr != nil {
+			t.Fatalf("openBytes accepted what ReadFile refuses: %v", rerr)
+		}
+		if rh != tb.Header() || len(recs) != tb.Len() {
+			t.Fatalf("ReadFile read %+v with %d records, openBytes %+v with %d", rh, len(recs), tb.Header(), tb.Len())
+		}
 		for i := 0; i < tb.Len(); i++ {
 			r := tb.Record(i)
+			if !same(recs[i], r) {
+				t.Fatalf("record %d: ReadFile %+v, openBytes %+v", i, recs[i], r)
+			}
 			got, ok := tb.Lookup(r.FP, r.Verify)
-			if !ok || got.FP != r.FP || got.Verify != r.Verify || got.Delta != r.Delta ||
-				got.SendNow != r.SendNow || math.Float64bits(got.Gain) != math.Float64bits(r.Gain) {
+			if !ok || !same(got, r) {
 				t.Fatalf("record %d = %+v, Lookup gave %+v (ok %v)", i, r, got, ok)
 			}
 		}

@@ -10,10 +10,13 @@ import (
 )
 
 // Server is the serving side of a compiled table: it implements
-// planner.CompiledPolicy, answering Guard rung-0 probes from the table
-// (zero allocation on the lookup itself) and appending unserved
-// fingerprints — with the live decision that covered for them — to an
-// optional sidecar miss log that seeds the next compile.
+// planner.CompiledPolicy and planner.WakePolicy, answering Guard rung-0
+// probes from the table (zero allocation on the lookup itself) and
+// appending unserved fingerprints — with the live decision that covered
+// for them — to an optional sidecar miss log that seeds the next compile.
+// The wake-keyed methods are the serving path: a Guard hands them its
+// planner.Wake, which prints the support once for all of a wake's
+// decisions. Probe and RecordMiss print the bare support on every call.
 //
 // One Server may be shared by every sender in a process (the fleet
 // hands the same Server to all members): the table is immutable, the
@@ -24,6 +27,11 @@ type Server struct {
 
 	probes, hits, misses atomic.Int64
 }
+
+// The Guard takes the wake-keyed path only through this interface; a
+// Server that stopped implementing it would still serve, on every
+// decision's own support print.
+var _ planner.WakePolicy = (*Server)(nil)
 
 // NewServer serves decisions from t, logging misses to missLog when
 // non-nil.
@@ -39,12 +47,24 @@ func (s *Server) Stats() (probes, hits, misses int64) {
 	return s.probes.Load(), s.hits.Load(), s.misses.Load()
 }
 
-// Probe implements planner.CompiledPolicy: it fingerprints the belief
-// under the table's recorded quanta and serves the compiled action
-// rebased to now. A fingerprint whose verification hash mismatches is
-// a detected collision and reported as a miss.
+// ProbeWake implements planner.WakePolicy: it fingerprints the wake's
+// belief under the table's recorded quanta and serves the compiled action
+// rebased to the wake's instant. A fingerprint whose verification hash
+// mismatches is a detected collision and reported as a miss.
+func (s *Server) ProbeWake(w *planner.Wake, pending []model.Send) (planner.Decision, bool) {
+	fp, ver := w.Fingerprint(pending, s.t.h.TimeQuantum, s.t.h.WeightQuantum)
+	return s.lookup(fp, ver, w.Now(), len(w.Support()))
+}
+
+// Probe implements planner.CompiledPolicy: ProbeWake on a bare support.
 func (s *Server) Probe(sup []belief.Hypothesis, pending []model.Send, now time.Duration) (planner.Decision, bool) {
 	fp, ver := planner.Fingerprint(sup, pending, now, s.t.h.TimeQuantum, s.t.h.WeightQuantum)
+	return s.lookup(fp, ver, now, len(sup))
+}
+
+// lookup serves the record under (fp, ver) for a belief of support
+// hypotheses at now, counting the probe.
+func (s *Server) lookup(fp, ver uint64, now time.Duration, support int) (planner.Decision, bool) {
 	s.probes.Add(1)
 	r, ok := s.t.Lookup(fp, ver)
 	if !ok {
@@ -52,17 +72,32 @@ func (s *Server) Probe(sup []belief.Hypothesis, pending []model.Send, now time.D
 		return planner.Decision{}, false
 	}
 	s.hits.Add(1)
-	return r.Decision(now, len(sup)), true
+	return r.Decision(now, support), true
 }
 
-// RecordMiss implements planner.CompiledPolicy: the live decision that
+// RecordMissWake implements planner.WakePolicy: the live decision that
 // covered a table miss is appended to the sidecar (once per distinct
 // fingerprint) so the next compile serves it from the table.
+func (s *Server) RecordMissWake(w *planner.Wake, pending []model.Send, d planner.Decision) {
+	if s.miss == nil {
+		return
+	}
+	fp, ver := w.Fingerprint(pending, s.t.h.TimeQuantum, s.t.h.WeightQuantum)
+	s.record(fp, ver, w.Now(), d)
+}
+
+// RecordMiss implements planner.CompiledPolicy: RecordMissWake on a bare
+// support.
 func (s *Server) RecordMiss(sup []belief.Hypothesis, pending []model.Send, now time.Duration, d planner.Decision) {
 	if s.miss == nil {
 		return
 	}
 	fp, ver := planner.Fingerprint(sup, pending, now, s.t.h.TimeQuantum, s.t.h.WeightQuantum)
+	s.record(fp, ver, now, d)
+}
+
+// record appends decision d, taken at now, to the sidecar under (fp, ver).
+func (s *Server) record(fp, ver uint64, now time.Duration, d planner.Decision) {
 	// Append errors are deliberately swallowed: the sidecar is an
 	// optimization for the next compile, and a full disk must not take
 	// down the serving path.

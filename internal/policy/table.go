@@ -178,31 +178,53 @@ func Open(path string) (*Table, error) {
 	return t, nil
 }
 
-func openBytes(data []byte) (*Table, error) {
+// parseFile checks a policy file's header against the file: length,
+// magic, version and a positive, finite weight quantum for both kinds; for
+// a table, a record count that fits the file exactly and the record
+// region's checksum. It returns the magic, the header and the record
+// region; a sidecar's region is every whole record after the header (a
+// trailing partial record, a crashed writer's, is dropped). Open and
+// ReadFile both parse through it, so ReadFile reads every table Open
+// accepts, and no header ReadFile accepts makes Merge write a table Open
+// refuses.
+func parseFile(data []byte) (magic [8]byte, h Header, recs []byte, err error) {
 	if len(data) < headerSize {
-		return nil, fmt.Errorf("policy: file shorter than header (%d bytes)", len(data))
+		return magic, h, nil, fmt.Errorf("policy: file shorter than header (%d bytes)", len(data))
 	}
 	magic, h, sum := parseHeader(data)
-	if magic == magicSidecar {
-		return nil, fmt.Errorf("policy: file is a sidecar miss log, not a compiled table")
-	}
-	if magic != magicTable {
-		return nil, fmt.Errorf("policy: bad magic %q", magic[:])
+	if magic != magicTable && magic != magicSidecar {
+		return magic, h, nil, fmt.Errorf("policy: bad magic %q", magic[:])
 	}
 	if h.Version != Version {
-		return nil, fmt.Errorf("policy: table version %d, this build reads %d", h.Version, Version)
+		return magic, h, nil, fmt.Errorf("policy: version %d, this build reads %d", h.Version, Version)
 	}
-	// The count is checked against the room before it is multiplied: a
-	// crafted count can wrap the product back to the file's length.
-	if h.Records > uint64((len(data)-headerSize)/recordSize) || len(data) != headerSize+int(h.Records)*recordSize {
-		return nil, fmt.Errorf("policy: file is %d bytes, header promises %d records of %d", len(data), h.Records, recordSize)
+	recs = data[headerSize:]
+	if magic == magicSidecar {
+		recs = recs[:len(recs)/recordSize*recordSize]
+	} else {
+		// The count is checked against the room before it is
+		// multiplied: a crafted count can wrap the product back to the
+		// file's length.
+		if h.Records > uint64(len(recs)/recordSize) || len(recs) != int(h.Records)*recordSize {
+			return magic, h, nil, fmt.Errorf("policy: file is %d bytes, header promises %d records of %d", len(data), h.Records, recordSize)
+		}
+		if got := checksumRegion(recs); got != sum {
+			return magic, h, nil, fmt.Errorf("policy: record checksum %016x != header %016x (corrupt or truncated table)", got, sum)
+		}
 	}
-	recs := data[headerSize:]
-	if got := checksumRegion(recs); got != sum {
-		return nil, fmt.Errorf("policy: record checksum %016x != header %016x (corrupt or truncated table)", got, sum)
+	if !(h.WeightQuantum > 0) || math.IsInf(h.WeightQuantum, 1) {
+		return magic, h, nil, fmt.Errorf("policy: weight quantum %g is not positive and finite", h.WeightQuantum)
 	}
-	if h.WeightQuantum <= 0 {
-		return nil, fmt.Errorf("policy: non-positive weight quantum %g", h.WeightQuantum)
+	return magic, h, recs, nil
+}
+
+func openBytes(data []byte) (*Table, error) {
+	magic, h, recs, err := parseFile(data)
+	if err != nil {
+		return nil, err
+	}
+	if magic == magicSidecar {
+		return nil, fmt.Errorf("policy: file is a sidecar miss log, not a compiled table")
 	}
 
 	t := &Table{h: h, recs: recs, n: int(h.Records)}
@@ -305,30 +327,20 @@ func ReadFile(path string) (Header, []Record, error) {
 	if err != nil {
 		return Header{}, nil, err
 	}
-	if len(data) < headerSize {
-		return Header{}, nil, fmt.Errorf("policy: %s shorter than header", path)
+	h, recs, err := readBytes(data)
+	if err != nil {
+		return Header{}, nil, fmt.Errorf("%s: %w", path, err)
 	}
-	magic, h, sum := parseHeader(data)
-	body := data[headerSize:]
-	var n int
-	switch magic {
-	case magicTable:
-		n = int(h.Records)
-		if len(body) != n*recordSize {
-			return Header{}, nil, fmt.Errorf("policy: %s is %d bytes, header promises %d records", path, len(data), n)
-		}
-		if got := checksumRegion(body); got != sum {
-			return Header{}, nil, fmt.Errorf("policy: %s record checksum mismatch", path)
-		}
-	case magicSidecar:
-		n = len(body) / recordSize
-	default:
-		return Header{}, nil, fmt.Errorf("policy: %s has bad magic %q", path, magic[:])
+	return h, recs, nil
+}
+
+// readBytes is ReadFile on a file's contents.
+func readBytes(data []byte) (Header, []Record, error) {
+	_, h, body, err := parseFile(data)
+	if err != nil {
+		return Header{}, nil, err
 	}
-	if h.Version != Version {
-		return Header{}, nil, fmt.Errorf("policy: %s version %d, this build reads %d", path, h.Version, Version)
-	}
-	recs := make([]Record, n)
+	recs := make([]Record, len(body)/recordSize)
 	for i := range recs {
 		recs[i] = parseRecord(body[i*recordSize:])
 	}
