@@ -218,7 +218,7 @@ func lifecycleFlags(mode string) (*flag.FlagSet, *lifecycleRun) {
 // non-nil error is a usage error.
 func (l *lifecycleRun) resolve() error {
 	c := &l.sweep.Base
-	if err := checkRanges(c.Duration, c.Epoch, 1, 0, c.DepartProb, c.CrashProb, c.ArriveProb, l.opts.jainFloor, c.Shards, c.Workers); err != nil {
+	if err := checkRanges(c.Duration, c.Epoch, 1, 1, c.DepartProb, c.CrashProb, c.ArriveProb, l.opts.jainFloor, c.Shards, c.Workers); err != nil {
 		return err
 	}
 	if l.opts.jainFloor > 0 && c.LeanStats {
@@ -333,7 +333,7 @@ func checkRanges(dur, epoch time.Duration, rate, alpha, depart, crash, arrive, j
 		{dur > 0, "-dur", dur, "must be positive"},
 		{epoch > 0, "-epoch", epoch, "must be positive"},
 		{rate > 0 && finite(rate), "-rate", rate, "must be positive and finite"},
-		{alpha >= 0 && finite(alpha), "-alpha", alpha, "must be finite and not negative"},
+		{alpha > 0 && finite(alpha), "-alpha", alpha, "must be positive and finite (the fleet reads 0 as unset and would run at α = 1)"},
 		{prob(depart), "-depart", depart, "must be a probability in [0, 1]"},
 		{prob(crash), "-crash", crash, "must be a probability in [0, 1]"},
 		{prob(arrive), "-arrive", arrive, "must be a probability in [0, 1]"},

@@ -107,7 +107,7 @@ func TestCheckRanges(t *testing.T) {
 		bad                                string // "" = accepted
 	}{
 		{120 * s, 10 * s, 6000, 1, 0.04, 0.06, 0.5, 0, 0, 0, ""},
-		{s, s, 1, 0, 0, 0, 1, 0, 0, 0, ""},
+		{s, s, 1, 1e-3, 0, 0, 1, 0, 0, 0, ""},
 		{-5 * s, 10 * s, 6000, 1, 0, 0, 0, 0, 0, 0, "-dur"},
 		{0, 10 * s, 6000, 1, 0, 0, 0, 0, 0, 0, "-dur"},
 		{s, 0, 6000, 1, 0, 0, 0, 0, 0, 0, "-epoch"},
@@ -115,11 +115,12 @@ func TestCheckRanges(t *testing.T) {
 		{s, s, -100, 1, 0, 0, 0, 0, 0, 0, "-rate"},
 		{s, s, math.NaN(), 1, 0, 0, 0, 0, 0, 0, "-rate"},
 		{s, s, 6000, -1, 0, 0, 0, 0, 0, 0, "-alpha"},
+		{s, s, 6000, 0, 0, 0, 0, 0, 0, 0, "-alpha"},
 		{s, s, 6000, 1, 2, 0, 0, 0, 0, 0, "-depart"},
 		{s, s, 6000, 1, 0, -0.1, 0, 0, 0, 0, "-crash"},
 		{s, s, 6000, 1, 0, 0, 1.5, 0, 0, 0, "-arrive"},
 		{s, s, 6000, 1, 0, 0, math.NaN(), 0, 0, 0, "-arrive"},
-		{s, s, 1, 0, 0, 0, 1, 1, 4, 2, ""},
+		{s, s, 1, 1e-3, 0, 0, 1, 1, 4, 2, ""},
 		{s, s, math.Inf(1), 1, 0, 0, 0, 0, 0, 0, "-rate"},
 		{s, s, 6000, math.Inf(1), 0, 0, 0, 0, 0, 0, "-alpha"},
 		{s, s, 6000, 1, 0, 0, 0, math.NaN(), 0, 0, "-jain-floor"},

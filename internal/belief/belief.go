@@ -86,13 +86,14 @@ type Belief interface {
 	Snapshot() Snapshot
 }
 
+// timeTol is the tolerance when matching a predicted delivery time
+// against an observed acknowledgment time under hard rejection. The
+// ground truth runs the same mechanics as the hypotheses, so it is tight.
+const timeTol = time.Millisecond
+
 // Config tunes the exact belief's resource bounds and observation
 // matching.
 type Config struct {
-	// TimeTol is the tolerance when matching a predicted delivery time
-	// against an observed acknowledgment time. The ground truth runs the
-	// same mechanics as the hypotheses, so the default is tight: 1 ms.
-	TimeTol time.Duration
 	// SoftSigma, when positive, replaces hard rejection of timing
 	// mismatches with a Gaussian likelihood exp(-½(Δt/σ)²). The paper's
 	// simulator observes its own mechanics exactly, so hard rejection
@@ -144,7 +145,6 @@ type Config struct {
 // DefaultConfig returns the bounds used by the experiments.
 func DefaultConfig() Config {
 	return Config{
-		TimeTol:   time.Millisecond,
 		MinWeight: 1e-9,
 		MaxHyps:   1 << 18, // 262,144
 	}
@@ -152,9 +152,6 @@ func DefaultConfig() Config {
 
 func (c Config) withDefaults() Config {
 	d := DefaultConfig()
-	if c.TimeTol <= 0 {
-		c.TimeTol = d.TimeTol
-	}
 	if c.MinWeight <= 0 {
 		c.MinWeight = d.MinWeight
 	}
@@ -172,7 +169,7 @@ func (c Config) withDefaults() Config {
 // caller rejects branches with matched < len(ackBySeq) — an
 // acknowledgment the branch cannot explain is inconsistent. Each sequence
 // number is delivered at most once per run, so counting suffices.
-func likelihood(events []model.Event, ackBySeq map[int64]time.Duration, p float64, cfg Config) (w float64, matched int) {
+func likelihood(events []model.Event, ackBySeq map[int64]time.Duration, p float64) (w float64, matched int) {
 	w = 1.0
 	for _, ev := range events {
 		switch ev.Kind {
@@ -191,7 +188,7 @@ func likelihood(events []model.Event, ackBySeq map[int64]time.Duration, p float6
 			if diff < 0 {
 				diff = -diff
 			}
-			if diff > cfg.TimeTol {
+			if diff > timeTol {
 				return 0, matched // right packet, wrong time
 			}
 			matched++

@@ -242,7 +242,7 @@ func (b *Exact) end(now time.Duration, consumed int, st UpdateStats) UpdateStats
 //
 // Acknowledgment matching is segment-local: an ack can only match a
 // delivery event in the segment containing its receive time, because
-// predicted and observed times agree to within TimeTol, which is far
+// predicted and observed times agree to within timeTol, which is far
 // smaller than a segment.
 func (b *Exact) Update(now time.Duration, acks []packet.Ack) UpdateStats {
 	slices.SortFunc(acks, func(a, b packet.Ack) int { return cmp.Compare(a.ReceivedAt, b.ReceivedAt) })
@@ -492,7 +492,7 @@ func (b *Exact) advanceOne(s *rollout.Scratch, i int) {
 				lw = softLikelihood(s.Events, b.recent, sg.now, br.S.P.LossProb, b.cfg)
 			} else {
 				var matched int
-				lw, matched = likelihood(s.Events, b.segAcks, br.S.P.LossProb, b.cfg)
+				lw, matched = likelihood(s.Events, b.segAcks, br.S.P.LossProb)
 				if matched < len(b.segAcks) {
 					lw = 0 // an acknowledgment the branch cannot explain
 				}

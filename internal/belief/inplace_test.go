@@ -139,7 +139,7 @@ func (r *refExact) Update(now time.Duration, acks []packet.Ack) UpdateStats {
 					lw = softLikelihood(br.Events, r.recent, now, br.S.P.LossProb, r.cfg)
 				} else {
 					var matched int
-					lw, matched = likelihood(br.Events, segAcks, br.S.P.LossProb, r.cfg)
+					lw, matched = likelihood(br.Events, segAcks, br.S.P.LossProb)
 					if matched < len(segAcks) {
 						lw = 0
 					}

@@ -23,7 +23,11 @@ func TestHypothesisLayout(t *testing.T) {
 // TestSupportSharesOneRecordPerGridPoint: however an exact belief forks,
 // moves, compacts, caps and reseeds its hypotheses, they keep sharing the
 // prior's records — one per ParamsID, never a copy — over 50 generated
-// updates on the Figure 3 prior and on a fleet member's.
+// updates on the Figure 3 prior and on a fleet member's. Then each belief
+// is snapshotted with a record of its own on every state, as a decoded
+// checkpoint carries, restored and made to reseed: the restored support
+// and the reseeded one hold the prior's records too, one per ParamsID
+// across both.
 func TestSupportSharesOneRecordPerGridPoint(t *testing.T) {
 	fig3, _ := model.Fig3Prior().Enumerate()
 	fl := fleet.New(fleet.Config{N: 16, Seed: 3, Workers: 1})
@@ -77,5 +81,34 @@ func TestSupportSharesOneRecordPerGridPoint(t *testing.T) {
 				t.Fatalf("%s, update %d: %d records for %d ParamsIDs", c.name, k, len(ids), len(byID))
 			}
 		}
+
+		sn := b.Snapshot()
+		for i := range sn.Hyps {
+			sn.Hyps[i].S.SetParams(sn.Hyps[i].S.P.Params)
+		}
+		// Hard matching, so that an acknowledgment nothing explains
+		// collapses the fleet member's belief too.
+		cfg := c.cfg
+		cfg.Recover, cfg.SoftSigma = true, 0
+		r, err := belief.Restore(c.states, cfg, sn)
+		if err != nil {
+			t.Fatalf("%s: Restore: %v", c.name, err)
+		}
+		byID := map[int32]any{}
+		held := func(stage string) {
+			for _, h := range r.Support() {
+				if rec, ok := byID[h.S.ParamsID]; ok && rec != any(h.S.P) {
+					t.Fatalf("%s, %s: ParamsID %d holds two parameter records", c.name, stage, h.S.ParamsID)
+				}
+				byID[h.S.ParamsID] = h.S.P
+			}
+		}
+		held("restored")
+		reseeded := r.Lifetime().Reseeded
+		r.Update(now+time.Second, []packet.Ack{{Seq: 1 << 40, ReceivedAt: now + time.Second/2}})
+		if r.Lifetime().Reseeded == reseeded {
+			t.Fatalf("%s: the unexplained acknowledgment did not reseed the restored belief", c.name)
+		}
+		held("reseeded after the restore")
 	}
 }

@@ -105,10 +105,13 @@ func cloneHyps(hyps []Hypothesis) []Hypothesis {
 }
 
 // Restore rebuilds the belief a snapshot was taken of over the given
-// prior states (read only when cfg.Recover re-seeds after a collapse).
-// The restored belief resumes bit-identically: the same Update sequence
-// yields the same posteriors. The snapshot's states are cloned; the
-// caller may keep it.
+// prior states, which cfg.Recover re-seeds from after a collapse. Every
+// hypothesis must name a grid point of that prior (its ParamsID) and
+// carry that point's parameters; it is re-pointed at the prior's shared
+// record, so a restored belief holds one record per grid point as a fresh
+// one does. The restored belief resumes bit-identically: the same Update
+// sequence yields the same posteriors. The snapshot's states are cloned;
+// the caller may keep it.
 func Restore(states []model.State, cfg Config, sn Snapshot) (*Exact, error) {
 	if len(states) == 0 {
 		return nil, errors.New("belief: empty prior")
@@ -116,8 +119,26 @@ func Restore(states []model.State, cfg Config, sn Snapshot) (*Exact, error) {
 	if err := sn.validate(); err != nil {
 		return nil, err
 	}
+	grid := make(map[int32]*model.State, len(states))
+	for i := range states {
+		if _, ok := grid[states[i].ParamsID]; !ok {
+			grid[states[i].ParamsID] = &states[i]
+		}
+	}
+	hyps := cloneHyps(sn.Hyps)
+	for i := range hyps {
+		s := &hyps[i].S
+		point, ok := grid[s.ParamsID]
+		if !ok {
+			return nil, fmt.Errorf("belief: snapshot hypothesis names grid point %d, which the prior does not have", s.ParamsID)
+		}
+		if s.P.Params != point.P.Params {
+			return nil, fmt.Errorf("belief: snapshot hypothesis's parameters differ from the prior's grid point %d", s.ParamsID)
+		}
+		s.P = point.P
+	}
 	b := newExact(states, cfg)
-	b.now, b.Cum, b.hyps = sn.Now, sn.Cum, cloneHyps(sn.Hyps)
+	b.now, b.Cum, b.hyps = sn.Now, sn.Cum, hyps
 	b.pending = append([]model.Send(nil), sn.Pending...)
 	for _, m := range sn.Recent {
 		b.recent[m.Seq] = m.At

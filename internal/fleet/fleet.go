@@ -100,10 +100,6 @@ type Config struct {
 	// FairQueue replaces the tail-drop FIFO bottleneck with the
 	// deficit-round-robin FairQueue, the §3.5 non-FIFO scheduling.
 	FairQueue bool
-	// Stagger spreads member start times uniformly over this window so
-	// decision epochs de-synchronize; the default is one fair-share
-	// packet interval. Member i starts at Stagger·i/N.
-	Stagger time.Duration
 	// Workers is the shared rollout pool's width: 0 means GOMAXPROCS,
 	// 1 forces the serial path. Output is bit-identical for any value.
 	Workers int
@@ -175,11 +171,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BufferCapBits <= 0 {
 		c.BufferCapBits = 4 * packet.DefaultSizeBits * int64(c.N)
-	}
-	if c.Stagger < 0 {
-		c.Stagger = 0
-	} else if c.Stagger == 0 {
-		c.Stagger = units.TransmitTime(packet.DefaultSizeBits, c.PerSenderRate)
 	}
 	if c.CacheStripes <= 0 {
 		c.CacheStripes = 1
@@ -354,15 +345,15 @@ func New(cfg Config) *Fleet {
 }
 
 // Start schedules every member's first wakeup, staggered over
-// Cfg.Stagger. It is called by Run; call it directly only when driving
+// Cfg.Stagger(). It is called by Run; call it directly only when driving
 // the loop manually.
 func (f *Fleet) Start() {
-	n := int64(len(f.Members))
+	n, stagger := int64(len(f.Members)), int64(f.Cfg.Stagger())
 	for i, m := range f.Members {
 		if m == nil {
 			continue
 		}
-		m.Start(time.Duration(int64(f.Cfg.Stagger) * int64(i) / n))
+		m.Start(time.Duration(stagger * int64(i) / n))
 	}
 }
 
@@ -405,6 +396,13 @@ func (f *Fleet) CompiledStats() (compiled, live int64) {
 		}
 	}
 	return compiled, live
+}
+
+// Stagger is the window member start times spread uniformly over so
+// decision epochs de-synchronize: one fair-share packet interval, the
+// default packet at PerSenderRate. Member i starts at Stagger·i/N.
+func (c Config) Stagger() time.Duration {
+	return units.TransmitTime(packet.DefaultSizeBits, c.withDefaults().PerSenderRate)
 }
 
 // Resolved returns the configuration with all defaults applied — the

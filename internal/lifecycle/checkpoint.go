@@ -272,11 +272,12 @@ func (c *cursor) f64(v *float64) {
 	}
 }
 
-// zero walks an 8-byte field that must be zero: encoding writes 0 and
-// decoding refuses anything else, so decode∘encode stays canonical.
+// zero walks an 8-byte field of something this build no longer has:
+// encoding writes 0 and decoding refuses anything else, so
+// decode∘encode stays canonical.
 func (c *cursor) zero(what string) {
 	if w, ok := c.word(8, 0); ok && w != 0 {
-		c.err = fmt.Errorf("lifecycle: checkpoint has a nonzero %s, a field only the removed particle belief wrote", what)
+		c.err = fmt.Errorf("lifecycle: checkpoint has a nonzero %s, a removed field this build cannot honour", what)
 	}
 }
 
@@ -439,7 +440,9 @@ func (c *cursor) params(p *model.Params) {
 	c.f64(&p.LossProb)
 	c.i64(&p.BufferCapBits)
 	c.i64(&p.InitFullBits)
-	c.f64(&p.ClockSkew)
+	// The removed receiver clock skew (§3.4) was here; clocks are
+	// synchronized, so the word is zero.
+	c.zero("clock skew")
 	c.int(&p.PktBytes)
 	c.i64(&p.CrossPktBits)
 }

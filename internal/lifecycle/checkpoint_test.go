@@ -272,14 +272,19 @@ func TestGoldenCheckpoints(t *testing.T) {
 	}
 }
 
-// TestDecodeRefusesRemovedKindFields: the header's belief kind and the two
-// body words the particle filter wrote decode only as the exact
-// belief's zeros. Each row edits one field of a live checkpoint and
-// re-checksums it, so that field alone is what Decode refuses.
+// TestDecodeRefusesRemovedKindFields: the header's belief kind, the two
+// body words the particle filter wrote and the parameter word the
+// receiver clock skew held decode only as zeros. Each row edits one field
+// of a live checkpoint and re-checksums it, so that field alone is what
+// Decode refuses.
 func TestDecodeRefusesRemovedKindFields(t *testing.T) {
 	_, c := liveCheckpoint(t)
 	raw := c.Encode()
 	const rngAt = headerSize + 65 // after the sender's counters and the belief clock
+	// The first hypothesis's skew word: past the belief counters, the
+	// pending sends, the recent acks, the hypothesis count, its weight and
+	// ParamsID, and six parameter words.
+	skewAt := rngAt + 72 + 4 + 24*len(c.Belief.Pending) + 4 + 16*len(c.Belief.Recent) + 4 + 8 + 4 + 48
 	for _, row := range []struct {
 		name string
 		at   int
@@ -288,6 +293,7 @@ func TestDecodeRefusesRemovedKindFields(t *testing.T) {
 		{"kind 1", 20, "particle belief (kind 1)"},
 		{"RNG word", rngAt, "nonzero RNG word"},
 		{"resample count", rngAt + 8, "nonzero resample count"},
+		{"clock skew", skewAt, "nonzero clock skew"},
 	} {
 		mut := append([]byte(nil), raw...)
 		if mut[row.at] != 0 {
@@ -306,7 +312,9 @@ func TestDecodeRefusesRemovedKindFields(t *testing.T) {
 // ahead of it — would panic inside a pool worker on its first Update,
 // and one whose weights are not finite — an infinite weight, or finite
 // ones whose sum overflows — would normalize to NaN there and collapse
-// under the wrong name. belief.Restore refuses all four, called
+// under the wrong name. A hypothesis the prior does not hold — a ParamsID
+// naming no grid point, or parameters other than its grid point's — was
+// not inferred over this prior. belief.Restore refuses all six, called
 // directly and through a re-encoded checkpoint's Decode and
 // RestoreSender.
 func TestRestoreRefusesClockDisagreement(t *testing.T) {
@@ -332,6 +340,15 @@ func TestRestoreRefusesClockDisagreement(t *testing.T) {
 		{"weights overflowing their sum", func(c *Checkpoint) {
 			c.Belief.Hyps[0].W, c.Belief.Hyps[1].W = 1e308, 1e308
 		}, "overflow"},
+		{"ParamsID off the grid", func(c *Checkpoint) {
+			c.Belief.Hyps[0].S.ParamsID = int32(len(fl.PriorStates()))
+		}, "which the prior does not have"},
+		{"parameters off their grid point", func(c *Checkpoint) {
+			s := &c.Belief.Hyps[0].S
+			p := s.P.Params
+			p.LossProb += 0.01
+			s.SetParams(p)
+		}, "differ from the prior's grid point"},
 	} {
 		c, err := Decode(live.Encode()) // a deep copy to edit
 		if err != nil {

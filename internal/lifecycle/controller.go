@@ -148,7 +148,7 @@ type Controller struct {
 // Bind attaches the controller to its runtime, a fleet resolved to fc.
 // Each runtime calls it once, at construction.
 func (c *Controller) Bind(rt Runtime, fc fleet.Config) {
-	c.rt, c.n, c.stagger, c.hot = rt, fc.N, fc.Stagger, fc.Table != nil
+	c.rt, c.n, c.stagger, c.hot = rt, fc.N, fc.Stagger(), fc.Table != nil
 }
 
 // EnableChurn arms the churn schedule cc, drawn from ch.Sub("churn") so
@@ -218,8 +218,8 @@ func (c *Controller) log(kind EventKind, flow packet.FlowID, gen uint32) {
 func (c *Controller) Initial(m *fleet.Member) { c.open(m, CauseInitial, c.freshKind()) }
 
 // Health is one health sweep over the live members in ascending flow
-// order: a member whose belief re-seeded MaxReseeds times since the last
-// sweep, or whose Guard reports MaxOverruns consecutive overruns, is
+// order: a member whose belief re-seeded maxReseeds times since the last
+// sweep, or whose Guard reports maxOverruns consecutive overruns, is
 // declared failed and queued for restart; one that stayed healthy two
 // full intervals after a restart has recovered, and its next failure
 // starts the backoff from scratch.
@@ -230,9 +230,9 @@ func (c *Controller) Health() {
 		m := c.rt.MemberAt(flow)
 		fs := c.flow(flow)
 		reseeds := BeliefReseeds(m)
-		failed := c.cfg.MaxReseeds > 0 && reseeds-fs.lastReseeds >= c.cfg.MaxReseeds
-		if g := m.Sender.Guard; !failed && g != nil && c.cfg.MaxOverruns > 0 {
-			failed = g.ConsecutiveOverruns >= c.cfg.MaxOverruns
+		failed := reseeds-fs.lastReseeds >= maxReseeds
+		if g := m.Sender.Guard; !failed && g != nil {
+			failed = g.ConsecutiveOverruns >= maxOverruns
 		}
 		if failed {
 			c.casualty(flow, EventFail)
@@ -364,7 +364,7 @@ func (c *Controller) Admit() *fleet.Member {
 }
 
 // Restart performs or re-defers the flow's pending restart: it waits,
-// polling every DrainPoll, until the predecessor's in-flight packets
+// polling every drainPoll, until the predecessor's in-flight packets
 // have drained — so the fenced per-flow counters stay unambiguous — and
 // then brings the next generation up on the ladder.
 func (c *Controller) Restart(flow packet.FlowID) {
@@ -376,7 +376,7 @@ func (c *Controller) Restart(flow packet.FlowID) {
 		return
 	}
 	if c.rt.InFlight(flow) > 0 {
-		c.rt.DeferRestart(flow, c.cfg.DrainPoll)
+		c.rt.DeferRestart(flow, drainPoll)
 		return
 	}
 	offset := fleet.StaggerOffsetFor(c.stagger, flow, c.rt.NextGen(flow))

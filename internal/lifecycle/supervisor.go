@@ -13,6 +13,22 @@ import (
 	"modelcc/internal/sim"
 )
 
+// The lifecycle policy's fixed thresholds, read by both runtimes.
+const (
+	// maxReseeds declares a member failed when its belief re-seeded from
+	// the prior at least this many times within one Interval — the
+	// posterior keeps collapsing, so the member has lost its model of
+	// the network.
+	maxReseeds = 2
+	// maxOverruns declares a member failed when its Guard reports this
+	// many consecutive deadline overruns — the planner is wedged.
+	maxOverruns = 8
+	// drainPoll is how often a pending restart re-checks a flow whose
+	// predecessor still has packets in flight; the restart waits for a
+	// full drain so the fenced per-flow counters stay unambiguous.
+	drainPoll = 250 * time.Millisecond
+)
+
 // SupervisorConfig tunes the lifecycle policy. Zero values take the
 // defaults noted on each field (WithDefaults). The sharded runtime reads
 // the same health and backoff fields; its checkpoint schedule is
@@ -24,25 +40,11 @@ type SupervisorConfig struct {
 	// disables checkpointing, which forces every restart cold (or hot
 	// when the fleet serves a compiled table).
 	CheckpointEvery time.Duration
-	// MaxReseeds declares a member failed when its belief re-seeded from
-	// the prior at least this many times within one Interval — the
-	// posterior keeps collapsing, so the member has lost its model of
-	// the network (default 2; non-positive disables the signal).
-	MaxReseeds int
-	// MaxOverruns declares a member failed when its Guard reports this
-	// many consecutive deadline overruns — the planner is wedged
-	// (default 8; non-positive disables the signal).
-	MaxOverruns int64
 	// BackoffBase and BackoffCap bound the restart delay: after k
 	// consecutive restarts of a flow the next waits min(BackoffBase·2^k,
 	// BackoffCap) (Backoff). Defaults 500 ms and 16 s.
 	BackoffBase time.Duration
 	BackoffCap  time.Duration
-	// DrainPoll is how often a pending restart re-checks a flow whose
-	// predecessor still has packets in flight (default 250 ms); the
-	// restart waits for a full drain so the fenced per-flow counters
-	// stay unambiguous.
-	DrainPoll time.Duration
 	// Dir, when set, mirrors every checkpoint to Dir/flowNNNN.ckpt, the
 	// flow ID zero-padded to four digits (atomic replace per flow;
 	// ReadFile loads one). shard.CheckpointConfig.Dir writes the same
@@ -59,20 +61,11 @@ func (c SupervisorConfig) WithDefaults() SupervisorConfig {
 	if c.CheckpointEvery == 0 {
 		c.CheckpointEvery = 10 * time.Second
 	}
-	if c.MaxReseeds == 0 {
-		c.MaxReseeds = 2
-	}
-	if c.MaxOverruns == 0 {
-		c.MaxOverruns = 8
-	}
 	if c.BackoffBase <= 0 {
 		c.BackoffBase = 500 * time.Millisecond
 	}
 	if c.BackoffCap <= 0 {
 		c.BackoffCap = 16 * time.Second
-	}
-	if c.DrainPoll <= 0 {
-		c.DrainPoll = 250 * time.Millisecond
 	}
 	return c
 }

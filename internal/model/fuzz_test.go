@@ -288,26 +288,23 @@ func rolloutStream(s State, now time.Duration, stamps bool) []Event {
 // Perturbing a field the key leaves out — ParamsID, the toggle grid,
 // MeanSwitch, InitFullBits, sequence numbers, the pinger's rate, chunk
 // and phase while the gate is off, enqueue stamps when the caller does
-// not consume Delay, and (synchronized clocks) a uniform shift of every
-// time and of now — changes neither the key nor the rebased delivery
-// stream. Perturbing any field it keeps changes the key.
+// not consume Delay, and a uniform shift of every time and of now —
+// changes neither the key nor the rebased delivery stream. Perturbing
+// any field it keeps changes the key.
 func FuzzRolloutKey(f *testing.F) {
-	f.Add(uint8(0), int64(0), int64(0), false, false, []byte{}, uint16(0), false, false)
-	f.Add(uint8(1), int64(12000), int64(3), true, true, []byte{1, 0, 1}, uint16(250), true, false)
-	f.Add(uint8(7), int64(96000), int64(-1), true, false, []byte{0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1}, uint16(40), false, true)
-	f.Add(uint8(3), int64(1500*8), int64(41), false, true, []byte{1, 1, 0, 1, 0, 1, 0, 1, 1, 0}, uint16(999), true, true)
-	f.Add(uint8(9), int64(6000), int64(77), true, true, []byte{0, 1, 0, 1, 1}, uint16(7), false, false)
+	f.Add(uint8(0), int64(0), int64(0), false, false, []byte{}, uint16(0), false)
+	f.Add(uint8(1), int64(12000), int64(3), true, true, []byte{1, 0, 1}, uint16(250), true)
+	f.Add(uint8(7), int64(96000), int64(-1), true, false, []byte{0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1}, uint16(40), false)
+	f.Add(uint8(3), int64(1500*8), int64(41), false, true, []byte{1, 1, 0, 1, 0, 1, 0, 1, 1, 0}, uint16(999), true)
+	f.Add(uint8(9), int64(6000), int64(77), true, true, []byte{0, 1, 0, 1, 1}, uint16(7), false)
 
-	f.Fuzz(func(t *testing.T, paramsID uint8, bits int64, seq int64, pingerOn, serving bool, queueSpec []byte, aheadMs uint16, stamps, skewed bool) {
+	f.Fuzz(func(t *testing.T, paramsID uint8, bits int64, seq int64, pingerOn, serving bool, queueSpec []byte, aheadMs uint16, stamps bool) {
 		s := buildState(paramsID, bits, seq, pingerOn, serving, queueSpec)
 		// A buffer tight enough that the rollout's sends and cross
 		// chunks tail-drop, so drops are in the compared streams too.
 		p := s.P.Params
 		p.BufferCapBits = s.QueueBits + 2*p.PktBits()
 		p.LossProb = 0.1
-		if skewed {
-			p.ClockSkew = 1e-3
-		}
 		s.SetParams(p)
 		now := s.Now + time.Duration(aheadMs%1000)*time.Millisecond
 		if serving {
@@ -386,19 +383,13 @@ func FuzzRolloutKey(f *testing.F) {
 			}), now)
 		}
 		const shift = 7654321 * time.Microsecond
-		shifted := edit(func(v *State) { v.Rebase(shift) })
-		if skewed {
-			differs("a shift under clock skew", shifted, now+shift)
-		} else {
-			same("a uniform time shift", shifted, now+shift)
-		}
+		same("a uniform time shift", edit(func(v *State) { v.Rebase(shift) }), now+shift)
 
 		// Included fields.
 		differs("LinkRate", reparam(func(p *Params) { p.LinkRate += 1 }), now)
 		differs("BufferCapBits", reparam(func(p *Params) { p.BufferCapBits++ }), now)
 		differs("PktBytes", reparam(func(p *Params) { p.PktBytes = 1000 }), now)
 		differs("LossProb", reparam(func(p *Params) { p.LossProb += 0.01 }), now)
-		differs("ClockSkew", reparam(func(p *Params) { p.ClockSkew += 1e-4 }), now)
 		differs("Now", edit(func(v *State) { v.Now -= time.Nanosecond }), now)
 		differs("the decision instant", s.Clone(), now+time.Nanosecond)
 		differs("PingerOn", edit(func(v *State) { v.PingerOn = !v.PingerOn }), now)

@@ -40,9 +40,6 @@ func (s *State) RefRun(until time.Duration, sends []Send, out *[]Event) {
 			if q.Own {
 				ev.Kind = OwnDelivered
 			}
-			if s.P.ClockSkew != 0 {
-				ev.At = s.receiverClock(s.Now)
-			}
 			*out = append(*out, ev)
 			if s.QHead < len(s.Queue) {
 				head := s.Queue[s.QHead]

@@ -31,8 +31,9 @@ import (
 )
 
 // Params holds the static unknowns of one network hypothesis — the
-// quantities the paper's prior ranges over (§4) plus the clock-skew
-// extension flagged as future work in §3.4.
+// quantities the paper's prior ranges over (§4). Clocks are synchronized,
+// as the paper assumes: the receiver-skew extension it suggests (§3.4) is
+// not modelled.
 type Params struct {
 	// LinkRate is c, the bottleneck THROUGHPUT speed in bits/second.
 	LinkRate units.BitRate
@@ -49,10 +50,6 @@ type Params struct {
 	// InitFullBits is the BUFFER's initial fullness in bits (filler
 	// packets of unknown provenance, quantized to whole packets).
 	InitFullBits int64
-	// ClockSkew scales the receiver clock: a delivery at sender time t
-	// is reported at t*(1+ClockSkew). Zero (the paper's assumption of
-	// synchronized clocks) unless the skew extension is exercised.
-	ClockSkew float64
 	// PktBytes is the uniform packet size (§3.2); 0 means the 1500-byte
 	// default.
 	PktBytes int

@@ -52,9 +52,6 @@ type Prior struct {
 	// PingerMaybeOff, when true, also enumerates hypotheses whose gate
 	// starts disconnected.
 	PingerMaybeOff bool
-	// ClockSkew optionally ranges over receiver clock skew (§3.4
-	// extension); the zero range pins it to 0.
-	ClockSkew PriorRange
 	// CrossPktBits sets Params.CrossPktBits on every hypothesis: the
 	// modeled size of one cross-traffic emission (0 = one uniform
 	// packet). Fleet priors raise it so a sender modeling hundreds of
@@ -99,10 +96,6 @@ func Fig3Prior() Prior {
 func (pr Prior) Enumerate() ([]State, float64) {
 	var states []State
 	var id int32
-	skews := pr.ClockSkew.Values()
-	if pr.ClockSkew.N == 0 {
-		skews = []float64{pr.ClockSkew.Lo}
-	}
 	gateStates := []bool{true}
 	if pr.PingerMaybeOff {
 		gateStates = []bool{true, false}
@@ -115,38 +108,35 @@ func (pr Prior) Enumerate() ([]State, float64) {
 		for _, frac := range pr.CrossFrac.Values() {
 			for _, p := range pr.LossProb.Values() {
 				for _, capBits := range pr.BufferCapBits.Values() {
-					for _, skew := range skews {
-						for fi := 0; fi < fullSteps; fi++ {
-							var full int64
-							if fullSteps > 1 {
-								full = int64(float64(capBits) * float64(fi) / float64(fullSteps-1))
-							}
-							params := Params{
-								LinkRate:      units.BitRate(c),
-								CrossRate:     units.BitRate(frac * c),
-								MeanSwitch:    pr.MeanSwitch,
-								LossProb:      p,
-								BufferCapBits: int64(capBits),
-								InitFullBits:  full,
-								ClockSkew:     skew,
-								CrossPktBits:  pr.CrossPktBits,
-							}
-							// All gate-start variants share one ParamsID
-							// and one record: the gate state is dynamic, so
-							// branches that started differently but
-							// converge may merge.
-							rec := newRecord(params)
-							for _, on := range gateStates {
-								s := initial(rec, on)
-								s.ParamsID = id
-								if pr.SwitchTick > 0 {
-									s.SwitchTick = pr.SwitchTick
-									s.NextToggle = pr.SwitchTick
-								}
-								states = append(states, s)
-							}
-							id++
+					for fi := 0; fi < fullSteps; fi++ {
+						var full int64
+						if fullSteps > 1 {
+							full = int64(float64(capBits) * float64(fi) / float64(fullSteps-1))
 						}
+						params := Params{
+							LinkRate:      units.BitRate(c),
+							CrossRate:     units.BitRate(frac * c),
+							MeanSwitch:    pr.MeanSwitch,
+							LossProb:      p,
+							BufferCapBits: int64(capBits),
+							InitFullBits:  full,
+							CrossPktBits:  pr.CrossPktBits,
+						}
+						// All gate-start variants share one ParamsID
+						// and one record: the gate state is dynamic, so
+						// branches that started differently but
+						// converge may merge.
+						rec := newRecord(params)
+						for _, on := range gateStates {
+							s := initial(rec, on)
+							s.ParamsID = id
+							if pr.SwitchTick > 0 {
+								s.SwitchTick = pr.SwitchTick
+								s.NextToggle = pr.SwitchTick
+							}
+							states = append(states, s)
+						}
+						id++
 					}
 				}
 			}

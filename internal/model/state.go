@@ -75,9 +75,9 @@ type Event struct {
 	Kind EventKind
 	// Seq is the own-packet sequence number, -1 for cross events.
 	Seq int64
-	// At is the event time. For deliveries it is the receiver-clock
-	// arrival time (sender time scaled by 1+ClockSkew); for drops it is
-	// the drop instant.
+	// At is the event time: for deliveries the instant the link
+	// completes the packet (clocks are synchronized, so that is also
+	// when the receiver sees it), for drops the drop instant.
 	At time.Duration
 	// Bits is the packet size, used by the utility accounting.
 	Bits int64
@@ -322,12 +322,6 @@ func (s *State) startService(q QPkt) {
 	s.ServiceDone = s.Now + s.P.serviceTime(q.Bits)
 }
 
-// receiverClock maps sender time to the receiver's clock under a non-zero
-// ClockSkew.
-func (s *State) receiverClock(t time.Duration) time.Duration {
-	return units.SecondsToDuration(t.Seconds() * (1 + s.P.ClockSkew))
-}
-
 // Run advances the state to `until`, processing link completions, pinger
 // emissions, and the scheduled sends, WITHOUT any gate toggles — the
 // caller controls toggle points (AdvanceEnum forks at them; Truth samples
@@ -373,7 +367,6 @@ const (
 // nothing on the delivery path.
 func (s *State) advance(until time.Duration, sends []Send, out *[]Event, acc *Accum) {
 	p := s.P
-	skewed := p.ClockSkew != 0
 	for {
 		at, arrival := until, arrNone
 		if s.NextCross <= until {
@@ -390,19 +383,15 @@ func (s *State) advance(until time.Duration, sends []Send, out *[]Event, acc *Ac
 			q, done := s.InService, s.ServiceDone
 			for {
 				s.Now = done
-				rcv := done
-				if skewed {
-					rcv = s.receiverClock(done)
-				}
 				if out != nil {
 					kind := CrossDelivered
 					if q.Own {
 						kind = OwnDelivered
 					}
-					*out = append(*out, Event{Kind: kind, Seq: q.Seq, At: rcv, Bits: q.Bits, Delay: done - q.EnqueuedAt})
+					*out = append(*out, Event{Kind: kind, Seq: q.Seq, At: done, Bits: q.Bits, Delay: done - q.EnqueuedAt})
 				}
 				if acc != nil {
-					acc.Deliver(q.Own, q.Bits, rcv, done-q.EnqueuedAt)
+					acc.Deliver(q.Own, q.Bits, done, done-q.EnqueuedAt)
 				}
 				if s.QHead == len(s.Queue) {
 					s.Serving = false
@@ -789,8 +778,8 @@ func (s *State) KeyHead() uint64 {
 //   - sequence numbers label events and never steer them;
 //   - enqueue stamps surface only as a delivery's Delay, so they count
 //     only when the caller consumes Delay (stamps);
-//   - absolute time matters only to a skewed receiver clock, which
-//     scales it: now itself is keyed only when ClockSkew != 0.
+//   - absolute time never matters: clocks are synchronized, so the key
+//     is purely relative and now itself is not in it.
 //
 // The encoding is self-delimiting (the flags word carries the queue
 // length and which optional groups follow), so callers may append more
@@ -803,11 +792,7 @@ func (s *State) AppendRolloutKey(dst []uint64, now time.Duration, stamps bool) [
 		uint64(p.BufferCapBits),
 		uint64(p.pktBits),
 		math.Float64bits(p.LossProb),
-		math.Float64bits(p.ClockSkew),
 		uint64(s.Now-now))
-	if p.ClockSkew != 0 {
-		dst = append(dst, uint64(now))
-	}
 	if s.PingerOn {
 		dst = append(dst, uint64(p.crossBits), uint64(p.crossIvl), uint64(s.NextCross-now))
 	}

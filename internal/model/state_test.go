@@ -178,19 +178,6 @@ func TestKeyDistinguishesAndMatches(t *testing.T) {
 	}
 }
 
-func TestClockSkew(t *testing.T) {
-	p := fixedParams()
-	p.ClockSkew = 0.5
-	s := Initial(p, false)
-	evs := ownDeliveries(collect(&s, 5*time.Second, []Send{{Seq: 0, At: 0}}))
-	if len(evs) != 1 {
-		t.Fatal("no delivery")
-	}
-	if evs[0].At != 1500*time.Millisecond {
-		t.Errorf("skewed delivery at %v, want 1.5s", evs[0].At)
-	}
-}
-
 func TestSendInPastPanics(t *testing.T) {
 	s := Initial(fixedParams(), false)
 	collect(&s, 5*time.Second, nil)

@@ -14,7 +14,7 @@ import (
 // the recorded one (Run, then utility.Meter.Add over its events) and
 // beside the pre-rebuild event loop (RefRun), segment by segment, over
 // generated states — empty to full queue, both packet sizes, pinger on
-// and off, CrossRate 0, synchronized and skewed clocks — and generated
+// and off, CrossRate 0 — and generated
 // schedules whose untils and sends repeat and tie with each other, with
 // the link's next completion and with the pinger's next tick. After
 // every segment the three states agree (Key, EqualDynamic, Now), Run's
@@ -39,9 +39,6 @@ func FuzzRunStreamMatchesRun(f *testing.F) {
 		}
 		if flags&2 != 0 {
 			p.CrossPktBits = 3 * p.PktBits()
-		}
-		if flags&4 != 0 {
-			p.ClockSkew = 1e-3
 		}
 		p.CrossRate = p.LinkRate * units.BitRate(crossPct%100) / 100
 		p.BufferCapBits = int64(1+capPkts%16) * p.PktBits()

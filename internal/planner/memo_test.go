@@ -17,16 +17,16 @@ import (
 // together), under other labels (ParamsID, sequence numbers, toggle
 // phase), with other queueing histories (enqueue stamps), in other mixes
 // and weights. Whether two presentations may share a rollout depends on
-// the configuration — stamps matter under a cross-latency penalty, the
-// instant under clock skew — so a key that wrongly merged them would
-// make the warm pool decide differently from the fresh one.
+// the configuration — stamps matter under a cross-latency penalty — so a
+// key that wrongly merged them would make the warm pool decide
+// differently from the fresh one.
 type memoWorld struct {
 	rng   *rand.Rand
 	stock []model.State
 	t0    time.Duration
 }
 
-func newMemoWorld(seed int64, skew bool) *memoWorld {
+func newMemoWorld(seed int64) *memoWorld {
 	pr := model.Prior{
 		LinkRate:       model.PriorRange{Lo: 10000, Hi: 16000, N: 3},
 		CrossFrac:      model.PriorRange{Lo: 0.4, Hi: 0.7, N: 2},
@@ -35,9 +35,6 @@ func newMemoWorld(seed int64, skew bool) *memoWorld {
 		FullnessSteps:  2,
 		MeanSwitch:     100 * time.Second,
 		PingerMaybeOff: true,
-	}
-	if skew {
-		pr.ClockSkew = model.PriorRange{Lo: 1e-3, Hi: 1e-3, N: 1}
 	}
 	w := &memoWorld{rng: rand.New(rand.NewSource(seed)), t0: 9 * time.Second}
 	w.stock, _ = pr.Enumerate()
@@ -110,33 +107,30 @@ func warmEqualsFresh(t *testing.T, w *memoWorld, cfg Config, calls int, novelEve
 
 // TestDecideMemoResultNeutral: on generated supports, pending lists and
 // instants, a pool whose memo is warm decides exactly what a fresh pool
-// does — at either worker width, with a cross-latency penalty (enqueue
-// stamps keyed) and with a skewed receiver clock (the instant keyed) —
-// and the memo is in fact being hit and shared while it does. The same
-// for bursts — a fleet-shaped support decided four times at one instant, a
-// packet more committed each time, every other burst the one before
-// re-presented 7.919 s later — across three pools: one fresh for every
-// call, which sweeps the burst's first decision on behalf of each later
-// one; a warm one, which derives them from the records the first left in
-// its memo; and one whose memo is overwritten between the calls, which
-// finds the vectors and the records gone. Whichever way a later decision's
-// vector was come by, the Decision is the same field for field. The
-// bursts run on fleet-shaped supports and on Figure 3's (fig3World), whose
-// links idle.
+// does — at either worker width, and with a cross-latency penalty
+// (enqueue stamps keyed) — and the memo is in fact being hit and shared
+// while it does. The same for bursts — a fleet-shaped support decided
+// four times at one instant, a packet more committed each time, every
+// other burst the one before re-presented 7.919 s later — across three
+// pools: one fresh for every call, which sweeps the burst's first
+// decision on behalf of each later one; a warm one, which derives them
+// from the records the first left in its memo; and one whose memo is
+// overwritten between the calls, which finds the vectors and the records
+// gone. Whichever way a later decision's vector was come by, the Decision
+// is the same field for field. The bursts run on fleet-shaped supports
+// and on Figure 3's (fig3World), whose links idle.
 func TestDecideMemoResultNeutral(t *testing.T) {
 	penalty := utility.Config{Alpha: 2.5, Kappa: 20 * time.Second, CrossLatencyPenalty: 0.02}
 	for _, tc := range []struct {
 		name string
 		util utility.Config
-		skew bool
 	}{
-		{"default", utility.Default(), false},
-		{"cross-latency penalty", penalty, false},
-		{"clock skew", utility.Default(), true},
+		{"default", utility.Default()},
+		{"cross-latency penalty", penalty},
 	} {
 		for _, workers := range []int{1, 4} {
 			cfg := Config{Util: tc.util, Horizon: 15 * time.Second, Workers: workers}
-			st := warmEqualsFresh(t, newMemoWorld(11, tc.skew), cfg, 120, 0)
+			st := warmEqualsFresh(t, newMemoWorld(11), cfg, 120, 0)
 			if st.Hits == 0 || st.Shared == 0 || st.Hits+st.Shared >= st.Lookups {
 				t.Errorf("%s, %d workers: memo not exercised both ways: %+v", tc.name, workers, st)
 			}
@@ -205,7 +199,7 @@ func TestDecideMemoResultNeutral(t *testing.T) {
 // situations store more vectors than the direct-mapped table has slots.
 func TestDecideMemoResultNeutralAfterWrap(t *testing.T) {
 	cfg := Config{Util: utility.Default(), Horizon: 4 * time.Second, Workers: 1}
-	st := warmEqualsFresh(t, newMemoWorld(5, false), cfg, 1200, 2)
+	st := warmEqualsFresh(t, newMemoWorld(5), cfg, 1200, 2)
 	if rolled := st.Lookups - st.Hits - st.Shared; rolled < 2<<memoSlotBits || st.Overwrites == 0 || st.Hits == 0 {
 		t.Errorf("table did not wrap under hits: %+v", st)
 	}
@@ -216,7 +210,7 @@ func TestDecideMemoResultNeutralAfterWrap(t *testing.T) {
 // stored vector (poisoned here, so serving it would flip the decision)
 // is never served, and the recomputed one replaces it.
 func TestDecideMemoVerifyMismatchIsMiss(t *testing.T) {
-	w := newMemoWorld(3, false)
+	w := newMemoWorld(3)
 	sup, pending, now, seq := w.call(0)
 	cfg := Config{Horizon: 15 * time.Second, Workers: 1, Pool: rollout.New(1)}
 	want := Decide(sup, pending, now, seq, cfg)

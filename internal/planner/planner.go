@@ -42,9 +42,9 @@
 // a lane deferred before an arrival that left its twin no room is
 // simulated after all, and a depth whose premise failed is swept. On a
 // quiet hypothesis, which nothing arrives at to the horizon, every lane
-// closes at its fork. A hypothesis twinGate refuses (a skewed clock, a
-// chunk smaller than a packet arriving by the horizon) and a call with a
-// cross-latency penalty are swept as before, bit for bit.
+// closes at its fork. A hypothesis twinGate refuses (a chunk smaller than
+// a packet arriving by the horizon) and a call with a cross-latency
+// penalty are swept as before, bit for bit.
 //
 // What only the wake decides — the top-K copy, the rollout-key hashes, the
 // fingerprint's support half — is taken at a Wake's first decision.
@@ -1017,13 +1017,12 @@ func (lg *twinLog) a(t time.Duration) (float64, bool) {
 
 // twinGate reports whether hypothesis s, planned to horizon by a call
 // with no latency penalty and no committed send still to come, may close
-// candidates as lagged twins of its baseline: nothing but the link's clock
-// stamps a delivery, and no chunk arriving by the horizon is smaller than a
-// candidate's packet — vacuously so on a quiet hypothesis. Every input is a
-// size or a time relative to the decision instant, all of them in the
-// rollout key.
+// candidates as lagged twins of its baseline: no chunk arriving by the
+// horizon is smaller than a candidate's packet — vacuously so on a quiet
+// hypothesis. Every input is a size or a time relative to the decision
+// instant, all of them in the rollout key.
 func twinGate(s *model.State, horizon time.Duration) bool {
-	return s.P.ClockSkew == 0 && (quiet(s, horizon) || s.P.CrossBits() >= s.P.PktBits())
+	return quiet(s, horizon) || s.P.CrossBits() >= s.P.PktBits()
 }
 
 // quiet reports whether no pinger chunk arrives at s by the horizon: its

@@ -60,9 +60,6 @@ func refRun(s *model.State, until time.Duration, sends []model.Send, out *[]mode
 			if q.Own {
 				ev.Kind = model.OwnDelivered
 			}
-			if s.P.ClockSkew != 0 {
-				ev.At = units.SecondsToDuration(s.Now.Seconds() * (1 + s.P.ClockSkew))
-			}
 			*out = append(*out, ev)
 			if s.QLen() > 0 {
 				head := s.Queue[s.QHead]
@@ -235,28 +232,28 @@ func refSweep(h *belief.Hypothesis, pending []model.Send, now time.Duration, seq
 // folded straight into accumulators that share one step table per worker
 // — gives, for every hypothesis, the gain vector of the event-buffer
 // sweep it replaced, and so the same Decision. Calls the lagged-twin gate
-// refuses outright (a cross-latency penalty, a skewed clock) must match
-// bit for bit; the rest, where a saturated hypothesis may close
-// candidates from its baseline's running value instead of simulating
-// them, within 1e-9 of a packet's bits — three orders under the tie band
-// — and with an equal Decision. Each width plans on one long-lived pool,
-// alternating the fleet's grid (9 candidates, 12 s) with the precise one
-// (13 candidates, 40 s) and two discount timescales, so the step table
-// meets another κ's factors, the lanes another candidate count and the
-// memo served rows, all of which must be invisible; generated supports
-// carry full and nearly full buffers whose completions coincide with
-// pinger ticks. A fifth family is shaped like a 256-sender fleet's
-// beliefs (fleetShaped), where most lanes must in fact have been closed
-// and some deferred lanes simulated after all. Two more are such beliefs
-// decided the way a sender's wake decides — four times at one instant, a
-// packet more committed each time, under α = 1 and α = 2.5 — where most
-// of the later decisions' vectors must in fact have been derived from the
-// first one's twin record, each held to the event sweep of its own
-// pending list like any other. The last two are the same on Figure 3's
-// beliefs (fig3World): links that idle, so the first decision's log closes
-// its later ones across gaps, idle forks and quiet hypotheses, each burst
-// two to four decisions deep; more than half the later decisions' fresh
-// vectors must have been derived there too.
+// refuses outright (a cross-latency penalty) must match bit for bit; the
+// rest, where a saturated hypothesis may close candidates from its
+// baseline's running value instead of simulating them, within 1e-9 of a
+// packet's bits — three orders under the tie band — and with an equal
+// Decision. Each width plans on one long-lived pool, alternating the
+// fleet's grid (9 candidates, 12 s) with the precise one (13 candidates,
+// 40 s) and two discount timescales, so the step table meets another κ's
+// factors, the lanes another candidate count and the memo served rows,
+// all of which must be invisible; generated supports carry full and
+// nearly full buffers whose completions coincide with pinger ticks. A
+// fifth family is shaped like a 256-sender fleet's beliefs (fleetShaped),
+// where most lanes must in fact have been closed and some deferred lanes
+// simulated after all. Two more are such beliefs decided the way a
+// sender's wake decides — four times at one instant, a packet more
+// committed each time, under α = 1 and α = 2.5 — where most of the later
+// decisions' vectors must in fact have been derived from the first one's
+// twin record, each held to the event sweep of its own pending list like
+// any other. The last two are the same on Figure 3's beliefs (fig3World):
+// links that idle, so the first decision's log closes its later ones
+// across gaps, idle forks and quiet hypotheses, each burst two to four
+// decisions deep; more than half the later decisions' fresh vectors must
+// have been derived there too.
 func TestDecideStreamMatchesEventSweep(t *testing.T) {
 	fleet := Config{MaxDelay: 4 * time.Second, Grid: 500 * time.Millisecond, Horizon: 12 * time.Second}
 	precise := Config{Horizon: 40 * time.Second}
@@ -264,15 +261,14 @@ func TestDecideStreamMatchesEventSweep(t *testing.T) {
 	cases := []struct {
 		grid   Config
 		util   utility.Config
-		skew   bool
 		shaped bool
 		burst  int // decide again with 1 … burst more packets committed at now
 		fig3   bool
 	}{
 		{grid: fleet, util: utility.Default()},
 		{grid: precise, util: penalty},
-		{grid: fleet, util: penalty, skew: true},
-		{grid: precise, util: utility.Default(), skew: true},
+		{grid: fleet, util: penalty},
+		{grid: precise, util: utility.Default()},
 		{grid: fleet, util: utility.Default(), shaped: true},
 		{grid: fleet, util: utility.Config{Alpha: 2.5, Kappa: 20 * time.Second}},
 		{grid: fleet, util: utility.Default(), shaped: true, burst: twinDepth},
@@ -286,17 +282,13 @@ func TestDecideStreamMatchesEventSweep(t *testing.T) {
 	}
 	for _, workers := range []int{1, 4} {
 		pool := rollout.New(workers)
-		worlds := []*memoWorld{newMemoWorld(21, false), newMemoWorld(22, true)}
+		w := newMemoWorld(21)
 		rng := rand.New(rand.NewSource(23))
 		fig3 := newFig3World(24)
 		rolled := int64(0)
 		var shaped, later, fig3Later MemoStats
 		for c := 0; c < calls; c++ {
 			tc := cases[c%len(cases)]
-			w := worlds[0]
-			if tc.skew {
-				w = worlds[1]
-			}
 			sup, pending, now, seq := w.call(c % 3 * c)
 			tieLinkAndPinger(sup, now)
 			if tc.shaped {
@@ -359,7 +351,7 @@ func TestDecideStreamMatchesEventSweep(t *testing.T) {
 				if len(have) != len(want) {
 					t.Fatalf("%d workers, call %d: %d gains, want %d", workers, c, len(have), len(want))
 				}
-				exact := tc.util.CrossLatencyPenalty > 0 || tc.skew
+				exact := tc.util.CrossLatencyPenalty > 0
 				for i := range want {
 					tol := 1e-9 * float64(hyps[i/candidates].S.P.PktBits())
 					if exact {
@@ -533,7 +525,7 @@ func tieLinkAndPinger(sup []belief.Hypothesis, now time.Duration) {
 // was never made on the pool and has to be swept for it, nor over a burst
 // on Figure 3's beliefs, whose records log gaps.
 func TestDecideSteadyStateAllocs(t *testing.T) {
-	sup, pending, now, seq := newMemoWorld(31, false).call(0)
+	sup, pending, now, seq := newMemoWorld(31).call(0)
 	cfg := Config{Horizon: 12 * time.Second, Workers: 1, Pool: rollout.New(1)}
 	memo := func() MemoStats { return PoolMemoStats(cfg.Pool) }
 

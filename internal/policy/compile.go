@@ -22,11 +22,12 @@ type CompileConfig struct {
 	Duration time.Duration
 	// Note is free-form provenance recorded in the table header.
 	Note string
-	// CacheEntries bounds the capture cache per replay (default 1<<20;
-	// capture uses the cache's OnStore hook, so even an overflowing
-	// cache loses no coverage — only recompute time).
-	CacheEntries int
 }
+
+// compileCacheEntries bounds the capture cache per replay. Capture uses
+// the cache's OnStore hook, so even an overflowing cache loses no
+// coverage — only recompute time.
+const compileCacheEntries = 1 << 20
 
 // CompileStats reports what a compile saw.
 type CompileStats struct {
@@ -57,9 +58,6 @@ func Compile(cfg CompileConfig) (Header, []Record, CompileStats, error) {
 	if cfg.Duration <= 0 {
 		cfg.Duration = 30 * time.Second
 	}
-	if cfg.CacheEntries <= 0 {
-		cfg.CacheEntries = 1 << 20
-	}
 
 	var stats CompileStats
 	seen := make(map[uint64]Record)
@@ -71,7 +69,7 @@ func Compile(cfg CompileConfig) (Header, []Record, CompileStats, error) {
 		fc := cfg.Fleet
 		fc.Seed = seed
 		fc.NoSharedCache = false
-		fc.CacheEntries = cfg.CacheEntries
+		fc.CacheEntries = compileCacheEntries
 		fc.Table = nil // the compile must plan live, not serve itself
 		fl := fleet.New(fc)
 		if fl.Caches == nil {

@@ -156,7 +156,7 @@ func HashPrior(pr model.Prior, tq time.Duration, wq float64) uint64 {
 	putR(pr.CrossFrac)
 	putR(pr.LossProb)
 	putR(pr.BufferCapBits)
-	putR(pr.ClockSkew)
+	putR(model.PriorRange{}) // the removed clock-skew range, kept so file identities hold
 	put(uint64(int64(pr.FullnessSteps)))
 	put(uint64(int64(pr.MeanSwitch)))
 	if pr.PingerMaybeOff {

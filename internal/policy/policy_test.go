@@ -529,7 +529,8 @@ var _ = model.Prior{} // keep the model import tied to CheckPrior usage above
 
 // TestGoldenTable is format durability: testdata/v2.pol, written by
 // `policyc compile -n 2 -dur 20s -seeds 1` at PR 18's tree, still opens
-// as a version-2 table whose every record serves.
+// as a version-2 table whose every record serves, bound to the N = 2 fleet
+// prior's HashPrior.
 func TestGoldenTable(t *testing.T) {
 	tb, err := Open(filepath.Join("testdata", "v2.pol"))
 	if err != nil {
@@ -540,6 +541,11 @@ func TestGoldenTable(t *testing.T) {
 		t.Errorf("golden table: fleet n %d, %d records; want n 2 and a non-empty table", h.FleetN, tb.Len())
 	}
 	if err := tb.Verify(); err != nil {
+		t.Error(err)
+	}
+	// The table's identity is still the one HashPrior gives the N = 2
+	// fleet prior it was compiled under.
+	if err := tb.Header().CheckPrior(fleet.Config{N: 2}.ResolvedPrior()); err != nil {
 		t.Error(err)
 	}
 }

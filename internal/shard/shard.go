@@ -258,7 +258,7 @@ func (sf *Fleet) MemoStats() planner.MemoStats {
 func (sf *Fleet) Now() time.Duration { return sf.now }
 
 // start attaches the initial members and staggers them over
-// Cfg.Stagger: member i starts at Stagger·i/N, as fleet.Fleet.Start
+// Cfg.Stagger(): member i starts at Stagger·i/N, as fleet.Fleet.Start
 // does. They attach through the roster's unclamped Attach: member 0
 // starts at instant 0, which Run settles with a zero-width step before
 // the first window opens.
@@ -267,9 +267,9 @@ func (sf *Fleet) start() {
 		return
 	}
 	sf.started = true
-	n := int64(sf.Cfg.N)
+	n, stagger := int64(sf.Cfg.N), int64(sf.Cfg.Stagger())
 	for i := 0; i < sf.Cfg.N; i++ {
-		sf.Initial(sf.Roster.Attach(packet.FlowID(i), nil, time.Duration(int64(sf.Cfg.Stagger)*int64(i)/n)))
+		sf.Initial(sf.Roster.Attach(packet.FlowID(i), nil, time.Duration(stagger*int64(i)/n)))
 	}
 }
 

@@ -53,38 +53,22 @@ func (v Variant) String() string {
 
 // Config tunes a Sender.
 type Config struct {
-	// Variant selects the algorithm (default Reno).
+	// Variant selects the algorithm; the zero value is Tahoe.
 	Variant Variant
-	// MSS is the segment size in bytes (default 1500).
-	MSS int
-	// InitialCwnd is the initial window in segments (default 2).
-	InitialCwnd float64
-	// InitialSSThresh is the initial slow-start threshold in segments
-	// (default 64).
-	InitialSSThresh float64
-	// MinRTO floors the retransmission timeout (default 200 ms — the
-	// common simulator setting; RFC 6298's 1 s floor just slows the
-	// figures down).
-	MinRTO time.Duration
-	// MaxCwnd caps the window in segments; 0 means unlimited.
-	MaxCwnd float64
 }
 
-func (c Config) withDefaults() Config {
-	if c.MSS <= 0 {
-		c.MSS = packet.DefaultSizeBytes
-	}
-	if c.InitialCwnd <= 0 {
-		c.InitialCwnd = 2
-	}
-	if c.InitialSSThresh <= 0 {
-		c.InitialSSThresh = 64
-	}
-	if c.MinRTO <= 0 {
-		c.MinRTO = 200 * time.Millisecond
-	}
-	return c
-}
+// Every sender's fixed segment size, starting window and RTO floor.
+const (
+	// mss is the segment size in bytes.
+	mss = packet.DefaultSizeBytes
+	// initialCwnd is the initial window in segments.
+	initialCwnd = 2
+	// initialSSThresh is the initial slow-start threshold in segments.
+	initialSSThresh = 64
+	// minRTO floors the retransmission timeout: the common simulator
+	// setting; RFC 6298's 1 s floor just slows the figures down.
+	minRTO = 200 * time.Millisecond
+)
 
 // Sender is a TCP sender with an infinite backlog.
 type Sender struct {
@@ -125,14 +109,13 @@ type Sender struct {
 // NewSender returns a TCP sender that emits segments of the given flow
 // into out. Call Start to begin transmitting.
 func NewSender(loop *sim.Loop, out elements.Node, flow packet.FlowID, cfg Config) *Sender {
-	cfg = cfg.withDefaults()
 	s := &Sender{
 		loop:     loop,
 		out:      out,
 		flow:     flow,
 		cfg:      cfg,
-		cwnd:     cfg.InitialCwnd,
-		ssthresh: cfg.InitialSSThresh,
+		cwnd:     initialCwnd,
+		ssthresh: initialSSThresh,
 		rto:      time.Second,
 		sentAt:   make(map[int64]time.Duration),
 		retxSeq:  make(map[int64]bool),
@@ -159,9 +142,6 @@ func (s *Sender) inflight() int64 { return s.nextSeq - s.sndUna }
 // fill transmits new segments while the window allows.
 func (s *Sender) fill() {
 	for float64(s.inflight()) < s.cwnd {
-		if s.cfg.MaxCwnd > 0 && float64(s.inflight()) >= s.cfg.MaxCwnd {
-			break
-		}
 		s.transmit(s.nextSeq, false)
 		s.nextSeq++
 	}
@@ -169,7 +149,7 @@ func (s *Sender) fill() {
 
 // transmit emits one segment and manages the RTO timer.
 func (s *Sender) transmit(seq int64, isRetx bool) {
-	p := packet.Packet{Flow: s.flow, Seq: seq, SizeBytes: s.cfg.MSS, SentAt: s.loop.Now()}
+	p := packet.Packet{Flow: s.flow, Seq: seq, SizeBytes: mss, SentAt: s.loop.Now()}
 	if isRetx {
 		s.retxSeq[seq] = true
 		s.Retransmits++
@@ -240,9 +220,6 @@ func (s *Sender) onNewAck(ackNext int64) {
 		s.cwnd += float64(acked) // slow start
 	} else {
 		s.cwnd += float64(acked) / s.cwnd // congestion avoidance
-	}
-	if s.cfg.MaxCwnd > 0 && s.cwnd > s.cfg.MaxCwnd {
-		s.cwnd = s.cfg.MaxCwnd
 	}
 	s.logCwnd()
 
@@ -321,8 +298,8 @@ func (s *Sender) sampleRTT(rtt time.Duration) {
 		s.srtt = (7*s.srtt + rtt) / 8
 	}
 	s.rto = s.srtt + 4*s.rttvar
-	if s.rto < s.cfg.MinRTO {
-		s.rto = s.cfg.MinRTO
+	if s.rto < minRTO {
+		s.rto = minRTO
 	}
 	s.RTT.Add(s.loop.Now(), rtt.Seconds())
 }

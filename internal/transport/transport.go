@@ -7,11 +7,11 @@
 // Clocking: all times are durations since the sender's epoch. The
 // receiver timestamps acknowledgments with absolute wall-clock
 // nanoseconds and the sender rebases them, so on one machine (loopback
-// experiments) clocks agree exactly; across machines the model's
-// ClockSkew parameter is the paper's suggested extension (§3.4).
-// Observation matching MUST use a soft likelihood (belief.Config's
-// SoftSigma) because OS scheduling adds jitter the model does not
-// represent.
+// experiments) clocks agree exactly. Cross-machine clock skew is not
+// modelled (the paper assumes synchronized clocks and only suggests skew
+// as an extension, §3.4): the soft likelihood absorbs it. Observation
+// matching MUST use that soft likelihood (belief.Config's SoftSigma)
+// because OS scheduling adds jitter the model does not represent.
 //
 // Failure model: both loops assume the network under them misbehaves —
 // reads go through wire.ReadLoop (short poll deadlines so cancellation
