@@ -128,7 +128,7 @@ func FuzzAbsorbedTwin(f *testing.F) {
 		l := model.Lag{E: time.Duration(m) * lag, From: u}
 		for i := 1; i <= m; i++ {
 			if at := u + time.Duration(i)*lag; at <= horizon {
-				l.Gain += model.PacketValue(x, 1, at-fork, kappa)
+				l.Gain += model.PacketValue(x, at-fork, kappa)
 			}
 		}
 		// The busy stretches the lag is carried through, each with its E.

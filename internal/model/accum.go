@@ -112,11 +112,11 @@ func (a *Accum) Deliver(own bool, bits int64, at, delay time.Duration) {
 }
 
 // PacketValue is what one own delivery of bits is worth tau after the
-// decision instant — bits·survive·e^(−tau/κ), κ in nanoseconds — computed
-// afresh rather than stepped on from a previous delivery: the value the
-// planner's closed forms give a candidate's packet.
-func PacketValue(bits int64, survive float64, tau time.Duration, kappa float64) float64 {
-	return float64(bits) * survive * math.Exp(-float64(tau)/kappa)
+// decision instant, survival-free — bits·e^(−tau/κ), κ in nanoseconds —
+// computed afresh rather than stepped on from a previous delivery: the
+// value the planner's closed forms give a candidate's packet.
+func PacketValue(bits int64, tau time.Duration, kappa float64) float64 {
+	return float64(bits) * math.Exp(-float64(tau)/kappa)
 }
 
 // Take returns the sum of the deliveries since the last Take and clears

@@ -269,15 +269,15 @@ func mutateKeyed(v *State, op, arg byte) {
 // rolloutStream runs s gate-frozen from its own Now to now+6 s with two
 // own sends stamped relative to now, and returns what a planner reads
 // of the result: (kind, bits, At − now) per event, plus Delay when
-// stamps is set.
-func rolloutStream(s State, now time.Duration, stamps bool) []Event {
+// penalty is set.
+func rolloutStream(s State, now time.Duration, penalty bool) []Event {
 	var evs []Event
 	sends := []Send{{Seq: 900, At: now + 100*time.Millisecond}, {Seq: 901, At: now + 1300*time.Millisecond, Bits: 4000}}
 	s.Run(now+6*time.Second, sends, &evs)
 	for i := range evs {
 		evs[i].Seq = 0
 		evs[i].At -= now
-		if !stamps {
+		if !penalty {
 			evs[i].Delay = 0
 		}
 	}
@@ -287,10 +287,11 @@ func rolloutStream(s State, now time.Duration, stamps bool) []Event {
 // FuzzRolloutKey pins AppendRolloutKey to what a gate-frozen Run reads.
 // Perturbing a field the key leaves out — ParamsID, the toggle grid,
 // MeanSwitch, InitFullBits, sequence numbers, the pinger's rate, chunk
-// and phase while the gate is off, enqueue stamps when the caller does
-// not consume Delay, and a uniform shift of every time and of now —
+// and phase while the gate is off, enqueue stamps and LossProb when the
+// caller has no latency penalty (it then consumes no Delay and weighs
+// survival in afterwards), and a uniform shift of every time and of now —
 // changes neither the key nor the rebased delivery stream. Perturbing
-// any field it keeps changes the key.
+// any field it keeps changes the key: LossProb among them iff penalty.
 func FuzzRolloutKey(f *testing.F) {
 	f.Add(uint8(0), int64(0), int64(0), false, false, []byte{}, uint16(0), false)
 	f.Add(uint8(1), int64(12000), int64(3), true, true, []byte{1, 0, 1}, uint16(250), true)
@@ -298,7 +299,7 @@ func FuzzRolloutKey(f *testing.F) {
 	f.Add(uint8(3), int64(1500*8), int64(41), false, true, []byte{1, 1, 0, 1, 0, 1, 0, 1, 1, 0}, uint16(999), true)
 	f.Add(uint8(9), int64(6000), int64(77), true, true, []byte{0, 1, 0, 1, 1}, uint16(7), false)
 
-	f.Fuzz(func(t *testing.T, paramsID uint8, bits int64, seq int64, pingerOn, serving bool, queueSpec []byte, aheadMs uint16, stamps bool) {
+	f.Fuzz(func(t *testing.T, paramsID uint8, bits int64, seq int64, pingerOn, serving bool, queueSpec []byte, aheadMs uint16, penalty bool) {
 		s := buildState(paramsID, bits, seq, pingerOn, serving, queueSpec)
 		// A buffer tight enough that the rollout's sends and cross
 		// chunks tail-drop, so drops are in the compared streams too.
@@ -313,15 +314,15 @@ func FuzzRolloutKey(f *testing.F) {
 		if s.NextCross < now {
 			s.NextCross = now + 50*time.Millisecond
 		}
-		key := s.AppendRolloutKey(nil, now, stamps)
-		stream := rolloutStream(s.Clone(), now, stamps)
+		key := s.AppendRolloutKey(nil, now, penalty)
+		stream := rolloutStream(s.Clone(), now, penalty)
 
 		same := func(name string, v State, vnow time.Duration) {
 			t.Helper()
-			if !slices.Equal(v.AppendRolloutKey(nil, vnow, stamps), key) {
+			if !slices.Equal(v.AppendRolloutKey(nil, vnow, penalty), key) {
 				t.Fatalf("%s changed the rollout key", name)
 			}
-			got := rolloutStream(v, vnow, stamps)
+			got := rolloutStream(v, vnow, penalty)
 			if len(got) != len(stream) {
 				t.Fatalf("%s: %d events, want %d", name, len(got), len(stream))
 			}
@@ -333,7 +334,7 @@ func FuzzRolloutKey(f *testing.F) {
 		}
 		differs := func(name string, v State, vnow time.Duration) {
 			t.Helper()
-			if slices.Equal(v.AppendRolloutKey(nil, vnow, stamps), key) {
+			if slices.Equal(v.AppendRolloutKey(nil, vnow, penalty), key) {
 				t.Fatalf("%s did not change the rollout key", name)
 			}
 		}
@@ -374,7 +375,7 @@ func FuzzRolloutKey(f *testing.F) {
 			offPinger.NextCross += 77 * time.Millisecond
 			same("gated-off pinger", offPinger, now)
 		}
-		if !stamps {
+		if !penalty {
 			same("unread enqueue stamps", edit(func(v *State) {
 				v.InService.EnqueuedAt -= 5 * time.Millisecond
 				for i := range v.Queue {
@@ -389,7 +390,11 @@ func FuzzRolloutKey(f *testing.F) {
 		differs("LinkRate", reparam(func(p *Params) { p.LinkRate += 1 }), now)
 		differs("BufferCapBits", reparam(func(p *Params) { p.BufferCapBits++ }), now)
 		differs("PktBytes", reparam(func(p *Params) { p.PktBytes = 1000 }), now)
-		differs("LossProb", reparam(func(p *Params) { p.LossProb += 0.01 }), now)
+		if lossy := reparam(func(p *Params) { p.LossProb += 0.01 }); penalty {
+			differs("LossProb", lossy, now)
+		} else {
+			same("unread LossProb", lossy, now)
+		}
 		differs("Now", edit(func(v *State) { v.Now -= time.Nanosecond }), now)
 		differs("the decision instant", s.Clone(), now+time.Nanosecond)
 		differs("PingerOn", edit(func(v *State) { v.PingerOn = !v.PingerOn }), now)
@@ -410,7 +415,7 @@ func FuzzRolloutKey(f *testing.F) {
 			last := func(v *State) *QPkt { return &v.Queue[len(v.Queue)-1] }
 			differs("queued bits", edit(func(v *State) { last(v).Bits++; v.QueueBits++ }), now)
 			differs("queued owner", edit(func(v *State) { last(v).Own = !last(v).Own }), now)
-			if stamps {
+			if penalty {
 				differs("a read enqueue stamp", edit(func(v *State) { last(v).EnqueuedAt-- }), now)
 			}
 		}

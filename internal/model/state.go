@@ -763,11 +763,11 @@ func (s *State) KeyHead() uint64 {
 // AppendRolloutKey appends to dst exactly what a gate-frozen rollout
 // from decision instant now reads of the hypothesis: Run fed sends
 // stamped relative to now, its deliveries consumed as (kind, bits,
-// At − now) and, when stamps is set, Delay. Two states with equal keys
-// (under the same stamps) produce identical such streams from identical
-// relative sends, at any two instants — the identity a planner needs to
-// roll a recurring hypothesis once. Every time is rebased to now; the
-// walk is knowledge of what Run reads, which is why it lives beside
+// At − now) and, under a penalty, Delay and 1−p. Two states with equal
+// keys (under the same penalty) produce identical such streams from
+// identical relative sends, at any two instants — the identity a planner
+// needs to roll a recurring hypothesis once. Every time is rebased to now;
+// the walk is knowledge of what Run reads, which is why it lives beside
 // SameKey and EqualDynamic, and it reads far less than they do:
 //
 //   - ParamsID, MeanSwitch, InitFullBits, NextToggle and SwitchTick
@@ -776,39 +776,38 @@ func (s *State) KeyHead() uint64 {
 //     the cross chunk, its interval (all CrossRate decides) and
 //     NextCross count only when PingerOn;
 //   - sequence numbers label events and never steer them;
-//   - enqueue stamps surface only as a delivery's Delay, so they count
-//     only when the caller consumes Delay (stamps);
+//   - enqueue stamps surface only as a delivery's Delay, and LossProb only
+//     as its value's factor 1−p, which a caller weighs in afterwards unless
+//     a latency penalty makes gains nonlinear in it: both count only then;
 //   - absolute time never matters: clocks are synchronized, so the key
 //     is purely relative and now itself is not in it.
 //
 // The encoding is self-delimiting (the flags word carries the queue
 // length and which optional groups follow), so callers may append more
 // words after it.
-func (s *State) AppendRolloutKey(dst []uint64, now time.Duration, stamps bool) []uint64 {
+func (s *State) AppendRolloutKey(dst []uint64, now time.Duration, penalty bool) []uint64 {
 	p := s.P
-	dst = append(dst,
-		s.ShapeWord(),
-		math.Float64bits(float64(p.LinkRate)),
-		uint64(p.BufferCapBits),
-		uint64(p.pktBits),
-		math.Float64bits(p.LossProb),
-		uint64(s.Now-now))
+	dst = append(dst, s.ShapeWord(), math.Float64bits(float64(p.LinkRate)),
+		uint64(p.BufferCapBits), uint64(p.pktBits), uint64(s.Now-now))
+	if penalty {
+		dst = append(dst, math.Float64bits(p.LossProb))
+	}
 	if s.PingerOn {
 		dst = append(dst, uint64(p.crossBits), uint64(p.crossIvl), uint64(s.NextCross-now))
 	}
 	if s.Serving {
-		dst = s.InService.appendRolloutKey(dst, now, stamps)
+		dst = s.InService.appendRolloutKey(dst, now, penalty)
 		dst = append(dst, uint64(s.ServiceDone-now))
 	}
 	for _, q := range s.Queued() {
-		dst = q.appendRolloutKey(dst, now, stamps)
+		dst = q.appendRolloutKey(dst, now, penalty)
 	}
 	return dst
 }
 
-func (q QPkt) appendRolloutKey(dst []uint64, now time.Duration, stamps bool) []uint64 {
+func (q QPkt) appendRolloutKey(dst []uint64, now time.Duration, penalty bool) []uint64 {
 	dst = append(dst, q.SizeWord())
-	if stamps {
+	if penalty {
 		dst = append(dst, uint64(q.EnqueuedAt-now))
 	}
 	return dst

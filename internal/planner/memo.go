@@ -250,8 +250,7 @@ type twinLog struct {
 	now, u0, horizon, logEnd time.Duration
 	lag                      time.Duration
 	x, capBits               int64
-	kappa, survive           float64
-	aEnd                     float64
+	kappa, aEnd              float64
 	clean                    [twinDepth + 2]time.Duration
 	winFrom                  time.Duration
 	aWin                     float64
@@ -340,14 +339,14 @@ func (r *twinRecords) at(i, candidates int) twinRecord {
 // so a live decision allocates none of them — and the rollout memo.
 type decideArena struct {
 	// The top-K copy of a wake's support and its rollout-key hashes, taken
-	// for wake (a Wake.id) under maxHyps and stamps (begin), and the index
+	// for wake (a Wake.id) under maxHyps and penalty (begin), and the index
 	// a support wider than maxHyps is ordered by.
 	hyps    []belief.Hypothesis
 	hkeys   []memoKey
 	order   byWeight
 	wake    uint64
 	maxHyps int
-	stamps  bool
+	penalty bool
 
 	stops []time.Duration
 	gains []float64

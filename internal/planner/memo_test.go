@@ -1,6 +1,7 @@
 package planner
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -236,5 +237,63 @@ func TestDecideMemoVerifyMismatchIsMiss(t *testing.T) {
 	hits := m.Hits
 	if got := Decide(sup, pending, now, seq, cfg); got != want || m.Hits == hits {
 		t.Fatalf("after repair: %+v (hits %d -> %d), want %+v served from the memo", got, hits, m.Hits, want)
+	}
+}
+
+// TestLossSiblingsShareOneRollout: hypotheses that differ only in their
+// last-mile loss probability — Figure 3's grid, 0 … 0.2 — roll once
+// between them when the call has no latency penalty: loss reaches no
+// queue and every value is linear in survival, so the rollout runs at
+// survival 1 and reduce weighs each sibling by W·(1−p). The Decision is
+// the one reduce gives over each sibling's own sweep at its own survival,
+// within 1e-9 of a packet's bits in Gain and exactly in SendNow and
+// WakeAt. Under a penalty survival stays inside the rollout: five
+// sweeps, and the Decision exactly the reference's.
+func TestLossSiblingsShareOneRollout(t *testing.T) {
+	sup, now := newFig3World(42).support()
+	s := sup[0].S
+	for _, h := range sup {
+		if h.S.Serving && h.S.PingerOn {
+			s = h.S
+			break
+		}
+	}
+	var sibs []belief.Hypothesis
+	for k := 0; k < 5; k++ {
+		v := s.Clone()
+		p := v.P.Params
+		p.LossProb = 0.05 * float64(k)
+		v.SetParams(p)
+		v.ParamsID += int32(k)
+		sibs = append(sibs, belief.Hypothesis{S: v, W: 0.1 + 0.05*float64(k)})
+	}
+	for _, tc := range []struct {
+		util  utility.Config
+		swept int64
+	}{
+		{utility.Default(), 1},
+		{utility.Config{Alpha: 1, Kappa: utility.Default().Kappa, CrossLatencyPenalty: 0.02}, 5},
+	} {
+		cfg := Config{Util: tc.util, Workers: 1, Pool: rollout.New(1)}
+		got := Decide(sibs, nil, now, 7, cfg)
+		st := PoolMemoStats(cfg.Pool)
+		if st.Rolled() != tc.swept || st.Shared != 5-tc.swept {
+			t.Errorf("penalty %v: %d swept, %d shared; want %d, %d", tc.util.CrossLatencyPenalty, st.Rolled(), st.Shared, tc.swept, 5-tc.swept)
+		}
+		cfg = cfg.withDefaults()
+		hyps := topK(sibs, cfg.MaxHyps)
+		candidates := int(cfg.MaxDelay/cfg.Grid) + 1
+		var want []float64
+		for i := range hyps {
+			want = append(want, refSweep(&hyps[i], hyps[i].S.P.LossProb, nil, now, 7, cfg)...)
+		}
+		ref := reduce(hyps, want, candidates, now, cfg.Grid, true) // the rows hold survival
+		tol := 1e-9 * float64(s.P.PktBits())
+		if tc.swept > 1 {
+			tol = 0
+		}
+		if got.SendNow != ref.SendNow || got.WakeAt != ref.WakeAt || !(math.Abs(got.Gain-ref.Gain) <= tol) {
+			t.Errorf("penalty %v: decided %+v, the siblings' own sweeps %+v (Gain allowed %g)", tc.util.CrossLatencyPenalty, got, ref, tol)
+		}
 	}
 }

@@ -9,20 +9,20 @@
 // deterministically, gate frozen and loss in expectation, accumulating the
 // utility of all own and cross deliveries over a common horizon, relative
 // to the no-send rollout of the same hypothesis. Neither approximation
-// moves the argmax in the paper's configurations: utility is linear in
-// delivered bits and last-mile loss reaches no queue
-// (utility.Config.OfPredicted), and the gate is re-inferred at every wake,
-// toggles about once in a hundred seconds, and both its states are in the
-// support with their posterior weights.
+// moves the argmax in the paper's configurations: the gate is re-inferred
+// at every wake, toggles about once in a hundred seconds, and both its
+// states are in the support with their posterior weights; last-mile loss
+// reaches no queue and utility is linear in delivered bits
+// (utility.Config.OfPredicted), so without a cross-latency penalty a
+// hypothesis is rolled at survival 1 and reduce weighs it by W·(1−p).
 //
 // The rollout memo keys each hypothesis by what a rollout reads of it
-// (model.State.AppendRolloutKey: sizes, and times relative to the decision
-// instant) under the pending sends and the plan constants, so fleet
-// members in the same relative state, and hypotheses of one belief that
-// differ only in what is left out, roll once (rolloutMemo). A rollout is a
-// stream: every delivery goes to the rollout's model.Accum as the link
-// completes it (model.State.RunAccum), bit for bit what an event buffer
-// read back gave.
+// (model.State.AppendRolloutKey) under the pending sends and the plan
+// constants, so fleet members in the same relative state, and hypotheses
+// of one belief that differ only in what is left out (Figure 3's loss grid
+// points), roll once (rolloutMemo). A rollout is a stream: every delivery
+// goes to the rollout's model.Accum as the link completes it
+// (model.State.RunAccum), bit for bit what an event buffer read back gave.
 //
 // A candidate is not rolled lane by lane where its consequences are a lag
 // (model.State.BacklogDone): its packet joins the backlog and everything
@@ -31,20 +31,18 @@
 // belief, each with one more own packet committed at now, so the baseline
 // of the call m packets in is the first call's carrying m service times of
 // extra work — the lagged twin again. The first call's baseline writes one
-// log (twinLog: its gaps, its value at each candidate's u, its deliveries
-// near the horizon, how long the room premises held), and one closure
-// (twinLog.close, with model.Lag) closes every candidate of every decision
-// of the burst from it: the first call's when the sweep ends, into its gain
-// vector, a later one's when it asks, into the twin record the memo keeps
-// beside that vector (twinRecord.derive hands them out). A closed gain is the
-// simulated one up to a summation order, five orders of magnitude under
-// the tie band of reduce. What the log cannot establish is never guessed:
-// a lane deferred before an arrival that left its twin no room is
-// simulated after all, and a depth whose premise failed is swept. On a
-// quiet hypothesis, which nothing arrives at to the horizon, every lane
-// closes at its fork. A hypothesis twinGate refuses (a chunk smaller than
-// a packet arriving by the horizon) and a call with a cross-latency
-// penalty are swept as before, bit for bit.
+// log (twinLog), and one closure (twinLog.close, with model.Lag) closes
+// every candidate of every decision of the burst from it: the first call's
+// when the sweep ends, into its gain vector, a later one's when it asks,
+// into the twin record the memo keeps beside that vector (twinRecord.derive
+// hands them out). A closed gain is the simulated one up to a summation
+// order, five orders of magnitude under the tie band of reduce. What the
+// log cannot establish is never guessed: a lane deferred before an arrival
+// that left its twin no room is simulated after all, and a depth whose
+// premise failed is swept. On a quiet hypothesis, which nothing arrives at
+// to the horizon, every lane closes at its fork. A hypothesis twinGate
+// refuses (a chunk smaller than a packet arriving by the horizon) and a
+// call with a cross-latency penalty are swept as before, bit for bit.
 //
 // What only the wake decides — the top-K copy, the rollout-key hashes, the
 // fingerprint's support half — is taken at a Wake's first decision.
@@ -176,13 +174,9 @@ const lockstepChunk = time.Second
 // bit what the sweep would produce, so the memo never reaches a Decision.
 //
 // A sweep (decideArena.sweep) advances the no-send baseline once over sync
-// stops — each candidate's send time, then every lockstepChunk to the
-// horizon — and forks each candidate from it at its send time. On a
-// hypothesis twinGate takes, the baseline writes the twin log and a
-// candidate is closed from it (twinLog.close); the rest are simulated
-// beside the baseline and retire at the first stop where their state
-// equals it. Hypotheses are spread over cfg.Workers with per-worker
-// scratch, and on one worker a steady-state call allocates nothing.
+// stops and forks each candidate from it at its send time, to be closed
+// from the twin log or simulated beside the baseline. Hypotheses are spread
+// over cfg.Workers; on one worker a steady-state call allocates nothing.
 //
 // A call whose pending list ends in m sends of the uniform size stamped
 // now (1 ≤ m ≤ twinDepth) is the (m+1)-th decision of a wake, and a vector
@@ -190,13 +184,14 @@ const lockstepChunk = time.Second
 // hypothesis keyed without those m sends — closes at depth m into its twin
 // record (twinRecord.derive). A record that is not resident, or whose log
 // is gone before that depth is closed, is remade by sweeping the first
-// decision (MemoStats.Stripped); a depth its log could
-// not establish, a hypothesis twinGate refuses, a deeper burst and a
-// trailing send of another size or instant go down the direct sweep.
+// decision (MemoStats.Stripped); a depth its log could not establish, a
+// hypothesis twinGate refuses, a deeper burst and a trailing send of
+// another size or instant go down the direct sweep.
 // Resident, evicted or never made, the same key gets the same vector.
 //
-// reduce weighs the vectors by the hypotheses' weights in index order and
-// picks the best candidate, ties within a band going to the longest delay.
+// reduce weighs the vectors by the hypotheses' weights (W·(1−p) without a
+// penalty) in index order and picks the best candidate, ties within a band
+// going to the longest delay.
 func Decide(sup []belief.Hypothesis, pending []model.Send, now time.Duration, seq int64, cfg Config) Decision {
 	var w Wake
 	w.Reset(sup, now)
@@ -246,7 +241,7 @@ func (w *Wake) Decide(pending []model.Send, seq int64, cfg Config) Decision {
 	// alone, and no committed send is still to come. Under it, a call whose
 	// pending list ends in burst sends of the uniform size stamped now is a
 	// later decision of a burst; the list without them is the first one's.
-	twins := cfg.Util.CrossLatencyPenalty == 0 && (len(pending) == 0 || pending[len(pending)-1].At <= now)
+	twins := !ar.penalty && (len(pending) == 0 || pending[len(pending)-1].At <= now)
 	// What such calls keep per hypothesis is sized at once for the widest
 	// support a default plan reads: a support widens all through a run, and
 	// buffers that follow it are reallocated while the run is being timed.
@@ -361,7 +356,7 @@ func (w *Wake) Decide(pending []model.Send, seq int64, cfg Config) Decision {
 			copy(row(i), row(int(j)))
 		}
 	}
-	d := reduce(hyps, gains, candidates, now, cfg.Grid)
+	d := reduce(hyps, gains, candidates, now, cfg.Grid, ar.penalty)
 	records := twins && burst == 0
 	for _, i := range fresh {
 		ar.memo.store(keys[i], row(int(i)))
@@ -391,8 +386,8 @@ func (ar *decideArena) run(pool *rollout.Pool, roll []int32, pending []model.Sen
 	}
 }
 
-// reduce weighs the per-hypothesis gain rows into the Decision.
-func reduce(hyps []belief.Hypothesis, gains []float64, candidates int, now, grid time.Duration) Decision {
+// reduce weighs the gain rows into the Decision, by W·(1−p) if penalty-free.
+func reduce(hyps []belief.Hypothesis, gains []float64, candidates int, now, grid time.Duration, penalty bool) Decision {
 	// Sequential reduce, candidate-major like the serial planner: ties
 	// keep preferring the later send time (pacing). The tie widens to a
 	// band of tieEps — 1e-6 of one packet's utility, the natural scale
@@ -413,7 +408,11 @@ func reduce(hyps []belief.Hypothesis, gains []float64, candidates int, now, grid
 	for k := 0; k < candidates; k++ {
 		var gain float64
 		for i := range hyps {
-			gain += hyps[i].W * gains[i*candidates+k]
+			w := hyps[i].W
+			if !penalty {
+				w *= 1 - hyps[i].S.P.LossProb
+			}
+			gain += w * gains[i*candidates+k]
 		}
 		if gain > maxGain {
 			maxGain = gain
@@ -424,18 +423,13 @@ func reduce(hyps []belief.Hypothesis, gains []float64, candidates int, now, grid
 		}
 	}
 
-	d := Decision{
+	return Decision{
+		SendNow:    bestDelta == 0,
+		WakeAt:     now + time.Duration(bestDelta)*grid,
 		Gain:       chosenGain,
 		Candidates: candidates,
 		Support:    len(hyps),
 	}
-	if bestDelta == 0 {
-		d.SendNow = true
-		d.WakeAt = now
-		return d
-	}
-	d.WakeAt = now + time.Duration(bestDelta)*grid
-	return d
 }
 
 const negInf = -1e308
@@ -467,7 +461,11 @@ func (ar *decideArena) sweep(s *rollout.Scratch, r int) {
 	h.S.CloneInto(base)
 	horizon := stops[len(stops)-1]
 	twin := ar.twins && twinGate(&h.S, horizon)
-	ar.util.Start(&ds.base, ar.now, h.S.P.LossProb, &ds.steps)
+	loss := 0.0 // survival-free: reduce weighs (1−p) in
+	if ar.penalty {
+		loss = h.S.P.LossProb
+	}
+	ar.util.Start(&ds.base, ar.now, loss, &ds.steps)
 	acc := &ds.base
 	if twin && quiet(&h.S, horizon) {
 		acc = nil // every lane closes at its fork: the baseline's value is never read
@@ -478,7 +476,7 @@ func (ar *decideArena) sweep(s *rollout.Scratch, r int) {
 	tw := &ds.tw
 	tw.deferred, tw.owing = 0, false
 	if twin {
-		tw.start(base, acc, stops, &ar.logs[i], candidates, ar.now, float64(ar.util.Kappa), 1-h.S.P.LossProb)
+		tw.start(base, acc, stops, &ar.logs[i], candidates, ar.now, float64(ar.util.Kappa))
 		tw.out, tw.keeps = ar.recs.at(i, candidates), ar.keeps
 	}
 
@@ -548,7 +546,7 @@ func (ar *decideArena) sweep(s *rollout.Scratch, r int) {
 				continue
 			}
 			c.fork(base, t, pending, ar.seq)
-			ar.util.Start(&c.acc, ar.now, h.S.P.LossProb, &ds.steps)
+			ar.util.Start(&c.acc, ar.now, loss, &ds.steps)
 			live++
 		}
 	}
@@ -581,7 +579,7 @@ func (ar *decideArena) revive(h *belief.Hypothesis, ds *decideScratch, lanes []l
 		h.S.CloneInto(&c.s)
 		c.s.RunAccum(ar.stops[k], ar.pending, nil)
 		c.fork(&c.s, ar.stops[k], ar.pending, ar.seq)
-		ar.util.Start(&c.acc, ar.now, h.S.P.LossProb, &ds.steps)
+		ar.util.Start(&c.acc, ar.now, 0, &ds.steps) // a twin sweep has no penalty
 		for m := k + 1; m < j; m++ {
 			gains[k] += c.run(ar.stops[m]) - tw.segs[m]
 		}
@@ -617,10 +615,10 @@ type twinSweep struct {
 // watches the premises as deep as a record serves and logs the gaps. A
 // quiet hypothesis's baseline has no accumulator (acc nil), its log one gap
 // from u0 on, and A is 0 throughout.
-func (tw *twinSweep) start(base *model.State, acc *model.Accum, stops []time.Duration, lg *twinLog, candidates int, now time.Duration, kappa, survive float64) {
+func (tw *twinSweep) start(base *model.State, acc *model.Accum, stops []time.Duration, lg *twinLog, candidates int, now time.Duration, kappa float64) {
 	p, horizon := base.P, stops[len(stops)-1]
 	lg.now, lg.u0, lg.horizon, lg.logEnd, lg.lag, lg.x, lg.capBits = now, 0, horizon, horizon, p.ServiceTime(), p.PktBits(), p.BufferCapBits
-	lg.kappa, lg.survive, lg.aEnd, lg.winFrom, lg.aWin, lg.win = kappa, survive, 0, units.Forever, 0, lg.win[:0]
+	lg.kappa, lg.aEnd, lg.winFrom, lg.aWin, lg.win = kappa, 0, units.Forever, 0, lg.win[:0]
 	for l := range lg.clean {
 		lg.clean[l] = units.Forever
 	}
@@ -689,7 +687,7 @@ func (tw *twinSweep) fork(c *lane, base *model.State, acc *model.Accum, gains []
 	}
 	if cd.u+lg.lag <= lg.horizon {
 		if cd.u != tw.pktU {
-			tw.pktU, tw.pkt = cd.u, model.PacketValue(lg.x, lg.survive, cd.u+lg.lag-lg.now, lg.kappa)
+			tw.pktU, tw.pkt = cd.u, model.PacketValue(lg.x, cd.u+lg.lag-lg.now, lg.kappa)
 		}
 		cd.pkt = tw.pkt
 	} else if !tw.quiet {

@@ -144,9 +144,9 @@ func (m *refMeter) Add(evs []model.Event) float64 {
 
 // refSweep is Decide's per-hypothesis sweep as it was when every segment
 // went through an event buffer: the advance appends the segment's
-// events, a meter reads them back. It returns the hypothesis's gain per
-// candidate.
-func refSweep(h *belief.Hypothesis, pending []model.Send, now time.Duration, seq int64, cfg Config) []float64 {
+// events, a meter reads them back, valuing deliveries at survival 1−p. It
+// returns the hypothesis's gain per candidate.
+func refSweep(h *belief.Hypothesis, p float64, pending []model.Send, now time.Duration, seq int64, cfg Config) []float64 {
 	candidates := int(cfg.MaxDelay/cfg.Grid) + 1
 	horizonEnd := now + cfg.MaxDelay + cfg.Horizon
 	var stops []time.Duration
@@ -158,7 +158,6 @@ func refSweep(h *belief.Hypothesis, pending []model.Send, now time.Duration, seq
 	}
 	stops = append(stops, horizonEnd)
 
-	p := h.S.P.LossProb
 	var evs []model.Event
 	var baseMeter refMeter
 	base := h.S.Clone()
@@ -232,13 +231,15 @@ func refSweep(h *belief.Hypothesis, pending []model.Send, now time.Duration, seq
 // folded straight into accumulators that share one step table per worker
 // — gives, for every hypothesis, the gain vector of the event-buffer
 // sweep it replaced, and so the same Decision. Calls the lagged-twin gate
-// refuses outright (a cross-latency penalty) must match bit for bit; the
-// rest, where a saturated hypothesis may close candidates from its
-// baseline's running value instead of simulating them, within 1e-9 of a
-// packet's bits — three orders under the tie band — and with an equal
-// Decision. Each width plans on one long-lived pool, alternating the
-// fleet's grid (9 candidates, 12 s) with the precise one (13 candidates,
-// 40 s) and two discount timescales, so the step table meets another κ's
+// refuses outright (a cross-latency penalty) must match the sweep at the
+// hypothesis's own survival bit for bit; the rest are rolled survival-free
+// (reduce weighs 1−p in) and match the sweep at p = 0 — where a saturated
+// hypothesis may close candidates from its baseline's running value
+// instead of simulating them, within 1e-9 of a packet's bits — three
+// orders under the tie band — and with an equal Decision. Each width
+// plans on one long-lived pool, alternating the fleet's grid (9
+// candidates, 12 s) with the precise one (13 candidates, 40 s) and two
+// discount timescales, so the step table meets another κ's
 // factors, the lanes another candidate count and the memo served rows,
 // all of which must be invisible; generated supports carry full and
 // nearly full buffers whose completions coincide with pinger ticks. A
@@ -343,15 +344,19 @@ func TestDecideStreamMatchesEventSweep(t *testing.T) {
 				cfg = cfg.withDefaults()
 				hyps := topK(sup, cfg.MaxHyps)
 				candidates := int(cfg.MaxDelay/cfg.Grid) + 1
+				exact := tc.util.CrossLatencyPenalty > 0
 				var want []float64
 				for i := range hyps {
-					want = append(want, refSweep(&hyps[i], pending, now, seq, cfg)...)
+					p := 0.0 // a penalty-free row is rolled survival-free
+					if exact {
+						p = hyps[i].S.P.LossProb
+					}
+					want = append(want, refSweep(&hyps[i], p, pending, now, seq, cfg)...)
 				}
 				have := arenaOf(pool).gains
 				if len(have) != len(want) {
 					t.Fatalf("%d workers, call %d: %d gains, want %d", workers, c, len(have), len(want))
 				}
-				exact := tc.util.CrossLatencyPenalty > 0
 				for i := range want {
 					tol := 1e-9 * float64(hyps[i/candidates].S.P.PktBits())
 					if exact {
@@ -362,7 +367,7 @@ func TestDecideStreamMatchesEventSweep(t *testing.T) {
 							workers, c, depth, i/candidates, i%candidates, have[i], want[i], tol)
 					}
 				}
-				ref := reduce(hyps, want, candidates, now, cfg.Grid)
+				ref := reduce(hyps, want, candidates, now, cfg.Grid, exact)
 				if !exact {
 					ref.Gain = got.Gain
 				}

@@ -361,7 +361,7 @@ func TestTwinEdges(t *testing.T) {
 			}
 			gains, st := row(tc.s.Clone(), tc.pending, now)
 			h := belief.Hypothesis{S: tc.s.Clone(), W: 1}
-			want := refSweep(&h, tc.pending, now, 7, cfg.withDefaults())
+			want := refSweep(&h, 0, tc.pending, now, 7, cfg.withDefaults())
 			for k := range want {
 				tol := 1e-9 * float64(x)
 				if tc.exact {

@@ -70,18 +70,18 @@ func (w *Wake) Fingerprint(pending []model.Send, tq time.Duration, wq float64) (
 }
 
 // begin readies the arena for a decision of wake w under MaxHyps k: the
-// top-K copy of the support and each copy's rollout-key hash (with enqueue
-// stamps when stamps is set), taken afresh unless the arena last took them
-// for this wake, k and stamps.
-func (ar *decideArena) begin(w *Wake, k int, stamps bool) {
-	if ar.wake == w.id && ar.maxHyps == k && ar.stamps == stamps {
+// top-K copy of the support and each copy's rollout-key hash (under a
+// cross-latency penalty, if any), taken afresh unless the arena last took
+// them for this wake, k and penalty.
+func (ar *decideArena) begin(w *Wake, k int, penalty bool) {
+	if ar.wake == w.id && ar.maxHyps == k && ar.penalty == penalty {
 		return
 	}
-	ar.wake, ar.maxHyps, ar.stamps = w.id, k, stamps
+	ar.wake, ar.maxHyps, ar.penalty = w.id, k, penalty
 	ar.hyps = appendTopK(ar.hyps[:0], &ar.order, w.sup, k)
 	ar.hkeys = slices.Grow(ar.hkeys[:0], len(ar.hyps))[:len(ar.hyps)]
 	for i := range ar.hyps {
-		ar.words = ar.hyps[i].S.AppendRolloutKey(ar.words[:0], w.now, stamps)
+		ar.words = ar.hyps[i].S.AppendRolloutKey(ar.words[:0], w.now, penalty)
 		ar.hkeys[i] = hypKey(ar.words)
 	}
 }

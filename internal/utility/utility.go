@@ -83,7 +83,10 @@ func (c Config) Discount(tau time.Duration) float64 {
 // no later delivery time, and utility is linear in delivered bits: the
 // expectation over loss outcomes of a rollout's utility is the sum of
 // bits·(1−p)·discount, exactly, and so is every difference the argmax
-// compares.
+// compares. Without the latency penalty (which loss does not scale) that
+// is (1−p) times the same sum at p = 0, so the planner rolls a hypothesis
+// at p = 0, whatever its p, and weighs (1−p) in afterwards, in its reduce:
+// hypotheses that differ only in p share one rollout.
 func (c Config) OfPredicted(evs []model.Event, t0 time.Duration, p float64) float64 {
 	var u float64
 	survive := 1 - p
@@ -104,7 +107,8 @@ func (c Config) OfPredicted(evs []model.Event, t0 time.Duration, p float64) floa
 // Start points acc at a new rollout under this utility: deliveries valued
 // relative to decision time t0 for a hypothesis with last-mile loss
 // probability p, step factors from steps (see model.Accum.Reset for who
-// may share one).
+// may share one). The planner passes p only under a latency penalty, and
+// 0 otherwise (see OfPredicted).
 func (c Config) Start(acc *model.Accum, t0 time.Duration, p float64, steps *model.StepTable) {
 	k := c.Kappa
 	if k <= 0 {
