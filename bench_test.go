@@ -160,8 +160,8 @@ func BenchmarkCoexistence(b *testing.B) {
 //   - burst: that support decided the way a sender's wake decides, four
 //     times at one instant with a packet more committed each time, a
 //     nanosecond later every iteration so that no key recurs — one sweep
-//     per hypothesis, for the first decision, and three vectors derived
-//     from the twin record it leaves (the op is the four decisions);
+//     per hypothesis, for the first decision, and three vectors closed
+//     from the log it leaves (the op is the four decisions);
 //   - cached: the §3.3 policy cache in front (a fingerprint probe per
 //     iteration after the first).
 func BenchmarkPlannerDecide(b *testing.B) {

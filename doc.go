@@ -191,17 +191,20 @@
 // the baseline, across its gaps too. So one closure (planner.twinLog.close)
 // closes every candidate of every decision of the burst from the first
 // decision's log: the first's into its vector when its sweep ends, a later
-// one's when it asks, into the twin record the memo keeps beside it
-// (FuzzTwinStack and FuzzAbsorbedTwin hold the deeper half of the
-// theorem). A depth whose premise the log cannot establish is swept, never
-// guessed. The closed gains differ from simulated ones by a summation
-// order, far under the planner's tie band, so decisions, digests and
-// tables do not move. The rule is canonical — a key's vector is a function
-// of the key: a missing record is made by sweeping the first
-// decision's baseline, never replaced by a direct sweep — so a warm, cold
-// or evicted memo still cannot reach a decision. planner.MemoStats counts
-// lanes closed, lanes deferred then simulated, vectors derived and first
-// decisions swept for a later one.
+// one's when it misses the rollout memo and asks — or, when the first
+// sends on a link that never idles, every depth at once, each stored in
+// the memo under its later decision's key (FuzzTwinStack and
+// FuzzAbsorbedTwin hold the deeper half of the theorem). The memo is the
+// one store of gain vectors; the log is kept per hypothesis index. A depth
+// whose premise the log cannot establish is swept, never guessed. The
+// closed gains differ from simulated ones by a summation order, far under
+// the planner's tie band, so decisions, digests and tables do not move.
+// The rule is canonical — a key's vector is a function of the key: a log
+// that is gone is remade by sweeping the first decision's baseline, never
+// replaced by a direct sweep — so a warm, cold or evicted memo still
+// cannot reach a decision. planner.MemoStats counts lanes closed, lanes
+// deferred then simulated, vectors derived and first decisions swept for
+// a later one.
 //
 // What only the wake decides (top-K copy, rollout-key hashes, the
 // fingerprint's support half) is paid for once per planner.Wake — by the

@@ -85,25 +85,6 @@ func TestSenderWithPolicyCache(t *testing.T) {
 	}
 }
 
-func TestReceiverAcksAndDedups(t *testing.T) {
-	r := NewReceiver()
-	a1 := r.Receive(packet.New(packet.FlowSelf, 0, 0), time.Second)
-	if a1.Seq != 0 || a1.ReceivedAt != time.Second {
-		t.Errorf("ack = %+v", a1)
-	}
-	r.Receive(packet.New(packet.FlowSelf, 5, 0), 2*time.Second)
-	r.Receive(packet.New(packet.FlowSelf, 5, 0), 3*time.Second) // dup
-	if r.Received != 2 || r.Duplicates != 1 {
-		t.Errorf("received=%d dups=%d", r.Received, r.Duplicates)
-	}
-	if r.HighestSeq != 5 {
-		t.Errorf("HighestSeq = %d", r.HighestSeq)
-	}
-	if r.ReceivedBits != 2*packet.DefaultSizeBits {
-		t.Errorf("ReceivedBits = %d", r.ReceivedBits)
-	}
-}
-
 func TestSenderEstimates(t *testing.T) {
 	s := NewSender(knownIdleBelief(), planner.DefaultConfig())
 	e := s.Estimates()

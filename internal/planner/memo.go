@@ -13,11 +13,11 @@ import (
 // MemoStats counts the rollout memo's traffic, so a hit-rate collapse
 // shows without a profiler, and what became of the hypotheses it did not
 // serve: of the Lookups − Hits − Shared gain vectors Decide had to
-// produce, Derived were closed from a twin record and the rest rolled,
-// Stripped more rollouts remade missing records, and of the candidate
-// Lanes of all those rollouts Lanes − Closed were simulated or dropped
-// where they forked. Like the memo's own counters these depend on how the
-// fleet is partitioned: diagnostics, not results.
+// produce, Derived were closed from a burst's first decision's log and the
+// rest rolled, Stripped more rollouts remade logs that were gone, and of
+// the candidate Lanes of all those rollouts Lanes − Closed were simulated
+// or dropped where they forked. Like the memo's own counters these depend
+// on how the fleet is partitioned: diagnostics, not results.
 type MemoStats struct {
 	// Lookups is how many hypotheses Decide keyed.
 	Lookups int64
@@ -41,13 +41,15 @@ type MemoStats struct {
 	// Materialized lanes were deferred as twins and simulated after all,
 	// because an arrival left them no room.
 	Materialized int64
-	// Derived gain vectors were never rolled: a later decision of a burst,
-	// closed at its depth from the burst's first decision's log, gaps and
-	// idle forks included — only a premise the log cannot establish sends
-	// one to the sweep (see Decide).
+	// Derived gain vectors were never rolled: a later decision of a burst
+	// that missed the memo, closed at its depth from the burst's first
+	// decision's log, gaps and idle forks included — only a premise the
+	// log cannot establish sends one to the sweep (see Decide). A later
+	// decision whose first one sent on a link that never idled is a memo
+	// hit instead: that first decision stored every depth at once.
 	Derived int64
 	// Stripped rollouts were of a burst's first decision on behalf of a
-	// later one that found its log not resident in the memo.
+	// later one that found the first one's log no longer at hand.
 	Stripped int64
 }
 
@@ -142,17 +144,15 @@ func (k memoKey) under(plan memoKey) memoKey {
 const memoSlotBits = 12
 
 // rolloutMemo maps a memoKey to the per-candidate gain vector its
-// rollout produced and, when that rollout ran in the lagged-twin mode
-// under a burst's first plan, to its twin record. A hit returns bit for
-// bit what recomputing would, so eviction order, worker width and shard
-// count cannot reach a decision. Direct-mapped, fixed size, the vectors
-// allocated on the first store and the records on the first that has one.
+// rollout produced, or the log of a burst's first decision closed. A hit
+// returns bit for bit what recomputing would, so eviction order, worker
+// width and shard count cannot reach a decision. Direct-mapped, fixed
+// size, the vectors allocated on the first store.
 type rolloutMemo struct {
 	MemoStats
 	stride int       // gains per entry: the candidate count
 	keys   []memoKey // zero value = empty slot
 	gains  []float64 // slot i owns gains[i*stride : (i+1)*stride]
-	recs   twinRecords
 }
 
 func memoSlot(k memoKey) int { return int(k.primary >> (64 - memoSlotBits)) }
@@ -178,21 +178,7 @@ func (m *rolloutMemo) lookup(k memoKey, dst []float64) bool {
 	return true
 }
 
-// record returns the twin record stored with k's gains, if k is resident
-// and has one. It is not a lookup: nothing is counted.
-func (m *rolloutMemo) record(k memoKey, candidates int) (rec twinRecord, ok bool) {
-	if candidates != m.stride || m.recs.reach == nil {
-		return rec, false
-	}
-	slot := memoSlot(k)
-	if m.keys[slot] != k {
-		return rec, false
-	}
-	return m.recs.at(slot, m.stride), m.recs.reach[slot] > 0
-}
-
-// store records src as k's gains, displacing whatever held the slot, its
-// twin record included.
+// store records src as k's gains, displacing whatever held the slot.
 func (m *rolloutMemo) store(k memoKey, src []float64) {
 	if len(src) != m.stride {
 		// First store, or a caller with a different candidate grid
@@ -200,7 +186,6 @@ func (m *rolloutMemo) store(k memoKey, src []float64) {
 		m.stride = len(src)
 		m.keys = make([]memoKey, 1<<memoSlotBits)
 		m.gains = make([]float64, len(m.keys)*m.stride)
-		m.recs = twinRecords{}
 	}
 	slot := memoSlot(k)
 	if e := m.keys[slot]; e != k && e != (memoKey{}) {
@@ -208,20 +193,6 @@ func (m *rolloutMemo) store(k memoKey, src []float64) {
 	}
 	m.keys[slot] = k
 	copy(m.gains[slot*m.stride:], src)
-	if m.recs.reach != nil {
-		m.recs.reach[slot] = 0
-	}
-}
-
-// keep records rec as the twin record of k, whose gains have just been
-// stored.
-func (m *rolloutMemo) keep(k memoKey, rec twinRecord) {
-	if m.recs.reach == nil {
-		m.recs.size(len(m.keys), m.stride)
-	}
-	dst := m.recs.at(memoSlot(k), m.stride)
-	*dst.reach, *dst.closed = *rec.reach, *rec.closed
-	copy(dst.gains, rec.gains[:int(*rec.closed)*m.stride])
 }
 
 // twinDepth is how many packets behind a burst's first decision a later
@@ -236,17 +207,20 @@ type delivery struct {
 }
 
 // twinLog is what the baseline's sweep of a lagged-twin hypothesis
-// writes, kept per hypothesis index (decideArena.logs) while key is the
-// burst's first decision's, and what every candidate of every decision of
-// that burst closes from (twinLog.close): the hypothesis's and the plan's
-// constants; where the log starts (u0) and ends (logEnd; A there aEnd);
-// until when each watch level held (clean[L]); the deliveries in H's last
-// (twinDepth+1)·ℓ (win, from winFrom, where A was aWin); the gaps the link
-// idled through (all; A(Dry) in Value); a twinCand per candidate; the view
-// the closure reads (gaps, the first of all, to end: twinLog.view); and
-// the slips of the lags it carried.
+// writes, and what every candidate of every decision of a burst closes
+// from (twinLog.close): a burst's first decision keeps it per hypothesis
+// index (decideArena.logs) under key, with reach (0: no log, else one more
+// than the deepest later decision it establishes) and the depths derive
+// has closed; a later decision's own sweep writes the worker's. It holds
+// the hypothesis's and the plan's constants; where the log starts (u0) and
+// ends (logEnd; A there aEnd); until when each watch level held (clean[L]);
+// the deliveries in H's last (twinDepth+1)·ℓ (win, from winFrom, where A
+// was aWin); the gaps the link idled through (all; A(Dry) in Value); a
+// twinCand per candidate; the view the closure reads (gaps, the first of
+// all, to end: twinLog.view); and the slips of the lags it carried.
 type twinLog struct {
 	key                      memoKey
+	reach, closed            int
 	now, u0, horizon, logEnd time.Duration
 	lag                      time.Duration
 	x, capBits               int64
@@ -259,14 +233,6 @@ type twinLog struct {
 	end                      time.Duration
 	cands                    []twinCand
 	slips                    [16]twinSlip
-}
-
-// twinEdge is what carrying a lag of e to H in one step reads: its slip
-// and A(H−e), if the log knows it (twinLog.edge).
-type twinEdge struct {
-	e       time.Duration
-	slip, a float64
-	ok      bool
 }
 
 // twinSlip memoizes a lag's slip under κ (twinLog.slip). It outlives
@@ -286,52 +252,6 @@ type twinCand struct {
 	a, pkt        float64
 	room, in      int64
 	gi            int // the first gap a lag from u is carried through
-}
-
-// twinRecord is what the sweep of a burst's first decision leaves for the
-// later ones (see Decide): the gain vectors its log closes at depths 1 …
-// closed, back to back in gains, and reach — 0 for no record, else one
-// more than the depth down to which its log establishes the closure.
-// Depths are closed as the burst reaches them. It is a view into a
-// twinRecords.
-type twinRecord struct {
-	reach, closed *uint8
-	gains         []float64
-}
-
-// derive writes the gain vector of the burst's decision at depth m ≥ 1
-// into gains, and reports false, gains untouched, when the record has not
-// closed that depth.
-func (rec twinRecord) derive(m int, gains []float64) bool {
-	if int(*rec.reach) <= m || int(*rec.closed) < m {
-		return false
-	}
-	copy(gains, rec.gains[(m-1)*len(gains):])
-	return true
-}
-
-// twinRecords stores twin records of one candidate count back to back,
-// their reaches apart: whether a hypothesis has a record is asked of every
-// hypothesis a call sweeps, and should not cost it a cache line.
-type twinRecords struct {
-	reach, closed []uint8
-	gains         []float64
-}
-
-// size makes room for n records of the given candidate count; what the
-// old ones held is kept only if nothing had to grow.
-func (r *twinRecords) size(n, candidates int) {
-	if cap(r.reach) < n || cap(r.gains) < n*twinDepth*candidates {
-		room := max(n, cap(r.reach)*3/2) // a support grows a hypothesis at a time
-		r.reach, r.closed, r.gains = make([]uint8, room), make([]uint8, room), make([]float64, room*twinDepth*candidates)
-	}
-	r.reach, r.closed, r.gains = r.reach[:n], r.closed[:n], r.gains[:n*twinDepth*candidates]
-}
-
-// at views record i.
-func (r *twinRecords) at(i, candidates int) twinRecord {
-	w := twinDepth * candidates
-	return twinRecord{&r.reach[i], &r.closed[i], r.gains[i*w : (i+1)*w : (i+1)*w]}
 }
 
 // decideArena is Decide's pool-resident state, riding rollout.Pool.Aux:
@@ -359,13 +279,13 @@ type decideArena struct {
 	// with an equal key finds the one it copies.
 	firsts freshIndex
 	// fresh lists the hypotheses whose gains this call produces: roll are
-	// swept under the call's plan, bare under a burst's first (keyed
-	// bkeys[i], into bgains). recs holds each one's last twin log.
+	// swept under the call's plan, bare under a burst's first (into bgains).
+	// logs[i] is the log of the last first decision swept at index i; spare
+	// holds a vector closed from one on the way.
 	fresh, roll, bare []int32
-	bkeys             []memoKey
-	bgains            []float64
-	recs              twinRecords
-	logs              []twinLog // per hypothesis
+	bgains, spare     []float64
+	logs              []twinLog
+	later             []model.Send
 	memo              rolloutMemo
 
 	// The pass in flight, as sweep reads it on the pool's workers: the
@@ -377,7 +297,8 @@ type decideArena struct {
 	util       utility.Config
 	candidates int
 	// twins: the call passes the call-level half of twinGate, so a sweep
-	// asks each hypothesis the rest; keeps: the memo keeps the records.
+	// asks each hypothesis the rest; keeps: the pass sweeps a burst's first
+	// decision, whose log logs[i] keeps for the later ones.
 	twins, keeps bool
 	sweepFn      func(*rollout.Scratch, int) // ar.sweep, bound once
 }

@@ -112,12 +112,14 @@ func warmEqualsFresh(t *testing.T, w *memoWorld, cfg Config, calls int, novelEve
 // (enqueue stamps keyed) — and the memo is in fact being hit and shared
 // while it does. The same for bursts — a fleet-shaped support decided
 // four times at one instant, a packet more committed each time, every
-// other burst the one before re-presented 7.919 s later — across three
+// other burst the one before re-presented 7.919 s later — across four
 // pools: one fresh for every call, which sweeps the burst's first
-// decision on behalf of each later one; a warm one, which derives them
-// from the records the first left in its memo; and one whose memo is
-// overwritten between the calls, which finds the vectors and the records
-// gone. Whichever way a later decision's vector was come by, the Decision
+// decision on behalf of each later one; a warm one, which serves them
+// from its memo or derives them from the log the first one left; one
+// whose memo and logs are overwritten between the calls, which finds the
+// vectors and the logs gone; and one whose memo alone is overwritten,
+// which derives every later decision it does not sweep from the log at
+// hand. Whichever way a later decision's vector was come by, the Decision
 // is the same field for field. The bursts run on fleet-shaped supports
 // and on Figure 3's (fig3World), whose links idle.
 func TestDecideMemoResultNeutral(t *testing.T) {
@@ -147,7 +149,7 @@ func TestDecideMemoResultNeutral(t *testing.T) {
 		if run.fig3 {
 			cfg = Config{Util: utility.Default(), Workers: workers}
 		}
-		warm, wiped := rollout.New(workers), rollout.New(workers)
+		warm, wiped, forgot := rollout.New(workers), rollout.New(workers), rollout.New(workers)
 		rng := rand.New(rand.NewSource(41))
 		fig3 := newFig3World(42)
 		var sup []belief.Hypothesis
@@ -177,21 +179,34 @@ func TestDecideMemoResultNeutral(t *testing.T) {
 				if got := Decide(sup, pending, now, int64(depth), cfg); got != want {
 					t.Fatalf("%d workers, burst %d, %d at now: overwritten pool decided %+v, fresh pool %+v", workers, burst, depth, got, want)
 				}
-				m := &arenaOf(wiped).memo
-				for slot := range m.keys {
-					m.keys[slot] = memoKey{verify: 2} // another key's entry now (no real key's verify word is even)
+				cfg.Pool = forgot
+				if got := Decide(sup, pending, now, int64(depth), cfg); got != want {
+					t.Fatalf("%d workers, burst %d, %d at now: pool with its memo overwritten decided %+v, fresh pool %+v", workers, burst, depth, got, want)
+				}
+				// Another key's entry and log now (no real key's verify word is even).
+				for _, p := range []*rollout.Pool{wiped, forgot} {
+					m := &arenaOf(p).memo
+					for slot := range m.keys {
+						m.keys[slot] = memoKey{verify: 2}
+					}
+				}
+				for i := range arenaOf(wiped).logs {
+					arenaOf(wiped).logs[i].key = memoKey{verify: 2}
 				}
 				pending = append(pending, model.Send{Seq: int64(depth), At: now})
 			}
 		}
-		ws, os := PoolMemoStats(warm), PoolMemoStats(wiped)
+		ws, os, fs := PoolMemoStats(warm), PoolMemoStats(wiped), PoolMemoStats(forgot)
 		// Figure 3's supports are wider and the bursts more numerous: a
-		// record may lose its slot to another key's vector in between.
+		// log may be another hypothesis's by the time a later decision asks.
 		if strips := ws.Stripped; ws.Derived == 0 || !run.fig3 && strips != 0 || 10*strips > ws.Derived || ws.Hits == 0 {
-			t.Errorf("%d workers, Figure 3's beliefs %v: the warm pool did not derive the bursts' later decisions from resident records, or hit nothing: %+v", workers, run.fig3, ws)
+			t.Errorf("%d workers, Figure 3's beliefs %v: the warm pool did not derive the bursts' later decisions from the logs at hand, or hit nothing: %+v", workers, run.fig3, ws)
 		}
 		if os.Derived == 0 || os.Stripped == 0 || os.Hits != 0 {
 			t.Errorf("%d workers, Figure 3's beliefs %v: the overwritten pool found something resident, or derived nothing: %+v", workers, run.fig3, os)
+		}
+		if fs.Derived == 0 || fs.Stripped != 0 || fs.Hits != 0 {
+			t.Errorf("%d workers, Figure 3's beliefs %v: the pool with its memo overwritten found something resident, swept a first decision for a later one, or derived nothing: %+v", workers, run.fig3, fs)
 		}
 	}
 }

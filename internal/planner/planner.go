@@ -33,16 +33,17 @@
 // extra work — the lagged twin again. The first call's baseline writes one
 // log (twinLog), and one closure (twinLog.close, with model.Lag) closes
 // every candidate of every decision of the burst from it: the first call's
-// when the sweep ends, into its gain vector, a later one's when it asks,
-// into the twin record the memo keeps beside that vector (twinRecord.derive
-// hands them out). A closed gain is the simulated one up to a summation
-// order, five orders of magnitude under the tie band of reduce. What the
-// log cannot establish is never guessed: a lane deferred before an arrival
-// that left its twin no room is simulated after all, and a depth whose
-// premise failed is swept. On a quiet hypothesis, which nothing arrives at
-// to the horizon, every lane closes at its fork. A hypothesis twinGate
-// refuses (a chunk smaller than a packet arriving by the horizon) and a
-// call with a cross-latency penalty are swept as before, bit for bit.
+// when the sweep ends, a later one's when it asks (twinLog.derive) — or at
+// once, into the memo under the later call's own key, when the first call
+// sends on a link that never idles. A closed gain is the simulated one up
+// to a summation order, five orders of magnitude under the tie band of
+// reduce. What the log cannot establish is never guessed: a lane deferred
+// before an arrival that left its twin no room is simulated after all, and
+// a depth whose premise failed is swept. On a quiet hypothesis, which
+// nothing arrives at to the horizon, every lane closes at its fork. A
+// hypothesis twinGate refuses (a chunk smaller than a packet arriving by
+// the horizon) and a call with a cross-latency penalty are swept as
+// before, bit for bit.
 //
 // What only the wake decides — the top-K copy, the rollout-key hashes, the
 // fingerprint's support half — is taken at a Wake's first decision.
@@ -180,14 +181,16 @@ const lockstepChunk = time.Second
 //
 // A call whose pending list ends in m sends of the uniform size stamped
 // now (1 ≤ m ≤ twinDepth) is the (m+1)-th decision of a wake, and a vector
-// it must produce is the one the log of the burst's first decision — the
-// hypothesis keyed without those m sends — closes at depth m into its twin
-// record (twinRecord.derive). A record that is not resident, or whose log
-// is gone before that depth is closed, is remade by sweeping the first
-// decision (MemoStats.Stripped); a depth its log could not establish, a
-// hypothesis twinGate refuses, a deeper burst and a trailing send of
-// another size or instant go down the direct sweep.
-// Resident, evicted or never made, the same key gets the same vector.
+// it must produce that the memo does not hold is the one the log of the
+// burst's first decision — the hypothesis keyed without those m sends —
+// closes at depth m (twinLog.derive). The first decision keeps its log per
+// hypothesis index; one that is gone is remade by sweeping the first
+// decision again (MemoStats.Stripped). A first decision that sends closes
+// every depth of a log whose link never idled at once and stores each
+// vector under its later decision's key. A depth the log could not
+// establish, a hypothesis twinGate refuses, a deeper burst and a trailing
+// send of another size or instant go down the direct sweep. Resident,
+// evicted or never made, the same key gets the same vector.
 //
 // reduce weighs the vectors by the hypotheses' weights (W·(1−p) without a
 // penalty) in index order and picks the best candidate, ties within a band
@@ -254,22 +257,22 @@ func (w *Wake) Decide(pending []model.Send, seq int64, cfg Config) Decision {
 			}
 			burst++
 		}
-		ar.recs.size(width, candidates)
 		if len(ar.logs) < width {
 			ar.logs = make([]twinLog, width)
 		}
+		ar.spare = slices.Grow(ar.spare[:0], candidates)[:candidates]
 	}
 	first := pending[:len(pending)-burst]
 	derives := 1 <= burst && burst <= twinDepth
+	keeps := twins && burst == 0
 
 	// Memo look-ups, in index order on this goroutine (see Decide). Of the
 	// hypotheses left to sweep, bare are swept under the burst's first plan
-	// for a missing record, roll under the call's own.
+	// for a log that is gone, roll under the call's own.
 	plan := planKey(pending, now, cfg)
 	var firstPlan memoKey
 	if derives {
 		firstPlan = planKey(first, now, cfg)
-		ar.bkeys = slices.Grow(ar.bkeys[:0], width)[:n]
 	}
 	ar.keys = slices.Grow(ar.keys[:0], n)[:n]
 	ar.from = slices.Grow(ar.from[:0], n)[:n]
@@ -286,26 +289,20 @@ func (w *Wake) Decide(pending []model.Send, seq int64, cfg Config) Decision {
 			continue
 		}
 		fresh = append(fresh, int32(i))
-		if twins {
-			ar.recs.reach[i] = 0
+		if keeps {
+			// The sweep writes the log and its reach, if twinGate lets it.
+			ar.logs[i].key, ar.logs[i].reach = keys[i], 0
 		}
 		if derives {
-			// A record usable at this depth has it closed, or its log at hand
-			// to close it from, or cannot reach it; one whose log is gone is
-			// remade like a missing one.
-			ar.bkeys[i] = hyp.under(firstPlan)
-			rec, ok := ar.memo.record(ar.bkeys[i], candidates)
-			if closes := ok && int(*rec.closed) < burst && int(*rec.reach) > burst; closes && ar.logs[i].key == ar.bkeys[i] {
-				ar.logs[i].closeLater(rec, burst)
-			} else if closes {
-				ok = false
-			}
-			if ok {
-				if rec.derive(burst, row(i)) {
+			// The first decision's log closes this depth if it is at hand;
+			// if it is gone, the first decision is swept again to remake it.
+			if lg, bkey := &ar.logs[i], hyp.under(firstPlan); lg.key == bkey {
+				if lg.derive(burst, row(i), ar.spare) {
 					ar.memo.Derived++
 					continue
 				}
 			} else if twinGate(&hyps[i].S, horizonEnd) {
+				lg.key = bkey
 				bare = append(bare, int32(i))
 				continue
 			}
@@ -315,59 +312,57 @@ func (w *Wake) Decide(pending []model.Send, seq int64, cfg Config) Decision {
 
 	ar.now, ar.seq, ar.util, ar.candidates, ar.twins = now, seq, cfg.Util, candidates, twins
 	if len(bare) > 0 {
-		// The burst's first decision, swept on behalf of this one: vector
-		// and record go into the memo under its key, this decision's vector
-		// is derived from the record if it reaches this deep, and if not the
+		// The burst's first decision, swept on behalf of this one: its
+		// vector goes into the memo under its key, this decision's vector is
+		// derived from its log if that reaches this deep, and if not the
 		// hypothesis is swept under the call's own plan with the rest.
 		ar.bgains = slices.Grow(ar.bgains[:0], width*candidates)[:n*candidates]
 		ar.keeps = true
 		ar.run(pool, bare, first, ar.bgains)
 		for _, i := range bare {
-			rec := ar.recs.at(int(i), candidates)
-			ar.logs[i].key = ar.bkeys[i]
-			ar.logs[i].closeLater(rec, burst)
-			ar.memo.store(ar.bkeys[i], ar.bgains[int(i)*candidates:(int(i)+1)*candidates])
+			lg := &ar.logs[i]
+			ar.memo.store(lg.key, ar.bgains[int(i)*candidates:(int(i)+1)*candidates])
 			ar.memo.Stripped++
-			if rec.derive(burst, row(int(i))) {
+			if lg.derive(burst, row(int(i)), ar.spare) {
 				ar.memo.Derived++
 			} else {
 				roll = append(roll, i)
 			}
-			ar.memo.keep(ar.bkeys[i], rec)
 		}
 	}
-	ar.keeps = burst == 0
+	ar.keeps = keeps
 	ar.run(pool, roll, pending, gains)
-	for _, i := range roll {
-		if twins { // else the sweep wrote no log: the one there is still its key's
-			ar.logs[i].key = keys[i] // a first decision's log, else no record's
-		}
-	}
 	ar.fresh, ar.roll, ar.bare = fresh, roll, bare
 
-	// Shares and stores, again in index order on this goroutine. Only a
-	// burst's first decision leaves twin records, and a later decision
-	// closes its depth from the log when it asks — but one that sends
-	// closes them all at once where its link never idled: the closure's
-	// cheapest case, the later decisions are then copies, and another wake
-	// the memo serves the record to has no log to close it from.
+	// Shares and stores, again in index order on this goroutine. A first
+	// decision that sends closes every later depth of a log whose link never
+	// idled at once, the closure's cheapest case, and stores each vector
+	// under the later decision's own key: those decisions are memo hits.
 	for i, j := range from {
 		if j >= 0 {
 			copy(row(i), row(int(j)))
 		}
 	}
 	d := reduce(hyps, gains, candidates, now, cfg.Grid, ar.penalty)
-	records := twins && burst == 0
 	for _, i := range fresh {
 		ar.memo.store(keys[i], row(int(i)))
-		if !records || ar.recs.reach[i] == 0 {
-			continue
+	}
+	if !keeps || !d.SendNow {
+		return d
+	}
+	var later [twinDepth]memoKey // the plans of the decisions m packets in
+	sends := append(ar.later[:0], pending...)
+	for m := range later {
+		sends = append(sends, model.Send{At: now})
+		later[m] = planKey(sends, now, cfg)
+	}
+	ar.later = sends
+	for _, i := range fresh {
+		if lg := &ar.logs[i]; lg.busy() {
+			for m := 1; lg.derive(m, ar.spare, ar.spare); m++ {
+				ar.memo.store(ar.hkeys[i].under(later[m-1]), ar.spare)
+			}
 		}
-		rec := ar.recs.at(int(i), candidates)
-		if lg := &ar.logs[i]; d.SendNow && lg.busy() {
-			lg.closeLater(rec, twinDepth)
-		}
-		ar.memo.keep(keys[i], rec)
 	}
 	return d
 }
@@ -438,8 +433,8 @@ const negInf = -1e308
 // gains, on worker scratch s: the baseline and every candidate advance
 // from stop to stop (State.RunAccum), and at each stop the candidate's
 // segment sum less the baseline's joins its gain. On a hypothesis twinGate
-// takes the baseline writes the twin log (twinSweep, into ar.recs), from
-// which each candidate is closed instead. It is a method bound once
+// takes the baseline writes the twin log (twinSweep), from which each
+// candidate is closed instead. It is a method bound once
 // (sweepFn) so a call creates no closure.
 func (ar *decideArena) sweep(s *rollout.Scratch, r int) {
 	i := int(ar.roll[r])
@@ -476,8 +471,12 @@ func (ar *decideArena) sweep(s *rollout.Scratch, r int) {
 	tw := &ds.tw
 	tw.deferred, tw.owing = 0, false
 	if twin {
-		tw.start(base, acc, stops, &ar.logs[i], candidates, ar.now, float64(ar.util.Kappa))
-		tw.out, tw.keeps = ar.recs.at(i, candidates), ar.keeps
+		lg := &ds.log // a later decision's own: the first one's stays as it is
+		if ar.keeps {
+			lg = &ar.logs[i]
+		}
+		tw.start(base, acc, stops, lg, candidates, ar.now, float64(ar.util.Kappa))
+		tw.keeps = ar.keeps
 	}
 
 	// Each stop: the baseline first (at stop 0, = now, that consumes the
@@ -590,16 +589,15 @@ func (ar *decideArena) revive(h *belief.Hypothesis, ds *decideScratch, lanes []l
 }
 
 // twinSweep is the lagged-twin mode's state within one sweep: the log in
-// the making (lg), the record it opens (out), A at the last stop (taken)
-// and each stop's segment. The deferred lanes are those from first on
-// whose flag is set, read the first whose A(u) is still to come, and owing
-// says the newest one's lag, owed (deepened when the memo keeps the log),
-// is. u is BacklogDone at the last fork, carried while busy, and pkt the
-// packet value at u+ℓ for pktU. reach is how deep the record serves; prev
-// is the last stop booked, when the log held logged gaps.
+// the making (lg), A at the last stop (taken) and each stop's segment. The
+// deferred lanes are those from first on whose flag is set, read the first
+// whose A(u) is still to come, and owing says the newest one's lag, owed
+// (deepened when the log is kept for a burst's later decisions), is. u is
+// BacklogDone at the last fork, carried while busy, and pkt the packet
+// value at u+ℓ for pktU. reach is how deep the log serves; prev is the
+// last stop booked, when the log held logged gaps.
 type twinSweep struct {
 	lg                            *twinLog
-	out                           twinRecord
 	segs                          []float64
 	taken                         float64
 	quiet, owing, keeps           bool
@@ -612,7 +610,7 @@ type twinSweep struct {
 }
 
 // start arms the mode for one hypothesis: the baseline's accumulator
-// watches the premises as deep as a record serves and logs the gaps. A
+// watches the premises as deep as a log serves and logs the gaps. A
 // quiet hypothesis's baseline has no accumulator (acc nil), its log one gap
 // from u0 on, and A is 0 throughout.
 func (tw *twinSweep) start(base *model.State, acc *model.Accum, stops []time.Duration, lg *twinLog, candidates int, now time.Duration, kappa float64) {
@@ -702,8 +700,8 @@ func (tw *twinSweep) fork(c *lane, base *model.State, acc *model.Accum, gains []
 	if tw.deferred == 0 {
 		tw.first = j
 	}
-	// A log the memo keeps runs on until the deepest lag it may close is
-	// gone too.
+	// A log kept for the burst's later decisions runs on until the deepest
+	// lag it may close is gone too.
 	e := lg.lag
 	if tw.keeps {
 		e *= time.Duration(tw.reach + 1)
@@ -800,8 +798,8 @@ func (tw *twinSweep) book(t time.Duration) {
 }
 
 // close closes the lanes still deferred when the sweep ends from the whole
-// log, and opens the record: as deep as the log may serve, none of it
-// closed yet (closeLater).
+// log, and sets how deep the log may serve the burst's later decisions,
+// none of them closed yet (twinLog.derive).
 func (tw *twinSweep) close(lanes []lane, gains []float64) {
 	lg := tw.lg
 	if !tw.quiet {
@@ -816,25 +814,31 @@ func (tw *twinSweep) close(lanes []lane, gains []float64) {
 			tw.closed++
 		}
 	}
-	*tw.out.reach, *tw.out.closed = uint8(1+tw.reach), 0
+	lg.reach, lg.closed = 1+tw.reach, 0
 }
 
-// closeLater closes the burst's later decisions from the log into rec, as
-// deep as to (and the reach), and lowers the reach to what the log
-// establishes.
-func (lg *twinLog) closeLater(rec twinRecord, to int) {
-	lo, c := int(*rec.closed)+1, len(lg.cands)
-	hi := min(to, int(*rec.reach)-1)
-	all := lg.view(len(lg.all), lg.logEnd)
-	for m := lo; m <= hi; m++ {
-		if !all.close(m, 0, c, rec.gains[(m-1)*c:m*c]) {
-			hi = m - 1
+// derive closes the gain vector of the burst's decision m ≥ 1 packets in
+// from the log into gains, and reports whether the log establishes it.
+// The depths before m not closed yet are closed first, into scratch (which
+// may be gains), and the first that fails lowers the reach: whether a depth
+// derives is the log's alone, whichever depths were asked for before.
+func (lg *twinLog) derive(m int, gains, scratch []float64) bool {
+	all, c := lg.view(len(lg.all), lg.logEnd), len(lg.cands)
+	for d := min(lg.closed+1, m); d <= m; d++ {
+		if d >= lg.reach {
+			return false
 		}
+		out := scratch
+		if d == m {
+			out = gains
+		}
+		if !all.close(d, 0, c, out) {
+			lg.reach = d
+			return false
+		}
+		lg.closed = max(lg.closed, d)
 	}
-	if hi < to {
-		*rec.reach = uint8(1 + hi)
-	}
-	*rec.closed = uint8(max(hi, 0))
+	return true
 }
 
 // busy reports whether the log's link never idled before H.
@@ -857,11 +861,8 @@ func (lg *twinLog) view(n int, end time.Duration) *twinLog {
 // E(u)+ℓ from u on (model.State.BacklogDone). Both are carried from u
 // (carry), and the gain is the difference; at m ≥ 1 every stop must
 // have kept level m while the baseline owed work and m+1 while the
-// candidate did. Where no gap lies ahead of u both lags are carried to H
-// in one step, and their slip and cut, the same for every such candidate,
-// are taken once (edge).
+// candidate did.
 func (lg *twinLog) close(m, k0, k1 int, out []float64) bool {
-	var eb, ec twinEdge
 	own, owedOwn, ogi := model.Lag{}, time.Duration(0), -1
 	for k := k0; k < k1; k++ {
 		cd := &lg.cands[k]
@@ -885,20 +886,10 @@ func (lg *twinLog) close(m, k0, k1 int, out []float64) bool {
 			base.Idle(lg.gaps[gi].Dry, from, 0)
 		}
 		c := model.Lag{E: base.E + lg.lag, From: from, A: cd.a}
-		direct := m > 0 && gi == len(lg.gaps) && lg.end == lg.horizon && from < lg.horizon-c.E
-		if base.E > 0 && eb.e != base.E {
-			eb = lg.edge(base.E)
-		}
-		if direct && ec.e != c.E {
-			ec = lg.edge(c.E)
-		}
 		var b float64
 		if base.E > 0 {
-			ok := eb.ok
-			if b, owed = 0-eb.slip*(eb.a-cd.a)-(lg.aEnd-eb.a), lg.horizon; !direct {
-				b, owed, ok = lg.carry(model.Lag{E: base.E, From: from, A: cd.a}, gi)
-			}
-			if !ok || owed > lg.clean[m] {
+			var ok bool
+			if b, owed, ok = lg.carry(model.Lag{E: base.E, From: from, A: cd.a}, gi); !ok || owed > lg.clean[m] {
 				return false
 			}
 		} else if m > 0 && owed > lg.clean[m] {
@@ -926,12 +917,9 @@ func (lg *twinLog) close(m, k0, k1 int, out []float64) bool {
 		if from+c.E > lg.horizon {
 			v = 0
 		} else if base.E > 0 {
-			v *= 1 - eb.slip // E(u) later than at depth 0
+			v *= 1 - lg.slip(base.E) // E(u) later than at depth 0
 		}
-		gain, gone, ok := 0-ec.slip*(ec.a-cd.a)-(lg.aEnd-ec.a), lg.horizon, ec.ok
-		if !direct {
-			gain, gone, ok = lg.carry(c, gi)
-		}
+		gain, gone, ok := lg.carry(c, gi)
 		if !ok || gone > lg.clean[m+1] {
 			return false
 		}
@@ -985,12 +973,6 @@ func (lg *twinLog) stretch(l *model.Lag, end time.Duration, aEnd float64) bool {
 	return true
 }
 
-// edge is what carrying a lag of e to H in one step reads.
-func (lg *twinLog) edge(e time.Duration) twinEdge {
-	a, ok := lg.a(lg.horizon - e)
-	return twinEdge{e: e, slip: lg.slip(e), a: a, ok: ok}
-}
-
 // slip is 1 − e^(−E/κ) (model.Lag.Slip), memoized: the candidates carried
 // through the same gaps meet the same lags.
 func (lg *twinLog) slip(e time.Duration) float64 {
@@ -1033,13 +1015,14 @@ func quiet(s *model.State, horizon time.Duration) bool {
 // decisions via rollout.Scratch.Aux: the baseline's accumulator, one lane
 // per candidate, the step table every accumulator of every sweep this
 // worker runs reads its exp(−Δ/κ) factors from, the lagged-twin mode's
-// state for the sweep in hand, and the worker's lane counts since Decide
-// last collected them.
+// state for the sweep in hand, the log of a burst's later decision's own
+// sweep, and the worker's lane counts since Decide last collected them.
 type decideScratch struct {
 	base  model.Accum
 	steps model.StepTable
 	lanes []lane
 	tw    twinSweep
+	log   twinLog
 	tally MemoStats // the lane counts only
 }
 

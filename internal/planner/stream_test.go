@@ -248,9 +248,10 @@ func refSweep(h *belief.Hypothesis, p float64, pending []model.Send, now time.Du
 // simulated after all. Two more are such beliefs decided the way a
 // sender's wake decides — four times at one instant, a packet more
 // committed each time, under α = 1 and α = 2.5 — where most of the later
-// decisions' vectors must in fact have been derived from the first one's
-// twin record, each held to the event sweep of its own pending list like
-// any other. The last two are the same on Figure 3's beliefs (fig3World):
+// decisions' vectors must in fact have come from the first one's log,
+// derived from it or stored from it into the memo when the first decision
+// sent, each held to the event sweep of its own pending list like any
+// other. The last two are the same on Figure 3's beliefs (fig3World):
 // links that idle, so the first decision's log closes its later ones
 // across gaps, idle forks and quiet hypotheses, each burst two to four
 // decisions deep; more than half the later decisions' fresh vectors must
@@ -334,7 +335,7 @@ func TestDecideStreamMatchesEventSweep(t *testing.T) {
 				}
 				if depth > 0 && !tc.fig3 {
 					later.Lookups += st.Lookups - before.Lookups
-					later.Derived += st.Derived - before.Derived
+					later.Derived += st.Derived - before.Derived + st.Hits - before.Hits
 				}
 				if depth > 0 && tc.fig3 {
 					fig3Later.Lookups += st.Lookups - st.Hits - st.Shared - (before.Lookups - before.Hits - before.Shared)
@@ -384,7 +385,7 @@ func TestDecideStreamMatchesEventSweep(t *testing.T) {
 				workers, shaped.Lanes, shaped.Closed, shaped.Materialized)
 		}
 		if 2*later.Derived <= later.Lookups {
-			t.Errorf("%d workers: of the %d hypotheses the bursts' later decisions keyed %d were derived, want more than half",
+			t.Errorf("%d workers: of the %d hypotheses the bursts' later decisions keyed %d were derived or hits, want more than half",
 				workers, later.Lookups, later.Derived)
 		}
 		if 2*fig3Later.Derived <= fig3Later.Lookups {
