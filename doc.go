@@ -228,15 +228,22 @@
 //
 // Off the planning path — a decision served from a compiled table
 // costs one belief.Update and one probe — the support is walked once
-// per wake, in place, a word at a time. Exact.Update runs every
-// hypothesis where it lives (model.State.Enumerate), weighs its events
-// straight out of the worker's scratch, and clones only at a fork, into
-// a slot and queue buffer recycled from a hypothesis an earlier reduce
-// dropped; slots change hands by exchanging buffers, so each buffer has
-// one owner and a wake that forks nothing allocates nothing. The
-// posterior is bit-identical to the clone-per-branch update it replaced
-// (kept as a test reference), at any worker count; what Support returns
-// is valid until the next Update. Compaction merges two hypotheses
+// per wake, in place, a word at a time. Exact keeps one state per class
+// (model.State.SameClass: equal in everything the advance reads, so
+// hypotheses that differ only in LossProb, InitFullBits and ParamsID);
+// each hypothesis is a (class, grid point, weight) entry. Exact.Update
+// runs every class where it lives (model.State.Enumerate), weighs its
+// events under each member's loss probability straight out of the
+// worker's scratch, and clones only at a fork, into a slot and queue
+// buffer recycled from a class an earlier update dropped; slots change
+// hands by exchanging buffers, so each buffer has one owner and a wake
+// that forks nothing allocates nothing. The reduce, compaction and floor
+// run per hypothesis in the old order, class branches that came to hold
+// equal states merge, and the Support headers are written once per
+// Update, each hypothesis's queue aliasing its class's. The posterior is
+// bit-identical to the clone-per-branch, per-hypothesis update it
+// replaced (kept as a test reference), at any worker count; what Support
+// returns is valid until the next Update and must not be written. Compaction merges two hypotheses
 // exactly when their Keys are equal (State.SameKey, field by field),
 // bucketed by a constant-time hash of the state's header
 // (State.KeyHead). planner.Fingerprint, State.KeyHead and the rollout

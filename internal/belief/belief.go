@@ -9,12 +9,22 @@
 // carries its lifetime counters (Lifetime) and its checkpoint
 // (Snapshot, rebuilt by Restore).
 //
-// Exact advances its hypotheses in place: an Update runs each state
-// where it lives and only a fork clones, into storage recycled from the
-// hypotheses earlier updates rejected, merged or floored. What Support
-// returns is therefore valid until the next Update and no longer — a
-// caller that keeps a hypothesis across updates clones its state, as
-// planner.Guard's background Decide does.
+// Exact stores each distinct dynamic state once, as a class
+// (model.State.SameClass): hypotheses that differ only in their loss
+// probability, initial fullness and grid point — the loss siblings of
+// Figure 3's prior, and fullness siblings once their queues agree —
+// advance alike, so an Update advances, hashes and stores each class
+// once and weighs each member's branches with the member's own loss
+// probability. The posterior is the per-hypothesis update's, bit for bit.
+//
+// Exact advances its classes in place: an Update runs each state where it
+// lives and only a fork clones, into storage recycled from the classes
+// earlier updates dropped or merged. What Support returns is therefore
+// valid until the next Update and no longer, and it is read-only in a
+// way that matters: the hypotheses of a class share its queue, so a write
+// through one hypothesis's queue changes its siblings. A caller that
+// keeps a hypothesis across updates, or changes one, clones its state
+// first, as planner.Guard's background Decide does.
 package belief
 
 import (
@@ -57,6 +67,10 @@ type UpdateStats struct {
 	Reseeded int
 	// N is the number of hypotheses after the update.
 	N int
+	// Classes is the number of distinct states among them
+	// (model.State.SameClass) after the update: what the update stores
+	// and the next one advances.
+	Classes int
 }
 
 // Belief is the sender's uncertainty about the network.
@@ -69,8 +83,10 @@ type Belief interface {
 	Update(now time.Duration, acks []packet.Ack) UpdateStats
 	// Support returns the current weighted hypotheses (compacted;
 	// weights sum to 1). The slice and the states' queues are owned by
-	// the belief, which advances them in place: treat them as read-only,
-	// valid until the next Update, and Clone a state to keep it longer.
+	// the belief, which advances them in place, and hypotheses with equal
+	// states may share one queue: treat them as read-only — a write to
+	// one hypothesis's queue may change another's — valid until the next
+	// Update, and Clone a state to keep or change it.
 	Support() []Hypothesis
 	// PendingSends returns sends recorded but not yet folded into the
 	// hypotheses, oldest first. The planner replays them in rollouts so
@@ -78,8 +94,8 @@ type Belief interface {
 	PendingSends() []model.Send
 	// Now reports the time of the last update.
 	Now() time.Duration
-	// Lifetime reports every update's stats summed (N is the last
-	// update's).
+	// Lifetime reports every update's stats summed (N and Classes are
+	// the last update's).
 	Lifetime() UpdateStats
 	// Snapshot captures the belief's full decision state; Restore
 	// rebuilds it.

@@ -7,15 +7,18 @@ import (
 	"modelcc/internal/model"
 )
 
-// TestCompactMergesWithinOneBucket: survivors that share one KeyHead
-// bucket — one header and one last packet, the packets before it
+// TestCompactMergesWithinOneBucket: hypotheses whose states share one
+// KeyHead bucket — one header and one last packet, the packets before it
 // permuted, and duplicates that differ only in enqueue stamps and a dead
-// queue prefix — keep every distinct state and merge each duplicate
-// into the first state equal to it, weights summed in hypothesis order:
-// the string-keyed reference, refCompact, survivor for survivor and bit
-// for bit. The index is reused across calls, wider then narrower, so a
-// stale bucket or chain link from an earlier call would merge or lose a
-// hypothesis.
+// queue prefix — each met under two grid points, keep every distinct
+// (grid point, state) and merge each duplicate into the first hypothesis
+// equal to it, weights summed in hypothesis order: the string-keyed
+// reference, refCompact, survivor for survivor and bit for bit. A
+// hypothesis reads its state from the class branch it names, as the
+// siblings of a class do, so two of them naming one branch merge exactly
+// when their grid points agree. The index is reused across calls, wider
+// then narrower, so a stale bucket or chain link from an earlier call
+// would merge or lose a hypothesis.
 func TestCompactMergesWithinOneBucket(t *testing.T) {
 	base := model.Initial(model.Fig2Actual(), true)
 	pkts := []model.QPkt{
@@ -63,25 +66,41 @@ func TestCompactMergesWithinOneBucket(t *testing.T) {
 		distinct[0], distinct[1], dup(0), distinct[2], dup(1), dup(0),
 		distinct[3], distinct[4], dup(4), dup(2), distinct[5], dup(5), dup(0),
 	}
-	build := func(states []model.State) []Hypothesis {
-		hyps := make([]Hypothesis, len(states))
+	// Each state is one class branch, named by a hypothesis under grid
+	// point 3 and then under 8: the reference sees the same sequence as
+	// whole states.
+	ids := [2]int32{3, 8}
+	points := []point{{base.P, ids[0]}, {base.P, ids[1]}}
+	build := func(states []model.State) ([]Hypothesis, []Hypothesis, []member) {
+		var ref []Hypothesis
+		var mem []member
+		out := make([]Hypothesis, len(states))
 		for i := range states {
-			hyps[i] = Hypothesis{S: states[i].Clone(), W: 1 / float64(3+i)}
+			out[i].S = states[i].Clone()
+			for k, id := range ids {
+				w := 1 / float64(3+2*i+k)
+				s := states[i].Clone()
+				s.ParamsID = id
+				ref = append(ref, Hypothesis{S: s, W: w})
+				mem = append(mem, member{w: w, cls: int32(i), pt: int32(k)})
+			}
 		}
-		return hyps
+		return ref, out, mem
 	}
 
 	var ix keyIndex
 	for round, states := range [][]model.State{order, append(order, order...), order[:5], order} {
-		hyps := build(states)
-		want, wantMerged := refCompact(build(states))
-		got, merged := compactInto(hyps, &ix)
+		ref, out, mem := build(states)
+		want, wantMerged := refCompact(ref)
+		got, merged := compact(mem, out, points, &ix)
 		if merged != wantMerged || len(got) != len(want) {
 			t.Fatalf("round %d: %d kept, %d merged; want %d kept, %d merged", round, len(got), merged, len(want), wantMerged)
 		}
 		for i := range got {
-			if got[i].S.Key() != want[i].S.Key() || got[i].W != want[i].W {
-				t.Fatalf("round %d survivor %d: weight %v, want %v, or another state", round, i, got[i].W, want[i].W)
+			s := out[got[i].cls].S
+			s.ParamsID = points[got[i].pt].id
+			if s.Key() != want[i].S.Key() || got[i].w != want[i].W {
+				t.Fatalf("round %d survivor %d: weight %v, want %v, or another state", round, i, got[i].w, want[i].W)
 			}
 		}
 	}

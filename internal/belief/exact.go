@@ -18,6 +18,13 @@ import (
 // enumerating forks at nondeterministic elements, rejects configurations
 // inconsistent with the observed acknowledgments, renormalizes, and
 // compacts states that have become identical.
+//
+// It stores a configuration's dynamic state once per class
+// (model.State.SameClass): hypotheses that differ only in their loss
+// probability, their initial fullness and their grid point — loss
+// siblings, and fullness siblings once their queues agree — advance
+// alike, so each class is advanced, hashed and stored once and each
+// hypothesis keeps only its grid point, weight and class.
 type Exact struct {
 	cfg     Config
 	now     time.Duration
@@ -30,28 +37,51 @@ type Exact struct {
 	// Config.Recover is set, so a likelihood collapse can re-seed the
 	// belief deterministically.
 	prior []model.State
-	// pool shards the per-hypothesis advances of an update.
+	// pool shards the per-class advances of an update.
 	pool *rollout.Pool
 	// Cum accumulates stats over the belief's lifetime.
 	Cum UpdateStats
 
-	hyps []Hypothesis
+	// points holds the grid point of each prior state: the parameter
+	// record and ParamsID a support header carries. siblings reports
+	// whether two grid points differ in ParamsID but not in their
+	// dynamics (model.Params.Dynamics): only then can an update leave two
+	// classes holding equal states, since compaction merges equal states
+	// of one grid point, so only then does its classify look for them.
+	points   []point
+	siblings bool
 
-	// The buffers below make the steady-state update allocation-free.
-	// next is the other half of the double buffer: a segment in which a
-	// hypothesis forks builds its posterior there, every other segment
-	// stays in hyps. Every slot of hyps and next up to capacity — live,
-	// or dead since a reduce rejected, merged or floored it — owns its
-	// queue buffer alone; hypotheses change slots through move, so a
-	// twin forked into a dead slot recycles the buffer left there.
-	next []Hypothesis
-	// offs[i] is where hypothesis i's branches start in the segment's
-	// output and qs[i] the toggle probability its gate forks with; lws
-	// holds one likelihood per branch.
-	offs    []int32
-	qs      []float64
-	lws     []float64
-	byKey   keyIndex
+	// cls holds one state per class, in the order of each class's first
+	// hypothesis, under that hypothesis's grid point; its W is unused
+	// unless the classes are the support. mem holds the hypotheses in
+	// support order, each naming its class.
+	cls []Hypothesis
+	mem []member
+	// hyps is what Support returns: cls itself when every class has one
+	// member, else sup, whose headers publish writes once per Update,
+	// each a copy of its class's state — queue included, by alias — under
+	// the member's grid point and weight.
+	hyps, sup []Hypothesis
+
+	// The buffers below and the pool's arena make the steady-state
+	// update allocation-free. spare is the other half of the class double
+	// buffer: a segment in which a class forks builds its branches there,
+	// every other segment stays in cls. Every slot of cls and spare up to
+	// capacity — live, or dead since no hypothesis was left on it or a
+	// class merged it — owns its queue buffer alone; states change slots
+	// through move, so a twin forked into a dead slot recycles the buffer
+	// left there. A class branch's W holds its probability from the
+	// advance to the reduce, then its number in classify.
+	spare []Hypothesis
+	// gate is the toggle probability of the last (tick, mean switch time)
+	// a count met: taken once for every class that shares them rather
+	// than per class and segment. The zero value is ToggleProb(0, 0).
+	gate struct {
+		tick, mean time.Duration
+		q          float64
+	}
+	// segAcks holds the running segment's acknowledgments by sequence
+	// number.
 	segAcks map[int64]time.Duration
 	// seg is what advance reads of the running segment; advance is the
 	// method value handed to the pool, bound once.
@@ -59,9 +89,57 @@ type Exact struct {
 		end, now time.Duration
 		sends    []model.Send
 		out      []Hypothesis
+		ar       *arena
 	}
 	advance func(*rollout.Scratch, int)
 }
+
+// arena is what an update needs only while it runs. It rides the pool
+// (rollout.Pool.Belief), so every belief on one pool — a whole fleet —
+// grows one set of these buffers rather than one each; the pool is used
+// by one goroutine at a time. segs[c] is where class c's branches start
+// in the segment's output and the last of its hypotheses; at[m] is where
+// hypothesis m's branches start among the segment's hypothesis branches
+// (and in lws) and the one before it in its class — and, while classify
+// numbers the classes, at[k].off is class k's branch. lws holds one
+// likelihood per hypothesis branch, and branches the hypothesis branches
+// of a segment in which a class forks.
+type arena struct {
+	segs     []classSeg
+	at       []memberSeg
+	lws      []float64
+	branches []member
+	byKey    keyIndex
+}
+
+// arena returns the pool's update arena.
+func (b *Exact) arena() *arena {
+	ar, _ := b.pool.Belief.(*arena)
+	if ar == nil {
+		ar = &arena{}
+		b.pool.Belief = ar
+	}
+	return ar
+}
+
+// point is a grid point: the parameter record and ParamsID of a prior
+// state. Two points may be equal; their hypotheses still merge by
+// ParamsID.
+type point struct {
+	p  *model.Record
+	id int32
+}
+
+// member is one hypothesis: its weight, its class — or, inside a
+// segment, the class branch it took — and its grid point.
+type member struct {
+	w       float64
+	cls, pt int32
+}
+
+type classSeg struct{ off, head int32 }
+
+type memberSeg struct{ off, next int32 }
 
 // recentAckWindow bounds how long soft matching remembers
 // acknowledgments.
@@ -72,15 +150,17 @@ const recentAckWindow = 5 * time.Second
 func NewExact(states []model.State, cfg Config) *Exact {
 	b := newExact(states, cfg)
 	w := 1 / float64(len(states))
-	b.hyps = make([]Hypothesis, len(states))
+	hyps := make([]Hypothesis, len(states))
 	for i, s := range states {
-		b.hyps[i] = Hypothesis{S: s.Clone(), W: w}
+		hyps[i] = Hypothesis{S: s.Clone(), W: w}
 	}
+	b.load(hyps, func(i int) int32 { return int32(i) })
 	return b
 }
 
 // newExact builds an Exact with no hypotheses over the prior states,
-// which it keeps only when cfg.Recover may re-seed from them.
+// which it keeps only when cfg.Recover may re-seed from them, and with
+// their grid points.
 func newExact(states []model.State, cfg Config) *Exact {
 	if len(states) == 0 {
 		// Invariant, not a network condition: a caller constructed a
@@ -98,14 +178,37 @@ func newExact(states []model.State, cfg Config) *Exact {
 	if b.pool == nil {
 		b.pool = rollout.New(cfg.Workers)
 	}
+	b.points = make([]point, len(states))
+	ids := make(map[model.Params]int32, len(states))
+	for i := range states {
+		s := &states[i]
+		b.points[i] = point{s.P, s.ParamsID}
+		d := s.P.Params.Dynamics()
+		if id, ok := ids[d]; !ok {
+			ids[d] = s.ParamsID
+		} else if id != s.ParamsID {
+			b.siblings = true
+		}
+	}
 	if cfg.Recover {
 		b.prior = make([]model.State, len(states))
 		for i, s := range states {
 			b.prior[i] = s.Clone()
 		}
 	}
-	b.advance = b.advanceOne
+	b.advance = b.advanceClass
 	return b
+}
+
+// load makes hyps, whose states it takes over, the belief's support, the
+// grid point of hyps[i] being pt(i): equal states become one class.
+func (b *Exact) load(hyps []Hypothesis, pt func(i int) int32) {
+	b.mem = resize(b.mem, len(hyps))
+	for i := range hyps {
+		b.mem[i] = member{w: hyps[i].W, cls: int32(i), pt: pt(i)}
+	}
+	b.classify(hyps, nil, true)
+	b.publish()
 }
 
 // Now implements Belief.
@@ -141,31 +244,20 @@ func move(dst, src *Hypothesis) {
 	src.S.Queue = q
 }
 
-// resize returns hyps with length n, keeping every slot up to capacity
-// (and the queue buffer it owns) when it has to grow.
-func resize(hyps []Hypothesis, n int) []Hypothesis {
-	if c := cap(hyps); n > c {
-		hyps = append(hyps[:c], make([]Hypothesis, n-c)...)
+// resize returns s with length n, keeping every slot up to capacity (and
+// any queue buffer it owns) when it has to grow.
+func resize[T any](s []T, n int) []T {
+	if c := cap(s); n > c {
+		s = append(s[:c], make([]T, n-c)...)
 	}
-	return hyps[:n]
+	return s[:n]
 }
 
-// reseedFromPrior fills dst with the pristine prior rebased to at,
-// uniformly weighted — the deterministic likelihood-collapse recovery.
-func reseedFromPrior(prior []model.State, at time.Duration, dst []Hypothesis) []Hypothesis {
-	dst = resize(dst, len(prior))
-	w := 1 / float64(len(prior))
-	for i := range prior {
-		prior[i].CloneInto(&dst[i].S)
-		dst[i].S.Rebase(at)
-		dst[i].W = w
-	}
-	return dst
-}
-
-// Support implements Belief. The hypotheses are advanced where they
-// live: the slice and the states in it are valid until the next Update;
-// Clone a state to keep it longer.
+// Support implements Belief. The class states are advanced where they
+// live, and every hypothesis of a class aliases its class's queue: the
+// slice and the states in it are valid until the next Update and must
+// not be written — a write to one hypothesis's queue is a write to its
+// siblings'. Clone a state to keep it longer or to change it.
 func (b *Exact) Support() []Hypothesis { return b.hyps }
 
 // begin opens an update to now: it checks the clock, refreshes the soft
@@ -226,7 +318,7 @@ func (b *Exact) end(now time.Duration, consumed int, st UpdateStats) UpdateStats
 	b.Cum.Floored += st.Floored
 	b.Cum.Relaxed += st.Relaxed
 	b.Cum.Reseeded += st.Reseeded
-	b.Cum.N = st.N
+	b.Cum.N, b.Cum.Classes = st.N, st.Classes
 	return st
 }
 
@@ -240,6 +332,13 @@ func (b *Exact) end(now time.Duration, consumed int, st UpdateStats) UpdateStats
 // forks, exactly as the paper describes states being "compacted back
 // into one" as soon as they coincide (§3.2).
 //
+// A segment advances each class once and weighs every hypothesis's
+// branches from its class's events with the hypothesis's own loss
+// probability; the reduce, compaction and floor then run per hypothesis,
+// in hypothesis order with the float operations of a per-hypothesis
+// advance, so classes change the cost and nothing else. The support
+// headers are written once, at the end.
+//
 // Acknowledgment matching is segment-local: an ack can only match a
 // delivery event in the segment containing its receive time, because
 // predicted and observed times agree to within timeTol, which is far
@@ -249,16 +348,8 @@ func (b *Exact) Update(now time.Duration, acks []packet.Ack) UpdateStats {
 	sends := b.begin(now, acks)
 
 	tick := model.DefaultSwitchTick
-	if len(b.hyps) > 0 && b.hyps[0].S.SwitchTick > 0 {
-		tick = b.hyps[0].S.SwitchTick
-	}
-
-	// The gate's toggle probability, taken once per (tick, mean switch
-	// time) the update meets rather than per hypothesis and segment. The
-	// zero value is ToggleProb(0, 0).
-	var gate struct {
-		tick, mean time.Duration
-		q          float64
+	if len(b.cls) > 0 && b.cls[0].S.SwitchTick > 0 {
+		tick = b.cls[0].S.SwitchTick
 	}
 
 	var stats UpdateStats
@@ -283,97 +374,121 @@ func (b *Exact) Update(now time.Duration, acks []packet.Ack) UpdateStats {
 			segAcks[a.Seq] = a.ReceivedAt
 		}
 
-		// Count each hypothesis's branches; only a segment with a fork
-		// needs the second buffer.
-		n := len(b.hyps)
-		if cap(b.offs) <= n {
-			b.offs, b.qs = make([]int32, n+1), make([]float64, n+1)
-		}
-		total := 0
-		for i := range b.hyps {
-			s := &b.hyps[i].S
-			if s.SwitchTick != gate.tick || s.P.MeanSwitch != gate.mean {
-				gate.tick, gate.mean = s.SwitchTick, s.P.MeanSwitch
-				gate.q = model.ToggleProb(gate.tick, gate.mean)
+		// Count each class's branches, chain each class's hypotheses and
+		// lay out their likelihoods, in one walk of the hypotheses: a class
+		// is counted at its first hypothesis, and classes are numbered in
+		// that order. Only a segment with a fork needs the spare buffer.
+		cls, mem, ar := b.cls, b.mem, b.arena()
+		nc, nm := len(cls), len(mem)
+		ar.segs, ar.at = resize(ar.segs, nc+1), resize(ar.at, nm)
+		segs, at, gate := ar.segs, ar.at, &b.gate
+		total, mtotal, counted := 0, 0, int32(0)
+		for m := range mem {
+			c := mem[m].cls
+			if c == counted {
+				s := &cls[c].S
+				if s.SwitchTick != gate.tick || s.P.MeanSwitch != gate.mean {
+					gate.tick, gate.mean, gate.q = s.SwitchTick, s.P.MeanSwitch, model.ToggleProb(s.SwitchTick, s.P.MeanSwitch)
+				}
+				segs[c] = classSeg{off: int32(total), head: -1}
+				total += s.Leaves(segEnd, gate.q)
+				segs[c+1].off = int32(total)
+				counted++
 			}
-			b.offs[i], b.qs[i] = int32(total), gate.q
-			total += s.Leaves(segEnd, gate.q)
+			at[m] = memberSeg{off: int32(mtotal), next: segs[c].head}
+			segs[c].head = int32(m)
+			mtotal += int(segs[c+1].off - segs[c].off)
 		}
-		b.offs[n] = int32(total)
-		out := b.hyps
-		if total > n {
-			b.next = resize(b.next, total)
-			out = b.next
+		out, other := cls, b.spare
+		if total > nc {
+			b.spare = resize(b.spare, total)
+			out, other = b.spare, cls
 		}
-		if cap(b.lws) < total {
-			b.lws = make([]float64, total)
-		}
-		lws := b.lws[:total]
+		ar.lws = resize(ar.lws, mtotal)
+		lws := ar.lws
 
-		// Advance every hypothesis where it lives and weigh its
-		// branches, sharded across the pool. Workers write only their
-		// own hypothesis's slots; the shared maps (segAcks, recent) are
-		// read-only here.
-		b.seg.end, b.seg.now, b.seg.sends, b.seg.out = segEnd, now, sends[si:sHi], out
-		b.pool.Run(n, b.advance)
+		// Advance every class where it lives, weighing each of its
+		// hypotheses' branches, sharded across the pool. Workers write only
+		// their own class's slots and its hypotheses' likelihoods; the
+		// shared maps (segAcks, recent) are read-only here.
+		b.seg.end, b.seg.now, b.seg.sends, b.seg.out, b.seg.ar = segEnd, now, sends[si:sHi], out, ar
+		b.pool.Run(nc, b.advance)
+
+		// Lay out the hypothesis branches, each with its unconditioned
+		// weight, where the likelihoods lie. Without a fork they lie in
+		// place already: class c is branch c, of probability 1.
+		if mtotal > nm {
+			ar.branches = resize(ar.branches, mtotal)
+			mem = ar.branches
+			for m, e := range b.mem {
+				lo, hi := segs[e.cls].off, segs[e.cls+1].off
+				to := at[m].off - lo
+				for j := lo; j < hi; j++ {
+					mem[to+j] = member{w: e.w * out[j].W, cls: j, pt: e.pt}
+				}
+			}
+		}
 
 		// Sequential Bayesian reduce, in branch order — identical float
-		// operations regardless of worker count. Survivors close ranks
-		// in place.
-		stats.Branches += total
+		// operations regardless of worker count or class. Survivors close
+		// ranks in place.
+		stats.Branches += mtotal
 		kept := 0
 		var sum float64
-		for j := range out {
-			w := out[j].W * lws[j]
+		for j := range mem {
+			w := mem[j].w * lws[j]
 			// !(w > 0) also rejects NaN (a poisoned likelihood must
 			// never propagate into the posterior).
 			if !(w > 0) {
 				stats.Rejected++
 				continue
 			}
-			move(&out[kept], &out[j])
-			out[kept].W = w
+			mem[kept] = mem[j]
+			mem[kept].w = w
 			sum += w
 			kept++
 		}
 		if kept == 0 {
-			// Nothing survived, so nothing has moved: out still holds
+			// Nothing survived, so nothing has moved: mem still holds
 			// every branch with its unconditioned weight.
 			if b.collapse(&stats) {
 				// Re-seed from the prior at the collapse instant; the
 				// segment's observations are abandoned (they condition
 				// nothing a fresh prior could know about) and inference
 				// restarts.
-				out = reseedFromPrior(b.prior, segEnd, out)
-				kept, sum = len(out), 1 // reseeded weights are already normalized
+				out = resize(out, len(b.prior))
+				mem = resize(mem, len(b.prior))
+				w := 1 / float64(len(b.prior))
+				for i := range b.prior {
+					b.prior[i].CloneInto(&out[i].S)
+					out[i].S.Rebase(segEnd)
+					mem[i] = member{w: w, cls: int32(i), pt: int32(i)}
+				}
+				kept, sum = len(b.prior), 1 // reseeded weights are already normalized
 			} else {
 				// Relax: keep the pre-segment posterior, advanced without
 				// conditioning — every branch of the advance already run.
-				for j := range out {
-					w := out[j].W
+				for j := range mem {
+					w := mem[j].w
 					if w <= 0 {
 						continue
 					}
-					move(&out[kept], &out[j])
+					mem[kept] = mem[j]
 					sum += w
 					kept++
 				}
 			}
 		}
-		out = out[:kept]
-		for j := range out {
-			out[j].W /= sum
+		next := mem[:kept]
+		for j := range next {
+			next[j].w /= sum
 		}
-		out, merged := compactInto(out, &b.byKey)
+		next, merged := compact(next, out, b.points, &ar.byKey)
 		stats.Merged += merged
-		out, floored := floorAndCap(out, b.cfg.MinWeight, b.cfg.MaxHyps)
+		next, floored := floorAndCap(next, b.cfg.MinWeight, b.cfg.MaxHyps)
 		stats.Floored += floored
-		if total > n {
-			// The posterior was built in next; the slots it left in
-			// hyps, all dead now, become the spare buffer.
-			b.next = b.hyps
-		}
-		b.hyps = out
+		b.mem = append(b.mem[:0], next...)
+		b.classify(out, other, b.siblings)
 
 		si, ai = sHi, aHi
 		if segEnd == now {
@@ -382,48 +497,51 @@ func (b *Exact) Update(now time.Duration, acks []packet.Ack) UpdateStats {
 		segStart = segEnd
 	}
 
-	stats.N = len(b.hyps)
+	b.publish()
+	stats.N, stats.Classes = len(b.mem), len(b.cls)
 	return b.end(now, len(sends), stats)
 }
 
-// compactInto merges hypotheses with identical canonical state keys,
-// summing their weights — the paper's "compacted back into one state"
-// (§3.2). It reports how many hypotheses were absorbed. Two hypotheses
-// merge exactly when their Keys are equal (model.State.SameKey): a
-// hypothesis joins the first survivor of its KeyHead bucket it equals,
-// its weight added in hypothesis order, else it survives itself. ix is
-// the caller's reused index.
-func compactInto(hyps []Hypothesis, ix *keyIndex) ([]Hypothesis, int) {
-	mask := ix.reset(len(hyps))
-	out := hyps[:0]
+// compact merges hypotheses with identical canonical state keys, summing
+// their weights — the paper's "compacted back into one state" (§3.2). It
+// reports how many hypotheses were absorbed. A hypothesis's state is its
+// class branch's in out under its own grid point (in points), and two
+// hypotheses merge exactly when those Keys are equal
+// (model.State.SameKeyAs): a hypothesis joins the first survivor of its
+// KeyHead bucket it equals, its weight added in hypothesis order, else it
+// survives itself. ix is the caller's reused index.
+func compact(mem []member, out []Hypothesis, points []point, ix *keyIndex) ([]member, int) {
+	mask := ix.reset(len(mem))
+	kept := mem[:0]
 outer:
-	for j := range hyps {
-		s := &hyps[j].S
-		b := s.KeyHead() & mask
+	for j := range mem {
+		e := mem[j]
+		s, id := &out[e.cls].S, points[e.pt].id
+		b := s.KeyHeadAs(id) & mask
 		for i := ix.head[b]; i != 0; i = ix.next[i-1] {
-			if out[i-1].S.SameKey(s) {
-				out[i-1].W += hyps[j].W
+			o := &kept[i-1]
+			if oid := points[o.pt].id; o.cls == e.cls && oid == id || out[o.cls].S.SameKeyAs(oid, s, id) {
+				o.w += e.w
 				continue outer
 			}
 		}
-		k := len(out)
+		k := len(kept)
 		ix.next[k], ix.head[b] = ix.head[b], int32(k+1)
-		out = out[:k+1]
-		move(&out[k], &hyps[j])
+		kept = append(kept, e)
 	}
-	return out, len(hyps) - len(out)
+	return kept, len(mem) - len(kept)
 }
 
-// keyIndex is compactInto's reused chained index: head holds, per
-// bucket, one plus the index of the bucket's latest survivor (0: empty),
-// and next, parallel to the survivors, the one before it in the same
-// bucket. Both only grow; a call clears only the buckets it uses.
+// keyIndex is the reused chained index of compact and classify: head
+// holds, per bucket, one plus the index of the bucket's latest entry (0:
+// empty), and next, parallel to the entries, the one before it in the
+// same bucket. Both only grow; a call clears only the buckets it uses.
 type keyIndex struct {
 	head, next []int32
 }
 
-// reset sizes the index for n hypotheses — a power-of-two bucket count
-// at or above n — and returns the bucket mask.
+// reset sizes the index for n entries — a power-of-two bucket count at
+// or above n — and returns the bucket mask.
 func (ix *keyIndex) reset(n int) uint64 {
 	nb := 1
 	for nb < n {
@@ -441,62 +559,182 @@ func (ix *keyIndex) reset(n int) uint64 {
 
 // floorAndCap drops hypotheses below minW, keeps at most maxN of the
 // heaviest, and renormalizes. It reports how many were dropped.
-func floorAndCap(hyps []Hypothesis, minW float64, maxN int) ([]Hypothesis, int) {
-	out := hyps[:0]
-	for j := range hyps {
-		if hyps[j].W < minW {
-			continue
+func floorAndCap(mem []member, minW float64, maxN int) ([]member, int) {
+	out := mem[:0]
+	for _, e := range mem {
+		if e.w >= minW {
+			out = append(out, e)
 		}
-		out = out[:len(out)+1]
-		move(&out[len(out)-1], &hyps[j])
 	}
 	if len(out) == 0 {
 		// The floor annihilated everything (pathological minW), so
 		// nothing has moved; keep the original set rather than dying.
-		out = hyps
+		out = mem
 	}
-	dropped := len(hyps) - len(out)
+	dropped := len(mem) - len(out)
 	if len(out) > maxN {
-		sort.Slice(out, func(i, j int) bool { return out[i].W > out[j].W })
+		sort.Slice(out, func(i, j int) bool { return out[i].w > out[j].w })
 		dropped += len(out) - maxN
 		out = out[:maxN]
 	}
 	var total float64
 	for i := range out {
-		total += out[i].W
+		total += out[i].w
 	}
 	for i := range out {
-		out[i].W /= total
+		out[i].w /= total
 	}
 	return out, dropped
 }
 
-// advanceOne is the pool job of one segment: it moves hypothesis i to
-// the last of its output slots, enumerates its branches from there and
-// leaves each branch's unconditioned weight in its slot and its
-// likelihood in lws.
-func (b *Exact) advanceOne(s *rollout.Scratch, i int) {
-	sg := &b.seg
-	last := int(b.offs[i+1]) - 1
-	root := &sg.out[last]
-	move(root, &b.hyps[i])
-	hW := root.W
-	soft := b.cfg.SoftSigma > 0
-	s.Events = s.Events[:0]
-	root.S.Enumerate(sg.end, sg.sends, &s.Events, last, 1, b.qs[i],
-		func(j int) *model.State { return &sg.out[j].S },
-		func(j int, w float64) {
-			br := &sg.out[j]
-			var lw float64
-			if soft {
-				lw = softLikelihood(s.Events, b.recent, sg.now, br.S.P.LossProb, b.cfg)
-			} else {
-				var matched int
-				lw, matched = likelihood(s.Events, b.segAcks, br.S.P.LossProb)
-				if matched < len(b.segAcks) {
-					lw = 0 // an acknowledgment the branch cannot explain
+// classify turns the class branches in out that hypotheses still name
+// into the next classes: one per distinct state (model.State.SameClass),
+// numbered in the order of their first hypotheses, each under that
+// hypothesis's grid point. Branches no hypothesis names, and those equal
+// to an earlier class, are left dead in their slots. The classes stay in
+// out when their first hypotheses meet them in slot order, else they move
+// to other, and whichever buffer is left over becomes the spare. Without
+// probe no two branches are compared: the caller knows none are equal.
+func (b *Exact) classify(out, other []Hypothesis, probe bool) {
+	if !probe && len(b.mem) == len(out) && b.numbered() {
+		// Every branch is its own hypothesis's, in order: the branches
+		// are the classes, already under their hypotheses' grid points.
+		b.cls, b.spare = out, other
+		return
+	}
+	for j := range out {
+		out[j].W = -1
+	}
+	ar := b.arena()
+	ar.at = resize(ar.at, len(b.mem))
+	src := ar.at
+	var mask, h uint64
+	ix := &ar.byKey
+	if probe {
+		mask = ix.reset(len(b.mem))
+	}
+	nc := 0
+	inPlace := true
+	for m := range b.mem {
+		e := &b.mem[m]
+		j := e.cls
+		if k := out[j].W; k >= 0 {
+			e.cls = int32(k)
+			continue
+		}
+		s := &out[j].S
+		k := int32(-1)
+		if probe {
+			h = s.ClassHead() & mask
+			for i := ix.head[h]; i != 0; i = ix.next[i-1] {
+				if out[src[i-1].off].S.SameClass(s) {
+					k = i - 1
+					break
 				}
 			}
-			br.W, b.lws[j] = hW*w, lw
+		}
+		if k < 0 {
+			k = int32(nc)
+			if nc > 0 && j < src[nc-1].off {
+				inPlace = false
+			}
+			src[nc].off = j
+			if probe {
+				ix.next[nc], ix.head[h] = ix.head[h], int32(nc+1)
+			}
+			pt := b.points[e.pt]
+			s.P, s.ParamsID = pt.p, pt.id
+			nc++
+		}
+		out[j].W, e.cls = float64(k), k
+	}
+	dst, rest := out, other
+	if !inPlace {
+		dst, rest = resize(other, nc), out
+	}
+	for k := 0; k < nc; k++ {
+		move(&dst[k], &out[src[k].off])
+	}
+	b.cls, b.spare = dst[:nc], rest
+}
+
+// numbered reports whether hypothesis m names branch m, for every m.
+func (b *Exact) numbered() bool {
+	for m, e := range b.mem {
+		if e.cls != int32(m) {
+			return false
+		}
+	}
+	return true
+}
+
+// publish writes what Support returns: the classes themselves when each
+// has one member (numbered in hypothesis order, each under its member's
+// grid point), else one header per hypothesis, its class's state under
+// its grid point and weight.
+func (b *Exact) publish() {
+	cls, mem := b.cls, b.mem
+	if len(cls) == len(mem) {
+		for k, e := range mem {
+			cls[k].W = e.w
+		}
+		b.hyps = cls
+		return
+	}
+	b.sup = resize(b.sup, len(mem))
+	sup, points := b.sup, b.points
+	for i, e := range mem {
+		h, pt := &sup[i], points[e.pt]
+		h.S = cls[e.cls].S
+		h.S.P, h.S.ParamsID, h.W = pt.p, pt.id, e.w
+	}
+	b.hyps = sup
+}
+
+// toggleProb is the probability s's gate toggles at a switch opportunity,
+// from gate when s shares its tick and mean switch time. Only Update's
+// count refreshes gate; the pool's workers read it.
+func (b *Exact) toggleProb(s *model.State) float64 {
+	if s.SwitchTick == b.gate.tick && s.P.MeanSwitch == b.gate.mean {
+		return b.gate.q
+	}
+	return model.ToggleProb(s.SwitchTick, s.P.MeanSwitch)
+}
+
+// likelihood weighs one branch's events under loss probability p, by
+// soft or hard matching as configured.
+func (b *Exact) likelihood(events []model.Event, p float64) float64 {
+	if b.cfg.SoftSigma > 0 {
+		return softLikelihood(events, b.recent, b.seg.now, p, b.cfg)
+	}
+	lw, matched := likelihood(events, b.segAcks, p)
+	if matched < len(b.segAcks) {
+		return 0 // an acknowledgment the branch cannot explain
+	}
+	return lw
+}
+
+// advanceClass is the pool job of one segment: it moves class c to the
+// last of its output slots, enumerates its branches from there, and
+// leaves each branch's probability in its slot's W and, for each
+// hypothesis of the class, the branch's likelihood under that
+// hypothesis's loss probability in lws.
+func (b *Exact) advanceClass(s *rollout.Scratch, c int) {
+	sg := &b.seg
+	ar := sg.ar
+	seg := ar.segs[c]
+	lo, last := int(seg.off), int(ar.segs[c+1].off)-1
+	root := &sg.out[last]
+	move(root, &b.cls[c])
+	s.Events = s.Events[:0]
+	root.S.Enumerate(sg.end, sg.sends, &s.Events, last, 1, b.toggleProb(&root.S),
+		func(j int) *model.State { return &sg.out[j].S },
+		func(j int, w float64) {
+			sg.out[j].W = w
+			for m := seg.head; m >= 0; {
+				at := &ar.at[m]
+				ar.lws[int(at.off)+j-lo] = b.likelihood(s.Events, b.points[b.mem[m].pt].p.LossProb)
+				m = at.next
+			}
 		})
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -205,8 +206,28 @@ func (r *refExact) Update(now time.Duration, acks []packet.Ack) UpdateStats {
 	}
 	r.now = now
 	r.pending = append(r.pending[:0], r.pending[nSends:]...)
-	stats.N = len(r.hyps)
+	stats.N, stats.Classes = len(r.hyps), refClasses(r.hyps)
 	return stats
+}
+
+// refClasses counts the distinct states of a support
+// (model.State.SameClass).
+func refClasses(hyps []Hypothesis) int {
+	byHead := make(map[uint64][]*model.State)
+	n := 0
+outer:
+	for i := range hyps {
+		s := &hyps[i].S
+		h := s.ClassHead()
+		for _, o := range byHead[h] {
+			if o.SameClass(s) {
+				continue outer
+			}
+		}
+		byHead[h] = append(byHead[h], s)
+		n++
+	}
+	return n
 }
 
 func refCompact(hyps []Hypothesis) ([]Hypothesis, int) {
@@ -287,6 +308,28 @@ func genScript(seed int64, states []model.State, steps int, impossible bool) scr
 	rng := rand.New(rand.NewSource(seed))
 	truthP := states[rng.Intn(len(states))].P.Params
 	truth := model.NewTruth(truthP, true, model.GateFixed, 0, rand.New(rand.NewSource(seed+1)))
+	return genScriptOn(rng, truth, steps, impossible)
+}
+
+// fig3Truth is Figure 3's network (Fig2Actual: p = 0.2, so some packets
+// go unacknowledged) with its gate toggling every 20 s.
+func fig3Truth(seed int64) *model.Truth {
+	return model.NewTruth(model.Fig2Actual(), true, model.GateSquareWave, 20*time.Second, rand.New(rand.NewSource(seed+1)))
+}
+
+// fig3LossPrior is Figure 3's prior with all five of its loss points and
+// a coarser grid elsewhere that still holds Fig2Actual: each grid point
+// has four loss siblings, which advance alike until an observation or
+// the floor splits their weights.
+func fig3LossPrior() []model.State {
+	pr := model.Fig3Prior()
+	pr.LinkRate.N, pr.CrossFrac.N, pr.FullnessSteps = 4, 2, 2
+	states, _ := pr.Enumerate()
+	return states
+}
+
+// genScriptOn draws a script of steps wakes against truth.
+func genScriptOn(rng *rand.Rand, truth *model.Truth, steps int, impossible bool) script {
 	var sc script
 	var now time.Duration
 	var seq int64
@@ -337,9 +380,10 @@ func sameSupportExactly(t *testing.T, step int, want, got []Hypothesis) {
 	}
 }
 
-// queueOwners maps every queue backing array reachable from b — live
-// hypotheses, the dead slots behind them and the spare buffer — to the
-// slot holding it, failing on the first array two slots share.
+// queueOwners maps every queue backing array of b's class storage — live
+// classes, the dead slots behind them and the spare buffer — to the slot
+// holding it, failing on the first array two slots share: no two classes
+// share a buffer.
 func queueOwners(t *testing.T, b *Exact) {
 	t.Helper()
 	owners := make(map[*model.QPkt]string)
@@ -358,29 +402,61 @@ func queueOwners(t *testing.T, b *Exact) {
 			owners[p] = slot
 		}
 	}
-	walk("hyps", b.hyps)
-	walk("next", b.next)
+	walk("cls", b.cls)
+	walk("spare", b.spare)
 }
 
 // TestExactMatchesCloneBasedReference: over generated schedules the
-// in-place update yields the reference's support — same states, same
-// order, bit-equal weights — and the same UpdateStats, for hard and soft
-// matching, Relax, Recover (whose re-seeds leave NextToggle off the tick
-// grid), several forks inside a segment, a cap that sorts, and one and
-// four workers; and after every update each queue buffer has one owner.
+// class-based update yields the per-hypothesis reference's support —
+// same states, same order, bit-equal weights — and the same UpdateStats,
+// and after every update each queue buffer has one owner. The cases
+// cover hard and soft matching, Relax, Recover (whose re-seeds leave
+// NextToggle off the tick grid), several forks inside a segment, a cap
+// that sorts, one and four workers, a prior whose classes are all single
+// hypotheses, and — each required to end some update with fewer classes
+// than hypotheses — Figure 3's five loss points against its lossy
+// network, a floor that splits loss siblings' classes, and snapshots
+// restored halfway whose resumed supports keep matching.
 func TestExactMatchesCloneBasedReference(t *testing.T) {
-	states := forkyPrior()
+	forky, fig3 := forkyPrior(), fig3LossPrior()
+	// lone keeps forkyPrior's states of one loss and fullness point: no
+	// two grid points share dynamics, so no two classes can come to hold
+	// equal states and classify never compares them.
+	var lone []model.State
+	for _, st := range forky {
+		if st.P.LossProb == 0 && st.P.InitFullBits == 0 {
+			lone = append(lone, st)
+		}
+	}
 	cases := []struct {
 		name       string
+		states     []model.State
 		cfg        Config
 		impossible bool
+		// fig3 drives the belief with fig3Truth, not a state of the prior.
+		fig3  bool
+		steps int
+		// resume snapshots the belief halfway and carries on with its
+		// restore.
+		resume bool
+		// split requires an update that floors some of a class's loss
+		// siblings and keeps others.
+		split bool
+		// shared requires an update that ends with fewer classes than
+		// hypotheses; single, that every class is one hypothesis.
+		shared, single bool
 	}{
-		{"hard", Config{}, false},
-		{"hard-relax", Config{Relax: true}, true},
-		{"hard-recover", Config{Recover: true}, true},
-		{"hard-relax-cap", Config{Relax: true, MaxHyps: 40}, true},
-		{"soft-relax", Config{SoftSigma: 100 * time.Millisecond, Relax: true}, true},
-		{"soft-recover-cap", Config{SoftSigma: 50 * time.Millisecond, Recover: true, MaxHyps: 64}, true},
+		{name: "hard", states: forky, steps: 40},
+		{name: "hard-relax", states: forky, cfg: Config{Relax: true}, impossible: true, steps: 40},
+		{name: "hard-recover", states: forky, cfg: Config{Recover: true}, impossible: true, steps: 40},
+		{name: "hard-relax-cap", states: forky, cfg: Config{Relax: true, MaxHyps: 40}, impossible: true, steps: 40},
+		{name: "soft-relax", states: forky, cfg: Config{SoftSigma: 100 * time.Millisecond, Relax: true}, impossible: true, steps: 40},
+		{name: "soft-recover-cap", states: forky, cfg: Config{SoftSigma: 50 * time.Millisecond, Recover: true, MaxHyps: 64}, impossible: true, steps: 40},
+		{name: "hard-relax-lone", states: lone, cfg: Config{Relax: true}, impossible: true, steps: 40, single: true},
+		{name: "hard-recover-resume", states: forky, cfg: Config{Recover: true}, impossible: true, steps: 40, resume: true, shared: true},
+		{name: "fig3", states: fig3, fig3: true, steps: 80, shared: true},
+		{name: "fig3-floor", states: fig3, cfg: Config{SoftSigma: 100 * time.Millisecond, Relax: true, MinWeight: 2e-3}, fig3: true, steps: 80, split: true, shared: true},
+		{name: "fig3-recover-resume", states: fig3, cfg: Config{Recover: true}, impossible: true, fig3: true, steps: 80, resume: true, shared: true},
 	}
 	for _, tc := range cases {
 		for _, workers := range []int{1, 4} {
@@ -388,10 +464,26 @@ func TestExactMatchesCloneBasedReference(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/w%d/seed%d", tc.name, workers, seed), func(t *testing.T) {
 					cfg := tc.cfg
 					cfg.Workers = workers
-					ref := newRefExact(states, cfg)
-					b := NewExact(states, cfg)
-					var forks, multi, reseeds int
-					for k, st := range genScript(seed, states, 40, tc.impossible) {
+					ref := newRefExact(tc.states, cfg)
+					b := NewExact(tc.states, cfg)
+					sc := genScript(seed, tc.states, tc.steps, tc.impossible)
+					if tc.fig3 {
+						sc = genScriptOn(rand.New(rand.NewSource(seed)), fig3Truth(seed), tc.steps, tc.impossible)
+					}
+					var forks, multi, reseeds, shared, split int
+					for k, st := range sc {
+						if tc.resume && k == len(sc)/2 {
+							r, err := Restore(tc.states, cfg, b.Snapshot())
+							if err != nil {
+								t.Fatalf("step %d: Restore: %v", k, err)
+							}
+							if r.Lifetime() != b.Lifetime() {
+								t.Fatalf("step %d: restored lifetime %+v, belief's %+v", k, r.Lifetime(), b.Lifetime())
+							}
+							sameSupportExactly(t, k, ref.hyps, r.Support())
+							queueOwners(t, r)
+							b = r
+						}
 						for _, s := range st.sends {
 							ref.RecordSend(s)
 							b.RecordSend(s)
@@ -410,19 +502,64 @@ func TestExactMatchesCloneBasedReference(t *testing.T) {
 						if got.Branches > 3*pre {
 							multi++
 						}
+						if got.Classes < got.N {
+							shared++
+						}
+						if tc.single && (b.siblings || got.Classes != got.N) {
+							t.Fatalf("step %d: %d hypotheses in %d classes (siblings %v), want one class each", k, got.N, got.Classes, b.siblings)
+						}
+						if got.Floored > 0 && splitSiblings(b.Support()) {
+							split++
+						}
 						reseeds += got.Reseeded
 					}
 					if forks == 0 || multi == 0 {
 						t.Fatalf("schedule exercised %d forking updates, %d with several forks per hypothesis", forks, multi)
 					}
+					if tc.shared && shared == 0 {
+						t.Fatal("no update ended with a class of several hypotheses")
+					}
 					// (Soft matching crushes a weight, it never zeroes one.)
 					if tc.cfg.Recover && tc.cfg.SoftSigma == 0 && reseeds == 0 {
 						t.Fatal("schedule never re-seeded")
+					}
+					if tc.split && split == 0 {
+						t.Fatal("the floor never split a class's loss siblings")
 					}
 				})
 			}
 		}
 	}
+}
+
+// splitSiblings reports whether some class of the support holds some but
+// not all of one parameter point's loss siblings — hypotheses equal but
+// for LossProb — that the prior enumerated: a soft-matched belief
+// rejects none, so the floor parted them.
+func splitSiblings(sup []Hypothesis) bool {
+	type point struct {
+		cls  int
+		rest model.Params
+	}
+	var classes []*model.State
+	count := make(map[point]int)
+	for i := range sup {
+		s := &sup[i].S
+		c := slices.IndexFunc(classes, s.SameClass)
+		if c < 0 {
+			c = len(classes)
+			classes = append(classes, s)
+		}
+		rest := s.P.Params
+		rest.LossProb = 0
+		count[point{c, rest}]++
+	}
+	for _, n := range count {
+		if n > 1 && n < len(model.Fig3Prior().LossProb.Values()) {
+			return true
+		}
+	}
+	return false
 }
 
 // TestAdvanceEnumMatchesStackReference: model.AdvanceEnum, now a wrapper
@@ -456,13 +593,16 @@ func TestAdvanceEnumMatchesStackReference(t *testing.T) {
 	}
 }
 
-// TestExactHypothesesOwnTheirQueues: scribbling over one live
-// hypothesis's whole queue buffer changes no other hypothesis, whatever
-// moves, merges, floors and forks came before.
+// TestExactHypothesesOwnTheirQueues: each support hypothesis's queue is
+// its own class's, whatever moves, merges, floors, forks and class merges
+// came before — scribbling over one class's whole queue buffer changes
+// every hypothesis of that class with packets queued and no hypothesis of
+// another. The schedule ends with classes of several hypotheses, so the
+// aliasing is checked, not vacuous.
 func TestExactHypothesesOwnTheirQueues(t *testing.T) {
-	states := forkyPrior()
+	states := fig3LossPrior()
 	b := NewExact(states, Config{Relax: true, MaxHyps: 48, Workers: 4})
-	for _, st := range genScript(4, states, 30, true) {
+	for _, st := range genScriptOn(rand.New(rand.NewSource(4)), fig3Truth(4), 30, true) {
 		for _, s := range st.sends {
 			b.RecordSend(s)
 		}
@@ -470,19 +610,34 @@ func TestExactHypothesesOwnTheirQueues(t *testing.T) {
 		queueOwners(t, b)
 	}
 	sup := b.Support()
+	shared := make([]int, len(b.cls))
+	for i := range sup {
+		c := b.mem[i].cls
+		q, own := sup[i].S.Queue, b.cls[c].S.Queue
+		if unsafe.SliceData(q) != unsafe.SliceData(own) || len(q) != len(own) || sup[i].S.QHead != b.cls[c].S.QHead {
+			t.Fatalf("hypothesis %d's queue is not its class %d's", i, c)
+		}
+		if sup[i].S.QLen() > 0 {
+			shared[c]++
+		}
+	}
+	if slices.Max(shared) < 2 {
+		t.Fatalf("the schedule ends with %d hypotheses in %d classes and no class of several with packets queued", len(sup), len(b.cls))
+	}
 	keys := make([]string, len(sup))
 	for i := range sup {
 		keys[i] = sup[i].S.Key()
 	}
-	for i := range sup {
-		q := sup[i].S.Queue[:cap(sup[i].S.Queue)]
+	for c := range b.cls {
+		q := b.cls[c].S.Queue[:cap(b.cls[c].S.Queue)]
 		saved := append([]model.QPkt(nil), q...)
 		for j := range q {
 			q[j] = model.QPkt{Own: true, Seq: -7, Bits: 1}
 		}
 		for j := range sup {
-			if j != i && sup[j].S.Key() != keys[j] {
-				t.Fatalf("writing hypothesis %d's queue changed hypothesis %d", i, j)
+			mine := b.mem[j].cls == int32(c) && sup[j].S.QLen() > 0
+			if changed := sup[j].S.Key() != keys[j]; changed != mine {
+				t.Fatalf("writing class %d's queue changed hypothesis %d: %v, want %v", c, j, changed, mine)
 			}
 		}
 		copy(q, saved)

@@ -109,9 +109,12 @@ func cloneHyps(hyps []Hypothesis) []Hypothesis {
 // hypothesis must name a grid point of that prior (its ParamsID) and
 // carry that point's parameters; it is re-pointed at the prior's shared
 // record, so a restored belief holds one record per grid point as a fresh
-// one does. The restored belief resumes bit-identically: the same Update
-// sequence yields the same posteriors. The snapshot's states are cloned;
-// the caller may keep it.
+// one does. Equal states become one class again, and the lifetime
+// counters' class count, which a snapshot does not carry, is recounted
+// once an update has run: no two classes hold equal states, so it is a
+// function of the support. The restored belief resumes bit-identically:
+// the same Update sequence yields the same posteriors. The snapshot's
+// states are cloned; the caller may keep it.
 func Restore(states []model.State, cfg Config, sn Snapshot) (*Exact, error) {
 	if len(states) == 0 {
 		return nil, errors.New("belief: empty prior")
@@ -119,26 +122,31 @@ func Restore(states []model.State, cfg Config, sn Snapshot) (*Exact, error) {
 	if err := sn.validate(); err != nil {
 		return nil, err
 	}
-	grid := make(map[int32]*model.State, len(states))
+	grid := make(map[int32]int, len(states))
 	for i := range states {
 		if _, ok := grid[states[i].ParamsID]; !ok {
-			grid[states[i].ParamsID] = &states[i]
+			grid[states[i].ParamsID] = i
 		}
 	}
 	hyps := cloneHyps(sn.Hyps)
+	at := make([]int, len(hyps))
 	for i := range hyps {
 		s := &hyps[i].S
-		point, ok := grid[s.ParamsID]
+		k, ok := grid[s.ParamsID]
 		if !ok {
 			return nil, fmt.Errorf("belief: snapshot hypothesis names grid point %d, which the prior does not have", s.ParamsID)
 		}
-		if s.P.Params != point.P.Params {
+		if s.P.Params != states[k].P.Params {
 			return nil, fmt.Errorf("belief: snapshot hypothesis's parameters differ from the prior's grid point %d", s.ParamsID)
 		}
-		s.P = point.P
+		s.P, at[i] = states[k].P, k
 	}
 	b := newExact(states, cfg)
-	b.now, b.Cum, b.hyps = sn.Now, sn.Cum, hyps
+	b.load(hyps, func(i int) int32 { return int32(at[i]) })
+	b.now, b.Cum = sn.Now, sn.Cum
+	if b.Cum.N > 0 { // an update has run: Classes is its count
+		b.Cum.Classes = len(b.cls)
+	}
 	b.pending = append([]model.Send(nil), sn.Pending...)
 	for _, m := range sn.Recent {
 		b.recent[m.Seq] = m.At

@@ -111,6 +111,25 @@ type record struct {
 	pktSvc, crossSvc, crossIvl time.Duration
 }
 
+// Record names the parameter record for packages that keep one beside a
+// state rather than in it, as the belief does for each member of a class
+// (State.SameClass). It is read-only there too.
+type Record = record
+
+// Dynamics returns p without what the advance never reads — LossProb and
+// InitFullBits — so that two hypotheses advance alike only if their
+// Dynamics are equal (State.SameClass). Every derived constant is a
+// function of the rest.
+func (p Params) Dynamics() Params {
+	p.LossProb, p.InitFullBits = 0, 0
+	return p
+}
+
+// sameDynamics reports whether r and o drive Run and Enumerate alike.
+func (r *record) sameDynamics(o *record) bool {
+	return r == o || r.Params.Dynamics() == o.Params.Dynamics()
+}
+
 func newRecord(p Params) *record {
 	r := &record{Params: p, pktBits: p.PktBits(), crossBits: p.CrossBits(), crossIvl: p.CrossInterval()}
 	r.pktSvc = units.TransmitTime(r.pktBits, p.LinkRate)

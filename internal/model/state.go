@@ -715,8 +715,14 @@ func (q QPkt) SizeWord() uint64 {
 // either: the compaction identity, read field by field. It reads
 // exactly what Key encodes — never enqueue stamps, the dead queue
 // prefix, the toggle grid or the cached occupancy.
-func (s *State) SameKey(o *State) bool {
-	if s.ParamsID != o.ParamsID || s.Now != o.Now || s.PingerOn != o.PingerOn ||
+func (s *State) SameKey(o *State) bool { return s.SameKeyAs(s.ParamsID, o, o.ParamsID) }
+
+// SameKeyAs is SameKey with s read under the grid point id and o under
+// oid in place of their own ParamsIDs: the compaction identity of a
+// belief that keeps each hypothesis's grid point beside the state of its
+// class (SameClass), which the class's members share.
+func (s *State) SameKeyAs(id int32, o *State, oid int32) bool {
+	if id != oid || s.Now != o.Now || s.PingerOn != o.PingerOn ||
 		s.NextCross != o.NextCross || s.NextToggle != o.NextToggle ||
 		s.Serving != o.Serving || s.QLen() != o.QLen() {
 		return false
@@ -741,10 +747,14 @@ func (q QPkt) sameKey(o QPkt) bool { return q.Seq == o.Seq && q.Bits == o.Bits &
 // the header, the in-service packet's sequence number and the last
 // queued packet — so states with equal Keys always share it. It is
 // compaction's bucket, not an identity: SameKey decides.
-func (s *State) KeyHead() uint64 {
+func (s *State) KeyHead() uint64 { return s.KeyHeadAs(s.ParamsID) }
+
+// KeyHeadAs is KeyHead with the grid point id in place of s.ParamsID, so
+// that SameKeyAs(id, o, oid) implies KeyHeadAs(id) == o.KeyHeadAs(oid).
+func (s *State) KeyHeadAs(id int32) uint64 {
 	h := HashSeed
 	mix := func(v uint64) { h, _ = Mix(h, 0, v) }
-	mix(uint64(s.ParamsID))
+	mix(uint64(id))
 	mix(uint64(s.Now))
 	mix(s.ShapeWord())
 	mix(uint64(s.NextCross))
@@ -756,6 +766,45 @@ func (s *State) KeyHead() uint64 {
 	if q := s.Queued(); len(q) > 0 {
 		mix(uint64(q[len(q)-1].Seq))
 		mix(q[len(q)-1].SizeWord())
+	}
+	return h
+}
+
+// SameClass reports whether s and o advance alike: equal in everything
+// Run and Enumerate read — the dynamics constants of their parameter
+// records, compared by value, and every dynamic field, enqueue stamps,
+// the stale in-service packet and the toggle grid included. What it
+// leaves out is what the advance never reads: LossProb (last-mile loss
+// only weighs observations), InitFullBits (read once, by Initial),
+// ParamsID, and the dead queue prefix. States in one class advanced by
+// the same sends reach states in one class with the same events, so a
+// belief advances a class once for all its members.
+func (s *State) SameClass(o *State) bool {
+	return s.Now == o.Now && s.PingerOn == o.PingerOn && s.NextCross == o.NextCross &&
+		s.NextToggle == o.NextToggle && s.SwitchTick == o.SwitchTick &&
+		s.InService == o.InService && s.ServiceDone == o.ServiceDone &&
+		s.EqualDynamic(o) && s.P.sameDynamics(o.P)
+}
+
+// ClassHead hashes, in constant time, fields SameClass compares — the
+// link's constants, the header, the packet in service and the last
+// queued packet — so states in one class always share it: the class
+// index's bucket, not an identity.
+func (s *State) ClassHead() uint64 {
+	h := HashSeed
+	mix := func(v uint64) { h, _ = Mix(h, 0, v) }
+	mix(math.Float64bits(float64(s.P.LinkRate)))
+	mix(uint64(s.P.crossIvl))
+	mix(uint64(s.P.BufferCapBits))
+	mix(uint64(s.Now))
+	mix(s.ShapeWord())
+	mix(uint64(s.NextCross))
+	mix(uint64(s.NextToggle))
+	mix(uint64(s.ServiceDone))
+	mix(uint64(s.InService.Seq))
+	if q := s.Queued(); len(q) > 0 {
+		mix(uint64(q[len(q)-1].Seq))
+		mix(uint64(q[len(q)-1].EnqueuedAt))
 	}
 	return h
 }
@@ -836,7 +885,10 @@ type Branch struct {
 // does not fork here: it is last-mile, so it cannot affect any future
 // observable timing — the belief applies its probability directly to
 // observation likelihoods instead (§3.2's remark that last-mile loss
-// "does not linger").
+// "does not linger"). Nothing here reads LossProb at all, so states
+// equal but for it (SameClass) yield the same branches and events: the
+// belief advances such loss siblings once and weighs the shared events
+// with each sibling's p.
 //
 // It is Enumerate over freshly allocated branches; the belief runs the
 // same walk over the storage its hypotheses already live in.

@@ -47,6 +47,10 @@ type Pool struct {
 	// its rollout memo here). It is touched only by the goroutine that
 	// holds the pool, outside Run, so it needs no lock.
 	Aux any
+	// Belief carries the belief update's arena on the same terms: the
+	// buffers an update needs only while it runs, which every belief on
+	// the pool shares.
+	Belief any
 }
 
 // New returns a pool of the given width; workers <= 0 means
