@@ -180,9 +180,14 @@
 // owed back into a simulated one, replayed to its fork, bit for bit. Where
 // the link idles, as on the paper's Figure 3, the baseline's idle time
 // absorbs the lag (the corollary, fuzzed by FuzzAbsorbedTwin; model.Lag).
-// On a quiet hypothesis, which nothing arrives at to the horizon, there is
-// nothing to stretch: every lane closes at its fork with its packet's value
-// (fuzzed through planner.Decide by FuzzDrained).
+// A lane whose packet is not through by the horizon closes the same way,
+// its packet worth 0. On a quiet hypothesis, which nothing arrives at to
+// the horizon, there is nothing to stretch: every lane closes with its
+// packet's value (fuzzed through planner.Decide by FuzzDrained), and the
+// baseline stops at the first stop after the last fork where its link is
+// idle, its log holding to the horizon as it is. So every lane the gate
+// lets close is deferred or dropped where it forks, and only a revived
+// one is simulated.
 //
 // The decisions a wake makes after its first (core.Sender.Wake decides,
 // sends and decides again: the same belief at the same instant with one
@@ -202,9 +207,9 @@
 // The rule is canonical — a key's vector is a function of the key: a log
 // that is gone is remade by sweeping the first decision's baseline, never
 // replaced by a direct sweep — so a warm, cold or evicted memo still
-// cannot reach a decision. planner.MemoStats counts lanes closed, lanes
-// deferred then simulated, vectors derived and first decisions swept for
-// a later one.
+// cannot reach a decision. planner.MemoStats counts lanes closed (dropped
+// where they fork included), lanes deferred then simulated, vectors
+// derived and first decisions swept for a later one.
 //
 // What only the wake decides (top-K copy, rollout-key hashes, the
 // fingerprint's support half) is paid for once per planner.Wake — by the

@@ -81,7 +81,7 @@ type Exact struct {
 		q          float64
 	}
 	// segAcks holds the running segment's acknowledgments by sequence
-	// number.
+	// number, under hard matching only.
 	segAcks map[int64]time.Duration
 	// seg is what advance reads of the running segment; advance is the
 	// method value handed to the pool, bound once.
@@ -368,10 +368,13 @@ func (b *Exact) Update(now time.Duration, acks []packet.Ack) UpdateStats {
 		for aHi < len(acks) && acks[aHi].ReceivedAt <= segEnd {
 			aHi++
 		}
-		segAcks := b.segAcks
-		clear(segAcks)
-		for _, a := range acks[ai:aHi] {
-			segAcks[a.Seq] = a.ReceivedAt
+		if b.cfg.SoftSigma <= 0 {
+			// Hard matching looks this segment's acks up by sequence number;
+			// soft matching reads recent instead.
+			clear(b.segAcks)
+			for _, a := range acks[ai:aHi] {
+				b.segAcks[a.Seq] = a.ReceivedAt
+			}
 		}
 
 		// Count each class's branches, chain each class's hypotheses and

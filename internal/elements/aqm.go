@@ -1,110 +1,11 @@
 package elements
 
-import (
-	"math"
-	"modelcc/internal/packet"
-	"modelcc/internal/sim"
-)
+import "modelcc/internal/packet"
 
-// The paper's §3.5 lists "active queue management" and "non-FIFO
-// scheduling" as elements the language will need. This file provides
-// both: a Random Early Detection buffer and a deficit-round-robin fair
-// queue. Both satisfy Dequeuer, so either can replace the tail-drop
-// Buffer in front of a Throughput.
-
-// REDBuffer is a Random Early Detection queue (Floyd & Jacobson 1993
-// style): below minBits the queue behaves like a FIFO; between minBits
-// and maxBits arriving packets are dropped with probability rising
-// linearly to maxP; above maxBits every arrival is dropped. The average
-// queue size uses an exponentially weighted moving average with weight w.
-type REDBuffer struct {
-	loop    *sim.Loop
-	capBits int64
-	minBits int64
-	maxBits int64
-	maxP    float64
-	w       float64
-
-	usedBits int64
-	avgBits  float64
-	q        packet.FIFO
-	drain    *Throughput
-
-	// Drops counts discarded packets by flow; EarlyDrops counts the
-	// subset dropped probabilistically rather than by overflow.
-	Drops      map[packet.FlowID]int
-	EarlyDrops int
-}
-
-// NewREDBuffer returns a RED queue. capBits bounds the physical queue;
-// minBits/maxBits are the RED thresholds on the averaged queue size.
-func NewREDBuffer(loop *sim.Loop, capBits, minBits, maxBits int64, maxP float64) *REDBuffer {
-	if minBits > maxBits || maxBits > capBits {
-		// Invariant: construction-time misuse, unreachable from network
-		// input.
-		panic("elements: RED thresholds must satisfy min <= max <= cap")
-	}
-	return &REDBuffer{
-		loop:    loop,
-		capBits: capBits,
-		minBits: minBits,
-		maxBits: maxBits,
-		maxP:    maxP,
-		w:       0.002,
-		Drops:   make(map[packet.FlowID]int),
-	}
-}
-
-// AttachDrain connects the Throughput element that serves this queue.
-func (b *REDBuffer) AttachDrain(t *Throughput) {
-	b.drain = t
-	t.src = b
-}
-
-// UsedBits reports the bits currently queued.
-func (b *REDBuffer) UsedBits() int64 { return b.usedBits }
-
-// AvgBits reports the EWMA queue size RED thresholds against.
-func (b *REDBuffer) AvgBits() float64 { return b.avgBits }
-
-// Receive implements Node.
-func (b *REDBuffer) Receive(p packet.Packet) {
-	b.avgBits = (1-b.w)*b.avgBits + b.w*float64(b.usedBits)
-	drop := false
-	early := false
-	switch {
-	case b.usedBits+p.Bits() > b.capBits:
-		drop = true
-	case b.avgBits >= float64(b.maxBits):
-		drop, early = true, true
-	case b.avgBits > float64(b.minBits):
-		frac := (b.avgBits - float64(b.minBits)) / math.Max(1, float64(b.maxBits-b.minBits))
-		if b.loop.Rand().Float64() < frac*b.maxP {
-			drop, early = true, true
-		}
-	}
-	if drop {
-		b.Drops[p.Flow]++
-		if early {
-			b.EarlyDrops++
-		}
-		return
-	}
-	b.q.Push(p)
-	b.usedBits += p.Bits()
-	if b.drain != nil {
-		b.drain.Kick()
-	}
-}
-
-// Dequeue implements Dequeuer.
-func (b *REDBuffer) Dequeue() (packet.Packet, bool) {
-	p, ok := b.q.Pop()
-	if ok {
-		b.usedBits -= p.Bits()
-	}
-	return p, ok
-}
+// The paper's §3.5 lists "non-FIFO scheduling" among the elements the
+// language will need. This file provides a deficit-round-robin fair
+// queue. It satisfies Dequeuer, so it can replace the tail-drop Buffer in
+// front of a Throughput.
 
 // FairQueue is a deficit-round-robin scheduler with one sub-queue per
 // flow and a shared capacity in bits. Each flow's sub-queue is tail-drop

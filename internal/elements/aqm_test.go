@@ -8,77 +8,6 @@ import (
 	"modelcc/internal/sim"
 )
 
-func TestREDBelowMinBehavesLikeFIFO(t *testing.T) {
-	loop := sim.New(1)
-	col := NewCollector(loop)
-	red := NewREDBuffer(loop, 96000, 48000, 84000, 0.1)
-	th := NewThroughput(loop, linkRate, col)
-	red.AttachDrain(th)
-
-	// Two packets: well below min threshold, nothing drops.
-	send(red, packet.FlowSelf, 0, 0)
-	send(red, packet.FlowSelf, 1, 0)
-	loop.RunAll()
-	if len(col.Arrivals) != 2 {
-		t.Fatalf("delivered %d, want 2", len(col.Arrivals))
-	}
-	if red.EarlyDrops != 0 {
-		t.Errorf("early drops below min threshold: %d", red.EarlyDrops)
-	}
-}
-
-func TestREDDropsEarlyUnderSustainedLoad(t *testing.T) {
-	loop := sim.New(9)
-	red := NewREDBuffer(loop, 240000, 24000, 120000, 0.5)
-	th := NewThroughput(loop, linkRate, Discard)
-	red.AttachDrain(th)
-
-	// Offered load 4x the link rate for 300 virtual seconds.
-	n := 0
-	var tick func()
-	tick = func() {
-		if loop.Now() >= 300*time.Second {
-			return
-		}
-		send(red, packet.FlowSelf, int64(n), loop.Now())
-		n++
-		loop.After(250*time.Millisecond, tick)
-	}
-	loop.After(0, tick)
-	loop.RunAll()
-
-	if red.EarlyDrops == 0 {
-		t.Error("RED never early-dropped under 4x overload")
-	}
-	// RED should keep the average queue between the thresholds rather
-	// than pinning it at physical capacity the way tail drop does.
-	if red.AvgBits() >= float64(240000) {
-		t.Errorf("avg queue pinned at capacity: %v", red.AvgBits())
-	}
-}
-
-func TestREDOverflowStillDrops(t *testing.T) {
-	loop := sim.New(1)
-	red := NewREDBuffer(loop, 3*pktBits, pktBits, 2*pktBits, 0)
-	th := NewThroughput(loop, linkRate, Discard)
-	red.AttachDrain(th)
-	for i := int64(0); i < 10; i++ {
-		send(red, packet.FlowSelf, i, 0)
-	}
-	if red.Drops[packet.FlowSelf] == 0 {
-		t.Error("RED buffer never overflow-dropped at 10x capacity")
-	}
-}
-
-func TestREDThresholdValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("bad RED thresholds did not panic")
-		}
-	}()
-	NewREDBuffer(sim.New(1), 100, 90, 80, 0.1)
-}
-
 func TestFairQueueIsolatesFlows(t *testing.T) {
 	loop := sim.New(1)
 	col := NewCollector(loop)

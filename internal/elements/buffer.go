@@ -96,8 +96,8 @@ func (b *Buffer) Dequeue() (packet.Packet, bool) {
 	return p, ok
 }
 
-// Dequeuer is a queue a Throughput element can pull packets from. Buffer,
-// REDBuffer, and FairQueue implement it.
+// Dequeuer is a queue a Throughput element can pull packets from. Buffer
+// and FairQueue implement it.
 type Dequeuer interface {
 	Dequeue() (packet.Packet, bool)
 }

@@ -15,10 +15,9 @@
 //	EITHER       send to one of two elements, switching      -> Either
 //	RECEIVER     packet sink that emits acknowledgments      -> Receiver
 //
-// Beyond the paper's list, the package provides the §3.5 future-work
-// elements: a RED active-queue-management buffer and a deficit round-robin
-// fair-queue scheduler, plus test instrumentation (Collector, Counter,
-// Tee).
+// Beyond the paper's list, the package provides a §3.5 future-work
+// element, a deficit round-robin fair-queue scheduler, plus test
+// instrumentation (Collector, Counter, Tee).
 //
 // Elements are glued together in a push style: each element implements
 // Node and forwards packets to its downstream Node. All timing runs on a

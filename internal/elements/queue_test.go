@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"modelcc/internal/packet"
-	"modelcc/internal/sim"
 )
 
 // TestQueuesSteadyStateAllocs: in every queue a Throughput drains, an
@@ -19,7 +18,6 @@ func TestQueuesSteadyStateAllocs(t *testing.T) {
 		}
 	}{
 		{"Buffer", NewBuffer(64 * pktBits)},
-		{"REDBuffer", NewREDBuffer(sim.New(1), 64*pktBits, 64*pktBits, 64*pktBits, 0)},
 		{"FairQueue", NewFairQueue(64 * pktBits)},
 	} {
 		seq := int64(0)

@@ -25,10 +25,6 @@ type ChaosConfig struct {
 	// seed, acknowledgments from Sub("ack"), and both share the absolute
 	// blackout windows.
 	Faults chaos.Config
-	// AckFaults, when enabled, replaces the derived acknowledgment
-	// schedule — the DES twin of emu.ProxyConfig.AckChaos, for asymmetric
-	// menus like heavy ack-loss bursts over a clean-ish forward path.
-	AckFaults chaos.Config
 }
 
 // TimedUtil is one acknowledged delivery's realized utility, timestamped
@@ -141,9 +137,6 @@ func RunChaos(cfg ChaosConfig) ChaosResult {
 	if cfg.Faults.Enabled() {
 		tap.dataInj = chaos.New(cfg.Faults)
 		tap.ackInj = chaos.New(cfg.Faults.Sub("ack"))
-	}
-	if cfg.AckFaults.Enabled() {
-		tap.ackInj = chaos.New(cfg.AckFaults)
 	}
 	res := ChaosResult{ISenderResult: runSolo(cfg.Base, tap)}
 	res.Hash = tap.hash.Sum()

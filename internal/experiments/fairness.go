@@ -118,9 +118,10 @@ type FairnessResult struct {
 	// Memo holds each point's rollout-memo counters: of the hypotheses
 	// the policy cache's misses planned over, how many were derived from
 	// the log of a burst's first decision, how many were rolled, and of
-	// their candidate lanes how many were closed as lagged twins instead of
-	// simulated. A cost diagnostic, not a result — there is one memo per
-	// shard partition, so unlike Points it varies with the shard count.
+	// their candidate lanes how many were closed — lagged twins, or dropped
+	// where they forked — instead of simulated. A cost diagnostic, not a
+	// result — there is one memo per shard partition, so unlike Points it
+	// varies with the shard count.
 	Memo []planner.MemoStats
 }
 
@@ -187,7 +188,7 @@ func fairnessPoint(rt fleetRuntime, rc fleet.Config, duration time.Duration, lea
 	half := duration / 2
 	halfSecs := (duration - half).Seconds()
 	p := FairnessPoint{
-		LinkPkts: float64(rc.LinkRate) / float64(packet.DefaultSizeBits),
+		LinkPkts: float64(rc.LinkRate()) / float64(packet.DefaultSizeBits),
 		Drops:    rt.Drops(),
 	}
 	p.CacheHits, p.CacheMisses = rt.CacheStats()
@@ -264,7 +265,7 @@ func (r FairnessResult) Render() string {
 	}
 	for i, m := range r.Memo {
 		p := r.Points[i]
-		fmt.Fprintf(&b, "N=%-4d rollout memo: %d hypotheses keyed, %d hits, %d shared in-call, %d derived from a first decision's log, %d rolled (%d of them a burst's first decision for a later one); %d verify mismatches, %d overwrites; %d candidate lanes, %d closed as lagged twins, %d deferred then simulated\n",
+		fmt.Fprintf(&b, "N=%-4d rollout memo: %d hypotheses keyed, %d hits, %d shared in-call, %d derived from a first decision's log, %d rolled (%d of them a burst's first decision for a later one); %d verify mismatches, %d overwrites; %d candidate lanes, %d closed (lagged twins, or dropped where they fork), %d deferred then simulated\n",
 			p.N, m.Lookups, m.Hits, m.Shared, m.Derived, m.Rolled(), m.Stripped, m.VerifyMismatches, m.Overwrites, m.Lanes, m.Closed, m.Materialized)
 	}
 	return b.String()

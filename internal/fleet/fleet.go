@@ -91,12 +91,6 @@ type Config struct {
 	// second each, so the default fleet matches the two-flow
 	// coexistence experiments at N = 2).
 	PerSenderRate units.BitRate
-	// LinkRate overrides the bottleneck speed when non-zero.
-	LinkRate units.BitRate
-	// BufferCapBits overrides the shared buffer capacity when non-zero;
-	// the default scales with the fleet, 4 packets of headroom per
-	// sender (96,000 bits at N = 2, again matching coexistence).
-	BufferCapBits int64
 	// FairQueue replaces the tail-drop FIFO bottleneck with the
 	// deficit-round-robin FairQueue, the §3.5 non-FIFO scheduling.
 	FairQueue bool
@@ -165,12 +159,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PerSenderRate <= 0 {
 		c.PerSenderRate = 6000
-	}
-	if c.LinkRate <= 0 {
-		c.LinkRate = units.BitRate(float64(c.PerSenderRate) * float64(c.N))
-	}
-	if c.BufferCapBits <= 0 {
-		c.BufferCapBits = 4 * packet.DefaultSizeBits * int64(c.N)
 	}
 	if c.CacheStripes <= 0 {
 		c.CacheStripes = 1
@@ -411,13 +399,24 @@ func (c Config) Stagger() time.Duration {
 // rate before any partition is built.
 func (c Config) Resolved() Config { return c.withDefaults() }
 
+// LinkRate is the bottleneck speed of a resolved configuration: N times
+// PerSenderRate.
+func (c Config) LinkRate() units.BitRate {
+	return units.BitRate(float64(c.PerSenderRate) * float64(c.N))
+}
+
+// BufferCapBits is the shared buffer capacity of a resolved
+// configuration: 4 packets of headroom per sender (96,000 bits at N = 2,
+// matching the two-flow coexistence experiments).
+func (c Config) BufferCapBits() int64 { return 4 * packet.DefaultSizeBits * int64(c.N) }
+
 // ResolvedPrior returns the prior the fleet's members would start from
 // under this configuration, with all defaults applied — the identity
 // the compiled-policy table format records (via policy.HashPrior) so a
 // table is never served against a model it was not compiled for.
 func (c Config) ResolvedPrior() model.Prior {
 	c = c.withDefaults()
-	return Prior(c.LinkRate, c.BufferCapBits, c.N)
+	return Prior(c.LinkRate(), c.BufferCapBits(), c.N)
 }
 
 // Member adapts one core.Sender to the shared loop: it injects the

@@ -96,12 +96,12 @@ func (r *Roster) setup(cfg Config, loop *sim.Loop, hostOf func(packet.FlowID) *h
 	}
 	r.Recv = elements.NewReceiver(loop, onAck)
 	if cfg.FairQueue {
-		r.FQ = elements.NewFairQueue(cfg.BufferCapBits)
-		r.Link = elements.NewThroughput(loop, cfg.LinkRate, r.Recv)
+		r.FQ = elements.NewFairQueue(cfg.BufferCapBits())
+		r.Link = elements.NewThroughput(loop, cfg.LinkRate(), r.Recv)
 		r.FQ.AttachDrain(r.Link)
 		r.q = r.FQ
 	} else {
-		r.Buffer, r.Link = elements.NewBottleneck(loop, cfg.BufferCapBits, cfg.LinkRate, r.Recv)
+		r.Buffer, r.Link = elements.NewBottleneck(loop, cfg.BufferCapBits(), cfg.LinkRate(), r.Recv)
 		r.q = r.Buffer
 	}
 	r.Members = make([]*Member, 0, cfg.N)

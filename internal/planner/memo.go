@@ -15,9 +15,9 @@ import (
 // serve: of the Lookups − Hits − Shared gain vectors Decide had to
 // produce, Derived were closed from a burst's first decision's log and the
 // rest rolled, Stripped more rollouts remade logs that were gone, and of
-// the candidate Lanes of all those rollouts Lanes − Closed were simulated
-// or dropped where they forked. Like the memo's own counters these depend
-// on how the fleet is partitioned: diagnostics, not results.
+// the candidate Lanes of all those rollouts Lanes − Closed were simulated.
+// Like the memo's own counters these depend on how the fleet is
+// partitioned: diagnostics, not results.
 type MemoStats struct {
 	// Lookups is how many hypotheses Decide keyed.
 	Lookups int64
@@ -35,8 +35,9 @@ type MemoStats struct {
 	// candidate send time).
 	Lanes int64
 	// Closed lanes were never simulated: lagged twins of their baseline,
-	// closed from its log (twinLog.close) — every lane of a quiet
-	// hypothesis, which nothing arrives at, included.
+	// closed from its log (twinLog.close), and lanes dropped where they
+	// forked. On a hypothesis twinGate passes every lane is one of these
+	// but the Materialized.
 	Closed int64
 	// Materialized lanes were deferred as twins and simulated after all,
 	// because an arrival left them no room.

@@ -39,11 +39,12 @@
 // to a summation order, five orders of magnitude under the tie band of
 // reduce. What the log cannot establish is never guessed: a lane deferred
 // before an arrival that left its twin no room is simulated after all, and
-// a depth whose premise failed is swept. On a quiet hypothesis, which
-// nothing arrives at to the horizon, every lane closes at its fork. A
-// hypothesis twinGate refuses (a chunk smaller than a packet arriving by
-// the horizon) and a call with a cross-latency penalty are swept as
-// before, bit for bit.
+// a depth whose premise failed is swept. Every other lane of a hypothesis
+// the gate passes closes, a packet not through by the horizon at 0; a
+// baseline idle after the last fork with nothing left to arrive (quiet)
+// stops there, its log holding to the horizon. A hypothesis twinGate
+// refuses (a chunk smaller than a packet arriving by the horizon) and a
+// call with a cross-latency penalty are swept as before, bit for bit.
 //
 // What only the wake decides — the top-K copy, the rollout-key hashes, the
 // fingerprint's support half — is taken at a Wake's first decision.
@@ -434,8 +435,8 @@ const negInf = -1e308
 // from stop to stop (State.RunAccum), and at each stop the candidate's
 // segment sum less the baseline's joins its gain. On a hypothesis twinGate
 // takes the baseline writes the twin log (twinSweep), from which each
-// candidate is closed instead. It is a method bound once
-// (sweepFn) so a call creates no closure.
+// candidate is closed instead, unless an arrival revives it. It is a
+// method bound once (sweepFn) so a call creates no closure.
 func (ar *decideArena) sweep(s *rollout.Scratch, r int) {
 	i := int(ar.roll[r])
 	h := &ar.hyps[i]
@@ -462,9 +463,6 @@ func (ar *decideArena) sweep(s *rollout.Scratch, r int) {
 	}
 	ar.util.Start(&ds.base, ar.now, loss, &ds.steps)
 	acc := &ds.base
-	if twin && quiet(&h.S, horizon) {
-		acc = nil // every lane closes at its fork: the baseline's value is never read
-	}
 
 	// The lagged-twin mode (ds.tw): a deferred lane is also done, so the
 	// lockstep passes over it.
@@ -490,24 +488,28 @@ func (ar *decideArena) sweep(s *rollout.Scratch, r int) {
 		for hi < len(pending) && pending[hi].At <= t {
 			hi++
 		}
-		if twin && acc != nil && j > 0 {
+		if twin && j > 0 {
 			tw.pause(base, acc, lanes[:forked], t)
 		}
 		base.RunAccum(t, pending[si:hi], acc)
 		si = hi
-		baseSeg := ds.base.Take() // 0 on a quiet hypothesis
-		if twin && acc != nil {
+		baseSeg := acc.Take()
+		if twin {
 			if tw.endStop(acc, j, baseSeg) {
 				n := ar.revive(h, ds, lanes[:forked], gains, j)
 				ds.tally.Materialized += int64(n)
 				live += n
 			}
 			tw.book(t)
+			if j >= candidates && !base.Serving && si == len(pending) && quiet(base, horizon) {
+				// Idle with nothing left to come: the log holds to H as it is.
+				tw.owing, tw.lg.logEnd = false, horizon
+			}
 		}
 
 		// The lockstep, in line: as a call it cost the plain sweep 1.3 %
-		// (lane.run is the same advance, for the catch-up). A log running
-		// on for a deeper lag has no live lane to pass over.
+		// (lane.run is the same advance, for the catch-up). On a twin
+		// sweep it carries revived lanes only.
 		for k := 0; k < forked && live > 0; k++ {
 			c := &lanes[k]
 			if c.done {
@@ -539,9 +541,10 @@ func (ar *decideArena) sweep(s *rollout.Scratch, r int) {
 			c.done, c.deferred = false, false
 			gains[j] = 0
 			forked++
-			if twin && tw.fork(c, base, acc, gains, j) {
+			if twin {
 				// Tail-dropped on arrival (the candidate is its baseline from
-				// here on), closed where it forks, or deferred: no state.
+				// here on) or deferred: no state.
+				tw.fork(c, base, acc, j)
 				continue
 			}
 			c.fork(base, t, pending, ar.seq)
@@ -600,33 +603,26 @@ type twinSweep struct {
 	lg                            *twinLog
 	segs                          []float64
 	taken                         float64
-	quiet, owing, keeps           bool
+	owing, keeps, busy            bool
 	deferred, closed, first, read int
 	owed                          model.Lag
 	reach, booked, valued, logged int
 	prev, pktU, u                 time.Duration
-	busy                          bool
 	pkt                           float64
 }
 
 // start arms the mode for one hypothesis: the baseline's accumulator
-// watches the premises as deep as a log serves and logs the gaps. A
-// quiet hypothesis's baseline has no accumulator (acc nil), its log one gap
-// from u0 on, and A is 0 throughout.
+// watches the premises as deep as a log serves and logs the gaps.
 func (tw *twinSweep) start(base *model.State, acc *model.Accum, stops []time.Duration, lg *twinLog, candidates int, now time.Duration, kappa float64) {
 	p, horizon := base.P, stops[len(stops)-1]
-	lg.now, lg.u0, lg.horizon, lg.logEnd, lg.lag, lg.x, lg.capBits = now, 0, horizon, horizon, p.ServiceTime(), p.PktBits(), p.BufferCapBits
+	lg.now, lg.u0, lg.horizon, lg.logEnd, lg.lag, lg.x, lg.capBits = now, 0, horizon, now, p.ServiceTime(), p.PktBits(), p.BufferCapBits
 	lg.kappa, lg.aEnd, lg.winFrom, lg.aWin, lg.win = kappa, 0, units.Forever, 0, lg.win[:0]
 	for l := range lg.clean {
 		lg.clean[l] = units.Forever
 	}
 	lg.all, lg.cands = lg.all[:0], slices.Grow(lg.cands[:0], candidates)[:candidates]
-	*tw = twinSweep{lg: lg, quiet: acc == nil, segs: slices.Grow(tw.segs[:0], len(stops))[:len(stops)],
+	*tw = twinSweep{lg: lg, segs: slices.Grow(tw.segs[:0], len(stops))[:len(stops)],
 		reach: twinDepth, prev: now, pktU: -1}
-	if tw.quiet {
-		lg.winFrom = now
-		return
-	}
 	if !base.Serving {
 		lg.all = append(lg.all, model.Gap{Dry: base.Now, End: units.Forever})
 	}
@@ -634,11 +630,10 @@ func (tw *twinSweep) start(base *model.State, acc *model.Accum, stops []time.Dur
 }
 
 // fork logs the candidate forking from base at stop j — u, and what its
-// admission behind a later decision's baseline depends on — and reports
-// whether its lane is done: dropped where it forks, deferred, or, on a
-// quiet hypothesis, closed here into gains[j]; a packet not through by H is
-// simulated.
-func (tw *twinSweep) fork(c *lane, base *model.State, acc *model.Accum, gains []float64, j int) (done bool) {
+// admission behind a later decision's baseline depends on — and takes its
+// lane off the lockstep: dropped where it forks, or deferred. A packet not
+// through by H is worth 0.
+func (tw *twinSweep) fork(c *lane, base *model.State, acc *model.Accum, j int) {
 	lg := tw.lg
 	cd := &lg.cands[j]
 	*cd = twinCand{u: base.Now, at: base.Now, room: lg.capBits - base.QueueBits - lg.x}
@@ -646,26 +641,16 @@ func (tw *twinSweep) fork(c *lane, base *model.State, acc *model.Accum, gains []
 		tw.busy = false
 	} else {
 		// BacklogDone, carried from the last busy fork (Accum.TakeQueued).
-		var queued time.Duration
-		if !tw.quiet {
-			queued = acc.TakeQueued()
-		}
-		if tw.busy {
+		if queued := acc.TakeQueued(); tw.busy {
 			tw.u += queued
 		} else {
 			tw.u, tw.busy = base.BacklogDone(), true
 		}
 		cd.u, cd.in, cd.served = tw.u, base.InService.Bits, base.Now-base.ServiceBegan()
 	}
-	if tw.quiet {
-		tw.closed++
-	}
 	if j == 0 {
 		// The burst's earlier packets join at this instant: as many must fit.
 		lg.u0 = cd.u
-		if tw.quiet {
-			lg.all = append(lg.all, model.Gap{Dry: cd.u, End: units.Forever})
-		}
 		n := cd.room + lg.x // the queue's room, less the packet in service
 		if !base.Serving {
 			n += lg.x
@@ -673,29 +658,20 @@ func (tw *twinSweep) fork(c *lane, base *model.State, acc *model.Accum, gains []
 		tw.reach = min(tw.reach, int(n/lg.x))
 	}
 	// The first gap a lag from u is carried through: the one under way on
-	// an idle link (a quiet log's only one), the next to be logged else.
-	if cd.gi = len(lg.all); tw.quiet {
-		cd.gi = 0
-	} else if !base.Serving {
+	// an idle link, the next to be logged else.
+	if cd.gi = len(lg.all); !base.Serving {
 		cd.gi--
 	}
+	c.done = true
 	if base.Serving && cd.room < 0 {
-		c.done = true
-		return true
+		tw.closed++ // never simulated
+		return
 	}
 	if cd.u+lg.lag <= lg.horizon {
 		if cd.u != tw.pktU {
 			tw.pktU, tw.pkt = cd.u, model.PacketValue(lg.x, cd.u+lg.lag-lg.now, lg.kappa)
 		}
 		cd.pkt = tw.pkt
-	} else if !tw.quiet {
-		tw.reach = 0 // simulated: its A(u) is not logged
-		return false
-	}
-	c.done = true
-	if tw.quiet {
-		lg.view(len(lg.all), lg.horizon).close(0, j, j+1, gains[j:j+1])
-		return true
 	}
 	if tw.deferred == 0 {
 		tw.first = j
@@ -708,13 +684,12 @@ func (tw *twinSweep) fork(c *lane, base *model.State, acc *model.Accum, gains []
 	}
 	c.deferred, tw.owed, tw.owing = true, model.Lag{E: e, From: cd.u}, true
 	tw.deferred++
-	return true
 }
 
 // pause stops the baseline, on its way to t, at every instant the closure
-// reads A at — each deferred lane's u, the start of H's last
-// (twinDepth+1)·ℓ and every delivery in them (and an arrival there on an
-// idle link) — without Take, so the segment partition stays as it is.
+// reads A at — each deferred lane's u (H for a u past it), the start of
+// H's last (twinDepth+1)·ℓ and every delivery in them (and an arrival there
+// on an idle link) — without Take, so the segment partition stays as it is.
 func (tw *twinSweep) pause(base *model.State, acc *model.Accum, lanes []lane, t time.Duration) {
 	lg := tw.lg
 	for {
@@ -723,7 +698,7 @@ func (tw *twinSweep) pause(base *model.State, acc *model.Accum, lanes []lane, t 
 		}
 		at, win := t+1, false
 		if tw.read < len(lanes) {
-			at = lg.cands[tw.read].u
+			at = min(lg.cands[tw.read].u, lg.horizon)
 		}
 		w := units.Forever
 		switch {
@@ -798,15 +773,14 @@ func (tw *twinSweep) book(t time.Duration) {
 }
 
 // close closes the lanes still deferred when the sweep ends from the whole
-// log, and sets how deep the log may serve the burst's later decisions,
-// none of them closed yet (twinLog.derive).
+// log, which reaches H if the baseline stopped idle with nothing to come,
+// and sets how deep the log may serve the burst's later decisions, none of
+// them closed yet (twinLog.derive).
 func (tw *twinSweep) close(lanes []lane, gains []float64) {
 	lg := tw.lg
-	if !tw.quiet {
-		lg.logEnd, lg.aEnd = tw.prev, tw.taken
-	}
+	lg.logEnd, lg.aEnd = max(lg.logEnd, tw.prev), tw.taken
 	all := lg.view(len(lg.all), lg.logEnd)
-	for k := tw.first; k < len(lanes) && !tw.quiet; k++ {
+	for k := tw.first; k < len(lanes); k++ {
 		if c := &lanes[k]; c.deferred {
 			if !all.close(0, k, k+1, gains[k:k+1]) {
 				panic("planner: a deferred lane's log does not close it")

@@ -44,13 +44,12 @@ func gateOff(s model.State) model.State {
 // TestTwinEdges walks the lagged-twin closure's boundaries on hand-built
 // saturated hypotheses, three candidates each (now, +0.5 s, +1 s unless
 // the row sets its own grid), every row held to the event-buffer sweep
-// (refSweep) and to the counters: what closes, what is simulated from its
-// fork, what is deferred and then materialized, what the gate refuses —
-// and, for a burst's later decisions (burst sends of the uniform size
-// committed at now), what is derived from the first one's record, what is
-// swept under the call's own plan after all, and what never asks. The
-// last rows are quiet: nothing arrives to H, and every lane closes at its
-// fork.
+// (refSweep) and to the counters: what closes (dropped where it forks
+// included), what is deferred and then materialized, what the gate
+// refuses — and, for a burst's later decisions (burst sends of the uniform
+// size committed at now), what is derived from the first one's record,
+// what is swept under the call's own plan after all, and what never asks.
+// The last rows are quiet: nothing arrives to H.
 func TestTwinEdges(t *testing.T) {
 	const (
 		x   = int64(12000)
@@ -74,25 +73,42 @@ func TestTwinEdges(t *testing.T) {
 		// lanes are three per sweep.
 		stripped, derived int64
 		check             func(t *testing.T, gains []float64)
+		// until, if set, is where the baseline stops before H: idle, with
+		// nothing left to arrive, its log holding to H.
+		until time.Duration
 	}{
 		{
 			// u₀ = now+5.3 s, so u₀+ℓ = H exactly; the tick at +0.1 s puts
-			// the later forks' u a packet further out, past H−ℓ.
+			// the later forks' u a packet further out, past H−ℓ: their
+			// packets are worth 0, and what the baseline delivers after u is
+			// lost.
 			name: "u+lag = H closes", s: saturated(now, 300*time.Millisecond, 100*time.Millisecond, sec, x, roomy, six...),
-			horizon: 5300 * time.Millisecond, closed: 1,
+			horizon: 5300 * time.Millisecond, closed: 3,
 		},
 		{
-			name: "u+lag = H+1ns is simulated", s: saturated(now, 300*time.Millisecond+1, 100*time.Millisecond, sec, x, roomy, six...),
-			horizon: 5300 * time.Millisecond, closed: 0,
+			name: "u+lag = H+1ns closes too", s: saturated(now, 300*time.Millisecond+1, 100*time.Millisecond, sec, x, roomy, six...),
+			horizon: 5300 * time.Millisecond, closed: 3,
 		},
 		{
-			// The same fork — the first candidate deferred, the later two
-			// live from theirs because their u+ℓ is past H — under ticks
-			// twice as fast into a nine-packet buffer: the tick at +3.1 s
-			// leaves a twin no room, four stops after the live lanes forked.
-			// Only the deferred lane sat those stops out.
+			// The same forks — the later two past H — under ticks twice as
+			// fast into a nine-packet buffer: the tick at +3.1 s leaves a twin
+			// no room, four stops after the last fork, and every deferred lane
+			// is simulated from its fork after all.
 			name: "a dirty stop after live forks", s: saturated(now, 300*time.Millisecond, 100*time.Millisecond, 500*time.Millisecond, x, 9*x, six...),
-			horizon: 5300 * time.Millisecond, mat: 1,
+			horizon: 5300 * time.Millisecond, mat: 3,
+		},
+		{
+			// u₀ = now+5.3 s, past H = now+5 s: every packet starts after H,
+			// A(H) stands in for A(u), and every tick before H finds room.
+			name: "a packet that starts after H", s: saturated(now, 300*time.Millisecond, 100*time.Millisecond, 500*time.Millisecond, x, roomy, six...),
+			horizon: 4 * sec, closed: 3,
+		},
+		{
+			// The same forks into the nine-packet buffer: the tick at +3.1 s,
+			// before H, finds no room beside a twin's packet. Nothing says
+			// from the log what the twin then drops, so it is simulated.
+			name: "a packet that starts after H behind a tick with no room", s: saturated(now, 300*time.Millisecond, 100*time.Millisecond, 500*time.Millisecond, x, 9*x, six...),
+			horizon: 4 * sec, mat: 3,
 		},
 		{
 			// Ticks at +0.3 s, +1.3 s, …: on every completion, and on u₀.
@@ -109,7 +125,7 @@ func TestTwinEdges(t *testing.T) {
 			// One bit less: the first candidate is tail-dropped where it
 			// forks (the later two fit once the head has left at +0.3 s).
 			name: "x-1 bits of room at the fork", s: saturated(now, 300*time.Millisecond, 100*time.Millisecond, sec, x, 6*x-1, six...),
-			horizon: 12 * sec, mat: 2,
+			horizon: 12 * sec, closed: 1, mat: 2,
 			check: func(t *testing.T, gains []float64) {
 				if gains[0] != 0 {
 					t.Errorf("the tail-dropped candidate gains %v, want 0", gains[0])
@@ -128,7 +144,7 @@ func TestTwinEdges(t *testing.T) {
 			// nothing to deliver at +16.6 s, inside H = +17 s, where a
 			// lagged baseline would.
 			name: "a tight arrival shows inside the horizon", s: saturated(now, 600*time.Millisecond, 1200*time.Millisecond, 7*sec, 3*x, 9*x, 3*x, 3*x, 3*x, 3*x),
-			horizon: 16 * sec, mat: 1,
+			horizon: 16 * sec, closed: 2, mat: 1,
 		},
 		{
 			// A burst's third decision. The link serves packet after packet,
@@ -147,9 +163,10 @@ func TestTwinEdges(t *testing.T) {
 		{
 			// One bit less and the second of them is dropped on arrival: the
 			// decision's baseline is not the first one's two packets late, the
-			// record says so, and the call sweeps it.
+			// record says so, and the call sweeps it (its candidate of now
+			// dropped where it forks).
 			name: "one bit short of two packets at now", s: saturated(now, 300*time.Millisecond, 3500*time.Millisecond, sec, x, 7*x-1, six...),
-			horizon: 12 * sec, burst: 2, closed: 3 + 2, stripped: 1,
+			horizon: 12 * sec, burst: 2, closed: 3 + 3, stripped: 1,
 		},
 		{
 			// Nothing queued behind the packet in service, which leaves at
@@ -264,7 +281,7 @@ func TestTwinEdges(t *testing.T) {
 			// of the log holds for it — not even the drop it would read for
 			// every candidate.
 			name: "a tick the burst's packet leaves no room for", s: saturated(now, sec, 90*time.Millisecond, 1430*time.Millisecond, x, 6*x, six...),
-			horizon: 12 * sec, burst: 1, mat: 3, stripped: 1,
+			horizon: 12 * sec, burst: 1, closed: 3, mat: 3, stripped: 1,
 		},
 		{
 			// Gaps of 0.5 s and then 0.4 s every 1.4 s: three packets deep the
@@ -305,8 +322,8 @@ func TestTwinEdges(t *testing.T) {
 			grid: 100 * time.Millisecond, horizon: 12 * sec, burst: 2, closed: 3 + 3, stripped: 1,
 		},
 		{
-			// Quiet: nothing arrives to H, so every lane closes at its fork
-			// with its packet's value, at u₀+ℓ = +6.3 s behind the backlog.
+			// Quiet: nothing arrives to H, so every lane closes with its
+			// packet's value, at u₀+ℓ = +6.3 s behind the backlog.
 			name: "a busy link with the gate off", s: gateOff(saturated(now, 300*time.Millisecond, 100*time.Millisecond, sec, x, roomy, six...)),
 			horizon: 12 * sec, closed: 3,
 		},
@@ -315,7 +332,16 @@ func TestTwinEdges(t *testing.T) {
 			horizon: 12 * sec, closed: 3,
 		},
 		{
-			// u₀+ℓ = H+1ns at every fork: each lane closes at 0 where it forks.
+			// The packet in service leaves at +0.3 s and the next tick is past
+			// H: the link idles from there with nothing left to arrive. The
+			// log, kept four packets deep for a burst's later decisions, owes
+			// work to +5 s from the last fork at +1 s, but the baseline stops
+			// at the first stop after that fork.
+			name: "a link idle before H with nothing left to arrive", s: saturated(now, 300*time.Millisecond, 13*sec+1, sec, x, roomy, x),
+			horizon: 12 * sec, closed: 3, until: 2 * sec,
+		},
+		{
+			// u₀+ℓ = H+1ns at every fork: each lane closes at 0.
 			name: "a quiet lane through at H+1ns", s: gateOff(saturated(now, 300*time.Millisecond+1, 100*time.Millisecond, sec, x, roomy, six...)),
 			horizon: 5300 * time.Millisecond, closed: 3,
 			check: func(t *testing.T, gains []float64) {
@@ -360,6 +386,12 @@ func TestTwinEdges(t *testing.T) {
 				return arenaOf(cfg.Pool).gains, PoolMemoStats(cfg.Pool)
 			}
 			gains, st := row(tc.s.Clone(), tc.pending, now)
+			if tc.until > 0 {
+				ds := cfg.Pool.Scratch(0).Aux.(*decideScratch)
+				if lg := &arenaOf(cfg.Pool).logs[0]; ds.tw.prev != now+tc.until || lg.logEnd != lg.horizon {
+					t.Errorf("the baseline stopped at +%v, its log reaching +%v; want +%v and H = +%v", ds.tw.prev-now, lg.logEnd-now, tc.until, lg.horizon-now)
+				}
+			}
 			h := belief.Hypothesis{S: tc.s.Clone(), W: 1}
 			want := refSweep(&h, 0, tc.pending, now, 7, cfg.withDefaults())
 			for k := range want {

@@ -212,7 +212,7 @@ func New(cfg Config) *Fleet {
 	sf := &Fleet{
 		Cfg:   fc,
 		K:     k,
-		Delta: units.TransmitTime(packet.DefaultSizeBits, fc.LinkRate),
+		Delta: units.TransmitTime(packet.DefaultSizeBits, fc.LinkRate()),
 		BLoop: sim.New(fc.Seed),
 	}
 	sf.Coordinate(fc, sf.BLoop, sf.owner)
