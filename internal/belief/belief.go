@@ -17,14 +17,19 @@
 // once and weighs each member's branches with the member's own loss
 // probability. The posterior is the per-hypothesis update's, bit for bit.
 //
-// Exact advances its classes in place: an Update runs each state where it
-// lives and only a fork clones, into storage recycled from the classes
-// earlier updates dropped or merged. What Support returns is therefore
-// valid until the next Update and no longer, and it is read-only in a
-// way that matters: the hypotheses of a class share its queue, so a write
-// through one hypothesis's queue changes its siblings. A caller that
-// keeps a hypothesis across updates, or changes one, clones its state
-// first, as planner.Guard's background Decide does.
+// Between updates Exact owns only what its classes hold: one header per
+// class and one slab of queue entries, each class's queue a window onto
+// it that cannot be appended past. An Update unpacks the classes into
+// branch slots on the rollout.Pool, shared by every belief on it, where
+// each slot owns a queue buffer and a fork clones into storage recycled
+// from the classes earlier updates dropped or merged; at its end it packs
+// the classes back into the slab, and the slots keep their buffers for
+// the next update of any belief on the pool. What Support returns is
+// therefore valid until the next Update and no longer, and it is
+// read-only in a way that matters: the hypotheses of a class share its
+// queue window, so a write through one hypothesis's queue changes its
+// siblings. A caller that keeps a hypothesis across updates, or changes
+// one, clones its state first, as planner.Guard's background Decide does.
 package belief
 
 import (
@@ -83,8 +88,8 @@ type Belief interface {
 	Update(now time.Duration, acks []packet.Ack) UpdateStats
 	// Support returns the current weighted hypotheses (compacted;
 	// weights sum to 1). The slice and the states' queues are owned by
-	// the belief, which advances them in place, and hypotheses with equal
-	// states may share one queue: treat them as read-only — a write to
+	// the belief, which rewrites them at every Update, and hypotheses with
+	// equal states may share one queue: treat them as read-only — a write to
 	// one hypothesis's queue may change another's — valid until the next
 	// Update, and Clone a state to keep or change it.
 	Support() []Hypothesis

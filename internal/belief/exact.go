@@ -3,6 +3,7 @@ package belief
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"time"
@@ -53,26 +54,25 @@ type Exact struct {
 
 	// cls holds one state per class, in the order of each class's first
 	// hypothesis, under that hypothesis's grid point; its W is unused
-	// unless the classes are the support. mem holds the hypotheses in
-	// support order, each naming its class.
-	cls []Hypothesis
-	mem []member
+	// unless the classes are the support. This is all the belief owns of
+	// its states between updates: cls, exactly one header per class when
+	// the classes are the support (at most two when sup is), and slab,
+	// which holds every class's queue as a window of its own —
+	// slab[o:o+n:o+n], QHead 0, in class order — so that no class can
+	// append into another's entries. slab holds at most twice the entries
+	// in use plus one per class. A class state is advanced in the pool's
+	// arena, never in the slab: an update unpacks the classes there and
+	// packs them back (pack). mem holds the hypotheses in support order,
+	// each naming its class.
+	cls  []Hypothesis
+	slab []model.QPkt
+	mem  []member
 	// hyps is what Support returns: cls itself when every class has one
 	// member, else sup, whose headers publish writes once per Update,
-	// each a copy of its class's state — queue included, by alias — under
+	// each a copy of its class's state — queue window included — under
 	// the member's grid point and weight.
 	hyps, sup []Hypothesis
 
-	// The buffers below and the pool's arena make the steady-state
-	// update allocation-free. spare is the other half of the class double
-	// buffer: a segment in which a class forks builds its branches there,
-	// every other segment stays in cls. Every slot of cls and spare up to
-	// capacity — live, or dead since no hypothesis was left on it or a
-	// class merged it — owns its queue buffer alone; states change slots
-	// through move, so a twin forked into a dead slot recycles the buffer
-	// left there. A class branch's W holds its probability from the
-	// advance to the reduce, then its number in classify.
-	spare []Hypothesis
 	// gate is the toggle probability of the last (tick, mean switch time)
 	// a count met: taken once for every class that shares them rather
 	// than per class and segment. The zero value is ToggleProb(0, 0).
@@ -88,7 +88,7 @@ type Exact struct {
 	seg struct {
 		end, now time.Duration
 		sends    []model.Send
-		out      []Hypothesis
+		cls, out []Hypothesis
 		ar       *arena
 	}
 	advance func(*rollout.Scratch, int)
@@ -96,27 +96,49 @@ type Exact struct {
 
 // arena is what an update needs only while it runs. It rides the pool
 // (rollout.Pool.Belief), so every belief on one pool — a whole fleet —
-// grows one set of these buffers rather than one each; the pool is used
-// by one goroutine at a time. segs[c] is where class c's branches start
-// in the segment's output and the last of its hypotheses; at[m] is where
-// hypothesis m's branches start among the segment's hypothesis branches
-// (and in lws) and the one before it in its class — and, while classify
-// numbers the classes, at[k].off is class k's branch. lws holds one
-// likelihood per hypothesis branch, and branches the hypothesis branches
-// of a segment in which a class forks.
+// grows one set of these buffers, sized by the largest single update,
+// rather than one each; the pool is used by one goroutine at a time.
+//
+// slots are the two halves of the branch double buffer: an update
+// unpacks its classes into one (unpack), a segment in which a class
+// forks builds its branches in the other, every other segment advances
+// the classes where they are. Every slot up to capacity — live, or dead
+// since no hypothesis was left on it or a class merged it — owns its
+// queue buffer alone, so a worker writes only its own slots' queues;
+// states change slots through move, so a twin forked into a dead slot
+// recycles the buffer left there. A class branch's W holds its
+// probability from the advance to the reduce, then its number in
+// classify.
+//
+// segs[c] is where class c's branches start in the segment's output and
+// the last of its hypotheses; at[m] is where hypothesis m's branches
+// start among the segment's hypothesis branches (and in lws) and the one
+// before it in its class — and, while classify numbers the classes,
+// at[k].off is class k's branch. lws holds one likelihood per hypothesis
+// branch, and branches the hypothesis branches of a segment in which a
+// class forks.
+//
+// hdrs and slabs are the free store: header slices and slabs that
+// beliefs gave back when their classes or queue entries no longer fit
+// them, by capacity, each handed to the next belief that needs that
+// size (pack, swap). A fleet's members trade storage there instead of
+// allocating it.
 type arena struct {
+	slots    [2][]Hypothesis
 	segs     []classSeg
 	at       []memberSeg
 	lws      []float64
 	branches []member
 	byKey    keyIndex
+	hdrs     map[int][][]Hypothesis
+	slabs    map[int][][]model.QPkt
 }
 
 // arena returns the pool's update arena.
 func (b *Exact) arena() *arena {
 	ar, _ := b.pool.Belief.(*arena)
 	if ar == nil {
-		ar = &arena{}
+		ar = &arena{hdrs: make(map[int][][]Hypothesis), slabs: make(map[int][][]model.QPkt)}
 		b.pool.Belief = ar
 	}
 	return ar
@@ -152,7 +174,7 @@ func NewExact(states []model.State, cfg Config) *Exact {
 	w := 1 / float64(len(states))
 	hyps := make([]Hypothesis, len(states))
 	for i, s := range states {
-		hyps[i] = Hypothesis{S: s.Clone(), W: w}
+		hyps[i] = Hypothesis{S: s, W: w}
 	}
 	b.load(hyps, func(i int) int32 { return int32(i) })
 	return b
@@ -179,7 +201,7 @@ func newExact(states []model.State, cfg Config) *Exact {
 		b.pool = rollout.New(cfg.Workers)
 	}
 	b.points = make([]point, len(states))
-	ids := make(map[model.Params]int32, len(states))
+	ids := make(map[model.Params]int32)
 	for i := range states {
 		s := &states[i]
 		b.points[i] = point{s.P, s.ParamsID}
@@ -200,15 +222,25 @@ func newExact(states []model.State, cfg Config) *Exact {
 	return b
 }
 
-// load makes hyps, whose states it takes over, the belief's support, the
-// grid point of hyps[i] being pt(i): equal states become one class.
+// load makes hyps the belief's support, the grid point of hyps[i] being
+// pt(i): equal states become one class. It copies the queues into the
+// slab, so hyps may share them with the caller; the headers, their
+// queues dropped, become the arena's first slot buffer when it has fewer
+// slots.
 func (b *Exact) load(hyps []Hypothesis, pt func(i int) int32) {
 	b.mem = resize(b.mem, len(hyps))
 	for i := range hyps {
 		b.mem[i] = member{w: hyps[i].W, cls: int32(i), pt: pt(i)}
 	}
-	b.classify(hyps, nil, true)
-	b.publish()
+	cls, _ := b.classify(hyps, nil, true)
+	ar := b.arena()
+	b.pack(ar, cls)
+	if cls = cls[:cap(cls)]; len(cls) > cap(ar.slots[0]) {
+		for i := range cls {
+			cls[i].S.Queue = nil
+		}
+		ar.slots[0] = cls
+	}
 }
 
 // Now implements Belief.
@@ -253,11 +285,12 @@ func resize[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// Support implements Belief. The class states are advanced where they
-// live, and every hypothesis of a class aliases its class's queue: the
-// slice and the states in it are valid until the next Update and must
-// not be written — a write to one hypothesis's queue is a write to its
-// siblings'. Clone a state to keep it longer or to change it.
+// Support implements Belief. Every hypothesis of a class aliases its
+// class's queue, a window onto the belief's slab that the next Update
+// rewrites: the slice and the states in it are valid until the next
+// Update and must not be written — a write to one hypothesis's queue is
+// a write to its siblings'. Clone a state to keep it longer or to change
+// it.
 func (b *Exact) Support() []Hypothesis { return b.hyps }
 
 // begin opens an update to now: it checks the clock, refreshes the soft
@@ -353,6 +386,8 @@ func (b *Exact) Update(now time.Duration, acks []packet.Ack) UpdateStats {
 	}
 
 	var stats UpdateStats
+	ar := b.arena()
+	cls, spare := b.unpack(ar)
 	si, ai := 0, 0
 	for segStart := b.now; segStart < now || segStart == b.now; {
 		segEnd := now
@@ -380,8 +415,8 @@ func (b *Exact) Update(now time.Duration, acks []packet.Ack) UpdateStats {
 		// Count each class's branches, chain each class's hypotheses and
 		// lay out their likelihoods, in one walk of the hypotheses: a class
 		// is counted at its first hypothesis, and classes are numbered in
-		// that order. Only a segment with a fork needs the spare buffer.
-		cls, mem, ar := b.cls, b.mem, b.arena()
+		// that order. Only a segment with a fork needs the spare slots.
+		mem := b.mem
 		nc, nm := len(cls), len(mem)
 		ar.segs, ar.at = resize(ar.segs, nc+1), resize(ar.at, nm)
 		segs, at, gate := ar.segs, ar.at, &b.gate
@@ -402,10 +437,10 @@ func (b *Exact) Update(now time.Duration, acks []packet.Ack) UpdateStats {
 			segs[c].head = int32(m)
 			mtotal += int(segs[c+1].off - segs[c].off)
 		}
-		out, other := cls, b.spare
+		out, other := cls, spare
 		if total > nc {
-			b.spare = resize(b.spare, total)
-			out, other = b.spare, cls
+			spare = resize(spare, total)
+			out, other = spare, cls
 		}
 		ar.lws = resize(ar.lws, mtotal)
 		lws := ar.lws
@@ -414,8 +449,9 @@ func (b *Exact) Update(now time.Duration, acks []packet.Ack) UpdateStats {
 		// hypotheses' branches, sharded across the pool. Workers write only
 		// their own class's slots and its hypotheses' likelihoods; the
 		// shared maps (segAcks, recent) are read-only here.
-		b.seg.end, b.seg.now, b.seg.sends, b.seg.out, b.seg.ar = segEnd, now, sends[si:sHi], out, ar
+		b.seg.end, b.seg.now, b.seg.sends, b.seg.cls, b.seg.out, b.seg.ar = segEnd, now, sends[si:sHi], cls, out, ar
 		b.pool.Run(nc, b.advance)
+		b.seg.cls, b.seg.out = nil, nil // no reference into the arena outlives the update
 
 		// Lay out the hypothesis branches, each with its unconditioned
 		// weight, where the likelihoods lie. Without a fork they lie in
@@ -491,7 +527,7 @@ func (b *Exact) Update(now time.Duration, acks []packet.Ack) UpdateStats {
 		next, floored := floorAndCap(next, b.cfg.MinWeight, b.cfg.MaxHyps)
 		stats.Floored += floored
 		b.mem = append(b.mem[:0], next...)
-		b.classify(out, other, b.siblings)
+		cls, spare = b.classify(out, other, b.siblings)
 
 		si, ai = sHi, aHi
 		if segEnd == now {
@@ -500,7 +536,8 @@ func (b *Exact) Update(now time.Duration, acks []packet.Ack) UpdateStats {
 		segStart = segEnd
 	}
 
-	b.publish()
+	ar.slots = [2][]Hypothesis{cls, spare} // for the next update of any belief on the pool
+	b.pack(ar, cls)
 	stats.N, stats.Classes = len(b.mem), len(b.cls)
 	return b.end(now, len(sends), stats)
 }
@@ -596,14 +633,14 @@ func floorAndCap(mem []member, minW float64, maxN int) ([]member, int) {
 // hypothesis's grid point. Branches no hypothesis names, and those equal
 // to an earlier class, are left dead in their slots. The classes stay in
 // out when their first hypotheses meet them in slot order, else they move
-// to other, and whichever buffer is left over becomes the spare. Without
-// probe no two branches are compared: the caller knows none are equal.
-func (b *Exact) classify(out, other []Hypothesis, probe bool) {
+// to other; classify returns them and whichever buffer is left over, the
+// next spare. Without probe no two branches are compared: the caller
+// knows none are equal.
+func (b *Exact) classify(out, other []Hypothesis, probe bool) (cls, spare []Hypothesis) {
 	if !probe && len(b.mem) == len(out) && b.numbered() {
 		// Every branch is its own hypothesis's, in order: the branches
 		// are the classes, already under their hypotheses' grid points.
-		b.cls, b.spare = out, other
-		return
+		return out, other
 	}
 	for j := range out {
 		out[j].W = -1
@@ -658,7 +695,7 @@ func (b *Exact) classify(out, other []Hypothesis, probe bool) {
 	for k := 0; k < nc; k++ {
 		move(&dst[k], &out[src[k].off])
 	}
-	b.cls, b.spare = dst[:nc], rest
+	return dst[:nc], rest
 }
 
 // numbered reports whether hypothesis m names branch m, for every m.
@@ -671,27 +708,103 @@ func (b *Exact) numbered() bool {
 	return true
 }
 
-// publish writes what Support returns: the classes themselves when each
-// has one member (numbered in hypothesis order, each under its member's
-// grid point), else one header per hypothesis, its class's state under
-// its grid point and weight.
-func (b *Exact) publish() {
-	cls, mem := b.cls, b.mem
-	if len(cls) == len(mem) {
+// unpack copies the classes into the first of the arena's slot buffers,
+// each onto the queue buffer its slot owns, and returns them and the
+// other buffer, the spare: the classes advance there, where a queue may
+// grow, and the windows onto the slab are only read.
+func (b *Exact) unpack(ar *arena) (cls, spare []Hypothesis) {
+	cls = resize(ar.slots[0], len(b.cls))
+	for k := range b.cls {
+		b.cls[k].S.CloneInto(&cls[k].S)
+	}
+	return cls, ar.slots[1]
+}
+
+// pack makes the classes in the arena's slots the belief's own: their
+// headers go to cls and their queues to slab, each class's a window of
+// its own, in class order. It then writes what Support returns: cls
+// itself when each class has one member (numbered in hypothesis order,
+// each under its member's grid point), else sup, one header per
+// hypothesis, its class's state — window included — under its grid point
+// and weight. cls keeps its array while that has exactly the classes'
+// number of slots, or, beside sup, at most twice it; slab while it holds
+// at most twice the entries plus one per class. Storage that does not
+// fit is traded with the arena's free store for a power of two (cls as
+// the support: exactly its length). The slots keep their buffers.
+func (b *Exact) pack(ar *arena, classes []Hypothesis) {
+	n, nc, mem := 0, len(classes), b.mem
+	for k := range classes {
+		n += classes[k].S.QLen()
+	}
+	// Beside sup, cls is internal, and an exact length there would trade
+	// storage on most of Figure 3's updates: its class count changes on
+	// seven in ten.
+	if c := cap(b.cls); nc == len(mem) && c != nc {
+		b.cls = swap(ar.hdrs, b.cls, nc)
+	} else if nc < len(mem) && (nc > c || c > 2*nc) {
+		b.cls = swap(ar.hdrs, b.cls, ceilPow2(nc))
+	}
+	b.cls = b.cls[:nc]
+	if c := cap(b.slab); n > c || c > 2*n+nc {
+		b.slab = swap(ar.slabs, b.slab, ceilPow2(n))
+	}
+	o := 0
+	for k := range classes {
+		q := classes[k].S.Queued()
+		w := b.slab[o : o+len(q) : o+len(q)]
+		copy(w, q)
+		c := &b.cls[k]
+		*c = classes[k]
+		c.S.Queue, c.S.QHead = w, 0
+		o += len(q)
+	}
+
+	if nc == len(mem) {
 		for k, e := range mem {
-			cls[k].W = e.w
+			b.cls[k].W = e.w
 		}
-		b.hyps = cls
+		b.hyps = b.cls
 		return
 	}
 	b.sup = resize(b.sup, len(mem))
 	sup, points := b.sup, b.points
 	for i, e := range mem {
 		h, pt := &sup[i], points[e.pt]
-		h.S = cls[e.cls].S
+		h.S = b.cls[e.cls].S
 		h.S.P, h.S.ParamsID, h.W = pt.p, pt.id, e.w
 	}
 	b.hyps = sup
+}
+
+// freeDepth bounds how many slices of one capacity a free store keeps.
+const freeDepth = 4
+
+// swap gives s back to free, which keeps slices by capacity, and returns
+// one of length and capacity n from it, or a new one (nil for n = 0).
+// free keeps at most freeDepth slices of one capacity, cleared so that
+// they pin nothing.
+func swap[T any](free map[int][][]T, s []T, n int) []T {
+	if c := cap(s); c > 0 && len(free[c]) < freeDepth {
+		s = s[:c]
+		clear(s)
+		free[c] = append(free[c], s)
+	}
+	if n == 0 {
+		return nil
+	}
+	if l := free[n]; len(l) > 0 {
+		free[n] = l[:len(l)-1]
+		return l[len(l)-1]
+	}
+	return make([]T, n)
+}
+
+// ceilPow2 is the least power of two at or above n, and 0 for 0.
+func ceilPow2(n int) int {
+	if n == 0 {
+		return 0
+	}
+	return 1 << bits.Len(uint(n-1))
 }
 
 // toggleProb is the probability s's gate toggles at a switch opportunity,
@@ -728,7 +841,7 @@ func (b *Exact) advanceClass(s *rollout.Scratch, c int) {
 	seg := ar.segs[c]
 	lo, last := int(seg.off), int(ar.segs[c+1].off)-1
 	root := &sg.out[last]
-	move(root, &b.cls[c])
+	move(root, &sg.cls[c])
 	s.Events = s.Events[:0]
 	root.S.Enumerate(sg.end, sg.sends, &s.Events, last, 1, b.toggleProb(&root.S),
 		func(j int) *model.State { return &sg.out[j].S },

@@ -380,14 +380,37 @@ func sameSupportExactly(t *testing.T, step int, want, got []Hypothesis) {
 	}
 }
 
-// queueOwners maps every queue backing array of b's class storage — live
-// classes, the dead slots behind them and the spare buffer — to the slot
-// holding it, failing on the first array two slots share: no two classes
-// share a buffer.
+// queueOwners checks that no two classes share queue storage: every
+// class's queue is a window onto b's slab that cannot be appended past,
+// no two windows overlap, and every queue buffer of the arena's slots —
+// live or dead, up to capacity — belongs to one slot and none is the
+// slab.
 func queueOwners(t *testing.T, b *Exact) {
 	t.Helper()
-	owners := make(map[*model.QPkt]string)
-	walk := func(name string, hyps []Hypothesis) {
+	slab := unsafe.SliceData(b.slab[:cap(b.slab)])
+	end := uintptr(unsafe.Pointer(slab)) + uintptr(cap(b.slab))*unsafe.Sizeof(model.QPkt{})
+	var hi uintptr
+	for k := range b.cls {
+		s := &b.cls[k].S
+		q := s.Queue
+		if s.QHead != 0 || len(q) != cap(q) {
+			t.Fatalf("class %d's queue is [%d:%d] of %d entries, not a window of its own", k, s.QHead, len(q), cap(q))
+		}
+		if len(q) == 0 {
+			continue
+		}
+		lo := uintptr(unsafe.Pointer(unsafe.SliceData(q)))
+		top := lo + uintptr(len(q))*unsafe.Sizeof(model.QPkt{})
+		if lo < uintptr(unsafe.Pointer(slab)) || top > end {
+			t.Fatalf("class %d's queue lies outside the slab", k)
+		}
+		if lo < hi {
+			t.Fatalf("class %d's queue overlaps an earlier class's", k)
+		}
+		hi = top
+	}
+	owners := map[*model.QPkt]string{slab: "the slab"}
+	for half, hyps := range b.arena().slots {
 		hyps = hyps[:cap(hyps)]
 		for i := range hyps {
 			q := hyps[i].S.Queue
@@ -395,15 +418,13 @@ func queueOwners(t *testing.T, b *Exact) {
 				continue
 			}
 			p := unsafe.SliceData(q[:cap(q)])
-			slot := fmt.Sprintf("%s[%d]", name, i)
+			slot := fmt.Sprintf("slots[%d][%d]", half, i)
 			if other, ok := owners[p]; ok {
 				t.Fatalf("%s and %s share a queue backing array", other, slot)
 			}
 			owners[p] = slot
 		}
 	}
-	walk("cls", b.cls)
-	walk("spare", b.spare)
 }
 
 // TestExactMatchesCloneBasedReference: over generated schedules the

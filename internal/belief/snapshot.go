@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -114,7 +115,7 @@ func cloneHyps(hyps []Hypothesis) []Hypothesis {
 // once an update has run: no two classes hold equal states, so it is a
 // function of the support. The restored belief resumes bit-identically:
 // the same Update sequence yields the same posteriors. The snapshot's
-// states are cloned; the caller may keep it.
+// queues are copied; the caller may keep it.
 func Restore(states []model.State, cfg Config, sn Snapshot) (*Exact, error) {
 	if len(states) == 0 {
 		return nil, errors.New("belief: empty prior")
@@ -128,7 +129,7 @@ func Restore(states []model.State, cfg Config, sn Snapshot) (*Exact, error) {
 			grid[states[i].ParamsID] = i
 		}
 	}
-	hyps := cloneHyps(sn.Hyps)
+	hyps := slices.Clone(sn.Hyps)
 	at := make([]int, len(hyps))
 	for i := range hyps {
 		s := &hyps[i].S

@@ -488,6 +488,18 @@ func (ar *decideArena) sweep(s *rollout.Scratch, r int) {
 		for hi < len(pending) && pending[hi].At <= t {
 			hi++
 		}
+		if twin && j >= candidates && live == 0 && base.Serving && si == len(pending) && quiet(base, horizon) {
+			// Nothing arrives before H: the link runs dry at BacklogDone,
+			// where the watch logs the gap, and the log holds to H from
+			// there, without a stop on the way.
+			t = min(base.BacklogDone(), horizon)
+			tw.pause(base, acc, lanes[:forked], t)
+			base.RunAccum(t, nil, acc)
+			tw.endStop(acc, j, acc.Take())
+			tw.book(t)
+			tw.owing, tw.lg.logEnd = false, horizon
+			break
+		}
 		if twin && j > 0 {
 			tw.pause(base, acc, lanes[:forked], t)
 		}
@@ -560,9 +572,12 @@ func (ar *decideArena) sweep(s *rollout.Scratch, r int) {
 
 // revive simulates after all, and counts, every lane deferred at stop j
 // (where an arrival left a twin no room) whose lag the log had not
-// absorbed by the stop before; the rest close. It replays the hypothesis
-// to its fork stop (a paused advance moves nothing) and catches up through
-// the stops it sat out, at none of which it could equal the baseline.
+// absorbed by the stop before and whose packet starts before H; the rest
+// close, a packet starting at or after H at 0: it is not through by H,
+// and the twin differs from the baseline in no packet of its own before
+// that. It replays the hypothesis to its fork stop (a paused advance
+// moves nothing) and catches up through the stops it sat out, at none of
+// which it could equal the baseline.
 func (ar *decideArena) revive(h *belief.Hypothesis, ds *decideScratch, lanes []lane, gains []float64, j int) (revived int) {
 	tw := &ds.tw
 	lg := tw.lg.view(tw.logged, tw.prev)
@@ -577,6 +592,10 @@ func (ar *decideArena) revive(h *belief.Hypothesis, ds *decideScratch, lanes []l
 			continue
 		}
 		gains[k] = 0
+		if tw.lg.cands[k].u >= tw.lg.horizon {
+			tw.closed++
+			continue
+		}
 		c.done = false
 		h.S.CloneInto(&c.s)
 		c.s.RunAccum(ar.stops[k], ar.pending, nil)

@@ -92,10 +92,11 @@ func TestTwinEdges(t *testing.T) {
 		{
 			// The same forks — the later two past H — under ticks twice as
 			// fast into a nine-packet buffer: the tick at +3.1 s leaves a twin
-			// no room, four stops after the last fork, and every deferred lane
-			// is simulated from its fork after all.
+			// no room, four stops after the last fork. The first deferred lane
+			// is simulated from its fork after all; the later two, whose
+			// packets start past H, close at 0.
 			name: "a dirty stop after live forks", s: saturated(now, 300*time.Millisecond, 100*time.Millisecond, 500*time.Millisecond, x, 9*x, six...),
-			horizon: 5300 * time.Millisecond, mat: 3,
+			horizon: 5300 * time.Millisecond, closed: 2, mat: 1,
 		},
 		{
 			// u₀ = now+5.3 s, past H = now+5 s: every packet starts after H,
@@ -105,10 +106,10 @@ func TestTwinEdges(t *testing.T) {
 		},
 		{
 			// The same forks into the nine-packet buffer: the tick at +3.1 s,
-			// before H, finds no room beside a twin's packet. Nothing says
-			// from the log what the twin then drops, so it is simulated.
+			// before H, finds no room beside a twin's packet. Whatever the
+			// twin then drops, its packet is not through by H: it closes at 0.
 			name: "a packet that starts after H behind a tick with no room", s: saturated(now, 300*time.Millisecond, 100*time.Millisecond, 500*time.Millisecond, x, 9*x, six...),
-			horizon: 4 * sec, mat: 3,
+			horizon: 4 * sec, closed: 3,
 		},
 		{
 			// Ticks at +0.3 s, +1.3 s, …: on every completion, and on u₀.
@@ -339,6 +340,13 @@ func TestTwinEdges(t *testing.T) {
 			// at the first stop after that fork.
 			name: "a link idle before H with nothing left to arrive", s: saturated(now, 300*time.Millisecond, 13*sec+1, sec, x, roomy, x),
 			horizon: 12 * sec, closed: 3, until: 2 * sec,
+		},
+		{
+			// The same with five packets queued: the link is busy at the last
+			// fork and runs dry at u₀ = +5.3 s, where the baseline stops —
+			// nothing arrives before H, so no stop on the way is read.
+			name: "a busy link that runs dry before H with nothing left to arrive", s: saturated(now, 300*time.Millisecond, 13*sec+1, sec, x, roomy, six...),
+			horizon: 12 * sec, closed: 3, until: 5300 * time.Millisecond,
 		},
 		{
 			// u₀+ℓ = H+1ns at every fork: each lane closes at 0.
