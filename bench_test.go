@@ -5,8 +5,7 @@
 //
 // Each figure bench prints the series/summary the paper reports (once,
 // on the first iteration) and then times the run, so the same target
-// both regenerates the result and measures its cost. EXPERIMENTS.md
-// records the measured outcomes.
+// both regenerates the result and measures its cost.
 package modelcc_test
 
 import (

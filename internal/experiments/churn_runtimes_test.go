@@ -57,7 +57,7 @@ func TestChurnFaultKnobRunsOneShard(t *testing.T) {
 // runtime, so a churn run reports its recovery columns — ramp-up, early
 // support, utility ratio, restart drops — from the barrier runtime as
 // from the supervised loop. The gap between their values (README,
-// lifecycle section) is a finding, not an assertion.
+// "Lifecycle & recovery") is a finding, not an assertion.
 func TestChurnBothRuntimesFillEveryColumn(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two long churn runs; the -race CI churn smokes cover short mode")

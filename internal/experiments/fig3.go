@@ -145,8 +145,9 @@ func Fig3Claims(r Fig3Result) (report string, ok bool) {
 	// uncertainty about the gate (P(on) never reaches 1 against a
 	// square wave the model believes is memoryless) can tip isolated
 	// decisions; we therefore allow at most one drop per run at the
-	// boundary and require strictly zero above it. EXPERIMENTS.md
-	// discusses this knife-edge.
+	// boundary and require strictly zero above it. That balance makes
+	// α = 1 a knife edge: a planner change that moves a tie there moves
+	// its drop count, which is a flipped decision to find, not noise.
 	for i, run := range r.Runs {
 		drops := run.OwnBufferDrops + run.CrossBufferDrops
 		switch {

@@ -100,10 +100,11 @@ type Config struct {
 	// Table, when non-nil, is an offline-compiled policy (a
 	// policy.Server over a compiled table) probed before any live
 	// planning. It is shared read-only across all members: each member
-	// gets a synchronous planner.Guard whose rung 0 is this table,
-	// whose warm fallback is the fleet's shared PolicyCache, and whose
-	// misses are reported back to the table's sidecar log for the next
-	// compile.
+	// gets a synchronous planner.Guard whose rung 0 is this table and
+	// whose warm fallback is the fleet's shared PolicyCache. Misses go
+	// to the server's miss log, and every policy.NewServer caller
+	// (policyc verify -serve, cmd/bench's serve-256) passes a nil one,
+	// so no run records them.
 	Table planner.CompiledPolicy
 	// NoSharedCache disables the fleet-wide policy cache (for the
 	// ablation benchmark; every member then plans from scratch).

@@ -21,12 +21,13 @@
 //
 //   - A serving side (Server, implementing planner.CompiledPolicy and
 //     its wake-keyed form planner.WakePolicy) that loads the table
-//     read-only, answers Guard rung-0 probes, and
-//     appends the fingerprints it could not serve — together with the
-//     live decision that covered for them — to a sidecar miss log
-//     (MissLog). Merging the table with its sidecars (Merge) seeds the
-//     next compile, closing the loop: every production miss makes the
-//     next table bigger.
+//     read-only, answers Guard rung-0 probes, and can append the
+//     fingerprints it could not serve — together with the live
+//     decision that covered for them — to a sidecar miss log (MissLog),
+//     which Merge (policyc merge) folds into a table. Every NewServer
+//     caller in the tree (policyc verify -serve, cmd/bench's serve-256)
+//     passes a nil miss log, so no run writes one; only the package's
+//     tests do.
 //
 // Safety rules, enforced rather than assumed:
 //
