@@ -19,7 +19,7 @@
 //
 //	fleetsim churn [the shared flags above, -shards default 0]
 //	         [-epoch 10s] [-depart .04] [-crash .06] [-arrive .5]
-//	         [-no-ckpt] [-checkpoint-dir d] [-verify-shards 1,4] [-smoke]
+//	         [-no-ckpt] [-verify-shards 1,4] [-smoke]
 //
 // The fleet lives under a seeded churn schedule — arrivals, departures,
 // crash-kills — with casualties restarted through the hot/warm/cold
@@ -33,7 +33,7 @@
 //
 //	fleetsim fault [the shared flags above, -shards default 0]
 //	         [-shard-crash] [-shard-stall] [-window-budget 0] [-churn]
-//	         [-no-ckpt] [-checkpoint-dir d] [-verify-shards 1,4] [-smoke]
+//	         [-no-ckpt] [-verify-shards 1,4] [-smoke]
 //
 // The sharded runtime under the deterministic shard-kill/stall schedule:
 // whole virtual shards die at window barriers and fail over onto
@@ -191,7 +191,6 @@ func lifecycleFlags(mode string) (*flag.FlagSet, *lifecycleRun) {
 	fs := flag.NewFlagSet("fleetsim "+mode, flag.ExitOnError)
 	sharedFlags(fs, &l.opts, &l.sweep.Ns, &c.Duration, &c.Seed, &c.FairQueue, &c.Workers, &c.Shards, &c.LeanStats)
 	fs.BoolVar(&c.NoCheckpoints, "no-ckpt", false, "disable checkpoints: every restart and failover cold instead of warm")
-	fs.StringVar(&c.CheckpointDir, "checkpoint-dir", "", "mirror member checkpoints to this directory")
 	fs.Var(&l.verify, "verify-shards", "comma-separated shard counts to re-run every point at; fail unless replay hashes agree (implies the sharded runtime)")
 	fs.BoolVar(&l.smoke, "smoke", false, "small fast soak for CI (N=8, 60 s; overrides -n and -dur)")
 	if mode == "churn" {

@@ -11,13 +11,13 @@ import (
 	"modelcc/internal/model"
 )
 
-// Snapshot is a belief's complete serializable decision state: enough
-// to rebuild an Exact belief that resumes bit-identically — same
-// posterior, same pending sends, same soft-matching ack memory, same
-// counters. internal/lifecycle encodes Snapshots into versioned member
-// checkpoints; the prior states themselves are NOT part of the snapshot
-// (they are re-derived from the configuration, and the checkpoint
-// header binds their identity via policy.HashPrior).
+// Snapshot is a belief's complete decision state: enough to rebuild an
+// Exact belief that resumes bit-identically — same posterior, same
+// pending sends, same soft-matching ack memory, same counters.
+// internal/lifecycle keeps Snapshots in its in-memory member checkpoints;
+// the prior states themselves are NOT part of the snapshot (they are
+// re-derived from the configuration, and the checkpoint binds their
+// identity via policy.HashPrior).
 type Snapshot struct {
 	// Now is the time of the last update.
 	Now time.Duration
@@ -51,9 +51,9 @@ func memosFromMap(recent map[int64]time.Duration) []AckMemo {
 	return out
 }
 
-// validate rejects snapshots no belief could have produced, so a
-// decoded-from-disk snapshot can never build a silently wrong belief,
-// nor one whose first Update panics inside a pool worker.
+// validate rejects snapshots no belief could have produced, so an edited
+// or mismatched snapshot can never build a silently wrong belief, nor one
+// whose first Update panics inside a pool worker.
 func (sn *Snapshot) validate() error {
 	if len(sn.Hyps) == 0 {
 		return errors.New("belief: snapshot has no hypotheses")

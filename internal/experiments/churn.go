@@ -55,18 +55,14 @@ type ChurnConfig struct {
 	NoChurn bool
 	// NoCheckpoints disables checkpointing: every restart and failover
 	// is cold (or hot when a compiled table is wired), never warm. The
-	// warm-vs-cold benchmark flips this bit.
+	// warm-vs-cold benchmark flips this bit. Otherwise each runtime
+	// checkpoints at its own default period: 10 s supervised, 4 s per
+	// barrier sweep.
 	NoCheckpoints bool
-	// CheckpointEvery is the checkpoint period (0 = the runtime's own
-	// default: 10 s supervised, 4 s per barrier sweep).
-	CheckpointEvery time.Duration
-	// CheckpointDir mirrors checkpoints to disk when set.
-	CheckpointDir string
 	// ShardKillProb and ShardStallProb arm the deterministic shard-fault
-	// schedule (shard.FaultConfig) when positive; MaxStall bounds a drawn
-	// stall (default 2 s).
+	// schedule (shard.FaultConfig, stalls of at most its default 2 s)
+	// when positive.
 	ShardKillProb, ShardStallProb float64
-	MaxStall                      time.Duration
 	// WindowBudget arms the wall-clock watchdog. Nondeterministic —
 	// leave zero when the replay hash matters.
 	WindowBudget time.Duration
@@ -183,7 +179,7 @@ func RunChurn(cfg ChurnConfig) ChurnResult {
 	res := ChurnResult{Cfg: cfg}
 	if cfg.Shards == 0 {
 		fl := fleet.New(fc)
-		supCfg := lifecycle.SupervisorConfig{CheckpointEvery: cfg.CheckpointEvery, Dir: cfg.CheckpointDir}
+		var supCfg lifecycle.SupervisorConfig
 		if cfg.NoCheckpoints {
 			supCfg.CheckpointEvery = -1
 		}
@@ -199,12 +195,10 @@ func RunChurn(cfg ChurnConfig) ChurnResult {
 	}
 	sf := shard.New(shard.Config{Fleet: fc, Shards: cfg.Shards})
 	if !cfg.NoCheckpoints {
-		sf.EnableCheckpoints(shard.CheckpointConfig{Every: cfg.CheckpointEvery, Dir: cfg.CheckpointDir})
+		sf.EnableCheckpoints(shard.CheckpointConfig{})
 	}
 	if cfg.ShardKillProb > 0 || cfg.ShardStallProb > 0 {
-		sf.EnableFaults(shard.FaultConfig{
-			KillProb: cfg.ShardKillProb, StallProb: cfg.ShardStallProb, MaxStall: cfg.MaxStall,
-		}, ch)
+		sf.EnableFaults(shard.FaultConfig{KillProb: cfg.ShardKillProb, StallProb: cfg.ShardStallProb}, ch)
 	}
 	if cfg.WindowBudget > 0 {
 		sf.EnableWatchdog(shard.WatchdogConfig{WindowBudget: cfg.WindowBudget})

@@ -3,9 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
-	"regexp"
 	"testing"
 	"time"
 
@@ -17,40 +14,6 @@ import (
 	"modelcc/internal/shard"
 )
 
-// TestChurnCheckpointDirOneNamePattern: both runtimes mirror
-// checkpoints under one file-name pattern, and every mirrored file
-// decodes to the flow its name says. (Regression: the single loop wrote
-// flow0003.ckpt and the barrier runtime flow-3.ckpt for the same flag.)
-func TestChurnCheckpointDirOneNamePattern(t *testing.T) {
-	name := regexp.MustCompile(`^flow(\d{4,})\.ckpt$`)
-	for _, shards := range []int{0, 1} {
-		dir := t.TempDir()
-		RunChurn(ChurnConfig{
-			N: 4, Shards: shards, Duration: 12 * time.Second, Seed: 3, Workers: 1,
-			CheckpointEvery: 4 * time.Second, CheckpointDir: dir,
-		})
-		entries, err := os.ReadDir(dir)
-		if err != nil || len(entries) == 0 {
-			t.Fatalf("shards=%d: no checkpoint files in %s (%v)", shards, dir, err)
-		}
-		for _, e := range entries {
-			m := name.FindStringSubmatch(e.Name())
-			if m == nil {
-				t.Errorf("shards=%d wrote %q, want flowNNNN.ckpt", shards, e.Name())
-				continue
-			}
-			ck, err := lifecycle.ReadFile(filepath.Join(dir, e.Name()))
-			if err != nil {
-				t.Errorf("shards=%d %s: %v", shards, e.Name(), err)
-				continue
-			}
-			if got := fmt.Sprintf("%04d", ck.Flow); got != m[1] {
-				t.Errorf("shards=%d %s holds flow %s", shards, e.Name(), got)
-			}
-		}
-	}
-}
-
 // lifecycleCase is one drawn lifecycle configuration. collapse is the
 // chance, per 250 ms step, that one live member's belief is made to
 // collapse, so health failures are drawn too.
@@ -60,13 +23,13 @@ type lifecycleCase struct {
 	epoch, backoff        time.Duration
 	depart, crash, arrive float64
 	minLive               int
-	ckpt                  bool
+	checkpoints           bool
 	collapse              float64
 }
 
 func (c lifecycleCase) String() string {
 	return fmt.Sprintf("n=%d/seed=%d/epoch=%v/d=%.2f/c=%.2f/a=%.2f/min=%d/backoff=%v/ckpt=%v/collapse=%.2f",
-		c.n, c.seed, c.epoch, c.depart, c.crash, c.arrive, c.minLive, c.backoff, c.ckpt, c.collapse)
+		c.n, c.seed, c.epoch, c.depart, c.crash, c.arrive, c.minLive, c.backoff, c.checkpoints, c.collapse)
 }
 
 func drawLifecycleCase(rng *rand.Rand) lifecycleCase {
@@ -77,14 +40,14 @@ func drawLifecycleCase(rng *rand.Rand) lifecycleCase {
 		return hi * rng.Float64()
 	}
 	c := lifecycleCase{
-		n:       2 + rng.Intn(7),
-		seed:    rng.Int63n(1 << 20),
-		epoch:   time.Duration(2+rng.Intn(4)) * time.Second,
-		depart:  prob(0.3),
-		crash:   prob(0.4),
-		arrive:  prob(1),
-		backoff: time.Duration(100+rng.Intn(1900)) * time.Millisecond,
-		ckpt:    rng.Intn(2) == 0,
+		n:           2 + rng.Intn(7),
+		seed:        rng.Int63n(1 << 20),
+		epoch:       time.Duration(2+rng.Intn(4)) * time.Second,
+		depart:      prob(0.3),
+		crash:       prob(0.4),
+		arrive:      prob(1),
+		backoff:     time.Duration(100+rng.Intn(1900)) * time.Millisecond,
+		checkpoints: rng.Intn(2) == 0,
 	}
 	c.minLive = 1 + rng.Intn(c.n)
 	if rng.Intn(2) == 0 {
@@ -105,7 +68,7 @@ func (c lifecycleCase) run(t *testing.T, shards int) (lifecycle.Runtime, *lifecy
 	fc := fleet.Config{N: c.n, Seed: c.seed, Workers: 1, BeliefCfg: belief.Config{Recover: true}}
 	cc := lifecycle.ChurnConfig{Epoch: c.epoch, DepartProb: c.depart, CrashProb: c.crash, ArriveProb: c.arrive, MinLive: c.minLive}
 	sc := lifecycle.SupervisorConfig{BackoffBase: c.backoff, CheckpointEvery: -1}
-	if c.ckpt {
+	if c.checkpoints {
 		sc.CheckpointEvery = 2 * time.Second
 	}
 	ch := chaos.Config{Seed: c.seed}
@@ -124,7 +87,7 @@ func (c lifecycleCase) run(t *testing.T, shards int) (lifecycle.Runtime, *lifecy
 		rt, ctl, runTo, conserved = sup, &sup.Controller, func(at time.Duration) { fl.Loop.Run(at) }, fl.Conserved
 	} else {
 		sf := shard.New(shard.Config{Fleet: fc, Shards: shards})
-		if c.ckpt {
+		if c.checkpoints {
 			sf.EnableCheckpoints(shard.CheckpointConfig{Every: sc.CheckpointEvery})
 		}
 		sf.EnableChurn(cc, sc, ch)
@@ -244,7 +207,7 @@ func checkLifecycleLog(t *testing.T, shards, n int, rt lifecycle.Runtime, ctl *l
 // flow still reserved for its restart, so an allocator that ignored the
 // reservation would hand the casualty's flow to an arrival.
 var pinnedLifecycleCases = []lifecycleCase{
-	{n: 4, seed: 698919, epoch: 4 * time.Second, minLive: 1, backoff: 190 * time.Millisecond, ckpt: true, collapse: 0.08},
+	{n: 4, seed: 698919, epoch: 4 * time.Second, minLive: 1, backoff: 190 * time.Millisecond, checkpoints: true, collapse: 0.08},
 }
 
 // TestLifecycleLogInvariants draws lifecycle configurations — fleet

@@ -1,8 +1,6 @@
 package lifecycle
 
 import (
-	"fmt"
-	"path/filepath"
 	"time"
 
 	"modelcc/internal/chaos"
@@ -112,8 +110,8 @@ type flowState struct {
 	reserved bool
 	// lastReseeds is the health sweep's reseed baseline.
 	lastReseeds int
-	// ckpt is the flow's latest checkpoint.
-	ckpt *Checkpoint
+	// latest is the flow's latest checkpoint.
+	latest *Checkpoint
 }
 
 // Controller is the member lifecycle policy, written once for both
@@ -181,7 +179,7 @@ func (c *Controller) LatestCheckpoint(flow packet.FlowID) *Checkpoint {
 	if int(flow) >= len(c.flows) {
 		return nil
 	}
-	return c.flows[flow].ckpt
+	return c.flows[flow].latest
 }
 
 // freshKind is the rung a generation with no checkpoint starts on.
@@ -339,7 +337,7 @@ func (c *Controller) Depart(flow packet.FlowID) {
 		return
 	}
 	fs := c.flow(flow)
-	fs.ckpt, fs.attempts = nil, 0
+	fs.latest, fs.attempts = nil, 0
 	c.Stats.Departures++
 	c.log(EventDepart, flow, m.Gen)
 }
@@ -355,7 +353,7 @@ func (c *Controller) Admit() *fleet.Member {
 		}
 	}
 	fs := c.flow(flow)
-	fs.ckpt, fs.attempts = nil, 0
+	fs.latest, fs.attempts = nil, 0
 	m := c.rt.Attach(flow, nil, fleet.StaggerOffsetFor(c.stagger, flow, c.rt.NextGen(flow)))
 	c.open(m, CauseArrival, c.freshKind())
 	c.Stats.Arrivals++
@@ -403,12 +401,12 @@ func (c *Controller) restart(flow packet.FlowID, cause Cause, attempt int, offse
 	fs := c.flow(flow)
 	kind := c.freshKind()
 	var m *fleet.Member
-	if ck := fs.ckpt; ck != nil {
+	if ck := fs.latest; ck != nil {
 		if snd, err := RestoreSender(c.rt.Host(flow), ck, c.rt.PriorHash()); err != nil {
 			// A checkpoint this controller captured should always
 			// restore; count the anomaly, discard it, fall through.
 			c.Stats.CheckpointErrors++
-			fs.ckpt = nil
+			fs.latest = nil
 		} else {
 			m = c.rt.Attach(flow, snd, offset)
 			RestoreGuard(m, ck)
@@ -435,19 +433,13 @@ func (c *Controller) restart(flow packet.FlowID, cause Cause, attempt int, offse
 }
 
 // Checkpoint captures m as its flow's latest checkpoint, bound to the
-// runtime's prior hash, and mirrors it to dir (see SupervisorConfig.Dir)
-// when dir is set.
-func (c *Controller) Checkpoint(m *fleet.Member, dir string) {
+// runtime's prior hash.
+func (c *Controller) Checkpoint(m *fleet.Member) {
 	ck, err := Capture(m, c.rt.PriorHash())
 	if err != nil {
 		c.Stats.CheckpointErrors++
 		return
 	}
-	c.flow(m.Flow).ckpt = ck
+	c.flow(m.Flow).latest = ck
 	c.Stats.Checkpoints++
-	if dir != "" {
-		if err := ck.WriteFile(filepath.Join(dir, fmt.Sprintf("flow%04d.ckpt", m.Flow))); err != nil {
-			c.Stats.CheckpointErrors++
-		}
-	}
 }

@@ -32,7 +32,8 @@ const (
 // SupervisorConfig tunes the lifecycle policy. Zero values take the
 // defaults noted on each field (WithDefaults). The sharded runtime reads
 // the same health and backoff fields; its checkpoint schedule is
-// shard.CheckpointConfig, so CheckpointEvery and Dir do not apply there.
+// shard.CheckpointConfig, so CheckpointEvery does not apply there.
+// Checkpoints are held in memory, one per flow (the latest).
 type SupervisorConfig struct {
 	// Interval is the health-check period (default 2 s virtual).
 	Interval time.Duration
@@ -45,11 +46,6 @@ type SupervisorConfig struct {
 	// BackoffCap) (Backoff). Defaults 500 ms and 16 s.
 	BackoffBase time.Duration
 	BackoffCap  time.Duration
-	// Dir, when set, mirrors every checkpoint to Dir/flowNNNN.ckpt, the
-	// flow ID zero-padded to four digits (atomic replace per flow;
-	// ReadFile loads one). shard.CheckpointConfig.Dir writes the same
-	// names.
-	Dir string
 }
 
 // WithDefaults returns the configuration with every zero field
@@ -260,9 +256,9 @@ type Supervisor struct {
 	Controller
 	*fleet.Fleet
 
-	priorHash           uint64
-	health, ckpt, epoch *sim.Timer
-	started, stopped    bool
+	priorHash                  uint64
+	health, checkpoints, epoch *sim.Timer
+	started, stopped           bool
 }
 
 // NewSupervisor builds a supervisor over the fleet's current members.
@@ -275,12 +271,12 @@ func NewSupervisor(fl *fleet.Fleet, cfg SupervisorConfig) *Supervisor {
 		s.Health()
 		s.health.Arm(s.cfg.Interval)
 	})
-	s.ckpt = sim.NewTimer(fl.Loop, func() {
+	s.checkpoints = sim.NewTimer(fl.Loop, func() {
 		s.scratch = fl.LiveFlows(s.scratch[:0])
 		for _, flow := range s.scratch {
-			s.Checkpoint(fl.Members[flow], s.cfg.Dir)
+			s.Checkpoint(fl.Members[flow])
 		}
-		s.ckpt.Arm(s.cfg.CheckpointEvery)
+		s.checkpoints.Arm(s.cfg.CheckpointEvery)
 	})
 	s.epoch = sim.NewTimer(fl.Loop, func() {
 		s.Epoch()
@@ -309,7 +305,7 @@ func (s *Supervisor) Start() {
 	s.started = true
 	s.health.Arm(s.cfg.Interval)
 	if s.cfg.CheckpointEvery > 0 {
-		s.ckpt.Arm(s.cfg.CheckpointEvery)
+		s.checkpoints.Arm(s.cfg.CheckpointEvery)
 	}
 	if s.src != nil {
 		s.epoch.Arm(s.churn.Epoch)
@@ -325,7 +321,7 @@ func (s *Supervisor) Stop() {
 	}
 	s.stopped = true
 	s.health.Stop()
-	s.ckpt.Stop()
+	s.checkpoints.Stop()
 	s.epoch.Stop()
 }
 

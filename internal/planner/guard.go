@@ -277,8 +277,9 @@ func (g *Guard) recordMiss(w *Wake, pending []model.Send, d Decision) {
 }
 
 // LastSafe reports the remembered safe pacing interval (rung 3's replay
-// delta) and whether one exists — checkpointed so a warm-restored
-// member degrades exactly as the original would.
+// delta) and whether one exists. A checkpoint carries it, so a member
+// warm-restored with a Guard falls back to the same interval the
+// original would (lifecycle.RestoreGuard).
 func (g *Guard) LastSafe() (time.Duration, bool) { return g.lastSafeDelta, g.haveSafe }
 
 // RestoreLastSafe reinstates a checkpointed safe pacing interval;

@@ -230,6 +230,16 @@ func TestTwinEdges(t *testing.T) {
 			horizon: 12 * sec, closed: 3,
 		},
 		{
+			// The link idles from +0.3 s to the two-packet chunk of +1.5 s,
+			// which fills a two-packet buffer; the chunk of +2.5 s then
+			// queues behind it and leaves a twin no room. By the stop of
+			// +2 s the gap has absorbed the lags of the first two forks, so
+			// the log closes them at that stop; the third, forked at +1 s,
+			// still owes half a service and is simulated after all.
+			name: "a dirty stop after a gap absorbed the first lags", s: saturated(now, 300*time.Millisecond, 1500*time.Millisecond, sec, 2*x, 2*x, x),
+			horizon: 12 * sec, closed: 2, mat: 1,
+		},
+		{
 			// Three-packet chunks into a two-packet buffer: the chunk of +0.8 s
 			// ends a gap the deferred twins still owe work in, and they could
 			// not have queued it. The third candidate, forked behind it, is

@@ -39,9 +39,6 @@ func NewServer(t *Table, missLog *MissLog) *Server {
 	return &Server{t: t, miss: missLog}
 }
 
-// Table returns the table being served.
-func (s *Server) Table() *Table { return s.t }
-
 // Stats reports probes, table hits, and misses since construction.
 func (s *Server) Stats() (probes, hits, misses int64) {
 	return s.probes.Load(), s.hits.Load(), s.misses.Load()

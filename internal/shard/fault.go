@@ -84,11 +84,6 @@ type CheckpointConfig struct {
 	// one virtual shard per due tick, round-robin — so checkpoint work
 	// spreads across barriers instead of bunching into one.
 	Every time.Duration
-	// Dir, when non-empty, mirrors each checkpoint to disk under the
-	// names lifecycle.SupervisorConfig.Dir documents. The in-memory store
-	// is authoritative for failover either way; the mirror is for
-	// cross-process restarts.
-	Dir string
 }
 
 // FaultConfig arms the deterministic shard-kill/stall schedule.
@@ -141,7 +136,6 @@ type FailoverStats struct {
 type fenceWin struct{ from, to time.Duration }
 
 type ckptState struct {
-	cfg      CheckpointConfig
 	interval time.Duration
 	next     time.Duration
 	round    int
@@ -176,7 +170,7 @@ func (sf *Fleet) EnableCheckpoints(cc CheckpointConfig) {
 	if interval < sf.Delta {
 		interval = sf.Delta
 	}
-	sf.ckpt = &ckptState{cfg: cc, interval: interval, next: interval}
+	sf.checkpoints = &ckptState{interval: interval, next: interval}
 	sf.priorHash = lifecycle.PriorHashFor(sf.Cfg, sf.Caches)
 }
 
@@ -224,14 +218,14 @@ func (f *faultState) nextDue() time.Duration {
 // checkpointSweep checkpoints one virtual shard's resident members per
 // due tick (round-robin) into the controller's store.
 func (sf *Fleet) checkpointSweep() {
-	c := sf.ckpt
+	c := sf.checkpoints
 	for sf.now >= c.next {
 		v := c.round % VirtualShards
 		c.round++
 		c.next += c.interval
 		for i := v; i < sf.Slots(); i += VirtualShards {
 			if m := sf.MemberAt(packet.FlowID(i)); m != nil {
-				sf.Checkpoint(m, c.cfg.Dir)
+				sf.Checkpoint(m)
 			}
 		}
 	}
@@ -339,7 +333,7 @@ func (sf *Fleet) failoverGroup(v int) {
 		switch sf.Evicted(m) {
 		case lifecycle.RestartWarm:
 			sf.Failover.WarmFailovers++
-			fenceFrom = sf.LatestCheckpoint(flow).At
+			fenceFrom = sf.LatestCheckpoint(flow).Belief.Now
 		case lifecycle.RestartHot:
 			sf.Failover.HotFailovers++
 		default:

@@ -22,13 +22,13 @@ type schedule struct {
 	dur, epoch            time.Duration
 	depart, crash, arrive float64
 	backoff               time.Duration
-	ckptEvery             time.Duration // 0 = checkpoints off
+	checkpointEvery       time.Duration // 0 = checkpoints off
 	faults                bool
 }
 
 func (sc schedule) String() string {
 	return fmt.Sprintf("n=%d/seed=%d/epoch=%v/d=%.2f/c=%.2f/a=%.2f/backoff=%v/ckpt=%v/faults=%v",
-		sc.n, sc.seed, sc.epoch, sc.depart, sc.crash, sc.arrive, sc.backoff, sc.ckptEvery, sc.faults)
+		sc.n, sc.seed, sc.epoch, sc.depart, sc.crash, sc.arrive, sc.backoff, sc.checkpointEvery, sc.faults)
 }
 
 // drawSchedule draws one scenario. Probabilities are zero a third of
@@ -53,7 +53,7 @@ func drawSchedule(rng *rand.Rand) schedule {
 		faults:  rng.Intn(2) == 0,
 	}
 	if rng.Intn(2) == 0 {
-		sc.ckptEvery = time.Duration(1+rng.Intn(4)) * time.Second
+		sc.checkpointEvery = time.Duration(1+rng.Intn(4)) * time.Second
 	}
 	return sc
 }
@@ -65,12 +65,12 @@ var pinnedSchedules = []schedule{
 	// A lone member: every virtual shard but one is empty, and MinLive
 	// pins the population, so only faults and restarts act.
 	{n: 1, seed: 1, dur: 20 * time.Second, epoch: 2 * time.Second, crash: 0.4, arrive: 1,
-		backoff: 100 * time.Millisecond, ckptEvery: time.Second, faults: true},
+		backoff: 100 * time.Millisecond, checkpointEvery: time.Second, faults: true},
 	// Everything at once on a full-size draw: churn restarts and
 	// failovers contend for the same flows, checkpoints land on kill
 	// barriers.
 	{n: 12, seed: 7, dur: 20 * time.Second, epoch: 2 * time.Second, depart: 0.2, crash: 0.4, arrive: 1,
-		backoff: 100 * time.Millisecond, ckptEvery: time.Second, faults: true},
+		backoff: 100 * time.Millisecond, checkpointEvery: time.Second, faults: true},
 }
 
 func (sc schedule) run(k int) *Fleet {
@@ -78,8 +78,8 @@ func (sc schedule) run(k int) *Fleet {
 		Fleet:  fleet.Config{N: sc.n, Seed: sc.seed, Workers: 1, BeliefCfg: belief.Config{Recover: true}},
 		Shards: k,
 	})
-	if sc.ckptEvery > 0 {
-		sf.EnableCheckpoints(CheckpointConfig{Every: sc.ckptEvery})
+	if sc.checkpointEvery > 0 {
+		sf.EnableCheckpoints(CheckpointConfig{Every: sc.checkpointEvery})
 	}
 	if sc.faults {
 		sf.EnableFaults(FaultConfig{

@@ -167,14 +167,14 @@ type Fleet struct {
 	// its Events and Stats stay empty without churn or faults.
 	lifecycle.Controller
 
-	now      time.Duration
-	started  bool
-	zeroStep bool
-	churn    *churnState
-	ckpt     *ckptState
-	fault    *faultState
-	wd       *watchdogState
-	merged   []packet.Packet
+	now         time.Duration
+	started     bool
+	zeroStep    bool
+	churn       *churnState
+	checkpoints *ckptState
+	fault       *faultState
+	wd          *watchdogState
+	merged      []packet.Packet
 	// inject holds the replay's events, one per packet of the busiest
 	// window so far (replay).
 	inject []*injection
@@ -279,7 +279,7 @@ func (sf *Fleet) start() {
 // transitions, then kills and their failovers), then the churn
 // lifecycle.
 func (sf *Fleet) barrier() {
-	if sf.ckpt != nil {
+	if sf.checkpoints != nil {
 		sf.checkpointSweep()
 	}
 	if sf.fault != nil {
@@ -354,8 +354,8 @@ func (sf *Fleet) nextAnything(limit time.Duration) (time.Duration, bool) {
 			best, ok = t, true
 		}
 	}
-	if sf.ckpt != nil && sf.ckpt.next < best {
-		best, ok = sf.ckpt.next, true
+	if sf.checkpoints != nil && sf.checkpoints.next < best {
+		best, ok = sf.checkpoints.next, true
 	}
 	if sf.fault != nil {
 		if t := sf.fault.nextDue(); t < best {

@@ -31,9 +31,6 @@ type Event struct {
 	cancel bool
 }
 
-// At reports the virtual time the event is (or was) scheduled for.
-func (e *Event) At() time.Duration { return e.at }
-
 // Loop is a single-goroutine discrete-event loop. Create one with New.
 type Loop struct {
 	now     time.Duration

@@ -126,9 +126,6 @@ func NewSender(loop *sim.Loop, out elements.Node, flow packet.FlowID, cfg Config
 	return s
 }
 
-// Flow reports the sender's flow ID.
-func (s *Sender) Flow() packet.FlowID { return s.flow }
-
 // SndUna reports the lowest unacknowledged sequence number (delivered
 // in-order bytes = SndUna segments).
 func (s *Sender) SndUna() int64 { return s.sndUna }
