@@ -144,7 +144,7 @@ func sweepFlags() (*flag.FlagSet, *sweepRun) {
 }
 
 func (s *sweepRun) run() int {
-	if err := checkRanges(s.cfg.Duration, time.Second, float64(s.cfg.PerSenderRate), s.cfg.Alpha, 0, 0, 0, s.opts.jainFloor, s.cfg.Shards, s.cfg.Workers); err != nil {
+	if err := checkRanges(s.cfg.Duration, time.Second, 0, float64(s.cfg.PerSenderRate), s.cfg.Alpha, 0, 0, 0, s.opts.jainFloor, s.cfg.Shards, s.cfg.Workers); err != nil {
 		return fail(2, "%v", err)
 	}
 	return s.opts.profiled(func() int {
@@ -217,7 +217,7 @@ func lifecycleFlags(mode string) (*flag.FlagSet, *lifecycleRun) {
 // non-nil error is a usage error.
 func (l *lifecycleRun) resolve() error {
 	c := &l.sweep.Base
-	if err := checkRanges(c.Duration, c.Epoch, 1, 1, c.DepartProb, c.CrashProb, c.ArriveProb, l.opts.jainFloor, c.Shards, c.Workers); err != nil {
+	if err := checkRanges(c.Duration, c.Epoch, c.WindowBudget, 1, 1, c.DepartProb, c.CrashProb, c.ArriveProb, l.opts.jainFloor, c.Shards, c.Workers); err != nil {
 		return err
 	}
 	if l.opts.jainFloor > 0 && c.LeanStats {
@@ -318,9 +318,10 @@ func (o *options) finish(points any, jains []float64) int {
 
 // checkRanges refuses numeric flags outside their domain — a negative
 // -dur would run a zero-length sweep and exit 0, a non-positive -rate
-// would silently become the default. A mode passes an in-range constant
-// for a flag it does not have. A non-nil error is a usage error.
-func checkRanges(dur, epoch time.Duration, rate, alpha, depart, crash, arrive, jainFloor float64, shards, workers int) error {
+// would silently become the default, a negative -window-budget would run
+// with the watchdog silently off. A mode passes an in-range constant for
+// a flag it does not have. A non-nil error is a usage error.
+func checkRanges(dur, epoch, budget time.Duration, rate, alpha, depart, crash, arrive, jainFloor float64, shards, workers int) error {
 	prob := func(p float64) bool { return p >= 0 && p <= 1 }
 	finite := func(v float64) bool { return !math.IsInf(v, 0) && !math.IsNaN(v) }
 	for _, c := range []struct {
@@ -331,6 +332,7 @@ func checkRanges(dur, epoch time.Duration, rate, alpha, depart, crash, arrive, j
 	}{
 		{dur > 0, "-dur", dur, "must be positive"},
 		{epoch > 0, "-epoch", epoch, "must be positive"},
+		{budget >= 0, "-window-budget", budget, "must not be negative (0 is off)"},
 		{rate > 0 && finite(rate), "-rate", rate, "must be positive and finite"},
 		{alpha > 0 && finite(alpha), "-alpha", alpha, "must be positive and finite (the fleet reads 0 as unset and would run at α = 1)"},
 		{prob(depart), "-depart", depart, "must be a probability in [0, 1]"},

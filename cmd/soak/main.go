@@ -85,7 +85,7 @@ func runFlow(seed int64, dur time.Duration, chaotic, jumpy bool) flowResult {
 		link.Chaos, link.AckChaos = &fwd, &ack
 	}
 	cs := transport.LiveSender(belief.Config{SoftSigma: 30 * time.Millisecond, Recover: true})
-	cs.Guard = planner.NewGuard(50*time.Millisecond, planner.NewPolicyCache(256))
+	cs.Guard.Budget, cs.Guard.Cache = 50*time.Millisecond, planner.NewPolicyCache(256)
 	rig := transport.Loopback{
 		Sender: cs,
 		Link:   &link,

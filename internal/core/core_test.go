@@ -71,7 +71,7 @@ func TestSenderAckDrivenProgress(t *testing.T) {
 
 func TestSenderWithPolicyCache(t *testing.T) {
 	s := NewSender(knownIdleBelief(), planner.DefaultConfig())
-	s.Cache = planner.NewPolicyCache(0)
+	s.Guard.Cache = planner.NewPolicyCache(0)
 	for i := 0; i < 5; i++ {
 		at := time.Duration(i) * time.Second
 		var acks []packet.Ack
@@ -80,7 +80,7 @@ func TestSenderWithPolicyCache(t *testing.T) {
 		}
 		s.Wake(at, acks)
 	}
-	if s.Cache.Hits == 0 {
+	if s.Guard.Cache.Hits == 0 {
 		t.Error("steady-state wakes never hit the policy cache")
 	}
 }

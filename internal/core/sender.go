@@ -43,14 +43,17 @@ type Sender struct {
 	// Plan configures the action search, including the utility function
 	// being maximized.
 	Plan planner.Config
-	// Cache, if non-nil, memoizes decisions by belief fingerprint
-	// (§3.3's precomputed-policy observation).
+	// Cache is not read: a sender plans through its Guard's Cache.
+	//
+	// Deprecated: set Guard.Cache instead.
 	Cache *planner.PolicyCache
-	// Guard, if non-nil, bounds each decision's latency and degrades
-	// through the ladder live Decide → PolicyCache → last safe action
-	// (see planner.Guard). It takes precedence over Cache; give the
-	// Guard the cache instead. Real-socket drivers set it — a stalled
-	// decision there is a stalled event loop.
+	// Guard is the sender's decision path, built by NewSender with no
+	// deadline, no cache and no table: every decision is Guard.Decide,
+	// which probes Guard.Compiled, plans (through Guard.Cache when set)
+	// and remembers the last safe pacing interval a degraded decision
+	// falls back to (see planner.Guard). A driver configures its fields —
+	// a real-socket driver gives it a Budget, since a stalled decision
+	// there is a stalled event loop — and never sets it to nil.
 	Guard *planner.Guard
 	// MaxBurst caps how many packets one wakeup may emit; the planner
 	// naturally starts pacing after a few commitments, so the cap only
@@ -68,9 +71,10 @@ type Sender struct {
 	Wakes int64
 }
 
-// NewSender returns an ISENDER over the given belief and plan.
+// NewSender returns an ISENDER over the given belief and plan, deciding
+// through its own zero-budget Guard.
 func NewSender(b belief.Belief, plan planner.Config) *Sender {
-	return &Sender{Belief: b, Plan: plan, MaxBurst: 32}
+	return &Sender{Belief: b, Plan: plan, Guard: planner.NewGuard(0, nil), MaxBurst: 32}
 }
 
 // NextSeq reports the next unused sequence number.
@@ -90,8 +94,8 @@ func (s *Sender) SetNextSeq(seq int64) { s.nextSeq = seq }
 // Its calls come in a fixed order that instrumentation decorating the
 // Belief or the Guard's CompiledPolicy relies on: one Update, one Support
 // (the planner.Wake every decision of this wake plans on), then per
-// decision PendingSends immediately followed by the decision (Guard.Decide
-// when a Guard is set) and, when it sends, RecordSend.
+// decision PendingSends immediately followed by Guard.Decide and, when it
+// sends, RecordSend.
 func (s *Sender) Wake(now time.Duration, acks []packet.Ack) Action {
 	s.Wakes++
 	s.Acked += int64(len(acks))
@@ -104,15 +108,7 @@ func (s *Sender) Wake(now time.Duration, acks []packet.Ack) Action {
 		maxBurst = 32
 	}
 	for i := 0; i < maxBurst; i++ {
-		pending := s.Belief.PendingSends()
-		var d planner.Decision
-		if s.Guard != nil {
-			d = s.Guard.Decide(&s.wake, pending, s.nextSeq, s.Plan)
-		} else if s.Cache != nil {
-			d = s.Cache.Decide(&s.wake, pending, s.nextSeq, s.Plan)
-		} else {
-			d = s.wake.Decide(pending, s.nextSeq, s.Plan)
-		}
+		d := s.Guard.Decide(&s.wake, s.Belief.PendingSends(), s.nextSeq, s.Plan)
 		if !d.SendNow {
 			act.WakeAt = d.WakeAt
 			return act

@@ -128,7 +128,6 @@ func TestWakeMatchesFreshDecide(t *testing.T) {
 				snd := NewSender(bel, plan)
 				snd.MaxBurst = 4
 				check := &freshCheck{t: t, bel: bel, plan: plan, quiet: rollout.New(workers)}
-				snd.Guard = planner.NewGuard(0, nil)
 				snd.Guard.Compiled = check
 				if cached {
 					snd.Guard.Cache, check.ref = planner.NewPolicyCache(0), planner.NewPolicyCache(0)

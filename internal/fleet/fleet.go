@@ -99,12 +99,12 @@ type Config struct {
 	Workers int
 	// Table, when non-nil, is an offline-compiled policy (a
 	// policy.Server over a compiled table) probed before any live
-	// planning. It is shared read-only across all members: each member
-	// gets a synchronous planner.Guard whose rung 0 is this table and
-	// whose warm fallback is the fleet's shared PolicyCache. Misses go
-	// to the server's miss log, and every policy.NewServer caller
-	// (policyc verify -serve, cmd/bench's serve-256) passes a nil one,
-	// so no run records them.
+	// planning. It is shared read-only across all members, as rung 0 of
+	// each member's synchronous planner.Guard; a miss is planned as every
+	// decision is without a table, through the shared PolicyCache.
+	// Misses go to the server's miss log, and every policy.NewServer
+	// caller (policyc verify -serve, cmd/bench's serve-256) passes a nil
+	// one, so no run records them.
 	Table planner.CompiledPolicy
 	// NoSharedCache disables the fleet-wide policy cache (for the
 	// ablation benchmark; every member then plans from scratch).
@@ -372,16 +372,13 @@ func StaggerOffsetFor(stagger time.Duration, flow packet.FlowID, gen uint32) tim
 func (f *Fleet) MemoStats() planner.MemoStats { return planner.PoolMemoStats(f.Pool) }
 
 // CompiledStats reports, summed over members, how many decisions the
-// compiled policy table served (Guard rung 0) versus how many fell
-// through to live planning. Zeros when no table is wired.
+// compiled policy table served (Guard rung 0) versus how many were
+// planned live; without a table every live decision counts in live.
 func (f *Fleet) CompiledStats() (compiled, live int64) {
 	for _, m := range f.Members {
-		if m == nil {
-			continue
-		}
-		if g := m.Sender.Guard; g != nil {
-			compiled += g.CompiledHits
-			live += g.Live
+		if m != nil {
+			compiled += m.Sender.Guard.CompiledHits
+			live += m.Sender.Guard.Live
 		}
 	}
 	return compiled, live
@@ -494,34 +491,16 @@ type Member struct {
 // member never decides or sends again.
 func (m *Member) Retired() bool { return m.retired }
 
-// SetDegraded pins (or releases) the member's decision path to the
-// Guard degradation ladder — compiled table when wired, else cache →
+// SetDegraded pins (or releases) the member's decision path to its
+// Guard's degradation ladder — compiled table when wired, else cache →
 // last-safe → sleep — without live planning; see planner.Guard.Degraded.
-// A member serving only through a bare cache stripe gains a synchronous
-// zero-budget Guard over that stripe the first time it is degraded;
-// undegraded, such a Guard decides identically to the bare stripe (same
-// PolicyCache.Decide call), so installing it never perturbs a run.
-func (m *Member) SetDegraded(on bool) {
-	g := m.Sender.Guard
-	if g == nil {
-		if !on {
-			return
-		}
-		g = planner.NewGuard(0, m.Sender.Cache)
-		m.Sender.Guard = g
-		m.Sender.Cache = nil
-	}
-	g.Degraded = on
-}
+// The last safe interval is the one the member's Guard has remembered
+// since it was built or restored.
+func (m *Member) SetDegraded(on bool) { m.Sender.Guard.Degraded = on }
 
 // DegradedServed reports how many of the member's decisions were
 // served while its Guard was degraded (zero when never degraded).
-func (m *Member) DegradedServed() int64 {
-	if g := m.Sender.Guard; g != nil {
-		return g.DegradedServed
-	}
-	return 0
-}
+func (m *Member) DegradedServed() int64 { return m.Sender.Guard.DegradedServed }
 
 // NewMember returns a standalone member (immediate wake per
 // acknowledgment) sending into out. Fleet members are built by New,

@@ -72,26 +72,18 @@ func (h *host) init(cfg Config, loop *sim.Loop, caches *planner.CacheStripes, ou
 
 // build adapts s — a cold sender from the resolved prior and configs when
 // nil — to the host's loop as flow's member, sending into out and waking
-// through the batching scheduler. The sender is first attached to the
-// shared serving machinery: the compiled table (as a synchronous Guard
-// rung 0) or the flow's policy cache stripe, plus the fleet burst cap.
-// The member is not started.
+// through the batching scheduler. The sender's Guard is first wired to
+// the shared serving machinery — the compiled table as rung 0 (none when
+// Cfg.Table is nil) and the flow's policy cache stripe — and the fleet
+// burst cap set. The Guard keeps its zero Budget, so every decision is
+// synchronous and the loop deterministic. The member is not started.
 func (h *host) build(flow packet.FlowID, s *core.Sender) *Member {
 	if s == nil {
 		s = core.NewSender(belief.NewExact(h.states, h.bcfg), h.pcfg)
 	}
-	var stripe *planner.PolicyCache
+	s.Guard.Compiled = h.Cfg.Table
 	if h.caches != nil {
-		stripe = h.caches.For(uint32(flow))
-	}
-	if h.Cfg.Table != nil {
-		// Compiled serving path: table → warm cache → live, all
-		// synchronous (Budget 0 keeps the DES loop deterministic).
-		g := planner.NewGuard(0, stripe)
-		g.Compiled = h.Cfg.Table
-		s.Guard = g
-	} else {
-		s.Cache = stripe
+		s.Guard.Cache = h.caches.For(uint32(flow))
 	}
 	// A solo sender's 32-packet burst cap is harmless; in a fleet a
 	// sender whose posterior momentarily says "link free" would pour

@@ -9,11 +9,12 @@
 // A checkpoint captures everything a member needs to resume making the
 // same decisions an uninterrupted member would: the belief posterior,
 // pending sends, the soft-matching ack memory, the sender's
-// sequence/throughput counters, and the planner Guard's last safe
-// pacing action. It is bound to its model identity via policy.HashPrior
-// over the fleet's resolved prior and PolicyCache quanta: restoring
-// against a different prior is a detected error, never a silently wrong
-// belief.
+// sequence/throughput counters, and the last safe pacing action of the
+// sender's own planner Guard, which RestoreSender puts back on the new
+// sender's Guard, so a restored member degrades as the original would.
+// It is bound to its model identity via policy.HashPrior over the
+// fleet's resolved prior and PolicyCache quanta: restoring against a
+// different prior is a detected error, never a silently wrong belief.
 //
 // The restart ladder, fastest first:
 //
@@ -25,7 +26,7 @@
 //	cold — the prior alone, re-learning from scratch.
 //
 // Warm restores compose with the table (the restored member keeps the
-// table as Guard rung 0), and every restarted member still degrades
+// table as Guard rung 0), and every member, restarted or not, degrades
 // through planner.Guard's in-decision ladder (table → live → cache →
 // last-safe → sleep); this package's ladder chooses where a member
 // *starts*, the Guard's chooses how each *decision* is served.
@@ -52,13 +53,10 @@ type Checkpoint struct {
 	PriorHash uint64
 	// NextSeq, Sent, Acked, Wakes are the sender's counters.
 	NextSeq, Sent, Acked, Wakes int64
-	// LastSafeDelta/HaveSafe are the Guard's remembered safe pacing
-	// action (rung 3 of the degradation ladder). RestoreGuard
-	// reinstates it only on a member attached with a Guard, which a
-	// runtime gives only when its fleet serves a compiled table; without
-	// one, a degraded member's safe interval is dropped on restore.
+	// LastSafeDelta is the sender's Guard's remembered safe pacing
+	// interval (rung 3 of the degradation ladder), zero when it has none;
+	// RestoreSender reinstates it on the restored sender's Guard.
 	LastSafeDelta time.Duration
-	HaveSafe      bool
 	// Belief is the belief snapshot (posterior, pending sends, ack
 	// memory, counters).
 	Belief belief.Snapshot
@@ -69,19 +67,16 @@ type Checkpoint struct {
 // instant but not yet folded into the belief are not captured; the
 // belief's soft matching absorbs the at-most-one-instant gap on
 // restore.
-func Capture(m *fleet.Member, priorHash uint64) (*Checkpoint, error) {
-	c := &Checkpoint{
-		PriorHash: priorHash,
-		NextSeq:   m.Sender.NextSeq(),
-		Sent:      m.Sender.Sent,
-		Acked:     m.Sender.Acked,
-		Wakes:     m.Sender.Wakes,
-		Belief:    m.Sender.Belief.Snapshot(),
+func Capture(m *fleet.Member, priorHash uint64) *Checkpoint {
+	return &Checkpoint{
+		PriorHash:     priorHash,
+		NextSeq:       m.Sender.NextSeq(),
+		Sent:          m.Sender.Sent,
+		Acked:         m.Sender.Acked,
+		Wakes:         m.Sender.Wakes,
+		LastSafeDelta: m.Sender.Guard.LastSafe(),
+		Belief:        m.Sender.Belief.Snapshot(),
 	}
-	if g := m.Sender.Guard; g != nil {
-		c.LastSafeDelta, c.HaveSafe = g.LastSafe()
-	}
-	return c, nil
 }
 
 // MemberHost is the restore surface a checkpointed sender is rebuilt
@@ -101,10 +96,10 @@ type MemberHost interface {
 // RestoreSender rebuilds a sender from the checkpoint against a host's
 // resolved prior and configs. The caller supplies the host's prior
 // hash; a mismatch — the checkpoint was captured under a different
-// model or quanta — is a detected error. The sender is not yet wired
-// into the host; attach it with the runtime's Attach (fleet.Roster.Attach
-// on either runtime), then reinstate the Guard's safe action with
-// RestoreGuard.
+// model or quanta — is a detected error. The sender's Guard holds the
+// checkpoint's safe pacing interval; the sender is not yet wired into
+// the host: attach it with the runtime's Attach (fleet.Roster.Attach on
+// either runtime).
 func RestoreSender(host MemberHost, c *Checkpoint, priorHash uint64) (*core.Sender, error) {
 	if c.PriorHash != priorHash {
 		return nil, fmt.Errorf("lifecycle: checkpoint bound to prior %016x, host resolves to %016x (model or quanta mismatch)", c.PriorHash, priorHash)
@@ -118,16 +113,8 @@ func RestoreSender(host MemberHost, c *Checkpoint, priorHash uint64) (*core.Send
 	s.Sent = c.Sent
 	s.Acked = c.Acked
 	s.Wakes = c.Wakes
+	s.Guard.RestoreLastSafe(c.LastSafeDelta)
 	return s, nil
-}
-
-// RestoreGuard reinstates the checkpointed safe pacing action on an
-// admitted member's Guard (no-op when the member has none or the
-// checkpoint recorded none).
-func RestoreGuard(m *fleet.Member, c *Checkpoint) {
-	if g := m.Sender.Guard; g != nil && c.HaveSafe {
-		g.RestoreLastSafe(c.LastSafeDelta)
-	}
 }
 
 // FleetPriorHash computes the identity a fleet's member checkpoints are

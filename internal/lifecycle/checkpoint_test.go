@@ -70,19 +70,12 @@ func scriptedTrace(t *testing.T, fl *fleet.Fleet, s *core.Sender, wakes, ckptAt 
 // the same checkpoint back, and returns the restored sender.
 func resume(t *testing.T, fl *fleet.Fleet, s *core.Sender, hash uint64) *core.Sender {
 	t.Helper()
-	c, err := Capture(&fleet.Member{Sender: s}, hash)
-	if err != nil {
-		t.Fatalf("Capture: %v", err)
-	}
+	c := Capture(&fleet.Member{Sender: s}, hash)
 	s2, err := RestoreSender(fl, c, hash)
 	if err != nil {
 		t.Fatalf("RestoreSender: %v", err)
 	}
-	c2, err := Capture(&fleet.Member{Sender: s2}, hash)
-	if err != nil {
-		t.Fatalf("Capture of the restored sender: %v", err)
-	}
-	if !reflect.DeepEqual(c, c2) {
+	if c2 := Capture(&fleet.Member{Sender: s2}, hash); !reflect.DeepEqual(c, c2) {
 		t.Fatal("restore∘capture is not the identity on the checkpoint")
 	}
 	return s2
@@ -134,11 +127,7 @@ func liveCheckpoint(t testing.TB) (*fleet.Fleet, *Checkpoint) {
 	t.Helper()
 	fl := fleet.New(fleet.Config{N: 2, Seed: 11, Workers: 1})
 	fl.Run(10 * time.Second)
-	c, err := Capture(fl.Members[0], FleetPriorHash(fl))
-	if err != nil {
-		t.Fatalf("Capture: %v", err)
-	}
-	return fl, c
+	return fl, Capture(fl.Members[0], FleetPriorHash(fl))
 }
 
 func TestRestoreRejectsWrongPrior(t *testing.T) {
@@ -192,10 +181,7 @@ func TestRestoreRefusesClockDisagreement(t *testing.T) {
 			s.SetParams(p)
 		}, "differ from the prior's grid point"},
 	} {
-		c, err := Capture(fl.Members[0], hash) // a fresh copy to edit
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := Capture(fl.Members[0], hash) // a fresh copy to edit
 		row.edit(c)
 		if _, err := belief.Restore(fl.PriorStates(), fl.MemberBeliefConfig(), c.Belief); err == nil || !strings.Contains(err.Error(), row.want) {
 			t.Errorf("%s: belief.Restore returned %v, want an error containing %q", row.name, err, row.want)
@@ -206,8 +192,8 @@ func TestRestoreRefusesClockDisagreement(t *testing.T) {
 	}
 }
 
-// missTable is a compiled policy that never answers: every member of a
-// fleet serving it carries a Guard and plans live.
+// missTable is a compiled policy that never answers: a fleet serving it
+// plans every decision live, as one without a table does.
 type missTable struct{}
 
 func (missTable) Probe([]belief.Hypothesis, []model.Send, time.Duration) (planner.Decision, bool) {
@@ -217,49 +203,55 @@ func (missTable) RecordMiss([]belief.Hypothesis, []model.Send, time.Duration, pl
 
 // TestRestoreGuardKeepsLastSafe: a member whose Guard has remembered a
 // safe pacing interval keeps it across a warm restart — restored as
-// Controller.restart restores, RestoreSender, Attach, RestoreGuard — and
-// its first degraded fallback wakes where the original's would. The
-// fleet has no shared cache, so that fallback is rung 3.
+// Controller.restart restores, RestoreSender then Attach — with a
+// compiled table or without one, and once degraded the original and the
+// restored member each fall back to now + that interval. The fleet has
+// no shared cache, so that fallback is rung 3.
 func TestRestoreGuardKeepsLastSafe(t *testing.T) {
-	cfg := fleet.Config{N: 2, Seed: 11, Workers: 1, Table: missTable{}, NoSharedCache: true}
-	src := fleet.New(cfg)
-	src.Run(10 * time.Second)
-	orig := src.Members[0]
-	hash := FleetPriorHash(src)
-	ck, err := Capture(orig, hash)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ck.HaveSafe {
-		t.Fatal("the captured member has no safe interval: it never slept")
-	}
+	for _, tc := range []struct {
+		name  string
+		table planner.CompiledPolicy
+	}{
+		{"table", missTable{}},
+		{"no table", nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := fleet.Config{N: 2, Seed: 11, Workers: 1, Table: tc.table, NoSharedCache: true}
+			src := fleet.New(cfg)
+			src.Run(10 * time.Second)
+			orig := src.Members[0]
+			hash := FleetPriorHash(src)
+			ck := Capture(orig, hash)
+			want := orig.Sender.Guard.LastSafe()
+			if want <= 0 {
+				t.Fatal("the captured member has no safe interval: it never slept")
+			}
 
-	dst := fleet.New(cfg)
-	dst.Retire(0)
-	snd, err := RestoreSender(dst, ck, hash)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := dst.Attach(0, snd, 0)
-	RestoreGuard(m, ck)
-	if m.Sender.Guard == nil {
-		t.Fatal("the restored member has no Guard")
-	}
-	wantD, wantOK := orig.Sender.Guard.LastSafe()
-	if d, ok := m.Sender.Guard.LastSafe(); d != wantD || ok != wantOK {
-		t.Fatalf("restored LastSafe = %v, %v; the original's is %v, %v", d, ok, wantD, wantOK)
-	}
+			dst := fleet.New(cfg)
+			dst.Retire(0)
+			snd, err := RestoreSender(dst, ck, hash)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := dst.Attach(0, snd, 0)
+			if got := m.Sender.Guard.LastSafe(); got != want {
+				t.Fatalf("restored LastSafe = %v; the original's is %v", got, want)
+			}
 
-	now := ck.Belief.Now
-	var wakes [2]time.Duration
-	for i, mm := range []*fleet.Member{orig, m} {
-		mm.SetDegraded(true)
-		wakes[i] = mm.Sender.Wake(now, nil).WakeAt
-		if g := mm.Sender.Guard; g.SafeFallbacks != 1 {
-			t.Fatalf("member %d: %d safe fallbacks on its first degraded wake, want 1", i, g.SafeFallbacks)
-		}
-	}
-	if wakes[0] != wakes[1] || wakes[1] != now+wantD {
-		t.Fatalf("first degraded fallback wakes at %v restored, %v original; want now+%v = %v", wakes[1], wakes[0], wantD, now+wantD)
+			now := ck.Belief.Now
+			for _, mm := range []struct {
+				name string
+				m    *fleet.Member
+			}{{"original", orig}, {"restored", m}} {
+				mm.m.SetDegraded(true)
+				at := mm.m.Sender.Wake(now, nil).WakeAt
+				if g := mm.m.Sender.Guard; g.SafeFallbacks != 1 {
+					t.Fatalf("%s: %d safe fallbacks on its first degraded wake, want 1", mm.name, g.SafeFallbacks)
+				}
+				if at != now+want {
+					t.Errorf("%s: first degraded fallback wakes at %v, want now+%v = %v", mm.name, at, want, now+want)
+				}
+			}
+		})
 	}
 }

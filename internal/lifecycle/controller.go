@@ -115,10 +115,10 @@ type flowState struct {
 }
 
 // Controller is the member lifecycle policy, written once for both
-// runtimes: the health verdict (re-seed and Guard-overrun streaks),
-// capped exponential backoff and the drain wait, the churn schedule's
-// draws, flow allocation, the hot/warm/cold restart ladder, checkpoint
-// capture, and the log every run is judged by (Events, Records, Stats).
+// runtimes: the health verdict (re-seed streaks), capped exponential
+// backoff and the drain wait, the churn schedule's draws, flow
+// allocation, the hot/warm/cold restart ladder, checkpoint capture, and
+// the log every run is judged by (Events, Records, Stats).
 // Its runtime decides only when Health, Epoch, Restart and Kill run and
 // what to Checkpoint: the Supervisor at exact instants on the single
 // loop, shard.Fleet at coupling-window barriers. Each embeds one.
@@ -217,10 +217,9 @@ func (c *Controller) Initial(m *fleet.Member) { c.open(m, CauseInitial, c.freshK
 
 // Health is one health sweep over the live members in ascending flow
 // order: a member whose belief re-seeded maxReseeds times since the last
-// sweep, or whose Guard reports maxOverruns consecutive overruns, is
-// declared failed and queued for restart; one that stayed healthy two
-// full intervals after a restart has recovered, and its next failure
-// starts the backoff from scratch.
+// sweep is declared failed and queued for restart; one that stayed
+// healthy two full intervals after a restart has recovered, and its next
+// failure starts the backoff from scratch.
 func (c *Controller) Health() {
 	now := c.rt.Now()
 	c.scratch = c.rt.LiveFlows(c.scratch[:0])
@@ -228,11 +227,7 @@ func (c *Controller) Health() {
 		m := c.rt.MemberAt(flow)
 		fs := c.flow(flow)
 		reseeds := BeliefReseeds(m)
-		failed := reseeds-fs.lastReseeds >= maxReseeds
-		if g := m.Sender.Guard; !failed && g != nil {
-			failed = g.ConsecutiveOverruns >= maxOverruns
-		}
-		if failed {
+		if reseeds-fs.lastReseeds >= maxReseeds {
 			c.casualty(flow, EventFail)
 			continue
 		}
@@ -409,7 +404,6 @@ func (c *Controller) restart(flow packet.FlowID, cause Cause, attempt int, offse
 			fs.latest = nil
 		} else {
 			m = c.rt.Attach(flow, snd, offset)
-			RestoreGuard(m, ck)
 			kind = RestartWarm
 		}
 	}
@@ -435,11 +429,6 @@ func (c *Controller) restart(flow packet.FlowID, cause Cause, attempt int, offse
 // Checkpoint captures m as its flow's latest checkpoint, bound to the
 // runtime's prior hash.
 func (c *Controller) Checkpoint(m *fleet.Member) {
-	ck, err := Capture(m, c.rt.PriorHash())
-	if err != nil {
-		c.Stats.CheckpointErrors++
-		return
-	}
-	c.flow(m.Flow).latest = ck
+	c.flow(m.Flow).latest = Capture(m, c.rt.PriorHash())
 	c.Stats.Checkpoints++
 }

@@ -20,9 +20,6 @@ const (
 	// posterior keeps collapsing, so the member has lost its model of
 	// the network.
 	maxReseeds = 2
-	// maxOverruns declares a member failed when its Guard reports this
-	// many consecutive deadline overruns — the planner is wedged.
-	maxOverruns = 8
 	// drainPoll is how often a pending restart re-checks a flow whose
 	// predecessor still has packets in flight; the restart waits for a
 	// full drain so the fenced per-flow counters stay unambiguous.
@@ -232,7 +229,9 @@ type MemberRecord struct {
 	RetiredAt time.Duration
 }
 
-// Stats counts lifecycle activity.
+// Stats counts lifecycle activity. CheckpointErrors counts restores that
+// failed — a checkpoint the restart then discarded for a cold or hot
+// start — since capturing one cannot fail.
 type Stats struct {
 	Checkpoints, CheckpointErrors           int
 	Failures, Crashes, Departures, Arrivals int

