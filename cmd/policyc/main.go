@@ -1,27 +1,27 @@
-// Command policyc compiles, inspects, verifies, and merges compiled
-// policy tables (internal/policy).
+// Command policyc compiles, inspects and verifies compiled policy tables
+// (internal/policy).
 //
 // Usage:
 //
 //	policyc compile -o table.pol [-n 32] [-dur 30s] [-seeds 1,2,3] [-note s]
-//	    Replay fleet runs and write the captured fingerprint → action
-//	    map as a compiled table.
+//	    Replay fleet runs and write the fingerprint → action map of
+//	    their decisions as a compiled table.
 //
-//	policyc inspect file.pol...
-//	    Print header identity, provenance, and record counts for tables
-//	    or sidecar miss logs.
+//	policyc inspect table.pol...
+//	    Print header identity, provenance, and record counts.
 //
 //	policyc verify table.pol [-serve] [-n 32] [-dur 30s] [-seed 5] [-minhit 0.9]
 //	    Round-trip every record through the serving path (bit-identical
 //	    or non-zero exit). With -serve, additionally replay a fleet run
 //	    against the table and require the compiled hit rate ≥ -minhit.
 //
-//	policyc merge -o out.pol table.pol [sidecar.miss...]
-//	    Fold sidecar miss logs (or further tables) into a new table
-//	    generation; the first file wins duplicated fingerprints.
+// compile and verify take -workers, the rollout pool's width (0 =
+// GOMAXPROCS).
 //
 // Exit status: 0 on success, 1 on a failed operation, 2 on a usage error
-// (-n < 1, a non-positive -dur, -minhit outside [0, 1]).
+// (an unknown subcommand or flag, -n < 1, a non-positive -dur, -minhit
+// outside [0, 1], a negative -workers, a -seeds entry that is not an
+// integer, or a wrong number of file arguments).
 package main
 
 import (
@@ -48,8 +48,6 @@ func main() {
 		err = runInspect(os.Args[2:])
 	case "verify":
 		err = runVerify(os.Args[2:])
-	case "merge":
-		err = runMerge(os.Args[2:])
 	default:
 		usage()
 	}
@@ -60,14 +58,15 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: policyc {compile|inspect|verify|merge} [flags]")
+	fmt.Fprintln(os.Stderr, "usage: policyc {compile|inspect|verify} [flags]")
 	os.Exit(2)
 }
 
 // checkRanges refuses replay flags outside their domain — a fleet of no
 // members, a replay of no length, a hit-rate floor that is not a
-// fraction. A non-nil error is a usage error (exit 2).
-func checkRanges(n int, dur time.Duration, minhit float64) error {
+// fraction, a pool of negative width. A non-nil error is a usage error
+// (exit 2).
+func checkRanges(n int, dur time.Duration, minhit float64, workers int) error {
 	switch {
 	case n < 1:
 		return fmt.Errorf("-n %d: must be at least 1", n)
@@ -75,6 +74,8 @@ func checkRanges(n int, dur time.Duration, minhit float64) error {
 		return fmt.Errorf("-dur %v: must be positive", dur)
 	case !(minhit >= 0 && minhit <= 1):
 		return fmt.Errorf("-minhit %v: must be a fraction in [0, 1]", minhit)
+	case workers < 0:
+		return fmt.Errorf("-workers %d: must not be negative", workers)
 	}
 	return nil
 }
@@ -96,7 +97,7 @@ func parseSeeds(s string) ([]int64, error) {
 		}
 		v, err := strconv.ParseInt(f, 10, 64)
 		if err != nil {
-			return nil, fmt.Errorf("bad seed %q: %w", f, err)
+			return nil, fmt.Errorf("-seeds %q: %q is not an integer", s, f)
 		}
 		out = append(out, v)
 	}
@@ -112,12 +113,10 @@ func runCompile(args []string) error {
 	note := fs.String("note", "", "provenance note recorded in the header")
 	workers := fs.Int("workers", 0, "rollout workers (0 = GOMAXPROCS)")
 	fs.Parse(args)
-	checkUsage(checkRanges(*n, *dur, 0))
-
+	checkUsage(checkRanges(*n, *dur, 0, *workers))
 	sd, err := parseSeeds(*seeds)
-	if err != nil {
-		return err
-	}
+	checkUsage(err)
+
 	cc := policy.CompileConfig{
 		Fleet:    fleet.Config{N: *n, Workers: *workers},
 		Seeds:    sd,
@@ -131,22 +130,24 @@ func runCompile(args []string) error {
 	if err := policy.WriteTable(*out, h, recs); err != nil {
 		return err
 	}
-	fmt.Printf("compiled %s: %d records from %d replay(s) (%d stores, %d collisions dropped)\n",
+	fmt.Printf("compiled %s: %d records from %d replay(s) (%d decisions, %d collisions dropped)\n",
 		*out, stats.Unique, stats.Runs, stats.Stored, stats.Collisions)
 	return nil
 }
 
 func runInspect(args []string) error {
 	if len(args) == 0 {
-		return fmt.Errorf("inspect: no files")
+		checkUsage(fmt.Errorf("inspect: no files"))
 	}
 	for _, path := range args {
-		h, recs, err := policy.ReadFile(path)
+		t, err := policy.Open(path)
 		if err != nil {
 			return err
 		}
+		h := t.Header()
+		t.Close()
 		fmt.Printf("%s:\n", path)
-		fmt.Printf("  records        %d\n", len(recs))
+		fmt.Printf("  records        %d\n", h.Records)
 		fmt.Printf("  fleet n        %d\n", h.FleetN)
 		fmt.Printf("  time quantum   %v\n", h.TimeQuantum)
 		fmt.Printf("  weight quantum %g\n", h.WeightQuantum)
@@ -169,9 +170,9 @@ func runVerify(args []string) error {
 	minhit := fs.Float64("minhit", 0.9, "minimum compiled hit rate for -serve")
 	workers := fs.Int("workers", 0, "rollout workers (0 = GOMAXPROCS)")
 	fs.Parse(args)
-	checkUsage(checkRanges(*n, *dur, *minhit))
+	checkUsage(checkRanges(*n, *dur, *minhit, *workers))
 	if fs.NArg() != 1 {
-		return fmt.Errorf("verify: want exactly one table path")
+		checkUsage(fmt.Errorf("verify: want exactly one table path, got %d", fs.NArg()))
 	}
 	path := fs.Arg(0)
 
@@ -207,26 +208,5 @@ func runVerify(args []string) error {
 	if rate < *minhit {
 		return fmt.Errorf("hit rate %.4f below floor %.4f", rate, *minhit)
 	}
-	return nil
-}
-
-func runMerge(args []string) error {
-	fs := flag.NewFlagSet("merge", flag.ExitOnError)
-	out := fs.String("o", "", "output table path (required)")
-	fs.Parse(args)
-	if *out == "" {
-		return fmt.Errorf("merge: -o required")
-	}
-	if fs.NArg() == 0 {
-		return fmt.Errorf("merge: no input files")
-	}
-	h, recs, err := policy.Merge(fs.Args()...)
-	if err != nil {
-		return err
-	}
-	if err := policy.WriteTable(*out, h, recs); err != nil {
-		return err
-	}
-	fmt.Printf("merged %d file(s) into %s: %d records\n", fs.NArg(), *out, len(recs))
 	return nil
 }

@@ -55,6 +55,11 @@ type Sender struct {
 	// a real-socket driver gives it a Budget, since a stalled decision
 	// there is a stalled event loop — and never sets it to nil.
 	Guard *planner.Guard
+	// OnDecide, when non-nil, observes every decision: Wake calls it
+	// right after each Guard.Decide, before RecordSend, with the wake the
+	// decision planned on and the pending sends it saw. policy.Compile
+	// records its table through it.
+	OnDecide func(w *planner.Wake, pending []model.Send, d planner.Decision)
 	// MaxBurst caps how many packets one wakeup may emit; the planner
 	// naturally starts pacing after a few commitments, so the cap only
 	// guards pathological configurations.
@@ -94,8 +99,8 @@ func (s *Sender) SetNextSeq(seq int64) { s.nextSeq = seq }
 // Its calls come in a fixed order that instrumentation decorating the
 // Belief or the Guard's CompiledPolicy relies on: one Update, one Support
 // (the planner.Wake every decision of this wake plans on), then per
-// decision PendingSends immediately followed by Guard.Decide and, when it
-// sends, RecordSend.
+// decision PendingSends immediately followed by Guard.Decide, OnDecide
+// and, when it sends, RecordSend.
 func (s *Sender) Wake(now time.Duration, acks []packet.Ack) Action {
 	s.Wakes++
 	s.Acked += int64(len(acks))
@@ -108,7 +113,11 @@ func (s *Sender) Wake(now time.Duration, acks []packet.Ack) Action {
 		maxBurst = 32
 	}
 	for i := 0; i < maxBurst; i++ {
-		d := s.Guard.Decide(&s.wake, s.Belief.PendingSends(), s.nextSeq, s.Plan)
+		pending := s.Belief.PendingSends()
+		d := s.Guard.Decide(&s.wake, pending, s.nextSeq, s.Plan)
+		if s.OnDecide != nil {
+			s.OnDecide(&s.wake, pending, d)
+		}
 		if !d.SendNow {
 			act.WakeAt = d.WakeAt
 			return act

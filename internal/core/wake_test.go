@@ -41,12 +41,12 @@ func (r *reweighted) Update(now time.Duration, acks []packet.Ack) belief.UpdateS
 
 func (r *reweighted) Support() []belief.Hypothesis { return r.sup }
 
-// freshCheck is the compiled policy the sender's Guard probes: it never
-// hits, and every decision the Guard reports back is compared with a fresh
-// one on the belief as it stands — planner.Decide on a pool nothing has
-// planned on, behind a reference PolicyCache fed the same calls when the
-// sender plans through a cache. The decision's gate-off hypotheses are also
-// planned alone, on the quiet pool: nothing arrives at them in a plan.
+// freshCheck observes the sender's decisions (Sender.OnDecide): each is
+// compared with a fresh one on the belief as it stands — planner.Decide on
+// a pool nothing has planned on, behind a reference PolicyCache fed the
+// same calls when the sender plans through a cache. The decision's
+// gate-off hypotheses are also planned alone, on the quiet pool: nothing
+// arrives at them in a plan.
 type freshCheck struct {
 	t     *testing.T
 	bel   belief.Belief
@@ -56,11 +56,7 @@ type freshCheck struct {
 	calls int
 }
 
-func (f *freshCheck) Probe([]belief.Hypothesis, []model.Send, time.Duration) (planner.Decision, bool) {
-	return planner.Decision{}, false
-}
-
-func (f *freshCheck) RecordMiss(_ []belief.Hypothesis, _ []model.Send, _ time.Duration, d planner.Decision) {
+func (f *freshCheck) decided(_ *planner.Wake, _ []model.Send, d planner.Decision) {
 	f.calls++
 	sup, pending, now := f.bel.Support(), f.bel.PendingSends(), f.bel.Now()
 	cfg := f.plan
@@ -128,7 +124,7 @@ func TestWakeMatchesFreshDecide(t *testing.T) {
 				snd := NewSender(bel, plan)
 				snd.MaxBurst = 4
 				check := &freshCheck{t: t, bel: bel, plan: plan, quiet: rollout.New(workers)}
-				snd.Guard.Compiled = check
+				snd.OnDecide = check.decided
 				if cached {
 					snd.Guard.Cache, check.ref = planner.NewPolicyCache(0), planner.NewPolicyCache(0)
 				}

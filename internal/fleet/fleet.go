@@ -101,10 +101,8 @@ type Config struct {
 	// policy.Server over a compiled table) probed before any live
 	// planning. It is shared read-only across all members, as rung 0 of
 	// each member's synchronous planner.Guard; a miss is planned as every
-	// decision is without a table, through the shared PolicyCache.
-	// Misses go to the server's miss log, and every policy.NewServer
-	// caller (policyc verify -serve, cmd/bench's serve-256) passes a nil
-	// one, so no run records them.
+	// decision is without a table, through the shared PolicyCache, and
+	// is not recorded anywhere.
 	Table planner.CompiledPolicy
 	// NoSharedCache disables the fleet-wide policy cache (for the
 	// ablation benchmark; every member then plans from scratch).
@@ -145,10 +143,6 @@ type Config struct {
 	// Pool and Workers are fleet-owned: every member runs on the
 	// fleet's shared pool regardless of what is set here.
 	BeliefCfg belief.Config
-	// Plan overrides non-zero fields of the fleet planner defaults (a
-	// fully zero Plan.Util is replaced by the α-weighted default;
-	// Pool and Workers are fleet-owned, as above).
-	Plan planner.Config
 }
 
 func (c Config) withDefaults() Config {
@@ -266,34 +260,13 @@ func beliefDefaults(cfg belief.Config, n int) belief.Config {
 // that stays busy is closed from the baseline's running value, see
 // planner.Decide — planning cost is no longer
 // candidates × horizon, but it is still linear in the horizon.)
-func planDefaults(cfg planner.Config, perSender units.BitRate, u utility.Config, n int) planner.Config {
+func planDefaults(perSender units.BitRate, u utility.Config, n int) planner.Config {
 	fairInterval := units.TransmitTime(packet.DefaultSizeBits, perSender)
-	if cfg.MaxDelay <= 0 {
-		cfg.MaxDelay = 2 * fairInterval
-	}
-	if cfg.Grid <= 0 {
-		if n <= preciseMaxN {
-			cfg.Grid = fairInterval / 10
-		} else {
-			cfg.Grid = fairInterval / 4
-		}
-	}
-	if cfg.Horizon <= 0 {
-		if n <= preciseMaxN {
-			cfg.Horizon = 40 * time.Second
-		} else {
-			cfg.Horizon = 12 * time.Second
-		}
-	}
-	if cfg.MaxHyps <= 0 {
-		if n <= preciseMaxN {
-			cfg.MaxHyps = 256
-		} else {
-			cfg.MaxHyps = 64
-		}
-	}
-	if cfg.Util == (utility.Config{}) {
-		cfg.Util = u
+	cfg := planner.Config{MaxDelay: 2 * fairInterval, Util: u}
+	if n <= preciseMaxN {
+		cfg.Grid, cfg.Horizon, cfg.MaxHyps = fairInterval/10, 40*time.Second, 256
+	} else {
+		cfg.Grid, cfg.Horizon, cfg.MaxHyps = fairInterval/4, 12*time.Second, 64
 	}
 	return cfg
 }

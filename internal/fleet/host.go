@@ -66,7 +66,7 @@ func (h *host) init(cfg Config, loop *sim.Loop, caches *planner.CacheStripes, ou
 	u.Alpha = cfg.Alpha
 	h.bcfg = beliefDefaults(cfg.BeliefCfg, cfg.N)
 	h.bcfg.Pool = h.Pool
-	h.pcfg = planDefaults(cfg.Plan, cfg.PerSenderRate, u, cfg.N)
+	h.pcfg = planDefaults(cfg.PerSenderRate, u, cfg.N)
 	h.pcfg.Pool = h.Pool
 }
 

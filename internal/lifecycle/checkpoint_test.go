@@ -199,7 +199,6 @@ type missTable struct{}
 func (missTable) Probe([]belief.Hypothesis, []model.Send, time.Duration) (planner.Decision, bool) {
 	return planner.Decision{}, false
 }
-func (missTable) RecordMiss([]belief.Hypothesis, []model.Send, time.Duration, planner.Decision) {}
 
 // TestRestoreGuardKeepsLastSafe: a member whose Guard has remembered a
 // safe pacing interval keeps it across a warm restart — restored as

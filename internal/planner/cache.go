@@ -31,10 +31,10 @@ import (
 // compiled tables of internal/policy apply at multi-million-entry
 // scale, where 64-bit collisions stop being ignorable).
 //
-// The cache is also the offline policy compiler's capture point: set
-// OnStore to observe every fingerprint → decision pair a run computes
-// (internal/policy replays fleet runs with this hook to build its
-// persistent tables).
+// The cache's quanta are also the key language of the offline policy
+// compiler: internal/policy replays fleet runs, fingerprints every
+// decision their senders take (core.Sender.OnDecide) under the fleet
+// cache's quanta, and writes the pairs as a persistent table.
 type PolicyCache struct {
 	entries map[uint64]cachedDecision
 	// ring holds the resident fingerprints in insertion order; hand is
@@ -72,11 +72,6 @@ type PolicyCache struct {
 	// WeightQuantum, when positive, buckets hypothesis weights
 	// (default 1e-6).
 	WeightQuantum float64
-	// OnStore, when non-nil, observes every entry the cache stores
-	// (including re-stores after eviction). The offline policy compiler
-	// sets it to capture the full fingerprint → action sweep of a run
-	// even when the resident set is smaller.
-	OnStore func(Entry)
 }
 
 type cachedDecision struct {
@@ -210,7 +205,6 @@ func (pc *PolicyCache) insert(fp uint64, cd cachedDecision) {
 		// recency.
 		cd.used = old.used
 		pc.entries[fp] = cd
-		pc.notify(fp, cd)
 		return
 	}
 	if len(pc.entries) >= pc.MaxEntries && len(pc.ring) > 0 {
@@ -235,13 +229,6 @@ func (pc *PolicyCache) insert(fp uint64, cd cachedDecision) {
 		pc.ring = append(pc.ring, fp)
 	}
 	pc.entries[fp] = cd
-	pc.notify(fp, cd)
-}
-
-func (pc *PolicyCache) notify(fp uint64, cd cachedDecision) {
-	if pc.OnStore != nil {
-		pc.OnStore(cd.entry(fp))
-	}
 }
 
 // Fingerprint hashes the support and pending sends with all times

@@ -302,27 +302,3 @@ func TestPolicyCacheCollisionDetected(t *testing.T) {
 		t.Fatalf("slot not healed after collision: ok=%v d=%+v", ok, d)
 	}
 }
-
-// TestPolicyCacheOnStoreRoundTrips: OnStore observes every store with its
-// verification hash (the policy compiler's capture path), and each observed
-// entry, rebased, is what the cache serves for its belief.
-func TestPolicyCacheOnStoreRoundTrips(t *testing.T) {
-	pc := NewPolicyCache(0)
-	var observed []Entry
-	pc.OnStore = func(e Entry) { observed = append(observed, e) }
-	now := 10 * time.Second
-	for i := 0; i < 3; i++ {
-		pc.Store(distinctSupport(i), nil, now, Decision{WakeAt: now + time.Duration(i+1)*50*time.Millisecond, Gain: float64(i)})
-	}
-	if pc.Len() != 3 || len(observed) != 3 {
-		t.Fatalf("resident=%d observed=%d, want 3/3", pc.Len(), len(observed))
-	}
-	for i, o := range observed {
-		sup := distinctSupport(i)
-		fp, ver := Fingerprint(sup, nil, now, 0, 1e-6)
-		d, ok := pc.Lookup(NewWake(sup, now), nil)
-		if o.FP != fp || o.Verify != ver || !ok || d != o.Decision(now, len(sup)) {
-			t.Fatalf("observed entry %+v does not round-trip: fp %016x/%016x served %+v (ok=%v)", o, fp, ver, d, ok)
-		}
-	}
-}

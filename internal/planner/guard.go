@@ -10,35 +10,31 @@ import (
 // CompiledPolicy is an offline-compiled, read-only belief → action map:
 // §3.3's policy "computed in advance" made persistent. internal/policy
 // implements it over an mmap-ed flat table; the Guard probes it before
-// any live planning (a table hit is the O(1) production serving path)
-// and feeds live decisions the table missed back to it, seeding the
-// next compile.
+// any live planning (a table hit is the O(1) production serving path).
+// The table is compiled from the decisions of fleet runs
+// (core.Sender.OnDecide); serving never writes to it.
 //
-// Probe and RecordMiss take the bare support, so an implementation
-// re-fingerprints the whole support on every decision of a wake. A
-// policy that also implements WakePolicy is handed the wake instead; the
-// Guard calls these two only on a policy that does not, which includes
-// any decorator that embeds a CompiledPolicy without re-exporting
-// WakePolicy — so such a decorator still sees every probe.
+// Probe takes the bare support, so an implementation re-fingerprints the
+// whole support on every decision of a wake. A policy that also
+// implements WakePolicy is handed the wake instead; the Guard calls
+// Probe only on a policy that does not, which includes any decorator
+// that embeds a CompiledPolicy without re-exporting WakePolicy — so such
+// a decorator still sees every probe.
 type CompiledPolicy interface {
 	// Probe returns the compiled action for this belief, rebased to
 	// now, or ok = false on a table miss (including a detected
 	// fingerprint collision, which must be treated as a miss).
 	Probe(sup []belief.Hypothesis, pending []model.Send, now time.Duration) (Decision, bool)
-	// RecordMiss notes a live decision the table could not serve, so
-	// the next compile covers the situation.
-	RecordMiss(sup []belief.Hypothesis, pending []model.Send, now time.Duration, d Decision)
 }
 
-// WakePolicy is the wake-keyed form of CompiledPolicy: the same probe and
-// miss record, on the wake's belief at its instant, so the fingerprint's
-// support half (Wake.Fingerprint) is paid once per wake rather than once
-// per decision. The Guard prefers it whenever its CompiledPolicy
-// implements it. ProbeWake and RecordMissWake must answer exactly as
-// Probe and RecordMiss do on (w.Support(), pending, w.Now()).
+// WakePolicy is the wake-keyed form of CompiledPolicy: the same probe, on
+// the wake's belief at its instant, so the fingerprint's support half
+// (Wake.Fingerprint) is paid once per wake rather than once per
+// decision. The Guard prefers it whenever its CompiledPolicy implements
+// it. ProbeWake must answer exactly as Probe does on (w.Support(),
+// pending, w.Now()).
 type WakePolicy interface {
 	ProbeWake(w *Wake, pending []model.Send) (Decision, bool)
-	RecordMissWake(w *Wake, pending []model.Send, d Decision)
 }
 
 // Guard is a sender's one decision path (core.NewSender gives every
@@ -90,10 +86,9 @@ type Guard struct {
 	Cache *PolicyCache
 	// Compiled, when non-nil, is the offline-compiled policy table,
 	// probed before any live planning (the table is immutable during a
-	// run, so the fallback ladder does not probe it a second time).
-	// Live decisions it missed are reported back to it. Both go through
-	// WakePolicy when Compiled implements it, else through Probe and
-	// RecordMiss on the wake's support.
+	// run, so the fallback ladder does not probe it a second time),
+	// through WakePolicy when Compiled implements it, else through Probe
+	// on the wake's support.
 	Compiled CompiledPolicy
 	// Degraded, when true, pins Decide to the degradation ladder
 	// without ever live-planning: the compiled table when wired, else
@@ -181,7 +176,6 @@ func (g *Guard) Decide(w *Wake, pending []model.Send, seq int64, cfg Config) Dec
 			d = w.Decide(pending, seq, cfg)
 		}
 		g.Live++
-		g.recordMiss(w, pending, d)
 		g.noteSafe(d, now)
 		return d
 	}
@@ -232,7 +226,6 @@ func (g *Guard) Decide(w *Wake, pending []model.Send, seq int64, cfg Config) Dec
 		g.inflight = nil
 		g.absorb(res)
 		g.Live++
-		g.recordMiss(w, pending, res.d)
 		g.noteSafe(res.d, now)
 		return res.d
 	case <-timer.C:
@@ -251,18 +244,6 @@ func (g *Guard) probeCompiled(w *Wake, pending []model.Send) (Decision, bool) {
 		return c.ProbeWake(w, pending)
 	default:
 		return c.Probe(w.sup, pending, w.now)
-	}
-}
-
-// recordMiss reports a live decision d of wake w back to the compiled
-// table, through WakePolicy when the table implements it.
-func (g *Guard) recordMiss(w *Wake, pending []model.Send, d Decision) {
-	switch c := g.Compiled.(type) {
-	case nil:
-	case WakePolicy:
-		c.RecordMissWake(w, pending, d)
-	default:
-		c.RecordMiss(w.sup, pending, w.now, d)
 	}
 }
 

@@ -133,13 +133,12 @@ func TestGuardCacheSeededByStraggler(t *testing.T) {
 }
 
 // fakeCompiled is a test CompiledPolicy: a fixed decision (rebased to
-// now) when hit is true, and a log of recorded misses.
+// now) when hit is true, and a count of probes.
 type fakeCompiled struct {
 	hit    bool
 	delta  time.Duration
 	send   bool
 	probes int
-	misses []Decision
 }
 
 func (f *fakeCompiled) Probe(sup []belief.Hypothesis, pending []model.Send, now time.Duration) (Decision, bool) {
@@ -148,10 +147,6 @@ func (f *fakeCompiled) Probe(sup []belief.Hypothesis, pending []model.Send, now 
 		return Decision{}, false
 	}
 	return Decision{SendNow: f.send, WakeAt: now + f.delta, Support: len(sup)}, true
-}
-
-func (f *fakeCompiled) RecordMiss(sup []belief.Hypothesis, pending []model.Send, now time.Duration, d Decision) {
-	f.misses = append(f.misses, d)
 }
 
 // TestGuardCompiledRungServes: a compiled-table hit answers without
@@ -171,16 +166,12 @@ func TestGuardCompiledRungServes(t *testing.T) {
 		if g.CompiledHits != 1 || g.Live != 0 {
 			t.Fatalf("budget=%v: counters compiled=%d live=%d, want 1/0", budget, g.CompiledHits, g.Live)
 		}
-		if len(fc.misses) != 0 {
-			t.Fatalf("budget=%v: hit recorded as miss", budget)
-		}
 	}
 }
 
-// TestGuardCompiledMissFallsToLiveAndRecords: a table miss falls
-// through to live planning (identical decision to the unguarded
-// planner) and the live result is fed back via RecordMiss.
-func TestGuardCompiledMissFallsToLiveAndRecords(t *testing.T) {
+// TestGuardCompiledMissFallsToLive: a table miss falls through to live
+// planning, with the decision the unguarded planner takes.
+func TestGuardCompiledMissFallsToLive(t *testing.T) {
 	sup := guardSupport()
 	fc := &fakeCompiled{hit: false}
 	g := NewGuard(0, nil)
@@ -190,11 +181,8 @@ func TestGuardCompiledMissFallsToLiveAndRecords(t *testing.T) {
 	if got.SendNow != want.SendNow || got.WakeAt != want.WakeAt || got.Gain != want.Gain {
 		t.Fatalf("miss path decision %+v != live %+v", got, want)
 	}
-	if fc.probes != 1 || len(fc.misses) != 1 {
-		t.Fatalf("probes=%d misses=%d, want 1/1", fc.probes, len(fc.misses))
-	}
-	if m := fc.misses[0]; m.SendNow != want.SendNow || m.WakeAt != want.WakeAt {
-		t.Fatalf("recorded miss %+v != served decision %+v", m, want)
+	if fc.probes != 1 {
+		t.Fatalf("probes=%d, want 1", fc.probes)
 	}
 	if g.Live != 1 || g.CompiledHits != 0 {
 		t.Fatalf("counters live=%d compiled=%d, want 1/0", g.Live, g.CompiledHits)
@@ -260,11 +248,11 @@ func TestGuardLatencySampling(t *testing.T) {
 }
 
 // wakeFake is a test WakePolicy: fakeCompiled's answers, keyed by the
-// wake, with the wakes it was handed for probes and for recorded misses.
-// Its promoted Probe and RecordMiss count into the embedded fakeCompiled.
+// wake, with the wakes it was handed for probes. Its promoted Probe
+// counts into the embedded fakeCompiled.
 type wakeFake struct {
 	fakeCompiled
-	probed, missed []*Wake
+	probed []*Wake
 }
 
 func (f *wakeFake) ProbeWake(w *Wake, pending []model.Send) (Decision, bool) {
@@ -273,10 +261,6 @@ func (f *wakeFake) ProbeWake(w *Wake, pending []model.Send) (Decision, bool) {
 		return Decision{}, false
 	}
 	return Decision{SendNow: f.send, WakeAt: w.now + f.delta, Support: len(w.sup)}, true
-}
-
-func (f *wakeFake) RecordMissWake(w *Wake, pending []model.Send, d Decision) {
-	f.missed = append(f.missed, w)
 }
 
 // probeCounter has the shape of a tracing decorator: it embeds a
@@ -292,12 +276,11 @@ func (p *probeCounter) Probe(sup []belief.Hypothesis, pending []model.Send, now 
 	return p.CompiledPolicy.Probe(sup, pending, now)
 }
 
-// TestGuardProbesCompiledWithTheWake: rung 0 and the miss record go
-// through WakePolicy when the compiled policy implements it — the same
-// *Wake on every decision of a wake, Probe and RecordMiss never — and
-// through Probe and RecordMiss otherwise, so a plain policy and a
-// decorator that overrides Probe see every probe. On the normal and the
-// Degraded path, on table hits and on misses.
+// TestGuardProbesCompiledWithTheWake: rung 0 goes through WakePolicy
+// when the compiled policy implements it — the same *Wake on every
+// decision of a wake, Probe never — and through Probe otherwise, so a
+// plain policy and a decorator that overrides Probe see every probe. On
+// the normal and the Degraded path, on table hits and on misses.
 func TestGuardProbesCompiledWithTheWake(t *testing.T) {
 	sup := guardSupport()
 	const perWake = 3
@@ -308,12 +291,6 @@ func TestGuardProbesCompiledWithTheWake(t *testing.T) {
 				plain := &fakeCompiled{hit: hit, delta: 300 * time.Millisecond}
 				inner := &wakeFake{fakeCompiled: *plain}
 				dec := &probeCounter{CompiledPolicy: inner}
-				// The Guard records one miss per live decision, none while
-				// Degraded.
-				missed := 0
-				if !hit && !degraded {
-					missed = 1
-				}
 				var served [3][]Decision
 				var wakes [3][]*Wake
 				for r, c := range []CompiledPolicy{wf, plain, dec} {
@@ -335,26 +312,20 @@ func TestGuardProbesCompiledWithTheWake(t *testing.T) {
 					}
 				}
 				n := len(served[0])
-				if len(wf.probed) != n || wf.probes != 0 || len(wf.misses) != 0 || len(wf.missed) != missed*n {
-					t.Fatalf("WakePolicy: %d ProbeWake, %d Probe, %d RecordMiss, %d RecordMissWake over %d decisions",
-						len(wf.probed), wf.probes, len(wf.misses), len(wf.missed), n)
+				if len(wf.probed) != n || wf.probes != 0 {
+					t.Fatalf("WakePolicy: %d ProbeWake, %d Probe over %d decisions", len(wf.probed), wf.probes, n)
 				}
 				for k := range wf.probed {
 					if wf.probed[k] != wakes[0][k/perWake] {
 						t.Fatalf("WakePolicy: probe %d handed another wake", k)
 					}
 				}
-				for k := range wf.missed {
-					if wf.missed[k] != wakes[0][k/perWake] {
-						t.Fatalf("WakePolicy: miss %d recorded on another wake", k)
-					}
+				if plain.probes != n {
+					t.Fatalf("CompiledPolicy: %d Probe over %d decisions", plain.probes, n)
 				}
-				if plain.probes != n || len(plain.misses) != missed*n {
-					t.Fatalf("CompiledPolicy: %d Probe, %d RecordMiss over %d decisions", plain.probes, len(plain.misses), n)
-				}
-				if dec.probes != n || inner.probes != n || len(inner.probed) != 0 || len(inner.misses) != missed*n || len(inner.missed) != 0 {
-					t.Fatalf("decorator saw %d probes; the WakePolicy inside it %d Probe, %d ProbeWake, %d RecordMiss, %d RecordMissWake over %d decisions",
-						dec.probes, inner.probes, len(inner.probed), len(inner.misses), len(inner.missed), n)
+				if dec.probes != n || inner.probes != n || len(inner.probed) != 0 {
+					t.Fatalf("decorator saw %d probes; the WakePolicy inside it %d Probe, %d ProbeWake over %d decisions",
+						dec.probes, inner.probes, len(inner.probed), n)
 				}
 				for r := 1; r < len(served); r++ {
 					if !slices.Equal(served[r], served[0]) {

@@ -23,8 +23,8 @@ const DefaultCacheStripes = 16
 // with a shard partition flow mod K, K dividing Stripes, guarantees
 // that — shards own disjoint stripe subsets, so a sharded fleet shares
 // one CacheStripes with zero synchronization. Aggregating methods
-// (Stats, Len, SetOnStore) must only be called while no shard is
-// running, e.g. at window barriers or after the run.
+// (Stats, Len) must only be called while no shard is running, e.g. at
+// window barriers or after the run.
 type CacheStripes struct {
 	stripes []*PolicyCache
 }
@@ -64,16 +64,6 @@ func (cs *CacheStripes) TimeQuantum() time.Duration { return cs.stripes[0].TimeQ
 
 // WeightQuantum reports the shared weight quantum.
 func (cs *CacheStripes) WeightQuantum() float64 { return cs.stripes[0].WeightQuantum }
-
-// SetOnStore installs one store observer on every stripe (the offline
-// policy compiler's capture hook). Stores from different stripes may
-// interleave in any order when shards run in parallel; the compiler
-// sorts by fingerprint, so capture order never reaches the table.
-func (cs *CacheStripes) SetOnStore(fn func(Entry)) {
-	for _, s := range cs.stripes {
-		s.OnStore = fn
-	}
-}
 
 // Stats sums the Decide-path hit/miss counters across stripes.
 func (cs *CacheStripes) Stats() (hits, misses int) {

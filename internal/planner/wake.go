@@ -14,10 +14,10 @@ import (
 // several times on one belief at one instant (core.Sender.Wake decides
 // again after every packet it sends), so what depends on nothing else is
 // paid for once per wake, when a decision first needs it: the
-// fingerprint's support half, here, for the PolicyCache and for a
-// compiled table that probes with the wake (WakePolicy), and the top-K
-// copy of the support and each hypothesis's rollout-key hash on the pool
-// (decideArena.begin). The wake keeps one support half, under the last
+// fingerprint's support half, here, for the PolicyCache, for a compiled
+// table that probes with the wake (WakePolicy) and for policy.Compile's
+// record of each decision, and the top-K copy of the support and each
+// hypothesis's rollout-key hash on the pool (decideArena.begin). The wake keeps one support half, under the last
 // quanta asked for: a cache and a table that share quanta (a table is
 // compiled under its fleet's cache quanta) print it once.
 //

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"modelcc/internal/fleet"
+	"modelcc/internal/model"
 	"modelcc/internal/planner"
 )
 
@@ -24,33 +25,36 @@ type CompileConfig struct {
 	Note string
 }
 
-// compileCacheEntries bounds the capture cache per replay. Capture uses
-// the cache's OnStore hook, so even an overflowing cache loses no
-// coverage — only recompute time.
+// compileCacheEntries bounds the replay fleet's shared cache. Capture
+// does not read the cache, but a cache that evicted would re-plan
+// situations it had forgotten and so change the decisions, and with
+// them the records. The bound is far above what a compile stores
+// (cmd/bench's serve-256 table holds under 30,000 records), so the
+// compile fleet's cache does not evict.
 const compileCacheEntries = 1 << 20
 
 // CompileStats reports what a compile saw.
 type CompileStats struct {
 	// Runs is the number of fleet replays.
 	Runs int
-	// Stored counts fingerprint→action stores observed across replays
-	// (including duplicates between replays).
+	// Stored counts the decisions observed across replays, repeats of
+	// a fingerprint included.
 	Stored int
 	// Unique is the number of distinct fingerprints kept — the table
 	// size.
 	Unique int
-	// Collisions counts captures dropped because their fingerprint was
+	// Collisions counts decisions dropped because their fingerprint was
 	// already held by a different belief (different verification
 	// hash); those situations stay on the live-planning path.
 	Collisions int
 }
 
-// Compile replays the fleet workload once per seed, capturing every
-// fingerprint → action pair the runs compute via the shared
-// PolicyCache's OnStore hook, and returns the deduplicated, sorted
-// record set with a header binding it to the workload's resolved prior
-// and fingerprint quanta. Write it with WriteTable, serve it with
-// Open + NewServer.
+// Compile replays the fleet workload once per seed, recording every
+// decision the members take (core.Sender.OnDecide) under its belief's
+// fingerprint in the fleet cache's quanta — the first decision under a
+// fingerprint wins — and returns the sorted record set with a header
+// binding it to the workload's resolved prior and fingerprint quanta.
+// Write it with WriteTable, serve it with Open + NewServer.
 func Compile(cfg CompileConfig) (Header, []Record, CompileStats, error) {
 	if len(cfg.Seeds) == 0 {
 		cfg.Seeds = []int64{1}
@@ -81,16 +85,20 @@ func Compile(cfg CompileConfig) (Header, []Record, CompileStats, error) {
 			wq = 1e-6 // the cache's documented default quantum
 		}
 		fleetN = uint32(fl.Cfg.N)
-		fl.Caches.SetOnStore(func(e planner.Entry) {
+		record := func(w *planner.Wake, pending []model.Send, d planner.Decision) {
 			stats.Stored++
-			if prev, ok := seen[e.FP]; ok {
-				if prev.Verify != e.Verify {
+			fp, ver := w.Fingerprint(pending, tq, wq)
+			if prev, ok := seen[fp]; ok {
+				if prev.Verify != ver {
 					stats.Collisions++
 				}
 				return
 			}
-			seen[e.FP] = e
-		})
+			seen[fp] = Record{FP: fp, Verify: ver, SendNow: d.SendNow, Delta: d.WakeAt - w.Now(), Gain: d.Gain}
+		}
+		for _, m := range fl.Members {
+			m.Sender.OnDecide = record
+		}
 		fl.Run(cfg.Duration)
 		stats.Runs++
 	}

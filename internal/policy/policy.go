@@ -7,9 +7,10 @@
 //
 //   - A compiler (Compile) that sweeps the reachable belief space by
 //     replaying fleet runs (internal/fleet is a ready-made generator of
-//     realistic belief trajectories) and records every quantized belief
+//     realistic belief trajectories) and records, through each sender's
+//     decision observer (core.Sender.OnDecide), every quantized belief
 //     fingerprint → {action, delta, gain, verify-hash} pair the runs
-//     compute.
+//     decide.
 //
 //   - A versioned, mmap-able flat table (WriteTable / Open): a
 //     fixed-width header carrying the model identity (a hash of the
@@ -21,13 +22,8 @@
 //
 //   - A serving side (Server, implementing planner.CompiledPolicy and
 //     its wake-keyed form planner.WakePolicy) that loads the table
-//     read-only, answers Guard rung-0 probes, and can append the
-//     fingerprints it could not serve — together with the live
-//     decision that covered for them — to a sidecar miss log (MissLog),
-//     which Merge (policyc merge) folds into a table. Every NewServer
-//     caller in the tree (policyc verify -serve, cmd/bench's serve-256)
-//     passes a nil miss log, so no run writes one; only the package's
-//     tests do.
+//     read-only and answers Guard rung-0 probes. A miss is planned live
+//     and not recorded: a table changes only by compiling it again.
 //
 // Safety rules, enforced rather than assumed:
 //
@@ -39,7 +35,7 @@
 //   - The header's PriorHash binds a table to the resolved model prior
 //     and quantum settings it was compiled under; Header.CheckPrior
 //     refuses to serve a table against a model it was not compiled
-//     for, and Merge refuses to combine incompatible files.
+//     for.
 //   - The whole record region is checksummed; Open refuses a corrupt
 //     or truncated file.
 package policy
@@ -56,18 +52,13 @@ import (
 )
 
 // Version is the table format version this package reads and writes.
-// The fingerprint is the key language of tables and MissLog sidecars, so
-// a change of hash is a change of format: 2 is planner.Fingerprint over
-// model.Mix; version 1 files (byte-wise FNV keys) are refused, not
-// served as all misses.
+// The fingerprint is the key language of tables, so a change of hash is
+// a change of format: 2 is planner.Fingerprint over model.Mix; version 1
+// files (byte-wise FNV keys) are refused, not served as all misses.
 const Version = 2
 
-// Magic values distinguishing the two file kinds sharing the header
-// layout.
-var (
-	magicTable   = [8]byte{'M', 'C', 'P', 'O', 'L', 'T', 'B', '1'}
-	magicSidecar = [8]byte{'M', 'C', 'P', 'O', 'L', 'S', 'C', '1'}
-)
+// magicTable opens every table file.
+var magicTable = [8]byte{'M', 'C', 'P', 'O', 'L', 'T', 'B', '1'}
 
 const (
 	headerSize = 104
@@ -77,16 +68,15 @@ const (
 	flagSendNow = 1 << 0
 )
 
-// Header identifies and versions a compiled table (or sidecar miss
-// log): which model and quanta the fingerprints were computed under,
-// and where the table came from.
+// Header identifies and versions a compiled table: which model and
+// quanta the fingerprints were computed under, and where the table came
+// from.
 type Header struct {
 	// Version is the format version (see Version).
 	Version uint32
 	// FleetN is the fleet size of the compile workload (provenance).
 	FleetN uint32
-	// Records is the record count (0 in sidecar headers; the reader
-	// derives the count from the file size).
+	// Records is the record count.
 	Records uint64
 	// TimeQuantum and WeightQuantum are the fingerprint quanta every
 	// record's key was computed with; probes must use the same.
@@ -114,23 +104,8 @@ func (h Header) CheckPrior(pr model.Prior) error {
 	return nil
 }
 
-// compatible reports whether two headers' records may be merged.
-func (h Header) compatible(o Header) error {
-	switch {
-	case h.Version != o.Version:
-		return fmt.Errorf("policy: version %d vs %d", h.Version, o.Version)
-	case h.TimeQuantum != o.TimeQuantum:
-		return fmt.Errorf("policy: time quantum %v vs %v", h.TimeQuantum, o.TimeQuantum)
-	case h.WeightQuantum != o.WeightQuantum:
-		return fmt.Errorf("policy: weight quantum %g vs %g", h.WeightQuantum, o.WeightQuantum)
-	case h.PriorHash != o.PriorHash:
-		return fmt.Errorf("policy: prior hash %016x vs %016x", h.PriorHash, o.PriorHash)
-	}
-	return nil
-}
-
-// Record is one compiled fingerprint → action pair: the planner's cache
-// entry, stored as it was observed.
+// Record is one compiled fingerprint → action pair, in the planner's
+// Entry form: a decision as Compile observed it.
 type Record = planner.Entry
 
 // HashPrior hashes a resolved model prior together with the

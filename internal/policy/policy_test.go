@@ -146,7 +146,7 @@ func TestOpenRejectsWrappingRecordCount(t *testing.T) {
 		open func() error
 	}{
 		{"openBytes", func() error { _, err := openBytes(craftedCount()); return err }},
-		{"ReadFile", func() error { _, _, err := ReadFile(path); return err }},
+		{"Open", func() error { _, err := Open(path); return err }},
 	} {
 		if err := c.open(); err == nil {
 			t.Errorf("%s: a header promising 2^62 records in an empty region read", c.name)
@@ -154,12 +154,11 @@ func TestOpenRejectsWrappingRecordCount(t *testing.T) {
 	}
 }
 
-// TestReadFileRefusesWhatOpenRefuses: a weight quantum that is not
-// positive and finite buckets no weight sensibly (0 and NaN give Inf or
-// NaN quotients, +Inf puts every weight in one bucket), so Open, ReadFile
-// and Merge all refuse a table or sidecar that records one — Merge used
-// to carry it into a table Open then refused.
-func TestReadFileRefusesWhatOpenRefuses(t *testing.T) {
+// TestOpenRefusesBadWeightQuantum: a weight quantum that is not positive
+// and finite buckets no weight sensibly (0 and NaN give Inf or NaN
+// quotients, +Inf puts every weight in one bucket), so Open refuses a
+// table that records one.
+func TestOpenRefusesBadWeightQuantum(t *testing.T) {
 	dir := t.TempDir()
 	for _, wq := range []float64{0, -1e-3, math.NaN(), math.Inf(1)} {
 		h := testHeader()
@@ -168,32 +167,17 @@ func TestReadFileRefusesWhatOpenRefuses(t *testing.T) {
 		if err := WriteTable(table, h, synthRecords(4)); err != nil {
 			t.Fatal(err)
 		}
-		side := filepath.Join(dir, "t.miss")
-		ml, err := CreateMissLog(side, h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ml.Close(); err != nil {
-			t.Fatal(err)
-		}
 		if _, err := Open(table); err == nil {
 			t.Errorf("weight quantum %g: Open accepted the table", wq)
-		}
-		for _, p := range []string{table, side} {
-			if _, _, err := ReadFile(p); err == nil {
-				t.Errorf("weight quantum %g: ReadFile accepted %s", wq, filepath.Base(p))
-			}
-			if _, _, err := Merge(p); err == nil {
-				t.Errorf("weight quantum %g: Merge accepted %s", wq, filepath.Base(p))
-			}
 		}
 	}
 }
 
-// FuzzOpenBytes: openBytes returns an error, or a table whose every
-// record is served back by Lookup under its own fingerprints and which
-// ReadFile's parse reads back with the same header and records. That
-// parse returns an error or a result on every input, never a panic.
+// FuzzOpenBytes: openBytes returns an error or a table whose every
+// record is served back by Lookup under its own fingerprints, never a
+// panic. Among the seeds is a miss-log sidecar of two records and a
+// crashed writer's partial third, the second file kind earlier builds
+// wrote under the table's header layout: no table, so refused.
 func FuzzOpenBytes(f *testing.F) {
 	path := filepath.Join(f.TempDir(), "t.pol")
 	if err := WriteTable(path, testHeader(), synthRecords(9)); err != nil {
@@ -203,13 +187,15 @@ func FuzzOpenBytes(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	// A sidecar of two records and a crashed writer's partial third.
 	sh := testHeader()
 	sh.Version = Version
 	sidecar := make([]byte, headerSize+2*recordSize+7)
-	putHeader(sidecar, magicSidecar, sh)
+	putHeader(sidecar, [8]byte{'M', 'C', 'P', 'O', 'L', 'S', 'C', '1'}, sh)
 	for i, r := range synthRecords(2) {
 		putRecord(sidecar[headerSize+i*recordSize:], r)
+	}
+	if _, err := openBytes(sidecar); err == nil {
+		f.Fatal("openBytes accepted a sidecar miss log")
 	}
 	f.Add(valid)
 	f.Add(valid[:headerSize])
@@ -220,22 +206,12 @@ func FuzzOpenBytes(f *testing.F) {
 			a.SendNow == b.SendNow && math.Float64bits(a.Gain) == math.Float64bits(b.Gain)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rh, recs, rerr := readBytes(data)
 		tb, err := openBytes(data)
 		if err != nil {
 			return
 		}
-		if rerr != nil {
-			t.Fatalf("openBytes accepted what ReadFile refuses: %v", rerr)
-		}
-		if rh != tb.Header() || len(recs) != tb.Len() {
-			t.Fatalf("ReadFile read %+v with %d records, openBytes %+v with %d", rh, len(recs), tb.Header(), tb.Len())
-		}
 		for i := 0; i < tb.Len(); i++ {
 			r := tb.Record(i)
-			if !same(recs[i], r) {
-				t.Fatalf("record %d: ReadFile %+v, openBytes %+v", i, recs[i], r)
-			}
 			got, ok := tb.Lookup(r.FP, r.Verify)
 			if !ok || !same(got, r) {
 				t.Fatalf("record %d = %+v, Lookup gave %+v (ok %v)", i, r, got, ok)
@@ -369,160 +345,32 @@ func TestCompileServeReplay(t *testing.T) {
 	}
 }
 
-// TestMissFeedbackLoop: serving a workload the table was NOT compiled
-// for logs its misses to the sidecar; merging table + sidecar and
-// re-serving the same workload turns those misses into hits.
-func TestMissFeedbackLoop(t *testing.T) {
-	// Compile deliberately short so a longer serve run outruns the
-	// table's coverage and exercises the sidecar.
-	cc := compileWorkload()
-	cc.Duration = 2 * time.Second
-	const serveDur = 10 * time.Second
-	h, recs, _, err := Compile(cc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	tablePath := filepath.Join(dir, "t.pol")
-	sidecarPath := filepath.Join(dir, "t.miss")
-	if err := WriteTable(tablePath, h, recs); err != nil {
-		t.Fatal(err)
-	}
-	tb, err := Open(tablePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tb.Close()
-
-	// Serve an unseen seed; misses flow to the sidecar.
-	ml, err := CreateMissLog(sidecarPath, tb.Header())
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer(tb, ml)
-	fl1 := fleet.New(fleet.Config{N: 8, Workers: 1, Seed: 99, Table: srv})
-	fl1.Run(serveDur)
-	_, live1 := fl1.CompiledStats()
-	if err := ml.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if live1 == 0 {
-		t.Fatal("unseen seed produced no misses; feedback loop unexercised")
-	}
-	if ml.Appended == 0 {
-		t.Fatal("misses occurred but sidecar is empty")
-	}
-
-	// Merge table + sidecar into the next table generation.
-	mh, mrecs, err := Merge(tablePath, sidecarPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(mrecs) <= tb.Len() {
-		t.Fatalf("merge did not grow the table: %d <= %d", len(mrecs), tb.Len())
-	}
-	nextPath := filepath.Join(dir, "t2.pol")
-	if err := WriteTable(nextPath, mh, mrecs); err != nil {
-		t.Fatal(err)
-	}
-	tb2, err := Open(nextPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tb2.Close()
-	if err := tb2.Verify(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Re-serve the same unseen seed from the merged table: the misses
-	// became hits.
-	srv2 := NewServer(tb2, nil)
-	fl2 := fleet.New(fleet.Config{N: 8, Workers: 1, Seed: 99, Table: srv2})
-	fl2.Run(serveDur)
-	compiled2, live2 := fl2.CompiledStats()
-	rate2 := float64(compiled2) / float64(compiled2+live2)
-	if rate2 < 0.95 {
-		t.Errorf("post-merge hit rate %.3f (%d live), want ≥ 0.95: miss feedback loop broken", rate2, live2)
-	}
-
-	// The merged-table trajectory replays the first serve run exactly
-	// (every miss-logged decision is served back bit-identical).
-	for i := range fl2.Members {
-		if got, want := fl2.Members[i].Utility, fl1.Members[i].Utility; got != want {
-			t.Errorf("member %d utility %v != first serve run %v", i, got, want)
-		}
-	}
-}
-
-// TestMergeRejectsIncompatible: files compiled under different models
-// or quanta must not merge.
-func TestMergeRejectsIncompatible(t *testing.T) {
-	dir := t.TempDir()
-	a := filepath.Join(dir, "a.pol")
-	b := filepath.Join(dir, "b.pol")
-	ha := testHeader()
-	hb := testHeader()
-	hb.PriorHash++
-	if err := WriteTable(a, ha, synthRecords(4)); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteTable(b, hb, synthRecords(4)); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Merge(a, b); err == nil {
-		t.Error("prior-hash mismatch merged")
-	}
-}
-
 // TestVersion1FilesRefused: version 1 keyed its records by the byte-wise
-// FNV fingerprint; this build keys by model.Mix. A v1 table or sidecar
-// must fail with the version error — Open, and Merge with a v1 file on
-// either side — never load and serve 100 % misses.
+// FNV fingerprint; this build keys by model.Mix. Open must fail on a v1
+// table with the version error, never load it and serve 100 % misses.
 func TestVersion1FilesRefused(t *testing.T) {
 	dir := t.TempDir()
 	cur := filepath.Join(dir, "cur.pol")
 	if err := WriteTable(cur, testHeader(), synthRecords(16)); err != nil {
 		t.Fatal(err)
 	}
-	side := filepath.Join(dir, "cur.miss")
-	ml, err := CreateMissLog(side, testHeader())
+	data, err := os.ReadFile(cur)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ml.Append(synthRecords(1)[0]); err != nil {
+	binary.LittleEndian.PutUint32(data[8:], 1)
+	old := cur + ".v1"
+	if err := os.WriteFile(old, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := ml.Close(); err != nil {
-		t.Fatal(err)
+	if _, err := Open(old); err == nil || !strings.Contains(err.Error(), "version 1, this build reads 2") {
+		t.Errorf("Open(v1 table): want the version error, got %v", err)
 	}
-	asV1 := func(path string) string {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		binary.LittleEndian.PutUint32(data[8:], 1)
-		old := path + ".v1"
-		if err := os.WriteFile(old, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return old
+	tb, err := Open(cur)
+	if err != nil {
+		t.Fatalf("Open(current table): %v", err)
 	}
-	oldTable, oldSide := asV1(cur), asV1(side)
-	refused := func(what string, err error) {
-		t.Helper()
-		if err == nil || !strings.Contains(err.Error(), "version 1, this build reads 2") {
-			t.Errorf("%s: want the version error, got %v", what, err)
-		}
-	}
-	_, err = Open(oldTable)
-	refused("Open(v1 table)", err)
-	_, _, err = Merge(oldTable)
-	refused("Merge(v1 table)", err)
-	_, _, err = Merge(cur, oldSide)
-	refused("Merge(table, v1 sidecar)", err)
-	if _, _, err := Merge(cur, side); err != nil {
-		t.Errorf("current table and sidecar no longer merge: %v", err)
-	}
+	tb.Close()
 }
 
 var _ = model.Prior{} // keep the model import tied to CheckPrior usage above

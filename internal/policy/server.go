@@ -11,19 +11,16 @@ import (
 
 // Server is the serving side of a compiled table: it implements
 // planner.CompiledPolicy and planner.WakePolicy, answering Guard rung-0
-// probes from the table (zero allocation on the lookup itself) and
-// appending unserved fingerprints — with the live decision that covered
-// for them — to an optional sidecar miss log that seeds the next compile.
-// The wake-keyed methods are the serving path: a Guard hands them its
+// probes from the table (zero allocation on the lookup itself). The
+// wake-keyed ProbeWake is the serving path: a Guard hands it its
 // planner.Wake, which prints the support once for all of a wake's
-// decisions. Probe and RecordMiss print the bare support on every call.
+// decisions. Probe prints the bare support on every call.
 //
 // One Server may be shared by every sender in a process (the fleet
-// hands the same Server to all members): the table is immutable, the
-// counters are atomic, and the miss log locks internally.
+// hands the same Server to all members): the table is immutable and the
+// counters are atomic.
 type Server struct {
-	t    *Table
-	miss *MissLog
+	t *Table
 
 	probes, hits, misses atomic.Int64
 }
@@ -33,10 +30,14 @@ type Server struct {
 // decision's own support print.
 var _ planner.WakePolicy = (*Server)(nil)
 
-// NewServer serves decisions from t, logging misses to missLog when
-// non-nil.
-func NewServer(t *Table, missLog *MissLog) *Server {
-	return &Server{t: t, miss: missLog}
+// MissLog is not read: a Server records nothing.
+//
+// Deprecated: pass nil to NewServer.
+type MissLog struct{}
+
+// NewServer serves decisions from t. The second argument is ignored.
+func NewServer(t *Table, _ *MissLog) *Server {
+	return &Server{t: t}
 }
 
 // Stats reports probes, table hits, and misses since construction.
@@ -70,33 +71,4 @@ func (s *Server) lookup(fp, ver uint64, now time.Duration, support int) (planner
 	}
 	s.hits.Add(1)
 	return r.Decision(now, support), true
-}
-
-// RecordMissWake implements planner.WakePolicy: the live decision that
-// covered a table miss is appended to the sidecar (once per distinct
-// fingerprint) so the next compile serves it from the table.
-func (s *Server) RecordMissWake(w *planner.Wake, pending []model.Send, d planner.Decision) {
-	if s.miss == nil {
-		return
-	}
-	fp, ver := w.Fingerprint(pending, s.t.h.TimeQuantum, s.t.h.WeightQuantum)
-	s.record(fp, ver, w.Now(), d)
-}
-
-// RecordMiss implements planner.CompiledPolicy: RecordMissWake on a bare
-// support.
-func (s *Server) RecordMiss(sup []belief.Hypothesis, pending []model.Send, now time.Duration, d planner.Decision) {
-	if s.miss == nil {
-		return
-	}
-	fp, ver := planner.Fingerprint(sup, pending, now, s.t.h.TimeQuantum, s.t.h.WeightQuantum)
-	s.record(fp, ver, now, d)
-}
-
-// record appends decision d, taken at now, to the sidecar under (fp, ver).
-func (s *Server) record(fp, ver uint64, now time.Duration, d planner.Decision) {
-	// Append errors are deliberately swallowed: the sidecar is an
-	// optimization for the next compile, and a full disk must not take
-	// down the serving path.
-	_ = s.miss.Append(Record{FP: fp, Verify: ver, SendNow: d.SendNow, Delta: d.WakeAt - now, Gain: d.Gain})
 }

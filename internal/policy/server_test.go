@@ -49,9 +49,6 @@ func (c *wakeCapture) Probe(sup []belief.Hypothesis, pending []model.Send, now t
 	return planner.Decision{}, false
 }
 
-func (c *wakeCapture) RecordMiss([]belief.Hypothesis, []model.Send, time.Duration, planner.Decision) {
-}
-
 // fleetWakes returns the first n wakes of a short fleet run, at least one
 // of them with more than one decision.
 func fleetWakes(t testing.TB, n int) []capturedWake {
@@ -120,8 +117,7 @@ func servedTable(t testing.TB, wakes []capturedWake, tq time.Duration, wq float6
 // TestProbeWakeMatchesProbe: on the wakes of a fleet run, the wake-keyed
 // probe answers every decision exactly as the support-keyed one — table
 // hits, misses and verify-hash mismatches alike, on a wake whose support
-// half another consumer printed first under other quanta too — and
-// RecordMissWake writes the sidecar RecordMiss writes.
+// half another consumer printed first under other quanta too.
 func TestProbeWakeMatchesProbe(t *testing.T) {
 	wakes := fleetWakes(t, 60)
 	tb, kinds := servedTable(t, wakes, 50*time.Millisecond, 1e-3, func(k int) int { return k % 3 })
@@ -148,40 +144,6 @@ func TestProbeWakeMatchesProbe(t *testing.T) {
 	}
 	if seen[kindHit] == 0 || seen[kindMismatch] == 0 || seen[kindAbsent] == 0 {
 		t.Fatalf("decisions per kind (hit, mismatch, absent) = %v: a kind went unexercised", seen)
-	}
-
-	dir := t.TempDir()
-	paths := [2]string{filepath.Join(dir, "wake.miss"), filepath.Join(dir, "support.miss")}
-	var srvs [2]*Server
-	for i, p := range paths {
-		ml, err := CreateMissLog(p, tb.Header())
-		if err != nil {
-			t.Fatal(err)
-		}
-		srvs[i] = NewServer(tb, ml)
-	}
-	for _, cw := range wakes {
-		var w planner.Wake
-		w.Reset(cw.sup, cw.now)
-		for j, p := range cw.pending {
-			d := planner.Decision{SendNow: j%2 == 0, WakeAt: cw.now + time.Duration(j+3)*time.Millisecond, Gain: float64(j)}
-			srvs[0].RecordMissWake(&w, p, d)
-			srvs[1].RecordMiss(cw.sup, p, cw.now, d)
-		}
-	}
-	var logs [2][]Record
-	for i, s := range srvs {
-		if err := s.miss.Close(); err != nil {
-			t.Fatal(err)
-		}
-		_, recs, err := ReadFile(paths[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		logs[i] = recs
-	}
-	if len(logs[0]) == 0 || !slices.Equal(logs[0], logs[1]) {
-		t.Fatalf("RecordMissWake logged %d records, RecordMiss %d, or they differ", len(logs[0]), len(logs[1]))
 	}
 }
 

@@ -8,20 +8,20 @@ import (
 	"time"
 )
 
-// File layout (little endian), shared by tables and sidecar miss logs:
+// Table file layout (little endian):
 //
-//	off  0  magic   [8]byte   "MCPOLTB1" table / "MCPOLSC1" sidecar
+//	off  0  magic   [8]byte   "MCPOLTB1"
 //	off  8  version uint32
 //	off 12  fleetN  uint32
-//	off 16  records uint64    (0 in sidecars: derived from file size)
+//	off 16  records uint64
 //	off 24  timeQuantum   int64 (ns)
 //	off 32  weightQuantum float64 bits
 //	off 40  priorHash uint64
 //	off 48  buildSeed int64
 //	off 56  created   int64 (unix seconds)
 //	off 64  note      [32]byte (NUL padded)
-//	off 96  checksum  uint64   FNV-1a over the record region (0 in sidecars)
-//	off 104 records, 40 bytes each, sorted by fingerprint (tables):
+//	off 96  checksum  uint64   FNV-1a over the record region
+//	off 104 records, 40 bytes each, sorted by fingerprint:
 //	        fp uint64 · verify uint64 · delta int64 (ns) ·
 //	        gain float64 bits · flags uint64 (bit 0 = sendNow)
 //
@@ -160,8 +160,9 @@ type Table struct {
 	unmap  func() error
 }
 
-// Open loads a table read-only, validating magic, version, size, and
-// the record-region checksum, and builds the in-memory prefix index.
+// Open loads a table read-only, validating magic, version, size, the
+// record-region checksum and the weight quantum, and builds the in-memory
+// prefix index.
 func Open(path string) (*Table, error) {
 	data, unmap, err := mapFile(path)
 	if err != nil {
@@ -178,53 +179,32 @@ func Open(path string) (*Table, error) {
 	return t, nil
 }
 
-// parseFile checks a policy file's header against the file: length,
-// magic, version and a positive, finite weight quantum for both kinds; for
-// a table, a record count that fits the file exactly and the record
-// region's checksum. It returns the magic, the header and the record
-// region; a sidecar's region is every whole record after the header (a
-// trailing partial record, a crashed writer's, is dropped). Open and
-// ReadFile both parse through it, so ReadFile reads every table Open
-// accepts, and no header ReadFile accepts makes Merge write a table Open
-// refuses.
-func parseFile(data []byte) (magic [8]byte, h Header, recs []byte, err error) {
+// openBytes checks a table's header against the file — length, magic,
+// version, a record count that fits the file exactly, the record
+// region's checksum and a positive, finite weight quantum — and builds
+// the prefix index over its records, which must be strictly sorted.
+func openBytes(data []byte) (*Table, error) {
 	if len(data) < headerSize {
-		return magic, h, nil, fmt.Errorf("policy: file shorter than header (%d bytes)", len(data))
+		return nil, fmt.Errorf("policy: file shorter than header (%d bytes)", len(data))
 	}
 	magic, h, sum := parseHeader(data)
-	if magic != magicTable && magic != magicSidecar {
-		return magic, h, nil, fmt.Errorf("policy: bad magic %q", magic[:])
+	if magic != magicTable {
+		return nil, fmt.Errorf("policy: bad magic %q", magic[:])
 	}
 	if h.Version != Version {
-		return magic, h, nil, fmt.Errorf("policy: version %d, this build reads %d", h.Version, Version)
+		return nil, fmt.Errorf("policy: version %d, this build reads %d", h.Version, Version)
 	}
-	recs = data[headerSize:]
-	if magic == magicSidecar {
-		recs = recs[:len(recs)/recordSize*recordSize]
-	} else {
-		// The count is checked against the room before it is
-		// multiplied: a crafted count can wrap the product back to the
-		// file's length.
-		if h.Records > uint64(len(recs)/recordSize) || len(recs) != int(h.Records)*recordSize {
-			return magic, h, nil, fmt.Errorf("policy: file is %d bytes, header promises %d records of %d", len(data), h.Records, recordSize)
-		}
-		if got := checksumRegion(recs); got != sum {
-			return magic, h, nil, fmt.Errorf("policy: record checksum %016x != header %016x (corrupt or truncated table)", got, sum)
-		}
+	recs := data[headerSize:]
+	// The count is checked against the room before it is multiplied: a
+	// crafted count can wrap the product back to the file's length.
+	if h.Records > uint64(len(recs)/recordSize) || len(recs) != int(h.Records)*recordSize {
+		return nil, fmt.Errorf("policy: file is %d bytes, header promises %d records of %d", len(data), h.Records, recordSize)
+	}
+	if got := checksumRegion(recs); got != sum {
+		return nil, fmt.Errorf("policy: record checksum %016x != header %016x (corrupt or truncated table)", got, sum)
 	}
 	if !(h.WeightQuantum > 0) || math.IsInf(h.WeightQuantum, 1) {
-		return magic, h, nil, fmt.Errorf("policy: weight quantum %g is not positive and finite", h.WeightQuantum)
-	}
-	return magic, h, recs, nil
-}
-
-func openBytes(data []byte) (*Table, error) {
-	magic, h, recs, err := parseFile(data)
-	if err != nil {
-		return nil, err
-	}
-	if magic == magicSidecar {
-		return nil, fmt.Errorf("policy: file is a sidecar miss log, not a compiled table")
+		return nil, fmt.Errorf("policy: weight quantum %g is not positive and finite", h.WeightQuantum)
 	}
 
 	t := &Table{h: h, recs: recs, n: int(h.Records)}
@@ -316,71 +296,4 @@ func (t *Table) Verify() error {
 		}
 	}
 	return nil
-}
-
-// ReadFile reads any policy file (table or sidecar) fully into memory,
-// returning its header and records. Sidecar record counts are derived
-// from the file size; a trailing partial record (a crashed writer) is
-// ignored. Used by merge and inspection, not the serving path.
-func ReadFile(path string) (Header, []Record, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return Header{}, nil, err
-	}
-	h, recs, err := readBytes(data)
-	if err != nil {
-		return Header{}, nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return h, recs, nil
-}
-
-// readBytes is ReadFile on a file's contents.
-func readBytes(data []byte) (Header, []Record, error) {
-	_, h, body, err := parseFile(data)
-	if err != nil {
-		return Header{}, nil, err
-	}
-	recs := make([]Record, len(body)/recordSize)
-	for i := range recs {
-		recs[i] = parseRecord(body[i*recordSize:])
-	}
-	return h, recs, nil
-}
-
-// Merge combines a table with its sidecar miss logs (or several
-// tables) into one record set: files must be mutually compatible
-// (version, quanta, prior hash); earlier paths take precedence under a
-// duplicated fingerprint, so pass the authoritative table first. The
-// result is ready for WriteTable. Records whose fingerprint collides
-// with a kept record under a different verification hash are dropped
-// (they cannot share a table slot; the loser keeps falling back to
-// live planning, which is the safe behaviour).
-func Merge(paths ...string) (Header, []Record, error) {
-	if len(paths) == 0 {
-		return Header{}, nil, fmt.Errorf("policy: nothing to merge")
-	}
-	var out []Record
-	seen := make(map[uint64]int) // fp -> index in out
-	var base Header
-	for i, p := range paths {
-		h, recs, err := ReadFile(p)
-		if err != nil {
-			return Header{}, nil, err
-		}
-		if i == 0 {
-			base = h
-		} else if err := base.compatible(h); err != nil {
-			return Header{}, nil, fmt.Errorf("%s vs %s: %w", paths[0], p, err)
-		}
-		for _, r := range recs {
-			if _, dup := seen[r.FP]; dup {
-				continue
-			}
-			seen[r.FP] = len(out)
-			out = append(out, r)
-		}
-	}
-	sortRecords(out)
-	base.Records = uint64(len(out))
-	return base, out, nil
 }
