@@ -3,9 +3,9 @@ package belief
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"slices"
-	"sort"
 	"time"
 
 	"modelcc/internal/model"
@@ -15,9 +15,9 @@ import (
 // Exact belief that resumes bit-identically — same posterior, same
 // pending sends, same soft-matching ack memory, same counters.
 // internal/lifecycle keeps Snapshots in its in-memory member checkpoints;
-// the prior states themselves are NOT part of the snapshot (they are
-// re-derived from the configuration, and the checkpoint binds their
-// identity via policy.HashPrior).
+// the prior states themselves are NOT part of the snapshot: they are
+// re-derived from the configuration, and Restore refuses a snapshot
+// whose hypotheses are not grid points of the prior it is given.
 type Snapshot struct {
 	// Now is the time of the last update.
 	Now time.Duration
@@ -25,30 +25,10 @@ type Snapshot struct {
 	Hyps []Hypothesis
 	// Pending are the recorded-but-unfolded sends, oldest first.
 	Pending []model.Send
-	// Recent is the soft-matching ack memory, ascending by Seq (sorted
-	// so snapshots of the same belief are canonical).
-	Recent []AckMemo
+	// Recent is the soft-matching ack memory: receive instants by Seq.
+	Recent map[int64]time.Duration
 	// Cum is the lifetime update-stats accumulator.
 	Cum UpdateStats
-}
-
-// AckMemo is one remembered acknowledgment of the soft-matching window.
-type AckMemo struct {
-	Seq int64
-	At  time.Duration
-}
-
-// memosFromMap flattens the recent-ack map in ascending Seq order.
-func memosFromMap(recent map[int64]time.Duration) []AckMemo {
-	if len(recent) == 0 {
-		return nil
-	}
-	out := make([]AckMemo, 0, len(recent))
-	for seq, at := range recent {
-		out = append(out, AckMemo{Seq: seq, At: at})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out
 }
 
 // validate rejects snapshots no belief could have produced, so an edited
@@ -92,7 +72,7 @@ func (b *Exact) Snapshot() Snapshot {
 		Now:     b.now,
 		Hyps:    cloneHyps(b.hyps),
 		Pending: append([]model.Send(nil), b.pending...),
-		Recent:  memosFromMap(b.recent),
+		Recent:  maps.Clone(b.recent),
 		Cum:     b.Cum,
 	}
 }
@@ -149,8 +129,6 @@ func Restore(states []model.State, cfg Config, sn Snapshot) (*Exact, error) {
 		b.Cum.Classes = len(b.cls)
 	}
 	b.pending = append([]model.Send(nil), sn.Pending...)
-	for _, m := range sn.Recent {
-		b.recent[m.Seq] = m.At
-	}
+	maps.Copy(b.recent, sn.Recent)
 	return b, nil
 }

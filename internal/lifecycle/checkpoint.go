@@ -12,9 +12,11 @@
 // sequence/throughput counters, and the last safe pacing action of the
 // sender's own planner Guard, which RestoreSender puts back on the new
 // sender's Guard, so a restored member degrades as the original would.
-// It is bound to its model identity via policy.HashPrior over the
-// fleet's resolved prior and PolicyCache quanta: restoring against a
-// different prior is a detected error, never a silently wrong belief.
+// A checkpoint carries no model identity of its own: restoring it over a
+// different prior is refused by belief.Restore, which requires every
+// hypothesis to name a grid point of the host's prior with that point's
+// parameters, so a mismatch is a detected error, never a silently wrong
+// belief.
 //
 // The restart ladder, fastest first:
 //
@@ -33,7 +35,6 @@
 package lifecycle
 
 import (
-	"fmt"
 	"time"
 
 	"modelcc/internal/belief"
@@ -41,16 +42,11 @@ import (
 	"modelcc/internal/fleet"
 	"modelcc/internal/model"
 	"modelcc/internal/planner"
-	"modelcc/internal/policy"
 )
 
 // Checkpoint is one member's full decision state at an instant
 // (Belief.Now).
 type Checkpoint struct {
-	// PriorHash binds the checkpoint to the model identity it was
-	// captured under (policy.HashPrior over the resolved prior and the
-	// fleet cache quanta); Restore against a different hash is refused.
-	PriorHash uint64
 	// NextSeq, Sent, Acked, Wakes are the sender's counters.
 	NextSeq, Sent, Acked, Wakes int64
 	// LastSafeDelta is the sender's Guard's remembered safe pacing
@@ -62,14 +58,12 @@ type Checkpoint struct {
 	Belief belief.Snapshot
 }
 
-// Capture snapshots a live member under the given prior hash. It does
-// not mutate the member. Acknowledgments delivered in the current
-// instant but not yet folded into the belief are not captured; the
-// belief's soft matching absorbs the at-most-one-instant gap on
-// restore.
-func Capture(m *fleet.Member, priorHash uint64) *Checkpoint {
+// Capture snapshots a live member. It does not mutate the member.
+// Acknowledgments delivered in the current instant but not yet folded
+// into the belief are not captured; the belief's soft matching absorbs
+// the at-most-one-instant gap on restore.
+func Capture(m *fleet.Member) *Checkpoint {
 	return &Checkpoint{
-		PriorHash:     priorHash,
 		NextSeq:       m.Sender.NextSeq(),
 		Sent:          m.Sender.Sent,
 		Acked:         m.Sender.Acked,
@@ -85,8 +79,8 @@ func Capture(m *fleet.Member, priorHash uint64) *Checkpoint {
 // membership itself). Both the single-loop *fleet.Fleet and the sharded
 // *fleet.Partition implement it, so one restore path serves warm
 // restarts and failovers on either runtime. A checkpoint taken under one
-// host restores bit-identically under any other with the same prior hash
-// — a checkpoint carries no topology.
+// host restores bit-identically under any other with the same prior — a
+// checkpoint carries no topology.
 type MemberHost interface {
 	PriorStates() []model.State
 	MemberBeliefConfig() belief.Config
@@ -94,16 +88,12 @@ type MemberHost interface {
 }
 
 // RestoreSender rebuilds a sender from the checkpoint against a host's
-// resolved prior and configs. The caller supplies the host's prior
-// hash; a mismatch — the checkpoint was captured under a different
-// model or quanta — is a detected error. The sender's Guard holds the
-// checkpoint's safe pacing interval; the sender is not yet wired into
-// the host: attach it with the runtime's Attach (fleet.Roster.Attach on
-// either runtime).
-func RestoreSender(host MemberHost, c *Checkpoint, priorHash uint64) (*core.Sender, error) {
-	if c.PriorHash != priorHash {
-		return nil, fmt.Errorf("lifecycle: checkpoint bound to prior %016x, host resolves to %016x (model or quanta mismatch)", c.PriorHash, priorHash)
-	}
+// resolved prior and configs. A checkpoint captured over a different
+// prior is a detected error (belief.Restore's grid check). The sender's
+// Guard holds the checkpoint's safe pacing interval; the sender is not
+// yet wired into the host: attach it with the runtime's Attach
+// (fleet.Roster.Attach on either runtime).
+func RestoreSender(host MemberHost, c *Checkpoint) (*core.Sender, error) {
 	b, err := belief.Restore(host.PriorStates(), host.MemberBeliefConfig(), c.Belief)
 	if err != nil {
 		return nil, err
@@ -115,27 +105,4 @@ func RestoreSender(host MemberHost, c *Checkpoint, priorHash uint64) (*core.Send
 	s.Wakes = c.Wakes
 	s.Guard.RestoreLastSafe(c.LastSafeDelta)
 	return s, nil
-}
-
-// FleetPriorHash computes the identity a fleet's member checkpoints are
-// bound to: policy.HashPrior over the resolved prior and the shared
-// PolicyCache's fingerprint quanta (zero quanta when the cache is
-// disabled).
-func FleetPriorHash(fl *fleet.Fleet) uint64 {
-	return PriorHashFor(fl.Cfg, fl.Caches)
-}
-
-// PriorHashFor is FleetPriorHash over a resolved configuration and its
-// shared cache stripes (nil when disabled): the sharded coordinator
-// binds its barrier checkpoints to the exact identity the single-loop
-// fleet would, so checkpoints move freely between the two runtimes.
-func PriorHashFor(cfg fleet.Config, caches *planner.CacheStripes) uint64 {
-	var (
-		tq time.Duration
-		wq float64
-	)
-	if caches != nil {
-		tq, wq = caches.TimeQuantum(), caches.WeightQuantum()
-	}
-	return policy.HashPrior(cfg.ResolvedPrior(), tq, wq)
 }

@@ -30,7 +30,6 @@ func testFleet(t testing.TB, workers int) *fleet.Fleet {
 // uninterrupted run and an interrupted one must produce identical traces.
 func scriptedTrace(t *testing.T, fl *fleet.Fleet, s *core.Sender, wakes, ckptAt int) []string {
 	t.Helper()
-	hash := FleetPriorHash(fl)
 	const delay = 150 * time.Millisecond
 	var (
 		trace   []string
@@ -39,7 +38,7 @@ func scriptedTrace(t *testing.T, fl *fleet.Fleet, s *core.Sender, wakes, ckptAt 
 	)
 	for k := 0; k < wakes; k++ {
 		if k == ckptAt {
-			s = resume(t, fl, s, hash)
+			s = resume(t, fl, s)
 		}
 		var acks []packet.Ack
 		for len(pending) > 0 && pending[0].ReceivedAt <= now {
@@ -68,14 +67,14 @@ func scriptedTrace(t *testing.T, fl *fleet.Fleet, s *core.Sender, wakes, ckptAt 
 // resume checkpoints the sender, restores it from the captured value as
 // a warm restart does, asserts that capturing the restored sender gives
 // the same checkpoint back, and returns the restored sender.
-func resume(t *testing.T, fl *fleet.Fleet, s *core.Sender, hash uint64) *core.Sender {
+func resume(t *testing.T, fl *fleet.Fleet, s *core.Sender) *core.Sender {
 	t.Helper()
-	c := Capture(&fleet.Member{Sender: s}, hash)
-	s2, err := RestoreSender(fl, c, hash)
+	c := Capture(&fleet.Member{Sender: s})
+	s2, err := RestoreSender(fl, c)
 	if err != nil {
 		t.Fatalf("RestoreSender: %v", err)
 	}
-	if c2 := Capture(&fleet.Member{Sender: s2}, hash); !reflect.DeepEqual(c, c2) {
+	if c2 := Capture(&fleet.Member{Sender: s2}); !reflect.DeepEqual(c, c2) {
 		t.Fatal("restore∘capture is not the identity on the checkpoint")
 	}
 	return s2
@@ -127,13 +126,17 @@ func liveCheckpoint(t testing.TB) (*fleet.Fleet, *Checkpoint) {
 	t.Helper()
 	fl := fleet.New(fleet.Config{N: 2, Seed: 11, Workers: 1})
 	fl.Run(10 * time.Second)
-	return fl, Capture(fl.Members[0], FleetPriorHash(fl))
+	return fl, Capture(fl.Members[0])
 }
 
+// TestRestoreRejectsWrongPrior: a checkpoint captured in an N = 2 fleet
+// does not restore over an N = 8 fleet's prior; belief.Restore's grid
+// check refuses it.
 func TestRestoreRejectsWrongPrior(t *testing.T) {
-	fl, c := liveCheckpoint(t)
-	if _, err := RestoreSender(fl, c, FleetPriorHash(fl)+1); err == nil {
-		t.Fatal("restore against a different prior hash succeeded; want detected error")
+	_, c := liveCheckpoint(t)
+	other := fleet.New(fleet.Config{N: 8, Seed: 11, Workers: 1})
+	if _, err := RestoreSender(other, c); err == nil {
+		t.Fatal("restore over a different prior succeeded; want detected error")
 	} else if !strings.Contains(err.Error(), "prior") {
 		t.Fatalf("wrong-prior error should name the prior mismatch, got: %v", err)
 	}
@@ -150,7 +153,6 @@ func TestRestoreRejectsWrongPrior(t *testing.T) {
 // directly and through RestoreSender.
 func TestRestoreRefusesClockDisagreement(t *testing.T) {
 	fl, _ := liveCheckpoint(t)
-	hash := FleetPriorHash(fl)
 	for _, row := range []struct {
 		name string
 		edit func(c *Checkpoint)
@@ -181,12 +183,12 @@ func TestRestoreRefusesClockDisagreement(t *testing.T) {
 			s.SetParams(p)
 		}, "differ from the prior's grid point"},
 	} {
-		c := Capture(fl.Members[0], hash) // a fresh copy to edit
+		c := Capture(fl.Members[0]) // a fresh copy to edit
 		row.edit(c)
 		if _, err := belief.Restore(fl.PriorStates(), fl.MemberBeliefConfig(), c.Belief); err == nil || !strings.Contains(err.Error(), row.want) {
 			t.Errorf("%s: belief.Restore returned %v, want an error containing %q", row.name, err, row.want)
 		}
-		if _, err := RestoreSender(fl, c, hash); err == nil || !strings.Contains(err.Error(), row.want) {
+		if _, err := RestoreSender(fl, c); err == nil || !strings.Contains(err.Error(), row.want) {
 			t.Errorf("%s: RestoreSender returned %v, want an error containing %q", row.name, err, row.want)
 		}
 	}
@@ -219,8 +221,7 @@ func TestRestoreGuardKeepsLastSafe(t *testing.T) {
 			src := fleet.New(cfg)
 			src.Run(10 * time.Second)
 			orig := src.Members[0]
-			hash := FleetPriorHash(src)
-			ck := Capture(orig, hash)
+			ck := Capture(orig)
 			want := orig.Sender.Guard.LastSafe()
 			if want <= 0 {
 				t.Fatal("the captured member has no safe interval: it never slept")
@@ -228,7 +229,7 @@ func TestRestoreGuardKeepsLastSafe(t *testing.T) {
 
 			dst := fleet.New(cfg)
 			dst.Retire(0)
-			snd, err := RestoreSender(dst, ck, hash)
+			snd, err := RestoreSender(dst, ck)
 			if err != nil {
 				t.Fatal(err)
 			}

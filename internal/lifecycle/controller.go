@@ -62,7 +62,7 @@ func (c ChurnConfig) WithDefaults(n int) ChurnConfig {
 // membership primitives and a clock. The membership half — LiveFlows,
 // Slots, MemberAt, InFlight, NextGen, Retire, Attach — is fleet.Roster's,
 // written once and embedded by both runtimes; each runtime adds only its
-// clock (Now, DeferRestart, DeferKill), Host and PriorHash: the single
+// clock (Now, DeferRestart, DeferKill) and Host: the single
 // loop through the Supervisor, the barrier-aligned shard coordinator
 // (shard.Fleet) itself, whose Attach also clamps the start offset off the
 // barrier. What to do is the Controller's, written once, and only when it
@@ -82,10 +82,8 @@ type Runtime interface {
 	InFlight(flow packet.FlowID) int64
 	// NextGen is the generation the flow's next member will receive.
 	NextGen(flow packet.FlowID) uint32
-	// Host is the surface a checkpoint of the flow restores against, and
-	// PriorHash the model identity checkpoints are bound to.
+	// Host is the surface a checkpoint of the flow restores against.
 	Host(flow packet.FlowID) MemberHost
-	PriorHash() uint64
 	// Retire tears the flow's member down (nil when vacant); its
 	// in-flight packets drain through the bottleneck.
 	Retire(flow packet.FlowID) *fleet.Member
@@ -397,7 +395,7 @@ func (c *Controller) restart(flow packet.FlowID, cause Cause, attempt int, offse
 	kind := c.freshKind()
 	var m *fleet.Member
 	if ck := fs.latest; ck != nil {
-		if snd, err := RestoreSender(c.rt.Host(flow), ck, c.rt.PriorHash()); err != nil {
+		if snd, err := RestoreSender(c.rt.Host(flow), ck); err != nil {
 			// A checkpoint this controller captured should always
 			// restore; count the anomaly, discard it, fall through.
 			c.Stats.CheckpointErrors++
@@ -426,9 +424,8 @@ func (c *Controller) restart(flow packet.FlowID, cause Cause, attempt int, offse
 	return kind
 }
 
-// Checkpoint captures m as its flow's latest checkpoint, bound to the
-// runtime's prior hash.
+// Checkpoint captures m as its flow's latest checkpoint.
 func (c *Controller) Checkpoint(m *fleet.Member) {
-	c.flow(m.Flow).latest = Capture(m, c.rt.PriorHash())
+	c.flow(m.Flow).latest = Capture(m)
 	c.Stats.Checkpoints++
 }

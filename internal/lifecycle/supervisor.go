@@ -250,12 +250,11 @@ func BeliefReseeds(m *fleet.Member) int { return m.Sender.Belief.Lifetime().Rese
 // loop — no goroutines — and the same seed replays the same lifecycle
 // log bit-identically. The embedded fleet's Roster supplies the
 // membership half of Runtime; the Supervisor adds only the clock (Now,
-// DeferRestart, DeferKill), Host and PriorHash.
+// DeferRestart, DeferKill) and Host.
 type Supervisor struct {
 	Controller
 	*fleet.Fleet
 
-	priorHash                  uint64
 	health, checkpoints, epoch *sim.Timer
 	started, stopped           bool
 }
@@ -263,7 +262,7 @@ type Supervisor struct {
 // NewSupervisor builds a supervisor over the fleet's current members.
 // Call Start before (or while) the loop runs.
 func NewSupervisor(fl *fleet.Fleet, cfg SupervisorConfig) *Supervisor {
-	s := &Supervisor{Fleet: fl, priorHash: FleetPriorHash(fl)}
+	s := &Supervisor{Fleet: fl}
 	s.Bind(s, fl.Cfg)
 	s.cfg = cfg.WithDefaults()
 	s.health = sim.NewTimer(fl.Loop, func() {
@@ -326,7 +325,6 @@ func (s *Supervisor) Stop() {
 
 func (s *Supervisor) Now() time.Duration            { return s.Loop.Now() }
 func (s *Supervisor) Host(packet.FlowID) MemberHost { return s.Fleet }
-func (s *Supervisor) PriorHash() uint64             { return s.priorHash }
 
 // DeferRestart and DeferKill are the single loop's clock: a loop event at
 // the exact instant, dropped (and the flow's reservation released) once

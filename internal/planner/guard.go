@@ -92,9 +92,9 @@ type Guard struct {
 	Compiled CompiledPolicy
 	// Degraded, when true, pins Decide to the degradation ladder
 	// without ever live-planning: the compiled table when wired, else
-	// cache → last-safe → sleep. A shard watchdog sets it for members
-	// hosted on a shard that blew its per-window budget (or, in tests,
-	// on an injected-stall schedule) — precomputed actions ride out the
+	// cache → last-safe → sleep. The sharded runtime sets it each
+	// coupling window for members of a stalled shard or of one that
+	// blew its per-window budget — precomputed actions ride out the
 	// outage, the sequence-based-control shape.
 	Degraded bool
 	// DegradedServed counts decisions served while Degraded was set.
@@ -155,18 +155,15 @@ func (g *Guard) Decide(w *Wake, pending []model.Send, seq int64, cfg Config) Dec
 	}
 	if g.Degraded {
 		g.DegradedServed++
-		if d, ok := g.probeCompiled(w, pending); ok {
-			g.CompiledHits++
-			g.noteSafe(d, now)
-			return d
-		}
-		return g.fallback(w, pending, cfg)
 	}
 	// Rung 0: the compiled table answers without planning at all.
 	if d, ok := g.probeCompiled(w, pending); ok {
 		g.CompiledHits++
 		g.noteSafe(d, now)
 		return d
+	}
+	if g.Degraded {
+		return g.fallback(w, pending, cfg)
 	}
 	if g.Budget <= 0 {
 		var d Decision

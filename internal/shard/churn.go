@@ -107,7 +107,7 @@ func (sf *Fleet) lifecycleBarrier() {
 }
 
 // Host, Attach, DeferRestart and DeferKill complete the coordinator's
-// lifecycle.Runtime (with Now and PriorHash); the membership half of it
+// lifecycle.Runtime (with Now); the membership half of it
 // is the embedded fleet.Roster's.
 
 func (sf *Fleet) Host(flow packet.FlowID) lifecycle.MemberHost { return sf.owner(flow) }

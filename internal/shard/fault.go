@@ -10,7 +10,7 @@ import (
 )
 
 // Shard fault tolerance: barrier checkpoints, deterministic failover,
-// and watchdog degradation.
+// and degraded serving for stalled or overrunning shards.
 //
 // # Virtual shards
 //
@@ -58,20 +58,21 @@ import (
 //     barrier, so it is excluded by the restored generation's base
 //     fence.
 //
-// # Watchdog
+// # Degraded serving
 //
-// Stalls degrade instead of killing: an overrunning shard's members
-// serve decisions from the Guard degradation ladder (compiled table →
-// cache → last-safe action) without live planning, the sequence-based
-// control shape — precomputed actions ride out the outage. The
-// deterministic path draws stall windows from chaos.Sub("shardfault")
-// over virtual shards; the production path (EnableWatchdog) measures
-// each partition's wall-clock time per coupling window and degrades an
-// overrunning partition's members for the following window. Both paths
-// share Member.SetDegraded and the DegradedServed counters; only the
-// trigger differs (drawn virtual time vs measured wall time), so the
-// deterministic tests exercise exactly the serving path production
-// degrades through.
+// Stalls degrade instead of killing: a stalled or overrunning shard's
+// members serve decisions from the Guard degradation ladder (compiled
+// table → cache → last-safe action) without live planning, the
+// sequence-based control shape — precomputed actions ride out the
+// outage. Two triggers feed one verdict. The deterministic path draws
+// stall windows from chaos.Sub("shardfault") over virtual shards; the
+// production path (EnableWatchdog) measures each partition's wall-clock
+// time per coupling window and judges it over budget. At the start of
+// every window, after the barrier's kills, restores and admissions,
+// degrade sets each live member's flag from both — its virtual shard
+// stalled, or the partition now hosting it over budget last window —
+// and nothing else writes it, so the deterministic tests exercise
+// exactly the serving path production degrades through.
 
 // VirtualShards is the number of virtual shards (stripe residue
 // classes) — the granularity of fault schedules and checkpoint sweeps.
@@ -82,7 +83,9 @@ type CheckpointConfig struct {
 	// Every is the period over which every resident member receives
 	// one barrier checkpoint (default 4 s). The sweep is incremental —
 	// one virtual shard per due tick, round-robin — so checkpoint work
-	// spreads across barriers instead of bunching into one.
+	// spreads across barriers instead of bunching into one. A tick is
+	// at least one coupling window Δ, so the sweep period is
+	// max(Every, VirtualShards·Δ): 4 s at N = 8 even with Every = 2 s.
 	Every time.Duration
 }
 
@@ -107,10 +110,11 @@ type FaultConfig struct {
 type WatchdogConfig struct {
 	// WindowBudget is the wall-clock budget one shard may spend
 	// running one coupling window; a shard that overruns it has its
-	// members served degraded for the following window. Zero disables.
-	// Wall-clock verdicts are inherently nondeterministic — leave this
-	// off in replay-hash experiments and drive FaultConfig.StallProb
-	// instead, which degrades through the identical serving path.
+	// members served degraded for the following window. Zero arms
+	// nothing. Wall-clock verdicts are inherently nondeterministic —
+	// leave this off in replay-hash experiments and drive
+	// FaultConfig.StallProb instead, which degrades through the
+	// identical serving path.
 	WindowBudget time.Duration
 }
 
@@ -127,8 +131,8 @@ type FailoverStats struct {
 	FencedAcks int64
 	// Stalls counts drawn stall windows entered.
 	Stalls int
-	// WatchdogTrips counts wall-clock budget overruns that degraded a
-	// partition (zero without EnableWatchdog).
+	// WatchdogTrips counts each partition's turns from within budget
+	// to over it (zero without EnableWatchdog).
 	WatchdogTrips int64
 }
 
@@ -152,10 +156,9 @@ type faultState struct {
 }
 
 type watchdogState struct {
-	cfg      WatchdogConfig
-	wall     []time.Duration // last window's wall time per partition
-	over     []bool          // last window's verdict per partition
-	degraded []bool          // currently-applied degradation per partition
+	budget time.Duration
+	wall   []time.Duration // last window's wall time per partition
+	over   []bool          // last window's verdict per partition
 }
 
 // EnableCheckpoints arms barrier-time checkpointing. Call before Run.
@@ -171,7 +174,6 @@ func (sf *Fleet) EnableCheckpoints(cc CheckpointConfig) {
 		interval = sf.Delta
 	}
 	sf.checkpoints = &ckptState{interval: interval, next: interval}
-	sf.priorHash = lifecycle.PriorHashFor(sf.Cfg, sf.Caches)
 }
 
 // EnableFaults arms the deterministic shard-kill/stall schedule,
@@ -190,20 +192,19 @@ func (sf *Fleet) EnableFaults(fc FaultConfig, ch chaos.Config) {
 	}
 }
 
-// EnableWatchdog arms the wall-clock per-window budget. Call before
-// Run. See WatchdogConfig for the determinism caveat.
+// EnableWatchdog arms the wall-clock per-window budget; a non-positive
+// budget arms nothing. Call before Run. See WatchdogConfig for the
+// determinism caveat.
 func (sf *Fleet) EnableWatchdog(wc WatchdogConfig) {
+	if wc.WindowBudget <= 0 {
+		return
+	}
 	sf.wd = &watchdogState{
-		cfg:      wc,
-		wall:     make([]time.Duration, sf.K),
-		over:     make([]bool, sf.K),
-		degraded: make([]bool, sf.K),
+		budget: wc.WindowBudget,
+		wall:   make([]time.Duration, sf.K),
+		over:   make([]bool, sf.K),
 	}
 }
-
-// PriorHash reports the model identity checkpoints are bound to (zero
-// until EnableCheckpoints).
-func (sf *Fleet) PriorHash() uint64 { return sf.priorHash }
 
 func (f *faultState) nextDue() time.Duration {
 	best := min(f.nextEpoch, f.kills.earliest(), f.stallq.earliest())
@@ -263,17 +264,14 @@ func (sf *Fleet) faultBarrier() {
 		f.nextEpoch += f.cfg.Epoch
 	}
 
-	// Stall ends first (a stall expiring this barrier releases its
-	// members before any new degradation is applied).
+	// Stall ends, then due stall starts, then due kills (each a
+	// whole-class failover), in (at, group) order. Who serves degraded
+	// is settled later, by degrade at the window's start.
 	for v := 0; v < VirtualShards; v++ {
 		if f.stalled[v] && b >= f.until[v] {
 			f.stalled[v] = false
-			sf.setGroupDegraded(v, false)
 		}
 	}
-
-	// Due stall starts, then due kills (each a whole-class failover), in
-	// (at, group) order.
 	for _, st := range f.stallq.take(b) {
 		f.until[st.key] = max(f.until[st.key], st.at+st.dur)
 		if !f.stalled[st.key] {
@@ -283,25 +281,6 @@ func (sf *Fleet) faultBarrier() {
 	}
 	for _, k := range f.kills.take(b) {
 		sf.failoverGroup(k.key)
-	}
-
-	// Re-assert degradation on stalled classes last, so members
-	// restored (or churn-admitted) into a stalled class this barrier
-	// serve degraded too.
-	for v := 0; v < VirtualShards; v++ {
-		if f.stalled[v] {
-			sf.setGroupDegraded(v, true)
-		}
-	}
-}
-
-// setGroupDegraded flips degraded serving for every live member of the
-// virtual shard, in ascending flow order.
-func (sf *Fleet) setGroupDegraded(v int, on bool) {
-	for i := v; i < sf.Slots(); i += VirtualShards {
-		if m := sf.MemberAt(packet.FlowID(i)); m != nil {
-			m.SetDegraded(on)
-		}
 	}
 }
 
@@ -370,11 +349,29 @@ func (sf *Fleet) fenced(flow packet.FlowID, sentAt time.Duration) bool {
 	return false
 }
 
+// degrade is the one writer of degraded serving. At the start of each
+// coupling window — after the barrier's kills, restores and admissions
+// — every live member serves degraded exactly when its virtual shard is
+// stalled or the partition hosting it overran last window's budget.
+func (sf *Fleet) degrade() {
+	if sf.fault == nil && sf.wd == nil {
+		return
+	}
+	for f := 0; f < sf.Slots(); f++ {
+		m := sf.MemberAt(packet.FlowID(f))
+		if m == nil {
+			continue
+		}
+		v := f % VirtualShards
+		m.SetDegraded(sf.fault != nil && sf.fault.stalled[v] || sf.wd != nil && sf.wd.over[sf.home[v]])
+	}
+}
+
 // timedRun runs partition i to the window end, timing it when the
 // wall-clock watchdog is armed. Each goroutine writes only its own
 // wall slot.
 func (sf *Fleet) timedRun(i int, end time.Duration) {
-	if sf.wd == nil || sf.wd.cfg.WindowBudget <= 0 {
+	if sf.wd == nil {
 		sf.Parts[i].RunTo(end)
 		return
 	}
@@ -383,46 +380,15 @@ func (sf *Fleet) timedRun(i int, end time.Duration) {
 	sf.wd.wall[i] = time.Since(start)
 }
 
-// applyWatchdog applies last window's wall-clock verdicts before the
-// next window runs: an overrunning partition's members are degraded,
-// a recovered partition's are released.
-func (sf *Fleet) applyWatchdog() {
-	w := sf.wd
-	if w.cfg.WindowBudget <= 0 {
-		return
-	}
-	for i := range sf.Parts {
-		if w.over[i] == w.degraded[i] {
-			continue
-		}
-		w.degraded[i] = w.over[i]
-		if w.over[i] {
-			sf.Failover.WatchdogTrips++
-		}
-		sf.setPartitionDegraded(i, w.over[i])
-	}
-}
-
-// judgeWatchdog records which partitions blew the window budget.
+// judgeWatchdog records which partitions blew the window budget,
+// counting each partition's turn to over.
 func (sf *Fleet) judgeWatchdog() {
 	w := sf.wd
-	if w.cfg.WindowBudget <= 0 {
-		return
-	}
 	for i := range sf.Parts {
-		w.over[i] = w.wall[i] > w.cfg.WindowBudget
-	}
-}
-
-// setPartitionDegraded flips degraded serving for every live member
-// currently homed on partition i, in ascending flow order.
-func (sf *Fleet) setPartitionDegraded(i int, on bool) {
-	for f := 0; f < sf.Slots(); f++ {
-		if sf.home[f%VirtualShards] != i {
-			continue
+		over := w.wall[i] > w.budget
+		if over && !w.over[i] {
+			sf.Failover.WatchdogTrips++
 		}
-		if m := sf.MemberAt(packet.FlowID(f)); m != nil {
-			m.SetDegraded(on)
-		}
+		w.over[i] = over
 	}
 }

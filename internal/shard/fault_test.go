@@ -242,3 +242,89 @@ func TestWatchdogQuiescentIsResultNeutral(t *testing.T) {
 		t.Fatalf("quiescent watchdog digest %016x, want %016x (plain)", got, want)
 	}
 }
+
+// stepWindows runs the fleet to until one Δ at a time, so each step is
+// one barrier and one coupling window, and calls after with the fleet
+// between that window and the next barrier.
+func stepWindows(sf *Fleet, until time.Duration, after func()) {
+	for t := sf.Delta; t <= until; t += sf.Delta {
+		sf.Run(t)
+		after()
+	}
+}
+
+// TestStallEndKeepsWatchdogDegradation: a virtual shard's stall ending
+// must not release members the watchdog still holds. With a budget no
+// window can meet, every partition overruns every window, so after the
+// first window every live member serves degraded whatever the stall
+// schedule does.
+func TestStallEndKeepsWatchdogDegradation(t *testing.T) {
+	sf := New(Config{Fleet: fleet.Config{N: 32, Seed: 3, Workers: 1}, Shards: 2})
+	sf.EnableFaults(FaultConfig{Epoch: 2 * time.Second, StallProb: 0.5, MaxStall: time.Second}, chaos.Config{Seed: 3})
+	sf.EnableWatchdog(WatchdogConfig{WindowBudget: time.Nanosecond})
+	samples, released := 0, 0
+	stepWindows(sf, 12*time.Second, func() {
+		for f := 0; f < sf.Slots(); f++ {
+			if m := sf.MemberAt(packet.FlowID(f)); m != nil {
+				samples++
+				if !m.Sender.Guard.Degraded {
+					released++
+				}
+			}
+		}
+	})
+	if sf.Failover.Stalls == 0 {
+		t.Fatal("no stalls entered: the schedule does not exercise stall ends")
+	}
+	if got := sf.Failover.WatchdogTrips; got != int64(sf.K) {
+		t.Fatalf("watchdog trips = %d, want one per partition (%d): some window met a 1ns budget", got, sf.K)
+	}
+	if released != 0 {
+		t.Errorf("%d of %d member-samples served live while their partition was over budget", released, samples)
+	}
+}
+
+// TestAttachIntoStalledShardServesDegraded: a member attached at a
+// barrier — a churn arrival, restart or failover restore — into a
+// stalled virtual shard serves that window degraded like the members
+// already there, so no member of a stalled shard ever plans live.
+func TestAttachIntoStalledShardServesDegraded(t *testing.T) {
+	sf := New(Config{
+		Fleet:  fleet.Config{N: 32, Seed: 5, Workers: 1, BeliefCfg: belief.Config{Recover: true}},
+		Shards: 2,
+	})
+	sf.EnableFaults(FaultConfig{Epoch: 2 * time.Second, StallProb: 0.5, MaxStall: 2 * time.Second}, chaos.Config{Seed: 5})
+	sf.EnableChurn(lifecycle.ChurnConfig{Epoch: time.Second, DepartProb: 0.1, CrashProb: 0.1, ArriveProb: 0.5},
+		lifecycle.SupervisorConfig{BackoffBase: 100 * time.Millisecond}, chaos.Config{Seed: 5})
+	type seen struct {
+		m    *fleet.Member
+		live int64
+	}
+	last := make(map[packet.FlowID]seen)
+	var stalledLive, attached int64
+	stepWindows(sf, 30*time.Second, func() {
+		for f := 0; f < sf.Slots(); f++ {
+			flow := packet.FlowID(f)
+			m := sf.MemberAt(flow)
+			if m == nil {
+				delete(last, flow)
+				continue
+			}
+			prev := last[flow]
+			if prev.m != m {
+				prev.live = 0 // a new generation brings a new Guard
+				attached++
+			}
+			if sf.fault.stalled[f%VirtualShards] {
+				stalledLive += m.Sender.Guard.Live - prev.live
+			}
+			last[flow] = seen{m, m.Sender.Guard.Live}
+		}
+	})
+	if sf.Failover.Stalls == 0 || attached <= int64(sf.Cfg.N) {
+		t.Fatalf("schedule not exercising: stalls=%d attaches=%d", sf.Failover.Stalls, attached)
+	}
+	if stalledLive != 0 {
+		t.Errorf("members of stalled virtual shards planned %d decisions live", stalledLive)
+	}
+}

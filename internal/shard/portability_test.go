@@ -23,9 +23,6 @@ func TestCheckpointPortabilityAcrossShardCounts(t *testing.T) {
 		return sf
 	}
 	k1, k8 := run(1), run(8)
-	if k1.PriorHash() != k8.PriorHash() {
-		t.Fatalf("prior hash differs across shard counts: %016x vs %016x", k1.PriorHash(), k8.PriorHash())
-	}
 
 	checked := 0
 	for i := 0; i < 16; i++ {
@@ -57,11 +54,11 @@ func TestCheckpointPortabilityAcrossShardCounts(t *testing.T) {
 			t.Fatalf("flow %d: no checkpoint to cross-restore", flow)
 		}
 		part := dst.owner(flow)
-		s, err := lifecycle.RestoreSender(part, ck, dst.PriorHash())
+		s, err := lifecycle.RestoreSender(part, ck)
 		if err != nil {
 			t.Fatalf("flow %d: cross-restore: %v", flow, err)
 		}
-		ck2 := lifecycle.Capture(&fleet.Member{Flow: flow, Sender: s}, dst.PriorHash())
+		ck2 := lifecycle.Capture(&fleet.Member{Flow: flow, Sender: s})
 		if !reflect.DeepEqual(ck, ck2) {
 			t.Errorf("flow %d: restore∘capture not the identity across shard counts", flow)
 		}

@@ -92,8 +92,8 @@
 // warm→hot→cold ladder, from barrier-time checkpoints when
 // EnableCheckpoints is armed; the coordinator additionally survives the
 // loss or stall of a whole shard (EnableFaults, EnableWatchdog) — see
-// fault.go for the virtual-shard failover protocol and the degradation
-// watchdog.
+// fault.go for the virtual-shard failover protocol and degraded
+// serving.
 package shard
 
 import (
@@ -189,9 +189,6 @@ type Fleet struct {
 	// a failed-over member generation, whose sequence numbers the
 	// restored generation will reuse.
 	fences map[packet.FlowID][]fenceWin
-	// priorHash binds barrier checkpoints to the fleet's model
-	// identity (set when checkpoints are enabled).
-	priorHash uint64
 }
 
 // New builds the sharded runtime. Nothing runs until Run.
@@ -412,13 +409,11 @@ func (sf *Fleet) window(end time.Duration) {
 		}
 	}
 
-	// 2. Run the shards to the window end in parallel. The production
-	// watchdog applies last window's wall-clock verdicts first (an
-	// overrunning shard's members serve this window degraded) and
-	// times each shard's run.
-	if sf.wd != nil {
-		sf.applyWatchdog()
-	}
+	// 2. Run the shards to the window end in parallel. Members of a
+	// stalled virtual shard, or of a partition that overran last
+	// window's budget, serve this window degraded; the watchdog times
+	// each shard's run.
+	sf.degrade()
 	if sf.K == 1 {
 		sf.timedRun(0, end)
 	} else {
