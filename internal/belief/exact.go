@@ -55,15 +55,15 @@ type Exact struct {
 	// cls holds one state per class, in the order of each class's first
 	// hypothesis, under that hypothesis's grid point; its W is unused
 	// unless the classes are the support. This is all the belief owns of
-	// its states between updates: cls, exactly one header per class when
-	// the classes are the support (at most two when sup is), and slab,
+	// its states between updates: cls, one header per class, and slab,
 	// which holds every class's queue as a window of its own —
 	// slab[o:o+n:o+n], QHead 0, in class order — so that no class can
-	// append into another's entries. slab holds at most twice the entries
-	// in use plus one per class. A class state is advanced in the pool's
-	// arena, never in the slab: an update unpacks the classes there and
-	// packs them back (pack). mem holds the hypotheses in support order,
-	// each naming its class.
+	// append into another's entries. Each keeps its capacity while that
+	// holds what the classes need and at most four times it (for slab,
+	// four times the entries in use plus one per class): see pack. A
+	// class state is advanced in the pool's arena, never in the slab: an
+	// update unpacks the classes there and packs them back (pack). mem
+	// holds the hypotheses in support order, each naming its class.
 	cls  []Hypothesis
 	slab []model.QPkt
 	mem  []member
@@ -119,10 +119,11 @@ type Exact struct {
 // class forks.
 //
 // hdrs and slabs are the free store: header slices and slabs that
-// beliefs gave back when their classes or queue entries no longer fit
-// them, by capacity, each handed to the next belief that needs that
-// size (pack, swap). A fleet's members trade storage there instead of
-// allocating it.
+// beliefs gave back, by capacity, each handed to the next belief that
+// needs that size (pack, swap). A belief trades an array only when the
+// need outgrows its capacity or falls below a quarter of it, for the
+// power of two at or above the need, so a fleet's members trade on
+// growth and on a large fall, never back and forth around one size.
 type arena struct {
 	slots    [2][]Hypothesis
 	segs     []classSeg
@@ -726,26 +727,30 @@ func (b *Exact) unpack(ar *arena) (cls, spare []Hypothesis) {
 // itself when each class has one member (numbered in hypothesis order,
 // each under its member's grid point), else sup, one header per
 // hypothesis, its class's state — window included — under its grid point
-// and weight. cls keeps its array while that has exactly the classes'
-// number of slots, or, beside sup, at most twice it; slab while it holds
-// at most twice the entries plus one per class. Storage that does not
-// fit is traded with the arena's free store for a power of two (cls as
-// the support: exactly its length). The slots keep their buffers.
+// and weight.
+//
+// Both arrays follow one rule: one keeps its capacity c while
+// need ≤ c ≤ 4·need, and is otherwise traded with the arena's free store
+// for one of capacity ceilPow2(need). cls needs one header per class;
+// slab needs the queue entries, and keeps up to four times them plus
+// one per class. A traded array comes to fit within twice its need, so
+// it is traded again only on growth or on a fall to below half the need
+// it was traded for. The slots keep their buffers.
 func (b *Exact) pack(ar *arena, classes []Hypothesis) {
 	n, nc, mem := 0, len(classes), b.mem
 	for k := range classes {
 		n += classes[k].S.QLen()
 	}
-	// Beside sup, cls is internal, and an exact length there would trade
-	// storage on most of Figure 3's updates: its class count changes on
-	// seven in ten.
-	if c := cap(b.cls); nc == len(mem) && c != nc {
-		b.cls = swap(ar.hdrs, b.cls, nc)
-	} else if nc < len(mem) && (nc > c || c > 2*nc) {
+	// Headers point at records and queues, so none is kept past the
+	// classes or given back uncleared; a slab points at nothing.
+	if c := cap(b.cls); c < nc || c > 4*nc {
+		clear(b.cls[:c])
 		b.cls = swap(ar.hdrs, b.cls, ceilPow2(nc))
+	} else if nc < len(b.cls) {
+		clear(b.cls[nc:])
 	}
 	b.cls = b.cls[:nc]
-	if c := cap(b.slab); n > c || c > 2*n+nc {
+	if c := cap(b.slab); c < n || c > 4*n+nc {
 		b.slab = swap(ar.slabs, b.slab, ceilPow2(n))
 	}
 	o := 0
@@ -781,13 +786,12 @@ const freeDepth = 4
 
 // swap gives s back to free, which keeps slices by capacity, and returns
 // one of length and capacity n from it, or a new one (nil for n = 0).
-// free keeps at most freeDepth slices of one capacity, cleared so that
-// they pin nothing.
+// free keeps at most freeDepth slices of one capacity, as given: a
+// caller clears a slice that must pin nothing, and whoever takes one
+// writes every entry before reading it.
 func swap[T any](free map[int][][]T, s []T, n int) []T {
 	if c := cap(s); c > 0 && len(free[c]) < freeDepth {
-		s = s[:c]
-		clear(s)
-		free[c] = append(free[c], s)
+		free[c] = append(free[c], s[:c])
 	}
 	if n == 0 {
 		return nil

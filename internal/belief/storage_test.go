@@ -12,50 +12,58 @@ import (
 )
 
 // TestStorageFollowsTheClasses: between updates a belief holds what its
-// classes need and no more, over generated updates on a fleet member's
-// prior and on Figure 3's loss prior. Where the classes are the support
-// (every class one hypothesis, as on a fleet member) it holds exactly
-// one header per class; where classes share loss siblings, and the
-// support has a header per hypothesis, at most two per class. Its slab
-// holds at most twice the queue entries in use plus one per class. Most
-// reads find the kind of support the prior is for and packets queued, so
-// neither bound is vacuous.
+// classes need and at most four times it, over generated updates on a
+// fleet member's prior and on Figure 3's loss prior: one to four header
+// slots per class, whether the classes are the support (every class one
+// hypothesis, as on a fleet member) or share loss siblings beside a
+// header per hypothesis, and a slab of one to four times the queue
+// entries in use plus one per class. Most reads find the kind of support
+// the prior is for and packets queued, so neither bound is vacuous.
+//
+// Within those bounds storage is traded only on growth or a large fall,
+// never back and forth around one size: the generated updates, and a
+// known link whose queue swings across a power of two, trade at most
+// the stated number of times (a trade is a capacity changed between two
+// reads).
 func TestStorageFollowsTheClasses(t *testing.T) {
 	fl := fleet.New(fleet.Config{N: 16, Seed: 3, Workers: 1})
 	pr := model.Fig3Prior()
 	pr.LinkRate.N, pr.CrossFrac.N, pr.FullnessSteps = 4, 2, 2
 	lossPrior, _ := pr.Enumerate()
 	for _, c := range []struct {
-		name   string
-		states []model.State
-		cfg    belief.Config
-		truth  *model.Truth
-		single bool
+		name      string
+		states    []model.State
+		cfg       belief.Config
+		truth     *model.Truth
+		single    bool
+		maxTrades int
 	}{
 		{"fleet member", fl.PriorStates(), fl.MemberBeliefConfig(),
-			model.NewTruth(fl.PriorStates()[len(fl.PriorStates())/2].P.Params, true, model.GateFixed, 0, rand.New(rand.NewSource(5))), true},
+			model.NewTruth(fl.PriorStates()[len(fl.PriorStates())/2].P.Params, true, model.GateFixed, 0, rand.New(rand.NewSource(5))), true, 16},
 		{"fig3 loss prior", lossPrior, belief.Config{Relax: true, Workers: 1},
-			model.NewTruth(model.Fig2Actual(), true, model.GateSquareWave, 20*time.Second, rand.New(rand.NewSource(6))), false},
+			model.NewTruth(model.Fig2Actual(), true, model.GateSquareWave, 20*time.Second, rand.New(rand.NewSource(6))), false, 10},
 	} {
 		b := belief.NewExact(c.states, c.cfg)
 		rng := rand.New(rand.NewSource(47))
 		var now time.Duration
 		var seq int64
 		var shared, queued int
+		var tr trades
 		check := func(k int) {
 			slots, classes, single, held, used := belief.Storage(b)
 			if single != c.single {
 				shared++
 			}
-			if single && slots != classes || !single && slots > 2*classes {
+			if slots < classes || slots > 4*classes {
 				t.Fatalf("%s, update %d: %d header slots for %d classes (the support: %v)", c.name, k, slots, classes, single)
 			}
-			if held > 2*used+classes {
+			if held < used || held > 4*used+classes {
 				t.Fatalf("%s, update %d: the slab holds %d queue entries for %d in use in %d classes", c.name, k, held, used, classes)
 			}
 			if used > 0 {
 				queued++
 			}
+			tr.read(b)
 		}
 		check(-1)
 		for k := 0; k < 60; k++ {
@@ -82,5 +90,69 @@ func TestStorageFollowsTheClasses(t *testing.T) {
 		if queued < 60/2 {
 			t.Fatalf("%s: only %d of 61 reads had packets queued", c.name, queued)
 		}
+		if tr.n > c.maxTrades {
+			t.Errorf("%s: storage traded %d times over 60 updates, want at most %d", c.name, tr.n, c.maxTrades)
+		}
 	}
+
+	// One known link of one packet a second, sent 18 packets and then
+	// four every fourth second: its queue swings between 14 and 17
+	// entries, across the slab size 16, and trades once, to grow.
+	link := model.Params{LinkRate: 12000, BufferCapBits: 64 * 12000}
+	b := belief.NewExact([]model.State{model.Initial(link, false)}, belief.Config{Workers: 1})
+	truth := model.NewTruth(link, false, model.GateFixed, 0, rand.New(rand.NewSource(7)))
+	var tr trades
+	tr.read(b)
+	var seq int64
+	lo, hi := 1<<30, 0
+	for k := 0; k < 40; k++ {
+		now := time.Duration(k) * time.Second
+		burst := 4
+		if k == 0 {
+			burst = 18
+		} else if k%4 != 0 {
+			burst = 0
+		}
+		var sends []model.Send
+		for i := 0; i < burst; i++ {
+			sends = append(sends, model.Send{Seq: seq, At: now + time.Duration(i+1)*time.Millisecond})
+			b.RecordSend(sends[i])
+			seq++
+		}
+		var acks []packet.Ack
+		for _, ev := range truth.AdvanceTo(now+time.Second-time.Millisecond, sends) {
+			if ev.Kind == model.OwnDelivered {
+				acks = append(acks, packet.Ack{Seq: ev.Seq, ReceivedAt: ev.At})
+			}
+		}
+		b.Update(now+time.Second-time.Millisecond, acks)
+		tr.read(b)
+		if _, _, _, _, used := belief.Storage(b); k >= 4 {
+			lo, hi = min(lo, used), max(hi, used)
+		}
+	}
+	if lo >= 16 || hi <= 16 {
+		t.Fatalf("the queue held %d to %d entries: it never crossed 16", lo, hi)
+	}
+	if tr.n > 1 {
+		t.Errorf("a queue swinging across 16 entries traded storage %d times over 40 updates, want at most 1", tr.n)
+	}
+}
+
+// trades counts the capacity changes of a belief's header slots and slab
+// between consecutive reads.
+type trades struct{ slots, held, n, reads int }
+
+func (tr *trades) read(b *belief.Exact) {
+	slots, _, _, held, _ := belief.Storage(b)
+	if tr.reads > 0 {
+		if slots != tr.slots {
+			tr.n++
+		}
+		if held != tr.held {
+			tr.n++
+		}
+	}
+	tr.slots, tr.held = slots, held
+	tr.reads++
 }

@@ -8,6 +8,7 @@ import (
 	"modelcc/internal/model"
 	"modelcc/internal/packet"
 	"modelcc/internal/planner"
+	"modelcc/internal/rollout"
 )
 
 func knownIdleBelief() belief.Belief {
@@ -90,5 +91,40 @@ func TestSenderEstimates(t *testing.T) {
 	e := s.Estimates()
 	if e.N != 1 || e.ELinkRate != 12000 {
 		t.Errorf("estimates = %+v", e)
+	}
+}
+
+// TestSendingWakeSteadyStateAllocs: once warm, a wake that sends — the
+// belief update, every decision and the sends it returns — allocates
+// nothing, on a sender with its own pool and neither cache nor table:
+// Action.Sends is the sender's one send buffer, reused by every wake.
+func TestSendingWakeSteadyStateAllocs(t *testing.T) {
+	pool := rollout.New(1)
+	plan := planner.DefaultConfig()
+	plan.Workers, plan.Pool = 1, pool
+	idle := model.Initial(model.Params{LinkRate: 12000, BufferCapBits: 96000}, false)
+	s := NewSender(belief.NewExact([]model.State{idle}, belief.Config{Workers: 1, Pool: pool}), plan)
+	s.Wake(0, nil)
+	// The link carries one packet a second, and each wake acknowledges
+	// the packet it delivered.
+	acks := make([]packet.Ack, 1)
+	k, quiet := 0, 0
+	wake := func() {
+		k++
+		at := time.Duration(k) * time.Second
+		acks[0] = packet.Ack{Seq: int64(k - 1), ReceivedAt: at}
+		if len(s.Wake(at, acks).Sends) == 0 {
+			quiet++
+		}
+	}
+	for k < 20 {
+		wake()
+	}
+	quiet = 0
+	if allocs := testing.AllocsPerRun(50, wake); allocs != 0 {
+		t.Errorf("a warm sending wake allocates %v times, want 0", allocs)
+	}
+	if quiet > 0 {
+		t.Errorf("%d of 51 measured wakes sent nothing", quiet)
 	}
 }

@@ -26,7 +26,9 @@ import (
 type Action struct {
 	// Sends are the packets to inject immediately, in order (the
 	// planner may choose to send several back to back; each decision
-	// saw the previous commitments).
+	// saw the previous commitments). They live in the sender's one send
+	// buffer and are valid until its next Wake: inject them, or copy
+	// them to keep them.
 	Sends []model.Send
 	// WakeAt is the absolute time of the next self-scheduled wakeup.
 	// An acknowledgment arriving earlier should wake the sender early —
@@ -68,6 +70,8 @@ type Sender struct {
 	nextSeq int64
 	// wake is the planner's view of the belief for the wake in hand.
 	wake planner.Wake
+	// sends is the buffer every Action.Sends is returned in.
+	sends []model.Send
 
 	// Sent counts packets emitted; Acked counts acknowledgments
 	// consumed; Wakes counts wakeups.
@@ -107,7 +111,7 @@ func (s *Sender) Wake(now time.Duration, acks []packet.Ack) Action {
 	s.Belief.Update(now, acks)
 	s.wake.Reset(s.Belief.Support(), now)
 
-	var act Action
+	s.sends = s.sends[:0]
 	maxBurst := s.MaxBurst
 	if maxBurst <= 0 {
 		maxBurst = 32
@@ -119,14 +123,13 @@ func (s *Sender) Wake(now time.Duration, acks []packet.Ack) Action {
 			s.OnDecide(&s.wake, pending, d)
 		}
 		if !d.SendNow {
-			act.WakeAt = d.WakeAt
-			return act
+			return Action{Sends: s.sends, WakeAt: d.WakeAt}
 		}
 		snd := model.Send{Seq: s.nextSeq, At: now}
 		s.nextSeq++
 		s.Sent++
 		s.Belief.RecordSend(snd)
-		act.Sends = append(act.Sends, snd)
+		s.sends = append(s.sends, snd)
 	}
 	// Burst cap reached while the planner still wanted to send;
 	// re-decide shortly rather than spinning.
@@ -134,8 +137,7 @@ func (s *Sender) Wake(now time.Duration, acks []packet.Ack) Action {
 	if grid <= 0 {
 		grid = planner.DefaultConfig().Grid
 	}
-	act.WakeAt = now + grid
-	return act
+	return Action{Sends: s.sends, WakeAt: now + grid}
 }
 
 // Estimates summarizes the sender's current posterior (for reporting).
