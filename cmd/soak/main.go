@@ -7,8 +7,11 @@
 // (flow 0) a jumping wall clock. Each flow also runs a clean pass for
 // baseline; the invariants are zero errors, zero leaked goroutines,
 // bounded heap, and post-blackout delivered utility at ≥ 70% of the
-// clean run's in the same window. (The DES side of the same fault menu —
-// bit-identical replay, belief-collapse recovery — is pinned in tier-1:
+// clean run's in the same window. Each sender decides through a Guard
+// with a 50 ms budget; its counters (live, timeouts, overlaps, safe
+// fallbacks) print per flow as an INFO line that gates nothing. (The
+// DES side of the same fault menu — bit-identical replay,
+// belief-collapse recovery — is pinned in tier-1:
 // TestChaosReplayBitIdentical, TestChaosExercisesRecovery and
 // TestGoldenChaos in internal/experiments.)
 //
@@ -62,7 +65,8 @@ func checkRanges(n int, dur time.Duration) error {
 type flowResult struct {
 	util float64 // delivered utility inside the post-blackout window
 	transport.LoopbackResult
-	err error
+	guard *planner.Guard // the sender's decision path, for its counters
+	err   error
 }
 
 // runFlow executes one sender/receiver pair over loopback for dur,
@@ -85,7 +89,8 @@ func runFlow(seed int64, dur time.Duration, chaotic, jumpy bool) flowResult {
 		link.Chaos, link.AckChaos = &fwd, &ack
 	}
 	cs := transport.LiveSender(belief.Config{SoftSigma: 30 * time.Millisecond, Recover: true})
-	cs.Guard.Budget, cs.Guard.Cache = 50*time.Millisecond, planner.NewPolicyCache(256)
+	cs.Guard.Budget = 50 * time.Millisecond
+	res.guard = cs.Guard
 	rig := transport.Loopback{
 		Sender: cs,
 		Link:   &link,
@@ -114,6 +119,11 @@ func runFlow(seed int64, dur time.Duration, chaotic, jumpy bool) flowResult {
 	}
 	res.LoopbackResult, res.err = transport.RunLoopback(context.Background(), rig, dur)
 	return res
+}
+
+// guardCounters formats a Guard's decision counters for an INFO line.
+func guardCounters(g *planner.Guard) string {
+	return fmt.Sprintf("live=%d timeouts=%d overlaps=%d safe-fallbacks=%d", g.Live, g.Timeouts, g.Overlaps, g.SafeFallbacks)
 }
 
 func main() {
@@ -175,6 +185,10 @@ func main() {
 			check("flow0-clock-clamped", st.ClockClamps > 0,
 				"backwards clock jump clamped %d times", st.ClockClamps)
 		}
+		// Gates nothing: how often the budgeted Guard ran out of time and
+		// fell to the last safe rung.
+		fmt.Printf("INFO %-24s clean %s; chaos %s\n", fmt.Sprintf("flow%d-guard", i),
+			guardCounters(o.clean.guard), guardCounters(o.chaotic.guard))
 	}
 
 	// Invariants: no goroutine leak (settle first — runtime timers and

@@ -33,7 +33,8 @@
 //     state per class, with recovery, snapshots and Restore.
 //   - internal/planner: expected-utility action selection (Decide, one
 //     planner.Wake per wake), the rollout memo, the twin closure, the
-//     PolicyCache and the Guard's degradation ladder.
+//     PolicyCache and the Guard's degradation ladder (compiled table →
+//     live within budget → last safe → sleep).
 //   - internal/rollout: the worker pool and scratch arenas under belief
 //     and planner; results are bit-identical at every width.
 //   - internal/utility: the §3.3 utility function (Config, Meter).

@@ -107,9 +107,6 @@ type Config struct {
 	// NoSharedCache disables the fleet-wide policy cache (for the
 	// ablation benchmark; every member then plans from scratch).
 	NoSharedCache bool
-	// CacheEntries bounds the shared policy cache per stripe (0 =
-	// default).
-	CacheEntries int
 	// CacheStripes sets how many independent stripes the shared policy
 	// cache is split into (0 = 1: one fleet-wide cache, the historical
 	// behavior). A member uses stripe flow mod CacheStripes. The stripe
@@ -306,16 +303,13 @@ func New(cfg Config) *Fleet {
 	return f
 }
 
-// Start schedules every member's first wakeup, staggered over
-// Cfg.Stagger(). It is called by Run; call it directly only when driving
-// the loop manually.
+// Start schedules every member's first wakeup at its StartOffset. It is
+// called by Run; call it directly only when driving the loop manually.
 func (f *Fleet) Start() {
-	n, stagger := int64(len(f.Members)), int64(f.Cfg.Stagger())
-	for i, m := range f.Members {
-		if m == nil {
-			continue
+	for _, m := range f.Members {
+		if m != nil {
+			m.Start(StartOffset(f.Cfg, m.Flow, m.Gen))
 		}
-		m.Start(time.Duration(stagger * int64(i) / n))
 	}
 }
 
@@ -326,11 +320,19 @@ func (f *Fleet) Run(duration time.Duration) {
 	f.Loop.Run(duration)
 }
 
-// StaggerOffsetFor recomputes the start-time stagger for a mid-run
-// admission: a deterministic hash of (flow, generation) spread over the
-// stagger window, so restarts and arrivals de-synchronize from the
-// incumbents instead of landing on one instant.
-func StaggerOffsetFor(stagger time.Duration, flow packet.FlowID, gen uint32) time.Duration {
+// StartOffset places the first wake of the flow's member of generation
+// gen within the stagger window, so decision epochs de-synchronize. An
+// initial member (gen 0 of a flow below N) sits on the lattice
+// Stagger·flow/N; any other start — a mid-run admission or a restart —
+// at a deterministic hash of (flow, generation), so it does not land on
+// one instant with the incumbents. Both runtimes and
+// lifecycle.Controller place every start here.
+func StartOffset(cfg Config, flow packet.FlowID, gen uint32) time.Duration {
+	cfg = cfg.withDefaults()
+	stagger := cfg.Stagger()
+	if gen == 0 && int(flow) < cfg.N {
+		return time.Duration(int64(stagger) * int64(flow) / int64(cfg.N))
+	}
 	if stagger <= 0 {
 		return 0
 	}
@@ -357,9 +359,9 @@ func (f *Fleet) CompiledStats() (compiled, live int64) {
 	return compiled, live
 }
 
-// Stagger is the window member start times spread uniformly over so
-// decision epochs de-synchronize: one fair-share packet interval, the
-// default packet at PerSenderRate. Member i starts at Stagger·i/N.
+// Stagger is the window member start times spread over so decision
+// epochs de-synchronize (StartOffset): one fair-share packet interval,
+// the default packet at PerSenderRate.
 func (c Config) Stagger() time.Duration {
 	return units.TransmitTime(packet.DefaultSizeBits, c.withDefaults().PerSenderRate)
 }

@@ -78,17 +78,24 @@ type ledger struct {
 	delivered, drops int
 }
 
+// TimeQuantum and WeightQuantum are a fleet's fingerprint quanta: the
+// shared policy cache keys its entries under them, and policy.Compile
+// its records. They are coarse, so members in near-identical recurring
+// situations share one computed decision; 50 ms buckets are well under
+// the coarsest planning grid in use here.
+const (
+	TimeQuantum   = 50 * time.Millisecond
+	WeightQuantum = 1e-3
+)
+
 // setup builds the bottleneck on loop and the shared policy cache; when
 // direct, the receiver hands each acknowledgment straight to its member.
 // hostOf builds the flow's members. cfg must be resolved.
 func (r *Roster) setup(cfg Config, loop *sim.Loop, hostOf func(packet.FlowID) *host, direct bool) {
 	r.hostOf = hostOf
 	if !cfg.NoSharedCache {
-		r.Caches = planner.NewCacheStripes(cfg.CacheStripes, cfg.CacheEntries)
-		// Coarse fingerprints: members in near-identical recurring
-		// situations share one computed decision. 50 ms buckets are
-		// well under the coarsest planning grid in use here.
-		r.Caches.SetQuanta(50*time.Millisecond, 1e-3)
+		r.Caches = planner.NewCacheStripes(cfg.CacheStripes, 0)
+		r.Caches.SetQuanta(TimeQuantum, WeightQuantum)
 	}
 	var onAck func(packet.Ack)
 	if direct {
@@ -314,11 +321,9 @@ func (r *Roster) DegradedServed() int64 {
 	return total
 }
 
-// CacheStats reports the shared policy cache's Decide-path hit/miss
-// counters summed over stripes (zeros when the cache is disabled). Guard
-// fallback probes are counted separately (PolicyCache.ProbeHits/
-// ProbeMisses), so this hit rate does not double-count budget-blown
-// decisions. Call only between events (sharded: between windows).
+// CacheStats reports the shared policy cache's hit/miss counters summed
+// over stripes (zeros when the cache is disabled). Call only between
+// events (sharded: between windows).
 func (r *Roster) CacheStats() (hits, misses int) {
 	if r.Caches == nil {
 		return 0, 0

@@ -50,7 +50,7 @@ type Checkpoint struct {
 	// NextSeq, Sent, Acked, Wakes are the sender's counters.
 	NextSeq, Sent, Acked, Wakes int64
 	// LastSafeDelta is the sender's Guard's remembered safe pacing
-	// interval (rung 3 of the degradation ladder), zero when it has none;
+	// interval (rung 2 of the degradation ladder), zero when it has none;
 	// RestoreSender reinstates it on the restored sender's Guard.
 	LastSafeDelta time.Duration
 	// Belief is the belief snapshot (posterior, pending sends, ack

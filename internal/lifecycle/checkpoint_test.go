@@ -206,8 +206,8 @@ func (missTable) Probe([]belief.Hypothesis, []model.Send, time.Duration) (planne
 // safe pacing interval keeps it across a warm restart — restored as
 // Controller.restart restores, RestoreSender then Attach — with a
 // compiled table or without one, and once degraded the original and the
-// restored member each fall back to now + that interval. The fleet has
-// no shared cache, so that fallback is rung 3.
+// restored member each fall back to now + that interval, the last safe
+// rung.
 func TestRestoreGuardKeepsLastSafe(t *testing.T) {
 	for _, tc := range []struct {
 		name  string

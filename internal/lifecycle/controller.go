@@ -135,7 +135,7 @@ type Controller struct {
 	churn   ChurnConfig
 	src     *chaos.Source
 	n       int
-	stagger time.Duration
+	fc      fleet.Config
 	hot     bool
 	flows   []flowState
 	scratch []packet.FlowID
@@ -144,7 +144,7 @@ type Controller struct {
 // Bind attaches the controller to its runtime, a fleet resolved to fc.
 // Each runtime calls it once, at construction.
 func (c *Controller) Bind(rt Runtime, fc fleet.Config) {
-	c.rt, c.n, c.stagger, c.hot = rt, fc.N, fc.Stagger(), fc.Table != nil
+	c.rt, c.n, c.fc, c.hot = rt, fc.N, fc, fc.Table != nil
 }
 
 // EnableChurn arms the churn schedule cc, drawn from ch.Sub("churn") so
@@ -347,7 +347,7 @@ func (c *Controller) Admit() *fleet.Member {
 	}
 	fs := c.flow(flow)
 	fs.latest, fs.attempts = nil, 0
-	m := c.rt.Attach(flow, nil, fleet.StaggerOffsetFor(c.stagger, flow, c.rt.NextGen(flow)))
+	m := c.rt.Attach(flow, nil, fleet.StartOffset(c.fc, flow, c.rt.NextGen(flow)))
 	c.open(m, CauseArrival, c.freshKind())
 	c.Stats.Arrivals++
 	c.log(EventAdmit, flow, m.Gen)
@@ -370,7 +370,7 @@ func (c *Controller) Restart(flow packet.FlowID) {
 		c.rt.DeferRestart(flow, drainPoll)
 		return
 	}
-	offset := fleet.StaggerOffsetFor(c.stagger, flow, c.rt.NextGen(flow))
+	offset := fleet.StartOffset(c.fc, flow, c.rt.NextGen(flow))
 	c.restart(flow, CauseRestart, fs.attempts, offset)
 	fs.reserved = false
 }

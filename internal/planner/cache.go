@@ -31,10 +31,10 @@ import (
 // compiled tables of internal/policy apply at multi-million-entry
 // scale, where 64-bit collisions stop being ignorable).
 //
-// The cache's quanta are also the key language of the offline policy
-// compiler: internal/policy replays fleet runs, fingerprints every
-// decision their senders take (core.Sender.OnDecide) under the fleet
-// cache's quanta, and writes the pairs as a persistent table.
+// A fleet's cache fingerprints under the same quanta as the offline
+// policy compiler (fleet.TimeQuantum, fleet.WeightQuantum), which
+// fingerprints every decision of its uncached replays
+// (core.Sender.OnDecide) and writes the pairs as a persistent table.
 type PolicyCache struct {
 	entries map[uint64]cachedDecision
 	// ring holds the resident fingerprints in insertion order; hand is
@@ -42,16 +42,9 @@ type PolicyCache struct {
 	ring []uint64
 	hand int
 
-	// Hits and Misses count Decide-path lookups (every miss is followed
-	// by a live Decide that repopulates the cache), for the ablation
-	// benchmark. Probes via Lookup are counted separately in ProbeHits
-	// and ProbeMisses: Guard uses Lookup as a fallback rung, and mixing
-	// its probe traffic into the Decide counters would double-count
-	// every budget-blown decision and skew the reported hit rate.
+	// Hits and Misses count lookups (every miss is followed by a live
+	// Decide that repopulates the cache), for the ablation benchmark.
 	Hits, Misses int
-	// ProbeHits and ProbeMisses count Lookup probes (Guard's fallback
-	// rung and any other store-nothing consultation).
-	ProbeHits, ProbeMisses int
 	// Collisions counts lookups whose fingerprint matched a resident
 	// entry but whose verification hash did not — detected 64-bit
 	// collisions, served as misses instead of wrong actions.
@@ -126,70 +119,32 @@ func (pc *PolicyCache) quanta() (time.Duration, float64) {
 // Len reports the resident entry count.
 func (pc *PolicyCache) Len() int { return len(pc.entries) }
 
-// probe is the one resident-entry consultation under Decide and Lookup:
-// fingerprint the wake's belief with the pending sends, and serve the
-// resident entry — rebased to the wake's instant, its second-chance bit
-// set — only when the verification hash matches too. A resident entry
-// for a different belief is a detected collision, counted and reported as
-// a miss: serving it would be a silent wrong action. The fingerprint pair
-// comes back either way, so a miss can be stored under it.
-func (pc *PolicyCache) probe(w *Wake, pending []model.Send) (d Decision, fp, ver uint64, ok bool) {
+// Decide is a caching wrapper around Wake.Decide: on a fingerprint hit it
+// returns the memoized action rebased to the wake's instant, and sets the
+// entry's second-chance bit; on a miss it plans live and stores the
+// result. A resident entry whose verification hash differs is a detected
+// collision: it is counted, planned live as a miss — serving it would be
+// a silent wrong action — and overwritten.
+func (pc *PolicyCache) Decide(w *Wake, pending []model.Send, seq int64, cfg Config) Decision {
 	tq, wq := pc.quanta()
-	fp, ver = w.Fingerprint(pending, tq, wq)
+	fp, ver := w.Fingerprint(pending, tq, wq)
 	cd, ok := pc.entries[fp]
 	if ok && cd.verify != ver {
 		pc.Collisions++
 		ok = false
 	}
-	if !ok {
-		return Decision{}, fp, ver, false
-	}
-	if !cd.used {
-		cd.used = true
-		pc.entries[fp] = cd
-	}
-	return cd.entry(fp).Decision(w.now, len(w.sup)), fp, ver, true
-}
-
-// Decide is a caching wrapper around Wake.Decide: on a fingerprint hit it
-// returns the memoized action rebased to the wake's instant; on a miss it
-// plans live and stores the result (overwriting a colliding slot).
-func (pc *PolicyCache) Decide(w *Wake, pending []model.Send, seq int64, cfg Config) Decision {
-	d, fp, ver, ok := pc.probe(w, pending)
 	if ok {
+		if !cd.used {
+			cd.used = true
+			pc.entries[fp] = cd
+		}
 		pc.Hits++
-		return d
+		return cd.entry(fp).Decision(w.now, len(w.sup))
 	}
 	pc.Misses++
-	d = w.Decide(pending, seq, cfg)
+	d := w.Decide(pending, seq, cfg)
 	pc.insert(fp, cachedDecision{verify: ver, sendNow: d.SendNow, delta: d.WakeAt - w.now, gain: d.Gain})
 	return d
-}
-
-// Lookup reports the memoized decision for the wake's belief with the
-// pending sends, rebased to the wake's instant, without computing
-// anything on a miss. The degradation ladder (Guard) uses it as a
-// fallback rung when a live Decide blows its budget: a quantized
-// near-match of the current situation is a far better action than a
-// blind one. Probes are counted in ProbeHits and ProbeMisses, never in
-// the Decide-path Hits/Misses.
-func (pc *PolicyCache) Lookup(w *Wake, pending []model.Send) (Decision, bool) {
-	d, _, _, ok := pc.probe(w, pending)
-	if ok {
-		pc.ProbeHits++
-	} else {
-		pc.ProbeMisses++
-	}
-	return d, ok
-}
-
-// Store memoizes a decision computed elsewhere (e.g. by a Guard's
-// background Decide) under the belief's fingerprint at the decision
-// instant.
-func (pc *PolicyCache) Store(sup []belief.Hypothesis, pending []model.Send, now time.Duration, d Decision) {
-	tq, wq := pc.quanta()
-	fp, ver := Fingerprint(sup, pending, now, tq, wq)
-	pc.insert(fp, cachedDecision{verify: ver, sendNow: d.SendNow, delta: d.WakeAt - now, gain: d.Gain})
 }
 
 // insert places an entry, evicting at most one resident entry by clock
@@ -200,9 +155,8 @@ func (pc *PolicyCache) Store(sup []belief.Hypothesis, pending []model.Send, now 
 // rate to zero mid-run.
 func (pc *PolicyCache) insert(fp uint64, cd cachedDecision) {
 	if old, ok := pc.entries[fp]; ok {
-		// Same fingerprint already resident (re-store or collision
-		// overwrite): replace in place, keep its ring slot and
-		// recency.
+		// Same fingerprint already resident (a collision overwrite):
+		// replace in place, keep its ring slot and recency.
 		cd.used = old.used
 		pc.entries[fp] = cd
 		return
@@ -241,9 +195,9 @@ func (pc *PolicyCache) insert(fp uint64, cd cachedDecision) {
 // miss instead of a wrong action.
 //
 // The quantized fingerprint is the shared key language of the warm
-// PolicyCache, the Guard's fallback probes, and internal/policy's
-// offline-compiled tables — a table compiled under one (tq, wq) is
-// only probed with the same quanta (the table header records them).
+// PolicyCache and internal/policy's offline-compiled tables — a table
+// compiled under one (tq, wq) is only probed with the same quanta (the
+// table header records them).
 func Fingerprint(sup []belief.Hypothesis, pending []model.Send, now time.Duration, tq time.Duration, wq float64) (fp, verify uint64) {
 	return supportPrint(sup, now, tq, wq).withPending(pending, now, tq)
 }

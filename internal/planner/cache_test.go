@@ -183,37 +183,41 @@ func distinctSupport(i int) []belief.Hypothesis {
 // collapsed to zero every time the cache filled.
 func TestPolicyCacheIncrementalEviction(t *testing.T) {
 	const max = 8
+	cfg := DefaultConfig()
 	pc := NewPolicyCache(max)
 	now := 10 * time.Second
+	decide := func(i int) { pc.Decide(NewWake(distinctSupport(i), now), nil, 0, cfg) }
 
 	// Fill to capacity with distinct situations.
 	for i := 0; i < max; i++ {
-		pc.Store(distinctSupport(i), nil, now, Decision{WakeAt: now + time.Duration(i+1)*time.Millisecond})
+		decide(i)
 	}
-	if pc.Len() != max {
-		t.Fatalf("resident = %d, want %d", pc.Len(), max)
+	if pc.Len() != max || pc.Misses != max {
+		t.Fatalf("resident = %d after %d misses, want %d/%d", pc.Len(), pc.Misses, max, max)
 	}
 
 	// Mark the first 7 hot (second chance), leave the 8th cold.
 	hot := max - 1
 	for i := 0; i < hot; i++ {
-		if _, ok := pc.Lookup(NewWake(distinctSupport(i), now), nil); !ok {
-			t.Fatalf("entry %d missing before boundary", i)
-		}
+		decide(i)
+	}
+	if pc.Hits != hot {
+		t.Fatalf("hits = %d before the boundary, want %d", pc.Hits, hot)
 	}
 
 	// Push 4 new situations across the boundary, re-touching the hot
-	// set between insertions, and count probe hits on the hot set.
-	probes, hits := 0, 0
+	// set between insertions, and count hits on the hot set. A hot
+	// entry that missed would be re-planned and re-inserted, evicting
+	// another.
+	probes, hits := 0, pc.Hits
 	for k := 0; k < 4; k++ {
-		pc.Store(distinctSupport(max+k), nil, now, Decision{WakeAt: now + time.Second})
+		decide(max + k)
 		for i := 0; i < hot; i++ {
 			probes++
-			if _, ok := pc.Lookup(NewWake(distinctSupport(i), now), nil); ok {
-				hits++
-			}
+			decide(i)
 		}
 	}
+	hits = pc.Hits - hits
 	if pc.Evictions != 4 {
 		t.Errorf("evictions = %d, want 4 (one per boundary insert)", pc.Evictions)
 	}
@@ -226,42 +230,6 @@ func TestPolicyCacheIncrementalEviction(t *testing.T) {
 	}
 	if pc.Len() != max {
 		t.Errorf("resident = %d after boundary churn, want %d", pc.Len(), max)
-	}
-}
-
-// TestPolicyCacheProbeCounterSplit: Lookup probes must not pollute the
-// Decide-path Hits/Misses — Guard uses Lookup as its fallback rung, and
-// the old shared counters double-counted every budget-blown decision,
-// skewing the hit rate the fleet benches report.
-func TestPolicyCacheProbeCounterSplit(t *testing.T) {
-	cfg := DefaultConfig()
-	pc := NewPolicyCache(0)
-	now := 10 * time.Second
-	sup := cacheSupport(now)
-
-	if _, ok := pc.Lookup(NewWake(sup, now), nil); ok {
-		t.Fatal("empty cache lookup hit")
-	}
-	if pc.ProbeMisses != 1 || pc.Misses != 0 || pc.Hits != 0 {
-		t.Fatalf("probe miss leaked into Decide counters: hits=%d misses=%d probeMisses=%d",
-			pc.Hits, pc.Misses, pc.ProbeMisses)
-	}
-
-	pc.Decide(NewWake(sup, now), nil, 0, cfg)
-	if pc.Misses != 1 || pc.ProbeMisses != 1 {
-		t.Fatalf("decide miss miscounted: misses=%d probeMisses=%d", pc.Misses, pc.ProbeMisses)
-	}
-
-	if _, ok := pc.Lookup(NewWake(sup, now), nil); !ok {
-		t.Fatal("stored entry not probed")
-	}
-	if pc.ProbeHits != 1 || pc.Hits != 0 {
-		t.Fatalf("probe hit leaked into Decide counters: hits=%d probeHits=%d", pc.Hits, pc.ProbeHits)
-	}
-
-	pc.Decide(NewWake(sup, now), nil, 0, cfg)
-	if pc.Hits != 1 || pc.ProbeHits != 1 {
-		t.Fatalf("decide hit miscounted: hits=%d probeHits=%d", pc.Hits, pc.ProbeHits)
 	}
 }
 
@@ -281,24 +249,18 @@ func TestPolicyCacheCollisionDetected(t *testing.T) {
 	// wrong verification hash and a poisoned action.
 	pc.insert(fp, cachedDecision{verify: ver ^ 1, sendNow: true, delta: 0, gain: 1e9})
 
-	if d, ok := pc.Lookup(NewWake(sup, now), nil); ok {
-		t.Fatalf("collided entry served by Lookup: %+v", d)
-	}
-	if pc.Collisions != 1 {
-		t.Fatalf("collisions = %d, want 1", pc.Collisions)
-	}
-
 	want := Decide(sup, nil, now, 0, cfg)
 	got := pc.Decide(NewWake(sup, now), nil, 0, cfg)
 	if got.SendNow != want.SendNow || got.WakeAt != want.WakeAt || got.Gain != want.Gain {
 		t.Fatalf("collision not recomputed: got %+v want %+v", got, want)
 	}
-	if pc.Collisions != 2 || pc.Misses != 1 {
-		t.Fatalf("collision counters: collisions=%d misses=%d, want 2/1", pc.Collisions, pc.Misses)
+	if pc.Collisions != 1 || pc.Misses != 1 || pc.Hits != 0 {
+		t.Fatalf("collision counters: collisions=%d misses=%d hits=%d, want 1/1/0", pc.Collisions, pc.Misses, pc.Hits)
 	}
 
 	// The recompute overwrote the forged entry with the verified one.
-	if d, ok := pc.Lookup(NewWake(sup, now), nil); !ok || d.SendNow != want.SendNow || d.WakeAt != want.WakeAt {
-		t.Fatalf("slot not healed after collision: ok=%v d=%+v", ok, d)
+	got = pc.Decide(NewWake(sup, now), nil, 0, cfg)
+	if pc.Hits != 1 || pc.Collisions != 1 || got.SendNow != want.SendNow || got.WakeAt != want.WakeAt {
+		t.Fatalf("slot not healed after collision: hits=%d collisions=%d d=%+v", pc.Hits, pc.Collisions, got)
 	}
 }

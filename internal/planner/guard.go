@@ -52,27 +52,25 @@ type WakePolicy interface {
 // miss it plans synchronously when Budget is zero (through Cache when
 // set); with a Budget it runs the live Decide on a background goroutine
 // against a deep-cloned snapshot of the belief and races it against
-// Budget. On timeout, and on every decision while Degraded, it walks the
-// degradation ladder:
+// Budget. The degradation ladder:
 //
 //  0. the compiled table (Compiled) — an offline-verified action for
 //     exactly this quantized situation;
 //  1. live Decide, if it returns within Budget (the common case);
-//  2. the PolicyCache — a quantized near-match of the current situation
-//     computed on some earlier wake;
-//  3. the last safe action: re-arm the most recent non-send pacing
+//  2. the last safe action: re-arm the most recent non-send pacing
 //     interval, rebased to now;
-//  4. no action at all: sleep one Grid and re-decide.
+//  3. no action at all: sleep one Grid and re-decide.
 //
-// Rungs 3 and 4 never send — a sender that has lost both its live
-// planner and its cache is flying blind, and the conservative action on
-// an unknown network is silence, not a burst.
+// A timeout, and every decision while Degraded that the table misses,
+// falls to rungs 2 and 3. Neither sends — a sender that has lost its
+// live planner is flying blind, and the conservative action on an
+// unknown network is silence, not a burst. A precomputed interval rides
+// out the outage, the sequence-based-control shape.
 //
 // A Decide that blows its budget keeps cooking: its result is drained on
-// a later call and stored into the cache, so one slow decision seeds the
-// fallback for the next. At most one background Decide is in flight; the
-// result channel is buffered, so an abandoned straggler can never leak a
-// goroutine.
+// a later call and only noted as the last safe interval when it sleeps.
+// At most one background Decide is in flight; the result channel is
+// buffered, so an abandoned straggler can never leak a goroutine.
 //
 // Guard is not safe for concurrent use; like Sender it belongs to one
 // driver goroutine. A read-only CompiledPolicy may be shared by many
@@ -81,8 +79,9 @@ type Guard struct {
 	// Budget is the per-decision deadline. Zero or negative means no
 	// deadline: Decide runs synchronously (through Cache when set).
 	Budget time.Duration
-	// Cache, when non-nil, is both the timeout fallback (rung 2) and the
-	// store for background results.
+	// Cache, when non-nil, is the shared cache the synchronous live rung
+	// plans through (PolicyCache.Decide); a budgeted Guard plans without
+	// it.
 	Cache *PolicyCache
 	// Compiled, when non-nil, is the offline-compiled policy table,
 	// probed before any live planning (the table is immutable during a
@@ -92,23 +91,20 @@ type Guard struct {
 	Compiled CompiledPolicy
 	// Degraded, when true, pins Decide to the degradation ladder
 	// without ever live-planning: the compiled table when wired, else
-	// cache → last-safe → sleep. The sharded runtime sets it each
-	// coupling window for members of a stalled shard or of one that
-	// blew its per-window budget — precomputed actions ride out the
-	// outage, the sequence-based-control shape.
+	// last safe → sleep. The sharded runtime sets it each coupling
+	// window for members of a stalled shard or of one that blew its
+	// per-window budget.
 	Degraded bool
 	// DegradedServed counts decisions served while Degraded was set.
 	DegradedServed int64
 
 	// Live counts decisions served by the live planner within budget;
 	// CompiledHits, decisions served by the compiled table;
-	// CacheHits, fallbacks served from the cache; SafeFallbacks,
-	// decisions that fell to rung 3/4; Timeouts, budget expiries;
-	// Overlaps, calls that arrived while a prior Decide was still
-	// cooking.
+	// SafeFallbacks, decisions that fell to rung 2 or 3; Timeouts,
+	// budget expiries; Overlaps, calls that arrived while a prior
+	// Decide was still cooking.
 	Live          int64
 	CompiledHits  int64
-	CacheHits     int64
 	SafeFallbacks int64
 	Timeouts      int64
 	Overlaps      int64
@@ -120,7 +116,7 @@ type Guard struct {
 	Latencies     []int64
 
 	inflight chan guardResult
-	// lastSafeDelta is rung 3's pacing interval, zero until a decision
+	// lastSafeDelta is rung 2's pacing interval, zero until a decision
 	// slept.
 	lastSafeDelta time.Duration
 
@@ -130,13 +126,11 @@ type Guard struct {
 	plan func([]belief.Hypothesis, []model.Send, time.Duration, int64, Config) Decision
 }
 
-// guardResult carries a background decision together with the snapshot
-// it was computed from, so it can be fingerprinted into the cache.
+// guardResult carries a background decision and the instant it was
+// taken at.
 type guardResult struct {
-	d       Decision
-	sup     []belief.Hypothesis
-	pending []model.Send
-	now     time.Duration
+	d   Decision
+	now time.Duration
 }
 
 // NewGuard returns a Guard with the given budget over an optional cache.
@@ -163,7 +157,7 @@ func (g *Guard) Decide(w *Wake, pending []model.Send, seq int64, cfg Config) Dec
 		return d
 	}
 	if g.Degraded {
-		return g.fallback(w, pending, cfg)
+		return g.fallback(cfg, now)
 	}
 	if g.Budget <= 0 {
 		var d Decision
@@ -182,7 +176,7 @@ func (g *Guard) Decide(w *Wake, pending []model.Send, seq int64, cfg Config) Dec
 		select {
 		case res := <-g.inflight:
 			g.inflight = nil
-			g.absorb(res)
+			g.noteSafe(res.d, res.now)
 		default:
 		}
 	}
@@ -191,7 +185,7 @@ func (g *Guard) Decide(w *Wake, pending []model.Send, seq int64, cfg Config) Dec
 		// goroutine on a planner that is already too slow only digs the
 		// hole deeper.
 		g.Overlaps++
-		return g.fallback(w, pending, cfg)
+		return g.fallback(cfg, now)
 	}
 
 	// Snapshot the belief for the background goroutine: the belief will
@@ -213,7 +207,7 @@ func (g *Guard) Decide(w *Wake, pending []model.Send, seq int64, cfg Config) Dec
 	ch := make(chan guardResult, 1)
 	g.inflight = ch
 	go func() {
-		ch <- guardResult{d: plan(hyps, pcopy, now, seq, bg), sup: hyps, pending: pcopy, now: now}
+		ch <- guardResult{d: plan(hyps, pcopy, now, seq, bg), now: now}
 	}()
 
 	timer := time.NewTimer(g.Budget)
@@ -221,13 +215,12 @@ func (g *Guard) Decide(w *Wake, pending []model.Send, seq int64, cfg Config) Dec
 	case res := <-ch:
 		timer.Stop()
 		g.inflight = nil
-		g.absorb(res)
 		g.Live++
 		g.noteSafe(res.d, now)
 		return res.d
 	case <-timer.C:
 		g.Timeouts++
-		return g.fallback(w, pending, cfg)
+		return g.fallback(cfg, now)
 	}
 }
 
@@ -244,7 +237,7 @@ func (g *Guard) probeCompiled(w *Wake, pending []model.Send) (Decision, bool) {
 	}
 }
 
-// LastSafe reports the remembered safe pacing interval (rung 3's replay
+// LastSafe reports the remembered safe pacing interval (rung 2's replay
 // delta), zero when no decision has slept yet. A checkpoint carries it,
 // so a warm-restored member falls back to the same interval the original
 // would (lifecycle.RestoreSender).
@@ -258,34 +251,18 @@ func (g *Guard) RestoreLastSafe(delta time.Duration) {
 	}
 }
 
-// fallback walks rungs 2–4 of the ladder.
-func (g *Guard) fallback(w *Wake, pending []model.Send, cfg Config) Decision {
-	if g.Cache != nil {
-		if d, ok := g.Cache.Lookup(w, pending); ok {
-			g.CacheHits++
-			g.noteSafe(d, w.now)
-			return d
-		}
-	}
+// fallback walks rungs 2 and 3 of the ladder.
+func (g *Guard) fallback(cfg Config, now time.Duration) Decision {
 	g.SafeFallbacks++
 	grid := cfg.Grid
 	if grid <= 0 {
 		grid = DefaultConfig().Grid
 	}
-	wake := w.now + grid
+	wake := now + grid
 	if g.lastSafeDelta > 0 {
-		wake = w.now + g.lastSafeDelta
+		wake = now + g.lastSafeDelta
 	}
 	return Decision{SendNow: false, WakeAt: wake}
-}
-
-// absorb stores a background result into the cache under the snapshot it
-// was computed from.
-func (g *Guard) absorb(res guardResult) {
-	if g.Cache != nil {
-		g.Cache.Store(res.sup, res.pending, res.now, res.d)
-	}
-	g.noteSafe(res.d, res.now)
 }
 
 // noteSafe remembers the pacing interval of the most recent non-send

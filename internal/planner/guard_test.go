@@ -79,7 +79,7 @@ func TestGuardTimeoutFallsToSafe(t *testing.T) {
 	}
 }
 
-// TestGuardLastSafeAction: rung 3 replays the most recent non-send
+// TestGuardLastSafeAction: rung 2 replays the most recent non-send
 // pacing interval rather than the raw grid.
 func TestGuardLastSafeAction(t *testing.T) {
 	g, _ := stalledGuard(t, nil)
@@ -94,41 +94,70 @@ func TestGuardLastSafeAction(t *testing.T) {
 	}
 }
 
-// TestGuardCacheSeededByStraggler: a Decide that blows its budget keeps
-// cooking; a call that arrives meanwhile does not stack a second one;
-// the drained result seeds the cache, and a later timeout on the same
-// situation is served from there.
-func TestGuardCacheSeededByStraggler(t *testing.T) {
+// TestGuardStragglerSetsOnlyLastSafe: a Decide that blows its budget
+// keeps cooking, and a call that arrives meanwhile does not stack a
+// second one. The drained straggler sets the last safe interval and
+// nothing else: the wired cache stays empty, and no live decision is
+// counted.
+func TestGuardStragglerSetsOnlyLastSafe(t *testing.T) {
 	sup := guardSupport()
-	g, gate := stalledGuard(t, NewPolicyCache(0))
+	pc := NewPolicyCache(0)
+	g, gate := stalledGuard(t, pc)
+	const slept = 700 * time.Millisecond
+	g.plan = func(_ []belief.Hypothesis, _ []model.Send, now time.Duration, _ int64, _ Config) Decision {
+		<-gate
+		return Decision{WakeAt: now + slept}
+	}
 	now := 2 * time.Second
 
 	g.Decide(NewWake(sup, now), nil, 0, Config{}) // planner parked: budget expires
 	g.Decide(NewWake(sup, now), nil, 0, Config{}) // straggler still cooking
-	if g.Timeouts != 1 || g.Overlaps != 1 || g.SafeFallbacks != 2 || g.CacheHits != 0 {
-		t.Fatalf("counters before release: timeouts=%d overlaps=%d safeFallbacks=%d cacheHits=%d, want 1/1/2/0",
-			g.Timeouts, g.Overlaps, g.SafeFallbacks, g.CacheHits)
+	if g.Timeouts != 1 || g.Overlaps != 1 || g.SafeFallbacks != 2 || g.LastSafe() != 0 {
+		t.Fatalf("before release: timeouts=%d overlaps=%d safeFallbacks=%d lastSafe=%v, want 1/1/2/0",
+			g.Timeouts, g.Overlaps, g.SafeFallbacks, g.LastSafe())
 	}
 	gate <- struct{}{} // let the straggler finish
 	for len(g.inflight) == 0 {
 		runtime.Gosched()
 	}
-	// The next call drains the straggler into the cache, parks a fresh
-	// planner, times out again — and this time the cache answers. (A
-	// cache-hit fallback may legitimately send: it is a real computed
-	// decision; only the blind rungs below it never do.)
-	g.Decide(NewWake(sup, now), nil, 0, Config{})
-	if g.Timeouts != 2 || g.CacheHits != 1 {
-		t.Fatalf("counters after drain: timeouts=%d cacheHits=%d, want 2/1", g.Timeouts, g.CacheHits)
+	// The next call drains the straggler, parks a fresh planner and
+	// times out again, now onto the straggler's interval.
+	later := 3 * time.Second
+	d := g.Decide(NewWake(sup, later), nil, 0, Config{})
+	if d.SendNow || d.WakeAt != later+slept || g.LastSafe() != slept {
+		t.Fatalf("after drain: %+v, lastSafe=%v; want a sleep to %v", d, g.LastSafe(), later+slept)
 	}
-	// The cached decision must match what the live planner computes.
-	cached, ok := g.Cache.Lookup(NewWake(sup, now), nil)
-	if !ok {
-		t.Fatal("lookup missed after a recorded hit")
+	if g.Timeouts != 2 || g.SafeFallbacks != 3 || g.Live != 0 || pc.Len() != 0 || pc.Hits+pc.Misses != 0 {
+		t.Fatalf("after drain: timeouts=%d safeFallbacks=%d live=%d cache len=%d lookups=%d, want 2/3/0/0/0",
+			g.Timeouts, g.SafeFallbacks, g.Live, pc.Len(), pc.Hits+pc.Misses)
 	}
-	want := Decide(sup, nil, now, 0, Config{})
-	if cached.SendNow != want.SendNow || cached.WakeAt != want.WakeAt {
-		t.Fatalf("cached %+v != live %+v", cached, want)
+}
+
+// TestGuardFallbackSkipsTheCache: a timed-out or degraded decision falls
+// to the last safe rung even when the wired cache holds this very
+// situation: it counts one SafeFallbacks and reads nothing from the
+// cache.
+func TestGuardFallbackSkipsTheCache(t *testing.T) {
+	sup := guardSupport()
+	now := 2 * time.Second
+	for _, degraded := range []bool{false, true} {
+		pc := NewPolicyCache(0)
+		pc.Decide(NewWake(sup, now), nil, 0, Config{})
+		var g *Guard
+		if degraded {
+			g = NewGuard(0, pc)
+			g.Degraded = true
+		} else {
+			g, _ = stalledGuard(t, pc)
+		}
+		d := g.Decide(NewWake(sup, now), nil, 0, Config{})
+		if d.SendNow || d.WakeAt != now+DefaultConfig().Grid {
+			t.Fatalf("degraded=%v: %+v, want a sleep of one grid", degraded, d)
+		}
+		if g.SafeFallbacks != 1 || g.Live != 0 || pc.Hits != 0 || pc.Misses != 1 {
+			t.Fatalf("degraded=%v: safeFallbacks=%d live=%d cache hits=%d misses=%d, want 1/0/0/1",
+				degraded, g.SafeFallbacks, g.Live, pc.Hits, pc.Misses)
+		}
 	}
 }
 
@@ -208,7 +237,7 @@ func TestGuardDegradedServesWithoutLivePlanning(t *testing.T) {
 			g.DegradedServed, g.CompiledHits, g.Live)
 	}
 
-	// Compiled miss with no cache: a blind rung, still no live planning.
+	// Compiled miss: a blind rung, still no live planning.
 	fc.hit = false
 	if d = g.Decide(NewWake(sup, now), nil, 0, Config{}); d.SendNow {
 		t.Fatal("degraded blind fallback must not send")

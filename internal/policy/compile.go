@@ -1,7 +1,6 @@
 package policy
 
 import (
-	"fmt"
 	"time"
 
 	"modelcc/internal/fleet"
@@ -25,14 +24,6 @@ type CompileConfig struct {
 	Note string
 }
 
-// compileCacheEntries bounds the replay fleet's shared cache. Capture
-// does not read the cache, but a cache that evicted would re-plan
-// situations it had forgotten and so change the decisions, and with
-// them the records. The bound is far above what a compile stores
-// (cmd/bench's serve-256 table holds under 30,000 records), so the
-// compile fleet's cache does not evict.
-const compileCacheEntries = 1 << 20
-
 // CompileStats reports what a compile saw.
 type CompileStats struct {
 	// Runs is the number of fleet replays.
@@ -49,12 +40,14 @@ type CompileStats struct {
 	Collisions int
 }
 
-// Compile replays the fleet workload once per seed, recording every
-// decision the members take (core.Sender.OnDecide) under its belief's
-// fingerprint in the fleet cache's quanta — the first decision under a
-// fingerprint wins — and returns the sorted record set with a header
-// binding it to the workload's resolved prior and fingerprint quanta.
-// Write it with WriteTable, serve it with Open + NewServer.
+// Compile replays the fleet workload once per seed, with no shared cache
+// and no table, so every decision is the live planner's own. It records
+// each decision the members take (core.Sender.OnDecide) under its
+// belief's fingerprint in the fleet's quanta (fleet.TimeQuantum,
+// fleet.WeightQuantum) — the first decision under a fingerprint wins —
+// and returns the sorted record set with a header binding it to the
+// workload's resolved prior and those quanta. Write it with WriteTable,
+// serve it with Open + NewServer.
 func Compile(cfg CompileConfig) (Header, []Record, CompileStats, error) {
 	if len(cfg.Seeds) == 0 {
 		cfg.Seeds = []int64{1}
@@ -63,27 +56,17 @@ func Compile(cfg CompileConfig) (Header, []Record, CompileStats, error) {
 		cfg.Duration = 30 * time.Second
 	}
 
+	const tq, wq = fleet.TimeQuantum, fleet.WeightQuantum
 	var stats CompileStats
 	seen := make(map[uint64]Record)
-	var tq time.Duration
-	var wq float64
 	var fleetN uint32
 
 	for _, seed := range cfg.Seeds {
 		fc := cfg.Fleet
 		fc.Seed = seed
-		fc.NoSharedCache = false
-		fc.CacheEntries = compileCacheEntries
+		fc.NoSharedCache = true
 		fc.Table = nil // the compile must plan live, not serve itself
 		fl := fleet.New(fc)
-		if fl.Caches == nil {
-			return Header{}, nil, stats, fmt.Errorf("policy: compile fleet has no shared cache")
-		}
-		tq = fl.Caches.TimeQuantum()
-		wq = fl.Caches.WeightQuantum()
-		if wq <= 0 {
-			wq = 1e-6 // the cache's documented default quantum
-		}
 		fleetN = uint32(fl.Cfg.N)
 		record := func(w *planner.Wake, pending []model.Send, d planner.Decision) {
 			stats.Stored++

@@ -1,16 +1,17 @@
-// Package policy promotes the planner's warm PolicyCache to an
-// offline-compiled, persistent control map — §3.3 taken literally: "for
-// a particular model and distribution of possible states, there will be
-// a policy that can be computed in advance".
+// Package policy is an offline-compiled, persistent control map — §3.3
+// taken literally: "for a particular model and distribution of possible
+// states, there will be a policy that can be computed in advance".
 //
 // The package has three halves:
 //
 //   - A compiler (Compile) that sweeps the reachable belief space by
 //     replaying fleet runs (internal/fleet is a ready-made generator of
-//     realistic belief trajectories) and records, through each sender's
-//     decision observer (core.Sender.OnDecide), every quantized belief
-//     fingerprint → {action, delta, gain, verify-hash} pair the runs
-//     decide.
+//     realistic belief trajectories) with no shared policy cache, so
+//     every decision is the live planner's own, and records, through
+//     each sender's decision observer (core.Sender.OnDecide), every
+//     belief fingerprint → {action, delta, gain, verify-hash} pair the
+//     runs decide, quantized under the fleet's named quanta
+//     (fleet.TimeQuantum, fleet.WeightQuantum).
 //
 //   - A versioned, mmap-able flat table (WriteTable / Open): a
 //     fixed-width header carrying the model identity (a hash of the

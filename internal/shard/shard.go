@@ -254,19 +254,18 @@ func (sf *Fleet) MemoStats() planner.MemoStats {
 // Now reports the coordinator's barrier time.
 func (sf *Fleet) Now() time.Duration { return sf.now }
 
-// start attaches the initial members and staggers them over
-// Cfg.Stagger(): member i starts at Stagger·i/N, as fleet.Fleet.Start
-// does. They attach through the roster's unclamped Attach: member 0
-// starts at instant 0, which Run settles with a zero-width step before
-// the first window opens.
+// start attaches the initial members, each at its fleet.StartOffset, as
+// fleet.Fleet.Start places them. They attach through the roster's
+// unclamped Attach: member 0 starts at instant 0, which Run settles with
+// a zero-width step before the first window opens.
 func (sf *Fleet) start() {
 	if sf.started {
 		return
 	}
 	sf.started = true
-	n, stagger := int64(sf.Cfg.N), int64(sf.Cfg.Stagger())
 	for i := 0; i < sf.Cfg.N; i++ {
-		sf.Initial(sf.Roster.Attach(packet.FlowID(i), nil, time.Duration(stagger*int64(i)/n)))
+		flow := packet.FlowID(i)
+		sf.Initial(sf.Roster.Attach(flow, nil, fleet.StartOffset(sf.Cfg, flow, sf.Roster.NextGen(flow))))
 	}
 }
 
