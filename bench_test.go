@@ -210,7 +210,7 @@ func BenchmarkPlannerDecide(b *testing.B) {
 		}
 	})
 	b.Run("cached", func(b *testing.B) {
-		pc := planner.NewPolicyCache(0)
+		pc := planner.NewPolicyCache()
 		for i := 0; i < b.N; i++ {
 			pc.Decide(planner.NewWake(bel.Support(), time.Second), nil, 1, cfg)
 		}

@@ -72,7 +72,7 @@ func TestSenderAckDrivenProgress(t *testing.T) {
 
 func TestSenderWithPolicyCache(t *testing.T) {
 	s := NewSender(knownIdleBelief(), planner.DefaultConfig())
-	s.Guard.Cache = planner.NewPolicyCache(0)
+	s.Guard.Cache = planner.NewPolicyCache()
 	for i := 0; i < 5; i++ {
 		at := time.Duration(i) * time.Second
 		var acks []packet.Ack

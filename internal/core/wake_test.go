@@ -126,7 +126,7 @@ func TestWakeMatchesFreshDecide(t *testing.T) {
 				check := &freshCheck{t: t, bel: bel, plan: plan, quiet: rollout.New(workers)}
 				snd.OnDecide = check.decided
 				if cached {
-					snd.Guard.Cache, check.ref = planner.NewPolicyCache(0), planner.NewPolicyCache(0)
+					snd.Guard.Cache, check.ref = planner.NewPolicyCache(), planner.NewPolicyCache()
 				}
 				if warm {
 					snd.Plan.Pool = rollout.New(workers)

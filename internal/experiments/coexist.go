@@ -38,8 +38,6 @@ type CoexistResult struct {
 	Drops int
 	// JainIndex is Jain's fairness index over the two rates.
 	JainIndex float64
-	// ASeries/BSeries are acked-seq series for plotting.
-	ASeries, BSeries stats.Series
 }
 
 // RunTwoISenders shares one 12 kbit/s bottleneck between two ISENDERs
@@ -54,11 +52,9 @@ func RunTwoISenders(seed int64, duration time.Duration) CoexistResult {
 	a, b := fl.Members[0], fl.Members[1]
 	half := duration / 2
 	res := CoexistResult{
-		ARate:   a.AckedSeq.Rate(half, duration),
-		BRate:   b.AckedSeq.Rate(half, duration),
-		Drops:   fl.Drops(),
-		ASeries: a.AckedSeq,
-		BSeries: b.AckedSeq,
+		ARate: a.AckedSeq.Rate(half, duration),
+		BRate: b.AckedSeq.Rate(half, duration),
+		Drops: fl.Drops(),
 	}
 	res.JainIndex = stats.JainIndex([]float64{res.ARate, res.BRate})
 	return res
@@ -103,12 +99,10 @@ func RunISenderVsTCP(seed int64, duration time.Duration) CoexistResult {
 
 	half := duration / 2
 	res := CoexistResult{
-		ARate:   is.AckedSeq.Rate(half, duration),
-		BRate:   float64(reno.SndUna()) / duration.Seconds(),
-		Drops:   buf.Drops[packet.FlowSelf] + buf.Drops[packet.FlowOther],
-		ASeries: is.AckedSeq,
+		ARate: is.AckedSeq.Rate(half, duration),
+		BRate: float64(reno.SndUna()) / duration.Seconds(),
+		Drops: buf.Drops[packet.FlowSelf] + buf.Drops[packet.FlowOther],
 	}
-	res.BSeries = stats.Series{Name: "tcp delivered"}
 	res.JainIndex = stats.JainIndex([]float64{res.ARate, res.BRate})
 	return res
 }

@@ -151,3 +151,29 @@ func TestFairnessSweepLeanStats(t *testing.T) {
 		}
 	}
 }
+
+// TestFairnessSweepLeanMatchesFull: the lean late-ack count windows the
+// second half as (half, end], as the full path windows AckedSeq, so the
+// two print the same points — Jain, rates and every per-flow row. An
+// acknowledgment at exactly half counted by one path and not the other
+// shows as a lean rate above the link's.
+func TestFairnessSweepLeanMatchesFull(t *testing.T) {
+	if testing.Short() {
+		t.Skip("long integration test")
+	}
+	run := func(lean bool) []FairnessPoint {
+		return FairnessSweep(FairnessConfig{
+			Ns:        []int{2, 8},
+			Duration:  120 * time.Second,
+			Seed:      1,
+			Workers:   1,
+			LeanStats: lean,
+		}).Points
+	}
+	full, lean := run(false), run(true)
+	for i := range full {
+		if !reflect.DeepEqual(full[i], lean[i]) {
+			t.Errorf("N = %d: lean point differs from full:\nfull: %+v\nlean: %+v", full[i].N, full[i], lean[i])
+		}
+	}
+}

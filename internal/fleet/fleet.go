@@ -128,12 +128,12 @@ type Config struct {
 	// priority among same-instant wakes (see package shard); every
 	// cross-shard identity test compares canonical to canonical.
 	Canonical bool
-	// LeanStats drops the per-packet Series (SentSeq/AckedSeq/UtilCum/
-	// SupportN) from every member, keeping only O(1) streaming
-	// aggregates — count, mean, M2 variance, P² percentile, and a
-	// late-window ack count for rate — so an N=4096 run stays flat in
-	// heap. LeanRateFrom sets where the late window begins (the
-	// fairness sweep uses the second half of the run).
+	// LeanStats drops the per-packet Series (AckedSeq/UtilCum/SupportN)
+	// from every member, keeping only O(1) streaming aggregates —
+	// count, mean, M2 variance, P² percentile, and a late-window ack
+	// count for rate — so an N=4096 run stays flat in heap.
+	// LeanRateFrom sets where the late window begins (the fairness
+	// sweep uses the second half of the run).
 	LeanStats    bool
 	LeanRateFrom time.Duration
 	// BeliefCfg overrides non-zero fields of the fleet belief defaults.
@@ -409,8 +409,8 @@ type Member struct {
 	Gen uint32
 	// Sender is the ISENDER endpoint.
 	Sender *core.Sender
-	// SentSeq and AckedSeq are the run series for this flow.
-	SentSeq, AckedSeq stats.Series
+	// AckedSeq is the flow's acknowledged-sequence series.
+	AckedSeq stats.Series
 	// Delay aggregates one-way packet delay in seconds per
 	// acknowledgment — O(1) space even across a long run.
 	Delay stats.Summary
@@ -418,10 +418,10 @@ type Member struct {
 	// O(1) space), so a lean fleet still reports a tail percentile
 	// without retaining samples.
 	DelayP99 *stats.P2
-	// LateAcks counts acknowledgments arriving at or after the
-	// lean-stats rate window start (Config.LeanRateFrom); a lean
-	// fairness sweep computes steady-state rate from this instead of
-	// windowing AckedSeq.
+	// LateAcks counts acknowledgments arriving after the lean-stats
+	// rate window start (Config.LeanRateFrom), the same (from, end]
+	// window stats.Series.Window cuts from AckedSeq; a lean fairness
+	// sweep computes steady-state rate from this instead.
 	LateAcks int64
 	// Utility accumulates Σ bits · exp(-delay/κ) over acknowledged
 	// packets: the realized delivery utility of the flow under the
@@ -485,7 +485,6 @@ func NewMember(loop *sim.Loop, s *core.Sender, flow packet.FlowID, out elements.
 	// Series are named by flow number, not FlowID.String(): fleet flows
 	// are dense indexes, and the well-known names ("cross", "other")
 	// would mislabel foreground members 1 and 2.
-	m.SentSeq.Name = fmt.Sprintf("flow%d sent", uint32(flow))
 	m.AckedSeq.Name = fmt.Sprintf("flow%d acked", uint32(flow))
 	m.DelayP99 = stats.NewP2(0.99)
 	m.timer = sim.NewTimer(loop, m.epochWake)
@@ -530,7 +529,7 @@ func (m *Member) OnAck(a packet.Ack) {
 	m.DelayP99.Add(delay.Seconds())
 	m.Utility += float64(packet.DefaultSizeBits) * m.Sender.Plan.Util.Discount(delay)
 	if m.lean {
-		if now >= m.leanFrom {
+		if now > m.leanFrom {
 			m.LateAcks++
 		}
 	} else {
@@ -558,9 +557,6 @@ func (m *Member) wake() {
 		m.SupportN.Add(now, float64(len(m.Sender.Belief.Support())))
 	}
 	for _, snd := range act.Sends {
-		if !m.lean {
-			m.SentSeq.Add(now, float64(snd.Seq))
-		}
 		m.Injected++
 		m.out.Receive(packet.Packet{
 			Flow:      m.Flow,

@@ -10,12 +10,11 @@ import (
 )
 
 // snapshot reduces a finished fleet to a deterministic, deeply
-// comparable value: per-member sent/acked series and counters, bottleneck
-// drops, and cache counters.
+// comparable value: per-member counters and acked series lengths,
+// bottleneck drops, and cache counters.
 type snapshot struct {
 	Sent, Acked  []int64
 	Delivered    []int
-	SentPts      []int
 	AckedPts     []int
 	Drops        int
 	Hits, Misses int
@@ -27,7 +26,6 @@ func snap(f *Fleet) snapshot {
 		s.Sent = append(s.Sent, m.Sender.Sent)
 		s.Acked = append(s.Acked, m.Sender.Acked)
 		s.Delivered = append(s.Delivered, f.Delivered(m.Flow))
-		s.SentPts = append(s.SentPts, m.SentSeq.Len())
 		s.AckedPts = append(s.AckedPts, m.AckedSeq.Len())
 	}
 	s.Drops = f.Drops()
@@ -116,14 +114,18 @@ func TestFleetStagger(t *testing.T) {
 	fl := New(Config{N: 8, Seed: 1})
 	fl.Start()
 	firsts := map[time.Duration]bool{}
+	first := make([]bool, len(fl.Members))
 	for fl.Loop.Now() < 5*time.Second {
 		if !fl.Loop.Step() {
 			break
 		}
-	}
-	for _, m := range fl.Members {
-		if m.SentSeq.Len() > 0 {
-			firsts[m.SentSeq.Pts[0].T] = true
+		// A member's first send happens inside the step that turns its
+		// Sent count positive.
+		for i, m := range fl.Members {
+			if !first[i] && m.Sender.Sent > 0 {
+				first[i] = true
+				firsts[fl.Loop.Now()] = true
+			}
 		}
 	}
 	if len(firsts) < 2 {

@@ -94,7 +94,7 @@ const (
 func (r *Roster) setup(cfg Config, loop *sim.Loop, hostOf func(packet.FlowID) *host, direct bool) {
 	r.hostOf = hostOf
 	if !cfg.NoSharedCache {
-		r.Caches = planner.NewCacheStripes(cfg.CacheStripes, 0)
+		r.Caches = planner.NewCacheStripes(cfg.CacheStripes)
 		r.Caches.SetQuanta(TimeQuantum, WeightQuantum)
 	}
 	var onAck func(packet.Ack)

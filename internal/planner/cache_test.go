@@ -7,6 +7,7 @@ import (
 
 	"modelcc/internal/belief"
 	"modelcc/internal/model"
+	"modelcc/internal/rollout"
 	"modelcc/internal/units"
 )
 
@@ -36,7 +37,7 @@ func cacheSupport(at time.Duration) []belief.Hypothesis {
 // miss that populated the entry.
 func TestPolicyCacheHitRebasesWakeAt(t *testing.T) {
 	cfg := DefaultConfig()
-	pc := NewPolicyCache(0)
+	pc := NewPolicyCache()
 
 	t1 := 10 * time.Second
 	d1 := pc.Decide(NewWake(cacheSupport(t1), t1), nil, 5, cfg)
@@ -135,101 +136,84 @@ func TestFingerprintWeightRounding(t *testing.T) {
 	}
 }
 
-// TestPolicyCacheEvictRepopulates: after an eviction at MaxEntries the
-// cache keeps counting misses correctly and serves hits again once
-// repopulated.
-func TestPolicyCacheEvictRepopulates(t *testing.T) {
-	cfg := DefaultConfig()
-	pc := NewPolicyCache(1) // evict on the second distinct situation
-
-	t1 := 10 * time.Second
-	pc.Decide(NewWake(cacheSupport(t1), t1), nil, 0, cfg)
-
-	// A different situation (extra queued packet) forces an eviction.
-	s2 := cacheSupport(t1)
-	s2[0].S.Queue = append(s2[0].S.Queue, model.QPkt{Seq: -1, Bits: 12000})
-	s2[0].S.QueueBits += 12000
-	pc.Decide(NewWake(s2, t1), nil, 0, cfg)
-	if pc.Misses != 2 {
-		t.Fatalf("distinct situations: misses=%d, want 2", pc.Misses)
-	}
-
-	// The first situation was the clock hand's victim: miss again,
-	// then hit.
-	pc.Decide(NewWake(cacheSupport(t1), t1), nil, 0, cfg)
-	if pc.Misses != 3 {
-		t.Fatalf("evicted entry still hit: misses=%d, want 3", pc.Misses)
-	}
-	pc.Decide(NewWake(cacheSupport(t1), t1), nil, 0, cfg)
-	if pc.Hits != 1 {
-		t.Fatalf("repopulated entry missed: hits=%d", pc.Hits)
-	}
+// weightedSupport moves a cacheSupport's two weights 2e-6·i from their
+// defaults, in place: a distinct situation per i that allocates nothing
+// to build.
+func weightedSupport(sup []belief.Hypothesis, i int) {
+	d := 2e-6 * float64(i)
+	sup[0].W, sup[1].W = 0.75+d, 0.25-d
 }
 
-// distinctSupport builds the i-th of many distinct steady-state-looking
-// situations by varying the queue depth signature (cheap, and clearly a
-// different network situation per i).
-func distinctSupport(i int) []belief.Hypothesis {
-	sup := cacheSupport(10 * time.Second)
-	for j := 0; j <= i; j++ {
-		sup[0].S.Queue = append(sup[0].S.Queue, model.QPkt{Seq: -1, Bits: int64(1000 + 100*j)})
-	}
-	return sup
-}
-
-// TestPolicyCacheIncrementalEviction: crossing MaxEntries evicts one
-// cold entry, not the whole map. The hot working set keeps hitting
-// across the boundary — under the old wholesale reset the hit rate
-// collapsed to zero every time the cache filled.
-func TestPolicyCacheIncrementalEviction(t *testing.T) {
-	const max = 8
+// TestPolicyCacheDisplacement: two situations that share a slot displace
+// each other. The later one's store overwrites the earlier, whose next
+// lookup is then a miss — not a collision, its fingerprint is gone — that
+// re-plans the same decision and takes the slot back.
+func TestPolicyCacheDisplacement(t *testing.T) {
 	cfg := DefaultConfig()
-	pc := NewPolicyCache(max)
 	now := 10 * time.Second
-	decide := func(i int) { pc.Decide(NewWake(distinctSupport(i), now), nil, 0, cfg) }
-
-	// Fill to capacity with distinct situations.
-	for i := 0; i < max; i++ {
-		decide(i)
+	a, b := cacheSupport(now), cacheSupport(now)
+	slotOf := func(sup []belief.Hypothesis) (int, uint64) {
+		fp, ver := Fingerprint(sup, nil, now, 0, 1e-6)
+		return memoSlot(memoKey{fp, ver}), fp
 	}
-	if pc.Len() != max || pc.Misses != max {
-		t.Fatalf("resident = %d after %d misses, want %d/%d", pc.Len(), pc.Misses, max, max)
-	}
-
-	// Mark the first 7 hot (second chance), leave the 8th cold.
-	hot := max - 1
-	for i := 0; i < hot; i++ {
-		decide(i)
-	}
-	if pc.Hits != hot {
-		t.Fatalf("hits = %d before the boundary, want %d", pc.Hits, hot)
-	}
-
-	// Push 4 new situations across the boundary, re-touching the hot
-	// set between insertions, and count hits on the hot set. A hot
-	// entry that missed would be re-planned and re-inserted, evicting
-	// another.
-	probes, hits := 0, pc.Hits
-	for k := 0; k < 4; k++ {
-		decide(max + k)
-		for i := 0; i < hot; i++ {
-			probes++
-			decide(i)
+	sa, fa := slotOf(a)
+	for i := 1; ; i++ {
+		weightedSupport(b, i)
+		if sb, fb := slotOf(b); sb == sa && fb != fa {
+			break
+		}
+		if i > 1<<20 {
+			t.Fatal("no situation shares the first one's slot")
 		}
 	}
-	hits = pc.Hits - hits
-	if pc.Evictions != 4 {
-		t.Errorf("evictions = %d, want 4 (one per boundary insert)", pc.Evictions)
+
+	pc := NewPolicyCache()
+	first := pc.Decide(NewWake(a, now), nil, 0, cfg)
+	pc.Decide(NewWake(b, now), nil, 0, cfg)
+	if pc.Misses != 2 || pc.Len() != 1 {
+		t.Fatalf("two situations in one slot: misses=%d occupied=%d, want 2/1", pc.Misses, pc.Len())
 	}
-	// The clock hand must preserve the recently-used set: the floor is
-	// deliberately strict — every hot entry survives, because each
-	// insertion evicts the one cold/unused slot.
-	if rate := float64(hits) / float64(probes); rate < 0.99 {
-		t.Errorf("hot-set hit rate across eviction boundary = %.2f (%d/%d), want ~1.0; wholesale reset regression?",
-			rate, hits, probes)
+	again := pc.Decide(NewWake(a, now), nil, 0, cfg)
+	if pc.Misses != 3 || pc.Hits != 0 || pc.Collisions != 0 {
+		t.Fatalf("displaced situation: hits=%d misses=%d collisions=%d, want 0/3/0", pc.Hits, pc.Misses, pc.Collisions)
 	}
-	if pc.Len() != max {
-		t.Errorf("resident = %d after boundary churn, want %d", pc.Len(), max)
+	if again != first {
+		t.Fatalf("re-planned decision %+v differs from the first %+v", again, first)
+	}
+	if pc.Decide(NewWake(a, now), nil, 0, cfg); pc.Hits != 1 {
+		t.Fatalf("re-stored situation missed: hits=%d", pc.Hits)
+	}
+}
+
+// TestPolicyCacheDoesNotAllocate: the slot array is the cache's whole
+// storage. Once the first store has made it, storing any number of
+// distinct situations — every slot overwritten several times — allocates
+// nothing.
+func TestPolicyCacheDoesNotAllocate(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Workers, cfg.Pool = 1, rollout.New(1)
+	now := 10 * time.Second
+	sup := cacheSupport(now)
+	pc := NewPolicyCache()
+	var w Wake
+	i := 0
+	store := func() {
+		i++
+		weightedSupport(sup, i)
+		w.Reset(sup, now)
+		pc.Decide(&w, nil, 0, cfg)
+	}
+	store()
+	const n = 3 << memoSlotBits
+	if allocs := testing.AllocsPerRun(1, func() {
+		for range n {
+			store()
+		}
+	}); allocs != 0 {
+		t.Errorf("%d stores after the first allocated %v times, want 0", n, allocs)
+	}
+	if pc.Hits != 0 || pc.Misses != 2*n+1 {
+		t.Errorf("distinct situations: hits=%d misses=%d, want 0/%d", pc.Hits, pc.Misses, 2*n+1)
 	}
 }
 
@@ -239,15 +223,16 @@ func TestPolicyCacheIncrementalEviction(t *testing.T) {
 // wrong action.
 func TestPolicyCacheCollisionDetected(t *testing.T) {
 	cfg := DefaultConfig()
-	pc := NewPolicyCache(0)
+	pc := NewPolicyCache()
 	now := 10 * time.Second
 	sup := cacheSupport(now)
 	tq, wq := pc.quanta()
 	fp, ver := Fingerprint(sup, nil, now, tq, wq)
 
-	// Forge a resident entry under this belief's fingerprint with a
-	// wrong verification hash and a poisoned action.
-	pc.insert(fp, cachedDecision{verify: ver ^ 1, sendNow: true, delta: 0, gain: 1e9})
+	// Forge a resident entry in this belief's slot under its fingerprint
+	// with a wrong verification hash and a poisoned action.
+	pc.slots = make([]Entry, 1<<memoSlotBits)
+	pc.slots[memoSlot(memoKey{fp, ver})] = Entry{FP: fp, Verify: ver ^ 1, SendNow: true, Gain: 1e9}
 
 	want := Decide(sup, nil, now, 0, cfg)
 	got := pc.Decide(NewWake(sup, now), nil, 0, cfg)

@@ -101,7 +101,7 @@ func TestGuardLastSafeAction(t *testing.T) {
 // counted.
 func TestGuardStragglerSetsOnlyLastSafe(t *testing.T) {
 	sup := guardSupport()
-	pc := NewPolicyCache(0)
+	pc := NewPolicyCache()
 	g, gate := stalledGuard(t, pc)
 	const slept = 700 * time.Millisecond
 	g.plan = func(_ []belief.Hypothesis, _ []model.Send, now time.Duration, _ int64, _ Config) Decision {
@@ -141,7 +141,7 @@ func TestGuardFallbackSkipsTheCache(t *testing.T) {
 	sup := guardSupport()
 	now := 2 * time.Second
 	for _, degraded := range []bool{false, true} {
-		pc := NewPolicyCache(0)
+		pc := NewPolicyCache()
 		pc.Decide(NewWake(sup, now), nil, 0, Config{})
 		var g *Guard
 		if degraded {

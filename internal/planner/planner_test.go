@@ -257,7 +257,7 @@ func TestDecisionMetadata(t *testing.T) {
 }
 
 func TestPolicyCacheHitsOnRecurrence(t *testing.T) {
-	pc := NewPolicyCache(0)
+	pc := NewPolicyCache()
 	cfg := testCfg()
 	s := idleLink()
 
@@ -282,7 +282,7 @@ func TestPolicyCacheHitsOnRecurrence(t *testing.T) {
 }
 
 func TestPolicyCacheDistinguishesQueueState(t *testing.T) {
-	pc := NewPolicyCache(0)
+	pc := NewPolicyCache()
 	cfg := testCfg()
 	pc.Decide(NewWake(certain(idleLink()), 0), nil, 0, cfg)
 
@@ -293,21 +293,5 @@ func TestPolicyCacheDistinguishesQueueState(t *testing.T) {
 
 	if pc.Hits != 0 {
 		t.Error("cache conflated distinct queue states")
-	}
-}
-
-func TestPolicyCacheResetWhenFull(t *testing.T) {
-	pc := NewPolicyCache(1)
-	cfg := testCfg()
-	pc.Decide(NewWake(certain(idleLink()), 0), nil, 0, cfg)
-	busy := idleLink()
-	var evs []model.Event
-	busy.Run(time.Millisecond, []model.Send{{Seq: 0, At: 0}}, &evs)
-	pc.Decide(NewWake(certain(busy), time.Millisecond), nil, 1, cfg)
-	// Capacity 1: the second distinct entry evicted the first; a repeat
-	// of the first situation misses again but must not grow unbounded.
-	pc.Decide(NewWake(certain(idleLink()), 0), nil, 0, cfg)
-	if len(pc.entries) > 1 {
-		t.Errorf("cache exceeded MaxEntries: %d", len(pc.entries))
 	}
 }

@@ -14,9 +14,11 @@ import "time"
 const DefaultCacheStripes = 16
 
 // CacheStripes is a policy cache split into a fixed number of
-// independent PolicyCache stripes keyed by flow ID. Each stripe keeps
-// the existing clock-hand/second-chance eviction and all per-stripe
-// counters; the striped wrapper only routes and aggregates.
+// independent PolicyCache stripes keyed by flow ID. Each stripe is its
+// own fixed array of the rollout memo's 4 Ki direct-mapped slots, with
+// its own counters — enough, since fleet recurrence is temporally local
+// (see PolicyCache) — and the striped wrapper only routes and
+// aggregates.
 //
 // Concurrency contract: a stripe may be used from one goroutine at a
 // time. The fleet's flow → stripe mapping (flow mod Stripes) combined
@@ -29,16 +31,14 @@ type CacheStripes struct {
 	stripes []*PolicyCache
 }
 
-// NewCacheStripes builds n stripes (n <= 0 means DefaultCacheStripes),
-// each bounded to entriesPerStripe (<= 0 means the PolicyCache
-// default).
-func NewCacheStripes(n, entriesPerStripe int) *CacheStripes {
+// NewCacheStripes builds n stripes (n <= 0 means DefaultCacheStripes).
+func NewCacheStripes(n int) *CacheStripes {
 	if n <= 0 {
 		n = DefaultCacheStripes
 	}
 	cs := &CacheStripes{stripes: make([]*PolicyCache, n)}
 	for i := range cs.stripes {
-		cs.stripes[i] = NewPolicyCache(entriesPerStripe)
+		cs.stripes[i] = NewPolicyCache()
 	}
 	return cs
 }
@@ -74,7 +74,7 @@ func (cs *CacheStripes) Stats() (hits, misses int) {
 	return hits, misses
 }
 
-// Len sums resident entries across stripes.
+// Len sums occupied slots across stripes.
 func (cs *CacheStripes) Len() int {
 	n := 0
 	for _, s := range cs.stripes {
