@@ -415,5 +415,8 @@ func (l *sizeList) Set(s string) error {
 		}
 		*l = append(*l, n)
 	}
+	if len(*l) == 0 {
+		return fmt.Errorf("no size given")
+	}
 	return nil
 }

@@ -94,6 +94,30 @@ func TestLifecycleFlagsMeanOneThing(t *testing.T) {
 	}
 }
 
+// TestEmptySizeListRefused: a size list that names no size is a usage
+// error, never the default sweep. (Regression: -n , ran the default
+// sizes, and -verify-shards , verified nothing and exited 0.)
+func TestEmptySizeListRefused(t *testing.T) {
+	for _, v := range []string{",", "", " , "} {
+		fs, _ := sweepFlags()
+		fs.Init(fs.Name(), flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		if err := fs.Parse([]string{"-n", v}); err == nil || !strings.Contains(err.Error(), "no size given") {
+			t.Errorf("sweep -n %q: err = %v, want no size given", v, err)
+		}
+		for _, c := range []struct{ mode, flag string }{
+			{"churn", "-n"}, {"fault", "-n"}, {"churn", "-verify-shards"},
+		} {
+			if _, err := parseLifecycle(c.mode, c.flag, v); err == nil || !strings.Contains(err.Error(), "no size given") {
+				t.Errorf("%s %s %q: err = %v, want no size given", c.mode, c.flag, v, err)
+			}
+		}
+	}
+	if l, err := parseLifecycle("churn", "-n", "4,,16"); err != nil || len(l.sweep.Ns) != 2 {
+		t.Errorf("churn -n 4,,16 resolved %+v err=%v, want sizes 4 and 16", l, err)
+	}
+}
+
 // TestCheckRanges: a numeric flag outside its domain is a usage error
 // naming the flag, never a silent default or a zero-length run.
 // (Regressions: -dur -5s ran nothing and exited 0; -rate 0 became 6000.)

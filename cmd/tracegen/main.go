@@ -1,6 +1,6 @@
 // Command tracegen synthesizes cellular-like packet-delivery traces in
-// mahimahi format (one millisecond timestamp per line) for use with
-// cmd/netemu and the emulation library.
+// mahimahi format (one millisecond timestamp per line) for emu.TraceLink,
+// the trace-driven link of the simulator.
 //
 // Usage:
 //

@@ -54,14 +54,12 @@
 //     window barriers by shard.Fleet.
 //   - internal/policy: offline-compiled, mmap-served policy tables.
 //
-// Faults and real sockets:
+// Faults and links:
 //
-//   - internal/chaos: seeded, replayable fault schedules.
-//   - internal/wire: the datagram codec and the one socket read loop.
-//   - internal/emu: trace-driven link emulation, in the simulator and as
-//     a UDP proxy.
-//   - internal/transport: the ISENDER over UDP (RunLoopback wires
-//     receiver, proxy and sender).
+//   - internal/chaos: seeded, replayable fault schedules, applied to one
+//     sender's packets by experiments.RunChaos and drawn by the churn
+//     and shard-fault schedules.
+//   - internal/emu: trace-driven link emulation in the simulator.
 //
 // Experiments and commands:
 //
@@ -70,8 +68,8 @@
 //     runtimes); cmd/ tools and benchmarks are thin wrappers over it.
 //   - internal/stats: series and summaries for the figures.
 //   - cmd/isender-sim (Figure 3), cmd/bufferbloat (Figure 1),
-//     cmd/fleetsim (sweep, churn, fault), cmd/policyc, cmd/soak,
-//     cmd/netemu, cmd/tracegen; examples/ shows the library.
+//     cmd/fleetsim (sweep, churn, fault), cmd/policyc, cmd/tracegen;
+//     examples/ shows the library.
 //   - cmd/bench: the benchmark BENCHMARK.json declares, a module of its
 //     own that go test ./... at the root does not reach.
 //

@@ -119,10 +119,10 @@ type Config struct {
 	// mismatches with a Gaussian likelihood exp(-½(Δt/σ)²). The paper's
 	// simulator observes its own mechanics exactly, so hard rejection
 	// suffices there; against networks the model cannot represent
-	// exactly — another ISENDER sharing the bottleneck (§3.5), or a
-	// real UDP path with OS scheduling jitter — every hypothesis would
-	// be rejected. Soft matching is the standard likelihood-smoothing
-	// fix and degrades gracefully to the paper's behaviour as σ → 0.
+	// exactly — another ISENDER sharing the bottleneck (§3.5) — every
+	// hypothesis would be rejected. Soft matching is the standard
+	// likelihood-smoothing fix and degrades gracefully to the paper's
+	// behaviour as σ → 0.
 	SoftSigma time.Duration
 	// MinWeight drops hypotheses below this post-normalization mass.
 	MinWeight float64
@@ -227,19 +227,20 @@ func likelihood(events []model.Event, ackBySeq map[int64]time.Duration, p float6
 }
 
 // softLikelihood is the soft-matching counterpart used against networks
-// the model cannot represent exactly (real sockets, a competing
-// ISENDER). It differs from the exact rule in three ways, all of which
-// degrade to the hard rule as σ → 0:
+// the model cannot represent exactly (a competing ISENDER on the same
+// bottleneck). It differs from the exact rule in three ways, all of
+// which degrade to the hard rule as σ → 0:
 //
 //   - timing mismatches are Gaussian-weighted, not rejected;
 //   - acks are matched globally by sequence number (ackAll includes
 //     recently seen acks), so a prediction and its acknowledgment that
 //     straddle a segment or update boundary still pair up;
 //   - a prediction with no ack is held "pending" (neutral weight)
-//     within a grace window of now — on a real path the ack may simply
-//     not have been read yet — and afterwards weighted by the loss
-//     probability floored at softMissFloor, because real paths lose
-//     packets even when the hypothesis says p = 0.
+//     within a grace window of now — the competitor's packets may have
+//     delayed the ack past its predicted arrival — and afterwards
+//     weighted by the loss probability floored at softMissFloor,
+//     because the competitor's packets fill the buffer and drop ours
+//     even when the hypothesis says p = 0.
 func softLikelihood(events []model.Event, ackAll map[int64]time.Duration, now time.Duration, p float64, cfg Config) float64 {
 	const softMissFloor = 0.01
 	sigma := cfg.SoftSigma.Seconds()

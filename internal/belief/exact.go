@@ -258,8 +258,6 @@ func (b *Exact) RecordSend(s model.Send) {
 	if n := len(b.pending); n > 0 && b.pending[n-1].At > s.At {
 		// Invariant: the sender records its own sends, under its own
 		// (monotone) clock — network input cannot reach this path.
-		// transport.Sender clamps chaotic clocks monotone before
-		// calling in.
 		panic("belief: sends recorded out of order")
 	}
 	b.pending = append(b.pending, s)
@@ -299,9 +297,8 @@ func (b *Exact) Support() []Hypothesis { return b.hyps }
 func (b *Exact) begin(now time.Duration, acks []packet.Ack) []model.Send {
 	if now < b.now {
 		// Invariant: callers drive the belief with a monotone clock
-		// (the DES loop by construction, transport.Sender by clamping
-		// chaotic wall clocks). Time running backwards here is a
-		// driver bug, not a network fault.
+		// (the DES loop by construction). Time running backwards here
+		// is a driver bug, not a network fault.
 		panic(fmt.Sprintf("belief: update time %v precedes previous update %v", now, b.now))
 	}
 	n := 0
@@ -327,8 +324,9 @@ func (b *Exact) begin(now time.Duration, acks []packet.Ack) []model.Send {
 // posterior (Relax). Without either it panics: the prior did not contain
 // the truth (or tolerances are too tight), and silently resetting would
 // mask a broken model, the exact failure this architecture is meant to
-// surface. Callers facing real networks (transport, soak) opt into
-// Recover or Relax; the simulator-facing default stays loud.
+// surface. Callers facing faults or a competing sender (RunChaos, the
+// fleet, coexistence) opt into Recover or Relax; the default stays
+// loud.
 func (b *Exact) collapse(st *UpdateStats) (reseed bool) {
 	switch {
 	case b.cfg.Recover:

@@ -21,7 +21,7 @@ func tinyPrior() []model.State {
 // impossibleAck is an acknowledgment no hypothesis can explain: the
 // sender never recorded a send for that sequence number, so every
 // branch has matched < len(segAcks) and is rejected — exactly what a
-// corrupted datagram or a post-blackout stale ack produces.
+// corrupted packet or a post-blackout stale ack produces.
 func impossibleAck(at time.Duration) []packet.Ack {
 	return []packet.Ack{{Flow: packet.FlowSelf, Seq: 9999, SentAt: 0, ReceivedAt: at}}
 }

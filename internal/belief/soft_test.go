@@ -75,9 +75,8 @@ func TestSoftLikelihoodBufferDropContradiction(t *testing.T) {
 }
 
 func TestSoftModeSurvivesBoundaryStraddle(t *testing.T) {
-	// The regression the UDP transport exposed: a prediction and its
-	// ack separated by an update boundary must not kill a p=0
-	// hypothesis in soft mode.
+	// Regression: a prediction and its ack separated by an update
+	// boundary must not kill a p=0 hypothesis in soft mode.
 	s := model.Initial(model.Params{LinkRate: 12000, BufferCapBits: 96000}, false)
 	b := NewExact([]model.State{s}, softBeliefCfg())
 	b.RecordSend(model.Send{Seq: 0, At: 0})

@@ -16,8 +16,6 @@ func menu() Config {
 		ReorderProb:  0.1,
 		ReorderDelay: 40 * time.Millisecond,
 		Blackouts:    []Window{{Start: time.Second, Len: 2 * time.Second}},
-		Stalls:       []Window{{Start: 4 * time.Second, Len: 100 * time.Millisecond}},
-		ClockJumps:   []Jump{{At: 2 * time.Second, Delta: 150 * time.Millisecond}},
 	}
 }
 
@@ -81,50 +79,5 @@ func TestBlackoutAndBurst(t *testing.T) {
 	}
 	if run != 20 { // BurstProb 1: every packet either triggers or rides a burst
 		t.Fatalf("burst dropped %d of 20 at BurstProb=1", run)
-	}
-}
-
-// TestClock applies jumps, including a backwards one.
-func TestClock(t *testing.T) {
-	cfg := Config{ClockJumps: []Jump{
-		{At: time.Second, Delta: 100 * time.Millisecond},
-		{At: 2 * time.Second, Delta: -50 * time.Millisecond},
-	}}
-	base := time.Duration(0)
-	clk := cfg.Clock(func() time.Duration { return base })
-	base = 500 * time.Millisecond
-	if got := clk(); got != base {
-		t.Fatalf("pre-jump clock = %v, want %v", got, base)
-	}
-	base = 1500 * time.Millisecond
-	if got := clk(); got != base+100*time.Millisecond {
-		t.Fatalf("post-jump clock = %v", got)
-	}
-	base = 2500 * time.Millisecond
-	if got := clk(); got != base+50*time.Millisecond {
-		t.Fatalf("post-backjump clock = %v", got)
-	}
-}
-
-// TestApplyCorrupt always changes the buffer.
-func TestApplyCorrupt(t *testing.T) {
-	in := New(Config{Seed: 9, CorruptProb: 1})
-	for i := 0; i < 100; i++ {
-		v := in.Next(0)
-		if !v.Corrupt {
-			t.Fatal("CorruptProb=1 did not corrupt")
-		}
-		b := make([]byte, 1+i%32)
-		orig := append([]byte(nil), b...)
-		v.ApplyCorrupt(b)
-		diff := 0
-		for j := range b {
-			if b[j] != orig[j] {
-				diff++
-			}
-		}
-		if diff != 1 {
-			t.Fatalf("corruption changed %d bytes, want exactly 1", diff)
-		}
 	}
 }

@@ -5,12 +5,11 @@
 // an explicitly supplied utility function (§3.2–3.3).
 //
 // The Sender is a pure state machine driven by Wake calls: it owns no
-// clock and no socket. The simulation experiments drive it against a
-// model.Truth (internal/experiments); the UDP transport drives the very
-// same type against the wall clock and real sockets
-// (internal/transport). That separation is the paper's architecture
-// made literal: the model and the utility function are first-class
-// objects handed to the endpoint, and everything else is plumbing.
+// clock and no socket. The experiments drive it against a model.Truth
+// (internal/experiments), one sender or a fleet of them. That separation
+// is the paper's architecture made literal: the model and the utility
+// function are first-class objects handed to the endpoint, and
+// everything else is plumbing.
 package core
 
 import (
@@ -53,9 +52,8 @@ type Sender struct {
 	// deadline, no cache and no table: every decision is Guard.Decide,
 	// which probes Guard.Compiled, plans (through Guard.Cache when set)
 	// and remembers the last safe pacing interval a degraded decision
-	// falls back to (see planner.Guard). A driver configures its fields —
-	// a real-socket driver gives it a Budget, since a stalled decision
-	// there is a stalled event loop — and never sets it to nil.
+	// falls back to (see planner.Guard). A driver configures its fields
+	// and never sets it to nil.
 	Guard *planner.Guard
 	// OnDecide, when non-nil, observes every decision: Wake calls it
 	// right after each Guard.Decide, before RecordSend, with the wake the

@@ -8,9 +8,9 @@ import (
 
 // Receiver is the paper's RECEIVER element: it accumulates packets and
 // notifies its owner of the received time and sequence number of each one
-// (§3.4). In the simulator, notification is a synchronous callback — the
-// paper models the return path as lossless and instant; the UDP transport
-// in internal/transport carries the same notification over a real socket.
+// (§3.4). Notification is a synchronous callback — the paper models the
+// return path as lossless and instant; experiments.RunChaos perturbs it
+// with ack loss, duplication and reordering.
 type Receiver struct {
 	loop *sim.Loop
 	// OnAck is invoked for every received packet.

@@ -1,8 +1,7 @@
 // Package emu provides trace-driven link emulation: a simulator element
-// (TraceLink) and a real-socket UDP proxy (Proxy, in proxy.go) that
-// release one queued packet per delivery opportunity of a trace.Trace —
-// the standard technique for reproducing cellular link behaviour without
-// the cellular network.
+// (TraceLink) that releases one queued packet per delivery opportunity
+// of a trace.Trace — the standard technique for reproducing cellular
+// link behaviour without the cellular network.
 package emu
 
 import (
@@ -38,7 +37,7 @@ type TraceLink struct {
 // NewTraceLink returns a trace-driven link with the given queue capacity
 // delivering to next. Traces come from files and flags — external input,
 // not programmer invariants — so an invalid one is an error, not a
-// panic (NewProxy treats its trace the same way).
+// panic.
 func NewTraceLink(loop *sim.Loop, tr trace.Trace, capBits int64, next elements.Node) (*TraceLink, error) {
 	if err := tr.Validate(); err != nil {
 		return nil, fmt.Errorf("emu: %w", err)

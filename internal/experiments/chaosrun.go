@@ -11,10 +11,8 @@ import (
 )
 
 // ChaosConfig is one ISENDER run with a deterministic fault schedule
-// layered between the sender and the ground truth — the DES twin of
-// running transport.Sender through a chaotic emu.Proxy. The same
-// chaos.Config drives both worlds; here every fault lands at an exact
-// virtual instant, so the whole run (faults included) replays
+// layered between the sender and the ground truth. Every fault lands at
+// an exact virtual instant, so the whole run (faults included) replays
 // bit-identically from the seed.
 type ChaosConfig struct {
 	// Base is the underlying experiment; its BeliefCfg should set
@@ -75,8 +73,8 @@ func (t *faultTap) sends(sends []model.Send) []model.Send {
 	var out []model.Send
 	for _, snd := range sends {
 		if t.dataInj != nil {
-			// A corrupted datagram fails wire decode on arrival, so
-			// on the DES path Corrupt degenerates to Drop.
+			// A corrupted packet fails the receiver's check on
+			// arrival, so Corrupt degenerates to Drop.
 			if v := t.dataInj.Next(snd.At); v.Drop || v.Corrupt {
 				continue
 			}
@@ -126,12 +124,10 @@ func (t *faultTap) acks(now time.Duration, fresh []packet.Ack) []packet.Ack {
 
 // RunChaos executes one ISENDER run with fault injection between sender
 // and truth: RunISender's loop, runSolo, with a faultTap. Data-path
-// faults are drops only (blackouts, bursts, i.i.d. loss — a corrupted or
-// reordered data packet on a real path is dropped or re-timed by the
-// proxy before the model sees it); the ack path additionally duplicates
-// and delays, and a delayed ack keeps its original receive stamp —
-// exactly the stale-observation shape that triggers likelihood collapse
-// and exercises Recover.
+// faults are drops only (blackouts, bursts, i.i.d. loss and corruption);
+// the ack path additionally duplicates and delays, and a delayed ack
+// keeps its original receive stamp — exactly the stale-observation
+// shape that triggers likelihood collapse and exercises Recover.
 func RunChaos(cfg ChaosConfig) ChaosResult {
 	tap := &faultTap{hash: lifecycle.NewHasher()}
 	if cfg.Faults.Enabled() {

@@ -467,8 +467,8 @@ type Member struct {
 func (m *Member) Retired() bool { return m.retired }
 
 // SetDegraded pins (or releases) the member's decision path to its
-// Guard's degradation ladder — compiled table when wired, else cache →
-// last-safe → sleep — without live planning; see planner.Guard.Degraded.
+// Guard's degradation ladder — compiled table when wired, else last
+// safe → sleep — without live planning; see planner.Guard.Degraded.
 // The last safe interval is the one the member's Guard has remembered
 // since it was built or restored.
 func (m *Member) SetDegraded(on bool) { m.Sender.Guard.Degraded = on }

@@ -29,8 +29,8 @@
 //
 // Warm restores compose with the table (the restored member keeps the
 // table as Guard rung 0), and every member, restarted or not, degrades
-// through planner.Guard's in-decision ladder (table → live → cache →
-// last-safe → sleep); this package's ladder chooses where a member
+// through planner.Guard's in-decision ladder (table → live → last safe
+// → sleep); this package's ladder chooses where a member
 // *starts*, the Guard's chooses how each *decision* is served.
 package lifecycle
 

@@ -437,9 +437,8 @@ func (s *State) advance(until time.Duration, sends []Send, out *[]Event, acc *Ac
 			sends = sends[1:]
 			if at < s.Now {
 				// Invariant: sends are stamped by the sender's own
-				// monotone clock (transport.Sender clamps chaotic wall
-				// clocks before they get here), so a past send is a
-				// driver bug the run must surface, not tolerate.
+				// monotone clock, so a past send is a driver bug the
+				// run must surface, not tolerate.
 				panic("model: send scheduled in the hypothesis's past")
 			}
 			s.Now = at

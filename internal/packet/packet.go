@@ -81,7 +81,7 @@ func New(flow FlowID, seq int64, sentAt time.Duration) Packet {
 // Ack is the receiver-to-sender notification the paper's RECEIVER conveys:
 // the sequence number and the time the packet arrived (§3.4). The return
 // path is modeled as lossless and instant in the paper's preliminary
-// experiments; the UDP transport carries Acks for real.
+// experiments; experiments.RunChaos drops, duplicates and delays Acks.
 type Ack struct {
 	// Flow identifies which flow's packet was received.
 	Flow FlowID

@@ -38,12 +38,11 @@ type WakePolicy interface {
 }
 
 // Guard is a sender's one decision path (core.NewSender gives every
-// sender its own, with no deadline) and bounds how long one decision may
-// take. The planner's expected wake-to-wake latency is milliseconds, but
-// a chaotic run can hand it a pathological posterior (a blackout-widened
-// support, a reseeded prior) exactly when the sender can least afford to
-// stall: on a real socket path a late decision is a missed transmission
-// opportunity, and the event loop behind it backs up.
+// sender its own, with no deadline). It can bound how long one decision
+// may take, but the budget has no caller outside tests: every driver in
+// this module runs in virtual time, where a slow decision costs wall
+// time and never a transmission opportunity, so each one plans
+// synchronously.
 //
 // Guard.Decide first probes the compiled policy table, when one is
 // wired: a hit answers in O(1) without touching the live planner at
@@ -76,8 +75,9 @@ type WakePolicy interface {
 // driver goroutine. A read-only CompiledPolicy may be shared by many
 // Guards (the fleet shares one table across all members).
 type Guard struct {
-	// Budget is the per-decision deadline. Zero or negative means no
-	// deadline: Decide runs synchronously (through Cache when set).
+	// Budget is the per-decision deadline; only tests set one. Zero or
+	// negative means no deadline: Decide runs synchronously (through
+	// Cache when set).
 	Budget time.Duration
 	// Cache, when non-nil, is the shared cache the synchronous live rung
 	// plans through (PolicyCache.Decide); a budgeted Guard plans without

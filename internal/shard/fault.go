@@ -62,7 +62,7 @@ import (
 //
 // Stalls degrade instead of killing: a stalled or overrunning shard's
 // members serve decisions from the Guard degradation ladder (compiled
-// table → cache → last-safe action) without live planning, the
+// table → last safe → sleep) without live planning, the
 // sequence-based control shape — precomputed actions ride out the
 // outage. Two triggers feed one verdict. The deterministic path draws
 // stall windows from chaos.Sub("shardfault") over virtual shards; the
