@@ -89,6 +89,7 @@ func BenchmarkBeliefScaling(b *testing.B) {
 		}
 		states, _ := prior.Enumerate()
 		b.Run(fmt.Sprintf("hyps=%d", len(states)), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				bel := belief.NewExact(states, belief.Config{})
@@ -103,6 +104,7 @@ func BenchmarkBeliefScaling(b *testing.B) {
 // BenchmarkExactUpdate times the paper's exact rejection belief over
 // Figure 3's prior: five sends, each acknowledged one second later.
 func BenchmarkExactUpdate(b *testing.B) {
+	b.ReportAllocs()
 	prior := model.Fig3Prior()
 	states, _ := prior.Enumerate()
 	for i := 0; i < b.N; i++ {
@@ -175,16 +177,19 @@ func BenchmarkPlannerDecide(b *testing.B) {
 	}
 
 	b.Run("uncached", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			planner.Decide(bel.Support(), nil, time.Second, 1, cfg)
 		}
 	})
 	b.Run("rolled", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			planner.Decide(bel.Support(), novel(i, time.Second), time.Second, 1, cfg)
 		}
 	})
 	b.Run("saturated", func(b *testing.B) {
+		b.ReportAllocs()
 		const now = 9 * time.Second
 		sup := saturatedSupport(now)
 		fleet := planner.Config{Util: utility.Default(), MaxDelay: 4 * time.Second, Grid: 500 * time.Millisecond, Horizon: 12 * time.Second}
@@ -194,6 +199,7 @@ func BenchmarkPlannerDecide(b *testing.B) {
 		}
 	})
 	b.Run("burst", func(b *testing.B) {
+		b.ReportAllocs()
 		const now = 9 * time.Second
 		sup := saturatedSupport(now)
 		fleet := planner.Config{Util: utility.Default(), MaxDelay: 4 * time.Second, Grid: 500 * time.Millisecond, Horizon: 12 * time.Second}
@@ -210,6 +216,7 @@ func BenchmarkPlannerDecide(b *testing.B) {
 		}
 	})
 	b.Run("cached", func(b *testing.B) {
+		b.ReportAllocs()
 		pc := planner.NewPolicyCache()
 		for i := 0; i < b.N; i++ {
 			pc.Decide(planner.NewWake(bel.Support(), time.Second), nil, 1, cfg)

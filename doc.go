@@ -26,7 +26,7 @@
 //
 // The ISENDER:
 //
-//   - internal/model: a network hypothesis as a 128-byte value over a
+//   - internal/model: a network hypothesis as a 120-byte value over a
 //     shared parameter record, advanced exactly (Run, RunAccum,
 //     Enumerate); the lagged-twin closed forms (BacklogDone, Lag).
 //   - internal/belief: the exact posterior over hypotheses (Exact), one

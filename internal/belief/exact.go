@@ -70,7 +70,8 @@ type Exact struct {
 	// hyps is what Support returns: cls itself when every class has one
 	// member, else sup, whose headers publish writes once per Update,
 	// each a copy of its class's state — queue window included — under
-	// the member's grid point and weight.
+	// the member's grid point and weight. sup follows cls's capacity
+	// rule, one header per hypothesis, each time pack writes it.
 	hyps, sup []Hypothesis
 
 	// gate is the toggle probability of the last (tick, mean switch time)
@@ -727,27 +728,22 @@ func (b *Exact) unpack(ar *arena) (cls, spare []Hypothesis) {
 // hypothesis, its class's state — window included — under its grid point
 // and weight.
 //
-// Both arrays follow one rule: one keeps its capacity c while
+// All three arrays follow one rule: one keeps its capacity c while
 // need ≤ c ≤ 4·need, and is otherwise traded with the arena's free store
-// for one of capacity ceilPow2(need). cls needs one header per class;
-// slab needs the queue entries, and keeps up to four times them plus
-// one per class. A traded array comes to fit within twice its need, so
-// it is traded again only on growth or on a fall to below half the need
-// it was traded for. The slots keep their buffers.
+// for one of capacity ceilPow2(need). cls needs one header per class,
+// sup one per hypothesis when it is written; slab needs the queue
+// entries, and keeps up to four times them plus one per class. A traded
+// array comes to fit within twice its need, so it is traded again only
+// on growth or on a fall to below half the need it was traded for: the
+// headers of a support descending from the prior's thousands are given
+// back once it settles, not at every power of two on the way down. The
+// slots keep their buffers.
 func (b *Exact) pack(ar *arena, classes []Hypothesis) {
 	n, nc, mem := 0, len(classes), b.mem
 	for k := range classes {
 		n += classes[k].S.QLen()
 	}
-	// Headers point at records and queues, so none is kept past the
-	// classes or given back uncleared; a slab points at nothing.
-	if c := cap(b.cls); c < nc || c > 4*nc {
-		clear(b.cls[:c])
-		b.cls = swap(ar.hdrs, b.cls, ceilPow2(nc))
-	} else if nc < len(b.cls) {
-		clear(b.cls[nc:])
-	}
-	b.cls = b.cls[:nc]
+	b.cls = fitHeaders(ar.hdrs, b.cls, nc)
 	if c := cap(b.slab); c < n || c > 4*n+nc {
 		b.slab = swap(ar.slabs, b.slab, ceilPow2(n))
 	}
@@ -769,7 +765,7 @@ func (b *Exact) pack(ar *arena, classes []Hypothesis) {
 		b.hyps = b.cls
 		return
 	}
-	b.sup = resize(b.sup, len(mem))
+	b.sup = fitHeaders(ar.hdrs, b.sup, len(mem))
 	sup, points := b.sup, b.points
 	for i, e := range mem {
 		h, pt := &sup[i], points[e.pt]
@@ -777,6 +773,20 @@ func (b *Exact) pack(ar *arena, classes []Hypothesis) {
 		h.S.P, h.S.ParamsID, h.W = pt.p, pt.id, e.w
 	}
 	b.hyps = sup
+}
+
+// fitHeaders returns hs at length n under pack's rule, traded through
+// free for ceilPow2(n) headers when its capacity is outside [n, 4n].
+// Headers point at records and queues, so none is kept past n or given
+// back uncleared; a slab points at nothing.
+func fitHeaders(free map[int][][]Hypothesis, hs []Hypothesis, n int) []Hypothesis {
+	if c := cap(hs); c < n || c > 4*n {
+		clear(hs[:c])
+		hs = swap(free, hs, ceilPow2(n))
+	} else if n < len(hs) {
+		clear(hs[n:])
+	}
+	return hs[:n]
 }
 
 // freeDepth bounds how many slices of one capacity a free store keeps.

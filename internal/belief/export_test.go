@@ -10,3 +10,8 @@ func Storage(b *Exact) (slots, classes int, single bool, held, used int) {
 	}
 	return cap(b.cls), len(b.cls), len(b.cls) == len(b.mem), cap(b.slab), used
 }
+
+// SupportHeaders reports the per-hypothesis support headers b keeps
+// beside shared classes: slots to capacity, and those the last update
+// that used them wrote.
+func SupportHeaders(b *Exact) (slots, used int) { return cap(b.sup), len(b.sup) }

@@ -12,11 +12,11 @@ import (
 	"modelcc/internal/packet"
 )
 
-// TestHypothesisLayout pins a support entry at 136 bytes: a 128-byte
+// TestHypothesisLayout pins a support entry at 128 bytes: a 120-byte
 // model.State and its weight.
 func TestHypothesisLayout(t *testing.T) {
-	if got := unsafe.Sizeof(belief.Hypothesis{}); got != 136 {
-		t.Errorf("belief.Hypothesis is %d bytes, want 136", got)
+	if got := unsafe.Sizeof(belief.Hypothesis{}); got != 128 {
+		t.Errorf("belief.Hypothesis is %d bytes, want 128", got)
 	}
 }
 

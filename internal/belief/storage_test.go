@@ -139,6 +139,49 @@ func TestStorageFollowsTheClasses(t *testing.T) {
 	}
 }
 
+// TestSupportHeadersFollowTheSupport: on Figure 3's prior the support
+// descends from the prior's 4,480 hypotheses to a few hundred, and the
+// per-hypothesis headers beside shared classes follow it down under the
+// classes' rule: once the support settles (from the fifth second) every
+// update that writes them holds one per hypothesis and at most four
+// times that, not the widest support they ever published.
+func TestSupportHeadersFollowTheSupport(t *testing.T) {
+	states, _ := model.Fig3Prior().Enumerate()
+	b := belief.NewExact(states, belief.Config{Workers: 1})
+	truth := model.NewTruth(model.Fig2Actual(), true, model.GateSquareWave, 100*time.Second, rand.New(rand.NewSource(6)))
+	var now time.Duration
+	var seq int64
+	widest, checked := 0, 0
+	for k := 0; k < 60; k++ {
+		var sends []model.Send
+		if k%2 == 0 {
+			sends = append(sends, model.Send{Seq: seq, At: now + time.Millisecond})
+			b.RecordSend(sends[0])
+			seq++
+		}
+		now += 500 * time.Millisecond
+		var acks []packet.Ack
+		for _, ev := range truth.AdvanceTo(now, sends) {
+			if ev.Kind == model.OwnDelivered {
+				acks = append(acks, packet.Ack{Seq: ev.Seq, ReceivedAt: ev.At})
+			}
+		}
+		b.Update(now, acks)
+		slots, used := belief.SupportHeaders(b)
+		widest = max(widest, used)
+		if _, _, single, _, _ := belief.Storage(b); single || k < 10 {
+			continue
+		}
+		checked++
+		if n := len(b.Support()); used != n || slots > 4*used {
+			t.Fatalf("update %d: %d support header slots, %d written, for a support of %d", k, slots, used, n)
+		}
+	}
+	if widest < 4096 || checked < 25 {
+		t.Fatalf("the support peaked at %d and %d of 50 settled reads wrote headers: the bound is vacuous", widest, checked)
+	}
+}
+
 // trades counts the capacity changes of a belief's header slots and slab
 // between consecutive reads.
 type trades struct{ slots, held, n, reads int }

@@ -119,7 +119,7 @@ func buildState(paramsID uint8, bits int64, seq int64, pingerOn, serving bool, q
 	s.NextToggle = s.Now + s.SwitchTick
 	if serving {
 		s.Serving = true
-		s.InService = QPkt{Own: seq%2 == 0, Seq: seq, Bits: bits}
+		s.InService = QPkt{Own: seq%2 == 0, Seq: int32(seq), Bits: bits}
 		s.ServiceDone = s.Now + time.Second
 	} else {
 		s.Serving = false
@@ -137,7 +137,7 @@ func buildState(paramsID uint8, bits int64, seq int64, pingerOn, serving bool, q
 	for i, b := range queueSpec {
 		q := QPkt{
 			Own:        b&1 == 1,
-			Seq:        seq + int64(i),
+			Seq:        int32(seq) + int32(i),
 			Bits:       bits + int64(b>>1),
 			EnqueuedAt: s.Now - time.Duration(i)*time.Millisecond,
 		}
@@ -226,14 +226,14 @@ func mutateKeyed(v *State, op, arg byte) {
 	case 1: // a dead prefix, as departures leave one
 		dead := make([]QPkt, int(arg%4))
 		for i := range dead {
-			dead[i] = QPkt{Own: i%2 == 0, Seq: int64(arg), Bits: int64(i + 1)}
+			dead[i] = QPkt{Own: i%2 == 0, Seq: int32(arg), Bits: int64(i + 1)}
 		}
 		v.Queue = append(append(dead, v.Queue[:v.QHead]...), q...)
 		v.QHead += len(dead)
 	case 2:
 		v.SwitchTick += d
 	case 3:
-		pkt.Seq += int64(d)
+		pkt.Seq += int32(d)
 	case 4:
 		pkt.Bits += int64(d)
 	case 5:
@@ -248,7 +248,7 @@ func mutateKeyed(v *State, op, arg byte) {
 		v.PingerOn = v.PingerOn != (arg%2 == 1)
 	case 10: // a packet added at arg%(n+1)
 		i := int(arg) % (len(q) + 1)
-		v.Queue = slices.Insert(v.Queue, v.QHead+i, QPkt{Own: arg%2 == 1, Seq: int64(arg), Bits: int64(arg) + 1})
+		v.Queue = slices.Insert(v.Queue, v.QHead+i, QPkt{Own: arg%2 == 1, Seq: int32(arg), Bits: int64(arg) + 1})
 		v.QueueBits += int64(arg) + 1
 	case 11: // a packet dropped
 		if len(q) > 0 {

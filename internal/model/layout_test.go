@@ -9,13 +9,23 @@ import (
 	"modelcc/internal/units"
 )
 
-// TestStateLayout pins a hypothesis at 128 bytes: a pointer to its
+// TestQPktLayout pins a queue entry at 24 bytes: the 32-bit sequence
+// number packs beside Own, then the size and the enqueue stamp. Every
+// hypothesis's queue is an array of these, and the belief's slabs, the
+// arena's branch slots and the planner's clones copy them.
+func TestQPktLayout(t *testing.T) {
+	if got := unsafe.Sizeof(QPkt{}); got != 24 {
+		t.Errorf("model.QPkt is %d bytes, want 24", got)
+	}
+}
+
+// TestStateLayout pins a hypothesis at 120 bytes: a pointer to its
 // shared parameter record, the packed identity and flags word, and the
-// dynamic state. Every fork, move and copy of a belief's support copies
-// exactly this.
+// dynamic state with its 24-byte in-service entry. Every fork, move and
+// copy of a belief's support copies exactly this.
 func TestStateLayout(t *testing.T) {
-	if got := unsafe.Sizeof(State{}); got != 128 {
-		t.Errorf("model.State is %d bytes, want 128", got)
+	if got := unsafe.Sizeof(State{}); got != 120 {
+		t.Errorf("model.State is %d bytes, want 120", got)
 	}
 }
 

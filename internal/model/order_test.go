@@ -36,7 +36,7 @@ func (s *State) RefRun(until time.Duration, sends []Send, out *[]Event) {
 			q := s.InService
 			s.Now = s.ServiceDone
 			s.Serving = false
-			ev := Event{Kind: CrossDelivered, Seq: q.Seq, At: s.Now, Bits: q.Bits, Delay: s.Now - q.EnqueuedAt}
+			ev := Event{Kind: CrossDelivered, Seq: int64(q.Seq), At: s.Now, Bits: q.Bits, Delay: s.Now - q.EnqueuedAt}
 			if q.Own {
 				ev.Kind = OwnDelivered
 			}
@@ -61,7 +61,7 @@ func (s *State) RefRun(until time.Duration, sends []Send, out *[]Event) {
 			if bits <= 0 {
 				bits = s.P.PktBits()
 			}
-			s.enqueue(QPkt{Own: true, Seq: snd.Seq, Bits: bits}, out, nil)
+			s.enqueue(QPkt{Own: true, Seq: int32(snd.Seq), Bits: bits}, out, nil)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package model
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/bits"
 	"time"
@@ -15,8 +16,15 @@ type QPkt struct {
 	// Own marks the ISENDER's packets; filler and cross packets are not
 	// Own.
 	Own bool
-	// Seq is the own-packet sequence number; -1 for cross/filler.
-	Seq int64
+	// Seq is the own-packet sequence number; -1 for cross/filler. It is
+	// 32-bit so that it packs beside Own and an entry is 24 bytes, not
+	// 32: every hypothesis stores and copies its queue, so the entry's
+	// size is what the belief and the planner store and copy. Send,
+	// Event and Ack keep int64; the send enqueue in advance (under Run
+	// and RunAccum) is the one narrowing, and panics on a Send.Seq
+	// outside int32's range. The hashes widen it with sign extension,
+	// so they read the words an int64 gave.
+	Seq int32
 	// Bits is the packet size.
 	Bits int64
 	// EnqueuedAt is when the packet entered the buffer/link; delivery
@@ -307,7 +315,7 @@ func (s *State) enqueue(q QPkt, out *[]Event, acc *Accum) (queued bool) {
 			if q.Own {
 				kind = OwnBufferDrop
 			}
-			*out = append(*out, Event{Kind: kind, Seq: q.Seq, At: s.Now, Bits: q.Bits})
+			*out = append(*out, Event{Kind: kind, Seq: int64(q.Seq), At: s.Now, Bits: q.Bits})
 		}
 		return false
 	}
@@ -388,7 +396,7 @@ func (s *State) advance(until time.Duration, sends []Send, out *[]Event, acc *Ac
 					if q.Own {
 						kind = OwnDelivered
 					}
-					*out = append(*out, Event{Kind: kind, Seq: q.Seq, At: done, Bits: q.Bits, Delay: done - q.EnqueuedAt})
+					*out = append(*out, Event{Kind: kind, Seq: int64(q.Seq), At: done, Bits: q.Bits, Delay: done - q.EnqueuedAt})
 				}
 				if acc != nil {
 					acc.Deliver(q.Own, q.Bits, done, done-q.EnqueuedAt)
@@ -442,11 +450,17 @@ func (s *State) advance(until time.Duration, sends []Send, out *[]Event, acc *Ac
 				panic("model: send scheduled in the hypothesis's past")
 			}
 			s.Now = at
+			if int64(int32(snd.Seq)) != snd.Seq {
+				// Invariant: a queue entry holds a 32-bit sequence
+				// number (QPkt.Seq). A wider one would wrap onto
+				// another packet's, so it is refused, not truncated.
+				panic(fmt.Sprintf("model: send sequence number %d does not fit in int32", snd.Seq))
+			}
 			bits := snd.Bits
 			if bits <= 0 {
 				bits = p.pktBits
 			}
-			if s.enqueue(QPkt{Own: true, Seq: snd.Seq, Bits: bits}, out, acc) && acc != nil && acc.twinBits > 0 {
+			if s.enqueue(QPkt{Own: true, Seq: int32(snd.Seq), Bits: bits}, out, acc) && acc != nil && acc.twinBits > 0 {
 				s.watchQueued(acc)
 			}
 		}

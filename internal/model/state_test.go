@@ -1,6 +1,8 @@
 package model
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"time"
 )
@@ -187,6 +189,35 @@ func TestSendInPastPanics(t *testing.T) {
 		}
 	}()
 	collect(&s, 10*time.Second, []Send{{Seq: 0, At: time.Second}})
+}
+
+// TestSendSeqOutOfRangePanics: a queue entry holds a 32-bit sequence
+// number, so a send numbered past int32's range is an invariant broken,
+// named in the panic, never a silent wrap.
+func TestSendSeqOutOfRangePanics(t *testing.T) {
+	s := Initial(fixedParams(), false)
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("a send with Seq 1<<31 did not panic")
+		}
+		if msg, _ := r.(string); !strings.Contains(msg, "2147483648") {
+			t.Errorf("panic %q does not name the sequence number", r)
+		}
+	}()
+	collect(&s, time.Second, []Send{{Seq: 1 << 31, At: 0}})
+}
+
+// TestSendSeqMaxInt32RoundTrips: the largest sequence number a queue
+// entry holds comes back as the same int64 in its delivery event, both
+// from the in-service slot and from behind it in the queue.
+func TestSendSeqMaxInt32RoundTrips(t *testing.T) {
+	s := Initial(fixedParams(), false)
+	sends := []Send{{Seq: math.MaxInt32 - 1, At: 0}, {Seq: math.MaxInt32, At: 0}}
+	got := ownDeliveries(collect(&s, 10*time.Second, sends))
+	if len(got) != 2 || got[0].Seq != math.MaxInt32-1 || got[1].Seq != math.MaxInt32 {
+		t.Fatalf("own deliveries %+v, want Seqs %d and %d", got, math.MaxInt32-1, math.MaxInt32)
+	}
 }
 
 func TestAdvanceEnumNoSwitchingSingleBranch(t *testing.T) {

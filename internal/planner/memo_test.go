@@ -67,10 +67,10 @@ func (w *memoWorld) call(novel int) (sup []belief.Hypothesis, pending []model.Se
 		s.Rebase(shift)
 		s.ParamsID = int32(rng.Intn(1000))
 		s.NextToggle += time.Duration(rng.Intn(900)) * time.Millisecond
-		s.InService.Seq += seq
+		s.InService.Seq += int32(seq)
 		aged := time.Duration(rng.Intn(3)) * 40 * time.Millisecond
 		for i := range s.Queue {
-			s.Queue[i].Seq += seq
+			s.Queue[i].Seq += int32(seq)
 			s.Queue[i].EnqueuedAt -= aged
 		}
 		sup = append(sup, belief.Hypothesis{S: s, W: 0.05 + rng.Float64()})

@@ -30,7 +30,7 @@ func refRun(s *model.State, until time.Duration, sends []model.Send, out *[]mode
 			if q.Own {
 				kind = model.OwnBufferDrop
 			}
-			*out = append(*out, model.Event{Kind: kind, Seq: q.Seq, At: s.Now, Bits: q.Bits})
+			*out = append(*out, model.Event{Kind: kind, Seq: int64(q.Seq), At: s.Now, Bits: q.Bits})
 		default:
 			s.Queue = append(s.Queue, q)
 			s.QueueBits += q.Bits
@@ -56,7 +56,7 @@ func refRun(s *model.State, until time.Duration, sends []model.Send, out *[]mode
 		case 0:
 			q := s.InService
 			s.Now, s.Serving = next, false
-			ev := model.Event{Kind: model.CrossDelivered, Seq: q.Seq, At: s.Now, Bits: q.Bits, Delay: s.Now - q.EnqueuedAt}
+			ev := model.Event{Kind: model.CrossDelivered, Seq: int64(q.Seq), At: s.Now, Bits: q.Bits, Delay: s.Now - q.EnqueuedAt}
 			if q.Own {
 				ev.Kind = model.OwnDelivered
 			}
@@ -80,7 +80,7 @@ func refRun(s *model.State, until time.Duration, sends []model.Send, out *[]mode
 			if bits <= 0 {
 				bits = s.P.PktBits()
 			}
-			admit(model.QPkt{Own: true, Seq: sends[0].Seq, Bits: bits})
+			admit(model.QPkt{Own: true, Seq: int32(sends[0].Seq), Bits: bits})
 			sends = sends[1:]
 		}
 	}
@@ -449,7 +449,7 @@ func fleetShaped(rng *rand.Rand, from time.Duration) []belief.Hypothesis {
 			s.Queue = append(s.Queue, chunk)
 			s.QueueBits += chunk.Bits
 			if rng.Intn(4) == 0 && s.QueueBits+pkt <= p.BufferCapBits-chunk.Bits*int64(chunks-1) {
-				s.Queue = append(s.Queue, model.QPkt{Own: true, Seq: int64(len(s.Queue)), Bits: pkt, EnqueuedAt: s.Now})
+				s.Queue = append(s.Queue, model.QPkt{Own: true, Seq: int32(len(s.Queue)), Bits: pkt, EnqueuedAt: s.Now})
 				s.QueueBits += pkt
 			}
 		}
