@@ -18,13 +18,15 @@
 // probability. The posterior is the per-hypothesis update's, bit for bit.
 //
 // Between updates Exact owns only what its classes hold: one header per
-// class and one slab of queue entries, each class's queue a window onto
-// it that cannot be appended past. An Update unpacks the classes into
-// branch slots on the rollout.Pool, shared by every belief on it, where
-// each slot owns a queue buffer and a fork clones into storage recycled
-// from the classes earlier updates dropped or merged; at its end it packs
-// the classes back into the slab, and the slots keep their buffers for
-// the next update of any belief on the pool. What Support returns is
+// class and its queue pages, fixed arrays of queue entries from a store
+// on the pool, each class's queue a window onto one that cannot be
+// appended past (a queue longer than a page has an array of its own). An
+// Update unpacks the classes into branch slots on the rollout.Pool,
+// shared by every belief on it, where each slot owns a queue buffer and
+// a fork clones into storage recycled from the classes earlier updates
+// dropped or merged; at its end it packs the classes back onto the
+// pages, and the slots keep their buffers for the next update of any
+// belief on the pool. What Support returns is
 // therefore valid until the next Update and no longer, and it is
 // read-only in a way that matters: the hypotheses of a class share its
 // queue window, so a write through one hypothesis's queue changes its

@@ -55,18 +55,20 @@ type Exact struct {
 	// cls holds one state per class, in the order of each class's first
 	// hypothesis, under that hypothesis's grid point; its W is unused
 	// unless the classes are the support. This is all the belief owns of
-	// its states between updates: cls, one header per class, and slab,
-	// which holds every class's queue as a window of its own —
-	// slab[o:o+n:o+n], QHead 0, in class order — so that no class can
-	// append into another's entries. Each keeps its capacity while that
-	// holds what the classes need and at most four times it (for slab,
-	// four times the entries in use plus one per class): see pack. A
-	// class state is advanced in the pool's arena, never in the slab: an
-	// update unpacks the classes there and packs them back (pack). mem
-	// holds the hypotheses in support order, each naming its class.
-	cls  []Hypothesis
-	slab []model.QPkt
-	mem  []member
+	// its states between updates: cls, one header per class, kept while
+	// its capacity holds the classes and at most four times them, and
+	// the arrays their queues lie on: pages, of pageLen entries each, and
+	// long, one power-of-two array per queue longer than a page. Every
+	// class's queue is a window of its own — page[o:o+n:o+n], QHead 0, in
+	// class order — so that no class can append into another's entries.
+	// The belief holds no array it does not use, so these hold at most
+	// twice the entries in use plus one page: see pack. A class state is
+	// advanced in the pool's arena, never on a page: an update unpacks
+	// the classes there and packs them back (pack). mem holds the
+	// hypotheses in support order, each naming its class.
+	cls         []Hypothesis
+	pages, long [][]model.QPkt
+	mem         []member
 	// hyps is what Support returns: cls itself when every class has one
 	// member, else sup, whose headers publish writes once per Update,
 	// each a copy of its class's state — queue window included — under
@@ -119,12 +121,17 @@ type Exact struct {
 // branch, and branches the hypothesis branches of a segment in which a
 // class forks.
 //
-// hdrs and slabs are the free store: header slices and slabs that
-// beliefs gave back, by capacity, each handed to the next belief that
-// needs that size (pack, swap). A belief trades an array only when the
-// need outgrows its capacity or falls below a quarter of it, for the
-// power of two at or above the need, so a fleet's members trade on
-// growth and on a large fall, never back and forth around one size.
+// hdrs and pages are the free stores, by capacity, each array handed to
+// the next belief that needs that size. hdrs holds header slices: a
+// belief trades one only when the need outgrows its capacity or falls
+// below a quarter of it, for the power of two at or above the need, so
+// a fleet's members trade on growth and on a large fall, never back and
+// forth around one size, and it keeps at most freeDepth of a size
+// (swap). pages holds queue storage — pages, and the power-of-two
+// arrays of queues longer than a page — and keeps every array given
+// back, since each is one a belief on the pool held: what it holds of a
+// capacity is bounded by what the pool's beliefs held of it at once.
+// made counts the arrays take has made for it.
 type arena struct {
 	slots    [2][]Hypothesis
 	segs     []classSeg
@@ -133,17 +140,36 @@ type arena struct {
 	branches []member
 	byKey    keyIndex
 	hdrs     map[int][][]Hypothesis
-	slabs    map[int][][]model.QPkt
+	pages    map[int][][]model.QPkt
+	made     int
 }
 
 // arena returns the pool's update arena.
 func (b *Exact) arena() *arena {
 	ar, _ := b.pool.Belief.(*arena)
 	if ar == nil {
-		ar = &arena{hdrs: make(map[int][][]Hypothesis), slabs: make(map[int][][]model.QPkt)}
+		ar = &arena{hdrs: make(map[int][][]Hypothesis), pages: make(map[int][][]model.QPkt)}
 		b.pool.Belief = ar
 	}
 	return ar
+}
+
+// take returns an array of n queue entries from the page store, or a
+// new one.
+func (ar *arena) take(n int) []model.QPkt {
+	if l := ar.pages[n]; len(l) > 0 {
+		ar.pages[n] = l[:len(l)-1]
+		return l[len(l)-1]
+	}
+	ar.made++
+	return make([]model.QPkt, n)
+}
+
+// give returns the arrays in s to the page store.
+func (ar *arena) give(s [][]model.QPkt) {
+	for _, a := range s {
+		ar.pages[len(a)] = append(ar.pages[len(a)], a)
+	}
 }
 
 // point is a grid point: the parameter record and ParamsID of a prior
@@ -225,10 +251,10 @@ func newExact(states []model.State, cfg Config) *Exact {
 }
 
 // load makes hyps the belief's support, the grid point of hyps[i] being
-// pt(i): equal states become one class. It copies the queues into the
-// slab, so hyps may share them with the caller; the headers, their
-// queues dropped, become the arena's first slot buffer when it has fewer
-// slots.
+// pt(i): equal states become one class. It copies the queues onto the
+// belief's pages, so hyps may share them with the caller; the headers,
+// their queues dropped, become the arena's first slot buffer when it has
+// fewer slots.
 func (b *Exact) load(hyps []Hypothesis, pt func(i int) int32) {
 	b.mem = resize(b.mem, len(hyps))
 	for i := range hyps {
@@ -286,11 +312,11 @@ func resize[T any](s []T, n int) []T {
 }
 
 // Support implements Belief. Every hypothesis of a class aliases its
-// class's queue, a window onto the belief's slab that the next Update
-// rewrites: the slice and the states in it are valid until the next
-// Update and must not be written — a write to one hypothesis's queue is
-// a write to its siblings'. Clone a state to keep it longer or to change
-// it.
+// class's queue, a window onto one of the belief's queue pages that the
+// next Update rewrites: the slice and the states in it are valid until
+// the next Update and must not be written — a write to one hypothesis's
+// queue is a write to its siblings'. Clone a state to keep it longer or
+// to change it.
 func (b *Exact) Support() []Hypothesis { return b.hyps }
 
 // begin opens an update to now: it checks the clock, refreshes the soft
@@ -711,7 +737,7 @@ func (b *Exact) numbered() bool {
 // unpack copies the classes into the first of the arena's slot buffers,
 // each onto the queue buffer its slot owns, and returns them and the
 // other buffer, the spare: the classes advance there, where a queue may
-// grow, and the windows onto the slab are only read.
+// grow, and the windows onto the pages are only read.
 func (b *Exact) unpack(ar *arena) (cls, spare []Hypothesis) {
 	cls = resize(ar.slots[0], len(b.cls))
 	for k := range b.cls {
@@ -721,42 +747,67 @@ func (b *Exact) unpack(ar *arena) (cls, spare []Hypothesis) {
 }
 
 // pack makes the classes in the arena's slots the belief's own: their
-// headers go to cls and their queues to slab, each class's a window of
-// its own, in class order. It then writes what Support returns: cls
-// itself when each class has one member (numbered in hypothesis order,
-// each under its member's grid point), else sup, one header per
-// hypothesis, its class's state — window included — under its grid point
-// and weight.
+// headers go to cls and their queues to the belief's pages, each class's
+// a window of its own, in class order, on the current page while it
+// fits and else on the next. A queue longer than a page gets an array of
+// its own, ceilPow2 of its length, in long. Pages and long arrays come
+// from the arena's store only when the belief's own run out, and what
+// the belief no longer uses goes back at the end: long arrays first, so
+// a long queue that keeps its size takes its own array back. Each page
+// but the last holds, with the next, more than a page of entries, and a
+// long array less than twice its queue, so the belief holds at most
+// twice the entries in use plus one page; a growing support costs a
+// page at a time, not a larger array at every power of two.
 //
-// All three arrays follow one rule: one keeps its capacity c while
+// It then writes what Support returns: cls itself when each class has
+// one member (numbered in hypothesis order, each under its member's
+// grid point), else sup, one header per hypothesis, its class's state —
+// window included — under its grid point and weight.
+//
+// Both header arrays follow one rule: one keeps its capacity c while
 // need ≤ c ≤ 4·need, and is otherwise traded with the arena's free store
 // for one of capacity ceilPow2(need). cls needs one header per class,
-// sup one per hypothesis when it is written; slab needs the queue
-// entries, and keeps up to four times them plus one per class. A traded
-// array comes to fit within twice its need, so it is traded again only
-// on growth or on a fall to below half the need it was traded for: the
-// headers of a support descending from the prior's thousands are given
-// back once it settles, not at every power of two on the way down. The
-// slots keep their buffers.
+// sup one per hypothesis when it is written. A traded array comes to fit
+// within twice its need, so it is traded again only on growth or on a
+// fall to below half the need it was traded for: the headers of a
+// support descending from the prior's thousands are given back once it
+// settles, not at every power of two on the way down. The slots keep
+// their buffers.
 func (b *Exact) pack(ar *arena, classes []Hypothesis) {
-	n, nc, mem := 0, len(classes), b.mem
-	for k := range classes {
-		n += classes[k].S.QLen()
-	}
+	nc, mem := len(classes), b.mem
 	b.cls = fitHeaders(ar.hdrs, b.cls, nc)
-	if c := cap(b.slab); c < n || c > 4*n+nc {
-		b.slab = swap(ar.slabs, b.slab, ceilPow2(n))
-	}
-	o := 0
+	ar.give(b.long)
+	clear(b.long)
+	b.long = b.long[:0]
+	p, o := -1, pageLen
 	for k := range classes {
 		q := classes[k].S.Queued()
-		w := b.slab[o : o+len(q) : o+len(q)]
+		n := len(q)
+		var w []model.QPkt
+		switch {
+		case n == 0:
+		case n > pageLen:
+			a := ar.take(ceilPow2(n))
+			b.long = append(b.long, a)
+			w = a[:n:n]
+		default:
+			if o+n > pageLen {
+				if p++; p == len(b.pages) {
+					b.pages = append(b.pages, ar.take(pageLen))
+				}
+				o = 0
+			}
+			w = b.pages[p][o : o+n : o+n]
+			o += n
+		}
 		copy(w, q)
 		c := &b.cls[k]
 		*c = classes[k]
 		c.S.Queue, c.S.QHead = w, 0
-		o += len(q)
 	}
+	ar.give(b.pages[p+1:])
+	clear(b.pages[p+1:])
+	b.pages = b.pages[:p+1]
 
 	if nc == len(mem) {
 		for k, e := range mem {
@@ -775,29 +826,41 @@ func (b *Exact) pack(ar *arena, classes []Hypothesis) {
 	b.hyps = sup
 }
 
+// pageLen is the length of a queue page: 3 KiB of entries. Every belief
+// with a packet queued holds at least one page, so a longer page costs
+// a large fleet memory; a shorter one gives more queues an array of
+// their own.
+const pageLen = 128
+
 // fitHeaders returns hs at length n under pack's rule, traded through
-// free for ceilPow2(n) headers when its capacity is outside [n, 4n].
-// Headers point at records and queues, so none is kept past n or given
-// back uncleared; a slab points at nothing.
+// free for ceilPow2(n) headers when its capacity is outside [n, 4n]. A
+// belief's first headers (hs has no capacity yet) are made at exactly n:
+// they hold its prior, which on Figure 3 is 4,480 hypotheses that fall
+// to a few hundred, so a power of two above it (8,192) would only widen
+// an array soon traded down. Headers point at records and queues, so
+// none is kept past n or given back uncleared.
 func fitHeaders(free map[int][][]Hypothesis, hs []Hypothesis, n int) []Hypothesis {
-	if c := cap(hs); c < n || c > 4*n {
+	switch c := cap(hs); {
+	case c == 0:
+		return make([]Hypothesis, n)
+	case c < n || c > 4*n:
 		clear(hs[:c])
 		hs = swap(free, hs, ceilPow2(n))
-	} else if n < len(hs) {
+	case n < len(hs):
 		clear(hs[n:])
 	}
 	return hs[:n]
 }
 
-// freeDepth bounds how many slices of one capacity a free store keeps.
+// freeDepth bounds how many slices of one capacity the header store
+// keeps.
 const freeDepth = 4
 
-// swap gives s back to free, which keeps slices by capacity, and returns
-// one of length and capacity n from it, or a new one (nil for n = 0).
-// free keeps at most freeDepth slices of one capacity, as given: a
-// caller clears a slice that must pin nothing, and whoever takes one
-// writes every entry before reading it.
-func swap[T any](free map[int][][]T, s []T, n int) []T {
+// swap gives s back to free, which keeps header slices by capacity, and
+// returns one of length and capacity n from it, or a new one (nil for
+// n = 0). free keeps at most freeDepth slices of one capacity, cleared
+// by the caller; whoever takes one writes every entry before reading it.
+func swap(free map[int][][]Hypothesis, s []Hypothesis, n int) []Hypothesis {
 	if c := cap(s); c > 0 && len(free[c]) < freeDepth {
 		free[c] = append(free[c], s[:c])
 	}
@@ -808,7 +871,7 @@ func swap[T any](free map[int][][]T, s []T, n int) []T {
 		free[n] = l[:len(l)-1]
 		return l[len(l)-1]
 	}
-	return make([]T, n)
+	return make([]Hypothesis, n)
 }
 
 // ceilPow2 is the least power of two at or above n, and 0 for 0.

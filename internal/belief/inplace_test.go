@@ -1,6 +1,7 @@
 package belief
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -380,36 +381,14 @@ func sameSupportExactly(t *testing.T, step int, want, got []Hypothesis) {
 	}
 }
 
-// queueOwners checks that no two classes share queue storage: every
-// class's queue is a window onto b's slab that cannot be appended past,
-// no two windows overlap, and every queue buffer of the arena's slots —
-// live or dead, up to capacity — belongs to one slot and none is the
-// slab.
+// queueOwners checks that no two classes share queue storage and that
+// every queue buffer of the arena's slots — live or dead, up to
+// capacity — belongs to one slot and is none of the belief's queue
+// arrays (queueArrays).
 func queueOwners(t *testing.T, b *Exact) {
 	t.Helper()
-	slab := unsafe.SliceData(b.slab[:cap(b.slab)])
-	end := uintptr(unsafe.Pointer(slab)) + uintptr(cap(b.slab))*unsafe.Sizeof(model.QPkt{})
-	var hi uintptr
-	for k := range b.cls {
-		s := &b.cls[k].S
-		q := s.Queue
-		if s.QHead != 0 || len(q) != cap(q) {
-			t.Fatalf("class %d's queue is [%d:%d] of %d entries, not a window of its own", k, s.QHead, len(q), cap(q))
-		}
-		if len(q) == 0 {
-			continue
-		}
-		lo := uintptr(unsafe.Pointer(unsafe.SliceData(q)))
-		top := lo + uintptr(len(q))*unsafe.Sizeof(model.QPkt{})
-		if lo < uintptr(unsafe.Pointer(slab)) || top > end {
-			t.Fatalf("class %d's queue lies outside the slab", k)
-		}
-		if lo < hi {
-			t.Fatalf("class %d's queue overlaps an earlier class's", k)
-		}
-		hi = top
-	}
-	owners := map[*model.QPkt]string{slab: "the slab"}
+	owners := make(map[*model.QPkt]string)
+	queueArrays(t, "the belief", b, owners)
 	for half, hyps := range b.arena().slots {
 		hyps = hyps[:cap(hyps)]
 		for i := range hyps {
@@ -417,14 +396,73 @@ func queueOwners(t *testing.T, b *Exact) {
 			if cap(q) == 0 {
 				continue
 			}
-			p := unsafe.SliceData(q[:cap(q)])
-			slot := fmt.Sprintf("slots[%d][%d]", half, i)
-			if other, ok := owners[p]; ok {
-				t.Fatalf("%s and %s share a queue backing array", other, slot)
-			}
-			owners[p] = slot
+			own(t, owners, unsafe.SliceData(q[:cap(q)]), fmt.Sprintf("slots[%d][%d]", half, i))
 		}
 	}
+}
+
+// queueArrays checks b's queue storage: every page is pageLen entries;
+// every class's queue is a window of its own that cannot be appended
+// past, on one of b's pages or long arrays; no two windows overlap; and
+// each long array, ceilPow2 of its queue, holds exactly one queue, one
+// longer than a page. It records each of b's arrays in owners under
+// name, failing on one another owner holds.
+func queueArrays(t *testing.T, name string, b *Exact, owners map[*model.QPkt]string) {
+	t.Helper()
+	const size = unsafe.Sizeof(model.QPkt{})
+	arrays := slices.Concat(b.pages, b.long)
+	on := make([]int, len(arrays))
+	type span struct{ lo, hi uintptr }
+	var spans []span
+	for i, a := range arrays {
+		if long := i >= len(b.pages); !long && len(a) != pageLen || long && (len(a) <= pageLen || len(a)&(len(a)-1) != 0) {
+			t.Fatalf("%s's queue array %d of %d holds %d entries (pages: %d)", name, i, len(arrays), len(a), len(b.pages))
+		}
+		own(t, owners, unsafe.SliceData(a), fmt.Sprintf("%s's queue array %d", name, i))
+	}
+	for k := range b.cls {
+		s := &b.cls[k].S
+		q := s.Queue
+		if s.QHead != 0 || len(q) != cap(q) {
+			t.Fatalf("%s: class %d's queue is [%d:%d] of %d entries, not a window of its own", name, k, s.QHead, len(q), cap(q))
+		}
+		if len(q) == 0 {
+			continue
+		}
+		lo := uintptr(unsafe.Pointer(unsafe.SliceData(q)))
+		hi := lo + uintptr(len(q))*size
+		i := slices.IndexFunc(arrays, func(a []model.QPkt) bool {
+			base := uintptr(unsafe.Pointer(unsafe.SliceData(a)))
+			return lo >= base && hi <= base+uintptr(len(a))*size
+		})
+		if i < 0 {
+			t.Fatalf("%s: class %d's queue of %d entries lies on none of its %d queue arrays", name, k, len(q), len(arrays))
+		}
+		if on[i]++; i >= len(b.pages) && (on[i] > 1 || len(q) <= pageLen || ceilPow2(len(q)) != len(arrays[i])) {
+			t.Fatalf("%s: class %d's queue of %d entries shares or misfits the long array of %d", name, k, len(q), len(arrays[i]))
+		}
+		spans = append(spans, span{lo, hi})
+	}
+	for i, a := range arrays {
+		if on[i] == 0 {
+			t.Fatalf("%s holds queue array %d of %d entries and no queue lies on it", name, i, len(a))
+		}
+	}
+	slices.SortFunc(spans, func(x, y span) int { return cmp.Compare(x.lo, y.lo) })
+	for i := 1; i < len(spans); i++ {
+		if spans[i].lo < spans[i-1].hi {
+			t.Fatalf("%s: two class queues overlap", name)
+		}
+	}
+}
+
+// own records p as owner's in owners, failing if another holds it.
+func own(t *testing.T, owners map[*model.QPkt]string, p *model.QPkt, owner string) {
+	t.Helper()
+	if other, ok := owners[p]; ok {
+		t.Fatalf("%s and %s share a queue array", other, owner)
+	}
+	owners[p] = owner
 }
 
 // TestExactMatchesCloneBasedReference: over generated schedules the

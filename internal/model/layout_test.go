@@ -11,8 +11,8 @@ import (
 
 // TestQPktLayout pins a queue entry at 24 bytes: the 32-bit sequence
 // number packs beside Own, then the size and the enqueue stamp. Every
-// hypothesis's queue is an array of these, and the belief's slabs, the
-// arena's branch slots and the planner's clones copy them.
+// hypothesis's queue is an array of these, and the belief's queue pages,
+// the arena's branch slots and the planner's clones copy them.
 func TestQPktLayout(t *testing.T) {
 	if got := unsafe.Sizeof(QPkt{}); got != 24 {
 		t.Errorf("model.QPkt is %d bytes, want 24", got)
