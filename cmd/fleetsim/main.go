@@ -32,16 +32,15 @@
 // usage error with -lean, which keeps no series to compute it from).
 //
 //	fleetsim fault [the shared flags above, -shards default 0]
-//	         [-shard-crash] [-shard-stall] [-window-budget 0] [-churn]
+//	         [-shard-crash] [-shard-stall] [-churn]
 //	         [-no-ckpt] [-verify-shards 1,4] [-smoke]
 //
 // The sharded runtime under the deterministic shard-kill/stall schedule:
 // whole virtual shards die at window barriers and fail over onto
 // survivors, stalled shards serve degraded through the Guard ladder.
-// Faults have no single-loop form, so -shards 0 runs one shard.
-// -window-budget arms the wall-clock watchdog (nondeterministic; keep it
-// off when hashes matter). -churn adds the churn schedule at its
-// defaults.
+// Faults have no single-loop form, so -shards 0 runs one shard, and
+// the replay hash is the same at every K. -churn adds the churn
+// schedule at its defaults.
 //
 // Examples:
 //
@@ -144,7 +143,7 @@ func sweepFlags() (*flag.FlagSet, *sweepRun) {
 }
 
 func (s *sweepRun) run() int {
-	if err := checkRanges(s.cfg.Duration, time.Second, 0, float64(s.cfg.PerSenderRate), s.cfg.Alpha, 0, 0, 0, s.opts.jainFloor, s.cfg.Shards, s.cfg.Workers); err != nil {
+	if err := checkRanges(s.cfg.Duration, time.Second, float64(s.cfg.PerSenderRate), s.cfg.Alpha, 0, 0, 0, s.opts.jainFloor, s.cfg.Shards, s.cfg.Workers); err != nil {
 		return fail(2, "%v", err)
 	}
 	return s.opts.profiled(func() int {
@@ -208,7 +207,6 @@ func lifecycleFlags(mode string) (*flag.FlagSet, *lifecycleRun) {
 	})
 	fs.BoolVar(&l.crash, "shard-crash", false, "arm the deterministic shard-kill schedule (whole virtual shards fail over at barriers; stalls too)")
 	fs.BoolVar(&l.stall, "shard-stall", false, "arm the deterministic stall schedule (stalled shards serve degraded)")
-	fs.DurationVar(&c.WindowBudget, "window-budget", 0, "wall-clock watchdog budget per coupling window (0 off; nondeterministic)")
 	return fs, l
 }
 
@@ -217,14 +215,11 @@ func lifecycleFlags(mode string) (*flag.FlagSet, *lifecycleRun) {
 // non-nil error is a usage error.
 func (l *lifecycleRun) resolve() error {
 	c := &l.sweep.Base
-	if err := checkRanges(c.Duration, c.Epoch, c.WindowBudget, 1, 1, c.DepartProb, c.CrashProb, c.ArriveProb, l.opts.jainFloor, c.Shards, c.Workers); err != nil {
+	if err := checkRanges(c.Duration, c.Epoch, 1, 1, c.DepartProb, c.CrashProb, c.ArriveProb, l.opts.jainFloor, c.Shards, c.Workers); err != nil {
 		return err
 	}
 	if l.opts.jainFloor > 0 && c.LeanStats {
 		return fmt.Errorf("-jain-floor needs the per-packet series -lean drops: a lean lifecycle run has no Jain index to hold to a floor")
-	}
-	if len(l.verify) > 0 && c.WindowBudget > 0 {
-		return fmt.Errorf("-verify-shards cannot run under -window-budget (wall-clock verdicts are nondeterministic)")
 	}
 	if l.smoke {
 		// One small fast point: enough churn or faults to exercise
@@ -318,10 +313,9 @@ func (o *options) finish(points any, jains []float64) int {
 
 // checkRanges refuses numeric flags outside their domain — a negative
 // -dur would run a zero-length sweep and exit 0, a non-positive -rate
-// would silently become the default, a negative -window-budget would run
-// with the watchdog silently off. A mode passes an in-range constant for
-// a flag it does not have. A non-nil error is a usage error.
-func checkRanges(dur, epoch, budget time.Duration, rate, alpha, depart, crash, arrive, jainFloor float64, shards, workers int) error {
+// would silently become the default. A mode passes an in-range constant
+// for a flag it does not have. A non-nil error is a usage error.
+func checkRanges(dur, epoch time.Duration, rate, alpha, depart, crash, arrive, jainFloor float64, shards, workers int) error {
 	prob := func(p float64) bool { return p >= 0 && p <= 1 }
 	finite := func(v float64) bool { return !math.IsInf(v, 0) && !math.IsNaN(v) }
 	for _, c := range []struct {
@@ -332,7 +326,6 @@ func checkRanges(dur, epoch, budget time.Duration, rate, alpha, depart, crash, a
 	}{
 		{dur > 0, "-dur", dur, "must be positive"},
 		{epoch > 0, "-epoch", epoch, "must be positive"},
-		{budget >= 0, "-window-budget", budget, "must not be negative (0 is off)"},
 		{rate > 0 && finite(rate), "-rate", rate, "must be positive and finite"},
 		{alpha > 0 && finite(alpha), "-alpha", alpha, "must be positive and finite (the fleet reads 0 as unset and would run at α = 1)"},
 		{prob(depart), "-depart", depart, "must be a probability in [0, 1]"},

@@ -50,7 +50,7 @@ func TestLifecycleFlagsMeanOneThing(t *testing.T) {
 		if err != nil {
 			t.Fatalf("churn %v: %v", args, err)
 		}
-		if c := l.sweep.Base; c.Shards != 0 || c.NoChurn || c.ShardKillProb != 0 || c.ShardStallProb != 0 || c.WindowBudget != 0 {
+		if c := l.sweep.Base; c.Shards != 0 || c.NoChurn || c.ShardKillProb != 0 || c.ShardStallProb != 0 {
 			t.Errorf("churn %v resolved %+v, want the single-loop driver under churn with no fault knob", args, c)
 		}
 	}
@@ -80,7 +80,7 @@ func TestLifecycleFlagsMeanOneThing(t *testing.T) {
 	// A flag that means nothing in a mode is a parse error there.
 	for _, c := range []struct{ mode, flag string }{
 		{"churn", "-shard-crash"}, {"churn", "-window-budget=1s"}, {"churn", "-per-flow"},
-		{"fault", "-epoch=5s"}, {"fault", "-crash=0.5"}, {"fault", "-alpha=2"},
+		{"fault", "-epoch=5s"}, {"fault", "-crash=0.5"}, {"fault", "-alpha=2"}, {"fault", "-window-budget=1s"},
 	} {
 		if _, err := parseLifecycle(c.mode, c.flag); err == nil || !strings.Contains(err.Error(), "not defined") {
 			t.Errorf("%s %s: err = %v, want a flag-not-defined parse error", c.mode, c.flag, err)
@@ -124,37 +124,36 @@ func TestEmptySizeListRefused(t *testing.T) {
 func TestCheckRanges(t *testing.T) {
 	const s = time.Second
 	for _, c := range []struct {
-		dur, epoch, budget                 time.Duration
+		dur, epoch                         time.Duration
 		rate, alpha, depart, crash, arrive float64
 		jain                               float64
 		shards, workers                    int
 		bad                                string // "" = accepted
 	}{
-		{120 * s, 10 * s, 0, 6000, 1, 0.04, 0.06, 0.5, 0, 0, 0, ""},
-		{s, s, 0, 1, 1e-3, 0, 0, 1, 0, 0, 0, ""},
-		{-5 * s, 10 * s, 0, 6000, 1, 0, 0, 0, 0, 0, 0, "-dur"},
-		{0, 10 * s, 0, 6000, 1, 0, 0, 0, 0, 0, 0, "-dur"},
-		{s, 0, 0, 6000, 1, 0, 0, 0, 0, 0, 0, "-epoch"},
-		{s, s, 0, 0, 1, 0, 0, 0, 0, 0, 0, "-rate"},
-		{s, s, 0, -100, 1, 0, 0, 0, 0, 0, 0, "-rate"},
-		{s, s, 0, math.NaN(), 1, 0, 0, 0, 0, 0, 0, "-rate"},
-		{s, s, 0, 6000, -1, 0, 0, 0, 0, 0, 0, "-alpha"},
-		{s, s, 0, 6000, 0, 0, 0, 0, 0, 0, 0, "-alpha"},
-		{s, s, 0, 6000, 1, 2, 0, 0, 0, 0, 0, "-depart"},
-		{s, s, 0, 6000, 1, 0, -0.1, 0, 0, 0, 0, "-crash"},
-		{s, s, 0, 6000, 1, 0, 0, 1.5, 0, 0, 0, "-arrive"},
-		{s, s, 0, 6000, 1, 0, 0, math.NaN(), 0, 0, 0, "-arrive"},
-		{s, s, 0, 1, 1e-3, 0, 0, 1, 1, 4, 2, ""},
-		{s, s, 0, math.Inf(1), 1, 0, 0, 0, 0, 0, 0, "-rate"},
-		{s, s, 0, 6000, math.Inf(1), 0, 0, 0, 0, 0, 0, "-alpha"},
-		{s, s, 0, 6000, 1, 0, 0, 0, math.NaN(), 0, 0, "-jain-floor"},
-		{s, s, 0, 6000, 1, 0, 0, 0, 1.5, 0, 0, "-jain-floor"},
-		{s, s, 0, 6000, 1, 0, 0, 0, -0.1, 0, 0, "-jain-floor"},
-		{s, s, 0, 6000, 1, 0, 0, 0, 0, -1, 0, "-shards"},
-		{s, s, 0, 6000, 1, 0, 0, 0, 0, 0, -2, "-workers"},
-		{s, s, -s, 1, 1, 0, 0, 0, 0, 0, 0, "-window-budget"},
+		{120 * s, 10 * s, 6000, 1, 0.04, 0.06, 0.5, 0, 0, 0, ""},
+		{s, s, 1, 1e-3, 0, 0, 1, 0, 0, 0, ""},
+		{-5 * s, 10 * s, 6000, 1, 0, 0, 0, 0, 0, 0, "-dur"},
+		{0, 10 * s, 6000, 1, 0, 0, 0, 0, 0, 0, "-dur"},
+		{s, 0, 6000, 1, 0, 0, 0, 0, 0, 0, "-epoch"},
+		{s, s, 0, 1, 0, 0, 0, 0, 0, 0, "-rate"},
+		{s, s, -100, 1, 0, 0, 0, 0, 0, 0, "-rate"},
+		{s, s, math.NaN(), 1, 0, 0, 0, 0, 0, 0, "-rate"},
+		{s, s, 6000, -1, 0, 0, 0, 0, 0, 0, "-alpha"},
+		{s, s, 6000, 0, 0, 0, 0, 0, 0, 0, "-alpha"},
+		{s, s, 6000, 1, 2, 0, 0, 0, 0, 0, "-depart"},
+		{s, s, 6000, 1, 0, -0.1, 0, 0, 0, 0, "-crash"},
+		{s, s, 6000, 1, 0, 0, 1.5, 0, 0, 0, "-arrive"},
+		{s, s, 6000, 1, 0, 0, math.NaN(), 0, 0, 0, "-arrive"},
+		{s, s, 1, 1e-3, 0, 0, 1, 1, 4, 2, ""},
+		{s, s, math.Inf(1), 1, 0, 0, 0, 0, 0, 0, "-rate"},
+		{s, s, 6000, math.Inf(1), 0, 0, 0, 0, 0, 0, "-alpha"},
+		{s, s, 6000, 1, 0, 0, 0, math.NaN(), 0, 0, "-jain-floor"},
+		{s, s, 6000, 1, 0, 0, 0, 1.5, 0, 0, "-jain-floor"},
+		{s, s, 6000, 1, 0, 0, 0, -0.1, 0, 0, "-jain-floor"},
+		{s, s, 6000, 1, 0, 0, 0, 0, -1, 0, "-shards"},
+		{s, s, 6000, 1, 0, 0, 0, 0, 0, -2, "-workers"},
 	} {
-		err := checkRanges(c.dur, c.epoch, c.budget, c.rate, c.alpha, c.depart, c.crash, c.arrive, c.jain, c.shards, c.workers)
+		err := checkRanges(c.dur, c.epoch, c.rate, c.alpha, c.depart, c.crash, c.arrive, c.jain, c.shards, c.workers)
 		switch {
 		case c.bad == "" && err != nil:
 			t.Errorf("%+v refused: %v", c, err)

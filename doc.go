@@ -48,7 +48,7 @@
 //     members (loop, pool, batching scheduler).
 //   - internal/shard: the same fleet on K loops under a windowed
 //     coordinator, bit-identical at every K, with barrier checkpoints,
-//     shard failover and a watchdog.
+//     shard failover and degraded serving through drawn stalls.
 //   - internal/lifecycle: member checkpoints and the one lifecycle
 //     policy (Controller), run at exact instants by Supervisor and at
 //     window barriers by shard.Fleet.

@@ -63,9 +63,6 @@ type ChurnConfig struct {
 	// schedule (shard.FaultConfig, stalls of at most its default 2 s)
 	// when positive.
 	ShardKillProb, ShardStallProb float64
-	// WindowBudget arms the wall-clock watchdog. Nondeterministic —
-	// leave zero when the replay hash matters.
-	WindowBudget time.Duration
 }
 
 // schedule is the one conversion to the runtimes' churn schedule.
@@ -85,7 +82,7 @@ func (c ChurnConfig) withDefaults() ChurnConfig {
 	}
 	s := c.schedule().WithDefaults(c.N)
 	c.Epoch, c.DepartProb, c.CrashProb, c.ArriveProb, c.MinLive = s.Epoch, s.DepartProb, s.CrashProb, s.ArriveProb, s.MinLive
-	if c.Shards == 0 && (c.ShardKillProb > 0 || c.ShardStallProb > 0 || c.WindowBudget > 0) {
+	if c.Shards == 0 && (c.ShardKillProb > 0 || c.ShardStallProb > 0) {
 		c.Shards = 1
 	}
 	return c
@@ -146,7 +143,7 @@ type ChurnResult struct {
 	// Failover aggregates shard-fault outcomes (zero without faults).
 	Failover shard.FailoverStats
 	// DegradedServed totals decisions served through the Guard
-	// degradation ladder while stalled or watchdogged.
+	// degradation ladder while stalled.
 	DegradedServed int64
 	// FailoverRecovered counts fault-restored generations that absorbed
 	// at least one delivery; MTTR is their mean virtual time from kill
@@ -161,7 +158,7 @@ type ChurnResult struct {
 // RunChurn runs one lifecycle simulation on the runtime cfg.Shards
 // selects and reduces it. The result is a pure function of the config:
 // the Workers knob changes wall-clock time only, and so does the shard
-// count once it is >= 1 (WindowBudget's wall-clock verdicts excepted).
+// count once it is >= 1.
 func RunChurn(cfg ChurnConfig) ChurnResult {
 	cfg = cfg.withDefaults()
 	fc := fleet.Config{
@@ -199,9 +196,6 @@ func RunChurn(cfg ChurnConfig) ChurnResult {
 	}
 	if cfg.ShardKillProb > 0 || cfg.ShardStallProb > 0 {
 		sf.EnableFaults(shard.FaultConfig{KillProb: cfg.ShardKillProb, StallProb: cfg.ShardStallProb}, ch)
-	}
-	if cfg.WindowBudget > 0 {
-		sf.EnableWatchdog(shard.WatchdogConfig{WindowBudget: cfg.WindowBudget})
 	}
 	if !cfg.NoChurn {
 		sf.EnableChurn(cfg.schedule(), lifecycle.SupervisorConfig{}, ch)
@@ -438,13 +432,13 @@ func (r ChurnSweepResult) Render() string {
 	}
 	for _, p := range r.Points {
 		fo := p.Failover
-		if fo.ShardKills == 0 && fo.Stalls == 0 && fo.WatchdogTrips == 0 {
+		if fo.ShardKills == 0 && fo.Stalls == 0 {
 			continue
 		}
-		fmt.Fprintf(&b, "N=%d faults: kills=%d failedOver=%d (warm=%d hot=%d cold=%d) fencedAcks=%d stalls=%d wdTrips=%d degraded=%d recovered=%d mttr=%v postUtil=%.3f\n",
+		fmt.Fprintf(&b, "N=%d faults: kills=%d failedOver=%d (warm=%d hot=%d cold=%d) fencedAcks=%d stalls=%d degraded=%d recovered=%d mttr=%v postUtil=%.3f\n",
 			p.Cfg.N, fo.ShardKills, fo.FlowsFailedOver,
 			fo.WarmFailovers, fo.HotFailovers, fo.ColdFailovers,
-			fo.FencedAcks, fo.Stalls, fo.WatchdogTrips,
+			fo.FencedAcks, fo.Stalls,
 			p.DegradedServed, p.FailoverRecovered, p.MTTR, p.PostFailoverUtility)
 	}
 	return b.String()

@@ -44,7 +44,6 @@ func TestChurnFaultKnobRunsOneShard(t *testing.T) {
 		{ChurnConfig{NoChurn: true}, 0},
 		{ChurnConfig{ShardKillProb: 0.3}, 1},
 		{ChurnConfig{ShardStallProb: 0.25}, 1},
-		{ChurnConfig{WindowBudget: time.Second}, 1},
 		{ChurnConfig{Shards: 4, ShardKillProb: 0.3}, 4},
 	} {
 		if got := c.cfg.withDefaults().Shards; got != c.want {

@@ -139,9 +139,10 @@ func (k memoKey) under(plan memoKey) memoKey {
 
 // memoSlotBits sizes the direct-mapped memo: 4 Ki entries. Recurrence
 // is temporally local — staggered fleet members reach the same relative
-// state milliseconds apart — so a small table already gets most of it
-// (on a 256-sender fleet 39 % of keyed hypotheses hit at 4 Ki slots and
-// 64 Ki add 4 points).
+// state milliseconds apart — so a small table already gets most of it.
+// Over a 256-sender fleet's 10 → 23 s window (seed 42, one worker),
+// 73.5 % of 617,708 keyed hypotheses hit at 4 Ki slots, 75.7 % at
+// 16 Ki and 76.7 % at 64 Ki; rollouts fall only 95,200 → 92,052.
 const memoSlotBits = 12
 
 // rolloutMemo maps a memoKey to the per-candidate gain vector its

@@ -10,7 +10,7 @@ import (
 )
 
 // Shard fault tolerance: barrier checkpoints, deterministic failover,
-// and degraded serving for stalled or overrunning shards.
+// and degraded serving for stalled shards.
 //
 // # Virtual shards
 //
@@ -60,19 +60,15 @@ import (
 //
 // # Degraded serving
 //
-// Stalls degrade instead of killing: a stalled or overrunning shard's
-// members serve decisions from the Guard degradation ladder (compiled
-// table → last safe → sleep) without live planning, the
-// sequence-based control shape — precomputed actions ride out the
-// outage. Two triggers feed one verdict. The deterministic path draws
-// stall windows from chaos.Sub("shardfault") over virtual shards; the
-// production path (EnableWatchdog) measures each partition's wall-clock
-// time per coupling window and judges it over budget. At the start of
-// every window, after the barrier's kills, restores and admissions,
-// degrade sets each live member's flag from both — its virtual shard
-// stalled, or the partition now hosting it over budget last window —
-// and nothing else writes it, so the deterministic tests exercise
-// exactly the serving path production degrades through.
+// Stalls degrade instead of killing: a stalled shard's members serve
+// decisions from the Guard degradation ladder (compiled table → last
+// safe → sleep) without live planning, the sequence-based control
+// shape — precomputed actions ride out the outage. Stall windows are
+// drawn from chaos.Sub("shardfault") over virtual shards, so who serves
+// degraded is a pure function of the seed. At the start of every
+// window, after the barrier's kills, restores and admissions, degrade
+// sets each live member's flag from its virtual shard's stall, and
+// nothing else writes it.
 
 // VirtualShards is the number of virtual shards (stripe residue
 // classes) — the granularity of fault schedules and checkpoint sweeps.
@@ -106,18 +102,6 @@ type FaultConfig struct {
 	MaxStall time.Duration
 }
 
-// WatchdogConfig arms the production-path wall-clock watchdog.
-type WatchdogConfig struct {
-	// WindowBudget is the wall-clock budget one shard may spend
-	// running one coupling window; a shard that overruns it has its
-	// members served degraded for the following window. Zero arms
-	// nothing. Wall-clock verdicts are inherently nondeterministic —
-	// leave this off in replay-hash experiments and drive
-	// FaultConfig.StallProb instead, which degrades through the
-	// identical serving path.
-	WindowBudget time.Duration
-}
-
 // FailoverStats aggregates shard-fault outcomes.
 type FailoverStats struct {
 	// ShardKills counts virtual-shard kills executed.
@@ -131,9 +115,6 @@ type FailoverStats struct {
 	FencedAcks int64
 	// Stalls counts drawn stall windows entered.
 	Stalls int
-	// WatchdogTrips counts each partition's turns from within budget
-	// to over it (zero without EnableWatchdog).
-	WatchdogTrips int64
 }
 
 // fenceWin is one swallowed SentAt window: from < SentAt <= to.
@@ -153,12 +134,6 @@ type faultState struct {
 	stallq    dueQueue
 	stalled   [VirtualShards]bool
 	until     [VirtualShards]time.Duration
-}
-
-type watchdogState struct {
-	budget time.Duration
-	wall   []time.Duration // last window's wall time per partition
-	over   []bool          // last window's verdict per partition
 }
 
 // EnableCheckpoints arms barrier-time checkpointing. Call before Run.
@@ -189,20 +164,6 @@ func (sf *Fleet) EnableFaults(fc FaultConfig, ch chaos.Config) {
 		cfg:       fc,
 		src:       ch.Sub("shardfault").Source(),
 		nextEpoch: fc.Epoch,
-	}
-}
-
-// EnableWatchdog arms the wall-clock per-window budget; a non-positive
-// budget arms nothing. Call before Run. See WatchdogConfig for the
-// determinism caveat.
-func (sf *Fleet) EnableWatchdog(wc WatchdogConfig) {
-	if wc.WindowBudget <= 0 {
-		return
-	}
-	sf.wd = &watchdogState{
-		budget: wc.WindowBudget,
-		wall:   make([]time.Duration, sf.K),
-		over:   make([]bool, sf.K),
 	}
 }
 
@@ -352,43 +313,14 @@ func (sf *Fleet) fenced(flow packet.FlowID, sentAt time.Duration) bool {
 // degrade is the one writer of degraded serving. At the start of each
 // coupling window — after the barrier's kills, restores and admissions
 // — every live member serves degraded exactly when its virtual shard is
-// stalled or the partition hosting it overran last window's budget.
+// stalled.
 func (sf *Fleet) degrade() {
-	if sf.fault == nil && sf.wd == nil {
+	if sf.fault == nil {
 		return
 	}
 	for f := 0; f < sf.Slots(); f++ {
-		m := sf.MemberAt(packet.FlowID(f))
-		if m == nil {
-			continue
+		if m := sf.MemberAt(packet.FlowID(f)); m != nil {
+			m.SetDegraded(sf.fault.stalled[f%VirtualShards])
 		}
-		v := f % VirtualShards
-		m.SetDegraded(sf.fault != nil && sf.fault.stalled[v] || sf.wd != nil && sf.wd.over[sf.home[v]])
-	}
-}
-
-// timedRun runs partition i to the window end, timing it when the
-// wall-clock watchdog is armed. Each goroutine writes only its own
-// wall slot.
-func (sf *Fleet) timedRun(i int, end time.Duration) {
-	if sf.wd == nil {
-		sf.Parts[i].RunTo(end)
-		return
-	}
-	start := time.Now()
-	sf.Parts[i].RunTo(end)
-	sf.wd.wall[i] = time.Since(start)
-}
-
-// judgeWatchdog records which partitions blew the window budget,
-// counting each partition's turn to over.
-func (sf *Fleet) judgeWatchdog() {
-	w := sf.wd
-	for i := range sf.Parts {
-		over := w.wall[i] > w.budget
-		if over && !w.over[i] {
-			sf.Failover.WatchdogTrips++
-		}
-		w.over[i] = over
 	}
 }

@@ -91,7 +91,7 @@
 // Every restart — churn or failover — climbs the controller's one
 // warm→hot→cold ladder, from barrier-time checkpoints when
 // EnableCheckpoints is armed; the coordinator additionally survives the
-// loss or stall of a whole shard (EnableFaults, EnableWatchdog) — see
+// loss or stall of a whole shard (EnableFaults) — see
 // fault.go for the virtual-shard failover protocol and degraded
 // serving.
 package shard
@@ -141,8 +141,8 @@ func ResolveShards(req int) int {
 
 // Fleet is the sharded runtime: K fleet.Partitions coupled to one
 // authoritative bottleneck loop. Build with New, arm the lifecycle
-// subsystems a run needs (EnableChurn, EnableCheckpoints, EnableFaults,
-// EnableWatchdog), drive with Run.
+// subsystems a run needs (EnableChurn, EnableCheckpoints, EnableFaults),
+// drive with Run.
 type Fleet struct {
 	// Cfg is the resolved fleet configuration.
 	Cfg fleet.Config
@@ -173,7 +173,6 @@ type Fleet struct {
 	churn       *churnState
 	checkpoints *ckptState
 	fault       *faultState
-	wd          *watchdogState
 	merged      []packet.Packet
 	// inject holds the replay's events, one per packet of the busiest
 	// window so far (replay).
@@ -409,25 +408,20 @@ func (sf *Fleet) window(end time.Duration) {
 	}
 
 	// 2. Run the shards to the window end in parallel. Members of a
-	// stalled virtual shard, or of a partition that overran last
-	// window's budget, serve this window degraded; the watchdog times
-	// each shard's run.
+	// stalled virtual shard serve this window degraded.
 	sf.degrade()
 	if sf.K == 1 {
-		sf.timedRun(0, end)
+		sf.Parts[0].RunTo(end)
 	} else {
 		var wg sync.WaitGroup
-		for i := range sf.Parts {
+		for _, p := range sf.Parts {
 			wg.Add(1)
-			go func(i int) {
+			go func(p *fleet.Partition) {
 				defer wg.Done()
-				sf.timedRun(i, end)
-			}(i)
+				p.RunTo(end)
+			}(p)
 		}
 		wg.Wait()
-	}
-	if sf.wd != nil {
-		sf.judgeWatchdog()
 	}
 
 	// 3. Merge the outboxes in canonical (SentAt, Flow, Seq) order —
