@@ -254,37 +254,6 @@ func saturatedSupport(now time.Duration) []belief.Hypothesis {
 	return sup
 }
 
-// BenchmarkParallelWorkers measures the rollout engine's scaling: one
-// Bayesian update and one action selection over the Fig3 prior at
-// increasing worker counts. Results are bit-identical across the row
-// (asserted by the serial/parallel equivalence tests); on a single-core
-// host the row only shows the pool's overhead.
-func BenchmarkParallelWorkers(b *testing.B) {
-	states, _ := model.Fig3Prior().Enumerate()
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("belief-update/workers=%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				bel := belief.NewExact(states, belief.Config{Workers: w})
-				bel.RecordSend(model.Send{Seq: 0, At: 0})
-				b.StartTimer()
-				bel.Update(time.Second, []packet.Ack{{Seq: 0, ReceivedAt: time.Second}})
-			}
-		})
-		b.Run(fmt.Sprintf("planner-decide/workers=%d", w), func(b *testing.B) {
-			bel := belief.NewExact(states, belief.Config{Workers: w})
-			bel.RecordSend(model.Send{Seq: 0, At: 0})
-			bel.Update(time.Second, []packet.Ack{{Seq: 0, ReceivedAt: time.Second}})
-			cfg := planner.DefaultConfig()
-			cfg.Workers = w
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				planner.Decide(bel.Support(), nil, time.Second, 1, cfg)
-			}
-		})
-	}
-}
-
 // BenchmarkPlannerHypotheses measures how planning cost scales with the
 // support truncation MaxHyps, the planner's main approximation
 // (planner.Config.MaxHyps).

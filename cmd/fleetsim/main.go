@@ -6,7 +6,7 @@
 // -h` prints that mode's flags with their defaults.
 //
 //	fleetsim [sweep] [-n 2,4,16,64,256] [-dur 120s] [-seed 1] [-fq]
-//	         [-workers 0] [-shards NumCPU] [-lean] [-jain-floor 0]
+//	         [-shards NumCPU] [-lean] [-jain-floor 0]
 //	         [-json f] [-cpuprofile f] [-memprofile f] [-trace f]
 //	         [-alpha 1] [-rate 6000] [-per-flow] [-no-cache]
 //
@@ -106,12 +106,11 @@ type options struct {
 // sharedFlags registers the flags every mode has. The experiment knobs
 // bind to the mode's own config through the pointers: FairnessConfig and
 // ChurnConfig name them alike.
-func sharedFlags(fs *flag.FlagSet, o *options, ns *[]int, dur *time.Duration, seed *int64, fq *bool, workers, shards *int, lean *bool) {
+func sharedFlags(fs *flag.FlagSet, o *options, ns *[]int, dur *time.Duration, seed *int64, fq *bool, shards *int, lean *bool) {
 	fs.Var((*sizeList)(ns), "n", "comma-separated fleet sizes (default 2,4,16,64,256; churn and fault 4,16,64)")
 	fs.DurationVar(dur, "dur", *dur, "virtual duration per run")
 	fs.Int64Var(seed, "seed", *seed, "simulation seed")
 	fs.BoolVar(fq, "fq", false, "DRR fair-queue bottleneck instead of tail-drop FIFO")
-	fs.IntVar(workers, "workers", 0, "total rollout pool width (0 = GOMAXPROCS, 1 = serial); results are identical for any value")
 	fs.IntVar(shards, "shards", *shards, "parallel DES shards per fleet (0 = the single-loop runtime; one shard under fault); results are bit-identical for any count >= 1")
 	fs.BoolVar(lean, "lean", false, "streaming statistics only: no per-packet series, flat heap at large N")
 	fs.Float64Var(&o.jainFloor, "jain-floor", 0, "exit 3 when any point's Jain index is below this floor")
@@ -134,7 +133,7 @@ func sweepFlags() (*flag.FlagSet, *sweepRun) {
 	}}
 	c := &s.cfg
 	fs := flag.NewFlagSet("fleetsim sweep", flag.ExitOnError)
-	sharedFlags(fs, &s.opts, &c.Ns, &c.Duration, &c.Seed, &c.FairQueue, &c.Workers, &c.Shards, &c.LeanStats)
+	sharedFlags(fs, &s.opts, &c.Ns, &c.Duration, &c.Seed, &c.FairQueue, &c.Shards, &c.LeanStats)
 	fs.Float64Var(&c.Alpha, "alpha", c.Alpha, "cross-traffic priority α for every member")
 	fs.Float64Var((*float64)(&c.PerSenderRate), "rate", float64(c.PerSenderRate), "per-sender fair share in bits/s (link = N × rate)")
 	fs.BoolVar(&c.NoSharedCache, "no-cache", false, "disable the fleet-wide shared policy cache")
@@ -143,7 +142,7 @@ func sweepFlags() (*flag.FlagSet, *sweepRun) {
 }
 
 func (s *sweepRun) run() int {
-	if err := checkRanges(s.cfg.Duration, time.Second, float64(s.cfg.PerSenderRate), s.cfg.Alpha, 0, 0, 0, s.opts.jainFloor, s.cfg.Shards, s.cfg.Workers); err != nil {
+	if err := checkRanges(s.cfg.Duration, time.Second, float64(s.cfg.PerSenderRate), s.cfg.Alpha, 0, 0, 0, s.opts.jainFloor, s.cfg.Shards); err != nil {
 		return fail(2, "%v", err)
 	}
 	return s.opts.profiled(func() int {
@@ -188,7 +187,7 @@ func lifecycleFlags(mode string) (*flag.FlagSet, *lifecycleRun) {
 	d := lifecycle.ChurnConfig{}.WithDefaults(0)
 	c.Epoch, c.DepartProb, c.CrashProb, c.ArriveProb = d.Epoch, d.DepartProb, d.CrashProb, d.ArriveProb
 	fs := flag.NewFlagSet("fleetsim "+mode, flag.ExitOnError)
-	sharedFlags(fs, &l.opts, &l.sweep.Ns, &c.Duration, &c.Seed, &c.FairQueue, &c.Workers, &c.Shards, &c.LeanStats)
+	sharedFlags(fs, &l.opts, &l.sweep.Ns, &c.Duration, &c.Seed, &c.FairQueue, &c.Shards, &c.LeanStats)
 	fs.BoolVar(&c.NoCheckpoints, "no-ckpt", false, "disable checkpoints: every restart and failover cold instead of warm")
 	fs.Var(&l.verify, "verify-shards", "comma-separated shard counts to re-run every point at; fail unless replay hashes agree (implies the sharded runtime)")
 	fs.BoolVar(&l.smoke, "smoke", false, "small fast soak for CI (N=8, 60 s; overrides -n and -dur)")
@@ -215,7 +214,7 @@ func lifecycleFlags(mode string) (*flag.FlagSet, *lifecycleRun) {
 // non-nil error is a usage error.
 func (l *lifecycleRun) resolve() error {
 	c := &l.sweep.Base
-	if err := checkRanges(c.Duration, c.Epoch, 1, 1, c.DepartProb, c.CrashProb, c.ArriveProb, l.opts.jainFloor, c.Shards, c.Workers); err != nil {
+	if err := checkRanges(c.Duration, c.Epoch, 1, 1, c.DepartProb, c.CrashProb, c.ArriveProb, l.opts.jainFloor, c.Shards); err != nil {
 		return err
 	}
 	if l.opts.jainFloor > 0 && c.LeanStats {
@@ -315,7 +314,7 @@ func (o *options) finish(points any, jains []float64) int {
 // -dur would run a zero-length sweep and exit 0, a non-positive -rate
 // would silently become the default. A mode passes an in-range constant
 // for a flag it does not have. A non-nil error is a usage error.
-func checkRanges(dur, epoch time.Duration, rate, alpha, depart, crash, arrive, jainFloor float64, shards, workers int) error {
+func checkRanges(dur, epoch time.Duration, rate, alpha, depart, crash, arrive, jainFloor float64, shards int) error {
 	prob := func(p float64) bool { return p >= 0 && p <= 1 }
 	finite := func(v float64) bool { return !math.IsInf(v, 0) && !math.IsNaN(v) }
 	for _, c := range []struct {
@@ -333,7 +332,6 @@ func checkRanges(dur, epoch time.Duration, rate, alpha, depart, crash, arrive, j
 		{prob(arrive), "-arrive", arrive, "must be a probability in [0, 1]"},
 		{prob(jainFloor), "-jain-floor", jainFloor, "must be in [0, 1]"},
 		{shards >= 0, "-shards", shards, "must not be negative"},
-		{workers >= 0, "-workers", workers, "must not be negative"},
 	} {
 		if !c.ok {
 			return fmt.Errorf("%s %v: %s", c.flag, c.v, c.want)

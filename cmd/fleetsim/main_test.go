@@ -77,10 +77,11 @@ func TestLifecycleFlagsMeanOneThing(t *testing.T) {
 		t.Errorf("churn -shards 2 -lean alone refused: %v", err)
 	}
 
-	// A flag that means nothing in a mode is a parse error there.
+	// A flag that means nothing in a mode is a parse error there, and so
+	// is a flag no mode has any longer (-workers: rollouts are serial).
 	for _, c := range []struct{ mode, flag string }{
-		{"churn", "-shard-crash"}, {"churn", "-window-budget=1s"}, {"churn", "-per-flow"},
-		{"fault", "-epoch=5s"}, {"fault", "-crash=0.5"}, {"fault", "-alpha=2"}, {"fault", "-window-budget=1s"},
+		{"churn", "-shard-crash"}, {"churn", "-window-budget=1s"}, {"churn", "-per-flow"}, {"churn", "-workers=1"},
+		{"fault", "-epoch=5s"}, {"fault", "-crash=0.5"}, {"fault", "-alpha=2"}, {"fault", "-window-budget=1s"}, {"fault", "-workers=1"},
 	} {
 		if _, err := parseLifecycle(c.mode, c.flag); err == nil || !strings.Contains(err.Error(), "not defined") {
 			t.Errorf("%s %s: err = %v, want a flag-not-defined parse error", c.mode, c.flag, err)
@@ -91,6 +92,12 @@ func TestLifecycleFlagsMeanOneThing(t *testing.T) {
 	fs.SetOutput(io.Discard)
 	if err := fs.Parse([]string{"-epoch", "5s"}); err == nil {
 		t.Error("sweep -epoch 5s parsed; the sweep has no churn schedule")
+	}
+	fs, _ = sweepFlags()
+	fs.Init(fs.Name(), flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	if err := fs.Parse([]string{"-workers=1"}); err == nil || !strings.Contains(err.Error(), "not defined") {
+		t.Errorf("sweep -workers=1: err = %v, want a flag-not-defined parse error", err)
 	}
 }
 
@@ -127,33 +134,32 @@ func TestCheckRanges(t *testing.T) {
 		dur, epoch                         time.Duration
 		rate, alpha, depart, crash, arrive float64
 		jain                               float64
-		shards, workers                    int
+		shards                             int
 		bad                                string // "" = accepted
 	}{
-		{120 * s, 10 * s, 6000, 1, 0.04, 0.06, 0.5, 0, 0, 0, ""},
-		{s, s, 1, 1e-3, 0, 0, 1, 0, 0, 0, ""},
-		{-5 * s, 10 * s, 6000, 1, 0, 0, 0, 0, 0, 0, "-dur"},
-		{0, 10 * s, 6000, 1, 0, 0, 0, 0, 0, 0, "-dur"},
-		{s, 0, 6000, 1, 0, 0, 0, 0, 0, 0, "-epoch"},
-		{s, s, 0, 1, 0, 0, 0, 0, 0, 0, "-rate"},
-		{s, s, -100, 1, 0, 0, 0, 0, 0, 0, "-rate"},
-		{s, s, math.NaN(), 1, 0, 0, 0, 0, 0, 0, "-rate"},
-		{s, s, 6000, -1, 0, 0, 0, 0, 0, 0, "-alpha"},
-		{s, s, 6000, 0, 0, 0, 0, 0, 0, 0, "-alpha"},
-		{s, s, 6000, 1, 2, 0, 0, 0, 0, 0, "-depart"},
-		{s, s, 6000, 1, 0, -0.1, 0, 0, 0, 0, "-crash"},
-		{s, s, 6000, 1, 0, 0, 1.5, 0, 0, 0, "-arrive"},
-		{s, s, 6000, 1, 0, 0, math.NaN(), 0, 0, 0, "-arrive"},
-		{s, s, 1, 1e-3, 0, 0, 1, 1, 4, 2, ""},
-		{s, s, math.Inf(1), 1, 0, 0, 0, 0, 0, 0, "-rate"},
-		{s, s, 6000, math.Inf(1), 0, 0, 0, 0, 0, 0, "-alpha"},
-		{s, s, 6000, 1, 0, 0, 0, math.NaN(), 0, 0, "-jain-floor"},
-		{s, s, 6000, 1, 0, 0, 0, 1.5, 0, 0, "-jain-floor"},
-		{s, s, 6000, 1, 0, 0, 0, -0.1, 0, 0, "-jain-floor"},
-		{s, s, 6000, 1, 0, 0, 0, 0, -1, 0, "-shards"},
-		{s, s, 6000, 1, 0, 0, 0, 0, 0, -2, "-workers"},
+		{120 * s, 10 * s, 6000, 1, 0.04, 0.06, 0.5, 0, 0, ""},
+		{s, s, 1, 1e-3, 0, 0, 1, 0, 0, ""},
+		{-5 * s, 10 * s, 6000, 1, 0, 0, 0, 0, 0, "-dur"},
+		{0, 10 * s, 6000, 1, 0, 0, 0, 0, 0, "-dur"},
+		{s, 0, 6000, 1, 0, 0, 0, 0, 0, "-epoch"},
+		{s, s, 0, 1, 0, 0, 0, 0, 0, "-rate"},
+		{s, s, -100, 1, 0, 0, 0, 0, 0, "-rate"},
+		{s, s, math.NaN(), 1, 0, 0, 0, 0, 0, "-rate"},
+		{s, s, 6000, -1, 0, 0, 0, 0, 0, "-alpha"},
+		{s, s, 6000, 0, 0, 0, 0, 0, 0, "-alpha"},
+		{s, s, 6000, 1, 2, 0, 0, 0, 0, "-depart"},
+		{s, s, 6000, 1, 0, -0.1, 0, 0, 0, "-crash"},
+		{s, s, 6000, 1, 0, 0, 1.5, 0, 0, "-arrive"},
+		{s, s, 6000, 1, 0, 0, math.NaN(), 0, 0, "-arrive"},
+		{s, s, 1, 1e-3, 0, 0, 1, 1, 4, ""},
+		{s, s, math.Inf(1), 1, 0, 0, 0, 0, 0, "-rate"},
+		{s, s, 6000, math.Inf(1), 0, 0, 0, 0, 0, "-alpha"},
+		{s, s, 6000, 1, 0, 0, 0, math.NaN(), 0, "-jain-floor"},
+		{s, s, 6000, 1, 0, 0, 0, 1.5, 0, "-jain-floor"},
+		{s, s, 6000, 1, 0, 0, 0, -0.1, 0, "-jain-floor"},
+		{s, s, 6000, 1, 0, 0, 0, 0, -1, "-shards"},
 	} {
-		err := checkRanges(c.dur, c.epoch, c.rate, c.alpha, c.depart, c.crash, c.arrive, c.jain, c.shards, c.workers)
+		err := checkRanges(c.dur, c.epoch, c.rate, c.alpha, c.depart, c.crash, c.arrive, c.jain, c.shards)
 		switch {
 		case c.bad == "" && err != nil:
 			t.Errorf("%+v refused: %v", c, err)

@@ -15,13 +15,10 @@
 //	    or non-zero exit). With -serve, additionally replay a fleet run
 //	    against the table and require the compiled hit rate ≥ -minhit.
 //
-// compile and verify take -workers, the rollout pool's width (0 =
-// GOMAXPROCS).
-//
 // Exit status: 0 on success, 1 on a failed operation, 2 on a usage error
 // (an unknown subcommand or flag, -n < 1, a non-positive -dur, -minhit
-// outside [0, 1], a negative -workers, a -seeds entry that is not an
-// integer, or a wrong number of file arguments).
+// outside [0, 1], a -seeds entry that is not an integer, or a wrong
+// number of file arguments).
 package main
 
 import (
@@ -64,9 +61,8 @@ func usage() {
 
 // checkRanges refuses replay flags outside their domain — a fleet of no
 // members, a replay of no length, a hit-rate floor that is not a
-// fraction, a pool of negative width. A non-nil error is a usage error
-// (exit 2).
-func checkRanges(n int, dur time.Duration, minhit float64, workers int) error {
+// fraction. A non-nil error is a usage error (exit 2).
+func checkRanges(n int, dur time.Duration, minhit float64) error {
 	switch {
 	case n < 1:
 		return fmt.Errorf("-n %d: must be at least 1", n)
@@ -74,8 +70,6 @@ func checkRanges(n int, dur time.Duration, minhit float64, workers int) error {
 		return fmt.Errorf("-dur %v: must be positive", dur)
 	case !(minhit >= 0 && minhit <= 1):
 		return fmt.Errorf("-minhit %v: must be a fraction in [0, 1]", minhit)
-	case workers < 0:
-		return fmt.Errorf("-workers %d: must not be negative", workers)
 	}
 	return nil
 }
@@ -111,14 +105,13 @@ func runCompile(args []string) error {
 	dur := fs.Duration("dur", 30*time.Second, "virtual duration per replay")
 	seeds := fs.String("seeds", "1", "comma-separated replay seeds")
 	note := fs.String("note", "", "provenance note recorded in the header")
-	workers := fs.Int("workers", 0, "rollout workers (0 = GOMAXPROCS)")
 	fs.Parse(args)
-	checkUsage(checkRanges(*n, *dur, 0, *workers))
+	checkUsage(checkRanges(*n, *dur, 0))
 	sd, err := parseSeeds(*seeds)
 	checkUsage(err)
 
 	cc := policy.CompileConfig{
-		Fleet:    fleet.Config{N: *n, Workers: *workers},
+		Fleet:    fleet.Config{N: *n},
 		Seeds:    sd,
 		Duration: *dur,
 		Note:     *note,
@@ -168,9 +161,8 @@ func runVerify(args []string) error {
 	dur := fs.Duration("dur", 30*time.Second, "virtual duration of the serve replay")
 	seed := fs.Int64("seed", 1, "serve replay seed")
 	minhit := fs.Float64("minhit", 0.9, "minimum compiled hit rate for -serve")
-	workers := fs.Int("workers", 0, "rollout workers (0 = GOMAXPROCS)")
 	fs.Parse(args)
-	checkUsage(checkRanges(*n, *dur, *minhit, *workers))
+	checkUsage(checkRanges(*n, *dur, *minhit))
 	if fs.NArg() != 1 {
 		checkUsage(fmt.Errorf("verify: want exactly one table path, got %d", fs.NArg()))
 	}
@@ -189,7 +181,7 @@ func runVerify(args []string) error {
 	if !*serve {
 		return nil
 	}
-	cfg := fleet.Config{N: *n, Workers: *workers, Seed: *seed}
+	cfg := fleet.Config{N: *n, Seed: *seed}
 	if err := t.Header().CheckPrior(cfg.ResolvedPrior()); err != nil {
 		return err
 	}

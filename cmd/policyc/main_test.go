@@ -1,8 +1,11 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 	"time"
@@ -10,7 +13,7 @@ import (
 
 // TestCheckRanges: a replay flag outside its domain is a usage error
 // naming the flag. (Regression: compile and verify took -n 0, a negative
-// -dur, -minhit 7 and -workers -3, and compile exited 1 on -seeds abc.)
+// -dur and -minhit 7, and compile exited 1 on -seeds abc.)
 func TestCheckRanges(t *testing.T) {
 	const s = time.Second
 	named := func(what string, err error, bad string) {
@@ -25,26 +28,23 @@ func TestCheckRanges(t *testing.T) {
 		}
 	}
 	for _, c := range []struct {
-		n       int
-		dur     time.Duration
-		minhit  float64
-		workers int
-		bad     string // "" = accepted
+		n      int
+		dur    time.Duration
+		minhit float64
+		bad    string // "" = accepted
 	}{
-		{32, 30 * s, 0.9, 0, ""},
-		{1, time.Nanosecond, 0, 1, ""},
-		{1, s, 1, 4, ""},
-		{0, s, 0.9, 0, "-n"},
-		{-4, s, 0.9, 0, "-n"},
-		{8, 0, 0.9, 0, "-dur"},
-		{8, -5 * s, 0.9, 0, "-dur"},
-		{8, s, -0.1, 0, "-minhit"},
-		{8, s, 7, 0, "-minhit"},
-		{8, s, math.NaN(), 0, "-minhit"},
-		{8, s, 0.9, -1, "-workers"},
-		{8, s, 0.9, -3, "-workers"},
+		{32, 30 * s, 0.9, ""},
+		{1, time.Nanosecond, 0, ""},
+		{1, s, 1, ""},
+		{0, s, 0.9, "-n"},
+		{-4, s, 0.9, "-n"},
+		{8, 0, 0.9, "-dur"},
+		{8, -5 * s, 0.9, "-dur"},
+		{8, s, -0.1, "-minhit"},
+		{8, s, 7, "-minhit"},
+		{8, s, math.NaN(), "-minhit"},
 	} {
-		named(fmt.Sprintf("%+v", c), checkRanges(c.n, c.dur, c.minhit, c.workers), c.bad)
+		named(fmt.Sprintf("%+v", c), checkRanges(c.n, c.dur, c.minhit), c.bad)
 	}
 	for _, c := range []struct {
 		seeds string
@@ -60,5 +60,27 @@ func TestCheckRanges(t *testing.T) {
 	} {
 		_, err := parseSeeds(c.seeds)
 		named(fmt.Sprintf("-seeds %q", c.seeds), err, c.bad)
+	}
+}
+
+// TestWorkersFlagUndefined: compile and verify have no -workers (rollouts
+// are serial), so passing it is an undefined flag: exit 2 before any
+// replay. Each command line runs in a child process of this test binary,
+// since a flag error exits; -n 0 keeps a child that took the flag from
+// replaying anything.
+func TestWorkersFlagUndefined(t *testing.T) {
+	if args := os.Getenv("POLICYC_TEST_ARGS"); args != "" {
+		os.Args = append([]string{"policyc"}, strings.Fields(args)...)
+		main()
+		return
+	}
+	for _, args := range []string{"compile -workers=1 -n 0", "verify -workers=1 -n 0 table.pol"} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestWorkersFlagUndefined$")
+		cmd.Env = append(os.Environ(), "POLICYC_TEST_ARGS="+args)
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "not defined: -workers") {
+			t.Errorf("policyc %s: err = %v, output %q; want exit 2 on an undefined -workers", args, err, out)
+		}
 	}
 }

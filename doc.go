@@ -35,8 +35,8 @@
 //     planner.Wake per wake), the rollout memo, the twin closure, the
 //     PolicyCache and the Guard's degradation ladder (compiled table →
 //     live within budget → last safe → sleep).
-//   - internal/rollout: the worker pool and scratch arenas under belief
-//     and planner; results are bit-identical at every width.
+//   - internal/rollout: the pool of scratch arenas that belief and
+//     planner share; rollouts run one after another on its goroutine.
 //   - internal/utility: the §3.3 utility function (Config, Meter).
 //   - internal/core: the ISENDER endpoint, a state machine driven by
 //     Wake.
@@ -52,7 +52,8 @@
 //   - internal/lifecycle: member checkpoints and the one lifecycle
 //     policy (Controller), run at exact instants by Supervisor and at
 //     window barriers by shard.Fleet.
-//   - internal/policy: offline-compiled, mmap-served policy tables.
+//   - internal/policy: offline-compiled policy tables, read into memory
+//     and served from there.
 //
 // Faults and links:
 //
@@ -73,7 +74,6 @@
 //   - cmd/bench: the benchmark BENCHMARK.json declares, a module of its
 //     own that go test ./... at the root does not reach.
 //
-// Every run is deterministic per seed and bit-identical for any
-// Workers width or shard count; a change that moves a pin changed a
-// result.
+// Every run is deterministic per seed and bit-identical for any shard
+// count; a change that moves a pin changed a result.
 package modelcc

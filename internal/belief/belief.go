@@ -150,18 +150,15 @@ type Config struct {
 	// where the world really did change out from under the model.
 	// Recover takes precedence over Relax.
 	Recover bool
-	// Workers shards the per-hypothesis advances of an update across a
-	// worker pool: 0 means GOMAXPROCS, 1 forces the serial path. The
-	// posterior is bit-identical for every worker count: each advance
-	// writes only its own index's slot and the Bayesian reduction walks
-	// slots in index order.
+	// Workers is ignored: an update runs on the caller's goroutine.
+	// v2a-1 deletes it.
 	Workers int
-	// Pool, when non-nil, supplies the worker pool instead of the belief
-	// constructing a private one of Workers width. A fleet of senders
+	// Pool, when non-nil, supplies the update arena instead of the
+	// belief constructing a private one. A fleet of senders
 	// (internal/fleet) hands every member the same pool so their scratch
 	// arenas amortize across the whole fleet. The pool must not be used
 	// from multiple goroutines at once; the single-goroutine sim loop
-	// guarantees that. Results remain bit-identical for any pool width.
+	// guarantees that.
 	Pool *rollout.Pool
 }
 

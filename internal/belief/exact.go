@@ -38,7 +38,7 @@ type Exact struct {
 	// Config.Recover is set, so a likelihood collapse can re-seed the
 	// belief deterministically.
 	prior []model.State
-	// pool shards the per-class advances of an update.
+	// pool carries the update arena every belief on it shares.
 	pool *rollout.Pool
 	// Cum accumulates stats over the belief's lifetime.
 	Cum UpdateStats
@@ -86,15 +86,6 @@ type Exact struct {
 	// segAcks holds the running segment's acknowledgments by sequence
 	// number, under hard matching only.
 	segAcks map[int64]time.Duration
-	// seg is what advance reads of the running segment; advance is the
-	// method value handed to the pool, bound once.
-	seg struct {
-		end, now time.Duration
-		sends    []model.Send
-		cls, out []Hypothesis
-		ar       *arena
-	}
-	advance func(*rollout.Scratch, int)
 }
 
 // arena is what an update needs only while it runs. It rides the pool
@@ -107,7 +98,7 @@ type Exact struct {
 // forks builds its branches in the other, every other segment advances
 // the classes where they are. Every slot up to capacity — live, or dead
 // since no hypothesis was left on it or a class merged it — owns its
-// queue buffer alone, so a worker writes only its own slots' queues;
+// queue buffer alone, so an advance writes only its own slots' queues;
 // states change slots through move, so a twin forked into a dead slot
 // recycles the buffer left there. A class branch's W holds its
 // probability from the advance to the reduce, then its number in
@@ -119,7 +110,7 @@ type Exact struct {
 // before it in its class — and, while classify numbers the classes,
 // at[k].off is class k's branch. lws holds one likelihood per hypothesis
 // branch, and branches the hypothesis branches of a segment in which a
-// class forks.
+// class forks. events is the buffer a class advance enumerates into.
 //
 // hdrs and pages are the free stores, by capacity, each array handed to
 // the next belief that needs that size. hdrs holds header slices: a
@@ -138,6 +129,7 @@ type arena struct {
 	at       []memberSeg
 	lws      []float64
 	branches []member
+	events   []model.Event
 	byKey    keyIndex
 	hdrs     map[int][][]Hypothesis
 	pages    map[int][][]model.QPkt
@@ -226,7 +218,7 @@ func newExact(states []model.State, cfg Config) *Exact {
 		segAcks: make(map[int64]time.Duration),
 	}
 	if b.pool == nil {
-		b.pool = rollout.New(cfg.Workers)
+		b.pool = rollout.New()
 	}
 	b.points = make([]point, len(states))
 	ids := make(map[model.Params]int32)
@@ -246,7 +238,6 @@ func newExact(states []model.State, cfg Config) *Exact {
 			b.prior[i] = s.Clone()
 		}
 	}
-	b.advance = b.advanceClass
 	return b
 }
 
@@ -472,12 +463,11 @@ func (b *Exact) Update(now time.Duration, acks []packet.Ack) UpdateStats {
 		lws := ar.lws
 
 		// Advance every class where it lives, weighing each of its
-		// hypotheses' branches, sharded across the pool. Workers write only
-		// their own class's slots and its hypotheses' likelihoods; the
-		// shared maps (segAcks, recent) are read-only here.
-		b.seg.end, b.seg.now, b.seg.sends, b.seg.cls, b.seg.out, b.seg.ar = segEnd, now, sends[si:sHi], cls, out, ar
-		b.pool.Run(nc, b.advance)
-		b.seg.cls, b.seg.out = nil, nil // no reference into the arena outlives the update
+		// hypotheses' branches. An advance writes only its own class's
+		// slots and its hypotheses' likelihoods.
+		for c := range nc {
+			b.advanceClass(ar, c, segEnd, now, sends[si:sHi], cls, out)
+		}
 
 		// Lay out the hypothesis branches, each with its unconditioned
 		// weight, where the likelihoods lie. Without a fork they lie in
@@ -495,8 +485,7 @@ func (b *Exact) Update(now time.Duration, acks []packet.Ack) UpdateStats {
 		}
 
 		// Sequential Bayesian reduce, in branch order — identical float
-		// operations regardless of worker count or class. Survivors close
-		// ranks in place.
+		// operations whatever the classes. Survivors close ranks in place.
 		stats.Branches += mtotal
 		kept := 0
 		var sum float64
@@ -884,7 +873,7 @@ func ceilPow2(n int) int {
 
 // toggleProb is the probability s's gate toggles at a switch opportunity,
 // from gate when s shares its tick and mean switch time. Only Update's
-// count refreshes gate; the pool's workers read it.
+// count refreshes gate; the class advances read it.
 func (b *Exact) toggleProb(s *model.State) float64 {
 	if s.SwitchTick == b.gate.tick && s.P.MeanSwitch == b.gate.mean {
 		return b.gate.q
@@ -893,10 +882,10 @@ func (b *Exact) toggleProb(s *model.State) float64 {
 }
 
 // likelihood weighs one branch's events under loss probability p, by
-// soft or hard matching as configured.
-func (b *Exact) likelihood(events []model.Event, p float64) float64 {
+// soft or hard matching as configured, in an update to now.
+func (b *Exact) likelihood(events []model.Event, now time.Duration, p float64) float64 {
 	if b.cfg.SoftSigma > 0 {
-		return softLikelihood(events, b.recent, b.seg.now, p, b.cfg)
+		return softLikelihood(events, b.recent, now, p, b.cfg)
 	}
 	lw, matched := likelihood(events, b.segAcks, p)
 	if matched < len(b.segAcks) {
@@ -905,26 +894,25 @@ func (b *Exact) likelihood(events []model.Event, p float64) float64 {
 	return lw
 }
 
-// advanceClass is the pool job of one segment: it moves class c to the
-// last of its output slots, enumerates its branches from there, and
-// leaves each branch's probability in its slot's W and, for each
+// advanceClass advances class c of cls through the segment ending at
+// end, in an update to now, with the segment's sends: it moves the class
+// to the last of its slots in out, enumerates its branches from there,
+// and leaves each branch's probability in its slot's W and, for each
 // hypothesis of the class, the branch's likelihood under that
 // hypothesis's loss probability in lws.
-func (b *Exact) advanceClass(s *rollout.Scratch, c int) {
-	sg := &b.seg
-	ar := sg.ar
+func (b *Exact) advanceClass(ar *arena, c int, end, now time.Duration, sends []model.Send, cls, out []Hypothesis) {
 	seg := ar.segs[c]
 	lo, last := int(seg.off), int(ar.segs[c+1].off)-1
-	root := &sg.out[last]
-	move(root, &sg.cls[c])
-	s.Events = s.Events[:0]
-	root.S.Enumerate(sg.end, sg.sends, &s.Events, last, 1, b.toggleProb(&root.S),
-		func(j int) *model.State { return &sg.out[j].S },
+	root := &out[last]
+	move(root, &cls[c])
+	ar.events = ar.events[:0]
+	root.S.Enumerate(end, sends, &ar.events, last, 1, b.toggleProb(&root.S),
+		func(j int) *model.State { return &out[j].S },
 		func(j int, w float64) {
-			sg.out[j].W = w
+			out[j].W = w
 			for m := seg.head; m >= 0; {
 				at := &ar.at[m]
-				ar.lws[int(at.off)+j-lo] = b.likelihood(s.Events, b.points[b.mem[m].pt].p.LossProb)
+				ar.lws[int(at.off)+j-lo] = b.likelihood(ar.events, now, b.points[b.mem[m].pt].p.LossProb)
 				m = at.next
 			}
 		})

@@ -13,6 +13,7 @@ import (
 
 	"modelcc/internal/model"
 	"modelcc/internal/packet"
+	"modelcc/internal/rollout"
 )
 
 // refAdvanceEnum is model.AdvanceEnum as it stood before the in-place
@@ -276,12 +277,28 @@ func refFloorAndCap(hyps []Hypothesis, minW float64, maxN int) ([]Hypothesis, in
 	return out, dropped
 }
 
-// forkyPrior is parallelPrior with a gate that switches often enough
+// smallPrior is a small but non-trivial prior: several link rates and
+// loss levels, so updates reject, reweigh, fork, and compact.
+func smallPrior() []model.State {
+	p := model.Prior{
+		LinkRate:       model.PriorRange{Lo: 10000, Hi: 16000, N: 3},
+		CrossFrac:      model.PriorRange{Lo: 0.4, Hi: 0.7, N: 2},
+		LossProb:       model.PriorRange{Lo: 0, Hi: 0.2, N: 2},
+		BufferCapBits:  model.PriorRange{Lo: 72000, Hi: 108000, N: 2},
+		FullnessSteps:  2,
+		MeanSwitch:     100 * time.Second,
+		PingerMaybeOff: true,
+	}
+	states, _ := p.Enumerate()
+	return states
+}
+
+// forkyPrior is smallPrior with a gate that switches often enough
 // for forks to carry weight, and every third state on a 250 ms
 // opportunity grid: the belief segments on the first state's 1 s tick,
 // so those states fork up to four times inside one segment.
 func forkyPrior() []model.State {
-	states := parallelPrior()
+	states := smallPrior()
 	for i := range states {
 		p := states[i].P.Params
 		p.MeanSwitch = 4 * time.Second
@@ -381,15 +398,17 @@ func sameSupportExactly(t *testing.T, step int, want, got []Hypothesis) {
 	}
 }
 
-// queueOwners checks that no two classes share queue storage and that
-// every queue buffer of the arena's slots — live or dead, up to
-// capacity — belongs to one slot and is none of the belief's queue
-// arrays (queueArrays).
-func queueOwners(t *testing.T, b *Exact) {
+// queueOwners checks, for beliefs that share one pool, that no two
+// classes share queue storage and that every queue buffer of the pool
+// arena's slots — live or dead, up to capacity — belongs to one slot and
+// is none of the beliefs' queue arrays (queueArrays).
+func queueOwners(t *testing.T, bs ...*Exact) {
 	t.Helper()
 	owners := make(map[*model.QPkt]string)
-	queueArrays(t, "the belief", b, owners)
-	for half, hyps := range b.arena().slots {
+	for i, b := range bs {
+		queueArrays(t, fmt.Sprintf("belief %d", i), b, owners)
+	}
+	for half, hyps := range bs[0].arena().slots {
 		hyps = hyps[:cap(hyps)]
 		for i := range hyps {
 			q := hyps[i].S.Queue
@@ -471,11 +490,14 @@ func own(t *testing.T, owners map[*model.QPkt]string, p *model.QPkt, owner strin
 // and after every update each queue buffer has one owner. The cases
 // cover hard and soft matching, Relax, Recover (whose re-seeds leave
 // NextToggle off the tick grid), several forks inside a segment, a cap
-// that sorts, one and four workers, a prior whose classes are all single
-// hypotheses, and — each required to end some update with fewer classes
+// that sorts, a prior whose classes are all single hypotheses, and — each required to end some update with fewer classes
 // than hypotheses — Figure 3's five loss points against its lossy
 // network, a floor that splits loss siblings' classes, and snapshots
-// restored halfway whose resumed supports keep matching.
+// restored halfway whose resumed supports keep matching. Each case runs
+// one belief on a pool of its own (w1) and four that share one pool
+// (w4), as a fleet's members do, each driven through the schedule in
+// turn, so each update finds the arena and its stores as another
+// belief left them; each of the four must match the reference.
 func TestExactMatchesCloneBasedReference(t *testing.T) {
 	forky, fig3 := forkyPrior(), fig3LossPrior()
 	// lone keeps forkyPrior's states of one loss and fullness point: no
@@ -518,13 +540,16 @@ func TestExactMatchesCloneBasedReference(t *testing.T) {
 		{name: "fig3-recover-resume", states: fig3, cfg: Config{Recover: true}, impossible: true, fig3: true, steps: 80, resume: true, shared: true},
 	}
 	for _, tc := range cases {
-		for _, workers := range []int{1, 4} {
+		for _, width := range []int{1, 4} {
 			for seed := int64(1); seed <= 3; seed++ {
-				t.Run(fmt.Sprintf("%s/w%d/seed%d", tc.name, workers, seed), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s/w%d/seed%d", tc.name, width, seed), func(t *testing.T) {
 					cfg := tc.cfg
-					cfg.Workers = workers
+					cfg.Pool = rollout.New()
 					ref := newRefExact(tc.states, cfg)
-					b := NewExact(tc.states, cfg)
+					bs := make([]*Exact, width)
+					for i := range bs {
+						bs[i] = NewExact(tc.states, cfg)
+					}
 					sc := genScript(seed, tc.states, tc.steps, tc.impossible)
 					if tc.fig3 {
 						sc = genScriptOn(rand.New(rand.NewSource(seed)), fig3Truth(seed), tc.steps, tc.impossible)
@@ -532,29 +557,35 @@ func TestExactMatchesCloneBasedReference(t *testing.T) {
 					var forks, multi, reseeds, shared, split int
 					for k, st := range sc {
 						if tc.resume && k == len(sc)/2 {
-							r, err := Restore(tc.states, cfg, b.Snapshot())
-							if err != nil {
-								t.Fatalf("step %d: Restore: %v", k, err)
+							for i, b := range bs {
+								r, err := Restore(tc.states, cfg, b.Snapshot())
+								if err != nil {
+									t.Fatalf("step %d: Restore: %v", k, err)
+								}
+								if r.Lifetime() != b.Lifetime() {
+									t.Fatalf("step %d: restored lifetime %+v, belief's %+v", k, r.Lifetime(), b.Lifetime())
+								}
+								sameSupportExactly(t, k, ref.hyps, r.Support())
+								bs[i] = r
 							}
-							if r.Lifetime() != b.Lifetime() {
-								t.Fatalf("step %d: restored lifetime %+v, belief's %+v", k, r.Lifetime(), b.Lifetime())
-							}
-							sameSupportExactly(t, k, ref.hyps, r.Support())
-							queueOwners(t, r)
-							b = r
+							queueOwners(t, bs...)
 						}
 						for _, s := range st.sends {
 							ref.RecordSend(s)
-							b.RecordSend(s)
 						}
-						pre := len(b.Support())
 						want := ref.Update(st.now, append([]packet.Ack(nil), st.acks...))
-						got := b.Update(st.now, append([]packet.Ack(nil), st.acks...))
-						if want != got {
-							t.Fatalf("step %d: stats %+v, reference %+v", k, got, want)
+						pre := len(bs[0].Support())
+						for _, b := range bs {
+							for _, s := range st.sends {
+								b.RecordSend(s)
+							}
+							if got := b.Update(st.now, append([]packet.Ack(nil), st.acks...)); want != got {
+								t.Fatalf("step %d: stats %+v, reference %+v", k, got, want)
+							}
+							sameSupportExactly(t, k, ref.hyps, b.Support())
 						}
-						sameSupportExactly(t, k, ref.hyps, b.Support())
-						queueOwners(t, b)
+						queueOwners(t, bs...)
+						b, got := bs[0], want // every belief's stats are the reference's
 						if got.Branches > pre {
 							forks++
 						}
@@ -660,7 +691,7 @@ func TestAdvanceEnumMatchesStackReference(t *testing.T) {
 // aliasing is checked, not vacuous.
 func TestExactHypothesesOwnTheirQueues(t *testing.T) {
 	states := fig3LossPrior()
-	b := NewExact(states, Config{Relax: true, MaxHyps: 48, Workers: 4})
+	b := NewExact(states, Config{Relax: true, MaxHyps: 48})
 	for _, st := range genScriptOn(rand.New(rand.NewSource(4)), fig3Truth(4), 30, true) {
 		for _, s := range st.sends {
 			b.RecordSend(s)
@@ -705,11 +736,11 @@ func TestExactHypothesesOwnTheirQueues(t *testing.T) {
 
 // TestExactUpdateSteadyStateAllocs: once its buffers have grown, an
 // update that forks nothing — the wake between two switch opportunities,
-// nine in ten on the serving path — allocates nothing on one worker,
-// sends, acknowledgments and rejections included.
+// nine in ten on the serving path — allocates nothing, sends,
+// acknowledgments and rejections included.
 func TestExactUpdateSteadyStateAllocs(t *testing.T) {
-	states := parallelPrior()
-	b := NewExact(states, Config{Workers: 1})
+	states := smallPrior()
+	b := NewExact(states, Config{})
 	truth := model.NewTruth(states[len(states)-1].P.Params, true, model.GateFixed, 0, rand.New(rand.NewSource(3)))
 	// 180 wakes of 5 ms stay short of the first opportunity at 1 s.
 	const warm, measured = 100, 64

@@ -30,7 +30,7 @@ func TestHypothesisLayout(t *testing.T) {
 // across both.
 func TestSupportSharesOneRecordPerGridPoint(t *testing.T) {
 	fig3, _ := model.Fig3Prior().Enumerate()
-	fl := fleet.New(fleet.Config{N: 16, Seed: 3, Workers: 1})
+	fl := fleet.New(fleet.Config{N: 16, Seed: 3})
 	for _, c := range []struct {
 		name   string
 		states []model.State

@@ -33,7 +33,7 @@ type Snapshot struct {
 
 // validate rejects snapshots no belief could have produced, so an edited
 // or mismatched snapshot can never build a silently wrong belief, nor one
-// whose first Update panics inside a pool worker.
+// whose first Update panics.
 func (sn *Snapshot) validate() error {
 	if len(sn.Hyps) == 0 {
 		return errors.New("belief: snapshot has no hypotheses")

@@ -29,7 +29,7 @@ import (
 // store or made) and the header slots traded (a capacity changed between
 // two reads) are at most the stated number in all.
 func TestStorageFollowsTheClasses(t *testing.T) {
-	fl := fleet.New(fleet.Config{N: 16, Seed: 3, Workers: 1})
+	fl := fleet.New(fleet.Config{N: 16, Seed: 3})
 	pr := model.Fig3Prior()
 	pr.LinkRate.N, pr.CrossFrac.N, pr.FullnessSteps = 4, 2, 2
 	lossPrior, _ := pr.Enumerate()
@@ -43,7 +43,7 @@ func TestStorageFollowsTheClasses(t *testing.T) {
 	}{
 		{"fleet member", fl.PriorStates(), fl.MemberBeliefConfig(),
 			model.NewTruth(fl.PriorStates()[len(fl.PriorStates())/2].P.Params, true, model.GateFixed, 0, rand.New(rand.NewSource(5))), true, 16},
-		{"fig3 loss prior", lossPrior, belief.Config{Relax: true, Workers: 1},
+		{"fig3 loss prior", lossPrior, belief.Config{Relax: true},
 			model.NewTruth(model.Fig2Actual(), true, model.GateSquareWave, 20*time.Second, rand.New(rand.NewSource(6))), false, 10},
 	} {
 		b := belief.NewExact(c.states, c.cfg)
@@ -103,7 +103,7 @@ func TestStorageFollowsTheClasses(t *testing.T) {
 	// four every fourth second: its queue swings between 14 and 17
 	// entries, across 16, and takes one page, once.
 	link := model.Params{LinkRate: 12000, BufferCapBits: 64 * 12000}
-	b := belief.NewExact([]model.State{model.Initial(link, false)}, belief.Config{Workers: 1})
+	b := belief.NewExact([]model.State{model.Initial(link, false)}, belief.Config{})
 	truth := model.NewTruth(link, false, model.GateFixed, 0, rand.New(rand.NewSource(7)))
 	var tr trades
 	tr.read(b)
@@ -151,7 +151,7 @@ func TestStorageFollowsTheClasses(t *testing.T) {
 // times that, not the widest support they ever published.
 func TestSupportHeadersFollowTheSupport(t *testing.T) {
 	states, _ := model.Fig3Prior().Enumerate()
-	b := belief.NewExact(states, belief.Config{Workers: 1})
+	b := belief.NewExact(states, belief.Config{})
 	truth := model.NewTruth(model.Fig2Actual(), true, model.GateSquareWave, 100*time.Second, rand.New(rand.NewSource(6)))
 	var now time.Duration
 	var seq int64
@@ -219,10 +219,10 @@ func (tr *trades) read(b *belief.Exact) {
 // and the store has made exactly the arrays held and stored. Some
 // arrays pass from one belief to another, so the store is exercised.
 func TestPagesHaveOneOwner(t *testing.T) {
-	fl := fleet.New(fleet.Config{N: 64, Seed: 5, Workers: 1})
+	fl := fleet.New(fleet.Config{N: 64, Seed: 5})
 	states := fl.PriorStates()
 	cfg := fl.MemberBeliefConfig()
-	cfg.Pool = rollout.New(1)
+	cfg.Pool = rollout.New()
 	const members = 8
 	bs := make([]*belief.Exact, members)
 	truths := make([]*model.Truth, members)

@@ -99,11 +99,11 @@ func TestSenderEstimates(t *testing.T) {
 // nothing, on a sender with its own pool and neither cache nor table:
 // Action.Sends is the sender's one send buffer, reused by every wake.
 func TestSendingWakeSteadyStateAllocs(t *testing.T) {
-	pool := rollout.New(1)
+	pool := rollout.New()
 	plan := planner.DefaultConfig()
-	plan.Workers, plan.Pool = 1, pool
+	plan.Pool = pool
 	idle := model.Initial(model.Params{LinkRate: 12000, BufferCapBits: 96000}, false)
-	s := NewSender(belief.NewExact([]model.State{idle}, belief.Config{Workers: 1, Pool: pool}), plan)
+	s := NewSender(belief.NewExact([]model.State{idle}, belief.Config{Pool: pool}), plan)
 	s.Wake(0, nil)
 	// The link carries one packet a second, and each wake acknowledges
 	// the packet it delivered.

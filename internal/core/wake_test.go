@@ -60,7 +60,7 @@ func (f *freshCheck) decided(_ *planner.Wake, _ []model.Send, d planner.Decision
 	f.calls++
 	sup, pending, now := f.bel.Support(), f.bel.PendingSends(), f.bel.Now()
 	cfg := f.plan
-	cfg.Pool = rollout.New(cfg.Workers)
+	cfg.Pool = rollout.New()
 	var want planner.Decision
 	if f.ref != nil {
 		want = f.ref.Decide(planner.NewWake(sup, now), pending, 0, cfg)
@@ -84,9 +84,8 @@ func (f *freshCheck) decided(_ *planner.Wake, _ []model.Send, d planner.Decision
 
 // TestWakeMatchesFreshDecide: a sender's decisions — planned on its
 // planner.Wake, reset once per wake, through its Guard and, in half the
-// runs, its PolicyCache — equal fresh Decide calls field for field, at one
-// and four workers, with the rollout memo cold at every wake and warm
-// through the run. The sender is a 256-sender fleet's member alone against
+// runs, its PolicyCache — equal fresh Decide calls field for field, with
+// the rollout memo cold at every wake and warm through the run. The sender is a 256-sender fleet's member alone against
 // a truth of chunked cross traffic, its prior holding gate-off hypotheses
 // (quiet: every lane closes at its fork), its wakes capped at four
 // decisions (a live fleet wake's send, send, send, sleep) and its belief
@@ -115,69 +114,67 @@ func TestWakeMatchesFreshDecide(t *testing.T) {
 		CrossPktBits:   pkt * n / 4,
 	}
 	actual := model.Params{LinkRate: link, CrossRate: link * 0.995, MeanSwitch: 30 * time.Second, BufferCapBits: 4 * pkt * n, CrossPktBits: pkt * n / 4}
-	for _, workers := range []int{1, 4} {
-		for _, warm := range []bool{false, true} {
-			for _, cached := range []bool{false, true} {
-				states, _ := prior.Enumerate()
-				bel := &reweighted{Belief: belief.NewExact(states, belief.Config{SoftSigma: 300 * time.Millisecond, MinWeight: 1e-5, MaxHyps: 256, Relax: true})}
-				plan := planner.Config{MaxDelay: 4 * time.Second, Grid: 500 * time.Millisecond, Horizon: 12 * time.Second, MaxHyps: 64, Workers: workers}
-				snd := NewSender(bel, plan)
-				snd.MaxBurst = 4
-				check := &freshCheck{t: t, bel: bel, plan: plan, quiet: rollout.New(workers)}
-				snd.OnDecide = check.decided
-				if cached {
-					snd.Guard.Cache, check.ref = planner.NewPolicyCache(), planner.NewPolicyCache()
-				}
-				if warm {
-					snd.Plan.Pool = rollout.New(workers)
-				}
-				truth := model.NewTruth(actual, true, model.GateSquareWave, 7*time.Second, rand.New(rand.NewSource(5)))
+	for _, warm := range []bool{false, true} {
+		for _, cached := range []bool{false, true} {
+			states, _ := prior.Enumerate()
+			bel := &reweighted{Belief: belief.NewExact(states, belief.Config{SoftSigma: 300 * time.Millisecond, MinWeight: 1e-5, MaxHyps: 256, Relax: true})}
+			plan := planner.Config{MaxDelay: 4 * time.Second, Grid: 500 * time.Millisecond, Horizon: 12 * time.Second, MaxHyps: 64}
+			snd := NewSender(bel, plan)
+			snd.MaxBurst = 4
+			check := &freshCheck{t: t, bel: bel, plan: plan, quiet: rollout.New()}
+			snd.OnDecide = check.decided
+			if cached {
+				snd.Guard.Cache, check.ref = planner.NewPolicyCache(), planner.NewPolicyCache()
+			}
+			if warm {
+				snd.Plan.Pool = rollout.New()
+			}
+			truth := model.NewTruth(actual, true, model.GateSquareWave, 7*time.Second, rand.New(rand.NewSource(5)))
 
-				var inject []model.Send
-				var acks []packet.Ack
-				now, wakeAt, bursts, twice := time.Duration(0), time.Duration(0), 0, 0
-				wake := func() {
-					if !warm {
-						snd.Plan.Pool = rollout.New(workers)
-					}
-					before := check.calls
-					act := snd.Wake(now, acks)
-					if check.calls-before == 4 {
-						bursts++
-					}
-					inject = append(inject, act.Sends...)
-					wakeAt = max(act.WakeAt, now+10*time.Millisecond)
+			var inject []model.Send
+			var acks []packet.Ack
+			now, wakeAt, bursts, twice := time.Duration(0), time.Duration(0), 0, 0
+			wake := func() {
+				if !warm {
+					snd.Plan.Pool = rollout.New()
 				}
-				for now < dur {
-					if len(acks) > 0 || now >= wakeAt {
+				before := check.calls
+				act := snd.Wake(now, acks)
+				if check.calls-before == 4 {
+					bursts++
+				}
+				inject = append(inject, act.Sends...)
+				wakeAt = max(act.WakeAt, now+10*time.Millisecond)
+			}
+			for now < dur {
+				if len(acks) > 0 || now >= wakeAt {
+					wake()
+					if snd.Wakes%3 == 0 {
+						acks = nil
 						wake()
-						if snd.Wakes%3 == 0 {
-							acks = nil
-							wake()
-							twice++
-						}
-					}
-					next := min(dur, wakeAt)
-					if tn := truth.NextTransition(); tn > now && tn < next {
-						next = tn
-					}
-					evs := truth.AdvanceTo(next, inject)
-					inject, acks, now = inject[:0], nil, next
-					for _, ev := range evs {
-						if ev.Kind == model.OwnDelivered {
-							acks = append(acks, packet.Ack{Flow: packet.FlowSelf, Seq: ev.Seq, ReceivedAt: ev.At})
-						}
+						twice++
 					}
 				}
-				t.Logf("%d workers, warm %v, cached %v: %d wakes (%d deciding four times, %d at an instant already woken at), %d decisions, %d acked",
-					workers, warm, cached, snd.Wakes, bursts, twice, check.calls, snd.Acked)
-				if bursts == 0 || twice == 0 || snd.Acked == 0 {
-					t.Errorf("%d workers, warm %v, cached %v: want four-decision wakes, second wakes and acknowledgments", workers, warm, cached)
+				next := min(dur, wakeAt)
+				if tn := truth.NextTransition(); tn > now && tn < next {
+					next = tn
 				}
-				if st := planner.PoolMemoStats(check.quiet); st.Lanes == 0 || st.Closed != st.Lanes || (st.Derived == 0 && !testing.Short()) {
-					t.Errorf("%d workers, warm %v, cached %v: the gate-off hypotheses alone had %d lanes, %d closed, %d vectors derived; want some, all, some",
-						workers, warm, cached, st.Lanes, st.Closed, st.Derived)
+				evs := truth.AdvanceTo(next, inject)
+				inject, acks, now = inject[:0], nil, next
+				for _, ev := range evs {
+					if ev.Kind == model.OwnDelivered {
+						acks = append(acks, packet.Ack{Flow: packet.FlowSelf, Seq: ev.Seq, ReceivedAt: ev.At})
+					}
 				}
+			}
+			t.Logf("warm %v, cached %v: %d wakes (%d deciding four times, %d at an instant already woken at), %d decisions, %d acked",
+				warm, cached, snd.Wakes, bursts, twice, check.calls, snd.Acked)
+			if bursts == 0 || twice == 0 || snd.Acked == 0 {
+				t.Errorf("warm %v, cached %v: want four-decision wakes, second wakes and acknowledgments", warm, cached)
+			}
+			if st := planner.PoolMemoStats(check.quiet); st.Lanes == 0 || st.Closed != st.Lanes || (st.Derived == 0 && !testing.Short()) {
+				t.Errorf("warm %v, cached %v: the gate-off hypotheses alone had %d lanes, %d closed, %d vectors derived; want some, all, some",
+					warm, cached, st.Lanes, st.Closed, st.Derived)
 			}
 		}
 	}

@@ -41,10 +41,6 @@ type ChurnConfig struct {
 	Epoch                             time.Duration
 	DepartProb, CrashProb, ArriveProb float64
 	MinLive                           int
-	// Workers is the total rollout width (0 = GOMAXPROCS, 1 = serial),
-	// split across shards on the barrier runtime; the result is
-	// bit-identical for any value.
-	Workers int
 	// FairQueue selects the DRR bottleneck.
 	FairQueue bool
 	// LeanStats drops per-packet series retention; every series-based
@@ -157,14 +153,12 @@ type ChurnResult struct {
 
 // RunChurn runs one lifecycle simulation on the runtime cfg.Shards
 // selects and reduces it. The result is a pure function of the config:
-// the Workers knob changes wall-clock time only, and so does the shard
-// count once it is >= 1.
+// the shard count, once it is >= 1, changes wall-clock time only.
 func RunChurn(cfg ChurnConfig) ChurnResult {
 	cfg = cfg.withDefaults()
 	fc := fleet.Config{
 		N:         cfg.N,
 		Seed:      cfg.Seed,
-		Workers:   cfg.Workers,
 		FairQueue: cfg.FairQueue,
 		LeanStats: cfg.LeanStats,
 		// Recover mode: a collapsed posterior re-seeds from the prior

@@ -28,10 +28,6 @@ type FairnessConfig struct {
 	PerSenderRate units.BitRate
 	// FairQueue selects the DRR bottleneck instead of tail-drop FIFO.
 	FairQueue bool
-	// Workers is the shared rollout pool width per fleet: 0 means
-	// GOMAXPROCS, 1 serial. The sweep's output is bit-identical for any
-	// value (TestFairnessSweepWorkerDeterminism asserts this at N=256).
-	Workers int
 	// NoSharedCache disables the fleet-wide policy cache.
 	NoSharedCache bool
 	// Shards runs each fleet on the sharded runtime (internal/shard):
@@ -142,9 +138,8 @@ type fleetRuntime interface {
 // FairnessSweep runs one fleet per N and reports fairness, per-flow
 // throughput/delay, and aggregate utility at each size. Every run is
 // deterministic given (Seed, Duration, N, Alpha, PerSenderRate,
-// FairQueue) — the Workers knob changes only wall-clock time, never
-// the result, and with Shards > 0 the shard count doesn't either
-// (TestFairnessSweepShardDeterminism asserts the latter).
+// FairQueue), and with Shards > 0 the shard count changes only
+// wall-clock time (TestFairnessSweepShardDeterminism asserts it).
 func FairnessSweep(cfg FairnessConfig) FairnessResult {
 	cfg = cfg.withDefaults()
 	res := FairnessResult{Cfg: cfg}
@@ -155,7 +150,6 @@ func FairnessSweep(cfg FairnessConfig) FairnessResult {
 			Alpha:         cfg.Alpha,
 			PerSenderRate: cfg.PerSenderRate,
 			FairQueue:     cfg.FairQueue,
-			Workers:       cfg.Workers,
 			NoSharedCache: cfg.NoSharedCache,
 			LeanStats:     cfg.LeanStats,
 		}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -67,37 +66,6 @@ func TestFairnessSweepFairQueue(t *testing.T) {
 	}
 }
 
-// TestFairnessSweepWorkerDeterminism is the acceptance criterion: a
-// 256-sender fairness sweep on the shared rollout pool produces
-// bit-identical output for Workers=1 and Workers=GOMAXPROCS (and an
-// oversubscribed width, which exercises goroutine sharding even on a
-// single-core host).
-func TestFairnessSweepWorkerDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long integration test")
-	}
-	run := func(workers int) []FairnessPoint {
-		return FairnessSweep(FairnessConfig{
-			Ns:       []int{256},
-			Duration: 20 * time.Second,
-			Seed:     3,
-			Workers:  workers,
-		}).Points
-	}
-	serial := run(1)
-	if serial[0].N != 256 {
-		t.Fatalf("N = %d, want 256", serial[0].N)
-	}
-	if serial[0].Jain <= 0 || serial[0].Jain > 1+1e-9 {
-		t.Fatalf("Jain = %v outside (0, 1]", serial[0].Jain)
-	}
-	for _, w := range []int{runtime.GOMAXPROCS(0), 5} {
-		if got := run(w); !reflect.DeepEqual(serial, got) {
-			t.Errorf("workers=%d: fairness sweep diverged from serial run", w)
-		}
-	}
-}
-
 // TestFairnessSweepShardDeterminism: the sharded runtime feeds the same
 // reduction and produces bit-identical sweep output at every shard
 // count. (Sharded runs use canonical scheduling and a striped cache, so
@@ -112,7 +80,6 @@ func TestFairnessSweepShardDeterminism(t *testing.T) {
 			Ns:       []int{8},
 			Duration: 30 * time.Second,
 			Seed:     11,
-			Workers:  1,
 			Shards:   shards,
 		}).Points
 	}
@@ -132,7 +99,6 @@ func TestFairnessSweepLeanStats(t *testing.T) {
 		Ns:        []int{4},
 		Duration:  60 * time.Second,
 		Seed:      7,
-		Workers:   1,
 		LeanStats: true,
 	})
 	p := res.Points[0]
@@ -166,7 +132,6 @@ func TestFairnessSweepLeanMatchesFull(t *testing.T) {
 			Ns:        []int{2, 8},
 			Duration:  120 * time.Second,
 			Seed:      1,
-			Workers:   1,
 			LeanStats: lean,
 		}).Points
 	}

@@ -65,7 +65,7 @@ func (c lifecycleCase) run(t *testing.T, shards int) (lifecycle.Runtime, *lifecy
 		dur  = 30 * time.Second
 		step = 250 * time.Millisecond
 	)
-	fc := fleet.Config{N: c.n, Seed: c.seed, Workers: 1, BeliefCfg: belief.Config{Recover: true}}
+	fc := fleet.Config{N: c.n, Seed: c.seed, BeliefCfg: belief.Config{Recover: true}}
 	cc := lifecycle.ChurnConfig{Epoch: c.epoch, DepartProb: c.depart, CrashProb: c.crash, ArriveProb: c.arrive, MinLive: c.minLive}
 	sc := lifecycle.SupervisorConfig{BackoffBase: c.backoff, CheckpointEvery: -1}
 	if c.checkpoints {

@@ -44,9 +44,8 @@ type ISenderConfig struct {
 	Duration time.Duration
 	// Seed drives all ground-truth randomness.
 	Seed int64
-	// Workers shards belief updates and planner rollouts across a
-	// worker pool: 0 means GOMAXPROCS, 1 forces the serial path. Any
-	// value produces bit-identical results (see belief.Config.Workers).
+	// Workers is ignored: the run updates and plans on the caller's
+	// goroutine. v2a-1 deletes it.
 	Workers int
 }
 
@@ -68,10 +67,6 @@ func (c ISenderConfig) withDefaults() ISenderConfig {
 		c.HalfPeriod = 100 * time.Second
 	}
 	c.Plan.Util = c.Utility
-	if c.Workers != 0 {
-		c.Plan.Workers = c.Workers
-		c.BeliefCfg.Workers = c.Workers
-	}
 	return c
 }
 

@@ -8,9 +8,9 @@
 //
 //   - One rollout pool for the whole fleet. Every member's belief
 //     updates and planner rollouts run on the same internal/rollout
-//     worker pool (belief.Config.Pool / planner.Config.Pool), so one
-//     set of scratch arenas — states, meters, event buffers — serves
-//     all N senders instead of N copies of each.
+//     pool (belief.Config.Pool / planner.Config.Pool), so one set of
+//     scratch arenas — states, meters, event buffers — serves all N
+//     senders instead of N copies of each.
 //
 //   - A central scheduler that batches wakeups. Acknowledgments
 //     arriving at one virtual instant are coalesced per sender and the
@@ -33,13 +33,10 @@
 // soft observation likelihood, exactly as in the two-flow coexistence
 // experiments this package generalizes.
 //
-// Everything is deterministic: the loop is single-goroutine, the
-// scheduler drains same-instant wakes in the order they arrived (or, under
-// Config.Canonical, in flow order), and the shared pool preserves the
-// rollout engine's bit-identical-for-any-width guarantee, so a fleet
-// run's output depends only on its Config (including at Workers = 1
-// versus Workers = GOMAXPROCS — the fairness-sweep determinism test
-// asserts this).
+// Everything is deterministic: the loop is single-goroutine, every belief
+// update and rollout runs on it, and the scheduler drains same-instant
+// wakes in the order they arrived (or, under Config.Canonical, in flow
+// order), so a fleet run's output depends only on its Config.
 //
 // A fleet is two halves, shared with the sharded runtime
 // (internal/shard), which couples K partitions through the one
@@ -94,8 +91,8 @@ type Config struct {
 	// FairQueue replaces the tail-drop FIFO bottleneck with the
 	// deficit-round-robin FairQueue, the §3.5 non-FIFO scheduling.
 	FairQueue bool
-	// Workers is the shared rollout pool's width: 0 means GOMAXPROCS,
-	// 1 forces the serial path. Output is bit-identical for any value.
+	// Workers is ignored: members plan and update on the loop's
+	// goroutine. v2a-1 deletes it.
 	Workers int
 	// Table, when non-nil, is an offline-compiled policy (a
 	// policy.Server over a compiled table) probed before any live
@@ -137,8 +134,8 @@ type Config struct {
 	LeanStats    bool
 	LeanRateFrom time.Duration
 	// BeliefCfg overrides non-zero fields of the fleet belief defaults.
-	// Pool and Workers are fleet-owned: every member runs on the
-	// fleet's shared pool regardless of what is set here.
+	// Pool is fleet-owned: every member runs on the fleet's shared pool
+	// regardless of what is set here.
 	BeliefCfg belief.Config
 }
 
@@ -287,6 +284,7 @@ func DefaultBeliefConfig(n int) belief.Config {
 type Fleet struct {
 	host
 	Roster
+	started bool // Start has run
 }
 
 // New builds a fleet. Nothing runs until Run (or the loop is driven
@@ -303,9 +301,14 @@ func New(cfg Config) *Fleet {
 	return f
 }
 
-// Start schedules every member's first wakeup at its StartOffset. It is
-// called by Run; call it directly only when driving the loop manually.
+// Start schedules every member's first wakeup at its StartOffset, once:
+// a later call does nothing. Run calls it; call it directly only when
+// driving the loop manually.
 func (f *Fleet) Start() {
+	if f.started {
+		return
+	}
+	f.started = true
 	for _, m := range f.Members {
 		if m != nil {
 			m.Start(StartOffset(f.Cfg, m.Flow, m.Gen))
@@ -313,11 +316,12 @@ func (f *Fleet) Start() {
 	}
 }
 
-// Run starts the members and drives the loop for the given virtual
-// duration.
-func (f *Fleet) Run(duration time.Duration) {
+// Run starts the members if they have not started and drives the loop
+// to the absolute virtual time t, so Run(10 s) then Run(23 s) is one
+// run to 23 s.
+func (f *Fleet) Run(t time.Duration) {
 	f.Start()
-	f.Loop.Run(duration)
+	f.Loop.Run(t)
 }
 
 // StartOffset places the first wake of the flow's member of generation

@@ -24,12 +24,11 @@ import (
 // no membership: the Roster decides who is live and asks the flow's host
 // to build each generation.
 type host struct {
-	// Cfg is the resolved configuration members are built from. On a
-	// Partition, Workers is the per-partition pool width.
+	// Cfg is the resolved configuration members are built from.
 	Cfg Config
 	// Loop is the discrete-event loop the hosted members run on.
 	Loop *sim.Loop
-	// Pool is the rollout pool every hosted member plans and updates on.
+	// Pool holds the arenas every hosted member plans and updates on.
 	Pool *rollout.Pool
 
 	// caches is the roster's policy cache (nil when disabled), and out
@@ -56,7 +55,7 @@ type host struct {
 func (h *host) init(cfg Config, loop *sim.Loop, caches *planner.CacheStripes, out elements.Node) {
 	h.Cfg = cfg
 	h.Loop = loop
-	h.Pool = rollout.New(cfg.Workers)
+	h.Pool = rollout.New()
 	h.caches, h.out = caches, out
 	h.drainTimer = sim.NewTimer(h.Loop, h.drain)
 

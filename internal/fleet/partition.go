@@ -54,11 +54,10 @@ func (o *Outbox) Receive(p packet.Packet) { o.Pkts = append(o.Pkts, p) }
 func (o *Outbox) Reset() { o.Pkts = o.Pkts[:0] }
 
 // NewPartition builds one partition over the RESOLVED fleet
-// configuration (call Config.Resolved first; Workers here is the
-// per-partition pool width) and the coordinator's policy cache. The
-// coordinator's roster builds members on it (Roster.Coordinate), so
-// admission order and stagger offsets are identical to the single-loop
-// fleet's.
+// configuration (call Config.Resolved first) and the coordinator's
+// policy cache. The coordinator's roster builds members on it
+// (Roster.Coordinate), so admission order and stagger offsets are
+// identical to the single-loop fleet's.
 func NewPartition(cfg Config, caches *planner.CacheStripes) *Partition {
 	// Partition members are always canonical: the coordinator's merge
 	// delivers cross-shard events in flow order, so local wakes must

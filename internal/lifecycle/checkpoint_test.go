@@ -18,9 +18,9 @@ import (
 
 // testFleet builds a small fleet used only as a source of resolved
 // member-construction inputs (prior states, belief/planner configs).
-func testFleet(t testing.TB, workers int) *fleet.Fleet {
+func testFleet(t testing.TB) *fleet.Fleet {
 	t.Helper()
-	return fleet.New(fleet.Config{N: 2, Seed: 7, Workers: workers})
+	return fleet.New(fleet.Config{N: 2, Seed: 7})
 }
 
 // scriptedTrace drives a sender against a deterministic scripted
@@ -84,7 +84,7 @@ func resume(t *testing.T, fl *fleet.Fleet, s *core.Sender) *core.Sender {
 // member restored from Checkpoint(m) makes exactly the decisions the
 // uninterrupted member would have made, for the Exact belief.
 func TestResumeMatchesUninterruptedExact(t *testing.T) {
-	fl := testFleet(t, 1)
+	fl := testFleet(t)
 	mk := func() *core.Sender {
 		return core.NewSender(belief.NewExact(fl.PriorStates(), fl.MemberBeliefConfig()), fl.MemberPlanConfig())
 	}
@@ -101,30 +101,11 @@ func TestResumeMatchesUninterruptedExact(t *testing.T) {
 	}
 }
 
-// TestResumeWorkerInvariance re-runs the Exact resume check with a
-// parallel rollout pool: the worker count must change neither the
-// straight trace nor the resumed one.
-func TestResumeWorkerInvariance(t *testing.T) {
-	serial := testFleet(t, 1)
-	parallel := testFleet(t, 0)
-	mk := func(fl *fleet.Fleet) *core.Sender {
-		return core.NewSender(belief.NewExact(fl.PriorStates(), fl.MemberBeliefConfig()), fl.MemberPlanConfig())
-	}
-	const wakes = 40
-	a := scriptedTrace(t, serial, mk(serial), wakes, 15)
-	b := scriptedTrace(t, parallel, mk(parallel), wakes, 15)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("decision %d differs across worker counts:\n serial:   %s\n parallel: %s", i, a[i], b[i])
-		}
-	}
-}
-
 // liveCheckpoint captures member 0 of a short real fleet run, giving
 // the error-path tests a realistic checkpoint.
 func liveCheckpoint(t testing.TB) (*fleet.Fleet, *Checkpoint) {
 	t.Helper()
-	fl := fleet.New(fleet.Config{N: 2, Seed: 11, Workers: 1})
+	fl := fleet.New(fleet.Config{N: 2, Seed: 11})
 	fl.Run(10 * time.Second)
 	return fl, Capture(fl.Members[0])
 }
@@ -134,7 +115,7 @@ func liveCheckpoint(t testing.TB) (*fleet.Fleet, *Checkpoint) {
 // check refuses it.
 func TestRestoreRejectsWrongPrior(t *testing.T) {
 	_, c := liveCheckpoint(t)
-	other := fleet.New(fleet.Config{N: 8, Seed: 11, Workers: 1})
+	other := fleet.New(fleet.Config{N: 8, Seed: 11})
 	if _, err := RestoreSender(other, c); err == nil {
 		t.Fatal("restore over a different prior succeeded; want detected error")
 	} else if !strings.Contains(err.Error(), "prior") {
@@ -144,10 +125,10 @@ func TestRestoreRejectsWrongPrior(t *testing.T) {
 
 // TestRestoreRefusesClockDisagreement: a snapshot whose clocks disagree
 // — a pending send stamped before the belief's clock, or a hypothesis
-// ahead of it — would panic inside a pool worker on its first Update,
-// and one whose weights are not finite — an infinite weight, or finite
-// ones whose sum overflows — would normalize to NaN there and collapse
-// under the wrong name. A hypothesis the prior does not hold — a ParamsID
+// ahead of it — would panic on its first Update, and one whose weights
+// are not finite — an infinite weight, or finite ones whose sum
+// overflows — would normalize to NaN there and collapse under the wrong
+// name. A hypothesis the prior does not hold — a ParamsID
 // naming no grid point, or parameters other than its grid point's — was
 // not inferred over this prior. belief.Restore refuses all six, called
 // directly and through RestoreSender.
@@ -217,7 +198,7 @@ func TestRestoreGuardKeepsLastSafe(t *testing.T) {
 		{"no table", nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := fleet.Config{N: 2, Seed: 11, Workers: 1, Table: tc.table, NoSharedCache: true}
+			cfg := fleet.Config{N: 2, Seed: 11, Table: tc.table, NoSharedCache: true}
 			src := fleet.New(cfg)
 			src.Run(10 * time.Second)
 			orig := src.Members[0]

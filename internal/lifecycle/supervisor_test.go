@@ -16,7 +16,7 @@ import (
 func supFleet(t *testing.T, sc SupervisorConfig) (*fleet.Fleet, *Supervisor) {
 	t.Helper()
 	fl := fleet.New(fleet.Config{
-		N: 4, Seed: 5, Workers: 1,
+		N: 4, Seed: 5,
 		BeliefCfg: belief.Config{Recover: true},
 	})
 	return fl, NewSupervisor(fl, sc)
@@ -241,7 +241,7 @@ func TestAdmissionReplaysBitIdentically(t *testing.T) {
 	}
 	run := func() []Event {
 		fl := fleet.New(fleet.Config{
-			N: 8, Seed: 9, Workers: 1,
+			N: 8, Seed: 9,
 			BeliefCfg: belief.Config{Recover: true},
 		})
 		sup := NewSupervisor(fl, SupervisorConfig{BackoffBase: 100 * time.Millisecond})
@@ -276,7 +276,7 @@ func TestAdmissionReplaysBitIdentically(t *testing.T) {
 // cap.)
 func TestAdmissionRespectsMaxLive(t *testing.T) {
 	fl := fleet.New(fleet.Config{
-		N: 8, Seed: 1, Workers: 1,
+		N: 8, Seed: 1,
 		BeliefCfg: belief.Config{Recover: true},
 	})
 	// A long backoff keeps crashed slots reserved across several
@@ -310,13 +310,12 @@ func TestAdmissionRespectsMaxLive(t *testing.T) {
 
 // TestLifecycleNoGoroutineLeak: the whole lifecycle stack — fleet,
 // supervisor, admission, restarts, mid-run teardown — lives on the
-// DES loop plus the rollout pool, and the pool must wind down with the
-// run. Mirrors the transport leak tests.
+// DES loop, so no goroutine outlives the run.
 func TestLifecycleNoGoroutineLeak(t *testing.T) {
 	base := runtime.NumGoroutine()
 	func() {
 		fl := fleet.New(fleet.Config{
-			N: 8, Seed: 3, Workers: 4,
+			N: 8, Seed: 3,
 			BeliefCfg: belief.Config{Recover: true},
 		})
 		sup := NewSupervisor(fl, SupervisorConfig{BackoffBase: 100 * time.Millisecond})

@@ -186,7 +186,7 @@ func (a *Accum) TakeQueued() time.Duration {
 // small direct-mapped table. Delivery times in a rollout sit on a handful
 // of lattices (the link's service times, the pinger grid), so the same Δ
 // recurs constantly — within a rollout, across the baseline and
-// candidates of one sweep, and across the hypotheses one worker sweeps —
+// candidates of one sweep, and across the hypotheses a pool sweeps —
 // and the exp in the hot loop all but disappears. math.Exp is a pure
 // function of its argument, so what the table holds, and who shares it,
 // cannot change a bit of any sum. Not safe for concurrent use.

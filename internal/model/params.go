@@ -99,12 +99,11 @@ func (p Params) ServiceTime() time.Duration {
 // or per distinct value in a checkpoint, and shared by pointer between
 // every state built from it and all their clones and forks. It is never
 // written after newRecord, its one constructor, returns it — which is
-// what lets rollout workers and shards read a shared record without a
-// lock — so a state whose parameters change gets a fresh one
-// (State.SetParams). newRecord also computes, once, the constants the
-// advance loop and the planner derive from Params; the record's
-// PktBits, CrossBits, CrossInterval and ServiceTime return them in place
-// of Params' own, with the same values.
+// what lets shards read a shared record without a lock — so a state
+// whose parameters change gets a fresh one (State.SetParams). newRecord
+// also computes, once, the constants the advance loop and the planner
+// derive from Params; the record's PktBits, CrossBits, CrossInterval and
+// ServiceTime return them in place of Params' own, with the same values.
 type record struct {
 	Params
 	pktBits, crossBits         int64

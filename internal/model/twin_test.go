@@ -412,8 +412,8 @@ func FuzzDrained(f *testing.F) {
 		// horizon a+MaxDelay+Horizon where it lies: a candidate within 2 ns
 		// of it leaves no room for a positive Horizon, and its packet is not
 		// through by then anyway.
-		pool := rollout.New(1)
-		cfg := planner.Config{Util: utility.Config{Alpha: 1.5, Kappa: time.Duration(kappa)}, MaxDelay: 1, Grid: 2, Workers: 1, Pool: pool}
+		pool := rollout.New()
+		cfg := planner.Config{Util: utility.Config{Alpha: 1.5, Kappa: time.Duration(kappa)}, MaxDelay: 1, Grid: 2, Pool: pool}
 		without, _ := run(horizon)
 		probe = base.Clone()
 		for k, a := range at {

@@ -191,7 +191,7 @@ func TestPolicyCacheDisplacement(t *testing.T) {
 // nothing.
 func TestPolicyCacheDoesNotAllocate(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Workers, cfg.Pool = 1, rollout.New(1)
+	cfg.Pool = rollout.New()
 	now := 10 * time.Second
 	sup := cacheSupport(now)
 	pc := NewPolicyCache()

@@ -30,26 +30,6 @@ func decideSupport(t *testing.T) []belief.Hypothesis {
 	return bel.Support()
 }
 
-// TestDecideParallelEquivalence: Decide returns the identical decision —
-// same action, wake time, and bitwise-equal gain — for any worker
-// count.
-func TestDecideParallelEquivalence(t *testing.T) {
-	sup := decideSupport(t)
-	now := 1500 * time.Millisecond
-	pending := []model.Send{{Seq: 1, At: now}}
-
-	cfg1 := DefaultConfig()
-	cfg1.Workers = 1
-	cfgN := DefaultConfig()
-	cfgN.Workers = 8
-
-	d1 := Decide(sup, pending, now, 2, cfg1)
-	dN := Decide(sup, pending, now, 2, cfgN)
-	if d1 != dN {
-		t.Fatalf("decision differs by worker count:\n  1 worker:  %+v\n  8 workers: %+v", d1, dN)
-	}
-}
-
 // TestDecideMatchesFullRollout cross-checks the sweep's early-retired
 // gains against a brute-force evaluation that simulates every candidate
 // over the full horizon with no sharing and no early exit: the chosen
@@ -59,7 +39,6 @@ func TestDecideMatchesFullRollout(t *testing.T) {
 	sup := decideSupport(t)
 	now := 1500 * time.Millisecond
 	cfg := DefaultConfig()
-	cfg.Workers = 1
 	cfg.MaxHyps = len(sup)
 	seq := int64(2)
 

@@ -9,9 +9,9 @@ import (
 
 // CompiledPolicy is an offline-compiled, read-only belief → action map:
 // §3.3's policy "computed in advance" made persistent. internal/policy
-// implements it over an mmap-ed flat table; the Guard probes it before
-// any live planning (a table hit is the O(1) production serving path).
-// The table is compiled from the decisions of fleet runs
+// implements it over a flat table read into memory; the Guard probes it
+// before any live planning (a table hit is the O(1) production serving
+// path). The table is compiled from the decisions of fleet runs
 // (core.Sender.OnDecide); serving never writes to it.
 //
 // Probe takes the bare support, so an implementation re-fingerprints the
@@ -92,8 +92,7 @@ type Guard struct {
 	// Degraded, when true, pins Decide to the degradation ladder
 	// without ever live-planning: the compiled table when wired, else
 	// last safe → sleep. The sharded runtime sets it each coupling
-	// window for members of a stalled shard or of one that blew its
-	// per-window budget.
+	// window for members of a stalled shard.
 	Degraded bool
 	// DegradedServed counts decisions served while Degraded was set.
 	DegradedServed int64

@@ -140,16 +140,16 @@ func (k memoKey) under(plan memoKey) memoKey {
 // memoSlotBits sizes the direct-mapped memo: 4 Ki entries. Recurrence
 // is temporally local — staggered fleet members reach the same relative
 // state milliseconds apart — so a small table already gets most of it.
-// Over a 256-sender fleet's 10 → 23 s window (seed 42, one worker),
-// 73.5 % of 617,708 keyed hypotheses hit at 4 Ki slots, 75.7 % at
-// 16 Ki and 76.7 % at 64 Ki; rollouts fall only 95,200 → 92,052.
+// Over a 256-sender fleet's 10 → 23 s window (seed 42), 73.5 % of
+// 617,708 keyed hypotheses hit at 4 Ki slots, 75.7 % at 16 Ki and
+// 76.7 % at 64 Ki; rollouts fall only 95,200 → 92,052.
 const memoSlotBits = 12
 
 // rolloutMemo maps a memoKey to the per-candidate gain vector its
 // rollout produced, or the log of a burst's first decision closed. A hit
-// returns bit for bit what recomputing would, so eviction order, worker
-// width and shard count cannot reach a decision. Direct-mapped, fixed
-// size, the vectors allocated on the first store.
+// returns bit for bit what recomputing would, so eviction order and
+// shard count cannot reach a decision. Direct-mapped, fixed size, the
+// vectors allocated on the first store.
 type rolloutMemo struct {
 	MemoStats
 	stride int       // gains per entry: the candidate count
@@ -213,7 +213,7 @@ type delivery struct {
 // from (twinLog.close): a burst's first decision keeps it per hypothesis
 // index (decideArena.logs) under key, with reach (0: no log, else one more
 // than the deepest later decision it establishes) and the depths derive
-// has closed; a later decision's own sweep writes the worker's. It holds
+// has closed; a later decision's own sweep writes the scratch log. It holds
 // the hypothesis's and the plan's constants; where the log starts (u0) and
 // ends (logEnd; A there aEnd); until when each watch level held (clean[L]);
 // the deliveries in H's last (twinDepth+1)·ℓ (win, from winFrom, where A
@@ -257,8 +257,8 @@ type twinCand struct {
 }
 
 // decideArena is Decide's pool-resident state, riding rollout.Pool.Aux:
-// the buffers one call fills before and after its parallel section —
-// so a live decision allocates none of them — and the rollout memo.
+// the buffers one call fills, the scratch its sweeps simulate into — so
+// a live decision allocates none of them — and the rollout memo.
 type decideArena struct {
 	// The top-K copy of a wake's support and its rollout-key hashes, taken
 	// for wake (a Wake.id) under maxHyps and penalty (begin), and the index
@@ -290,8 +290,8 @@ type decideArena struct {
 	later             []model.Send
 	memo              rolloutMemo
 
-	// The pass in flight, as sweep reads it on the pool's workers: the
-	// hypotheses to sweep, the sends committed, and where the gains go.
+	// The pass in flight, as sweep reads it: the sends committed and
+	// where the gains go.
 	pending    []model.Send
 	out        []float64
 	now        time.Duration
@@ -302,14 +302,14 @@ type decideArena struct {
 	// asks each hypothesis the rest; keeps: the pass sweeps a burst's first
 	// decision, whose log logs[i] keeps for the later ones.
 	twins, keeps bool
-	sweepFn      func(*rollout.Scratch, int) // ar.sweep, bound once
+	// ds is what each sweep simulates into.
+	ds decideScratch
 }
 
 func arenaOf(p *rollout.Pool) *decideArena {
 	ar, _ := p.Aux.(*decideArena)
 	if ar == nil {
 		ar = &decideArena{}
-		ar.sweepFn = ar.sweep
 		p.Aux = ar
 	}
 	return ar

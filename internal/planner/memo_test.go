@@ -89,14 +89,14 @@ func (w *memoWorld) call(novel int) (sup []belief.Hypothesis, pending []model.Se
 // requires the two Decisions equal field for field, Gain included.
 func warmEqualsFresh(t *testing.T, w *memoWorld, cfg Config, calls int, novelEvery int) MemoStats {
 	t.Helper()
-	warm := rollout.New(cfg.Workers)
+	warm := rollout.New()
 	for c := 1; c <= calls; c++ {
 		novel := 0
 		if novelEvery > 0 && c%novelEvery == 0 {
 			novel = c
 		}
 		sup, pending, now, seq := w.call(novel)
-		cfg.Pool = rollout.New(cfg.Workers)
+		cfg.Pool = rollout.New()
 		want := Decide(sup, pending, now, seq, cfg)
 		cfg.Pool = warm
 		if got := Decide(sup, pending, now, seq, cfg); got != want {
@@ -108,7 +108,7 @@ func warmEqualsFresh(t *testing.T, w *memoWorld, cfg Config, calls int, novelEve
 
 // TestDecideMemoResultNeutral: on generated supports, pending lists and
 // instants, a pool whose memo is warm decides exactly what a fresh pool
-// does — at either worker width, and with a cross-latency penalty
+// does — with and without a cross-latency penalty
 // (enqueue stamps keyed) — and the memo is in fact being hit and shared
 // while it does. The same for bursts — a fleet-shaped support decided
 // four times at one instant, a packet more committed each time, every
@@ -131,32 +131,26 @@ func TestDecideMemoResultNeutral(t *testing.T) {
 		{"default", utility.Default()},
 		{"cross-latency penalty", penalty},
 	} {
-		for _, workers := range []int{1, 4} {
-			cfg := Config{Util: tc.util, Horizon: 15 * time.Second, Workers: workers}
-			st := warmEqualsFresh(t, newMemoWorld(11), cfg, 120, 0)
-			if st.Hits == 0 || st.Shared == 0 || st.Hits+st.Shared >= st.Lookups {
-				t.Errorf("%s, %d workers: memo not exercised both ways: %+v", tc.name, workers, st)
-			}
+		cfg := Config{Util: tc.util, Horizon: 15 * time.Second}
+		st := warmEqualsFresh(t, newMemoWorld(11), cfg, 120, 0)
+		if st.Hits == 0 || st.Shared == 0 || st.Hits+st.Shared >= st.Lookups {
+			t.Errorf("%s: memo not exercised both ways: %+v", tc.name, st)
 		}
 	}
 
-	for _, run := range []struct {
-		workers int
-		fig3    bool
-	}{{1, false}, {4, false}, {1, true}, {4, true}} {
-		workers := run.workers
-		cfg := Config{Util: utility.Default(), MaxDelay: 4 * time.Second, Grid: 500 * time.Millisecond, Horizon: 12 * time.Second, Workers: workers}
-		if run.fig3 {
-			cfg = Config{Util: utility.Default(), Workers: workers}
+	for _, fig3Beliefs := range []bool{false, true} {
+		cfg := Config{Util: utility.Default(), MaxDelay: 4 * time.Second, Grid: 500 * time.Millisecond, Horizon: 12 * time.Second}
+		if fig3Beliefs {
+			cfg = Config{Util: utility.Default()}
 		}
-		warm, wiped, forgot := rollout.New(workers), rollout.New(workers), rollout.New(workers)
+		warm, wiped, forgot := rollout.New(), rollout.New(), rollout.New()
 		rng := rand.New(rand.NewSource(41))
 		fig3 := newFig3World(42)
 		var sup []belief.Hypothesis
 		now := 9 * time.Second
 		for burst := 0; burst < 24; burst++ {
 			switch {
-			case burst%2 == 0 && run.fig3:
+			case burst%2 == 0 && fig3Beliefs:
 				sup, now = fig3.support()
 			case burst%2 == 0:
 				sup = fleetShaped(rng, now)
@@ -169,19 +163,19 @@ func TestDecideMemoResultNeutral(t *testing.T) {
 			}
 			var pending []model.Send
 			for depth := 0; depth <= twinDepth; depth++ {
-				cfg.Pool = rollout.New(workers)
+				cfg.Pool = rollout.New()
 				want := Decide(sup, pending, now, int64(depth), cfg)
 				cfg.Pool = warm
 				if got := Decide(sup, pending, now, int64(depth), cfg); got != want {
-					t.Fatalf("%d workers, burst %d, %d at now: warm pool decided %+v, fresh pool %+v", workers, burst, depth, got, want)
+					t.Fatalf("burst %d, %d at now: warm pool decided %+v, fresh pool %+v", burst, depth, got, want)
 				}
 				cfg.Pool = wiped
 				if got := Decide(sup, pending, now, int64(depth), cfg); got != want {
-					t.Fatalf("%d workers, burst %d, %d at now: overwritten pool decided %+v, fresh pool %+v", workers, burst, depth, got, want)
+					t.Fatalf("burst %d, %d at now: overwritten pool decided %+v, fresh pool %+v", burst, depth, got, want)
 				}
 				cfg.Pool = forgot
 				if got := Decide(sup, pending, now, int64(depth), cfg); got != want {
-					t.Fatalf("%d workers, burst %d, %d at now: pool with its memo overwritten decided %+v, fresh pool %+v", workers, burst, depth, got, want)
+					t.Fatalf("burst %d, %d at now: pool with its memo overwritten decided %+v, fresh pool %+v", burst, depth, got, want)
 				}
 				// Another key's entry and log now (no real key's verify word is even).
 				for _, p := range []*rollout.Pool{wiped, forgot} {
@@ -199,14 +193,14 @@ func TestDecideMemoResultNeutral(t *testing.T) {
 		ws, os, fs := PoolMemoStats(warm), PoolMemoStats(wiped), PoolMemoStats(forgot)
 		// Figure 3's supports are wider and the bursts more numerous: a
 		// log may be another hypothesis's by the time a later decision asks.
-		if strips := ws.Stripped; ws.Derived == 0 || !run.fig3 && strips != 0 || 10*strips > ws.Derived || ws.Hits == 0 {
-			t.Errorf("%d workers, Figure 3's beliefs %v: the warm pool did not derive the bursts' later decisions from the logs at hand, or hit nothing: %+v", workers, run.fig3, ws)
+		if strips := ws.Stripped; ws.Derived == 0 || !fig3Beliefs && strips != 0 || 10*strips > ws.Derived || ws.Hits == 0 {
+			t.Errorf("Figure 3's beliefs %v: the warm pool did not derive the bursts' later decisions from the logs at hand, or hit nothing: %+v", fig3Beliefs, ws)
 		}
 		if os.Derived == 0 || os.Stripped == 0 || os.Hits != 0 {
-			t.Errorf("%d workers, Figure 3's beliefs %v: the overwritten pool found something resident, or derived nothing: %+v", workers, run.fig3, os)
+			t.Errorf("Figure 3's beliefs %v: the overwritten pool found something resident, or derived nothing: %+v", fig3Beliefs, os)
 		}
 		if fs.Derived == 0 || fs.Stripped != 0 || fs.Hits != 0 {
-			t.Errorf("%d workers, Figure 3's beliefs %v: the pool with its memo overwritten found something resident, swept a first decision for a later one, or derived nothing: %+v", workers, run.fig3, fs)
+			t.Errorf("Figure 3's beliefs %v: the pool with its memo overwritten found something resident, swept a first decision for a later one, or derived nothing: %+v", fig3Beliefs, fs)
 		}
 	}
 }
@@ -214,7 +208,7 @@ func TestDecideMemoResultNeutral(t *testing.T) {
 // TestDecideMemoResultNeutralAfterWrap: the same equivalence while novel
 // situations store more vectors than the direct-mapped table has slots.
 func TestDecideMemoResultNeutralAfterWrap(t *testing.T) {
-	cfg := Config{Util: utility.Default(), Horizon: 4 * time.Second, Workers: 1}
+	cfg := Config{Util: utility.Default(), Horizon: 4 * time.Second}
 	st := warmEqualsFresh(t, newMemoWorld(5), cfg, 1200, 2)
 	if rolled := st.Lookups - st.Hits - st.Shared; rolled < 2<<memoSlotBits || st.Overwrites == 0 || st.Hits == 0 {
 		t.Errorf("table did not wrap under hits: %+v", st)
@@ -228,7 +222,7 @@ func TestDecideMemoResultNeutralAfterWrap(t *testing.T) {
 func TestDecideMemoVerifyMismatchIsMiss(t *testing.T) {
 	w := newMemoWorld(3)
 	sup, pending, now, seq := w.call(0)
-	cfg := Config{Horizon: 15 * time.Second, Workers: 1, Pool: rollout.New(1)}
+	cfg := Config{Horizon: 15 * time.Second, Pool: rollout.New()}
 	want := Decide(sup, pending, now, seq, cfg)
 
 	m := &arenaOf(cfg.Pool).memo
@@ -289,7 +283,7 @@ func TestLossSiblingsShareOneRollout(t *testing.T) {
 		{utility.Default(), 1},
 		{utility.Config{Alpha: 1, Kappa: utility.Default().Kappa, CrossLatencyPenalty: 0.02}, 5},
 	} {
-		cfg := Config{Util: tc.util, Workers: 1, Pool: rollout.New(1)}
+		cfg := Config{Util: tc.util, Pool: rollout.New()}
 		got := Decide(sibs, nil, now, 7, cfg)
 		st := PoolMemoStats(cfg.Pool)
 		if st.Rolled() != tc.swept || st.Shared != 5-tc.swept {

@@ -57,7 +57,6 @@
 package planner
 
 import (
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -93,17 +92,14 @@ type Config struct {
 	// hypotheses, renormalized (default 256). Planning cost is linear
 	// in it; the discarded tail carries negligible posterior mass.
 	MaxHyps int
-	// Workers shards the per-hypothesis rollouts across a worker pool:
-	// 0 means GOMAXPROCS, 1 forces the serial path. The decision is
-	// bit-identical for every worker count — per-hypothesis results are
-	// written into per-index slots and reduced in index order.
+	// Workers is ignored: rollouts run on the caller's goroutine.
+	// v2a-1 deletes it.
 	Workers int
-	// Pool, when non-nil, supplies the worker pool instead of Decide
-	// checking one out of the per-width cache. A fleet of senders
+	// Pool, when non-nil, supplies the planner's arena instead of
+	// Decide checking one out of the pool cache. A fleet of senders
 	// (internal/fleet) plans every member on the same pool so one set of
 	// scratch arenas serves the whole fleet. The pool must not be used
-	// from multiple goroutines at once. The decision is bit-identical
-	// for any pool width.
+	// from multiple goroutines at once.
 	Pool *rollout.Pool
 }
 
@@ -177,8 +173,8 @@ const lockstepChunk = time.Second
 //
 // A sweep (decideArena.sweep) advances the no-send baseline once over sync
 // stops and forks each candidate from it at its send time, to be closed
-// from the twin log or simulated beside the baseline. Hypotheses are spread
-// over cfg.Workers; on one worker a steady-state call allocates nothing.
+// from the twin log or simulated beside the baseline, one hypothesis after
+// another on the caller's goroutine; a steady-state call allocates nothing.
 //
 // A call whose pending list ends in m sends of the uniform size stamped
 // now (1 ≤ m ≤ twinDepth) is the (m+1)-th decision of a wake, and a vector
@@ -209,7 +205,7 @@ func (w *Wake) Decide(pending []model.Send, seq int64, cfg Config) Decision {
 	cfg = cfg.withDefaults()
 	pool := cfg.Pool
 	if pool == nil {
-		pool = acquirePool(cfg.Workers)
+		pool = acquirePool()
 		defer releasePool(pool)
 	}
 	now := w.now
@@ -235,7 +231,7 @@ func (w *Wake) Decide(pending []model.Send, seq int64, cfg Config) Decision {
 
 	// gains[i*candidates+k] is hypothesis i's utility advantage of
 	// sending at now+k·Grid over not sending, relative to decision time
-	// now. Per-index slots keep the parallel fill deterministic.
+	// now.
 	n := len(hyps)
 	ar.gains = slices.Grow(ar.gains[:0], n*candidates)[:n*candidates]
 	gains := ar.gains
@@ -319,7 +315,7 @@ func (w *Wake) Decide(pending []model.Send, seq int64, cfg Config) Decision {
 		// hypothesis is swept under the call's own plan with the rest.
 		ar.bgains = slices.Grow(ar.bgains[:0], width*candidates)[:n*candidates]
 		ar.keeps = true
-		ar.run(pool, bare, first, ar.bgains)
+		ar.run(bare, first, ar.bgains)
 		for _, i := range bare {
 			lg := &ar.logs[i]
 			ar.memo.store(lg.key, ar.bgains[int(i)*candidates:(int(i)+1)*candidates])
@@ -332,7 +328,7 @@ func (w *Wake) Decide(pending []model.Send, seq int64, cfg Config) Decision {
 		}
 	}
 	ar.keeps = keeps
-	ar.run(pool, roll, pending, gains)
+	ar.run(roll, pending, gains)
 	ar.fresh, ar.roll, ar.bare = fresh, roll, bare
 
 	// Shares and stores, again in index order on this goroutine. A first
@@ -374,17 +370,12 @@ func (w *Wake) Decide(pending []model.Send, seq int64, cfg Config) Decision {
 	return d
 }
 
-// run sweeps the hypotheses listed in roll on the pool, with pending
-// committed, each into its row of out, and collects the workers' lane
-// counts, summed in worker order on this goroutine.
-func (ar *decideArena) run(pool *rollout.Pool, roll []int32, pending []model.Send, out []float64) {
-	ar.roll, ar.pending, ar.out = roll, pending, out
-	pool.Run(len(roll), ar.sweepFn)
-	for w := 0; w < pool.Workers(); w++ {
-		if ds, ok := pool.Scratch(w).Aux.(*decideScratch); ok {
-			ar.memo.MemoStats.Add(ds.tally)
-			ds.tally = MemoStats{}
-		}
+// run sweeps the hypotheses listed in roll, with pending committed, each
+// into its row of out.
+func (ar *decideArena) run(roll []int32, pending []model.Send, out []float64) {
+	ar.pending, ar.out = pending, out
+	for _, i := range roll {
+		ar.sweep(int(i))
 	}
 }
 
@@ -436,30 +427,24 @@ func reduce(hyps []belief.Hypothesis, gains []float64, candidates int, now, grid
 
 const negInf = -1e308
 
-// sweep rolls hypothesis roll[r] of the call in flight into its row of
-// gains, on worker scratch s: the baseline and every candidate advance
-// from stop to stop (State.RunAccum), and at each stop the candidate's
-// segment sum less the baseline's joins its gain. On a hypothesis twinGate
-// takes the baseline writes the twin log (twinSweep), from which each
-// candidate is closed instead, unless an arrival revives it. It is a
-// method bound once (sweepFn) so a call creates no closure.
-func (ar *decideArena) sweep(s *rollout.Scratch, r int) {
-	i := int(ar.roll[r])
+// sweep rolls hypothesis i of the call in flight into its row of gains:
+// the baseline and every candidate advance from stop to stop
+// (State.RunAccum), and at each stop the candidate's segment sum less the
+// baseline's joins its gain. On a hypothesis twinGate takes the baseline
+// writes the twin log (twinSweep), from which each candidate is closed
+// instead, unless an arrival revives it.
+func (ar *decideArena) sweep(i int) {
 	h := &ar.hyps[i]
 	stops, pending, candidates := ar.stops, ar.pending, ar.candidates
 	gains := ar.out[i*candidates : (i+1)*candidates]
-	ds, _ := s.Aux.(*decideScratch)
-	if ds == nil {
-		ds = &decideScratch{}
-		s.Aux = ds
-	}
+	ds := &ar.ds
 	if cap(ds.lanes) < candidates {
 		ds.lanes = make([]lane, candidates)
 	}
 	lanes := ds.lanes[:candidates]
-	ds.tally.Lanes += int64(candidates)
+	ar.memo.Lanes += int64(candidates)
 
-	base := &s.Base
+	base := &ds.state
 	h.S.CloneInto(base)
 	horizon := stops[len(stops)-1]
 	twin := ar.twins && twinGate(&h.S, horizon)
@@ -514,8 +499,8 @@ func (ar *decideArena) sweep(s *rollout.Scratch, r int) {
 		baseSeg := acc.Take()
 		if twin {
 			if tw.endStop(acc, j, baseSeg) {
-				n := ar.revive(h, ds, lanes[:forked], gains, j)
-				ds.tally.Materialized += int64(n)
+				n := ar.revive(h, lanes[:forked], gains, j)
+				ar.memo.Materialized += int64(n)
 				live += n
 			}
 			tw.book(t)
@@ -564,7 +549,7 @@ func (ar *decideArena) sweep(s *rollout.Scratch, r int) {
 	}
 	if twin {
 		tw.close(lanes[:forked], gains)
-		ds.tally.Closed += int64(tw.closed)
+		ar.memo.Closed += int64(tw.closed)
 	}
 }
 
@@ -576,7 +561,8 @@ func (ar *decideArena) sweep(s *rollout.Scratch, r int) {
 // that. It replays the hypothesis to its fork stop (a paused advance
 // moves nothing) and catches up through the stops it sat out, at none of
 // which it could equal the baseline.
-func (ar *decideArena) revive(h *belief.Hypothesis, ds *decideScratch, lanes []lane, gains []float64, j int) (revived int) {
+func (ar *decideArena) revive(h *belief.Hypothesis, lanes []lane, gains []float64, j int) (revived int) {
+	ds := &ar.ds
 	tw := &ds.tw
 	lg := tw.lg.view(tw.logged, tw.prev)
 	for k := tw.first; k < len(lanes); k++ {
@@ -1002,19 +988,18 @@ func quiet(s *model.State, horizon time.Duration) bool {
 	return !s.PingerOn || s.NextCross > horizon
 }
 
-// decideScratch is a worker's planner-specific arena, reused across
-// decisions via rollout.Scratch.Aux: the baseline's accumulator, one lane
-// per candidate, the step table every accumulator of every sweep this
-// worker runs reads its exp(−Δ/κ) factors from, the lagged-twin mode's
-// state for the sweep in hand, the log of a burst's later decision's own
-// sweep, and the worker's lane counts since Decide last collected them.
+// decideScratch is what a sweep simulates into, reused across sweeps
+// and decisions (decideArena.ds): the baseline's state and accumulator,
+// one lane per candidate, the step table every accumulator of every sweep
+// reads its exp(−Δ/κ) factors from, the lagged-twin mode's state for the
+// sweep in hand, and the log of a burst's later decision's own sweep.
 type decideScratch struct {
+	state model.State
 	base  model.Accum
 	steps model.StepTable
 	lanes []lane
 	tw    twinSweep
 	log   twinLog
-	tally MemoStats // the lane counts only
 }
 
 // lane is one candidate's rollout: its live state, its accumulator and
@@ -1057,38 +1042,31 @@ func (c *lane) run(t time.Duration) float64 {
 }
 
 // poolCache keeps the rollout pools of pool-less callers (a solo
-// sender, RunISender, Guard's background Decide) between calls, a free
-// list per width: each call checks one out for its duration, so
-// concurrent callers never share one, and what a pool has built — its
-// scratch states, Decide's arena, the rollout memo — outlives garbage
-// collections (a sync.Pool is emptied by every cycle).
+// sender, RunISender, Guard's background Decide) between calls on a free
+// list: each call checks one out for its duration, so concurrent callers
+// never share one, and what a pool has built — Decide's arena with its
+// scratch states and the rollout memo — outlives garbage collections (a
+// sync.Pool is emptied by every cycle).
 var poolCache struct {
 	sync.Mutex
-	free map[int][]*rollout.Pool
+	free []*rollout.Pool
 }
 
-func acquirePool(width int) *rollout.Pool {
-	if width <= 0 {
-		width = runtime.GOMAXPROCS(0)
-	}
+func acquirePool() *rollout.Pool {
 	poolCache.Lock()
 	defer poolCache.Unlock()
-	l := poolCache.free[width]
+	l := poolCache.free
 	if len(l) == 0 {
-		return rollout.New(width)
+		return rollout.New()
 	}
-	p := l[len(l)-1]
-	poolCache.free[width] = l[:len(l)-1]
-	return p
+	poolCache.free = l[:len(l)-1]
+	return l[len(l)-1]
 }
 
 func releasePool(p *rollout.Pool) {
 	poolCache.Lock()
 	defer poolCache.Unlock()
-	if poolCache.free == nil {
-		poolCache.free = make(map[int][]*rollout.Pool)
-	}
-	poolCache.free[p.Workers()] = append(poolCache.free[p.Workers()], p)
+	poolCache.free = append(poolCache.free, p)
 }
 
 // topK returns the k heaviest hypotheses, renormalized. It copies; the

@@ -228,7 +228,7 @@ func refSweep(h *belief.Hypothesis, p float64, pending []model.Send, now time.Du
 }
 
 // TestDecideStreamMatchesEventSweep: Decide's streamed sweep — deliveries
-// folded straight into accumulators that share one step table per worker
+// folded straight into accumulators that share one step table per pool
 // — gives, for every hypothesis, the gain vector of the event-buffer
 // sweep it replaced, and so the same Decision. Calls the lagged-twin gate
 // refuses outright (a cross-latency penalty) must match the sweep at the
@@ -236,8 +236,8 @@ func refSweep(h *belief.Hypothesis, p float64, pending []model.Send, now time.Du
 // (reduce weighs 1−p in) and match the sweep at p = 0 — where a saturated
 // hypothesis may close candidates from its baseline's running value
 // instead of simulating them, within 1e-9 of a packet's bits — three
-// orders under the tie band — and with an equal Decision. Each width
-// plans on one long-lived pool, alternating the fleet's grid (9
+// orders under the tie band — and with an equal Decision. It plans on
+// one long-lived pool, alternating the fleet's grid (9
 // candidates, 12 s) with the precise one (13 candidates, 40 s) and two
 // discount timescales, so the step table meets another κ's
 // factors, the lanes another candidate count and the memo served rows,
@@ -282,116 +282,114 @@ func TestDecideStreamMatchesEventSweep(t *testing.T) {
 	if testing.Short() {
 		calls = 18
 	}
-	for _, workers := range []int{1, 4} {
-		pool := rollout.New(workers)
-		w := newMemoWorld(21)
-		rng := rand.New(rand.NewSource(23))
-		fig3 := newFig3World(24)
-		rolled := int64(0)
-		var shaped, later, fig3Later MemoStats
-		for c := 0; c < calls; c++ {
-			tc := cases[c%len(cases)]
-			sup, pending, now, seq := w.call(c % 3 * c)
-			tieLinkAndPinger(sup, now)
-			if tc.shaped {
-				pending = pending[:min(len(pending), 1)]
-				from := now
-				if len(pending) > 0 {
-					from = pending[0].At
-				}
-				sup = fleetShaped(rng, from)
-				if tc.burst > 0 {
-					// Without the two built to leave the closure (the fifth
-					// family has them), and with the burst's packets the only
-					// ones at now: depths 1 … twinDepth.
-					sup = sup[2:]
-					if from == now {
-						pending = nil
-					}
+	pool := rollout.New()
+	w := newMemoWorld(21)
+	rng := rand.New(rand.NewSource(23))
+	fig3 := newFig3World(24)
+	rolled := int64(0)
+	var shaped, later, fig3Later MemoStats
+	for c := 0; c < calls; c++ {
+		tc := cases[c%len(cases)]
+		sup, pending, now, seq := w.call(c % 3 * c)
+		tieLinkAndPinger(sup, now)
+		if tc.shaped {
+			pending = pending[:min(len(pending), 1)]
+			from := now
+			if len(pending) > 0 {
+				from = pending[0].At
+			}
+			sup = fleetShaped(rng, from)
+			if tc.burst > 0 {
+				// Without the two built to leave the closure (the fifth
+				// family has them), and with the burst's packets the only
+				// ones at now: depths 1 … twinDepth.
+				sup = sup[2:]
+				if from == now {
+					pending = nil
 				}
 			}
-			burst := tc.burst
-			if tc.fig3 {
-				sup, now = fig3.support()
-				pending = nil
-				burst = 1 + fig3.rng.Intn(twinDepth)
+		}
+		burst := tc.burst
+		if tc.fig3 {
+			sup, now = fig3.support()
+			pending = nil
+			burst = 1 + fig3.rng.Intn(twinDepth)
+		}
+
+		for depth := 0; depth <= burst; depth++ {
+			if depth > 0 {
+				pending = append(pending[:len(pending):len(pending)], model.Send{Seq: seq, At: now})
+				seq++
+			}
+			cfg := tc.grid
+			cfg.Util, cfg.Pool = tc.util, pool
+			before := PoolMemoStats(pool)
+			got := Decide(sup, pending, now, seq, cfg)
+			st := PoolMemoStats(pool)
+			rolled = st.Rolled()
+			if tc.shaped && tc.burst == 0 {
+				shaped.Lanes += st.Lanes - before.Lanes
+				shaped.Closed += st.Closed - before.Closed
+				shaped.Materialized += st.Materialized - before.Materialized
+			}
+			if depth > 0 && !tc.fig3 {
+				later.Lookups += st.Lookups - before.Lookups
+				later.Derived += st.Derived - before.Derived + st.Hits - before.Hits
+			}
+			if depth > 0 && tc.fig3 {
+				fig3Later.Lookups += st.Lookups - st.Hits - st.Shared - (before.Lookups - before.Hits - before.Shared)
+				fig3Later.Derived += st.Derived - before.Derived
 			}
 
-			for depth := 0; depth <= burst; depth++ {
-				if depth > 0 {
-					pending = append(pending[:len(pending):len(pending)], model.Send{Seq: seq, At: now})
-					seq++
+			cfg = cfg.withDefaults()
+			hyps := topK(sup, cfg.MaxHyps)
+			candidates := int(cfg.MaxDelay/cfg.Grid) + 1
+			exact := tc.util.CrossLatencyPenalty > 0
+			var want []float64
+			for i := range hyps {
+				p := 0.0 // a penalty-free row is rolled survival-free
+				if exact {
+					p = hyps[i].S.P.LossProb
 				}
-				cfg := tc.grid
-				cfg.Util, cfg.Workers, cfg.Pool = tc.util, workers, pool
-				before := PoolMemoStats(pool)
-				got := Decide(sup, pending, now, seq, cfg)
-				st := PoolMemoStats(pool)
-				rolled = st.Rolled()
-				if tc.shaped && tc.burst == 0 {
-					shaped.Lanes += st.Lanes - before.Lanes
-					shaped.Closed += st.Closed - before.Closed
-					shaped.Materialized += st.Materialized - before.Materialized
+				want = append(want, refSweep(&hyps[i], p, pending, now, seq, cfg)...)
+			}
+			have := arenaOf(pool).gains
+			if len(have) != len(want) {
+				t.Fatalf("call %d: %d gains, want %d", c, len(have), len(want))
+			}
+			for i := range want {
+				tol := 1e-9 * float64(hyps[i/candidates].S.P.PktBits())
+				if exact {
+					tol = 0
 				}
-				if depth > 0 && !tc.fig3 {
-					later.Lookups += st.Lookups - before.Lookups
-					later.Derived += st.Derived - before.Derived + st.Hits - before.Hits
-				}
-				if depth > 0 && tc.fig3 {
-					fig3Later.Lookups += st.Lookups - st.Hits - st.Shared - (before.Lookups - before.Hits - before.Shared)
-					fig3Later.Derived += st.Derived - before.Derived
-				}
-
-				cfg = cfg.withDefaults()
-				hyps := topK(sup, cfg.MaxHyps)
-				candidates := int(cfg.MaxDelay/cfg.Grid) + 1
-				exact := tc.util.CrossLatencyPenalty > 0
-				var want []float64
-				for i := range hyps {
-					p := 0.0 // a penalty-free row is rolled survival-free
-					if exact {
-						p = hyps[i].S.P.LossProb
-					}
-					want = append(want, refSweep(&hyps[i], p, pending, now, seq, cfg)...)
-				}
-				have := arenaOf(pool).gains
-				if len(have) != len(want) {
-					t.Fatalf("%d workers, call %d: %d gains, want %d", workers, c, len(have), len(want))
-				}
-				for i := range want {
-					tol := 1e-9 * float64(hyps[i/candidates].S.P.PktBits())
-					if exact {
-						tol = 0
-					}
-					if math.Float64bits(have[i]) != math.Float64bits(want[i]) && !(math.Abs(have[i]-want[i]) <= tol) {
-						t.Fatalf("%d workers, call %d, %d more at now: hypothesis %d candidate %d gain %v, event sweep %v (allowed %g)",
-							workers, c, depth, i/candidates, i%candidates, have[i], want[i], tol)
-					}
-				}
-				ref := reduce(hyps, want, candidates, now, cfg.Grid, exact)
-				if !exact {
-					ref.Gain = got.Gain
-				}
-				if got != ref {
-					t.Fatalf("%d workers, call %d, %d more at now: decided %+v, event sweep %+v", workers, c, depth, got, ref)
+				if math.Float64bits(have[i]) != math.Float64bits(want[i]) && !(math.Abs(have[i]-want[i]) <= tol) {
+					t.Fatalf("call %d, %d more at now: hypothesis %d candidate %d gain %v, event sweep %v (allowed %g)",
+						c, depth, i/candidates, i%candidates, have[i], want[i], tol)
 				}
 			}
+			ref := reduce(hyps, want, candidates, now, cfg.Grid, exact)
+			if !exact {
+				ref.Gain = got.Gain
+			}
+			if got != ref {
+				t.Fatalf("call %d, %d more at now: decided %+v, event sweep %+v", c, depth, got, ref)
+			}
 		}
-		if rolled == 0 {
-			t.Errorf("%d workers: nothing was rolled", workers)
-		}
-		if 2*shaped.Closed <= shaped.Lanes || shaped.Materialized == 0 {
-			t.Errorf("%d workers: of the fleet-shaped family's %d lanes %d were closed and %d materialized, want more than half and some",
-				workers, shaped.Lanes, shaped.Closed, shaped.Materialized)
-		}
-		if 2*later.Derived <= later.Lookups {
-			t.Errorf("%d workers: of the %d hypotheses the bursts' later decisions keyed %d were derived or hits, want more than half",
-				workers, later.Lookups, later.Derived)
-		}
-		if 2*fig3Later.Derived <= fig3Later.Lookups {
-			t.Errorf("%d workers: of the %d fresh vectors the Figure 3 bursts' later decisions needed %d were derived, want more than half",
-				workers, fig3Later.Lookups, fig3Later.Derived)
-		}
+	}
+	if rolled == 0 {
+		t.Error("nothing was rolled")
+	}
+	if 2*shaped.Closed <= shaped.Lanes || shaped.Materialized == 0 {
+		t.Errorf("of the fleet-shaped family's %d lanes %d were closed and %d materialized, want more than half and some",
+			shaped.Lanes, shaped.Closed, shaped.Materialized)
+	}
+	if 2*later.Derived <= later.Lookups {
+		t.Errorf("of the %d hypotheses the bursts' later decisions keyed %d were derived or hits, want more than half",
+			later.Lookups, later.Derived)
+	}
+	if 2*fig3Later.Derived <= fig3Later.Lookups {
+		t.Errorf("of the %d fresh vectors the Figure 3 bursts' later decisions needed %d were derived, want more than half",
+			fig3Later.Lookups, fig3Later.Derived)
 	}
 }
 
@@ -522,7 +520,7 @@ func tieLinkAndPinger(sup []belief.Hypothesis, now time.Duration) {
 	}
 }
 
-// TestDecideSteadyStateAllocs: on one worker, once the pool's arenas have
+// TestDecideSteadyStateAllocs: once the pool's arenas have
 // grown, a Decide allocates nothing — neither when the warm memo serves
 // every hypothesis nor when every hypothesis is rolled (each call a
 // nanosecond later than the last, so no key recurs), nor over a burst of
@@ -532,7 +530,7 @@ func tieLinkAndPinger(sup []belief.Hypothesis, now time.Duration) {
 // on Figure 3's beliefs, whose records log gaps.
 func TestDecideSteadyStateAllocs(t *testing.T) {
 	sup, pending, now, seq := newMemoWorld(31).call(0)
-	cfg := Config{Horizon: 12 * time.Second, Workers: 1, Pool: rollout.New(1)}
+	cfg := Config{Horizon: 12 * time.Second, Pool: rollout.New()}
 	memo := func() MemoStats { return PoolMemoStats(cfg.Pool) }
 
 	Decide(sup, pending, now, seq, cfg)
@@ -557,7 +555,7 @@ func TestDecideSteadyStateAllocs(t *testing.T) {
 
 	now = 9 * time.Second
 	sup = fleetShaped(rand.New(rand.NewSource(32)), now)
-	fleet := Config{MaxDelay: 4 * time.Second, Grid: 500 * time.Millisecond, Horizon: 12 * time.Second, Workers: 1, Pool: cfg.Pool}
+	fleet := Config{MaxDelay: 4 * time.Second, Grid: 500 * time.Millisecond, Horizon: 12 * time.Second, Pool: cfg.Pool}
 	var sends [twinDepth]model.Send
 	burst := func() {
 		now++
@@ -583,7 +581,7 @@ func TestDecideSteadyStateAllocs(t *testing.T) {
 	// The same over Figure 3's beliefs, whose links idle: the later
 	// decisions close from logs with gaps in them.
 	sup, now = newFig3World(33).support()
-	gapped := Config{Workers: 1, Pool: cfg.Pool}
+	gapped := Config{Pool: cfg.Pool}
 	gappedBurst := func() {
 		now++
 		for depth := 0; depth <= twinDepth; depth++ {

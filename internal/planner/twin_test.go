@@ -391,7 +391,7 @@ func TestTwinEdges(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := Config{Util: utility.Default(), MaxDelay: sec, Grid: 500 * time.Millisecond, Horizon: tc.horizon, Workers: 1}
+			cfg := Config{Util: utility.Default(), MaxDelay: sec, Grid: 500 * time.Millisecond, Horizon: tc.horizon}
 			if tc.grid > 0 {
 				cfg.MaxDelay, cfg.Grid = 2*tc.grid, tc.grid
 			}
@@ -399,13 +399,13 @@ func TestTwinEdges(t *testing.T) {
 				tc.pending = append(tc.pending, model.Send{Seq: int64(i), At: now})
 			}
 			row := func(s model.State, pending []model.Send, now time.Duration) ([]float64, MemoStats) {
-				cfg.Pool = rollout.New(1)
+				cfg.Pool = rollout.New()
 				Decide([]belief.Hypothesis{{S: s, W: 1}}, pending, now, 7, cfg)
 				return arenaOf(cfg.Pool).gains, PoolMemoStats(cfg.Pool)
 			}
 			gains, st := row(tc.s.Clone(), tc.pending, now)
 			if tc.until > 0 {
-				ds := cfg.Pool.Scratch(0).Aux.(*decideScratch)
+				ds := &arenaOf(cfg.Pool).ds
 				if lg := &arenaOf(cfg.Pool).logs[0]; ds.tw.prev != now+tc.until || lg.logEnd != lg.horizon {
 					t.Errorf("the baseline stopped at +%v, its log reaching +%v; want +%v and H = +%v", ds.tw.prev-now, lg.logEnd-now, tc.until, lg.horizon-now)
 				}

@@ -13,7 +13,7 @@
 //     runs decide, quantized under the fleet's named quanta
 //     (fleet.TimeQuantum, fleet.WeightQuantum).
 //
-//   - A versioned, mmap-able flat table (WriteTable / Open): a
+//   - A versioned flat table (WriteTable / Open): a
 //     fixed-width header carrying the model identity (a hash of the
 //     resolved prior), the fingerprint quantum settings, and build
 //     provenance, followed by fixed-width records sorted by

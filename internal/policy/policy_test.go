@@ -273,7 +273,7 @@ func TestHashPriorDiscriminates(t *testing.T) {
 // enough for CI.
 func compileWorkload() CompileConfig {
 	return CompileConfig{
-		Fleet:    fleet.Config{N: 8, Workers: 1},
+		Fleet:    fleet.Config{N: 8},
 		Seeds:    []int64{5},
 		Duration: 10 * time.Second,
 		Note:     "test workload",
@@ -312,12 +312,12 @@ func TestCompileServeReplay(t *testing.T) {
 	}
 
 	// Reference: the compile workload itself (warm cache, live planning).
-	ref := fleet.New(fleet.Config{N: 8, Workers: 1, Seed: 5})
+	ref := fleet.New(fleet.Config{N: 8, Seed: 5})
 	ref.Run(cc.Duration)
 
 	// Served replay of the same workload.
 	srv := NewServer(tb, nil)
-	fl := fleet.New(fleet.Config{N: 8, Workers: 1, Seed: 5, Table: srv})
+	fl := fleet.New(fleet.Config{N: 8, Seed: 5, Table: srv})
 	fl.Run(cc.Duration)
 
 	compiled, live := fl.CompiledStats()

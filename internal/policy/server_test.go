@@ -54,7 +54,7 @@ func (c *wakeCapture) Probe(sup []belief.Hypothesis, pending []model.Send, now t
 func fleetWakes(t testing.TB, n int) []capturedWake {
 	t.Helper()
 	c := &wakeCapture{max: n}
-	fleet.New(fleet.Config{N: 8, Workers: 1, Seed: 5, Table: c}).Run(5 * time.Second)
+	fleet.New(fleet.Config{N: 8, Seed: 5, Table: c}).Run(5 * time.Second)
 	if len(c.wakes) < n {
 		t.Fatalf("captured %d wakes, want %d", len(c.wakes), n)
 	}

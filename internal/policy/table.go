@@ -25,9 +25,8 @@ import (
 //	        fp uint64 · verify uint64 · delta int64 (ns) ·
 //	        gain float64 bits · flags uint64 (bit 0 = sendNow)
 //
-// The record region is position-independent and fixed-width, so the
-// whole file can be mmap-ed read-only and shared page-cache-resident
-// across every process serving the same table.
+// The record region is position-independent and fixed-width, so Open
+// reads the whole file into memory once and serves from it as it lies.
 
 func putHeader(b []byte, magic [8]byte, h Header) {
 	copy(b[0:8], magic[:])
@@ -148,35 +147,24 @@ func WriteTable(path string, h Header, recs []Record) error {
 // O(log n) in the worst case.
 const bucketBits = 12
 
-// Table is a compiled policy table opened read-only (mmap-ed where the
-// platform supports it). Lookup is allocation-free and safe for
-// concurrent use: the backing bytes and the index are immutable after
-// Open.
+// Table is a compiled policy table read into memory. Lookup is
+// allocation-free and safe for concurrent use: the bytes and the index
+// are immutable after Open.
 type Table struct {
 	h      Header
-	recs   []byte // record region (view into the mapping)
+	recs   []byte // record region (view into the file's bytes)
 	n      int
 	bucket []uint32
-	unmap  func() error
 }
 
-// Open loads a table read-only, validating magic, version, size, the
-// record-region checksum and the weight quantum, and builds the in-memory
-// prefix index.
+// Open reads a table, validating magic, version, size, the record-region
+// checksum and the weight quantum, and builds the in-memory prefix index.
 func Open(path string) (*Table, error) {
-	data, unmap, err := mapFile(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	t, err := openBytes(data)
-	if err != nil {
-		if unmap != nil {
-			unmap()
-		}
-		return nil, err
-	}
-	t.unmap = unmap
-	return t, nil
+	return openBytes(data)
 }
 
 // openBytes checks a table's header against the file — length, magic,
@@ -226,16 +214,10 @@ func openBytes(data []byte) (*Table, error) {
 	return t, nil
 }
 
-// Close releases the mapping. Lookups must not race with Close.
+// Close drops the table's bytes; it always returns nil.
 func (t *Table) Close() error {
-	if t.unmap == nil {
-		return nil
-	}
-	u := t.unmap
-	t.unmap = nil
-	t.recs = nil
-	t.n = 0
-	return u()
+	t.recs, t.n = nil, 0
+	return nil
 }
 
 // Header returns the table's identity and provenance.

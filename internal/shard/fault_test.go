@@ -17,7 +17,7 @@ import (
 func faultFleet(t *testing.T, n, k int, seed int64, ckpt bool) *Fleet {
 	t.Helper()
 	sf := New(Config{
-		Fleet:  fleet.Config{N: n, Seed: seed, Workers: 1, BeliefCfg: belief.Config{Recover: true}},
+		Fleet:  fleet.Config{N: n, Seed: seed, BeliefCfg: belief.Config{Recover: true}},
 		Shards: k,
 	})
 	if sf.K != k {
@@ -229,7 +229,7 @@ func stepWindows(sf *Fleet, until time.Duration, after func()) {
 // its members too.
 func TestAttachIntoStalledShardServesDegraded(t *testing.T) {
 	sf := New(Config{
-		Fleet:  fleet.Config{N: 32, Seed: 5, Workers: 1, BeliefCfg: belief.Config{Recover: true}},
+		Fleet:  fleet.Config{N: 32, Seed: 5, BeliefCfg: belief.Config{Recover: true}},
 		Shards: 2,
 	})
 	sf.EnableFaults(FaultConfig{Epoch: 2 * time.Second, StallProb: 0.5, MaxStall: 2 * time.Second}, chaos.Config{Seed: 5})

@@ -75,7 +75,7 @@ var pinnedSchedules = []schedule{
 
 func (sc schedule) run(k int) *Fleet {
 	sf := New(Config{
-		Fleet:  fleet.Config{N: sc.n, Seed: sc.seed, Workers: 1, BeliefCfg: belief.Config{Recover: true}},
+		Fleet:  fleet.Config{N: sc.n, Seed: sc.seed, BeliefCfg: belief.Config{Recover: true}},
 		Shards: k,
 	})
 	if sc.checkpointEvery > 0 {

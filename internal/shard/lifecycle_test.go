@@ -30,7 +30,7 @@ import (
 func supFleet(t *testing.T, sc lifecycle.SupervisorConfig, ckptEvery time.Duration) *Fleet {
 	t.Helper()
 	sf := New(Config{
-		Fleet:  fleet.Config{N: 4, Seed: 5, Workers: 1, BeliefCfg: belief.Config{Recover: true}},
+		Fleet:  fleet.Config{N: 4, Seed: 5, BeliefCfg: belief.Config{Recover: true}},
 		Shards: 2,
 	})
 	if ckptEvery > 0 {
@@ -265,9 +265,9 @@ func TestBarrierKillVacantFlowIsNoOp(t *testing.T) {
 }
 
 // churnFleet is an N=8 fleet under a busy churn schedule.
-func churnFleet(shards, workers int, seed int64, sc lifecycle.SupervisorConfig, cc lifecycle.ChurnConfig) *Fleet {
+func churnFleet(shards int, seed int64, sc lifecycle.SupervisorConfig, cc lifecycle.ChurnConfig) *Fleet {
 	sf := New(Config{
-		Fleet:  fleet.Config{N: 8, Seed: seed, Workers: workers, BeliefCfg: belief.Config{Recover: true}},
+		Fleet:  fleet.Config{N: 8, Seed: seed, BeliefCfg: belief.Config{Recover: true}},
 		Shards: shards,
 	})
 	sf.EnableChurn(cc, sc, chaos.Config{Seed: seed})
@@ -282,7 +282,7 @@ func churnFleet(shards, workers int, seed int64, sc lifecycle.SupervisorConfig, 
 func TestBarrierAdmissionRespectsMaxLive(t *testing.T) {
 	// A long backoff keeps crashed slots reserved across several
 	// epochs, the window the old accounting double-filled.
-	sf := churnFleet(2, 1, 4, lifecycle.SupervisorConfig{BackoffBase: 3 * time.Second}, lifecycle.ChurnConfig{
+	sf := churnFleet(2, 4, lifecycle.SupervisorConfig{BackoffBase: 3 * time.Second}, lifecycle.ChurnConfig{
 		Epoch: 5 * time.Second, DepartProb: 0.2, CrashProb: 0.3,
 		ArriveProb: 1, MinLive: 1, MaxLive: 8,
 	})
@@ -304,12 +304,12 @@ func TestBarrierAdmissionRespectsMaxLive(t *testing.T) {
 }
 
 // TestBarrierNoGoroutineLeak: the whole lifecycle stack — four shard
-// goroutines per window, rollout pools, restarts, mid-run teardown —
-// must wind down with the run. Mirrors the transport leak tests.
+// goroutines per window, restarts, mid-run teardown — must wind down
+// with the run.
 func TestBarrierNoGoroutineLeak(t *testing.T) {
 	base := runtime.NumGoroutine()
 	func() {
-		sf := churnFleet(4, 4, 3, lifecycle.SupervisorConfig{BackoffBase: 100 * time.Millisecond}, lifecycle.ChurnConfig{
+		sf := churnFleet(4, 3, lifecycle.SupervisorConfig{BackoffBase: 100 * time.Millisecond}, lifecycle.ChurnConfig{
 			Epoch: 5 * time.Second, DepartProb: 0.1, CrashProb: 0.15,
 			ArriveProb: 0.6, MinLive: 2, MaxLive: 8,
 		})

@@ -17,7 +17,7 @@ import (
 // re-captures to an equal checkpoint.
 func TestCheckpointPortabilityAcrossShardCounts(t *testing.T) {
 	run := func(k int) *Fleet {
-		sf := New(Config{Fleet: fleet.Config{N: 16, Seed: 21, Workers: 1}, Shards: k})
+		sf := New(Config{Fleet: fleet.Config{N: 16, Seed: 21}, Shards: k})
 		sf.EnableCheckpoints(CheckpointConfig{Every: 2 * time.Second})
 		sf.Run(12 * time.Second)
 		return sf

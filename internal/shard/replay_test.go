@@ -13,7 +13,7 @@ import (
 // re-arms an event bound once instead of scheduling a closure of its own.
 func TestReplaySteadyStateAllocs(t *testing.T) {
 	const n = 8
-	sf := New(Config{Fleet: fleet.Config{N: n, Workers: 1}, Shards: 1})
+	sf := New(Config{Fleet: fleet.Config{N: n}, Shards: 1})
 	at := sf.BLoop.Now()
 	window := func() {
 		at += sf.Delta
@@ -39,7 +39,7 @@ func TestReplaySteadyStateAllocs(t *testing.T) {
 // TestReplayRefusesPendingEvent: re-arming an injection that has not fired
 // would drop its packet, so the replay panics instead.
 func TestReplayRefusesPendingEvent(t *testing.T) {
-	sf := New(Config{Fleet: fleet.Config{N: 2, Workers: 1}, Shards: 1})
+	sf := New(Config{Fleet: fleet.Config{N: 2}, Shards: 1})
 	sf.merged = append(sf.merged[:0], packet.New(0, 0, sf.Delta))
 	sf.replay()
 	defer func() {

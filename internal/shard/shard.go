@@ -76,9 +76,7 @@
 // ever touched by one shard (no locks) and the per-stripe operation
 // sequence — hence every hit, miss and cached decision — depends only
 // on the fixed stripe partition, never on K. Shard loop RNGs are
-// untouched by fleet topologies. The Workers knob composes: in a
-// sharded fleet it is the per-shard rollout pool width (default
-// GOMAXPROCS/K), and rollout results are bit-identical for any width.
+// untouched by fleet topologies.
 //
 // The member lifecycle is one policy, lifecycle.Controller, on two
 // clocks. The coordinator embeds it and drives it at window boundaries
@@ -114,10 +112,8 @@ import (
 
 // Config describes a sharded fleet run.
 type Config struct {
-	// Fleet is the underlying fleet configuration. Workers here is the
-	// TOTAL rollout budget; each shard's pool gets Workers/K (min 1).
-	// Zero keeps the fleet default (GOMAXPROCS) as the total. Canonical
-	// and CacheStripes are not inputs: New forces them to true and
+	// Fleet is the underlying fleet configuration. Canonical and
+	// CacheStripes are not inputs: New forces them to true and
 	// planner.DefaultCacheStripes whatever the caller set.
 	Fleet fleet.Config
 	// Shards is the requested shard count; 0 means runtime.NumCPU().
@@ -212,28 +208,14 @@ func New(cfg Config) *Fleet {
 		BLoop: sim.New(fc.Seed),
 	}
 	sf.Coordinate(fc, sf.BLoop, sf.owner)
-	pc := fc
-	pc.Workers = perShardWorkers(fc.Workers, k)
 	for i := 0; i < k; i++ {
-		sf.Parts = append(sf.Parts, fleet.NewPartition(pc, sf.Caches))
+		sf.Parts = append(sf.Parts, fleet.NewPartition(fc, sf.Caches))
 	}
 	for v := range sf.home {
 		sf.home[v] = v % k
 	}
 	sf.Bind(sf, fc)
 	return sf
-}
-
-// perShardWorkers splits the total rollout budget across shards.
-func perShardWorkers(total, k int) int {
-	if total <= 0 {
-		total = runtime.GOMAXPROCS(0)
-	}
-	w := total / k
-	if w < 1 {
-		w = 1
-	}
-	return w
 }
 
 func (sf *Fleet) owner(flow packet.FlowID) *fleet.Partition {

@@ -38,7 +38,7 @@ func TestShardsReproduceFleet(t *testing.T) {
 	if !testing.Short() {
 		dur = 30 * time.Second
 	}
-	cfg := fleet.Config{N: n, Seed: 42, Workers: 1, Canonical: true, CacheStripes: planner.DefaultCacheStripes}
+	cfg := fleet.Config{N: n, Seed: 42, Canonical: true, CacheStripes: planner.DefaultCacheStripes}
 	want := steadyDigest(t, cfg, dur)
 	for _, k := range []int{1, 2, 4} {
 		if got := shardDigest(t, cfg, k, dur); got != want {
@@ -50,7 +50,7 @@ func TestShardsReproduceFleet(t *testing.T) {
 // TestShardsReproduceFleetFairQueue repeats the invariant under the
 // DRR bottleneck.
 func TestShardsReproduceFleetFairQueue(t *testing.T) {
-	cfg := fleet.Config{N: 8, Seed: 7, Workers: 1, FairQueue: true, Canonical: true, CacheStripes: planner.DefaultCacheStripes}
+	cfg := fleet.Config{N: 8, Seed: 7, FairQueue: true, Canonical: true, CacheStripes: planner.DefaultCacheStripes}
 	const dur = 20 * time.Second
 	want := steadyDigest(t, cfg, dur)
 	for _, k := range []int{1, 4} {
@@ -67,7 +67,7 @@ func TestShardsReproduceFleetN256(t *testing.T) {
 	if testing.Short() {
 		t.Skip("N=256 determinism sweep skipped in -short")
 	}
-	cfg := fleet.Config{N: 256, Seed: 1, Workers: 1, Canonical: true, CacheStripes: planner.DefaultCacheStripes}
+	cfg := fleet.Config{N: 256, Seed: 1, Canonical: true, CacheStripes: planner.DefaultCacheStripes}
 	const dur = 30 * time.Second
 	want := steadyDigest(t, cfg, dur)
 	for _, k := range []int{1, 2, ResolveShards(0)} {
@@ -82,7 +82,7 @@ func TestShardsReproduceFleetN256(t *testing.T) {
 func churnHash(t *testing.T, n, k int, seed int64, d time.Duration) uint64 {
 	t.Helper()
 	sf := New(Config{
-		Fleet:  fleet.Config{N: n, Seed: seed, Workers: 1, BeliefCfg: belief.Config{Recover: true}},
+		Fleet:  fleet.Config{N: n, Seed: seed, BeliefCfg: belief.Config{Recover: true}},
 		Shards: k,
 	})
 	sf.EnableChurn(lifecycle.ChurnConfig{
@@ -127,7 +127,7 @@ func TestChurnHashInvariantN256(t *testing.T) {
 // reused by a later arrival must land on its predecessor's shard —
 // the assignment is flow mod K, independent of membership history.
 func TestRecycledFlowLandsOnHomeShard(t *testing.T) {
-	sf := New(Config{Fleet: fleet.Config{N: 8, Seed: 3, Workers: 1}, Shards: 4})
+	sf := New(Config{Fleet: fleet.Config{N: 8, Seed: 3}, Shards: 4})
 	sf.start()
 	// Retire flow 5, then admit a successor on the same ID.
 	if m := sf.Retire(5); m == nil {
@@ -168,7 +168,7 @@ func TestResolveShards(t *testing.T) {
 // partitions 0 and 4, and -race reports the unlocked PolicyCache map
 // access.
 func TestCallerStripesIgnored(t *testing.T) {
-	sf := New(Config{Fleet: fleet.Config{N: 32, CacheStripes: 4, Workers: 1}, Shards: 8})
+	sf := New(Config{Fleet: fleet.Config{N: 32, CacheStripes: 4}, Shards: 8})
 	if got := sf.Cfg.CacheStripes; got != planner.DefaultCacheStripes {
 		t.Errorf("CacheStripes = %d, want %d forced", got, planner.DefaultCacheStripes)
 	}

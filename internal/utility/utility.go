@@ -122,7 +122,7 @@ func (c Config) Start(acc *model.Accum, t0 time.Duration, p float64, steps *mode
 // arithmetic, the multiplicatively carried discount included — with a
 // step table of its own. A rollout that does not need its events skips
 // the lists and hands the Accum to State.RunAccum instead (the planner
-// does, with one table for all the rollouts of a worker); the two agree
+// does, with one table for all the rollouts on a pool); the two agree
 // bit for bit.
 //
 // A Meter is single-rollout state: call Reset before each rollout and
