@@ -17,21 +17,23 @@
 // once and weighs each member's branches with the member's own loss
 // probability. The posterior is the per-hypothesis update's, bit for bit.
 //
-// Between updates Exact owns only what its classes hold: one header per
-// class and its queue pages, fixed arrays of queue entries from a store
-// on the pool, each class's queue a window onto one that cannot be
-// appended past (a queue longer than a page has an array of its own). An
-// Update unpacks the classes into branch slots on the rollout.Pool,
-// shared by every belief on it, where each slot owns a queue buffer and
-// a fork clones into storage recycled from the classes earlier updates
-// dropped or merged; at its end it packs the classes back onto the
-// pages, and the slots keep their buffers for the next update of any
-// belief on the pool. What Support returns is
-// therefore valid until the next Update and no longer, and it is
-// read-only in a way that matters: the hypotheses of a class share its
-// queue window, so a write through one hypothesis's queue changes its
-// siblings. A caller that keeps a hypothesis across updates, or changes
-// one, clones its state first, as planner.Guard's background Decide does.
+// Between updates Exact owns only what its classes hold: header pages,
+// fixed arrays of class headers, and queue pages, fixed arrays of queue
+// entries, both from stores on the pool, each class's queue a window
+// onto a queue page that cannot be appended past (a queue longer than a
+// page has an array of its own). An Update unpacks the classes into
+// branch slots on the rollout.Pool, shared by every belief on it, where
+// each slot owns a queue buffer and a fork clones into storage recycled
+// from the classes earlier updates dropped or merged; at its end it
+// packs the classes back onto the pages, and the slots keep their
+// buffers for the next update of any belief on the pool. Support copies
+// the headers into one view per pool. What it returns is therefore
+// valid until the belief's next Update or the next Support of any belief
+// on the same pool, and no longer, and it is read-only in a way that
+// matters: the hypotheses of a class share its queue window, so a write
+// through one hypothesis's queue changes its siblings. A caller that
+// keeps a hypothesis across updates, or changes one, clones its state
+// first, as planner.Guard's background Decide does.
 package belief
 
 import (
@@ -92,8 +94,11 @@ type Belief interface {
 	// weights sum to 1). The slice and the states' queues are owned by
 	// the belief, which rewrites them at every Update, and hypotheses with
 	// equal states may share one queue: treat them as read-only — a write to
-	// one hypothesis's queue may change another's — valid until the next
-	// Update, and Clone a state to keep or change it.
+	// one hypothesis's queue may change another's — and Clone a state to
+	// keep or change it. The slice is valid until the belief's next
+	// Update; for an Exact it is one view per rollout.Pool, valid until
+	// that Update or the next Support of any belief on the same pool,
+	// so copy it before asking another belief on the pool for its own.
 	Support() []Hypothesis
 	// PendingSends returns sends recorded but not yet folded into the
 	// hypotheses, oldest first. The planner replays them in rollouts so

@@ -52,29 +52,27 @@ type Exact struct {
 	points   []point
 	siblings bool
 
-	// cls holds one state per class, in the order of each class's first
-	// hypothesis, under that hypothesis's grid point; its W is unused
-	// unless the classes are the support. This is all the belief owns of
-	// its states between updates: cls, one header per class, kept while
-	// its capacity holds the classes and at most four times them, and
-	// the arrays their queues lie on: pages, of pageLen entries each, and
-	// long, one power-of-two array per queue longer than a page. Every
-	// class's queue is a window of its own — page[o:o+n:o+n], QHead 0, in
-	// class order — so that no class can append into another's entries.
-	// The belief holds no array it does not use, so these hold at most
-	// twice the entries in use plus one page: see pack. A class state is
-	// advanced in the pool's arena, never on a page: an update unpacks
-	// the classes there and packs them back (pack). mem holds the
-	// hypotheses in support order, each naming its class.
-	cls         []Hypothesis
+	// hdrs holds one state per class on fixed header pages of hdrPageLen
+	// entries each, class k at hdrs[k/hdrPageLen][k%hdrPageLen], nc
+	// classes in the order of each class's first hypothesis, each under
+	// that hypothesis's grid point; a class's W is unused unless the
+	// classes are the support. Entries past the classes are cleared. This
+	// is all the belief owns of its states between updates: the header
+	// pages, ⌈nc/hdrPageLen⌉ of them, and the arrays the queues lie on:
+	// pages, of pageLen entries each, and long, one power-of-two array per
+	// queue longer than a page. Every class's queue is a window of its own
+	// — page[o:o+n:o+n], QHead 0, in class order — so that no class can
+	// append into another's entries. The belief holds no array it does not
+	// use, so the queue arrays hold at most twice the entries in use plus
+	// one page: see pack. A class state is advanced in the pool's arena,
+	// never on a page: an update unpacks the classes there and packs them
+	// back (pack). Support copies the headers into the pool's one view
+	// (arena.view). mem holds the hypotheses in support order, each
+	// naming its class.
+	hdrs        [][]Hypothesis
+	nc          int
 	pages, long [][]model.QPkt
 	mem         []member
-	// hyps is what Support returns: cls itself when every class has one
-	// member, else sup, whose headers publish writes once per Update,
-	// each a copy of its class's state — queue window included — under
-	// the member's grid point and weight. sup follows cls's capacity
-	// rule, one header per hypothesis, each time pack writes it.
-	hyps, sup []Hypothesis
 
 	// gate is the toggle probability of the last (tick, mean switch time)
 	// a count met: taken once for every class that shares them rather
@@ -112,17 +110,18 @@ type Exact struct {
 // branch, and branches the hypothesis branches of a segment in which a
 // class forks. events is the buffer a class advance enumerates into.
 //
-// hdrs and pages are the free stores, by capacity, each array handed to
-// the next belief that needs that size. hdrs holds header slices: a
-// belief trades one only when the need outgrows its capacity or falls
-// below a quarter of it, for the power of two at or above the need, so
-// a fleet's members trade on growth and on a large fall, never back and
-// forth around one size, and it keeps at most freeDepth of a size
-// (swap). pages holds queue storage — pages, and the power-of-two
-// arrays of queues longer than a page — and keeps every array given
-// back, since each is one a belief on the pool held: what it holds of a
-// capacity is bounded by what the pool's beliefs held of it at once.
-// made counts the arrays take has made for it.
+// hdrStore and pages are the free stores, each handed to the next
+// belief that needs storage and each keeping every array given back,
+// since each is one a belief on the pool held: what a store holds is
+// bounded by what the pool's beliefs held at once. hdrStore holds header
+// pages of hdrPageLen entries, cleared. pages holds queue storage, by capacity:
+// pages, and the power-of-two arrays of queues longer than a page. made
+// counts the arrays both stores have made for them.
+//
+// view is what Support returns, for the belief viewOf: one copy of its
+// headers per pool, written by the first Support after viewOf's last
+// Update and kept until viewOf's next Update or another belief's
+// Support.
 type arena struct {
 	slots    [2][]Hypothesis
 	segs     []classSeg
@@ -131,16 +130,18 @@ type arena struct {
 	branches []member
 	events   []model.Event
 	byKey    keyIndex
-	hdrs     map[int][][]Hypothesis
+	hdrStore [][]Hypothesis
 	pages    map[int][][]model.QPkt
 	made     int
+	view     []Hypothesis
+	viewOf   *Exact
 }
 
 // arena returns the pool's update arena.
 func (b *Exact) arena() *arena {
 	ar, _ := b.pool.Belief.(*arena)
 	if ar == nil {
-		ar = &arena{hdrs: make(map[int][][]Hypothesis), pages: make(map[int][][]model.QPkt)}
+		ar = &arena{pages: make(map[int][][]model.QPkt)}
 		b.pool.Belief = ar
 	}
 	return ar
@@ -161,6 +162,27 @@ func (ar *arena) take(n int) []model.QPkt {
 func (ar *arena) give(s [][]model.QPkt) {
 	for _, a := range s {
 		ar.pages[len(a)] = append(ar.pages[len(a)], a)
+	}
+}
+
+// takeHdrs returns a cleared header page from the header store, or a new
+// one.
+func (ar *arena) takeHdrs() []Hypothesis {
+	if n := len(ar.hdrStore); n > 0 {
+		p := ar.hdrStore[n-1]
+		ar.hdrStore = ar.hdrStore[:n-1]
+		return p
+	}
+	ar.made++
+	return make([]Hypothesis, hdrPageLen)
+}
+
+// giveHdrs clears the header pages in s, whose headers point at records
+// and queues, and returns them to the header store.
+func (ar *arena) giveHdrs(s [][]Hypothesis) {
+	for _, p := range s {
+		clear(p)
+		ar.hdrStore = append(ar.hdrStore, p)
 	}
 }
 
@@ -302,13 +324,43 @@ func resize[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// Support implements Belief. Every hypothesis of a class aliases its
-// class's queue, a window onto one of the belief's queue pages that the
-// next Update rewrites: the slice and the states in it are valid until
-// the next Update and must not be written — a write to one hypothesis's
-// queue is a write to its siblings'. Clone a state to keep it longer or
-// to change it.
-func (b *Exact) Support() []Hypothesis { return b.hyps }
+// Support implements Belief. It returns the pool's one support view
+// (arena.view), written from the header pages: the classes in class
+// order when each class has one member (each under its member's grid
+// point and weight), else one header per hypothesis, its class's state —
+// queue window included — under its grid point and weight. The view is
+// written once per Update and kept until this belief's next Update or
+// the next Support of any belief on the same pool, which rewrites it;
+// a belief alone on its pool is the only one to rewrite it. Every
+// hypothesis of a class aliases its class's queue, a window onto one of
+// the belief's queue pages that the next Update rewrites, so the states
+// must not be written — a write to one hypothesis's queue is a write to
+// its siblings'. Clone a state to keep it longer or to change it.
+func (b *Exact) Support() []Hypothesis {
+	ar := b.arena()
+	if ar.viewOf == b {
+		return ar.view
+	}
+	mem := b.mem
+	ar.view = resize(ar.view, len(mem))
+	view := ar.view
+	if b.nc == len(mem) {
+		for p, pg := range b.hdrs {
+			copy(view[p*hdrPageLen:], pg)
+		}
+	} else {
+		for i, e := range mem {
+			h, pt := &view[i], b.points[e.pt]
+			h.S = b.class(int(e.cls)).S
+			h.S.P, h.S.ParamsID, h.W = pt.p, pt.id, e.w
+		}
+	}
+	ar.viewOf = b
+	return view
+}
+
+// class returns class k's header.
+func (b *Exact) class(k int) *Hypothesis { return &b.hdrs[k/hdrPageLen][k%hdrPageLen] }
 
 // begin opens an update to now: it checks the clock, refreshes the soft
 // ack memory with acks and returns the pending sends due by now.
@@ -386,8 +438,9 @@ func (b *Exact) end(now time.Duration, consumed int, st UpdateStats) UpdateStats
 // branches from its class's events with the hypothesis's own loss
 // probability; the reduce, compaction and floor then run per hypothesis,
 // in hypothesis order with the float operations of a per-hypothesis
-// advance, so classes change the cost and nothing else. The support
-// headers are written once, at the end.
+// advance, so classes change the cost and nothing else. The class
+// headers are written once, at the end, and the support view at the
+// next Support.
 //
 // Acknowledgment matching is segment-local: an ack can only match a
 // delivery event in the segment containing its receive time, because
@@ -398,8 +451,8 @@ func (b *Exact) Update(now time.Duration, acks []packet.Ack) UpdateStats {
 	sends := b.begin(now, acks)
 
 	tick := model.DefaultSwitchTick
-	if len(b.cls) > 0 && b.cls[0].S.SwitchTick > 0 {
-		tick = b.cls[0].S.SwitchTick
+	if b.nc > 0 && b.hdrs[0][0].S.SwitchTick > 0 {
+		tick = b.hdrs[0][0].S.SwitchTick
 	}
 
 	var stats UpdateStats
@@ -553,7 +606,7 @@ func (b *Exact) Update(now time.Duration, acks []packet.Ack) UpdateStats {
 
 	ar.slots = [2][]Hypothesis{cls, spare} // for the next update of any belief on the pool
 	b.pack(ar, cls)
-	stats.N, stats.Classes = len(b.mem), len(b.cls)
+	stats.N, stats.Classes = len(b.mem), b.nc
 	return b.end(now, len(sends), stats)
 }
 
@@ -728,43 +781,45 @@ func (b *Exact) numbered() bool {
 // other buffer, the spare: the classes advance there, where a queue may
 // grow, and the windows onto the pages are only read.
 func (b *Exact) unpack(ar *arena) (cls, spare []Hypothesis) {
-	cls = resize(ar.slots[0], len(b.cls))
-	for k := range b.cls {
-		b.cls[k].S.CloneInto(&cls[k].S)
+	cls = resize(ar.slots[0], b.nc)
+	for k := range cls {
+		b.class(k).S.CloneInto(&cls[k].S)
 	}
 	return cls, ar.slots[1]
 }
 
 // pack makes the classes in the arena's slots the belief's own: their
-// headers go to cls and their queues to the belief's pages, each class's
-// a window of its own, in class order, on the current page while it
-// fits and else on the next. A queue longer than a page gets an array of
-// its own, ceilPow2 of its length, in long. Pages and long arrays come
-// from the arena's store only when the belief's own run out, and what
-// the belief no longer uses goes back at the end: long arrays first, so
-// a long queue that keeps its size takes its own array back. Each page
-// but the last holds, with the next, more than a page of entries, and a
-// long array less than twice its queue, so the belief holds at most
-// twice the entries in use plus one page; a growing support costs a
-// page at a time, not a larger array at every power of two.
-//
-// It then writes what Support returns: cls itself when each class has
-// one member (numbered in hypothesis order, each under its member's
-// grid point), else sup, one header per hypothesis, its class's state —
-// window included — under its grid point and weight.
-//
-// Both header arrays follow one rule: one keeps its capacity c while
-// need ≤ c ≤ 4·need, and is otherwise traded with the arena's free store
-// for one of capacity ceilPow2(need). cls needs one header per class,
-// sup one per hypothesis when it is written. A traded array comes to fit
-// within twice its need, so it is traded again only on growth or on a
-// fall to below half the need it was traded for: the headers of a
-// support descending from the prior's thousands are given back once it
-// settles, not at every power of two on the way down. The slots keep
-// their buffers.
+// headers go to the header pages, class k at entry k%hdrPageLen of page
+// k/hdrPageLen, and their queues to the belief's queue pages, each
+// class's a window of its own, in class order, on the current page while
+// it fits and else on the next. A queue longer than a page gets an array
+// of its own, ceilPow2 of its length, in long. Header pages, queue pages
+// and long arrays come from the arena's stores only when the belief's
+// own run out, and what the belief no longer uses goes back at the end:
+// long arrays first, so a long queue that keeps its size takes its own
+// array back. Each queue page but the last holds, with the next, more
+// than a page of entries, and a long array less than twice its queue, so
+// the belief holds at most twice the entries in use plus one page; a
+// growing support costs a page at a time, not a larger array at every
+// power of two. The belief keeps the header pages it still needs, in
+// their order, and clears the entries past its classes; when each class
+// has one member it writes the member's weight into its class's header,
+// which Support then copies as it stands. The slots keep their buffers.
 func (b *Exact) pack(ar *arena, classes []Hypothesis) {
 	nc, mem := len(classes), b.mem
-	b.cls = fitHeaders(ar.hdrs, b.cls, nc)
+	if ar.viewOf == b {
+		ar.viewOf = nil
+	}
+	np := (nc + hdrPageLen - 1) / hdrPageLen
+	for len(b.hdrs) < np {
+		b.hdrs = append(b.hdrs, ar.takeHdrs())
+	}
+	ar.giveHdrs(b.hdrs[np:])
+	clear(b.hdrs[np:])
+	b.hdrs, b.nc = b.hdrs[:np], nc
+	if r := nc % hdrPageLen; r > 0 {
+		clear(b.hdrs[np-1][r:])
+	}
 	ar.give(b.long)
 	clear(b.long)
 	b.long = b.long[:0]
@@ -790,7 +845,7 @@ func (b *Exact) pack(ar *arena, classes []Hypothesis) {
 			o += n
 		}
 		copy(w, q)
-		c := &b.cls[k]
+		c := b.class(k)
 		*c = classes[k]
 		c.S.Queue, c.S.QHead = w, 0
 	}
@@ -800,19 +855,9 @@ func (b *Exact) pack(ar *arena, classes []Hypothesis) {
 
 	if nc == len(mem) {
 		for k, e := range mem {
-			b.cls[k].W = e.w
+			b.class(k).W = e.w
 		}
-		b.hyps = b.cls
-		return
 	}
-	b.sup = fitHeaders(ar.hdrs, b.sup, len(mem))
-	sup, points := b.sup, b.points
-	for i, e := range mem {
-		h, pt := &sup[i], points[e.pt]
-		h.S = b.cls[e.cls].S
-		h.S.P, h.S.ParamsID, h.W = pt.p, pt.id, e.w
-	}
-	b.hyps = sup
 }
 
 // pageLen is the length of a queue page: 3 KiB of entries. Every belief
@@ -821,47 +866,14 @@ func (b *Exact) pack(ar *arena, classes []Hypothesis) {
 // their own.
 const pageLen = 128
 
-// fitHeaders returns hs at length n under pack's rule, traded through
-// free for ceilPow2(n) headers when its capacity is outside [n, 4n]. A
-// belief's first headers (hs has no capacity yet) are made at exactly n:
-// they hold its prior, which on Figure 3 is 4,480 hypotheses that fall
-// to a few hundred, so a power of two above it (8,192) would only widen
-// an array soon traded down. Headers point at records and queues, so
-// none is kept past n or given back uncleared.
-func fitHeaders(free map[int][][]Hypothesis, hs []Hypothesis, n int) []Hypothesis {
-	switch c := cap(hs); {
-	case c == 0:
-		return make([]Hypothesis, n)
-	case c < n || c > 4*n:
-		clear(hs[:c])
-		hs = swap(free, hs, ceilPow2(n))
-	case n < len(hs):
-		clear(hs[n:])
-	}
-	return hs[:n]
-}
-
-// freeDepth bounds how many slices of one capacity the header store
-// keeps.
-const freeDepth = 4
-
-// swap gives s back to free, which keeps header slices by capacity, and
-// returns one of length and capacity n from it, or a new one (nil for
-// n = 0). free keeps at most freeDepth slices of one capacity, cleared
-// by the caller; whoever takes one writes every entry before reading it.
-func swap(free map[int][][]Hypothesis, s []Hypothesis, n int) []Hypothesis {
-	if c := cap(s); c > 0 && len(free[c]) < freeDepth {
-		free[c] = append(free[c], s[:c])
-	}
-	if n == 0 {
-		return nil
-	}
-	if l := free[n]; len(l) > 0 {
-		free[n] = l[:len(l)-1]
-		return l[len(l)-1]
-	}
-	return make([]Hypothesis, n)
-}
+// hdrPageLen is the length of a header page: 1 KiB of headers. A fleet's
+// supports grow in lockstep, a page at a time, each from the store that
+// the others' falls refill, and each belief leaves part of its last page
+// unused, so a shorter page wastes less. On a 2-core host (cmd/bench,
+// seed 42, 20 s) 8 allocated 0.489 MiB per virtual second on fleet-256
+// and 0.461 on shard-1024, against 0.506 and 0.521 at 16, which was
+// within 0.3 % of 8 on serve-256 and fig3-solo.
+const hdrPageLen = 8
 
 // ceilPow2 is the least power of two at or above n, and 0 for 0.
 func ceilPow2(n int) int {

@@ -399,14 +399,18 @@ func sameSupportExactly(t *testing.T, step int, want, got []Hypothesis) {
 }
 
 // queueOwners checks, for beliefs that share one pool, that no two
-// classes share queue storage and that every queue buffer of the pool
+// classes share queue storage, that every queue buffer of the pool
 // arena's slots — live or dead, up to capacity — belongs to one slot and
-// is none of the beliefs' queue arrays (queueArrays).
+// is none of the beliefs' queue arrays (queueArrays), and that each
+// belief holds header pages of its own, as many as its classes need
+// (headerPages).
 func queueOwners(t *testing.T, bs ...*Exact) {
 	t.Helper()
 	owners := make(map[*model.QPkt]string)
+	hdrOwners := make(map[*Hypothesis]string)
 	for i, b := range bs {
 		queueArrays(t, fmt.Sprintf("belief %d", i), b, owners)
+		headerPages(t, fmt.Sprintf("belief %d", i), b, hdrOwners)
 	}
 	for half, hyps := range bs[0].arena().slots {
 		hyps = hyps[:cap(hyps)]
@@ -439,8 +443,8 @@ func queueArrays(t *testing.T, name string, b *Exact, owners map[*model.QPkt]str
 		}
 		own(t, owners, unsafe.SliceData(a), fmt.Sprintf("%s's queue array %d", name, i))
 	}
-	for k := range b.cls {
-		s := &b.cls[k].S
+	for k := range b.nc {
+		s := &b.class(k).S
 		q := s.Queue
 		if s.QHead != 0 || len(q) != cap(q) {
 			t.Fatalf("%s: class %d's queue is [%d:%d] of %d entries, not a window of its own", name, k, s.QHead, len(q), cap(q))
@@ -475,11 +479,12 @@ func queueArrays(t *testing.T, name string, b *Exact, owners map[*model.QPkt]str
 	}
 }
 
-// own records p as owner's in owners, failing if another holds it.
-func own(t *testing.T, owners map[*model.QPkt]string, p *model.QPkt, owner string) {
+// own records the array at p as owner's in owners, failing if another
+// holds it.
+func own[P comparable](t *testing.T, owners map[P]string, p P, owner string) {
 	t.Helper()
 	if other, ok := owners[p]; ok {
-		t.Fatalf("%s and %s share a queue array", other, owner)
+		t.Fatalf("%s and %s share an array", other, owner)
 	}
 	owners[p] = owner
 }
@@ -700,11 +705,11 @@ func TestExactHypothesesOwnTheirQueues(t *testing.T) {
 		queueOwners(t, b)
 	}
 	sup := b.Support()
-	shared := make([]int, len(b.cls))
+	shared := make([]int, b.nc)
 	for i := range sup {
 		c := b.mem[i].cls
-		q, own := sup[i].S.Queue, b.cls[c].S.Queue
-		if unsafe.SliceData(q) != unsafe.SliceData(own) || len(q) != len(own) || sup[i].S.QHead != b.cls[c].S.QHead {
+		q, own := sup[i].S.Queue, &b.class(int(c)).S
+		if unsafe.SliceData(q) != unsafe.SliceData(own.Queue) || len(q) != len(own.Queue) || sup[i].S.QHead != own.QHead {
 			t.Fatalf("hypothesis %d's queue is not its class %d's", i, c)
 		}
 		if sup[i].S.QLen() > 0 {
@@ -712,14 +717,15 @@ func TestExactHypothesesOwnTheirQueues(t *testing.T) {
 		}
 	}
 	if slices.Max(shared) < 2 {
-		t.Fatalf("the schedule ends with %d hypotheses in %d classes and no class of several with packets queued", len(sup), len(b.cls))
+		t.Fatalf("the schedule ends with %d hypotheses in %d classes and no class of several with packets queued", len(sup), b.nc)
 	}
 	keys := make([]string, len(sup))
 	for i := range sup {
 		keys[i] = sup[i].S.Key()
 	}
-	for c := range b.cls {
-		q := b.cls[c].S.Queue[:cap(b.cls[c].S.Queue)]
+	for c := range b.nc {
+		q := b.class(c).S.Queue
+		q = q[:cap(q)]
 		saved := append([]model.QPkt(nil), q...)
 		for j := range q {
 			q[j] = model.QPkt{Own: true, Seq: -7, Bits: 1}

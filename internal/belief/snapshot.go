@@ -66,11 +66,11 @@ func (sn *Snapshot) validate() error {
 }
 
 // Snapshot implements Belief. The snapshot owns deep copies of every
-// state it holds; it stays valid across later updates.
+// state of Support; it stays valid across later updates.
 func (b *Exact) Snapshot() Snapshot {
 	return Snapshot{
 		Now:     b.now,
-		Hyps:    cloneHyps(b.hyps),
+		Hyps:    cloneHyps(b.Support()),
 		Pending: append([]model.Send(nil), b.pending...),
 		Recent:  maps.Clone(b.recent),
 		Cum:     b.Cum,
@@ -126,7 +126,7 @@ func Restore(states []model.State, cfg Config, sn Snapshot) (*Exact, error) {
 	b.load(hyps, func(i int) int32 { return int32(at[i]) })
 	b.now, b.Cum = sn.Now, sn.Cum
 	if b.Cum.N > 0 { // an update has run: Classes is its count
-		b.Cum.Classes = len(b.cls)
+		b.Cum.Classes = b.nc
 	}
 	b.pending = append([]model.Send(nil), sn.Pending...)
 	maps.Copy(b.recent, sn.Recent)

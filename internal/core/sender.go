@@ -102,7 +102,11 @@ func (s *Sender) SetNextSeq(seq int64) { s.nextSeq = seq }
 // Belief or the Guard's CompiledPolicy relies on: one Update, one Support
 // (the planner.Wake every decision of this wake plans on), then per
 // decision PendingSends immediately followed by Guard.Decide, OnDecide
-// and, when it sends, RecordSend.
+// and, when it sends, RecordSend. The wake's support is valid until the
+// belief's next Update or, for beliefs sharing a rollout.Pool, the next
+// Support of another belief on it (belief.Belief.Support): no other
+// belief's Support runs before Wake returns, and nothing of the wake's
+// support outlives it but what the Guard clones.
 func (s *Sender) Wake(now time.Duration, acks []packet.Ack) Action {
 	s.Wakes++
 	s.Acked += int64(len(acks))

@@ -556,8 +556,9 @@ func (m *Member) wake() {
 	m.acks = m.acks[:0]
 	act := m.Sender.Wake(now, acks)
 	if !m.lean {
-		// Support() is cached after the wake's own decision, so this
-		// read costs no recomputation.
+		// Support() is cached after the wake's own decision (no other
+		// belief on the pool has asked for its view since), so this read
+		// costs no copy.
 		m.SupportN.Add(now, float64(len(m.Sender.Belief.Support())))
 	}
 	for _, snd := range act.Sends {

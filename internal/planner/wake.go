@@ -21,8 +21,9 @@ import (
 // quanta asked for: a cache and a table that share quanta (a table is
 // compiled under its fleet's cache quanta) print it once.
 //
-// A Wake is valid until the belief's next Update — Support's own contract
-// — so Reset it after every Update. Reuse is keyed by the wake alone:
+// A Wake is valid as long as its support: until the belief's next Update,
+// or the next Support of another belief on the same pool (Support's own
+// contract) — so Reset it after every Update. Reuse is keyed by the wake alone:
 // every Reset draws a fresh number, and neither the support's storage nor
 // its contents are compared, since an Update rewrites both in place.
 type Wake struct {
@@ -52,7 +53,7 @@ func NewWake(sup []belief.Hypothesis, now time.Duration) *Wake {
 	return w
 }
 
-// Support is the wake's support, valid until the belief's next Update.
+// Support is the wake's support, valid as long as the belief's Support.
 func (w *Wake) Support() []belief.Hypothesis { return w.sup }
 
 // Now is the instant every decision of the wake plans from.

@@ -22,19 +22,22 @@ type capturedWake struct {
 	pending [][]model.Send
 }
 
-// wakeCapture is a plain planner.CompiledPolicy that never hits and keeps
-// the first max wakes of the run it is wired into. Consecutive probes on
-// one support slice at one instant are one wake's decisions.
+// wakeCapture is a planner.WakePolicy that never hits and keeps the
+// first max wakes of the run it is wired into. A sender plans every
+// decision of a wake on its one planner.Wake, so consecutive probes on
+// one Wake at one instant are one wake's decisions. The support slice
+// cannot tell two senders' wakes apart: members on one pool read one
+// support view.
 type wakeCapture struct {
 	max   int
 	wakes []capturedWake
-	last  *belief.Hypothesis
+	last  *planner.Wake
 }
 
-func (c *wakeCapture) Probe(sup []belief.Hypothesis, pending []model.Send, now time.Duration) (planner.Decision, bool) {
-	n := len(c.wakes)
+func (c *wakeCapture) ProbeWake(w *planner.Wake, pending []model.Send) (planner.Decision, bool) {
+	n, sup, now := len(c.wakes), w.Support(), w.Now()
 	switch {
-	case n > 0 && c.last == &sup[0] && c.wakes[n-1].now == now:
+	case n > 0 && c.last == w && c.wakes[n-1].now == now:
 		c.wakes[n-1].pending = append(c.wakes[n-1].pending, slices.Clone(pending))
 	case n < c.max:
 		cp := slices.Clone(sup)
@@ -42,11 +45,16 @@ func (c *wakeCapture) Probe(sup []belief.Hypothesis, pending []model.Send, now t
 			cp[i].S = cp[i].S.Clone()
 		}
 		c.wakes = append(c.wakes, capturedWake{sup: cp, now: now, pending: [][]model.Send{slices.Clone(pending)}})
-		c.last = &sup[0]
+		c.last = w
 	default:
 		c.last = nil
 	}
 	return planner.Decision{}, false
+}
+
+// Probe is never called: the Guard probes a WakePolicy with the wake.
+func (c *wakeCapture) Probe([]belief.Hypothesis, []model.Send, time.Duration) (planner.Decision, bool) {
+	panic("wakeCapture: probed without a wake")
 }
 
 // fleetWakes returns the first n wakes of a short fleet run, at least one
