@@ -26,14 +26,14 @@
 // each slot owns a queue buffer and a fork clones into storage recycled
 // from the classes earlier updates dropped or merged; at its end it
 // packs the classes back onto the pages, and the slots keep their
-// buffers for the next update of any belief on the pool. Support copies
-// the headers into one view per pool. What it returns is therefore
-// valid until the belief's next Update or the next Support of any belief
-// on the same pool, and no longer, and it is read-only in a way that
-// matters: the hypotheses of a class share its queue window, so a write
-// through one hypothesis's queue changes its siblings. A caller that
-// keeps a hypothesis across updates, or changes one, clones its state
-// first, as planner.Guard's background Decide does.
+// buffers for the next update of any belief on the pool. The wake path
+// reads the classes in place (View), valid until the belief's next
+// Update; Support expands them, one hypothesis per member, into one
+// buffer per pool, for readers off that path. Both are read-only in a
+// way that matters: the hypotheses of a class share its queue window,
+// so a write through one hypothesis's queue changes its siblings. A
+// caller that keeps a hypothesis across updates, or changes one, clones
+// its state first, as planner.Guard's background Decide does.
 package belief
 
 import (
@@ -51,6 +51,55 @@ type Hypothesis struct {
 	S model.State
 	// W is its posterior probability mass.
 	W float64
+}
+
+// View is a belief's support read where the belief keeps it: its
+// members, the hypotheses in support order, each its class's state under
+// its own grid point (P, ID) and weight. The members of a class differ
+// only in what no advance or rollout reads but LossProb
+// (model.State.SameClass), so a class state's own P serves every
+// member's dynamics but its LossProb.
+type View struct {
+	b    *Exact
+	flat []Hypothesis
+}
+
+// Member is one hypothesis of a View; S is its class's state.
+type Member struct {
+	W     float64
+	Class int
+	S     *model.State
+	P     *model.Record
+	ID    int32
+}
+
+// Wrap returns hyps as a View in which each hypothesis is its own class.
+func Wrap(hyps []Hypothesis) View { return View{flat: hyps} }
+
+// Len is the number of members.
+func (v View) Len() int {
+	if v.b != nil {
+		return len(v.b.mem)
+	}
+	return len(v.flat)
+}
+
+// Support is the view's belief's Support, or the wrapped hypotheses.
+func (v View) Support() []Hypothesis {
+	if v.b != nil {
+		return v.b.Support()
+	}
+	return v.flat
+}
+
+// Member returns member i.
+func (v View) Member(i int) Member {
+	if b := v.b; b != nil {
+		e, pt := b.mem[i], b.points[b.mem[i].pt]
+		return Member{W: e.w, Class: int(e.cls), S: &b.class(int(e.cls)).S, P: pt.p, ID: pt.id}
+	}
+	h := &v.flat[i]
+	return Member{W: h.W, Class: i, S: &h.S, P: h.S.P, ID: h.S.ParamsID}
 }
 
 // UpdateStats reports what one Bayesian update did, for instrumentation
@@ -90,15 +139,13 @@ type Belief interface {
 	// Update advances every hypothesis to now and conditions on the
 	// acknowledgments received since the previous update.
 	Update(now time.Duration, acks []packet.Ack) UpdateStats
-	// Support returns the current weighted hypotheses (compacted;
-	// weights sum to 1). The slice and the states' queues are owned by
-	// the belief, which rewrites them at every Update, and hypotheses with
-	// equal states may share one queue: treat them as read-only — a write to
-	// one hypothesis's queue may change another's — and Clone a state to
-	// keep or change it. The slice is valid until the belief's next
-	// Update; for an Exact it is one view per rollout.Pool, valid until
-	// that Update or the next Support of any belief on the same pool,
-	// so copy it before asking another belief on the pool for its own.
+	// View returns the current support (compacted; weights sum to 1)
+	// where the belief keeps it, valid until the belief's next Update.
+	View() View
+	// Support expands View, off the wake path, valid until the next
+	// Update (for an Exact, or Support of any belief on its rollout.Pool).
+	// Hypotheses with equal states share one queue: treat them as
+	// read-only, and copy the slice and Clone a state to keep or change it.
 	Support() []Hypothesis
 	// PendingSends returns sends recorded but not yet folded into the
 	// hypotheses, oldest first. The planner replays them in rollouts so

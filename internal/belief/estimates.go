@@ -29,44 +29,24 @@ type Estimates struct {
 	MAPWeight float64
 }
 
-// Summarize computes posterior summaries over a support set.
-func Summarize(hyps []Hypothesis) Estimates {
+// Summarize computes posterior summaries over a belief's view.
+func Summarize(v View) Estimates {
 	var e Estimates
-	e.N = len(hyps)
-	for _, h := range hyps {
-		w := h.W
-		if h.S.PingerOn {
+	e.N = v.Len()
+	for i := range e.N {
+		m := v.Member(i)
+		s, w := m.S, m.W
+		if s.PingerOn {
 			e.PPingerOn += w
 		}
-		e.ELinkRate += units.BitRate(w * float64(h.S.P.LinkRate))
-		e.ECrossRate += units.BitRate(w * float64(h.S.P.CrossRate))
-		e.ELossProb += w * h.S.P.LossProb
-		e.EBufferCap += w * float64(h.S.P.BufferCapBits)
-		e.EQueueBits += w * float64(h.S.SystemBits())
+		e.ELinkRate += units.BitRate(w * float64(m.P.LinkRate))
+		e.ECrossRate += units.BitRate(w * float64(m.P.CrossRate))
+		e.ELossProb += w * m.P.LossProb
+		e.EBufferCap += w * float64(m.P.BufferCapBits)
+		e.EQueueBits += w * float64(s.SystemBits())
 		if w > e.MAPWeight {
 			e.MAPWeight = w
 		}
 	}
 	return e
-}
-
-// TotalWeight sums the hypothesis weights (should always be ~1; exposed
-// for the property tests).
-func TotalWeight(hyps []Hypothesis) float64 {
-	var t float64
-	for _, h := range hyps {
-		t += h.W
-	}
-	return t
-}
-
-// MAP returns the maximum a posteriori hypothesis.
-func MAP(hyps []Hypothesis) Hypothesis {
-	var best Hypothesis
-	for _, h := range hyps {
-		if h.W > best.W {
-			best = h
-		}
-	}
-	return best
 }

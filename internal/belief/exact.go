@@ -55,8 +55,8 @@ type Exact struct {
 	// hdrs holds one state per class on fixed header pages of hdrPageLen
 	// entries each, class k at hdrs[k/hdrPageLen][k%hdrPageLen], nc
 	// classes in the order of each class's first hypothesis, each under
-	// that hypothesis's grid point; a class's W is unused unless the
-	// classes are the support. Entries past the classes are cleared. This
+	// that hypothesis's grid point; a class's W is unused. Entries past the
+	// classes are cleared. This
 	// is all the belief owns of its states between updates: the header
 	// pages, ⌈nc/hdrPageLen⌉ of them, and the arrays the queues lie on:
 	// pages, of pageLen entries each, and long, one power-of-two array per
@@ -66,9 +66,8 @@ type Exact struct {
 	// use, so the queue arrays hold at most twice the entries in use plus
 	// one page: see pack. A class state is advanced in the pool's arena,
 	// never on a page: an update unpacks the classes there and packs them
-	// back (pack). Support copies the headers into the pool's one view
-	// (arena.view). mem holds the hypotheses in support order, each
-	// naming its class.
+	// back (pack). mem holds the hypotheses in support order, each naming
+	// its class: with the header pages and points, the belief's View.
 	hdrs        [][]Hypothesis
 	nc          int
 	pages, long [][]model.QPkt
@@ -116,12 +115,8 @@ type Exact struct {
 // bounded by what the pool's beliefs held at once. hdrStore holds header
 // pages of hdrPageLen entries, cleared. pages holds queue storage, by capacity:
 // pages, and the power-of-two arrays of queues longer than a page. made
-// counts the arrays both stores have made for them.
-//
-// view is what Support returns, for the belief viewOf: one copy of its
-// headers per pool, written by the first Support after viewOf's last
-// Update and kept until viewOf's next Update or another belief's
-// Support.
+// counts the arrays both stores have made for them. sup is what Support
+// last returned.
 type arena struct {
 	slots    [2][]Hypothesis
 	segs     []classSeg
@@ -133,8 +128,7 @@ type arena struct {
 	hdrStore [][]Hypothesis
 	pages    map[int][][]model.QPkt
 	made     int
-	view     []Hypothesis
-	viewOf   *Exact
+	sup      []Hypothesis
 }
 
 // arena returns the pool's update arena.
@@ -324,39 +318,20 @@ func resize[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// Support implements Belief. It returns the pool's one support view
-// (arena.view), written from the header pages: the classes in class
-// order when each class has one member (each under its member's grid
-// point and weight), else one header per hypothesis, its class's state —
-// queue window included — under its grid point and weight. The view is
-// written once per Update and kept until this belief's next Update or
-// the next Support of any belief on the same pool, which rewrites it;
-// a belief alone on its pool is the only one to rewrite it. Every
-// hypothesis of a class aliases its class's queue, a window onto one of
-// the belief's queue pages that the next Update rewrites, so the states
-// must not be written — a write to one hypothesis's queue is a write to
-// its siblings'. Clone a state to keep it longer or to change it.
+// View implements Belief: the header pages and members, in place.
+func (b *Exact) View() View { return View{b: b} }
+
+// Support implements Belief, into the pool's one buffer (arena.sup), so
+// that a reader counting every member's support allocates nothing.
 func (b *Exact) Support() []Hypothesis {
 	ar := b.arena()
-	if ar.viewOf == b {
-		return ar.view
+	ar.sup = resize(ar.sup, len(b.mem))
+	for i, e := range b.mem {
+		h, pt := &ar.sup[i], b.points[e.pt]
+		h.S, h.W = b.class(int(e.cls)).S, e.w
+		h.S.P, h.S.ParamsID = pt.p, pt.id
 	}
-	mem := b.mem
-	ar.view = resize(ar.view, len(mem))
-	view := ar.view
-	if b.nc == len(mem) {
-		for p, pg := range b.hdrs {
-			copy(view[p*hdrPageLen:], pg)
-		}
-	} else {
-		for i, e := range mem {
-			h, pt := &view[i], b.points[e.pt]
-			h.S = b.class(int(e.cls)).S
-			h.S.P, h.S.ParamsID, h.W = pt.p, pt.id, e.w
-		}
-	}
-	ar.viewOf = b
-	return view
+	return ar.sup
 }
 
 // class returns class k's header.
@@ -439,8 +414,7 @@ func (b *Exact) end(now time.Duration, consumed int, st UpdateStats) UpdateStats
 // probability; the reduce, compaction and floor then run per hypothesis,
 // in hypothesis order with the float operations of a per-hypothesis
 // advance, so classes change the cost and nothing else. The class
-// headers are written once, at the end, and the support view at the
-// next Support.
+// headers are written once, at the end.
 //
 // Acknowledgment matching is segment-local: an ack can only match a
 // delivery event in the segment containing its receive time, because
@@ -802,14 +776,10 @@ func (b *Exact) unpack(ar *arena) (cls, spare []Hypothesis) {
 // the belief holds at most twice the entries in use plus one page; a
 // growing support costs a page at a time, not a larger array at every
 // power of two. The belief keeps the header pages it still needs, in
-// their order, and clears the entries past its classes; when each class
-// has one member it writes the member's weight into its class's header,
-// which Support then copies as it stands. The slots keep their buffers.
+// their order, and clears the entries past its classes. The slots keep
+// their buffers.
 func (b *Exact) pack(ar *arena, classes []Hypothesis) {
-	nc, mem := len(classes), b.mem
-	if ar.viewOf == b {
-		ar.viewOf = nil
-	}
+	nc := len(classes)
 	np := (nc + hdrPageLen - 1) / hdrPageLen
 	for len(b.hdrs) < np {
 		b.hdrs = append(b.hdrs, ar.takeHdrs())
@@ -852,12 +822,6 @@ func (b *Exact) pack(ar *arena, classes []Hypothesis) {
 	ar.give(b.pages[p+1:])
 	clear(b.pages[p+1:])
 	b.pages = b.pages[:p+1]
-
-	if nc == len(mem) {
-		for k, e := range mem {
-			b.class(k).W = e.w
-		}
-	}
 }
 
 // pageLen is the length of a queue page: 3 KiB of entries. Every belief

@@ -238,7 +238,7 @@ func TestExactMaxHypsCap(t *testing.T) {
 func TestSummarize(t *testing.T) {
 	states := twoRatePrior(12000, 24000)
 	b := NewExact(states, Config{})
-	e := Summarize(b.Support())
+	e := Summarize(b.View())
 	if e.N != 2 {
 		t.Errorf("N = %d", e.N)
 	}
@@ -255,4 +255,24 @@ func TestSummarize(t *testing.T) {
 	if m.W != 0.5 {
 		t.Errorf("MAP weight = %v", m.W)
 	}
+}
+
+// TotalWeight sums the hypothesis weights (should always be ~1).
+func TotalWeight(hyps []Hypothesis) float64 {
+	var t float64
+	for _, h := range hyps {
+		t += h.W
+	}
+	return t
+}
+
+// MAP returns the maximum a posteriori hypothesis.
+func MAP(hyps []Hypothesis) Hypothesis {
+	var best Hypothesis
+	for _, h := range hyps {
+		if h.W > best.W {
+			best = h
+		}
+	}
+	return best
 }

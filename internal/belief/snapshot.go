@@ -68,21 +68,17 @@ func (sn *Snapshot) validate() error {
 // Snapshot implements Belief. The snapshot owns deep copies of every
 // state of Support; it stays valid across later updates.
 func (b *Exact) Snapshot() Snapshot {
+	hyps := slices.Clone(b.Support())
+	for i := range hyps {
+		hyps[i].S = hyps[i].S.Clone()
+	}
 	return Snapshot{
 		Now:     b.now,
-		Hyps:    cloneHyps(b.Support()),
+		Hyps:    hyps,
 		Pending: append([]model.Send(nil), b.pending...),
 		Recent:  maps.Clone(b.recent),
 		Cum:     b.Cum,
 	}
-}
-
-func cloneHyps(hyps []Hypothesis) []Hypothesis {
-	out := make([]Hypothesis, len(hyps))
-	for i, h := range hyps {
-		out[i] = Hypothesis{S: h.S.Clone(), W: h.W}
-	}
-	return out
 }
 
 // Restore rebuilds the belief a snapshot was taken of over the given

@@ -2,7 +2,6 @@ package belief_test
 
 import (
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -163,7 +162,7 @@ func TestStorageFollowsTheClasses(t *testing.T) {
 // header pages follow its classes down: at every read the belief holds
 // ⌈classes / HdrPageLen⌉ pages, every page it gave back lies in its
 // pool's header store, and the store has made no more pages than the
-// widest classes held at once. The support view holds one header per
+// widest classes held at once. The view and Support hold one member per
 // hypothesis.
 func TestSupportHeadersFollowTheSupport(t *testing.T) {
 	states, _ := model.Fig3Prior().Enumerate()
@@ -193,8 +192,8 @@ func TestSupportHeadersFollowTheSupport(t *testing.T) {
 		if held := pages + belief.HeaderStore(b); held != widest {
 			t.Fatalf("update %d: %d header pages held and %d stored, after %d held at once", k, pages, belief.HeaderStore(b), widest)
 		}
-		if n := len(b.Support()); n != st.N {
-			t.Fatalf("update %d: the support view holds %d headers for %d hypotheses", k, n, st.N)
+		if n, m := len(b.Support()), b.View().Len(); n != st.N || m != st.N {
+			t.Fatalf("update %d: Support holds %d hypotheses and the view %d members for %d hypotheses", k, n, m, st.N)
 		}
 	}
 	if widest < 4*least {
@@ -292,91 +291,5 @@ func TestPagesHaveOneOwner(t *testing.T) {
 	}
 	if longest <= belief.PageLen || handed == 0 {
 		t.Fatalf("the longest class queue held %d entries and %d arrays passed between beliefs: the check is vacuous", longest, handed)
-	}
-}
-
-// TestSupportIsOneViewPerPool: beliefs that share a pool share one
-// support view. Two beliefs on a fleet member's prior (every class one
-// hypothesis) and two on Figure 3's loss prior (classes of loss
-// siblings) share one pool, each beside a twin alone on a pool of its
-// own, and are driven through generated updates and reads in a
-// generated order: every Support deep-equals its twin's, whichever
-// belief's Support or Update came before; a view held across another
-// belief's Update still does; and a Support repeated with no Update or
-// other Support between allocates nothing.
-func TestSupportIsOneViewPerPool(t *testing.T) {
-	fl := fleet.New(fleet.Config{N: 16, Seed: 3})
-	pr := model.Fig3Prior()
-	pr.LinkRate.N, pr.CrossFrac.N, pr.FullnessSteps = 4, 2, 2
-	lossPrior, _ := pr.Enumerate()
-	member := fl.MemberBeliefConfig()
-	priors := []struct {
-		states []model.State
-		cfg    belief.Config
-	}{
-		{fl.PriorStates(), member}, {fl.PriorStates(), member},
-		{lossPrior, belief.Config{Relax: true}}, {lossPrior, belief.Config{Relax: true}},
-	}
-	pool := rollout.New()
-	n := len(priors)
-	bs, twins := make([]*belief.Exact, n), make([]*belief.Exact, n)
-	truths := make([]*model.Truth, n)
-	for i, p := range priors {
-		cfg := p.cfg
-		cfg.Pool = pool
-		bs[i] = belief.NewExact(p.states, cfg)
-		cfg.Pool = rollout.New()
-		twins[i] = belief.NewExact(p.states, cfg)
-		truths[i] = model.NewTruth(p.states[(i+1)*len(p.states)/(n+1)].P.Params, true, model.GateFixed, 0, rand.New(rand.NewSource(int64(i))))
-	}
-	rng := rand.New(rand.NewSource(65))
-	now := make([]time.Duration, n)
-	seq := make([]int64, n)
-	var updates, shared, held int
-	for k := 0; k < 300; k++ {
-		i := rng.Intn(n)
-		if rng.Intn(3) > 0 {
-			step := time.Duration(50+rng.Intn(700)) * time.Millisecond
-			var sends []model.Send
-			for j := range rng.Intn(4) {
-				sends = append(sends, model.Send{Seq: seq[i], At: now[i] + time.Duration(1+j)*time.Millisecond})
-				bs[i].RecordSend(sends[j])
-				twins[i].RecordSend(sends[j])
-				seq[i]++
-			}
-			now[i] += step
-			var acks []packet.Ack
-			for _, ev := range truths[i].AdvanceTo(now[i], sends) {
-				if ev.Kind == model.OwnDelivered {
-					acks = append(acks, packet.Ack{Seq: ev.Seq, ReceivedAt: ev.At})
-				}
-			}
-			bs[i].Update(now[i], slices.Clone(acks))
-			twins[i].Update(now[i], acks)
-			updates++
-		}
-		sup := bs[i].Support()
-		if !reflect.DeepEqual(sup, twins[i].Support()) {
-			t.Fatalf("step %d: belief %d's support differs from its twin's alone on a pool", k, i)
-		}
-		if _, classes, _, _, _ := belief.Storage(bs[i]); classes < len(sup) {
-			shared++
-		}
-		if allocs := testing.AllocsPerRun(3, func() { bs[i].Support() }); allocs != 0 {
-			t.Fatalf("step %d: a repeated Support allocates %v times", k, allocs)
-		}
-		// Another belief's Update leaves the view alone.
-		if j := rng.Intn(n); j != i && rng.Intn(4) == 0 {
-			now[j] += 100 * time.Millisecond
-			bs[j].Update(now[j], nil)
-			twins[j].Update(now[j], nil)
-			if !reflect.DeepEqual(sup, twins[i].Support()) {
-				t.Fatalf("step %d: belief %d's view changed under belief %d's Update", k, i, j)
-			}
-			held++
-		}
-	}
-	if updates < 150 || shared < 50 || held < 10 {
-		t.Fatalf("%d updates, %d reads of shared classes, %d views held across another Update: the check is vacuous", updates, shared, held)
 	}
 }

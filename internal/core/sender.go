@@ -99,19 +99,18 @@ func (s *Sender) SetNextSeq(seq int64) { s.nextSeq = seq }
 // what to do. Wake must be called with non-decreasing now.
 //
 // Its calls come in a fixed order that instrumentation decorating the
-// Belief or the Guard's CompiledPolicy relies on: one Update, one Support
+// Belief or the Guard's CompiledPolicy relies on: one Update, one View
 // (the planner.Wake every decision of this wake plans on), then per
 // decision PendingSends immediately followed by Guard.Decide, OnDecide
-// and, when it sends, RecordSend. The wake's support is valid until the
-// belief's next Update or, for beliefs sharing a rollout.Pool, the next
-// Support of another belief on it (belief.Belief.Support): no other
-// belief's Support runs before Wake returns, and nothing of the wake's
-// support outlives it but what the Guard clones.
+// and, when it sends, RecordSend. Wake never calls Support. The wake's
+// view is the belief's own storage, valid until the belief's next Update
+// (belief.Belief.View), so nothing of it outlives the wake but what the
+// Guard clones.
 func (s *Sender) Wake(now time.Duration, acks []packet.Ack) Action {
 	s.Wakes++
 	s.Acked += int64(len(acks))
 	s.Belief.Update(now, acks)
-	s.wake.Reset(s.Belief.Support(), now)
+	s.wake.Reset(s.Belief.View(), now)
 
 	s.sends = s.sends[:0]
 	maxBurst := s.MaxBurst
@@ -144,5 +143,5 @@ func (s *Sender) Wake(now time.Duration, acks []packet.Ack) Action {
 
 // Estimates summarizes the sender's current posterior (for reporting).
 func (s *Sender) Estimates() belief.Estimates {
-	return belief.Summarize(s.Belief.Support())
+	return belief.Summarize(s.Belief.View())
 }

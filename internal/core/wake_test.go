@@ -41,6 +41,8 @@ func (r *reweighted) Update(now time.Duration, acks []packet.Ack) belief.UpdateS
 
 func (r *reweighted) Support() []belief.Hypothesis { return r.sup }
 
+func (r *reweighted) View() belief.View { return belief.Wrap(r.sup) }
+
 // freshCheck observes the sender's decisions (Sender.OnDecide): each is
 // compared with a fresh one on the belief as it stands — planner.Decide on
 // a pool nothing has planned on, behind a reference PolicyCache fed the

@@ -556,10 +556,7 @@ func (m *Member) wake() {
 	m.acks = m.acks[:0]
 	act := m.Sender.Wake(now, acks)
 	if !m.lean {
-		// Support() is cached after the wake's own decision (no other
-		// belief on the pool has asked for its view since), so this read
-		// costs no copy.
-		m.SupportN.Add(now, float64(len(m.Sender.Belief.Support())))
+		m.SupportN.Add(now, float64(m.Sender.Belief.View().Len()))
 	}
 	for _, snd := range act.Sends {
 		m.Injected++

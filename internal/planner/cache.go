@@ -125,7 +125,7 @@ func (pc *PolicyCache) Decide(w *Wake, pending []model.Send, seq int64, cfg Conf
 	if e.Verify != 0 && e.FP == fp {
 		if e.Verify == ver {
 			pc.Hits++
-			return e.Decision(w.now, len(w.sup))
+			return e.Decision(w.now, w.view.Len())
 		}
 		pc.Collisions++
 	}
@@ -149,22 +149,24 @@ func (pc *PolicyCache) Decide(w *Wake, pending []model.Send, seq int64, cfg Conf
 // compiled under one (tq, wq) is only probed with the same quanta (the
 // table header records them).
 func Fingerprint(sup []belief.Hypothesis, pending []model.Send, now time.Duration, tq time.Duration, wq float64) (fp, verify uint64) {
-	return supportPrint(sup, now, tq, wq).withPending(pending, now, tq)
+	return supportPrint(belief.Wrap(sup), now, tq, wq).withPending(pending, now, tq)
 }
 
 // supportPrint is the fingerprint's support half, which a Wake keeps for
-// all the decisions of one wake.
-func supportPrint(sup []belief.Hypothesis, now, tq time.Duration, wq float64) memoKey {
-	h := memoSeed.mix(uint64(len(sup)))
-	for i := range sup {
-		hyp := &sup[i]
-		s := &hyp.S
-		h = h.mix(uint64(s.ParamsID))
+// all the decisions of one wake: per member, in support order, its grid
+// point and weight and its class's state.
+func supportPrint(v belief.View, now, tq time.Duration, wq float64) memoKey {
+	n := v.Len()
+	h := memoSeed.mix(uint64(n))
+	for i := range n {
+		m := v.Member(i)
+		s := m.S
+		h = h.mix(uint64(m.ID))
 		// Round-to-nearest, not truncation: the quotient of two nearby
 		// floats is inexact, and truncating it lands weights equal to
 		// within one ulp in adjacent buckets, splitting entries that
 		// should share one.
-		h = h.mix(uint64(int64(math.Round(hyp.W / wq))))
+		h = h.mix(uint64(int64(math.Round(m.W / wq))))
 		h = h.mix(s.ShapeWord())
 		h = h.mixD(s.NextCross-now, tq)
 		if s.P.MeanSwitch <= 0 || s.SwitchTick <= 0 {

@@ -200,7 +200,7 @@ func TestPolicyCacheDoesNotAllocate(t *testing.T) {
 	store := func() {
 		i++
 		weightedSupport(sup, i)
-		w.Reset(sup, now)
+		w.Reset(belief.Wrap(sup), now)
 		pc.Decide(&w, nil, 0, cfg)
 	}
 	store()

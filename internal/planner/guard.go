@@ -1,6 +1,7 @@
 package planner
 
 import (
+	"slices"
 	"time"
 
 	"modelcc/internal/belief"
@@ -31,8 +32,8 @@ type CompiledPolicy interface {
 // the wake's belief at its instant, so the fingerprint's support half
 // (Wake.Fingerprint) is paid once per wake rather than once per
 // decision. The Guard prefers it whenever its CompiledPolicy implements
-// it. ProbeWake must answer exactly as Probe does on (w.Support(),
-// pending, w.Now()).
+// it. ProbeWake must answer exactly as Probe does on the wake's view
+// expanded (belief.View.Support), pending and w.Now().
 type WakePolicy interface {
 	ProbeWake(w *Wake, pending []model.Send) (Decision, bool)
 }
@@ -141,7 +142,7 @@ func NewGuard(budget time.Duration, cache *PolicyCache) *Guard {
 // the wake's belief with the pending sends, within roughly Budget,
 // degrading per the ladder above.
 func (g *Guard) Decide(w *Wake, pending []model.Send, seq int64, cfg Config) Decision {
-	sup, now := w.sup, w.now
+	now := w.now
 	if g.RecordLatency {
 		start := time.Now()
 		defer func() { g.Latencies = append(g.Latencies, time.Since(start).Nanoseconds()) }()
@@ -188,9 +189,8 @@ func (g *Guard) Decide(w *Wake, pending []model.Send, seq int64, cfg Config) Dec
 	}
 
 	// Snapshot the belief for the background goroutine: the belief will
-	// mutate these states on its next Update, and topK copies only the
-	// hypothesis headers.
-	hyps := topK(sup, cfg.withDefaults().MaxHyps)
+	// mutate these states on its next Update.
+	hyps := slices.Clone(w.support())
 	for i := range hyps {
 		hyps[i].S = hyps[i].S.Clone()
 	}
@@ -232,7 +232,7 @@ func (g *Guard) probeCompiled(w *Wake, pending []model.Send) (Decision, bool) {
 	case WakePolicy:
 		return c.ProbeWake(w, pending)
 	default:
-		return c.Probe(w.sup, pending, w.now)
+		return c.Probe(w.support(), pending, w.now)
 	}
 }
 

@@ -289,7 +289,7 @@ func (f *wakeFake) ProbeWake(w *Wake, pending []model.Send) (Decision, bool) {
 	if !f.hit {
 		return Decision{}, false
 	}
-	return Decision{SendNow: f.send, WakeAt: w.now + f.delta, Support: len(w.sup)}, true
+	return Decision{SendNow: f.send, WakeAt: w.now + f.delta, Support: w.view.Len()}, true
 }
 
 // probeCounter has the shape of a tracing decorator: it embeds a

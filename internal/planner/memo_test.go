@@ -296,7 +296,7 @@ func TestLossSiblingsShareOneRollout(t *testing.T) {
 		for i := range hyps {
 			want = append(want, refSweep(&hyps[i], hyps[i].S.P.LossProb, nil, now, 7, cfg)...)
 		}
-		ref := reduce(hyps, want, candidates, now, cfg.Grid, true) // the rows hold survival
+		ref := refReduce(hyps, want, candidates, now, cfg.Grid, true) // the rows hold survival
 		tol := 1e-9 * float64(s.P.PktBits())
 		if tc.swept > 1 {
 			tol = 0

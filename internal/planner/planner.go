@@ -46,7 +46,10 @@
 // refuses (a chunk smaller than a packet arriving by the horizon) and a
 // call with a cross-latency penalty are swept as before, bit for bit.
 //
-// What only the wake decides — the top-K copy, the rollout-key hashes, the
+// A plan reads the belief in place (belief.View) and rolls each class of
+// its top-K members once: a rollout reads nothing the members of a class
+// differ in but LossProb, and that only under a penalty. What only the
+// wake decides — the top-K members, their classes' rollout keys, the
 // fingerprint's support half — is taken at a Wake's first decision.
 //
 // Ties break toward the longest delay. This is what turns the utility
@@ -58,7 +61,6 @@ package planner
 
 import (
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -164,10 +166,11 @@ const lockstepChunk = time.Second
 // not yet folded into the belief; every rollout replays them, so the
 // decisions of one wakeup see each other's queue occupancy.
 //
-// Each hypothesis is keyed by what a sweep reads of it (see the package
-// comment), and its gain vector — one gain per candidate send time — comes
-// from the first of: the rollout memo, where an earlier call on the pool
-// stored the key; an earlier hypothesis of this call with the same key;
+// Each unit (Wake's begin) is keyed by what a sweep reads of it, and its
+// gain vector — one gain per candidate send time — comes from the first
+// of: the rollout memo, where an earlier call on the pool stored the key;
+// an earlier unit of this call with the same key (two classes may differ
+// only in what no rollout reads);
 // the twin log of a burst's first decision; a sweep. A memo hit is bit for
 // bit what the sweep would produce, so the memo never reaches a Decision.
 //
@@ -189,16 +192,16 @@ const lockstepChunk = time.Second
 // send of another size or instant go down the direct sweep. Resident,
 // evicted or never made, the same key gets the same vector.
 //
-// reduce weighs the vectors by the hypotheses' weights (W·(1−p) without a
-// penalty) in index order and picks the best candidate, ties within a band
-// going to the longest delay.
+// reduce weighs each member's unit's vector by the member's weight
+// (W·(1−p) without a penalty) in member order and picks the best
+// candidate, ties within a band going to the longest delay.
 func Decide(sup []belief.Hypothesis, pending []model.Send, now time.Duration, seq int64, cfg Config) Decision {
 	var w Wake
-	w.Reset(sup, now)
+	w.Reset(belief.Wrap(sup), now)
 	return w.Decide(pending, seq, cfg)
 }
 
-// Decide decides on the wake's support at the wake's instant: a sender
+// Decide decides on the wake's view at the wake's instant: a sender
 // calls it on its own wake, the package's Decide on a throwaway one. What
 // only the wake decides is taken at its first decision on a pool.
 func (w *Wake) Decide(pending []model.Send, seq int64, cfg Config) Decision {
@@ -211,7 +214,7 @@ func (w *Wake) Decide(pending []model.Send, seq int64, cfg Config) Decision {
 	now := w.now
 	ar := arenaOf(pool)
 	ar.begin(w, cfg.MaxHyps, cfg.Util.CrossLatencyPenalty > 0)
-	hyps := ar.hyps
+	units := ar.units
 
 	horizonEnd := now + cfg.MaxDelay + cfg.Horizon
 	candidates := int(cfg.MaxDelay/cfg.Grid) + 1
@@ -229,10 +232,9 @@ func (w *Wake) Decide(pending []model.Send, seq int64, cfg Config) Decision {
 	stops = append(stops, horizonEnd)
 	ar.stops = stops
 
-	// gains[i*candidates+k] is hypothesis i's utility advantage of
-	// sending at now+k·Grid over not sending, relative to decision time
-	// now.
-	n := len(hyps)
+	// gains[i*candidates+k] is unit i's utility advantage of sending at
+	// now+k·Grid over not sending, relative to decision time now.
+	n := len(units)
 	ar.gains = slices.Grow(ar.gains[:0], n*candidates)[:n*candidates]
 	gains := ar.gains
 	row := func(i int) []float64 { return gains[i*candidates : (i+1)*candidates] }
@@ -275,8 +277,8 @@ func (w *Wake) Decide(pending []model.Send, seq int64, cfg Config) Decision {
 	ar.from = slices.Grow(ar.from[:0], n)[:n]
 	ar.firsts.reset(n, width)
 	keys, from, fresh, roll, bare := ar.keys, ar.from, ar.fresh[:0], ar.roll[:0], ar.bare[:0]
-	for i, hyp := range ar.hkeys {
-		keys[i] = hyp.under(plan)
+	for i := range units {
+		keys[i] = units[i].key.under(plan)
 		from[i] = -1
 		if ar.memo.lookup(keys[i], row(i)) {
 			continue
@@ -293,12 +295,12 @@ func (w *Wake) Decide(pending []model.Send, seq int64, cfg Config) Decision {
 		if derives {
 			// The first decision's log closes this depth if it is at hand;
 			// if it is gone, the first decision is swept again to remake it.
-			if lg, bkey := &ar.logs[i], hyp.under(firstPlan); lg.key == bkey {
+			if lg, bkey := &ar.logs[i], units[i].key.under(firstPlan); lg.key == bkey {
 				if lg.derive(burst, row(i), ar.spare) {
 					ar.memo.Derived++
 					continue
 				}
-			} else if twinGate(&hyps[i].S, horizonEnd) {
+			} else if twinGate(units[i].s, horizonEnd) {
 				lg.key = bkey
 				bare = append(bare, int32(i))
 				continue
@@ -346,7 +348,7 @@ func (w *Wake) Decide(pending []model.Send, seq int64, cfg Config) Decision {
 			copy(row(i), row(int(j)))
 		}
 	}
-	d := reduce(hyps, gains, candidates, now, cfg.Grid, ar.penalty)
+	d := reduce(ar.top, units, gains, candidates, now, cfg.Grid)
 	for _, i := range fresh {
 		ar.memo.store(keys[i], row(int(i)))
 	}
@@ -363,7 +365,7 @@ func (w *Wake) Decide(pending []model.Send, seq int64, cfg Config) Decision {
 	for _, i := range fresh {
 		if lg := &ar.logs[i]; lg.busy() {
 			for m := 1; lg.derive(m, ar.spare, ar.spare); m++ {
-				ar.memo.store(ar.hkeys[i].under(later[m-1]), ar.spare)
+				ar.memo.store(ar.units[i].key.under(later[m-1]), ar.spare)
 			}
 		}
 	}
@@ -379,8 +381,8 @@ func (ar *decideArena) run(roll []int32, pending []model.Send, out []float64) {
 	}
 }
 
-// reduce weighs the gain rows into the Decision, by W·(1−p) if penalty-free.
-func reduce(hyps []belief.Hypothesis, gains []float64, candidates int, now, grid time.Duration, penalty bool) Decision {
+// reduce weighs the gain rows of the members' units into the Decision.
+func reduce(top []topMember, units []unit, gains []float64, candidates int, now, grid time.Duration) Decision {
 	// Sequential reduce, candidate-major like the serial planner: ties
 	// keep preferring the later send time (pacing). The tie widens to a
 	// band of tieEps — 1e-6 of one packet's utility, the natural scale
@@ -390,8 +392,8 @@ func reduce(hyps []belief.Hypothesis, gains []float64, candidates int, now, grid
 	// utility (rather than an absolute constant) keeps the band
 	// meaningful for small-κ configurations where all utilities shrink.
 	var tieEps float64
-	for i := range hyps {
-		if b := 1e-6 * float64(hyps[i].S.P.PktBits()); b > tieEps {
+	for i := range units {
+		if b := 1e-6 * float64(units[i].s.P.PktBits()); b > tieEps {
 			tieEps = b
 		}
 	}
@@ -400,12 +402,8 @@ func reduce(hyps []belief.Hypothesis, gains []float64, candidates int, now, grid
 	chosenGain := negInf
 	for k := 0; k < candidates; k++ {
 		var gain float64
-		for i := range hyps {
-			w := hyps[i].W
-			if !penalty {
-				w *= 1 - hyps[i].S.P.LossProb
-			}
-			gain += w * gains[i*candidates+k]
+		for _, m := range top {
+			gain += m.w * gains[int(m.unit)*candidates+k]
 		}
 		if gain > maxGain {
 			maxGain = gain
@@ -421,20 +419,20 @@ func reduce(hyps []belief.Hypothesis, gains []float64, candidates int, now, grid
 		WakeAt:     now + time.Duration(bestDelta)*grid,
 		Gain:       chosenGain,
 		Candidates: candidates,
-		Support:    len(hyps),
+		Support:    len(top),
 	}
 }
 
 const negInf = -1e308
 
-// sweep rolls hypothesis i of the call in flight into its row of gains:
+// sweep rolls unit i of the call in flight into its row of gains:
 // the baseline and every candidate advance from stop to stop
 // (State.RunAccum), and at each stop the candidate's segment sum less the
 // baseline's joins its gain. On a hypothesis twinGate takes the baseline
 // writes the twin log (twinSweep), from which each candidate is closed
 // instead, unless an arrival revives it.
 func (ar *decideArena) sweep(i int) {
-	h := &ar.hyps[i]
+	u := &ar.units[i]
 	stops, pending, candidates := ar.stops, ar.pending, ar.candidates
 	gains := ar.out[i*candidates : (i+1)*candidates]
 	ds := &ar.ds
@@ -445,12 +443,12 @@ func (ar *decideArena) sweep(i int) {
 	ar.memo.Lanes += int64(candidates)
 
 	base := &ds.state
-	h.S.CloneInto(base)
+	u.s.CloneInto(base)
 	horizon := stops[len(stops)-1]
-	twin := ar.twins && twinGate(&h.S, horizon)
+	twin := ar.twins && twinGate(u.s, horizon)
 	loss := 0.0 // survival-free: reduce weighs (1−p) in
 	if ar.penalty {
-		loss = h.S.P.LossProb
+		loss = u.p.LossProb
 	}
 	ar.util.Start(&ds.base, ar.now, loss, &ds.steps)
 	acc := &ds.base
@@ -499,7 +497,7 @@ func (ar *decideArena) sweep(i int) {
 		baseSeg := acc.Take()
 		if twin {
 			if tw.endStop(acc, j, baseSeg) {
-				n := ar.revive(h, lanes[:forked], gains, j)
+				n := ar.revive(u.s, lanes[:forked], gains, j)
 				ar.memo.Materialized += int64(n)
 				live += n
 			}
@@ -561,7 +559,7 @@ func (ar *decideArena) sweep(i int) {
 // that. It replays the hypothesis to its fork stop (a paused advance
 // moves nothing) and catches up through the stops it sat out, at none of
 // which it could equal the baseline.
-func (ar *decideArena) revive(h *belief.Hypothesis, lanes []lane, gains []float64, j int) (revived int) {
+func (ar *decideArena) revive(s *model.State, lanes []lane, gains []float64, j int) (revived int) {
 	ds := &ar.ds
 	tw := &ds.tw
 	lg := tw.lg.view(tw.logged, tw.prev)
@@ -581,7 +579,7 @@ func (ar *decideArena) revive(h *belief.Hypothesis, lanes []lane, gains []float6
 			continue
 		}
 		c.done = false
-		h.S.CloneInto(&c.s)
+		s.CloneInto(&c.s)
 		c.s.RunAccum(ar.stops[k], ar.pending, nil)
 		c.fork(&c.s, ar.stops[k], ar.pending, ar.seq)
 		ar.util.Start(&c.acc, ar.now, 0, &ds.steps) // a twin sweep has no penalty
@@ -1068,53 +1066,3 @@ func releasePool(p *rollout.Pool) {
 	defer poolCache.Unlock()
 	poolCache.free = append(poolCache.free, p)
 }
-
-// topK returns the k heaviest hypotheses, renormalized. It copies; the
-// input order is preserved for k >= len.
-func topK(sup []belief.Hypothesis, k int) []belief.Hypothesis {
-	return appendTopK(nil, &byWeight{}, sup, k)
-}
-
-// appendTopK is topK into dst's storage (Decide passes its arena's). A
-// support wider than k is ordered through order's index, not moved, so
-// the arena holds only the k hypotheses a plan reads and an int32 per
-// hypothesis of the widest support it has seen.
-func appendTopK(dst []belief.Hypothesis, order *byWeight, sup []belief.Hypothesis, k int) []belief.Hypothesis {
-	out := dst
-	if len(sup) > k {
-		order.sup, order.idx = sup, order.idx[:0]
-		for i := range sup {
-			order.idx = append(order.idx, int32(i))
-		}
-		sort.Sort(order)
-		for _, i := range order.idx[:k] {
-			out = append(out, sup[i])
-		}
-		order.sup = nil
-	} else {
-		out = append(out, sup...)
-	}
-	var total float64
-	for _, h := range out {
-		total += h.W
-	}
-	if total > 0 {
-		for i := range out {
-			out[i].W /= total
-		}
-	}
-	return out
-}
-
-// byWeight orders indices into a support heaviest first. sort.Sort runs
-// the pdqsort sort.Slice runs, and its swaps follow the Less outcomes
-// alone, so the index comes out in the order a copy of the support sorted
-// by the same comparison would: ties included.
-type byWeight struct {
-	idx []int32
-	sup []belief.Hypothesis
-}
-
-func (b *byWeight) Len() int           { return len(b.idx) }
-func (b *byWeight) Less(i, j int) bool { return b.sup[b.idx[i]].W > b.sup[b.idx[j]].W }
-func (b *byWeight) Swap(i, j int)      { b.idx[i], b.idx[j] = b.idx[j], b.idx[i] }

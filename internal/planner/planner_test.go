@@ -3,6 +3,7 @@ package planner
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -15,6 +16,51 @@ import (
 // certain returns a single-hypothesis support with weight 1.
 func certain(s model.State) []belief.Hypothesis {
 	return []belief.Hypothesis{{S: s, W: 1}}
+}
+
+// topK is the top-K a plan reads, by a copy sort: the k heaviest
+// hypotheses, renormalized; the input order is kept for k >= len.
+func topK(sup []belief.Hypothesis, k int) []belief.Hypothesis {
+	out := slices.Clone(sup)
+	if len(out) > k {
+		sort.Slice(out, func(i, j int) bool { return out[i].W > out[j].W })
+		out = out[:k]
+	}
+	var total float64
+	for _, h := range out {
+		total += h.W
+	}
+	if total > 0 {
+		for i := range out {
+			out[i].W /= total
+		}
+	}
+	return out
+}
+
+// refReduce is reduce over plain hypotheses, one gain row each.
+func refReduce(hyps []belief.Hypothesis, gains []float64, candidates int, now, grid time.Duration, penalty bool) Decision {
+	top, units := make([]topMember, len(hyps)), make([]unit, len(hyps))
+	for i := range hyps {
+		h := &hyps[i]
+		top[i] = topMember{w: h.W, unit: int32(i)}
+		if !penalty {
+			top[i].w *= 1 - h.S.P.LossProb
+		}
+		units[i] = unit{s: &h.S, p: h.S.P, cls: int32(i)}
+	}
+	return reduce(top, units, gains, candidates, now, grid)
+}
+
+// pickTop is the top-K members ar.begin takes of a plain support, each
+// under its renormalized weight.
+func pickTop(ar *decideArena, sup []belief.Hypothesis, k int) []belief.Hypothesis {
+	ar.begin(NewWake(sup, 0), k, false)
+	var out []belief.Hypothesis
+	for _, m := range ar.top {
+		out = append(out, belief.Hypothesis{S: sup[ar.units[m.unit].cls].S, W: m.w})
+	}
+	return out
 }
 
 func idleLink() model.State {
@@ -181,7 +227,8 @@ func TestTopK(t *testing.T) {
 	sup := []belief.Hypothesis{
 		{S: s, W: 0.5}, {S: s, W: 0.3}, {S: s, W: 0.15}, {S: s, W: 0.05},
 	}
-	got := topK(sup, 2)
+	var ar decideArena
+	got := pickTop(&ar, sup, 2)
 	if len(got) != 2 {
 		t.Fatalf("len = %d", len(got))
 	}
@@ -193,27 +240,28 @@ func TestTopK(t *testing.T) {
 		t.Errorf("topK not renormalized: %v", total)
 	}
 	// k >= len preserves order and weights.
-	same := topK(sup, 10)
+	same := pickTop(&ar, sup, 10)
 	if len(same) != 4 || same[0].W != 0.5 {
 		t.Errorf("topK with k>=len altered input: %+v", same)
 	}
 }
 
-// TestTopKMatchesCopySort: the top-K taken through an index sort is, hypothesis
-// for hypothesis and in order, the top-K of a copy of the support sorted
-// by sort.Slice under the same comparison — under heavy weight ties, where
-// only pdqsort's own sequence of swaps decides which of the tied
-// hypotheses make the cut and in what order, at widths across its
-// insertion-sort, pattern-breaking and heap-sort regimes. One index is
-// reused throughout, as a pool's arena reuses it.
+// TestTopKMatchesCopySort: the top-K members a wake's plan takes, through
+// an index sort, are, member for member and in order, the top-K of a copy
+// of the support sorted by sort.Slice under the same comparison — under
+// heavy weight ties, where only pdqsort's own sequence of swaps decides
+// which of the tied hypotheses make the cut and in what order, at widths
+// across its insertion-sort, pattern-breaking and heap-sort regimes. One
+// arena is reused throughout, as a pool's is.
 func TestTopKMatchesCopySort(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	var order byWeight
-	var dst []belief.Hypothesis
+	var ar decideArena
+	s := idleLink()
 	for _, n := range []int{3, 12, 13, 50, 257, 300, 1000, 4480} {
 		for _, levels := range []int{1, 2, 5, 40} {
 			sup := make([]belief.Hypothesis, n)
 			for i := range sup {
+				sup[i].S = s
 				sup[i].S.ParamsID = int32(i)
 				sup[i].W = float64(1+rng.Intn(levels)) / 64
 			}
@@ -234,7 +282,7 @@ func TestTopKMatchesCopySort(t *testing.T) {
 				ref := append([]belief.Hypothesis(nil), sup...)
 				sort.Slice(ref, func(i, j int) bool { return ref[i].W > ref[j].W })
 				want := topK(ref[:k], k)
-				dst = appendTopK(dst[:0], &order, sup, k)
+				dst := pickTop(&ar, sup, k)
 				for i := range want {
 					if dst[i].S.ParamsID != want[i].S.ParamsID || math.Float64bits(dst[i].W) != math.Float64bits(want[i].W) {
 						t.Fatalf("n %d, %d weight levels, k %d: hypothesis %d is #%d (w %v), the copy sort's #%d (w %v)",

@@ -367,7 +367,7 @@ func TestDecideStreamMatchesEventSweep(t *testing.T) {
 						c, depth, i/candidates, i%candidates, have[i], want[i], tol)
 				}
 			}
-			ref := reduce(hyps, want, candidates, now, cfg.Grid, exact)
+			ref := refReduce(hyps, want, candidates, now, cfg.Grid, exact)
 			if !exact {
 				ref.Gain = got.Gain
 			}

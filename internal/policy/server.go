@@ -51,7 +51,7 @@ func (s *Server) Stats() (probes, hits, misses int64) {
 // mismatches is a detected collision and reported as a miss.
 func (s *Server) ProbeWake(w *planner.Wake, pending []model.Send) (planner.Decision, bool) {
 	fp, ver := w.Fingerprint(pending, s.t.h.TimeQuantum, s.t.h.WeightQuantum)
-	return s.lookup(fp, ver, w.Now(), len(w.Support()))
+	return s.lookup(fp, ver, w.Now(), w.View().Len())
 }
 
 // Probe implements planner.CompiledPolicy: ProbeWake on a bare support.

@@ -22,39 +22,33 @@ type capturedWake struct {
 	pending [][]model.Send
 }
 
-// wakeCapture is a planner.WakePolicy that never hits and keeps the
-// first max wakes of the run it is wired into. A sender plans every
-// decision of a wake on its one planner.Wake, so consecutive probes on
-// one Wake at one instant are one wake's decisions. The support slice
-// cannot tell two senders' wakes apart: members on one pool read one
-// support view.
+// wakeCapture is a plain planner.CompiledPolicy that never hits and keeps
+// the first max wakes of the run it is wired into. A wake's first decision
+// sees no pending sends, since its Update folds every send of the wakes
+// before, and each later decision of the wake, at the same instant, one
+// more.
 type wakeCapture struct {
 	max   int
 	wakes []capturedWake
-	last  *planner.Wake
+	open  bool
 }
 
-func (c *wakeCapture) ProbeWake(w *planner.Wake, pending []model.Send) (planner.Decision, bool) {
-	n, sup, now := len(c.wakes), w.Support(), w.Now()
+func (c *wakeCapture) Probe(sup []belief.Hypothesis, pending []model.Send, now time.Duration) (planner.Decision, bool) {
+	n := len(c.wakes)
 	switch {
-	case n > 0 && c.last == w && c.wakes[n-1].now == now:
+	case len(pending) > 0 && c.open && c.wakes[n-1].now == now:
 		c.wakes[n-1].pending = append(c.wakes[n-1].pending, slices.Clone(pending))
-	case n < c.max:
+	case len(pending) == 0 && n < c.max:
 		cp := slices.Clone(sup)
 		for i := range cp {
 			cp[i].S = cp[i].S.Clone()
 		}
 		c.wakes = append(c.wakes, capturedWake{sup: cp, now: now, pending: [][]model.Send{slices.Clone(pending)}})
-		c.last = w
+		c.open = true
 	default:
-		c.last = nil
+		c.open = false
 	}
 	return planner.Decision{}, false
-}
-
-// Probe is never called: the Guard probes a WakePolicy with the wake.
-func (c *wakeCapture) Probe([]belief.Hypothesis, []model.Send, time.Duration) (planner.Decision, bool) {
-	panic("wakeCapture: probed without a wake")
 }
 
 // fleetWakes returns the first n wakes of a short fleet run, at least one
@@ -133,7 +127,7 @@ func TestProbeWakeMatchesProbe(t *testing.T) {
 	var seen [3]int
 	for i, cw := range wakes {
 		var w planner.Wake
-		w.Reset(cw.sup, cw.now)
+		w.Reset(belief.Wrap(cw.sup), cw.now)
 		if i%2 == 1 {
 			// A cache under other quanta printed this wake first.
 			w.Fingerprint(nil, 0, 1e-6)
@@ -167,7 +161,7 @@ func TestProbeWakeDoesNotAllocate(t *testing.T) {
 	var w planner.Wake
 	var ok bool
 	first := testing.AllocsPerRun(100, func() {
-		w.Reset(cw.sup, cw.now)
+		w.Reset(belief.Wrap(cw.sup), cw.now)
 		_, ok = srv.ProbeWake(&w, cw.pending[0])
 	})
 	if !ok {
